@@ -4,8 +4,8 @@ from .catalog import (AlgebraId, CatalogEntry, NaturalComponent, Vec, d21a, f4,
                       g3, lookup, osp4m, psl22, sl2m, spo2m, validate)
 from .characters import (AffineWeight, QWSeries, character_massive,
                          character_massless, ell_of_h, fns_series, h_pair,
-                         n4_closed_form, series_from_records, series_records,
-                         verma_character, weyl_orbit)
+                         n4_closed_form, series_from_records, verma_character,
+                         weyl_orbit)
 from .gram_lab import (BosonBasisState, adjointness_check, boson_norm,
                        exp_factorization_check, fairlie_matrix, g_half_norm,
                        heisenberg_matrix, j_g_ratio, virasoro_check)

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .errors import IsotropicCoroot, ParameterOutOfRange
+from .errors import CriticalLevel, IsotropicCoroot, ParameterOutOfRange
 
 Q = Fraction
 
@@ -190,7 +190,22 @@ class CatalogEntry:
     def restrict(self, v: Vec) -> Vec:
         """Canonical representative of the restriction of v to h^nat: the
         orthogonal projection onto the span of the roots of g^nat."""
-        return _restriction_matrix(self.id).apply(v)
+        rows = _root_span_projection(self.id)[0]
+        return Vec(sum(r[j] * v[j] for j in range(len(v))) for r in rows)
+
+    # -- level scalars ------------------------------------------------------
+    def shifted_level(self, k) -> Fraction:
+        """k + h_vee, the denominator of every level formula; raises
+        CriticalLevel at the critical level k = -h_vee."""
+        kh = Q(k) + self.h_vee
+        if kh == 0:
+            raise CriticalLevel(f"k = -h_vee = {-self.h_vee} for {self.id.label()}")
+        return kh
+
+    def casimir(self, nu: Vec) -> Fraction:
+        """(nu|nu+2rho^nat), the Casimir term of the thresholds and of the
+        singular and lowest conformal weights."""
+        return self.form(nu, nu + 2 * self.rho_natural)
 
     # -- weights ----------------------------------------------------------
     def is_dominant_integral(self, nu: Vec) -> bool:
@@ -477,14 +492,6 @@ def lookup(aid: AlgebraId) -> CatalogEntry:
 # restriction to h^nat
 
 
-class _Projection:
-    def __init__(self, rows):
-        self.rows = rows
-
-    def apply(self, v: Vec) -> Vec:
-        return Vec(sum(r[j] * v[j] for j in range(len(v))) for r in self.rows)
-
-
 def _solve_exact(mat, rhs_cols):
     """Gaussian elimination: invert `mat` against several right-hand sides."""
     r = len(mat)
@@ -503,7 +510,12 @@ def _solve_exact(mat, rhs_cols):
 
 
 @lru_cache(maxsize=None)
-def _restriction_matrix(aid: AlgebraId) -> _Projection:
+def _root_span_projection(aid: AlgebraId) -> tuple:
+    """(projection rows, depth covector) from one exact solve.
+
+    The solve gives the coefficients c(v) of the projection of v on the
+    simple roots of g^nat; the projection is sum_i c_i(v) s_i, and the depth
+    covector is the coefficient sum, i.e. the column sums of c."""
     entry = lookup(aid)
     s = entry.simple_roots_natural
     r, n = len(s), entry.n
@@ -514,7 +526,7 @@ def _restriction_matrix(aid: AlgebraId) -> _Projection:
     coeffs = _solve_exact(gram_rel, sg)  # r x n: c(v) = Grel^{-1} S G v
     proj = [Vec(sum(s[i][a] * coeffs[i][j] for i in range(r)) for j in range(n))
             for a in range(n)]
-    return _Projection(proj)
+    return proj, Vec(sum(col) for col in zip(*coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ for the ring operations, so truncated arithmetic is exact within the window.
 The character sums run over the affine Weyl group generated by the
 reflections in the simple roots of g^nat and in eta_i = delta - theta_i,
 acting on nu_hat_h + rho_hat.  Orbit enumeration is breadth-first with
-deduplication, pruned at q_shift > limit + margin, with a hard element cap
-that raises TruncationIncomplete when hit.
+deduplication, pruned at q_shift > limit + ORBIT_MARGIN, with a hard cap of
+ORBIT_CAP elements that raises TruncationIncomplete when hit.  Neither is a
+parameter: both are module constants read at call time.
 
 Summation over orbit elements is sequential and deterministic; the merge is
 commutative exact addition, so a parallel evaluation would have to reproduce
@@ -26,11 +27,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .catalog import AlgebraId, CatalogEntry, Vec, lookup, zero_vec
-from .errors import (CriticalLevel, IndexOutOfRange, NonDominant,
-                     PreconditionViolated, TruncationIncomplete, UnsupportedD21a)
+from .catalog import (AlgebraId, CatalogEntry, Vec, _root_span_projection, lookup,
+                      zero_vec)
+from .errors import (IndexOutOfRange, NonDominant, PreconditionViolated,
+                     TruncationIncomplete, UnsupportedD21a)
 from .rationals import format_rational, solve_quadratic_rational
-from .weights import A_bound, in_P_plus_k, is_extremal
+from .weights import A_bound, _is_extremal, _P_plus_data, in_P_plus_k
 
 Q = Fraction
 
@@ -89,36 +91,9 @@ def _reflect_eta(entry: CatalogEntry, lam: AffineWeight, comp) -> AffineWeight:
 # depth functional
 
 
-@lru_cache(maxsize=None)
-def _depth_covector(aid: AlgebraId) -> tuple:
-    """Coordinate covector c with c.v = coefficient sum of the projection of v
-    onto the span of the simple roots s_i of g^nat (solve Gram * y = 1, then
-    c = sum_i y_i * (row of s_i paired through the form))."""
-    entry = lookup(aid)
-    s = entry.simple_roots_natural
-    r = len(s)
-    g = [[entry.form(s[i], s[j]) for j in range(r)] + [Q(1)] for i in range(r)]
-    for col in range(r):
-        piv = next(i for i in range(col, r) if g[i][col] != 0)
-        g[col], g[piv] = g[piv], g[col]
-        pv = g[col][col]
-        g[col] = [x / pv for x in g[col]]
-        for i in range(r):
-            if i != col and g[i][col] != 0:
-                f = g[i][col]
-                g[i] = [u - f * v for u, v in zip(g[i], g[col])]
-    y = [g[i][r] for i in range(r)]
-    cov = [Q(0)] * entry.n
-    for yi, si in zip(y, s):
-        row = [sum(entry.gram[a][b] * si[b] for b in range(entry.n))
-               for a in range(entry.n)]
-        cov = [cj + yi * rj for cj, rj in zip(cov, row)]
-    return tuple(cov)
-
-
 @lru_cache(maxsize=2 ** 18)
 def _depth_value(aid: AlgebraId, w: Vec) -> Fraction:
-    cov = _depth_covector(aid)
+    cov = _root_span_projection(aid)[1]
     return sum((c * x for c, x in zip(cov, w)), Q(0))
 
 
@@ -297,10 +272,6 @@ class QWSeries:
         return f"QWSeries({self.n_terms()} terms, q_max={self.q_max}, depth={self.depth})"
 
 
-def series_records(s: QWSeries) -> List[dict]:
-    return s.records()
-
-
 def series_from_records(entry: CatalogEntry, recs: Sequence[dict], q_max, depth,
                         ref: Optional[Vec] = None) -> QWSeries:
     s = QWSeries(entry, q_max, depth, ref)
@@ -364,7 +335,7 @@ def _fermion_inverse_sq(entry: CatalogEntry, q_max, depth, w: Vec, c: Fraction) 
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _fns_cached(aid: AlgebraId, q_max: Fraction, depth: Fraction,
                 slope: Fraction = Q(0)) -> QWSeries:
     entry = lookup(aid)
@@ -422,23 +393,18 @@ def verma_character(g: AlgebraId, nu: Vec, ell, q_max, depth) -> QWSeries:
 def ell_of_h(g: AlgebraId, k, nu: Vec, h) -> Fraction:
     """Lowest energy of the reduced module with highest weight nu_hat_h."""
     entry = lookup(g)
+    kh = entry.shifted_level(k)
     k, h = Q(k), Q(h)
-    kh = k + entry.h_vee
-    if kh == 0:
-        raise CriticalLevel(entry.id.label())
-    return (entry.form(nu, nu + 2 * entry.rho_natural) / (2 * kh)
-            + h * (h - k - 1) / kh)
+    return entry.casimir(nu) / (2 * kh) + h * (h - k - 1) / kh
 
 
 def h_pair(g: AlgebraId, k, nu: Vec, l0) -> Optional[Tuple[Fraction, Fraction]]:
     """Rational solutions (h, h') of ell(h) = l0, with h' = k+1-h, or None
     when the discriminant is not a rational square."""
     entry = lookup(g)
+    kh = entry.shifted_level(k)
     k, l0 = Q(k), Q(l0)
-    kh = k + entry.h_vee
-    if kh == 0:
-        raise CriticalLevel(entry.id.label())
-    c0 = entry.form(nu, nu + 2 * entry.rho_natural) / (2 * kh)
+    c0 = entry.casimir(nu) / (2 * kh)
     roots = solve_quadratic_rational(Q(1), -(k + 1), -(l0 - c0) * kh)
     if roots is None:
         return None
@@ -458,13 +424,12 @@ class OrbitElement:
     iso_images: tuple           # images of the isotropic simple roots (massless)
 
 
-DEFAULT_MARGIN = Q(2)
-DEFAULT_CAP = 10 ** 6
+ORBIT_MARGIN = Q(2)  # pad on the q_shift pruning bound, until pruning at 0 is proved sound
+ORBIT_CAP = 10 ** 6  # orbit elements seen before TruncationIncomplete is raised
 
 
 def _orbit(entry: CatalogEntry, k: Fraction, nu: Vec, h: Fraction,
-           q_shift_limit: Fraction, margin: Fraction = DEFAULT_MARGIN,
-           cap: int = DEFAULT_CAP, track_iso: bool = False) -> List[OrbitElement]:
+           q_shift_limit: Fraction, track_iso: bool = False) -> List[OrbitElement]:
     """Breadth-first shifted-orbit enumeration.  Deduplication is on the image
     of nu_hat+rho_hat (plus the isotropic-root images when tracked, which
     separates group elements even when the orbit point sits on a wall)."""
@@ -481,7 +446,7 @@ def _orbit(entry: CatalogEntry, k: Fraction, nu: Vec, h: Fraction,
             if shift <= q_shift_limit:
                 restr = entry.restrict(lam.finite) - entry.rho_natural
                 out.append(OrbitElement(restr, det, shift, iso))
-            if shift > q_shift_limit + margin:
+            if shift > q_shift_limit + ORBIT_MARGIN:
                 continue
             for alpha in entry.simple_roots_natural:
                 lam2 = _reflect_finite(entry, lam, alpha)
@@ -497,17 +462,15 @@ def _orbit(entry: CatalogEntry, k: Fraction, nu: Vec, h: Fraction,
                 if key not in seen:
                     seen.add(key)
                     nxt.append((lam2, -det, iso2))
-            if len(seen) > cap:
+            if len(seen) > ORBIT_CAP:
                 raise TruncationIncomplete(
-                    f"orbit cap {cap} hit at q_shift limit {q_shift_limit}")
+                    f"orbit cap {ORBIT_CAP} hit at q_shift limit {q_shift_limit}")
         frontier = nxt
     out.sort(key=lambda e: (e.q_shift, tuple(e.restriction), e.det))
     return out
 
 
-def weyl_orbit(g: AlgebraId, k, nu: Vec, h, q_max,
-               margin: Fraction = DEFAULT_MARGIN, cap: int = DEFAULT_CAP
-               ) -> List[Tuple[Vec, int, Fraction]]:
+def weyl_orbit(g: AlgebraId, k, nu: Vec, h, q_max) -> List[Tuple[Vec, int, Fraction]]:
     """Distinct shifted-orbit elements with q_shift <= q_max.
 
     Returns (restriction of w.nu_hat_h to h^nat, det w, q_shift); the
@@ -516,7 +479,7 @@ def weyl_orbit(g: AlgebraId, k, nu: Vec, h, q_max,
     entry = lookup(g)
     if not in_P_plus_k(g, k, nu):
         raise NonDominant("weyl_orbit requires nu in P^+_k")
-    els = _orbit(entry, Q(k), nu, Q(h), Q(q_max), margin, cap)
+    els = _orbit(entry, Q(k), nu, Q(h), Q(q_max))
     return [(e.restriction, e.det, e.q_shift) for e in els]
 
 
@@ -524,14 +487,13 @@ def weyl_orbit(g: AlgebraId, k, nu: Vec, h, q_max,
 # character formulas
 
 
-def character_massive(g: AlgebraId, k, nu: Vec, l0, q_max, depth,
-                      margin: Fraction = DEFAULT_MARGIN, cap: int = DEFAULT_CAP
-                      ) -> QWSeries:
+def character_massive(g: AlgebraId, k, nu: Vec, l0, q_max, depth) -> QWSeries:
     """Alternating orbit sum of Verma characters; valid strictly above the
     threshold."""
     entry = lookup(g)
     k, l0, q_max, depth = Q(k), Q(l0), Q(q_max), Q(depth)
-    if not in_P_plus_k(g, k, nu) or is_extremal(g, k, nu):
+    data = _P_plus_data(g, k, nu)
+    if data is None or _is_extremal(entry, data[0], nu, data[1]):
         raise PreconditionViolated("massive character needs non-extremal nu in P^+_k")
     if l0 <= A_bound(g, k, nu):
         raise PreconditionViolated("massive character needs l0 > A(k,nu)")
@@ -546,15 +508,13 @@ def character_massive(g: AlgebraId, k, nu: Vec, l0, q_max, depth,
     # headroom keeps every cell of the final flat cut complete.
     base = depth + window * _max_theta_depth(entry.id)
     fns = _fns_cached(entry.id, window, base, _dip_density(entry.id))
-    for el in _orbit(entry, k, nu, h, window, margin, cap):
+    for el in _orbit(entry, k, nu, h, window):
         piece = fns.shifted(el.restriction, l0 + el.q_shift).truncated(q_max, depth, nu)
         out = out + piece.scaled(el.det)
     return out
 
 
-def character_massless(g: AlgebraId, k, nu: Vec, q_max, depth,
-                       margin: Fraction = DEFAULT_MARGIN, cap: int = DEFAULT_CAP
-                       ) -> QWSeries:
+def character_massless(g: AlgebraId, k, nu: Vec, q_max, depth) -> QWSeries:
     """Character at the threshold l0 = A(k,nu): orbit sum with the isotropic
     simple-root corrections resummed per orbit element.
 
@@ -577,7 +537,7 @@ def character_massless(g: AlgebraId, k, nu: Vec, q_max, depth,
     base = depth + window * _max_theta_depth(entry.id)
     density = _dip_density(entry.id)
     fns = _fns_cached(entry.id, window, base, density)
-    for el in _orbit(entry, k, nu, h, window, margin, cap, track_iso=True):
+    for el in _orbit(entry, k, nu, h, window, track_iso=True):
         piece = fns
         for beta in el.iso_images:
             c = beta.x_plus_d(entry)

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import List
 
 from . import catalog, characters, gram_lab, levels, unitarity, weights
 from .catalog import AlgebraId, Vec, lookup
@@ -19,13 +20,6 @@ from .rationals import GaussianRational as GR
 from .rationals import format_rational, parse_rational
 
 Q = Fraction
-
-
-def _rat(s: str) -> Fraction:
-    try:
-        return parse_rational(s)
-    except ValueError as e:
-        raise SystemExit(2) from e
 
 
 def _rat_list(s: str) -> List[Fraction]:
@@ -90,17 +84,17 @@ def nu_from_args(g: AlgebraId, args) -> Vec:
         if len(coords) != entry.n:
             raise WminError(f"{entry.id.label()} needs {entry.n} coordinates")
         return Vec(coords)
-    labels: Optional[List[Fraction]] = None
     if getattr(args, "nu_labels", None):
         labels = _rat_list(args.nu_labels)
     else:
+        flags = ("--nu-r", "--nu-r2", "--nu-r3")
         parts = [getattr(args, nm, None) for nm in ("nu_r", "nu_r2", "nu_r3")]
-        given = [p for p in parts if p is not None]
-        if given:
-            labels = [parse_rational(p) for p in parts[:len(given)]
-                      if p is not None]
-    if labels is None:
-        labels = []
+        while parts and parts[-1] is None:
+            parts.pop()
+        if None in parts:  # ValueError: a usage error, exit code 2
+            raise ValueError(f"{flags[len(parts) - 1]} needs "
+                             f"{flags[parts.index(None)]}: weight labels are positional")
+        labels = [parse_rational(p) for p in parts]
     if not labels:
         return catalog.zero_vec(entry.n)
     return entry.nu_from_labels(labels)
@@ -321,8 +315,6 @@ def _render_table(d: dict, indent: str = "") -> str:
             lines.append(f"{indent}{key}: {val}")
     return "\n".join(lines)
 
-
-import re
 
 # let bare negative rationals like -3/4 pass as values, not flags
 _NEG_RATIONAL = re.compile(r"^-\d+(/\d+)?$")

@@ -16,7 +16,7 @@ from math import factorial
 from typing import Dict, List, Optional, Tuple
 
 from .catalog import AlgebraId, Vec, lookup
-from .errors import CriticalLevel, PreconditionViolated, WindowTooSmall
+from .errors import PreconditionViolated, WindowTooSmall
 from .levels import component_level
 from .rationals import GaussianRational as GR
 
@@ -312,12 +312,10 @@ def g_half_norm(g: AlgebraId, k, nu: Vec, l0) -> Fraction:
     Hermitian pairing on the odd half-space normalized to 1:
     -2(k+h)l0 + (nu|nu+2rho^nat) - 2(k+1)(xi|nu) + 2(xi|nu)^2."""
     entry = lookup(g)
+    kh = entry.shifted_level(k)
     k, l0 = Q(k), Q(l0)
-    if k == -entry.h_vee:
-        raise CriticalLevel(entry.id.label())
     xn = entry.form(entry.xi, nu)
-    return (-2 * (k + entry.h_vee) * l0 + entry.form(nu, nu + 2 * entry.rho_natural)
-            - 2 * (k + 1) * xn + 2 * xn * xn)
+    return -2 * kh * l0 + entry.casimir(nu) - 2 * (k + 1) * xn + 2 * xn * xn
 
 
 def j_g_ratio(g: AlgebraId, k, nu: Vec, i: int) -> Fraction:
@@ -326,9 +324,8 @@ def j_g_ratio(g: AlgebraId, k, nu: Vec, i: int) -> Fraction:
     extremality boundary and equals 1 - N_i(k,nu) on the families where
     chi_i = -xi(theta_i^vee)."""
     entry = lookup(g)
+    entry.shifted_level(k)  # CriticalLevel guard
     k = Q(k)
-    if k == -entry.h_vee:
-        raise CriticalLevel(entry.id.label())
     comp = entry.components[i - 1]
     m_i = component_level(entry, k, comp)
     return entry.coroot_pairing(nu + entry.xi, comp.theta) - m_i

@@ -7,17 +7,9 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .catalog import AlgebraId, CatalogEntry, lookup
-from .errors import CriticalLevel
 from .rationals import rational_sqrt
 
 Q = Fraction
-
-
-def _require_noncritical(entry: CatalogEntry, k: Fraction) -> Fraction:
-    k = Q(k)
-    if k == -entry.h_vee:
-        raise CriticalLevel(f"k = -h_vee = {-entry.h_vee} for {entry.id.label()}")
-    return k
 
 
 def component_level(entry: CatalogEntry, k: Fraction, comp) -> Fraction:
@@ -28,8 +20,9 @@ def component_level(entry: CatalogEntry, k: Fraction, comp) -> Fraction:
 def central_charge(g: AlgebraId, k: Fraction) -> Fraction:
     """c(k) = k*sdim/(k+h_vee) - 6k + h_vee - 4."""
     entry = lookup(g)
-    k = _require_noncritical(entry, k)
-    return k * entry.sdim / (k + entry.h_vee) - 6 * k + entry.h_vee - 4
+    kh = entry.shifted_level(k)
+    k = Q(k)
+    return k * entry.sdim / kh - 6 * k + entry.h_vee - 4
 
 
 def central_charge_alt(g: AlgebraId, k: Fraction):
@@ -40,12 +33,12 @@ def central_charge_alt(g: AlgebraId, k: Fraction):
     reported as not applicable otherwise.
     """
     entry = lookup(g)
-    k = _require_noncritical(entry, k)
+    kh = entry.shifted_level(k)
     s = rational_sqrt(entry.sdim * entry.h_vee / 6)
     if s is None:
         return None, False, "sqrt(sdim*h_vee/6) is not rational"
     d, hv = entry.sdim, entry.h_vee
-    c = 7 * hv + d - 4 - 12 * s - 6 * (k + hv - s) ** 2 / (k + hv)
+    c = 7 * hv + d - 4 - 12 * s - 6 * (kh - s) ** 2 / kh
     return c, True, f"sqrt = {s}"
 
 
@@ -61,7 +54,7 @@ class LevelData:
     collapse_target: Optional[str]
 
 
-def _collapse_zeros(entry: CatalogEntry, k: Fraction):
+def _collapse_zeros(entry: CatalogEntry):
     """Zeros of the monic collapsing polynomial: (z1, z2)."""
     comps = ([entry.center] if entry.center else []) + list(entry.components)
     if len(comps) == 2:
@@ -106,17 +99,18 @@ def _collapse_target(entry: CatalogEntry, k: Fraction) -> str:
 def level_data(g: AlgebraId, k: Fraction) -> LevelData:
     """All scalar data attached to a level, exactly."""
     entry = lookup(g)
-    k = _require_noncritical(entry, k)
+    charge = central_charge(g, k)  # raises CriticalLevel at k = -h_vee
+    k = Q(k)
     comps = ([entry.center] if entry.center else []) + list(entry.components)
     M = tuple(component_level(entry, k, c) for c in comps)
     M_simple = tuple(component_level(entry, k, c) for c in entry.components)
     alpha = tuple(component_level(entry, k, c) + c.chi for c in comps)
-    z1, z2 = _collapse_zeros(entry, k)
+    z1, z2 = _collapse_zeros(entry)
     p_k = (k - z1) * (k - z2)
     collapsing = p_k == 0
     return LevelData(
         k=k, M=M, M_simple=M_simple, alpha_levels=alpha,
-        c=central_charge(g, k), p_k=p_k, collapsing=collapsing,
+        c=charge, p_k=p_k, collapsing=collapsing,
         collapse_target=_collapse_target(entry, k) if collapsing else None)
 
 

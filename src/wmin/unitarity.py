@@ -6,9 +6,9 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .catalog import AlgebraId, CatalogEntry, Vec, lookup
-from .errors import CriticalLevel, IndexOutOfSet
-from .levels import level_data, unitarity_range_contains
-from .weights import A_bound, A_explicit, in_P_plus_k, is_extremal
+from .errors import IndexOutOfSet
+from .levels import LevelData, level_data, unitarity_range_contains
+from .weights import A_bound, A_explicit, _in_P_plus, _is_extremal, _P_plus_data
 
 Q = Fraction
 
@@ -51,7 +51,7 @@ class UnitarityVerdict:
             self.outcome == EXTREMAL_BOUNDARY and bool(self.proved))
 
 
-def _proved_extremal(g: AlgebraId, k: Fraction, entry: CatalogEntry, nu: Vec) -> bool:
+def _proved_extremal(g: AlgebraId, lv: LevelData, pairs: list) -> bool:
     """Extremal boundary modules with an actual unitarity proof: the N=4 and
     N=3 families throughout, plus the single integrable weight of
     D(2,1;m) / D(2,1;1/n) at its first level (the latter only ever arises at
@@ -61,42 +61,38 @@ def _proved_extremal(g: AlgebraId, k: Fraction, entry: CatalogEntry, nu: Vec) ->
     if g.family == "spo2m" and g.m == 3:
         return True
     if g.family == "D21a" and 1 in (g.a_num, g.a_den):
-        lv = level_data(g, k)
         if min(lv.M_simple) == 0:
             big = max(range(2), key=lambda i: lv.M_simple[i])
-            pair = entry.theta_pairings(nu)
-            return (pair[big] == lv.M_simple[big]
-                    and pair[1 - big] == 0)
+            return (pairs[big] == lv.M_simple[big]
+                    and pairs[1 - big] == 0)
     return False
 
 
-def _collapse_check(g: AlgebraId, entry: CatalogEntry, k: Fraction, nu: Vec,
+def _collapse_check(entry: CatalogEntry, lv: LevelData, nu: Vec, pairs: list,
                     l0: Fraction) -> CollapseCheck:
-    lv = level_data(g, k)
     target = lv.collapse_target or "?"
-    pair = entry.theta_pairings(nu)
     if target == "C":
         ok = nu.is_zero()
         detail = "target is trivial; needs nu = 0"
     elif entry.center is not None:
         # sl(2|m): either the free boson (center survives) or V(sl_m)
         if "free boson" in target:
-            ok = pair[0] == 0
+            ok = pairs[0] == 0
             detail = "sl_m part of nu must vanish; center charge unconstrained"
         else:
-            ok = entry.is_dominant_integral(nu) and pair[0] <= lv.M_simple[0]
+            ok = entry.is_dominant_integral(nu) and pairs[0] <= lv.M_simple[0]
             detail = "nu must be integrable of level M_1 for the target"
     elif len(entry.components) == 2:
         keep = [i for i, m in enumerate(lv.M_simple) if m != 0]
         ok = entry.is_dominant_integral(nu)
         for i in range(2):
             if i in keep:
-                ok = ok and pair[i] <= lv.M_simple[i]
+                ok = ok and pairs[i] <= lv.M_simple[i]
             else:
-                ok = ok and pair[i] == 0
+                ok = ok and pairs[i] == 0
         detail = "integrable on the surviving component(s), trivial on the rest"
     else:
-        ok = entry.is_dominant_integral(nu) and pair[0] <= lv.M_simple[0]
+        ok = entry.is_dominant_integral(nu) and pairs[0] <= lv.M_simple[0]
         detail = "nu must be integrable of level M_1 for the target"
     return CollapseCheck(target=target, weight_integrable=bool(ok), l0=l0,
                          detail=detail + "; l0 reported, not tested")
@@ -106,8 +102,6 @@ def decide(g: AlgebraId, k, nu: Vec, l0) -> UnitarityVerdict:
     """Full decision for the irreducible highest weight module (nu, l0)."""
     entry = lookup(g)
     k, l0 = Q(k), Q(l0)
-    if k == -entry.h_vee:
-        raise CriticalLevel(entry.id.label())
     lv = level_data(g, k)
     quantities = {
         "k": k,
@@ -125,23 +119,24 @@ def decide(g: AlgebraId, k, nu: Vec, l0) -> UnitarityVerdict:
         reasons.append("k outside the unitarity range")
         return UnitarityVerdict(NOT_IN_UNITARY_RANGE, quantities, tuple(reasons))
 
+    pairs = entry.theta_pairings(nu)
     if lv.collapsing:
-        chk = _collapse_check(g, entry, k, nu, l0)
+        chk = _collapse_check(entry, lv, nu, pairs, l0)
         reasons.append(f"collapsing level, target {chk.target}")
         return UnitarityVerdict(COLLAPSING, quantities, tuple(reasons), collapse=chk)
 
-    if not in_P_plus_k(g, k, nu):
+    if not _in_P_plus(entry, lv, nu, pairs):
         reasons.append("nu not dominant integral of the component levels")
         return UnitarityVerdict(NOT_IN_P_PLUS_K, quantities, tuple(reasons))
 
     a = A_bound(g, k, nu)
-    extremal = is_extremal(g, k, nu)
+    extremal = _is_extremal(entry, lv, nu, pairs)
     quantities.update({"A": a, "A_explicit": A_explicit(g, k, nu),
                        "extremal": extremal, "l0_minus_A": l0 - a})
 
     if extremal:
         if l0 == a:
-            proved = _proved_extremal(g, k, entry, nu)
+            proved = _proved_extremal(g, lv, pairs)
             reasons.append("extremal weight at the threshold"
                            + ("" if proved else
                               ": conjecturally unitary (unproven extremal"
@@ -162,35 +157,36 @@ def decide(g: AlgebraId, k, nu: Vec, l0) -> UnitarityVerdict:
 # singular-weight functions
 
 
+def _singular_weight(x: Fraction, k: Fraction, kh: Fraction, cas: Fraction) -> Fraction:
+    """(x^2 - (k+1)^2 + 2(nu|nu+2rho^nat)) / (4(k+h)), the shape shared by
+    h_{n, eps*m} (x = eps*m*(k+h) - n) and h_{m, gamma}
+    (x = 2(nu+rho^nat|gamma) + 2m(k+h)); `cas` is (nu|nu+2rho^nat)."""
+    return (x ** 2 - (k + 1) ** 2 + 2 * cas) / (4 * kh)
+
+
 def h_even(g: AlgebraId, k, nu: Vec, n, m) -> Fraction:
     """h_{n, eps*m}: even-root singular conformal weight."""
     entry = lookup(g)
+    kh = entry.shifted_level(k)
     k, n, m = Q(k), Q(n), Q(m)
-    kh = k + entry.h_vee
-    if kh == 0:
-        raise CriticalLevel(entry.id.label())
     eps = entry.epsilon
     if n <= 0 or m <= 0 or (eps * n).denominator != 1 or (eps * m).denominator != 1 \
             or (m - n).denominator != 1:
         raise IndexOutOfSet("need m, n in (1/eps)N with m - n integral")
-    nn2 = entry.form(nu, nu + 2 * entry.rho_natural)
-    return ((eps * m * kh - n) ** 2 - (k + 1) ** 2 + 2 * nn2) / (4 * kh)
+    return _singular_weight(eps * m * kh - n, k, kh, entry.casimir(nu))
 
 
 def h_odd(g: AlgebraId, k, nu: Vec, m, gamma: Vec) -> Fraction:
     """h_{m, gamma}: odd-root singular conformal weight, gamma in Delta'."""
     entry = lookup(g)
+    kh = entry.shifted_level(k)
     k, m = Q(k), Q(m)
-    kh = k + entry.h_vee
-    if kh == 0:
-        raise CriticalLevel(entry.id.label())
     if (m - Q(1, 2)).denominator != 1 or m < Q(1, 2):
         raise IndexOutOfSet("need m in 1/2 + Z_+")
     if not any(gm == gamma for gm, _ in entry.delta_prime):
         raise IndexOutOfSet("gamma must be a weight of the odd half-space")
-    nn2 = entry.form(nu, nu + 2 * entry.rho_natural)
     pair = entry.form(nu + entry.rho_natural, gamma)
-    return ((2 * pair + 2 * m * kh) ** 2 - (k + 1) ** 2 + 2 * nn2) / (4 * kh)
+    return _singular_weight(2 * pair + 2 * m * kh, k, kh, entry.casimir(nu))
 
 
 @dataclass
@@ -217,11 +213,12 @@ def sign2_scan(g: AlgebraId, k, nu: Vec, n_max, m_max) -> Sign2Report:
     """
     entry = lookup(g)
     k = Q(k)
-    hyp = (unitarity_range_contains(g, k) and in_P_plus_k(g, k, nu)
-           and not is_extremal(g, k, nu))
+    data = _P_plus_data(g, k, nu)
+    hyp = data is not None and not _is_extremal(entry, data[0], nu, data[1])
     rep = Sign2Report(g, k, nu, hyp,
                       "scan" if hyp else "lemma hypothesis not met")
     a = A_bound(g, k, nu)
+    kh, cas = entry.shifted_level(k), entry.casimir(nu)
     eps = entry.epsilon
     n_max, m_max = Q(n_max), Q(m_max)
     # even indices: n, m in (1/eps)N with m - n integral
@@ -231,21 +228,19 @@ def sign2_scan(g: AlgebraId, k, nu: Vec, n_max, m_max) -> Sign2Report:
         while Q(mm, eps) <= m_max:
             n, m = Q(nn, eps), Q(mm, eps)
             if (m - n).denominator == 1:
-                v = h_even(g, k, nu, n, m)
+                v = _singular_weight(eps * m * kh - n, k, kh, cas)
                 rep.checked += 1
                 if v > a:
                     rep.violations.append(("h_even", (n, m), v, a))
             mm += eps
         nn += 1
     # odd indices: m in 1/2 + Z_+, gamma over the support of Delta'
-    seen = set()
+    gammas = list(dict.fromkeys(gamma for gamma, _ in entry.delta_prime))
+    pairs = [entry.form(nu + entry.rho_natural, gamma) for gamma in gammas]
     m = Q(1, 2)
     while m <= m_max:
-        for gamma, _ in entry.delta_prime:
-            if (m, gamma) in seen:
-                continue
-            seen.add((m, gamma))
-            v = h_odd(g, k, nu, m, gamma)
+        for gamma, pair in zip(gammas, pairs):
+            v = _singular_weight(2 * pair + 2 * m * kh, k, kh, cas)
             rep.checked += 1
             if v > a:
                 rep.violations.append(("h_odd", (m, gamma), v, a))

@@ -3,11 +3,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List
+from typing import Iterator, List, Optional, Tuple
 
 from .catalog import AlgebraId, CatalogEntry, Vec, lookup, zero_vec
-from .errors import CharacterizationMismatch, CriticalLevel, PreconditionViolated
-from .levels import level_data, unitarity_range_contains
+from .errors import CharacterizationMismatch, PreconditionViolated
+from .levels import LevelData, level_data, unitarity_range_contains
 
 Q = Fraction
 
@@ -23,59 +23,63 @@ class HighestWeight:
         object.__setattr__(self, "l0", Q(self.l0))
 
 
-def _noncritical(entry: CatalogEntry, k) -> Fraction:
-    k = Q(k)
-    if k == -entry.h_vee:
-        raise CriticalLevel(entry.id.label())
-    return k
+def _in_P_plus(entry: CatalogEntry, lv: LevelData, nu: Vec, pairs: list) -> bool:
+    """nu dominant integral with nu(theta_i^vee) <= M_i(k); `pairs` are nu's
+    theta pairings.  The level must lie in the unitarity range."""
+    return (entry.is_dominant_integral(nu)
+            and all(p <= m for p, m in zip(pairs, lv.M_simple)))
+
+
+def _is_extremal(entry: CatalogEntry, lv: LevelData, nu: Vec, pairs: list) -> bool:
+    """nu+xi falls outside P^+_k, for nu in P^+_k with theta pairings `pairs`;
+    cross-checked against the chi_i test."""
+    shifted = nu + entry.xi
+    by_def = not _in_P_plus(entry, lv, shifted, entry.theta_pairings(shifted))
+    by_chi = any(p > m + c.chi for p, m, c in
+                 zip(pairs, lv.M_simple, entry.components))
+    if by_def != by_chi:
+        raise CharacterizationMismatch(
+            f"extremality tests disagree for {entry.id.label()}, k={lv.k}: "
+            f"nu+xi test {by_def}, chi test {by_chi}")
+    return by_def
+
+
+def _P_plus_data(g: AlgebraId, k, nu: Vec) -> Optional[Tuple[LevelData, list]]:
+    """(level data, nu's theta pairings) when nu lies in P^+_k, else None."""
+    if not unitarity_range_contains(g, k):
+        return None
+    entry = lookup(g)
+    lv = level_data(g, k)
+    pairs = entry.theta_pairings(nu)
+    return (lv, pairs) if _in_P_plus(entry, lv, nu, pairs) else None
 
 
 def in_P_plus_k(g: AlgebraId, k, nu: Vec) -> bool:
     """nu dominant integral for g^nat with nu(theta_i^vee) <= M_i(k) for all i >= 1."""
-    entry = lookup(g)
-    if not unitarity_range_contains(g, k):
-        return False
-    if not entry.is_dominant_integral(nu):
-        return False
-    lv = level_data(g, k)
-    return all(p <= m for p, m in zip(entry.theta_pairings(nu), lv.M_simple))
+    return _P_plus_data(g, k, nu) is not None
 
 
 def is_extremal(g: AlgebraId, k, nu: Vec) -> bool:
     """nu+xi falls outside P^+_k; cross-checked against the chi_i test."""
-    entry = lookup(g)
-    if not in_P_plus_k(g, k, nu):
+    data = _P_plus_data(g, k, nu)
+    if data is None:
         raise PreconditionViolated("is_extremal requires nu in P^+_k")
-    lv = level_data(g, k)
-    shifted = nu + entry.xi
-    by_def = not (entry.is_dominant_integral(shifted)
-                  and all(p <= m for p, m in
-                          zip(entry.theta_pairings(shifted), lv.M_simple)))
-    by_chi = any(p > m + c.chi for p, m, c in
-                 zip(entry.theta_pairings(nu), lv.M_simple, entry.components))
-    if by_def != by_chi:
-        raise CharacterizationMismatch(
-            f"extremality tests disagree for {entry.id.label()}, k={k}: "
-            f"nu+xi test {by_def}, chi test {by_chi}")
-    return by_def
+    return _is_extremal(lookup(g), data[0], nu, data[1])
 
 
 def A_bound(g: AlgebraId, k, nu: Vec) -> Fraction:
     """Threshold (nu|nu+2rho^nat)/(2(k+h)) + (xi|nu)((xi|nu)-k-1)/(k+h)."""
     entry = lookup(g)
-    k = _noncritical(entry, k)
-    kh = k + entry.h_vee
+    kh = entry.shifted_level(k)
     xn = entry.form(entry.xi, nu)
-    return (entry.form(nu, nu + 2 * entry.rho_natural) / (2 * kh)
-            + xn * (xn - k - 1) / kh)
+    return entry.casimir(nu) / (2 * kh) + xn * (xn - Q(k) - 1) / kh
 
 
 def B_bound(g: AlgebraId, k, nu: Vec) -> Fraction:
     """Free-field sufficiency threshold (nu|nu+2rho^nat)/(2(k+h)) - (k+1)^2/(4(k+h))."""
     entry = lookup(g)
-    k = _noncritical(entry, k)
-    kh = k + entry.h_vee
-    return entry.form(nu, nu + 2 * entry.rho_natural) / (2 * kh) - (k + 1) ** 2 / (4 * kh)
+    kh = entry.shifted_level(k)
+    return entry.casimir(nu) / (2 * kh) - (Q(k) + 1) ** 2 / (4 * kh)
 
 
 def A_explicit(g: AlgebraId, k, nu: Vec) -> Fraction:
@@ -88,7 +92,8 @@ def A_explicit(g: AlgebraId, k, nu: Vec) -> Fraction:
     data); the closed form below is the one consistent with that data.
     """
     entry = lookup(g)
-    k = _noncritical(entry, k)
+    entry.shifted_level(k)  # CriticalLevel guard
+    k = Q(k)
     fam = g.family
     if fam == "psl22":
         r = entry.coroot_pairing(nu, entry.components[0].theta)
@@ -186,5 +191,5 @@ def enumerate_P_plus_k(g: AlgebraId, k) -> List[Vec]:
                 out.append(entry.nu_from_labels([r1, r2]))
     else:
         raise PreconditionViolated(f"no enumeration for {fam}")
-    assert all(in_P_plus_k(g, k, nu) for nu in out)
+    assert all(_in_P_plus(entry, lv, nu, entry.theta_pairings(nu)) for nu in out)
     return out

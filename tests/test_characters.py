@@ -8,9 +8,10 @@ from wmin import catalog, characters
 from wmin.catalog import Vec, lookup, zero_vec
 from wmin.characters import (QWSeries, character_massive, character_massless,
                              ell_of_h, fns_series, h_pair, n4_closed_form,
-                             series_from_records, series_records,
+                             series_from_records,
                              verma_character, weyl_orbit)
-from wmin.errors import NonDominant, PreconditionViolated, UnsupportedD21a
+from wmin.errors import (NonDominant, PreconditionViolated, TruncationIncomplete,
+                         UnsupportedD21a)
 
 G = catalog.psl22()
 E = lookup(G)
@@ -83,6 +84,23 @@ def test_weyl_orbit_contract():
     assert all(s.denominator == 1 for _, _, s in orb)
     with pytest.raises(NonDominant):
         weyl_orbit(G, -3, 2 * TH1, 0, 4)
+
+
+def test_orbit_cap_raises(monkeypatch):
+    monkeypatch.setattr(characters, "ORBIT_CAP", 2)
+    with pytest.raises(TruncationIncomplete):
+        weyl_orbit(G, -3, Q(1, 2) * TH1, 0, 4)
+    with pytest.raises(TruncationIncomplete):
+        character_massive(G, -3, Q(1, 2) * TH1, 2, 3, 4)
+
+
+def test_fns_cache_is_bounded():
+    fns = characters._fns_cached
+    bound = fns.cache_info().maxsize
+    assert bound is not None
+    for depth in range(bound + 8):
+        fns(G, Q(0), Q(depth))
+    assert fns.cache_info().currsize <= bound
 
 
 def test_massive_preconditions():
@@ -232,7 +250,7 @@ def test_massless_truncation_coherence():
 
 def test_series_serialization_round_trip():
     s = character_massive(G, -3, Q(1, 2) * TH1, 2, 4, 6)
-    recs = series_records(s)
+    recs = s.records()
     assert recs == sorted(recs, key=lambda r: (Q(r["q"]), [Q(c) for c in r["weight"]]))
     t = series_from_records(E, recs, s.q_max, s.depth, s.ref)
     assert t == s

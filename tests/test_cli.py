@@ -78,6 +78,16 @@ def test_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_weight_label_gap_is_usage_error(capsys):
+    base = ["check", "--g", "D21a", "--a", "2", "--k", "-2/3", "--l0", "1"]
+    code, d = run_json(capsys, base + ["--nu-r2", "1"])
+    assert code == 2 and d["message"].startswith("--nu-r2 needs --nu-r:")
+    code, d = run_json(capsys, base + ["--nu-r", "1", "--nu-r3", "1"])
+    assert code == 2 and d["message"].startswith("--nu-r3 needs --nu-r2:")
+    code, d = run_json(capsys, base + ["--nu-r", "0", "--nu-r2", "1"])
+    assert code == 0 and d["collapse"]["weight_integrable"] is False
+
+
 def test_verdict_json_round_trip():
     g = catalog.psl22()
     nu = Q(1, 2) * lookup(g).components[0].theta

@@ -3,8 +3,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from wmin import catalog
-from wmin.catalog import lookup
+from wmin import catalog, characters, gram_lab, unitarity, weights
+from wmin.catalog import lookup, zero_vec
 from wmin.errors import CriticalLevel
 from wmin.levels import (central_charge, central_charge_alt, component_level,
                          enumerate_unitary_k, level_data,
@@ -64,6 +64,30 @@ def test_critical_level_raises():
         level_data(catalog.f4(), -(-2))
     with pytest.raises(CriticalLevel):
         central_charge(catalog.psl22(), 0)
+
+
+F4_ZERO = zero_vec(4)
+
+
+@pytest.mark.parametrize("fn, args", [pytest.param(fn, args, id=fn.__name__) for fn, args in [
+    (level_data, ()),
+    (central_charge, ()),
+    (central_charge_alt, ()),
+    (weights.A_bound, (F4_ZERO,)),
+    (weights.B_bound, (F4_ZERO,)),
+    (weights.A_explicit, (F4_ZERO,)),
+    (unitarity.decide, (F4_ZERO, 1)),
+    (unitarity.h_even, (F4_ZERO, 1, 1)),
+    (unitarity.h_odd, (F4_ZERO, Q(1, 2), lookup(catalog.f4()).xi)),
+    (characters.ell_of_h, (F4_ZERO, 0)),
+    (characters.h_pair, (F4_ZERO, 1)),
+    (gram_lab.g_half_norm, (F4_ZERO, 1)),
+    (gram_lab.j_g_ratio, (F4_ZERO, 1)),
+]])
+def test_critical_level_single_message(fn, args):
+    # h_vee = -2 for F4, so the critical level is k = 2
+    with pytest.raises(CriticalLevel, match=r"^k = -h_vee = 2 for F4$"):
+        fn(catalog.f4(), 2, *args)
 
 
 def test_central_charge_fixtures():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wmin import catalog, unitarity
+from wmin import catalog, characters, levels, unitarity, weights
 from wmin.catalog import lookup, zero_vec
 from wmin.errors import IndexOutOfSet
 from wmin.levels import enumerate_unitary_k, level_data
@@ -23,6 +23,26 @@ def test_decide_fixtures():
     assert decide(g, -3, nu, Q(1, 4)).outcome == "BelowBound"
     assert decide(g, Q(-5, 2), nu, 1).outcome == "NotInUnitaryRange"
     assert decide(g, -3, th1 * 2, 1).outcome == "NotInPplusK"
+
+
+@pytest.mark.parametrize("g, k, labels, l0, outcome", [
+    (catalog.spo2m(3), Q(-3, 4), [1], Q(1), "Collapsing"),
+    (catalog.psl22(), -3, [0], Q(1), "UnitaryNonExtremal"),
+    (catalog.psl22(), -3, [2], Q(1), "ExtremalBoundary"),
+], ids=["collapsing", "non_extremal", "extremal"])
+def test_decide_builds_level_data_once(monkeypatch, g, k, labels, l0, outcome):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return level_data(*args)
+
+    for mod in (levels, weights, unitarity, characters):
+        if hasattr(mod, "level_data"):
+            monkeypatch.setattr(mod, "level_data", counted)
+    v = decide(g, k, lookup(g).nu_from_labels(labels), l0)
+    assert v.outcome == outcome
+    assert len(calls) == 1
 
 
 def test_decide_excluded_families():
