@@ -15,9 +15,10 @@ deduplication, pruned at q_shift > limit + ORBIT_MARGIN, with a hard cap of
 ORBIT_CAP elements that raises TruncationIncomplete when hit.  Neither is a
 parameter: both are module constants read at call time.
 
-Summation over orbit elements is sequential and deterministic; the merge is
-commutative exact addition, so a parallel evaluation would have to reproduce
-these exact coefficients bit for bit.
+Every sum of series is one QWSeries.accumulate call: +-q^ell exp(w) times a
+series, added term by term through the target window's cuts.  Orbit sums are
+sequential and deterministic; the merge is commutative exact addition, so a
+parallel evaluation would have to reproduce these coefficients bit for bit.
 """
 from __future__ import annotations
 
@@ -135,19 +136,21 @@ class QWSeries:
     `slope` is an internal headroom device for intermediate products: terms at
     q-level q are kept up to depth + slope*(q_max - q).  Published series
     always carry slope 0.
+
+    `accumulate` is the one path that adds another series (times
+    +-q^ell exp(w)) into this one, in place.
     """
 
     __slots__ = ("entry", "q_max", "depth", "ref", "slope", "terms")
 
     def __init__(self, entry: CatalogEntry, q_max, depth, ref: Optional[Vec] = None,
-                 terms: Optional[Dict[Fraction, Dict[Vec, int]]] = None,
                  slope: Fraction = Q(0)):
         self.entry = entry
         self.q_max = Q(q_max)
         self.depth = Q(depth)
         self.ref = ref if ref is not None else zero_vec(entry.n)
         self.slope = Q(slope)
-        self.terms: Dict[Fraction, Dict[Vec, int]] = terms if terms is not None else {}
+        self.terms: Dict[Fraction, Dict[Vec, int]] = {}
 
     # -- basic structure ----------------------------------------------------
     def add_term(self, q, w: Vec, c: int) -> None:
@@ -175,10 +178,6 @@ class QWSeries:
     def n_terms(self) -> int:
         return sum(len(l) for l in self.terms.values())
 
-    def copy(self) -> "QWSeries":
-        return QWSeries(self.entry, self.q_max, self.depth, self.ref,
-                        {q: dict(l) for q, l in self.terms.items()}, self.slope)
-
     @staticmethod
     def unit(entry: CatalogEntry, q_max, depth, ref: Optional[Vec] = None,
              slope: 'Fraction' = Q(0)) -> "QWSeries":
@@ -187,27 +186,18 @@ class QWSeries:
         return s
 
     # -- ring operations ----------------------------------------------------
-    def __add__(self, other: "QWSeries") -> "QWSeries":
-        out = self.copy()
-        for q, lvl in other.terms.items():
+    def accumulate(self, src: "QWSeries", wt: Optional[Vec] = None, ell=0,
+                   sign: int = 1) -> None:
+        """Add sign * q^ell * exp(wt) * src into this series (src is not self).
+        Every term goes through `add_term`, so this series' q ceiling and
+        depth window decide what is kept, whatever the cuts of src were."""
+        ell = Q(ell)
+        for q, lvl in src.terms.items():
+            q = q + ell
+            if q > self.q_max:
+                continue
             for w, c in lvl.items():
-                out.add_term(q, w, c)
-        return out
-
-    def __sub__(self, other: "QWSeries") -> "QWSeries":
-        out = self.copy()
-        for q, lvl in other.terms.items():
-            for w, c in lvl.items():
-                out.add_term(q, w, -c)
-        return out
-
-    def scaled(self, c: int) -> "QWSeries":
-        out = QWSeries(self.entry, self.q_max, self.depth, self.ref,
-                       slope=self.slope)
-        for q, lvl in self.terms.items():
-            for w, cc in lvl.items():
-                out.add_term(q, w, c * cc)
-        return out
+                self.add_term(q, w if wt is None else w + wt, sign * c)
 
     def __mul__(self, other: "QWSeries") -> "QWSeries":
         out = QWSeries(self.entry, min(self.q_max, other.q_max),
@@ -223,34 +213,12 @@ class QWSeries:
                         out.add_term(q, w1 + w2, c1 * c2)
         return out
 
-    def shifted(self, wt: Vec, ell) -> "QWSeries":
-        """Multiply by q^ell * exp(wt); the reference weight moves with the
-        shift and the q ceiling rises accordingly (absolute cuts are applied
-        afterwards with `truncated`)."""
-        out = QWSeries(self.entry, self.q_max + Q(ell), self.depth, self.ref + wt,
-                       slope=self.slope)
-        for q, lvl in self.terms.items():
-            for w, c in lvl.items():
-                out.add_term(q + Q(ell), w + wt, c)
-        return out
-
     def truncated(self, q_max, depth, ref: Optional[Vec] = None) -> "QWSeries":
-        out = QWSeries(self.entry, Q(q_max), Q(depth),
-                       self.ref if ref is None else ref)
-        for q, lvl in self.terms.items():
-            for w, c in lvl.items():
-                out.add_term(q, w, c)
+        out = QWSeries(self.entry, q_max, depth, self.ref if ref is None else ref)
+        out.accumulate(self)
         return out
 
     # -- inspection -----------------------------------------------------------
-    def leading(self) -> Optional[Tuple[Fraction, Vec, int]]:
-        """(smallest q, smallest weight at that q, coefficient)."""
-        if not self.terms:
-            return None
-        q = min(self.terms)
-        w = min(self.terms[q], key=tuple)
-        return q, w, self.terms[q][w]
-
     def q_levels(self) -> List[Fraction]:
         return sorted(self.terms)
 
@@ -284,54 +252,30 @@ def series_from_records(entry: CatalogEntry, recs: Sequence[dict], q_max, depth,
 # factor expansions (all built with reference weight 0)
 
 
-def _geom(entry: CatalogEntry, q_max, depth, w: Vec, c: Fraction, sign: int,
-          slope: Fraction = Q(0)) -> QWSeries:
-    """Expansion of 1/(1 - sign * q^c * exp(w)) with c >= 0; for c = 0 the
-    weight must point in the positive-depth direction."""
+def _inverse_power(entry: CatalogEntry, q_max, depth, w: Vec, c: Fraction, sign: int,
+                   power: int = 1, slope: Fraction = Q(0)) -> QWSeries:
+    """Expansion of (1 - sign * x)^(-power), x = q^c exp(w), sign = +-1: the
+    coefficient of x^j is sign^j * C(j+power-1, j).
+
+    For c < 0 the factor is first rewritten exactly as
+    (-sign * x)^(-power) * (1 - sign * x^(-1))^(-power), which for sign = -1
+    is (q^{-c} exp(-w))^power / (1 + q^{-c} exp(-w))^power, so the result is
+    always a series in non-negative q powers.  For c = 0 the q ceiling never
+    stops the expansion; w must then point in the positive-depth direction,
+    and the expansion stops once j*w leaves the (sloped) depth window."""
     out = QWSeries(entry, q_max, depth, slope=slope)
-    zero = zero_vec(entry.n)
-    lim = depth + slope * Q(q_max)
+    lead, pref = 0, 1
+    if c < 0:
+        c, w = -c, -1 * w
+        lead, pref = power, (-sign) ** power
+    lim = depth + slope * out.q_max
     j = 0
-    while j * c <= out.q_max:
-        if c == 0 and j > 0 and depth_of(entry, zero, j * w) > lim:
+    while (j + lead) * c <= out.q_max:
+        if c == 0 and j > 0 and depth_of(entry, out.ref, j * w) > lim:
             break
-        out.add_term(j * c, j * w, sign ** j)
+        out.add_term((j + lead) * c, (j + lead) * w,
+                     pref * sign ** j * math.comb(j + power - 1, j))
         j += 1
-    return out
-
-
-def _fermion_inverse(entry: CatalogEntry, q_max, depth, w: Vec, c: Fraction,
-                     slope: Fraction = Q(0)) -> QWSeries:
-    """Expansion of 1/(1 + q^c exp(w)) for c != 0.  Negative c is rewritten
-    exactly as q^{-c} exp(-w) / (1 + q^{-c} exp(-w)) first, so the result is
-    always a series in non-negative q powers."""
-    out = QWSeries(entry, q_max, depth, slope=slope)
-    if c > 0:
-        j = 0
-        while j * c <= out.q_max:
-            out.add_term(j * c, j * w, (-1) ** j)
-            j += 1
-    else:
-        j = 0
-        while (j + 1) * (-c) <= out.q_max:
-            out.add_term((j + 1) * (-c), (-j - 1) * w, (-1) ** j)
-            j += 1
-    return out
-
-
-def _fermion_inverse_sq(entry: CatalogEntry, q_max, depth, w: Vec, c: Fraction) -> QWSeries:
-    """Expansion of (1 + q^c exp(w))^(-2) for c != 0, flip included."""
-    out = QWSeries(entry, q_max, depth)
-    if c > 0:
-        j = 0
-        while j * c <= out.q_max:
-            out.add_term(j * c, j * w, (-1) ** j * (j + 1))
-            j += 1
-    else:
-        j = 0
-        while (j + 2) * (-c) <= out.q_max:
-            out.add_term((j + 2) * (-c), (-j - 2) * w, (-1) ** j * (j + 1))
-            j += 1
     return out
 
 
@@ -352,13 +296,14 @@ def _fns_cached(aid: AlgebraId, q_max: Fraction, depth: Fraction,
                 for _ in range(mult):
                     out = out * fac
         if n <= q_max:
-            fac = _geom(entry, q_max, depth, zero, Q(n), 1, slope)
+            fac = _inverse_power(entry, q_max, depth, zero, Q(n), 1, slope=slope)
             for _ in range(rank):
                 out = out * fac
         for alpha in entry.pos_roots_natural:
-            out = out * _geom(entry, q_max, depth, -1 * alpha, Q(n - 1), 1, slope)
+            out = out * _inverse_power(entry, q_max, depth, -1 * alpha, Q(n - 1), 1,
+                                       slope=slope)
             if n <= q_max:
-                out = out * _geom(entry, q_max, depth, alpha, Q(n), 1, slope)
+                out = out * _inverse_power(entry, q_max, depth, alpha, Q(n), 1, slope=slope)
         n += 1
     return out
 
@@ -380,10 +325,11 @@ def verma_character(g: AlgebraId, nu: Vec, ell, q_max, depth) -> QWSeries:
     """exp(nu) q^ell times the NS denominator series, truncated at q_max."""
     ell = Q(ell)
     entry = lookup(g)
-    window = Q(q_max) - ell
-    if window < 0:
-        return QWSeries(entry, Q(q_max), Q(depth), nu)
-    return fns_series(g, window, depth).shifted(nu, ell).truncated(q_max, depth)
+    out = QWSeries(entry, q_max, depth, nu)
+    window = out.q_max - ell
+    if window >= 0:
+        out.accumulate(fns_series(g, window, depth), nu, ell)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +385,7 @@ def _orbit(entry: CatalogEntry, k: Fraction, nu: Vec, h: Fraction,
     seen = {(lam0, iso0)}
     frontier = [(lam0, 1, iso0)]
     out: List[OrbitElement] = []
+    level = 0
     while frontier:
         nxt = []
         for lam, det, iso in frontier:
@@ -464,8 +411,11 @@ def _orbit(entry: CatalogEntry, k: Fraction, nu: Vec, h: Fraction,
                     nxt.append((lam2, -det, iso2))
             if len(seen) > ORBIT_CAP:
                 raise TruncationIncomplete(
-                    f"orbit cap {ORBIT_CAP} hit at q_shift limit {q_shift_limit}")
+                    f"orbit cap {ORBIT_CAP} hit at q_shift limit {q_shift_limit}: "
+                    f"{len(seen)} elements seen, {len(out)} kept within the limit, "
+                    f"BFS level {level}")
         frontier = nxt
+        level += 1
     out.sort(key=lambda e: (e.q_shift, tuple(e.restriction), e.det))
     return out
 
@@ -509,8 +459,7 @@ def character_massive(g: AlgebraId, k, nu: Vec, l0, q_max, depth) -> QWSeries:
     base = depth + window * _max_theta_depth(entry.id)
     fns = _fns_cached(entry.id, window, base, _dip_density(entry.id))
     for el in _orbit(entry, k, nu, h, window):
-        piece = fns.shifted(el.restriction, l0 + el.q_shift).truncated(q_max, depth, nu)
-        out = out + piece.scaled(el.det)
+        out.accumulate(fns, el.restriction, l0 + el.q_shift, el.det)
     return out
 
 
@@ -542,9 +491,9 @@ def character_massless(g: AlgebraId, k, nu: Vec, q_max, depth) -> QWSeries:
         for beta in el.iso_images:
             c = beta.x_plus_d(entry)
             wrest = entry.restrict(beta.finite)
-            piece = piece * _fermion_inverse(entry, window, base, -1 * wrest, c, density)
-        piece = piece.shifted(el.restriction, l0 + el.q_shift).truncated(q_max, depth, nu)
-        out = out + piece.scaled(el.det)
+            piece = piece * _inverse_power(entry, window, base, -1 * wrest, c, -1,
+                                           slope=density)
+        out.accumulate(piece, el.restriction, l0 + el.q_shift, el.det)
     return out
 
 
@@ -583,10 +532,10 @@ def n4_closed_form(M1: int, r: int, q_max, depth) -> QWSeries:
         c = Q(2 * m + 1, 2)
         wplus = (Q(r, 2) + m * (M1 + 1)) * th
         wminus = -1 * (Q(r, 2) + m * (M1 + 1) + 1) * th
-        f1 = _fermion_inverse_sq(entry, window - base, head, half, c)
-        f2 = _fermion_inverse_sq(entry, window - base, head, -1 * half, c)
-        total = total + f1.shifted(wplus, base).truncated(window, head, total.ref)
-        total = total - f2.shifted(wminus, base).truncated(window, head, total.ref)
+        f1 = _inverse_power(entry, window - base, head, half, c, -1, 2)
+        f2 = _inverse_power(entry, window - base, head, -1 * half, c, -1, 2)
+        total.accumulate(f1, wplus, base)
+        total.accumulate(f2, wminus, base, -1)
     # the summand weights already carry nu; the prefactor only shifts q
-    fns = fns_series(g, window, head)
-    return (fns * total).shifted(zero_vec(entry.n), l0).truncated(q_max, depth, nu)
+    out.accumulate(fns_series(g, window, head) * total, ell=l0)
+    return out

@@ -64,9 +64,11 @@ _M1_TO_K = {
 
 
 def level_from_args(g: AlgebraId, args) -> Fraction:
-    if getattr(args, "k", None) is not None:
-        return parse_rational(args.k)
     m1 = getattr(args, "M1", None)
+    if getattr(args, "k", None) is not None:
+        if m1 is not None:  # ValueError: a usage error, exit code 2
+            raise ValueError("--k conflicts with --M1: give the level one way")
+        return parse_rational(args.k)
     if m1 is None:
         raise WminError("give --k (or --M1 where supported)")
     m1 = parse_rational(m1)
@@ -77,8 +79,17 @@ def level_from_args(g: AlgebraId, args) -> Fraction:
     raise WminError(f"--M1 is not supported for {g.family}; use --k")
 
 
+_NU_FLAGS = (("--nu-coords", "nu_coords"), ("--nu-labels", "nu_labels"),
+             ("--nu-r", "nu_r"), ("--nu-r2", "nu_r2"), ("--nu-r3", "nu_r3"))
+
+
 def nu_from_args(g: AlgebraId, args) -> Vec:
     entry = lookup(g)
+    given = [flag for flag, nm in _NU_FLAGS if getattr(args, nm, None) is not None]
+    labels_r = [f for f in given if f.startswith("--nu-r")]
+    ways = [f for f in given if f not in labels_r] + labels_r[:1]
+    if len(ways) > 1:  # ValueError: a usage error, exit code 2
+        raise ValueError(f"{ways[0]} conflicts with {ways[1]}: give nu one way")
     if getattr(args, "nu_coords", None):
         coords = _rat_list(args.nu_coords)
         if len(coords) != entry.n:

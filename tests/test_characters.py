@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as Q
 
 import pytest
@@ -6,9 +7,9 @@ from hypothesis import strategies as st
 
 from wmin import catalog, characters
 from wmin.catalog import Vec, lookup, zero_vec
-from wmin.characters import (QWSeries, character_massive, character_massless,
-                             ell_of_h, fns_series, h_pair, n4_closed_form,
-                             series_from_records,
+from wmin.characters import (QWSeries, _inverse_power, character_massive,
+                             character_massless, depth_of, ell_of_h, fns_series,
+                             h_pair, n4_closed_form, series_from_records,
                              verma_character, weyl_orbit)
 from wmin.errors import (NonDominant, PreconditionViolated, TruncationIncomplete,
                          UnsupportedD21a)
@@ -37,7 +38,9 @@ def test_fns_leading_terms():
 def test_fns_depth_zero():
     f = fns_series(G, 1, 0)
     assert f.coeff(0, ZERO) == 1
-    assert all(all(w == ZERO or None for w in lvl) or True for lvl in f.terms.values())
+    assert all(depth_of(E, ZERO, w) <= 0 for lvl in f.terms.values() for w in lvl)
+    assert f.coeff(1, TH1) != 0  # depth -1: kept
+    assert f.coeff(0, -1 * TH1) == 0  # depth 1: cut (it is 1 at depth 4)
 
 
 def test_verma_character_basics():
@@ -49,8 +52,9 @@ def test_verma_character_basics():
     # exponent shift
     a = verma_character(G, ZERO, 1, 3, 4)
     b = verma_character(G, ZERO, 0, 3, 4)
-    shifted = b.shifted(ZERO, 1).truncated(3, 4)
-    assert a == shifted
+    shifted = QWSeries(E, 3, 4)
+    shifted.accumulate(b, ell=1)
+    assert a == shifted and not a.is_zero()
 
 
 def test_ell_and_h_pair():
@@ -88,10 +92,17 @@ def test_weyl_orbit_contract():
 
 def test_orbit_cap_raises(monkeypatch):
     monkeypatch.setattr(characters, "ORBIT_CAP", 2)
-    with pytest.raises(TruncationIncomplete):
+    with pytest.raises(TruncationIncomplete) as err:
         weyl_orbit(G, -3, Q(1, 2) * TH1, 0, 4)
+    # the identity is kept, its two reflections push the seen set past 2
+    msg = str(err.value)
+    assert "3 elements seen" in msg and "1 kept within the limit" in msg
+    assert "BFS level 0" in msg
     with pytest.raises(TruncationIncomplete):
         character_massive(G, -3, Q(1, 2) * TH1, 2, 3, 4)
+    monkeypatch.setattr(characters, "ORBIT_CAP", 3)
+    with pytest.raises(TruncationIncomplete, match="BFS level 1"):
+        weyl_orbit(G, -3, Q(1, 2) * TH1, 0, 4)
 
 
 def test_fns_cache_is_bounded():
@@ -116,9 +127,10 @@ def test_massive_small_window_is_verma():
     nu = Q(1, 2) * TH1
     s = character_massive(G, -3, nu, 2, Q(5, 2), 4)
     # the shift-0 finite reflection still contributes: subtract it explicitly
-    v_id = verma_character(G, nu, 2, Q(5, 2), 4).truncated(Q(5, 2), 4, nu)
-    v_s = verma_character(G, Q(-3, 2) * TH1, 2, Q(5, 2), 4).truncated(Q(5, 2), 4, nu)
-    assert s == v_id - v_s
+    want = QWSeries(E, Q(5, 2), 4, nu)
+    want.accumulate(verma_character(G, nu, 2, Q(5, 2), 4))
+    want.accumulate(verma_character(G, Q(-3, 2) * TH1, 2, Q(5, 2), 4), sign=-1)
+    assert s == want
 
 
 def test_massive_leading_and_positivity():
@@ -212,8 +224,8 @@ def test_massive_matches_bilateral_form():
                 continue
             total.add_term(base, (Q(r, 2) + m * (m1 + 1)) * TH1, 1)
             total.add_term(base, -1 * (Q(r, 2) + m * (m1 + 1) + 1) * TH1, -1)
-        want = (fns_series(G, window, dep + 2 * window + 4) * total)
-        want = want.shifted(zero_vec(4), l0).truncated(qm, dep, nu)
+        want = QWSeries(E, qm, dep, nu)
+        want.accumulate(fns_series(G, window, dep + 2 * window + 4) * total, ell=l0)
         assert got == want, (m1, r, l0)
 
 
@@ -275,7 +287,60 @@ def _mk(terms, q_max=4, depth=6):
 def test_series_ring_commutes(t1, t2):
     a, b = _mk(t1), _mk(t2)
     assert a * b == b * a
-    assert a + b == b + a
+    ab, ba = QWSeries(E, 4, 6), QWSeries(E, 4, 6)
+    ab.accumulate(a)
+    ab.accumulate(b)
+    ba.accumulate(b)
+    ba.accumulate(a)
+    assert ab == ba
+    ab.accumulate(b, sign=-1)
+    assert ab == a
+
+
+@given(small_series, st.integers(min_value=-2, max_value=2),
+       st.integers(min_value=0, max_value=4), st.sampled_from([1, -1, 3]))
+@settings(max_examples=30, deadline=None)
+def test_accumulate_is_term_by_term(t, j, ell2, sign):
+    # sign * q^ell * exp(wt) * src, cut by the target window and nothing else
+    src, wt, ell = _mk(t), Q(j, 2) * TH1, Q(ell2, 2)
+    got = QWSeries(E, 3, 2)
+    got.accumulate(src, wt, ell, sign)
+    want = QWSeries(E, 3, 2)
+    for q, lvl in src.terms.items():
+        for w, c in lvl.items():
+            if q + ell <= 3 and depth_of(E, ZERO, w + wt) <= 2:
+                want.terms.setdefault(q + ell, {})[w + wt] = sign * c
+    assert got == want
+
+
+@given(st.sampled_from([Q(1, 2) * TH1, -1 * TH1, XI, -1 * XI + TH1]),
+       st.fractions(min_value=-3, max_value=3, max_denominator=2).filter(bool),
+       st.sampled_from([1, -1]), st.sampled_from([1, 2]),
+       st.integers(min_value=0, max_value=4))
+@settings(max_examples=60, deadline=None)
+def test_inverse_power_inverts_its_factor(w, c, sign, power, qm):
+    """(1 - sign q^c exp(w))^power times its expansion is 1 in the window,
+    for both signs of c (the c < 0 branch is the exact flip)."""
+    _check_inverse_power(w, c, sign, power, Q(qm))
+
+
+def test_inverse_power_depth_bounded_geometric():
+    # c = 0 needs a positive-depth weight: the negative root -theta_1
+    for power in (1, 2):
+        for dep in (0, 3, Q(7, 2)):
+            _check_inverse_power(-1 * TH1, Q(0), 1, power, Q(2), dep)
+
+
+def _check_inverse_power(w, c, sign, power, qm, dep=Q(3)):
+    dw = abs(depth_of(E, ZERO, w))
+    # product terms at depth <= dep need expansion terms down to dep + power*|dw|;
+    # for c < 0 the factor lowers q, so only q <= qm - power*|c| is complete
+    inv = _inverse_power(E, qm, dep + power * dw, w, c, sign, power)
+    fac = QWSeries(E, qm, dep + power * dw)
+    for m in range(power + 1):
+        fac.add_term(m * c, m * w, math.comb(power, m) * (-sign) ** m)
+    window = (qm - power * max(-c, 0), dep)
+    assert (inv * fac).truncated(*window) == QWSeries.unit(E, *window), (w, c, power)
 
 
 @given(small_series, small_series)

@@ -88,6 +88,21 @@ def test_weight_label_gap_is_usage_error(capsys):
     assert code == 0 and d["collapse"]["weight_integrable"] is False
 
 
+def test_conflicting_inputs_are_usage_errors(capsys):
+    base = ["check", "--g", "psl22", "--k", "-3", "--l0", "1"]
+    code, d = run_json(capsys, base + ["--nu-labels", "0", "--nu-r", "2"])
+    assert code == 2 and d["message"].startswith("--nu-labels conflicts with --nu-r:")
+    code, d = run_json(capsys, base + ["--nu-coords", "0,0,0,0", "--nu-labels", "2"])
+    assert code == 2 and d["message"].startswith("--nu-coords conflicts with --nu-labels:")
+    code, d = run_json(capsys, ["levels", "--g", "psl22", "--k", "-3", "--M1", "5"])
+    assert code == 2 and d["message"].startswith("--k conflicts with --M1:")
+    # one way each is still fine
+    code, d = run_json(capsys, base + ["--nu-r", "2"])
+    assert code == 0 and d["nu"] == ["0", "0", "1", "-1"]
+    code, d = run_json(capsys, ["levels", "--g", "psl22", "--M1", "2"])
+    assert code == 0
+
+
 def test_verdict_json_round_trip():
     g = catalog.psl22()
     nu = Q(1, 2) * lookup(g).components[0].theta
