@@ -33,7 +33,7 @@ from .catalog import (AlgebraId, CatalogEntry, Vec, _root_span_projection, looku
 from .errors import (IndexOutOfRange, NonDominant, PreconditionViolated,
                      TruncationIncomplete, UnsupportedD21a)
 from .rationals import format_rational, solve_quadratic_rational
-from .weights import A_bound, _is_extremal, _P_plus_data, in_P_plus_k
+from .weights import A_bound, _ell, _is_extremal, _P_plus_data, in_P_plus_k
 
 Q = Fraction
 
@@ -280,9 +280,10 @@ def _inverse_power(entry: CatalogEntry, q_max, depth, w: Vec, c: Fraction, sign:
 
 
 @lru_cache(maxsize=32)
-def _fns_cached(aid: AlgebraId, q_max: Fraction, depth: Fraction,
-                slope: Fraction = Q(0)) -> QWSeries:
+def _fns_cached(aid: AlgebraId, q_max: Fraction, depth: Fraction) -> QWSeries:
+    """The denominator product with `_dip_density` headroom, before any flat cut."""
     entry = lookup(aid)
+    slope = _dip_density(aid)
     rank = len(entry.simple_roots_natural) + (1 if entry.center else 0)
     out = QWSeries.unit(entry, q_max, depth, slope=slope)
     zero = zero_vec(entry.n)
@@ -317,7 +318,7 @@ def fns_series(g: AlgebraId, q_max, depth) -> QWSeries:
     """
     if Q(q_max) < 0:
         raise PreconditionViolated("q_max must be non-negative")
-    scheduled = _fns_cached(g, Q(q_max), Q(depth), _dip_density(g))
+    scheduled = _fns_cached(g, Q(q_max), Q(depth))
     return scheduled.truncated(Q(q_max), Q(depth))
 
 
@@ -340,22 +341,19 @@ def ell_of_h(g: AlgebraId, k, nu: Vec, h) -> Fraction:
     """Lowest energy of the reduced module with highest weight nu_hat_h."""
     entry = lookup(g)
     kh = entry.shifted_level(k)
-    k, h = Q(k), Q(h)
-    return entry.casimir(nu) / (2 * kh) + h * (h - k - 1) / kh
+    return _ell(Q(h), Q(k), kh, entry.casimir(nu))
 
 
 def h_pair(g: AlgebraId, k, nu: Vec, l0) -> Optional[Tuple[Fraction, Fraction]]:
     """Rational solutions (h, h') of ell(h) = l0, with h' = k+1-h, or None
-    when the discriminant is not a rational square."""
+    when the discriminant is not a rational square: `_ell` inverted, as
+    h^2 - (k+1)h - (l0 - ell(0))(k+h) = 0."""
     entry = lookup(g)
     kh = entry.shifted_level(k)
     k, l0 = Q(k), Q(l0)
-    c0 = entry.casimir(nu) / (2 * kh)
+    c0 = _ell(Q(0), k, kh, entry.casimir(nu))
     roots = solve_quadratic_rational(Q(1), -(k + 1), -(l0 - c0) * kh)
-    if roots is None:
-        return None
-    h = roots[0]
-    return h, k + 1 - h
+    return None if roots is None else (roots[0], k + 1 - roots[0])
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +455,7 @@ def character_massive(g: AlgebraId, k, nu: Vec, l0, q_max, depth) -> QWSeries:
     # and in-window exponents can dip by the per-q density; the scheduled
     # headroom keeps every cell of the final flat cut complete.
     base = depth + window * _max_theta_depth(entry.id)
-    fns = _fns_cached(entry.id, window, base, _dip_density(entry.id))
+    fns = _fns_cached(entry.id, window, base)
     for el in _orbit(entry, k, nu, h, window):
         out.accumulate(fns, el.restriction, l0 + el.q_shift, el.det)
     return out
@@ -485,7 +483,7 @@ def character_massless(g: AlgebraId, k, nu: Vec, q_max, depth) -> QWSeries:
         return out
     base = depth + window * _max_theta_depth(entry.id)
     density = _dip_density(entry.id)
-    fns = _fns_cached(entry.id, window, base, density)
+    fns = _fns_cached(entry.id, window, base)
     for el in _orbit(entry, k, nu, h, window, track_iso=True):
         piece = fns
         for beta in el.iso_images:

@@ -241,6 +241,8 @@ def cmd_char(args) -> dict:
     nu = nu_from_args(g, args)
     q_max = parse_rational(args.qmax)
     depth = parse_rational(args.depth)
+    if args.massless and args.massive:  # ValueError: a usage error, exit code 2
+        raise ValueError("--massless conflicts with --massive: give at most one")
     a = weights.A_bound(g, k, nu)
     if args.l0 is not None:
         l0 = parse_rational(args.l0)
@@ -264,6 +266,8 @@ def cmd_char(args) -> dict:
 
 def cmd_gram(args) -> dict:
     e_max = args.emax
+    if e_max < 1:  # ValueError: a usage error, exit code 2
+        raise ValueError(f"--emax must be at least 1, got {e_max}")
     checks = []
 
     def rec(name, passed, witness):
@@ -287,7 +291,8 @@ def cmd_gram(args) -> dict:
                         ok = False
                         rec("virasoro", False, f"s={s}, mu={mu}, n={n}, m={m}")
     if ok:
-        rec("virasoro", True, f"|n|,|m| <= 2, E <= {e_max}, 9 parameter pairs")
+        tight = f"|n|+|m| <= {e_max - 1}, " if e_max < 5 else ""
+        rec("virasoro", True, f"|n|,|m| <= 2, {tight}E <= {e_max}, 9 parameter pairs")
 
     for operator in ("L", "a"):
         ok = True

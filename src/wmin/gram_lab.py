@@ -19,6 +19,7 @@ from .catalog import AlgebraId, Vec, lookup
 from .errors import PreconditionViolated, WindowTooSmall
 from .levels import component_level
 from .rationals import GaussianRational as GR
+from .weights import A_bound
 
 Q = Fraction
 
@@ -84,22 +85,33 @@ def states_up_to(e_max: int) -> List[BosonBasisState]:
     return out
 
 
-def _a_apply(state: BosonBasisState, n: int, mu: Fraction):
-    """Action of the mode a_n; at most one resulting basis state."""
+Column = Dict[BosonBasisState, GR]
+
+
+def _a_apply(state: BosonBasisState, n: int, mu: Fraction) -> Column:
+    """Action of the mode a_n: a column with at most one (nonzero) entry."""
     if n == 0:
-        return [(GR.of(mu), state)] if mu != 0 else []
+        return {state: GR.of(mu)} if mu != 0 else {}
     d = state.as_dict()
     if n > 0:
         i = d.get(n, 0)
         if not i:
-            return []
+            return {}
         d[n] = i - 1
-        return [(GR.of(n * i), BosonBasisState.of(d))]
+        return {BosonBasisState.of(d): GR.of(n * i)}
     d[-n] = d.get(-n, 0) + 1
-    return [(GR.of(1), BosonBasisState.of(d))]
+    return {BosonBasisState.of(d): GR.of(1)}
 
 
-Column = Dict[BosonBasisState, GR]
+def _add_into(out: Column, col: Column, c: GR) -> None:
+    """out += c * col in place; entries that cancel are dropped, so a column
+    never stores a zero coefficient."""
+    for st, v in col.items():
+        v = out[st] + c * v if st in out else c * v
+        if v:
+            out[st] = v
+        else:
+            out.pop(st, None)
 
 
 @dataclass
@@ -126,12 +138,7 @@ class GradedSliceOperator:
             img = self.columns.get(st)
             if img is None:
                 return None
-            for st2, c2 in img.items():
-                v = out.get(st2, GR.of(0)) + c * c2
-                if v:
-                    out[st2] = v
-                elif st2 in out:
-                    del out[st2]
+            _add_into(out, img, c)
         return out
 
 
@@ -145,45 +152,34 @@ def _admissible_inputs(n: int, e_max: int):
 @lru_cache(maxsize=512)
 def heisenberg_matrix(n: int, mu: Fraction, e_max: int) -> GradedSliceOperator:
     """The mode a_n as a graded operator (a_0 acts by mu)."""
-    cols: Dict[BosonBasisState, Column] = {}
-    for st in _admissible_inputs(n, e_max):
-        col: Column = {}
-        for c, st2 in _a_apply(st, n, Q(mu)):
-            col[st2] = col.get(st2, GR.of(0)) + c
-        cols[st] = {k: v for k, v in col.items() if v}
+    cols = {st: _a_apply(st, n, Q(mu)) for st in _admissible_inputs(n, e_max)}
     return GradedSliceOperator("a", n, Q(mu), GR.of(0), e_max, cols)
 
 
+@lru_cache(maxsize=512)
 def fairlie_matrix(s: GR, mu: Fraction, n: int, e_max: int) -> GradedSliceOperator:
     """Deformed Virasoro mode: (1/2) sum_j a_{-j} a_{j+n} - s*n*a_n for
     n != 0, and sum_{j>=1} a_{-j} a_j + (mu^2 - s^2)/2 for n = 0."""
-    return _fairlie_cached(GR.of(s), Q(mu), n, e_max)
-
-
-@lru_cache(maxsize=512)
-def _fairlie_cached(s: GR, mu: Fraction, n: int, e_max: int) -> GradedSliceOperator:
-    s = GR.of(s)
+    s, mu = GR.of(s), Q(mu)
     if not s.is_imaginary():
         raise PreconditionViolated("the deformation parameter must be purely imaginary")
-    mu = Q(mu)
     cols: Dict[BosonBasisState, Column] = {}
     if n == 0:
         const = (GR.of(mu * mu) - s * s) / 2
-        for st in states_up_to(e_max):
-            cols[st] = {st: GR.of(st.energy) + const}
+        for st in states_up_to(e_max):  # the vacuum entry is 0 at s = mu = 0
+            cols[st] = {}
+            _add_into(cols[st], {st: GR.of(1)}, GR.of(st.energy) + const)
         return GradedSliceOperator("L", 0, mu, s, e_max, cols)
+    sn = s * -n
     for st in _admissible_inputs(n, e_max):
         acc: Column = {}
-        e = st.energy
         for j in range(-(e_max + abs(n) + 1), e_max + abs(n) + 2):
-            for c1, mid in _a_apply(st, j + n, mu):
-                for c2, st2 in _a_apply(mid, -j, mu):
-                    v = acc.get(st2, GR.of(0)) + Q(1, 2) * c1 * c2
-                    acc[st2] = v
-        for c1, st2 in _a_apply(st, n, mu):
-            v = acc.get(st2, GR.of(0)) - s * n * c1
-            acc[st2] = v
-        cols[st] = {k: v for k, v in acc.items() if v}
+            for mid, c1 in _a_apply(st, j + n, mu).items():
+                inner = _a_apply(mid, -j, mu)
+                if inner:  # skip the scalar product when a_{-j} kills mid
+                    _add_into(acc, inner, Q(1, 2) * c1)
+        _add_into(acc, _a_apply(st, n, mu), sn)
+        cols[st] = acc
     return GradedSliceOperator("L", n, mu, s, e_max, cols)
 
 
@@ -250,31 +246,22 @@ def adjointness_check(s: GR, mu: Fraction, n: int, e_max: int,
 # the derivation identity behind the exponential factorization
 
 
-Poly = Dict[BosonBasisState, GR]
-
-
-def _derivation_L1(t: GR, x: Poly) -> Poly:
-    """L(t)_1 acting as a derivation of the polynomial algebra on the a_{-p};
-    on generators: a_{-p} -> p*a_{-p+1} for p >= 2, a_{-1} -> -2t."""
-    out: Poly = {}
-
-    def add(st: BosonBasisState, c: GR):
-        v = out.get(st, GR.of(0)) + c
-        if v:
-            out[st] = v
-        elif st in out:
-            del out[st]
-
+def _derivation_L1(t: GR, x: Column) -> Column:
+    """L(t)_1 acting as a derivation of the polynomial algebra on the a_{-p}
+    (a polynomial is the column of its monomials); on generators:
+    a_{-p} -> p*a_{-p+1} for p >= 2, a_{-1} -> -2t."""
+    out: Column = {}
     for st, coef in x.items():
         d = st.as_dict()
         for p, mult in list(d.items()):
             rest = dict(d)
             rest[p] = mult - 1
             if p == 1:
-                add(BosonBasisState.of(rest), coef * GR.of(mult) * (GR.of(-2) * t))
+                c = GR.of(mult) * (GR.of(-2) * t)
             else:
                 rest[p - 1] = rest.get(p - 1, 0) + 1
-                add(BosonBasisState.of(rest), coef * GR.of(mult * p))
+                c = GR.of(mult * p)
+            _add_into(out, {BosonBasisState.of(rest): coef}, c)
     return out
 
 
@@ -282,22 +269,14 @@ def exp_factorization_check(t: GR, n_max: int, m_max: int) -> bool:
     """Generator-level identity L(t)_1^n(a_{-m}) = L(0)_1^n(a_{-m})
     - 2 n! delta_{n,m} t, for all n <= n_max, m <= m_max."""
     t = GR.of(t)
-    zero = GR.of(0)
     for m in range(1, m_max + 1):
-        gen = BosonBasisState.of({m: 1})
-        xt: Poly = {gen: GR.of(1)}
-        x0: Poly = {gen: GR.of(1)}
+        xt = x0 = {BosonBasisState.of({m: 1}): GR.of(1)}
         for n in range(1, n_max + 1):
             xt = _derivation_L1(t, xt)
-            x0 = _derivation_L1(zero, x0)
+            x0 = _derivation_L1(GR.of(0), x0)
             want = dict(x0)
             if n == m:
-                corr = GR.of(-2 * factorial(n)) * t
-                v = want.get(VACUUM, zero) + corr
-                if v:
-                    want[VACUUM] = v
-                elif VACUUM in want:
-                    del want[VACUUM]
+                _add_into(want, {VACUUM: t}, GR.of(-2 * factorial(n)))
             if xt != want:
                 return False
     return True
@@ -310,12 +289,9 @@ def exp_factorization_check(t: GR, n_max: int, m_max: int) -> bool:
 def g_half_norm(g: AlgebraId, k, nu: Vec, l0) -> Fraction:
     """Squared norm of the lowered highest weight vector, with the positive
     Hermitian pairing on the odd half-space normalized to 1:
-    -2(k+h)l0 + (nu|nu+2rho^nat) - 2(k+1)(xi|nu) + 2(xi|nu)^2."""
-    entry = lookup(g)
-    kh = entry.shifted_level(k)
-    k, l0 = Q(k), Q(l0)
-    xn = entry.form(entry.xi, nu)
-    return -2 * kh * l0 + entry.casimir(nu) - 2 * (k + 1) * xn + 2 * xn * xn
+    2(k+h)(A(k,nu) - l0)."""
+    kh = lookup(g).shifted_level(k)
+    return 2 * kh * (A_bound(g, k, nu) - Q(l0))
 
 
 def j_g_ratio(g: AlgebraId, k, nu: Vec, i: int) -> Fraction:

@@ -8,7 +8,8 @@ from typing import List, Optional
 from .catalog import AlgebraId, CatalogEntry, Vec, lookup
 from .errors import IndexOutOfSet
 from .levels import LevelData, level_data, unitarity_range_contains
-from .weights import A_bound, A_explicit, _in_P_plus, _is_extremal, _P_plus_data
+from .weights import (A_bound, A_explicit, _ell, _in_P_plus, _is_extremal,
+                      _P_plus_data)
 
 Q = Fraction
 
@@ -74,26 +75,18 @@ def _collapse_check(entry: CatalogEntry, lv: LevelData, nu: Vec, pairs: list,
     if target == "C":
         ok = nu.is_zero()
         detail = "target is trivial; needs nu = 0"
-    elif entry.center is not None:
-        # sl(2|m): either the free boson (center survives) or V(sl_m)
-        if "free boson" in target:
-            ok = pairs[0] == 0
-            detail = "sl_m part of nu must vanish; center charge unconstrained"
-        else:
-            ok = entry.is_dominant_integral(nu) and pairs[0] <= lv.M_simple[0]
-            detail = "nu must be integrable of level M_1 for the target"
-    elif len(entry.components) == 2:
-        keep = [i for i, m in enumerate(lv.M_simple) if m != 0]
-        ok = entry.is_dominant_integral(nu)
-        for i in range(2):
-            if i in keep:
-                ok = ok and pairs[i] <= lv.M_simple[i]
-            else:
-                ok = ok and pairs[i] == 0
-        detail = "integrable on the surviving component(s), trivial on the rest"
+    elif "free boson" in target:
+        # sl(2|m) collapsing to the free boson: the center survives
+        ok = pairs[0] == 0
+        detail = "sl_m part of nu must vanish; center charge unconstrained"
     else:
-        ok = entry.is_dominant_integral(nu) and pairs[0] <= lv.M_simple[0]
-        detail = "nu must be integrable of level M_1 for the target"
+        # P^+_k membership is exactly the target's integrability: dominance
+        # gives pairs[i] = nu(theta_i^vee) >= 0, so on a component with
+        # M_i = 0 the bound pairs[i] <= M_i says pairs[i] = 0 (trivial there).
+        ok = _in_P_plus(entry, lv, nu, pairs)
+        detail = ("integrable on the surviving component(s), trivial on the rest"
+                  if len(entry.components) == 2 else
+                  "nu must be integrable of level M_1 for the target")
     return CollapseCheck(target=target, weight_integrable=bool(ok), l0=l0,
                          detail=detail + "; l0 reported, not tested")
 
@@ -157,15 +150,8 @@ def decide(g: AlgebraId, k, nu: Vec, l0) -> UnitarityVerdict:
 # singular-weight functions
 
 
-def _singular_weight(x: Fraction, k: Fraction, kh: Fraction, cas: Fraction) -> Fraction:
-    """(x^2 - (k+1)^2 + 2(nu|nu+2rho^nat)) / (4(k+h)), the shape shared by
-    h_{n, eps*m} (x = eps*m*(k+h) - n) and h_{m, gamma}
-    (x = 2(nu+rho^nat|gamma) + 2m(k+h)); `cas` is (nu|nu+2rho^nat)."""
-    return (x ** 2 - (k + 1) ** 2 + 2 * cas) / (4 * kh)
-
-
 def h_even(g: AlgebraId, k, nu: Vec, n, m) -> Fraction:
-    """h_{n, eps*m}: even-root singular conformal weight."""
+    """h_{n, eps*m} = ell((eps*m*(k+h) - n + k + 1)/2): even-root singular weight."""
     entry = lookup(g)
     kh = entry.shifted_level(k)
     k, n, m = Q(k), Q(n), Q(m)
@@ -173,11 +159,12 @@ def h_even(g: AlgebraId, k, nu: Vec, n, m) -> Fraction:
     if n <= 0 or m <= 0 or (eps * n).denominator != 1 or (eps * m).denominator != 1 \
             or (m - n).denominator != 1:
         raise IndexOutOfSet("need m, n in (1/eps)N with m - n integral")
-    return _singular_weight(eps * m * kh - n, k, kh, entry.casimir(nu))
+    return _ell((eps * m * kh - n + k + 1) / 2, k, kh, entry.casimir(nu))
 
 
 def h_odd(g: AlgebraId, k, nu: Vec, m, gamma: Vec) -> Fraction:
-    """h_{m, gamma}: odd-root singular conformal weight, gamma in Delta'."""
+    """h_{m, gamma} = ell((nu+rho^nat|gamma) + m(k+h) + (k+1)/2): odd-root
+    singular weight, gamma in Delta'."""
     entry = lookup(g)
     kh = entry.shifted_level(k)
     k, m = Q(k), Q(m)
@@ -186,7 +173,7 @@ def h_odd(g: AlgebraId, k, nu: Vec, m, gamma: Vec) -> Fraction:
     if not any(gm == gamma for gm, _ in entry.delta_prime):
         raise IndexOutOfSet("gamma must be a weight of the odd half-space")
     pair = entry.form(nu + entry.rho_natural, gamma)
-    return _singular_weight(2 * pair + 2 * m * kh, k, kh, entry.casimir(nu))
+    return _ell(pair + m * kh + (k + 1) / 2, k, kh, entry.casimir(nu))
 
 
 @dataclass
@@ -228,7 +215,7 @@ def sign2_scan(g: AlgebraId, k, nu: Vec, n_max, m_max) -> Sign2Report:
         while Q(mm, eps) <= m_max:
             n, m = Q(nn, eps), Q(mm, eps)
             if (m - n).denominator == 1:
-                v = _singular_weight(eps * m * kh - n, k, kh, cas)
+                v = _ell((eps * m * kh - n + k + 1) / 2, k, kh, cas)
                 rep.checked += 1
                 if v > a:
                     rep.violations.append(("h_even", (n, m), v, a))
@@ -240,7 +227,7 @@ def sign2_scan(g: AlgebraId, k, nu: Vec, n_max, m_max) -> Sign2Report:
     m = Q(1, 2)
     while m <= m_max:
         for gamma, pair in zip(gammas, pairs):
-            v = _singular_weight(2 * pair + 2 * m * kh, k, kh, cas)
+            v = _ell(pair + m * kh + (k + 1) / 2, k, kh, cas)
             rep.checked += 1
             if v > a:
                 rep.violations.append(("h_odd", (m, gamma), v, a))

@@ -1,4 +1,8 @@
-"""Dominance, level bounds, extremality, and the unitarity thresholds."""
+"""Dominance, level bounds, extremality, and the unitarity thresholds.
+
+The thresholds and singular weights are one lowest-energy quadratic, `_ell`:
+ell(h) = (nu|nu+2rho^nat)/(2(k+h)) + h(h-k-1)/(k+h), so A = ell((xi|nu)),
+B = ell((k+1)/2), and h_even, h_odd, ell_of_h and g_half_norm read it too."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -67,19 +71,26 @@ def is_extremal(g: AlgebraId, k, nu: Vec) -> bool:
     return _is_extremal(lookup(g), data[0], nu, data[1])
 
 
+def _ell(h: Fraction, k: Fraction, kh: Fraction, cas: Fraction) -> Fraction:
+    """The lowest-energy quadratic cas/(2(k+h)) + h(h-k-1)/(k+h), with
+    kh = k+h_vee and cas = (nu|nu+2rho^nat)."""
+    return cas / (2 * kh) + h * (h - k - 1) / kh
+
+
 def A_bound(g: AlgebraId, k, nu: Vec) -> Fraction:
-    """Threshold (nu|nu+2rho^nat)/(2(k+h)) + (xi|nu)((xi|nu)-k-1)/(k+h)."""
+    """Threshold A(k,nu) = ell((xi|nu)), with ell the quadratic `_ell`."""
     entry = lookup(g)
     kh = entry.shifted_level(k)
-    xn = entry.form(entry.xi, nu)
-    return entry.casimir(nu) / (2 * kh) + xn * (xn - Q(k) - 1) / kh
+    return _ell(entry.form(entry.xi, nu), Q(k), kh, entry.casimir(nu))
 
 
 def B_bound(g: AlgebraId, k, nu: Vec) -> Fraction:
-    """Free-field sufficiency threshold (nu|nu+2rho^nat)/(2(k+h)) - (k+1)^2/(4(k+h))."""
+    """Free-field sufficiency threshold ell((k+1)/2) =
+    (nu|nu+2rho^nat)/(2(k+h)) - (k+1)^2/(4(k+h))."""
     entry = lookup(g)
     kh = entry.shifted_level(k)
-    return entry.casimir(nu) / (2 * kh) - (Q(k) + 1) ** 2 / (4 * kh)
+    k = Q(k)
+    return _ell((k + 1) / 2, k, kh, entry.casimir(nu))
 
 
 def A_explicit(g: AlgebraId, k, nu: Vec) -> Fraction:

@@ -96,11 +96,27 @@ def test_conflicting_inputs_are_usage_errors(capsys):
     assert code == 2 and d["message"].startswith("--nu-coords conflicts with --nu-labels:")
     code, d = run_json(capsys, ["levels", "--g", "psl22", "--k", "-3", "--M1", "5"])
     assert code == 2 and d["message"].startswith("--k conflicts with --M1:")
+    code, d = run_json(capsys, ["char", "--g", "psl22", "--M1", "1", "--r", "1",
+                                "--massless", "--massive", "--qmax", "2", "--depth", "2"])
+    assert code == 2 and d["message"].startswith("--massless conflicts with --massive:")
     # one way each is still fine
     code, d = run_json(capsys, base + ["--nu-r", "2"])
     assert code == 0 and d["nu"] == ["0", "0", "1", "-1"]
     code, d = run_json(capsys, ["levels", "--g", "psl22", "--M1", "2"])
     assert code == 0
+
+
+def test_gram_emax_bounds_and_witness(capsys):
+    for e_max in ("-1", "0"):
+        code, d = run_json(capsys, ["gram", "--emax", e_max])
+        assert code == 2 and d["message"] == f"--emax must be at least 1, got {e_max}"
+    # below E = 5 the window, not |n|,|m| <= 2, bounds the Virasoro cases
+    witness = {4: "|n|,|m| <= 2, |n|+|m| <= 3, E <= 4, 9 parameter pairs",
+               6: "|n|,|m| <= 2, E <= 6, 9 parameter pairs"}
+    for e_max, want in witness.items():
+        code, d = run_json(capsys, ["gram", "--emax", str(e_max)])
+        checks = {c["name"]: c for c in d["checks"]}
+        assert code == 0 and d["ok"] and checks["virasoro"]["witness"] == want
 
 
 def test_verdict_json_round_trip():

@@ -5,9 +5,9 @@ import pytest
 from wmin import catalog
 from wmin.catalog import lookup, zero_vec
 from wmin.errors import WindowTooSmall
-from wmin.gram_lab import (VACUUM, BosonBasisState, adjointness_check,
-                           boson_norm, exp_factorization_check, fairlie_matrix,
-                           g_half_norm, heisenberg_matrix, j_g_ratio,
+from wmin.gram_lab import (VACUUM, BosonBasisState, GradedSliceOperator,
+                           adjointness_check, boson_norm, exp_factorization_check,
+                           fairlie_matrix, g_half_norm, heisenberg_matrix, j_g_ratio,
                            states_at_energy, states_up_to, virasoro_check)
 from wmin.levels import enumerate_unitary_k, level_data
 from wmin.rationals import GaussianRational as GR
@@ -138,3 +138,23 @@ def test_j_g_ratio_matches_n_i(unitary_families):
                     n_i = (component_level(e, k, comp) + comp.chi + 1
                            - e.coroot_pairing(nu, comp.theta))
                     assert j_g_ratio(g, k, nu, i) == 1 - n_i
+
+
+def test_stored_columns_hold_no_zero_and_cancellation_empties():
+    """Every sparse update goes through one add that drops cancelled entries:
+    no operator column stores a zero coefficient (e_max 8, the benchmark's
+    s and mu grid, |n| <= 3), and c*col - c*col comes out as {}."""
+    for s in ("0", "1/2", "3/7", "1", "2/5", "5/3"):
+        for mu in ("0", "2", "5/3", "1/2", "-1", "3/4"):
+            for n in range(-3, 4):
+                for op in (fairlie_matrix(GR.imag(Q(s)), Q(mu), n, 8),
+                           heisenberg_matrix(n, Q(mu), 8)):
+                    for col in op.columns.values():
+                        assert all(col.values()), (op.name, s, mu, n)
+    u, v = BosonBasisState.of({1: 1}), BosonBasisState.of({2: 1})
+    col = fairlie_matrix(GR.imag(Q(1, 2)), Q(2), -1, 6).apply(u)
+    assert len(col) > 1
+    op = GradedSliceOperator("L", -1, Q(2), GR.imag(Q(1, 2)), 6, {u: col, v: col})
+    c = GR(Q(3), Q(-2))
+    assert op.apply_column({u: c, v: -c}) == {}
+    assert op.apply_column({u: c, v: c}) == {k: GR.of(2) * c * x for k, x in col.items()}

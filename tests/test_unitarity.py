@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as Q
 
 import pytest
@@ -178,3 +179,89 @@ def test_verdict_positive_flag():
     v = decide(catalog.f4(), -2, lookup(catalog.f4()).nu_from_labels([1, 1, 0]),
                None or Q(0))
     assert not v.is_unitary_positive or v.outcome == "UnitaryNonExtremal"
+
+
+def _old_singular_weight(x, k, kh, cas):
+    """The singular weights' former shared formula, kept as a reference."""
+    return (x ** 2 - (k + 1) ** 2 + 2 * cas) / (4 * kh)
+
+
+def test_lowest_energy_quadratic_pins_the_merged_formulas(unitary_families):
+    """A, B, h_even, h_odd, g_half_norm and h_pair are the one quadratic
+    ell_of_h read at their own h; each is checked against the formula it
+    used to spell out on its own."""
+    from wmin.characters import ell_of_h, h_pair
+    from wmin.gram_lab import g_half_norm
+    from wmin.weights import B_bound
+    for g in unitary_families:
+        e = lookup(g)
+        eps = int(e.epsilon)
+        gammas = list(dict.fromkeys(gm for gm, _ in e.delta_prime))
+        evens = [(Q(a, eps), Q(b, eps)) for a in range(1, 2 * eps + 1)
+                 for b in range(1, 2 * eps + 1) if (a - b) % eps == 0]
+        for k in enumerate_unitary_k(g, 3):
+            kh = k + e.h_vee
+            for nu in enumerate_P_plus_k(g, k):
+                cas = e.form(nu, nu + 2 * e.rho_natural)
+                xn = e.form(e.xi, nu)
+                a = A_bound(g, k, nu)
+                assert a == ell_of_h(g, k, nu, xn)
+                assert B_bound(g, k, nu) == ell_of_h(g, k, nu, (k + 1) / 2)
+                for n, m in evens:
+                    want = _old_singular_weight(eps * m * kh - n, k, kh, cas)
+                    assert h_even(g, k, nu, n, m) == want
+                for m in (Q(1, 2), Q(3, 2)):
+                    for gamma in gammas:
+                        x = 2 * e.form(nu + e.rho_natural, gamma) + 2 * m * kh
+                        want = _old_singular_weight(x, k, kh, cas)
+                        assert h_odd(g, k, nu, m, gamma) == want
+                for l0 in (Q(0), a, a + Q(1, 2), Q(2)):
+                    want = -2 * kh * l0 + cas - 2 * (k + 1) * xn + 2 * xn * xn
+                    assert g_half_norm(g, k, nu, l0) == want
+                    pair = h_pair(g, k, nu, l0)
+                    assert pair is not None or l0 != a  # h = (xi|nu) solves l0 = A
+                    for h in pair or ():
+                        assert ell_of_h(g, k, nu, h) == l0
+
+
+def _collapse_rule(entry, lv, nu):
+    """The collapse gate written out per branch: (weight_integrable, detail)."""
+    pairs = entry.theta_pairings(nu)
+    dom = entry.is_dominant_integral(nu)
+    target = lv.collapse_target
+    if target == "C":
+        return nu.is_zero(), "target is trivial; needs nu = 0"
+    if "free boson" in target:
+        return (pairs[0] == 0,
+                "sl_m part of nu must vanish; center charge unconstrained")
+    if len(entry.components) == 2:
+        ok = dom and all(p <= m if m != 0 else p == 0
+                         for p, m in zip(pairs, lv.M_simple))
+        return ok, "integrable on the surviving component(s), trivial on the rest"
+    return (dom and pairs[0] <= lv.M_simple[0],
+            "nu must be integrable of level M_1 for the target")
+
+
+def test_collapse_check_is_P_plus_membership():
+    """Every collapsing level among the first six unitary levels, plus
+    sl(2|3) at k = -1, over a box of weights: the gate matches the rule."""
+    cases = [(catalog.sl2m(3), Q(-1))]
+    for g in (catalog.psl22(), catalog.spo2m(3), catalog.d21a(1), catalog.d21a(2),
+              catalog.d21a(1, 2), catalog.f4(), catalog.g3()):
+        cases += [(g, k) for k in enumerate_unitary_k(g, 6)
+                  if level_data(g, k).collapsing]
+    assert len(cases) == 4
+    seen = set()
+    for g, k in cases:
+        e, lv = lookup(g), level_data(g, k)
+        box = itertools.product((Q(-1, 2), Q(0), Q(1, 2), Q(1)), repeat=min(e.n, 3))
+        for coords in box:
+            nu = catalog.Vec(list(coords) + [Q(0)] * (e.n - len(coords)))
+            v = decide(g, k, nu, 1)
+            assert v.outcome == "Collapsing"
+            ok, detail = _collapse_rule(e, lv, nu)
+            assert v.collapse.weight_integrable == ok, (g.label(), k, nu)
+            assert v.collapse.detail == detail + "; l0 reported, not tested"
+            seen.add((lv.collapse_target, ok))
+    # both verdicts on every target
+    assert len(seen) == 2 * len(cases)
