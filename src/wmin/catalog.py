@@ -2,11 +2,12 @@
 parity-compatible grading.
 
 Every family is realized in a fixed epsilon/delta coordinate basis; the
-invariant form is a rational Gram matrix in that basis, normalized so the
-highest root theta has square norm 2.  All further data (simple roots of the
-centralizer g^nat, its highest roots theta_i, the weights Delta' of the odd
-half-space, rho^nat, xi, super-dimension, dual Coxeter numbers) is stored per
-family and cross-validated by `validate`.
+invariant form is a rational Gram matrix in that basis, stored as its
+nonzero entries and normalized so the highest root theta has square norm 2.
+All further data (simple roots of the centralizer g^nat, its highest roots
+theta_i, the weights Delta' of the odd half-space, rho^nat, xi,
+super-dimension, dual Coxeter numbers) is stored per family and
+cross-validated by `validate`.
 
 Weights are plain tuples of Fraction wrapped in `Vec` for componentwise
 arithmetic.  Entries are immutable; concurrent reads are safe.
@@ -156,7 +157,7 @@ class CatalogEntry:
     id: AlgebraId
     n: int                               # coordinate dimension
     coord_names: tuple
-    gram: tuple                          # symmetric rational matrix, tuple of Vec rows
+    gram: tuple                          # nonzero entries (i, j, g_ij), i != j both ways
     simple_roots: tuple                  # ((Vec, parity 0|1), ...) for g itself
     theta: Vec
     sdim: Fraction
@@ -177,9 +178,7 @@ class CatalogEntry:
         if len(lam) != self.n or len(mu) != self.n:
             raise ParameterOutOfRange(
                 f"{self.id.label()} weights have {self.n} coordinates")
-        g = self.gram
-        return sum(Q(a) * sum(g[i][j] * Q(b) for j, b in enumerate(mu))
-                   for i, a in enumerate(lam))
+        return sum(g * lam[i] * mu[j] for i, j, g in self.gram)
 
     def coroot_pairing(self, lam: Sequence, alpha: Sequence) -> Fraction:
         aa = self.form(alpha, alpha)
@@ -276,8 +275,7 @@ class CatalogEntry:
 
 
 def _diag_gram(diag: Sequence) -> tuple:
-    n = len(diag)
-    return tuple(Vec([diag[i] if i == j else 0 for j in range(n)]) for i in range(n))
+    return tuple((i, i, Q(d)) for i, d in enumerate(diag))
 
 
 def _so_roots(n_coords: int, offset: int, rank: int, odd_dim: bool):
@@ -467,9 +465,8 @@ def lookup(aid: AlgebraId) -> CatalogEntry:
         # eps3 = -eps1-eps2 eliminated; coords (eps1, eps2, delta1)
         n = 3
         e1, e2, dlt = (basis_vec(n, i) for i in range(3))
-        gram = (Vec([Q(-1, 2), Q(1, 4), 0]),
-                Vec([Q(1, 4), Q(-1, 2), 0]),
-                Vec([0, 0, Q(1, 2)]))
+        gram = ((0, 0, Q(-1, 2)), (0, 1, Q(1, 4)), (1, 0, Q(1, 4)),
+                (1, 1, Q(-1, 2)), (2, 2, Q(1, 2)))
         alpha, beta = e1, e2 - e1
         pos = (alpha, beta, e2, e1 + e2, 2 * e1 + e2, e1 + 2 * e2)
         th1 = e1 + 2 * e2
@@ -521,8 +518,7 @@ def _root_span_projection(aid: AlgebraId) -> tuple:
     r, n = len(s), entry.n
     gram_rel = [[entry.form(s[i], s[j]) for j in range(r)] for i in range(r)]
     # rows of S*G: pairings of the coordinate basis against the simple roots
-    sg = [[sum(entry.gram[a][b] * s[i][b] for b in range(n)) for a in range(n)]
-          for i in range(r)]
+    sg = [[entry.form(basis_vec(n, a), s[i]) for a in range(n)] for i in range(r)]
     coeffs = _solve_exact(gram_rel, sg)  # r x n: c(v) = Grel^{-1} S G v
     proj = [Vec(sum(s[i][a] * coeffs[i][j] for i in range(r)) for j in range(n))
             for a in range(n)]

@@ -10,10 +10,10 @@ for the ring operations, so truncated arithmetic is exact within the window.
 
 The character sums run over the affine Weyl group generated by the
 reflections in the simple roots of g^nat and in eta_i = delta - theta_i,
-acting on nu_hat_h + rho_hat.  Orbit enumeration is breadth-first with
-deduplication, pruned at q_shift > limit + ORBIT_MARGIN, with a hard cap of
-ORBIT_CAP elements that raises TruncationIncomplete when hit.  Neither is a
-parameter: both are module constants read at call time.
+acting on nu_hat_h + rho_hat.  `_orbit` enumerates it breadth-first, pruned
+exactly at the q_shift window (its docstring argues that nothing is missed),
+with a hard cap of ORBIT_CAP elements, read at call time, that raises
+TruncationIncomplete when hit; both characters are one `_orbit_sum`.
 
 Every sum of series is one QWSeries.accumulate call: +-q^ell exp(w) times a
 series, added term by term through the target window's cuts.  Orbit sums are
@@ -74,18 +74,19 @@ def iso_simple_affine(entry: CatalogEntry) -> List[AffineWeight]:
     return [a] * entry.iso_simple_count
 
 
-def _eta_pairing(entry: CatalogEntry, lam: AffineWeight, comp) -> Fraction:
-    return (2 / comp.u) * (lam.level - entry.form(lam.finite, comp.theta))
+def _affine_simple_roots(entry: CatalogEntry) -> List[Tuple[Vec, Fraction]]:
+    """(finite part, delta coefficient) of the affine simple roots of g^nat:
+    (alpha, 0) for its simple roots, then (-theta_i, 1) for eta_i."""
+    return ([(a, Q(0)) for a in entry.simple_roots_natural]
+            + [(-1 * c.theta, Q(1)) for c in entry.components])
 
 
-def _reflect_finite(entry: CatalogEntry, lam: AffineWeight, alpha: Vec) -> AffineWeight:
-    c = entry.coroot_pairing(lam.finite, alpha)
-    return AffineWeight(lam.level, lam.finite - c * alpha, lam.delta_coeff)
-
-
-def _reflect_eta(entry: CatalogEntry, lam: AffineWeight, comp) -> AffineWeight:
-    c = _eta_pairing(entry, lam, comp)
-    return AffineWeight(lam.level, lam.finite + c * comp.theta, lam.delta_coeff - c)
+def _reflect(entry: CatalogEntry, lam: AffineWeight, root: tuple) -> AffineWeight:
+    """s_beta(lam) for beta = root = (finite part, delta coefficient), with
+    (lam|beta) = (f|beta_fin) + K*beta_delta since (Lambda_0|delta) = 1."""
+    fin, dc = root
+    c = 2 * (entry.form(lam.finite, fin) + lam.level * dc) / entry.form(fin, fin)
+    return AffineWeight(lam.level, lam.finite - c * fin, lam.delta_coeff - c * dc)
 
 
 # ---------------------------------------------------------------------------
@@ -368,17 +369,38 @@ class OrbitElement:
     iso_images: tuple           # images of the isotropic simple roots (massless)
 
 
-ORBIT_MARGIN = Q(2)  # pad on the q_shift pruning bound, until pruning at 0 is proved sound
 ORBIT_CAP = 10 ** 6  # orbit elements seen before TruncationIncomplete is raised
 
 
 def _orbit(entry: CatalogEntry, k: Fraction, nu: Vec, h: Fraction,
            q_shift_limit: Fraction, track_iso: bool = False) -> List[OrbitElement]:
-    """Breadth-first shifted-orbit enumeration.  Deduplication is on the image
-    of nu_hat+rho_hat (plus the isotropic-root images when tracked, which
-    separates group elements even when the orbit point sits on a wall)."""
+    """Breadth-first shifted-orbit enumeration: the elements with
+    q_shift <= limit.  Deduplication is on the image of lam0 = nu_hat+rho_hat
+    (plus the isotropic-root images when tracked, which separates group
+    elements even when the orbit point sits on a wall).  Only points with
+    shift <= max(limit, 0) are expanded; that misses nothing (Kac,
+    Infinite-dimensional Lie algebras, Lemma 3.11, Prop. 3.12):
+
+    1. x+d pairs to 0 with the finite roots of g^nat and to 1 with eta_i, so
+       s_alpha keeps the shift and s_eta_i raises it by <lam, eta_i^vee>.
+    2. From a dominant point the shift never decreases along a reduced word
+       (lam - w lam lies in Q_+).  The negative u_i do not break this:
+       rescaling a component's form does not change its Cartan matrix.
+    3. lam0 need not be dominant: at extremal spo2m(3) weights (k = -1,
+       r = 2; k = -5/4, r = 3) <lam0, eta_1^vee> = -1, and the first eta-edge
+       lowers the shift from 0 to -1.  Folding lam0 into the dominant chamber
+       crosses only walls of negative pairing, so by (1) its path stays at
+       shift <= 0.
+    4. With track_iso the BFS also walks the stabilizer of the folded point,
+       generated by the simple reflections that fix it; these keep the shift.
+
+    So fold, stabilizer, then a reduced word reach every element with
+    shift <= limit through points with shift <= max(limit, 0).
+    """
+    roots = _affine_simple_roots(entry)
     lam0 = nu_hat_plus_rho(entry, k, nu, h)
     base_xd = lam0.x_plus_d(entry)
+    reach = max(q_shift_limit, Q(0))
     iso0 = tuple(iso_simple_affine(entry)) if track_iso else ()
     seen = {(lam0, iso0)}
     frontier = [(lam0, 1, iso0)]
@@ -391,21 +413,13 @@ def _orbit(entry: CatalogEntry, k: Fraction, nu: Vec, h: Fraction,
             if shift <= q_shift_limit:
                 restr = entry.restrict(lam.finite) - entry.rho_natural
                 out.append(OrbitElement(restr, det, shift, iso))
-            if shift > q_shift_limit + ORBIT_MARGIN:
+            if shift > reach:
                 continue
-            for alpha in entry.simple_roots_natural:
-                lam2 = _reflect_finite(entry, lam, alpha)
-                iso2 = tuple(_reflect_finite(entry, b, alpha) for b in iso)
-                key = (lam2, iso2)
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append((lam2, -det, iso2))
-            for comp in entry.components:
-                lam2 = _reflect_eta(entry, lam, comp)
-                iso2 = tuple(_reflect_eta(entry, b, comp) for b in iso)
-                key = (lam2, iso2)
-                if key not in seen:
-                    seen.add(key)
+            for root in roots:
+                lam2 = _reflect(entry, lam, root)
+                iso2 = tuple(_reflect(entry, b, root) for b in iso)
+                if (lam2, iso2) not in seen:
+                    seen.add((lam2, iso2))
                     nxt.append((lam2, -det, iso2))
             if len(seen) > ORBIT_CAP:
                 raise TruncationIncomplete(
@@ -435,6 +449,31 @@ def weyl_orbit(g: AlgebraId, k, nu: Vec, h, q_max) -> List[Tuple[Vec, int, Fract
 # character formulas
 
 
+def _orbit_sum(entry: CatalogEntry, k: Fraction, nu: Vec, h: Fraction, l0: Fraction,
+               q_max: Fraction, depth: Fraction, track_iso: bool) -> QWSeries:
+    """Sum of det * q^(l0+q_shift) exp(restriction) * fns over the orbit, cut at
+    (q_max, depth) around nu.  With track_iso each piece also carries its
+    isotropic corrections, whose negative q-exponents `_inverse_power` flips."""
+    out = QWSeries(entry, q_max, depth, nu)
+    window = q_max - l0
+    if window < 0:
+        return out
+    # orbit restrictions may sit above nu by up to q_shift * max theta-depth,
+    # and in-window exponents can dip by the per-q density; the scheduled
+    # headroom keeps every cell of the final flat cut complete.
+    base = depth + window * _max_theta_depth(entry.id)
+    density = _dip_density(entry.id)
+    fns = _fns_cached(entry.id, window, base)
+    for el in _orbit(entry, k, nu, h, window, track_iso):
+        piece = fns
+        for beta in el.iso_images:
+            piece = piece * _inverse_power(entry, window, base,
+                                           -1 * entry.restrict(beta.finite),
+                                           beta.x_plus_d(entry), -1, slope=density)
+        out.accumulate(piece, el.restriction, l0 + el.q_shift, el.det)
+    return out
+
+
 def character_massive(g: AlgebraId, k, nu: Vec, l0, q_max, depth) -> QWSeries:
     """Alternating orbit sum of Verma characters; valid strictly above the
     threshold."""
@@ -447,52 +486,20 @@ def character_massive(g: AlgebraId, k, nu: Vec, l0, q_max, depth) -> QWSeries:
         raise PreconditionViolated("massive character needs l0 > A(k,nu)")
     pair = h_pair(g, k, nu, l0)
     h = pair[0] if pair is not None else Q(0)  # orbit data is h-independent
-    out = QWSeries(entry, q_max, depth, nu)
-    window = q_max - l0
-    if window < 0:
-        return out
-    # orbit restrictions may sit above nu by up to q_shift * max theta-depth,
-    # and in-window exponents can dip by the per-q density; the scheduled
-    # headroom keeps every cell of the final flat cut complete.
-    base = depth + window * _max_theta_depth(entry.id)
-    fns = _fns_cached(entry.id, window, base)
-    for el in _orbit(entry, k, nu, h, window):
-        out.accumulate(fns, el.restriction, l0 + el.q_shift, el.det)
-    return out
+    return _orbit_sum(entry, k, nu, h, l0, q_max, depth, False)
 
 
 def character_massless(g: AlgebraId, k, nu: Vec, q_max, depth) -> QWSeries:
     """Character at the threshold l0 = A(k,nu): orbit sum with the isotropic
-    simple-root corrections resummed per orbit element.
-
-    Factors whose q-exponent goes negative along the orbit are rewritten by
-    the exact flip before expanding, so every summand is a genuine series in
-    non-negative powers above l0.
-    """
+    simple-root corrections resummed per orbit element."""
     entry = lookup(g)
     k, q_max, depth = Q(k), Q(q_max), Q(depth)
     if g.family == "D21a" and not nu.is_zero():
         raise UnsupportedD21a("massless D(2,1;a) characters are only available at nu = 0")
     if not in_P_plus_k(g, k, nu):
         raise PreconditionViolated("massless character needs nu in P^+_k")
-    l0 = A_bound(g, k, nu)
-    h = entry.form(entry.xi, nu)
-    out = QWSeries(entry, q_max, depth, nu)
-    window = q_max - l0
-    if window < 0:
-        return out
-    base = depth + window * _max_theta_depth(entry.id)
-    density = _dip_density(entry.id)
-    fns = _fns_cached(entry.id, window, base)
-    for el in _orbit(entry, k, nu, h, window, track_iso=True):
-        piece = fns
-        for beta in el.iso_images:
-            c = beta.x_plus_d(entry)
-            wrest = entry.restrict(beta.finite)
-            piece = piece * _inverse_power(entry, window, base, -1 * wrest, c, -1,
-                                           slope=density)
-        out.accumulate(piece, el.restriction, l0 + el.q_shift, el.det)
-    return out
+    return _orbit_sum(entry, k, nu, entry.form(entry.xi, nu), A_bound(g, k, nu),
+                      q_max, depth, True)
 
 
 def n4_closed_form(M1: int, r: int, q_max, depth) -> QWSeries:

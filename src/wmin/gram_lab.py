@@ -217,7 +217,10 @@ def virasoro_check(s: GR, mu: Fraction, n: int, m: int, e_max: int) -> bool:
 def adjointness_check(s: GR, mu: Fraction, n: int, e_max: int,
                       operator: str = "L") -> bool:
     """H(u, X_n v) = H(X_{-n} u, v) against the diagonal Gram form, where X
-    is the deformed Virasoro mode ('L') or the boson mode ('a', real mu)."""
+    is the deformed Virasoro mode ('L') or the boson mode ('a', real mu).
+    Raises WindowTooSmall when |n| > e_max: no state pair would be compared."""
+    if abs(n) > e_max:
+        raise WindowTooSmall(f"need |n| <= e_max, got {n}, {e_max}")
     s = GR.of(s)
     mu = Q(mu)
     if operator == "L":

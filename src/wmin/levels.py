@@ -54,46 +54,17 @@ class LevelData:
     collapse_target: Optional[str]
 
 
-def _collapse_zeros(entry: CatalogEntry):
-    """Zeros of the monic collapsing polynomial: (z1, z2)."""
-    comps = ([entry.center] if entry.center else []) + list(entry.components)
-    if len(comps) == 2:
-        zs = []
-        for c in comps:
-            # M_i vanishes at -(h_vee - hbar_i)/2
-            zs.append(-(entry.h_vee - c.hbar_vee) / 2)
-        return tuple(zs)
-    c1 = entry.components[0]
-    return (-(entry.h_vee - c1.hbar_vee) / 2, -c1.hbar_vee / 2 - 1)
-
-
-def _collapse_target(entry: CatalogEntry, k: Fraction) -> str:
-    fam = entry.id.family
-    if entry.center is not None:  # sl(2|m)
-        m0 = component_level(entry, k, entry.center)
-        m1 = component_level(entry, k, entry.components[0])
-        if m1 == 0 and m0 == 0:
-            return "C"
-        if m1 == 0:
-            return f"free boson V_{m0}(center)"
-        return f"V_{m1}(sl_{entry.id.m})"
-    if len(entry.components) == 2:
-        m1 = component_level(entry, k, entry.components[0])
-        m2 = component_level(entry, k, entry.components[1])
-        names = {"D21a": ("sl2 (component 1)", "sl2 (component 2)"),
-                 "osp4m": ("sl2", f"sp_{entry.id.m}")}[fam]
-        if m1 == 0 and m2 == 0:
-            return "C"
-        if m1 == 0:
-            return f"V_{m2}({names[1]})"
-        return f"V_{m1}({names[0]})"
-    comp = entry.components[0]
-    m1 = component_level(entry, k, comp)
-    if m1 == 0:
-        return "C"
-    gname = {"psl22": "sl2", "spo2m": f"so_{entry.id.m}" if entry.id.m > 3 else "sl2",
-             "F4": "so7", "G3": "G2"}[fam]
-    return f"V_{m1}({gname})"
+def _collapse_target(entry: CatalogEntry, M: tuple) -> str:
+    """"C" when every level in M (`LevelData.M` order) is zero, else the
+    affine algebra at the first nonzero one; sl(2|m) looks at sl_m first."""
+    m = entry.id.m
+    names = {"psl22": ["V_{}(sl2)"], "F4": ["V_{}(so7)"], "G3": ["V_{}(G2)"],
+             "spo2m": ["V_{}(so_{m})" if m > 3 else "V_{}(sl2)"],
+             "D21a": ["V_{}(sl2 (component 1))", "V_{}(sl2 (component 2))"],
+             "osp4m": ["V_{}(sl2)", "V_{}(sp_{m})"],
+             "sl2m": ["V_{}(sl_{m})", "free boson V_{}(center)"]}[entry.id.family]
+    order = M[::-1] if entry.center else M
+    return next((name.format(x, m=m) for x, name in zip(order, names) if x != 0), "C")
 
 
 def level_data(g: AlgebraId, k: Fraction) -> LevelData:
@@ -103,15 +74,18 @@ def level_data(g: AlgebraId, k: Fraction) -> LevelData:
     k = Q(k)
     comps = ([entry.center] if entry.center else []) + list(entry.components)
     M = tuple(component_level(entry, k, c) for c in comps)
-    M_simple = tuple(component_level(entry, k, c) for c in entry.components)
-    alpha = tuple(component_level(entry, k, c) + c.chi for c in comps)
-    z1, z2 = _collapse_zeros(entry)
+    M_simple = M[1:] if entry.center else M
+    alpha = tuple(m + c.chi for m, c in zip(M, comps))
+    # zeros of the monic collapsing polynomial: where M_1 and M_2 vanish, or,
+    # with one component level, where M_1 vanishes and -hbar_1/2 - 1
+    zs = [-(entry.h_vee - c.hbar_vee) / 2 for c in comps]
+    z1, z2 = zs if len(zs) == 2 else (zs[0], -comps[0].hbar_vee / 2 - 1)
     p_k = (k - z1) * (k - z2)
     collapsing = p_k == 0
     return LevelData(
         k=k, M=M, M_simple=M_simple, alpha_levels=alpha,
         c=charge, p_k=p_k, collapsing=collapsing,
-        collapse_target=_collapse_target(entry, k) if collapsing else None)
+        collapse_target=_collapse_target(entry, M) if collapsing else None)
 
 
 # ---------------------------------------------------------------------------

@@ -122,3 +122,32 @@ def test_form_rejects_wrong_length():
     e = lookup(catalog.psl22())
     with pytest.raises(ParameterOutOfRange):
         e.form(Vec([1, 0]), e.theta)
+
+
+def _diag(*d):
+    return [[d[i] if i == j else 0 for j in range(len(d))] for i in range(len(d))]
+
+
+# the invariant forms written out as matrices in the coordinate basis
+GRAM_MATRICES = [
+    (catalog.psl22(), _diag(1, 1, -1, -1)),
+    (catalog.sl2m(3), _diag(1, 1, -1, -1, -1)),
+    (catalog.osp4m(4), _diag(1, 1, -1, -1)),
+    (catalog.spo2m(3), _diag(Q(1, 2), Q(-1, 2))),
+    (catalog.spo2m(5), _diag(Q(1, 2), Q(-1, 2), Q(-1, 2))),
+    (catalog.d21a(2, 3), _diag(Q(1, 2), Q(-3, 10), Q(-1, 5))),
+    (catalog.f4(), _diag(Q(-2, 3), Q(-2, 3), Q(-2, 3), 2)),
+    (catalog.g3(), [[Q(-1, 2), Q(1, 4), 0], [Q(1, 4), Q(-1, 2), 0], [0, 0, Q(1, 2)]]),
+]
+
+
+def test_form_matches_gram_matrix():
+    for g, mat in GRAM_MATRICES:
+        e = lookup(g)
+        basis = [catalog.basis_vec(e.n, i) for i in range(e.n)]
+        assert [[e.form(a, b) for b in basis] for a in basis] == mat, g.label()
+        assert all(x != 0 for _, _, x in e.gram), g.label()
+        v = Vec(range(1, e.n + 1))
+        w = Vec(Q(1, i + 2) - i for i in range(e.n))
+        want = sum(v[i] * mat[i][j] * w[j] for i in range(e.n) for j in range(e.n))
+        assert e.form(v, w) == e.form(w, v) == want, g.label()

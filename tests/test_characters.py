@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from wmin import catalog, characters
 from wmin.catalog import Vec, lookup, zero_vec
-from wmin.characters import (QWSeries, _inverse_power, character_massive,
-                             character_massless, depth_of, ell_of_h, fns_series,
-                             h_pair, n4_closed_form, series_from_records,
+from wmin.characters import (AffineWeight, QWSeries, _inverse_power, _orbit,
+                             character_massive, character_massless, depth_of,
+                             ell_of_h, fns_series, h_pair, iso_simple_affine,
+                             n4_closed_form, nu_hat_plus_rho, series_from_records,
                              verma_character, weyl_orbit)
 from wmin.errors import (NonDominant, PreconditionViolated, TruncationIncomplete,
                          UnsupportedD21a)
@@ -88,6 +89,88 @@ def test_weyl_orbit_contract():
     assert all(s.denominator == 1 for _, _, s in orb)
     with pytest.raises(NonDominant):
         weyl_orbit(G, -3, 2 * TH1, 0, 4)
+
+
+def _words_orbit(entry, k, nu, h, length, track_iso):
+    """Every state reached from nu_hat+rho_hat (and, when tracked, the
+    isotropic simple roots) by words of at most `length` simple reflections,
+    with no pruning, mapped to det.  The reflections are written out here, so
+    this is an oracle for `_orbit`, not a second call of it."""
+    def s_alpha(alpha):
+        return lambda a: AffineWeight(a.level, entry.weyl_reflect(a.finite, alpha),
+                                      a.delta_coeff)
+
+    def s_eta(comp):  # eta = delta - theta_i pairs to (2/u_i)(K - (f|theta_i))
+        def act(a):
+            c = 2 * (a.level - entry.form(a.finite, comp.theta)) / comp.u
+            return AffineWeight(a.level, a.finite + c * comp.theta, a.delta_coeff - c)
+        return act
+
+    gens = ([s_alpha(al) for al in entry.simple_roots_natural]
+            + [s_eta(c) for c in entry.components])
+    start = (nu_hat_plus_rho(entry, k, nu, h),)
+    if track_iso:
+        start += tuple(iso_simple_affine(entry))
+    found, frontier = {start: 1}, [start]
+    for _ in range(length):
+        nxt = []
+        for state in frontier:
+            for gen in gens:
+                new = tuple(gen(a) for a in state)
+                if new not in found:
+                    found[new] = -found[state]
+                    nxt.append(new)
+        frontier = nxt
+    return found
+
+
+# (algebra, k, labels, word length): extremal and non-extremal spo2m(3)
+ORBIT_CASES = [(catalog.psl22(), Q(-3), [1], 7),
+               (catalog.spo2m(3), Q(-1), [2], 7),
+               (catalog.spo2m(3), Q(-5, 4), [3], 7),
+               (catalog.spo2m(3), Q(-5, 4), [1], 7),
+               (catalog.d21a(2, 3), Q(-12, 5), [1, 2], 7),
+               (catalog.g3(), Q(-9, 4), [1, 1], 7),
+               (catalog.f4(), Q(-2), [1, 0, 0], 5)]
+
+
+@pytest.mark.parametrize("track_iso", [False, True])
+def test_orbit_pruning_misses_nothing(track_iso):
+    """Every element with q_shift <= limit that a word of bounded length
+    reaches is in `_orbit`'s output, with the same restriction, det and
+    shift.  Integer limits put elements exactly at the limit, whose finite
+    reflections keep the shift, so those must still be expanded; limit -1
+    holds the shift -1 elements of the extremal spo2m(3) weights."""
+    for g, k, labels, length in ORBIT_CASES:
+        e = lookup(g)
+        nu = e.nu_from_labels(labels)
+        h = e.form(e.xi, nu)
+        base = nu_hat_plus_rho(e, k, nu, h).x_plus_d(e)
+        words = _words_orbit(e, k, nu, h, length, track_iso)
+        for limit in (Q(-1), Q(0), Q(1), Q(2)):
+            got = {(el.restriction, el.det, el.q_shift, el.iso_images)
+                   for el in _orbit(e, k, nu, h, limit, track_iso)}
+            for (lam, *iso), det in words.items():
+                shift = base - lam.x_plus_d(e)
+                if shift <= limit:
+                    want = (e.restrict(lam.finite) - e.rho_natural, det, shift, tuple(iso))
+                    assert want in got, (g.label(), k, labels, limit, want)
+
+
+def test_extremal_orbit_dips_below_zero_shift():
+    """At the extremal spo2m(3) weights <lam0, eta_1^vee> = -1: the eta-step
+    from lam0 lowers the shift from 0 to -1, so lam0 is not dominant."""
+    g = catalog.spo2m(3)
+    e = lookup(g)
+    comp = e.components[0]
+    for k, r in [(Q(-1), 2), (Q(-5, 4), 3)]:
+        nu = e.nu_from_labels([r])
+        lam0 = nu_hat_plus_rho(e, k, nu, Q(0))
+        pairing = 2 * (lam0.level - e.form(lam0.finite, comp.theta)) / comp.u
+        assert pairing == -1
+        step = e.restrict(lam0.finite + pairing * comp.theta) - e.rho_natural
+        assert (step, -1, Q(-1)) in weyl_orbit(g, k, nu, 0, 1)
+        assert (step, -1, Q(-1)) in weyl_orbit(g, k, nu, 0, -1)
 
 
 def test_orbit_cap_raises(monkeypatch):

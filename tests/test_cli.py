@@ -110,13 +110,19 @@ def test_gram_emax_bounds_and_witness(capsys):
     for e_max in ("-1", "0"):
         code, d = run_json(capsys, ["gram", "--emax", e_max])
         assert code == 2 and d["message"] == f"--emax must be at least 1, got {e_max}"
-    # below E = 5 the window, not |n|,|m| <= 2, bounds the Virasoro cases
-    witness = {4: "|n|,|m| <= 2, |n|+|m| <= 3, E <= 4, 9 parameter pairs",
-               6: "|n|,|m| <= 2, E <= 6, 9 parameter pairs"}
-    for e_max, want in witness.items():
+    # below E = 5 the window, not |n|,|m| <= 2, bounds the Virasoro cases,
+    # and below E = 2 it bounds the adjointness cases
+    witness = {1: ("|n|,|m| <= 2, |n|+|m| <= 0, E <= 1, 9 parameter pairs",
+                   "same grid, |n| <= 1"),
+               2: ("|n|,|m| <= 2, |n|+|m| <= 1, E <= 2, 9 parameter pairs", "same grid"),
+               4: ("|n|,|m| <= 2, |n|+|m| <= 3, E <= 4, 9 parameter pairs", "same grid"),
+               6: ("|n|,|m| <= 2, E <= 6, 9 parameter pairs", "same grid")}
+    for e_max, (vir, adj) in witness.items():
         code, d = run_json(capsys, ["gram", "--emax", str(e_max)])
         checks = {c["name"]: c for c in d["checks"]}
-        assert code == 0 and d["ok"] and checks["virasoro"]["witness"] == want
+        assert code == 0 and d["ok"] and checks["virasoro"]["witness"] == vir
+        assert checks["adjointness_L"]["witness"] == adj
+        assert checks["adjointness_a"]["witness"] == adj
 
 
 def test_verdict_json_round_trip():

@@ -107,6 +107,15 @@ def test_adjointness_examples():
     assert adjointness_check(GR.of(0), Q(5, 3), -1, 5, operator="a")
 
 
+def test_adjointness_needs_the_window():
+    # for |n| > e_max no state pair lies in the window: refused, not passed
+    for op in ("L", "a"):
+        for n in (2, -2):
+            with pytest.raises(WindowTooSmall):
+                adjointness_check(GR.of(0), Q(2), n, 1, operator=op)
+            assert adjointness_check(GR.of(0), Q(2), n, 2, operator=op)
+
+
 def test_exp_factorization():
     assert exp_factorization_check(GR.imag(Q(1, 1)), 3, 3)
     assert exp_factorization_check(GR.imag(Q(3, 7)), 5, 5)
