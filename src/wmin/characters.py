@@ -15,10 +15,20 @@ exactly at the q_shift window (its docstring argues that nothing is missed),
 with a hard cap of ORBIT_CAP elements, read at call time, that raises
 TruncationIncomplete when hit; both characters are one `_orbit_sum`.
 
-Every sum of series is one QWSeries.accumulate call: +-q^ell exp(w) times a
-series, added term by term through the target window's cuts.  Orbit sums are
-sequential and deterministic; the merge is commutative exact addition, so a
-parallel evaluation would have to reproduce these coefficients bit for bit.
+The NS denominator is built by an integer kernel (`_LatticeSeries`): q is
+stored as the int 2q, weights as int tuples scaled by one per-algebra common
+denominator (`_lattice`), each key led by its int depth, and every factor is
+applied to the running series in place inside a sloped window whose
+exactness argument is in the `_LatticeSeries` docstring.  `Fraction` keys
+appear only at the boundary: the orbit sum, `fns_series` and
+`verma_character` give a `Vec` key to the kernel terms that pass the
+published QWSeries' cuts, and `records()`/`coeff()` read that series.
+
+Every other sum of series is one QWSeries.accumulate call: +-q^ell exp(w)
+times a series, added term by term through the target window's cuts.  Orbit
+sums are sequential and deterministic; the merge is commutative exact
+addition, so a parallel evaluation would have to reproduce these
+coefficients bit for bit.
 """
 from __future__ import annotations
 
@@ -26,6 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .catalog import (AlgebraId, CatalogEntry, Vec, _root_span_projection, lookup,
@@ -105,25 +116,75 @@ def depth_of(entry: CatalogEntry, ref: Vec, w: Vec) -> Fraction:
     return _depth_value(entry.id, ref) - _depth_value(entry.id, w)
 
 
-@lru_cache(maxsize=None)
-def _max_theta_depth(aid: AlgebraId) -> Fraction:
-    """Largest depth of a component highest root; bounds how far an orbit
-    restriction can sit above nu per unit of q_shift."""
-    entry = lookup(aid)
-    zero = zero_vec(entry.n)
-    return max([depth_of(entry, zero, -1 * c.theta) for c in entry.components]
-               + [Q(1)])
+class _Lattice:
+    """Per-algebra integer coordinates of the denominator kernel.
+
+    Every weight that can enter a kernel key lies in (1/denom) Z^n, where
+    `denom` is the common denominator of the coordinates of the positive roots
+    of g^nat, of Delta', theta, xi, rho^nat and of the projection rows.  The
+    key of w is the int tuple (scale * depth_of(0, w), denom * w_1, ...,
+    denom * w_n) with scale = denom times the common denominator of the depth
+    covector, so a key carries its depth as its first entry and adding keys
+    adds weights and depths alike.  `key` raises on a weight off the lattice
+    and `q2` on an exponent off (1/2) Z; nothing is rounded.
+
+    `slope` is the dip density s, the largest depth change per unit of q over
+    the denominator factors: |depth(alpha)| for the bosonic exponents
+    exp(+-alpha) (which cost q^n, n >= 1) and 2|depth(gamma)| for the odd ones
+    (which cost q^{1/2} and up).  `theta_depth` is the largest depth of a
+    component highest root; it bounds how far an orbit restriction can sit
+    above nu per unit of q_shift.
+    """
+
+    __slots__ = ("denom", "scale", "cov", "slope", "theta_depth")
+
+    def __init__(self, aid: AlgebraId):
+        entry = lookup(aid)
+        proj, cov = _root_span_projection(aid)
+        vecs = [*entry.pos_roots_natural, *(g for g, _ in entry.delta_prime),
+                entry.theta, entry.xi, entry.rho_natural, *proj]
+        self.denom = math.lcm(*(c.denominator for v in vecs for c in v))
+        cden = math.lcm(*(c.denominator for c in cov))
+        self.scale = self.denom * cden
+        # ints: scale * depth_of(0, w) = -sum(cov_i * denom * w_i)
+        self.cov = tuple((c * cden).numerator for c in cov)
+        zero = zero_vec(entry.n)
+        dips = [abs(depth_of(entry, zero, a)) for a in entry.pos_roots_natural]
+        dips += [2 * abs(depth_of(entry, zero, g)) for g, _ in entry.delta_prime]
+        self.slope = max(dips) if dips else Q(1)
+        self.theta_depth = max([depth_of(entry, zero, -1 * c.theta)
+                                for c in entry.components] + [Q(1)])
+
+    def key(self, w: Vec) -> tuple:
+        xs = []
+        for c in w:
+            x = c * self.denom
+            if x.denominator != 1:
+                raise PreconditionViolated(
+                    f"weight ({', '.join(map(format_rational, w))}) is off the "
+                    f"1/{self.denom} lattice of the denominator kernel")
+            xs.append(x.numerator)
+        return (-sum(map(mul, self.cov, xs)), *xs)
+
+    def vec(self, key: tuple, wt: Vec) -> Vec:
+        """wt plus the weight whose key is `key`."""
+        return Vec(a + Q(x, self.denom) for a, x in zip(wt, key[1:]))
+
+    @staticmethod
+    def q2(c: Fraction) -> int:
+        """2c as an int."""
+        if (2 * c).denominator != 1:
+            raise PreconditionViolated(f"q exponent {format_rational(c)} is off (1/2)Z")
+        return (2 * c).numerator
+
+    def cap(self, depth: Fraction) -> int:
+        """The largest int depth of a key whose depth is at most `depth`."""
+        return math.floor(self.scale * depth)
 
 
-@lru_cache(maxsize=None)
-def _dip_density(aid: AlgebraId) -> Fraction:
-    """Largest depth drop per unit of q across all expansion factors: bosonic
-    exponents exp(alpha) cost q^n (n >= 1), odd-space ones cost q^{1/2}."""
-    entry = lookup(aid)
-    zero = zero_vec(entry.n)
-    cands = [abs(depth_of(entry, zero, a)) for a in entry.pos_roots_natural]
-    cands += [2 * abs(depth_of(entry, zero, g)) for g, _ in entry.delta_prime]
-    return max(cands) if cands else Q(1)
+@lru_cache(maxsize=64)
+def _lattice(aid: AlgebraId) -> _Lattice:
+    return _Lattice(aid)
 
 
 # ---------------------------------------------------------------------------
@@ -132,35 +193,32 @@ def _dip_density(aid: AlgebraId) -> Fraction:
 
 class QWSeries:
     """Finite q-series with weight-vector coefficients, truncated at q_max and
-    at a depth window around `ref`.
+    at a depth window around `ref`: the published form of every character,
+    keyed by `Fraction` exponents and `Vec` weights.
 
-    `slope` is an internal headroom device for intermediate products: terms at
-    q-level q are kept up to depth + slope*(q_max - q).  Published series
-    always carry slope 0.
-
-    `accumulate` is the one path that adds another series (times
-    +-q^ell exp(w)) into this one, in place.
+    The denominator kernel (`_LatticeSeries`) works over int lattice keys and
+    converts at this boundary: `_LatticeSeries.add_to` gives a `Vec` key only
+    to the terms that pass this series' cuts.  `accumulate` is the one path
+    that adds another QWSeries (times +-q^ell exp(w)) into this one, in place.
     """
 
-    __slots__ = ("entry", "q_max", "depth", "ref", "slope", "terms")
+    __slots__ = ("entry", "q_max", "depth", "ref", "terms")
 
-    def __init__(self, entry: CatalogEntry, q_max, depth, ref: Optional[Vec] = None,
-                 slope: Fraction = Q(0)):
+    def __init__(self, entry: CatalogEntry, q_max, depth, ref: Optional[Vec] = None):
         self.entry = entry
         self.q_max = Q(q_max)
         self.depth = Q(depth)
         self.ref = ref if ref is not None else zero_vec(entry.n)
-        self.slope = Q(slope)
         self.terms: Dict[Fraction, Dict[Vec, int]] = {}
 
     # -- basic structure ----------------------------------------------------
     def add_term(self, q, w: Vec, c: int) -> None:
         q = Q(q)
-        if c == 0 or q > self.q_max:
-            return
-        lim = self.depth + self.slope * (self.q_max - q)
-        if depth_of(self.entry, self.ref, w) > lim:
-            return
+        if c and q <= self.q_max and depth_of(self.entry, self.ref, w) <= self.depth:
+            self._merge(q, w, c)
+
+    def _merge(self, q: Fraction, w: Vec, c: int) -> None:
+        """Add c at (q, w), which the caller has checked is in the window."""
         lvl = self.terms.setdefault(q, {})
         nc = lvl.get(w, 0) + c
         if nc:
@@ -180,9 +238,8 @@ class QWSeries:
         return sum(len(l) for l in self.terms.values())
 
     @staticmethod
-    def unit(entry: CatalogEntry, q_max, depth, ref: Optional[Vec] = None,
-             slope: 'Fraction' = Q(0)) -> "QWSeries":
-        s = QWSeries(entry, q_max, depth, ref, slope=slope)
+    def unit(entry: CatalogEntry, q_max, depth, ref: Optional[Vec] = None) -> "QWSeries":
+        s = QWSeries(entry, q_max, depth, ref)
         s.add_term(0, zero_vec(entry.n), 1)
         return s
 
@@ -199,20 +256,6 @@ class QWSeries:
                 continue
             for w, c in lvl.items():
                 self.add_term(q, w if wt is None else w + wt, sign * c)
-
-    def __mul__(self, other: "QWSeries") -> "QWSeries":
-        out = QWSeries(self.entry, min(self.q_max, other.q_max),
-                       min(self.depth, other.depth), self.ref + other.ref,
-                       slope=min(self.slope, other.slope))
-        for q1, l1 in self.terms.items():
-            for q2, l2 in other.terms.items():
-                q = q1 + q2
-                if q > out.q_max:
-                    continue
-                for w1, c1 in l1.items():
-                    for w2, c2 in l2.items():
-                        out.add_term(q, w1 + w2, c1 * c2)
-        return out
 
     def truncated(self, q_max, depth, ref: Optional[Vec] = None) -> "QWSeries":
         out = QWSeries(self.entry, q_max, depth, self.ref if ref is None else ref)
@@ -250,29 +293,32 @@ def series_from_records(entry: CatalogEntry, recs: Sequence[dict], q_max, depth,
 
 
 # ---------------------------------------------------------------------------
-# factor expansions (all built with reference weight 0)
+# factor expansions
 
 
 def _inverse_power(entry: CatalogEntry, q_max, depth, w: Vec, c: Fraction, sign: int,
-                   power: int = 1, slope: Fraction = Q(0)) -> QWSeries:
+                   power: int = 1) -> QWSeries:
     """Expansion of (1 - sign * x)^(-power), x = q^c exp(w), sign = +-1: the
-    coefficient of x^j is sign^j * C(j+power-1, j).
+    coefficient of x^j is sign^j * C(j+power-1, j), with reference weight 0.
 
     For c < 0 the factor is first rewritten exactly as
     (-sign * x)^(-power) * (1 - sign * x^(-1))^(-power), which for sign = -1
     is (q^{-c} exp(-w))^power / (1 + q^{-c} exp(-w))^power, so the result is
     always a series in non-negative q powers.  For c = 0 the q ceiling never
-    stops the expansion; w must then point in the positive-depth direction,
-    and the expansion stops once j*w leaves the (sloped) depth window."""
-    out = QWSeries(entry, q_max, depth, slope=slope)
+    stops the expansion; w must then have positive depth (otherwise
+    PreconditionViolated), and the expansion stops once j*w leaves the depth
+    window."""
+    out = QWSeries(entry, q_max, depth)
+    if c == 0 and depth_of(entry, out.ref, w) <= 0:
+        raise PreconditionViolated("a q^0 factor needs a weight of positive depth, "
+                                   "or its expansion never ends")
     lead, pref = 0, 1
     if c < 0:
         c, w = -c, -1 * w
         lead, pref = power, (-sign) ** power
-    lim = depth + slope * out.q_max
     j = 0
     while (j + lead) * c <= out.q_max:
-        if c == 0 and j > 0 and depth_of(entry, out.ref, j * w) > lim:
+        if c == 0 and j > 0 and depth_of(entry, out.ref, j * w) > out.depth:
             break
         out.add_term((j + lead) * c, (j + lead) * w,
                      pref * sign ** j * math.comb(j + power - 1, j))
@@ -280,33 +326,152 @@ def _inverse_power(entry: CatalogEntry, q_max, depth, w: Vec, c: Fraction, sign:
     return out
 
 
-@lru_cache(maxsize=32)
-def _fns_cached(aid: AlgebraId, q_max: Fraction, depth: Fraction) -> QWSeries:
-    """The denominator product with `_dip_density` headroom, before any flat cut."""
-    entry = lookup(aid)
-    slope = _dip_density(aid)
+class _LatticeSeries:
+    """A q-series over int lattice keys in the sloped window of the
+    denominator kernel, changed in place one factor at a time.
+
+    `levels[t]` holds the terms at q = t/2 as {key: coefficient}, keys as in
+    `_Lattice`; `caps[t]` is the int depth cap of that level,
+    floor(scale * (depth + s * (q_max - t/2))), so a term is kept exactly when
+    `add_term` with headroom s would keep it, for any rational window.
+
+    Exactness.  The margin of a term t = (q, w) is
+    m(t) = depth + s(q_max - q) - depth(w), and t is kept iff q <= q_max and
+    m(t) >= 0.  A step by x = q^c exp(w_x) changes the margin by
+    -(s c + depth(w_x)).  Every denominator factor has s c >= |depth(w_x)|
+    when c > 0 (by the definition of s) and depth(w_x) > 0 when c = 0, so no
+    step raises the margin: a term that is cut once stays cut, and every
+    predecessor t - j x of a kept term is kept.  Hence the in-place steps
+    below, which read only kept terms, give the exact sloped-window
+    truncation of the full product (Kac, Infinite-dimensional Lie algebras,
+    Lemma 3.11 / Prop. 3.12 give the orbit side of the same window).  Each
+    step checks this margin condition for its factor and raises
+    PreconditionViolated when it fails.
+    """
+
+    __slots__ = ("lat", "levels", "caps")
+
+    def __init__(self, lat: _Lattice, q_max: Fraction, depth: Fraction):
+        self.lat = lat
+        self.caps = [lat.cap(depth + lat.slope * (q_max - Q(t, 2)))
+                     for t in range(math.floor(2 * q_max) + 1)]
+        self.levels: List[Dict[tuple, int]] = [{} for _ in self.caps]
+        if self.caps and self.caps[0] >= 0:
+            self.levels[0][(0,) * (len(lat.cov) + 1)] = 1
+
+    def copy(self) -> "_LatticeSeries":
+        out = object.__new__(_LatticeSeries)
+        out.lat, out.caps = self.lat, self.caps
+        out.levels = [dict(lvl) for lvl in self.levels]
+        return out
+
+    def _factor(self, w: Vec, c: Fraction) -> Tuple[tuple, int]:
+        """(key of w, 2c) for a step by q^c exp(w), c >= 0, after checking
+        that the step never raises the margin."""
+        lat = self.lat
+        fkey, c2 = lat.key(w), lat.q2(c)
+        if (fkey[0] <= 0) if c2 == 0 else (lat.slope * c * lat.scale + fkey[0] < 0):
+            raise PreconditionViolated(
+                f"factor q^{format_rational(c)} exp(w) with depth(w) = "
+                f"{format_rational(Q(fkey[0], lat.scale))} raises the window margin")
+        return fkey, c2
+
+    def _push_up(self, fkey: tuple, c2: int, coef: int, keep: bool) -> None:
+        """Add coef * x times each level t into level t + c2 (c2 > 0), in one
+        pass from the top down, so each level is read before it is written:
+        a multiplication by (1 + coef x), or by coef x when not `keep`."""
+        lv, caps, dk = self.levels, self.caps, fkey[0]
+        for t in range(len(lv) - 1, -1, -1):
+            src = lv[t]
+            if not keep:
+                lv[t] = {}
+            if t + c2 < len(lv):
+                dst, cap = lv[t + c2], caps[t + c2]
+                for key, v in src.items():
+                    if key[0] + dk <= cap:
+                        _bump(dst, tuple(map(add, key, fkey)), coef * v)
+
+    def times(self, w: Vec, c: Fraction) -> None:
+        """Multiply by (1 + q^c exp(w)), c > 0."""
+        self._push_up(*self._factor(w, c), 1, True)
+
+    def divide(self, w: Vec, c: Fraction, sign: int) -> None:
+        """Multiply by (1 - sign q^c exp(w))^(-1), sign = +-1.
+
+        For c > 0 this is the running sum new[t] = old[t] + sign new[t - x],
+        taken in increasing q (the coin-change recurrence of Euler's partition
+        product, Andrews, The Theory of Partitions, ch. 1).  For c = 0 it is a
+        geometric chain from each term in increasing depth.  For c < 0 it is
+        `_inverse_power`'s exact flip: a shift by -sign q^{-c} exp(-w), then
+        the division by (1 - sign q^{-c} exp(-w))."""
+        flip = c < 0
+        fkey, c2 = self._factor(-1 * w if flip else w, abs(c))
+        if flip:
+            self._push_up(fkey, c2, -sign, False)
+        lv, caps, dk = self.levels, self.caps, fkey[0]
+        if c2:
+            for t in range(len(lv) - c2):
+                dst, cap = lv[t + c2], caps[t + c2]
+                for key, v in lv[t].items():
+                    if key[0] + dk <= cap:
+                        _bump(dst, tuple(map(add, key, fkey)), sign * v)
+            return
+        for lvl, cap in zip(lv, caps):
+            for key, v in list(lvl.items()):
+                while key[0] + dk <= cap:
+                    key, v = tuple(map(add, key, fkey)), sign * v
+                    _bump(lvl, key, v)
+
+    def add_to(self, out: QWSeries, wt: Vec, ell: Fraction, sign: int) -> None:
+        """Add sign * q^ell exp(wt) times this series into `out` through its
+        cuts: one q ceiling and one int depth cap, since depth is linear; only
+        the terms kept get a `Fraction` q and a `Vec` weight."""
+        lat = self.lat
+        top = min(len(self.levels) - 1, math.floor(2 * (out.q_max - ell)))
+        cap = lat.cap(out.depth - depth_of(out.entry, out.ref, wt))
+        for t in range(top + 1):
+            q = ell + Q(t, 2)
+            for key, v in self.levels[t].items():
+                if key[0] <= cap:
+                    out._merge(q, lat.vec(key, wt), sign * v)
+
+
+def _bump(lvl: Dict[tuple, int], key: tuple, v: int) -> None:
+    nv = lvl.get(key, 0) + v
+    if nv:
+        lvl[key] = nv
+    else:
+        del lvl[key]
+
+
+def _ns_factors(entry: CatalogEntry, q_max: Fraction):
+    """The factors of the NS denominator with exponent c <= q_max, as
+    (w, c, odd): (1 + q^c exp(w)) when odd, else (1 - q^c exp(w))^(-1).
+    Per n >= 1: (1 + q^{n-1/2} exp(-gamma)) for gamma in Delta' (with
+    multiplicity), (1 - q^n)^(-1) rank times, and (1 - q^{n-1} exp(-alpha))
+    and (1 - q^n exp(alpha)) for the positive roots alpha of g^nat."""
     rank = len(entry.simple_roots_natural) + (1 if entry.center else 0)
-    out = QWSeries.unit(entry, q_max, depth, slope=slope)
     zero = zero_vec(entry.n)
-    n = 1
-    while n - 1 <= q_max:
-        if Q(2 * n - 1, 2) <= q_max:
-            for gma, mult in entry.delta_prime:
-                fac = QWSeries(entry, q_max, depth, slope=slope)
-                fac.add_term(0, zero, 1)
-                fac.add_term(Q(2 * n - 1, 2), -1 * gma, 1)
-                for _ in range(mult):
-                    out = out * fac
-        if n <= q_max:
-            fac = _inverse_power(entry, q_max, depth, zero, Q(n), 1, slope=slope)
-            for _ in range(rank):
-                out = out * fac
+    out = []
+    for n in range(1, math.floor(q_max) + 2):
+        out += [(-1 * gma, Q(2 * n - 1, 2), True)
+                for gma, mult in entry.delta_prime for _ in range(mult)]
+        out += [(zero, Q(n), False)] * rank
         for alpha in entry.pos_roots_natural:
-            out = out * _inverse_power(entry, q_max, depth, -1 * alpha, Q(n - 1), 1,
-                                       slope=slope)
-            if n <= q_max:
-                out = out * _inverse_power(entry, q_max, depth, alpha, Q(n), 1, slope=slope)
-        n += 1
+            out += [(-1 * alpha, Q(n - 1), False), (alpha, Q(n), False)]
+    return [f for f in out if f[1] <= q_max]
+
+
+@lru_cache(maxsize=32)
+def _fns_cached(aid: AlgebraId, q_max: Fraction, depth: Fraction) -> _LatticeSeries:
+    """The NS denominator in the sloped window (q_max, depth + s(q_max - q)),
+    built factor by factor in place over int keys."""
+    out = _LatticeSeries(_lattice(aid), q_max, depth)
+    for w, c, odd in _ns_factors(lookup(aid), q_max):
+        if odd:
+            out.times(w, c)
+        else:
+            out.divide(w, c, 1)
     return out
 
 
@@ -314,23 +479,24 @@ def fns_series(g: AlgebraId, q_max, depth) -> QWSeries:
     """Truncated expansion of the NS-sector denominator factor.
 
     The result is the exact window truncation of the infinite product: the
-    construction runs with sloped depth headroom (weights can re-ascend by at
-    most the dip density per unit of q) and is cut flat at the end.
+    kernel runs with sloped depth headroom (weights can re-ascend by at most
+    the dip density per unit of q) and is cut flat here, where the int keys
+    become `Fraction` ones.
     """
     if Q(q_max) < 0:
         raise PreconditionViolated("q_max must be non-negative")
-    scheduled = _fns_cached(g, Q(q_max), Q(depth))
-    return scheduled.truncated(Q(q_max), Q(depth))
+    out = QWSeries(lookup(g), q_max, depth)
+    _fns_cached(g, out.q_max, out.depth).add_to(out, out.ref, Q(0), 1)
+    return out
 
 
 def verma_character(g: AlgebraId, nu: Vec, ell, q_max, depth) -> QWSeries:
     """exp(nu) q^ell times the NS denominator series, truncated at q_max."""
     ell = Q(ell)
-    entry = lookup(g)
-    out = QWSeries(entry, q_max, depth, nu)
+    out = QWSeries(lookup(g), q_max, depth, nu)
     window = out.q_max - ell
     if window >= 0:
-        out.accumulate(fns_series(g, window, depth), nu, ell)
+        _fns_cached(g, window, out.depth).add_to(out, nu, ell, 1)
     return out
 
 
@@ -452,25 +618,28 @@ def weyl_orbit(g: AlgebraId, k, nu: Vec, h, q_max) -> List[Tuple[Vec, int, Fract
 def _orbit_sum(entry: CatalogEntry, k: Fraction, nu: Vec, h: Fraction, l0: Fraction,
                q_max: Fraction, depth: Fraction, track_iso: bool) -> QWSeries:
     """Sum of det * q^(l0+q_shift) exp(restriction) * fns over the orbit, cut at
-    (q_max, depth) around nu.  With track_iso each piece also carries its
-    isotropic corrections, whose negative q-exponents `_inverse_power` flips."""
+    (q_max, depth) around nu.  The int denominator series is read directly:
+    each orbit element gets one q ceiling and one int depth cap, and only the
+    terms kept become `Fraction` keys.  With track_iso each piece is a copy of
+    the denominator divided in place by its isotropic corrections
+    (1 + q^c exp(w))^(-1), whose negative exponents c are flipped exactly."""
     out = QWSeries(entry, q_max, depth, nu)
     window = q_max - l0
     if window < 0:
         return out
     # orbit restrictions may sit above nu by up to q_shift * max theta-depth,
     # and in-window exponents can dip by the per-q density; the scheduled
-    # headroom keeps every cell of the final flat cut complete.
-    base = depth + window * _max_theta_depth(entry.id)
-    density = _dip_density(entry.id)
-    fns = _fns_cached(entry.id, window, base)
-    for el in _orbit(entry, k, nu, h, window, track_iso):
-        piece = fns
+    # headroom keeps every cell of the final flat cut complete.  An element
+    # with q_shift < 0 (extremal weights, see `_orbit`) reads the denominator
+    # up to q = window - q_shift, so the series reaches that far.
+    orbit = _orbit(entry, k, nu, h, window, track_iso)
+    reach = window - min([Q(0)] + [el.q_shift for el in orbit])
+    fns = _fns_cached(entry.id, reach, depth + window * _lattice(entry.id).theta_depth)
+    for el in orbit:
+        piece = fns.copy() if el.iso_images else fns
         for beta in el.iso_images:
-            piece = piece * _inverse_power(entry, window, base,
-                                           -1 * entry.restrict(beta.finite),
-                                           beta.x_plus_d(entry), -1, slope=density)
-        out.accumulate(piece, el.restriction, l0 + el.q_shift, el.det)
+            piece.divide(-1 * entry.restrict(beta.finite), beta.x_plus_d(entry), -1)
+        piece.add_to(out, el.restriction, l0 + el.q_shift, el.det)
     return out
 
 
@@ -541,6 +710,12 @@ def n4_closed_form(M1: int, r: int, q_max, depth) -> QWSeries:
         f2 = _inverse_power(entry, window - base, head, -1 * half, c, -1, 2)
         total.accumulate(f1, wplus, base)
         total.accumulate(f2, wminus, base, -1)
-    # the summand weights already carry nu; the prefactor only shifts q
-    out.accumulate(fns_series(g, window, head) * total, ell=l0)
+    # the summand weights already carry nu; the prefactor only shifts q.  The
+    # product is added term by term of `total`: a term beyond depth `head`
+    # around 0 lies deeper than `depth` around nu, since depth_of(nu, w) =
+    # r/2 + depth_of(0, w), so out's cut alone decides what is kept.
+    fns = fns_series(g, window, head)
+    for q, lvl in total.terms.items():
+        for w, c in lvl.items():
+            out.accumulate(fns, w, l0 + q, c)
     return out

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from wmin import catalog, characters
 from wmin.catalog import Vec, lookup, zero_vec
-from wmin.characters import (AffineWeight, QWSeries, _inverse_power, _orbit,
+from wmin.characters import (AffineWeight, QWSeries, _fns_cached, _inverse_power,
+                             _lattice, _LatticeSeries, _ns_factors, _orbit,
                              character_massive, character_massless, depth_of,
                              ell_of_h, fns_series, h_pair, iso_simple_affine,
                              n4_closed_form, nu_hat_plus_rho, series_from_records,
@@ -22,6 +23,16 @@ XI = E.xi
 ZERO = zero_vec(4)
 
 
+def _times(a, b):
+    """a * b cut at (min q_max, min depth) around a.ref + b.ref: the ring
+    product, written as one `accumulate` of a per term of b."""
+    out = QWSeries(a.entry, min(a.q_max, b.q_max), min(a.depth, b.depth), a.ref + b.ref)
+    for q, lvl in b.terms.items():
+        for w, c in lvl.items():
+            out.accumulate(a, w, q, c)
+    return out
+
+
 def test_fns_leading_terms():
     f = fns_series(G, 2, 4)
     assert f.coeff(0, ZERO) == 1
@@ -32,7 +43,7 @@ def test_fns_leading_terms():
     fac = QWSeries(E, 2, 4)
     fac.add_term(0, ZERO, 1)
     fac.add_term(Q(1, 2), -1 * XI, 1)
-    partial = partial * fac * fac
+    partial = _times(_times(partial, fac), fac)
     assert partial.coeff(Q(1, 2), -1 * XI) == 2
 
 
@@ -308,7 +319,7 @@ def test_massive_matches_bilateral_form():
             total.add_term(base, (Q(r, 2) + m * (m1 + 1)) * TH1, 1)
             total.add_term(base, -1 * (Q(r, 2) + m * (m1 + 1) + 1) * TH1, -1)
         want = QWSeries(E, qm, dep, nu)
-        want.accumulate(fns_series(G, window, dep + 2 * window + 4) * total, ell=l0)
+        want.accumulate(_times(fns_series(G, window, dep + 2 * window + 4), total), ell=l0)
         assert got == want, (m1, r, l0)
 
 
@@ -325,6 +336,21 @@ def test_massless_extremal_wall_has_no_subthreshold_terms():
         s = character_massless(g, k, nu, a + 2, 5)
         assert min(s.terms) == a and s.coeff(a, nu) == 1
         assert all(c >= 0 for lvl in s.terms.values() for c in lvl.values())
+
+
+def test_massless_extremal_wall_refines():
+    """The shift -1 orbit elements of the extremal N=3 weights read the
+    denominator one unit of q beyond the window, so a character equals the
+    truncation of one computed with a larger q_max."""
+    from wmin.weights import A_bound
+    g = catalog.spo2m(3)
+    e = lookup(g)
+    for k, r in [(Q(-1), 2), (Q(-5, 4), 3), (Q(-3, 4), 1)]:
+        nu = e.nu_from_labels([r])
+        a = A_bound(g, k, nu)
+        for top in (Q(3, 2), Q(2)):
+            big = character_massless(g, k, nu, a + top + 2, 5)
+            assert character_massless(g, k, nu, a + top, 5) == big.truncated(a + top, 5)
 
 
 def test_massless_nu_zero_positive_across_families():
@@ -369,7 +395,7 @@ def _mk(terms, q_max=4, depth=6):
 @settings(max_examples=30, deadline=None)
 def test_series_ring_commutes(t1, t2):
     a, b = _mk(t1), _mk(t2)
-    assert a * b == b * a
+    assert _times(a, b) == _times(b, a)
     ab, ba = QWSeries(E, 4, 6), QWSeries(E, 4, 6)
     ab.accumulate(a)
     ab.accumulate(b)
@@ -423,7 +449,7 @@ def _check_inverse_power(w, c, sign, power, qm, dep=Q(3)):
     for m in range(power + 1):
         fac.add_term(m * c, m * w, math.comb(power, m) * (-sign) ** m)
     window = (qm - power * max(-c, 0), dep)
-    assert (inv * fac).truncated(*window) == QWSeries.unit(E, *window), (w, c, power)
+    assert _times(inv, fac).truncated(*window) == QWSeries.unit(E, *window), (w, c, power)
 
 
 @given(small_series, small_series)
@@ -431,7 +457,7 @@ def _check_inverse_power(w, c, sign, power, qm, dep=Q(3)):
 def test_series_truncation_is_ideal(t1, t2):
     big_a, big_b = _mk(t1, 6, 8), _mk(t2, 6, 8)
     cut_a, cut_b = big_a.truncated(4, 6), big_b.truncated(4, 6)
-    assert (big_a * big_b).truncated(4, 6) == (cut_a * cut_b).truncated(4, 6)
+    assert _times(big_a, big_b).truncated(4, 6) == _times(cut_a, cut_b).truncated(4, 6)
 
 
 def test_q_levels_accessor():
@@ -445,3 +471,179 @@ def test_nu_hat_pairs_h_with_x_plus_d():
     nu = Q(1, 2) * TH1
     for h in (Q(0), Q(3, 7), Q(-2)):
         assert nu_hat(E, -3, nu, h).x_plus_d(E) == h
+
+
+# ---------------------------------------------------------------------------
+# the int denominator kernel against the Fraction product build it replaced
+
+
+def _reference_fns(g, q_max, depth, extra=()):
+    """The `Fraction` product build of the NS denominator, kept as the oracle
+    for the int kernel: each factor is expanded on its own and multiplied in
+    with a full product, every term cut at q <= q_max and
+    depth <= depth + s (q_max - q).  `extra` lists (w, c, sign) for further
+    factors (1 - sign q^c exp(w))^(-1), c < 0 rewritten as
+    (-sign x)^(-1) (1 - sign x^(-1))^(-1).  Returns {q: {w: coeff}}."""
+    e = lookup(g)
+    zero = zero_vec(e.n)
+    dips = [abs(depth_of(e, zero, a)) for a in e.pos_roots_natural]
+    dips += [2 * abs(depth_of(e, zero, gma)) for gma, _ in e.delta_prime]
+    s = max(dips) if dips else Q(1)
+    assert _lattice(g).slope == s
+
+    def series(triples):
+        acc = {}
+        for q, w, c in triples:
+            if q <= q_max and depth_of(e, zero, w) <= depth + s * (q_max - q):
+                acc[q, w] = acc.get((q, w), 0) + c
+        out = {}
+        for (q, w), c in acc.items():
+            if c:
+                out.setdefault(q, {})[w] = c
+        return out
+
+    def product(a, b):
+        return series((q1 + q2, w1 + w2, c1 * c2) for q1, l1 in a.items()
+                      for q2, l2 in b.items() for w1, c1 in l1.items()
+                      for w2, c2 in l2.items())
+
+    def inverse(w, c, sign=1):
+        lead, pref = 0, 1
+        if c < 0:
+            c, w, lead, pref = -c, -1 * w, 1, -sign
+        out, j = [], 0
+        while (j + lead) * c <= q_max:
+            if c == 0 and j > 0 and depth_of(e, zero, j * w) > depth + s * q_max:
+                break
+            out.append(((j + lead) * c, (j + lead) * w, pref * sign ** j))
+            j += 1
+        return series(out)
+
+    rank = len(e.simple_roots_natural) + (1 if e.center else 0)
+    out = series([(Q(0), zero, 1)])
+    n = 1
+    while n - 1 <= q_max:
+        if Q(2 * n - 1, 2) <= q_max:
+            for gma, mult in e.delta_prime:
+                fac = series([(Q(0), zero, 1), (Q(2 * n - 1, 2), -1 * gma, 1)])
+                for _ in range(mult):
+                    out = product(out, fac)
+        if n <= q_max:
+            fac = inverse(zero, Q(n))
+            for _ in range(rank):
+                out = product(out, fac)
+        for alpha in e.pos_roots_natural:
+            out = product(out, inverse(-1 * alpha, Q(n - 1)))
+            if n <= q_max:
+                out = product(out, inverse(alpha, Q(n)))
+        n += 1
+    for w, c, sign in extra:
+        out = product(out, inverse(w, c, sign))
+    return out
+
+
+def _kernel_terms(series):
+    """{q: {w: coeff}} of an int-keyed kernel series, every term kept."""
+    zero = zero_vec(len(series.lat.cov))
+    return {Q(t, 2): {series.lat.vec(key, zero): c for key, c in lvl.items()}
+            for t, lvl in enumerate(series.levels) if lvl}
+
+
+# (algebra, window, depth): small windows, one of them not a half-integer
+PARITY_CASES = [(catalog.psl22(), Q(7, 6), Q(4)), (catalog.psl22(), Q(3), Q(5)),
+                (catalog.spo2m(3), Q(5, 2), Q(4)), (catalog.sl2m(3), Q(3, 2), Q(3)),
+                (catalog.osp4m(4), Q(1), Q(3)), (catalog.d21a(2, 3), Q(2), Q(4)),
+                (catalog.g3(), Q(3, 2), Q(3)), (catalog.f4(), Q(1), Q(2))]
+
+
+@pytest.mark.parametrize("g,window,depth", PARITY_CASES,
+                         ids=[f"{g.label()}-{w}-{d}" for g, w, d in PARITY_CASES])
+def test_int_kernel_equals_fraction_products(g, window, depth):
+    assert _kernel_terms(_fns_cached(g, window, depth)) == _reference_fns(g, window, depth)
+
+
+def test_int_kernel_isotropic_divisions_equal_fraction_products():
+    """The in-place isotropic corrections, c of both signs (c < 0 is the
+    flip), against a full product with the reference expansion."""
+    g = catalog.spo2m(3)
+    xi = lookup(g).xi
+    for window, depth in [(Q(5, 2), Q(3)), (Q(13, 6), Q(2))]:
+        for extra in [[(XI, Q(1, 2), -1)], [(XI, Q(-1, 2), -1), (-1 * XI, Q(3, 2), -1)]]:
+            piece = _fns_cached(G, window, depth).copy()
+            for w, c, sign in extra:
+                piece.divide(w, c, sign)
+            assert _kernel_terms(piece) == _reference_fns(G, window, depth, extra)
+        extra = [(xi, Q(-1, 2), -1), (-1 * xi, Q(1, 2), -1)]
+        piece = _fns_cached(g, window, depth).copy()
+        for w, c, sign in extra:
+            piece.divide(w, c, sign)
+        assert _kernel_terms(piece) == _reference_fns(g, window, depth, extra)
+
+
+FAMILY_IDS = st.one_of(
+    st.sampled_from([catalog.psl22(), catalog.f4(), catalog.g3()]),
+    st.integers(min_value=3, max_value=6).map(catalog.sl2m),
+    st.sampled_from([3, 5, 6, 7]).map(catalog.spo2m),
+    st.sampled_from([4, 6, 8]).map(catalog.osp4m),
+    st.tuples(st.integers(min_value=1, max_value=40),
+              st.integers(min_value=1, max_value=40)).map(lambda t: catalog.d21a(*t)))
+
+
+@given(FAMILY_IDS, st.integers(min_value=0, max_value=6))
+@settings(max_examples=60, deadline=None)
+def test_denominator_steps_never_raise_the_margin(g, q2_max):
+    """Window monotonicity: s*c >= |depth(w)| for every factor with c > 0 and
+    depth(w) > 0 for c = 0, so a step by q^c exp(w) changes the sloped margin
+    depth + s(q_max - q) - depth(w_term) by -(s c + depth(w)) <= 0 and a term
+    that is cut once stays cut."""
+    e = lookup(g)
+    s = _lattice(g).slope
+    factors = _ns_factors(e, Q(q2_max, 2))
+    assert factors or q2_max == 0 and not e.pos_roots_natural
+    for w, c, _ in factors:
+        d = depth_of(e, zero_vec(e.n), w)
+        assert s * c >= abs(d) if c > 0 else d > 0, (g.label(), w, c)
+        assert s * c + d >= 0
+
+
+def test_q0_factor_needs_positive_depth():
+    """(1 - exp(w))^(-1) never ends when depth(w) <= 0: both expansions
+    raise instead of looping (w = 0 and w = +theta_1 on psl22)."""
+    for w in (ZERO, TH1):
+        with pytest.raises(PreconditionViolated):
+            _inverse_power(E, 2, 3, w, Q(0), 1)
+        with pytest.raises(PreconditionViolated):
+            _LatticeSeries(_lattice(G), Q(2), Q(3)).divide(w, Q(0), 1)
+    # a step whose depth drop outruns the headroom slope is refused as well
+    with pytest.raises(PreconditionViolated):
+        _LatticeSeries(_lattice(G), Q(2), Q(3)).divide(4 * TH1, Q(1, 2), 1)
+
+
+def test_lattice_keys_never_round():
+    lat = _lattice(G)
+    assert lat.vec(lat.key(XI - TH1), TH1) == XI
+    assert lat.key(XI)[0] == -2  # depth(xi) = -1/2, times scale 4
+    for w in (Q(1, 2) * XI, Vec([Q(1, 3), 0, 0, 0])):
+        with pytest.raises(PreconditionViolated, match="off the 1/2 lattice"):
+            lat.key(w)
+    with pytest.raises(PreconditionViolated):
+        lat.q2(Q(1, 3))
+
+
+def test_character_caches_stay_bounded_over_d21a_sweep():
+    """Sweeping D(2,1;a) over 200 distinct values of a leaves every cache of
+    the characters module at or under its bound (the catalog's own caches
+    are not the module's)."""
+    values = [(num, den) for num in range(1, 22) for den in range(1, 16)
+              if math.gcd(num, den) == 1][:200]
+    assert len(values) == 200
+    for num, den in values:
+        g = catalog.d21a(num, den)
+        _lattice(g)
+        fns_series(g, 0, 1)
+    caches = [f for f in vars(characters).values()
+              if hasattr(f, "cache_info") and f.__module__ == characters.__name__]
+    assert len(caches) >= 3
+    for f in caches:
+        info = f.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize, f
