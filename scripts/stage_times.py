@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""Per-stage times and sizes of one character request, printed as JSON.
+
+Runs the request twice in this fresh interpreter: cold (the denominator
+expansion is built) and warm (it is cached).  The stages are timed by
+wrapping `characters._orbit`, `characters._fns_cached` and
+`characters._sum_pieces` for the two calls:
+
+    import_s              import wmin.characters
+    denominator_build_s   the cold call's `_fns_cached` (the NS denominator)
+    denominator_terms     terms of that series in its sloped window
+    orbit_s               the warm call's `_orbit`
+    orbit_elements        orbit elements within the window
+    sum_warm_s            the warm call's `_sum_pieces` (isotropic divisions
+                          of a massless request included)
+    kept_terms            denominator terms kept and merged by it
+    warm_s, cold_s        the whole warm and cold calls
+    out_terms             terms of the character
+
+The defaults are the G3 case: massive, k = -9/4, nu = (1, 1, 0), l0 = 1,
+q_max = 3, depth 6.
+
+    python3 scripts/stage_times.py
+    python3 scripts/stage_times.py --g psl22 --k -3 --nu 0,0,1/2,-1/2 --massless --qmax 4 --depth 6
+"""
+import argparse
+import json
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--g", default="G3", help="family, with --m or --a where it needs one")
+    ap.add_argument("--m", type=int, default=0)
+    ap.add_argument("--a", default="1", help="D21a parameter, a rational")
+    ap.add_argument("--k", default="-9/4")
+    ap.add_argument("--nu", default="1,1,0", help="coordinates of nu, comma separated")
+    ap.add_argument("--l0", default="1", help="massive only; massless uses the threshold")
+    ap.add_argument("--massless", action="store_true")
+    ap.add_argument("--qmax", default="3")
+    ap.add_argument("--depth", default="6")
+    args = ap.parse_args(argv)
+
+    t0 = time.perf_counter()
+    from wmin import characters
+    import_s = time.perf_counter() - t0
+
+    from fractions import Fraction as Q
+    from wmin import catalog
+    if args.g == "D21a":
+        a = Q(args.a)
+        g = catalog.d21a(a.numerator, a.denominator)
+    else:
+        g = catalog.AlgebraId(args.g, m=args.m)
+    k, nu = Q(args.k), catalog.Vec(Q(c) for c in args.nu.split(","))
+    q_max, depth = Q(args.qmax), Q(args.depth)
+
+    calls = []  # (name, seconds, result) of each wrapped call, in order
+
+    def timed(name, fn):
+        def wrapper(*a, **kw):
+            t = time.perf_counter()
+            out = fn(*a, **kw)
+            calls.append((name, time.perf_counter() - t, out))
+            return out
+        return wrapper
+
+    for name in ("_orbit", "_fns_cached", "_sum_pieces"):
+        setattr(characters, name, timed(name, getattr(characters, name)))
+
+    def request():
+        del calls[:]
+        t = time.perf_counter()
+        if args.massless:
+            out = characters.character_massless(g, k, nu, q_max, depth)
+        else:
+            out = characters.character_massive(g, k, nu, Q(args.l0), q_max, depth)
+        return out, time.perf_counter() - t, {name: (s, res) for name, s, res in calls}
+
+    _, cold_s, cold = request()
+    out, warm_s, warm = request()
+    fns_s, fns = cold["_fns_cached"]
+    print(json.dumps({
+        "import_s": round(import_s, 4),
+        "denominator_build_s": round(fns_s, 4),
+        "denominator_terms": sum(len(lvl) for lvl in fns.levels),
+        "orbit_s": round(warm["_orbit"][0], 4),
+        "orbit_elements": len(warm["_orbit"][1]),
+        "sum_warm_s": round(warm["_sum_pieces"][0], 4),
+        "kept_terms": warm["_sum_pieces"][1],
+        "warm_s": round(warm_s, 4),
+        "cold_s": round(cold_s, 4),
+        "out_terms": out.n_terms(),
+    }))
+
+
+if __name__ == "__main__":
+    main()

@@ -322,7 +322,7 @@ def _signs(k: int):
         yield (-1,) + rest
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def lookup(aid: AlgebraId) -> CatalogEntry:
     """Fully populated catalog entry for the given algebra."""
     fam = aid.family
@@ -506,7 +506,7 @@ def _solve_exact(mat, rhs_cols):
     return [row[r:w] for row in aug]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _root_span_projection(aid: AlgebraId) -> tuple:
     """(projection rows, depth covector) from one exact solve.
 

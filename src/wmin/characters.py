@@ -15,14 +15,19 @@ exactly at the q_shift window (its docstring argues that nothing is missed),
 with a hard cap of ORBIT_CAP elements, read at call time, that raises
 TruncationIncomplete when hit; both characters are one `_orbit_sum`.
 
-The NS denominator is built by an integer kernel (`_LatticeSeries`): q is
-stored as the int 2q, weights as int tuples scaled by one per-algebra common
-denominator (`_lattice`), each key led by its int depth, and every factor is
-applied to the running series in place inside a sloped window whose
-exactness argument is in the `_LatticeSeries` docstring.  `Fraction` keys
-appear only at the boundary: the orbit sum, `fns_series` and
-`verma_character` give a `Vec` key to the kernel terms that pass the
-published QWSeries' cuts, and `records()`/`coeff()` read that series.
+The orbit walk runs on int coordinates: each point is its tuple of pairings
+with the affine simple coroots, and a reflection is one row of the int
+affine Cartan matrix (`_Lattice`).  The NS denominator is built by an
+integer kernel (`_LatticeSeries`): q is stored as the int 2q, weights as int
+tuples scaled by one per-algebra common denominator (`_lattice`), each key
+led by its int depth, and every factor is applied to the running series in
+place inside a sloped window whose exactness argument is in the
+`_LatticeSeries` docstring.  The orbit sum, `fns_series` and
+`verma_character` are one `_sum_pieces`: the kernel terms that pass the
+published QWSeries' cuts are summed over int keys, and each nonzero sum
+becomes a `Fraction` exponent and a `Vec` weight once.  `Fraction`s appear
+only at that boundary, at the kept orbit elements, and in
+`records()`/`coeff()`, which read the published series.
 
 Every other sum of series is one QWSeries.accumulate call: +-q^ell exp(w)
 times a series, added term by term through the target window's cuts.  Orbit
@@ -37,10 +42,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .catalog import (AlgebraId, CatalogEntry, Vec, _root_span_projection, lookup,
-                      zero_vec)
+from .catalog import (AlgebraId, CatalogEntry, Vec, _root_span_projection, _solve_exact,
+                      basis_vec, lookup, zero_vec)
 from .errors import (IndexOutOfRange, NonDominant, PreconditionViolated,
                      TruncationIncomplete, UnsupportedD21a)
 from .rationals import format_rational, solve_quadratic_rational
@@ -92,14 +97,6 @@ def _affine_simple_roots(entry: CatalogEntry) -> List[Tuple[Vec, Fraction]]:
             + [(-1 * c.theta, Q(1)) for c in entry.components])
 
 
-def _reflect(entry: CatalogEntry, lam: AffineWeight, root: tuple) -> AffineWeight:
-    """s_beta(lam) for beta = root = (finite part, delta coefficient), with
-    (lam|beta) = (f|beta_fin) + K*beta_delta since (Lambda_0|delta) = 1."""
-    fin, dc = root
-    c = 2 * (entry.form(lam.finite, fin) + lam.level * dc) / entry.form(fin, fin)
-    return AffineWeight(lam.level, lam.finite - c * fin, lam.delta_coeff - c * dc)
-
-
 # ---------------------------------------------------------------------------
 # depth functional
 
@@ -134,9 +131,23 @@ class _Lattice:
     (which cost q^{1/2} and up).  `theta_depth` is the largest depth of a
     component highest root; it bounds how far an orbit restriction can sit
     above nu per unit of q_shift.
+
+    The orbit side, over the affine simple roots beta_i of g^nat
+    (`_affine_simple_roots`): `coroots` gives <lam, beta_i^vee> as a covector
+    on (finite part, level) (`pairings`); `cartan[i][j]` = <beta_i, beta_j^vee>
+    is the affine Cartan matrix and `xd[i]` the pairing of beta_i with x+d,
+    all ints: g^nat is reductive, each simple component with its untwisted
+    affine root system, and rescaling a component's form (u_i < 0 included)
+    leaves its Cartan matrix unchanged; x+d pairs to 0 with the finite roots
+    and to 1 with eta_i.  The constructor checks both and raises, never
+    rounds.  `span` maps simple-coroot pairings to weights through the basis
+    omega_i of the root span of g^nat dual to the simple coroots, so a
+    weight's restriction to h^nat (the orthogonal projection onto that span)
+    is `span` of its pairings.
     """
 
-    __slots__ = ("denom", "scale", "cov", "slope", "theta_depth")
+    __slots__ = ("denom", "scale", "cov", "slope", "theta_depth", "coroots", "cartan",
+                 "xd", "oden", "orows", "orho")
 
     def __init__(self, aid: AlgebraId):
         entry = lookup(aid)
@@ -155,20 +166,59 @@ class _Lattice:
         self.theta_depth = max([depth_of(entry, zero, -1 * c.theta)
                                 for c in entry.components] + [Q(1)])
 
-    def key(self, w: Vec) -> tuple:
+        roots = _affine_simple_roots(entry)
+        norms = [entry.form(fin, fin) for fin, _ in roots]
+        self.coroots = tuple(([2 * entry.form(basis_vec(entry.n, a), fin) / norm
+                               for a in range(entry.n)], 2 * dc / norm)
+                             for (fin, dc), norm in zip(roots, norms))
+        self.cartan = tuple(self._ints(entry, "affine Cartan matrix row",
+                                       self.pairings(Q(0), fin)) for fin, _ in roots)
+        self.xd = self._ints(entry, "x+d pairings of the affine simple roots",
+                             [entry.form(fin, entry.theta) / 2 + dc for fin, dc in roots])
+        s = entry.simple_roots_natural
+        dual = _solve_exact([[entry.form(a, b) for b in s] for a in s],
+                            [[entry.form(a, a) / 2 if i == j else Q(0) for j in range(len(s))]
+                             for i, a in enumerate(s)])
+        omegas = [sum((c * a for c, a in zip(col, s)), zero) for col in zip(*dual)]
+        self.oden = math.lcm(*(c.denominator for v in [*omegas, entry.rho_natural] for c in v))
+        self.orows = tuple(tuple((om[a] * self.oden).numerator for om in omegas)
+                           for a in range(entry.n))
+        self.orho = tuple((c * self.oden).numerator for c in entry.rho_natural)
+
+    def pairings(self, level: Fraction, finite: Vec) -> List[Fraction]:
+        """<lam, beta_i^vee> over the affine simple roots, for
+        lam = level * Lambda_0 + finite (+ any multiple of delta): with
+        (Lambda_0|delta) = 1, (lam|beta) = (finite|beta_fin) + level * beta_delta."""
+        return [sum(map(mul, cov, finite)) + level * lc for cov, lc in self.coroots]
+
+    def span(self, ps: Sequence[int], L: int, rho: int = 0) -> Vec:
+        """sum_i (ps_i / L) omega_i - rho * rho^nat over the simple roots of
+        g^nat, reading the leading entries of ps."""
+        den = L * self.oden
+        return Vec(Q(sum(map(mul, ps, row)) - rho * L * r, den)
+                   for row, r in zip(self.orows, self.orho))
+
+    @staticmethod
+    def _ints(entry: CatalogEntry, what: str, xs: list) -> tuple:
+        if any(x.denominator != 1 for x in xs):
+            raise PreconditionViolated(f"{what} of {entry.id.label()} is not integral: "
+                                       f"({', '.join(map(format_rational, xs))})")
+        return tuple(x.numerator for x in xs)
+
+    def key(self, w: Vec, denom: Optional[int] = None) -> tuple:
+        """(depth, coordinates) of w as ints at scale `denom` (default the
+        kernel's D); the depth entry is denom * cov-denominator * depth_of(0, w),
+        which is `scale * depth_of(0, w)` at the default."""
+        denom = denom or self.denom
         xs = []
         for c in w:
-            x = c * self.denom
+            x = c * denom
             if x.denominator != 1:
                 raise PreconditionViolated(
                     f"weight ({', '.join(map(format_rational, w))}) is off the "
-                    f"1/{self.denom} lattice of the denominator kernel")
+                    f"1/{denom} lattice of the denominator kernel")
             xs.append(x.numerator)
         return (-sum(map(mul, self.cov, xs)), *xs)
-
-    def vec(self, key: tuple, wt: Vec) -> Vec:
-        """wt plus the weight whose key is `key`."""
-        return Vec(a + Q(x, self.denom) for a, x in zip(wt, key[1:]))
 
     @staticmethod
     def q2(c: Fraction) -> int:
@@ -197,9 +247,10 @@ class QWSeries:
     keyed by `Fraction` exponents and `Vec` weights.
 
     The denominator kernel (`_LatticeSeries`) works over int lattice keys and
-    converts at this boundary: `_LatticeSeries.add_to` gives a `Vec` key only
-    to the terms that pass this series' cuts.  `accumulate` is the one path
-    that adds another QWSeries (times +-q^ell exp(w)) into this one, in place.
+    converts at this boundary: `_sum_pieces` sums the kernel terms that pass
+    this series' cuts over int keys and gives a `Vec` key only to each
+    nonzero sum.  `accumulate` is the one path that adds another QWSeries
+    (times +-q^ell exp(w)) into this one, in place.
     """
 
     __slots__ = ("entry", "q_max", "depth", "ref", "terms")
@@ -214,11 +265,8 @@ class QWSeries:
     # -- basic structure ----------------------------------------------------
     def add_term(self, q, w: Vec, c: int) -> None:
         q = Q(q)
-        if c and q <= self.q_max and depth_of(self.entry, self.ref, w) <= self.depth:
-            self._merge(q, w, c)
-
-    def _merge(self, q: Fraction, w: Vec, c: int) -> None:
-        """Add c at (q, w), which the caller has checked is in the window."""
+        if not (c and q <= self.q_max and depth_of(self.entry, self.ref, w) <= self.depth):
+            return
         lvl = self.terms.setdefault(q, {})
         nc = lvl.get(w, 0) + c
         if nc:
@@ -422,19 +470,6 @@ class _LatticeSeries:
                     key, v = tuple(map(add, key, fkey)), sign * v
                     _bump(lvl, key, v)
 
-    def add_to(self, out: QWSeries, wt: Vec, ell: Fraction, sign: int) -> None:
-        """Add sign * q^ell exp(wt) times this series into `out` through its
-        cuts: one q ceiling and one int depth cap, since depth is linear; only
-        the terms kept get a `Fraction` q and a `Vec` weight."""
-        lat = self.lat
-        top = min(len(self.levels) - 1, math.floor(2 * (out.q_max - ell)))
-        cap = lat.cap(out.depth - depth_of(out.entry, out.ref, wt))
-        for t in range(top + 1):
-            q = ell + Q(t, 2)
-            for key, v in self.levels[t].items():
-                if key[0] <= cap:
-                    out._merge(q, lat.vec(key, wt), sign * v)
-
 
 def _bump(lvl: Dict[tuple, int], key: tuple, v: int) -> None:
     nv = lvl.get(key, 0) + v
@@ -442,6 +477,47 @@ def _bump(lvl: Dict[tuple, int], key: tuple, v: int) -> None:
         lvl[key] = nv
     else:
         del lvl[key]
+
+
+def _sum_pieces(out: QWSeries, heads: Sequence[Tuple[Vec, Fraction, int]],
+                pieces: Iterable[_LatticeSeries]) -> int:
+    """Add sign * q^ell exp(wt) * piece into the empty series `out` through
+    its cuts, for each head (wt, ell, sign) and the kernel series of `pieces`
+    in the same order; return the number of kernel terms kept.
+
+    The kept terms are summed over int keys: q * qden, qden = lcm(2, the
+    denominators of the ell), and (depth, w) at scale wden = lcm(D, the
+    denominators of the wt) (`_Lattice.key`), so adding a head's key to a
+    kernel key scaled by f = wden / D gives the key of the product term.
+    Depth is linear, so the cut depth_of(ref, w) <= depth is one int bound
+    `dcap` on the depth entry of those keys, and each piece gets one q
+    ceiling and one int depth cap (dcap - depth entry of its head) // f.
+    Only the nonzero sums become `Fraction` exponents and `Vec` weights,
+    each once."""
+    lat = _lattice(out.entry.id)
+    qden = math.lcm(2, *(ell.denominator for _, ell, _ in heads))
+    wden = math.lcm(lat.denom, *(c.denominator for wt, _, _ in heads for c in wt))
+    half, f = qden // 2, wden // lat.denom
+    dcap = math.floor(f * lat.scale
+                      * (out.depth - depth_of(out.entry, out.ref, zero_vec(out.entry.n))))
+    acc: Dict[int, Dict[tuple, int]] = {}
+    kept = 0
+    for (wt, ell, sign), piece in zip(heads, pieces):
+        wkey, q0 = lat.key(wt, wden), (ell * qden).numerator
+        top = min(len(piece.levels) - 1, math.floor(2 * (out.q_max - ell)))
+        cap = (dcap - wkey[0]) // f
+        for t in range(top + 1):
+            dst = acc.setdefault(q0 + t * half, {})
+            for key, v in piece.levels[t].items():
+                if key[0] <= cap:
+                    key = tuple(map(add, wkey, key if f == 1 else [f * x for x in key]))
+                    dst[key] = dst.get(key, 0) + sign * v
+                    kept += 1
+    for qi, lvl in acc.items():
+        terms = {Vec(Q(x, wden) for x in key[1:]): c for key, c in lvl.items() if c}
+        if terms:
+            out.terms[Q(qi, qden)] = terms
+    return kept
 
 
 def _ns_factors(entry: CatalogEntry, q_max: Fraction):
@@ -486,7 +562,7 @@ def fns_series(g: AlgebraId, q_max, depth) -> QWSeries:
     if Q(q_max) < 0:
         raise PreconditionViolated("q_max must be non-negative")
     out = QWSeries(lookup(g), q_max, depth)
-    _fns_cached(g, out.q_max, out.depth).add_to(out, out.ref, Q(0), 1)
+    _sum_pieces(out, [(out.ref, Q(0), 1)], [_fns_cached(g, out.q_max, out.depth)])
     return out
 
 
@@ -496,7 +572,7 @@ def verma_character(g: AlgebraId, nu: Vec, ell, q_max, depth) -> QWSeries:
     out = QWSeries(lookup(g), q_max, depth, nu)
     window = out.q_max - ell
     if window >= 0:
-        _fns_cached(g, window, out.depth).add_to(out, nu, ell, 1)
+        _sum_pieces(out, [(nu, ell, 1)], [_fns_cached(g, window, out.depth)])
     return out
 
 
@@ -532,20 +608,53 @@ class OrbitElement:
     restriction: Vec            # (w.nu_hat_h) restricted to h^nat
     det: int
     q_shift: Fraction
-    iso_images: tuple           # images of the isotropic simple roots (massless)
+    iso_images: tuple           # (restriction to h^nat, x+d) of the images of the
+                                # isotropic simple roots (massless)
 
 
 ORBIT_CAP = 10 ** 6  # orbit elements seen before TruncationIncomplete is raised
 
 
+def _reflect(state: tuple, i: int, row: tuple, width: int) -> tuple:
+    """s_i on a tuple of int pairing blocks (see `_orbit`): each block of
+    `width` entries loses its own i-th entry times `row`."""
+    out = []
+    for o in range(0, len(state), width):
+        p = state[o + i]
+        out += [x - p * a for x, a in zip(state[o:o + width], row)]
+    return tuple(out)
+
+
 def _orbit(entry: CatalogEntry, k: Fraction, nu: Vec, h: Fraction,
            q_shift_limit: Fraction, track_iso: bool = False) -> List[OrbitElement]:
     """Breadth-first shifted-orbit enumeration: the elements with
-    q_shift <= limit.  Deduplication is on the image of lam0 = nu_hat+rho_hat
-    (plus the isotropic-root images when tracked, which separates group
-    elements even when the orbit point sits on a wall).  Only points with
-    shift <= max(limit, 0) are expanded; that misses nothing (Kac,
-    Infinite-dimensional Lie algebras, Lemma 3.11, Prop. 3.12):
+    q_shift <= limit, walked on int pairing coordinates.
+
+    Coordinates.  A point x, the image of lam0 = nu_hat+rho_hat or, when
+    tracked, of an isotropic simple root, is a block of ints: L times its
+    pairings <x, beta_j^vee> with the affine simple coroots (`_Lattice`),
+    L the common denominator of those of the starting points, then L times
+    the drop of x+d since the start.  As s_i(x) = x - <x, beta_i^vee> beta_i,
+    a reflection is p_j -= p_i * cartan[i][j] on the pairings and adds
+    p_i * xd[i] to the drop, so every edge is int arithmetic; the q_shift of
+    an element is the drop of its lam0 block over L.  Only the elements kept
+    become `Fraction`s: a restriction to h^nat is sum_i (p_i / L) omega_i
+    (`_Lattice.span`), minus rho^nat for lam0, and an isotropic image is
+    given by its restriction and its x+d, which is all the massless sum reads.
+
+    Deduplication is on the int tuple, which is one-to-one on the tracked
+    affine weights: the finite-root pairings fix the projection of the
+    finite part on the root span of g^nat, the orthogonal part and the level
+    never change, and the x+d drop then fixes the delta coefficient.  So the
+    BFS visits the points the `AffineWeight` walk visited, in the same order.
+    (At a noncritical level the drop adds no distinction: the pairings fix
+    lam modulo delta and (lam|lam) fixes its delta part; for an isotropic
+    image, u.b = b + m delta with u in the stabilizer of lam, a finite
+    group, forces m = 0.)  Tracking the isotropic images separates group
+    elements even when the orbit point sits on a wall.
+
+    Only points with shift <= max(limit, 0) are expanded; that misses
+    nothing (Kac, Infinite-dimensional Lie algebras, Lemma 3.11, Prop. 3.12):
 
     1. x+d pairs to 0 with the finite roots of g^nat and to 1 with eta_i, so
        s_alpha keeps the shift and s_eta_i raises it by <lam, eta_i^vee>.
@@ -563,30 +672,42 @@ def _orbit(entry: CatalogEntry, k: Fraction, nu: Vec, h: Fraction,
     So fold, stabilizer, then a reduced word reach every element with
     shift <= limit through points with shift <= max(limit, 0).
     """
-    roots = _affine_simple_roots(entry)
+    lat = _lattice(entry.id)
     lam0 = nu_hat_plus_rho(entry, k, nu, h)
-    base_xd = lam0.x_plus_d(entry)
-    reach = max(q_shift_limit, Q(0))
-    iso0 = tuple(iso_simple_affine(entry)) if track_iso else ()
-    seen = {(lam0, iso0)}
-    frontier = [(lam0, 1, iso0)]
+    iso0 = iso_simple_affine(entry) if track_iso else []
+    starts = [lat.pairings(x.level, x.finite) for x in [lam0, *iso0]]
+    L = math.lcm(*(p.denominator for ps in starts for p in ps))
+    width = len(lat.cartan) + 1
+    rows = [(*a, -x) for a, x in zip(lat.cartan, lat.xd)]
+    limit = math.floor(q_shift_limit * L)
+    reach = max(limit, 0)
+
+    xd0 = [b.x_plus_d(entry) for b in iso0]
+
+    def element(state: tuple, det: int) -> OrbitElement:
+        iso = tuple((lat.span(state[o:o + width], L), x - Q(state[o + width - 1], L))
+                    for o, x in zip(range(width, len(state), width), xd0))
+        return OrbitElement(lat.span(state, L, rho=1), det,
+                            Q(state[width - 1], L), iso)
+
+    state = tuple(x for ps in starts for x in (*((p * L).numerator for p in ps), 0))
+    seen = {state}
+    frontier = [(state, 1)]
     out: List[OrbitElement] = []
     level = 0
     while frontier:
         nxt = []
-        for lam, det, iso in frontier:
-            shift = base_xd - lam.x_plus_d(entry)
-            if shift <= q_shift_limit:
-                restr = entry.restrict(lam.finite) - entry.rho_natural
-                out.append(OrbitElement(restr, det, shift, iso))
-            if shift > reach:
+        for state, det in frontier:
+            drop = state[width - 1]
+            if drop <= limit:
+                out.append(element(state, det))
+            if drop > reach:
                 continue
-            for root in roots:
-                lam2 = _reflect(entry, lam, root)
-                iso2 = tuple(_reflect(entry, b, root) for b in iso)
-                if (lam2, iso2) not in seen:
-                    seen.add((lam2, iso2))
-                    nxt.append((lam2, -det, iso2))
+            for i, row in enumerate(rows):
+                child = _reflect(state, i, row, width)
+                if child not in seen:
+                    seen.add(child)
+                    nxt.append((child, -det))
             if len(seen) > ORBIT_CAP:
                 raise TruncationIncomplete(
                     f"orbit cap {ORBIT_CAP} hit at q_shift limit {q_shift_limit}: "
@@ -618,9 +739,10 @@ def weyl_orbit(g: AlgebraId, k, nu: Vec, h, q_max) -> List[Tuple[Vec, int, Fract
 def _orbit_sum(entry: CatalogEntry, k: Fraction, nu: Vec, h: Fraction, l0: Fraction,
                q_max: Fraction, depth: Fraction, track_iso: bool) -> QWSeries:
     """Sum of det * q^(l0+q_shift) exp(restriction) * fns over the orbit, cut at
-    (q_max, depth) around nu.  The int denominator series is read directly:
-    each orbit element gets one q ceiling and one int depth cap, and only the
-    terms kept become `Fraction` keys.  With track_iso each piece is a copy of
+    (q_max, depth) around nu.  The int denominator series is read directly by
+    `_sum_pieces`: each orbit element gets one q ceiling and one int depth
+    cap, the kept terms are merged over int keys, and only the output terms
+    become `Fraction` keys.  With track_iso each piece is a copy of
     the denominator divided in place by its isotropic corrections
     (1 + q^c exp(w))^(-1), whose negative exponents c are flipped exactly."""
     out = QWSeries(entry, q_max, depth, nu)
@@ -635,11 +757,17 @@ def _orbit_sum(entry: CatalogEntry, k: Fraction, nu: Vec, h: Fraction, l0: Fract
     orbit = _orbit(entry, k, nu, h, window, track_iso)
     reach = window - min([Q(0)] + [el.q_shift for el in orbit])
     fns = _fns_cached(entry.id, reach, depth + window * _lattice(entry.id).theta_depth)
-    for el in orbit:
-        piece = fns.copy() if el.iso_images else fns
-        for beta in el.iso_images:
-            piece.divide(-1 * entry.restrict(beta.finite), beta.x_plus_d(entry), -1)
-        piece.add_to(out, el.restriction, l0 + el.q_shift, el.det)
+
+    def piece(el: OrbitElement) -> _LatticeSeries:
+        if not el.iso_images:
+            return fns
+        div = fns.copy()
+        for restr, xd in el.iso_images:
+            div.divide(-1 * restr, xd, -1)
+        return div
+
+    _sum_pieces(out, [(el.restriction, l0 + el.q_shift, el.det) for el in orbit],
+                map(piece, orbit))
     return out
 
 

@@ -23,7 +23,10 @@ def parse_rational(s: str) -> Fraction:
     s = s.strip()
     if not _RAT_RE.match(s):
         raise ValueError(f"not an exact rational: {s!r} (use p or p/q)")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 def format_rational(x: Fraction) -> str:

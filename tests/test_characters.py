@@ -2,19 +2,21 @@ import math
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wmin import catalog, characters
 from wmin.catalog import Vec, lookup, zero_vec
 from wmin.characters import (AffineWeight, QWSeries, _fns_cached, _inverse_power,
-                             _lattice, _LatticeSeries, _ns_factors, _orbit,
+                             _lattice, _Lattice, _LatticeSeries, _ns_factors, _orbit,
                              character_massive, character_massless, depth_of,
                              ell_of_h, fns_series, h_pair, iso_simple_affine,
                              n4_closed_form, nu_hat_plus_rho, series_from_records,
                              verma_character, weyl_orbit)
 from wmin.errors import (NonDominant, PreconditionViolated, TruncationIncomplete,
                          UnsupportedD21a)
+from wmin.levels import enumerate_unitary_k
+from wmin.weights import A_bound, enumerate_P_plus_k, is_extremal
 
 G = catalog.psl22()
 E = lookup(G)
@@ -67,6 +69,18 @@ def test_verma_character_basics():
     shifted = QWSeries(E, 3, 4)
     shifted.accumulate(b, ell=1)
     assert a == shifted and not a.is_zero()
+
+
+def test_verma_character_off_lattice_weight_and_exponent():
+    """A weight off the kernel's 1/D lattice and an exponent off (1/2)Z: the
+    merge keys are scaled to hold them, and the result is the denominator
+    series shifted term by term."""
+    nu, ell = Vec([Q(1, 3), 0, Q(1, 5), 0]), Q(1, 3)
+    for q_max, depth in [(Q(3), Q(4)), (Q(17, 6), Q(5, 2))]:
+        want = QWSeries(E, q_max, depth, nu)
+        want.accumulate(fns_series(G, q_max - ell, depth), nu, ell)
+        got = verma_character(G, nu, ell, q_max, depth)
+        assert got == want and got.coeff(ell, nu) == 1
 
 
 def test_ell_and_h_pair():
@@ -164,8 +178,63 @@ def test_orbit_pruning_misses_nothing(track_iso):
             for (lam, *iso), det in words.items():
                 shift = base - lam.x_plus_d(e)
                 if shift <= limit:
-                    want = (e.restrict(lam.finite) - e.rho_natural, det, shift, tuple(iso))
+                    want = (e.restrict(lam.finite) - e.rho_natural, det, shift,
+                            tuple((e.restrict(b.finite), b.x_plus_d(e)) for b in iso))
                     assert want in got, (g.label(), k, labels, limit, want)
+
+
+def _reference_orbit(entry, k, nu, h, limit, track_iso):
+    """The `AffineWeight` walk that the int `_orbit` replaced, kept as its
+    oracle: the same BFS over `Fraction` affine weights, deduplicated on the
+    weights themselves, expanding points with shift <= max(limit, 0).  The
+    isotropic images are given as (restriction to h^nat, x+d), and the
+    output is sorted as `_orbit` sorts it."""
+    roots = ([(a, Q(0)) for a in entry.simple_roots_natural]
+             + [(-1 * c.theta, Q(1)) for c in entry.components])
+
+    def reflect(lam, root):
+        fin, dc = root
+        c = 2 * (entry.form(lam.finite, fin) + lam.level * dc) / entry.form(fin, fin)
+        return AffineWeight(lam.level, lam.finite - c * fin, lam.delta_coeff - c * dc)
+
+    lam0 = nu_hat_plus_rho(entry, k, nu, h)
+    base = lam0.x_plus_d(entry)
+    reach = max(limit, Q(0))
+    iso0 = tuple(iso_simple_affine(entry)) if track_iso else ()
+    seen, frontier, out = {(lam0, iso0)}, [(lam0, 1, iso0)], []
+    while frontier:
+        nxt = []
+        for lam, det, iso in frontier:
+            shift = base - lam.x_plus_d(entry)
+            if shift <= limit:
+                out.append((entry.restrict(lam.finite) - entry.rho_natural, det, shift,
+                            tuple((entry.restrict(b.finite), b.x_plus_d(entry)) for b in iso)))
+            if shift > reach:
+                continue
+            for root in roots:
+                state = (reflect(lam, root), tuple(reflect(b, root) for b in iso))
+                if state not in seen:
+                    seen.add(state)
+                    nxt.append((state[0], -det, state[1]))
+        frontier = nxt
+    out.sort(key=lambda el: (el[2], tuple(el[0]), el[1]))
+    return out
+
+
+@pytest.mark.parametrize("track_iso", [False, True])
+def test_int_orbit_equals_affine_weight_walk(track_iso):
+    """The walk on int pairing coordinates gives the `AffineWeight` walk's
+    list: the same elements in the same order, with the same restriction,
+    det, shift and isotropic images."""
+    for g, k, labels, _ in ORBIT_CASES:
+        e = lookup(g)
+        nu = e.nu_from_labels(labels)
+        h = e.form(e.xi, nu)
+        for limit in (Q(-1), Q(0), Q(1), Q(5, 2)):
+            got = [(el.restriction, el.det, el.q_shift, el.iso_images)
+                   for el in _orbit(e, k, nu, h, limit, track_iso)]
+            assert got == _reference_orbit(e, k, nu, h, limit, track_iso), \
+                (g.label(), k, labels, limit)
 
 
 def test_extremal_orbit_dips_below_zero_shift():
@@ -544,8 +613,8 @@ def _reference_fns(g, q_max, depth, extra=()):
 
 def _kernel_terms(series):
     """{q: {w: coeff}} of an int-keyed kernel series, every term kept."""
-    zero = zero_vec(len(series.lat.cov))
-    return {Q(t, 2): {series.lat.vec(key, zero): c for key, c in lvl.items()}
+    den = series.lat.denom
+    return {Q(t, 2): {Vec(Q(x, den) for x in key[1:]): c for key, c in lvl.items()}
             for t, lvl in enumerate(series.levels) if lvl}
 
 
@@ -589,6 +658,32 @@ FAMILY_IDS = st.one_of(
               st.integers(min_value=1, max_value=40)).map(lambda t: catalog.d21a(*t)))
 
 
+@given(FAMILY_IDS)
+@settings(max_examples=40, deadline=None)
+def test_affine_cartan_matrix_is_integral(g):
+    """<beta_i, beta_j^vee> over the affine simple roots of g^nat (the simple
+    roots, then eta_i = delta - theta_i) is an int generalized Cartan matrix:
+    2 on the diagonal, non-positive off it, equal to the `Fraction` pairing;
+    x+d pairs to 0 with the finite roots and to 1 with each eta_i."""
+    e = lookup(g)
+    lat = _lattice(g)
+    roots = ([(a, Q(0)) for a in e.simple_roots_natural]
+             + [(-1 * c.theta, Q(1)) for c in e.components])
+    assert len(lat.cartan) == len(roots)
+    for (fi, _), row in zip(roots, lat.cartan):
+        assert len(row) == len(roots)
+        for (fj, _), a in zip(roots, row):
+            assert type(a) is int and a == 2 * e.form(fi, fj) / e.form(fj, fj)
+    assert all(row[i] == 2 for i, row in enumerate(lat.cartan))
+    assert all(a <= 0 for i, row in enumerate(lat.cartan) for j, a in enumerate(row) if i != j)
+    assert lat.xd == (0,) * len(e.simple_roots_natural) + (1,) * len(e.components)
+
+
+def test_lattice_raises_on_a_non_integral_pairing():
+    with pytest.raises(PreconditionViolated, match="not integral"):
+        _Lattice._ints(E, "affine Cartan matrix row", [Q(2), Q(-1, 2)])
+
+
 @given(FAMILY_IDS, st.integers(min_value=0, max_value=6))
 @settings(max_examples=60, deadline=None)
 def test_denominator_steps_never_raise_the_margin(g, q2_max):
@@ -621,8 +716,10 @@ def test_q0_factor_needs_positive_depth():
 
 def test_lattice_keys_never_round():
     lat = _lattice(G)
-    assert lat.vec(lat.key(XI - TH1), TH1) == XI
+    assert Vec(Q(x, lat.denom) for x in lat.key(XI - TH1)[1:]) == XI - TH1
     assert lat.key(XI)[0] == -2  # depth(xi) = -1/2, times scale 4
+    # at scale 2D the key of xi/2 is the key of xi at D, depth entry included
+    assert lat.key(Q(1, 2) * XI, 2 * lat.denom) == lat.key(XI)
     for w in (Q(1, 2) * XI, Vec([Q(1, 3), 0, 0, 0])):
         with pytest.raises(PreconditionViolated, match="off the 1/2 lattice"):
             lat.key(w)
@@ -632,8 +729,7 @@ def test_lattice_keys_never_round():
 
 def test_character_caches_stay_bounded_over_d21a_sweep():
     """Sweeping D(2,1;a) over 200 distinct values of a leaves every cache of
-    the characters module at or under its bound (the catalog's own caches
-    are not the module's)."""
+    the characters and catalog modules at or under its bound."""
     values = [(num, den) for num in range(1, 22) for den in range(1, 16)
               if math.gcd(num, den) == 1][:200]
     assert len(values) == 200
@@ -641,9 +737,60 @@ def test_character_caches_stay_bounded_over_d21a_sweep():
         g = catalog.d21a(num, den)
         _lattice(g)
         fns_series(g, 0, 1)
-    caches = [f for f in vars(characters).values()
-              if hasattr(f, "cache_info") and f.__module__ == characters.__name__]
-    assert len(caches) >= 3
+    caches = [f for mod in (characters, catalog) for f in vars(mod).values()
+              if hasattr(f, "cache_info") and f.__module__ == mod.__name__]
+    assert len(caches) >= 5
+    assert catalog.lookup in caches and catalog._root_span_projection in caches
     for f in caches:
         info = f.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize, f
+
+
+# ---------------------------------------------------------------------------
+# refinement: a larger window, cut back, gives the same character
+
+
+REFINE_FAMILIES = [catalog.psl22(), catalog.spo2m(3), catalog.spo2m(5), catalog.d21a(2, 3),
+                   catalog.g3()]
+
+
+@st.composite
+def refinement_cases(draw):
+    """(algebra, k, nu, l0 or None for massless, window q_max - l0, depth)
+    over the first three unitary levels of each family and all of P^+_k;
+    massive characters need non-extremal nu and massless D(2,1;a) ones
+    nu = 0, the domains of the two formulas."""
+    g = draw(st.sampled_from(REFINE_FAMILIES))
+    e = lookup(g)
+    k = draw(st.sampled_from(enumerate_unitary_k(g, 3)))
+    massless = draw(st.booleans())
+    nus = enumerate_P_plus_k(g, k)
+    if massless and g.family == "D21a":
+        nus = [zero_vec(e.n)]
+    elif not massless:
+        nus = [nu for nu in nus if not is_extremal(g, k, nu)]
+    assume(nus)
+    nu = draw(st.sampled_from(nus))
+    l0 = None if massless else A_bound(g, k, nu) + draw(st.sampled_from([Q(1, 3), Q(1, 2), Q(1)]))
+    window = draw(st.sampled_from([Q(0), Q(1, 2), Q(2, 3), Q(1), Q(3, 2), Q(2)]))
+    depth = draw(st.sampled_from([Q(0), Q(1), Q(5, 2), Q(4)]))
+    return g, k, nu, l0, window, depth
+
+
+@given(refinement_cases(), st.sampled_from([Q(0), Q(1, 2), Q(1), Q(2)]))
+@settings(max_examples=200, deadline=None)
+def test_character_refines(case, extra_depth):
+    """char(q_max, depth) == char(q_max + 1/2, depth + extra).truncated(q_max,
+    depth): every coefficient inside a window is final, whatever larger
+    window it is computed in."""
+    g, k, nu, l0, window, depth = case
+
+    def char(q_max, dep):
+        if l0 is None:
+            return character_massless(g, k, nu, q_max, dep)
+        return character_massive(g, k, nu, l0, q_max, dep)
+
+    q_max = (A_bound(g, k, nu) if l0 is None else l0) + window
+    small = char(q_max, depth)
+    assert not small.is_zero()
+    assert small == char(q_max + Q(1, 2), depth + extra_depth).truncated(q_max, depth, nu)

@@ -78,6 +78,15 @@ def test_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_zero_denominator_is_usage_error(capsys):
+    for argv in (["char", "--g", "psl22", "--M1", "1", "--r", "1", "--massless",
+                  "--qmax", "1/0", "--depth", "2"],
+                 ["check", "--g", "psl22", "--k", "1/0", "--l0", "1"]):
+        code, d = run_json(capsys, argv)
+        assert code == 2 and d == {"error": "ValueError",
+                                   "message": "zero denominator in '1/0'"}
+
+
 def test_weight_label_gap_is_usage_error(capsys):
     base = ["check", "--g", "D21a", "--a", "2", "--k", "-2/3", "--l0", "1"]
     code, d = run_json(capsys, base + ["--nu-r2", "1"])

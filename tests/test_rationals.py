@@ -16,7 +16,7 @@ def test_parse_format_round_trip(x):
     assert parse_rational(format_rational(x)) == x
 
 
-@pytest.mark.parametrize("bad", ["1.5", "1e3", "", "3/", "/4", "0x10", "nan"])
+@pytest.mark.parametrize("bad", ["1.5", "1e3", "", "3/", "/4", "0x10", "nan", "1/0"])
 def test_parse_rejects_non_rationals(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)

@@ -24,3 +24,22 @@ def test_scan_lemma_bounds():
     lines = run_script("scan_lemma_bounds.py", "--family", "G3", "--max-m1", "1",
                        "--window", "4")
     assert "G3: 60 bound evaluations, 0 violations" in lines
+
+
+def test_stage_times():
+    """The G3 case, and a massless psl22 request: every stage is reported,
+    with the sizes of the G3 case pinned."""
+    import json
+    (line,) = run_script("stage_times.py")
+    got = json.loads(line)
+    assert {k: got[k] for k in ("denominator_terms", "orbit_elements", "kept_terms",
+                                "out_terms")} == {"denominator_terms": 2060,
+                                                  "orbit_elements": 36,
+                                                  "kept_terms": 2942, "out_terms": 110}
+    assert all(got[k] >= 0 for k in ("import_s", "denominator_build_s", "orbit_s",
+                                      "sum_warm_s", "warm_s", "cold_s"))
+    (line,) = run_script("stage_times.py", "--g", "psl22", "--k", "-3",
+                         "--nu", "0,0,1/2,-1/2", "--massless", "--qmax", "5/2",
+                         "--depth", "4")
+    got = json.loads(line)
+    assert got["orbit_elements"] >= 2 and got["kept_terms"] >= got["out_terms"] > 0
