@@ -22,18 +22,20 @@ integer kernel (`_LatticeSeries`): q is stored as the int 2q, weights as int
 tuples scaled by one per-algebra common denominator (`_lattice`), each key
 led by its int depth, and every factor is applied to the running series in
 place inside a sloped window whose exactness argument is in the
-`_LatticeSeries` docstring.  The orbit sum, `fns_series` and
-`verma_character` are one `_sum_pieces`: the kernel terms that pass the
-published QWSeries' cuts are summed over int keys, and each nonzero sum
-becomes a `Fraction` exponent and a `Vec` weight once.  `Fraction`s appear
-only at that boundary, at the kept orbit elements, and in
-`records()`/`coeff()`, which read the published series.
+`_LatticeSeries` docstring.  Every factor (1 - sign q^c exp(w))^(-1), the
+denominator's own, the isotropic corrections of the massless sum and the
+fermionic factors of the N=4 closed form, is expanded by that kernel's one
+`divide`.
 
-Every other sum of series is one QWSeries.accumulate call: +-q^ell exp(w)
-times a series, added term by term through the target window's cuts.  Orbit
-sums are sequential and deterministic; the merge is commutative exact
-addition, so a parallel evaluation would have to reproduce these
-coefficients bit for bit.
+Every character is one `_sum_pieces`: the orbit sum, `fns_series`,
+`verma_character` and `n4_closed_form` each give a list of heads
++-q^ell exp(w) and kernel pieces; the piece terms that pass the published
+QWSeries' cuts are summed over int keys, and each nonzero sum becomes a
+`Fraction` exponent and a `Vec` weight once.  `Fraction`s appear only at that
+boundary, at the kept orbit elements, and in `records()`/`coeff()`, which
+read the published series.  Sums are sequential and deterministic; the
+merge is commutative exact addition, so a parallel evaluation would have to
+reproduce these coefficients bit for bit.
 """
 from __future__ import annotations
 
@@ -70,11 +72,6 @@ class AffineWeight:
         return entry.form(self.finite, entry.theta) / 2 + self.delta_coeff
 
 
-def nu_hat(entry: CatalogEntry, k, nu: Vec, h) -> AffineWeight:
-    """k*Lambda_0 + nu + h*theta."""
-    return AffineWeight(Q(k), nu + Q(h) * entry.theta, Q(0))
-
-
 def nu_hat_plus_rho(entry: CatalogEntry, k, nu: Vec, h) -> AffineWeight:
     """nu_hat_h + rho_hat.  Only pairings against the affine system of g^nat
     are ever taken, so rho_hat enters through rho^nat and its theta-component
@@ -101,16 +98,10 @@ def _affine_simple_roots(entry: CatalogEntry) -> List[Tuple[Vec, Fraction]]:
 # depth functional
 
 
-@lru_cache(maxsize=2 ** 18)
-def _depth_value(aid: AlgebraId, w: Vec) -> Fraction:
-    cov = _root_span_projection(aid)[1]
-    return sum((c * x for c, x in zip(cov, w)), Q(0))
-
-
 def depth_of(entry: CatalogEntry, ref: Vec, w: Vec) -> Fraction:
-    """Depth of w relative to ref (linear, so computed as a difference of
-    cached per-weight values)."""
-    return _depth_value(entry.id, ref) - _depth_value(entry.id, w)
+    """Depth of w relative to ref: the depth covector dotted with ref - w."""
+    cov = _root_span_projection(entry.id)[1]
+    return sum(map(mul, cov, ref - w), Q(0))
 
 
 class _Lattice:
@@ -246,11 +237,12 @@ class QWSeries:
     at a depth window around `ref`: the published form of every character,
     keyed by `Fraction` exponents and `Vec` weights.
 
-    The denominator kernel (`_LatticeSeries`) works over int lattice keys and
-    converts at this boundary: `_sum_pieces` sums the kernel terms that pass
+    Every character is computed on the int kernel (`_LatticeSeries`) and
+    converted at this boundary: `_sum_pieces` sums the kernel terms that pass
     this series' cuts over int keys and gives a `Vec` key only to each
-    nonzero sum.  `accumulate` is the one path that adds another QWSeries
-    (times +-q^ell exp(w)) into this one, in place.
+    nonzero sum.  `accumulate` adds a published series (times
+    +-q^ell exp(w)) into this one term by term; `truncated` and callers that
+    combine published series use it, no character formula does.
     """
 
     __slots__ = ("entry", "q_max", "depth", "ref", "terms")
@@ -341,37 +333,7 @@ def series_from_records(entry: CatalogEntry, recs: Sequence[dict], q_max, depth,
 
 
 # ---------------------------------------------------------------------------
-# factor expansions
-
-
-def _inverse_power(entry: CatalogEntry, q_max, depth, w: Vec, c: Fraction, sign: int,
-                   power: int = 1) -> QWSeries:
-    """Expansion of (1 - sign * x)^(-power), x = q^c exp(w), sign = +-1: the
-    coefficient of x^j is sign^j * C(j+power-1, j), with reference weight 0.
-
-    For c < 0 the factor is first rewritten exactly as
-    (-sign * x)^(-power) * (1 - sign * x^(-1))^(-power), which for sign = -1
-    is (q^{-c} exp(-w))^power / (1 + q^{-c} exp(-w))^power, so the result is
-    always a series in non-negative q powers.  For c = 0 the q ceiling never
-    stops the expansion; w must then have positive depth (otherwise
-    PreconditionViolated), and the expansion stops once j*w leaves the depth
-    window."""
-    out = QWSeries(entry, q_max, depth)
-    if c == 0 and depth_of(entry, out.ref, w) <= 0:
-        raise PreconditionViolated("a q^0 factor needs a weight of positive depth, "
-                                   "or its expansion never ends")
-    lead, pref = 0, 1
-    if c < 0:
-        c, w = -c, -1 * w
-        lead, pref = power, (-sign) ** power
-    j = 0
-    while (j + lead) * c <= out.q_max:
-        if c == 0 and j > 0 and depth_of(entry, out.ref, j * w) > out.depth:
-            break
-        out.add_term((j + lead) * c, (j + lead) * w,
-                     pref * sign ** j * math.comb(j + power - 1, j))
-        j += 1
-    return out
+# the int kernel
 
 
 class _LatticeSeries:
@@ -449,9 +411,16 @@ class _LatticeSeries:
         For c > 0 this is the running sum new[t] = old[t] + sign new[t - x],
         taken in increasing q (the coin-change recurrence of Euler's partition
         product, Andrews, The Theory of Partitions, ch. 1).  For c = 0 it is a
-        geometric chain from each term in increasing depth.  For c < 0 it is
-        `_inverse_power`'s exact flip: a shift by -sign q^{-c} exp(-w), then
-        the division by (1 - sign q^{-c} exp(-w))."""
+        geometric chain from each term in increasing depth.
+
+        For c < 0 the factor is expanded in the non-negative q powers the
+        characters are read in, through the exact identity
+        1 - sign x = (-sign x)(1 - sign x^(-1)) (sign^2 = 1): with
+        y = x^(-1) = q^{-c} exp(-w),
+        (1 - sign x)^(-1) = -sign y * (1 - sign y)^(-1),
+        a shift by -sign y followed by the c > 0 division by y.  Both steps
+        are by q^{-c} exp(-w), so the margin check of `_factor` covers the
+        shift as well: a term it moves into the window comes from a kept one."""
         flip = c < 0
         fkey, c2 = self._factor(-1 * w if flip else w, abs(c))
         if flip:
@@ -625,10 +594,17 @@ def _reflect(state: tuple, i: int, row: tuple, width: int) -> tuple:
     return tuple(out)
 
 
-def _orbit(entry: CatalogEntry, k: Fraction, nu: Vec, h: Fraction,
-           q_shift_limit: Fraction, track_iso: bool = False) -> List[OrbitElement]:
+def _orbit(entry: CatalogEntry, k: Fraction, nu: Vec, q_shift_limit: Fraction,
+           track_iso: bool = False) -> List[OrbitElement]:
     """Breadth-first shifted-orbit enumeration: the elements with
     q_shift <= limit, walked on int pairing coordinates.
+
+    No h.  nu_hat_h + rho_hat depends on h only through h * theta, and theta
+    is orthogonal to every root of g^nat and to each theta_i (g^nat is the
+    centralizer of the sl2 triple of theta), so h * theta pairs to 0 with
+    every affine simple coroot of g^nat.  The pairings, hence the walk, the
+    restrictions to h^nat and the drops of x+d, are the same for every h;
+    the walk starts from h = 0.
 
     Coordinates.  A point x, the image of lam0 = nu_hat+rho_hat or, when
     tracked, of an isotropic simple root, is a block of ints: L times its
@@ -673,7 +649,7 @@ def _orbit(entry: CatalogEntry, k: Fraction, nu: Vec, h: Fraction,
     shift <= limit through points with shift <= max(limit, 0).
     """
     lat = _lattice(entry.id)
-    lam0 = nu_hat_plus_rho(entry, k, nu, h)
+    lam0 = nu_hat_plus_rho(entry, k, nu, Q(0))
     iso0 = iso_simple_affine(entry) if track_iso else []
     starts = [lat.pairings(x.level, x.finite) for x in [lam0, *iso0]]
     L = math.lcm(*(p.denominator for ps in starts for p in ps))
@@ -722,13 +698,13 @@ def _orbit(entry: CatalogEntry, k: Fraction, nu: Vec, h: Fraction,
 def weyl_orbit(g: AlgebraId, k, nu: Vec, h, q_max) -> List[Tuple[Vec, int, Fraction]]:
     """Distinct shifted-orbit elements with q_shift <= q_max.
 
-    Returns (restriction of w.nu_hat_h to h^nat, det w, q_shift); the
-    restrictions and shifts do not depend on h.
+    Returns (restriction of w.nu_hat_h to h^nat, det w, q_shift).  h is
+    ignored: the orbit does not depend on it (see `_orbit`).
     """
     entry = lookup(g)
     if not in_P_plus_k(g, k, nu):
         raise NonDominant("weyl_orbit requires nu in P^+_k")
-    els = _orbit(entry, Q(k), nu, Q(h), Q(q_max))
+    els = _orbit(entry, Q(k), nu, Q(q_max))
     return [(e.restriction, e.det, e.q_shift) for e in els]
 
 
@@ -736,7 +712,7 @@ def weyl_orbit(g: AlgebraId, k, nu: Vec, h, q_max) -> List[Tuple[Vec, int, Fract
 # character formulas
 
 
-def _orbit_sum(entry: CatalogEntry, k: Fraction, nu: Vec, h: Fraction, l0: Fraction,
+def _orbit_sum(entry: CatalogEntry, k: Fraction, nu: Vec, l0: Fraction,
                q_max: Fraction, depth: Fraction, track_iso: bool) -> QWSeries:
     """Sum of det * q^(l0+q_shift) exp(restriction) * fns over the orbit, cut at
     (q_max, depth) around nu.  The int denominator series is read directly by
@@ -754,7 +730,7 @@ def _orbit_sum(entry: CatalogEntry, k: Fraction, nu: Vec, h: Fraction, l0: Fract
     # headroom keeps every cell of the final flat cut complete.  An element
     # with q_shift < 0 (extremal weights, see `_orbit`) reads the denominator
     # up to q = window - q_shift, so the series reaches that far.
-    orbit = _orbit(entry, k, nu, h, window, track_iso)
+    orbit = _orbit(entry, k, nu, window, track_iso)
     reach = window - min([Q(0)] + [el.q_shift for el in orbit])
     fns = _fns_cached(entry.id, reach, depth + window * _lattice(entry.id).theta_depth)
 
@@ -781,9 +757,7 @@ def character_massive(g: AlgebraId, k, nu: Vec, l0, q_max, depth) -> QWSeries:
         raise PreconditionViolated("massive character needs non-extremal nu in P^+_k")
     if l0 <= A_bound(g, k, nu):
         raise PreconditionViolated("massive character needs l0 > A(k,nu)")
-    pair = h_pair(g, k, nu, l0)
-    h = pair[0] if pair is not None else Q(0)  # orbit data is h-independent
-    return _orbit_sum(entry, k, nu, h, l0, q_max, depth, False)
+    return _orbit_sum(entry, k, nu, l0, q_max, depth, False)
 
 
 def character_massless(g: AlgebraId, k, nu: Vec, q_max, depth) -> QWSeries:
@@ -795,17 +769,34 @@ def character_massless(g: AlgebraId, k, nu: Vec, q_max, depth) -> QWSeries:
         raise UnsupportedD21a("massless D(2,1;a) characters are only available at nu = 0")
     if not in_P_plus_k(g, k, nu):
         raise PreconditionViolated("massless character needs nu in P^+_k")
-    return _orbit_sum(entry, k, nu, entry.form(entry.xi, nu), A_bound(g, k, nu),
-                      q_max, depth, True)
+    return _orbit_sum(entry, k, nu, A_bound(g, k, nu), q_max, depth, True)
 
 
 def n4_closed_form(M1: int, r: int, q_max, depth) -> QWSeries:
     """Bilateral closed form for the threshold characters of the N=4 family;
-    an independent cross-check for character_massless.
+    an independent cross-check for character_massless: it shares the
+    denominator kernel and `_sum_pieces` with the orbit sum, not its formula.
 
     The exponent symbol written eta_1 in the source is read as the finite
-    root theta_1, the weight being (r/2)*theta_1 for integer 0 <= r <= M1
-    (extremal boundary included)."""
+    root theta_1, the weight being nu = (r/2)*theta_1 for integer 0 <= r <= M1
+    (extremal boundary included).  With l0 = r/2, b_m = m^2(M1+1) + (r+1)m,
+    c_m = m + 1/2, w+ = (r/2 + m(M1+1)) theta_1 and
+    w- = -(r/2 + m(M1+1) + 1) theta_1, summand m is
+    q^(l0 + b_m) (exp(w+) (1 + q^c_m exp(theta_1/2))^(-2)
+    - exp(w-) (1 + q^c_m exp(-theta_1/2))^(-2)) times the NS denominator,
+    and each of its two terms is one kernel piece: the denominator divided
+    twice by its fermionic factor, under the head (w+-, l0 + b_m, +-1).
+
+    Window.  The pieces are cut in the kernel's sloped window of
+    (window, depth), window = q_max - l0, where a term (q, w) is exact when
+    depth_of(0, w) <= depth + s(window - q).  A term of summand m reaches the
+    output only if q <= window - b_m, so, as b_m >= 0 (for m <= -1,
+    m(M1+1) + r + 1 <= r - M1 <= 0), it is exact up to depth + s b_m.  The
+    output keeps it when depth_of(nu, w+- + w) <= depth, that is
+    depth_of(0, w) <= depth + t a with t = depth_of(0, -theta_1) <= s
+    (theta_1 is a positive root of g^nat), a = m(M1+1) for w+ and
+    a = -(m(M1+1) + r + 1) for w-.  Either a <= 0, or a <= b_m (m >= 1 for
+    w+; m <= -1 for w-, where b_m = |m| a): no further headroom is needed."""
     if not (isinstance(M1, int) and M1 >= 1):
         raise IndexOutOfRange("M1 must be a positive integer")
     if not (isinstance(r, int) and 0 <= r <= M1):
@@ -816,15 +807,14 @@ def n4_closed_form(M1: int, r: int, q_max, depth) -> QWSeries:
     th = entry.components[0].theta
     half = Q(1, 2) * th
     l0 = Q(r, 2)
-    nu = Q(r, 2) * th
-    out = QWSeries(entry, q_max, depth, nu)
+    out = QWSeries(entry, q_max, depth, l0 * th)
     window = q_max - l0
     if window < 0:
         return out
-    head = depth + 2 * window + 6
-    total = QWSeries(entry, window, head)
-    # min exponent of the m-th summand: m^2(M1+1)+(r+1)m, plus -(2m+1) when
-    # the fermionic factors flip (m < 0); bound |m| generously from that.
+    fns = _fns_cached(g, window, depth)
+    summands = []  # (head, weight of the fermionic factor, its exponent)
+    # min exponent of the m-th summand: b_m, plus -(2m+1) when the fermionic
+    # factors flip (m < 0); bound |m| generously from that.
     bound = 2 + int(math.isqrt(int(4 * (window + 2 + r + 2) / (M1 + 1))) + (r + 2))
     for m in range(-bound, bound + 1):
         base = Q(m * m * (M1 + 1) + (r + 1) * m)
@@ -832,18 +822,16 @@ def n4_closed_form(M1: int, r: int, q_max, depth) -> QWSeries:
         if lead > window:
             continue
         c = Q(2 * m + 1, 2)
-        wplus = (Q(r, 2) + m * (M1 + 1)) * th
-        wminus = -1 * (Q(r, 2) + m * (M1 + 1) + 1) * th
-        f1 = _inverse_power(entry, window - base, head, half, c, -1, 2)
-        f2 = _inverse_power(entry, window - base, head, -1 * half, c, -1, 2)
-        total.accumulate(f1, wplus, base)
-        total.accumulate(f2, wminus, base, -1)
-    # the summand weights already carry nu; the prefactor only shifts q.  The
-    # product is added term by term of `total`: a term beyond depth `head`
-    # around 0 lies deeper than `depth` around nu, since depth_of(nu, w) =
-    # r/2 + depth_of(0, w), so out's cut alone decides what is kept.
-    fns = fns_series(g, window, head)
-    for q, lvl in total.terms.items():
-        for w, c in lvl.items():
-            out.accumulate(fns, w, l0 + q, c)
+        wp = l0 + m * (M1 + 1)  # w+ = wp theta_1, w- = -(wp + 1) theta_1
+        summands += [((wp * th, l0 + base, 1), half, c),
+                     ((-1 * (wp + 1) * th, l0 + base, -1), -1 * half, c)]
+
+    def piece(w: Vec, c: Fraction) -> _LatticeSeries:
+        div = fns.copy()
+        div.divide(w, c, -1)
+        div.divide(w, c, -1)
+        return div
+
+    _sum_pieces(out, [hd for hd, _, _ in summands],
+                (piece(w, c) for _, w, c in summands))
     return out

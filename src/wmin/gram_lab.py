@@ -58,7 +58,7 @@ def boson_norm(state: BosonBasisState) -> Fraction:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)  # one entry per energy: every e_max below 16 stays cached
 def states_at_energy(e: int) -> Tuple[BosonBasisState, ...]:
     """All basis states of energy e (partitions of e)."""
     def parts(rest: int, maxpart: int):

@@ -1,14 +1,17 @@
+import importlib
 import math
+import pkgutil
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wmin import catalog, characters
+import wmin
+from wmin import catalog, characters, gram_lab
 from wmin.catalog import Vec, lookup, zero_vec
-from wmin.characters import (AffineWeight, QWSeries, _fns_cached, _inverse_power,
-                             _lattice, _Lattice, _LatticeSeries, _ns_factors, _orbit,
+from wmin.characters import (AffineWeight, QWSeries, _fns_cached, _lattice, _Lattice,
+                             _LatticeSeries, _ns_factors, _orbit,
                              character_massive, character_massless, depth_of,
                              ell_of_h, fns_series, h_pair, iso_simple_affine,
                              n4_closed_form, nu_hat_plus_rho, series_from_records,
@@ -174,7 +177,7 @@ def test_orbit_pruning_misses_nothing(track_iso):
         words = _words_orbit(e, k, nu, h, length, track_iso)
         for limit in (Q(-1), Q(0), Q(1), Q(2)):
             got = {(el.restriction, el.det, el.q_shift, el.iso_images)
-                   for el in _orbit(e, k, nu, h, limit, track_iso)}
+                   for el in _orbit(e, k, nu, limit, track_iso)}
             for (lam, *iso), det in words.items():
                 shift = base - lam.x_plus_d(e)
                 if shift <= limit:
@@ -225,14 +228,16 @@ def _reference_orbit(entry, k, nu, h, limit, track_iso):
 def test_int_orbit_equals_affine_weight_walk(track_iso):
     """The walk on int pairing coordinates gives the `AffineWeight` walk's
     list: the same elements in the same order, with the same restriction,
-    det, shift and isotropic images."""
+    det, shift and isotropic images.  The reference walks from
+    h = (xi|nu) != 0 and `_orbit` from h = 0, so this also pins that the
+    orbit does not depend on h."""
     for g, k, labels, _ in ORBIT_CASES:
         e = lookup(g)
         nu = e.nu_from_labels(labels)
         h = e.form(e.xi, nu)
         for limit in (Q(-1), Q(0), Q(1), Q(5, 2)):
             got = [(el.restriction, el.det, el.q_shift, el.iso_images)
-                   for el in _orbit(e, k, nu, h, limit, track_iso)]
+                   for el in _orbit(e, k, nu, limit, track_iso)]
             assert got == _reference_orbit(e, k, nu, h, limit, track_iso), \
                 (g.label(), k, labels, limit)
 
@@ -308,6 +313,19 @@ def test_massless_equals_closed_form_sample():
     a = character_massless(G, -3, nu, Q(9, 2), 8)
     b = n4_closed_form(2, 1, Q(9, 2), 8)
     assert a == b and a.coeff(Q(1, 2), nu) == 1
+
+
+def test_n4_closed_form_refines():
+    """The window argument of `n4_closed_form`: its pieces need no depth
+    headroom beyond the output's, so the series computed in a larger window
+    and cut back is the same series."""
+    for m1 in (1, 2, 3):
+        for r in range(m1 + 1):
+            for window, dep in [(Q(0), Q(2)), (Q(5, 2), Q(0)), (Q(4), Q(3))]:
+                small = n4_closed_form(m1, r, Q(r, 2) + window, dep)
+                big = n4_closed_form(m1, r, Q(r, 2) + window + 1, dep + 3)
+                assert not small.is_zero()
+                assert small == big.truncated(small.q_max, dep, small.ref), (m1, r, window, dep)
 
 
 def test_massless_rejects_nonzero_d21a():
@@ -491,14 +509,20 @@ def test_accumulate_is_term_by_term(t, j, ell2, sign):
     assert got == want
 
 
-@given(st.sampled_from([Q(1, 2) * TH1, -1 * TH1, XI, -1 * XI + TH1]),
+@given(st.sampled_from([Q(1, 2) * TH1, -1 * TH1, XI, -1 * XI + TH1, 2 * TH1, -2 * TH1]),
        st.fractions(min_value=-3, max_value=3, max_denominator=2).filter(bool),
        st.sampled_from([1, -1]), st.sampled_from([1, 2]),
        st.integers(min_value=0, max_value=4))
+@example(2 * TH1, Q(1, 2), 1, 2, 3)      # refused: the step raises the margin
+@example(-2 * TH1, Q(-1, 2), -1, 1, 3)   # refused after the flip
+@example(2 * TH1, Q(3), -1, 2, 4)
+@example(Q(1, 2) * TH1, Q(-3, 2), 1, 2, 4)
 @settings(max_examples=60, deadline=None)
 def test_inverse_power_inverts_its_factor(w, c, sign, power, qm):
-    """(1 - sign q^c exp(w))^power times its expansion is 1 in the window,
-    for both signs of c (the c < 0 branch is the exact flip)."""
+    """`divide` applied `power` times to the unit kernel series, times
+    (1 - sign q^c exp(w))^power, is 1 in the window, for both signs of c
+    (the c < 0 branch is the exact flip) and of sign; a factor whose step
+    would raise the window margin is refused."""
     _check_inverse_power(w, c, sign, power, Q(qm))
 
 
@@ -510,15 +534,28 @@ def test_inverse_power_depth_bounded_geometric():
 
 
 def _check_inverse_power(w, c, sign, power, qm, dep=Q(3)):
-    dw = abs(depth_of(E, ZERO, w))
-    # product terms at depth <= dep need expansion terms down to dep + power*|dw|;
+    lat = _lattice(G)
+    step_w, step_c = (-1 * w, -c) if c < 0 else (w, c)
+    d = depth_of(E, ZERO, step_w)
+    # product terms at depth <= dep read kernel terms down to dep + power*|d|;
     # for c < 0 the factor lowers q, so only q <= qm - power*|c| is complete
-    inv = _inverse_power(E, qm, dep + power * dw, w, c, sign, power)
-    fac = QWSeries(E, qm, dep + power * dw)
-    for m in range(power + 1):
-        fac.add_term(m * c, m * w, math.comb(power, m) * (-sign) ** m)
-    window = (qm - power * max(-c, 0), dep)
-    assert _times(inv, fac).truncated(*window) == QWSeries.unit(E, *window), (w, c, power)
+    inv = _LatticeSeries(lat, qm, dep + power * abs(d))
+    if (d <= 0) if step_c == 0 else (lat.slope * step_c + d < 0):
+        with pytest.raises(PreconditionViolated, match="raises the window margin"):
+            inv.divide(w, c, sign)
+        return
+    for _ in range(power):
+        inv.divide(w, c, sign)
+    top = qm - power * max(-c, 0)
+    got = {}
+    for q, lvl in _kernel_terms(inv).items():
+        for v, coef in lvl.items():
+            for m in range(power + 1):
+                key = (q + m * c, v + m * w)
+                got[key] = got.get(key, 0) + coef * math.comb(power, m) * (-sign) ** m
+    got = {key: x for key, x in got.items()
+           if x and key[0] <= top and depth_of(E, ZERO, key[1]) <= dep}
+    assert got == ({(Q(0), ZERO): 1} if top >= 0 else {}), (w, c, sign, power)
 
 
 @given(small_series, small_series)
@@ -533,13 +570,6 @@ def test_q_levels_accessor():
     s = verma_character(G, ZERO, Q(1, 2), 2, 3)
     assert s.q_levels() == sorted(s.terms)
     assert s.q_levels()[0] == Q(1, 2)
-
-
-def test_nu_hat_pairs_h_with_x_plus_d():
-    from wmin.characters import nu_hat
-    nu = Q(1, 2) * TH1
-    for h in (Q(0), Q(3, 7), Q(-2)):
-        assert nu_hat(E, -3, nu, h).x_plus_d(E) == h
 
 
 # ---------------------------------------------------------------------------
@@ -632,12 +662,15 @@ def test_int_kernel_equals_fraction_products(g, window, depth):
 
 
 def test_int_kernel_isotropic_divisions_equal_fraction_products():
-    """The in-place isotropic corrections, c of both signs (c < 0 is the
-    flip), against a full product with the reference expansion."""
+    """The in-place isotropic corrections, and the squared fermionic factors
+    (1 + q^c exp(+-theta_1/2))^(-2) of `n4_closed_form`, c of both signs
+    (c < 0 is the flip), against a full product with the reference
+    expansion."""
     g = catalog.spo2m(3)
     xi = lookup(g).xi
+    n4 = [[(sw * Q(1, 2) * TH1, c, -1)] * 2 for sw in (1, -1) for c in (Q(1, 2), Q(-1, 2))]
     for window, depth in [(Q(5, 2), Q(3)), (Q(13, 6), Q(2))]:
-        for extra in [[(XI, Q(1, 2), -1)], [(XI, Q(-1, 2), -1), (-1 * XI, Q(3, 2), -1)]]:
+        for extra in [[(XI, Q(1, 2), -1)], [(XI, Q(-1, 2), -1), (-1 * XI, Q(3, 2), -1)], *n4]:
             piece = _fns_cached(G, window, depth).copy()
             for w, c, sign in extra:
                 piece.divide(w, c, sign)
@@ -702,11 +735,9 @@ def test_denominator_steps_never_raise_the_margin(g, q2_max):
 
 
 def test_q0_factor_needs_positive_depth():
-    """(1 - exp(w))^(-1) never ends when depth(w) <= 0: both expansions
-    raise instead of looping (w = 0 and w = +theta_1 on psl22)."""
+    """(1 - exp(w))^(-1) never ends when depth(w) <= 0: the expansion
+    raises instead of looping (w = 0 and w = +theta_1 on psl22)."""
     for w in (ZERO, TH1):
-        with pytest.raises(PreconditionViolated):
-            _inverse_power(E, 2, 3, w, Q(0), 1)
         with pytest.raises(PreconditionViolated):
             _LatticeSeries(_lattice(G), Q(2), Q(3)).divide(w, Q(0), 1)
     # a step whose depth drop outruns the headroom slope is refused as well
@@ -728,8 +759,9 @@ def test_lattice_keys_never_round():
 
 
 def test_character_caches_stay_bounded_over_d21a_sweep():
-    """Sweeping D(2,1;a) over 200 distinct values of a leaves every cache of
-    the characters and catalog modules at or under its bound."""
+    """Sweeping D(2,1;a) over 200 distinct values of a, and the boson
+    energies past the bound of their cache, leaves every cache of every
+    `wmin` module at or under its bound."""
     values = [(num, den) for num in range(1, 22) for den in range(1, 16)
               if math.gcd(num, den) == 1][:200]
     assert len(values) == 200
@@ -737,10 +769,15 @@ def test_character_caches_stay_bounded_over_d21a_sweep():
         g = catalog.d21a(num, den)
         _lattice(g)
         fns_series(g, 0, 1)
-    caches = [f for mod in (characters, catalog) for f in vars(mod).values()
+    for e in range(gram_lab.states_at_energy.cache_info().maxsize + 4):
+        gram_lab.states_at_energy(e)
+    mods = [importlib.import_module(f"wmin.{m.name}")
+            for m in pkgutil.iter_modules(wmin.__path__)]
+    caches = [f for mod in mods for f in vars(mod).values()
               if hasattr(f, "cache_info") and f.__module__ == mod.__name__]
-    assert len(caches) >= 5
-    assert catalog.lookup in caches and catalog._root_span_projection in caches
+    assert len(caches) >= 7
+    assert {catalog.lookup, catalog._root_span_projection, gram_lab.states_at_energy,
+            _lattice, _fns_cached} <= set(caches)
     for f in caches:
         info = f.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize, f
