@@ -16,6 +16,11 @@ wrapping `characters._orbit`, `characters._fns_cached` and
     kept_terms            denominator terms kept and merged by it
     warm_s, cold_s        the whole warm and cold calls
     out_terms             terms of the character
+    frame_s               a fresh build of the entry's frame of h^nat
+                          (`catalog._Lattice`, held as `CatalogEntry.lattice`),
+                          timed on its own; the cold call builds it once
+    caches                `cache_info()` of `catalog.lookup` and
+                          `characters._fns_cached` after the warm call
 
 The defaults are the G3 case: massive, k = -9/4, nu = (1, 1, 0), l0 = 1,
 q_max = 3, depth 6.
@@ -69,6 +74,7 @@ def main(argv=None):
             return out
         return wrapper
 
+    fns_cache = characters._fns_cached
     for name in ("_orbit", "_fns_cached", "_sum_pieces"):
         setattr(characters, name, timed(name, getattr(characters, name)))
 
@@ -84,6 +90,10 @@ def main(argv=None):
     _, cold_s, cold = request()
     out, warm_s, warm = request()
     fns_s, fns = cold["_fns_cached"]
+    caches = {f.__name__: f.cache_info()._asdict() for f in (catalog.lookup, fns_cache)}
+    t = time.perf_counter()
+    catalog._Lattice(catalog.lookup(g))
+    frame_s = time.perf_counter() - t
     print(json.dumps({
         "import_s": round(import_s, 4),
         "denominator_build_s": round(fns_s, 4),
@@ -95,6 +105,8 @@ def main(argv=None):
         "warm_s": round(warm_s, 4),
         "cold_s": round(cold_s, 4),
         "out_terms": out.n_terms(),
+        "frame_s": round(frame_s, 4),
+        "caches": caches,
     }))
 
 

@@ -14,13 +14,15 @@ arithmetic.  Entries are immutable; concurrent reads are safe.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd
-from typing import Iterable, Optional, Sequence
+from functools import cached_property, lru_cache
+from operator import mul
+from typing import Iterable, List, Optional, Sequence
 
-from .errors import CriticalLevel, IsotropicCoroot, ParameterOutOfRange
+from .errors import CriticalLevel, IsotropicCoroot, ParameterOutOfRange, PreconditionViolated
+from .rationals import format_rational
 
 Q = Fraction
 
@@ -96,7 +98,7 @@ class AlgebraId:
         if self.family == "D21a":
             if self.a_num <= 0 or self.a_den <= 0:
                 raise ParameterOutOfRange("D(2,1;a) needs a positive rational a")
-            if gcd(self.a_num, self.a_den) != 1:
+            if math.gcd(self.a_num, self.a_den) != 1:
                 raise ParameterOutOfRange("a_num/a_den must be reduced")
 
     @property
@@ -128,7 +130,7 @@ def osp4m(m: int) -> AlgebraId:
 
 
 def d21a(num: int, den: int = 1) -> AlgebraId:
-    g = gcd(num, den) if num > 0 and den > 0 else 1
+    g = math.gcd(num, den) if num > 0 and den > 0 else 1
     return AlgebraId("D21a", a_num=num // g, a_den=den // g)
 
 
@@ -189,8 +191,13 @@ class CatalogEntry:
     def restrict(self, v: Vec) -> Vec:
         """Canonical representative of the restriction of v to h^nat: the
         orthogonal projection onto the span of the roots of g^nat."""
-        rows = _root_span_projection(self.id)[0]
-        return Vec(sum(r[j] * v[j] for j in range(len(v))) for r in rows)
+        return Vec(sum(map(mul, r, v)) for r in self.lattice.proj)
+
+    @cached_property
+    def lattice(self) -> "_Lattice":
+        """The frame of h^nat (`_Lattice`), built on first use into the
+        instance `__dict__`; `lookup`'s bound is the frames' bound."""
+        return _Lattice(self)
 
     # -- level scalars ------------------------------------------------------
     def shifted_level(self, k) -> Fraction:
@@ -486,7 +493,7 @@ def lookup(aid: AlgebraId) -> CatalogEntry:
 
 
 # ---------------------------------------------------------------------------
-# restriction to h^nat
+# the frame of h^nat
 
 
 def _solve_exact(mat, rhs_cols):
@@ -506,23 +513,144 @@ def _solve_exact(mat, rhs_cols):
     return [row[r:w] for row in aug]
 
 
-@lru_cache(maxsize=64)
-def _root_span_projection(aid: AlgebraId) -> tuple:
-    """(projection rows, depth covector) from one exact solve.
+class _Lattice:
+    """The coordinates of h^nat for one catalog entry (`CatalogEntry.lattice`):
+    every character reads the restriction to h^nat and the depth through it.
 
-    The solve gives the coefficients c(v) of the projection of v on the
-    simple roots of g^nat; the projection is sum_i c_i(v) s_i, and the depth
-    covector is the coefficient sum, i.e. the column sums of c."""
-    entry = lookup(aid)
-    s = entry.simple_roots_natural
-    r, n = len(s), entry.n
-    gram_rel = [[entry.form(s[i], s[j]) for j in range(r)] for i in range(r)]
-    # rows of S*G: pairings of the coordinate basis against the simple roots
-    sg = [[entry.form(basis_vec(n, a), s[i]) for a in range(n)] for i in range(r)]
-    coeffs = _solve_exact(gram_rel, sg)  # r x n: c(v) = Grel^{-1} S G v
-    proj = [Vec(sum(s[i][a] * coeffs[i][j] for i in range(r)) for j in range(n))
-            for a in range(n)]
-    return proj, Vec(sum(col) for col in zip(*coeffs))
+    One exact solve of G, the Gram matrix of the simple roots s_i of g^nat,
+    against [S G | diag((s_i|s_i)/2)] gives both halves of the frame.  The
+    first n columns are the coefficients c(v) = G^{-1} S G v of the
+    orthogonal projection sum_i c_i(v) s_i of v onto the root span (`proj`,
+    read by `CatalogEntry.restrict`); their column sums are the depth
+    covector `depth_cov` (read by `depth_of`).  The last r columns X give
+    the basis omega_j = sum_i X_ij s_i dual to the simple coroots, as
+    (omega_j|s_k) = (G X)_kj = delta_jk (s_k|s_k)/2.
+
+    The kernel side.  Every weight that can enter a kernel key lies in
+    (1/denom) Z^n, where `denom` is the common denominator of the
+    coordinates of the positive roots of g^nat, of Delta', theta, xi,
+    rho^nat and of the projection rows.  The key of w is the int tuple
+    (scale * depth_of(0, w), denom * w_1, ..., denom * w_n) with scale =
+    denom times the common denominator of the depth covector, so a key
+    carries its depth as its first entry and adding keys adds weights and
+    depths alike.  `key` raises on a weight off the lattice and `q2` on an
+    exponent off (1/2) Z; nothing is rounded.
+
+    `slope` is the dip density s, the largest depth change per unit of q over
+    the denominator factors: |depth(alpha)| for the bosonic exponents
+    exp(+-alpha) (which cost q^n, n >= 1) and 2|depth(gamma)| for the odd ones
+    (which cost q^{1/2} and up).  `theta_depth` is the largest depth of a
+    component highest root; it bounds how far an orbit restriction can sit
+    above nu per unit of q_shift.
+
+    The orbit side, over the affine simple roots beta_i of g^nat, (alpha, 0)
+    for its simple roots and then (-theta_i, 1) for eta_i = delta - theta_i
+    as (finite part, delta coefficient): `coroots` gives <lam, beta_i^vee> as
+    a covector on (finite part, level) (`pairings`); `cartan[i][j]` =
+    <beta_i, beta_j^vee> is the affine Cartan matrix and `xd[i]` the pairing
+    of beta_i with x+d, all ints: g^nat is reductive, each simple component
+    with its untwisted affine root system, and rescaling a component's form
+    (u_i < 0 included) leaves its Cartan matrix unchanged; x+d pairs to 0
+    with the finite roots and to 1 with eta_i.  The constructor checks both
+    and raises, never rounds.  `span` maps simple-coroot pairings to weights
+    through the omega_i, so a weight's restriction to h^nat is `span` of its
+    pairings.
+    """
+
+    __slots__ = ("proj", "depth_cov", "denom", "scale", "cov", "slope", "theta_depth",
+                 "coroots", "cartan", "xd", "oden", "orows", "orho")
+
+    def __init__(self, entry: CatalogEntry):
+        s = entry.simple_roots_natural
+        r, n = len(s), entry.n
+        # rows of [S G | diag((s_i|s_i)/2)]: the pairings of the coordinate
+        # basis with s_i, then the half norm of s_i on the diagonal
+        rhs = [[entry.form(basis_vec(n, a), si) for a in range(n)]
+               + [entry.form(si, si) / 2 if i == j else Q(0) for j in range(r)]
+               for i, si in enumerate(s)]
+        sol = _solve_exact([[entry.form(a, b) for b in s] for a in s], rhs)
+        coeffs = [row[:n] for row in sol]  # r x n: c(v) = G^{-1} S G v
+        self.proj = tuple(Vec(sum(s[i][a] * coeffs[i][j] for i in range(r)) for j in range(n))
+                          for a in range(n))
+        self.depth_cov = Vec(sum(col) for col in zip(*coeffs))
+
+        vecs = [*entry.pos_roots_natural, *(g for g, _ in entry.delta_prime),
+                entry.theta, entry.xi, entry.rho_natural, *self.proj]
+        self.denom = math.lcm(*(c.denominator for v in vecs for c in v))
+        cden = math.lcm(*(c.denominator for c in self.depth_cov))
+        self.scale = self.denom * cden
+        # ints: scale * depth_of(0, w) = -sum(cov_i * denom * w_i)
+        self.cov = tuple((c * cden).numerator for c in self.depth_cov)
+
+        def depth(w):  # depth_of(0, w)
+            return -sum(map(mul, self.depth_cov, w), Q(0))
+
+        dips = [abs(depth(a)) for a in entry.pos_roots_natural]
+        dips += [2 * abs(depth(g)) for g, _ in entry.delta_prime]
+        self.slope = max(dips) if dips else Q(1)
+        self.theta_depth = max([depth(-1 * c.theta) for c in entry.components] + [Q(1)])
+
+        roots = [(a, Q(0)) for a in s] + [(-1 * c.theta, Q(1)) for c in entry.components]
+        norms = [entry.form(fin, fin) for fin, _ in roots]
+        self.coroots = tuple(([2 * entry.form(basis_vec(n, a), fin) / norm
+                               for a in range(n)], 2 * dc / norm)
+                             for (fin, dc), norm in zip(roots, norms))
+        self.cartan = tuple(self._ints(entry, "affine Cartan matrix row",
+                                       self.pairings(Q(0), fin)) for fin, _ in roots)
+        self.xd = self._ints(entry, "x+d pairings of the affine simple roots",
+                             [entry.form(fin, entry.theta) / 2 + dc for fin, dc in roots])
+        omegas = [sum((c * a for c, a in zip(col, s)), zero_vec(n))
+                  for col in zip(*(row[n:] for row in sol))]
+        self.oden = math.lcm(*(c.denominator for v in [*omegas, entry.rho_natural] for c in v))
+        self.orows = tuple(tuple((om[a] * self.oden).numerator for om in omegas)
+                           for a in range(n))
+        self.orho = tuple((c * self.oden).numerator for c in entry.rho_natural)
+
+    def pairings(self, level: Fraction, finite: Vec) -> List[Fraction]:
+        """<lam, beta_i^vee> over the affine simple roots, for
+        lam = level * Lambda_0 + finite (+ any multiple of delta): with
+        (Lambda_0|delta) = 1, (lam|beta) = (finite|beta_fin) + level * beta_delta."""
+        return [sum(map(mul, cov, finite)) + level * lc for cov, lc in self.coroots]
+
+    def span(self, ps: Sequence[int], L: int, rho: int = 0) -> Vec:
+        """sum_i (ps_i / L) omega_i - rho * rho^nat over the simple roots of
+        g^nat, reading the leading entries of ps."""
+        den = L * self.oden
+        return Vec(Q(sum(map(mul, ps, row)) - rho * L * r, den)
+                   for row, r in zip(self.orows, self.orho))
+
+    @staticmethod
+    def _ints(entry: CatalogEntry, what: str, xs: list) -> tuple:
+        if any(x.denominator != 1 for x in xs):
+            raise PreconditionViolated(f"{what} of {entry.id.label()} is not integral: "
+                                       f"({', '.join(map(format_rational, xs))})")
+        return tuple(x.numerator for x in xs)
+
+    def key(self, w: Vec, denom: Optional[int] = None) -> tuple:
+        """(depth, coordinates) of w as ints at scale `denom` (default the
+        kernel's D); the depth entry is denom * cov-denominator * depth_of(0, w),
+        which is `scale * depth_of(0, w)` at the default."""
+        denom = denom or self.denom
+        xs = []
+        for c in w:
+            x = c * denom
+            if x.denominator != 1:
+                raise PreconditionViolated(
+                    f"weight ({', '.join(map(format_rational, w))}) is off the "
+                    f"1/{denom} lattice of the denominator kernel")
+            xs.append(x.numerator)
+        return (-sum(map(mul, self.cov, xs)), *xs)
+
+    @staticmethod
+    def q2(c: Fraction) -> int:
+        """2c as an int."""
+        if (2 * c).denominator != 1:
+            raise PreconditionViolated(f"q exponent {format_rational(c)} is off (1/2)Z")
+        return (2 * c).numerator
+
+    def cap(self, depth: Fraction) -> int:
+        """The largest int depth of a key whose depth is at most `depth`."""
+        return math.floor(self.scale * depth)
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,17 @@ exactly at the q_shift window (its docstring argues that nothing is missed),
 with a hard cap of ORBIT_CAP elements, read at call time, that raises
 TruncationIncomplete when hit; both characters are one `_orbit_sum`.
 
-The orbit walk runs on int coordinates: each point is its tuple of pairings
-with the affine simple coroots, and a reflection is one row of the int
-affine Cartan matrix (`_Lattice`).  The NS denominator is built by an
-integer kernel (`_LatticeSeries`): q is stored as the int 2q, weights as int
-tuples scaled by one per-algebra common denominator (`_lattice`), each key
-led by its int depth, and every factor is applied to the running series in
-place inside a sloped window whose exactness argument is in the
-`_LatticeSeries` docstring.  Every factor (1 - sign q^c exp(w))^(-1), the
+Both the kernel and the orbit read one per-algebra frame of h^nat,
+`CatalogEntry.lattice` (`catalog._Lattice`, built once per catalog entry):
+the restriction to h^nat, the depth covector, the int lattice of the kernel
+keys and the int affine Cartan matrix.  The orbit walk runs on int
+coordinates: each point is its tuple of pairings with the affine simple
+coroots, and a reflection is one row of that Cartan matrix.  The NS
+denominator is built by an integer kernel (`_LatticeSeries`): q is stored
+as the int 2q, weights as int tuples scaled by the frame's common
+denominator, each key led by its int depth, and every factor is applied to
+the running series in place inside a sloped window whose exactness argument
+is in the `_LatticeSeries` docstring.  Every factor (1 - sign q^c exp(w))^(-1), the
 denominator's own, the isotropic corrections of the massless sum and the
 fermionic factors of the N=4 closed form, is expanded by that kernel's one
 `divide`.
@@ -46,8 +49,7 @@ from functools import lru_cache
 from operator import add, mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .catalog import (AlgebraId, CatalogEntry, Vec, _root_span_projection, _solve_exact,
-                      basis_vec, lookup, zero_vec)
+from .catalog import AlgebraId, CatalogEntry, Vec, _Lattice, lookup, zero_vec
 from .errors import (IndexOutOfRange, NonDominant, PreconditionViolated,
                      TruncationIncomplete, UnsupportedD21a)
 from .rationals import format_rational, solve_quadratic_rational
@@ -57,175 +59,13 @@ Q = Fraction
 
 
 # ---------------------------------------------------------------------------
-# affine weights
-
-
-@dataclass(frozen=True)
-class AffineWeight:
-    """level * Lambda_0 + finite + delta_coeff * delta."""
-
-    level: Fraction
-    finite: Vec
-    delta_coeff: Fraction
-
-    def x_plus_d(self, entry: CatalogEntry) -> Fraction:
-        return entry.form(self.finite, entry.theta) / 2 + self.delta_coeff
-
-
-def nu_hat_plus_rho(entry: CatalogEntry, k, nu: Vec, h) -> AffineWeight:
-    """nu_hat_h + rho_hat.  Only pairings against the affine system of g^nat
-    are ever taken, so rho_hat enters through rho^nat and its theta-component
-    (rho|theta) = h_vee - 1."""
-    fin = nu + entry.rho_natural + (Q(h) + Q(entry.h_vee - 1, 2)) * entry.theta
-    return AffineWeight(Q(k) + entry.h_vee, fin, Q(0))
-
-
-def iso_simple_affine(entry: CatalogEntry) -> List[AffineWeight]:
-    """The isotropic simple roots as affine weights: each restricts to -xi on
-    h^nat and pairs to 1/2 with x+d."""
-    a = AffineWeight(Q(0), Q(1, 2) * entry.theta - entry.xi, Q(0))
-    return [a] * entry.iso_simple_count
-
-
-def _affine_simple_roots(entry: CatalogEntry) -> List[Tuple[Vec, Fraction]]:
-    """(finite part, delta coefficient) of the affine simple roots of g^nat:
-    (alpha, 0) for its simple roots, then (-theta_i, 1) for eta_i."""
-    return ([(a, Q(0)) for a in entry.simple_roots_natural]
-            + [(-1 * c.theta, Q(1)) for c in entry.components])
-
-
-# ---------------------------------------------------------------------------
 # depth functional
 
 
 def depth_of(entry: CatalogEntry, ref: Vec, w: Vec) -> Fraction:
-    """Depth of w relative to ref: the depth covector dotted with ref - w."""
-    cov = _root_span_projection(entry.id)[1]
-    return sum(map(mul, cov, ref - w), Q(0))
-
-
-class _Lattice:
-    """Per-algebra integer coordinates of the denominator kernel.
-
-    Every weight that can enter a kernel key lies in (1/denom) Z^n, where
-    `denom` is the common denominator of the coordinates of the positive roots
-    of g^nat, of Delta', theta, xi, rho^nat and of the projection rows.  The
-    key of w is the int tuple (scale * depth_of(0, w), denom * w_1, ...,
-    denom * w_n) with scale = denom times the common denominator of the depth
-    covector, so a key carries its depth as its first entry and adding keys
-    adds weights and depths alike.  `key` raises on a weight off the lattice
-    and `q2` on an exponent off (1/2) Z; nothing is rounded.
-
-    `slope` is the dip density s, the largest depth change per unit of q over
-    the denominator factors: |depth(alpha)| for the bosonic exponents
-    exp(+-alpha) (which cost q^n, n >= 1) and 2|depth(gamma)| for the odd ones
-    (which cost q^{1/2} and up).  `theta_depth` is the largest depth of a
-    component highest root; it bounds how far an orbit restriction can sit
-    above nu per unit of q_shift.
-
-    The orbit side, over the affine simple roots beta_i of g^nat
-    (`_affine_simple_roots`): `coroots` gives <lam, beta_i^vee> as a covector
-    on (finite part, level) (`pairings`); `cartan[i][j]` = <beta_i, beta_j^vee>
-    is the affine Cartan matrix and `xd[i]` the pairing of beta_i with x+d,
-    all ints: g^nat is reductive, each simple component with its untwisted
-    affine root system, and rescaling a component's form (u_i < 0 included)
-    leaves its Cartan matrix unchanged; x+d pairs to 0 with the finite roots
-    and to 1 with eta_i.  The constructor checks both and raises, never
-    rounds.  `span` maps simple-coroot pairings to weights through the basis
-    omega_i of the root span of g^nat dual to the simple coroots, so a
-    weight's restriction to h^nat (the orthogonal projection onto that span)
-    is `span` of its pairings.
-    """
-
-    __slots__ = ("denom", "scale", "cov", "slope", "theta_depth", "coroots", "cartan",
-                 "xd", "oden", "orows", "orho")
-
-    def __init__(self, aid: AlgebraId):
-        entry = lookup(aid)
-        proj, cov = _root_span_projection(aid)
-        vecs = [*entry.pos_roots_natural, *(g for g, _ in entry.delta_prime),
-                entry.theta, entry.xi, entry.rho_natural, *proj]
-        self.denom = math.lcm(*(c.denominator for v in vecs for c in v))
-        cden = math.lcm(*(c.denominator for c in cov))
-        self.scale = self.denom * cden
-        # ints: scale * depth_of(0, w) = -sum(cov_i * denom * w_i)
-        self.cov = tuple((c * cden).numerator for c in cov)
-        zero = zero_vec(entry.n)
-        dips = [abs(depth_of(entry, zero, a)) for a in entry.pos_roots_natural]
-        dips += [2 * abs(depth_of(entry, zero, g)) for g, _ in entry.delta_prime]
-        self.slope = max(dips) if dips else Q(1)
-        self.theta_depth = max([depth_of(entry, zero, -1 * c.theta)
-                                for c in entry.components] + [Q(1)])
-
-        roots = _affine_simple_roots(entry)
-        norms = [entry.form(fin, fin) for fin, _ in roots]
-        self.coroots = tuple(([2 * entry.form(basis_vec(entry.n, a), fin) / norm
-                               for a in range(entry.n)], 2 * dc / norm)
-                             for (fin, dc), norm in zip(roots, norms))
-        self.cartan = tuple(self._ints(entry, "affine Cartan matrix row",
-                                       self.pairings(Q(0), fin)) for fin, _ in roots)
-        self.xd = self._ints(entry, "x+d pairings of the affine simple roots",
-                             [entry.form(fin, entry.theta) / 2 + dc for fin, dc in roots])
-        s = entry.simple_roots_natural
-        dual = _solve_exact([[entry.form(a, b) for b in s] for a in s],
-                            [[entry.form(a, a) / 2 if i == j else Q(0) for j in range(len(s))]
-                             for i, a in enumerate(s)])
-        omegas = [sum((c * a for c, a in zip(col, s)), zero) for col in zip(*dual)]
-        self.oden = math.lcm(*(c.denominator for v in [*omegas, entry.rho_natural] for c in v))
-        self.orows = tuple(tuple((om[a] * self.oden).numerator for om in omegas)
-                           for a in range(entry.n))
-        self.orho = tuple((c * self.oden).numerator for c in entry.rho_natural)
-
-    def pairings(self, level: Fraction, finite: Vec) -> List[Fraction]:
-        """<lam, beta_i^vee> over the affine simple roots, for
-        lam = level * Lambda_0 + finite (+ any multiple of delta): with
-        (Lambda_0|delta) = 1, (lam|beta) = (finite|beta_fin) + level * beta_delta."""
-        return [sum(map(mul, cov, finite)) + level * lc for cov, lc in self.coroots]
-
-    def span(self, ps: Sequence[int], L: int, rho: int = 0) -> Vec:
-        """sum_i (ps_i / L) omega_i - rho * rho^nat over the simple roots of
-        g^nat, reading the leading entries of ps."""
-        den = L * self.oden
-        return Vec(Q(sum(map(mul, ps, row)) - rho * L * r, den)
-                   for row, r in zip(self.orows, self.orho))
-
-    @staticmethod
-    def _ints(entry: CatalogEntry, what: str, xs: list) -> tuple:
-        if any(x.denominator != 1 for x in xs):
-            raise PreconditionViolated(f"{what} of {entry.id.label()} is not integral: "
-                                       f"({', '.join(map(format_rational, xs))})")
-        return tuple(x.numerator for x in xs)
-
-    def key(self, w: Vec, denom: Optional[int] = None) -> tuple:
-        """(depth, coordinates) of w as ints at scale `denom` (default the
-        kernel's D); the depth entry is denom * cov-denominator * depth_of(0, w),
-        which is `scale * depth_of(0, w)` at the default."""
-        denom = denom or self.denom
-        xs = []
-        for c in w:
-            x = c * denom
-            if x.denominator != 1:
-                raise PreconditionViolated(
-                    f"weight ({', '.join(map(format_rational, w))}) is off the "
-                    f"1/{denom} lattice of the denominator kernel")
-            xs.append(x.numerator)
-        return (-sum(map(mul, self.cov, xs)), *xs)
-
-    @staticmethod
-    def q2(c: Fraction) -> int:
-        """2c as an int."""
-        if (2 * c).denominator != 1:
-            raise PreconditionViolated(f"q exponent {format_rational(c)} is off (1/2)Z")
-        return (2 * c).numerator
-
-    def cap(self, depth: Fraction) -> int:
-        """The largest int depth of a key whose depth is at most `depth`."""
-        return math.floor(self.scale * depth)
-
-
-@lru_cache(maxsize=64)
-def _lattice(aid: AlgebraId) -> _Lattice:
-    return _Lattice(aid)
+    """Depth of w relative to ref: the depth covector of the entry's frame
+    dotted with ref - w."""
+    return sum(map(mul, entry.lattice.depth_cov, ref - w), Q(0))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +138,16 @@ class QWSeries:
                 self.add_term(q, w if wt is None else w + wt, sign * c)
 
     def truncated(self, q_max, depth, ref: Optional[Vec] = None) -> "QWSeries":
-        out = QWSeries(self.entry, q_max, depth, self.ref if ref is None else ref)
+        """This series cut to (q_max, depth) around ref (default self.ref).
+        Depth is linear, so that window lies inside this series' exactly when
+        q_max <= self.q_max and depth + depth_of(self.ref, ref) <= self.depth;
+        any other window raises PreconditionViolated rather than return
+        terms this series never kept."""
+        ref = self.ref if ref is None else ref
+        if Q(q_max) > self.q_max or Q(depth) + depth_of(self.entry, self.ref, ref) > self.depth:
+            raise PreconditionViolated(f"window ({q_max}, {depth}) around ref is not inside "
+                                       f"the series' ({self.q_max}, {self.depth})")
+        out = QWSeries(self.entry, q_max, depth, ref)
         out.accumulate(self)
         return out
 
@@ -463,7 +312,7 @@ def _sum_pieces(out: QWSeries, heads: Sequence[Tuple[Vec, Fraction, int]],
     ceiling and one int depth cap (dcap - depth entry of its head) // f.
     Only the nonzero sums become `Fraction` exponents and `Vec` weights,
     each once."""
-    lat = _lattice(out.entry.id)
+    lat = out.entry.lattice
     qden = math.lcm(2, *(ell.denominator for _, ell, _ in heads))
     wden = math.lcm(lat.denom, *(c.denominator for wt, _, _ in heads for c in wt))
     half, f = qden // 2, wden // lat.denom
@@ -511,8 +360,9 @@ def _ns_factors(entry: CatalogEntry, q_max: Fraction):
 def _fns_cached(aid: AlgebraId, q_max: Fraction, depth: Fraction) -> _LatticeSeries:
     """The NS denominator in the sloped window (q_max, depth + s(q_max - q)),
     built factor by factor in place over int keys."""
-    out = _LatticeSeries(_lattice(aid), q_max, depth)
-    for w, c, odd in _ns_factors(lookup(aid), q_max):
+    entry = lookup(aid)
+    out = _LatticeSeries(entry.lattice, q_max, depth)
+    for w, c, odd in _ns_factors(entry, q_max):
         if odd:
             out.times(w, c)
         else:
@@ -577,8 +427,8 @@ class OrbitElement:
     restriction: Vec            # (w.nu_hat_h) restricted to h^nat
     det: int
     q_shift: Fraction
-    iso_images: tuple           # (restriction to h^nat, x+d) of the images of the
-                                # isotropic simple roots (massless)
+    iso_images: tuple           # ((restriction to h^nat, x+d),) of the image of the
+                                # isotropic simple roots, all alike (massless)
 
 
 ORBIT_CAP = 10 ** 6  # orbit elements seen before TruncationIncomplete is raised
@@ -599,16 +449,19 @@ def _orbit(entry: CatalogEntry, k: Fraction, nu: Vec, q_shift_limit: Fraction,
     """Breadth-first shifted-orbit enumeration: the elements with
     q_shift <= limit, walked on int pairing coordinates.
 
-    No h.  nu_hat_h + rho_hat depends on h only through h * theta, and theta
-    is orthogonal to every root of g^nat and to each theta_i (g^nat is the
-    centralizer of the sl2 triple of theta), so h * theta pairs to 0 with
-    every affine simple coroot of g^nat.  The pairings, hence the walk, the
-    restrictions to h^nat and the drops of x+d, are the same for every h;
-    the walk starts from h = 0.
+    No h.  theta pairs to 0 with every affine simple coroot of g^nat (g^nat
+    centralizes the sl2 triple of theta, so theta is orthogonal to its roots
+    and to each theta_i).  lam0 = nu_hat_h + rho_hat has finite part
+    nu + rho^nat plus multiples of theta (h theta, and rho's theta-component
+    (rho|theta) = h_vee - 1), so it pairs as (k + h_vee) Lambda_0 + nu +
+    rho^nat for every h.  The `iso_simple_count` isotropic simple roots all
+    pair as level 0 with finite part theta/2 - xi (they restrict to -xi),
+    x+d = (theta/2 - xi|theta)/2: their images coincide, so one block is
+    tracked and `_orbit_sum` divides by its factor that many times.
 
-    Coordinates.  A point x, the image of lam0 = nu_hat+rho_hat or, when
-    tracked, of an isotropic simple root, is a block of ints: L times its
-    pairings <x, beta_j^vee> with the affine simple coroots (`_Lattice`),
+    Coordinates.  A point x, the image of lam0 or, when tracked, of the
+    isotropic simple roots, is a block of ints: L times its pairings
+    <x, beta_j^vee> with the affine simple coroots (`CatalogEntry.lattice`),
     L the common denominator of those of the starting points, then L times
     the drop of x+d since the start.  As s_i(x) = x - <x, beta_i^vee> beta_i,
     a reflection is p_j -= p_i * cartan[i][j] on the pairings and adds
@@ -622,7 +475,7 @@ def _orbit(entry: CatalogEntry, k: Fraction, nu: Vec, q_shift_limit: Fraction,
     affine weights: the finite-root pairings fix the projection of the
     finite part on the root span of g^nat, the orthogonal part and the level
     never change, and the x+d drop then fixes the delta coefficient.  So the
-    BFS visits the points the `AffineWeight` walk visited, in the same order.
+    BFS visits the points its `Fraction` test oracle visits, in that order.
     (At a noncritical level the drop adds no distinction: the pairings fix
     lam modulo delta and (lam|lam) fixes its delta part; for an isotropic
     image, u.b = b + m delta with u in the stabilizer of lam, a finite
@@ -648,23 +501,22 @@ def _orbit(entry: CatalogEntry, k: Fraction, nu: Vec, q_shift_limit: Fraction,
     So fold, stabilizer, then a reduced word reach every element with
     shift <= limit through points with shift <= max(limit, 0).
     """
-    lat = _lattice(entry.id)
-    lam0 = nu_hat_plus_rho(entry, k, nu, Q(0))
-    iso0 = iso_simple_affine(entry) if track_iso else []
-    starts = [lat.pairings(x.level, x.finite) for x in [lam0, *iso0]]
+    lat = entry.lattice
+    iso = Q(1, 2) * entry.theta - entry.xi
+    starts = [lat.pairings(k + entry.h_vee, nu + entry.rho_natural)]
+    if track_iso:
+        starts.append(lat.pairings(Q(0), iso))
+    xd0 = entry.form(iso, entry.theta) / 2
     L = math.lcm(*(p.denominator for ps in starts for p in ps))
     width = len(lat.cartan) + 1
     rows = [(*a, -x) for a, x in zip(lat.cartan, lat.xd)]
     limit = math.floor(q_shift_limit * L)
     reach = max(limit, 0)
 
-    xd0 = [b.x_plus_d(entry) for b in iso0]
-
     def element(state: tuple, det: int) -> OrbitElement:
-        iso = tuple((lat.span(state[o:o + width], L), x - Q(state[o + width - 1], L))
-                    for o, x in zip(range(width, len(state), width), xd0))
+        images = ((lat.span(state[width:], L), xd0 - Q(state[-1], L)),) if track_iso else ()
         return OrbitElement(lat.span(state, L, rho=1), det,
-                            Q(state[width - 1], L), iso)
+                            Q(state[width - 1], L), images)
 
     state = tuple(x for ps in starts for x in (*((p * L).numerator for p in ps), 0))
     seen = {state}
@@ -719,8 +571,9 @@ def _orbit_sum(entry: CatalogEntry, k: Fraction, nu: Vec, l0: Fraction,
     `_sum_pieces`: each orbit element gets one q ceiling and one int depth
     cap, the kept terms are merged over int keys, and only the output terms
     become `Fraction` keys.  With track_iso each piece is a copy of
-    the denominator divided in place by its isotropic corrections
-    (1 + q^c exp(w))^(-1), whose negative exponents c are flipped exactly."""
+    the denominator divided in place by its isotropic correction
+    (1 + q^c exp(w))^(-1), once per isotropic simple root (their images
+    coincide, see `_orbit`); negative exponents c are flipped exactly."""
     out = QWSeries(entry, q_max, depth, nu)
     window = q_max - l0
     if window < 0:
@@ -732,14 +585,15 @@ def _orbit_sum(entry: CatalogEntry, k: Fraction, nu: Vec, l0: Fraction,
     # up to q = window - q_shift, so the series reaches that far.
     orbit = _orbit(entry, k, nu, window, track_iso)
     reach = window - min([Q(0)] + [el.q_shift for el in orbit])
-    fns = _fns_cached(entry.id, reach, depth + window * _lattice(entry.id).theta_depth)
+    fns = _fns_cached(entry.id, reach, depth + window * entry.lattice.theta_depth)
 
     def piece(el: OrbitElement) -> _LatticeSeries:
         if not el.iso_images:
             return fns
         div = fns.copy()
         for restr, xd in el.iso_images:
-            div.divide(-1 * restr, xd, -1)
+            for _ in range(entry.iso_simple_count):
+                div.divide(-1 * restr, xd, -1)
         return div
 
     _sum_pieces(out, [(el.restriction, l0 + el.q_shift, el.det) for el in orbit],

@@ -1,6 +1,8 @@
+import gc
 import importlib
 import math
 import pkgutil
+from dataclasses import dataclass
 from fractions import Fraction as Q
 
 import pytest
@@ -9,13 +11,11 @@ from hypothesis import strategies as st
 
 import wmin
 from wmin import catalog, characters, gram_lab
-from wmin.catalog import Vec, lookup, zero_vec
-from wmin.characters import (AffineWeight, QWSeries, _fns_cached, _lattice, _Lattice,
-                             _LatticeSeries, _ns_factors, _orbit,
+from wmin.catalog import Vec, _Lattice, lookup, zero_vec
+from wmin.characters import (QWSeries, _fns_cached, _LatticeSeries, _ns_factors, _orbit,
                              character_massive, character_massless, depth_of,
-                             ell_of_h, fns_series, h_pair, iso_simple_affine,
-                             n4_closed_form, nu_hat_plus_rho, series_from_records,
-                             verma_character, weyl_orbit)
+                             ell_of_h, fns_series, h_pair, n4_closed_form,
+                             series_from_records, verma_character, weyl_orbit)
 from wmin.errors import (NonDominant, PreconditionViolated, TruncationIncomplete,
                          UnsupportedD21a)
 from wmin.levels import enumerate_unitary_k
@@ -119,6 +119,36 @@ def test_weyl_orbit_contract():
         weyl_orbit(G, -3, 2 * TH1, 0, 4)
 
 
+# ---------------------------------------------------------------------------
+# the orbit oracles: affine weights as `Fraction` data
+
+
+@dataclass(frozen=True)
+class AffineWeight:
+    """level * Lambda_0 + finite + delta_coeff * delta."""
+
+    level: Q
+    finite: Vec
+    delta_coeff: Q
+
+    def x_plus_d(self, entry):
+        return entry.form(self.finite, entry.theta) / 2 + self.delta_coeff
+
+
+def nu_hat_plus_rho(entry, k, nu, h):
+    """nu_hat_h + rho_hat.  Only pairings against the affine system of g^nat
+    are ever taken, so rho_hat enters through rho^nat and its theta-component
+    (rho|theta) = h_vee - 1."""
+    fin = nu + entry.rho_natural + (Q(h) + Q(entry.h_vee - 1, 2)) * entry.theta
+    return AffineWeight(Q(k) + entry.h_vee, fin, Q(0))
+
+
+def iso_simple_affine(entry):
+    """The `iso_simple_count` isotropic simple roots as affine weights: each
+    restricts to -xi on h^nat and pairs to 1/2 with x+d."""
+    return [AffineWeight(Q(0), Q(1, 2) * entry.theta - entry.xi, Q(0))] * entry.iso_simple_count
+
+
 def _words_orbit(entry, k, nu, h, length, track_iso):
     """Every state reached from nu_hat+rho_hat (and, when tracked, the
     isotropic simple roots) by words of at most `length` simple reflections,
@@ -168,7 +198,9 @@ def test_orbit_pruning_misses_nothing(track_iso):
     reaches is in `_orbit`'s output, with the same restriction, det and
     shift.  Integer limits put elements exactly at the limit, whose finite
     reflections keep the shift, so those must still be expanded; limit -1
-    holds the shift -1 elements of the extremal spo2m(3) weights."""
+    holds the shift -1 elements of the extremal spo2m(3) weights.  `_orbit`
+    tracks one isotropic image for the `iso_simple_count` identical ones of
+    the words, so its image is repeated that often."""
     for g, k, labels, length in ORBIT_CASES:
         e = lookup(g)
         nu = e.nu_from_labels(labels)
@@ -176,7 +208,7 @@ def test_orbit_pruning_misses_nothing(track_iso):
         base = nu_hat_plus_rho(e, k, nu, h).x_plus_d(e)
         words = _words_orbit(e, k, nu, h, length, track_iso)
         for limit in (Q(-1), Q(0), Q(1), Q(2)):
-            got = {(el.restriction, el.det, el.q_shift, el.iso_images)
+            got = {(el.restriction, el.det, el.q_shift, el.iso_images * e.iso_simple_count)
                    for el in _orbit(e, k, nu, limit, track_iso)}
             for (lam, *iso), det in words.items():
                 shift = base - lam.x_plus_d(e)
@@ -230,13 +262,14 @@ def test_int_orbit_equals_affine_weight_walk(track_iso):
     list: the same elements in the same order, with the same restriction,
     det, shift and isotropic images.  The reference walks from
     h = (xi|nu) != 0 and `_orbit` from h = 0, so this also pins that the
-    orbit does not depend on h."""
+    orbit does not depend on h; the reference walks every isotropic simple
+    root and `_orbit` one, so this pins that their images stay identical."""
     for g, k, labels, _ in ORBIT_CASES:
         e = lookup(g)
         nu = e.nu_from_labels(labels)
         h = e.form(e.xi, nu)
         for limit in (Q(-1), Q(0), Q(1), Q(5, 2)):
-            got = [(el.restriction, el.det, el.q_shift, el.iso_images)
+            got = [(el.restriction, el.det, el.q_shift, el.iso_images * e.iso_simple_count)
                    for el in _orbit(e, k, nu, limit, track_iso)]
             assert got == _reference_orbit(e, k, nu, h, limit, track_iso), \
                 (g.label(), k, labels, limit)
@@ -364,6 +397,27 @@ def test_truncation_coherence():
     assert big.truncated(4, 6) == small
     f_big = fns_series(G, 4, 8).truncated(3, 5)
     assert f_big == fns_series(G, 3, 5)
+
+
+def test_truncated_refuses_a_window_it_cannot_fill():
+    """A window reaching past the series' own, in q or in depth, would hold
+    terms the series never kept: `truncated` raises rather than return them
+    missing under the wider labels."""
+    f = fns_series(G, 2, 4)
+    for q_max, dep, ref in [(3, 5, None), (3, 4, None), (2, 5, None),
+                            (Q(5, 2), 0, None), (2, Q(7, 2), -1 * TH1)]:
+        with pytest.raises(PreconditionViolated, match="not inside"):
+            f.truncated(q_max, dep, ref)
+
+
+def test_truncated_accepts_a_shifted_ref():
+    """Depth is linear: around ref = theta_1 (depth -1 from 0) depth 5 is
+    the window depth 4 around 0, and around -theta_1 depth 3 is; both lie
+    inside the (2, 4) series and cut nothing from it."""
+    f = fns_series(G, 2, 4)
+    assert f.truncated(2, 5, TH1) == f
+    assert f.truncated(2, 3, -1 * TH1) == f
+    assert f.truncated(2, 2, TH1) == fns_series(G, 2, 1)
 
 
 def test_fns_other_families_smoke():
@@ -534,7 +588,7 @@ def test_inverse_power_depth_bounded_geometric():
 
 
 def _check_inverse_power(w, c, sign, power, qm, dep=Q(3)):
-    lat = _lattice(G)
+    lat = E.lattice
     step_w, step_c = (-1 * w, -c) if c < 0 else (w, c)
     d = depth_of(E, ZERO, step_w)
     # product terms at depth <= dep read kernel terms down to dep + power*|d|;
@@ -588,7 +642,7 @@ def _reference_fns(g, q_max, depth, extra=()):
     dips = [abs(depth_of(e, zero, a)) for a in e.pos_roots_natural]
     dips += [2 * abs(depth_of(e, zero, gma)) for gma, _ in e.delta_prime]
     s = max(dips) if dips else Q(1)
-    assert _lattice(g).slope == s
+    assert e.lattice.slope == s
 
     def series(triples):
         acc = {}
@@ -699,7 +753,7 @@ def test_affine_cartan_matrix_is_integral(g):
     2 on the diagonal, non-positive off it, equal to the `Fraction` pairing;
     x+d pairs to 0 with the finite roots and to 1 with each eta_i."""
     e = lookup(g)
-    lat = _lattice(g)
+    lat = e.lattice
     roots = ([(a, Q(0)) for a in e.simple_roots_natural]
              + [(-1 * c.theta, Q(1)) for c in e.components])
     assert len(lat.cartan) == len(roots)
@@ -710,6 +764,27 @@ def test_affine_cartan_matrix_is_integral(g):
     assert all(row[i] == 2 for i, row in enumerate(lat.cartan))
     assert all(a <= 0 for i, row in enumerate(lat.cartan) for j, a in enumerate(row) if i != j)
     assert lat.xd == (0,) * len(e.simple_roots_natural) + (1,) * len(e.components)
+
+
+@given(FAMILY_IDS, st.data())
+@settings(max_examples=50, deadline=None)
+def test_frame_solve_restricts_and_measures_depth(g, data):
+    """Both halves of the frame's one stacked solve, read back: the
+    projection half restricts v orthogonally onto the root span of g^nat and
+    equals `span` of v's simple-coroot pairings, which reads the dual-basis
+    half; the depth covector, the projection coefficients summed, gives
+    every simple root of g^nat depth -1."""
+    e = lookup(g)
+    lat = e.lattice
+    v = Vec(data.draw(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6),
+                               min_size=e.n, max_size=e.n)))
+    ps = lat.pairings(Q(0), v)[:len(e.simple_roots_natural)]
+    L = math.lcm(*(p.denominator for p in ps))
+    got = e.restrict(v)
+    assert got == lat.span([(p * L).numerator for p in ps], L)
+    for a in e.simple_roots_natural:
+        assert e.form(v - got, a) == 0
+        assert depth_of(e, zero_vec(e.n), a) == -1
 
 
 def test_lattice_raises_on_a_non_integral_pairing():
@@ -725,7 +800,7 @@ def test_denominator_steps_never_raise_the_margin(g, q2_max):
     depth + s(q_max - q) - depth(w_term) by -(s c + depth(w)) <= 0 and a term
     that is cut once stays cut."""
     e = lookup(g)
-    s = _lattice(g).slope
+    s = e.lattice.slope
     factors = _ns_factors(e, Q(q2_max, 2))
     assert factors or q2_max == 0 and not e.pos_roots_natural
     for w, c, _ in factors:
@@ -739,14 +814,14 @@ def test_q0_factor_needs_positive_depth():
     raises instead of looping (w = 0 and w = +theta_1 on psl22)."""
     for w in (ZERO, TH1):
         with pytest.raises(PreconditionViolated):
-            _LatticeSeries(_lattice(G), Q(2), Q(3)).divide(w, Q(0), 1)
+            _LatticeSeries(E.lattice, Q(2), Q(3)).divide(w, Q(0), 1)
     # a step whose depth drop outruns the headroom slope is refused as well
     with pytest.raises(PreconditionViolated):
-        _LatticeSeries(_lattice(G), Q(2), Q(3)).divide(4 * TH1, Q(1, 2), 1)
+        _LatticeSeries(E.lattice, Q(2), Q(3)).divide(4 * TH1, Q(1, 2), 1)
 
 
 def test_lattice_keys_never_round():
-    lat = _lattice(G)
+    lat = E.lattice
     assert Vec(Q(x, lat.denom) for x in lat.key(XI - TH1)[1:]) == XI - TH1
     assert lat.key(XI)[0] == -2  # depth(xi) = -1/2, times scale 4
     # at scale 2D the key of xi/2 is the key of xi at D, depth entry included
@@ -761,13 +836,16 @@ def test_lattice_keys_never_round():
 def test_character_caches_stay_bounded_over_d21a_sweep():
     """Sweeping D(2,1;a) over 200 distinct values of a, and the boson
     energies past the bound of their cache, leaves every cache of every
-    `wmin` module at or under its bound."""
+    `wmin` module at or under its bound.  `lookup` is the only per-algebra
+    cache: the frames (`_Lattice`) still alive afterwards are at most those
+    held by its entries and by the cached denominator series, so no hidden
+    cache keeps the 200 frames of the sweep."""
     values = [(num, den) for num in range(1, 22) for den in range(1, 16)
               if math.gcd(num, den) == 1][:200]
     assert len(values) == 200
     for num, den in values:
         g = catalog.d21a(num, den)
-        _lattice(g)
+        assert lookup(g).lattice is lookup(g).lattice
         fns_series(g, 0, 1)
     for e in range(gram_lab.states_at_energy.cache_info().maxsize + 4):
         gram_lab.states_at_energy(e)
@@ -775,12 +853,14 @@ def test_character_caches_stay_bounded_over_d21a_sweep():
             for m in pkgutil.iter_modules(wmin.__path__)]
     caches = [f for mod in mods for f in vars(mod).values()
               if hasattr(f, "cache_info") and f.__module__ == mod.__name__]
-    assert len(caches) >= 7
-    assert {catalog.lookup, catalog._root_span_projection, gram_lab.states_at_energy,
-            _lattice, _fns_cached} <= set(caches)
+    assert len(caches) >= 5
+    assert {catalog.lookup, gram_lab.states_at_energy, _fns_cached} <= set(caches)
     for f in caches:
         info = f.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize, f
+    gc.collect()
+    frames = sum(1 for o in gc.get_objects() if isinstance(o, _Lattice))
+    assert frames <= catalog.lookup.cache_info().maxsize + _fns_cached.cache_info().maxsize
 
 
 # ---------------------------------------------------------------------------
