@@ -25,11 +25,12 @@ wrapping `characters._orbit`, `characters._fns_cached` and
 The defaults are the G3 case: massive, k = -9/4, nu = (1, 1, 0), l0 = 1,
 q_max = 3, depth 6.
 
-    python3 scripts/stage_times.py
+    python3 scripts/stage_times.py --g G3 --k -9/4
     python3 scripts/stage_times.py --g psl22 --k -3 --nu 0,0,1/2,-1/2 --massless --qmax 4 --depth 6
 """
 import argparse
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -39,6 +40,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    # read "-9/4" as a value, not a flag, as `wmin.cli` does; importing that
+    # here would import wmin.characters before `import_s` times it
+    ap._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
     ap.add_argument("--g", default="G3", help="family, with --m or --a where it needs one")
     ap.add_argument("--m", type=int, default=0)
     ap.add_argument("--a", default="1", help="D21a parameter, a rational")

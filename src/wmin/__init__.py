@@ -12,8 +12,8 @@ from .levels import (LevelData, central_charge, central_charge_alt,
                      enumerate_unitary_k, level_data, unitarity_range_contains)
 from .rationals import GaussianRational, format_rational, parse_rational
 from .unitarity import (UnitarityVerdict, decide, h_even, h_odd, sign2_scan)
-from .weights import (A_bound, A_explicit, B_bound, HighestWeight,
-                      enumerate_P_plus_k, in_P_plus_k, is_extremal)
+from .weights import (A_bound, A_explicit, B_bound, enumerate_P_plus_k,
+                      in_P_plus_k, is_extremal)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -228,19 +228,6 @@ class CatalogEntry:
     def weyl_reflect(self, v: Vec, alpha: Vec) -> Vec:
         return v - self.coroot_pairing(v, alpha) * alpha
 
-    def finite_weyl_orbit(self, v: Vec) -> set:
-        """Orbit of v under the finite Weyl group of g^nat."""
-        seen = {v}
-        frontier = [v]
-        while frontier:
-            w = frontier.pop()
-            for a in self.simple_roots_natural:
-                w2 = self.weyl_reflect(w, a)
-                if w2 not in seen:
-                    seen.add(w2)
-                    frontier.append(w2)
-        return seen
-
     def nu_from_labels(self, labels: Sequence) -> Vec:
         """Family-specific highest-weight labels -> coordinate vector.
 

@@ -5,8 +5,8 @@ rational exponents e and weight vectors w in the coordinate basis of the
 algebra.  Truncation keeps e <= q_max and keeps weights within a depth window
 measured from a reference weight: the depth of w is the coefficient sum of
 (ref - w) expanded on the simple roots of g^nat (projection thereon; any
-component orthogonal to the root span does not count).  Both cuts are ideals
-for the ring operations, so truncated arithmetic is exact within the window.
+component orthogonal to the root span does not count).  A QWSeries is the
+published value of a character: it is read and cut, never added to.
 
 The character sums run over the affine Weyl group generated by the
 reflections in the simple roots of g^nat and in eta_i = delta - theta_i,
@@ -30,11 +30,11 @@ denominator's own, the isotropic corrections of the massless sum and the
 fermionic factors of the N=4 closed form, is expanded by that kernel's one
 `divide`.
 
-Every character is one `_sum_pieces`: the orbit sum, `fns_series`,
-`verma_character` and `n4_closed_form` each give a list of heads
-+-q^ell exp(w) and kernel pieces; the piece terms that pass the published
-QWSeries' cuts are summed over int keys, and each nonzero sum becomes a
-`Fraction` exponent and a `Vec` weight once.  `Fraction`s appear only at that
+Every character is one `_sum_pieces`: the orbit sum, `verma_character`
+(`fns_series` is its nu = 0, ell = 0 case) and `n4_closed_form` each give a
+list of heads +-q^ell exp(w) and kernel pieces; the piece terms that pass
+the published QWSeries' cuts are summed over int keys, and each nonzero sum
+becomes a `Fraction` exponent and a `Vec` weight once.  `Fraction`s appear only at that
 boundary, at the kept orbit elements, and in `records()`/`coeff()`, which
 read the published series.  Sums are sequential and deterministic; the
 merge is commutative exact addition, so a parallel evaluation would have to
@@ -69,7 +69,7 @@ def depth_of(entry: CatalogEntry, ref: Vec, w: Vec) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# the truncated series ring
+# the published series
 
 
 class QWSeries:
@@ -78,11 +78,10 @@ class QWSeries:
     keyed by `Fraction` exponents and `Vec` weights.
 
     Every character is computed on the int kernel (`_LatticeSeries`) and
-    converted at this boundary: `_sum_pieces` sums the kernel terms that pass
-    this series' cuts over int keys and gives a `Vec` key only to each
-    nonzero sum.  `accumulate` adds a published series (times
-    +-q^ell exp(w)) into this one term by term; `truncated` and callers that
-    combine published series use it, no character formula does.
+    converted at this boundary: `_sum_pieces`, the one series sum, adds the
+    kernel terms that pass this series' cuts over int keys and gives a `Vec`
+    key only to each nonzero sum.  The result is only read and cut
+    (`truncated`); `add_term` places one term, for `series_from_records`.
     """
 
     __slots__ = ("entry", "q_max", "depth", "ref", "terms")
@@ -117,29 +116,10 @@ class QWSeries:
     def n_terms(self) -> int:
         return sum(len(l) for l in self.terms.values())
 
-    @staticmethod
-    def unit(entry: CatalogEntry, q_max, depth, ref: Optional[Vec] = None) -> "QWSeries":
-        s = QWSeries(entry, q_max, depth, ref)
-        s.add_term(0, zero_vec(entry.n), 1)
-        return s
-
-    # -- ring operations ----------------------------------------------------
-    def accumulate(self, src: "QWSeries", wt: Optional[Vec] = None, ell=0,
-                   sign: int = 1) -> None:
-        """Add sign * q^ell * exp(wt) * src into this series (src is not self).
-        Every term goes through `add_term`, so this series' q ceiling and
-        depth window decide what is kept, whatever the cuts of src were."""
-        ell = Q(ell)
-        for q, lvl in src.terms.items():
-            q = q + ell
-            if q > self.q_max:
-                continue
-            for w, c in lvl.items():
-                self.add_term(q, w if wt is None else w + wt, sign * c)
-
     def truncated(self, q_max, depth, ref: Optional[Vec] = None) -> "QWSeries":
-        """This series cut to (q_max, depth) around ref (default self.ref).
-        Depth is linear, so that window lies inside this series' exactly when
+        """This series cut to (q_max, depth) around ref (default self.ref):
+        the stored terms inside that window, each kept or dropped whole.
+        Depth is linear, so the window lies inside this series' exactly when
         q_max <= self.q_max and depth + depth_of(self.ref, ref) <= self.depth;
         any other window raises PreconditionViolated rather than return
         terms this series never kept."""
@@ -148,13 +128,15 @@ class QWSeries:
             raise PreconditionViolated(f"window ({q_max}, {depth}) around ref is not inside "
                                        f"the series' ({self.q_max}, {self.depth})")
         out = QWSeries(self.entry, q_max, depth, ref)
-        out.accumulate(self)
+        for q, lvl in self.terms.items():
+            if q > out.q_max:
+                continue
+            kept = {w: c for w, c in lvl.items() if depth_of(self.entry, ref, w) <= out.depth}
+            if kept:
+                out.terms[q] = kept
         return out
 
     # -- inspection -----------------------------------------------------------
-    def q_levels(self) -> List[Fraction]:
-        return sorted(self.terms)
-
     def records(self) -> List[dict]:
         out = []
         for q in sorted(self.terms):
@@ -375,14 +357,12 @@ def fns_series(g: AlgebraId, q_max, depth) -> QWSeries:
 
     The result is the exact window truncation of the infinite product: the
     kernel runs with sloped depth headroom (weights can re-ascend by at most
-    the dip density per unit of q) and is cut flat here, where the int keys
-    become `Fraction` ones.
+    the dip density per unit of q) and is cut flat by `verma_character` at
+    nu = 0, ell = 0, where the int keys become `Fraction` ones.
     """
     if Q(q_max) < 0:
         raise PreconditionViolated("q_max must be non-negative")
-    out = QWSeries(lookup(g), q_max, depth)
-    _sum_pieces(out, [(out.ref, Q(0), 1)], [_fns_cached(g, out.q_max, out.depth)])
-    return out
+    return verma_character(g, zero_vec(lookup(g).n), 0, q_max, depth)
 
 
 def verma_character(g: AlgebraId, nu: Vec, ell, q_max, depth) -> QWSeries:

@@ -56,14 +56,10 @@ def algebra_from_args(args) -> AlgebraId:
     return AlgebraId(fam)
 
 
-_M1_TO_K = {
-    "psl22": lambda m1: -(m1 + 1),
-    "F4": lambda m1: Q(-2, 3) * (m1 + 1),
-    "G3": lambda m1: Q(-3, 4) * (m1 + 1),
-}
-
-
 def level_from_args(g: AlgebraId, args) -> Fraction:
+    """The level from --k, or from --M1 where g^nat is one simple component
+    and no center: k = u_1 M_1/2 - (h_vee - hbar_1_vee)/2, the inverse of
+    `levels.component_level`."""
     m1 = getattr(args, "M1", None)
     if getattr(args, "k", None) is not None:
         if m1 is not None:  # ValueError: a usage error, exit code 2
@@ -72,11 +68,11 @@ def level_from_args(g: AlgebraId, args) -> Fraction:
     if m1 is None:
         raise WminError("give --k (or --M1 where supported)")
     m1 = parse_rational(m1)
-    if g.family == "spo2m":
-        return -(m1 + 2) / 4 if g.m == 3 else -(m1 + 1) / 2
-    if g.family in _M1_TO_K:
-        return _M1_TO_K[g.family](m1)
-    raise WminError(f"--M1 is not supported for {g.family}; use --k")
+    entry = lookup(g)
+    if entry.center or len(entry.components) != 1:
+        raise WminError(f"--M1 is not supported for {g.family}; use --k")
+    (comp,) = entry.components
+    return comp.u * m1 / 2 - (entry.h_vee - comp.hbar_vee) / 2
 
 
 _NU_FLAGS = (("--nu-coords", "nu_coords"), ("--nu-labels", "nu_labels"),

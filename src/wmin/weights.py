@@ -5,7 +5,6 @@ ell(h) = (nu|nu+2rho^nat)/(2(k+h)) + h(h-k-1)/(k+h), so A = ell((xi|nu)),
 B = ell((k+1)/2), and h_even, h_odd, ell_of_h and g_half_norm read it too."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Tuple
 
@@ -14,17 +13,6 @@ from .errors import CharacterizationMismatch, PreconditionViolated
 from .levels import LevelData, level_data, unitarity_range_contains
 
 Q = Fraction
-
-
-@dataclass(frozen=True)
-class HighestWeight:
-    """The pair (nu, l0) labelling an irreducible highest weight module."""
-
-    nu: Vec
-    l0: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "l0", Q(self.l0))
 
 
 def _in_P_plus(entry: CatalogEntry, lv: LevelData, nu: Vec, pairs: list) -> bool:

@@ -109,15 +109,6 @@ def test_nu_from_labels_round_trip():
     assert nu == Vec([0, Q(3, 2), Q(1, 2)])
 
 
-def test_finite_weyl_orbit_of_xi_stays_in_delta_prime(all_algebras):
-    for g in all_algebras:
-        e = lookup(g)
-        support = {w for w, _ in e.delta_prime}
-        if g.family == "sl2m":
-            continue  # xi carries an inert center component there
-        assert e.finite_weyl_orbit(e.xi) <= support
-
-
 def test_form_rejects_wrong_length():
     e = lookup(catalog.psl22())
     with pytest.raises(ParameterOutOfRange):

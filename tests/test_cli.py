@@ -115,6 +115,20 @@ def test_conflicting_inputs_are_usage_errors(capsys):
     assert code == 0
 
 
+def test_m1_gives_the_level_of_that_component_level(capsys):
+    """--M1 inverts M_1(k) on the one simple component of g^nat; with two
+    components or a center it is refused, after M1 itself is parsed."""
+    for fam in (["psl22"], ["spo2m", "--m", "3"], ["spo2m", "--m", "5"], ["F4"], ["G3"]):
+        for m1 in ("1", "2", "5/2"):
+            code, d = run_json(capsys, ["levels", "--g", *fam, "--M1", m1])
+            assert code == 0 and d["M_simple"] == [m1], (fam, m1)
+    for fam in (["D21a", "--a", "1"], ["sl2m", "--m", "3"], ["osp4m", "--m", "4"]):
+        code, d = run_json(capsys, ["levels", "--g", *fam, "--M1", "1"])
+        assert code == 1 and d["message"] == f"--M1 is not supported for {fam[0]}; use --k"
+        code, d = run_json(capsys, ["levels", "--g", *fam, "--M1", "1.5"])
+        assert code == 2
+
+
 def test_gram_emax_bounds_and_witness(capsys):
     for e_max in ("-1", "0"):
         code, d = run_json(capsys, ["gram", "--emax", e_max])

@@ -48,3 +48,12 @@ def test_stage_times():
                          "--depth", "4")
     got = json.loads(line)
     assert got["orbit_elements"] >= 2 and got["kept_terms"] >= got["out_terms"] > 0
+
+
+def test_stage_times_takes_a_negative_rational_level():
+    """`--k -9/4` is read as a level, not a flag, and `wmin` is not imported
+    before the timed import."""
+    import json
+    (line,) = run_script("stage_times.py", "--g", "G3", "--k", "-9/4")
+    got = json.loads(line)
+    assert got["out_terms"] == 110 and got["import_s"] > 0

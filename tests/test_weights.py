@@ -98,11 +98,3 @@ def test_enumerate_p_plus_counts():
     # spin weights are included for orthogonal components
     weights = enumerate_P_plus_k(catalog.spo2m(5), Q(-3, 2))
     assert any(w[1].denominator == 2 for w in weights)
-
-
-def test_highest_weight_pair_type():
-    from wmin.weights import HighestWeight
-    g = catalog.psl22()
-    nu = Q(1, 2) * lookup(g).components[0].theta
-    hw = HighestWeight(nu, "3/2")
-    assert hw.l0 == Q(3, 2) and hw.nu == nu
