@@ -25,8 +25,23 @@ wrapping `characters._orbit`, `characters._fns_cached` and
 The defaults are the G3 case: massive, k = -9/4, nu = (1, 1, 0), l0 = 1,
 q_max = 3, depth 6.
 
+With `--gram E_MAX` the script times the integer kernel of the boson lab
+(`wmin.gram_lab`) instead, cold, stage by stage, at cutoff E_MAX:
+
+    basis_s               `_basis`: the states by position, energies, int norms
+    states                its size, len(states_up_to(E_MAX))
+    modes_s               the (s, mu)-free int maps: `_a_map` for
+                          0 < |n| <= E_MAX and `_p_map` for 0 < |n| <= 6
+    scale_s               one (s, mu) family, s = 3i/7 and mu = 5/3:
+                          `_scaled_L` for |n| <= 6
+    virasoro_s            that pair's part of the criterion-9 sweep:
+                          `virasoro_check` for |n|, |m| <= 3 inside the window
+    adjoint_s             `adjointness_check` for |n| <= 3, operators 'L' and 'a'
+    caches                `cache_info()` of the gram caches afterwards
+
     python3 scripts/stage_times.py --g G3 --k -9/4
     python3 scripts/stage_times.py --g psl22 --k -3 --nu 0,0,1/2,-1/2 --massless --qmax 4 --depth 6
+    python3 scripts/stage_times.py --gram 8
 """
 import argparse
 import json
@@ -52,7 +67,12 @@ def main(argv=None):
     ap.add_argument("--massless", action="store_true")
     ap.add_argument("--qmax", default="3")
     ap.add_argument("--depth", default="6")
+    ap.add_argument("--gram", type=int, metavar="E_MAX",
+                    help="time the boson lab's integer kernel at this cutoff instead")
     args = ap.parse_args(argv)
+    if args.gram is not None:
+        print(json.dumps(gram_stages(args.gram)))
+        return
 
     t0 = time.perf_counter()
     from wmin import characters
@@ -112,6 +132,37 @@ def main(argv=None):
         "frame_s": round(frame_s, 4),
         "caches": caches,
     }))
+
+
+def gram_stages(e_max):
+    """The `--gram` stages, each timed cold in this interpreter."""
+    from fractions import Fraction as Q
+    from wmin import gram_lab
+    from wmin.rationals import GaussianRational as GR
+
+    def timed(fn):
+        t = time.perf_counter()
+        fn()
+        return round(time.perf_counter() - t, 4)
+
+    s, mu, ns = GR.imag(Q(3, 7)), Q(5, 3), range(-6, 7)
+    window = [(n, m) for n in range(-3, 4) for m in range(-3, 4) if abs(n) + abs(m) < e_max]
+    out = {
+        "basis_s": timed(lambda: gram_lab._basis(e_max)),
+        "states": len(gram_lab._basis(e_max).states),
+        "modes_s": timed(lambda: ([gram_lab._a_map(n, e_max) for n in range(-e_max, e_max + 1) if n],
+                                  [gram_lab._p_map(n, e_max) for n in ns if n])),
+        "scale_s": timed(lambda: [gram_lab._scaled_L(s.im, mu, n, e_max) for n in ns]),
+        "virasoro_s": timed(lambda: [gram_lab.virasoro_check(s, mu, n, m, e_max)
+                                     for n, m in window]),
+        "adjoint_s": timed(lambda: [gram_lab.adjointness_check(s, mu, n, e_max, op)
+                                    for op in ("L", "a")
+                                    for n in range(-min(3, e_max), min(3, e_max) + 1)]),
+    }
+    out["caches"] = {f.__name__: f.cache_info()._asdict() for f in (
+        gram_lab.states_at_energy, gram_lab._basis, gram_lab._a_map, gram_lab._p_map,
+        gram_lab._scaled_L, gram_lab.heisenberg_matrix)}
+    return out
 
 
 if __name__ == "__main__":

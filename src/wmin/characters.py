@@ -110,9 +110,6 @@ class QWSeries:
     def coeff(self, q, w: Vec) -> int:
         return self.terms.get(Q(q), {}).get(w, 0)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def n_terms(self) -> int:
         return sum(len(l) for l in self.terms.values())
 

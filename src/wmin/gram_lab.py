@@ -6,14 +6,47 @@ creation modes a_{-j}; the invariant form is diagonal on them with the
 classical norm prod_s i_s! j_s^{i_s}.  Mode operators are realized as exact
 sparse maps between energy slices up to a cutoff; deformation parameters are
 purely imaginary Gaussian rationals so every check stays in Q(i).
+
+The checks run on an integer kernel.  A state is its position in
+`states_up_to(e_max)` (`_basis`), and an operator is a tuple of columns, one
+per input position: None outside the operator's window, else a dict
+{output position: (re, im)} of Gaussian integers over one scale, with no
+(0, 0) stored.  Three facts make the kernel exact:
+
+1. Decomposition.  For n != 0 the j = 0 and j = -n terms of
+   (1/2) sum_j a_{-j} a_{j+n} are a_0 a_n and a_n a_0, each mu*a_n, so
+   L_n = (1/2) P_n + (mu - s*n) a_n with P_n = sum_{j != 0, -n} a_{-j} a_{j+n}.
+   P_n and a_n have int entries and do not depend on (s, mu); they are
+   built once per (n, e_max) (`_p_map`, `_a_map`), and one (s, mu) family
+   of operators is one int scaling of them (`_scaled_L`).
+   L_0 = E + (mu^2 + sigma^2)/2 on the diagonal, where s = sigma*i.
+2. Scale.  With l = lcm(den mu, den sigma) and D = 2 l^2, the numbers D/2,
+   D*mu, D*sigma*n and D (mu^2 + sigma^2)/2 = (l mu)^2 + (l sigma)^2 are
+   integers, so D*L_n has entries in Z[i].  A commutator is compared at
+   scale D^2, where the central term
+   D^2 (n^3 - n)/12 (1 + 12 sigma^2) = l^4 (n^3 - n)/3 + 4 (n^3 - n)(l^2 sigma)^2
+   is an integer because 6 divides n^3 - n.  `_exact_int` raises, never
+   rounds, if a scaled value is not integral.
+3. Supports.  The norms are positive, so H(u, X_n v) = H(X_{-n} u, v)
+   fails at (u, v) exactly when X_n[u, v] != 0 and the two sides differ, or
+   X_n[u, v] = 0 != X_{-n}[v, u].  `adjointness_check` compares every
+   nonzero X_n[u, v] of the window with X_{-n}[v, u], then checks that the
+   nonzero entries of X_{-n} whose input u lies in the window were all met
+   that way.  Together the two walks reject exactly when the dense loop
+   over all (u, v) pairs of the window does.
+
+`fairlie_matrix` and `heisenberg_matrix` are the boundary: the same
+operators as `GradedSliceOperator`s with `GaussianRational` entries, each an
+int pair over its scale.  tests/test_gram_lab.py keeps the `Fraction` builds
+as the oracle and checks each fact against it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
-from typing import Dict, List, Optional, Tuple
+from math import factorial, lcm
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .catalog import AlgebraId, Vec, lookup
 from .errors import PreconditionViolated, WindowTooSmall
@@ -86,21 +119,10 @@ def states_up_to(e_max: int) -> List[BosonBasisState]:
 
 
 Column = Dict[BosonBasisState, GR]
-
-
-def _a_apply(state: BosonBasisState, n: int, mu: Fraction) -> Column:
-    """Action of the mode a_n: a column with at most one (nonzero) entry."""
-    if n == 0:
-        return {state: GR.of(mu)} if mu != 0 else {}
-    d = state.as_dict()
-    if n > 0:
-        i = d.get(n, 0)
-        if not i:
-            return {}
-        d[n] = i - 1
-        return {BosonBasisState.of(d): GR.of(n * i)}
-    d[-n] = d.get(-n, 0) + 1
-    return {BosonBasisState.of(d): GR.of(1)}
+Pair = Tuple[int, int]  # (re, im) of a Gaussian integer
+IntColumn = Dict[int, Pair]  # output position -> entry; (0, 0) is never stored
+IntOperator = Tuple[Optional[IntColumn], ...]  # None: input outside the window
+_ZERO = (0, 0)
 
 
 def _add_into(out: Column, col: Column, c: GR) -> None:
@@ -142,144 +164,280 @@ class GradedSliceOperator:
         return out
 
 
-def _admissible_inputs(n: int, e_max: int):
-    # output slice must be representable (negative energy means the zero map)
-    for st in states_up_to(e_max):
-        if st.energy - n <= e_max:
-            yield st
+# ---------------------------------------------------------------------------
+# the integer kernel
+
+
+class _Basis(NamedTuple):
+    """`states_up_to(e_max)` by position, with energies and int norms."""
+
+    states: Tuple[BosonBasisState, ...]
+    index: Dict[State, int]  # parts -> position
+    energy: Tuple[int, ...]
+    norm: Tuple[int, ...]
+
+
+@lru_cache(maxsize=16)
+def _basis(e_max: int) -> _Basis:
+    states = tuple(states_up_to(e_max))
+    return _Basis(states, {st.parts: i for i, st in enumerate(states)},
+                  tuple(st.energy for st in states),
+                  tuple(boson_norm(st).numerator for st in states))
+
+
+@lru_cache(maxsize=64)
+def _a_map(n: int, e_max: int) -> Tuple[Optional[Dict[int, int]], ...]:
+    """The mode a_n, n != 0, on `_basis(e_max)`: column i is None when state
+    i is not an admissible input (energy - n > e_max), else {position: int} with
+    at most one entry, n*i_n for n > 0 and 1 for n < 0."""
+    b = _basis(e_max)
+    cols: List[Optional[Dict[int, int]]] = []
+    for st, e in zip(b.states, b.energy):
+        if e - n > e_max:
+            cols.append(None)
+            continue
+        d = dict(st.parts)
+        if n > 0:
+            mult = d.pop(n, 0)
+            if not mult:
+                cols.append({})
+                continue
+            if mult > 1:
+                d[n] = mult - 1
+            coef = n * mult
+        else:
+            d[-n] = d.get(-n, 0) + 1
+            coef = 1
+        cols.append({b.index[tuple(sorted(d.items()))]: coef})
+    return tuple(cols)
+
+
+@lru_cache(maxsize=64)
+def _p_map(n: int, e_max: int) -> Tuple[Optional[Dict[int, int]], ...]:
+    """P_n = sum_{j != 0, -n} a_{-j} a_{j+n}, n != 0, shaped like
+    `_a_map(n, e_max)`.  It is the sum over ordered pairs (l, k) with
+    l + k = n and l, k != 0 of a_l a_k; on a state of energy E only
+    n - E <= k <= E survive.  The two modes commute (l + k != 0), so each
+    product applies its annihilator first when it has one; every
+    intermediate state then has energy at most max(E, E - n) <= e_max and
+    lies in the basis."""
+    b = _basis(e_max)
+    a = {j: _a_map(j, e_max) for j in range(-e_max, e_max + 1) if j}
+    cols: List[Optional[Dict[int, int]]] = []
+    for i, e in enumerate(b.energy):
+        if e - n > e_max:
+            cols.append(None)
+            continue
+        acc: Dict[int, int] = {}
+        for k in range(n - e, e + 1):
+            l = n - k
+            if k == 0 or l == 0:
+                continue
+            first, then = (k, l) if k > 0 or l < 0 else (l, k)
+            for x, c1 in a[first][i].items():
+                for y, c2 in a[then][x].items():
+                    acc[y] = acc.get(y, 0) + c1 * c2
+        cols.append(acc)
+    return tuple(cols)
+
+
+def _exact_int(x: Fraction) -> int:
+    """x as an int; raises (never rounds) when the scale argument fails."""
+    if x.denominator != 1:
+        raise ArithmeticError(f"scaled value {x} is not an integer")
+    return x.numerator
+
+
+def _imaginary_part(s: GR) -> Fraction:
+    if not s.is_imaginary():
+        raise PreconditionViolated("the deformation parameter must be purely imaginary")
+    return s.im
+
+
+@lru_cache(maxsize=256)
+def _scaled_L(sigma: Fraction, mu: Fraction, n: int, e_max: int) -> Tuple[int, IntOperator]:
+    """(D, D*L_n) for s = sigma*i, with D = 2 lcm(den mu, den sigma)^2: for
+    n != 0, D*L_n = (D/2) P_n + (D mu - D sigma n i) a_n, and D*L_0 is the
+    diagonal D*E + D (mu^2 + sigma^2)/2 (facts 1 and 2 of the module
+    docstring)."""
+    l = lcm(sigma.denominator, mu.denominator)
+    D = 2 * l * l
+    if n == 0:
+        c0 = _exact_int(D * (mu * mu + sigma * sigma) / 2)
+        return D, tuple({i: (D * e + c0, 0)} if D * e + c0 else {}
+                        for i, e in enumerate(_basis(e_max).energy))
+    half, re, im = D // 2, _exact_int(D * mu), _exact_int(-D * sigma * n)
+    cols: List[Optional[IntColumn]] = []
+    for pcol, acol in zip(_p_map(n, e_max), _a_map(n, e_max)):
+        if pcol is None:
+            cols.append(None)
+            continue
+        col = {y: (half * c, 0) for y, c in pcol.items()}
+        for y, c in acol.items():
+            r, j = col.get(y, _ZERO)
+            col[y] = (r + re * c, j + im * c)
+        cols.append({y: v for y, v in col.items() if v != _ZERO})
+    return D, tuple(cols)
+
+
+def _scaled_a(mu: Fraction, n: int, e_max: int) -> IntOperator:
+    """den(mu) * a_n as pairs; a_0 acts by mu."""
+    if n == 0:
+        return tuple({i: (mu.numerator, 0)} if mu else {}
+                     for i in range(len(_basis(e_max).states)))
+    d = mu.denominator
+    return tuple(None if col is None else {y: (d * c, 0) for y, c in col.items()}
+                 for col in _a_map(n, e_max))
+
+
+def _view(name: str, n: int, mu: Fraction, s: GR, e_max: int, scale: int,
+          cols: IntOperator) -> GradedSliceOperator:
+    """The boundary: int pairs over `scale` as `GaussianRational` columns."""
+    states, value = _basis(e_max).states, {}
+    for col in cols:
+        for pair in (col or {}).values():
+            if pair not in value:
+                value[pair] = GR(Q(pair[0], scale), Q(pair[1], scale))
+    return GradedSliceOperator(name, n, mu, s, e_max, {
+        states[i]: {states[y]: value[pair] for y, pair in col.items()}
+        for i, col in enumerate(cols) if col is not None})
 
 
 @lru_cache(maxsize=512)
 def heisenberg_matrix(n: int, mu: Fraction, e_max: int) -> GradedSliceOperator:
-    """The mode a_n as a graded operator (a_0 acts by mu)."""
-    cols = {st: _a_apply(st, n, Q(mu)) for st in _admissible_inputs(n, e_max)}
-    return GradedSliceOperator("a", n, Q(mu), GR.of(0), e_max, cols)
+    """The mode a_n as a graded operator (a_0 acts by mu): the view of the
+    int map `_a_map`."""
+    mu = Q(mu)
+    return _view("a", n, mu, GR.of(0), e_max, mu.denominator, _scaled_a(mu, n, e_max))
 
 
-@lru_cache(maxsize=512)
 def fairlie_matrix(s: GR, mu: Fraction, n: int, e_max: int) -> GradedSliceOperator:
     """Deformed Virasoro mode: (1/2) sum_j a_{-j} a_{j+n} - s*n*a_n for
-    n != 0, and sum_{j>=1} a_{-j} a_j + (mu^2 - s^2)/2 for n = 0."""
+    n != 0, and sum_{j>=1} a_{-j} a_j + (mu^2 - s^2)/2 for n = 0: the view
+    of `_scaled_L`, each entry its int pair over D."""
     s, mu = GR.of(s), Q(mu)
-    if not s.is_imaginary():
-        raise PreconditionViolated("the deformation parameter must be purely imaginary")
-    cols: Dict[BosonBasisState, Column] = {}
-    if n == 0:
-        const = (GR.of(mu * mu) - s * s) / 2
-        for st in states_up_to(e_max):  # the vacuum entry is 0 at s = mu = 0
-            cols[st] = {}
-            _add_into(cols[st], {st: GR.of(1)}, GR.of(st.energy) + const)
-        return GradedSliceOperator("L", 0, mu, s, e_max, cols)
-    sn = s * -n
-    for st in _admissible_inputs(n, e_max):
-        acc: Column = {}
-        for j in range(-(e_max + abs(n) + 1), e_max + abs(n) + 2):
-            for mid, c1 in _a_apply(st, j + n, mu).items():
-                inner = _a_apply(mid, -j, mu)
-                if inner:  # skip the scalar product when a_{-j} kills mid
-                    _add_into(acc, inner, Q(1, 2) * c1)
-        _add_into(acc, _a_apply(st, n, mu), sn)
-        cols[st] = acc
-    return GradedSliceOperator("L", n, mu, s, e_max, cols)
+    scale, cols = _scaled_L(_imaginary_part(s), mu, n, e_max)
+    return _view("L", n, mu, s, e_max, scale, cols)
+
+
+def _add_product(acc: IntColumn, first: IntOperator, then: IntOperator, i: int,
+                 sign: int) -> None:
+    """acc += sign * (then . first) applied to state i, over int pairs."""
+    for x, (ar, ai) in first[i].items():
+        for y, (br, bi) in then[x].items():
+            r, j = acc.get(y, _ZERO)
+            acc[y] = (r + sign * (ar * br - ai * bi), j + sign * (ar * bi + ai * br))
 
 
 def virasoro_check(s: GR, mu: Fraction, n: int, m: int, e_max: int) -> bool:
     """Exact commutator check [L_n, L_m] = (n-m) L_{n+m} + central term on all
-    slices that both sides reach without truncation."""
+    slices that both sides reach without truncation: every state of energy E
+    with E - m, E - n and E - n - m at most e_max.  Compared at scale D^2
+    on the int operators D*L (`_scaled_L`)."""
     if abs(n) + abs(m) > e_max - 1:
         raise WindowTooSmall(f"need |n|+|m| <= e_max-1, got {n}, {m}, {e_max}")
-    s = GR.of(s)
-    Ln = fairlie_matrix(s, mu, n, e_max)
-    Lm = fairlie_matrix(s, mu, m, e_max)
-    Lnm = fairlie_matrix(s, mu, n + m, e_max)
-    central = GR.of(Q((n ** 3 - n), 12)) * (GR.of(1) - GR.of(12) * s * s) \
-        if m == -n else GR.of(0)
-    for st in states_up_to(e_max):
-        e = st.energy
-        if not all(x <= e_max for x in (e - m, e - n, e - n - m)):
+    s, mu = GR.of(s), Q(mu)
+    sigma = _imaginary_part(s)
+    D, Ln = _scaled_L(sigma, mu, n, e_max)
+    _, Lm = _scaled_L(sigma, mu, m, e_max)
+    _, Lnm = _scaled_L(sigma, mu, n + m, e_max)
+    central = _exact_int(D * D * Q(n ** 3 - n, 12) * (1 + 12 * sigma * sigma)) \
+        if m == -n else 0
+    step = (n - m) * D
+    for i, e in enumerate(_basis(e_max).energy):
+        if max(e - m, e - n, e - n - m) > e_max:
             continue
-        c1 = Ln.apply_column(Lm.apply(st))
-        c2 = Lm.apply_column(Ln.apply(st))
-        base = Lnm.apply(st)
-        if c1 is None or c2 is None or base is None:
-            continue
-        want: Column = {k: GR.of(n - m) * v for k, v in base.items()}
-        if central:
-            want[st] = want.get(st, GR.of(0)) + central
-        keys = set(c1) | set(c2) | set(want)
-        for kk in keys:
-            lhs = c1.get(kk, GR.of(0)) - c2.get(kk, GR.of(0))
-            if lhs != want.get(kk, GR.of(0)):
-                return False
+        acc = {i: (-central, 0)} if central else {}
+        _add_product(acc, Lm, Ln, i, 1)
+        _add_product(acc, Ln, Lm, i, -1)
+        for y, (br, bi) in Lnm[i].items():
+            r, j = acc.get(y, _ZERO)
+            acc[y] = (r - step * br, j - step * bi)
+        if any(v != _ZERO for v in acc.values()):
+            return False
     return True
 
 
 def adjointness_check(s: GR, mu: Fraction, n: int, e_max: int,
                       operator: str = "L") -> bool:
     """H(u, X_n v) = H(X_{-n} u, v) against the diagonal Gram form, where X
-    is the deformed Virasoro mode ('L') or the boson mode ('a', real mu).
+    is the deformed Virasoro mode ('L') or the boson mode ('a', real mu),
+    over every v with 0 <= E_v - n <= e_max and u of energy E_v - n.  Walks
+    the two supports (fact 3 of the module docstring) on the int operators
+    D*X: norm(u) D X_n[u, v] = norm(v) conj(D X_{-n}[v, u]).
     Raises WindowTooSmall when |n| > e_max: no state pair would be compared."""
     if abs(n) > e_max:
         raise WindowTooSmall(f"need |n| <= e_max, got {n}, {e_max}")
-    s = GR.of(s)
-    mu = Q(mu)
+    s, mu = GR.of(s), Q(mu)
     if operator == "L":
-        op_p = fairlie_matrix(s, mu, n, e_max)
-        op_m = fairlie_matrix(s, mu, -n, e_max)
+        sigma = _imaginary_part(s)
+        op_p = _scaled_L(sigma, mu, n, e_max)[1]
+        op_m = _scaled_L(sigma, mu, -n, e_max)[1]
     elif operator == "a":
-        op_p = heisenberg_matrix(n, mu, e_max)
-        op_m = heisenberg_matrix(-n, mu, e_max)
+        op_p, op_m = _scaled_a(mu, n, e_max), _scaled_a(mu, -n, e_max)
     else:
         raise PreconditionViolated("operator must be 'L' or 'a'")
-    for v in states_up_to(e_max):
-        if not (0 <= v.energy - n <= e_max):
+    b = _basis(e_max)
+    norm, met = b.norm, 0
+    for v, e in enumerate(b.energy):
+        if not 0 <= e - n <= e_max:
             continue
-        col = op_p.apply(v)
-        for u in states_at_energy(v.energy - n):
-            lhs = GR.of(boson_norm(u)) * col.get(u, GR.of(0))
-            back = op_m.apply(u)
-            rhs = (back.get(v, GR.of(0)).conj() if back is not None else GR.of(0))
-            rhs = rhs * GR.of(boson_norm(v))
-            if lhs != rhs:
+        for u, (re, im) in op_p[v].items():
+            back = op_m[u].get(v)
+            if back is None or norm[u] * re != norm[v] * back[0] \
+                    or norm[u] * im != -norm[v] * back[1]:
                 return False
-    return True
+            met += 1
+    # every nonzero X_{-n}[v, u] with u in the window was met above
+    return met == sum(len(op_m[u]) for u, e in enumerate(b.energy)
+                      if 0 <= e + n <= e_max)
 
 
 # ---------------------------------------------------------------------------
 # the derivation identity behind the exponential factorization
 
 
-def _derivation_L1(t: GR, x: Column) -> Column:
-    """L(t)_1 acting as a derivation of the polynomial algebra on the a_{-p}
-    (a polynomial is the column of its monomials); on generators:
-    a_{-p} -> p*a_{-p+1} for p >= 2, a_{-1} -> -2t."""
-    out: Column = {}
-    for st, coef in x.items():
-        d = st.as_dict()
-        for p, mult in list(d.items()):
-            rest = dict(d)
+def _derive(x: Dict[State, Pair], d: int, t: Pair) -> Dict[State, Pair]:
+    """d * L(t)_1 acting as a derivation of the polynomial algebra on the
+    a_{-p}, for t = (t_re + t_im i)/d; a polynomial maps its monomials' parts
+    to Gaussian-integer pairs.  On generators: a_{-p} -> p*a_{-p+1} for
+    p >= 2, a_{-1} -> -2t."""
+    tr, ti = t
+    out: Dict[State, Pair] = {}
+    for parts, (re, im) in x.items():
+        for p, mult in parts:
+            rest = dict(parts)
             rest[p] = mult - 1
             if p == 1:
-                c = GR.of(mult) * (GR.of(-2) * t)
+                cr, ci = -2 * mult * tr, -2 * mult * ti
             else:
                 rest[p - 1] = rest.get(p - 1, 0) + 1
-                c = GR.of(mult * p)
-            _add_into(out, {BosonBasisState.of(rest): coef}, c)
-    return out
+                cr, ci = d * mult * p, 0
+            key = tuple(sorted((q, i) for q, i in rest.items() if i))
+            r, j = out.get(key, _ZERO)
+            out[key] = (r + cr * re - ci * im, j + cr * im + ci * re)
+    return {k: v for k, v in out.items() if v != _ZERO}
 
 
 def exp_factorization_check(t: GR, n_max: int, m_max: int) -> bool:
     """Generator-level identity L(t)_1^n(a_{-m}) = L(0)_1^n(a_{-m})
-    - 2 n! delta_{n,m} t, for all n <= n_max, m <= m_max."""
+    - 2 n! delta_{n,m} t, for all n <= n_max, m <= m_max.  With d the common
+    denominator of t, the n-th derivative is compared at scale d^n: d*t is
+    a Gaussian integer, so every step stays in Z[i]."""
     t = GR.of(t)
+    d = lcm(t.re.denominator, t.im.denominator)
+    dt = (_exact_int(d * t.re), _exact_int(d * t.im))
     for m in range(1, m_max + 1):
-        xt = x0 = {BosonBasisState.of({m: 1}): GR.of(1)}
+        xt = x0 = {((m, 1),): (1, 0)}
+        scale = 1
         for n in range(1, n_max + 1):
-            xt = _derivation_L1(t, xt)
-            x0 = _derivation_L1(GR.of(0), x0)
-            want = dict(x0)
+            xt, x0, scale = _derive(xt, d, dt), _derive(x0, 1, _ZERO), scale * d
+            want = {k: (scale * re, scale * im) for k, (re, im) in x0.items()}
             if n == m:
-                _add_into(want, {VACUUM: t}, GR.of(-2 * factorial(n)))
+                c = -2 * factorial(n) * (scale // d)
+                r, j = want.get((), _ZERO)
+                want[()] = (r + c * dt[0], j + c * dt[1])
+                want = {k: v for k, v in want.items() if v != _ZERO}
             if xt != want:
                 return False
     return True

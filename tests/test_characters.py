@@ -80,7 +80,7 @@ def test_verma_character_basics():
     b = verma_character(G, ZERO, 0, 3, 4)
     shifted = QWSeries(E, 3, 4)
     _accumulate(shifted, b, ell=1)
-    assert a == shifted and not a.is_zero()
+    assert a == shifted and a.n_terms() > 0
 
 
 def test_verma_character_off_lattice_weight_and_exponent():
@@ -366,7 +366,7 @@ def test_n4_closed_form_refines():
             for window, dep in [(Q(0), Q(2)), (Q(5, 2), Q(0)), (Q(4), Q(3))]:
                 small = n4_closed_form(m1, r, Q(r, 2) + window, dep)
                 big = n4_closed_form(m1, r, Q(r, 2) + window + 1, dep + 3)
-                assert not small.is_zero()
+                assert small.n_terms() > 0
                 assert small == big.truncated(small.q_max, dep, small.ref), (m1, r, window, dep)
 
 
@@ -917,7 +917,7 @@ def test_character_refines(case, extra_depth):
 
     q_max = (A_bound(g, k, nu) if l0 is None else l0) + window
     small = char(q_max, depth)
-    assert not small.is_zero()
+    assert small.n_terms() > 0
     assert small == char(q_max + Q(1, 2), depth + extra_depth).truncated(q_max, depth, nu)
 
 

@@ -1,11 +1,17 @@
+import importlib
+import pkgutil
 from fractions import Fraction as Q
+from math import factorial, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wmin import catalog
+import wmin
+from wmin import catalog, gram_lab
 from wmin.catalog import lookup, zero_vec
-from wmin.errors import WindowTooSmall
-from wmin.gram_lab import (VACUUM, BosonBasisState, GradedSliceOperator,
+from wmin.errors import PreconditionViolated, WindowTooSmall
+from wmin.gram_lab import (VACUUM, BosonBasisState, GradedSliceOperator, _add_into,
                            adjointness_check, boson_norm, exp_factorization_check,
                            fairlie_matrix, g_half_norm, heisenberg_matrix, j_g_ratio,
                            states_at_energy, states_up_to, virasoro_check)
@@ -13,6 +19,170 @@ from wmin.levels import enumerate_unitary_k, level_data
 from wmin.rationals import GaussianRational as GR
 from wmin.unitarity import decide
 from wmin.weights import A_bound, enumerate_P_plus_k
+
+# the s (as s = value * sqrt(-1)) and mu grids of criterion 9 and of the
+# benchmark's gram workload; the first is inside the second
+CRIT9_S, CRIT9_MU = ("0", "1/2", "3/7"), ("0", "2", "5/3")
+BENCH_S = ("0", "1/2", "3/7", "1", "2/5", "5/3")
+BENCH_MU = ("0", "2", "5/3", "1/2", "-1", "3/4")
+GRID = [(GR.imag(Q(s)), Q(mu)) for s in BENCH_S for mu in BENCH_MU]
+
+
+# ---------------------------------------------------------------------------
+# the Fraction oracle: the GaussianRational operator builds and checks that
+# the integer kernel replaced, kept as they were
+
+
+def _a_apply(state, n, mu):
+    """Action of the mode a_n: a column with at most one (nonzero) entry."""
+    if n == 0:
+        return {state: GR.of(mu)} if mu != 0 else {}
+    d = state.as_dict()
+    if n > 0:
+        i = d.get(n, 0)
+        if not i:
+            return {}
+        d[n] = i - 1
+        return {BosonBasisState.of(d): GR.of(n * i)}
+    d[-n] = d.get(-n, 0) + 1
+    return {BosonBasisState.of(d): GR.of(1)}
+
+
+def _admissible_inputs(n, e_max):
+    # output slice must be representable (negative energy means the zero map)
+    for st_ in states_up_to(e_max):
+        if st_.energy - n <= e_max:
+            yield st_
+
+
+def oracle_heisenberg(n, mu, e_max):
+    cols = {st_: _a_apply(st_, n, Q(mu)) for st_ in _admissible_inputs(n, e_max)}
+    return GradedSliceOperator("a", n, Q(mu), GR.of(0), e_max, cols)
+
+
+def oracle_fairlie(s, mu, n, e_max, j_skip=()):
+    """(1/2) sum_j a_{-j} a_{j+n} - s*n*a_n for n != 0, and
+    sum_{j>=1} a_{-j} a_j + (mu^2 - s^2)/2 for n = 0; the terms j in
+    `j_skip` are left out of the sum."""
+    s, mu = GR.of(s), Q(mu)
+    if not s.is_imaginary():
+        raise PreconditionViolated("the deformation parameter must be purely imaginary")
+    cols = {}
+    if n == 0:
+        const = (GR.of(mu * mu) - s * s) / 2
+        for st_ in states_up_to(e_max):  # the vacuum entry is 0 at s = mu = 0
+            cols[st_] = {}
+            _add_into(cols[st_], {st_: GR.of(1)}, GR.of(st_.energy) + const)
+        return GradedSliceOperator("L", 0, mu, s, e_max, cols)
+    sn = s * -n
+    for st_ in _admissible_inputs(n, e_max):
+        acc = {}
+        for j in range(-(e_max + abs(n) + 1), e_max + abs(n) + 2):
+            if j in j_skip:
+                continue
+            for mid, c1 in _a_apply(st_, j + n, mu).items():
+                inner = _a_apply(mid, -j, mu)
+                if inner:  # skip the scalar product when a_{-j} kills mid
+                    _add_into(acc, inner, Q(1, 2) * c1)
+        _add_into(acc, _a_apply(st_, n, mu), sn)
+        cols[st_] = acc
+    return GradedSliceOperator("L", n, mu, s, e_max, cols)
+
+
+def oracle_virasoro(s, mu, n, m, e_max):
+    if abs(n) + abs(m) > e_max - 1:
+        raise WindowTooSmall(f"need |n|+|m| <= e_max-1, got {n}, {m}, {e_max}")
+    s = GR.of(s)
+    Ln = oracle_fairlie(s, mu, n, e_max)
+    Lm = oracle_fairlie(s, mu, m, e_max)
+    Lnm = oracle_fairlie(s, mu, n + m, e_max)
+    central = GR.of(Q((n ** 3 - n), 12)) * (GR.of(1) - GR.of(12) * s * s) \
+        if m == -n else GR.of(0)
+    for st_ in states_up_to(e_max):
+        e = st_.energy
+        if not all(x <= e_max for x in (e - m, e - n, e - n - m)):
+            continue
+        c1 = Ln.apply_column(Lm.apply(st_))
+        c2 = Lm.apply_column(Ln.apply(st_))
+        base = Lnm.apply(st_)
+        if c1 is None or c2 is None or base is None:
+            continue
+        want = {k: GR.of(n - m) * v for k, v in base.items()}
+        if central:
+            want[st_] = want.get(st_, GR.of(0)) + central
+        for kk in set(c1) | set(c2) | set(want):
+            lhs = c1.get(kk, GR.of(0)) - c2.get(kk, GR.of(0))
+            if lhs != want.get(kk, GR.of(0)):
+                return False
+    return True
+
+
+def oracle_adjointness(s, mu, n, e_max, operator="L"):
+    """The dense loop over every (u, v) pair of the window."""
+    if abs(n) > e_max:
+        raise WindowTooSmall(f"need |n| <= e_max, got {n}, {e_max}")
+    s, mu = GR.of(s), Q(mu)
+    if operator == "L":
+        op_p = oracle_fairlie(s, mu, n, e_max)
+        op_m = oracle_fairlie(s, mu, -n, e_max)
+    elif operator == "a":
+        op_p = oracle_heisenberg(n, mu, e_max)
+        op_m = oracle_heisenberg(-n, mu, e_max)
+    else:
+        raise PreconditionViolated("operator must be 'L' or 'a'")
+    for v in states_up_to(e_max):
+        if not (0 <= v.energy - n <= e_max):
+            continue
+        col = op_p.apply(v)
+        for u in states_at_energy(v.energy - n):
+            lhs = GR.of(boson_norm(u)) * col.get(u, GR.of(0))
+            back = op_m.apply(u)
+            rhs = (back.get(v, GR.of(0)).conj() if back is not None else GR.of(0))
+            if lhs != rhs * GR.of(boson_norm(v)):
+                return False
+    return True
+
+
+def _derivation_L1(t, x):
+    """L(t)_1 acting as a derivation of the polynomial algebra on the a_{-p}
+    (a polynomial is the column of its monomials); on generators:
+    a_{-p} -> p*a_{-p+1} for p >= 2, a_{-1} -> -2t."""
+    out = {}
+    for st_, coef in x.items():
+        d = st_.as_dict()
+        for p, mult in list(d.items()):
+            rest = dict(d)
+            rest[p] = mult - 1
+            if p == 1:
+                c = GR.of(mult) * (GR.of(-2) * t)
+            else:
+                rest[p - 1] = rest.get(p - 1, 0) + 1
+                c = GR.of(mult * p)
+            _add_into(out, {BosonBasisState.of(rest): coef}, c)
+    return out
+
+
+def oracle_exp_factorization(t, n_max, m_max):
+    t = GR.of(t)
+    for m in range(1, m_max + 1):
+        xt = x0 = {BosonBasisState.of({m: 1}): GR.of(1)}
+        for n in range(1, n_max + 1):
+            xt = _derivation_L1(t, xt)
+            x0 = _derivation_L1(GR.of(0), x0)
+            want = dict(x0)
+            if n == m:
+                _add_into(want, {VACUUM: t}, GR.of(-2 * factorial(n)))
+            if xt != want:
+                return False
+    return True
+
+
+def _outcome(fn, *args):
+    """What a call gives: its result, or the type of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the raised type is the outcome compared
+        return type(exc)
 
 
 def test_boson_norm_examples():
@@ -152,14 +322,21 @@ def test_j_g_ratio_matches_n_i(unitary_families):
 def test_stored_columns_hold_no_zero_and_cancellation_empties():
     """Every sparse update goes through one add that drops cancelled entries:
     no operator column stores a zero coefficient (e_max 8, the benchmark's
-    s and mu grid, |n| <= 3), and c*col - c*col comes out as {}."""
-    for s in ("0", "1/2", "3/7", "1", "2/5", "5/3"):
-        for mu in ("0", "2", "5/3", "1/2", "-1", "3/4"):
-            for n in range(-3, 4):
-                for op in (fairlie_matrix(GR.imag(Q(s)), Q(mu), n, 8),
-                           heisenberg_matrix(n, Q(mu), 8)):
-                    for col in op.columns.values():
-                        assert all(col.values()), (op.name, s, mu, n)
+    s and mu grid, |n| <= 3), neither in the views nor in the int maps of
+    the kernel (all |n| <= 8 for a_n and P_n), and c*col - c*col comes out
+    as {}."""
+    for s, mu in GRID:
+        for n in range(-3, 4):
+            for op in (fairlie_matrix(s, mu, n, 8), heisenberg_matrix(n, mu, 8)):
+                for col in op.columns.values():
+                    assert all(col.values()), (op.name, s, mu, n)
+            # the int maps the views are read from store no (0, 0) either
+            for cols in (gram_lab._scaled_L(s.im, mu, n, 8)[1],
+                         gram_lab._scaled_a(mu, n, 8)):
+                assert all(v != (0, 0) for col in cols if col for v in col.values())
+    for n in (n for n in range(-8, 9) if n):
+        for cols in (gram_lab._a_map(n, 8), gram_lab._p_map(n, 8)):
+            assert all(c for col in cols if col for c in col.values())
     u, v = BosonBasisState.of({1: 1}), BosonBasisState.of({2: 1})
     col = fairlie_matrix(GR.imag(Q(1, 2)), Q(2), -1, 6).apply(u)
     assert len(col) > 1
@@ -167,3 +344,167 @@ def test_stored_columns_hold_no_zero_and_cancellation_empties():
     c = GR(Q(3), Q(-2))
     assert op.apply_column({u: c, v: -c}) == {}
     assert op.apply_column({u: c, v: c}) == {k: GR.of(2) * c * x for k, x in col.items()}
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the Fraction oracle
+
+
+def test_views_equal_the_fraction_oracle():
+    """`fairlie_matrix` and `heisenberg_matrix`, views of the int kernel,
+    equal the `Fraction` builds column by column: the criterion-9 and the
+    benchmark grids of (s, mu), e_max 8, |n| <= 6."""
+    assert {(GR.imag(Q(s)), Q(mu)) for s in CRIT9_S for mu in CRIT9_MU} <= set(GRID)
+    for s, mu in GRID:
+        for n in range(-6, 7):
+            assert fairlie_matrix(s, mu, n, 8) == oracle_fairlie(s, mu, n, 8), (s, mu, n)
+    for mu in BENCH_MU:
+        for n in range(-6, 7):
+            assert heisenberg_matrix(n, Q(mu), 8) == oracle_heisenberg(n, Q(mu), 8), (mu, n)
+
+
+def test_fairlie_decomposition():
+    """Fact 1 of the module docstring, on the oracle: leaving the j = 0 and
+    j = -n terms out of (1/2) sum_j a_{-j} a_{j+n} at s = 0 gives
+    (1/2) P_n for every mu, and the full L_n minus (1/2) P_n is
+    (mu - s*n) a_n."""
+    b = gram_lab._basis(8)
+    s = GR.imag(Q(3, 7))
+    for n in (-6, -3, -1, 1, 2, 5):
+        half_p = {b.states[i]: {b.states[y]: GR.of(Q(c, 2)) for y, c in col.items()}
+                  for i, col in enumerate(gram_lab._p_map(n, 8)) if col is not None}
+        for mu in (Q(0), Q(5, 3), Q(-1)):
+            assert oracle_fairlie(GR.of(0), mu, n, 8, j_skip=(0, -n)).columns == half_p
+        mu = Q(5, 3)
+        full, a_n = oracle_fairlie(s, mu, n, 8), oracle_heisenberg(n, mu, 8)
+        assert set(full.columns) == set(half_p) == set(a_n.columns)
+        for st_, col in full.columns.items():
+            rest = dict(col)
+            _add_into(rest, half_p[st_], GR.of(-1))
+            want = {}
+            _add_into(want, a_n.apply(st_), mu - s * n)
+            assert rest == want, (n, st_)
+
+
+def test_scale_makes_every_entry_integral():
+    """Fact 2: with D = 2 lcm(den mu, den sigma)^2, D/2, D*mu, D*sigma*n,
+    D(mu^2 + sigma^2)/2 and D^2 (n^3 - n)/12 (1 + 12 sigma^2) are integers;
+    the factor 2 is needed; and the kernel raises on a value that is not
+    integral instead of rounding it."""
+    for s, mu in GRID + [(GR.imag(Q(5, 6)), Q(7, 4)), (GR.imag(Q(-2, 9)), Q(1, 15))]:
+        sigma = s.im
+        D = gram_lab._scaled_L(sigma, mu, 0, 1)[0]
+        assert D == 2 * lcm(sigma.denominator, mu.denominator) ** 2
+        for x in [D * mu, D * (mu * mu + sigma * sigma) / 2] + [
+                D * sigma * n for n in range(-9, 10)] + [
+                D * D * Q(n ** 3 - n, 12) * (1 + 12 * sigma * sigma) for n in range(-20, 21)]:
+            assert x.denominator == 1, (s, mu, x)
+    # P_{-2}|0> = a_{-1}^2|0>: (1/2) P_n needs the 2 even where lcm = 1
+    assert gram_lab._p_map(-2, 4)[0] == {gram_lab._basis(4).index[((1, 2),)]: 1}
+    with pytest.raises(ArithmeticError):
+        gram_lab._exact_int(Q(1, 2))
+    assert gram_lab._exact_int(Q(-6, 3)) == -2
+
+
+FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+
+
+@given(sigma=FRACTIONS, re=st.sampled_from([Q(0), Q(0), Q(0), Q(1, 2)]), mu=FRACTIONS,
+       e_max=st.integers(min_value=1, max_value=6), n=st.integers(min_value=-4, max_value=4),
+       m=st.integers(min_value=-4, max_value=4), operator=st.sampled_from(["L", "a"]))
+@settings(max_examples=40, deadline=None)
+def test_checks_agree_with_the_oracle(sigma, re, mu, e_max, n, m, operator):
+    """`virasoro_check` and `adjointness_check` return what the `Fraction`
+    checks return and raise what they raise (`WindowTooSmall` outside the
+    window, `PreconditionViolated` for an s that is not imaginary)."""
+    s = GR(re, sigma)
+    assert _outcome(virasoro_check, s, mu, n, m, e_max) == \
+        _outcome(oracle_virasoro, s, mu, n, m, e_max)
+    assert _outcome(adjointness_check, s, mu, n, e_max, operator) == \
+        _outcome(oracle_adjointness, s, mu, n, e_max, operator)
+
+
+@given(re=FRACTIONS, im=FRACTIONS, n_max=st.integers(min_value=0, max_value=5),
+       m_max=st.integers(min_value=0, max_value=5))
+@settings(max_examples=40, deadline=None)
+def test_exp_factorization_agrees_with_the_oracle(re, im, n_max, m_max):
+    t = GR(re, im)
+    assert exp_factorization_check(t, n_max, m_max) == \
+        oracle_exp_factorization(t, n_max, m_max)
+
+
+def _edit_scaled_L(monkeypatch, edit):
+    """Route the checks through copies of the operators D*L_n that
+    `edit(n, columns, basis)` changes in place."""
+    kernel = gram_lab._scaled_L
+
+    def edited(sigma, mu, n, e_max):
+        D, cols = kernel(sigma, mu, n, e_max)
+        cols = [None if col is None else dict(col) for col in cols]
+        edit(n, cols, gram_lab._basis(e_max))
+        return D, tuple(cols)
+    monkeypatch.setattr(gram_lab, "_scaled_L", edited)
+
+
+def test_a_corrupted_entry_or_a_real_s_term_fails_both_checks(monkeypatch):
+    s, mu = GR.imag(Q(1, 2)), Q(2)
+    zero = GR.of(0)
+    assert virasoro_check(s, mu, 1, -1, 6) and adjointness_check(s, mu, 1, 6)
+    assert adjointness_check(zero, Q(0), 2, 4) and adjointness_check(zero, Q(0), -2, 4)
+
+    def corrupt(n, cols, b):  # L_1 a_{-1}|0>, one unit off on the vacuum
+        if n == 1:
+            one = b.index[((1, 1),)]
+            re, im = cols[one][0]
+            cols[one][0] = (re + 1, im)
+
+    def real_s_term(n, cols, b):  # (mu - sigma*n) a_n in place of (mu - s*n) a_n
+        for col in cols:
+            for y, (re, im) in (col or {}).items():
+                col[y] = (re + im, 0)
+
+    def spurious(n, cols, b):  # an entry of L_{-2} where L_2 has none
+        if n == -2:
+            cols[0][b.index[((2, 1),)]] = (1, 0)
+
+    for edit in (corrupt, real_s_term):
+        with monkeypatch.context() as mp:
+            _edit_scaled_L(mp, edit)
+            assert not virasoro_check(s, mu, 1, -1, 6), edit.__name__
+            assert not adjointness_check(s, mu, 1, 6), edit.__name__
+    # at s = mu = 0, L_2[|0>, a_{-2}|0>] = 0: only the walk over the support of
+    # L_{-2} (fact 3) meets the spurious entry when n = 2
+    with monkeypatch.context() as mp:
+        _edit_scaled_L(mp, spurious)
+        assert not adjointness_check(zero, Q(0), 2, 4)
+        assert not adjointness_check(zero, Q(0), -2, 4)
+    assert virasoro_check(s, mu, 1, -1, 6) and adjointness_check(zero, Q(0), 2, 4)
+
+
+def test_gram_caches_stay_bounded_over_an_s_mu_sweep():
+    """Distinct (s, mu) pairs past the bound of `_scaled_L`, modes past the
+    bounds of `_a_map` and `_p_map`, cutoffs past the bound of `_basis` and
+    mu values past that of `heisenberg_matrix` leave every cache of every
+    `wmin` module at or under its bound."""
+    new = {gram_lab._basis, gram_lab._a_map, gram_lab._p_map, gram_lab._scaled_L,
+           gram_lab.heisenberg_matrix, gram_lab.states_at_energy}
+    bound = {f: f.cache_info().maxsize for f in new}
+    for k in range(1, bound[gram_lab._scaled_L] + 5):
+        assert virasoro_check(GR.imag(Q(1, k)), Q(k, 3), 1, 0, 2)
+    for e_max in range(1, 10):
+        for n in range(-e_max, e_max + 1):
+            assert adjointness_check(GR.of(0), Q(1), n, e_max)
+    assert sum(2 * e for e in range(1, 10)) > max(bound[gram_lab._a_map], bound[gram_lab._p_map])
+    for e_max in range(bound[gram_lab._basis] + 4):
+        gram_lab._basis(e_max)
+    for k in range(bound[gram_lab.heisenberg_matrix] + 4):
+        heisenberg_matrix(1, Q(k), 1)
+    mods = [importlib.import_module(f"wmin.{m.name}")
+            for m in pkgutil.iter_modules(wmin.__path__)]
+    caches = [f for mod in mods for f in vars(mod).values()
+              if hasattr(f, "cache_info") and f.__module__ == mod.__name__]
+    assert new <= set(caches)
+    for f in caches:
+        info = f.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize, f
+    assert all(f.cache_info().currsize == bound[f] for f in new - {gram_lab.states_at_energy})

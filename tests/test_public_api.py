@@ -30,5 +30,5 @@ def test_qwseries_is_a_read_only_value():
     one series sum is `characters._sum_pieces`; `add_term` places a single
     term, for `series_from_records`."""
     assert [n for n in dir(QWSeries) if not n.startswith("_")] == [
-        "add_term", "coeff", "depth", "entry", "is_zero", "n_terms", "q_max",
+        "add_term", "coeff", "depth", "entry", "n_terms", "q_max",
         "records", "ref", "terms", "truncated"]

@@ -57,3 +57,20 @@ def test_stage_times_takes_a_negative_rational_level():
     (line,) = run_script("stage_times.py", "--g", "G3", "--k", "-9/4")
     got = json.loads(line)
     assert got["out_terms"] == 110 and got["import_s"] > 0
+
+
+def test_stage_times_gram():
+    """`--gram 8`: every stage of the boson lab's int kernel is timed, and
+    the caches hold what the stages built, one basis, the mode maps and one
+    (s, mu) family of 13 operators that the checks then reuse."""
+    import json
+    (line,) = run_script("stage_times.py", "--gram", "8")
+    got = json.loads(line)
+    assert got["states"] == 67
+    assert all(got[k] >= 0 for k in ("basis_s", "modes_s", "scale_s", "virasoro_s",
+                                     "adjoint_s"))
+    assert {name: info["currsize"] for name, info in got["caches"].items()} == {
+        "states_at_energy": 9, "_basis": 1, "_a_map": 16, "_p_map": 12, "_scaled_L": 13,
+        "heisenberg_matrix": 0}
+    assert got["caches"]["_scaled_L"]["misses"] == 13
+    assert all(info["currsize"] <= info["maxsize"] for info in got["caches"].values())
