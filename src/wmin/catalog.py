@@ -194,6 +194,30 @@ class CatalogEntry:
         return Vec(sum(map(mul, r, v)) for r in self.lattice.proj)
 
     @cached_property
+    def coroots(self) -> tuple:
+        """The coroot table: the covector (c, l) of beta^vee, over the affine simple
+        roots beta of g^nat in the order of `_Lattice`; built from `gram` alone."""
+        table = []
+        for fin, dc in ([(a, 0) for a in self.simple_roots_natural]
+                        + [(-1 * c.theta, 1) for c in self.components]):
+            norm = self.form(fin, fin)
+            cov = tuple(2 * self.form(basis_vec(self.n, a), fin) / norm for a in range(self.n))
+            table.append((cov, Q(2 * dc) / norm))
+        return tuple(table)
+
+    def pairings(self, level, finite: Sequence) -> List[Fraction]:
+        """The one pass: <lam, beta^vee> = c.finite + level * l over `coroots`, for
+        lam = level * Lambda_0 + finite (+ any multiple of delta).  At level 0, nu's
+        simple-coroot pairings, then -nu(theta_i^vee) for eta_i = delta - theta_i."""
+        if len(finite) != self.n:
+            raise ParameterOutOfRange(f"{self.id.label()} weights have {self.n} coordinates")
+        return [sum(map(mul, cov, finite)) + level * lc for cov, lc in self.coroots]
+
+    @cached_property
+    def _xi_pairings(self) -> List[Fraction]:
+        return self.pairings(0, self.xi)
+
+    @cached_property
     def lattice(self) -> "_Lattice":
         """The frame of h^nat (`_Lattice`), built on first use into the
         instance `__dict__`; `lookup`'s bound is the frames' bound."""
@@ -214,17 +238,6 @@ class CatalogEntry:
         return self.form(nu, nu + 2 * self.rho_natural)
 
     # -- weights ----------------------------------------------------------
-    def is_dominant_integral(self, nu: Vec) -> bool:
-        for a in self.simple_roots_natural:
-            p = self.coroot_pairing(nu, a)
-            if p < 0 or p.denominator != 1:
-                return False
-        return True
-
-    def theta_pairings(self, nu: Vec) -> list:
-        """nu(theta_i^vee) for the simple components, in index order."""
-        return [self.coroot_pairing(nu, c.theta) for c in self.components]
-
     def weyl_reflect(self, v: Vec, alpha: Vec) -> Vec:
         return v - self.coroot_pairing(v, alpha) * alpha
 
@@ -532,8 +545,8 @@ class _Lattice:
 
     The orbit side, over the affine simple roots beta_i of g^nat, (alpha, 0)
     for its simple roots and then (-theta_i, 1) for eta_i = delta - theta_i
-    as (finite part, delta coefficient): `coroots` gives <lam, beta_i^vee> as
-    a covector on (finite part, level) (`pairings`); `cartan[i][j]` =
+    as (finite part, delta coefficient): `coroots`, the entry's table, gives
+    <lam, beta_i^vee> on (finite part, level) (`pairings`); `cartan[i][j]` =
     <beta_i, beta_j^vee> is the affine Cartan matrix and `xd[i]` the pairing
     of beta_i with x+d, all ints: g^nat is reductive, each simple component
     with its untwisted affine root system, and rescaling a component's form
@@ -545,17 +558,16 @@ class _Lattice:
     """
 
     __slots__ = ("proj", "depth_cov", "denom", "scale", "cov", "slope", "theta_depth",
-                 "coroots", "cartan", "xd", "oden", "orows", "orho")
+                 "coroots", "pairings", "cartan", "xd", "oden", "orows", "orho")
 
     def __init__(self, entry: CatalogEntry):
         s = entry.simple_roots_natural
         r, n = len(s), entry.n
-        # rows of [S G | diag((s_i|s_i)/2)]: the pairings of the coordinate
-        # basis with s_i, then the half norm of s_i on the diagonal
-        rhs = [[entry.form(basis_vec(n, a), si) for a in range(n)]
-               + [entry.form(si, si) / 2 if i == j else Q(0) for j in range(r)]
-               for i, si in enumerate(s)]
-        sol = _solve_exact([[entry.form(a, b) for b in s] for a in s], rhs)
+        # [G | S G | diag((s_i|s_i)/2)], row i scaled by 2/(s_i|s_i), is the coroot
+        # table: the pairings of s_j, of the coordinate basis and of omega_j with s_i^vee
+        sol = _solve_exact(list(zip(*(entry.pairings(0, b)[:r] for b in s))),
+                           [[*cov, *(Q(int(i == j)) for j in range(r))]
+                            for i, (cov, _) in enumerate(entry.coroots[:r])])
         coeffs = [row[:n] for row in sol]  # r x n: c(v) = G^{-1} S G v
         self.proj = tuple(Vec(sum(s[i][a] * coeffs[i][j] for i in range(r)) for j in range(n))
                           for a in range(n))
@@ -577,13 +589,10 @@ class _Lattice:
         self.slope = max(dips) if dips else Q(1)
         self.theta_depth = max([depth(-1 * c.theta) for c in entry.components] + [Q(1)])
 
-        roots = [(a, Q(0)) for a in s] + [(-1 * c.theta, Q(1)) for c in entry.components]
-        norms = [entry.form(fin, fin) for fin, _ in roots]
-        self.coroots = tuple(([2 * entry.form(basis_vec(n, a), fin) / norm
-                               for a in range(n)], 2 * dc / norm)
-                             for (fin, dc), norm in zip(roots, norms))
+        roots = [(a, 0) for a in s] + [(-1 * c.theta, 1) for c in entry.components]
+        self.coroots, self.pairings = entry.coroots, entry.pairings
         self.cartan = tuple(self._ints(entry, "affine Cartan matrix row",
-                                       self.pairings(Q(0), fin)) for fin, _ in roots)
+                                       self.pairings(0, fin)) for fin, _ in roots)
         self.xd = self._ints(entry, "x+d pairings of the affine simple roots",
                              [entry.form(fin, entry.theta) / 2 + dc for fin, dc in roots])
         omegas = [sum((c * a for c, a in zip(col, s)), zero_vec(n))
@@ -592,12 +601,6 @@ class _Lattice:
         self.orows = tuple(tuple((om[a] * self.oden).numerator for om in omegas)
                            for a in range(n))
         self.orho = tuple((c * self.oden).numerator for c in entry.rho_natural)
-
-    def pairings(self, level: Fraction, finite: Vec) -> List[Fraction]:
-        """<lam, beta_i^vee> over the affine simple roots, for
-        lam = level * Lambda_0 + finite (+ any multiple of delta): with
-        (Lambda_0|delta) = 1, (lam|beta) = (finite|beta_fin) + level * beta_delta."""
-        return [sum(map(mul, cov, finite)) + level * lc for cov, lc in self.coroots]
 
     def span(self, ps: Sequence[int], L: int, rho: int = 0) -> Vec:
         """sum_i (ps_i / L) omega_i - rho * rho^nat over the simple roots of
@@ -706,7 +709,8 @@ def validate(entry: CatalogEntry) -> ValidationReport:
         rep.add("threshold_identity", True,
                 f"not applicable; max(rho^nat|gamma) = {mx}")
 
-    rep.add("xi_dominant", entry.is_dominant_integral(entry.xi))
+    xi_ps = [entry.coroot_pairing(entry.xi, a) for a in entry.simple_roots_natural]
+    rep.add("xi_dominant", all(p >= 0 and p.denominator == 1 for p in xi_ps))
     rep.add("xi_in_delta_prime", any(g == entry.xi for g, _ in entry.delta_prime))
     rep.add("epsilon_flag",
             (entry.epsilon == 2) == any(g.is_zero() for g, _ in entry.delta_prime))

@@ -584,7 +584,7 @@ def character_massive(g: AlgebraId, k, nu: Vec, l0, q_max, depth) -> QWSeries:
     entry = lookup(g)
     k, l0, q_max, depth = Q(k), Q(l0), Q(q_max), Q(depth)
     data = _P_plus_data(g, k, nu)
-    if data is None or _is_extremal(entry, data[0], nu, data[1]):
+    if data is None or _is_extremal(entry, *data):
         raise PreconditionViolated("massive character needs non-extremal nu in P^+_k")
     if l0 <= A_bound(g, k, nu):
         raise PreconditionViolated("massive character needs l0 > A(k,nu)")

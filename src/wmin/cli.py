@@ -23,7 +23,7 @@ Q = Fraction
 
 
 def _rat_list(s: str) -> List[Fraction]:
-    return [parse_rational(tok) for tok in s.split(",") if tok.strip()]
+    return [parse_rational(tok) for tok in s.split(",")]
 
 
 def _jsonable(x):
@@ -86,12 +86,12 @@ def nu_from_args(g: AlgebraId, args) -> Vec:
     ways = [f for f in given if f not in labels_r] + labels_r[:1]
     if len(ways) > 1:  # ValueError: a usage error, exit code 2
         raise ValueError(f"{ways[0]} conflicts with {ways[1]}: give nu one way")
-    if getattr(args, "nu_coords", None):
+    if getattr(args, "nu_coords", None) is not None:
         coords = _rat_list(args.nu_coords)
         if len(coords) != entry.n:
             raise WminError(f"{entry.id.label()} needs {entry.n} coordinates")
         return Vec(coords)
-    if getattr(args, "nu_labels", None):
+    if getattr(args, "nu_labels", None) is not None:
         labels = _rat_list(args.nu_labels)
     else:
         flags = ("--nu-r", "--nu-r2", "--nu-r3")

@@ -49,10 +49,10 @@ from math import factorial, lcm
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .catalog import AlgebraId, Vec, lookup
-from .errors import PreconditionViolated, WindowTooSmall
-from .levels import component_level
+from .errors import IndexOutOfSet, PreconditionViolated, WindowTooSmall
+from .levels import level_data
 from .rationals import GaussianRational as GR
-from .weights import A_bound
+from .weights import A_bound, _thetas
 
 Q = Fraction
 
@@ -460,9 +460,8 @@ def j_g_ratio(g: AlgebraId, k, nu: Vec, i: int) -> Fraction:
     constant: (nu+xi)(theta_i^vee) - M_i(k).  Vanishes exactly on the
     extremality boundary and equals 1 - N_i(k,nu) on the families where
     chi_i = -xi(theta_i^vee)."""
-    entry = lookup(g)
-    entry.shifted_level(k)  # CriticalLevel guard
-    k = Q(k)
-    comp = entry.components[i - 1]
-    m_i = component_level(entry, k, comp)
-    return entry.coroot_pairing(nu + entry.xi, comp.theta) - m_i
+    entry, lv = lookup(g), level_data(g, k)  # CriticalLevel guard
+    if not 1 <= i <= len(lv.M_simple):
+        raise IndexOutOfSet(f"component index {i} outside 1..{len(lv.M_simple)}")
+    shifted = [p + x for p, x in zip(entry.pairings(0, nu), entry._xi_pairings)]  # nu + xi
+    return _thetas(entry, shifted)[i - 1] - lv.M_simple[i - 1]

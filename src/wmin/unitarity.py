@@ -8,8 +8,8 @@ from typing import List, Optional
 from .catalog import AlgebraId, CatalogEntry, Vec, lookup
 from .errors import IndexOutOfSet
 from .levels import LevelData, level_data, unitarity_range_contains
-from .weights import (A_bound, A_explicit, _ell, _in_P_plus, _is_extremal,
-                      _P_plus_data)
+from .weights import (A_bound, _A_explicit, _ell, _in_P_plus, _is_extremal,
+                      _P_plus_data, _thetas)
 
 Q = Fraction
 
@@ -52,24 +52,15 @@ class UnitarityVerdict:
             self.outcome == EXTREMAL_BOUNDARY and bool(self.proved))
 
 
-def _proved_extremal(g: AlgebraId, lv: LevelData, pairs: list) -> bool:
+def _proved_extremal(g: AlgebraId) -> bool:
     """Extremal boundary modules with an actual unitarity proof: the N=4 and
-    N=3 families throughout, plus the single integrable weight of
-    D(2,1;m) / D(2,1;1/n) at its first level (the latter only ever arises at
-    a collapsing level, so it is caught earlier)."""
-    if g.family == "psl22":
-        return True
-    if g.family == "spo2m" and g.m == 3:
-        return True
-    if g.family == "D21a" and 1 in (g.a_num, g.a_den):
-        if min(lv.M_simple) == 0:
-            big = max(range(2), key=lambda i: lv.M_simple[i])
-            return (pairs[big] == lv.M_simple[big]
-                    and pairs[1 - big] == 0)
-    return False
+    N=3 families throughout.  The single integrable weight of D(2,1;m) /
+    D(2,1;1/n) at its first level is proved too, but there some M_i(k) = 0,
+    so k is a zero of the collapsing polynomial and `decide` stops earlier."""
+    return g.family == "psl22" or (g.family == "spo2m" and g.m == 3)
 
 
-def _collapse_check(entry: CatalogEntry, lv: LevelData, nu: Vec, pairs: list,
+def _collapse_check(entry: CatalogEntry, lv: LevelData, nu: Vec, ps: list,
                     l0: Fraction) -> CollapseCheck:
     target = lv.collapse_target or "?"
     if target == "C":
@@ -77,13 +68,13 @@ def _collapse_check(entry: CatalogEntry, lv: LevelData, nu: Vec, pairs: list,
         detail = "target is trivial; needs nu = 0"
     elif "free boson" in target:
         # sl(2|m) collapsing to the free boson: the center survives
-        ok = pairs[0] == 0
+        ok = _thetas(entry, ps)[0] == 0
         detail = "sl_m part of nu must vanish; center charge unconstrained"
     else:
         # P^+_k membership is exactly the target's integrability: dominance
-        # gives pairs[i] = nu(theta_i^vee) >= 0, so on a component with
-        # M_i = 0 the bound pairs[i] <= M_i says pairs[i] = 0 (trivial there).
-        ok = _in_P_plus(entry, lv, nu, pairs)
+        # gives nu(theta_i^vee) >= 0, so on a component with M_i = 0 the
+        # bound nu(theta_i^vee) <= M_i says it is 0 (trivial there).
+        ok = _in_P_plus(entry, lv, ps)
         detail = ("integrable on the surviving component(s), trivial on the rest"
                   if len(entry.components) == 2 else
                   "nu must be integrable of level M_1 for the target")
@@ -112,24 +103,24 @@ def decide(g: AlgebraId, k, nu: Vec, l0) -> UnitarityVerdict:
         reasons.append("k outside the unitarity range")
         return UnitarityVerdict(NOT_IN_UNITARY_RANGE, quantities, tuple(reasons))
 
-    pairs = entry.theta_pairings(nu)
+    ps = entry.pairings(0, nu)
     if lv.collapsing:
-        chk = _collapse_check(entry, lv, nu, pairs, l0)
+        chk = _collapse_check(entry, lv, nu, ps, l0)
         reasons.append(f"collapsing level, target {chk.target}")
         return UnitarityVerdict(COLLAPSING, quantities, tuple(reasons), collapse=chk)
 
-    if not _in_P_plus(entry, lv, nu, pairs):
+    if not _in_P_plus(entry, lv, ps):
         reasons.append("nu not dominant integral of the component levels")
         return UnitarityVerdict(NOT_IN_P_PLUS_K, quantities, tuple(reasons))
 
     a = A_bound(g, k, nu)
-    extremal = _is_extremal(entry, lv, nu, pairs)
-    quantities.update({"A": a, "A_explicit": A_explicit(g, k, nu),
+    extremal = _is_extremal(entry, lv, ps)
+    quantities.update({"A": a, "A_explicit": _A_explicit(entry, k, nu, ps),
                        "extremal": extremal, "l0_minus_A": l0 - a})
 
     if extremal:
         if l0 == a:
-            proved = _proved_extremal(g, lv, pairs)
+            proved = _proved_extremal(g)
             reasons.append("extremal weight at the threshold"
                            + ("" if proved else
                               ": conjecturally unitary (unproven extremal"
@@ -201,7 +192,7 @@ def sign2_scan(g: AlgebraId, k, nu: Vec, n_max, m_max) -> Sign2Report:
     entry = lookup(g)
     k = Q(k)
     data = _P_plus_data(g, k, nu)
-    hyp = data is not None and not _is_extremal(entry, data[0], nu, data[1])
+    hyp = data is not None and not _is_extremal(entry, *data)
     rep = Sign2Report(g, k, nu, hyp,
                       "scan" if hyp else "lemma hypothesis not met")
     a = A_bound(g, k, nu)

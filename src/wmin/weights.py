@@ -15,20 +15,25 @@ from .levels import LevelData, level_data, unitarity_range_contains
 Q = Fraction
 
 
-def _in_P_plus(entry: CatalogEntry, lv: LevelData, nu: Vec, pairs: list) -> bool:
-    """nu dominant integral with nu(theta_i^vee) <= M_i(k); `pairs` are nu's
-    theta pairings.  The level must lie in the unitarity range."""
-    return (entry.is_dominant_integral(nu)
-            and all(p <= m for p, m in zip(pairs, lv.M_simple)))
+def _thetas(entry: CatalogEntry, ps: list) -> list:
+    """nu(theta_i^vee) per component from nu's level-0 pairings `ps` (eta_i: minus it)."""
+    return [-p for p in ps[len(entry.simple_roots_natural):]]
 
 
-def _is_extremal(entry: CatalogEntry, lv: LevelData, nu: Vec, pairs: list) -> bool:
-    """nu+xi falls outside P^+_k, for nu in P^+_k with theta pairings `pairs`;
-    cross-checked against the chi_i test."""
-    shifted = nu + entry.xi
-    by_def = not _in_P_plus(entry, lv, shifted, entry.theta_pairings(shifted))
+def _in_P_plus(entry: CatalogEntry, lv: LevelData, ps: list) -> bool:
+    """nu dominant integral with nu(theta_i^vee) <= M_i(k), read off nu's
+    pairings `ps`.  The level must lie in the unitarity range."""
+    return (all(p >= 0 and p.denominator == 1
+                for p in ps[:len(entry.simple_roots_natural)])
+            and all(p <= m for p, m in zip(_thetas(entry, ps), lv.M_simple)))
+
+
+def _is_extremal(entry: CatalogEntry, lv: LevelData, ps: list) -> bool:
+    """nu+xi falls outside P^+_k, for nu in P^+_k with pairings `ps` (nu+xi
+    pairs as ps plus xi's pairings); cross-checked against the chi_i test."""
+    by_def = not _in_P_plus(entry, lv, [p + x for p, x in zip(ps, entry._xi_pairings)])
     by_chi = any(p > m + c.chi for p, m, c in
-                 zip(pairs, lv.M_simple, entry.components))
+                 zip(_thetas(entry, ps), lv.M_simple, entry.components))
     if by_def != by_chi:
         raise CharacterizationMismatch(
             f"extremality tests disagree for {entry.id.label()}, k={lv.k}: "
@@ -37,13 +42,13 @@ def _is_extremal(entry: CatalogEntry, lv: LevelData, nu: Vec, pairs: list) -> bo
 
 
 def _P_plus_data(g: AlgebraId, k, nu: Vec) -> Optional[Tuple[LevelData, list]]:
-    """(level data, nu's theta pairings) when nu lies in P^+_k, else None."""
+    """(level data, nu's pairings) when nu lies in P^+_k, else None."""
     if not unitarity_range_contains(g, k):
         return None
     entry = lookup(g)
     lv = level_data(g, k)
-    pairs = entry.theta_pairings(nu)
-    return (lv, pairs) if _in_P_plus(entry, lv, nu, pairs) else None
+    ps = entry.pairings(0, nu)
+    return (lv, ps) if _in_P_plus(entry, lv, ps) else None
 
 
 def in_P_plus_k(g: AlgebraId, k, nu: Vec) -> bool:
@@ -56,7 +61,7 @@ def is_extremal(g: AlgebraId, k, nu: Vec) -> bool:
     data = _P_plus_data(g, k, nu)
     if data is None:
         raise PreconditionViolated("is_extremal requires nu in P^+_k")
-    return _is_extremal(lookup(g), data[0], nu, data[1])
+    return _is_extremal(lookup(g), *data)
 
 
 def _ell(h: Fraction, k: Fraction, kh: Fraction, cas: Fraction) -> Fraction:
@@ -92,14 +97,16 @@ def A_explicit(g: AlgebraId, k, nu: Vec) -> Fraction:
     """
     entry = lookup(g)
     entry.shifted_level(k)  # CriticalLevel guard
-    k = Q(k)
-    fam = g.family
+    return _A_explicit(entry, Q(k), nu, entry.pairings(0, nu))
+
+
+def _A_explicit(entry: CatalogEntry, k: Fraction, nu: Vec, ps: list) -> Fraction:
+    """`A_explicit` at a noncritical level, with nu's pairings `ps`."""
+    g, fam = entry.id, entry.id.family
     if fam == "psl22":
-        r = entry.coroot_pairing(nu, entry.components[0].theta)
-        return Q(r, 2)
+        return Q(_thetas(entry, ps)[0], 2)
     if fam == "spo2m" and g.m == 3:
-        r = entry.coroot_pairing(nu, entry.components[0].theta)
-        return Q(r, 4)
+        return Q(_thetas(entry, ps)[0], 4)
     if fam == "spo2m":
         m = g.m
         rr = m // 2
@@ -110,8 +117,7 @@ def A_explicit(g: AlgebraId, k, nu: Vec) -> Fraction:
         return -(s - r * (2 * k + r + 2)) / (2 * (2 * k - m + 4))
     if fam == "D21a":
         a = g.a
-        r1 = entry.coroot_pairing(nu, entry.components[0].theta)
-        r2 = entry.coroot_pairing(nu, entry.components[1].theta)
+        r1, r2 = _thetas(entry, ps)
         return ((2 * (a + 1) * k * (a * r2 + r1) - a * (r1 - r2) ** 2)
                 / (4 * (a + 1) ** 2 * k))
     if fam == "F4":
@@ -190,5 +196,5 @@ def enumerate_P_plus_k(g: AlgebraId, k) -> List[Vec]:
                 out.append(entry.nu_from_labels([r1, r2]))
     else:
         raise PreconditionViolated(f"no enumeration for {fam}")
-    assert all(_in_P_plus(entry, lv, nu, entry.theta_pairings(nu)) for nu in out)
+    assert all(_in_P_plus(entry, lv, entry.pairings(0, nu)) for nu in out)
     return out

@@ -97,6 +97,16 @@ def test_weight_label_gap_is_usage_error(capsys):
     assert code == 0 and d["collapse"]["weight_integrable"] is False
 
 
+def test_empty_weight_lists_are_usage_errors(capsys):
+    """An empty list, or an empty entry in one, is not read as nu = 0 or as
+    a shorter list."""
+    base = ["check", "--g", "psl22", "--k", "-2", "--l0", "1"]
+    for flags in (["--nu-coords", ""], ["--nu-labels", ""], ["--nu-labels", "1,,"]):
+        code, d = run_json(capsys, base + flags)
+        assert code == 2 and d == {"error": "ValueError",
+                                   "message": "not an exact rational: '' (use p or p/q)"}, flags
+
+
 def test_conflicting_inputs_are_usage_errors(capsys):
     base = ["check", "--g", "psl22", "--k", "-3", "--l0", "1"]
     code, d = run_json(capsys, base + ["--nu-labels", "0", "--nu-r", "2"])

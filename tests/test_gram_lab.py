@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import wmin
 from wmin import catalog, gram_lab
 from wmin.catalog import lookup, zero_vec
-from wmin.errors import PreconditionViolated, WindowTooSmall
+from wmin.errors import IndexOutOfSet, PreconditionViolated, WindowTooSmall
 from wmin.gram_lab import (VACUUM, BosonBasisState, GradedSliceOperator, _add_into,
                            adjointness_check, boson_norm, exp_factorization_check,
                            fairlie_matrix, g_half_norm, heisenberg_matrix, j_g_ratio,
@@ -317,6 +317,19 @@ def test_j_g_ratio_matches_n_i(unitary_families):
                     n_i = (component_level(e, k, comp) + comp.chi + 1
                            - e.coroot_pairing(nu, comp.theta))
                     assert j_g_ratio(g, k, nu, i) == 1 - n_i
+
+
+def test_j_g_ratio_rejects_a_component_index_outside_1_to_s():
+    """i = 0 must not wrap round to component s, nor s + 1 raise a bare
+    IndexError; psl22 has one component, D(2,1;2) two."""
+    g = catalog.psl22()
+    nu = Q(1, 2) * lookup(g).components[0].theta
+    assert j_g_ratio(g, -2, nu, 1) == 1
+    for g, k, nu in ((g, -2, nu), (catalog.d21a(2), Q(-2, 3), zero_vec(3))):
+        s = len(lookup(g).components)
+        for i in (0, s + 1, -1):
+            with pytest.raises(IndexOutOfSet, match=rf"^component index {i} outside 1\.\.{s}$"):
+                j_g_ratio(g, k, nu, i)
 
 
 def test_stored_columns_hold_no_zero_and_cancellation_empties():

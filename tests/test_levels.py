@@ -90,6 +90,23 @@ def test_critical_level_single_message(fn, args):
         fn(catalog.f4(), 2, *args)
 
 
+def test_a_vanishing_component_level_is_collapsing(all_algebras):
+    """M_i(k) = 0 makes k a zero of the collapsing polynomial, so `decide`
+    reports such a level as collapsing before any extremality verdict; the
+    D(2,1;m) / D(2,1;1/n) boundary weight at its first level is one."""
+    seen = 0
+    for g in all_algebras:
+        e = lookup(g)
+        for c in e.components:
+            k = -(e.h_vee - c.hbar_vee) / 2
+            if k + e.h_vee == 0:
+                continue
+            lv = level_data(g, k)
+            assert lv.M_simple[c.index - 1] == 0 and lv.collapsing, (g.label(), k)
+            seen += 1
+    assert seen >= 16
+
+
 def test_central_charge_fixtures():
     assert central_charge(catalog.psl22(), -2) == 6
     assert central_charge(catalog.spo2m(3), Q(-3, 4)) == 1

@@ -1,7 +1,7 @@
 """The public surface of `wmin`, pinned by name: removing a name or adding
 one is a deliberate edit of these lists, never a side effect."""
 import wmin
-from wmin import QWSeries
+from wmin import CatalogEntry, QWSeries
 
 PUBLIC = [
     "A_bound", "A_explicit", "AlgebraId", "B_bound", "BosonBasisState",
@@ -32,3 +32,12 @@ def test_qwseries_is_a_read_only_value():
     assert [n for n in dir(QWSeries) if not n.startswith("_")] == [
         "add_term", "coeff", "depth", "entry", "n_terms", "q_max",
         "records", "ref", "terms", "truncated"]
+
+
+def test_catalog_entry_methods_are_pinned():
+    """The public methods of a catalog entry.  The benchmark calls
+    `coroot_pairing` and `weyl_reflect` (bench/make_golden.py and
+    bench/workloads.py), so deleting either is a deliberate edit."""
+    assert [n for n in dir(CatalogEntry) if not n.startswith("_")] == [
+        "casimir", "coroot_pairing", "coroots", "form", "lattice", "nu_from_labels",
+        "pairings", "restrict", "shifted_level", "weyl_reflect"]

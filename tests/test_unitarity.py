@@ -226,8 +226,10 @@ def test_lowest_energy_quadratic_pins_the_merged_formulas(unitary_families):
 
 def _collapse_rule(entry, lv, nu):
     """The collapse gate written out per branch: (weight_integrable, detail)."""
-    pairs = entry.theta_pairings(nu)
-    dom = entry.is_dominant_integral(nu)
+    ps = entry.pairings(0, nu)  # simple coroots of g^nat, then eta_i
+    r = len(entry.simple_roots_natural)
+    pairs = [-p for p in ps[r:]]
+    dom = all(p >= 0 and p.denominator == 1 for p in ps[:r])
     target = lv.collapse_target
     if target == "C":
         return nu.is_zero(), "target is trivial; needs nu = 0"

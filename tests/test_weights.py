@@ -1,13 +1,23 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wmin import catalog
-from wmin.catalog import lookup, zero_vec
-from wmin.errors import PreconditionViolated
+from wmin.catalog import Vec, lookup, zero_vec
+from wmin.characters import character_massive, character_massless
+from wmin.errors import ParameterOutOfRange, PreconditionViolated
+from wmin.gram_lab import j_g_ratio
 from wmin.levels import enumerate_unitary_k, level_data
+from wmin.unitarity import decide, sign2_scan
 from wmin.weights import (A_bound, A_explicit, B_bound, enumerate_P_plus_k,
                           in_P_plus_k, is_extremal)
+
+# every catalog family: sl2m(3) carries a center, osp4m(6) two components
+PASS_FAMILIES = [catalog.psl22(), catalog.sl2m(3), catalog.spo2m(3), catalog.spo2m(5),
+                 catalog.spo2m(6), catalog.osp4m(6), catalog.d21a(2), catalog.d21a(2, 3),
+                 catalog.f4(), catalog.g3()]
 
 
 def test_p_plus_k_examples():
@@ -98,3 +108,57 @@ def test_enumerate_p_plus_counts():
     # spin weights are included for orthogonal components
     weights = enumerate_P_plus_k(catalog.spo2m(5), Q(-3, 2))
     assert any(w[1].denominator == 2 for w in weights)
+
+
+def _pairings_oracle(e, nu):
+    """nu's simple-coroot pairings, then -nu(theta_i^vee), one root at a time."""
+    return ([e.coroot_pairing(nu, a) for a in e.simple_roots_natural]
+            + [-e.coroot_pairing(nu, c.theta) for c in e.components])
+
+
+def test_one_pass_equals_the_coroot_pairings():
+    """`CatalogEntry.pairings` at level 0 over P^+_k of the first four
+    levels, xi and rho^nat of every family."""
+    seen = 0
+    for g in PASS_FAMILIES:
+        e = lookup(g)
+        ws = [e.xi, e.rho_natural]
+        if g.family != "sl2m":  # P^+_k is enumerated for the other families
+            ws += [nu for k in enumerate_unitary_k(g, 4) for nu in enumerate_P_plus_k(g, k)]
+        for nu in ws:
+            assert e.pairings(0, nu) == _pairings_oracle(e, nu), (g.label(), nu)
+        seen += len(ws)
+    assert seen == 457
+
+
+@given(st.sampled_from(PASS_FAMILIES), st.data())
+@settings(max_examples=100, deadline=None)
+def test_one_pass_on_random_weights(g, data):
+    """Any rational weight and level: the pass equals the oracle at level 0,
+    and the level enters through Lambda_0 alone, as 2/u_i on eta_i."""
+    e = lookup(g)
+    rat = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    nu = Vec(data.draw(st.lists(rat, min_size=e.n, max_size=e.n)))
+    level = data.draw(rat)
+    ps = e.pairings(0, nu)
+    assert ps == _pairings_oracle(e, nu)
+    shift = [a - b for a, b in zip(e.pairings(level, nu), ps)]
+    assert shift == ([0] * len(e.simple_roots_natural)
+                     + [2 * level / c.u for c in e.components])
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, k, nu: decide(g, k, nu, 1),
+    in_P_plus_k,
+    is_extremal,
+    lambda g, k, nu: character_massive(g, k, nu, 2, 2, 2),
+    lambda g, k, nu: character_massless(g, k, nu, 2, 2),
+    lambda g, k, nu: sign2_scan(g, k, nu, 2, 2),
+    lambda g, k, nu: j_g_ratio(g, k, nu, 1),
+], ids=["decide", "in_P_plus_k", "is_extremal", "character_massive",
+        "character_massless", "sign2_scan", "j_g_ratio"])
+def test_a_weight_of_the_wrong_length_raises(call):
+    """A short weight must not be read as a prefix, nor a long one truncated."""
+    for nu in (zero_vec(3), zero_vec(5)):
+        with pytest.raises(ParameterOutOfRange, match=r"^psl22 weights have 4 coordinates$"):
+            call(catalog.psl22(), -3, nu)
