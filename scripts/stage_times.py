@@ -3,12 +3,16 @@
 
 Runs the request twice in this fresh interpreter: cold (the denominator
 expansion is built) and warm (it is cached).  The stages are timed by
-wrapping `characters._orbit`, `characters._fns_cached` and
-`characters._sum_pieces` for the two calls:
+wrapping `characters._orbit`, `characters._fns_cached`,
+`characters._sum_pieces` and the precondition checks for the two calls:
 
     import_s              import wmin.characters
     denominator_build_s   the cold call's `_fns_cached` (the NS denominator)
     denominator_terms     terms of that series in its sloped window
+    checks_s              the warm call's preconditions: its calls of
+                          `_P_plus_data`, `_is_extremal` and `A_bound`
+                          (massive) or `in_P_plus_k` and `A_bound`
+                          (massless), summed
     orbit_s               the warm call's `_orbit`
     orbit_elements        orbit elements within the window
     sum_warm_s            the warm call's `_sum_pieces` (isotropic divisions
@@ -99,7 +103,8 @@ def main(argv=None):
         return wrapper
 
     fns_cache = characters._fns_cached
-    for name in ("_orbit", "_fns_cached", "_sum_pieces"):
+    checks = ("_P_plus_data", "_is_extremal", "A_bound", "in_P_plus_k")
+    for name in ("_orbit", "_fns_cached", "_sum_pieces") + checks:
         setattr(characters, name, timed(name, getattr(characters, name)))
 
     def request():
@@ -109,10 +114,11 @@ def main(argv=None):
             out = characters.character_massless(g, k, nu, q_max, depth)
         else:
             out = characters.character_massive(g, k, nu, Q(args.l0), q_max, depth)
-        return out, time.perf_counter() - t, {name: (s, res) for name, s, res in calls}
+        return (out, time.perf_counter() - t, {name: (s, res) for name, s, res in calls},
+                sum(s for name, s, _ in calls if name in checks))
 
-    _, cold_s, cold = request()
-    out, warm_s, warm = request()
+    _, cold_s, cold, _ = request()
+    out, warm_s, warm, checks_s = request()
     fns_s, fns = cold["_fns_cached"]
     caches = {f.__name__: f.cache_info()._asdict() for f in (catalog.lookup, fns_cache)}
     t = time.perf_counter()
@@ -122,6 +128,7 @@ def main(argv=None):
         "import_s": round(import_s, 4),
         "denominator_build_s": round(fns_s, 4),
         "denominator_terms": sum(len(lvl) for lvl in fns.levels),
+        "checks_s": round(checks_s, 4),
         "orbit_s": round(warm["_orbit"][0], 4),
         "orbit_elements": len(warm["_orbit"][1]),
         "sum_warm_s": round(warm["_sum_pieces"][0], 4),

@@ -30,13 +30,22 @@ FAMILIES = ("psl22", "sl2m", "spo2m", "osp4m", "D21a", "F4", "G3")
 
 
 class Vec(tuple):
-    """Weight in the fixed coordinate basis; componentwise exact arithmetic."""
+    """Weight in the fixed coordinate basis; componentwise exact arithmetic.
+
+    The constructor converts every coordinate to a `Fraction`; the
+    operators do not convert their results again (`_vec`).  That is exact:
+    `Fraction` op `Fraction` and `Fraction` op `int` (for +, -, * and unary
+    -) return a `Fraction` already in lowest terms with a positive
+    denominator, which is what `Fraction(x)` would return for it, so the
+    result is equal to, and hashes as, the converted one.  The scalar of
+    `*` is converted once, so any scalar `Fraction` takes (a `float` too)
+    enters exactly."""
 
     def __new__(cls, coords: Iterable) -> "Vec":
         return super().__new__(cls, (Q(c) for c in coords))
 
     def __add__(self, other):
-        return Vec(a + b for a, b in zip(self, other))
+        return _vec([a + b for a, b in zip(self, other)])
 
     def __radd__(self, other):
         if other == 0:  # allow sum()
@@ -44,18 +53,24 @@ class Vec(tuple):
         return self.__add__(other)
 
     def __sub__(self, other):
-        return Vec(a - b for a, b in zip(self, other))
+        return _vec([a - b for a, b in zip(self, other)])
 
     def __neg__(self):
-        return Vec(-a for a in self)
+        return _vec([-a for a in self])
 
     def __mul__(self, c):
-        return Vec(a * Q(c) for a in self)
+        c = Q(c)
+        return _vec([a * c for a in self])
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self)
+
+
+def _vec(fracs) -> Vec:
+    """A `Vec` of coordinates that are `Fraction`s already, not converted again."""
+    return tuple.__new__(Vec, fracs)
 
 
 def zero_vec(n: int) -> Vec:
@@ -554,11 +569,16 @@ class _Lattice:
     with the finite roots and to 1 with eta_i.  The constructor checks both
     and raises, never rounds.  `span` maps simple-coroot pairings to weights
     through the omega_i, so a weight's restriction to h^nat is `span` of its
-    pairings.
+    pairings.  The orbit's constants are held here too: `rho_ps`, the level-0
+    pairings of rho^nat (lam0 = (k + h_vee) Lambda_0 + nu + rho^nat pairs as
+    `pairings(k + h_vee, nu)` plus these, pairings being linear), and the
+    isotropic block, whose finite part theta/2 - xi pairs as `iso_ps` at
+    level 0 and with x+d as `xd0` (see `characters._orbit`).
     """
 
     __slots__ = ("proj", "depth_cov", "denom", "scale", "cov", "slope", "theta_depth",
-                 "coroots", "pairings", "cartan", "xd", "oden", "orows", "orho")
+                 "coroots", "pairings", "cartan", "xd", "oden", "orows", "orho",
+                 "rho_ps", "iso_ps", "xd0")
 
     def __init__(self, entry: CatalogEntry):
         s = entry.simple_roots_natural
@@ -601,13 +621,17 @@ class _Lattice:
         self.orows = tuple(tuple((om[a] * self.oden).numerator for om in omegas)
                            for a in range(n))
         self.orho = tuple((c * self.oden).numerator for c in entry.rho_natural)
+        self.rho_ps = tuple(self.pairings(0, entry.rho_natural))
+        iso = Q(1, 2) * entry.theta - entry.xi
+        self.iso_ps = tuple(self.pairings(0, iso))
+        self.xd0 = entry.form(iso, entry.theta) / 2
 
     def span(self, ps: Sequence[int], L: int, rho: int = 0) -> Vec:
         """sum_i (ps_i / L) omega_i - rho * rho^nat over the simple roots of
         g^nat, reading the leading entries of ps."""
         den = L * self.oden
-        return Vec(Q(sum(map(mul, ps, row)) - rho * L * r, den)
-                   for row, r in zip(self.orows, self.orho))
+        return _vec([Q(sum(map(mul, ps, row)) - rho * L * r, den)
+                     for row, r in zip(self.orows, self.orho)])
 
     @staticmethod
     def _ints(entry: CatalogEntry, what: str, xs: list) -> tuple:

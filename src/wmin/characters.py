@@ -49,7 +49,7 @@ from functools import lru_cache
 from operator import add, mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .catalog import AlgebraId, CatalogEntry, Vec, _Lattice, lookup, zero_vec
+from .catalog import AlgebraId, CatalogEntry, Vec, _Lattice, _vec, lookup, zero_vec
 from .errors import (IndexOutOfRange, NonDominant, PreconditionViolated,
                      TruncationIncomplete, UnsupportedD21a)
 from .rationals import format_rational, solve_quadratic_rational
@@ -197,10 +197,14 @@ class _LatticeSeries:
         if self.caps and self.caps[0] >= 0:
             self.levels[0][(0,) * (len(lat.cov) + 1)] = 1
 
-    def copy(self) -> "_LatticeSeries":
+    def copy(self, top: int) -> "_LatticeSeries":
+        """A copy of levels 0..top, the levels q <= top/2.  Every step
+        (`times`, `divide`) writes a level only from itself and the levels
+        below it, so the steps applied to this prefix give the prefix of the
+        steps applied to the whole series."""
         out = object.__new__(_LatticeSeries)
-        out.lat, out.caps = self.lat, self.caps
-        out.levels = [dict(lvl) for lvl in self.levels]
+        out.lat, out.caps = self.lat, self.caps[:top + 1]
+        out.levels = [dict(lvl) for lvl in self.levels[:top + 1]]
         return out
 
     def _factor(self, w: Vec, c: Fraction) -> Tuple[tuple, int]:
@@ -287,16 +291,16 @@ def _sum_pieces(out: QWSeries, heads: Sequence[Tuple[Vec, Fraction, int]],
     denominators of the wt) (`_Lattice.key`), so adding a head's key to a
     kernel key scaled by f = wden / D gives the key of the product term.
     Depth is linear, so the cut depth_of(ref, w) <= depth is one int bound
-    `dcap` on the depth entry of those keys, and each piece gets one q
-    ceiling and one int depth cap (dcap - depth entry of its head) // f.
-    Only the nonzero sums become `Fraction` exponents and `Vec` weights,
-    each once."""
+    `dcap` on the depth entry of those keys, with depth_of(ref, 0) the depth
+    covector dotted with ref, and each piece gets one q ceiling and one int
+    depth cap (dcap - depth entry of its head) // f.  Only the nonzero sums
+    are published: one `Fraction` per distinct exponent and one per distinct
+    coordinate, made once in this call and shared by the `Vec` weights."""
     lat = out.entry.lattice
     qden = math.lcm(2, *(ell.denominator for _, ell, _ in heads))
     wden = math.lcm(lat.denom, *(c.denominator for wt, _, _ in heads for c in wt))
     half, f = qden // 2, wden // lat.denom
-    dcap = math.floor(f * lat.scale
-                      * (out.depth - depth_of(out.entry, out.ref, zero_vec(out.entry.n))))
+    dcap = math.floor(f * lat.scale * (out.depth - sum(map(mul, lat.depth_cov, out.ref), Q(0))))
     acc: Dict[int, Dict[tuple, int]] = {}
     kept = 0
     for (wt, ell, sign), piece in zip(heads, pieces):
@@ -310,8 +314,9 @@ def _sum_pieces(out: QWSeries, heads: Sequence[Tuple[Vec, Fraction, int]],
                     key = tuple(map(add, wkey, key if f == 1 else [f * x for x in key]))
                     dst[key] = dst.get(key, 0) + sign * v
                     kept += 1
+    frac = {x: Q(x, wden) for x in {x for lvl in acc.values() for key in lvl for x in key[1:]}}
     for qi, lvl in acc.items():
-        terms = {Vec(Q(x, wden) for x in key[1:]): c for key, c in lvl.items() if c}
+        terms = {_vec([frac[x] for x in key[1:]]): c for key, c in lvl.items() if c}
         if terms:
             out.terms[Q(qi, qden)] = terms
     return kept
@@ -479,11 +484,9 @@ def _orbit(entry: CatalogEntry, k: Fraction, nu: Vec, q_shift_limit: Fraction,
     shift <= limit through points with shift <= max(limit, 0).
     """
     lat = entry.lattice
-    iso = Q(1, 2) * entry.theta - entry.xi
-    starts = [lat.pairings(k + entry.h_vee, nu + entry.rho_natural)]
+    starts = [list(map(add, lat.pairings(k + entry.h_vee, nu), lat.rho_ps))]
     if track_iso:
-        starts.append(lat.pairings(Q(0), iso))
-    xd0 = entry.form(iso, entry.theta) / 2
+        starts.append(lat.iso_ps)
     L = math.lcm(*(p.denominator for ps in starts for p in ps))
     width = len(lat.cartan) + 1
     rows = [(*a, -x) for a, x in zip(lat.cartan, lat.xd)]
@@ -491,7 +494,7 @@ def _orbit(entry: CatalogEntry, k: Fraction, nu: Vec, q_shift_limit: Fraction,
     reach = max(limit, 0)
 
     def element(state: tuple, det: int) -> OrbitElement:
-        images = ((lat.span(state[width:], L), xd0 - Q(state[-1], L)),) if track_iso else ()
+        images = ((lat.span(state[width:], L), lat.xd0 - Q(state[-1], L)),) if track_iso else ()
         return OrbitElement(lat.span(state, L, rho=1), det,
                             Q(state[width - 1], L), images)
 
@@ -550,7 +553,14 @@ def _orbit_sum(entry: CatalogEntry, k: Fraction, nu: Vec, l0: Fraction,
     become `Fraction` keys.  With track_iso each piece is a copy of
     the denominator divided in place by its isotropic correction
     (1 + q^c exp(w))^(-1), once per isotropic simple root (their images
-    coincide, see `_orbit`); negative exponents c are flipped exactly."""
+    coincide, see `_orbit`); negative exponents c are flipped exactly.
+
+    Only levels 0..floor(2(window - q_shift)) of such a piece are copied and
+    divided: `_sum_pieces` reads no level above q_max - ell = window -
+    q_shift, and `divide` only pushes terms up in q (each level is written
+    from itself and the levels below it), so a prefix of levels divided on
+    its own equals the same prefix of the whole series divided
+    (`_LatticeSeries.copy`)."""
     out = QWSeries(entry, q_max, depth, nu)
     window = q_max - l0
     if window < 0:
@@ -567,7 +577,7 @@ def _orbit_sum(entry: CatalogEntry, k: Fraction, nu: Vec, l0: Fraction,
     def piece(el: OrbitElement) -> _LatticeSeries:
         if not el.iso_images:
             return fns
-        div = fns.copy()
+        div = fns.copy(math.floor(2 * (window - el.q_shift)))
         for restr, xd in el.iso_images:
             for _ in range(entry.iso_simple_count):
                 div.divide(-1 * restr, xd, -1)
@@ -657,12 +667,12 @@ def n4_closed_form(M1: int, r: int, q_max, depth) -> QWSeries:
         summands += [((wp * th, l0 + base, 1), half, c),
                      ((-1 * (wp + 1) * th, l0 + base, -1), -1 * half, c)]
 
-    def piece(w: Vec, c: Fraction) -> _LatticeSeries:
-        div = fns.copy()
+    def piece(w: Vec, c: Fraction, ell: Fraction) -> _LatticeSeries:
+        div = fns.copy(math.floor(2 * (q_max - ell)))  # the levels read (`_orbit_sum`)
         div.divide(w, c, -1)
         div.divide(w, c, -1)
         return div
 
     _sum_pieces(out, [hd for hd, _, _ in summands],
-                (piece(w, c) for _, w, c in summands))
+                (piece(w, c, hd[1]) for hd, w, c in summands))
     return out

@@ -8,8 +8,7 @@ from typing import List, Optional
 from .catalog import AlgebraId, CatalogEntry, Vec, lookup
 from .errors import IndexOutOfSet
 from .levels import LevelData, level_data, unitarity_range_contains
-from .weights import (A_bound, _A_explicit, _ell, _in_P_plus, _is_extremal,
-                      _P_plus_data, _thetas)
+from .weights import A_bound, _A_explicit, _ell, _in_P_plus, _is_extremal, _P_plus_data
 
 Q = Fraction
 
@@ -67,8 +66,9 @@ def _collapse_check(entry: CatalogEntry, lv: LevelData, nu: Vec, ps: list,
         ok = nu.is_zero()
         detail = "target is trivial; needs nu = 0"
     elif "free boson" in target:
-        # sl(2|m) collapsing to the free boson: the center survives
-        ok = _thetas(entry, ps)[0] == 0
+        # sl(2|m) collapsing to the free boson: the center survives, and the
+        # sl_m part vanishes when nu pairs to 0 with every simple coroot of sl_m
+        ok = all(p == 0 for p in ps[:len(entry.simple_roots_natural)])
         detail = "sl_m part of nu must vanish; center charge unconstrained"
     else:
         # P^+_k membership is exactly the target's integrability: dominance

@@ -1,6 +1,8 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wmin import catalog
 from wmin.catalog import AlgebraId, Vec, lookup, validate
@@ -142,3 +144,35 @@ def test_form_matches_gram_matrix():
         w = Vec(Q(1, i + 2) - i for i in range(e.n))
         want = sum(v[i] * mat[i][j] * w[j] for i in range(e.n) for j in range(e.n))
         assert e.form(v, w) == e.form(w, v) == want, g.label()
+
+
+RATIONALS = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+INTS = st.integers(min_value=-9, max_value=9)
+
+
+@given(st.integers(min_value=1, max_value=5).flatmap(
+           lambda n: st.tuples(*[st.lists(st.one_of(INTS, RATIONALS), min_size=n, max_size=n)
+                                 for _ in range(3)])),
+       st.one_of(INTS, RATIONALS))
+@settings(max_examples=200, deadline=None)
+def test_vec_ops_equal_the_converting_constructor(coords, c):
+    """The operators build their result from the `Fraction`s they computed,
+    without converting them again; the result equals, and hashes as, the
+    `Vec` the public constructor makes of the same entries, and every entry
+    is a `Fraction`.  The right operand is a `Vec`, or a plain tuple of ints
+    and `Fraction`s; the scalar an int or a `Fraction`."""
+    u, v = Vec(coords[0]), Vec(coords[1])
+    raw = tuple(coords[2])
+    cases = [(u + v, [a + b for a, b in zip(u, v)]),
+             (u + raw, [a + Q(b) for a, b in zip(u, raw)]),
+             (u - v, [a - b for a, b in zip(u, v)]),
+             (u - raw, [a - Q(b) for a, b in zip(u, raw)]),
+             (-u, [-a for a in u]),
+             (u * c, [a * Q(c) for a in u]),
+             (c * u, [a * Q(c) for a in u]),
+             (sum([u, v, Vec(raw)]), [a + b + Q(x) for a, b, x in zip(u, v, raw)])]
+    for got, entries in cases:
+        want = Vec(Q(x) for x in entries)
+        assert type(got) is Vec
+        assert got == want and hash(got) == hash(want)
+        assert all(type(x) is Q for x in got), got

@@ -13,12 +13,12 @@ import wmin
 from wmin import catalog, characters, gram_lab
 from wmin.catalog import Vec, _Lattice, lookup, zero_vec
 from wmin.characters import (QWSeries, _fns_cached, _LatticeSeries, _ns_factors, _orbit,
-                             character_massive, character_massless, depth_of,
+                             _sum_pieces, character_massive, character_massless, depth_of,
                              ell_of_h, fns_series, h_pair, n4_closed_form,
                              series_from_records, verma_character, weyl_orbit)
 from wmin.errors import (NonDominant, PreconditionViolated, TruncationIncomplete,
                          UnsupportedD21a)
-from wmin.levels import enumerate_unitary_k
+from wmin.levels import enumerate_unitary_k, level_data
 from wmin.weights import A_bound, enumerate_P_plus_k, is_extremal
 
 G = catalog.psl22()
@@ -368,6 +368,65 @@ def test_n4_closed_form_refines():
                 big = n4_closed_form(m1, r, Q(r, 2) + window + 1, dep + 3)
                 assert small.n_terms() > 0
                 assert small == big.truncated(small.q_max, dep, small.ref), (m1, r, window, dep)
+
+
+def _whole_copy_massless(g, k, nu, q_max, depth):
+    """`character_massless` with each orbit element's piece a copy of the
+    whole denominator, divided at every level: the test oracle for the
+    prefix copies of `_orbit_sum`."""
+    e = lookup(g)
+    l0 = A_bound(g, k, nu)
+    out = QWSeries(e, q_max, depth, nu)
+    window = q_max - l0
+    orbit = _orbit(e, Q(k), nu, window, True)
+    reach = window - min([Q(0)] + [el.q_shift for el in orbit])
+    fns = _fns_cached(g, reach, depth + window * e.lattice.theta_depth)
+
+    def piece(el):
+        div = fns.copy(len(fns.levels) - 1)
+        for restr, xd in el.iso_images:
+            for _ in range(e.iso_simple_count):
+                div.divide(-1 * restr, xd, -1)
+        return div
+
+    _sum_pieces(out, [(el.restriction, l0 + el.q_shift, el.det) for el in orbit],
+                map(piece, orbit))
+    return out
+
+
+@pytest.mark.parametrize("g", [catalog.psl22(), catalog.spo2m(3), catalog.d21a(1)],
+                         ids=lambda g: g.label())
+def test_massless_prefix_copies_equal_whole_copies(g):
+    """Copying and dividing only the levels `_sum_pieces` reads gives the
+    character of the whole-denominator pieces, at nu = 0 over the first
+    three non-collapsing levels and two windows (q_max - l0, depth)."""
+    ks = [k for k in enumerate_unitary_k(g, 8) if not level_data(g, k).collapsing][:3]
+    assert len(ks) == 3
+    nu = zero_vec(lookup(g).n)
+    for k in ks:
+        for window, depth in [(Q(1), Q(2)), (Q(3, 2), Q(4))]:
+            q_max = A_bound(g, k, nu) + window
+            got = character_massless(g, k, nu, q_max, depth)
+            assert got.n_terms() > 0
+            assert got.records() == _whole_copy_massless(g, k, nu, q_max, depth).records()
+
+
+def test_published_weights_hold_only_fractions():
+    """Every published exponent is a `Fraction` and every weight a `Vec` of
+    `Fraction`s, whatever int keys `_sum_pieces` summed them on: massive
+    (psl22 and the G3 case), massless, Verma and n4 closed-form outputs."""
+    k, nu = Q(-3), Q(1, 2) * TH1
+    a = A_bound(G, k, nu)
+    for s in [character_massive(G, k, nu, a + 1, a + 3, 6),
+              character_massive(catalog.g3(), Q(-9, 4), Vec([1, 1, 0]), 1, 3, 6),
+              character_massless(G, k, nu, a + 2, 6),
+              verma_character(G, nu, Q(1, 2), 3, 4),
+              n4_closed_form(2, 1, Q(7, 2), 5)]:
+        assert s.n_terms() > 0
+        for q, lvl in s.terms.items():
+            assert type(q) is Q
+            for w in lvl:
+                assert type(w) is Vec and all(type(x) is Q for x in w), (q, w)
 
 
 def test_massless_rejects_nonzero_d21a():
@@ -731,12 +790,12 @@ def test_int_kernel_isotropic_divisions_equal_fraction_products():
     n4 = [[(sw * Q(1, 2) * TH1, c, -1)] * 2 for sw in (1, -1) for c in (Q(1, 2), Q(-1, 2))]
     for window, depth in [(Q(5, 2), Q(3)), (Q(13, 6), Q(2))]:
         for extra in [[(XI, Q(1, 2), -1)], [(XI, Q(-1, 2), -1), (-1 * XI, Q(3, 2), -1)], *n4]:
-            piece = _fns_cached(G, window, depth).copy()
+            piece = _fns_cached(G, window, depth).copy(math.floor(2 * window))
             for w, c, sign in extra:
                 piece.divide(w, c, sign)
             assert _kernel_terms(piece) == _reference_fns(G, window, depth, extra)
         extra = [(xi, Q(-1, 2), -1), (-1 * xi, Q(1, 2), -1)]
-        piece = _fns_cached(g, window, depth).copy()
+        piece = _fns_cached(g, window, depth).copy(math.floor(2 * window))
         for w, c, sign in extra:
             piece.divide(w, c, sign)
         assert _kernel_terms(piece) == _reference_fns(g, window, depth, extra)

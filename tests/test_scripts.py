@@ -36,7 +36,7 @@ def test_stage_times():
                                 "out_terms")} == {"denominator_terms": 2060,
                                                   "orbit_elements": 36,
                                                   "kept_terms": 2942, "out_terms": 110}
-    assert all(got[k] >= 0 for k in ("import_s", "denominator_build_s", "orbit_s",
+    assert all(got[k] >= 0 for k in ("import_s", "denominator_build_s", "checks_s", "orbit_s",
                                       "sum_warm_s", "warm_s", "cold_s", "frame_s"))
     # one entry looked up, one denominator built cold and reused warm
     assert {name: (info["currsize"], info["maxsize"])
@@ -48,6 +48,7 @@ def test_stage_times():
                          "--depth", "4")
     got = json.loads(line)
     assert got["orbit_elements"] >= 2 and got["kept_terms"] >= got["out_terms"] > 0
+    assert 0 <= got["checks_s"] <= got["warm_s"]
 
 
 def test_stage_times_takes_a_negative_rational_level():

@@ -234,7 +234,7 @@ def _collapse_rule(entry, lv, nu):
     if target == "C":
         return nu.is_zero(), "target is trivial; needs nu = 0"
     if "free boson" in target:
-        return (pairs[0] == 0,
+        return (all(p == 0 for p in ps[:r]),
                 "sl_m part of nu must vanish; center charge unconstrained")
     if len(entry.components) == 2:
         ok = dom and all(p <= m if m != 0 else p == 0
@@ -267,3 +267,19 @@ def test_collapse_check_is_P_plus_membership():
             seen.add((lv.collapse_target, ok))
     # both verdicts on every target
     assert len(seen) == 2 * len(cases)
+
+
+def test_free_boson_collapse_needs_the_whole_sl_m_part_to_vanish():
+    """sl(2|3) at k = -1 collapses to the free boson, which keeps only the
+    center: nu = (d1 - 2 d2 + d3)/3 pairs to 0 with theta_1^vee but to (1, -1)
+    with the simple coroots of sl_3, so it is not integrable there; a
+    weight orthogonal to every root of sl_3 is."""
+    g, k = catalog.sl2m(3), Q(-1)
+    e = lookup(g)
+    nu = catalog.Vec([0, 0, Q(1, 3), Q(-2, 3), Q(1, 3)])
+    assert e.pairings(0, nu) == [1, -1, 0]
+    v = decide(g, k, nu, 1)
+    assert v.outcome == "Collapsing" and not v.collapse.weight_integrable
+    center = catalog.Vec([0, 0, 1, 1, 1])
+    assert e.pairings(0, center) == [0, 0, 0]
+    assert decide(g, k, center, 1).collapse.weight_integrable
