@@ -10,9 +10,9 @@ wrapping `characters._orbit`, `characters._fns_cached`,
     denominator_build_s   the cold call's `_fns_cached` (the NS denominator)
     denominator_terms     terms of that series in its sloped window
     checks_s              the warm call's preconditions: its calls of
-                          `_P_plus_data`, `_is_extremal` and `A_bound`
-                          (massive) or `in_P_plus_k` and `A_bound`
-                          (massless), summed
+                          `_P_plus_data` (the level data and the per-request
+                          pass over nu), `_is_extremal` (massive only) and
+                          `_threshold`, summed
     orbit_s               the warm call's `_orbit`
     orbit_elements        orbit elements within the window
     sum_warm_s            the warm call's `_sum_pieces` (isotropic divisions
@@ -25,6 +25,8 @@ wrapping `characters._orbit`, `characters._fns_cached`,
                           timed on its own; the cold call builds it once
     caches                `cache_info()` of `catalog.lookup` and
                           `characters._fns_cached` after the warm call
+
+Times are in seconds, rounded to 1 microsecond.
 
 The defaults are the G3 case: massive, k = -9/4, nu = (1, 1, 0), l0 = 1,
 q_max = 3, depth 6.
@@ -103,7 +105,7 @@ def main(argv=None):
         return wrapper
 
     fns_cache = characters._fns_cached
-    checks = ("_P_plus_data", "_is_extremal", "A_bound", "in_P_plus_k")
+    checks = ("_P_plus_data", "_is_extremal", "_threshold")
     for name in ("_orbit", "_fns_cached", "_sum_pieces") + checks:
         setattr(characters, name, timed(name, getattr(characters, name)))
 
@@ -125,18 +127,18 @@ def main(argv=None):
     catalog._Lattice(catalog.lookup(g))
     frame_s = time.perf_counter() - t
     print(json.dumps({
-        "import_s": round(import_s, 4),
-        "denominator_build_s": round(fns_s, 4),
+        "import_s": round(import_s, 6),
+        "denominator_build_s": round(fns_s, 6),
         "denominator_terms": sum(len(lvl) for lvl in fns.levels),
-        "checks_s": round(checks_s, 4),
-        "orbit_s": round(warm["_orbit"][0], 4),
+        "checks_s": round(checks_s, 6),
+        "orbit_s": round(warm["_orbit"][0], 6),
         "orbit_elements": len(warm["_orbit"][1]),
-        "sum_warm_s": round(warm["_sum_pieces"][0], 4),
+        "sum_warm_s": round(warm["_sum_pieces"][0], 6),
         "kept_terms": warm["_sum_pieces"][1],
-        "warm_s": round(warm_s, 4),
-        "cold_s": round(cold_s, 4),
+        "warm_s": round(warm_s, 6),
+        "cold_s": round(cold_s, 6),
         "out_terms": out.n_terms(),
-        "frame_s": round(frame_s, 4),
+        "frame_s": round(frame_s, 6),
         "caches": caches,
     }))
 
@@ -150,7 +152,7 @@ def gram_stages(e_max):
     def timed(fn):
         t = time.perf_counter()
         fn()
-        return round(time.perf_counter() - t, 4)
+        return round(time.perf_counter() - t, 6)
 
     s, mu, ns = GR.imag(Q(3, 7)), Q(5, 3), range(-6, 7)
     window = [(n, m) for n in range(-3, 4) for m in range(-3, 4) if abs(n) + abs(m) < e_max]

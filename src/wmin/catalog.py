@@ -10,7 +10,13 @@ super-dimension, dual Coxeter numbers) is stored per family and
 cross-validated by `validate`.
 
 Weights are plain tuples of Fraction wrapped in `Vec` for componentwise
-arithmetic.  Entries are immutable; concurrent reads are safe.
+arithmetic.  The scalars a request reads of a weight (its coroot pairings,
+(xi|nu), the Casimir term, (nu + rho^nat|gamma)) are int dot products
+against covectors the entry builds once (`CatalogEntry._scalars`), and
+the level scalars evaluate the entry's constants (`CatalogEntry._levels`);
+`form` stays the plain evaluation that `validate` reads.  Entries are
+immutable, and their lazily built constants depend on the entry alone, so
+concurrent reads are safe.
 """
 from __future__ import annotations
 
@@ -19,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 from .errors import CriticalLevel, IsotropicCoroot, ParameterOutOfRange, PreconditionViolated
 from .rationals import format_rational
@@ -169,6 +175,44 @@ class NaturalComponent:
     chi: Fraction                  # (h_vee - hbar_vee)/u
 
 
+class _LevelConstants(NamedTuple):
+    """What `levels` reads of an entry, so that every level scalar is an
+    affine or quadratic evaluation at k (`CatalogEntry._levels`)."""
+
+    lines: tuple             # (slope, intercept, chi) per component, center first:
+                             # M_i(k) = slope*k + intercept, alpha_i's level M_i(k) + chi
+    zeros: tuple             # (z1, z2): the collapsing polynomial is (k - z1)(k - z2)
+    shape: Optional[tuple]   # (first level, step) of the unitarity progression
+
+
+def _range_shape(g: AlgebraId) -> Optional[tuple]:
+    """(first level, step) of the arithmetic progression of candidate unitary
+    levels; None for osp(4|m) (no range) and sl(2|m) (the one level -1)."""
+    fam = g.family
+    if fam in ("osp4m", "sl2m"):
+        return None
+    if fam == "psl22":
+        return Q(-2), Q(-1)
+    if fam == "spo2m":
+        return (Q(-3, 4), Q(-1, 4)) if g.m == 3 else (Q(-1), Q(-1, 2))
+    if fam == "F4":
+        return Q(-4, 3), Q(-2, 3)
+    if fam == "G3":
+        return Q(-3, 2), Q(-3, 4)
+    step = -Q(g.a_num * g.a_den, g.a_num + g.a_den)  # D21a
+    return step, step
+
+
+def _sparse(ints: Sequence[int]) -> tuple:
+    """The (index, value) pairs of the nonzero entries."""
+    return tuple((a, c) for a, c in enumerate(ints) if c)
+
+
+def _dot(cov: tuple, x: Sequence[int]) -> int:
+    """A sparse int covector (`_sparse`) dotted with the ints x."""
+    return sum([c * x[a] for a, c in cov])
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     id: AlgebraId
@@ -192,10 +236,15 @@ class CatalogEntry:
 
     # -- bilinear form ----------------------------------------------------
     def form(self, lam: Sequence, mu: Sequence) -> Fraction:
-        if len(lam) != self.n or len(mu) != self.n:
-            raise ParameterOutOfRange(
-                f"{self.id.label()} weights have {self.n} coordinates")
+        self._check_length(lam)
+        self._check_length(mu)
         return sum(g * lam[i] * mu[j] for i, j, g in self.gram)
+
+    def _check_length(self, w: Sequence) -> None:
+        """Raises on a weight of the wrong length: a short one must not be
+        read as a prefix, nor a long one truncated."""
+        if len(w) != self.n:
+            raise ParameterOutOfRange(f"{self.id.label()} weights have {self.n} coordinates")
 
     def coroot_pairing(self, lam: Sequence, alpha: Sequence) -> Fraction:
         aa = self.form(alpha, alpha)
@@ -211,26 +260,97 @@ class CatalogEntry:
     @cached_property
     def coroots(self) -> tuple:
         """The coroot table: the covector (c, l) of beta^vee, over the affine simple
-        roots beta of g^nat in the order of `_Lattice`; built from `gram` alone."""
+        roots beta of g^nat in the order of `_Lattice`; built from `gram` alone.
+        c is stored sparse, as the (coordinate, int) pairs of its nonzero entries:
+        each entry 2(e_a|beta)/(beta|beta) is an integer on every family, which
+        the build checks; it raises, never rounds."""
         table = []
         for fin, dc in ([(a, 0) for a in self.simple_roots_natural]
                         + [(-1 * c.theta, 1) for c in self.components]):
             norm = self.form(fin, fin)
-            cov = tuple(2 * self.form(basis_vec(self.n, a), fin) / norm for a in range(self.n))
-            table.append((cov, Q(2 * dc) / norm))
+            cov = [2 * self.form(basis_vec(self.n, a), fin) / norm for a in range(self.n)]
+            table.append((_sparse(_Lattice._ints(self, "coroot covector", cov)),
+                          Q(2 * dc) / norm))
         return tuple(table)
 
     def pairings(self, level, finite: Sequence) -> List[Fraction]:
-        """The one pass: <lam, beta^vee> = c.finite + level * l over `coroots`, for
-        lam = level * Lambda_0 + finite (+ any multiple of delta).  At level 0, nu's
-        simple-coroot pairings, then -nu(theta_i^vee) for eta_i = delta - theta_i."""
-        if len(finite) != self.n:
-            raise ParameterOutOfRange(f"{self.id.label()} weights have {self.n} coordinates")
-        return [sum(map(mul, cov, finite)) + level * lc for cov, lc in self.coroots]
+        """<lam, beta^vee> = c.finite + level * l over `coroots`, for lam =
+        level * Lambda_0 + finite (+ any multiple of delta), read off the
+        per-request pass (`_scalars`).  At level 0, nu's simple-coroot
+        pairings, then -nu(theta_i^vee) for eta_i = delta - theta_i."""
+        ps = self._scalars(finite)[0]
+        return [p + level * lc for p, (_, lc) in zip(ps, self.coroots)] if level else ps
+
+    # -- weight scalars: int dot products against per-entry covectors -------
+    def _scalars(self, nu: Sequence) -> tuple:
+        """The per-request pass: (pairings, (xi|nu), (nu|nu+2rho^nat)) of nu.
+
+        nu is scaled once to ints, nu = x / d (`_scaled`), and each scalar is
+        then an int dot product against a constant of the entry, divided
+        once: each is linear or quadratic in nu, so it is an int form in x
+        over a power of d, exactly.  The level-0 pairings are the coroot
+        covectors (`coroots`) dotted with x, over d; the pairings of nu + xi
+        are these plus xi's, which the entry holds (`_xi_pairings`),
+        pairings being linear.  (xi|nu) is the covector of (xi|.) dotted
+        with x, over d.  The Casimir term is (nu|nu+2rho^nat) = (nu|nu) +
+        (2rho^nat|nu) by bilinearity: the form's quadratic in x, over d^2,
+        plus the covector of (2rho^nat|.) dotted with x, over d, taken over
+        one denominator.  Likewise (nu + rho^nat|gamma) is the covector of
+        (gamma|.) dotted with x plus the constant (rho^nat|gamma)
+        (`_odd_covs`).  Raises on a weight of the wrong length."""
+        d, x = self._scaled(nu)
+        dx, xi = self._xi_cov
+        dc, form, rho2 = self._casimir_cov
+        return ([Q(_dot(cov, x), d) for cov, _ in self.coroots], Q(_dot(xi, x), dx * d),
+                Q(sum([g * x[i] * x[j] for i, j, g in form]) + d * _dot(rho2, x), dc * d * d))
+
+    def _scaled(self, finite: Sequence) -> tuple:
+        """(d, x) with finite = x / d: the coordinates as ints x over their
+        least common denominator d.  Raises on a weight of the wrong length."""
+        self._check_length(finite)
+        d = math.lcm(*[c.denominator for c in finite])
+        return d, [c.numerator * (d // c.denominator) for c in finite]
+
+    def _covector(self, v: Vec) -> tuple:
+        """(v|.) as (d, ((a, c), ...)): (v|lam) = sum_a c lam_a / d over the
+        nonzero ints c."""
+        cov = [Q(0)] * self.n
+        for i, j, g in self.gram:
+            cov[j] += g * v[i]
+        d = math.lcm(*(c.denominator for c in cov))
+        return d, _sparse([(c * d).numerator for c in cov])
 
     @cached_property
     def _xi_pairings(self) -> List[Fraction]:
         return self.pairings(0, self.xi)
+
+    @cached_property
+    def _xi_cov(self) -> tuple:
+        """The covector of (xi|.), as `_covector` gives it."""
+        return self._covector(self.xi)
+
+    @cached_property
+    def _casimir_cov(self) -> tuple:
+        """(d, form, rho2): the entries (i, j, g) of `gram` and the covector
+        of (2rho^nat|.), sparse, all as ints over the one denominator d."""
+        d_rho, rho2 = self._covector(2 * self.rho_natural)
+        d = math.lcm(d_rho, *(g.denominator for _, _, g in self.gram))
+        return (d, tuple((i, j, (g * d).numerator) for i, j, g in self.gram),
+                tuple((a, c * (d // d_rho)) for a, c in rho2))
+
+    @cached_property
+    def _odd_covs(self) -> tuple:
+        """(gamma, e, cov, r) for each distinct gamma of Delta', in order:
+        (nu + rho^nat|gamma) = (cov.x + r d) / (e d) at nu = x / d, with cov
+        the covector of (gamma|.) and r = e (rho^nat|gamma) as ints over e."""
+        rows = []
+        for gamma in dict.fromkeys(gm for gm, _ in self.delta_prime):
+            d, cov = self._covector(gamma)
+            rg = self.form(self.rho_natural, gamma)
+            e = math.lcm(d, rg.denominator)
+            rows.append((gamma, e, tuple((a, c * (e // d)) for a, c in cov),
+                         (rg * e).numerator))
+        return tuple(rows)
 
     @cached_property
     def lattice(self) -> "_Lattice":
@@ -249,8 +369,20 @@ class CatalogEntry:
 
     def casimir(self, nu: Vec) -> Fraction:
         """(nu|nu+2rho^nat), the Casimir term of the thresholds and of the
-        singular and lowest conformal weights."""
-        return self.form(nu, nu + 2 * self.rho_natural)
+        singular and lowest conformal weights (`_scalars`)."""
+        return self._scalars(nu)[2]
+
+    @cached_property
+    def _levels(self) -> "_LevelConstants":
+        """The constants of the level scalars that `levels` evaluates at k."""
+        comps = ([self.center] if self.center else []) + list(self.components)
+        # zeros of the monic collapsing polynomial: where M_1 and M_2 vanish,
+        # or, with one component level, where M_1 vanishes and -hbar_1/2 - 1
+        zs = [-(self.h_vee - c.hbar_vee) / 2 for c in comps]
+        zeros = tuple(zs) if len(zs) == 2 else (zs[0], -comps[0].hbar_vee / 2 - 1)
+        return _LevelConstants(
+            lines=tuple((2 / c.u, (self.h_vee - c.hbar_vee) / c.u, c.chi) for c in comps),
+            zeros=zeros, shape=_range_shape(self.id))
 
     # -- weights ----------------------------------------------------------
     def weyl_reflect(self, v: Vec, alpha: Vec) -> Vec:
@@ -577,7 +709,7 @@ class _Lattice:
     """
 
     __slots__ = ("proj", "depth_cov", "denom", "scale", "cov", "slope", "theta_depth",
-                 "coroots", "pairings", "cartan", "xd", "oden", "orows", "orho",
+                 "pairings", "cartan", "xd", "oden", "orows", "orho",
                  "rho_ps", "iso_ps", "xd0")
 
     def __init__(self, entry: CatalogEntry):
@@ -585,9 +717,10 @@ class _Lattice:
         r, n = len(s), entry.n
         # [G | S G | diag((s_i|s_i)/2)], row i scaled by 2/(s_i|s_i), is the coroot
         # table: the pairings of s_j, of the coordinate basis and of omega_j with s_i^vee
+        covs = zip(*(entry.pairings(0, basis_vec(n, a))[:r] for a in range(n)))
         sol = _solve_exact(list(zip(*(entry.pairings(0, b)[:r] for b in s))),
                            [[*cov, *(Q(int(i == j)) for j in range(r))]
-                            for i, (cov, _) in enumerate(entry.coroots[:r])])
+                            for i, cov in enumerate(covs)])
         coeffs = [row[:n] for row in sol]  # r x n: c(v) = G^{-1} S G v
         self.proj = tuple(Vec(sum(s[i][a] * coeffs[i][j] for i in range(r)) for j in range(n))
                           for a in range(n))
@@ -610,7 +743,7 @@ class _Lattice:
         self.theta_depth = max([depth(-1 * c.theta) for c in entry.components] + [Q(1)])
 
         roots = [(a, 0) for a in s] + [(-1 * c.theta, 1) for c in entry.components]
-        self.coroots, self.pairings = entry.coroots, entry.pairings
+        self.pairings = entry.pairings
         self.cartan = tuple(self._ints(entry, "affine Cartan matrix row",
                                        self.pairings(0, fin)) for fin, _ in roots)
         self.xd = self._ints(entry, "x+d pairings of the affine simple roots",
@@ -626,19 +759,19 @@ class _Lattice:
         self.iso_ps = tuple(self.pairings(0, iso))
         self.xd0 = entry.form(iso, entry.theta) / 2
 
-    def span(self, ps: Sequence[int], L: int, rho: int = 0) -> Vec:
-        """sum_i (ps_i / L) omega_i - rho * rho^nat over the simple roots of
-        g^nat, reading the leading entries of ps."""
-        den = L * self.oden
-        return _vec([Q(sum(map(mul, ps, row)) - rho * L * r, den)
-                     for row, r in zip(self.orows, self.orho)])
-
     @staticmethod
     def _ints(entry: CatalogEntry, what: str, xs: list) -> tuple:
         if any(x.denominator != 1 for x in xs):
             raise PreconditionViolated(f"{what} of {entry.id.label()} is not integral: "
                                        f"({', '.join(map(format_rational, xs))})")
         return tuple(x.numerator for x in xs)
+
+    def span(self, ps: Sequence[int], L: int, rho: int = 0) -> Vec:
+        """sum_i (ps_i / L) omega_i - rho * rho^nat over the simple roots of
+        g^nat, reading the leading entries of ps."""
+        den = L * self.oden
+        return _vec([Q(sum(map(mul, ps, row)) - rho * L * r, den)
+                     for row, r in zip(self.orows, self.orho)])
 
     def key(self, w: Vec, denom: Optional[int] = None) -> tuple:
         """(depth, coordinates) of w as ints at scale `denom` (default the

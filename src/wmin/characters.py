@@ -53,7 +53,7 @@ from .catalog import AlgebraId, CatalogEntry, Vec, _Lattice, _vec, lookup, zero_
 from .errors import (IndexOutOfRange, NonDominant, PreconditionViolated,
                      TruncationIncomplete, UnsupportedD21a)
 from .rationals import format_rational, solve_quadratic_rational
-from .weights import A_bound, _ell, _is_extremal, _P_plus_data, in_P_plus_k
+from .weights import _ell, _is_extremal, _P_plus_data, _threshold, in_P_plus_k
 
 Q = Fraction
 
@@ -368,9 +368,11 @@ def fns_series(g: AlgebraId, q_max, depth) -> QWSeries:
 
 
 def verma_character(g: AlgebraId, nu: Vec, ell, q_max, depth) -> QWSeries:
-    """exp(nu) q^ell times the NS denominator series, truncated at q_max."""
-    ell = Q(ell)
-    out = QWSeries(lookup(g), q_max, depth, nu)
+    """exp(nu) q^ell times the NS denominator series, truncated at q_max.
+    Raises `ParameterOutOfRange` on a weight of the wrong length."""
+    ell, entry = Q(ell), lookup(g)
+    entry._check_length(nu)
+    out = QWSeries(entry, q_max, depth, nu)
     window = out.q_max - ell
     if window >= 0:
         _sum_pieces(out, [(nu, ell, 1)], [_fns_cached(g, window, out.depth)])
@@ -596,7 +598,7 @@ def character_massive(g: AlgebraId, k, nu: Vec, l0, q_max, depth) -> QWSeries:
     data = _P_plus_data(g, k, nu)
     if data is None or _is_extremal(entry, *data):
         raise PreconditionViolated("massive character needs non-extremal nu in P^+_k")
-    if l0 <= A_bound(g, k, nu):
+    if l0 <= _threshold(entry, k, data[1]):
         raise PreconditionViolated("massive character needs l0 > A(k,nu)")
     return _orbit_sum(entry, k, nu, l0, q_max, depth, False)
 
@@ -608,9 +610,10 @@ def character_massless(g: AlgebraId, k, nu: Vec, q_max, depth) -> QWSeries:
     k, q_max, depth = Q(k), Q(q_max), Q(depth)
     if g.family == "D21a" and not nu.is_zero():
         raise UnsupportedD21a("massless D(2,1;a) characters are only available at nu = 0")
-    if not in_P_plus_k(g, k, nu):
+    data = _P_plus_data(g, k, nu)
+    if data is None:
         raise PreconditionViolated("massless character needs nu in P^+_k")
-    return _orbit_sum(entry, k, nu, A_bound(g, k, nu), q_max, depth, True)
+    return _orbit_sum(entry, k, nu, _threshold(entry, k, data[1]), q_max, depth, True)
 
 
 def n4_closed_form(M1: int, r: int, q_max, depth) -> QWSeries:

@@ -1,5 +1,7 @@
 """Scalar level arithmetic: component levels M_i(k), cocycle shifts, central
-charge, collapsing detection, and the unitarity ranges."""
+charge, collapsing detection, and the unitarity ranges.  Each is an affine,
+quadratic or rational evaluation at k of constants the catalog entry holds
+(`CatalogEntry._levels`, `sdim`, `h_vee`)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -13,16 +15,20 @@ Q = Fraction
 
 
 def component_level(entry: CatalogEntry, k: Fraction, comp) -> Fraction:
-    """M_i(k) = (2/u_i)(k + (h_vee - hbar_i_vee)/2)."""
+    """M_i(k) = (2/u_i)(k + (h_vee - hbar_i_vee)/2); the entry holds it as
+    the line (2/u_i) k + (h_vee - hbar_i_vee)/u_i (`CatalogEntry._levels`)."""
     return (2 / comp.u) * (Q(k) + (entry.h_vee - comp.hbar_vee) / 2)
 
 
 def central_charge(g: AlgebraId, k: Fraction) -> Fraction:
     """c(k) = k*sdim/(k+h_vee) - 6k + h_vee - 4."""
-    entry = lookup(g)
-    kh = entry.shifted_level(k)
-    k = Q(k)
-    return k * entry.sdim / kh - 6 * k + entry.h_vee - 4
+    return _central_charge(lookup(g), Q(k))
+
+
+def _central_charge(entry: CatalogEntry, k: Fraction) -> Fraction:
+    """The one formula for c, at a `Fraction` k; `shifted_level` raises
+    CriticalLevel at k = -h_vee."""
+    return k * entry.sdim / entry.shifted_level(k) - 6 * k + entry.h_vee - 4
 
 
 def central_charge_alt(g: AlgebraId, k: Fraction):
@@ -68,45 +74,24 @@ def _collapse_target(entry: CatalogEntry, M: tuple) -> str:
 
 
 def level_data(g: AlgebraId, k: Fraction) -> LevelData:
-    """All scalar data attached to a level, exactly."""
+    """All scalar data attached to a level, exactly: affine and quadratic
+    evaluations at k of the entry's constants (`CatalogEntry._levels`)."""
     entry = lookup(g)
-    charge = central_charge(g, k)  # raises CriticalLevel at k = -h_vee
     k = Q(k)
-    comps = ([entry.center] if entry.center else []) + list(entry.components)
-    M = tuple(component_level(entry, k, c) for c in comps)
-    M_simple = M[1:] if entry.center else M
-    alpha = tuple(m + c.chi for m, c in zip(M, comps))
-    # zeros of the monic collapsing polynomial: where M_1 and M_2 vanish, or,
-    # with one component level, where M_1 vanishes and -hbar_1/2 - 1
-    zs = [-(entry.h_vee - c.hbar_vee) / 2 for c in comps]
-    z1, z2 = zs if len(zs) == 2 else (zs[0], -comps[0].hbar_vee / 2 - 1)
+    charge = _central_charge(entry, k)  # raises CriticalLevel at k = -h_vee
+    lines, (z1, z2), _ = entry._levels
+    M = tuple(s * k + t for s, t, _ in lines)
+    alpha = tuple(m + chi for m, (_, _, chi) in zip(M, lines))
     p_k = (k - z1) * (k - z2)
     collapsing = p_k == 0
     return LevelData(
-        k=k, M=M, M_simple=M_simple, alpha_levels=alpha,
+        k=k, M=M, M_simple=M[1:] if entry.center else M, alpha_levels=alpha,
         c=charge, p_k=p_k, collapsing=collapsing,
         collapse_target=_collapse_target(entry, M) if collapsing else None)
 
 
 # ---------------------------------------------------------------------------
 # unitarity ranges
-
-
-def _range_shape(g: AlgebraId):
-    """(first level, step) of the arithmetic progression of candidate levels."""
-    fam = g.family
-    if fam == "psl22":
-        return Q(-2), Q(-1)
-    if fam == "spo2m":
-        return (Q(-3, 4), Q(-1, 4)) if g.m == 3 else (Q(-1), Q(-1, 2))
-    if fam == "F4":
-        return Q(-4, 3), Q(-2, 3)
-    if fam == "G3":
-        return Q(-3, 2), Q(-3, 4)
-    if fam == "D21a":
-        step = -Q(g.a_num * g.a_den, g.a_num + g.a_den)
-        return step, step
-    raise AssertionError(fam)
 
 
 def unitarity_range_contains(g: AlgebraId, k: Fraction) -> bool:
@@ -119,7 +104,7 @@ def unitarity_range_contains(g: AlgebraId, k: Fraction) -> bool:
         return k == -1
     if fam == "D21a" and k == Q(-1, 2):
         return False  # the trivial module of D(2,1;1)
-    first, step = _range_shape(g)
+    first, step = lookup(g)._levels.shape
     n = (k - first) / step
     return n.denominator == 1 and n >= 0
 
@@ -131,7 +116,7 @@ def enumerate_unitary_k(g: AlgebraId, count: int) -> List[Fraction]:
         return []
     if fam == "sl2m":
         return [Q(-1)][:max(count, 0)]
-    first, step = _range_shape(g)
+    first, step = lookup(g)._levels.shape
     out: List[Fraction] = []
     k = first
     while len(out) < count:

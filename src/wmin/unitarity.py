@@ -5,10 +5,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional
 
-from .catalog import AlgebraId, CatalogEntry, Vec, lookup
+from .catalog import AlgebraId, CatalogEntry, Vec, _dot, lookup
 from .errors import IndexOutOfSet
 from .levels import LevelData, level_data, unitarity_range_contains
-from .weights import A_bound, _A_explicit, _ell, _in_P_plus, _is_extremal, _P_plus_data
+from .weights import _A_explicit, _ell, _in_P_plus, _is_extremal, _P_plus_data, _threshold
 
 Q = Fraction
 
@@ -103,7 +103,8 @@ def decide(g: AlgebraId, k, nu: Vec, l0) -> UnitarityVerdict:
         reasons.append("k outside the unitarity range")
         return UnitarityVerdict(NOT_IN_UNITARY_RANGE, quantities, tuple(reasons))
 
-    ps = entry.pairings(0, nu)
+    sc = entry._scalars(nu)
+    ps = sc[0]
     if lv.collapsing:
         chk = _collapse_check(entry, lv, nu, ps, l0)
         reasons.append(f"collapsing level, target {chk.target}")
@@ -113,8 +114,8 @@ def decide(g: AlgebraId, k, nu: Vec, l0) -> UnitarityVerdict:
         reasons.append("nu not dominant integral of the component levels")
         return UnitarityVerdict(NOT_IN_P_PLUS_K, quantities, tuple(reasons))
 
-    a = A_bound(g, k, nu)
-    extremal = _is_extremal(entry, lv, ps)
+    a = _threshold(entry, k, sc)
+    extremal = _is_extremal(entry, lv, sc)
     quantities.update({"A": a, "A_explicit": _A_explicit(entry, k, nu, ps),
                        "extremal": extremal, "l0_minus_A": l0 - a})
 
@@ -161,10 +162,18 @@ def h_odd(g: AlgebraId, k, nu: Vec, m, gamma: Vec) -> Fraction:
     k, m = Q(k), Q(m)
     if (m - Q(1, 2)).denominator != 1 or m < Q(1, 2):
         raise IndexOutOfSet("need m in 1/2 + Z_+")
-    if not any(gm == gamma for gm, _ in entry.delta_prime):
+    odd = next((row for row in entry._odd_covs if row[0] == gamma), None)
+    if odd is None:
         raise IndexOutOfSet("gamma must be a weight of the odd half-space")
-    pair = entry.form(nu + entry.rho_natural, gamma)
+    pair = _odd_pair(odd, *entry._scaled(nu))
     return _ell(pair + m * kh + (k + 1) / 2, k, kh, entry.casimir(nu))
+
+
+def _odd_pair(odd: tuple, d: int, x: list) -> Fraction:
+    """(nu + rho^nat|gamma) at nu = x / d, for a row (gamma, e, cov, r) of
+    `CatalogEntry._odd_covs`: one int dot product, (cov.x + r d) / (e d)."""
+    _, e, cov, r = odd
+    return Q(_dot(cov, x) + r * d, e * d)
 
 
 @dataclass
@@ -195,8 +204,9 @@ def sign2_scan(g: AlgebraId, k, nu: Vec, n_max, m_max) -> Sign2Report:
     hyp = data is not None and not _is_extremal(entry, *data)
     rep = Sign2Report(g, k, nu, hyp,
                       "scan" if hyp else "lemma hypothesis not met")
-    a = A_bound(g, k, nu)
-    kh, cas = entry.shifted_level(k), entry.casimir(nu)
+    kh = entry.shifted_level(k)
+    sc = data[1] if data else entry._scalars(nu)
+    a, cas = _threshold(entry, k, sc), sc[2]
     eps = entry.epsilon
     n_max, m_max = Q(n_max), Q(m_max)
     # even indices: n, m in (1/eps)N with m - n integral
@@ -213,11 +223,11 @@ def sign2_scan(g: AlgebraId, k, nu: Vec, n_max, m_max) -> Sign2Report:
             mm += eps
         nn += 1
     # odd indices: m in 1/2 + Z_+, gamma over the support of Delta'
-    gammas = list(dict.fromkeys(gamma for gamma, _ in entry.delta_prime))
-    pairs = [entry.form(nu + entry.rho_natural, gamma) for gamma in gammas]
+    d, x = entry._scaled(nu)
+    pairs = [(odd[0], _odd_pair(odd, d, x)) for odd in entry._odd_covs]
     m = Q(1, 2)
     while m <= m_max:
-        for gamma, pair in zip(gammas, pairs):
+        for gamma, pair in pairs:
             v = _ell(pair + m * kh + (k + 1) / 2, k, kh, cas)
             rep.checked += 1
             if v > a:

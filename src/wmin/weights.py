@@ -2,7 +2,9 @@
 
 The thresholds and singular weights are one lowest-energy quadratic, `_ell`:
 ell(h) = (nu|nu+2rho^nat)/(2(k+h)) + h(h-k-1)/(k+h), so A = ell((xi|nu)),
-B = ell((k+1)/2), and h_even, h_odd, ell_of_h and g_half_norm read it too."""
+B = ell((k+1)/2), and h_even, h_odd, ell_of_h and g_half_norm read it too.
+Its scalars, (xi|nu) and the Casimir term, and nu's coroot pairings come
+from one per-request pass over nu (`CatalogEntry._scalars`)."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -28,12 +30,15 @@ def _in_P_plus(entry: CatalogEntry, lv: LevelData, ps: list) -> bool:
             and all(p <= m for p, m in zip(_thetas(entry, ps), lv.M_simple)))
 
 
-def _is_extremal(entry: CatalogEntry, lv: LevelData, ps: list) -> bool:
-    """nu+xi falls outside P^+_k, for nu in P^+_k with pairings `ps` (nu+xi
-    pairs as ps plus xi's pairings); cross-checked against the chi_i test."""
+def _is_extremal(entry: CatalogEntry, lv: LevelData, sc: tuple) -> bool:
+    """nu+xi falls outside P^+_k, for nu in P^+_k with scalars `sc`
+    (`CatalogEntry._scalars`): nu+xi pairs as nu's pairings plus xi's.
+    Cross-checked against the chi_i test, nu(theta_i^vee) > M_i(k) + chi_i
+    for some i (`LevelData.alpha_levels`)."""
+    ps = sc[0]
     by_def = not _in_P_plus(entry, lv, [p + x for p, x in zip(ps, entry._xi_pairings)])
-    by_chi = any(p > m + c.chi for p, m, c in
-                 zip(_thetas(entry, ps), lv.M_simple, entry.components))
+    by_chi = any(p > a for p, a in
+                 zip(_thetas(entry, ps), lv.alpha_levels[-len(entry.components):]))
     if by_def != by_chi:
         raise CharacterizationMismatch(
             f"extremality tests disagree for {entry.id.label()}, k={lv.k}: "
@@ -41,14 +46,16 @@ def _is_extremal(entry: CatalogEntry, lv: LevelData, ps: list) -> bool:
     return by_def
 
 
-def _P_plus_data(g: AlgebraId, k, nu: Vec) -> Optional[Tuple[LevelData, list]]:
-    """(level data, nu's pairings) when nu lies in P^+_k, else None."""
+def _P_plus_data(g: AlgebraId, k, nu: Vec) -> Optional[Tuple[LevelData, tuple]]:
+    """(level data, nu's scalars) when nu lies in P^+_k, else None; the
+    scalars are the per-request pass `CatalogEntry._scalars`, (pairings,
+    (xi|nu), (nu|nu+2rho^nat))."""
     if not unitarity_range_contains(g, k):
         return None
     entry = lookup(g)
     lv = level_data(g, k)
-    ps = entry.pairings(0, nu)
-    return (lv, ps) if _in_P_plus(entry, lv, ps) else None
+    sc = entry._scalars(nu)
+    return (lv, sc) if _in_P_plus(entry, lv, sc[0]) else None
 
 
 def in_P_plus_k(g: AlgebraId, k, nu: Vec) -> bool:
@@ -70,11 +77,17 @@ def _ell(h: Fraction, k: Fraction, kh: Fraction, cas: Fraction) -> Fraction:
     return cas / (2 * kh) + h * (h - k - 1) / kh
 
 
+def _threshold(entry: CatalogEntry, k: Fraction, sc: tuple) -> Fraction:
+    """A(k,nu) = ell((xi|nu)) from nu's scalars `sc` (`CatalogEntry._scalars`)."""
+    _, xn, cas = sc
+    return _ell(xn, k, entry.shifted_level(k), cas)
+
+
 def A_bound(g: AlgebraId, k, nu: Vec) -> Fraction:
     """Threshold A(k,nu) = ell((xi|nu)), with ell the quadratic `_ell`."""
     entry = lookup(g)
-    kh = entry.shifted_level(k)
-    return _ell(entry.form(entry.xi, nu), Q(k), kh, entry.casimir(nu))
+    entry.shifted_level(k)  # CriticalLevel guard
+    return _threshold(entry, Q(k), entry._scalars(nu))
 
 
 def B_bound(g: AlgebraId, k, nu: Vec) -> Fraction:
@@ -109,12 +122,11 @@ def _A_explicit(entry: CatalogEntry, k: Fraction, nu: Vec, ps: list) -> Fraction
         return Q(_thetas(entry, ps)[0], 4)
     if fam == "spo2m":
         m = g.m
-        rr = m // 2
-        nn = [nu[1 + i] for i in range(rr)]
-        s = (sum(a * a for a in nn)
-             + 2 * sum(a * (Q(m, 2) - (i + 1)) for i, a in enumerate(nn)))
-        r = nn[0]
-        return -(s - r * (2 * k + r + 2)) / (2 * (2 * k - m + 4))
+        nn = nu[1:1 + m // 2]
+        # s = sum n_i^2 + 2 sum n_i (m/2 - i), over i = 1..m/2
+        s = sum([a * (a + m - 2 * i) for i, a in enumerate(nn, 1)])
+        r, k2 = nn[0], 2 * k
+        return (r * (k2 + r + 2) - s) / (2 * (k2 - m + 4))
     if fam == "D21a":
         a = g.a
         r1, r2 = _thetas(entry, ps)
@@ -122,9 +134,11 @@ def _A_explicit(entry: CatalogEntry, k: Fraction, nu: Vec, ps: list) -> Fraction
                 / (4 * (a + 1) ** 2 * k))
     if fam == "F4":
         r1, r2, r3 = nu[0], nu[1], nu[2]
-        num = (r1 * (6 - Q(3, 2) * k) + r2 * (3 - Q(3, 2) * k) + r3 * (-Q(3, 2) * k)
-               + r1 * r1 + r2 * r2 + r3 * r3 - r1 * r2 - r1 * r3 - r2 * r3)
-        return num / (3 * (3 - Q(3, 2) * k))
+        c = Q(3, 2) * k
+        # r1 (6 - c) + r2 (3 - c) - r3 c + r1^2 + r2^2 + r3^2 - r1 r2 - r1 r3 - r2 r3
+        num = (6 * r1 + 3 * r2 - c * (r1 + r2 + r3)
+               + r1 * (r1 - r2 - r3) + r2 * (r2 - r3) + r3 * r3)
+        return num / (9 - 3 * c)
     if fam == "G3":
         r1, r2 = nu[0], nu[1]
         return (3 * (r1 - r2) ** 2 - 4 * k * r1 + (12 - 4 * k) * r2) / (8 * (3 - 2 * k))

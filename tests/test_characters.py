@@ -73,8 +73,10 @@ def test_verma_character_basics():
     v = verma_character(G, Q(1, 2) * TH1, Q(1, 2), 3, 4)
     assert v.coeff(Q(1, 2), Q(1, 2) * TH1) == 1
     assert min(v.terms) == Q(1, 2)
-    # nu = 0, ell = 0 equals the plain series
-    assert verma_character(G, ZERO, 0, 2, 4) == fns_series(G, 2, 4)
+    # nu = 0, ell = 0 equals the plain series, over the entry's 4 coordinates
+    fns = fns_series(G, 2, 4)
+    assert verma_character(G, ZERO, 0, 2, 4) == fns
+    assert fns.n_terms() > 0 and all(len(r["weight"]) == E.n for r in fns.records())
     # exponent shift
     a = verma_character(G, ZERO, 1, 3, 4)
     b = verma_character(G, ZERO, 0, 3, 4)

@@ -27,8 +27,8 @@ def test_scan_lemma_bounds():
 
 
 def test_stage_times():
-    """The G3 case, and a massless psl22 request: every stage is reported,
-    with the sizes of the G3 case pinned."""
+    """The G3 case, a massless and a massive psl22 request: every stage is
+    reported, with the sizes of the G3 case pinned."""
     import json
     (line,) = run_script("stage_times.py")
     got = json.loads(line)
@@ -49,6 +49,14 @@ def test_stage_times():
     got = json.loads(line)
     assert got["orbit_elements"] >= 2 and got["kept_terms"] >= got["out_terms"] > 0
     assert 0 <= got["checks_s"] <= got["warm_s"]
+    # a warm psl22 massive request: its preconditions are timed at 1 us
+    # resolution, so the sub-millisecond checks do not round to 0
+    (line,) = run_script("stage_times.py", "--g", "psl22", "--k", "-3",
+                         "--nu", "0,0,1/2,-1/2", "--l0", "1", "--qmax", "3",
+                         "--depth", "6")
+    got = json.loads(line)
+    assert 0 < got["checks_s"] <= got["warm_s"]
+    assert all(got[k] == round(got[k], 6) for k in ("checks_s", "orbit_s", "warm_s"))
 
 
 def test_stage_times_takes_a_negative_rational_level():

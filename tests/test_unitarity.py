@@ -283,3 +283,170 @@ def test_free_boson_collapse_needs_the_whole_sl_m_part_to_vanish():
     center = catalog.Vec([0, 0, 1, 1, 1])
     assert e.pairings(0, center) == [0, 0, 0]
     assert decide(g, k, center, 1).collapse.weight_integrable
+
+
+# ---------------------------------------------------------------------------
+# the Fraction/form reference of the verdict pass
+
+
+VERDICT_FAMILIES = [catalog.psl22(), catalog.spo2m(3), catalog.spo2m(5), catalog.spo2m(6),
+                    catalog.d21a(2), catalog.d21a(2, 3), catalog.f4(), catalog.g3()]
+
+
+def _ref_level_data(g, k):
+    """Level data from `component_level` and the formulas spelled out."""
+    e = lookup(g)
+    comps = ([e.center] if e.center else []) + list(e.components)
+    M = tuple(levels.component_level(e, k, c) for c in comps)
+    zs = [-(e.h_vee - c.hbar_vee) / 2 for c in comps]
+    z1, z2 = zs if len(zs) == 2 else (zs[0], -comps[0].hbar_vee / 2 - 1)
+    p_k = (k - z1) * (k - z2)
+    return levels.LevelData(
+        k=k, M=M, M_simple=M[1:] if e.center else M,
+        alpha_levels=tuple(m + c.chi for m, c in zip(M, comps)),
+        c=k * e.sdim / (k + e.h_vee) - 6 * k + e.h_vee - 4, p_k=p_k, collapsing=p_k == 0,
+        collapse_target=levels._collapse_target(e, M) if p_k == 0 else None)
+
+
+def _ref_pairings(e, nu):
+    """nu's simple-coroot pairings, then -nu(theta_i^vee), each through `form`."""
+    return ([e.coroot_pairing(nu, a) for a in e.simple_roots_natural]
+            + [-e.coroot_pairing(nu, c.theta) for c in e.components])
+
+
+def _ref_in_P_plus(e, lv, ps):
+    r = len(e.simple_roots_natural)
+    return (all(p >= 0 and p.denominator == 1 for p in ps[:r])
+            and all(-p <= m for p, m in zip(ps[r:], lv.M_simple)))
+
+
+def _ref_A(e, k, nu):
+    """ell((xi|nu)) with the Casimir term and (xi|nu) through `form`."""
+    kh, xn = k + e.h_vee, e.form(e.xi, nu)
+    return e.form(nu, nu + 2 * e.rho_natural) / (2 * kh) + xn * (xn - k - 1) / kh
+
+
+def _ref_A_explicit(e, k, nu, ps):
+    """The per-family closed forms of the threshold as first written."""
+    g, fam = e.id, e.id.family
+    r = len(e.simple_roots_natural)
+    thetas = [-p for p in ps[r:]]
+    if fam == "psl22":
+        return Q(thetas[0], 2)
+    if fam == "spo2m" and g.m == 3:
+        return Q(thetas[0], 4)
+    if fam == "spo2m":
+        m = g.m
+        nn = [nu[1 + i] for i in range(m // 2)]
+        s = (sum(a * a for a in nn)
+             + 2 * sum(a * (Q(m, 2) - (i + 1)) for i, a in enumerate(nn)))
+        return -(s - nn[0] * (2 * k + nn[0] + 2)) / (2 * (2 * k - m + 4))
+    if fam == "D21a":
+        a = g.a
+        r1, r2 = thetas
+        return ((2 * (a + 1) * k * (a * r2 + r1) - a * (r1 - r2) ** 2)
+                / (4 * (a + 1) ** 2 * k))
+    if fam == "F4":
+        r1, r2, r3 = nu[0], nu[1], nu[2]
+        num = (r1 * (6 - Q(3, 2) * k) + r2 * (3 - Q(3, 2) * k) + r3 * (-Q(3, 2) * k)
+               + r1 * r1 + r2 * r2 + r3 * r3 - r1 * r2 - r1 * r3 - r2 * r3)
+        return num / (3 * (3 - Q(3, 2) * k))
+    r1, r2 = nu[0], nu[1]  # G3
+    return (3 * (r1 - r2) ** 2 - 4 * k * r1 + (12 - 4 * k) * r2) / (8 * (3 - 2 * k))
+
+
+def _ref_extremal(e, lv, ps):
+    shifted = [p + x for p, x in zip(ps, _ref_pairings(e, e.xi))]
+    r = len(e.simple_roots_natural)
+    by_def = not _ref_in_P_plus(e, lv, shifted)
+    by_chi = any(-p > m + c.chi for p, m, c in zip(ps[r:], lv.M_simple, e.components))
+    assert by_def == by_chi
+    return by_def
+
+
+def _ref_decide(g, k, nu, l0):
+    """`decide` on a level of the unitarity range, every scalar in `Fraction`s
+    through `form`."""
+    e = lookup(g)
+    lv = _ref_level_data(g, k)
+    q = {"k": k, "M_i": list(lv.M_simple), "chi_i": [c.chi for c in e.components], "l0": l0}
+    ps = _ref_pairings(e, nu)
+    if lv.collapsing:
+        chk = unitarity._collapse_check(e, lv, nu, ps, l0)
+        return unitarity.UnitarityVerdict(unitarity.COLLAPSING, q,
+                                          (f"collapsing level, target {chk.target}",),
+                                          collapse=chk)
+    if not _ref_in_P_plus(e, lv, ps):
+        return unitarity.UnitarityVerdict(unitarity.NOT_IN_P_PLUS_K, q, (
+            "nu not dominant integral of the component levels",))
+    a, extremal = _ref_A(e, k, nu), _ref_extremal(e, lv, ps)
+    q.update({"A": a, "A_explicit": _ref_A_explicit(e, k, nu, ps), "extremal": extremal,
+              "l0_minus_A": l0 - a})
+    if extremal and l0 == a:
+        proved = unitarity._proved_extremal(g)
+        return unitarity.UnitarityVerdict(unitarity.EXTREMAL_BOUNDARY, q, (
+            "extremal weight at the threshold" + ("" if proved else
+                                                  ": conjecturally unitary (unproven extremal"
+                                                  " boundary case)"),), proved=proved)
+    if extremal:
+        return unitarity.UnitarityVerdict(unitarity.EXTREMAL_OFF_BOUNDARY, q, (
+            "extremal weight requires l0 = A(k,nu) exactly",))
+    if l0 >= a:
+        return unitarity.UnitarityVerdict(unitarity.UNITARY_NON_EXTREMAL, q, (
+            "non-extremal weight with l0 >= A(k,nu)",))
+    return unitarity.UnitarityVerdict(unitarity.BELOW_BOUND, q, (
+        "l0 below the threshold A(k,nu)",))
+
+
+def _ref_sign2_scan(g, k, nu, n_max, m_max):
+    """`sign2_scan` with the singular weights through `form`, per index."""
+    e = lookup(g)
+    lv = _ref_level_data(g, k)
+    ps = _ref_pairings(e, nu)
+    hyp = _ref_in_P_plus(e, lv, ps) and not _ref_extremal(e, lv, ps)  # k is in the range
+    rep = unitarity.Sign2Report(g, k, nu, hyp, "scan" if hyp else "lemma hypothesis not met")
+    a, kh, eps = _ref_A(e, k, nu), k + e.h_vee, e.epsilon
+    cas = e.form(nu, nu + 2 * e.rho_natural)
+
+    def ell(h):
+        return cas / (2 * kh) + h * (h - k - 1) / kh
+
+    evens = [(Q(a_, eps), Q(b_, eps)) for a_ in range(1, n_max * eps + 1)
+             for b_ in range(1, m_max * eps + 1) if (a_ - b_) % eps == 0]
+    for n, m in evens:
+        v = ell((eps * m * kh - n + k + 1) / 2)
+        rep.checked += 1
+        if v > a:
+            rep.violations.append(("h_even", (n, m), v, a))
+    m = Q(1, 2)
+    while m <= m_max:
+        for gamma in dict.fromkeys(gm for gm, _ in e.delta_prime):
+            v = ell(e.form(nu + e.rho_natural, gamma) + m * kh + (k + 1) / 2)
+            rep.checked += 1
+            if v > a:
+                rep.violations.append(("h_odd", (m, gamma), v, a))
+        m += 1
+    return rep
+
+
+def test_verdict_pass_equals_the_form_reference():
+    """Every P^+_k weight of the first six unitary levels of the eight
+    verdict families, at l0 = A + (-1/2, 0, 1/3): `decide`, built on the
+    per-request pass and the entry's level constants, gives the verdict of
+    the `Fraction`/`form` reference; `sign2_scan(., 8, 8)` gives its report
+    on every 20th weight."""
+    from wmin.cli import verdict_to_dict
+    seen = scanned = 0
+    for g in VERDICT_FAMILIES:
+        for k in enumerate_unitary_k(g, 6):
+            for nu in enumerate_P_plus_k(g, k):
+                a = _ref_A(lookup(g), k, nu)
+                for off in (Q(-1, 2), Q(0), Q(1, 3)):
+                    got, want = decide(g, k, nu, a + off), _ref_decide(g, k, nu, a + off)
+                    assert got == want and verdict_to_dict(got) == verdict_to_dict(want), \
+                        (g.label(), k, tuple(nu), off)
+                if seen % 20 == 0:
+                    assert sign2_scan(g, k, nu, 8, 8) == _ref_sign2_scan(g, k, nu, 8, 8)
+                    scanned += 1
+                seen += 1
+    assert seen == 1252 and scanned == 63

@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 
 from wmin import catalog
 from wmin.catalog import Vec, lookup, zero_vec
-from wmin.characters import character_massive, character_massless
-from wmin.errors import ParameterOutOfRange, PreconditionViolated
+from wmin.characters import character_massive, character_massless, verma_character
+from wmin.errors import CriticalLevel, ParameterOutOfRange, PreconditionViolated
 from wmin.gram_lab import j_g_ratio
-from wmin.levels import enumerate_unitary_k, level_data
-from wmin.unitarity import decide, sign2_scan
+from wmin.levels import (central_charge, component_level, enumerate_unitary_k, level_data,
+                         unitarity_range_contains)
+from wmin.unitarity import _odd_pair, decide, sign2_scan
 from wmin.weights import (A_bound, A_explicit, B_bound, enumerate_P_plus_k,
                           in_P_plus_k, is_extremal)
 
@@ -155,10 +156,78 @@ def test_one_pass_on_random_weights(g, data):
     lambda g, k, nu: character_massless(g, k, nu, 2, 2),
     lambda g, k, nu: sign2_scan(g, k, nu, 2, 2),
     lambda g, k, nu: j_g_ratio(g, k, nu, 1),
+    lambda g, k, nu: verma_character(g, nu, 0, 1, 2),
 ], ids=["decide", "in_P_plus_k", "is_extremal", "character_massive",
-        "character_massless", "sign2_scan", "j_g_ratio"])
+        "character_massless", "sign2_scan", "j_g_ratio", "verma_character"])
 def test_a_weight_of_the_wrong_length_raises(call):
     """A short weight must not be read as a prefix, nor a long one truncated."""
     for nu in (zero_vec(3), zero_vec(5)):
         with pytest.raises(ParameterOutOfRange, match=r"^psl22 weights have 4 coordinates$"):
             call(catalog.psl22(), -3, nu)
+
+
+def _old_range_contains(g, k):
+    """Unitarity-range membership as `levels` spelled it per family, with the
+    progression (first level, step) written out: the oracle for the range
+    shape the catalog entry holds."""
+    fam = g.family
+    if fam == "osp4m":
+        return False
+    if fam == "sl2m":
+        return k == -1
+    if fam == "D21a" and k == Q(-1, 2):
+        return False
+    if fam == "spo2m":
+        first, step = (Q(-3, 4), Q(-1, 4)) if g.m == 3 else (Q(-1), Q(-1, 2))
+    elif fam == "D21a":
+        first = step = -Q(g.a_num * g.a_den, g.a_num + g.a_den)
+    else:
+        first, step = {"psl22": (Q(-2), Q(-1)), "F4": (Q(-4, 3), Q(-2, 3)),
+                       "G3": (Q(-3, 2), Q(-3, 4))}[fam]
+    n = (k - first) / step
+    return n.denominator == 1 and n >= 0
+
+
+@given(st.sampled_from(PASS_FAMILIES), st.data())
+@settings(max_examples=150, deadline=None)
+def test_weight_and_level_scalars_equal_the_form(g, data):
+    """Any rational weight on any family: the per-request pass (pairings,
+    (xi|nu), the Casimir term) and the one dot product per gamma for
+    (nu + rho^nat|gamma) equal the `form` evaluations.  Any noncritical
+    level: the entry's level constants and `level_data` equal
+    `component_level`, the central-charge formula, the collapsing polynomial
+    and the per-family range membership, and the critical level raises."""
+    e = lookup(g)
+    rat = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    nu = Vec(data.draw(st.lists(rat, min_size=e.n, max_size=e.n)))
+    ps, xn, cas = e._scalars(nu)
+    assert ps == _pairings_oracle(e, nu) == e.pairings(0, nu)
+    assert xn == e.form(e.xi, nu)
+    assert cas == e.form(nu, nu + 2 * e.rho_natural) == e.casimir(nu)
+    assert all(type(v) is Q for v in [*ps, xn, cas])
+    gammas = list(dict.fromkeys(gm for gm, _ in e.delta_prime))
+    assert [row[0] for row in e._odd_covs] == gammas
+    d, x = e._scaled(nu)
+    for row in e._odd_covs:
+        assert _odd_pair(row, d, x) == e.form(nu + e.rho_natural, row[0])
+
+    ks = enumerate_unitary_k(g, 6)
+    k = data.draw(st.one_of(st.fractions(min_value=-12, max_value=12, max_denominator=12),
+                            *([st.sampled_from(ks)] if ks else [])))
+    assert unitarity_range_contains(g, k) == _old_range_contains(g, k)
+    for fn in (level_data, central_charge):
+        with pytest.raises(CriticalLevel):
+            fn(g, -e.h_vee)
+    if k == -e.h_vee:
+        return
+    comps = ([e.center] if e.center else []) + list(e.components)
+    M = tuple(component_level(e, k, c) for c in comps)
+    lines = e._levels.lines
+    assert tuple(s * k + t for s, t, _ in lines) == M
+    assert [chi for _, _, chi in lines] == [c.chi for c in comps]
+    lv = level_data(g, k)
+    assert lv.M == M and lv.alpha_levels == tuple(m + c.chi for m, c in zip(M, comps))
+    assert lv.c == central_charge(g, k) == k * e.sdim / (k + e.h_vee) - 6 * k + e.h_vee - 4
+    zs = [-(e.h_vee - c.hbar_vee) / 2 for c in comps]
+    z1, z2 = zs if len(zs) == 2 else (zs[0], -comps[0].hbar_vee / 2 - 1)
+    assert lv.p_k == (k - z1) * (k - z2) and lv.collapsing == (lv.p_k == 0)
