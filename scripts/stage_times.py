@@ -9,6 +9,8 @@ wrapping `characters._orbit`, `characters._fns_cached`,
     import_s              import wmin.characters
     denominator_build_s   the cold call's `_fns_cached` (the NS denominator)
     denominator_terms     terms of that series in its sloped window
+    denominator_buckets   its non-empty (q, depth) buckets, the units the
+                          kernel's cap tests run on
     checks_s              the warm call's preconditions: its calls of
                           `_P_plus_data` (the level data and the per-request
                           pass over nu), `_is_extremal` (massive only) and
@@ -129,7 +131,8 @@ def main(argv=None):
     print(json.dumps({
         "import_s": round(import_s, 6),
         "denominator_build_s": round(fns_s, 6),
-        "denominator_terms": sum(len(lvl) for lvl in fns.levels),
+        "denominator_terms": sum(len(b) for lvl in fns.levels for b in lvl.values()),
+        "denominator_buckets": sum(1 for lvl in fns.levels for b in lvl.values() if b),
         "checks_s": round(checks_s, 6),
         "orbit_s": round(warm["_orbit"][0], 6),
         "orbit_elements": len(warm["_orbit"][1]),

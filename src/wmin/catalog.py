@@ -686,9 +686,22 @@ class _Lattice:
     `slope` is the dip density s, the largest depth change per unit of q over
     the denominator factors: |depth(alpha)| for the bosonic exponents
     exp(+-alpha) (which cost q^n, n >= 1) and 2|depth(gamma)| for the odd ones
-    (which cost q^{1/2} and up).  `theta_depth` is the largest depth of a
-    component highest root; it bounds how far an orbit restriction can sit
-    above nu per unit of q_shift.
+    (which cost q^{1/2} and up); `dip` = s * scale is an int, as each of those
+    depths times scale is a key's depth entry.  `theta_depth` is the largest
+    depth of a component highest root; it bounds how far an orbit
+    restriction can sit above nu per unit of q_shift.
+
+    The kernel stores the coordinates of a key packed into one int,
+    `pack`(x) = sum_i x_i R^i with R = `radix`.  Packing is linear, and it
+    is one-to-one on the box |x_i| < R/2, where `unpack` inverts it digit by
+    digit (balanced digits of the odd radix R); `characters._LatticeSeries`
+    proves which windows keep their keys inside that box.  `ns` is one n's
+    block of the NS denominator factors of `characters._ns_factors`, in its
+    order, as ints: (depth entry, packed key, 2c - 2n, odd) for
+    exp(-gamma) at c = n - 1/2 (gamma in Delta', with multiplicity), rank
+    times exp(0) at c = n, and exp(-alpha) at c = n - 1 and exp(alpha) at
+    c = n for each positive root alpha of g^nat.  `rate` is the largest
+    |coordinate| of those keys, at least 1.
 
     The orbit side, over the affine simple roots beta_i of g^nat, (alpha, 0)
     for its simple roots and then (-theta_i, 1) for eta_i = delta - theta_i
@@ -708,9 +721,12 @@ class _Lattice:
     level 0 and with x+d as `xd0` (see `characters._orbit`).
     """
 
-    __slots__ = ("proj", "depth_cov", "denom", "scale", "cov", "slope", "theta_depth",
-                 "pairings", "cartan", "xd", "oden", "orows", "orho",
+    __slots__ = ("proj", "depth_cov", "denom", "scale", "cov", "slope", "dip", "theta_depth",
+                 "ns", "rate", "pairings", "cartan", "xd", "oden", "orows", "orho",
                  "rho_ps", "iso_ps", "xd0")
+
+    #: the packing radix R: coordinates |x_i| <= 2^20 pack one-to-one
+    radix = 2 ** 21 + 1
 
     def __init__(self, entry: CatalogEntry):
         s = entry.simple_roots_natural
@@ -740,7 +756,18 @@ class _Lattice:
         dips = [abs(depth(a)) for a in entry.pos_roots_natural]
         dips += [2 * abs(depth(g)) for g, _ in entry.delta_prime]
         self.slope = max(dips) if dips else Q(1)
+        self.dip = self._ints(entry, "dip density times scale", [self.slope * self.scale])[0]
         self.theta_depth = max([depth(-1 * c.theta) for c in entry.components] + [Q(1)])
+
+        rank = len(s) + (1 if entry.center else 0)
+        block = [(-1 * g, -1, True) for g, mult in entry.delta_prime for _ in range(mult)]
+        block += [(zero_vec(n), 0, False)] * rank
+        for alpha in entry.pos_roots_natural:
+            block += [(-1 * alpha, -2, False), (alpha, 0, False)]
+        keys = [self.key(w) for w, _, _ in block]
+        self.rate = max([1] + [abs(x) for key in keys for x in key[1:]])
+        self.ns = tuple((key[0], self.pack(key[1:]), off, odd)
+                        for key, (_, off, odd) in zip(keys, block))
 
         roots = [(a, 0) for a in s] + [(-1 * c.theta, 1) for c in entry.components]
         self.pairings = entry.pairings
@@ -787,6 +814,24 @@ class _Lattice:
                     f"1/{denom} lattice of the denominator kernel")
             xs.append(x.numerator)
         return (-sum(map(mul, self.cov, xs)), *xs)
+
+    def pack(self, xs: Sequence[int]) -> int:
+        """sum_i xs_i R^i, R = `radix`."""
+        p = 0
+        for x in reversed(xs):
+            p = p * self.radix + x
+        return p
+
+    def unpack(self, p: int) -> List[int]:
+        """The coordinates xs with `pack`(xs) = p and every |xs_i| < R/2:
+        the balanced digits of p in the odd radix R."""
+        r, h = self.radix, self.radix // 2
+        xs = []
+        for _ in self.cov:
+            x = (p + h) % r - h
+            xs.append(x)
+            p = (p - x) // r
+        return xs
 
     @staticmethod
     def q2(c: Fraction) -> int:

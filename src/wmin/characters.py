@@ -22,23 +22,26 @@ keys and the int affine Cartan matrix.  The orbit walk runs on int
 coordinates: each point is its tuple of pairings with the affine simple
 coroots, and a reflection is one row of that Cartan matrix.  The NS
 denominator is built by an integer kernel (`_LatticeSeries`): q is stored
-as the int 2q, weights as int tuples scaled by the frame's common
-denominator, each key led by its int depth, and every factor is applied to
+as the int 2q, each level as depth buckets {int depth: {packed key:
+coefficient}}, a weight's coordinates scaled by the frame's common
+denominator and packed into one int (`_Lattice.pack`: linear, and one-to-one
+inside a bound the kernel proves and checks).  Every factor is applied to
 the running series in place inside a sloped window whose exactness argument
-is in the `_LatticeSeries` docstring.  Every factor (1 - sign q^c exp(w))^(-1), the
-denominator's own, the isotropic corrections of the massless sum and the
-fermionic factors of the N=4 closed form, is expanded by that kernel's one
-`divide`.
+is in the `_LatticeSeries` docstring, its cap test once per bucket.  Every
+factor (1 - sign q^c exp(w))^(-1), the denominator's own, the isotropic
+corrections of the massless sum and the fermionic factors of the N=4 closed
+form, is expanded by that kernel's one `divide`.
 
 Every character is one `_sum_pieces`: the orbit sum, `verma_character`
 (`fns_series` is its nu = 0, ell = 0 case) and `n4_closed_form` each give a
-list of heads +-q^ell exp(w) and kernel pieces; the piece terms that pass
-the published QWSeries' cuts are summed over int keys, and each nonzero sum
-becomes a `Fraction` exponent and a `Vec` weight once.  `Fraction`s appear only at that
-boundary, at the kept orbit elements, and in `records()`/`coeff()`, which
-read the published series.  Sums are sequential and deterministic; the
-merge is commutative exact addition, so a parallel evaluation would have to
-reproduce these coefficients bit for bit.
+list of heads +-q^ell exp(w) and kernel pieces; the piece buckets that pass
+the published QWSeries' cuts are summed over packed int keys, and each
+nonzero sum is unpacked and becomes a `Fraction` exponent and a `Vec` weight
+once.  `Fraction`s appear only at that boundary, at the kept orbit
+elements, and in `records()`/`coeff()`, which read the published series.
+Sums are sequential and deterministic; the merge is commutative exact
+addition, so a parallel evaluation would have to reproduce these
+coefficients bit for bit.
 """
 from __future__ import annotations
 
@@ -46,6 +49,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heappop, heappush
 from operator import add, mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -168,10 +172,16 @@ class _LatticeSeries:
     """A q-series over int lattice keys in the sloped window of the
     denominator kernel, changed in place one factor at a time.
 
-    `levels[t]` holds the terms at q = t/2 as {key: coefficient}, keys as in
-    `_Lattice`; `caps[t]` is the int depth cap of that level,
-    floor(scale * (depth + s * (q_max - t/2))), so a term is kept exactly when
-    `add_term` with headroom s would keep it, for any rational window.
+    Layout.  `levels[t]` holds the terms at q = t/2 as depth buckets
+    {depth: {packed key: coefficient}}: the depth is the int depth entry of
+    the term's key (`_Lattice.key`, at the frame's scale), and the packed key
+    is its coordinates packed into one int (`_Lattice.pack`).  `caps[t]` is
+    the int depth cap of that level, floor(scale * (depth + s * (q_max - t/2))),
+    so a term is kept exactly when `add_term` with headroom s would keep it,
+    for any rational window.  A step by q^c exp(w) adds the depth entry and
+    the packed key of w, one int `+` each (packing is linear), and its cap
+    test runs once per bucket: a whole bucket is kept or skipped.  No bucket
+    is left empty.
 
     Exactness.  The margin of a term t = (q, w) is
     m(t) = depth + s(q_max - q) - depth(w), and t is kept iff q <= q_max and
@@ -185,65 +195,101 @@ class _LatticeSeries:
     Lemma 3.11 / Prop. 3.12 give the orbit side of the same window).  Each
     step checks this margin condition for its factor and raises
     PreconditionViolated when it fails.
+
+    Packing.  `pack` is one-to-one on the coordinates with every
+    |x_i| < R/2, R the frame's radix, so it suffices that every stored term
+    lies in that box.  Give a step by q^c exp(w) the cost 2c when c > 0 and
+    its int depth entry d(w) >= 1 when c = 0, and let `rate` be an int with
+    |x_i(w)| <= rate * cost for every step taken so far (the frame's `rate`
+    for its NS factors, whose costs are >= 1; `_factor` raises it for any
+    other factor).  A stored term is the sum of the steps of its history.
+    Its steps with c > 0 cost 2q <= T = floor(2 q_max) in all.  Its steps
+    with c = 0 cost its depth entry minus that of the others; each c > 0
+    step has d(w) >= -dip * c by the margin check (dip = s * scale, an int),
+    so they cost at most caps[2q] + dip * q <= scale * depth + dip * q_max,
+    and, being an int sum, at most caps[0].  So every stored term has
+    |x_i| <= B = rate * span, span = T + max(caps[0], 0) (`bound`; a prefix
+    copy keeps the span).  The constructor and every step raise
+    PreconditionViolated, before changing anything, when 2B >= R: a window
+    past the bound is refused, never aliased.  `_sum_pieces` checks the same
+    bound at its own scale with the head added.
     """
 
-    __slots__ = ("lat", "levels", "caps")
+    __slots__ = ("lat", "levels", "caps", "span", "rate")
 
     def __init__(self, lat: _Lattice, q_max: Fraction, depth: Fraction):
-        self.lat = lat
-        self.caps = [lat.cap(depth + lat.slope * (q_max - Q(t, 2)))
-                     for t in range(math.floor(2 * q_max) + 1)]
-        self.levels: List[Dict[tuple, int]] = [{} for _ in self.caps]
+        top = math.floor(2 * q_max)
+        self.lat, self.rate = lat, 0
+        self.span = top + max(lat.cap(depth + lat.slope * q_max), 0)  # T + max(caps[0], 0)
+        self._admit(lat.rate)
+        self.caps = [lat.cap(depth + lat.slope * (q_max - Q(t, 2))) for t in range(top + 1)]
+        self.levels: List[Dict[int, Dict[int, int]]] = [{} for _ in self.caps]
         if self.caps and self.caps[0] >= 0:
-            self.levels[0][(0,) * (len(lat.cov) + 1)] = 1
+            self.levels[0][0] = {0: 1}
+
+    def _admit(self, rate: int) -> None:
+        """Raise `rate` to let in steps of that rate, or raise
+        PreconditionViolated, before anything changes, when the packing bound
+        B = rate * span would reach R/2."""
+        if rate > self.rate:
+            if 2 * rate * self.span >= self.lat.radix:
+                raise PreconditionViolated(
+                    f"window of q and depth budget {self.span} at rate {rate} is past the "
+                    f"packing bound of the denominator kernel (radix {self.lat.radix})")
+            self.rate = rate
+
+    def bound(self) -> int:
+        """B, the bound on |coordinate| of every stored term."""
+        return self.rate * self.span
 
     def copy(self, top: int) -> "_LatticeSeries":
         """A copy of levels 0..top, the levels q <= top/2.  Every step
-        (`times`, `divide`) writes a level only from itself and the levels
+        (`_push_up`, `divide`) writes a level only from itself and the levels
         below it, so the steps applied to this prefix give the prefix of the
         steps applied to the whole series."""
         out = object.__new__(_LatticeSeries)
-        out.lat, out.caps = self.lat, self.caps[:top + 1]
-        out.levels = [dict(lvl) for lvl in self.levels[:top + 1]]
+        out.lat, out.caps, out.span, out.rate = self.lat, self.caps[:top + 1], self.span, self.rate
+        out.levels = [{d: dict(b) for d, b in lvl.items()} for lvl in self.levels[:top + 1]]
         return out
 
-    def _factor(self, w: Vec, c: Fraction) -> Tuple[tuple, int]:
-        """(key of w, 2c) for a step by q^c exp(w), c >= 0, after checking
-        that the step never raises the margin."""
-        lat = self.lat
-        fkey, c2 = lat.key(w), lat.q2(c)
-        if (fkey[0] <= 0) if c2 == 0 else (lat.slope * c * lat.scale + fkey[0] < 0):
+    def _margin(self, d: int, c2: int) -> None:
+        """Raise unless a step with depth entry d and 2c = c2 >= 0 keeps the
+        window margin: d > 0 when c = 0, dip * 2c + 2d >= 0 when c > 0."""
+        if (d <= 0) if c2 == 0 else (self.lat.dip * c2 + 2 * d < 0):
             raise PreconditionViolated(
-                f"factor q^{format_rational(c)} exp(w) with depth(w) = "
-                f"{format_rational(Q(fkey[0], lat.scale))} raises the window margin")
-        return fkey, c2
+                f"factor q^{format_rational(Q(c2, 2))} exp(w) with depth(w) = "
+                f"{format_rational(Q(d, self.lat.scale))} raises the window margin")
 
-    def _push_up(self, fkey: tuple, c2: int, coef: int, keep: bool) -> None:
+    def _factor(self, w: Vec, c: Fraction) -> Tuple[int, int, int]:
+        """(depth entry, packed key, 2c) for a step by q^c exp(w), c >= 0,
+        after checking that the step never raises the margin and that the
+        series stays inside the packing bound."""
+        lat = self.lat
+        key, c2 = lat.key(w), lat.q2(c)
+        self._margin(key[0], c2)
+        self._admit(-(-max(map(abs, key[1:])) // (c2 or key[0])))  # ceil(|x| / cost)
+        return key[0], lat.pack(key[1:]), c2
+
+    def _push_up(self, dk: int, fp: int, c2: int, coef: int, keep: bool) -> None:
         """Add coef * x times each level t into level t + c2 (c2 > 0), in one
         pass from the top down, so each level is read before it is written:
         a multiplication by (1 + coef x), or by coef x when not `keep`."""
-        lv, caps, dk = self.levels, self.caps, fkey[0]
+        lv, caps = self.levels, self.caps
         for t in range(len(lv) - 1, -1, -1):
             src = lv[t]
             if not keep:
                 lv[t] = {}
             if t + c2 < len(lv):
-                dst, cap = lv[t + c2], caps[t + c2]
-                for key, v in src.items():
-                    if key[0] + dk <= cap:
-                        _bump(dst, tuple(map(add, key, fkey)), coef * v)
-
-    def times(self, w: Vec, c: Fraction) -> None:
-        """Multiply by (1 + q^c exp(w)), c > 0."""
-        self._push_up(*self._factor(w, c), 1, True)
+                _step(lv[t + c2], src, caps[t + c2], dk, fp, coef)
 
     def divide(self, w: Vec, c: Fraction, sign: int) -> None:
         """Multiply by (1 - sign q^c exp(w))^(-1), sign = +-1.
 
         For c > 0 this is the running sum new[t] = old[t] + sign new[t - x],
         taken in increasing q (the coin-change recurrence of Euler's partition
-        product, Andrews, The Theory of Partitions, ch. 1).  For c = 0 it is a
-        geometric chain from each term in increasing depth.
+        product, Andrews, The Theory of Partitions, ch. 1).  For c = 0 it is
+        the same running sum within each level, taken in increasing depth
+        over the buckets, those the step creates included.
 
         For c < 0 the factor is expanded in the non-negative q powers the
         characters are read in, through the exact identity
@@ -254,30 +300,51 @@ class _LatticeSeries:
         are by q^{-c} exp(-w), so the margin check of `_factor` covers the
         shift as well: a term it moves into the window comes from a kept one."""
         flip = c < 0
-        fkey, c2 = self._factor(-1 * w if flip else w, abs(c))
+        dk, fp, c2 = self._factor(-1 * w if flip else w, abs(c))
         if flip:
-            self._push_up(fkey, c2, -sign, False)
-        lv, caps, dk = self.levels, self.caps, fkey[0]
+            self._push_up(dk, fp, c2, -sign, False)
+        self._divide(dk, fp, c2, sign)
+
+    def _divide(self, dk: int, fp: int, c2: int, sign: int) -> None:
+        """`divide` by a checked step (depth entry dk, packed key fp, 2c = c2 >= 0)."""
+        lv, caps = self.levels, self.caps
         if c2:
             for t in range(len(lv) - c2):
-                dst, cap = lv[t + c2], caps[t + c2]
-                for key, v in lv[t].items():
-                    if key[0] + dk <= cap:
-                        _bump(dst, tuple(map(add, key, fkey)), sign * v)
+                _step(lv[t + c2], lv[t], caps[t + c2], dk, fp, sign)
             return
         for lvl, cap in zip(lv, caps):
-            for key, v in list(lvl.items()):
-                while key[0] + dk <= cap:
-                    key, v = tuple(map(add, key, fkey)), sign * v
-                    _bump(lvl, key, v)
+            depths = sorted(lvl)  # a heap; dk > 0, so each new bucket lies ahead
+            while depths:
+                d = heappop(depths)
+                if d + dk > cap:
+                    break
+                if d in lvl:
+                    if d + dk not in lvl:
+                        heappush(depths, d + dk)
+                    _step(lvl, {d: lvl[d]}, cap, dk, fp, sign)
 
 
-def _bump(lvl: Dict[tuple, int], key: tuple, v: int) -> None:
-    nv = lvl.get(key, 0) + v
-    if nv:
-        lvl[key] = nv
-    else:
-        del lvl[key]
+def _step(dst: Dict[int, Dict[int, int]], src: Dict[int, Dict[int, int]], cap: int,
+          dk: int, fp: int, coef: int) -> None:
+    """Add coef * x times the buckets of `src` into the level `dst`, x the
+    step (depth entry dk, packed key fp), skipping each whole bucket whose
+    image lies above `cap`; drop the zero sums and the buckets they empty."""
+    for d, bucket in src.items():
+        nd = d + dk
+        if nd > cap:
+            continue
+        out = dst.get(nd)
+        if out is None:
+            out = dst[nd] = {}
+        for p, v in bucket.items():
+            p += fp
+            nv = out.get(p, 0) + coef * v
+            if nv:
+                out[p] = nv
+            else:
+                del out[p]
+        if not out:
+            del dst[nd]
 
 
 def _sum_pieces(out: QWSeries, heads: Sequence[Tuple[Vec, Fraction, int]],
@@ -287,36 +354,51 @@ def _sum_pieces(out: QWSeries, heads: Sequence[Tuple[Vec, Fraction, int]],
     in the same order; return the number of kernel terms kept.
 
     The kept terms are summed over int keys: q * qden, qden = lcm(2, the
-    denominators of the ell), and (depth, w) at scale wden = lcm(D, the
-    denominators of the wt) (`_Lattice.key`), so adding a head's key to a
-    kernel key scaled by f = wden / D gives the key of the product term.
-    Depth is linear, so the cut depth_of(ref, w) <= depth is one int bound
-    `dcap` on the depth entry of those keys, with depth_of(ref, 0) the depth
-    covector dotted with ref, and each piece gets one q ceiling and one int
-    depth cap (dcap - depth entry of its head) // f.  Only the nonzero sums
-    are published: one `Fraction` per distinct exponent and one per distinct
-    coordinate, made once in this call and shared by the `Vec` weights."""
+    denominators of the ell), and the coordinates packed (`_Lattice.pack`) at
+    scale wden = lcm(D, the denominators of the wt), so adding a head's
+    packed key to a kernel key times f = wden / D gives the key of the
+    product term: packing is linear.  It stays one-to-one: a kernel term has
+    |x_i| <= B (`_LatticeSeries.bound`), so a product term has
+    |x_i| <= H + f B, H the largest |coordinate| of a head at wden, and a call
+    with 2(H + f B) >= R raises PreconditionViolated.  Depth is linear, so the
+    cut depth_of(ref, w) <= depth is one int bound `dcap` on the depth entry
+    of those keys, with depth_of(ref, 0) the depth covector dotted with ref,
+    and each piece gets one q ceiling and one int depth cap
+    (dcap - depth entry of its head) // f, tested once per depth bucket.
+    Only the nonzero sums are published, and each distinct packed key is
+    unpacked once: one `Fraction` per distinct exponent, one per distinct
+    coordinate and one `Vec` per distinct weight, made once in this call and
+    shared by the q levels."""
     lat = out.entry.lattice
     qden = math.lcm(2, *(ell.denominator for _, ell, _ in heads))
     wden = math.lcm(lat.denom, *(c.denominator for wt, _, _ in heads for c in wt))
     half, f = qden // 2, wden // lat.denom
     dcap = math.floor(f * lat.scale * (out.depth - sum(map(mul, lat.depth_cov, out.ref), Q(0))))
-    acc: Dict[int, Dict[tuple, int]] = {}
+    wkeys = [lat.key(wt, wden) for wt, _, _ in heads]
+    hmax = max([0] + [abs(x) for key in wkeys for x in key[1:]])
+    acc: Dict[int, Dict[int, int]] = {}
     kept = 0
-    for (wt, ell, sign), piece in zip(heads, pieces):
-        wkey, q0 = lat.key(wt, wden), (ell * qden).numerator
+    for wkey, (_, ell, sign), piece in zip(wkeys, heads, pieces):
+        if 2 * (hmax + f * piece.bound()) >= lat.radix:
+            raise PreconditionViolated(
+                f"character terms at scale {wden} are past the packing bound of the "
+                f"denominator kernel (radix {lat.radix})")
+        wp, q0 = lat.pack(wkey[1:]), (ell * qden).numerator
         top = min(len(piece.levels) - 1, math.floor(2 * (out.q_max - ell)))
         cap = (dcap - wkey[0]) // f
         for t in range(top + 1):
             dst = acc.setdefault(q0 + t * half, {})
-            for key, v in piece.levels[t].items():
-                if key[0] <= cap:
-                    key = tuple(map(add, wkey, key if f == 1 else [f * x for x in key]))
-                    dst[key] = dst.get(key, 0) + sign * v
-                    kept += 1
-    frac = {x: Q(x, wden) for x in {x for lvl in acc.values() for key in lvl for x in key[1:]}}
+            for d, bucket in piece.levels[t].items():
+                if d <= cap:
+                    kept += len(bucket)
+                    for p, v in bucket.items():
+                        p = wp + f * p
+                        dst[p] = dst.get(p, 0) + sign * v
+    coords = {p: lat.unpack(p) for p in {p for lvl in acc.values() for p, c in lvl.items() if c}}
+    frac = {x: Q(x, wden) for x in {x for xs in coords.values() for x in xs}}
+    vecs = {p: _vec([frac[x] for x in xs]) for p, xs in coords.items()}
     for qi, lvl in acc.items():
-        terms = {_vec([frac[x] for x in key[1:]]): c for key, c in lvl.items() if c}
+        terms = {vecs[p]: c for p, c in lvl.items() if c}
         if terms:
             out.terms[Q(qi, qden)] = terms
     return kept
@@ -340,17 +422,30 @@ def _ns_factors(entry: CatalogEntry, q_max: Fraction):
     return [f for f in out if f[1] <= q_max]
 
 
+def _ns_steps(lat: _Lattice, q_max: Fraction) -> List[Tuple[int, int, int, bool]]:
+    """The factors of `_ns_factors(entry, q_max)`, in its order, as int steps
+    (depth entry, packed key, 2c, odd) read from the frame's table
+    `_Lattice.ns`: no `Fraction` per factor.  Their costs (see
+    `_LatticeSeries`) are >= 1 and their coordinates at most the frame's
+    `rate`, so the bound a series starts with covers every one of them."""
+    top = math.floor(2 * q_max)
+    return [(dk, fp, 2 * n + off, odd) for n in range(1, top // 2 + 2)
+            for dk, fp, off, odd in lat.ns if 2 * n + off <= top]
+
+
 @lru_cache(maxsize=32)
 def _fns_cached(aid: AlgebraId, q_max: Fraction, depth: Fraction) -> _LatticeSeries:
     """The NS denominator in the sloped window (q_max, depth + s(q_max - q)),
-    built factor by factor in place over int keys."""
-    entry = lookup(aid)
-    out = _LatticeSeries(entry.lattice, q_max, depth)
-    for w, c, odd in _ns_factors(entry, q_max):
+    built factor by factor in place over int keys (`_ns_steps`), each step
+    margin-checked."""
+    lat = lookup(aid).lattice
+    out = _LatticeSeries(lat, q_max, depth)
+    for dk, fp, c2, odd in _ns_steps(lat, q_max):
+        out._margin(dk, c2)
         if odd:
-            out.times(w, c)
+            out._push_up(dk, fp, c2, 1, True)
         else:
-            out.divide(w, c, 1)
+            out._divide(dk, fp, c2, 1)
     return out
 
 

@@ -4,6 +4,7 @@ import math
 import pkgutil
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -763,10 +764,19 @@ def _reference_fns(g, q_max, depth, extra=()):
 
 
 def _kernel_terms(series):
-    """{q: {w: coeff}} of an int-keyed kernel series, every term kept."""
-    den = series.lat.denom
-    return {Q(t, 2): {Vec(Q(x, den) for x in key[1:]): c for key, c in lvl.items()}
-            for t, lvl in enumerate(series.levels) if lvl}
+    """{q: {w: coeff}} of an int-keyed kernel series, every term kept: each
+    packed key unpacked, and checked to lie in the depth bucket of its
+    weight, with no empty bucket and no zero coefficient."""
+    lat = series.lat
+    out = {}
+    for t, lvl in enumerate(series.levels):
+        for d, bucket in lvl.items():
+            assert bucket and all(bucket.values())
+            for p, c in bucket.items():
+                xs = lat.unpack(p)
+                assert lat.pack(xs) == p and -sum(map(mul, lat.cov, xs)) == d
+                out.setdefault(Q(t, 2), {})[Vec(Q(x, lat.denom) for x in xs)] = c
+    return out
 
 
 # (algebra, window, depth): small windows, one of them not a half-integer
@@ -898,6 +908,102 @@ def test_lattice_keys_never_round():
             lat.key(w)
     with pytest.raises(PreconditionViolated):
         lat.q2(Q(1, 3))
+
+
+@given(FAMILY_IDS, st.integers(min_value=0, max_value=9))
+@example(catalog.psl22(), 0)
+@example(catalog.sl2m(3), 5)
+@example(catalog.spo2m(3), 5)
+@example(catalog.osp4m(8), 4)
+@example(catalog.d21a(2, 3), 3)
+@example(catalog.g3(), 7)
+@example(catalog.f4(), 6)
+@settings(max_examples=40, deadline=None)
+def test_ns_table_equals_the_fraction_factors(g, q2_max):
+    """The frame's int table of NS factors, expanded for a window, is
+    `_ns_factors` in its order, each factor as `lat.key`/`lat.q2` of its
+    `Fraction` weight and exponent, on every catalog family."""
+    e = lookup(g)
+    lat = e.lattice
+    q_max = Q(q2_max, 2)
+    want = []
+    for w, c, odd in _ns_factors(e, q_max):
+        key = lat.key(w)
+        want.append((key[0], lat.pack(key[1:]), lat.q2(c), odd))
+    assert characters._ns_steps(lat, q_max) == want
+    assert lat.rate == max([1] + [abs(x) for w, _, _ in _ns_factors(e, Q(2))
+                                  for x in lat.key(w)[1:]])
+
+
+def test_ns_table_steps_are_margin_checked(monkeypatch):
+    """A table factor that would raise the window margin is refused by the
+    table build as by `divide`: a c = 0 step of depth 0, and a c > 0 step
+    that dips one unit faster than the slope allows."""
+    lat = E.lattice
+    for bad in [(0, lat.pack([1, 0, 0, 0]), -2, False),
+                (-(lat.dip // 2) - 1, 0, -1, True)]:
+        monkeypatch.setattr(lat, "ns", lat.ns + (bad,))
+        with pytest.raises(PreconditionViolated, match="raises the window margin"):
+            _fns_cached.__wrapped__(G, Q(1), Q(3))
+        monkeypatch.undo()
+    assert _kernel_terms(_fns_cached.__wrapped__(G, Q(1), Q(3))) == _reference_fns(G, Q(1), Q(3))
+
+
+PACK_FRAMES = [lookup(g).lattice for g in (catalog.psl22(), catalog.spo2m(3), catalog.g3(),
+                                           catalog.sl2m(6), catalog.osp4m(8))]
+
+
+@given(st.sampled_from(PACK_FRAMES), st.data())
+@settings(max_examples=80, deadline=None)
+def test_packing_round_trips_and_is_linear_inside_the_bound(lat, data):
+    """On coordinates with every |x_i| < R/2, `unpack` inverts `pack`, and
+    `pack` is linear: the packed sum of two keys is the sum of their packed
+    keys, and f times a key packs to f times its packed key, whenever the
+    result stays inside the box."""
+    half, n = lat.radix // 2, len(lat.cov)
+    coord = st.integers(min_value=-half, max_value=half)
+    x = data.draw(st.lists(coord, min_size=n, max_size=n))
+    y = data.draw(st.lists(coord, min_size=n, max_size=n))
+    f = data.draw(st.integers(min_value=-3, max_value=3))
+    assert lat.unpack(lat.pack(x)) == x
+    s = [a + b for a, b in zip(x, y)]
+    assert lat.pack(s) == lat.pack(x) + lat.pack(y)
+    if all(abs(a) <= half for a in s):
+        assert lat.unpack(lat.pack(x) + lat.pack(y)) == s
+    fx = [f * a for a in x]
+    if all(abs(a) <= half for a in fx):
+        assert lat.unpack(f * lat.pack(x)) == fx
+
+
+def test_packing_aliases_just_outside_the_box():
+    """Why the bound is needed: one step past R/2 a key packs like another."""
+    lat = E.lattice
+    half = lat.radix // 2
+    assert lat.pack([half + 1, 0, 0, 0]) == lat.pack([-half, 1, 0, 0])
+
+
+def test_window_past_the_packing_bound_is_refused():
+    """A window whose keys could leave the packing box raises rather than
+    return terms: a deep window, a factor far off the root span (the series
+    is left unchanged) and a head far out at the merge."""
+    lat = E.lattice
+    big = Q(lat.radix, lat.scale)
+    with pytest.raises(PreconditionViolated, match="packing bound"):
+        _LatticeSeries(lat, Q(1), big)
+    with pytest.raises(PreconditionViolated, match="packing bound"):
+        fns_series(G, 1, big)
+    series = _LatticeSeries(lat, Q(2), Q(3))
+    series.divide(-1 * TH1, Q(0), 1)
+    before = _kernel_terms(series)
+    far = Vec([Q(lat.radix, lat.denom), 0, 0, 0])  # depth 0: the margin holds
+    with pytest.raises(PreconditionViolated, match="packing bound"):
+        series.divide(far, Q(1), 1)
+    assert _kernel_terms(series) == before
+    with pytest.raises(PreconditionViolated, match="packing bound"):
+        verma_character(G, far, 0, 2, 3)
+    # just inside the bound the same calls are answered
+    assert fns_series(G, 1, 3).n_terms() > 0
+    assert verma_character(G, Vec([1, 0, 0, 0]), 0, 2, 3).coeff(0, Vec([1, 0, 0, 0])) == 1
 
 
 def test_character_caches_stay_bounded_over_d21a_sweep():

@@ -36,6 +36,7 @@ def test_stage_times():
                                 "out_terms")} == {"denominator_terms": 2060,
                                                   "orbit_elements": 36,
                                                   "kept_terms": 2942, "out_terms": 110}
+    assert 0 < got["denominator_buckets"] <= got["denominator_terms"]
     assert all(got[k] >= 0 for k in ("import_s", "denominator_build_s", "checks_s", "orbit_s",
                                       "sum_warm_s", "warm_s", "cold_s", "frame_s"))
     # one entry looked up, one denominator built cold and reused warm
