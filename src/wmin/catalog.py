@@ -254,8 +254,11 @@ class CatalogEntry:
 
     def restrict(self, v: Vec) -> Vec:
         """Canonical representative of the restriction of v to h^nat: the
-        orthogonal projection onto the span of the roots of g^nat."""
-        return Vec(sum(map(mul, r, v)) for r in self.lattice.proj)
+        orthogonal projection onto the span of the roots of g^nat, as int dot
+        products over the frame's `proj`.  Raises on a weight of the wrong
+        length."""
+        (d, x), lat = self._scaled(v), self.lattice
+        return _vec([Q(_dot(row, x), d * lat.pden) for row in lat.proj])
 
     @cached_property
     def coroots(self) -> tuple:
@@ -662,26 +665,26 @@ def _solve_exact(mat, rhs_cols):
 
 class _Lattice:
     """The coordinates of h^nat for one catalog entry (`CatalogEntry.lattice`):
-    every character reads the restriction to h^nat and the depth through it.
+    every character reads the restriction to h^nat, the depth and the int
+    key of a weight through it.
 
     One exact solve of G, the Gram matrix of the simple roots s_i of g^nat,
-    against [S G | diag((s_i|s_i)/2)] gives both halves of the frame.  The
-    first n columns are the coefficients c(v) = G^{-1} S G v of the
-    orthogonal projection sum_i c_i(v) s_i of v onto the root span (`proj`,
-    read by `CatalogEntry.restrict`); their column sums are the depth
-    covector `depth_cov` (read by `depth_of`).  The last r columns X give
-    the basis omega_j = sum_i X_ij s_i dual to the simple coroots, as
-    (omega_j|s_k) = (G X)_kj = delta_jk (s_k|s_k)/2.
+    against S G gives the coefficients c(v) = G^{-1} S G v of the orthogonal
+    projection sum_i c_i(v) s_i of v onto the root span; their column sums
+    are the depth covector `depth_cov` (read by `depth_of`).  The projection
+    is held as ints: coordinate a of the projection of v = x / d is
+    `proj[a]` (sparse, as `CatalogEntry.coroots`) dotted with x, over
+    d * `pden` (`CatalogEntry.restrict`).
 
     The kernel side.  Every weight that can enter a kernel key lies in
     (1/denom) Z^n, where `denom` is the common denominator of the
     coordinates of the positive roots of g^nat, of Delta', theta, xi,
-    rho^nat and of the projection rows.  The key of w is the int tuple
-    (scale * depth_of(0, w), denom * w_1, ..., denom * w_n) with scale =
-    denom times the common denominator of the depth covector, so a key
-    carries its depth as its first entry and adding keys adds weights and
-    depths alike.  `key` raises on a weight off the lattice and `q2` on an
-    exponent off (1/2) Z; nothing is rounded.
+    rho^nat, of the projection (`pden`) and of the restriction of theta/2 - xi.
+    The key of w is the int tuple (scale * depth_of(0, w), denom * w_1, ...,
+    denom * w_n) with scale = denom times the common denominator of the depth
+    covector, so a key carries its depth as its first entry and adding keys
+    adds weights and depths alike.  `key` raises on a weight off the lattice
+    and `q2` on an exponent off (1/2) Z; nothing is rounded.
 
     `slope` is the dip density s, the largest depth change per unit of q over
     the denominator factors: |depth(alpha)| for the bosonic exponents
@@ -696,12 +699,12 @@ class _Lattice:
     is one-to-one on the box |x_i| < R/2, where `unpack` inverts it digit by
     digit (balanced digits of the odd radix R); `characters._LatticeSeries`
     proves which windows keep their keys inside that box.  `ns` is one n's
-    block of the NS denominator factors of `characters._ns_factors`, in its
-    order, as ints: (depth entry, packed key, 2c - 2n, odd) for
-    exp(-gamma) at c = n - 1/2 (gamma in Delta', with multiplicity), rank
-    times exp(0) at c = n, and exp(-alpha) at c = n - 1 and exp(alpha) at
-    c = n for each positive root alpha of g^nat.  `rate` is the largest
-    |coordinate| of those keys, at least 1.
+    block of the factors of the NS denominator, as ints: (depth entry,
+    packed key, 2c - 2n, odd) for (1 + q^c exp(-gamma)) at c = n - 1/2 (gamma
+    in Delta', with multiplicity), rank times (1 - q^c)^(-1) at c = n, and
+    (1 - q^c exp(-alpha))^(-1) at c = n - 1 and (1 - q^c exp(alpha))^(-1) at
+    c = n for each positive root alpha of g^nat, in that order.  `rate` is
+    the largest |coordinate| of those keys, at least 1.
 
     The orbit side, over the affine simple roots beta_i of g^nat, (alpha, 0)
     for its simple roots and then (-theta_i, 1) for eta_i = delta - theta_i
@@ -712,18 +715,24 @@ class _Lattice:
     with its untwisted affine root system, and rescaling a component's form
     (u_i < 0 included) leaves its Cartan matrix unchanged; x+d pairs to 0
     with the finite roots and to 1 with eta_i.  The constructor checks both
-    and raises, never rounds.  `span` maps simple-coroot pairings to weights
-    through the omega_i, so a weight's restriction to h^nat is `span` of its
-    pairings.  The orbit's constants are held here too: `rho_ps`, the level-0
-    pairings of rho^nat (lam0 = (k + h_vee) Lambda_0 + nu + rho^nat pairs as
-    `pairings(k + h_vee, nu)` plus these, pairings being linear), and the
-    isotropic block, whose finite part theta/2 - xi pairs as `iso_ps` at
-    level 0 and with x+d as `xd0` (see `characters._orbit`).
+    and raises, never rounds.  `rkeys[i]` is the key of the finite part of
+    beta_i, a root of g^nat and so on the lattice; it lies in the root span,
+    so it is its own restriction, and a reflection moves a restriction by an
+    int multiple of it (see `characters._orbit`).  The orbit's constants are
+    held here too: `rho_ps`, the level-0 pairings of rho^nat (lam0 = (k +
+    h_vee) Lambda_0 + nu + rho^nat pairs as `pairings(k + h_vee, nu)` plus
+    these, pairings being linear), and the isotropic block, whose finite
+    part theta/2 - xi pairs as `iso_ps` at level 0, restricts to h^nat with
+    the key `iso_key` and pairs with x+d as `xd0`.  `iso_ps` are ints, which
+    the constructor checks: theta pairs to 0 with every affine simple coroot
+    (see `characters._orbit`), so they are the pairings of -xi, ints by the
+    catalog's xi_dominant and chi_i data.  `_orbit` checks the pairings of
+    lam0 itself.
     """
 
-    __slots__ = ("proj", "depth_cov", "denom", "scale", "cov", "slope", "dip", "theta_depth",
-                 "ns", "rate", "pairings", "cartan", "xd", "oden", "orows", "orho",
-                 "rho_ps", "iso_ps", "xd0")
+    __slots__ = ("proj", "pden", "depth_cov", "denom", "scale", "cov", "slope", "dip",
+                 "theta_depth", "ns", "rate", "pairings", "cartan", "xd", "rkeys", "rho_ps",
+                 "iso_ps", "iso_key", "xd0")
 
     #: the packing radix R: coordinates |x_i| <= 2^20 pack one-to-one
     radix = 2 ** 21 + 1
@@ -731,20 +740,22 @@ class _Lattice:
     def __init__(self, entry: CatalogEntry):
         s = entry.simple_roots_natural
         r, n = len(s), entry.n
-        # [G | S G | diag((s_i|s_i)/2)], row i scaled by 2/(s_i|s_i), is the coroot
-        # table: the pairings of s_j, of the coordinate basis and of omega_j with s_i^vee
+        # [G | S G], row i scaled by 2/(s_i|s_i), is the coroot table: the
+        # pairings of s_j and of the coordinate basis with s_i^vee
         covs = zip(*(entry.pairings(0, basis_vec(n, a))[:r] for a in range(n)))
-        sol = _solve_exact(list(zip(*(entry.pairings(0, b)[:r] for b in s))),
-                           [[*cov, *(Q(int(i == j)) for j in range(r))]
-                            for i, cov in enumerate(covs)])
-        coeffs = [row[:n] for row in sol]  # r x n: c(v) = G^{-1} S G v
-        self.proj = tuple(Vec(sum(s[i][a] * coeffs[i][j] for i in range(r)) for j in range(n))
-                          for a in range(n))
+        coeffs = _solve_exact(list(zip(*(entry.pairings(0, b)[:r] for b in s))),
+                              list(covs))  # r x n: c(v) = G^{-1} S G v
+        proj = [[sum(s[i][a] * coeffs[i][j] for i in range(r)) for j in range(n)]
+                for a in range(n)]
+        self.pden = math.lcm(*(c.denominator for row in proj for c in row))
+        self.proj = tuple(_sparse([(c * self.pden).numerator for c in row]) for row in proj)
         self.depth_cov = Vec(sum(col) for col in zip(*coeffs))
+        iso = Q(1, 2) * entry.theta - entry.xi
+        iso_restricted = _vec([sum(map(mul, row, iso)) for row in proj])
 
         vecs = [*entry.pos_roots_natural, *(g for g, _ in entry.delta_prime),
-                entry.theta, entry.xi, entry.rho_natural, *self.proj]
-        self.denom = math.lcm(*(c.denominator for v in vecs for c in v))
+                entry.theta, entry.xi, entry.rho_natural, iso_restricted]
+        self.denom = math.lcm(self.pden, *(c.denominator for v in vecs for c in v))
         cden = math.lcm(*(c.denominator for c in self.depth_cov))
         self.scale = self.denom * cden
         # ints: scale * depth_of(0, w) = -sum(cov_i * denom * w_i)
@@ -775,15 +786,10 @@ class _Lattice:
                                        self.pairings(0, fin)) for fin, _ in roots)
         self.xd = self._ints(entry, "x+d pairings of the affine simple roots",
                              [entry.form(fin, entry.theta) / 2 + dc for fin, dc in roots])
-        omegas = [sum((c * a for c, a in zip(col, s)), zero_vec(n))
-                  for col in zip(*(row[n:] for row in sol))]
-        self.oden = math.lcm(*(c.denominator for v in [*omegas, entry.rho_natural] for c in v))
-        self.orows = tuple(tuple((om[a] * self.oden).numerator for om in omegas)
-                           for a in range(n))
-        self.orho = tuple((c * self.oden).numerator for c in entry.rho_natural)
+        self.rkeys = tuple(self.key(fin) for fin, _ in roots)
         self.rho_ps = tuple(self.pairings(0, entry.rho_natural))
-        iso = Q(1, 2) * entry.theta - entry.xi
-        self.iso_ps = tuple(self.pairings(0, iso))
+        self.iso_ps = self._ints(entry, "pairings of theta/2 - xi", self.pairings(0, iso))
+        self.iso_key = self.key(iso_restricted)
         self.xd0 = entry.form(iso, entry.theta) / 2
 
     @staticmethod
@@ -793,25 +799,16 @@ class _Lattice:
                                        f"({', '.join(map(format_rational, xs))})")
         return tuple(x.numerator for x in xs)
 
-    def span(self, ps: Sequence[int], L: int, rho: int = 0) -> Vec:
-        """sum_i (ps_i / L) omega_i - rho * rho^nat over the simple roots of
-        g^nat, reading the leading entries of ps."""
-        den = L * self.oden
-        return _vec([Q(sum(map(mul, ps, row)) - rho * L * r, den)
-                     for row, r in zip(self.orows, self.orho)])
-
-    def key(self, w: Vec, denom: Optional[int] = None) -> tuple:
-        """(depth, coordinates) of w as ints at scale `denom` (default the
-        kernel's D); the depth entry is denom * cov-denominator * depth_of(0, w),
-        which is `scale * depth_of(0, w)` at the default."""
-        denom = denom or self.denom
+    def key(self, w: Vec) -> tuple:
+        """(depth, coordinates) of w as ints: (scale * depth_of(0, w), D w_1,
+        ..., D w_n), D = `denom`."""
         xs = []
         for c in w:
-            x = c * denom
+            x = c * self.denom
             if x.denominator != 1:
                 raise PreconditionViolated(
                     f"weight ({', '.join(map(format_rational, w))}) is off the "
-                    f"1/{denom} lattice of the denominator kernel")
+                    f"1/{self.denom} lattice of the denominator kernel")
             xs.append(x.numerator)
         return (-sum(map(mul, self.cov, xs)), *xs)
 

@@ -18,27 +18,33 @@ TruncationIncomplete when hit; both characters are one `_orbit_sum`.
 Both the kernel and the orbit read one per-algebra frame of h^nat,
 `CatalogEntry.lattice` (`catalog._Lattice`, built once per catalog entry):
 the restriction to h^nat, the depth covector, the int lattice of the kernel
-keys and the int affine Cartan matrix.  The orbit walk runs on int
-coordinates: each point is its tuple of pairings with the affine simple
-coroots, and a reflection is one row of that Cartan matrix.  The NS
+keys and the int affine Cartan matrix.  A weight has one int coordinate
+system from the orbit walk to the merge, its key (`_Lattice.key`): its
+depth entry, then its coordinates scaled by the frame's common denominator
+D.  The orbit walk runs on int coordinates: each point is its tuple of
+pairings with the affine simple coroots, its drop of x+d and the key of how
+far its restriction has moved, and a reflection is one int row of the frame
+(the Cartan matrix row, the x+d pairing and the key of the root).  The NS
 denominator is built by an integer kernel (`_LatticeSeries`): q is stored
 as the int 2q, each level as depth buckets {int depth: {packed key:
-coefficient}}, a weight's coordinates scaled by the frame's common
-denominator and packed into one int (`_Lattice.pack`: linear, and one-to-one
-inside a bound the kernel proves and checks).  Every factor is applied to
-the running series in place inside a sloped window whose exactness argument
-is in the `_LatticeSeries` docstring, its cap test once per bucket.  Every
-factor (1 - sign q^c exp(w))^(-1), the denominator's own, the isotropic
-corrections of the massless sum and the fermionic factors of the N=4 closed
-form, is expanded by that kernel's one `divide`.
+coefficient}}, a key's coordinates packed into one int (`_Lattice.pack`:
+linear, and one-to-one inside a bound the kernel proves and checks).  Every
+factor is applied to the running series in place inside a sloped window
+whose exactness argument is in the `_LatticeSeries` docstring, its cap test
+once per bucket.  Every factor (1 - sign q^c exp(w))^(-1), the
+denominator's own, the isotropic corrections of the massless sum and the
+fermionic factors of the N=4 closed form, is expanded by that kernel's one
+`divide`, w given by its key.
 
 Every character is one `_sum_pieces`: the orbit sum, `verma_character`
-(`fns_series` is its nu = 0, ell = 0 case) and `n4_closed_form` each give a
-list of heads +-q^ell exp(w) and kernel pieces; the piece buckets that pass
-the published QWSeries' cuts are summed over packed int keys, and each
-nonzero sum is unpacked and becomes a `Fraction` exponent and a `Vec` weight
-once.  `Fraction`s appear only at that boundary, at the kept orbit
-elements, and in `records()`/`coeff()`, which read the published series.
+(`fns_series` is its nu = 0, ell = 0 case) and `n4_closed_form` each give
+one base weight, a list of heads +-q^ell exp(base + key/D) and kernel
+pieces; the piece buckets that pass the published QWSeries' cuts are summed
+over packed int keys at the kernel's scale, and each nonzero sum is
+unpacked and becomes a `Fraction` exponent and a `Vec` weight once, the
+base added there.  `Fraction`s appear only at that boundary and in
+`records()`/`coeff()`, which read the published series: no orbit element
+becomes a `Fraction` weight.
 Sums are sequential and deterministic; the merge is commutative exact
 addition, so a parallel evaluation would have to reproduce these
 coefficients bit for bit.
@@ -212,7 +218,7 @@ class _LatticeSeries:
     copy keeps the span).  The constructor and every step raise
     PreconditionViolated, before changing anything, when 2B >= R: a window
     past the bound is refused, never aliased.  `_sum_pieces` checks the same
-    bound at its own scale with the head added.
+    bound with its heads added.
     """
 
     __slots__ = ("lat", "levels", "caps", "span", "rate")
@@ -260,12 +266,13 @@ class _LatticeSeries:
                 f"factor q^{format_rational(Q(c2, 2))} exp(w) with depth(w) = "
                 f"{format_rational(Q(d, self.lat.scale))} raises the window margin")
 
-    def _factor(self, w: Vec, c: Fraction) -> Tuple[int, int, int]:
-        """(depth entry, packed key, 2c) for a step by q^c exp(w), c >= 0,
-        after checking that the step never raises the margin and that the
-        series stays inside the packing bound."""
+    def _factor(self, key: tuple, c: Fraction) -> Tuple[int, int, int]:
+        """(depth entry, packed key, 2c) for a step by q^c exp(w), c >= 0, w
+        of int key `key` (`_Lattice.key`), after checking that the step never
+        raises the margin and that the series stays inside the packing
+        bound."""
         lat = self.lat
-        key, c2 = lat.key(w), lat.q2(c)
+        c2 = lat.q2(c)
         self._margin(key[0], c2)
         self._admit(-(-max(map(abs, key[1:])) // (c2 or key[0])))  # ceil(|x| / cost)
         return key[0], lat.pack(key[1:]), c2
@@ -282,8 +289,9 @@ class _LatticeSeries:
             if t + c2 < len(lv):
                 _step(lv[t + c2], src, caps[t + c2], dk, fp, coef)
 
-    def divide(self, w: Vec, c: Fraction, sign: int) -> None:
-        """Multiply by (1 - sign q^c exp(w))^(-1), sign = +-1.
+    def divide(self, key: tuple, c: Fraction, sign: int) -> None:
+        """Multiply by (1 - sign q^c exp(w))^(-1), sign = +-1, w given by its
+        int key (`_Lattice.key`).
 
         For c > 0 this is the running sum new[t] = old[t] + sign new[t - x],
         taken in increasing q (the coin-change recurrence of Euler's partition
@@ -300,7 +308,7 @@ class _LatticeSeries:
         are by q^{-c} exp(-w), so the margin check of `_factor` covers the
         shift as well: a term it moves into the window comes from a kept one."""
         flip = c < 0
-        dk, fp, c2 = self._factor(-1 * w if flip else w, abs(c))
+        dk, fp, c2 = self._factor(tuple(-x for x in key) if flip else key, abs(c))
         if flip:
             self._push_up(dk, fp, c2, -sign, False)
         self._divide(dk, fp, c2, sign)
@@ -347,54 +355,66 @@ def _step(dst: Dict[int, Dict[int, int]], src: Dict[int, Dict[int, int]], cap: i
             del dst[nd]
 
 
-def _sum_pieces(out: QWSeries, heads: Sequence[Tuple[Vec, Fraction, int]],
+def _sum_pieces(out: QWSeries, base: Vec, heads: Sequence[Tuple[tuple, Fraction, int]],
                 pieces: Iterable[_LatticeSeries]) -> int:
-    """Add sign * q^ell exp(wt) * piece into the empty series `out` through
-    its cuts, for each head (wt, ell, sign) and the kernel series of `pieces`
-    in the same order; return the number of kernel terms kept.
+    """Add sign * q^ell exp(base + x/D) * piece into the empty series `out`
+    through its cuts, for each head (key, ell, sign), key the int key
+    (`_Lattice.key`) of x/D relative to `base`, and the kernel series of
+    `pieces` in the same order; return the number of kernel terms kept.
 
     The kept terms are summed over int keys: q * qden, qden = lcm(2, the
-    denominators of the ell), and the coordinates packed (`_Lattice.pack`) at
-    scale wden = lcm(D, the denominators of the wt), so adding a head's
-    packed key to a kernel key times f = wden / D gives the key of the
-    product term: packing is linear.  It stays one-to-one: a kernel term has
-    |x_i| <= B (`_LatticeSeries.bound`), so a product term has
-    |x_i| <= H + f B, H the largest |coordinate| of a head at wden, and a call
-    with 2(H + f B) >= R raises PreconditionViolated.  Depth is linear, so the
-    cut depth_of(ref, w) <= depth is one int bound `dcap` on the depth entry
-    of those keys, with depth_of(ref, 0) the depth covector dotted with ref,
-    and each piece gets one q ceiling and one int depth cap
-    (dcap - depth entry of its head) // f, tested once per depth bucket.
+    denominators of the ell), and the coordinates relative to base at the
+    kernel's scale D, packed (`_Lattice.pack`), so a head's packed key plus
+    a kernel key is the packed key of the product term: packing is linear.
+    It stays one-to-one: a kernel term has |x_i| <= B
+    (`_LatticeSeries.bound`), so a product term has |x_i| <= H + B, H the
+    largest |coordinate| of a head key, and a call with 2(H + B) >= R raises
+    PreconditionViolated.
+
+    Depth.  Every base lies in out.ref + ker(depth): the orbit sums pass
+    base = restrict(nu) with ref = nu, and the projection of nu -
+    restrict(nu) onto the root span of g^nat is 0 (the projection is
+    idempotent), so are its coefficients, whose sum is minus its depth;
+    `verma_character` and `n4_closed_form` pass base = ref.  Depth being
+    linear, depth_of(ref, base + x/D) = depth_of(0, x/D), and the cut
+    depth_of(ref, w) <= depth is the int bound dcap = floor(scale * depth)
+    on the depth entry of the product key (`_Lattice.cap`): each piece gets
+    one q ceiling and the int depth cap dcap - (depth entry of its head),
+    tested once per depth bucket.
+
     Only the nonzero sums are published, and each distinct packed key is
-    unpacked once: one `Fraction` per distinct exponent, one per distinct
-    coordinate and one `Vec` per distinct weight, made once in this call and
-    shared by the q levels."""
+    unpacked once.  Only here does the scale change: coordinate i is
+    base_i + x_i/D = (b_i + f x_i) / wden over wden = lcm(D, the
+    denominators of base), b_i = wden base_i and f = wden / D, so there is
+    one `Fraction` per distinct int b_i + f x_i, one per distinct exponent
+    and one `Vec` per distinct weight, made once in this call and shared by
+    the q levels."""
     lat = out.entry.lattice
     qden = math.lcm(2, *(ell.denominator for _, ell, _ in heads))
-    wden = math.lcm(lat.denom, *(c.denominator for wt, _, _ in heads for c in wt))
-    half, f = qden // 2, wden // lat.denom
-    dcap = math.floor(f * lat.scale * (out.depth - sum(map(mul, lat.depth_cov, out.ref), Q(0))))
-    wkeys = [lat.key(wt, wden) for wt, _, _ in heads]
-    hmax = max([0] + [abs(x) for key in wkeys for x in key[1:]])
+    half, dcap = qden // 2, lat.cap(out.depth)
+    hmax = max([0] + [abs(x) for key, _, _ in heads for x in key[1:]])
     acc: Dict[int, Dict[int, int]] = {}
     kept = 0
-    for wkey, (_, ell, sign), piece in zip(wkeys, heads, pieces):
-        if 2 * (hmax + f * piece.bound()) >= lat.radix:
+    for (key, ell, sign), piece in zip(heads, pieces):
+        if 2 * (hmax + piece.bound()) >= lat.radix:
             raise PreconditionViolated(
-                f"character terms at scale {wden} are past the packing bound of the "
-                f"denominator kernel (radix {lat.radix})")
-        wp, q0 = lat.pack(wkey[1:]), (ell * qden).numerator
+                f"character terms are past the packing bound of the denominator kernel "
+                f"(radix {lat.radix})")
+        wp, q0 = lat.pack(key[1:]), (ell * qden).numerator
         top = min(len(piece.levels) - 1, math.floor(2 * (out.q_max - ell)))
-        cap = (dcap - wkey[0]) // f
+        cap = dcap - key[0]
         for t in range(top + 1):
             dst = acc.setdefault(q0 + t * half, {})
             for d, bucket in piece.levels[t].items():
                 if d <= cap:
                     kept += len(bucket)
                     for p, v in bucket.items():
-                        p = wp + f * p
+                        p += wp
                         dst[p] = dst.get(p, 0) + sign * v
-    coords = {p: lat.unpack(p) for p in {p for lvl in acc.values() for p, c in lvl.items() if c}}
+    wden = math.lcm(lat.denom, *(c.denominator for c in base))
+    f, bs = wden // lat.denom, [(c * wden).numerator for c in base]
+    coords = {p: [b + f * x for b, x in zip(bs, lat.unpack(p))]
+              for p in {p for lvl in acc.values() for p, c in lvl.items() if c}}
     frac = {x: Q(x, wden) for x in {x for xs in coords.values() for x in xs}}
     vecs = {p: _vec([frac[x] for x in xs]) for p, xs in coords.items()}
     for qi, lvl in acc.items():
@@ -404,28 +424,11 @@ def _sum_pieces(out: QWSeries, heads: Sequence[Tuple[Vec, Fraction, int]],
     return kept
 
 
-def _ns_factors(entry: CatalogEntry, q_max: Fraction):
-    """The factors of the NS denominator with exponent c <= q_max, as
-    (w, c, odd): (1 + q^c exp(w)) when odd, else (1 - q^c exp(w))^(-1).
-    Per n >= 1: (1 + q^{n-1/2} exp(-gamma)) for gamma in Delta' (with
-    multiplicity), (1 - q^n)^(-1) rank times, and (1 - q^{n-1} exp(-alpha))
-    and (1 - q^n exp(alpha)) for the positive roots alpha of g^nat."""
-    rank = len(entry.simple_roots_natural) + (1 if entry.center else 0)
-    zero = zero_vec(entry.n)
-    out = []
-    for n in range(1, math.floor(q_max) + 2):
-        out += [(-1 * gma, Q(2 * n - 1, 2), True)
-                for gma, mult in entry.delta_prime for _ in range(mult)]
-        out += [(zero, Q(n), False)] * rank
-        for alpha in entry.pos_roots_natural:
-            out += [(-1 * alpha, Q(n - 1), False), (alpha, Q(n), False)]
-    return [f for f in out if f[1] <= q_max]
-
-
 def _ns_steps(lat: _Lattice, q_max: Fraction) -> List[Tuple[int, int, int, bool]]:
-    """The factors of `_ns_factors(entry, q_max)`, in its order, as int steps
-    (depth entry, packed key, 2c, odd) read from the frame's table
-    `_Lattice.ns`: no `Fraction` per factor.  Their costs (see
+    """The factors of the NS denominator with exponent c <= q_max, n's blocks
+    of the frame's table `_Lattice.ns` for n = 1, 2, ... in order, as int
+    steps (depth entry, packed key, 2c, odd): (1 + q^c exp(w)) when odd,
+    else (1 - q^c exp(w))^(-1), with no `Fraction` per factor.  Their costs (see
     `_LatticeSeries`) are >= 1 and their coordinates at most the frame's
     `rate`, so the bound a series starts with covers every one of them."""
     top = math.floor(2 * q_max)
@@ -470,7 +473,7 @@ def verma_character(g: AlgebraId, nu: Vec, ell, q_max, depth) -> QWSeries:
     out = QWSeries(entry, q_max, depth, nu)
     window = out.q_max - ell
     if window >= 0:
-        _sum_pieces(out, [(nu, ell, 1)], [_fns_cached(g, window, out.depth)])
+        _sum_pieces(out, nu, [((0,) * (entry.n + 1), ell, 1)], [_fns_cached(g, window, out.depth)])
     return out
 
 
@@ -503,11 +506,11 @@ def h_pair(g: AlgebraId, k, nu: Vec, l0) -> Optional[Tuple[Fraction, Fraction]]:
 
 @dataclass(frozen=True)
 class OrbitElement:
-    restriction: Vec            # (w.nu_hat_h) restricted to h^nat
+    key: tuple                  # key of restrict(w.nu_hat_h) - restrict(nu) (`_Lattice.key`)
     det: int
-    q_shift: Fraction
-    iso_images: tuple           # ((restriction to h^nat, x+d),) of the image of the
-                                # isotropic simple roots, all alike (massless)
+    q_shift: int
+    iso_images: tuple           # ((key of the restriction to h^nat, x+d),) of the image of
+                                # the isotropic simple roots, all alike (massless)
 
 
 ORBIT_CAP = 10 ** 6  # orbit elements seen before TruncationIncomplete is raised
@@ -526,7 +529,7 @@ def _reflect(state: tuple, i: int, row: tuple, width: int) -> tuple:
 def _orbit(entry: CatalogEntry, k: Fraction, nu: Vec, q_shift_limit: Fraction,
            track_iso: bool = False) -> List[OrbitElement]:
     """Breadth-first shifted-orbit enumeration: the elements with
-    q_shift <= limit, walked on int pairing coordinates.
+    q_shift <= limit, walked on int coordinates, for nu in P^+_k.
 
     No h.  theta pairs to 0 with every affine simple coroot of g^nat (g^nat
     centralizes the sl2 triple of theta, so theta is orthogonal to its roots
@@ -539,27 +542,39 @@ def _orbit(entry: CatalogEntry, k: Fraction, nu: Vec, q_shift_limit: Fraction,
     tracked and `_orbit_sum` divides by its factor that many times.
 
     Coordinates.  A point x, the image of lam0 or, when tracked, of the
-    isotropic simple roots, is a block of ints: L times its pairings
-    <x, beta_j^vee> with the affine simple coroots (`CatalogEntry.lattice`),
-    L the common denominator of those of the starting points, then L times
-    the drop of x+d since the start.  As s_i(x) = x - <x, beta_i^vee> beta_i,
-    a reflection is p_j -= p_i * cartan[i][j] on the pairings and adds
-    p_i * xd[i] to the drop, so every edge is int arithmetic; the q_shift of
-    an element is the drop of its lam0 block over L.  Only the elements kept
-    become `Fraction`s: a restriction to h^nat is sum_i (p_i / L) omega_i
-    (`_Lattice.span`), minus rho^nat for lam0, and an isotropic image is
-    given by its restriction and its x+d, which is all the massless sum reads.
+    isotropic simple roots, is a block of ints: its pairings <x, beta_j^vee>
+    with the affine simple coroots (`CatalogEntry.lattice`), the drop of x+d
+    since the start, and the key (`_Lattice.key`) of the restriction of its
+    finite part to h^nat.  The pairings are ints: <lam0, alpha^vee> =
+    nu(alpha^vee) + 1 for a simple root alpha of g^nat, and
+    <lam0, eta_i^vee> = M_i(k) + chi_i + 1 - nu(theta_i^vee), ints for nu in
+    P^+_k; those of theta/2 - xi are the frame's ints (`_Lattice.iso_ps`).
+    A start with a non-integral pairing raises PreconditionViolated.  As
+    s_i(x) = x - <x, beta_i^vee> beta_i, a reflection is p_j -= p_i *
+    cartan[i][j] on the pairings, adds p_i * xd[i] to the drop and subtracts
+    p_i * rkeys[i] from the key (the finite part of beta_i is a root of
+    g^nat, its own restriction), so every edge is one int row of the frame.
+    The q_shift of an element is the drop of its lam0 block, an int.  The
+    lam0 key starts at 0: restrict(lam0) is restrict(nu) + rho^nat (theta
+    restricts to 0, rho^nat lies in the root span), so an element's
+    restriction minus rho^nat is restrict(nu) + key/D.  The isotropic key
+    starts at `_Lattice.iso_key`, the key of restrict(theta/2 - xi), and an
+    image is given by its key and its x+d, which is all the massless sum
+    reads.  No element becomes a `Fraction` weight here.
 
     Deduplication is on the int tuple, which is one-to-one on the tracked
     affine weights: the finite-root pairings fix the projection of the
-    finite part on the root span of g^nat, the orthogonal part and the level
-    never change, and the x+d drop then fixes the delta coefficient.  So the
-    BFS visits the points its `Fraction` test oracle visits, in that order.
-    (At a noncritical level the drop adds no distinction: the pairings fix
-    lam modulo delta and (lam|lam) fixes its delta part; for an isotropic
-    image, u.b = b + m delta with u in the stabilizer of lam, a finite
-    group, forces m = 0.)  Tracking the isotropic images separates group
-    elements even when the orbit point sits on a wall.
+    finite part on the root span of g^nat (and with it the key), the
+    orthogonal part and the level never change, and the x+d drop then fixes
+    the delta coefficient.  So the BFS visits the points its `Fraction` test
+    oracle visits, in that order.  (At a noncritical level the drop adds no
+    distinction: the pairings fix lam modulo delta and (lam|lam) fixes its
+    delta part; for an isotropic image, u.b = b + m delta with u in the
+    stabilizer of lam, a finite group, forces m = 0.)  Tracking the
+    isotropic images separates group elements even when the orbit point
+    sits on a wall.  The output is sorted on (q_shift, key coordinates,
+    det), the order of (q_shift, restriction, det): every restriction is
+    restrict(nu) plus its key coordinates over D > 0.
 
     Only points with shift <= max(limit, 0) are expanded; that misses
     nothing (Kac, Infinite-dimensional Lie algebras, Lemma 3.11, Prop. 3.12):
@@ -581,21 +596,20 @@ def _orbit(entry: CatalogEntry, k: Fraction, nu: Vec, q_shift_limit: Fraction,
     shift <= limit through points with shift <= max(limit, 0).
     """
     lat = entry.lattice
-    starts = [list(map(add, lat.pairings(k + entry.h_vee, nu), lat.rho_ps))]
+    ps = lat._ints(entry, "pairings of nu_hat + rho_hat with the affine simple coroots",
+                   list(map(add, lat.pairings(k + entry.h_vee, nu), lat.rho_ps)))
+    state = (*ps, 0) + (0,) * (entry.n + 1)
     if track_iso:
-        starts.append(lat.iso_ps)
-    L = math.lcm(*(p.denominator for ps in starts for p in ps))
-    width = len(lat.cartan) + 1
-    rows = [(*a, -x) for a, x in zip(lat.cartan, lat.xd)]
-    limit = math.floor(q_shift_limit * L)
+        state += (*lat.iso_ps, 0, *lat.iso_key)
+    r, width = len(ps), len(ps) + entry.n + 2
+    rows = [(*a, -x, *key) for a, x, key in zip(lat.cartan, lat.xd, lat.rkeys)]
+    limit = math.floor(q_shift_limit)
     reach = max(limit, 0)
 
     def element(state: tuple, det: int) -> OrbitElement:
-        images = ((lat.span(state[width:], L), lat.xd0 - Q(state[-1], L)),) if track_iso else ()
-        return OrbitElement(lat.span(state, L, rho=1), det,
-                            Q(state[width - 1], L), images)
+        images = ((state[width + r + 1:], lat.xd0 - state[width + r]),) if track_iso else ()
+        return OrbitElement(state[r + 1:width], det, state[r], images)
 
-    state = tuple(x for ps in starts for x in (*((p * L).numerator for p in ps), 0))
     seen = {state}
     frontier = [(state, 1)]
     out: List[OrbitElement] = []
@@ -603,7 +617,7 @@ def _orbit(entry: CatalogEntry, k: Fraction, nu: Vec, q_shift_limit: Fraction,
     while frontier:
         nxt = []
         for state, det in frontier:
-            drop = state[width - 1]
+            drop = state[r]
             if drop <= limit:
                 out.append(element(state, det))
             if drop > reach:
@@ -620,21 +634,23 @@ def _orbit(entry: CatalogEntry, k: Fraction, nu: Vec, q_shift_limit: Fraction,
                     f"BFS level {level}")
         frontier = nxt
         level += 1
-    out.sort(key=lambda e: (e.q_shift, tuple(e.restriction), e.det))
+    out.sort(key=lambda e: (e.q_shift, e.key[1:], e.det))
     return out
 
 
 def weyl_orbit(g: AlgebraId, k, nu: Vec, h, q_max) -> List[Tuple[Vec, int, Fraction]]:
     """Distinct shifted-orbit elements with q_shift <= q_max.
 
-    Returns (restriction of w.nu_hat_h to h^nat, det w, q_shift).  h is
-    ignored: the orbit does not depend on it (see `_orbit`).
+    Returns (restriction of w.nu_hat_h to h^nat, det w, q_shift), the
+    restriction being restrict(nu) + key/D (see `_orbit`).  h is ignored:
+    the orbit does not depend on it.
     """
     entry = lookup(g)
     if not in_P_plus_k(g, k, nu):
         raise NonDominant("weyl_orbit requires nu in P^+_k")
-    els = _orbit(entry, Q(k), nu, Q(q_max))
-    return [(e.restriction, e.det, e.q_shift) for e in els]
+    base, denom = entry.restrict(nu), entry.lattice.denom
+    return [(base + _vec([Q(x, denom) for x in e.key[1:]]), e.det, Q(e.q_shift))
+            for e in _orbit(entry, Q(k), nu, Q(q_max))]
 
 
 # ---------------------------------------------------------------------------
@@ -645,9 +661,10 @@ def _orbit_sum(entry: CatalogEntry, k: Fraction, nu: Vec, l0: Fraction,
                q_max: Fraction, depth: Fraction, track_iso: bool) -> QWSeries:
     """Sum of det * q^(l0+q_shift) exp(restriction) * fns over the orbit, cut at
     (q_max, depth) around nu.  The int denominator series is read directly by
-    `_sum_pieces`: each orbit element gets one q ceiling and one int depth
-    cap, the kept terms are merged over int keys, and only the output terms
-    become `Fraction` keys.  With track_iso each piece is a copy of
+    `_sum_pieces`, each orbit element's head being its int key relative to
+    restrict(nu) (`_orbit`): each element gets one q ceiling and one int
+    depth cap, the kept terms are merged over int keys, and only the output
+    terms become `Fraction` keys.  With track_iso each piece is a copy of
     the denominator divided in place by its isotropic correction
     (1 + q^c exp(w))^(-1), once per isotropic simple root (their images
     coincide, see `_orbit`); negative exponents c are flipped exactly.
@@ -657,7 +674,20 @@ def _orbit_sum(entry: CatalogEntry, k: Fraction, nu: Vec, l0: Fraction,
     q_shift, and `divide` only pushes terms up in q (each level is written
     from itself and the levels below it), so a prefix of levels divided on
     its own equals the same prefix of the whole series divided
-    (`_LatticeSeries.copy`)."""
+    (`_LatticeSeries.copy`).
+
+    The denominator identity.  Let k_rho be a level at which lam0 =
+    (k + h_vee) Lambda_0 + rho^nat pairs to 1 with every affine simple
+    coroot of g^nat; then lam0 = rho_hat of affine g^nat, and at nu = 0,
+    l0 = 0, track_iso False this sum is sum_w det(w) q^shift exp(w rho_hat -
+    rho_hat) times the NS denominator.  By the Weyl-Kac denominator identity
+    (Kac, Infinite-dimensional Lie algebras, ch. 10) the orbit part is
+    prod_{beta > 0} (1 - e^{-beta})^{mult beta}, the inverse of the bosonic
+    factors of the NS denominator, exp(-alpha) at q^{n-1}, exp(alpha) at
+    q^n and (1 - q^n)^(-rank).  So the sum is the flat cut of
+    prod_n prod_{gamma in Delta'} (1 + q^{n-1/2} exp(-gamma)), times
+    prod_n (1 - q^n)^(-1) when g^nat has a center (rank counts it, the
+    affine roots do not); the tests check this on seven families."""
     out = QWSeries(entry, q_max, depth, nu)
     window = q_max - l0
     if window < 0:
@@ -668,19 +698,19 @@ def _orbit_sum(entry: CatalogEntry, k: Fraction, nu: Vec, l0: Fraction,
     # with q_shift < 0 (extremal weights, see `_orbit`) reads the denominator
     # up to q = window - q_shift, so the series reaches that far.
     orbit = _orbit(entry, k, nu, window, track_iso)
-    reach = window - min([Q(0)] + [el.q_shift for el in orbit])
+    reach = window - min([0] + [el.q_shift for el in orbit])
     fns = _fns_cached(entry.id, reach, depth + window * entry.lattice.theta_depth)
 
     def piece(el: OrbitElement) -> _LatticeSeries:
         if not el.iso_images:
             return fns
         div = fns.copy(math.floor(2 * (window - el.q_shift)))
-        for restr, xd in el.iso_images:
+        for key, xd in el.iso_images:  # (1 + q^xd exp(-restriction))^(-1)
             for _ in range(entry.iso_simple_count):
-                div.divide(-1 * restr, xd, -1)
+                div.divide(tuple(-x for x in key), xd, -1)
         return div
 
-    _sum_pieces(out, [(el.restriction, l0 + el.q_shift, el.det) for el in orbit],
+    _sum_pieces(out, entry.restrict(nu), [(el.key, l0 + el.q_shift, el.det) for el in orbit],
                 map(piece, orbit))
     return out
 
@@ -711,6 +741,12 @@ def character_massless(g: AlgebraId, k, nu: Vec, q_max, depth) -> QWSeries:
     return _orbit_sum(entry, k, nu, _threshold(entry, k, data[1]), q_max, depth, True)
 
 
+def _n4_range(M1: int, window: Fraction) -> range:
+    """The m of the summands that `n4_closed_form` tries (see its docstring)."""
+    bound = 1 + math.isqrt(math.floor(window / (M1 + 1)))
+    return range(-bound, bound + 1)
+
+
 def n4_closed_form(M1: int, r: int, q_max, depth) -> QWSeries:
     """Bilateral closed form for the threshold characters of the N=4 family;
     an independent cross-check for character_massless: it shares the
@@ -724,7 +760,19 @@ def n4_closed_form(M1: int, r: int, q_max, depth) -> QWSeries:
     q^(l0 + b_m) (exp(w+) (1 + q^c_m exp(theta_1/2))^(-2)
     - exp(w-) (1 + q^c_m exp(-theta_1/2))^(-2)) times the NS denominator,
     and each of its two terms is one kernel piece: the denominator divided
-    twice by its fermionic factor, under the head (w+-, l0 + b_m, +-1).
+    twice by its fermionic factor, under the head (w+-, l0 + b_m, +-1),
+    given by its int key relative to nu = l0 theta_1 (`_sum_pieces`):
+    m(M1+1) theta_1 and -(r + m(M1+1) + 1) theta_1.
+
+    Range of m.  The leading exponent of summand m over l0 is b_m for
+    m >= 0, where b_m >= m^2(M1+1); for m = -j <= -1 the fermionic factors
+    flip (c_m < 0) and each contributes q^{-c_m}, so it is b_m - (2m+1) =
+    j^2(M1+1) - (r-1)j - 1, which exceeds j(j-1)(M1+1) by j(M1+2-r) - 1 >= 1
+    (r <= M1), so it exceeds (j-1)^2(M1+1).  Let p = isqrt(floor(window /
+    (M1+1))); then (p+1)^2 >= floor(window / (M1+1)) + 1, so (p+1)^2 (M1+1) >
+    window.  For m >= p+1 the first bound and for j >= p+2 the second give a
+    leading exponent above the window: no summand outside
+    -(p+1) <= m <= p+1 (`_n4_range`) reaches the output.
 
     Window.  The pieces are cut in the kernel's sloped window of
     (window, depth), window = q_max - l0, where a term (q, w) is exact when
@@ -744,33 +792,29 @@ def n4_closed_form(M1: int, r: int, q_max, depth) -> QWSeries:
     entry = lookup(g)
     q_max, depth = Q(q_max), Q(depth)
     th = entry.components[0].theta
-    half = Q(1, 2) * th
     l0 = Q(r, 2)
     out = QWSeries(entry, q_max, depth, l0 * th)
     window = q_max - l0
     if window < 0:
         return out
     fns = _fns_cached(g, window, depth)
-    summands = []  # (head, weight of the fermionic factor, its exponent)
-    # min exponent of the m-th summand: b_m, plus -(2m+1) when the fermionic
-    # factors flip (m < 0); bound |m| generously from that.
-    bound = 2 + int(math.isqrt(int(4 * (window + 2 + r + 2) / (M1 + 1))) + (r + 2))
-    for m in range(-bound, bound + 1):
-        base = Q(m * m * (M1 + 1) + (r + 1) * m)
-        lead = base if m >= 0 else base - (2 * m + 1)
-        if lead > window:
+    tkey, hkey = entry.lattice.key(th), entry.lattice.key(Q(1, 2) * th)
+    summands = []  # (head, key of the fermionic factor's weight, its exponent)
+    for m in _n4_range(M1, window):
+        b = m * m * (M1 + 1) + (r + 1) * m
+        if (b if m >= 0 else b - (2 * m + 1)) > window:
             continue
-        c = Q(2 * m + 1, 2)
-        wp = l0 + m * (M1 + 1)  # w+ = wp theta_1, w- = -(wp + 1) theta_1
-        summands += [((wp * th, l0 + base, 1), half, c),
-                     ((-1 * (wp + 1) * th, l0 + base, -1), -1 * half, c)]
+        c, a = Q(2 * m + 1, 2), m * (M1 + 1)
+        summands += [((tuple(a * x for x in tkey), l0 + b, 1), hkey, c),
+                     ((tuple(-(r + a + 1) * x for x in tkey), l0 + b, -1),
+                      tuple(-x for x in hkey), c)]
 
-    def piece(w: Vec, c: Fraction, ell: Fraction) -> _LatticeSeries:
+    def piece(key: tuple, c: Fraction, ell: Fraction) -> _LatticeSeries:
         div = fns.copy(math.floor(2 * (q_max - ell)))  # the levels read (`_orbit_sum`)
-        div.divide(w, c, -1)
-        div.divide(w, c, -1)
+        div.divide(key, c, -1)
+        div.divide(key, c, -1)
         return div
 
-    _sum_pieces(out, [hd for hd, _, _ in summands],
-                (piece(w, c, hd[1]) for hd, w, c in summands))
+    _sum_pieces(out, out.ref, [hd for hd, _, _ in summands],
+                (piece(key, c, hd[1]) for hd, key, c in summands))
     return out

@@ -125,24 +125,6 @@ def verdict_to_dict(v: unitarity.UnitarityVerdict) -> dict:
     return out
 
 
-def verdict_from_dict(d: dict) -> unitarity.UnitarityVerdict:
-    col = None
-    if "collapse" in d:
-        c = d["collapse"]
-        col = unitarity.CollapseCheck(c["target"], c["weight_integrable"],
-                                      parse_rational(c["l0"]), c["detail"])
-    qs = {}
-    for key, val in d["quantities"].items():
-        if isinstance(val, list):
-            qs[key] = [parse_rational(x) if isinstance(x, str) else x for x in val]
-        elif isinstance(val, str):
-            qs[key] = parse_rational(val)
-        else:
-            qs[key] = val
-    return unitarity.UnitarityVerdict(d["outcome"], qs, tuple(d["reasons"]),
-                                      d.get("proved"), col)
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations
 

@@ -76,9 +76,6 @@ class BosonBasisState:
     def energy(self) -> int:
         return sum(j * i for j, i in self.parts)
 
-    def as_dict(self) -> Dict[int, int]:
-        return dict(self.parts)
-
 
 VACUUM = BosonBasisState(())
 

@@ -96,14 +96,8 @@ class GaussianRational:
             raise ZeroDivisionError("division by zero in Q(i)")
         return self * GaussianRational(o.re / n, -o.im / n)
 
-    def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
-
-    def is_real(self) -> bool:
-        return self.im == 0
 
     def is_imaginary(self) -> bool:
         return self.re == 0

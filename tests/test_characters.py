@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 import wmin
 from wmin import catalog, characters, gram_lab
 from wmin.catalog import Vec, _Lattice, lookup, zero_vec
-from wmin.characters import (QWSeries, _fns_cached, _LatticeSeries, _ns_factors, _orbit,
-                             _sum_pieces, character_massive, character_massless, depth_of,
-                             ell_of_h, fns_series, h_pair, n4_closed_form,
+from wmin.characters import (QWSeries, _fns_cached, _LatticeSeries, _n4_range, _orbit,
+                             _orbit_sum, _sum_pieces, character_massive, character_massless,
+                             depth_of, ell_of_h, fns_series, h_pair, n4_closed_form,
                              series_from_records, verma_character, weyl_orbit)
 from wmin.errors import (NonDominant, PreconditionViolated, TruncationIncomplete,
                          UnsupportedD21a)
@@ -88,14 +88,17 @@ def test_verma_character_basics():
 
 def test_verma_character_off_lattice_weight_and_exponent():
     """A weight off the kernel's 1/D lattice and an exponent off (1/2)Z: the
-    merge keys are scaled to hold them, and the result is the denominator
-    series shifted term by term."""
-    nu, ell = Vec([Q(1, 3), 0, Q(1, 5), 0]), Q(1, 3)
-    for q_max, depth in [(Q(3), Q(4)), (Q(17, 6), Q(5, 2))]:
-        want = QWSeries(E, q_max, depth, nu)
-        _accumulate(want, fns_series(G, q_max - ell, depth), nu, ell)
-        got = verma_character(G, nu, ell, q_max, depth)
-        assert got == want and got.coeff(ell, nu) == 1
+    merge keys are taken relative to the weight, which enters only at the
+    publish step, and the result is the denominator series shifted term by
+    term, however large the weight's denominator."""
+    for nu, ell in [(Vec([Q(1, 3), 0, Q(1, 5), 0]), Q(1, 3)),
+                    (Vec([Q(1, 100003), 0, 0, 0]), Q(0))]:
+        for q_max, depth in [(Q(3), Q(4)), (Q(17, 6), Q(5, 2)), (Q(2), Q(3))]:
+            want = QWSeries(E, q_max, depth, nu)
+            _accumulate(want, fns_series(G, q_max - ell, depth), nu, ell)
+            got = verma_character(G, nu, ell, q_max, depth)
+            assert got == want and got.coeff(ell, nu) == 1
+    assert verma_character(G, Vec([Q(1, 100003), 0, 0, 0]), 0, 2, 3).n_terms() == 24
 
 
 def test_ell_and_h_pair():
@@ -133,6 +136,21 @@ def test_weyl_orbit_contract():
 
 # ---------------------------------------------------------------------------
 # the orbit oracles: affine weights as `Fraction` data
+
+
+def _decoded(entry, nu, el):
+    """An `_orbit` element as `Fraction` data: (restriction, det, q_shift,
+    isotropic images as (restriction, x+d)), each restriction read off its
+    int key (restrict(nu) + key/D for the element, key/D for an image).
+    `_orbit` tracks one isotropic image for the `iso_simple_count`
+    identical ones, so the image is repeated that often."""
+    base, denom = entry.restrict(nu), entry.lattice.denom
+
+    def weight(key):
+        return Vec(Q(x, denom) for x in key[1:])
+
+    return (base + weight(el.key), el.det, Q(el.q_shift),
+            tuple((weight(key), xd) for key, xd in el.iso_images) * entry.iso_simple_count)
 
 
 @dataclass(frozen=True)
@@ -220,8 +238,7 @@ def test_orbit_pruning_misses_nothing(track_iso):
         base = nu_hat_plus_rho(e, k, nu, h).x_plus_d(e)
         words = _words_orbit(e, k, nu, h, length, track_iso)
         for limit in (Q(-1), Q(0), Q(1), Q(2)):
-            got = {(el.restriction, el.det, el.q_shift, el.iso_images * e.iso_simple_count)
-                   for el in _orbit(e, k, nu, limit, track_iso)}
+            got = {_decoded(e, nu, el) for el in _orbit(e, k, nu, limit, track_iso)}
             for (lam, *iso), det in words.items():
                 shift = base - lam.x_plus_d(e)
                 if shift <= limit:
@@ -281,8 +298,7 @@ def test_int_orbit_equals_affine_weight_walk(track_iso):
         nu = e.nu_from_labels(labels)
         h = e.form(e.xi, nu)
         for limit in (Q(-1), Q(0), Q(1), Q(5, 2)):
-            got = [(el.restriction, el.det, el.q_shift, el.iso_images * e.iso_simple_count)
-                   for el in _orbit(e, k, nu, limit, track_iso)]
+            got = [_decoded(e, nu, el) for el in _orbit(e, k, nu, limit, track_iso)]
             assert got == _reference_orbit(e, k, nu, h, limit, track_iso), \
                 (g.label(), k, labels, limit)
 
@@ -301,6 +317,15 @@ def test_extremal_orbit_dips_below_zero_shift():
         step = e.restrict(lam0.finite + pairing * comp.theta) - e.rho_natural
         assert (step, -1, Q(-1)) in weyl_orbit(g, k, nu, 0, 1)
         assert (step, -1, Q(-1)) in weyl_orbit(g, k, nu, 0, -1)
+
+
+def test_orbit_refuses_a_non_integral_pairing():
+    """Off P^+_k a pairing of nu_hat + rho_hat is not an int: nu(theta_1^vee)
+    = 1/2 at nu = theta_1/4, and <lam0, eta_1^vee> = 3/2 at k = -5/2; the
+    walk raises rather than round it."""
+    for k, nu in [(Q(-3), Q(1, 4) * TH1), (Q(-5, 2), ZERO)]:
+        with pytest.raises(PreconditionViolated, match="not integral"):
+            _orbit(E, k, nu, Q(2))
 
 
 def test_orbit_cap_raises(monkeypatch):
@@ -353,6 +378,27 @@ def test_massive_leading_and_positivity():
     assert all(c >= 0 for lvl in s.terms.values() for c in lvl.values())
 
 
+def test_n4_range_holds_every_summand_in_the_window():
+    """The argument of `n4_closed_form`'s range of m: the first m outside
+    `_n4_range` on either side, and so every later one (the leading
+    exponents grow with |m|), has a leading exponent above the window, b_m
+    for m >= 0 and b_m - (2m + 1) for m < 0, where the fermionic factors
+    flip; and the range is not empty of summands that reach the window."""
+    def lead(m1, r, m):
+        b = m * m * (m1 + 1) + (r + 1) * m
+        return b if m >= 0 else b - (2 * m + 1)
+
+    for m1 in range(1, 7):
+        for r in range(m1 + 1):
+            for window in [Q(0), Q(1, 3), Q(1, 2), Q(1), Q(2), Q(5, 2), Q(6), Q(17, 2),
+                           Q(20), Q(57), Q(100), Q(1001, 2)]:
+                ms = _n4_range(m1, window)
+                for m in (ms.start - 1, ms.stop):
+                    assert lead(m1, r, m) > window, (m1, r, window, m)
+                    assert lead(m1, r, m + (1 if m > 0 else -1)) > lead(m1, r, m)
+                assert lead(m1, r, 0) == 0 and 0 in ms
+
+
 def test_massless_equals_closed_form_sample():
     nu = Q(1, 2) * TH1
     a = character_massless(G, -3, nu, Q(9, 2), 8)
@@ -387,12 +433,12 @@ def _whole_copy_massless(g, k, nu, q_max, depth):
 
     def piece(el):
         div = fns.copy(len(fns.levels) - 1)
-        for restr, xd in el.iso_images:
+        for key, xd in el.iso_images:
             for _ in range(e.iso_simple_count):
-                div.divide(-1 * restr, xd, -1)
+                div.divide(tuple(-x for x in key), xd, -1)
         return div
 
-    _sum_pieces(out, [(el.restriction, l0 + el.q_shift, el.det) for el in orbit],
+    _sum_pieces(out, e.restrict(nu), [(el.key, l0 + el.q_shift, el.det) for el in orbit],
                 map(piece, orbit))
     return out
 
@@ -670,10 +716,10 @@ def _check_inverse_power(w, c, sign, power, qm, dep=Q(3)):
     inv = _LatticeSeries(lat, qm, dep + power * abs(d))
     if (d <= 0) if step_c == 0 else (lat.slope * step_c + d < 0):
         with pytest.raises(PreconditionViolated, match="raises the window margin"):
-            inv.divide(w, c, sign)
+            inv.divide(lat.key(w), c, sign)
         return
     for _ in range(power):
-        inv.divide(w, c, sign)
+        inv.divide(lat.key(w), c, sign)
     top = qm - power * max(-c, 0)
     got = {}
     for q, lvl in _kernel_terms(inv).items():
@@ -804,12 +850,12 @@ def test_int_kernel_isotropic_divisions_equal_fraction_products():
         for extra in [[(XI, Q(1, 2), -1)], [(XI, Q(-1, 2), -1), (-1 * XI, Q(3, 2), -1)], *n4]:
             piece = _fns_cached(G, window, depth).copy(math.floor(2 * window))
             for w, c, sign in extra:
-                piece.divide(w, c, sign)
+                piece.divide(E.lattice.key(w), c, sign)
             assert _kernel_terms(piece) == _reference_fns(G, window, depth, extra)
         extra = [(xi, Q(-1, 2), -1), (-1 * xi, Q(1, 2), -1)]
         piece = _fns_cached(g, window, depth).copy(math.floor(2 * window))
         for w, c, sign in extra:
-            piece.divide(w, c, sign)
+            piece.divide(lookup(g).lattice.key(w), c, sign)
         assert _kernel_terms(piece) == _reference_fns(g, window, depth, extra)
 
 
@@ -846,27 +892,51 @@ def test_affine_cartan_matrix_is_integral(g):
 @given(FAMILY_IDS, st.data())
 @settings(max_examples=50, deadline=None)
 def test_frame_solve_restricts_and_measures_depth(g, data):
-    """Both halves of the frame's one stacked solve, read back: the
-    projection half restricts v orthogonally onto the root span of g^nat and
-    equals `span` of v's simple-coroot pairings, which reads the dual-basis
-    half; the depth covector, the projection coefficients summed, gives
-    every simple root of g^nat depth -1."""
+    """The frame's solve, read back: the projection restricts v orthogonally
+    onto the root span of g^nat, and the depth covector, the projection
+    coefficients summed, gives every simple root of g^nat depth -1.  The
+    orbit's keys are the keys of `Fraction` weights: `rkeys` those of the
+    finite parts of the affine simple roots, which are their own
+    restrictions, and `iso_key` that of the restriction of theta/2 - xi."""
     e = lookup(g)
     lat = e.lattice
     v = Vec(data.draw(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6),
                                min_size=e.n, max_size=e.n)))
-    ps = lat.pairings(Q(0), v)[:len(e.simple_roots_natural)]
-    L = math.lcm(*(p.denominator for p in ps))
     got = e.restrict(v)
-    assert got == lat.span([(p * L).numerator for p in ps], L)
     for a in e.simple_roots_natural:
         assert e.form(v - got, a) == 0
         assert depth_of(e, zero_vec(e.n), a) == -1
+    fins = [*e.simple_roots_natural, *(-1 * c.theta for c in e.components)]
+    assert lat.rkeys == tuple(lat.key(fin) for fin in fins)
+    assert all(e.restrict(fin) == fin for fin in fins)
+    iso = e.restrict(Q(1, 2) * e.theta - e.xi)
+    assert lat.iso_key == lat.key(iso)
+    assert Vec(Q(x, lat.denom) for x in lat.iso_key[1:]) == iso
+    assert lat.iso_key[0] == lat.scale * depth_of(e, zero_vec(e.n), iso)
 
 
 def test_lattice_raises_on_a_non_integral_pairing():
     with pytest.raises(PreconditionViolated, match="not integral"):
         _Lattice._ints(E, "affine Cartan matrix row", [Q(2), Q(-1, 2)])
+
+
+def _ns_factors(entry, q_max):
+    """The factors of the NS denominator with exponent c <= q_max, as
+    (w, c, odd): (1 + q^c exp(w)) when odd, else (1 - q^c exp(w))^(-1).
+    Per n >= 1: (1 + q^{n-1/2} exp(-gamma)) for gamma in Delta' (with
+    multiplicity), (1 - q^n)^(-1) rank times, and (1 - q^{n-1} exp(-alpha))
+    and (1 - q^n exp(alpha)) for the positive roots alpha of g^nat: the
+    `Fraction` oracle for the frame's int table `_Lattice.ns`."""
+    rank = len(entry.simple_roots_natural) + (1 if entry.center else 0)
+    zero = zero_vec(entry.n)
+    out = []
+    for n in range(1, math.floor(q_max) + 2):
+        out += [(-1 * gma, Q(2 * n - 1, 2), True)
+                for gma, mult in entry.delta_prime for _ in range(mult)]
+        out += [(zero, Q(n), False)] * rank
+        for alpha in entry.pos_roots_natural:
+            out += [(-1 * alpha, Q(n - 1), False), (alpha, Q(n), False)]
+    return [f for f in out if f[1] <= q_max]
 
 
 @given(FAMILY_IDS, st.integers(min_value=0, max_value=6))
@@ -889,20 +959,21 @@ def test_denominator_steps_never_raise_the_margin(g, q2_max):
 def test_q0_factor_needs_positive_depth():
     """(1 - exp(w))^(-1) never ends when depth(w) <= 0: the expansion
     raises instead of looping (w = 0 and w = +theta_1 on psl22)."""
+    lat = E.lattice
     for w in (ZERO, TH1):
         with pytest.raises(PreconditionViolated):
-            _LatticeSeries(E.lattice, Q(2), Q(3)).divide(w, Q(0), 1)
+            _LatticeSeries(lat, Q(2), Q(3)).divide(lat.key(w), Q(0), 1)
     # a step whose depth drop outruns the headroom slope is refused as well
     with pytest.raises(PreconditionViolated):
-        _LatticeSeries(E.lattice, Q(2), Q(3)).divide(4 * TH1, Q(1, 2), 1)
+        _LatticeSeries(lat, Q(2), Q(3)).divide(lat.key(4 * TH1), Q(1, 2), 1)
 
 
 def test_lattice_keys_never_round():
     lat = E.lattice
     assert Vec(Q(x, lat.denom) for x in lat.key(XI - TH1)[1:]) == XI - TH1
     assert lat.key(XI)[0] == -2  # depth(xi) = -1/2, times scale 4
-    # at scale 2D the key of xi/2 is the key of xi at D, depth entry included
-    assert lat.key(Q(1, 2) * XI, 2 * lat.denom) == lat.key(XI)
+    # keys are linear, depth entry included
+    assert lat.key(XI - TH1) == tuple(map(lambda a, b: a - b, lat.key(XI), lat.key(TH1)))
     for w in (Q(1, 2) * XI, Vec([Q(1, 3), 0, 0, 0])):
         with pytest.raises(PreconditionViolated, match="off the 1/2 lattice"):
             lat.key(w)
@@ -985,7 +1056,9 @@ def test_packing_aliases_just_outside_the_box():
 def test_window_past_the_packing_bound_is_refused():
     """A window whose keys could leave the packing box raises rather than
     return terms: a deep window, a factor far off the root span (the series
-    is left unchanged) and a head far out at the merge."""
+    is left unchanged) and a head key far out at the merge.  A far weight
+    is no head key: the merge keys are relative to it, so a Verma character
+    there is answered, the denominator shifted term by term."""
     lat = E.lattice
     big = Q(lat.radix, lat.scale)
     with pytest.raises(PreconditionViolated, match="packing bound"):
@@ -993,17 +1066,27 @@ def test_window_past_the_packing_bound_is_refused():
     with pytest.raises(PreconditionViolated, match="packing bound"):
         fns_series(G, 1, big)
     series = _LatticeSeries(lat, Q(2), Q(3))
-    series.divide(-1 * TH1, Q(0), 1)
+    series.divide(lat.key(-1 * TH1), Q(0), 1)
     before = _kernel_terms(series)
     far = Vec([Q(lat.radix, lat.denom), 0, 0, 0])  # depth 0: the margin holds
     with pytest.raises(PreconditionViolated, match="packing bound"):
-        series.divide(far, Q(1), 1)
+        series.divide(lat.key(far), Q(1), 1)
     assert _kernel_terms(series) == before
-    with pytest.raises(PreconditionViolated, match="packing bound"):
-        verma_character(G, far, 0, 2, 3)
+    want = QWSeries(E, 2, 3, far)
+    _accumulate(want, fns_series(G, 2, 3), far)
+    assert verma_character(G, far, 0, 2, 3) == want and want.n_terms() > 0
+    fns = _fns_cached(G, Q(2), Q(3))
+    for x in (lat.radix // 2 - fns.bound() + 1, lat.radix // 2 - fns.bound()):
+        heads = [((0, x, 0, 0, 0), Q(0), 1)]
+        out = QWSeries(E, 2, 3)
+        if 2 * (x + fns.bound()) >= lat.radix:
+            with pytest.raises(PreconditionViolated, match="packing bound"):
+                _sum_pieces(out, ZERO, heads, [fns])
+        else:  # just inside the bound the merge answers
+            _sum_pieces(out, ZERO, heads, [fns])
+            assert out.coeff(0, Vec([Q(x, lat.denom), 0, 0, 0])) == 1
     # just inside the bound the same calls are answered
     assert fns_series(G, 1, 3).n_terms() > 0
-    assert verma_character(G, Vec([1, 0, 0, 0]), 0, 2, 3).coeff(0, Vec([1, 0, 0, 0])) == 1
 
 
 def test_character_caches_stay_bounded_over_d21a_sweep():
@@ -1034,6 +1117,73 @@ def test_character_caches_stay_bounded_over_d21a_sweep():
     gc.collect()
     frames = sum(1 for o in gc.get_objects() if isinstance(o, _Lattice))
     assert frames <= catalog.lookup.cache_info().maxsize + _fns_cached.cache_info().maxsize
+
+
+# ---------------------------------------------------------------------------
+# the Weyl-Kac denominator identity: an oracle for the orbit sum at nu = 0
+
+
+# (algebra, k_rho): the level at which lam0 = (k + h_vee) Lambda_0 + rho^nat
+# pairs to 1 with every affine simple coroot of g^nat, so lam0 = rho_hat
+K_RHO = [(catalog.psl22(), Q(-2)), (catalog.spo2m(3), Q(-1)), (catalog.spo2m(5), Q(-1)),
+         (catalog.d21a(1), Q(-1)), (catalog.g3(), Q(-3, 2)), (catalog.f4(), Q(-4, 3)),
+         (catalog.sl2m(3), Q(-2))]
+
+
+def _fermion_product(e, q_max, depth):
+    """prod_{n >= 1} prod_{gamma in Delta'} (1 + q^{n-1/2} exp(-gamma)), times
+    prod_{n >= 1} (1 - q^n)^(-1) when g^nat has a center, cut flat at
+    (q_max, depth) around 0: plain dict products over `Fraction` keys, cut in
+    q as they go (no factor lowers q) and in depth at the end."""
+    zero = zero_vec(e.n)
+    terms = {(Q(0), zero): 1}
+
+    def times(factor):
+        out = {}
+        for (q, w), c in terms.items():
+            for fq, fw, fc in factor:
+                if q + fq <= q_max:
+                    out[q + fq, w + fw] = out.get((q + fq, w + fw), 0) + c * fc
+        return out
+
+    n = 1
+    while n - Q(1, 2) <= q_max:
+        for gma, mult in e.delta_prime:
+            for _ in range(mult):
+                terms = times([(Q(0), zero, 1), (n - Q(1, 2), -1 * gma, 1)])
+        if e.center:
+            terms = times([(Q(j * n), zero, 1) for j in range(math.floor(q_max / n) + 1)])
+        n += 1
+    out = {}
+    for (q, w), c in terms.items():
+        if c and depth_of(e, zero, w) <= depth:
+            out.setdefault(q, {})[w] = c
+    return out
+
+
+def _check_weyl_kac(g, k_rho, q_max, depth):
+    e = lookup(g)
+    got = _orbit_sum(e, k_rho, zero_vec(e.n), Q(0), q_max, depth, False)
+    assert got.n_terms() > 0
+    assert got.terms == _fermion_product(e, q_max, depth), (g.label(), q_max, depth)
+
+
+@pytest.mark.parametrize("g,k_rho", K_RHO, ids=[g.label() for g, _ in K_RHO])
+def test_orbit_sum_at_rho_is_the_fermion_product(g, k_rho):
+    """At k_rho the orbit sum is sum_w det(w) q^shift exp(w rho_hat - rho_hat)
+    times the NS denominator: by the Weyl-Kac denominator identity its
+    bosonic factors cancel, leaving the fermion product.  The oracle shares
+    no code with the orbit walk, its pruning, the sloped windows or the
+    merge."""
+    for q_max, depth in [(Q(3), Q(4)), (Q(5, 2), Q(6)), (Q(4), Q(3))]:
+        _check_weyl_kac(g, k_rho, q_max, depth)
+
+
+@given(st.sampled_from(K_RHO), st.fractions(min_value=0, max_value=Q(5, 2), max_denominator=3),
+       st.fractions(min_value=0, max_value=5, max_denominator=2))
+@settings(max_examples=25, deadline=None)
+def test_orbit_sum_at_rho_is_the_fermion_product_in_any_window(case, q_max, depth):
+    _check_weyl_kac(*case, q_max, depth)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import json
 from fractions import Fraction as Q
 
-from wmin.cli import run, verdict_from_dict, verdict_to_dict, build_parser
+from wmin import unitarity
+from wmin.cli import run, verdict_to_dict, build_parser
+from wmin.rationals import parse_rational
 from wmin.unitarity import decide
 from wmin import catalog
 from wmin.catalog import lookup
@@ -156,6 +158,25 @@ def test_gram_emax_bounds_and_witness(capsys):
         assert code == 0 and d["ok"] and checks["virasoro"]["witness"] == vir
         assert checks["adjointness_L"]["witness"] == adj
         assert checks["adjointness_a"]["witness"] == adj
+
+
+def verdict_from_dict(d: dict) -> unitarity.UnitarityVerdict:
+    """The inverse of `verdict_to_dict`: the test's reader of the JSON schema."""
+    col = None
+    if "collapse" in d:
+        c = d["collapse"]
+        col = unitarity.CollapseCheck(c["target"], c["weight_integrable"],
+                                      parse_rational(c["l0"]), c["detail"])
+    qs = {}
+    for key, val in d["quantities"].items():
+        if isinstance(val, list):
+            qs[key] = [parse_rational(x) if isinstance(x, str) else x for x in val]
+        elif isinstance(val, str):
+            qs[key] = parse_rational(val)
+        else:
+            qs[key] = val
+    return unitarity.UnitarityVerdict(d["outcome"], qs, tuple(d["reasons"]),
+                                      d.get("proved"), col)
 
 
 def test_verdict_json_round_trip():
