@@ -8,7 +8,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from wmin import catalog
-from wmin.levels import enumerate_unitary_k, level_data
+from wmin.levels import central_charge, enumerate_unitary_k, level_data
 from wmin.rationals import format_rational as fr
 
 
@@ -27,7 +27,7 @@ def survey(count: int):
             lv = level_data(g, k)
             tag = f"  collapses -> {lv.collapse_target}" if lv.collapsing else ""
             ms = ", ".join(fr(m) for m in lv.M_simple)
-            print(f"  k = {fr(k):>7}   M = [{ms:>10}]   c = {fr(lv.c):>8}{tag}")
+            print(f"  k = {fr(k):>7}   M = [{ms:>10}]   c = {fr(central_charge(g, k)):>8}{tag}")
 
 
 if __name__ == "__main__":

@@ -182,25 +182,27 @@ class _LevelConstants(NamedTuple):
     lines: tuple             # (slope, intercept, chi) per component, center first:
                              # M_i(k) = slope*k + intercept, alpha_i's level M_i(k) + chi
     zeros: tuple             # (z1, z2): the collapsing polynomial is (k - z1)(k - z2)
-    shape: Optional[tuple]   # (first level, step) of the unitarity progression
+    shape: tuple             # (first, step, count) of the unitarity range (`_range_shape`)
 
 
-def _range_shape(g: AlgebraId) -> Optional[tuple]:
-    """(first level, step) of the arithmetic progression of candidate unitary
-    levels; None for osp(4|m) (no range) and sl(2|m) (the one level -1)."""
+def _range_shape(g: AlgebraId) -> tuple:
+    """(first, step, count): the candidate unitary levels are first + n*step
+    for the ints 0 <= n < count (every n >= 0 when count is None).  D(2,1;a)
+    has n*step, n >= 1, which reaches -1/2 only at a = 1, where step = -1/2
+    and -1/2 is the trivial module: there the range starts at 2*step."""
     fam = g.family
-    if fam in ("osp4m", "sl2m"):
-        return None
+    if fam in ("osp4m", "sl2m"):  # none, and the one level -1
+        return Q(-1), Q(-1), 0 if fam == "osp4m" else 1
     if fam == "psl22":
-        return Q(-2), Q(-1)
+        return Q(-2), Q(-1), None
     if fam == "spo2m":
-        return (Q(-3, 4), Q(-1, 4)) if g.m == 3 else (Q(-1), Q(-1, 2))
+        return (Q(-3, 4), Q(-1, 4), None) if g.m == 3 else (Q(-1), Q(-1, 2), None)
     if fam == "F4":
-        return Q(-4, 3), Q(-2, 3)
+        return Q(-4, 3), Q(-2, 3), None
     if fam == "G3":
-        return Q(-3, 2), Q(-3, 4)
+        return Q(-3, 2), Q(-3, 4), None
     step = -Q(g.a_num * g.a_den, g.a_num + g.a_den)  # D21a
-    return step, step
+    return (2 * step if step == Q(-1, 2) else step), step, None
 
 
 def _sparse(ints: Sequence[int]) -> tuple:

@@ -167,7 +167,7 @@ def cmd_levels(args) -> dict:
         "M": [format_rational(m) for m in lv.M],
         "M_simple": [format_rational(m) for m in lv.M_simple],
         "alpha_levels": [format_rational(m) for m in lv.alpha_levels],
-        "c": format_rational(lv.c),
+        "c": format_rational(levels.central_charge(g, k)),
         "c_sqrt_form": None if not applicable else format_rational(alt),
         "c_sqrt_form_note": note,
         "p_k": format_rational(lv.p_k),

@@ -21,13 +21,9 @@ def component_level(entry: CatalogEntry, k: Fraction, comp) -> Fraction:
 
 
 def central_charge(g: AlgebraId, k: Fraction) -> Fraction:
-    """c(k) = k*sdim/(k+h_vee) - 6k + h_vee - 4."""
-    return _central_charge(lookup(g), Q(k))
-
-
-def _central_charge(entry: CatalogEntry, k: Fraction) -> Fraction:
-    """The one formula for c, at a `Fraction` k; `shifted_level` raises
+    """c(k) = k*sdim/(k+h_vee) - 6k + h_vee - 4; `shifted_level` raises
     CriticalLevel at k = -h_vee."""
+    entry, k = lookup(g), Q(k)
     return k * entry.sdim / entry.shifted_level(k) - 6 * k + entry.h_vee - 4
 
 
@@ -54,7 +50,6 @@ class LevelData:
     M: tuple                 # component levels in catalog order (center first if present)
     M_simple: tuple          # levels of the simple components only, index order 1..s
     alpha_levels: tuple      # M_i(k) + chi_i, same order as M
-    c: Fraction
     p_k: Fraction            # monic collapsing polynomial evaluated at k
     collapsing: bool
     collapse_target: Optional[str]
@@ -78,7 +73,7 @@ def level_data(g: AlgebraId, k: Fraction) -> LevelData:
     evaluations at k of the entry's constants (`CatalogEntry._levels`)."""
     entry = lookup(g)
     k = Q(k)
-    charge = _central_charge(entry, k)  # raises CriticalLevel at k = -h_vee
+    entry.shifted_level(k)  # raises CriticalLevel at k = -h_vee
     lines, (z1, z2), _ = entry._levels
     M = tuple(s * k + t for s, t, _ in lines)
     alpha = tuple(m + chi for m, (_, _, chi) in zip(M, lines))
@@ -86,7 +81,7 @@ def level_data(g: AlgebraId, k: Fraction) -> LevelData:
     collapsing = p_k == 0
     return LevelData(
         k=k, M=M, M_simple=M[1:] if entry.center else M, alpha_levels=alpha,
-        c=charge, p_k=p_k, collapsing=collapsing,
+        p_k=p_k, collapsing=collapsing,
         collapse_target=_collapse_target(entry, M) if collapsing else None)
 
 
@@ -95,32 +90,16 @@ def level_data(g: AlgebraId, k: Fraction) -> LevelData:
 
 
 def unitarity_range_contains(g: AlgebraId, k: Fraction) -> bool:
-    """Membership in the per-family list of candidate unitary levels."""
-    k = Q(k)
-    fam = g.family
-    if fam == "osp4m":
-        return False
-    if fam == "sl2m":
-        return k == -1
-    if fam == "D21a" and k == Q(-1, 2):
-        return False  # the trivial module of D(2,1;1)
-    first, step = lookup(g)._levels.shape
-    n = (k - first) / step
-    return n.denominator == 1 and n >= 0
+    """Membership in the per-family list of candidate unitary levels
+    (`CatalogEntry._levels.shape`): n = (k - first)/step is an int in
+    [0, count)."""
+    first, step, count = lookup(g)._levels.shape
+    n = (Q(k) - first) / step
+    return n.denominator == 1 and 0 <= n and (count is None or n < count)
 
 
 def enumerate_unitary_k(g: AlgebraId, count: int) -> List[Fraction]:
     """First `count` levels of the unitarity range, from the largest down."""
-    fam = g.family
-    if fam == "osp4m":
-        return []
-    if fam == "sl2m":
-        return [Q(-1)][:max(count, 0)]
-    first, step = lookup(g)._levels.shape
-    out: List[Fraction] = []
-    k = first
-    while len(out) < count:
-        if not (fam == "D21a" and k == Q(-1, 2)):
-            out.append(k)
-        k = k + step
-    return out
+    first, step, size = lookup(g)._levels.shape
+    n = max(0, count if size is None else min(count, size))
+    return [first + i * step for i in range(n)]

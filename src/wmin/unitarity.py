@@ -61,7 +61,7 @@ def _proved_extremal(g: AlgebraId) -> bool:
 
 def _collapse_check(entry: CatalogEntry, lv: LevelData, nu: Vec, ps: list,
                     l0: Fraction) -> CollapseCheck:
-    target = lv.collapse_target or "?"
+    target = lv.collapse_target
     if target == "C":
         ok = nu.is_zero()
         detail = "target is trivial; needs nu = 0"

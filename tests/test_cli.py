@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction as Q
 
+import pytest
+
 from wmin import unitarity
 from wmin.cli import run, verdict_to_dict, build_parser
 from wmin.rationals import parse_rational
@@ -197,3 +199,61 @@ def test_byte_identical_output(capsys):
     run(argv)
     second = capsys.readouterr().out
     assert first == second
+
+
+#: `wmin --format json levels|range` as recorded before `LevelData` lost its c:
+#: c comes from `central_charge`, the range from the catalog's table
+LEVELS_GOLDEN = [
+    (["--g", "psl22", "--k", "-2"],
+     {"M": ["1"], "M_simple": ["1"], "algebra": "psl22", "alpha_levels": ["0"], "c": "6",
+      "c_sqrt_form": "6", "c_sqrt_form_note": "sqrt = 0", "collapse_target": None,
+      "collapsing": False, "in_unitarity_range": True, "k": "-2", "p_k": "2"}),
+    (["--g", "spo2m", "--m", "3", "--k", "-3/4"],
+     {"M": ["1"], "M_simple": ["1"], "algebra": "spo2m(m=3)", "alpha_levels": ["-1"],
+      "c": "1", "c_sqrt_form": "1", "c_sqrt_form_note": "sqrt = 0",
+      "collapse_target": "V_1(sl2)", "collapsing": True, "in_unitarity_range": True,
+      "k": "-3/4", "p_k": "0"}),
+    (["--g", "sl2m", "--m", "3", "--k", "-1"],
+     {"M": ["-3/2", "0"], "M_simple": ["0"], "algebra": "sl2m(m=3)",
+      "alpha_levels": ["-2", "-1"], "c": "1", "c_sqrt_form": "1",
+      "c_sqrt_form_note": "sqrt = 0", "collapse_target": "free boson V_-3/2(center)",
+      "collapsing": True, "in_unitarity_range": True, "k": "-1", "p_k": "0"}),
+    (["--g", "osp4m", "--m", "4", "--k", "-2"],
+     {"M": ["-4", "0"], "M_simple": ["-4", "0"], "algebra": "osp4m(m=4)",
+      "alpha_levels": ["-6", "-1"], "c": "6", "c_sqrt_form": "6",
+      "c_sqrt_form_note": "sqrt = 0", "collapse_target": "V_-4(sl2)", "collapsing": True,
+      "in_unitarity_range": False, "k": "-2", "p_k": "0"}),
+    (["--g", "D21a", "--a", "1", "--k", "-1/2"],
+     {"M": ["0", "0"], "M_simple": ["0", "0"], "algebra": "D21a(a=1/1)",
+      "alpha_levels": ["-1", "-1"], "c": "0", "c_sqrt_form": "0",
+      "c_sqrt_form_note": "sqrt = 0", "collapse_target": "C", "collapsing": True,
+      "in_unitarity_range": False, "k": "-1/2", "p_k": "0"}),
+    (["--g", "D21a", "--a", "1", "--k", "-1"],
+     {"M": ["1", "1"], "M_simple": ["1", "1"], "algebra": "D21a(a=1/1)",
+      "alpha_levels": ["0", "0"], "c": "3", "c_sqrt_form": "3",
+      "c_sqrt_form_note": "sqrt = 0", "collapse_target": None, "collapsing": False,
+      "in_unitarity_range": True, "k": "-1", "p_k": "1/4"}),
+    (["--g", "G3", "--k", "-9/4"],
+     {"M": ["2"], "M_simple": ["2"], "algebra": "G3", "alpha_levels": ["1"], "c": "49/5",
+      "c_sqrt_form": None, "c_sqrt_form_note": "sqrt(sdim*h_vee/6) is not rational",
+      "collapse_target": None, "collapsing": False, "in_unitarity_range": True,
+      "k": "-9/4", "p_k": "33/8"}),
+]
+
+RANGE_GOLDEN = [
+    (["--g", "sl2m", "--m", "3"], {"algebra": "sl2m(m=3)", "k": ["-1"]}),
+    (["--g", "osp4m", "--m", "4"], {"algebra": "osp4m(m=4)", "k": []}),
+    (["--g", "D21a", "--a", "1"], {"algebra": "D21a(a=1/1)", "k": ["-1", "-3/2", "-2"]}),
+]
+
+
+@pytest.mark.parametrize("argv, want", LEVELS_GOLDEN,
+                         ids=[" ".join(argv) for argv, _ in LEVELS_GOLDEN])
+def test_levels_json_golden(capsys, argv, want):
+    assert run_json(capsys, ["levels"] + argv) == (0, want)
+
+
+@pytest.mark.parametrize("argv, want", RANGE_GOLDEN,
+                         ids=[" ".join(argv) for argv, _ in RANGE_GOLDEN])
+def test_range_json_golden(capsys, argv, want):
+    assert run_json(capsys, ["range"] + argv + ["--count", "3"]) == (0, want)

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from wmin import catalog, characters, gram_lab, unitarity, weights
+from wmin import catalog, characters, gram_lab, levels, unitarity, weights
 from wmin.catalog import lookup, zero_vec
 from wmin.errors import CriticalLevel
 from wmin.levels import (central_charge, central_charge_alt, component_level,
@@ -192,3 +192,29 @@ def test_range_membership(all_algebras):
             assert k + e.h_vee < 0
             for m in lv.M_simple:
                 assert m.denominator == 1 and m >= 0
+
+
+@pytest.mark.parametrize("g, k, labels", [(catalog.psl22(), Q(-3), [1]),
+                                          (catalog.spo2m(3), Q(-5, 4), [1]),
+                                          (catalog.g3(), Q(-9, 4), [1, 1])],
+                         ids=["psl22", "spo2m3", "G3"])
+def test_no_request_evaluates_the_central_charge(monkeypatch, g, k, labels):
+    """Only `wmin levels` and the survey read c: with `central_charge`
+    raising, every request returns what it returns without the patch."""
+    nu = lookup(g).nu_from_labels(labels)
+    requests = {
+        "decide": lambda: unitarity.decide(g, k, nu, 1),
+        "character_massive": lambda: characters.character_massive(g, k, nu, 1, 2, 4),
+        "character_massless": lambda: characters.character_massless(g, k, nu, 2, 4),
+        "in_P_plus_k": lambda: weights.in_P_plus_k(g, k, nu),
+        "sign2_scan": lambda: unitarity.sign2_scan(g, k, nu, 3, 3),
+        "j_g_ratio": lambda: gram_lab.j_g_ratio(g, k, nu, 1),
+    }
+
+    def raising(*args):
+        raise AssertionError("central charge evaluated")
+
+    monkeypatch.setattr(levels, "central_charge", raising)
+    got = {name: call() for name, call in requests.items()}
+    monkeypatch.undo()
+    assert got == {name: call() for name, call in requests.items()}

@@ -18,6 +18,7 @@ def test_survey_ranges():
     lines = run_script("survey_ranges.py", "--count", "2")
     assert "== psl22 ==" in lines and "== G3 ==" in lines
     assert any("collapses -> V_1(sl2)" in line for line in lines)
+    assert "  k =      -2   M = [         1]   c =        6" in lines
 
 
 def test_scan_lemma_bounds():

@@ -304,7 +304,7 @@ def _ref_level_data(g, k):
     return levels.LevelData(
         k=k, M=M, M_simple=M[1:] if e.center else M,
         alpha_levels=tuple(m + c.chi for m, c in zip(M, comps)),
-        c=k * e.sdim / (k + e.h_vee) - 6 * k + e.h_vee - 4, p_k=p_k, collapsing=p_k == 0,
+        p_k=p_k, collapsing=p_k == 0,
         collapse_target=levels._collapse_target(e, M) if p_k == 0 else None)
 
 

@@ -19,6 +19,8 @@ from wmin.weights import (A_bound, A_explicit, B_bound, enumerate_P_plus_k,
 PASS_FAMILIES = [catalog.psl22(), catalog.sl2m(3), catalog.spo2m(3), catalog.spo2m(5),
                  catalog.spo2m(6), catalog.osp4m(6), catalog.d21a(2), catalog.d21a(2, 3),
                  catalog.f4(), catalog.g3()]
+# and for the range: D(2,1;1), whose range skips a level of its progression
+RANGE_FAMILIES = PASS_FAMILIES + [catalog.d21a(1, 1), catalog.osp4m(4)]
 
 
 def test_p_plus_k_examples():
@@ -166,10 +168,21 @@ def test_a_weight_of_the_wrong_length_raises(call):
             call(catalog.psl22(), -3, nu)
 
 
+def _old_progression(g):
+    """(first level, step) of the progression as `levels` spelled it per
+    family, for every family but osp(4|m) and sl(2|m)."""
+    if g.family == "spo2m":
+        return (Q(-3, 4), Q(-1, 4)) if g.m == 3 else (Q(-1), Q(-1, 2))
+    if g.family == "D21a":
+        step = -Q(g.a_num * g.a_den, g.a_num + g.a_den)
+        return step, step
+    return {"psl22": (Q(-2), Q(-1)), "F4": (Q(-4, 3), Q(-2, 3)),
+            "G3": (Q(-3, 2), Q(-3, 4))}[g.family]
+
+
 def _old_range_contains(g, k):
-    """Unitarity-range membership as `levels` spelled it per family, with the
-    progression (first level, step) written out: the oracle for the range
-    shape the catalog entry holds."""
+    """Unitarity-range membership as `levels` spelled it per family: the
+    oracle for the range shape the catalog entry holds."""
     fam = g.family
     if fam == "osp4m":
         return False
@@ -177,18 +190,35 @@ def _old_range_contains(g, k):
         return k == -1
     if fam == "D21a" and k == Q(-1, 2):
         return False
-    if fam == "spo2m":
-        first, step = (Q(-3, 4), Q(-1, 4)) if g.m == 3 else (Q(-1), Q(-1, 2))
-    elif fam == "D21a":
-        first = step = -Q(g.a_num * g.a_den, g.a_num + g.a_den)
-    else:
-        first, step = {"psl22": (Q(-2), Q(-1)), "F4": (Q(-4, 3), Q(-2, 3)),
-                       "G3": (Q(-3, 2), Q(-3, 4))}[fam]
+    first, step = _old_progression(g)
     n = (k - first) / step
     return n.denominator == 1 and n >= 0
 
 
-@given(st.sampled_from(PASS_FAMILIES), st.data())
+def _old_range_members(g, count):
+    """The first `count` levels of the oracle range, from the largest down."""
+    if g.family in ("osp4m", "sl2m"):
+        cands = [Q(-1)]
+    else:
+        first, step = _old_progression(g)
+        cands = [first + j * step for j in range(count + 1)]  # D(2,1;1) skips -1/2
+    return [k for k in cands if _old_range_contains(g, k)][:count]
+
+
+@pytest.mark.parametrize("g", RANGE_FAMILIES, ids=lambda g: g.label())
+def test_range_table_equals_the_per_family_oracle(g):
+    """The catalog's (first, step, count) against the per-family oracle:
+    membership at every half step first + j*step/2, -4 <= j <= 24 (on
+    D(2,1;1), j = -2 is the excluded -1/2), and the first n levels of
+    `enumerate_unitary_k`."""
+    first, step, _ = lookup(g)._levels.shape
+    for k in [first + j * step / 2 for j in range(-4, 25)]:
+        assert unitarity_range_contains(g, k) == _old_range_contains(g, k)
+    for n in range(-1, 13):
+        assert enumerate_unitary_k(g, n) == _old_range_members(g, n)
+
+
+@given(st.sampled_from(RANGE_FAMILIES), st.data())
 @settings(max_examples=150, deadline=None)
 def test_weight_and_level_scalars_equal_the_form(g, data):
     """Any rational weight on any family: the per-request pass (pairings,
@@ -227,7 +257,7 @@ def test_weight_and_level_scalars_equal_the_form(g, data):
     assert [chi for _, _, chi in lines] == [c.chi for c in comps]
     lv = level_data(g, k)
     assert lv.M == M and lv.alpha_levels == tuple(m + c.chi for m, c in zip(M, comps))
-    assert lv.c == central_charge(g, k) == k * e.sdim / (k + e.h_vee) - 6 * k + e.h_vee - 4
+    assert central_charge(g, k) == k * e.sdim / (k + e.h_vee) - 6 * k + e.h_vee - 4
     zs = [-(e.h_vee - c.hbar_vee) / 2 for c in comps]
     z1, z2 = zs if len(zs) == 2 else (zs[0], -comps[0].hbar_vee / 2 - 1)
     assert lv.p_k == (k - z1) * (k - z2) and lv.collapsing == (lv.p_k == 0)
