@@ -8,6 +8,9 @@ wrapping `characters._orbit`, `characters._fns_cached`,
 
     import_s              import wmin.characters
     denominator_build_s   the cold call's `_fns_cached` (the NS denominator)
+    denominator_window    the [reach, depth] window that call built, as
+                          strings: the q reach and the flat depth of its
+                          sloped window (`characters._orbit_sum` sizes it)
     denominator_terms     terms of that series in its sloped window
     denominator_buckets   its non-empty (q, depth) buckets, the units the
                           kernel's cap tests run on
@@ -96,13 +99,13 @@ def main(argv=None):
     k, nu = Q(args.k), catalog.Vec(Q(c) for c in args.nu.split(","))
     q_max, depth = Q(args.qmax), Q(args.depth)
 
-    calls = []  # (name, seconds, result) of each wrapped call, in order
+    calls = []  # (name, seconds, result, positional arguments) of each wrapped call, in order
 
     def timed(name, fn):
         def wrapper(*a, **kw):
             t = time.perf_counter()
             out = fn(*a, **kw)
-            calls.append((name, time.perf_counter() - t, out))
+            calls.append((name, time.perf_counter() - t, out, a))
             return out
         return wrapper
 
@@ -118,12 +121,12 @@ def main(argv=None):
             out = characters.character_massless(g, k, nu, q_max, depth)
         else:
             out = characters.character_massive(g, k, nu, Q(args.l0), q_max, depth)
-        return (out, time.perf_counter() - t, {name: (s, res) for name, s, res in calls},
-                sum(s for name, s, _ in calls if name in checks))
+        return (out, time.perf_counter() - t, {name: (s, res, a) for name, s, res, a in calls},
+                sum(s for name, s, _, _ in calls if name in checks))
 
     _, cold_s, cold, _ = request()
     out, warm_s, warm, checks_s = request()
-    fns_s, fns = cold["_fns_cached"]
+    fns_s, fns, (_, reach, fns_depth) = cold["_fns_cached"]
     caches = {f.__name__: f.cache_info()._asdict() for f in (catalog.lookup, fns_cache)}
     t = time.perf_counter()
     catalog._Lattice(catalog.lookup(g))
@@ -131,6 +134,7 @@ def main(argv=None):
     print(json.dumps({
         "import_s": round(import_s, 6),
         "denominator_build_s": round(fns_s, 6),
+        "denominator_window": [str(reach), str(fns_depth)],
         "denominator_terms": sum(len(b) for lvl in fns.levels for b in lvl.values()),
         "denominator_buckets": sum(1 for lvl in fns.levels for b in lvl.values() if b),
         "checks_s": round(checks_s, 6),

@@ -692,9 +692,7 @@ class _Lattice:
     the denominator factors: |depth(alpha)| for the bosonic exponents
     exp(+-alpha) (which cost q^n, n >= 1) and 2|depth(gamma)| for the odd ones
     (which cost q^{1/2} and up); `dip` = s * scale is an int, as each of those
-    depths times scale is a key's depth entry.  `theta_depth` is the largest
-    depth of a component highest root; it bounds how far an orbit
-    restriction can sit above nu per unit of q_shift.
+    depths times scale is a key's depth entry.
 
     The kernel stores the coordinates of a key packed into one int,
     `pack`(x) = sum_i x_i R^i with R = `radix`.  Packing is linear, and it
@@ -732,9 +730,9 @@ class _Lattice:
     lam0 itself.
     """
 
-    __slots__ = ("proj", "pden", "depth_cov", "denom", "scale", "cov", "slope", "dip",
-                 "theta_depth", "ns", "rate", "pairings", "cartan", "xd", "rkeys", "rho_ps",
-                 "iso_ps", "iso_key", "xd0")
+    __slots__ = ("proj", "pden", "depth_cov", "denom", "scale", "cov", "slope", "dip", "ns",
+                 "rate", "pairings", "cartan", "xd", "rkeys", "rho_ps", "iso_ps", "iso_key",
+                 "xd0")
 
     #: the packing radix R: coordinates |x_i| <= 2^20 pack one-to-one
     radix = 2 ** 21 + 1
@@ -770,7 +768,6 @@ class _Lattice:
         dips += [2 * abs(depth(g)) for g, _ in entry.delta_prime]
         self.slope = max(dips) if dips else Q(1)
         self.dip = self._ints(entry, "dip density times scale", [self.slope * self.scale])[0]
-        self.theta_depth = max([depth(-1 * c.theta) for c in entry.components] + [Q(1)])
 
         rank = len(s) + (1 if entry.center else 0)
         block = [(-1 * g, -1, True) for g, mult in entry.delta_prime for _ in range(mult)]

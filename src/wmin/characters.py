@@ -74,7 +74,10 @@ Q = Fraction
 
 def depth_of(entry: CatalogEntry, ref: Vec, w: Vec) -> Fraction:
     """Depth of w relative to ref: the depth covector of the entry's frame
-    dotted with ref - w."""
+    dotted with ref - w.  Raises `ParameterOutOfRange` when either weight
+    has the wrong length."""
+    entry._check_length(ref)
+    entry._check_length(w)
     return sum(map(mul, entry.lattice.depth_cov, ref - w), Q(0))
 
 
@@ -219,6 +222,10 @@ class _LatticeSeries:
     PreconditionViolated, before changing anything, when 2B >= R: a window
     past the bound is refused, never aliased.  `_sum_pieces` checks the same
     bound with its heads added.
+
+    Order.  Both arguments hold for each step on its own, whatever steps
+    came before it, so the factors of a product may be applied in any order
+    (`_fns_cached` picks decreasing c, the cheapest).
     """
 
     __slots__ = ("lat", "levels", "caps", "span", "rate")
@@ -226,9 +233,12 @@ class _LatticeSeries:
     def __init__(self, lat: _Lattice, q_max: Fraction, depth: Fraction):
         top = math.floor(2 * q_max)
         self.lat, self.rate = lat, 0
-        self.span = top + max(lat.cap(depth + lat.slope * q_max), 0)  # T + max(caps[0], 0)
+        # caps[t] = floor(x - dip * t/2), x = scale * (depth + s * q_max), in ints
+        x = lat.scale * (depth + lat.slope * q_max)
+        num, den = 2 * x.numerator, 2 * x.denominator
+        self.caps = [(num - lat.dip * t * x.denominator) // den for t in range(top + 1)]
+        self.span = top + max(math.floor(x), 0)  # T + max(caps[0], 0)
         self._admit(lat.rate)
-        self.caps = [lat.cap(depth + lat.slope * (q_max - Q(t, 2))) for t in range(top + 1)]
         self.levels: List[Dict[int, Dict[int, int]]] = [{} for _ in self.caps]
         if self.caps and self.caps[0] >= 0:
             self.levels[0][0] = {0: 1}
@@ -440,10 +450,20 @@ def _ns_steps(lat: _Lattice, q_max: Fraction) -> List[Tuple[int, int, int, bool]
 def _fns_cached(aid: AlgebraId, q_max: Fraction, depth: Fraction) -> _LatticeSeries:
     """The NS denominator in the sloped window (q_max, depth + s(q_max - q)),
     built factor by factor in place over int keys (`_ns_steps`), each step
-    margin-checked."""
+    margin-checked.
+
+    Order.  The factors are applied in decreasing exponent c, a stable sort
+    of the table order.  Any order gives the same series: the product
+    commutes, and the window's exactness and the packing bound
+    (`_LatticeSeries`) are argued for each step on its own.  Decreasing c is
+    the cheap one: a step by q^c reads the levels q <= q_max - c, and in this
+    order the series it reads is the product of the factors of exponent
+    >= c only, whose low levels hold few terms; in the table order the same
+    step reads levels that every factor of smaller exponent has already
+    filled."""
     lat = lookup(aid).lattice
     out = _LatticeSeries(lat, q_max, depth)
-    for dk, fp, c2, odd in _ns_steps(lat, q_max):
+    for dk, fp, c2, odd in sorted(_ns_steps(lat, q_max), key=lambda step: -step[2]):
         out._margin(dk, c2)
         if odd:
             out._push_up(dk, fp, c2, 1, True)
@@ -676,6 +696,26 @@ def _orbit_sum(entry: CatalogEntry, k: Fraction, nu: Vec, l0: Fraction,
     its own equals the same prefix of the whole series divided
     (`_LatticeSeries.copy`).
 
+    Window.  The denominator is built in the sloped window of exactly what
+    the orbit reads, in ints.  Element e (head exponent l0 + q_shift) is
+    read at the levels q <= window - q_shift, and there at the depth entries
+    d <= dcap - key[0], dcap = floor(scale * depth) (`_sum_pieces`).  Let
+    s_min = min(0, the least q_shift); an element with q_shift < 0
+    (extremal weights, see `_orbit`) reads up to q = window - s_min, the
+    reach of the build.  At q <= window - q_shift the sloped window (reach,
+    Dep) keeps the depth entries up to floor(scale * Dep + dip * (reach - q))
+    >= floor(scale * Dep) + dip * (q_shift - s_min) (`_LatticeSeries`; dip
+    is an int).  With Dep = depth + need / scale and
+    need = max(0, max over e of (-key[0] - dip * (q_shift - s_min))), that is
+    at least dcap - key[0] for every element, so every term an element reads
+    is exact; the isotropic divisions are margin-checked steps in the same
+    window.  need is 0 from a dominant start (Kac, Infinite-dimensional Lie
+    algebras, Lemma 3.11 / Prop. 3.12): lam0 - w lam0 = sum n_alpha alpha +
+    sum m_i eta_i with n, m >= 0, so the restriction moves by
+    -sum n_alpha alpha + sum m_i theta_i, at most sum m_i ht(theta_i) above
+    nu, and q_shift = sum m_i; each theta_i is a positive root of g^nat, so
+    ht(theta_i) <= s and -key[0] <= dip * q_shift.
+
     The denominator identity.  Let k_rho be a level at which lam0 =
     (k + h_vee) Lambda_0 + rho^nat pairs to 1 with every affine simple
     coroot of g^nat; then lam0 = rho_hat of affine g^nat, and at nu = 0,
@@ -692,14 +732,10 @@ def _orbit_sum(entry: CatalogEntry, k: Fraction, nu: Vec, l0: Fraction,
     window = q_max - l0
     if window < 0:
         return out
-    # orbit restrictions may sit above nu by up to q_shift * max theta-depth,
-    # and in-window exponents can dip by the per-q density; the scheduled
-    # headroom keeps every cell of the final flat cut complete.  An element
-    # with q_shift < 0 (extremal weights, see `_orbit`) reads the denominator
-    # up to q = window - q_shift, so the series reaches that far.
     orbit = _orbit(entry, k, nu, window, track_iso)
-    reach = window - min([0] + [el.q_shift for el in orbit])
-    fns = _fns_cached(entry.id, reach, depth + window * entry.lattice.theta_depth)
+    lat, s_min = entry.lattice, min([0] + [el.q_shift for el in orbit])
+    need = max([0] + [-el.key[0] - lat.dip * (el.q_shift - s_min) for el in orbit])
+    fns = _fns_cached(entry.id, window - s_min, depth + Q(need, lat.scale))
 
     def piece(el: OrbitElement) -> _LatticeSeries:
         if not el.iso_images:

@@ -4,7 +4,7 @@ import math
 import pkgutil
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from operator import mul
+from operator import add, mul
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -17,8 +17,8 @@ from wmin.characters import (QWSeries, _fns_cached, _LatticeSeries, _n4_range, _
                              _orbit_sum, _sum_pieces, character_massive, character_massless,
                              depth_of, ell_of_h, fns_series, h_pair, n4_closed_form,
                              series_from_records, verma_character, weyl_orbit)
-from wmin.errors import (NonDominant, PreconditionViolated, TruncationIncomplete,
-                         UnsupportedD21a)
+from wmin.errors import (NonDominant, ParameterOutOfRange, PreconditionViolated,
+                         TruncationIncomplete, UnsupportedD21a)
 from wmin.levels import enumerate_unitary_k, level_data
 from wmin.weights import A_bound, enumerate_P_plus_k, is_extremal
 
@@ -419,19 +419,26 @@ def test_n4_closed_form_refines():
                 assert small == big.truncated(small.q_max, dep, small.ref), (m1, r, window, dep)
 
 
-def _whole_copy_massless(g, k, nu, q_max, depth):
-    """`character_massless` with each orbit element's piece a copy of the
-    whole denominator, divided at every level: the test oracle for the
-    prefix copies of `_orbit_sum`."""
-    e = lookup(g)
-    l0 = A_bound(g, k, nu)
+def _theta_height(e):
+    """The largest height of a component highest root theta_i, at least 1:
+    how far an orbit restriction can sit above nu per unit of q_shift."""
+    return max([depth_of(e, zero_vec(e.n), -1 * c.theta) for c in e.components] + [Q(1)])
+
+
+def _wide_orbit_sum(e, k, nu, l0, q_max, depth, track_iso):
+    """`_orbit_sum` over a wide window of its own: the denominator built to
+    depth + window * `_theta_height`, and each massless piece a copy of the
+    whole denominator, divided at every level.  The test oracle for the
+    window and the prefix copies of `_orbit_sum`."""
     out = QWSeries(e, q_max, depth, nu)
     window = q_max - l0
-    orbit = _orbit(e, Q(k), nu, window, True)
+    orbit = _orbit(e, Q(k), nu, window, track_iso)
     reach = window - min([Q(0)] + [el.q_shift for el in orbit])
-    fns = _fns_cached(g, reach, depth + window * e.lattice.theta_depth)
+    fns = _fns_cached(e.id, reach, depth + window * _theta_height(e))
 
     def piece(el):
+        if not el.iso_images:
+            return fns
         div = fns.copy(len(fns.levels) - 1)
         for key, xd in el.iso_images:
             for _ in range(e.iso_simple_count):
@@ -457,7 +464,70 @@ def test_massless_prefix_copies_equal_whole_copies(g):
             q_max = A_bound(g, k, nu) + window
             got = character_massless(g, k, nu, q_max, depth)
             assert got.n_terms() > 0
-            assert got.records() == _whole_copy_massless(g, k, nu, q_max, depth).records()
+            want = _wide_orbit_sum(lookup(g), k, nu, A_bound(g, k, nu), q_max, depth, True)
+            assert got.records() == want.records()
+
+
+# sl(2|3) by hand: `enumerate_P_plus_k` has no sl2m enumeration; at its one
+# unitary level k = -1 every weight of P^+_k is extremal
+SL2M3_CASE = (catalog.sl2m(3), Q(-1), [zero_vec(5), Vec([0, 0, 1, 1, 1]),
+                                       Vec([1, 1, 0, 0, 0]), Vec([1, 0, 0, 0, 0])])
+WINDOW_FAMILIES = [catalog.psl22(), catalog.sl2m(3), catalog.spo2m(3), catalog.spo2m(5),
+                   catalog.spo2m(6), catalog.d21a(2, 3), catalog.g3(), catalog.f4()]
+
+
+@st.composite
+def window_cases(draw):
+    """(algebra, k, nu, l0 - A or None for massless, window q_max - l0, depth)
+    over the first three unitary levels of each family and all of P^+_k,
+    extremal weights included, massless D(2,1;a) at nu = 0."""
+    g = draw(st.sampled_from(WINDOW_FAMILIES))
+    above = draw(st.sampled_from([None, Q(1, 3), Q(1)]))
+    if g.family == "sl2m":
+        _, k, nus = SL2M3_CASE
+    else:
+        k = draw(st.sampled_from(enumerate_unitary_k(g, 3)))
+        nus = enumerate_P_plus_k(g, k)
+    if above is None and g.family == "D21a":
+        nus = [zero_vec(lookup(g).n)]
+    nu = draw(st.sampled_from(nus))
+    window = draw(st.sampled_from([Q(0), Q(1, 2), Q(1), Q(3, 2), Q(2), Q(5, 2)]))
+    depth = draw(st.sampled_from([Q(0), Q(1), Q(5, 2), Q(4)]))
+    return g, k, nu, above, window, depth
+
+
+@given(window_cases())
+@example((catalog.psl22(), Q(-3), Q(1, 2) * TH1, None, Q(5, 2), Q(1)))
+@example((catalog.sl2m(3), Q(-1), Vec([0, 0, 1, 1, 1]), None, Q(2), Q(1)))
+@example((catalog.spo2m(3), Q(-1), lookup(catalog.spo2m(3)).nu_from_labels([2]), None,
+          Q(2), Q(1)))   # extremal: an element at q_shift -1
+@example((catalog.spo2m(5), Q(-3, 2), lookup(catalog.spo2m(5)).nu_from_labels([1, 0]),
+          Q(1, 3), Q(2), Q(5, 2)))
+@example((catalog.d21a(2, 3), Q(-12, 5), lookup(catalog.d21a(2, 3)).nu_from_labels([1, 1]),
+          Q(1), Q(3, 2), Q(1)))
+@example((catalog.g3(), Q(-9, 4), Vec([1, 1, 0]), Q(1), Q(2), Q(6)))
+@example((catalog.f4(), Q(-2), zero_vec(4), None, Q(3, 2), Q(1)))
+@settings(max_examples=60, deadline=None)
+def test_orbit_sum_builds_the_window_its_orbit_reads(case):
+    """`_orbit_sum` builds the denominator in the window its orbit reads (see
+    its docstring), and gives the same sum as over the wide window
+    depth + window * `_theta_height`, massive and massless; from a
+    dominant start it needs no headroom: the build's depth is `depth`."""
+    g, k, nu, above, window, depth = case
+    e = lookup(g)
+    l0, track_iso = A_bound(g, k, nu) + (above or 0), above is None
+    built, build = [], characters._fns_cached
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(characters, "_fns_cached", lambda *a: built.append(a) or build(*a))
+        got = _orbit_sum(e, k, nu, l0, l0 + window, depth, track_iso)
+    assert got.n_terms() > 0
+    assert got == _wide_orbit_sum(e, k, nu, l0, l0 + window, depth, track_iso), case
+    ((_, reach, dep),) = built
+    orbit = _orbit(e, k, nu, window, track_iso)
+    assert reach == window - min([0] + [el.q_shift for el in orbit])
+    lat = e.lattice
+    if all(p >= 0 for p in map(add, lat.pairings(k + e.h_vee, nu), lat.rho_ps)):
+        assert dep == depth, case
 
 
 def test_published_weights_hold_only_fractions():
@@ -525,6 +595,17 @@ def test_truncated_refuses_a_window_it_cannot_fill():
                             (Q(5, 2), 0, None), (2, Q(7, 2), -1 * TH1)]:
         with pytest.raises(PreconditionViolated, match="not inside"):
             f.truncated(q_max, dep, ref)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: depth_of(E, Vec([0, 0]), Vec([1, 1, 1, 1])),
+    lambda: fns_series(G, 2, 4).truncated(1, 2, Vec([0, 0])),
+    lambda: series_from_records(E, [{"q": "0", "weight": ["0", "0"], "coeff": 1}], 2, 2),
+], ids=["depth_of", "truncated", "series_from_records"])
+def test_wrong_length_weight_is_refused(call):
+    """A weight of the wrong length raises rather than being cut to a prefix."""
+    with pytest.raises(ParameterOutOfRange, match="4 coordinates"):
+        call()
 
 
 def test_truncated_accepts_a_shifted_ref():
@@ -1004,6 +1085,35 @@ def test_ns_table_equals_the_fraction_factors(g, q2_max):
     assert characters._ns_steps(lat, q_max) == want
     assert lat.rate == max([1] + [abs(x) for w, _, _ in _ns_factors(e, Q(2))
                                   for x in lat.key(w)[1:]])
+
+
+@given(FAMILY_IDS, st.sampled_from([Q(0), Q(1, 2), Q(7, 6), Q(2), Q(5, 2)]),
+       st.sampled_from([Q(0), Q(1), Q(5, 2), Q(4)]))
+@example(catalog.psl22(), Q(5, 2), Q(4))
+@example(catalog.sl2m(3), Q(2), Q(1))
+@example(catalog.spo2m(3), Q(5, 2), Q(4))
+@example(catalog.osp4m(8), Q(2), Q(1))
+@example(catalog.d21a(2, 3), Q(2), Q(5, 2))
+@example(catalog.g3(), Q(2), Q(6))
+@example(catalog.f4(), Q(7, 6), Q(1))
+@settings(max_examples=40, deadline=None)
+def test_denominator_in_any_factor_order_is_the_same(g, q_max, depth):
+    """`_fns_cached` applies the NS factors in decreasing c; applied in the
+    table order of `_ns_steps` they give the same series, level for level,
+    and the int caps are the `Fraction` floors
+    floor(scale * (depth + s (q_max - t/2)))."""
+    lat = lookup(g).lattice
+    want = _LatticeSeries(lat, q_max, depth)
+    for dk, fp, c2, odd in characters._ns_steps(lat, q_max):
+        want._margin(dk, c2)
+        if odd:
+            want._push_up(dk, fp, c2, 1, True)
+        else:
+            want._divide(dk, fp, c2, 1)
+    got = _fns_cached(g, q_max, depth)
+    assert got.levels == want.levels
+    assert got.caps == [lat.cap(depth + lat.slope * (q_max - Q(t, 2)))
+                        for t in range(math.floor(2 * q_max) + 1)]
 
 
 def test_ns_table_steps_are_margin_checked(monkeypatch):

@@ -34,9 +34,11 @@ def test_stage_times():
     (line,) = run_script("stage_times.py")
     got = json.loads(line)
     assert {k: got[k] for k in ("denominator_terms", "orbit_elements", "kept_terms",
-                                "out_terms")} == {"denominator_terms": 2060,
+                                "out_terms")} == {"denominator_terms": 875,
                                                   "orbit_elements": 36,
                                                   "kept_terms": 2942, "out_terms": 110}
+    # the denominator is built in the window the orbit reads: (q_max - l0, depth)
+    assert got["denominator_window"] == ["2", "6"]
     assert 0 < got["denominator_buckets"] <= got["denominator_terms"]
     assert all(got[k] >= 0 for k in ("import_s", "denominator_build_s", "checks_s", "orbit_s",
                                       "sum_warm_s", "warm_s", "cold_s", "frame_s"))
