@@ -28,8 +28,9 @@ wrapping `characters._orbit`, `characters._fns_cached`,
     frame_s               a fresh build of the entry's frame of h^nat
                           (`catalog._Lattice`, held as `CatalogEntry.lattice`),
                           timed on its own; the cold call builds it once
-    caches                `cache_info()` of `catalog.lookup` and
-                          `characters._fns_cached` after the warm call
+    caches                `cache_info()` of `catalog.lookup`, the level
+                          record `levels._level` and `characters._fns_cached`
+                          after the warm call
 
 Times are in seconds, rounded to 1 microsecond.
 
@@ -90,7 +91,7 @@ def main(argv=None):
     import_s = time.perf_counter() - t0
 
     from fractions import Fraction as Q
-    from wmin import catalog
+    from wmin import catalog, levels
     if args.g == "D21a":
         a = Q(args.a)
         g = catalog.d21a(a.numerator, a.denominator)
@@ -127,7 +128,8 @@ def main(argv=None):
     _, cold_s, cold, _ = request()
     out, warm_s, warm, checks_s = request()
     fns_s, fns, (_, reach, fns_depth) = cold["_fns_cached"]
-    caches = {f.__name__: f.cache_info()._asdict() for f in (catalog.lookup, fns_cache)}
+    caches = {f.__name__: f.cache_info()._asdict()
+              for f in (catalog.lookup, levels._level, fns_cache)}
     t = time.perf_counter()
     catalog._Lattice(catalog.lookup(g))
     frame_s = time.perf_counter() - t

@@ -709,30 +709,28 @@ class _Lattice:
     The orbit side, over the affine simple roots beta_i of g^nat, (alpha, 0)
     for its simple roots and then (-theta_i, 1) for eta_i = delta - theta_i
     as (finite part, delta coefficient): `coroots`, the entry's table, gives
-    <lam, beta_i^vee> on (finite part, level) (`pairings`); `cartan[i][j]` =
-    <beta_i, beta_j^vee> is the affine Cartan matrix and `xd[i]` the pairing
-    of beta_i with x+d, all ints: g^nat is reductive, each simple component
-    with its untwisted affine root system, and rescaling a component's form
-    (u_i < 0 included) leaves its Cartan matrix unchanged; x+d pairs to 0
-    with the finite roots and to 1 with eta_i.  The constructor checks both
-    and raises, never rounds.  `rkeys[i]` is the key of the finite part of
-    beta_i, a root of g^nat and so on the lattice; it lies in the root span,
-    so it is its own restriction, and a reflection moves a restriction by an
-    int multiple of it (see `characters._orbit`).  The orbit's constants are
-    held here too: `rho_ps`, the level-0 pairings of rho^nat (lam0 = (k +
-    h_vee) Lambda_0 + nu + rho^nat pairs as `pairings(k + h_vee, nu)` plus
-    these, pairings being linear), and the isotropic block, whose finite
-    part theta/2 - xi pairs as `iso_ps` at level 0, restricts to h^nat with
-    the key `iso_key` and pairs with x+d as `xd0`.  `iso_ps` are ints, which
-    the constructor checks: theta pairs to 0 with every affine simple coroot
-    (see `characters._orbit`), so they are the pairings of -xi, ints by the
+    <lam, beta_i^vee> on (finite part, level) (`CatalogEntry.pairings`);
+    `cartan[i][j]` = <beta_i, beta_j^vee> is the affine Cartan matrix and
+    `xd[i]` the pairing of beta_i with x+d, all ints: g^nat is reductive,
+    each simple component with its untwisted affine root system, and
+    rescaling a component's form (u_i < 0 included) leaves its Cartan
+    matrix unchanged; x+d pairs to 0 with the finite roots and to 1 with
+    eta_i.  The constructor checks both and raises, never rounds.
+    `rkeys[i]` is the key of the finite part of beta_i, a root of g^nat and
+    so on the lattice; it lies in the root span, so it is its own
+    restriction, and a reflection moves a restriction by an int multiple of
+    it (see `characters._orbit`).  The isotropic block of
+    the orbit is held here too: its finite part theta/2 - xi pairs as
+    `iso_ps` at level 0, restricts to h^nat with the key `iso_key` and
+    pairs with x+d as `xd0`.  `iso_ps` are ints, which the constructor
+    checks: theta pairs to 0 with every affine simple coroot (see
+    `characters._orbit`), so they are the pairings of -xi, ints by the
     catalog's xi_dominant and chi_i data.  `_orbit` checks the pairings of
-    lam0 itself.
+    lam0 itself, which it reads off nu's pairings and the level record.
     """
 
     __slots__ = ("proj", "pden", "depth_cov", "denom", "scale", "cov", "slope", "dip", "ns",
-                 "rate", "pairings", "cartan", "xd", "rkeys", "rho_ps", "iso_ps", "iso_key",
-                 "xd0")
+                 "rate", "cartan", "xd", "rkeys", "iso_ps", "iso_key", "xd0")
 
     #: the packing radix R: coordinates |x_i| <= 2^20 pack one-to-one
     radix = 2 ** 21 + 1
@@ -780,14 +778,12 @@ class _Lattice:
                         for key, (_, off, odd) in zip(keys, block))
 
         roots = [(a, 0) for a in s] + [(-1 * c.theta, 1) for c in entry.components]
-        self.pairings = entry.pairings
         self.cartan = tuple(self._ints(entry, "affine Cartan matrix row",
-                                       self.pairings(0, fin)) for fin, _ in roots)
+                                       entry.pairings(0, fin)) for fin, _ in roots)
         self.xd = self._ints(entry, "x+d pairings of the affine simple roots",
                              [entry.form(fin, entry.theta) / 2 + dc for fin, dc in roots])
         self.rkeys = tuple(self.key(fin) for fin, _ in roots)
-        self.rho_ps = tuple(self.pairings(0, entry.rho_natural))
-        self.iso_ps = self._ints(entry, "pairings of theta/2 - xi", self.pairings(0, iso))
+        self.iso_ps = self._ints(entry, "pairings of theta/2 - xi", entry.pairings(0, iso))
         self.iso_key = self.key(iso_restricted)
         self.xd0 = entry.form(iso, entry.theta) / 2
 

@@ -56,14 +56,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
-from operator import add, mul
+from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .catalog import AlgebraId, CatalogEntry, Vec, _Lattice, _vec, lookup, zero_vec
 from .errors import (IndexOutOfRange, NonDominant, PreconditionViolated,
                      TruncationIncomplete, UnsupportedD21a)
 from .rationals import format_rational, solve_quadratic_rational
-from .weights import _ell, _is_extremal, _P_plus_data, _threshold, in_P_plus_k
+from .levels import _Level
+from .weights import _ell, _is_extremal, _P_plus_data, _threshold
 
 Q = Fraction
 
@@ -546,10 +547,12 @@ def _reflect(state: tuple, i: int, row: tuple, width: int) -> tuple:
     return tuple(out)
 
 
-def _orbit(entry: CatalogEntry, k: Fraction, nu: Vec, q_shift_limit: Fraction,
+def _orbit(entry: CatalogEntry, rec: _Level, ps: list, q_shift_limit: Fraction,
            track_iso: bool = False) -> List[OrbitElement]:
     """Breadth-first shifted-orbit enumeration: the elements with
-    q_shift <= limit, walked on int coordinates, for nu in P^+_k.
+    q_shift <= limit, walked on int coordinates, for nu in P^+_k at the
+    level of the record `rec` (`levels._level`), nu given by its level-0
+    pairings `ps` (`CatalogEntry._scalars`).
 
     No h.  theta pairs to 0 with every affine simple coroot of g^nat (g^nat
     centralizes the sl2 triple of theta, so theta is orthogonal to its roots
@@ -565,15 +568,20 @@ def _orbit(entry: CatalogEntry, k: Fraction, nu: Vec, q_shift_limit: Fraction,
     isotropic simple roots, is a block of ints: its pairings <x, beta_j^vee>
     with the affine simple coroots (`CatalogEntry.lattice`), the drop of x+d
     since the start, and the key (`_Lattice.key`) of the restriction of its
-    finite part to h^nat.  The pairings are ints: <lam0, alpha^vee> =
-    nu(alpha^vee) + 1 for a simple root alpha of g^nat, and
-    <lam0, eta_i^vee> = M_i(k) + chi_i + 1 - nu(theta_i^vee), ints for nu in
-    P^+_k; those of theta/2 - xi are the frame's ints (`_Lattice.iso_ps`).
-    A start with a non-integral pairing raises PreconditionViolated.  As
-    s_i(x) = x - <x, beta_i^vee> beta_i, a reflection is p_j -= p_i *
-    cartan[i][j] on the pairings, adds p_i * xd[i] to the drop and subtracts
-    p_i * rkeys[i] from the key (the finite part of beta_i is a root of
-    g^nat, its own restriction), so every edge is one int row of the frame.
+    finite part to h^nat.  The start is read off nu's pairings and the
+    level record, with no second pass over nu: <lam0, alpha^vee> =
+    nu(alpha^vee) + 1 for a simple root alpha of g^nat (rho^nat pairs to 1
+    with each simple coroot of g^nat), and <lam0, eta_i^vee> = (k + h_vee)
+    (2/u_i) - (nu + rho^nat)(theta_i^vee) = M_i(k) + chi_i + 1 -
+    nu(theta_i^vee), with M_i(k) + chi_i the `alpha_levels` of the simple
+    components (`catalog.validate` pins this identity as `eta_i_pairing`).
+    These are ints for nu in P^+_k; those of theta/2 - xi are the frame's
+    ints (`_Lattice.iso_ps`).  A start with a non-integral pairing raises
+    PreconditionViolated.  As s_i(x) = x - <x, beta_i^vee> beta_i, a
+    reflection is p_j -= p_i * cartan[i][j] on the pairings, adds
+    p_i * xd[i] to the drop and subtracts p_i * rkeys[i] from the key (the
+    finite part of beta_i is a root of g^nat, its own restriction), so
+    every edge is one int row of the frame.
     The q_shift of an element is the drop of its lam0 block, an int.  The
     lam0 key starts at 0: restrict(lam0) is restrict(nu) + rho^nat (theta
     restricts to 0, rho^nat lies in the root span), so an element's
@@ -615,13 +623,14 @@ def _orbit(entry: CatalogEntry, k: Fraction, nu: Vec, q_shift_limit: Fraction,
     So fold, stabilizer, then a reduced word reach every element with
     shift <= limit through points with shift <= max(limit, 0).
     """
-    lat = entry.lattice
-    ps = lat._ints(entry, "pairings of nu_hat + rho_hat with the affine simple coroots",
-                   list(map(add, lat.pairings(k + entry.h_vee, nu), lat.rho_ps)))
-    state = (*ps, 0) + (0,) * (entry.n + 1)
+    lat, s = entry.lattice, len(entry.simple_roots_natural)
+    alpha = rec.data.alpha_levels[-len(entry.components):]
+    start = lat._ints(entry, "pairings of nu_hat + rho_hat with the affine simple coroots",
+                      [p + 1 for p in ps[:s]] + [a + 1 + p for p, a in zip(ps[s:], alpha)])
+    state = (*start, 0) + (0,) * (entry.n + 1)
     if track_iso:
         state += (*lat.iso_ps, 0, *lat.iso_key)
-    r, width = len(ps), len(ps) + entry.n + 2
+    r, width = len(start), len(start) + entry.n + 2
     rows = [(*a, -x, *key) for a, x, key in zip(lat.cartan, lat.xd, lat.rkeys)]
     limit = math.floor(q_shift_limit)
     reach = max(limit, 0)
@@ -666,26 +675,29 @@ def weyl_orbit(g: AlgebraId, k, nu: Vec, h, q_max) -> List[Tuple[Vec, int, Fract
     the orbit does not depend on it.
     """
     entry = lookup(g)
-    if not in_P_plus_k(g, k, nu):
+    data = _P_plus_data(g, k, nu)
+    if data is None:
         raise NonDominant("weyl_orbit requires nu in P^+_k")
+    rec, sc = data
     base, denom = entry.restrict(nu), entry.lattice.denom
     return [(base + _vec([Q(x, denom) for x in e.key[1:]]), e.det, Q(e.q_shift))
-            for e in _orbit(entry, Q(k), nu, Q(q_max))]
+            for e in _orbit(entry, rec, sc[0], Q(q_max))]
 
 
 # ---------------------------------------------------------------------------
 # character formulas
 
 
-def _orbit_sum(entry: CatalogEntry, k: Fraction, nu: Vec, l0: Fraction,
+def _orbit_sum(entry: CatalogEntry, rec: _Level, ps: list, nu: Vec, l0: Fraction,
                q_max: Fraction, depth: Fraction, track_iso: bool) -> QWSeries:
-    """Sum of det * q^(l0+q_shift) exp(restriction) * fns over the orbit, cut at
-    (q_max, depth) around nu.  The int denominator series is read directly by
-    `_sum_pieces`, each orbit element's head being its int key relative to
-    restrict(nu) (`_orbit`): each element gets one q ceiling and one int
-    depth cap, the kept terms are merged over int keys, and only the output
-    terms become `Fraction` keys.  With track_iso each piece is a copy of
-    the denominator divided in place by its isotropic correction
+    """Sum of det * q^(l0+q_shift) exp(restriction) * fns over the orbit of
+    nu (its level record `rec` and pairings `ps`, as `_orbit` reads them),
+    cut at (q_max, depth) around nu.  The int denominator series is read
+    directly by `_sum_pieces`, each orbit element's head being its int key
+    relative to restrict(nu) (`_orbit`): each element gets one q ceiling and
+    one int depth cap, the kept terms are merged over int keys, and only the
+    output terms become `Fraction` keys.  With track_iso each piece is a
+    copy of the denominator divided in place by its isotropic correction
     (1 + q^c exp(w))^(-1), once per isotropic simple root (their images
     coincide, see `_orbit`); negative exponents c are flipped exactly.
 
@@ -732,7 +744,7 @@ def _orbit_sum(entry: CatalogEntry, k: Fraction, nu: Vec, l0: Fraction,
     window = q_max - l0
     if window < 0:
         return out
-    orbit = _orbit(entry, k, nu, window, track_iso)
+    orbit = _orbit(entry, rec, ps, window, track_iso)
     lat, s_min = entry.lattice, min([0] + [el.q_shift for el in orbit])
     need = max([0] + [-el.key[0] - lat.dip * (el.q_shift - s_min) for el in orbit])
     fns = _fns_cached(entry.id, window - s_min, depth + Q(need, lat.scale))
@@ -755,26 +767,28 @@ def character_massive(g: AlgebraId, k, nu: Vec, l0, q_max, depth) -> QWSeries:
     """Alternating orbit sum of Verma characters; valid strictly above the
     threshold."""
     entry = lookup(g)
-    k, l0, q_max, depth = Q(k), Q(l0), Q(q_max), Q(depth)
+    l0, q_max, depth = Q(l0), Q(q_max), Q(depth)
     data = _P_plus_data(g, k, nu)
     if data is None or _is_extremal(entry, *data):
         raise PreconditionViolated("massive character needs non-extremal nu in P^+_k")
-    if l0 <= _threshold(entry, k, data[1]):
+    if l0 <= _threshold(*data):
         raise PreconditionViolated("massive character needs l0 > A(k,nu)")
-    return _orbit_sum(entry, k, nu, l0, q_max, depth, False)
+    rec, sc = data
+    return _orbit_sum(entry, rec, sc[0], nu, l0, q_max, depth, False)
 
 
 def character_massless(g: AlgebraId, k, nu: Vec, q_max, depth) -> QWSeries:
     """Character at the threshold l0 = A(k,nu): orbit sum with the isotropic
     simple-root corrections resummed per orbit element."""
     entry = lookup(g)
-    k, q_max, depth = Q(k), Q(q_max), Q(depth)
+    q_max, depth = Q(q_max), Q(depth)
     if g.family == "D21a" and not nu.is_zero():
         raise UnsupportedD21a("massless D(2,1;a) characters are only available at nu = 0")
     data = _P_plus_data(g, k, nu)
     if data is None:
         raise PreconditionViolated("massless character needs nu in P^+_k")
-    return _orbit_sum(entry, k, nu, _threshold(entry, k, data[1]), q_max, depth, True)
+    rec, sc = data
+    return _orbit_sum(entry, rec, sc[0], nu, _threshold(rec, sc), q_max, depth, True)
 
 
 def _n4_range(M1: int, window: Fraction) -> range:

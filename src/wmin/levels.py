@@ -1,14 +1,17 @@
 """Scalar level arithmetic: component levels M_i(k), cocycle shifts, central
 charge, collapsing detection, and the unitarity ranges.  Each is an affine,
 quadratic or rational evaluation at k of constants the catalog entry holds
-(`CatalogEntry._levels`, `sdim`, `h_vee`)."""
+(`CatalogEntry._levels`, `sdim`, `h_vee`).  The ones a request reads are
+evaluated once per (algebra, k) into one record, `_level`."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from functools import lru_cache
+from typing import List, NamedTuple, Optional
 
 from .catalog import AlgebraId, CatalogEntry, lookup
+from .errors import CriticalLevel
 from .rationals import rational_sqrt
 
 Q = Fraction
@@ -68,34 +71,64 @@ def _collapse_target(entry: CatalogEntry, M: tuple) -> str:
     return next((name.format(x, m=m) for x, name in zip(order, names) if x != 0), "C")
 
 
-def level_data(g: AlgebraId, k: Fraction) -> LevelData:
-    """All scalar data attached to a level, exactly: affine and quadratic
-    evaluations at k of the entry's constants (`CatalogEntry._levels`)."""
+class _Level(NamedTuple):
+    """What a request reads of its level (`_level`)."""
+    data: LevelData
+    kh: Fraction             # k + h_vee, nonzero
+    in_range: bool           # k lies in the unitarity range
+
+
+@lru_cache(maxsize=128)  # a sweep of 8 families x 12 levels stays cached
+def _level(g: AlgebraId, k: Fraction) -> _Level:
+    """The level record of (g, k), k a `Fraction`: `LevelData`, k + h_vee
+    and unitarity-range membership, each evaluated once per (g, k) and then
+    read by `level_data`, `unitarity_range_contains` and the decision and
+    character preconditions.  At the critical level k = -h_vee
+    `shifted_level` raises CriticalLevel, and `lru_cache` keeps no raised
+    call, so it raises on every call."""
     entry = lookup(g)
-    k = Q(k)
-    entry.shifted_level(k)  # raises CriticalLevel at k = -h_vee
-    lines, (z1, z2), _ = entry._levels
+    kh = entry.shifted_level(k)
+    lines, (z1, z2), (first, step, count) = entry._levels
     M = tuple(s * k + t for s, t, _ in lines)
     alpha = tuple(m + chi for m, (_, _, chi) in zip(M, lines))
     p_k = (k - z1) * (k - z2)
     collapsing = p_k == 0
-    return LevelData(
+    n = (k - first) / step
+    return _Level(LevelData(
         k=k, M=M, M_simple=M[1:] if entry.center else M, alpha_levels=alpha,
         p_k=p_k, collapsing=collapsing,
-        collapse_target=_collapse_target(entry, M) if collapsing else None)
+        collapse_target=_collapse_target(entry, M) if collapsing else None),
+        kh, n.denominator == 1 and 0 <= n and (count is None or n < count))
+
+
+def level_data(g: AlgebraId, k: Fraction) -> LevelData:
+    """All scalar data attached to a level, exactly: affine and quadratic
+    evaluations at k of the entry's constants (`CatalogEntry._levels`), read
+    off the level record `_level`, whose cache holds the last 128 (g, k).
+    Raises CriticalLevel at k = -h_vee on every call: errors are not cached."""
+    return _level(g, Q(k)).data
 
 
 # ---------------------------------------------------------------------------
 # unitarity ranges
 
 
+def _ranged(g: AlgebraId, k: Fraction) -> Optional[_Level]:
+    """The level record of k (a `Fraction`) when k lies in the unitarity
+    range, else None.  The critical level lies in no range: every range
+    holds only levels k <= -2/3, and -h_vee >= -1/2 on every family."""
+    try:
+        rec = _level(g, k)
+    except CriticalLevel:
+        return None
+    return rec if rec.in_range else None
+
+
 def unitarity_range_contains(g: AlgebraId, k: Fraction) -> bool:
     """Membership in the per-family list of candidate unitary levels
     (`CatalogEntry._levels.shape`): n = (k - first)/step is an int in
-    [0, count)."""
-    first, step, count = lookup(g)._levels.shape
-    n = (Q(k) - first) / step
-    return n.denominator == 1 and 0 <= n and (count is None or n < count)
+    [0, count), read off the level record (`_ranged`)."""
+    return _ranged(g, Q(k)) is not None
 
 
 def enumerate_unitary_k(g: AlgebraId, count: int) -> List[Fraction]:

@@ -7,7 +7,7 @@ from typing import List, Optional
 
 from .catalog import AlgebraId, CatalogEntry, Vec, _dot, lookup
 from .errors import IndexOutOfSet
-from .levels import LevelData, level_data, unitarity_range_contains
+from .levels import LevelData, _level
 from .weights import _A_explicit, _ell, _in_P_plus, _is_extremal, _P_plus_data, _threshold
 
 Q = Fraction
@@ -86,7 +86,9 @@ def decide(g: AlgebraId, k, nu: Vec, l0) -> UnitarityVerdict:
     """Full decision for the irreducible highest weight module (nu, l0)."""
     entry = lookup(g)
     k, l0 = Q(k), Q(l0)
-    lv = level_data(g, k)
+    rec = _level(g, k)
+    lv = rec.data
+    entry._check_length(nu)
     quantities = {
         "k": k,
         "M_i": list(lv.M_simple),
@@ -99,7 +101,7 @@ def decide(g: AlgebraId, k, nu: Vec, l0) -> UnitarityVerdict:
         reasons.append("family admits no unitary highest weight modules here")
         return UnitarityVerdict(EXCLUDED_FAMILY, quantities, tuple(reasons))
 
-    if not unitarity_range_contains(g, k):
+    if not rec.in_range:
         reasons.append("k outside the unitarity range")
         return UnitarityVerdict(NOT_IN_UNITARY_RANGE, quantities, tuple(reasons))
 
@@ -114,8 +116,8 @@ def decide(g: AlgebraId, k, nu: Vec, l0) -> UnitarityVerdict:
         reasons.append("nu not dominant integral of the component levels")
         return UnitarityVerdict(NOT_IN_P_PLUS_K, quantities, tuple(reasons))
 
-    a = _threshold(entry, k, sc)
-    extremal = _is_extremal(entry, lv, sc)
+    a = _threshold(rec, sc)
+    extremal = _is_extremal(entry, rec, sc)
     quantities.update({"A": a, "A_explicit": _A_explicit(entry, k, nu, ps),
                        "extremal": extremal, "l0_minus_A": l0 - a})
 
@@ -204,9 +206,9 @@ def sign2_scan(g: AlgebraId, k, nu: Vec, n_max, m_max) -> Sign2Report:
     hyp = data is not None and not _is_extremal(entry, *data)
     rep = Sign2Report(g, k, nu, hyp,
                       "scan" if hyp else "lemma hypothesis not met")
-    kh = entry.shifted_level(k)
-    sc = data[1] if data else entry._scalars(nu)
-    a, cas = _threshold(entry, k, sc), sc[2]
+    rec, sc = data or (_level(g, k), entry._scalars(nu))
+    kh = rec.kh
+    a, cas = _threshold(rec, sc), sc[2]
     eps = entry.epsilon
     n_max, m_max = Q(n_max), Q(m_max)
     # even indices: n, m in (1/eps)N with m - n integral

@@ -12,7 +12,7 @@ from typing import Iterator, List, Optional, Tuple
 
 from .catalog import AlgebraId, CatalogEntry, Vec, lookup, zero_vec
 from .errors import CharacterizationMismatch, PreconditionViolated
-from .levels import LevelData, level_data, unitarity_range_contains
+from .levels import LevelData, _Level, _level, _ranged
 
 Q = Fraction
 
@@ -30,12 +30,12 @@ def _in_P_plus(entry: CatalogEntry, lv: LevelData, ps: list) -> bool:
             and all(p <= m for p, m in zip(_thetas(entry, ps), lv.M_simple)))
 
 
-def _is_extremal(entry: CatalogEntry, lv: LevelData, sc: tuple) -> bool:
-    """nu+xi falls outside P^+_k, for nu in P^+_k with scalars `sc`
-    (`CatalogEntry._scalars`): nu+xi pairs as nu's pairings plus xi's.
-    Cross-checked against the chi_i test, nu(theta_i^vee) > M_i(k) + chi_i
-    for some i (`LevelData.alpha_levels`)."""
-    ps = sc[0]
+def _is_extremal(entry: CatalogEntry, rec: _Level, sc: tuple) -> bool:
+    """nu+xi falls outside P^+_k, for nu in P^+_k with level record `rec`
+    (`levels._level`) and scalars `sc` (`CatalogEntry._scalars`): nu+xi
+    pairs as nu's pairings plus xi's.  Cross-checked against the chi_i test,
+    nu(theta_i^vee) > M_i(k) + chi_i for some i (`LevelData.alpha_levels`)."""
+    ps, lv = sc[0], rec.data
     by_def = not _in_P_plus(entry, lv, [p + x for p, x in zip(ps, entry._xi_pairings)])
     by_chi = any(p > a for p, a in
                  zip(_thetas(entry, ps), lv.alpha_levels[-len(entry.components):]))
@@ -46,16 +46,18 @@ def _is_extremal(entry: CatalogEntry, lv: LevelData, sc: tuple) -> bool:
     return by_def
 
 
-def _P_plus_data(g: AlgebraId, k, nu: Vec) -> Optional[Tuple[LevelData, tuple]]:
-    """(level data, nu's scalars) when nu lies in P^+_k, else None; the
-    scalars are the per-request pass `CatalogEntry._scalars`, (pairings,
-    (xi|nu), (nu|nu+2rho^nat))."""
-    if not unitarity_range_contains(g, k):
-        return None
+def _P_plus_data(g: AlgebraId, k, nu: Vec) -> Optional[Tuple[_Level, tuple]]:
+    """(level record, nu's scalars) when nu lies in P^+_k, else None; the
+    record is `levels._level`, the scalars the per-request pass
+    `CatalogEntry._scalars`, (pairings, (xi|nu), (nu|nu+2rho^nat)).  Raises
+    on a weight of the wrong length, at every level."""
     entry = lookup(g)
-    lv = level_data(g, k)
+    entry._check_length(nu)
+    rec = _ranged(g, Q(k))
+    if rec is None:
+        return None
     sc = entry._scalars(nu)
-    return (lv, sc) if _in_P_plus(entry, lv, sc[0]) else None
+    return (rec, sc) if _in_P_plus(entry, rec.data, sc[0]) else None
 
 
 def in_P_plus_k(g: AlgebraId, k, nu: Vec) -> bool:
@@ -77,17 +79,16 @@ def _ell(h: Fraction, k: Fraction, kh: Fraction, cas: Fraction) -> Fraction:
     return cas / (2 * kh) + h * (h - k - 1) / kh
 
 
-def _threshold(entry: CatalogEntry, k: Fraction, sc: tuple) -> Fraction:
-    """A(k,nu) = ell((xi|nu)) from nu's scalars `sc` (`CatalogEntry._scalars`)."""
+def _threshold(rec: _Level, sc: tuple) -> Fraction:
+    """A(k,nu) = ell((xi|nu)) from the level record `rec` (`levels._level`)
+    and nu's scalars `sc` (`CatalogEntry._scalars`)."""
     _, xn, cas = sc
-    return _ell(xn, k, entry.shifted_level(k), cas)
+    return _ell(xn, rec.data.k, rec.kh, cas)
 
 
 def A_bound(g: AlgebraId, k, nu: Vec) -> Fraction:
     """Threshold A(k,nu) = ell((xi|nu)), with ell the quadratic `_ell`."""
-    entry = lookup(g)
-    entry.shifted_level(k)  # CriticalLevel guard
-    return _threshold(entry, Q(k), entry._scalars(nu))
+    return _threshold(_level(g, Q(k)), lookup(g)._scalars(nu))
 
 
 def B_bound(g: AlgebraId, k, nu: Vec) -> Fraction:
@@ -181,10 +182,10 @@ def _dominant_so(rank: int, bound: Fraction, odd_dim: bool) -> Iterator[tuple]:
 
 def enumerate_P_plus_k(g: AlgebraId, k) -> List[Vec]:
     """All of P^+_k, exactly (finite for k in the unitarity range)."""
-    entry = lookup(g)
-    if not unitarity_range_contains(g, k):
+    entry, rec = lookup(g), _ranged(g, Q(k))
+    if rec is None:
         return []
-    lv = level_data(g, k)
+    lv = rec.data
     fam = g.family
     out: List[Vec] = []
     if fam in ("psl22",) or (fam == "spo2m" and g.m == 3):

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import wmin
-from wmin import catalog, characters, gram_lab
+from wmin import catalog, characters, gram_lab, levels
 from wmin.catalog import Vec, _Lattice, lookup, zero_vec
 from wmin.characters import (QWSeries, _fns_cached, _LatticeSeries, _n4_range, _orbit,
                              _orbit_sum, _sum_pieces, character_massive, character_massless,
@@ -27,6 +27,25 @@ E = lookup(G)
 TH1 = E.components[0].theta
 XI = E.xi
 ZERO = zero_vec(4)
+
+
+def _orbit_at(e, k, nu, limit, track_iso=False):
+    """`_orbit` of nu at level k, given the level record and nu's pairings
+    as the character preconditions pass them."""
+    return _orbit(e, levels._level(e.id, Q(k)), e.pairings(0, nu), limit, track_iso)
+
+
+def _orbit_sum_at(e, k, nu, l0, q_max, depth, track_iso):
+    """`_orbit_sum` of nu at level k, given as `_orbit_at` gives `_orbit`."""
+    return _orbit_sum(e, levels._level(e.id, Q(k)), e.pairings(0, nu), nu, l0, q_max,
+                      depth, track_iso)
+
+
+def _start_by_the_affine_form(e, k, nu):
+    """The pairings of nu_hat + rho_hat with the affine simple coroots as
+    `_orbit` read them before it took the level record: lam0 = (k + h_vee)
+    Lambda_0 + nu + rho^nat paired level by level, pairings being linear."""
+    return list(map(add, e.pairings(k + e.h_vee, nu), e.pairings(0, e.rho_natural)))
 
 
 def _accumulate(out, src, wt=None, ell=0, sign=1):
@@ -238,7 +257,7 @@ def test_orbit_pruning_misses_nothing(track_iso):
         base = nu_hat_plus_rho(e, k, nu, h).x_plus_d(e)
         words = _words_orbit(e, k, nu, h, length, track_iso)
         for limit in (Q(-1), Q(0), Q(1), Q(2)):
-            got = {_decoded(e, nu, el) for el in _orbit(e, k, nu, limit, track_iso)}
+            got = {_decoded(e, nu, el) for el in _orbit_at(e, k, nu, limit, track_iso)}
             for (lam, *iso), det in words.items():
                 shift = base - lam.x_plus_d(e)
                 if shift <= limit:
@@ -298,7 +317,7 @@ def test_int_orbit_equals_affine_weight_walk(track_iso):
         nu = e.nu_from_labels(labels)
         h = e.form(e.xi, nu)
         for limit in (Q(-1), Q(0), Q(1), Q(5, 2)):
-            got = [_decoded(e, nu, el) for el in _orbit(e, k, nu, limit, track_iso)]
+            got = [_decoded(e, nu, el) for el in _orbit_at(e, k, nu, limit, track_iso)]
             assert got == _reference_orbit(e, k, nu, h, limit, track_iso), \
                 (g.label(), k, labels, limit)
 
@@ -324,8 +343,9 @@ def test_orbit_refuses_a_non_integral_pairing():
     = 1/2 at nu = theta_1/4, and <lam0, eta_1^vee> = 3/2 at k = -5/2; the
     walk raises rather than round it."""
     for k, nu in [(Q(-3), Q(1, 4) * TH1), (Q(-5, 2), ZERO)]:
+        assert any(p.denominator != 1 for p in _start_by_the_affine_form(E, k, nu))
         with pytest.raises(PreconditionViolated, match="not integral"):
-            _orbit(E, k, nu, Q(2))
+            _orbit_at(E, k, nu, Q(2))
 
 
 def test_orbit_cap_raises(monkeypatch):
@@ -432,7 +452,7 @@ def _wide_orbit_sum(e, k, nu, l0, q_max, depth, track_iso):
     window and the prefix copies of `_orbit_sum`."""
     out = QWSeries(e, q_max, depth, nu)
     window = q_max - l0
-    orbit = _orbit(e, Q(k), nu, window, track_iso)
+    orbit = _orbit_at(e, k, nu, window, track_iso)
     reach = window - min([Q(0)] + [el.q_shift for el in orbit])
     fns = _fns_cached(e.id, reach, depth + window * _theta_height(e))
 
@@ -519,15 +539,38 @@ def test_orbit_sum_builds_the_window_its_orbit_reads(case):
     built, build = [], characters._fns_cached
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(characters, "_fns_cached", lambda *a: built.append(a) or build(*a))
-        got = _orbit_sum(e, k, nu, l0, l0 + window, depth, track_iso)
+        got = _orbit_sum_at(e, k, nu, l0, l0 + window, depth, track_iso)
     assert got.n_terms() > 0
     assert got == _wide_orbit_sum(e, k, nu, l0, l0 + window, depth, track_iso), case
     ((_, reach, dep),) = built
-    orbit = _orbit(e, k, nu, window, track_iso)
+    orbit = _orbit_at(e, k, nu, window, track_iso)
     assert reach == window - min([0] + [el.q_shift for el in orbit])
-    lat = e.lattice
-    if all(p >= 0 for p in map(add, lat.pairings(k + e.h_vee, nu), lat.rho_ps)):
+    if all(p >= 0 for p in _start_by_the_affine_form(e, k, nu)):
         assert dep == depth, case
+
+
+@given(window_cases())
+@example((catalog.spo2m(3), Q(-1), lookup(catalog.spo2m(3)).nu_from_labels([2]), None,
+          Q(1), Q(1)))   # extremal: <lam0, eta_1^vee> = -1
+@example((catalog.spo2m(3), Q(-5, 4), lookup(catalog.spo2m(3)).nu_from_labels([3]), None,
+          Q(1), Q(1)))   # extremal
+@example((catalog.sl2m(3), Q(-1), Vec([0, 0, 1, 1, 1]), None, Q(1), Q(1)))
+@settings(max_examples=60, deadline=None)
+def test_orbit_start_equals_the_affine_form(case):
+    """The int start `_orbit` reads off nu's pairings and the level record,
+    nu(alpha^vee) + 1 and M_i(k) + chi_i + 1 - nu(theta_i^vee), equals the
+    pairings of (k + h_vee) Lambda_0 + nu + rho^nat computed level by level
+    through the coroot table, extremal weights and the center of sl(2|3)
+    included."""
+    g, k, nu, _, window, _ = case
+    e = lookup(g)
+    e.lattice  # built before the spy: its constructor checks ints of its own
+    starts, ints = [], _Lattice._ints
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Lattice, "_ints", staticmethod(
+            lambda entry, what, xs: starts.append(list(xs)) or ints(entry, what, xs)))
+        _orbit_at(e, k, nu, window)
+    assert starts == [_start_by_the_affine_form(e, k, nu)], case
 
 
 def test_published_weights_hold_only_fractions():
@@ -1273,7 +1316,7 @@ def _fermion_product(e, q_max, depth):
 
 def _check_weyl_kac(g, k_rho, q_max, depth):
     e = lookup(g)
-    got = _orbit_sum(e, k_rho, zero_vec(e.n), Q(0), q_max, depth, False)
+    got = _orbit_sum_at(e, k_rho, zero_vec(e.n), Q(0), q_max, depth, False)
     assert got.n_terms() > 0
     assert got.terms == _fermion_product(e, q_max, depth), (g.label(), q_max, depth)
 

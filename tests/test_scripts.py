@@ -42,11 +42,14 @@ def test_stage_times():
     assert 0 < got["denominator_buckets"] <= got["denominator_terms"]
     assert all(got[k] >= 0 for k in ("import_s", "denominator_build_s", "checks_s", "orbit_s",
                                       "sum_warm_s", "warm_s", "cold_s", "frame_s"))
-    # one entry looked up, one denominator built cold and reused warm
+    # one entry looked up, one level record and one denominator built cold
+    # and reused warm
     assert {name: (info["currsize"], info["maxsize"])
             for name, info in got["caches"].items()} == {"lookup": (1, 64),
+                                                         "_level": (1, 128),
                                                          "_fns_cached": (1, 32)}
     assert got["caches"]["_fns_cached"]["hits"] == 1
+    assert got["caches"]["_level"]["hits"] == 1
     (line,) = run_script("stage_times.py", "--g", "psl22", "--k", "-3",
                          "--nu", "0,0,1/2,-1/2", "--massless", "--qmax", "5/2",
                          "--depth", "4")

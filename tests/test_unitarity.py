@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from wmin import catalog, characters, levels, unitarity, weights
 from wmin.catalog import lookup, zero_vec
-from wmin.errors import IndexOutOfSet
-from wmin.levels import enumerate_unitary_k, level_data
+from wmin.errors import CriticalLevel, IndexOutOfSet
+from wmin.levels import enumerate_unitary_k, level_data, unitarity_range_contains
 from wmin.unitarity import decide, h_even, h_odd, sign2_scan
-from wmin.weights import A_bound, enumerate_P_plus_k, is_extremal
+from wmin.weights import A_bound, enumerate_P_plus_k, in_P_plus_k, is_extremal
+
+from test_weights import RANGE_FAMILIES, _old_range_contains
 
 
 def test_decide_fixtures():
@@ -30,20 +32,42 @@ def test_decide_fixtures():
     (catalog.spo2m(3), Q(-3, 4), [1], Q(1), "Collapsing"),
     (catalog.psl22(), -3, [0], Q(1), "UnitaryNonExtremal"),
     (catalog.psl22(), -3, [2], Q(1), "ExtremalBoundary"),
-], ids=["collapsing", "non_extremal", "extremal"])
+    (catalog.psl22(), -3, [1], Q(2), "character_massive"),
+    (catalog.spo2m(3), -1, [2], None, "character_massless"),
+    (catalog.psl22(), -3, [1], None, "weyl_orbit"),
+], ids=["collapsing", "non_extremal", "extremal", "character_massive",
+        "character_massless", "weyl_orbit"])
 def test_decide_builds_level_data_once(monkeypatch, g, k, labels, l0, outcome):
-    calls = []
+    """One read of the level record (`levels._level`, which `level_data`
+    reads too) and one pass over nu (`CatalogEntry._scalars`) per request:
+    `decide`, both characters (the massless one at an extremal weight) and
+    `weyl_orbit`.  The request runs once first, so the entry's lazily built
+    frame and xi pairings do not count."""
+    nu = lookup(g).nu_from_labels(labels)
+    request = {
+        "character_massive": lambda: characters.character_massive(g, k, nu, l0, 3, 4),
+        "character_massless": lambda: characters.character_massless(g, k, nu, 3, 4),
+        "weyl_orbit": lambda: characters.weyl_orbit(g, k, nu, 0, 3),
+    }.get(outcome, lambda: decide(g, k, nu, l0).outcome)
+    want = request()
+    calls = {"_level": 0, "_scalars": 0}
 
-    def counted(*args):
-        calls.append(args)
-        return level_data(*args)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
 
+    record = counted("_level", levels._level)
     for mod in (levels, weights, unitarity, characters):
-        if hasattr(mod, "level_data"):
-            monkeypatch.setattr(mod, "level_data", counted)
-    v = decide(g, k, lookup(g).nu_from_labels(labels), l0)
-    assert v.outcome == outcome
-    assert len(calls) == 1
+        if hasattr(mod, "_level"):
+            monkeypatch.setattr(mod, "_level", record)
+    monkeypatch.setattr(catalog.CatalogEntry, "_scalars",
+                        counted("_scalars", catalog.CatalogEntry._scalars))
+    assert request() == want
+    if outcome in ("Collapsing", "UnitaryNonExtremal", "ExtremalBoundary"):
+        assert want == outcome
+    assert calls == {"_level": 1, "_scalars": 1}
 
 
 def test_decide_excluded_families():
@@ -450,3 +474,60 @@ def test_verdict_pass_equals_the_form_reference():
                     scanned += 1
                 seen += 1
     assert seen == 1252 and scanned == 63
+
+
+# ---------------------------------------------------------------------------
+# the level record
+
+
+def test_level_record_equals_a_fresh_evaluation():
+    """`levels._level`, built and then read from its cache, against the
+    spelled-out formulas (`_ref_level_data`) and the per-family range
+    oracle: the first twelve unitary levels and five off-range levels of
+    every family.  `level_data` and `unitarity_range_contains` answer from
+    it, the latter a plain bool."""
+    levels._level.cache_clear()
+    for g in RANGE_FAMILIES:
+        e = lookup(g)
+        first, step, _ = e._levels.shape
+        off = [first - step, first + step / 2, Q(1, 3), Q(-5, 7), Q(7)]
+        for k in enumerate_unitary_k(g, 12) + [k for k in off if k != -e.h_vee]:
+            for _ in range(2):
+                rec = levels._level(g, k)
+                assert rec.data == _ref_level_data(g, k), (g.label(), k)
+                assert level_data(g, k) is rec.data and rec.kh == k + e.h_vee
+                contains = unitarity_range_contains(g, k)
+                assert type(contains) is bool
+                assert rec.in_range == contains == _old_range_contains(g, k), (g.label(), k)
+    assert levels._level.cache_info().hits > 0
+
+
+@pytest.mark.parametrize("g", RANGE_FAMILIES, ids=lambda g: g.label())
+def test_the_critical_level_is_never_cached(g):
+    """At k = -h_vee the record raises CriticalLevel on every call, as
+    `level_data` and `decide` do, and adds nothing to the cache; range
+    membership is still a bool, False (the critical level lies in no
+    unitarity range), and P^+_k is empty there."""
+    e = lookup(g)
+    k, nu = -e.h_vee, zero_vec(e.n)
+    size = levels._level.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(CriticalLevel):
+            level_data(g, k)
+        with pytest.raises(CriticalLevel):
+            decide(g, k, nu, 0)
+        assert unitarity_range_contains(g, k) is False
+        assert _old_range_contains(g, k) is False
+        assert in_P_plus_k(g, k, nu) is False
+    assert levels._level.cache_info().currsize == size
+
+
+def test_the_level_cache_is_bounded():
+    """A sweep of more distinct levels than the record cache holds leaves
+    it full at its documented bound, 128."""
+    levels._level.cache_clear()
+    maxsize = levels._level.cache_info().maxsize
+    for j in range(maxsize + 10):
+        decide(catalog.psl22(), -2 - j, zero_vec(4), 0)
+    info = levels._level.cache_info()
+    assert maxsize == 128 and info.currsize == maxsize and info.misses == maxsize + 10

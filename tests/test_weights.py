@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from wmin import catalog
 from wmin.catalog import Vec, lookup, zero_vec
-from wmin.characters import character_massive, character_massless, verma_character
+from wmin.characters import (character_massive, character_massless, verma_character,
+                             weyl_orbit)
 from wmin.errors import CriticalLevel, ParameterOutOfRange, PreconditionViolated
 from wmin.gram_lab import j_g_ratio
 from wmin.levels import (central_charge, component_level, enumerate_unitary_k, level_data,
@@ -166,6 +167,26 @@ def test_a_weight_of_the_wrong_length_raises(call):
     for nu in (zero_vec(3), zero_vec(5)):
         with pytest.raises(ParameterOutOfRange, match=r"^psl22 weights have 4 coordinates$"):
             call(catalog.psl22(), -3, nu)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, k, nu: decide(g, k, nu, 0),
+    in_P_plus_k,
+    is_extremal,
+    lambda g, k, nu: weyl_orbit(g, k, nu, 0, 2),
+    lambda g, k, nu: character_massive(g, k, nu, 2, 2, 2),
+    lambda g, k, nu: character_massless(g, k, nu, 2, 2),
+    lambda g, k, nu: sign2_scan(g, k, nu, 2, 2),
+], ids=["decide", "in_P_plus_k", "is_extremal", "weyl_orbit", "character_massive",
+        "character_massless", "sign2_scan"])
+def test_a_weight_of_the_wrong_length_raises_at_every_level(call):
+    """The length is checked before the family and range branches: off the
+    unitarity range (psl22 at 7/3 and -5/2), at a level in it, and on
+    osp(4|4), which admits no unitary module at any level."""
+    cases = [(catalog.psl22(), k, Vec([1])) for k in (Q(7, 3), Q(-5, 2), Q(-3))]
+    for g, k, nu in cases + [(catalog.osp4m(4), Q(-2), Vec([1, 2]))]:
+        with pytest.raises(ParameterOutOfRange, match=r"weights have 4 coordinates$"):
+            call(g, k, nu)
 
 
 def _old_progression(g):
