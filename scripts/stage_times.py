@@ -4,7 +4,9 @@
 Runs the request twice in this fresh interpreter: cold (the denominator
 expansion is built) and warm (it is cached).  The stages are timed by
 wrapping `characters._orbit`, `characters._fns_cached`,
-`characters._sum_pieces` and the precondition checks for the two calls:
+`characters._sum_pieces`, `characters._publish` and the precondition
+checks for the two calls, with the garbage collector off, so that no
+collection of earlier garbage lands in a timed stage:
 
     import_s              import wmin.characters
     denominator_build_s   the cold call's `_fns_cached` (the NS denominator)
@@ -23,6 +25,9 @@ wrapping `characters._orbit`, `characters._fns_cached`,
     sum_warm_s            the warm call's `_sum_pieces` (isotropic divisions
                           of a massless request included)
     kept_terms            denominator terms kept and merged by it
+    publish_s             the warm call's `_publish`, the part of
+                          `sum_warm_s` that turns the int sums into the
+                          published `Fraction` exponents and `Vec` weights
     warm_s, cold_s        the whole warm and cold calls
     out_terms             terms of the character
     frame_s               a fresh build of the entry's frame of h^nat
@@ -56,6 +61,7 @@ With `--gram E_MAX` the script times the integer kernel of the boson lab
     python3 scripts/stage_times.py --gram 8
 """
 import argparse
+import gc
 import json
 import re
 import sys
@@ -112,17 +118,22 @@ def main(argv=None):
 
     fns_cache = characters._fns_cached
     checks = ("_P_plus_data", "_is_extremal", "_threshold")
-    for name in ("_orbit", "_fns_cached", "_sum_pieces") + checks:
+    for name in ("_orbit", "_fns_cached", "_sum_pieces", "_publish") + checks:
         setattr(characters, name, timed(name, getattr(characters, name)))
 
     def request():
         del calls[:]
-        t = time.perf_counter()
-        if args.massless:
-            out = characters.character_massless(g, k, nu, q_max, depth)
-        else:
-            out = characters.character_massive(g, k, nu, Q(args.l0), q_max, depth)
-        return (out, time.perf_counter() - t, {name: (s, res, a) for name, s, res, a in calls},
+        gc.disable()
+        try:
+            t = time.perf_counter()
+            if args.massless:
+                out = characters.character_massless(g, k, nu, q_max, depth)
+            else:
+                out = characters.character_massive(g, k, nu, Q(args.l0), q_max, depth)
+            wall = time.perf_counter() - t
+        finally:
+            gc.enable()
+        return (out, wall, {name: (s, res, a) for name, s, res, a in calls},
                 sum(s for name, s, _, _ in calls if name in checks))
 
     _, cold_s, cold, _ = request()
@@ -144,6 +155,7 @@ def main(argv=None):
         "orbit_elements": len(warm["_orbit"][1]),
         "sum_warm_s": round(warm["_sum_pieces"][0], 6),
         "kept_terms": warm["_sum_pieces"][1],
+        "publish_s": round(warm["_publish"][0], 6),
         "warm_s": round(warm_s, 6),
         "cold_s": round(cold_s, 6),
         "out_terms": out.n_terms(),

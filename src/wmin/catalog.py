@@ -45,10 +45,24 @@ class Vec(tuple):
     denominator, which is what `Fraction(x)` would return for it, so the
     result is equal to, and hashes as, the converted one.  The scalar of
     `*` is converted once, so any scalar `Fraction` takes (a `float` too)
-    enters exactly."""
+    enters exactly.
+
+    The hash is cached in the instance on first use, and its value is the
+    tuple's: hash(v) == hash(tuple(v)), so a `Vec` and an equal `Vec` built
+    afresh find each other in a dict.  A weight published as a character
+    key is hashed once, not once per coordinate each time it enters a dict;
+    `_vec` may seed the cache with that same value, computed from ints
+    (`characters._publish`)."""
 
     def __new__(cls, coords: Iterable) -> "Vec":
         return super().__new__(cls, (Q(c) for c in coords))
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = self._hash = tuple.__hash__(self)
+            return h
 
     def __add__(self, other):
         return _vec([a + b for a, b in zip(self, other)])
@@ -74,9 +88,13 @@ class Vec(tuple):
         return all(a == 0 for a in self)
 
 
-def _vec(fracs) -> Vec:
-    """A `Vec` of coordinates that are `Fraction`s already, not converted again."""
-    return tuple.__new__(Vec, fracs)
+def _vec(fracs, h: Optional[int] = None) -> Vec:
+    """A `Vec` of coordinates that are `Fraction`s already, not converted
+    again; `h`, when given, must be hash(tuple(fracs)) and seeds its hash."""
+    v = tuple.__new__(Vec, fracs)
+    if h is not None:
+        v._hash = h
+    return v
 
 
 def zero_vec(n: int) -> Vec:
@@ -257,10 +275,16 @@ class CatalogEntry:
     def restrict(self, v: Vec) -> Vec:
         """Canonical representative of the restriction of v to h^nat: the
         orthogonal projection onto the span of the roots of g^nat, as int dot
-        products over the frame's `proj`.  Raises on a weight of the wrong
-        length."""
+        products over the frame's `proj` (`_restricted`).  Raises on a weight
+        of the wrong length."""
+        d, x = self._restricted(v)
+        return _vec([Q(c, d) for c in x])
+
+    def _restricted(self, v: Sequence) -> tuple:
+        """(d, x) with restrict(v) = x / d, the ints x over d > 0, not
+        reduced."""
         (d, x), lat = self._scaled(v), self.lattice
-        return _vec([Q(_dot(row, x), d * lat.pden) for row in lat.proj])
+        return d * lat.pden, [_dot(row, x) for row in lat.proj]
 
     @cached_property
     def coroots(self) -> tuple:
@@ -398,10 +422,21 @@ class CatalogEntry:
 
         psl22/spo2m(m=3): [r] with nu = r*theta_1/2; D21a: [r1, r2] with
         nu = r1*theta_1/2 + r2*theta_2/2; F4/G3/spo2m(m>4): epsilon-basis
-        coefficients (delta-coordinate fixed to 0).
+        coefficients (delta-coordinate fixed to 0).  Raises
+        `ParameterOutOfRange` on a wrong number of labels: exactly 1 for
+        psl22 and spo2m(m=3), 2 for D21a and G3, 3 for F4, at least 1 for
+        osp4m, and at most the coordinates left for spo2m(m>4), sl2m and
+        osp4m, which pad with zeros.
         """
         lab = [Q(x) for x in labels]
         fam = self.id.family
+        lo, hi = {"psl22": (1, 1), "D21a": (2, 2), "G3": (2, 2), "F4": (3, 3),
+                  "spo2m": (1, 1) if self.id.m == 3 else (0, self.n - 1),
+                  "sl2m": (0, self.n - 2), "osp4m": (1, self.n - 1)}.get(fam, (0, len(lab)))
+        if not lo <= len(lab) <= hi:
+            count = str(lo) if lo == hi else f"{lo} to {hi}"
+            raise ParameterOutOfRange(f"{self.id.label()} takes {count} weight "
+                                      f"label{'s' if hi > 1 else ''}, got {len(lab)}")
         if fam in ("psl22",) or (fam == "spo2m" and self.id.m == 3):
             (r,) = lab
             return Q(r, 2) * self.components[0].theta
@@ -409,27 +444,16 @@ class CatalogEntry:
             r1, r2 = lab
             return Q(r1, 2) * self.components[0].theta + Q(r2, 2) * self.components[1].theta
         if fam == "spo2m":
-            pad = self.n - 1 - len(lab)
-            if pad < 0:
-                raise ParameterOutOfRange("too many labels")
-            return Vec([Q(0)] + lab + [Q(0)] * pad)
-        if fam == "F4":
-            return Vec(lab + [Q(0)])
-        if fam == "G3":
+            return Vec([Q(0)] + lab + [Q(0)] * (self.n - 1 - len(lab)))
+        if fam in ("F4", "G3"):
             return Vec(lab + [Q(0)])
         if fam == "sl2m":
             # center charge followed by sl_m epsilon-free row of delta coords
-            pad = self.n - 2 - len(lab)
-            if pad < 0:
-                raise ParameterOutOfRange("too many labels")
-            return Vec([Q(0), Q(0)] + lab + [Q(0)] * pad)
+            return Vec([Q(0), Q(0)] + lab + [Q(0)] * (self.n - 2 - len(lab)))
         if fam == "osp4m":
             # [c, b_1..b_{m/2}]: c*(eps1-eps2)/2 + sum b_j delta_j
             c, rest = lab[0], lab[1:]
-            pad = self.n - 2 - len(rest)
-            if pad < 0:
-                raise ParameterOutOfRange("too many labels")
-            return Vec([Q(c, 2), -Q(c, 2)] + rest + [Q(0)] * pad)
+            return Vec([Q(c, 2), -Q(c, 2)] + rest + [Q(0)] * (self.n - 2 - len(rest)))
         raise ParameterOutOfRange(fam)
 
 

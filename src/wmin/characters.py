@@ -38,13 +38,17 @@ fermionic factors of the N=4 closed form, is expanded by that kernel's one
 
 Every character is one `_sum_pieces`: the orbit sum, `verma_character`
 (`fns_series` is its nu = 0, ell = 0 case) and `n4_closed_form` each give
-one base weight, a list of heads +-q^ell exp(base + key/D) and kernel
-pieces; the piece buckets that pass the published QWSeries' cuts are summed
-over packed int keys at the kernel's scale, and each nonzero sum is
-unpacked and becomes a `Fraction` exponent and a `Vec` weight once, the
-base added there.  `Fraction`s appear only at that boundary and in
+one base weight, one exponent ell, a list of heads
++-q^(ell + shift) exp(base + key/D), shift an int (the orbit's q_shift,
+the closed form's b_m, 0 for a Verma character), and kernel pieces.  The
+piece buckets that pass the published QWSeries' cuts are summed over ints:
+the index 2 shift + t of a level t term, and packed keys at the kernel's
+scale.  `_publish` then walks the sums once, in increasing index: each
+nonzero sum is unpacked and becomes a `Vec` weight once, the base added
+there, its hash seeded from its ints, and each level one exponent
+ell + j/2.  `Fraction`s appear only at that boundary and in
 `records()`/`coeff()`, which read the published series: no orbit element
-becomes a `Fraction` weight.
+and no head becomes a `Fraction`.
 Sums are sequential and deterministic; the merge is commutative exact
 addition, so a parallel evaluation would have to reproduce these
 coefficients bit for bit.
@@ -52,6 +56,7 @@ coefficients bit for bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -366,21 +371,29 @@ def _step(dst: Dict[int, Dict[int, int]], src: Dict[int, Dict[int, int]], cap: i
             del dst[nd]
 
 
-def _sum_pieces(out: QWSeries, base: Vec, heads: Sequence[Tuple[tuple, Fraction, int]],
-                pieces: Iterable[_LatticeSeries]) -> int:
-    """Add sign * q^ell exp(base + x/D) * piece into the empty series `out`
-    through its cuts, for each head (key, ell, sign), key the int key
-    (`_Lattice.key`) of x/D relative to `base`, and the kernel series of
-    `pieces` in the same order; return the number of kernel terms kept.
+def _sum_pieces(out: QWSeries, base: Tuple[int, List[int]], ell: Fraction,
+                heads: Sequence[Tuple[tuple, int, int]], pieces: Iterable[_LatticeSeries]) -> int:
+    """Add sign * q^(ell + shift) exp(base + x/D) * piece into the empty
+    series `out` through its cuts, for each head (key, shift, sign), key the
+    int key (`_Lattice.key`) of x/D relative to the base weight and shift an
+    int, and the kernel series of `pieces` in the same order; publish the
+    sum (`_publish`) and return the number of kernel terms kept.  The base
+    weight is given as ints y over a denominator d, base = (d, y): y / d.
 
-    The kept terms are summed over int keys: q * qden, qden = lcm(2, the
-    denominators of the ell), and the coordinates relative to base at the
-    kernel's scale D, packed (`_Lattice.pack`), so a head's packed key plus
-    a kernel key is the packed key of the product term: packing is linear.
-    It stays one-to-one: a kernel term has |x_i| <= B
-    (`_LatticeSeries.bound`), so a product term has |x_i| <= H + B, H the
-    largest |coordinate| of a head key, and a call with 2(H + B) >= R raises
-    PreconditionViolated.
+    Index.  One sum has one `Fraction` exponent ell, and a term of level t
+    (q = t/2) of a piece under a head of shift h sits at ell + h + t/2, so
+    at the int index j = 2h + t over ell.  Its cut q <= q_max is
+    j <= T = floor(2(q_max - ell)), one `Fraction` floor per sum: 2h + t is
+    an int, so j <= 2(q_max - ell) exactly when j <= T.  A piece is read at
+    its levels t <= T - 2h, and no head needs `Fraction` arithmetic.
+
+    The kept terms are summed over (index, packed key): the coordinates
+    relative to base at the kernel's scale D, packed (`_Lattice.pack`), so a
+    head's packed key plus a kernel key is the packed key of the product
+    term: packing is linear.  It stays one-to-one: a kernel term has
+    |x_i| <= B (`_LatticeSeries.bound`), so a product term has
+    |x_i| <= H + B, H the largest |coordinate| of a head key, and a call
+    with 2(H + B) >= R raises PreconditionViolated.
 
     Depth.  Every base lies in out.ref + ker(depth): the orbit sums pass
     base = restrict(nu) with ref = nu, and the projection of nu -
@@ -390,49 +403,98 @@ def _sum_pieces(out: QWSeries, base: Vec, heads: Sequence[Tuple[tuple, Fraction,
     linear, depth_of(ref, base + x/D) = depth_of(0, x/D), and the cut
     depth_of(ref, w) <= depth is the int bound dcap = floor(scale * depth)
     on the depth entry of the product key (`_Lattice.cap`): each piece gets
-    one q ceiling and the int depth cap dcap - (depth entry of its head),
-    tested once per depth bucket.
-
-    Only the nonzero sums are published, and each distinct packed key is
-    unpacked once.  Only here does the scale change: coordinate i is
-    base_i + x_i/D = (b_i + f x_i) / wden over wden = lcm(D, the
-    denominators of base), b_i = wden base_i and f = wden / D, so there is
-    one `Fraction` per distinct int b_i + f x_i, one per distinct exponent
-    and one `Vec` per distinct weight, made once in this call and shared by
-    the q levels."""
+    one int depth cap dcap - (depth entry of its head), tested once per
+    depth bucket."""
     lat = out.entry.lattice
-    qden = math.lcm(2, *(ell.denominator for _, ell, _ in heads))
-    half, dcap = qden // 2, lat.cap(out.depth)
+    dcap, top = lat.cap(out.depth), math.floor(2 * (out.q_max - ell))
     hmax = max([0] + [abs(x) for key, _, _ in heads for x in key[1:]])
     acc: Dict[int, Dict[int, int]] = {}
     kept = 0
-    for (key, ell, sign), piece in zip(heads, pieces):
+    for (key, shift, sign), piece in zip(heads, pieces):
         if 2 * (hmax + piece.bound()) >= lat.radix:
             raise PreconditionViolated(
                 f"character terms are past the packing bound of the denominator kernel "
                 f"(radix {lat.radix})")
-        wp, q0 = lat.pack(key[1:]), (ell * qden).numerator
-        top = min(len(piece.levels) - 1, math.floor(2 * (out.q_max - ell)))
-        cap = dcap - key[0]
-        for t in range(top + 1):
-            dst = acc.setdefault(q0 + t * half, {})
+        wp, j0, cap = lat.pack(key[1:]), 2 * shift, dcap - key[0]
+        for t in range(min(len(piece.levels) - 1, top - j0) + 1):
+            dst = acc.get(j0 + t)
+            if dst is None:
+                dst = acc[j0 + t] = {}
             for d, bucket in piece.levels[t].items():
                 if d <= cap:
                     kept += len(bucket)
                     for p, v in bucket.items():
                         p += wp
                         dst[p] = dst.get(p, 0) + sign * v
-    wden = math.lcm(lat.denom, *(c.denominator for c in base))
-    f, bs = wden // lat.denom, [(c * wden).numerator for c in base]
-    coords = {p: [b + f * x for b, x in zip(bs, lat.unpack(p))]
-              for p in {p for lvl in acc.values() for p, c in lvl.items() if c}}
-    frac = {x: Q(x, wden) for x in {x for xs in coords.values() for x in xs}}
-    vecs = {p: _vec([frac[x] for x in xs]) for p, xs in coords.items()}
-    for qi, lvl in acc.items():
-        terms = {vecs[p]: c for p, c in lvl.items() if c}
-        if terms:
-            out.terms[Q(qi, qden)] = terms
+    _publish(out, base, ell, acc)
     return kept
+
+
+def _publish(out: QWSeries, base: Tuple[int, List[int]], ell: Fraction,
+             acc: Dict[int, Dict[int, int]]) -> None:
+    """Write the sums `acc` {index j: {packed key: coefficient}} of
+    `_sum_pieces` into `out` as q^(ell + j/2) exp(base + x/D) terms, walking
+    the indices once in increasing order and publishing only the nonzero
+    sums.
+
+    Scale.  Each distinct packed key is unpacked once.  Coordinate i of its
+    weight is base_i + x_i/D = (b_i + f x_i) / wden over wden = lcm(D, d),
+    base = (d, y) (`_sum_pieces`), b_i = wden base_i and f = wden / D,
+    so no coordinate of the base becomes a `Fraction` and there is
+    one `Fraction` per distinct int b_i + f x_i, one exponent ell + j/2 per
+    level and one `Vec` per distinct weight, made once in this call and
+    shared by the levels.
+
+    Hash.  Each new `Vec` gets its hash from its ints, by Python's numeric
+    hash (the standard library reference, "Hashing of numeric types"): with
+    P = sys.hash_info.modulus, a prime, and wden invertible mod P, the hash
+    of x / wden is |x| * wden^(-1) mod P, negated when x < 0, -1 read as -2.
+    That is the hash of the reduced `Fraction`: its denominator divides wden
+    and so is invertible mod P too, and the residue of x/wden does not
+    depend on the representative.  One modular inverse serves the sum; when
+    P divides wden the coordinates hash as their `Fraction`s instead.  A
+    tuple's hash reads only its items' hashes, and each coordinate hash h
+    has |h| < P and h != -1, so hash(h) == h and the `Vec`'s hash is
+    hash(tuple of the h), the value `Vec.__hash__` caches (`catalog._vec`).
+    So a published weight is hashed once, whatever number of levels it
+    enters."""
+    lat, (d, y) = out.entry.lattice, base
+    wden = math.lcm(lat.denom, d)
+    f, bs = wden // lat.denom, [c * (wden // d) for c in y]
+    inv, en, ed = _hash_inverse(wden), 2 * ell.numerator, 2 * ell.denominator
+    fracs: Dict[int, Fraction] = {}  # int coordinate b_i + f x_i -> its Fraction
+    hashes: Dict[int, int] = {}      # and its hash
+    vecs: Dict[int, Vec] = {}        # packed key -> its weight
+    for j in sorted(acc):
+        terms = {}
+        for p, c in acc[j].items():
+            if c:
+                w = vecs.get(p)
+                if w is None:
+                    xs = [b + f * x for b, x in zip(bs, lat.unpack(p))]
+                    for x in xs:
+                        if x not in fracs:
+                            fracs[x], hashes[x] = Q(x, wden), _ratio_hash(x, wden, inv)
+                    w = vecs[p] = _vec([fracs[x] for x in xs], hash(tuple([hashes[x] for x in xs])))
+                terms[w] = c
+        if terms:
+            out.terms[Q(en + j * ell.denominator, ed)] = terms  # ell + j/2
+
+
+def _hash_inverse(den: int) -> Optional[int]:
+    """den^(-1) mod P, P = sys.hash_info.modulus, or None when P divides den."""
+    modulus = sys.hash_info.modulus
+    return pow(den, -1, modulus) if den % modulus else None
+
+
+def _ratio_hash(x: int, den: int, inv: Optional[int]) -> int:
+    """hash(Fraction(x, den)), den >= 1, given inv = `_hash_inverse`(den), by
+    the numeric hash (see `_publish`) when inv is an int."""
+    if inv is None:
+        return hash(Q(x, den))
+    modulus = sys.hash_info.modulus
+    h = x * inv % modulus if x >= 0 else -(-x * inv % modulus)
+    return -2 if h == -1 else h
 
 
 def _ns_steps(lat: _Lattice, q_max: Fraction) -> List[Tuple[int, int, int, bool]]:
@@ -494,7 +556,8 @@ def verma_character(g: AlgebraId, nu: Vec, ell, q_max, depth) -> QWSeries:
     out = QWSeries(entry, q_max, depth, nu)
     window = out.q_max - ell
     if window >= 0:
-        _sum_pieces(out, nu, [((0,) * (entry.n + 1), ell, 1)], [_fns_cached(g, window, out.depth)])
+        _sum_pieces(out, entry._scaled(nu), ell, [((0,) * (entry.n + 1), 0, 1)],
+                    [_fns_cached(g, window, out.depth)])
     return out
 
 
@@ -694,22 +757,22 @@ def _orbit_sum(entry: CatalogEntry, rec: _Level, ps: list, nu: Vec, l0: Fraction
     nu (its level record `rec` and pairings `ps`, as `_orbit` reads them),
     cut at (q_max, depth) around nu.  The int denominator series is read
     directly by `_sum_pieces`, each orbit element's head being its int key
-    relative to restrict(nu) (`_orbit`): each element gets one q ceiling and
-    one int depth cap, the kept terms are merged over int keys, and only the
+    relative to restrict(nu) (`_orbit`) and its int q_shift over l0: each
+    element gets one int q ceiling and one int depth cap, the kept terms are merged over int keys, and only the
     output terms become `Fraction` keys.  With track_iso each piece is a
     copy of the denominator divided in place by its isotropic correction
     (1 + q^c exp(w))^(-1), once per isotropic simple root (their images
     coincide, see `_orbit`); negative exponents c are flipped exactly.
 
     Only levels 0..floor(2(window - q_shift)) of such a piece are copied and
-    divided: `_sum_pieces` reads no level above q_max - ell = window -
-    q_shift, and `divide` only pushes terms up in q (each level is written
+    divided: `_sum_pieces` reads no level above q_max - l0 - q_shift =
+    window - q_shift, and `divide` only pushes terms up in q (each level is written
     from itself and the levels below it), so a prefix of levels divided on
     its own equals the same prefix of the whole series divided
     (`_LatticeSeries.copy`).
 
     Window.  The denominator is built in the sloped window of exactly what
-    the orbit reads, in ints.  Element e (head exponent l0 + q_shift) is
+    the orbit reads, in ints.  Element e (head shift q_shift over l0) is
     read at the levels q <= window - q_shift, and there at the depth entries
     d <= dcap - key[0], dcap = floor(scale * depth) (`_sum_pieces`).  Let
     s_min = min(0, the least q_shift); an element with q_shift < 0
@@ -758,7 +821,7 @@ def _orbit_sum(entry: CatalogEntry, rec: _Level, ps: list, nu: Vec, l0: Fraction
                 div.divide(tuple(-x for x in key), xd, -1)
         return div
 
-    _sum_pieces(out, entry.restrict(nu), [(el.key, l0 + el.q_shift, el.det) for el in orbit],
+    _sum_pieces(out, entry._restricted(nu), l0, [(el.key, el.q_shift, el.det) for el in orbit],
                 map(piece, orbit))
     return out
 
@@ -810,8 +873,9 @@ def n4_closed_form(M1: int, r: int, q_max, depth) -> QWSeries:
     q^(l0 + b_m) (exp(w+) (1 + q^c_m exp(theta_1/2))^(-2)
     - exp(w-) (1 + q^c_m exp(-theta_1/2))^(-2)) times the NS denominator,
     and each of its two terms is one kernel piece: the denominator divided
-    twice by its fermionic factor, under the head (w+-, l0 + b_m, +-1),
-    given by its int key relative to nu = l0 theta_1 (`_sum_pieces`):
+    twice by its fermionic factor, under the head (w+-, b_m, +-1) over the
+    exponent l0, w+- given by its int key relative to nu = l0 theta_1
+    (`_sum_pieces`):
     m(M1+1) theta_1 and -(r + m(M1+1) + 1) theta_1.
 
     Range of m.  The leading exponent of summand m over l0 is b_m for
@@ -855,16 +919,16 @@ def n4_closed_form(M1: int, r: int, q_max, depth) -> QWSeries:
         if (b if m >= 0 else b - (2 * m + 1)) > window:
             continue
         c, a = Q(2 * m + 1, 2), m * (M1 + 1)
-        summands += [((tuple(a * x for x in tkey), l0 + b, 1), hkey, c),
-                     ((tuple(-(r + a + 1) * x for x in tkey), l0 + b, -1),
+        summands += [((tuple(a * x for x in tkey), b, 1), hkey, c),
+                     ((tuple(-(r + a + 1) * x for x in tkey), b, -1),
                       tuple(-x for x in hkey), c)]
 
-    def piece(key: tuple, c: Fraction, ell: Fraction) -> _LatticeSeries:
-        div = fns.copy(math.floor(2 * (q_max - ell)))  # the levels read (`_orbit_sum`)
+    def piece(key: tuple, c: Fraction, b: int) -> _LatticeSeries:
+        div = fns.copy(math.floor(2 * window) - 2 * b)  # the levels read (`_orbit_sum`)
         div.divide(key, c, -1)
         div.divide(key, c, -1)
         return div
 
-    _sum_pieces(out, out.ref, [hd for hd, _, _ in summands],
+    _sum_pieces(out, entry._scaled(out.ref), l0, [hd for hd, _, _ in summands],
                 (piece(key, c, hd[1]) for hd, key, c in summands))
     return out

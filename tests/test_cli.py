@@ -111,6 +111,25 @@ def test_empty_weight_lists_are_usage_errors(capsys):
                                    "message": "not an exact rational: '' (use p or p/q)"}, flags
 
 
+def test_wrong_label_count_is_refused(capsys):
+    """--nu-labels with a count the family does not take is refused as out
+    of range, naming the family and the count it takes, before any weight
+    of the wrong length is formed."""
+    for argv, message in [
+            (["--g", "psl22", "--k", "-2", "--nu-labels", "1,1", "--l0", "1"],
+             "psl22 takes 1 weight label, got 2"),
+            (["--g", "F4", "--k", "-1", "--nu-labels", "1,0", "--l0", "0"],
+             "F4 takes 3 weight labels, got 2"),
+            (["--g", "G3", "--k", "-9/4", "--nu-labels", "1", "--l0", "1"],
+             "G3 takes 2 weight labels, got 1")]:
+        code, d = run_json(capsys, ["check"] + argv)
+        assert code == 1 and d == {"error": "ParameterOutOfRange", "message": message}, argv
+    # the padded families still take short lists
+    code, d = run_json(capsys, ["check", "--g", "spo2m", "--m", "5", "--k", "-3/2",
+                                "--nu-labels", "1", "--l0", "1"])
+    assert code == 0 and d["nu"] == ["0", "1", "0"]
+
+
 def test_conflicting_inputs_are_usage_errors(capsys):
     base = ["check", "--g", "psl22", "--k", "-3", "--l0", "1"]
     code, d = run_json(capsys, base + ["--nu-labels", "0", "--nu-r", "2"])

@@ -42,6 +42,8 @@ def test_stage_times():
     assert 0 < got["denominator_buckets"] <= got["denominator_terms"]
     assert all(got[k] >= 0 for k in ("import_s", "denominator_build_s", "checks_s", "orbit_s",
                                       "sum_warm_s", "warm_s", "cold_s", "frame_s"))
+    # publishing is one stage of the warm sum
+    assert 0 <= got["publish_s"] <= got["sum_warm_s"]
     # one entry looked up, one level record and one denominator built cold
     # and reused warm
     assert {name: (info["currsize"], info["maxsize"])
