@@ -7,7 +7,8 @@ nonzero entries and normalized so the highest root theta has square norm 2.
 All further data (simple roots of the centralizer g^nat, its highest roots
 theta_i, the weights Delta' of the odd half-space, rho^nat, xi,
 super-dimension, dual Coxeter numbers) is stored per family and
-cross-validated by `validate`.
+cross-validated by `validate`; its classification data is written only in
+its branch of `lookup`.
 
 Weights are plain tuples of Fraction wrapped in `Vec` for componentwise
 arithmetic.  The scalars a request reads of a weight (its coroot pairings,
@@ -200,27 +201,6 @@ class _LevelConstants(NamedTuple):
     lines: tuple             # (slope, intercept, chi) per component, center first:
                              # M_i(k) = slope*k + intercept, alpha_i's level M_i(k) + chi
     zeros: tuple             # (z1, z2): the collapsing polynomial is (k - z1)(k - z2)
-    shape: tuple             # (first, step, count) of the unitarity range (`_range_shape`)
-
-
-def _range_shape(g: AlgebraId) -> tuple:
-    """(first, step, count): the candidate unitary levels are first + n*step
-    for the ints 0 <= n < count (every n >= 0 when count is None).  D(2,1;a)
-    has n*step, n >= 1, which reaches -1/2 only at a = 1, where step = -1/2
-    and -1/2 is the trivial module: there the range starts at 2*step."""
-    fam = g.family
-    if fam in ("osp4m", "sl2m"):  # none, and the one level -1
-        return Q(-1), Q(-1), 0 if fam == "osp4m" else 1
-    if fam == "psl22":
-        return Q(-2), Q(-1), None
-    if fam == "spo2m":
-        return (Q(-3, 4), Q(-1, 4), None) if g.m == 3 else (Q(-1), Q(-1, 2), None)
-    if fam == "F4":
-        return Q(-4, 3), Q(-2, 3), None
-    if fam == "G3":
-        return Q(-3, 2), Q(-3, 4), None
-    step = -Q(g.a_num * g.a_den, g.a_num + g.a_den)  # D21a
-    return (2 * step if step == Q(-1, 2) else step), step, None
 
 
 def _sparse(ints: Sequence[int]) -> tuple:
@@ -253,6 +233,11 @@ class CatalogEntry:
     simple_roots_natural: tuple          # simple roots of g^nat (all components)
     iso_simple_count: int
     dim_g_half: int
+    unitary_range: tuple                 # (first, step, count): first + n*step, 0 <= n < count,
+                                         # or every n >= 0 when count is None
+    label_map: tuple                     # (fewest, basis): nu = sum_i label_i * basis_i
+    collapse_targets: tuple              # ((i, name), ...) in the order tried (`levels`)
+    extremal_proved: bool                # extremal boundary modules are proved unitary
 
     # -- bilinear form ----------------------------------------------------
     def form(self, lam: Sequence, mu: Sequence) -> Fraction:
@@ -411,50 +396,31 @@ class CatalogEntry:
         zeros = tuple(zs) if len(zs) == 2 else (zs[0], -comps[0].hbar_vee / 2 - 1)
         return _LevelConstants(
             lines=tuple((2 / c.u, (self.h_vee - c.hbar_vee) / c.u, c.chi) for c in comps),
-            zeros=zeros, shape=_range_shape(self.id))
+            zeros=zeros)
 
     # -- weights ----------------------------------------------------------
     def weyl_reflect(self, v: Vec, alpha: Vec) -> Vec:
         return v - self.coroot_pairing(v, alpha) * alpha
 
     def nu_from_labels(self, labels: Sequence) -> Vec:
-        """Family-specific highest-weight labels -> coordinate vector.
+        """Highest-weight labels -> coordinate vector, the linear map nu =
+        sum_i label_i * basis_i of the entry's `label_map` (fewest, basis).
 
         psl22/spo2m(m=3): [r] with nu = r*theta_1/2; D21a: [r1, r2] with
         nu = r1*theta_1/2 + r2*theta_2/2; F4/G3/spo2m(m>4): epsilon-basis
-        coefficients (delta-coordinate fixed to 0).  Raises
-        `ParameterOutOfRange` on a wrong number of labels: exactly 1 for
-        psl22 and spo2m(m=3), 2 for D21a and G3, 3 for F4, at least 1 for
-        osp4m, and at most the coordinates left for spo2m(m>4), sl2m and
-        osp4m, which pad with zeros.
+        coefficients (delta-coordinate fixed to 0); sl2m: delta coefficients;
+        osp4m: [c, b_1..b_{m/2}] with nu = c*(eps1-eps2)/2 + sum b_j delta_j.
+        Raises `ParameterOutOfRange` on a wrong number of labels: from the
+        fewest to one per basis vector, the missing ones read as 0.
         """
         lab = [Q(x) for x in labels]
-        fam = self.id.family
-        lo, hi = {"psl22": (1, 1), "D21a": (2, 2), "G3": (2, 2), "F4": (3, 3),
-                  "spo2m": (1, 1) if self.id.m == 3 else (0, self.n - 1),
-                  "sl2m": (0, self.n - 2), "osp4m": (1, self.n - 1)}.get(fam, (0, len(lab)))
+        lo, basis = self.label_map
+        hi = len(basis)
         if not lo <= len(lab) <= hi:
             count = str(lo) if lo == hi else f"{lo} to {hi}"
             raise ParameterOutOfRange(f"{self.id.label()} takes {count} weight "
                                       f"label{'s' if hi > 1 else ''}, got {len(lab)}")
-        if fam in ("psl22",) or (fam == "spo2m" and self.id.m == 3):
-            (r,) = lab
-            return Q(r, 2) * self.components[0].theta
-        if fam == "D21a":
-            r1, r2 = lab
-            return Q(r1, 2) * self.components[0].theta + Q(r2, 2) * self.components[1].theta
-        if fam == "spo2m":
-            return Vec([Q(0)] + lab + [Q(0)] * (self.n - 1 - len(lab)))
-        if fam in ("F4", "G3"):
-            return Vec(lab + [Q(0)])
-        if fam == "sl2m":
-            # center charge followed by sl_m epsilon-free row of delta coords
-            return Vec([Q(0), Q(0)] + lab + [Q(0)] * (self.n - 2 - len(lab)))
-        if fam == "osp4m":
-            # [c, b_1..b_{m/2}]: c*(eps1-eps2)/2 + sum b_j delta_j
-            c, rest = lab[0], lab[1:]
-            return Vec([Q(c, 2), -Q(c, 2)] + rest + [Q(0)] * (self.n - 2 - len(rest)))
-        raise ParameterOutOfRange(fam)
+        return sum((b * x for x, b in zip(lab, basis)), zero_vec(self.n))
 
 
 def _diag_gram(diag: Sequence) -> tuple:
@@ -523,7 +489,9 @@ def lookup(aid: AlgebraId) -> CatalogEntry:
             components=(comp,), rho_natural=Q(1, 2) * th1, xi=xi,
             delta_prime=((xi, 2), (-xi, 2)), epsilon=1,
             pos_roots_natural=(th1,), simple_roots_natural=(th1,),
-            iso_simple_count=2, dim_g_half=4)
+            iso_simple_count=2, dim_g_half=4,
+            unitary_range=(Q(-2), Q(-1), None), label_map=(1, (Q(1, 2) * th1,)),
+            collapse_targets=((0, "V_{}(sl2)"),), extremal_proved=True)
 
     if fam == "sl2m":
         m = aid.m
@@ -546,7 +514,10 @@ def lookup(aid: AlgebraId) -> CatalogEntry:
             components=(comp,), rho_natural=rho, xi=d[0] - half,
             delta_prime=dprime, epsilon=1, pos_roots_natural=tuple(pos),
             simple_roots_natural=tuple(simple_nat), iso_simple_count=2,
-            dim_g_half=2 * m)
+            dim_g_half=2 * m,
+            unitary_range=(Q(-1), Q(-1), 1), label_map=(0, tuple(d)),
+            collapse_targets=((1, f"V_{{}}(sl_{m})"), (0, "free boson V_{}(center)")),
+            extremal_proved=False)
 
     if fam == "osp4m":
         m = aid.m
@@ -574,7 +545,10 @@ def lookup(aid: AlgebraId) -> CatalogEntry:
             delta_prime=dprime, epsilon=1,
             pos_roots_natural=(th1,) + tuple(sp_pos),
             simple_roots_natural=(th1,) + tuple(sp_simple),
-            iso_simple_count=1, dim_g_half=2 * m)
+            iso_simple_count=1, dim_g_half=2 * m,
+            unitary_range=(Q(-1), Q(-1), 0), label_map=(1, (half, *d)),
+            collapse_targets=((0, "V_{}(sl2)"), (1, f"V_{{}}(sp_{m})")),
+            extremal_proved=False)
 
     if fam == "spo2m":
         m = aid.m
@@ -587,8 +561,10 @@ def lookup(aid: AlgebraId) -> CatalogEntry:
         pos, simple_nat = _so_roots(n, 1, r, odd)
         if m == 3:
             th1, u1, hbar1, chi1 = e[0], Q(-1, 2), Q(-1, 2), Q(-2)
+            rng, labels, target = (Q(-3, 4), Q(-1, 4), None), (1, (Q(1, 2) * th1,)), "V_{}(sl2)"
         else:
             th1, u1, hbar1, chi1 = e[0] + e[1], Q(-1), Q(1 - Q(m, 2)), Q(-1)
+            rng, labels, target = (Q(-1), Q(-1, 2), None), (0, tuple(e)), f"V_{{}}(so_{m})"
         comp = NaturalComponent(1, tuple(simple_nat), th1, u1, hbar1, chi1)
         simple = [(d1 - e[0], 1)] + [(a, 0) for a in simple_nat]
         rho = sum(((Q(m, 2) - (i + 1)) * e[i] for i in range(r)), zero_vec(n))
@@ -602,7 +578,9 @@ def lookup(aid: AlgebraId) -> CatalogEntry:
             components=(comp,), rho_natural=rho, xi=e[0],
             delta_prime=tuple(dprime), epsilon=2 if odd else 1,
             pos_roots_natural=tuple(pos), simple_roots_natural=tuple(simple_nat),
-            iso_simple_count=1, dim_g_half=m)
+            iso_simple_count=1, dim_g_half=m,
+            unitary_range=rng, label_map=labels, collapse_targets=((0, target),),
+            extremal_proved=m == 3)
 
     if fam == "D21a":
         a = aid.a
@@ -614,6 +592,9 @@ def lookup(aid: AlgebraId) -> CatalogEntry:
         comp1 = NaturalComponent(1, (th1,), th1, u1, u1, Q(-1))
         comp2 = NaturalComponent(2, (th2,), th2, u2, u2, Q(-1))
         dprime = tuple((Vec([0, s1, s2]), 1) for s1 in (1, -1) for s2 in (1, -1))
+        # the levels n*step, n >= 1, reach -1/2 only at a = 1, where step =
+        # -1/2 and -1/2 is the trivial module: there the range starts at 2*step
+        step = -Q(aid.a_num * aid.a_den, aid.a_num + aid.a_den)
         return CatalogEntry(
             id=aid, n=n, coord_names=("e1", "e2", "e3"), gram=gram,
             simple_roots=((e1 - e2 - e3, 1), (th1, 0), (th2, 0)),
@@ -621,7 +602,13 @@ def lookup(aid: AlgebraId) -> CatalogEntry:
             components=(comp1, comp2), rho_natural=e2 + e3, xi=e2 + e3,
             delta_prime=dprime, epsilon=1,
             pos_roots_natural=(th1, th2), simple_roots_natural=(th1, th2),
-            iso_simple_count=1, dim_g_half=4)
+            iso_simple_count=1, dim_g_half=4,
+            unitary_range=(2 * step if step == Q(-1, 2) else step, step, None),
+            label_map=(2, (Q(1, 2) * th1, Q(1, 2) * th2)),
+            collapse_targets=((0, "V_{}(sl2 (component 1))"),
+                              (1, "V_{}(sl2 (component 2))")),
+            # D(2,1;m), D(2,1;1/n): the first level's one weight is proved, but it collapses
+            extremal_proved=False)
 
     if fam == "F4":
         n = 4
@@ -642,7 +629,9 @@ def lookup(aid: AlgebraId) -> CatalogEntry:
             center=None, components=(comp,), rho_natural=rho,
             xi=Q(1, 2) * (e[0] + e[1] + e[2]), delta_prime=dprime, epsilon=1,
             pos_roots_natural=tuple(pos), simple_roots_natural=tuple(simple_nat),
-            iso_simple_count=1, dim_g_half=8)
+            iso_simple_count=1, dim_g_half=8,
+            unitary_range=(Q(-4, 3), Q(-2, 3), None), label_map=(3, tuple(e)),
+            collapse_targets=((0, "V_{}(so7)"),), extremal_proved=False)
 
     if fam == "G3":
         # eps3 = -eps1-eps2 eliminated; coords (eps1, eps2, delta1)
@@ -663,7 +652,9 @@ def lookup(aid: AlgebraId) -> CatalogEntry:
             components=(comp,), rho_natural=2 * e1 + 3 * e2, xi=e1 + e2,
             delta_prime=dprime, epsilon=2,
             pos_roots_natural=pos, simple_roots_natural=(alpha, beta),
-            iso_simple_count=1, dim_g_half=7)
+            iso_simple_count=1, dim_g_half=7,
+            unitary_range=(Q(-3, 2), Q(-3, 4), None), label_map=(2, (e1, e2)),
+            collapse_targets=((0, "V_{}(G2)"),), extremal_proved=False)
 
     raise ParameterOutOfRange(fam)
 
@@ -762,11 +753,15 @@ class _Lattice:
     def __init__(self, entry: CatalogEntry):
         s = entry.simple_roots_natural
         r, n = len(s), entry.n
-        # [G | S G], row i scaled by 2/(s_i|s_i), is the coroot table: the
-        # pairings of s_j and of the coordinate basis with s_i^vee
-        covs = zip(*(entry.pairings(0, basis_vec(n, a))[:r] for a in range(n)))
-        coeffs = _solve_exact(list(zip(*(entry.pairings(0, b)[:r] for b in s))),
-                              list(covs))  # r x n: c(v) = G^{-1} S G v
+        roots = [(a, 0) for a in s] + [(-1 * c.theta, 1) for c in entry.components]
+        self.cartan = tuple(self._ints(entry, "affine Cartan matrix row",
+                                       entry.pairings(0, fin)) for fin, _ in roots)
+        # [G | S G], row i scaled by 2/(s_i|s_i): the pairings of s_j with s_i^vee
+        # (`cartan` transposed) and the coroot covector of s_i^vee, made dense;
+        # the solve gives the r x n coefficients c(v) = G^{-1} S G v
+        covs = [dict(cov) for cov, _ in entry.coroots[:r]]
+        coeffs = _solve_exact([[Q(self.cartan[j][i]) for j in range(r)] for i in range(r)],
+                              [[Q(c.get(a, 0)) for a in range(n)] for c in covs])
         proj = [[sum(s[i][a] * coeffs[i][j] for i in range(r)) for j in range(n)]
                 for a in range(n)]
         self.pden = math.lcm(*(c.denominator for row in proj for c in row))
@@ -801,9 +796,6 @@ class _Lattice:
         self.ns = tuple((key[0], self.pack(key[1:]), off, odd)
                         for key, (_, off, odd) in zip(keys, block))
 
-        roots = [(a, 0) for a in s] + [(-1 * c.theta, 1) for c in entry.components]
-        self.cartan = tuple(self._ints(entry, "affine Cartan matrix row",
-                                       entry.pairings(0, fin)) for fin, _ in roots)
         self.xd = self._ints(entry, "x+d pairings of the affine simple roots",
                              [entry.form(fin, entry.theta) / 2 + dc for fin, dc in roots])
         self.rkeys = tuple(self.key(fin) for fin, _ in roots)

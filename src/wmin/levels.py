@@ -1,8 +1,9 @@
 """Scalar level arithmetic: component levels M_i(k), cocycle shifts, central
 charge, collapsing detection, and the unitarity ranges.  Each is an affine,
 quadratic or rational evaluation at k of constants the catalog entry holds
-(`CatalogEntry._levels`, `sdim`, `h_vee`).  The ones a request reads are
-evaluated once per (algebra, k) into one record, `_level`."""
+(`CatalogEntry._levels`, `unitary_range`, `collapse_targets`, `sdim`,
+`h_vee`).  The ones a request reads are evaluated once per (algebra, k) into
+one record, `_level`."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -59,16 +60,9 @@ class LevelData:
 
 
 def _collapse_target(entry: CatalogEntry, M: tuple) -> str:
-    """"C" when every level in M (`LevelData.M` order) is zero, else the
-    affine algebra at the first nonzero one; sl(2|m) looks at sl_m first."""
-    m = entry.id.m
-    names = {"psl22": ["V_{}(sl2)"], "F4": ["V_{}(so7)"], "G3": ["V_{}(G2)"],
-             "spo2m": ["V_{}(so_{m})" if m > 3 else "V_{}(sl2)"],
-             "D21a": ["V_{}(sl2 (component 1))", "V_{}(sl2 (component 2))"],
-             "osp4m": ["V_{}(sl2)", "V_{}(sp_{m})"],
-             "sl2m": ["V_{}(sl_{m})", "free boson V_{}(center)"]}[entry.id.family]
-    order = M[::-1] if entry.center else M
-    return next((name.format(x, m=m) for x, name in zip(order, names) if x != 0), "C")
+    """The first of the entry's `collapse_targets` whose level in M
+    (`LevelData.M` order) is nonzero, at that level; "C" when there is none."""
+    return next((name.format(M[i]) for i, name in entry.collapse_targets if M[i] != 0), "C")
 
 
 class _Level(NamedTuple):
@@ -88,7 +82,8 @@ def _level(g: AlgebraId, k: Fraction) -> _Level:
     call, so it raises on every call."""
     entry = lookup(g)
     kh = entry.shifted_level(k)
-    lines, (z1, z2), (first, step, count) = entry._levels
+    lines, (z1, z2) = entry._levels
+    first, step, count = entry.unitary_range
     M = tuple(s * k + t for s, t, _ in lines)
     alpha = tuple(m + chi for m, (_, _, chi) in zip(M, lines))
     p_k = (k - z1) * (k - z2)
@@ -126,13 +121,13 @@ def _ranged(g: AlgebraId, k: Fraction) -> Optional[_Level]:
 
 def unitarity_range_contains(g: AlgebraId, k: Fraction) -> bool:
     """Membership in the per-family list of candidate unitary levels
-    (`CatalogEntry._levels.shape`): n = (k - first)/step is an int in
+    (`CatalogEntry.unitary_range`): n = (k - first)/step is an int in
     [0, count), read off the level record (`_ranged`)."""
     return _ranged(g, Q(k)) is not None
 
 
 def enumerate_unitary_k(g: AlgebraId, count: int) -> List[Fraction]:
     """First `count` levels of the unitarity range, from the largest down."""
-    first, step, size = lookup(g)._levels.shape
+    first, step, size = lookup(g).unitary_range
     n = max(0, count if size is None else min(count, size))
     return [first + i * step for i in range(n)]

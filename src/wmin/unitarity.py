@@ -51,23 +51,15 @@ class UnitarityVerdict:
             self.outcome == EXTREMAL_BOUNDARY and bool(self.proved))
 
 
-def _proved_extremal(g: AlgebraId) -> bool:
-    """Extremal boundary modules with an actual unitarity proof: the N=4 and
-    N=3 families throughout.  The single integrable weight of D(2,1;m) /
-    D(2,1;1/n) at its first level is proved too, but there some M_i(k) = 0,
-    so k is a zero of the collapsing polynomial and `decide` stops earlier."""
-    return g.family == "psl22" or (g.family == "spo2m" and g.m == 3)
-
-
 def _collapse_check(entry: CatalogEntry, lv: LevelData, nu: Vec, ps: list,
                     l0: Fraction) -> CollapseCheck:
-    target = lv.collapse_target
-    if target == "C":
+    """The gate, chosen by the component levels, not by the target's name."""
+    if all(m == 0 for m in lv.M):
         ok = nu.is_zero()
         detail = "target is trivial; needs nu = 0"
-    elif "free boson" in target:
-        # sl(2|m) collapsing to the free boson: the center survives, and the
-        # sl_m part vanishes when nu pairs to 0 with every simple coroot of sl_m
+    elif entry.center and all(m == 0 for m in lv.M_simple):
+        # collapse to the free boson of the center: the center survives, and
+        # the simple part vanishes when nu pairs to 0 with every simple coroot
         ok = all(p == 0 for p in ps[:len(entry.simple_roots_natural)])
         detail = "sl_m part of nu must vanish; center charge unconstrained"
     else:
@@ -78,7 +70,7 @@ def _collapse_check(entry: CatalogEntry, lv: LevelData, nu: Vec, ps: list,
         detail = ("integrable on the surviving component(s), trivial on the rest"
                   if len(entry.components) == 2 else
                   "nu must be integrable of level M_1 for the target")
-    return CollapseCheck(target=target, weight_integrable=bool(ok), l0=l0,
+    return CollapseCheck(target=lv.collapse_target, weight_integrable=bool(ok), l0=l0,
                          detail=detail + "; l0 reported, not tested")
 
 
@@ -97,7 +89,7 @@ def decide(g: AlgebraId, k, nu: Vec, l0) -> UnitarityVerdict:
     }
     reasons: List[str] = []
 
-    if g.family == "osp4m" or (g.family == "sl2m" and k != -1):
+    if entry.unitary_range[2] is not None and not rec.in_range:  # k outside a finite range
         reasons.append("family admits no unitary highest weight modules here")
         return UnitarityVerdict(EXCLUDED_FAMILY, quantities, tuple(reasons))
 
@@ -123,7 +115,7 @@ def decide(g: AlgebraId, k, nu: Vec, l0) -> UnitarityVerdict:
 
     if extremal:
         if l0 == a:
-            proved = _proved_extremal(g)
+            proved = entry.extremal_proved
             reasons.append("extremal weight at the threshold"
                            + ("" if proved else
                               ": conjecturally unitary (unproven extremal"
@@ -153,7 +145,7 @@ def h_even(g: AlgebraId, k, nu: Vec, n, m) -> Fraction:
     if n <= 0 or m <= 0 or (eps * n).denominator != 1 or (eps * m).denominator != 1 \
             or (m - n).denominator != 1:
         raise IndexOutOfSet("need m, n in (1/eps)N with m - n integral")
-    return _ell((eps * m * kh - n + k + 1) / 2, k, kh, entry.casimir(nu))
+    return _h_even(k, kh, entry.casimir(nu), eps, n, m)
 
 
 def h_odd(g: AlgebraId, k, nu: Vec, m, gamma: Vec) -> Fraction:
@@ -167,8 +159,17 @@ def h_odd(g: AlgebraId, k, nu: Vec, m, gamma: Vec) -> Fraction:
     odd = next((row for row in entry._odd_covs if row[0] == gamma), None)
     if odd is None:
         raise IndexOutOfSet("gamma must be a weight of the odd half-space")
-    pair = _odd_pair(odd, *entry._scaled(nu))
-    return _ell(pair + m * kh + (k + 1) / 2, k, kh, entry.casimir(nu))
+    return _h_odd(k, kh, entry.casimir(nu), _odd_pair(odd, *entry._scaled(nu)), m)
+
+
+def _h_even(k: Fraction, kh: Fraction, cas: Fraction, eps: int, n, m) -> Fraction:
+    """h_{n, eps*m} from k, kh = k+h_vee and cas = (nu|nu+2rho^nat)."""
+    return _ell((eps * m * kh - n + k + 1) / 2, k, kh, cas)
+
+
+def _h_odd(k: Fraction, kh: Fraction, cas: Fraction, pair: Fraction, m) -> Fraction:
+    """h_{m, gamma} from k, kh, cas as `_h_even`, and pair = (nu+rho^nat|gamma)."""
+    return _ell(pair + m * kh + (k + 1) / 2, k, kh, cas)
 
 
 def _odd_pair(odd: tuple, d: int, x: list) -> Fraction:
@@ -218,7 +219,7 @@ def sign2_scan(g: AlgebraId, k, nu: Vec, n_max, m_max) -> Sign2Report:
         while Q(mm, eps) <= m_max:
             n, m = Q(nn, eps), Q(mm, eps)
             if (m - n).denominator == 1:
-                v = _ell((eps * m * kh - n + k + 1) / 2, k, kh, cas)
+                v = _h_even(k, kh, cas, eps, n, m)
                 rep.checked += 1
                 if v > a:
                     rep.violations.append(("h_even", (n, m), v, a))
@@ -230,7 +231,7 @@ def sign2_scan(g: AlgebraId, k, nu: Vec, n_max, m_max) -> Sign2Report:
     m = Q(1, 2)
     while m <= m_max:
         for gamma, pair in pairs:
-            v = _ell(pair + m * kh + (k + 1) / 2, k, kh, cas)
+            v = _h_odd(k, kh, cas, pair, m)
             rep.checked += 1
             if v > a:
                 rep.violations.append(("h_odd", (m, gamma), v, a))

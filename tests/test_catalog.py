@@ -1,10 +1,12 @@
+import ast
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wmin import catalog
+from wmin import catalog, levels, unitarity
 from wmin.catalog import AlgebraId, Vec, lookup, validate
 from wmin.errors import IsotropicCoroot, ParameterOutOfRange
 
@@ -109,6 +111,75 @@ def test_nu_from_labels_round_trip():
     e5 = lookup(catalog.spo2m(5))
     nu = e5.nu_from_labels([Q(3, 2), Q(1, 2)])
     assert nu == Vec([0, Q(3, 2), Q(1, 2)])
+
+
+# every family, with sl(2|m) and osp(4|m) at two ranks each
+CLASSIFIED = [catalog.psl22(), catalog.sl2m(3), catalog.sl2m(5), catalog.spo2m(3),
+              catalog.spo2m(5), catalog.spo2m(6), catalog.spo2m(7), catalog.osp4m(4),
+              catalog.osp4m(6), catalog.d21a(1), catalog.d21a(2), catalog.d21a(2, 3),
+              catalog.f4(), catalog.g3()]
+
+
+def _old_nu_from_labels(e, labels):
+    """The seven-branch label map that `CatalogEntry.label_map` replaced."""
+    lab = [Q(x) for x in labels]
+    fam = e.id.family
+    lo, hi = {"psl22": (1, 1), "D21a": (2, 2), "G3": (2, 2), "F4": (3, 3),
+              "spo2m": (1, 1) if e.id.m == 3 else (0, e.n - 1),
+              "sl2m": (0, e.n - 2), "osp4m": (1, e.n - 1)}[fam]
+    if not lo <= len(lab) <= hi:
+        count = str(lo) if lo == hi else f"{lo} to {hi}"
+        raise ParameterOutOfRange(f"{e.id.label()} takes {count} weight "
+                                  f"label{'s' if hi > 1 else ''}, got {len(lab)}")
+    if fam == "psl22" or (fam == "spo2m" and e.id.m == 3):
+        (r,) = lab
+        return Q(r, 2) * e.components[0].theta
+    if fam == "D21a":
+        r1, r2 = lab
+        return Q(r1, 2) * e.components[0].theta + Q(r2, 2) * e.components[1].theta
+    if fam == "spo2m":
+        return Vec([Q(0)] + lab + [Q(0)] * (e.n - 1 - len(lab)))
+    if fam in ("F4", "G3"):
+        return Vec(lab + [Q(0)])
+    if fam == "sl2m":
+        return Vec([Q(0), Q(0)] + lab + [Q(0)] * (e.n - 2 - len(lab)))
+    c, rest = lab[0], lab[1:]  # osp4m
+    return Vec([Q(c, 2), -Q(c, 2)] + rest + [Q(0)] * (e.n - 2 - len(rest)))
+
+
+@given(st.sampled_from(CLASSIFIED), st.data())
+@settings(max_examples=300, deadline=None)
+def test_label_map_equals_the_per_family_code(g, data):
+    """Any number of rational labels, from none to one past the coordinates,
+    on every family: the linear map gives the weight of the per-family code,
+    and a wrong count raises `ParameterOutOfRange` with its message."""
+    e = lookup(g)
+    size = data.draw(st.integers(min_value=0, max_value=e.n + 1))
+    rat = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    labels = data.draw(st.lists(rat, min_size=size, max_size=size))
+    try:
+        want = _old_nu_from_labels(e, labels)
+    except ParameterOutOfRange as exc:
+        with pytest.raises(ParameterOutOfRange) as got:
+            e.nu_from_labels(labels)
+        assert str(got.value) == str(exc)
+        return
+    got = e.nu_from_labels(labels)
+    assert type(got) is Vec and all(type(x) is Q for x in got)
+    assert got == want
+
+
+def test_levels_and_unitarity_name_no_family():
+    """The family's classification is entry data, written in its `lookup`
+    branch: `levels` and `unitarity` hold no family name as a string literal
+    and read no `.family`, so no per-family branch creeps back into them."""
+    for mod in (levels, unitarity):
+        tree = ast.parse(Path(mod.__file__).read_text())
+        literals = {n.value for n in ast.walk(tree)
+                    if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+        assert not literals & set(catalog.FAMILIES), mod.__name__
+        assert not any(isinstance(n, ast.Attribute) and n.attr == "family"
+                       for n in ast.walk(tree)), mod.__name__
 
 
 def test_form_rejects_wrong_length():

@@ -317,6 +317,41 @@ VERDICT_FAMILIES = [catalog.psl22(), catalog.spo2m(3), catalog.spo2m(5), catalog
                     catalog.d21a(2), catalog.d21a(2, 3), catalog.f4(), catalog.g3()]
 
 
+def _old_proved_extremal(g):
+    """The per-family code `CatalogEntry.extremal_proved` replaced: the N=4
+    and N=3 families throughout."""
+    return g.family == "psl22" or (g.family == "spo2m" and g.m == 3)
+
+
+def _old_collapse_target(e, M):
+    """The per-family name table `CatalogEntry.collapse_targets` replaced:
+    "C" when every level in M is zero, else the affine algebra at the first
+    nonzero one; sl(2|m) looks at sl_m first."""
+    m = e.id.m
+    names = {"psl22": ["V_{}(sl2)"], "F4": ["V_{}(so7)"], "G3": ["V_{}(G2)"],
+             "spo2m": ["V_{}(so_{m})" if m > 3 else "V_{}(sl2)"],
+             "D21a": ["V_{}(sl2 (component 1))", "V_{}(sl2 (component 2))"],
+             "osp4m": ["V_{}(sl2)", "V_{}(sp_{m})"],
+             "sl2m": ["V_{}(sl_{m})", "free boson V_{}(center)"]}[e.id.family]
+    order = M[::-1] if e.center else M
+    return next((name.format(x, m=m) for x, name in zip(order, names) if x != 0), "C")
+
+
+@pytest.mark.parametrize("g", RANGE_FAMILIES + [catalog.sl2m(5), catalog.d21a(1, 2)],
+                         ids=lambda g: g.label())
+def test_collapse_targets_and_proof_flag_equal_the_per_family_code(g):
+    """The entry's collapse targets, read at each noncritical zero of its
+    collapsing polynomial, and its extremal proof flag, against the
+    per-family code they replaced."""
+    e = lookup(g)
+    assert e.extremal_proved is _old_proved_extremal(g)
+    zeros = [z for z in e._levels.zeros if z != -e.h_vee]
+    assert zeros
+    for z in zeros:
+        lv = level_data(g, z)
+        assert lv.collapsing and lv.collapse_target == _old_collapse_target(e, lv.M), z
+
+
 def _ref_level_data(g, k):
     """Level data from `component_level` and the formulas spelled out."""
     e = lookup(g)
@@ -329,7 +364,7 @@ def _ref_level_data(g, k):
         k=k, M=M, M_simple=M[1:] if e.center else M,
         alpha_levels=tuple(m + c.chi for m, c in zip(M, comps)),
         p_k=p_k, collapsing=p_k == 0,
-        collapse_target=levels._collapse_target(e, M) if p_k == 0 else None)
+        collapse_target=_old_collapse_target(e, M) if p_k == 0 else None)
 
 
 def _ref_pairings(e, nu):
@@ -407,7 +442,7 @@ def _ref_decide(g, k, nu, l0):
     q.update({"A": a, "A_explicit": _ref_A_explicit(e, k, nu, ps), "extremal": extremal,
               "l0_minus_A": l0 - a})
     if extremal and l0 == a:
-        proved = unitarity._proved_extremal(g)
+        proved = e.extremal_proved
         return unitarity.UnitarityVerdict(unitarity.EXTREMAL_BOUNDARY, q, (
             "extremal weight at the threshold" + ("" if proved else
                                                   ": conjecturally unitary (unproven extremal"
@@ -489,7 +524,7 @@ def test_level_record_equals_a_fresh_evaluation():
     levels._level.cache_clear()
     for g in RANGE_FAMILIES:
         e = lookup(g)
-        first, step, _ = e._levels.shape
+        first, step, _ = e.unitary_range
         off = [first - step, first + step / 2, Q(1, 3), Q(-5, 7), Q(7)]
         for k in enumerate_unitary_k(g, 12) + [k for k in off if k != -e.h_vee]:
             for _ in range(2):

@@ -232,7 +232,7 @@ def test_range_table_equals_the_per_family_oracle(g):
     membership at every half step first + j*step/2, -4 <= j <= 24 (on
     D(2,1;1), j = -2 is the excluded -1/2), and the first n levels of
     `enumerate_unitary_k`."""
-    first, step, _ = lookup(g)._levels.shape
+    first, step, _ = lookup(g).unitary_range
     for k in [first + j * step / 2 for j in range(-4, 25)]:
         assert unitarity_range_contains(g, k) == _old_range_contains(g, k)
     for n in range(-1, 13):
