@@ -187,7 +187,6 @@ class NaturalComponent:
     """One ideal of g^nat: a simple component, or the 1-dim center of sl(2|m)."""
 
     index: int
-    simple_roots: tuple            # simple roots of this component (empty for center)
     theta: Optional[Vec]           # highest root; None for the center
     u: Fraction                    # (theta_i|theta_i), or 2 for the center
     hbar_vee: Fraction             # half Casimir eigenvalue w.r.t. the ambient form
@@ -276,15 +275,16 @@ class CatalogEntry:
         """The coroot table: the covector (c, l) of beta^vee, over the affine simple
         roots beta of g^nat in the order of `_Lattice`; built from `gram` alone.
         c is stored sparse, as the (coordinate, int) pairs of its nonzero entries:
-        each entry 2(e_a|beta)/(beta|beta) is an integer on every family, which
-        the build checks; it raises, never rounds."""
+        with (beta|.) = sum_a c'_a e_a^* / d (`_covector`), each entry
+        2c'_a/(d (beta|beta)) is an integer on every family, which the build
+        checks; it raises, never rounds."""
         table = []
         for fin, dc in ([(a, 0) for a in self.simple_roots_natural]
                         + [(-1 * c.theta, 1) for c in self.components]):
             norm = self.form(fin, fin)
-            cov = [2 * self.form(basis_vec(self.n, a), fin) / norm for a in range(self.n)]
-            table.append((_sparse(_Lattice._ints(self, "coroot covector", cov)),
-                          Q(2 * dc) / norm))
+            d, cov = self._covector(fin)
+            ints = _Lattice._ints(self, "coroot covector", [2 * c / (d * norm) for _, c in cov])
+            table.append((tuple(zip([a for a, _ in cov], ints)), Q(2 * dc) / norm))
         return tuple(table)
 
     def pairings(self, level, finite: Sequence) -> List[Fraction]:
@@ -481,7 +481,7 @@ def lookup(aid: AlgebraId) -> CatalogEntry:
         gram = _diag_gram([1, 1, -1, -1])
         th1 = d1 - d2
         xi = Q(1, 2) * th1
-        comp = NaturalComponent(1, (th1,), th1, Q(-2), Q(-2), Q(-1))
+        comp = NaturalComponent(1, th1, Q(-2), Q(-2), Q(-1))
         return CatalogEntry(
             id=aid, n=n, coord_names=("e1", "e2", "d1", "d2"), gram=gram,
             simple_roots=((e1 - d1, 1), (th1, 0), (d2 - e2, 1)),
@@ -502,8 +502,8 @@ def lookup(aid: AlgebraId) -> CatalogEntry:
         pos, simple_nat = _sl_roots(n, 2, m)
         th1 = d[0] - d[m - 1]
         simple = [(e1 - d[0], 1)] + [(d[i] - d[i + 1], 0) for i in range(m - 1)] + [(d[m - 1] - e2, 1)]
-        center = NaturalComponent(0, (), None, Q(2), Q(0), Q(2 - m, 2))
-        comp = NaturalComponent(1, tuple(simple_nat), th1, Q(-2), Q(-m), Q(-1))
+        center = NaturalComponent(0, None, Q(2), Q(0), Q(2 - m, 2))
+        comp = NaturalComponent(1, th1, Q(-2), Q(-m), Q(-1))
         rho = sum((Q(m - 2 * i - 1, 2) * d[i] for i in range(m)), zero_vec(n))
         half = Q(1, 2) * (e1 + e2)
         dprime = tuple((v, 1) for j in range(m) for v in (half - d[j], d[j] - half))
@@ -529,8 +529,8 @@ def lookup(aid: AlgebraId) -> CatalogEntry:
         th1 = e1 - e2
         th2 = 2 * d[0]
         sp_pos, sp_simple = _sp_roots(n, 2, r)
-        comp1 = NaturalComponent(1, (th1,), th1, Q(2), Q(2), Q(-m, 2))
-        comp2 = NaturalComponent(2, tuple(sp_simple), th2, Q(-4), Q(-m - 2), Q(-1))
+        comp1 = NaturalComponent(1, th1, Q(2), Q(2), Q(-m, 2))
+        comp2 = NaturalComponent(2, th2, Q(-4), Q(-m - 2), Q(-1))
         simple = ([(th1, 0), (e2 - d[0], 1)] + [(d[i] - d[i + 1], 0) for i in range(r - 1)]
                   + [(2 * d[r - 1], 0)])
         rho = Q(1, 2) * th1 + sum((Q(r - i) * d[i] for i in range(r)), zero_vec(n))
@@ -565,7 +565,7 @@ def lookup(aid: AlgebraId) -> CatalogEntry:
         else:
             th1, u1, hbar1, chi1 = e[0] + e[1], Q(-1), Q(1 - Q(m, 2)), Q(-1)
             rng, labels, target = (Q(-1), Q(-1, 2), None), (0, tuple(e)), f"V_{{}}(so_{m})"
-        comp = NaturalComponent(1, tuple(simple_nat), th1, u1, hbar1, chi1)
+        comp = NaturalComponent(1, th1, u1, hbar1, chi1)
         simple = [(d1 - e[0], 1)] + [(a, 0) for a in simple_nat]
         rho = sum(((Q(m, 2) - (i + 1)) * e[i] for i in range(r)), zero_vec(n))
         dprime = [(e[i], 1) for i in range(r)] + [(-e[i], 1) for i in range(r)]
@@ -589,8 +589,8 @@ def lookup(aid: AlgebraId) -> CatalogEntry:
         gram = _diag_gram([Q(1, 2), -1 / (2 * (1 + a)), -a / (2 * (1 + a))])
         th1, th2 = 2 * e2, 2 * e3
         u1, u2 = -2 / (1 + a), -2 * a / (1 + a)
-        comp1 = NaturalComponent(1, (th1,), th1, u1, u1, Q(-1))
-        comp2 = NaturalComponent(2, (th2,), th2, u2, u2, Q(-1))
+        comp1 = NaturalComponent(1, th1, u1, u1, Q(-1))
+        comp2 = NaturalComponent(2, th2, u2, u2, Q(-1))
         dprime = tuple((Vec([0, s1, s2]), 1) for s1 in (1, -1) for s2 in (1, -1))
         # the levels n*step, n >= 1, reach -1/2 only at a = 1, where step =
         # -1/2 and -1/2 is the trivial module: there the range starts at 2*step
@@ -617,7 +617,7 @@ def lookup(aid: AlgebraId) -> CatalogEntry:
         gram = _diag_gram([Q(-2, 3)] * 3 + [Q(2)])
         pos, simple_nat = _so_roots(n, 0, 3, True)
         th1 = e[0] + e[1]
-        comp = NaturalComponent(1, tuple(simple_nat), th1, Q(-4, 3), Q(-10, 3), Q(-1))
+        comp = NaturalComponent(1, th1, Q(-4, 3), Q(-10, 3), Q(-1))
         odd_simple = Q(1, 2) * (dlt - e[0] - e[1] - e[2])
         simple = [(odd_simple, 1), (e[2], 0), (e[1] - e[2], 0), (e[0] - e[1], 0)]
         rho = Q(5, 2) * e[0] + Q(3, 2) * e[1] + Q(1, 2) * e[2]
@@ -642,7 +642,7 @@ def lookup(aid: AlgebraId) -> CatalogEntry:
         alpha, beta = e1, e2 - e1
         pos = (alpha, beta, e2, e1 + e2, 2 * e1 + e2, e1 + 2 * e2)
         th1 = e1 + 2 * e2
-        comp = NaturalComponent(1, (alpha, beta), th1, Q(-3, 2), Q(-3), Q(-1))
+        comp = NaturalComponent(1, th1, Q(-3, 2), Q(-3), Q(-1))
         dprime = ((zero_vec(n), 1), (e1, 1), (-e1, 1), (e2, 1), (-e2, 1),
                   (e1 + e2, 1), (-(e1 + e2), 1))
         return CatalogEntry(
@@ -706,8 +706,8 @@ class _Lattice:
     `slope` is the dip density s, the largest depth change per unit of q over
     the denominator factors: |depth(alpha)| for the bosonic exponents
     exp(+-alpha) (which cost q^n, n >= 1) and 2|depth(gamma)| for the odd ones
-    (which cost q^{1/2} and up); `dip` = s * scale is an int, as each of those
-    depths times scale is a key's depth entry.
+    (which cost q^{1/2} and up), or 1 when there are none.  `dip` = s * scale
+    is an int by construction: it is read off the keys' depth entries.
 
     The kernel stores the coordinates of a key packed into one int,
     `pack`(x) = sum_i x_i R^i with R = `radix`.  Packing is linear, and it
@@ -778,13 +778,10 @@ class _Lattice:
         # ints: scale * depth_of(0, w) = -sum(cov_i * denom * w_i)
         self.cov = tuple((c * cden).numerator for c in self.depth_cov)
 
-        def depth(w):  # depth_of(0, w)
-            return -sum(map(mul, self.depth_cov, w), Q(0))
-
-        dips = [abs(depth(a)) for a in entry.pos_roots_natural]
-        dips += [2 * abs(depth(g)) for g, _ in entry.delta_prime]
-        self.slope = max(dips) if dips else Q(1)
-        self.dip = self._ints(entry, "dip density times scale", [self.slope * self.scale])[0]
+        dips = [abs(self.key(a)[0]) for a in entry.pos_roots_natural]
+        dips += [2 * abs(self.key(g)[0]) for g, _ in entry.delta_prime]
+        self.dip = max(dips) if dips else self.scale
+        self.slope = Q(self.dip, self.scale)
 
         rank = len(s) + (1 if entry.center else 0)
         block = [(-1 * g, -1, True) for g, mult in entry.delta_prime for _ in range(mult)]

@@ -7,10 +7,12 @@ Its scalars, (xi|nu) and the Casimir term, and nu's coroot pairings come
 from one per-request pass over nu (`CatalogEntry._scalars`)."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterator, List, Optional, Tuple
+from itertools import product
+from typing import List, Optional, Tuple
 
-from .catalog import AlgebraId, CatalogEntry, Vec, lookup, zero_vec
+from .catalog import AlgebraId, CatalogEntry, Vec, _solve_exact, _vec, lookup, zero_vec
 from .errors import CharacterizationMismatch, PreconditionViolated
 from .levels import LevelData, _Level, _level, _ranged
 
@@ -150,66 +152,45 @@ def _A_explicit(entry: CatalogEntry, k: Fraction, nu: Vec, ps: list) -> Fraction
 # enumeration of P^+_k (used by the CLI scans and the acceptance suite)
 
 
-def _dominant_so(rank: int, bound: Fraction, odd_dim: bool) -> Iterator[tuple]:
-    """so-dominant tuples n_1 >= ... >= n_rank >= 0 with n_1 + n_2 <= bound,
-    entries all integer or all half-integer; for even orthogonal algebras the
-    last entry may also occur with flipped sign."""
-    assert rank >= 2
-    if bound < 0:
-        return
-    b2 = int(2 * Q(bound))  # levels are integers, so 2*bound is an even int
-
-    def rec(prefix: List[int], parity: int) -> Iterator[tuple]:
-        i = len(prefix)
-        if i == rank:
-            yield tuple(Q(t, 2) for t in prefix)
-            return
-        if i == 0:
-            top = b2
-        elif i == 1:
-            top = min(prefix[0], b2 - prefix[0])
-        else:
-            top = prefix[-1]
-        for t in range(parity, top + 1, 2):
-            yield from rec(prefix + [t], parity)
-
-    for parity in (0, 1):
-        for tup in rec([], parity):
-            yield tup
-            if not odd_dim and tup[-1] > 0:
-                yield tup[:-1] + (-tup[-1],)
-
-
 def enumerate_P_plus_k(g: AlgebraId, k) -> List[Vec]:
-    """All of P^+_k, exactly (finite for k in the unitarity range)."""
+    """All of P^+_k, exactly, in lexicographic order of the Dynkin labels
+    (nu(alpha_1^vee), ..., nu(alpha_r^vee)) over the simple roots of g^nat.
+    Empty off the unitarity range; raises `PreconditionViolated` when g^nat
+    has a center, on which P^+_k puts no bound, so that it is infinite.
+
+    The label basis (`label_map`) spans h^nat in r = rank vectors; one exact
+    solve of their simple-coroot pairings gives the fundamental weights
+    omega_j, and the marks m_ij = omega_j(theta_i^vee) are ints, >= 1 for
+    alpha_j in component i and 0 off it.  Completeness: nu = sum_j a_j omega_j
+    with a_j = nu(alpha_j^vee), so nu is dominant integral exactly when every
+    a_j is an int >= 0, and then nu(theta_i^vee) = sum_j a_j m_ij <= M_i(k)
+    is the level bound.  A mark m_ij >= 1 gives a_j <= M_i(k) / m_ij, so the
+    box 0 <= a_j <= min_i floor(M_i(k) / m_ij) is finite and holds all of
+    P^+_k; the walk keeps the label vectors of the box that meet every bound.
+    Each nu is built from its int labels over the omegas' one denominator."""
     entry, rec = lookup(g), _ranged(g, Q(k))
     if rec is None:
         return []
-    lv = rec.data
-    fam = g.family
+    if entry.center is not None:
+        raise PreconditionViolated(f"P^+_k of {g.label()} is infinite: "
+                                   f"g^nat has a center, on which nu is unbounded")
+    lv, basis = rec.data, entry.label_map[1]
+    r = len(entry.simple_roots_natural)
+    eye = [[int(i == j) for j in range(r)] for i in range(r)]
+    # row j of the solve: omega_j's coefficients over the label basis
+    coeffs = _solve_exact([entry.pairings(0, b)[:r] for b in basis], eye)
+    omegas = [sum((c * b for c, b in zip(row, basis)), zero_vec(entry.n)) for row in coeffs]
+    marks = [_thetas(entry, entry.pairings(0, w)) for w in omegas]
+    assert all(m.denominator == 1 and m >= 0 for mk in marks for m in mk)
+    marks = [[m.numerator for m in mk] for mk in marks]
+    d = math.lcm(*(c.denominator for w in omegas for c in w))
+    ints = [[(c * d).numerator for c in w] for w in omegas]
+    tops = [min(M // m for M, m in zip(lv.M_simple, mk) if m > 0) for mk in marks]
     out: List[Vec] = []
-    if fam in ("psl22",) or (fam == "spo2m" and g.m == 3):
-        m1 = lv.M_simple[0]
-        for r in range(int(m1) + 1):
-            out.append(entry.nu_from_labels([r]))
-    elif fam == "D21a":
-        m1, m2 = lv.M_simple
-        for r1 in range(int(m1) + 1):
-            for r2 in range(int(m2) + 1):
-                out.append(entry.nu_from_labels([r1, r2]))
-    elif fam == "spo2m":
-        rank = g.m // 2
-        for tup in _dominant_so(rank, lv.M_simple[0], bool(g.m % 2)):
-            out.append(entry.nu_from_labels(list(tup)))
-    elif fam == "F4":
-        for tup in _dominant_so(3, lv.M_simple[0], True):
-            out.append(entry.nu_from_labels(list(tup)))
-    elif fam == "G3":
-        m1 = int(lv.M_simple[0])
-        for r2 in range(m1 + 1):
-            for r1 in range((r2 + 1) // 2, r2 + 1):
-                out.append(entry.nu_from_labels([r1, r2]))
-    else:
-        raise PreconditionViolated(f"no enumeration for {fam}")
+    for a in product(*(range(t + 1) for t in tops)):
+        if all(sum([x * mk[i] for x, mk in zip(a, marks)]) <= M
+               for i, M in enumerate(lv.M_simple)):
+            out.append(_vec([Q(sum([x * w[c] for x, w in zip(a, ints)]), d)
+                             for c in range(entry.n)]))
     assert all(_in_P_plus(entry, lv, entry.pairings(0, nu)) for nu in out)
     return out

@@ -490,8 +490,9 @@ def test_massless_prefix_copies_equal_whole_copies(g):
             assert got.records() == want.records()
 
 
-# sl(2|3) by hand: `enumerate_P_plus_k` has no sl2m enumeration; at its one
-# unitary level k = -1 every weight of P^+_k is extremal
+# sl(2|3) by hand: its P^+_k is infinite (the center of g^nat takes any weight),
+# so `enumerate_P_plus_k` raises; at its one unitary level k = -1 every weight
+# of P^+_k is extremal
 SL2M3_CASE = (catalog.sl2m(3), Q(-1), [zero_vec(5), Vec([0, 0, 1, 1, 1]),
                                        Vec([1, 1, 0, 0, 0]), Vec([1, 0, 0, 0, 0])])
 WINDOW_FAMILIES = [catalog.psl22(), catalog.sl2m(3), catalog.spo2m(3), catalog.spo2m(5),

@@ -1,7 +1,9 @@
 """The public surface of `wmin`, pinned by name: removing a name or adding
 one is a deliberate edit of these lists, never a side effect."""
+import dataclasses
+
 import wmin
-from wmin import CatalogEntry, QWSeries
+from wmin import CatalogEntry, NaturalComponent, QWSeries
 
 PUBLIC = [
     "A_bound", "A_explicit", "AlgebraId", "B_bound", "BosonBasisState",
@@ -41,3 +43,10 @@ def test_catalog_entry_methods_are_pinned():
     assert [n for n in dir(CatalogEntry) if not n.startswith("_")] == [
         "casimir", "coroot_pairing", "coroots", "form", "lattice", "nu_from_labels",
         "pairings", "restrict", "shifted_level", "weyl_reflect"]
+
+
+def test_natural_component_fields_are_pinned():
+    """A component of g^nat holds its highest root and level constants; its
+    simple roots are the entry's `simple_roots_natural`, not restated here."""
+    assert [f.name for f in dataclasses.fields(NaturalComponent)] == [
+        "index", "theta", "u", "hbar_vee", "chi"]

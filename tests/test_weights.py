@@ -102,6 +102,14 @@ def test_enumerate_p_plus_complete_vs_brute_force():
              if in_P_plus_k(g, k, catalog.Vec([a, b, 0]))}
     assert got == brute
 
+    g = catalog.f4()
+    k = Q(-8, 3)  # M1 = 3
+    got = set(enumerate_P_plus_k(g, k))
+    box = [Q(t, 2) for t in range(-1, 9)]
+    brute = {catalog.Vec([a, b, c, 0]) for a, b, c in product(box, box, box)
+             if in_P_plus_k(g, k, catalog.Vec([a, b, c, 0]))}
+    assert got == brute
+
 
 def test_enumerate_p_plus_counts():
     # sl2-type families have M1+1 weights
@@ -112,6 +120,84 @@ def test_enumerate_p_plus_counts():
     # spin weights are included for orthogonal components
     weights = enumerate_P_plus_k(catalog.spo2m(5), Q(-3, 2))
     assert any(w[1].denominator == 2 for w in weights)
+
+
+def _old_dominant_so(rank, bound, odd_dim):
+    """so-dominant tuples n_1 >= ... >= n_rank >= 0 with n_1 + n_2 <= bound,
+    entries all integer or all half-integer; for even orthogonal algebras the
+    last entry may also occur with flipped sign."""
+    if bound < 0:
+        return
+    b2 = int(2 * Q(bound))
+
+    def rec(prefix, parity):
+        i = len(prefix)
+        if i == rank:
+            yield tuple(Q(t, 2) for t in prefix)
+            return
+        top = b2 if i == 0 else min(prefix[0], b2 - prefix[0]) if i == 1 else prefix[-1]
+        for t in range(parity, top + 1, 2):
+            yield from rec(prefix + [t], parity)
+
+    for parity in (0, 1):
+        for tup in rec([], parity):
+            yield tup
+            if not odd_dim and tup[-1] > 0:
+                yield tup[:-1] + (-tup[-1],)
+
+
+def _old_enumerate_P_plus_k(g, k):
+    """P^+_k as `weights` spelled it per family, with so(m)'s spin parity and
+    G2's chamber written out by hand: the oracle for the one walk over
+    Dynkin labels."""
+    e = lookup(g)
+    if not unitarity_range_contains(g, k):
+        return []
+    fam, M = g.family, level_data(g, k).M_simple
+    if fam == "psl22" or (fam == "spo2m" and g.m == 3):
+        labels = [[r] for r in range(int(M[0]) + 1)]
+    elif fam == "D21a":
+        labels = [[r1, r2] for r1 in range(int(M[0]) + 1) for r2 in range(int(M[1]) + 1)]
+    elif fam == "spo2m":
+        labels = _old_dominant_so(g.m // 2, M[0], bool(g.m % 2))
+    elif fam == "F4":
+        labels = _old_dominant_so(3, M[0], True)
+    elif fam == "G3":
+        labels = [[r1, r2] for r2 in range(int(M[0]) + 1) for r1 in range((r2 + 1) // 2, r2 + 1)]
+    else:
+        raise PreconditionViolated(f"no enumeration for {fam}")
+    return [e.nu_from_labels(list(lab)) for lab in labels]
+
+
+ENUM_FAMILIES = ([catalog.psl22()] + [catalog.spo2m(m) for m in (3, 5, 6, 7, 8, 9)]
+                 + [catalog.d21a(p, q) for p, q in ((1, 1), (2, 1), (2, 3), (1, 3), (7, 5))]
+                 + [catalog.f4(), catalog.g3(), catalog.osp4m(4)])
+
+
+@pytest.mark.parametrize("g", ENUM_FAMILIES, ids=lambda g: g.label())
+def test_enumeration_equals_the_per_family_oracle(g):
+    """The walk over Dynkin labels against the per-family code: the same
+    set, with no weight twice, at the first eight unitary levels and half a
+    step above the first (off the range, where both are empty); and in the
+    documented order, each weight's simple-coroot pairings strictly greater,
+    lexicographically, than the previous weight's."""
+    e = lookup(g)
+    first, step, _ = e.unitary_range
+    r = len(e.simple_roots_natural)
+    for k in enumerate_unitary_k(g, 8) + [first - step / 2]:
+        got = enumerate_P_plus_k(g, k)
+        assert len(set(got)) == len(got), (g.label(), k)
+        assert set(got) == set(_old_enumerate_P_plus_k(g, k)), (g.label(), k)
+        labels = [e.pairings(0, nu)[:r] for nu in got]
+        assert all(a < b for a, b in zip(labels, labels[1:])), (g.label(), k)
+
+
+def test_enumeration_raises_on_a_center():
+    """sl(2|m): g^nat has a center, on which nu is unbounded, so P^+_k is
+    infinite at its unitary level k = -1; off the range it is empty."""
+    with pytest.raises(PreconditionViolated, match="infinite"):
+        enumerate_P_plus_k(catalog.sl2m(3), -1)
+    assert enumerate_P_plus_k(catalog.sl2m(3), -2) == []
 
 
 def _pairings_oracle(e, nu):
