@@ -56,14 +56,39 @@ With `--gram E_MAX` the script times the integer kernel of the boson lab
     adjoint_s             `adjointness_check` for |n| <= 3, operators 'L' and 'a'
     caches                `cache_info()` of the gram caches afterwards
 
+With `--verdicts COUNT` it times `wmin.unitarity.decide` instead, warm,
+on COUNT requests drawn with `random.Random(SEED)` from a pool: every
+weight of P^+_k (`enumerate_P_plus_k`) at the first LEVELS unitary levels
+of the eight verdict families, each at l0 = A + delta for delta in
+(-1/2, 0, 1/3).  Each stage runs on its own over the requests, after one
+warm pass, with the garbage collector off; every time is the median of
+PASSES passes, in seconds for the whole set of requests:
+
+    pool                  pool size (weights times deltas)
+    requests              COUNT
+    outcomes              the verdict outcomes of the requests, counted
+    decide_s              `decide` on every request
+    stages                the steps of `decide`, each over the requests
+                          that reach it:
+      scalars_s           `CatalogEntry._scalars`, the pass over nu (all)
+      p_plus_s            `weights._in_P_plus` on its int pairings (those at
+                          a non-collapsing level)
+      threshold_s         `weights._threshold`, A (those in P^+_k)
+      extremal_s          `weights._is_extremal`, both characterizations
+      closed_form_s       `weights._A_explicit`, the second route to A
+    reached               how many requests each stage ran on
+
     python3 scripts/stage_times.py --g G3 --k -9/4
     python3 scripts/stage_times.py --g psl22 --k -3 --nu 0,0,1/2,-1/2 --massless --qmax 4 --depth 6
     python3 scripts/stage_times.py --gram 8
+    python3 scripts/stage_times.py --verdicts 750 --seed 3
 """
 import argparse
 import gc
 import json
+import random
 import re
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -87,9 +112,18 @@ def main(argv=None):
     ap.add_argument("--depth", default="6")
     ap.add_argument("--gram", type=int, metavar="E_MAX",
                     help="time the boson lab's integer kernel at this cutoff instead")
+    ap.add_argument("--verdicts", type=int, metavar="COUNT",
+                    help="time the stages of decide on COUNT seeded verdict requests instead")
+    ap.add_argument("--seed", type=int, default=3, help="--verdicts: the request draw's seed")
+    ap.add_argument("--levels", type=int, default=6,
+                    help="--verdicts: unitary levels per family in the pool")
+    ap.add_argument("--passes", type=int, default=5, help="--verdicts: passes per stage")
     args = ap.parse_args(argv)
     if args.gram is not None:
         print(json.dumps(gram_stages(args.gram)))
+        return
+    if args.verdicts is not None:
+        print(json.dumps(verdict_stages(args.verdicts, args.seed, args.levels, args.passes)))
         return
 
     t0 = time.perf_counter()
@@ -193,6 +227,63 @@ def gram_stages(e_max):
         gram_lab.states_at_energy, gram_lab._basis, gram_lab._a_map, gram_lab._p_map,
         gram_lab._scaled_L, gram_lab.heisenberg_matrix)}
     return out
+
+
+def verdict_stages(count, seed, levels, passes):
+    """The `--verdicts` stages: each a loop over the requests that reach it."""
+    from collections import Counter
+    from fractions import Fraction as Q
+    from wmin import catalog, levels as lv_mod, unitarity, weights
+
+    families = [catalog.psl22(), catalog.spo2m(3), catalog.spo2m(5), catalog.spo2m(6),
+                catalog.d21a(2), catalog.d21a(2, 3), catalog.f4(), catalog.g3()]
+    deltas = (Q(-1, 2), Q(0), Q(1, 3))
+    pool = [(g, k, nu, weights.A_bound(g, k, nu) + dl)
+            for g in families for k in lv_mod.enumerate_unitary_k(g, levels)
+            for nu in weights.enumerate_P_plus_k(g, k) for dl in deltas]
+    reqs = random.Random(seed).choices(pool, k=count)
+    verdicts = [unitarity.decide(*r) for r in reqs]
+    rows = []  # (entry, record, nu, scalars) of each request, as decide reads them
+    for g, k, nu, _ in reqs:
+        entry = catalog.lookup(g)
+        rows.append((entry, lv_mod._level(g, k), nu, entry._scalars(nu)))
+    ranged = [r for r in rows if not r[1].data.collapsing]
+    inside = [r for r in ranged if weights._in_P_plus(r[0], r[1].data, r[3].d, r[3].ps)]
+
+    def timed(fn, items):
+        gc.disable()
+        try:
+            for item in items:  # one warm pass
+                fn(*item)
+            ts = []
+            for _ in range(passes):
+                t = time.perf_counter()
+                for item in items:
+                    fn(*item)
+                ts.append(time.perf_counter() - t)
+        finally:
+            gc.enable()
+        return round(statistics.median(ts), 6)
+
+    stages = {
+        "scalars_s": timed(lambda e, rec, nu, sc: e._scalars(nu), rows),
+        "p_plus_s": timed(lambda e, rec, nu, sc: weights._in_P_plus(e, rec.data, sc.d, sc.ps),
+                          ranged),
+        "threshold_s": timed(lambda e, rec, nu, sc: weights._threshold(rec, sc), inside),
+        "extremal_s": timed(lambda e, rec, nu, sc: weights._is_extremal(e, rec, sc), inside),
+        "closed_form_s": timed(lambda e, rec, nu, sc: weights._A_explicit(
+            e, rec.data.k, sc.d, sc.x, sc.ps), inside),
+    }
+    return {
+        "pool": len(pool),
+        "requests": count,
+        "outcomes": dict(sorted(Counter(v.outcome for v in verdicts).items())),
+        "decide_s": timed(unitarity.decide, reqs),
+        "stages": stages,
+        "reached": {"scalars_s": len(rows), "p_plus_s": len(ranged),
+                    "threshold_s": len(inside), "extremal_s": len(inside),
+                    "closed_form_s": len(inside)},
+    }
 
 
 if __name__ == "__main__":

@@ -212,6 +212,22 @@ def _dot(cov: tuple, x: Sequence[int]) -> int:
     return sum([c * x[a] for a, c in cov])
 
 
+class _NuScalars(NamedTuple):
+    """What the per-request pass (`CatalogEntry._scalars`) reads of nu, in
+    ints: nu = x / d with d > 0, its level-0 pairings ps over d, and two
+    scalars as (numerator, denominator > 0) pairs."""
+
+    d: int
+    x: list
+    ps: list                 # nu(alpha^vee) * d per simple root, then -nu(theta_i^vee) * d
+    xn: tuple                # (xi|nu)
+    cas: tuple               # (nu|nu+2rho^nat)
+
+    def pairings(self) -> List[Fraction]:
+        """The level-0 pairings as `Fraction`s."""
+        return [Q(p, self.d) for p in self.ps]
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     id: AlgebraId
@@ -292,31 +308,35 @@ class CatalogEntry:
         level * Lambda_0 + finite (+ any multiple of delta), read off the
         per-request pass (`_scalars`).  At level 0, nu's simple-coroot
         pairings, then -nu(theta_i^vee) for eta_i = delta - theta_i."""
-        ps = self._scalars(finite)[0]
+        ps = self._scalars(finite).pairings()
         return [p + level * lc for p, (_, lc) in zip(ps, self.coroots)] if level else ps
 
     # -- weight scalars: int dot products against per-entry covectors -------
-    def _scalars(self, nu: Sequence) -> tuple:
-        """The per-request pass: (pairings, (xi|nu), (nu|nu+2rho^nat)) of nu.
+    def _scalars(self, nu: Sequence) -> _NuScalars:
+        """The per-request pass: nu's coordinates, its level-0 pairings,
+        (xi|nu) and (nu|nu+2rho^nat), all as ints over their denominators
+        (`_NuScalars`); no `Fraction` is built.
 
         nu is scaled once to ints, nu = x / d (`_scaled`), and each scalar is
-        then an int dot product against a constant of the entry, divided
-        once: each is linear or quadratic in nu, so it is an int form in x
-        over a power of d, exactly.  The level-0 pairings are the coroot
-        covectors (`coroots`) dotted with x, over d; the pairings of nu + xi
-        are these plus xi's, which the entry holds (`_xi_pairings`),
-        pairings being linear.  (xi|nu) is the covector of (xi|.) dotted
-        with x, over d.  The Casimir term is (nu|nu+2rho^nat) = (nu|nu) +
-        (2rho^nat|nu) by bilinearity: the form's quadratic in x, over d^2,
-        plus the covector of (2rho^nat|.) dotted with x, over d, taken over
-        one denominator.  Likewise (nu + rho^nat|gamma) is the covector of
+        then an int dot product against a constant of the entry over a
+        denominator the entry fixes: each is linear or quadratic in nu, so it
+        is an int form in x over a power of d, exactly.  The level-0
+        pairings are the coroot covectors (`coroots`) dotted with x, over d.
+        (xi|nu) is the covector of (xi|.) dotted with x, over dx * d.  The
+        Casimir term is (nu|nu+2rho^nat) = (nu|nu) + (2rho^nat|nu) by
+        bilinearity: the form's quadratic in x, over d^2, plus the covector
+        of (2rho^nat|.) dotted with x, over d, taken over one denominator
+        dc * d^2.  Likewise (nu + rho^nat|gamma) is the covector of
         (gamma|.) dotted with x plus the constant (rho^nat|gamma)
-        (`_odd_covs`).  Raises on a weight of the wrong length."""
+        (`_odd_covs`).  Every denominator is positive.  Raises on a weight
+        of the wrong length."""
         d, x = self._scaled(nu)
         dx, xi = self._xi_cov
         dc, form, rho2 = self._casimir_cov
-        return ([Q(_dot(cov, x), d) for cov, _ in self.coroots], Q(_dot(xi, x), dx * d),
-                Q(sum([g * x[i] * x[j] for i, j, g in form]) + d * _dot(rho2, x), dc * d * d))
+        return _NuScalars(d, x, [_dot(cov, x) for cov, _ in self.coroots],
+                          (_dot(xi, x), dx * d),
+                          (sum([g * x[i] * x[j] for i, j, g in form]) + d * _dot(rho2, x),
+                           dc * d * d))
 
     def _scaled(self, finite: Sequence) -> tuple:
         """(d, x) with finite = x / d: the coordinates as ints x over their
@@ -335,8 +355,11 @@ class CatalogEntry:
         return d, _sparse([(c * d).numerator for c in cov])
 
     @cached_property
-    def _xi_pairings(self) -> List[Fraction]:
-        return self.pairings(0, self.xi)
+    def _xi_ints(self) -> tuple:
+        """(d, ps): xi's level-0 pairings as the ints ps over the one d > 0,
+        read off the per-request pass (`_scalars`)."""
+        sc = self._scalars(self.xi)
+        return sc.d, sc.ps
 
     @cached_property
     def _xi_cov(self) -> tuple:
@@ -384,7 +407,7 @@ class CatalogEntry:
     def casimir(self, nu: Vec) -> Fraction:
         """(nu|nu+2rho^nat), the Casimir term of the thresholds and of the
         singular and lowest conformal weights (`_scalars`)."""
-        return self._scalars(nu)[2]
+        return Q(*self._scalars(nu).cas)
 
     @cached_property
     def _levels(self) -> "_LevelConstants":

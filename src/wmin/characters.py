@@ -569,7 +569,7 @@ def ell_of_h(g: AlgebraId, k, nu: Vec, h) -> Fraction:
     """Lowest energy of the reduced module with highest weight nu_hat_h."""
     entry = lookup(g)
     kh = entry.shifted_level(k)
-    return _ell(Q(h), Q(k), kh, entry.casimir(nu))
+    return _ell(Q(h).as_integer_ratio(), Q(k), kh, entry._scalars(nu).cas)
 
 
 def h_pair(g: AlgebraId, k, nu: Vec, l0) -> Optional[Tuple[Fraction, Fraction]]:
@@ -579,7 +579,7 @@ def h_pair(g: AlgebraId, k, nu: Vec, l0) -> Optional[Tuple[Fraction, Fraction]]:
     entry = lookup(g)
     kh = entry.shifted_level(k)
     k, l0 = Q(k), Q(l0)
-    c0 = _ell(Q(0), k, kh, entry.casimir(nu))
+    c0 = _ell((0, 1), k, kh, entry._scalars(nu).cas)
     roots = solve_quadratic_rational(Q(1), -(k + 1), -(l0 - c0) * kh)
     return None if roots is None else (roots[0], k + 1 - roots[0])
 
@@ -615,7 +615,7 @@ def _orbit(entry: CatalogEntry, rec: _Level, ps: list, q_shift_limit: Fraction,
     """Breadth-first shifted-orbit enumeration: the elements with
     q_shift <= limit, walked on int coordinates, for nu in P^+_k at the
     level of the record `rec` (`levels._level`), nu given by its level-0
-    pairings `ps` (`CatalogEntry._scalars`).
+    pairings `ps` as `Fraction`s (`_NuScalars.pairings`).
 
     No h.  theta pairs to 0 with every affine simple coroot of g^nat (g^nat
     centralizes the sl2 triple of theta, so theta is orthogonal to its roots
@@ -744,7 +744,7 @@ def weyl_orbit(g: AlgebraId, k, nu: Vec, h, q_max) -> List[Tuple[Vec, int, Fract
     rec, sc = data
     base, denom = entry.restrict(nu), entry.lattice.denom
     return [(base + _vec([Q(x, denom) for x in e.key[1:]]), e.det, Q(e.q_shift))
-            for e in _orbit(entry, rec, sc[0], Q(q_max))]
+            for e in _orbit(entry, rec, sc.pairings(), Q(q_max))]
 
 
 # ---------------------------------------------------------------------------
@@ -837,7 +837,7 @@ def character_massive(g: AlgebraId, k, nu: Vec, l0, q_max, depth) -> QWSeries:
     if l0 <= _threshold(*data):
         raise PreconditionViolated("massive character needs l0 > A(k,nu)")
     rec, sc = data
-    return _orbit_sum(entry, rec, sc[0], nu, l0, q_max, depth, False)
+    return _orbit_sum(entry, rec, sc.pairings(), nu, l0, q_max, depth, False)
 
 
 def character_massless(g: AlgebraId, k, nu: Vec, q_max, depth) -> QWSeries:
@@ -851,7 +851,7 @@ def character_massless(g: AlgebraId, k, nu: Vec, q_max, depth) -> QWSeries:
     if data is None:
         raise PreconditionViolated("massless character needs nu in P^+_k")
     rec, sc = data
-    return _orbit_sum(entry, rec, sc[0], nu, _threshold(rec, sc), q_max, depth, True)
+    return _orbit_sum(entry, rec, sc.pairings(), nu, _threshold(rec, sc), q_max, depth, True)
 
 
 def _n4_range(M1: int, window: Fraction) -> range:

@@ -52,7 +52,7 @@ from .catalog import AlgebraId, Vec, lookup
 from .errors import IndexOutOfSet, PreconditionViolated, WindowTooSmall
 from .levels import level_data
 from .rationals import GaussianRational as GR
-from .weights import A_bound, _thetas
+from .weights import A_bound, _plus_xi, _thetas
 
 Q = Fraction
 
@@ -460,5 +460,5 @@ def j_g_ratio(g: AlgebraId, k, nu: Vec, i: int) -> Fraction:
     entry, lv = lookup(g), level_data(g, k)  # CriticalLevel guard
     if not 1 <= i <= len(lv.M_simple):
         raise IndexOutOfSet(f"component index {i} outside 1..{len(lv.M_simple)}")
-    shifted = [p + x for p, x in zip(entry.pairings(0, nu), entry._xi_pairings)]  # nu + xi
-    return _thetas(entry, shifted)[i - 1] - lv.M_simple[i - 1]
+    D, shifted = _plus_xi(entry, entry._scalars(nu))  # nu + xi, ints over D
+    return Q(_thetas(entry, shifted)[i - 1], D) - lv.M_simple[i - 1]

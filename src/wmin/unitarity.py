@@ -53,7 +53,8 @@ class UnitarityVerdict:
 
 def _collapse_check(entry: CatalogEntry, lv: LevelData, nu: Vec, ps: list,
                     l0: Fraction) -> CollapseCheck:
-    """The gate, chosen by the component levels, not by the target's name."""
+    """The gate, chosen by the component levels, not by the target's name;
+    `ps` are nu's level-0 pairings as `Fraction`s."""
     if all(m == 0 for m in lv.M):
         ok = nu.is_zero()
         detail = "target is trivial; needs nu = 0"
@@ -66,7 +67,7 @@ def _collapse_check(entry: CatalogEntry, lv: LevelData, nu: Vec, ps: list,
         # P^+_k membership is exactly the target's integrability: dominance
         # gives nu(theta_i^vee) >= 0, so on a component with M_i = 0 the
         # bound nu(theta_i^vee) <= M_i says it is 0 (trivial there).
-        ok = _in_P_plus(entry, lv, ps)
+        ok = _in_P_plus(entry, lv, 1, ps)
         detail = ("integrable on the surviving component(s), trivial on the rest"
                   if len(entry.components) == 2 else
                   "nu must be integrable of level M_1 for the target")
@@ -98,19 +99,18 @@ def decide(g: AlgebraId, k, nu: Vec, l0) -> UnitarityVerdict:
         return UnitarityVerdict(NOT_IN_UNITARY_RANGE, quantities, tuple(reasons))
 
     sc = entry._scalars(nu)
-    ps = sc[0]
     if lv.collapsing:
-        chk = _collapse_check(entry, lv, nu, ps, l0)
+        chk = _collapse_check(entry, lv, nu, sc.pairings(), l0)
         reasons.append(f"collapsing level, target {chk.target}")
         return UnitarityVerdict(COLLAPSING, quantities, tuple(reasons), collapse=chk)
 
-    if not _in_P_plus(entry, lv, ps):
+    if not _in_P_plus(entry, lv, sc.d, sc.ps):
         reasons.append("nu not dominant integral of the component levels")
         return UnitarityVerdict(NOT_IN_P_PLUS_K, quantities, tuple(reasons))
 
     a = _threshold(rec, sc)
     extremal = _is_extremal(entry, rec, sc)
-    quantities.update({"A": a, "A_explicit": _A_explicit(entry, k, nu, ps),
+    quantities.update({"A": a, "A_explicit": _A_explicit(entry, k, sc.d, sc.x, sc.ps),
                        "extremal": extremal, "l0_minus_A": l0 - a})
 
     if extremal:
@@ -145,7 +145,7 @@ def h_even(g: AlgebraId, k, nu: Vec, n, m) -> Fraction:
     if n <= 0 or m <= 0 or (eps * n).denominator != 1 or (eps * m).denominator != 1 \
             or (m - n).denominator != 1:
         raise IndexOutOfSet("need m, n in (1/eps)N with m - n integral")
-    return _h_even(k, kh, entry.casimir(nu), eps, n, m)
+    return _h_even(k, kh, entry._scalars(nu).cas, eps, n, m)
 
 
 def h_odd(g: AlgebraId, k, nu: Vec, m, gamma: Vec) -> Fraction:
@@ -159,17 +159,19 @@ def h_odd(g: AlgebraId, k, nu: Vec, m, gamma: Vec) -> Fraction:
     odd = next((row for row in entry._odd_covs if row[0] == gamma), None)
     if odd is None:
         raise IndexOutOfSet("gamma must be a weight of the odd half-space")
-    return _h_odd(k, kh, entry.casimir(nu), _odd_pair(odd, *entry._scaled(nu)), m)
+    sc = entry._scalars(nu)
+    return _h_odd(k, kh, sc.cas, _odd_pair(odd, sc.d, sc.x), m)
 
 
-def _h_even(k: Fraction, kh: Fraction, cas: Fraction, eps: int, n, m) -> Fraction:
-    """h_{n, eps*m} from k, kh = k+h_vee and cas = (nu|nu+2rho^nat)."""
-    return _ell((eps * m * kh - n + k + 1) / 2, k, kh, cas)
+def _h_even(k: Fraction, kh: Fraction, cas: tuple, eps: int, n, m) -> Fraction:
+    """h_{n, eps*m} from k, kh = k+h_vee and cas = (nu|nu+2rho^nat) as a
+    (numerator, denominator) int pair."""
+    return _ell(((eps * m * kh - n + k + 1) / 2).as_integer_ratio(), k, kh, cas)
 
 
-def _h_odd(k: Fraction, kh: Fraction, cas: Fraction, pair: Fraction, m) -> Fraction:
+def _h_odd(k: Fraction, kh: Fraction, cas: tuple, pair: Fraction, m) -> Fraction:
     """h_{m, gamma} from k, kh, cas as `_h_even`, and pair = (nu+rho^nat|gamma)."""
-    return _ell(pair + m * kh + (k + 1) / 2, k, kh, cas)
+    return _ell((pair + m * kh + (k + 1) / 2).as_integer_ratio(), k, kh, cas)
 
 
 def _odd_pair(odd: tuple, d: int, x: list) -> Fraction:
@@ -209,7 +211,7 @@ def sign2_scan(g: AlgebraId, k, nu: Vec, n_max, m_max) -> Sign2Report:
                       "scan" if hyp else "lemma hypothesis not met")
     rec, sc = data or (_level(g, k), entry._scalars(nu))
     kh = rec.kh
-    a, cas = _threshold(rec, sc), sc[2]
+    a, cas = _threshold(rec, sc), sc.cas
     eps = entry.epsilon
     n_max, m_max = Q(n_max), Q(m_max)
     # even indices: n, m in (1/eps)N with m - n integral
@@ -226,8 +228,7 @@ def sign2_scan(g: AlgebraId, k, nu: Vec, n_max, m_max) -> Sign2Report:
             mm += eps
         nn += 1
     # odd indices: m in 1/2 + Z_+, gamma over the support of Delta'
-    d, x = entry._scaled(nu)
-    pairs = [(odd[0], _odd_pair(odd, d, x)) for odd in entry._odd_covs]
+    pairs = [(odd[0], _odd_pair(odd, sc.d, sc.x)) for odd in entry._odd_covs]
     m = Q(1, 2)
     while m <= m_max:
         for gamma, pair in pairs:

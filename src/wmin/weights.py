@@ -4,7 +4,10 @@ The thresholds and singular weights are one lowest-energy quadratic, `_ell`:
 ell(h) = (nu|nu+2rho^nat)/(2(k+h)) + h(h-k-1)/(k+h), so A = ell((xi|nu)),
 B = ell((k+1)/2), and h_even, h_odd, ell_of_h and g_half_norm read it too.
 Its scalars, (xi|nu) and the Casimir term, and nu's coroot pairings come
-from one per-request pass over nu (`CatalogEntry._scalars`)."""
+from one per-request pass over nu (`CatalogEntry._scalars`), as ints over
+their denominators: the P^+_k and extremality tests are int comparisons,
+and A and the closed forms `_A_explicit` are each one int numerator over
+one int denominator, divided once into a `Fraction`."""
 from __future__ import annotations
 
 import math
@@ -12,7 +15,8 @@ from fractions import Fraction
 from itertools import product
 from typing import List, Optional, Tuple
 
-from .catalog import AlgebraId, CatalogEntry, Vec, _solve_exact, _vec, lookup, zero_vec
+from .catalog import (AlgebraId, CatalogEntry, Vec, _NuScalars, _solve_exact, _vec, lookup,
+                      zero_vec)
 from .errors import CharacterizationMismatch, PreconditionViolated
 from .levels import LevelData, _Level, _level, _ranged
 
@@ -24,23 +28,41 @@ def _thetas(entry: CatalogEntry, ps: list) -> list:
     return [-p for p in ps[len(entry.simple_roots_natural):]]
 
 
-def _in_P_plus(entry: CatalogEntry, lv: LevelData, ps: list) -> bool:
+def _in_P_plus(entry: CatalogEntry, lv: LevelData, d: int, ps: list) -> bool:
     """nu dominant integral with nu(theta_i^vee) <= M_i(k), read off nu's
-    pairings `ps`.  The level must lie in the unitarity range."""
-    return (all(p >= 0 and p.denominator == 1
-                for p in ps[:len(entry.simple_roots_natural)])
-            and all(p <= m for p, m in zip(_thetas(entry, ps), lv.M_simple)))
+    pairings `ps` over d > 0: ints over d, or `Fraction`s over d = 1.  The
+    level must lie in the unitarity range.
+
+    Int comparisons, exact since d > 0 and M_i(k) = num/den with den > 0:
+    p/d is a non-negative int exactly when p >= 0 and d divides p, and
+    nu(theta_i^vee) = -p/d <= num/den exactly when -p * den <= num * d."""
+    r = len(entry.simple_roots_natural)
+    return (all(p >= 0 and p % d == 0 for p in ps[:r])
+            and all(-p * m.denominator <= m.numerator * d
+                    for p, m in zip(ps[r:], lv.M_simple)))
 
 
-def _is_extremal(entry: CatalogEntry, rec: _Level, sc: tuple) -> bool:
+def _plus_xi(entry: CatalogEntry, sc: _NuScalars) -> tuple:
+    """(D, ps): the level-0 pairings of nu + xi as the ints ps over D > 0.
+    Pairings are linear, so they are nu's, p/d, plus xi's, q/e
+    (`CatalogEntry._xi_ints`), each (p e + q d) over D = d e."""
+    e, xs = entry._xi_ints
+    d = sc.d
+    return d * e, [p * e + q * d for p, q in zip(sc.ps, xs)]
+
+
+def _is_extremal(entry: CatalogEntry, rec: _Level, sc: _NuScalars) -> bool:
     """nu+xi falls outside P^+_k, for nu in P^+_k with level record `rec`
-    (`levels._level`) and scalars `sc` (`CatalogEntry._scalars`): nu+xi
-    pairs as nu's pairings plus xi's.  Cross-checked against the chi_i test,
-    nu(theta_i^vee) > M_i(k) + chi_i for some i (`LevelData.alpha_levels`)."""
-    ps, lv = sc[0], rec.data
-    by_def = not _in_P_plus(entry, lv, [p + x for p, x in zip(ps, entry._xi_pairings)])
-    by_chi = any(p > a for p, a in
-                 zip(_thetas(entry, ps), lv.alpha_levels[-len(entry.components):]))
+    (`levels._level`) and scalars `sc` (`CatalogEntry._scalars`): the P^+_k
+    test on nu+xi's int pairings (`_plus_xi`).  Cross-checked against the
+    chi_i test, nu(theta_i^vee) > M_i(k) + chi_i for some i
+    (`LevelData.alpha_levels`), which with -p/d = nu(theta_i^vee) and
+    M_i(k) + chi_i = num/den (d, den > 0) is -p * den > num * d."""
+    lv, d = rec.data, sc.d
+    by_def = not _in_P_plus(entry, lv, *_plus_xi(entry, sc))
+    s = len(entry.components)
+    by_chi = any(-p * a.denominator > a.numerator * d
+                 for p, a in zip(sc.ps[-s:], lv.alpha_levels[-s:]))
     if by_def != by_chi:
         raise CharacterizationMismatch(
             f"extremality tests disagree for {entry.id.label()}, k={lv.k}: "
@@ -48,18 +70,18 @@ def _is_extremal(entry: CatalogEntry, rec: _Level, sc: tuple) -> bool:
     return by_def
 
 
-def _P_plus_data(g: AlgebraId, k, nu: Vec) -> Optional[Tuple[_Level, tuple]]:
+def _P_plus_data(g: AlgebraId, k, nu: Vec) -> Optional[Tuple[_Level, _NuScalars]]:
     """(level record, nu's scalars) when nu lies in P^+_k, else None; the
     record is `levels._level`, the scalars the per-request pass
-    `CatalogEntry._scalars`, (pairings, (xi|nu), (nu|nu+2rho^nat)).  Raises
-    on a weight of the wrong length, at every level."""
+    `CatalogEntry._scalars`.  Raises on a weight of the wrong length, at
+    every level."""
     entry = lookup(g)
     entry._check_length(nu)
     rec = _ranged(g, Q(k))
     if rec is None:
         return None
     sc = entry._scalars(nu)
-    return (rec, sc) if _in_P_plus(entry, rec.data, sc[0]) else None
+    return (rec, sc) if _in_P_plus(entry, rec.data, sc.d, sc.ps) else None
 
 
 def in_P_plus_k(g: AlgebraId, k, nu: Vec) -> bool:
@@ -75,17 +97,35 @@ def is_extremal(g: AlgebraId, k, nu: Vec) -> bool:
     return _is_extremal(lookup(g), *data)
 
 
-def _ell(h: Fraction, k: Fraction, kh: Fraction, cas: Fraction) -> Fraction:
+def _ell(h: tuple, k: Fraction, kh: Fraction, cas: tuple) -> Fraction:
     """The lowest-energy quadratic cas/(2(k+h)) + h(h-k-1)/(k+h), with
-    kh = k+h_vee and cas = (nu|nu+2rho^nat)."""
-    return cas / (2 * kh) + h * (h - k - 1) / kh
+    kh = k+h_vee nonzero, and h and cas = (nu|nu+2rho^nat) given as
+    (numerator, denominator) int pairs.
+
+    Exactness.  ell = (cas/2 + h(h-k-1))/kh.  With h = hn/hd, cas = cn/cd,
+    k = kn/kd and kh = khn/khd, h(h-k-1) = hn (hn kd - (kn+kd) hd)/(hd^2 kd),
+    so over the one denominator 2 cd hd^2 kd,
+        ell = (cn hd^2 kd + 2 cd hn (hn kd - (kn+kd) hd)) khd
+              / (2 cd hd^2 kd khn).
+    Numerator and denominator are int products and sums, exact; the one
+    division is `Fraction(num, den)`, with den != 0 since every denominator
+    is nonzero and khn != 0 off the critical level.  No sign is assumed:
+    `Fraction` divides out the gcd and moves the sign to the numerator, so
+    the result is the one reduced `Fraction` of that value, the same one the
+    term-by-term `Fraction` evaluation gives."""
+    (hn, hd), (cn, cd) = h, cas
+    kn, kd = k.numerator, k.denominator
+    return Q((cn * hd * hd * kd + 2 * cd * hn * (hn * kd - (kn + kd) * hd)) * kh.denominator,
+             2 * cd * hd * hd * kd * kh.numerator)
 
 
-def _threshold(rec: _Level, sc: tuple) -> Fraction:
+def _threshold(rec: _Level, sc: _NuScalars) -> Fraction:
     """A(k,nu) = ell((xi|nu)) from the level record `rec` (`levels._level`)
-    and nu's scalars `sc` (`CatalogEntry._scalars`)."""
-    _, xn, cas = sc
-    return _ell(xn, rec.data.k, rec.kh, cas)
+    and nu's scalars `sc` (`CatalogEntry._scalars`): (xi|nu) and the Casimir
+    term enter `_ell` as the ints over their positive denominators that the
+    pass gives, and k + h_vee is the record's, nonzero, so A is one
+    division (see `_ell` for why that is exact)."""
+    return _ell(sc.xn, rec.data.k, rec.kh, sc.cas)
 
 
 def A_bound(g: AlgebraId, k, nu: Vec) -> Fraction:
@@ -99,7 +139,7 @@ def B_bound(g: AlgebraId, k, nu: Vec) -> Fraction:
     entry = lookup(g)
     kh = entry.shifted_level(k)
     k = Q(k)
-    return _ell((k + 1) / 2, k, kh, entry.casimir(nu))
+    return _ell(((k + 1) / 2).as_integer_ratio(), k, kh, entry._scalars(nu).cas)
 
 
 def A_explicit(g: AlgebraId, k, nu: Vec) -> Fraction:
@@ -113,38 +153,75 @@ def A_explicit(g: AlgebraId, k, nu: Vec) -> Fraction:
     """
     entry = lookup(g)
     entry.shifted_level(k)  # CriticalLevel guard
-    return _A_explicit(entry, Q(k), nu, entry.pairings(0, nu))
+    sc = entry._scalars(nu)
+    return _A_explicit(entry, Q(k), sc.d, sc.x, sc.ps)
 
 
-def _A_explicit(entry: CatalogEntry, k: Fraction, nu: Vec, ps: list) -> Fraction:
-    """`A_explicit` at a noncritical level, with nu's pairings `ps`."""
+def _A_explicit(entry: CatalogEntry, k: Fraction, d: int, x: list, ps: list) -> Fraction:
+    """`A_explicit` at a noncritical level, from nu = x / d (d > 0) and its
+    level-0 pairings ps over d: one int numerator over one int denominator,
+    divided once.  It reads nu's coordinates or its theta_i pairings
+    R_i = -p (so nu(theta_i^vee) = R_i / d), k = kn/kd and, for D(2,1;a),
+    a = an/ad; never the threshold's quadratic or its covectors, so
+    A == A_explicit compares two routes.  Each form below is the per-family
+    `Fraction` expression it replaced (kept in the tests as the oracle) with
+    numerator and denominator multiplied by the one factor shown, which
+    clears every denominator; where that denominator vanishes (spo2m at
+    k = (m-4)/2, D(2,1;a) at k = 0, F4 at k = 2, G3 at k = 3/2) both raise
+    ZeroDivisionError.  Exactness as in `_ell`: int arithmetic, then one
+    `Fraction`.
+
+    psl22: theta_1/2 = R_1/(2d).  spo2m(3): theta_1/4 = R_1/(4d).
+
+    spo2m(m > 4), with n_i = y_i/d the coordinates 1..m/2 and r = n_1:
+        (r (2k + r + 2) - s) / (2 (2k - m + 4)),
+        s = sum_i n_i (n_i + m - 2i);
+    times d^2 kd: (y_1 (2 kn d + (y_1 + 2d) kd) - kd S)
+                  / (2 d^2 (2 kn - (m - 4) kd)),  S = sum_i y_i (y_i + (m - 2i) d).
+
+    D(2,1;a), with r_i = R_i/d:
+        (2 (a+1) k (a r_2 + r_1) - a (r_1 - r_2)^2) / (4 (a+1)^2 k);
+    times ad^2 kd d^2: (2 (an+ad) kn (an R_2 + ad R_1) d - an ad kd (R_1 - R_2)^2)
+                       / (4 (an+ad)^2 kn d^2).
+
+    F4, with r_i = y_i/d the first three coordinates and c = 3k/2:
+        (6 r_1 + 3 r_2 - c (r_1 + r_2 + r_3) + r_1 (r_1 - r_2 - r_3)
+         + r_2 (r_2 - r_3) + r_3^2) / (9 - 3c);
+    times 2 kd d^2: (d (kd (12 y_1 + 6 y_2) - 3 kn (y_1 + y_2 + y_3)) + 2 kd T)
+                    / (9 d^2 (2 kd - kn)),
+    T = y_1 (y_1 - y_2 - y_3) + y_2 (y_2 - y_3) + y_3^2.
+
+    G3, with r_i = y_i/d the first two coordinates:
+        (3 (r_1 - r_2)^2 - 4k r_1 + (12 - 4k) r_2) / (8 (3 - 2k));
+    times kd d^2: (3 kd (y_1 - y_2)^2 - 4 kn d y_1 + 4 (3 kd - kn) d y_2)
+                  / (8 d^2 (3 kd - 2 kn))."""
     g, fam = entry.id, entry.id.family
+    kn, kd = k.numerator, k.denominator
     if fam == "psl22":
-        return Q(_thetas(entry, ps)[0], 2)
+        return Q(_thetas(entry, ps)[0], 2 * d)
     if fam == "spo2m" and g.m == 3:
-        return Q(_thetas(entry, ps)[0], 4)
+        return Q(_thetas(entry, ps)[0], 4 * d)
     if fam == "spo2m":
         m = g.m
-        nn = nu[1:1 + m // 2]
-        # s = sum n_i^2 + 2 sum n_i (m/2 - i), over i = 1..m/2
-        s = sum([a * (a + m - 2 * i) for i, a in enumerate(nn, 1)])
-        r, k2 = nn[0], 2 * k
-        return (r * (k2 + r + 2) - s) / (2 * (k2 - m + 4))
+        yy = x[1:1 + m // 2]
+        S = sum([y * (y + (m - 2 * i) * d) for i, y in enumerate(yy, 1)])
+        y1 = yy[0]
+        return Q(y1 * (2 * kn * d + (y1 + 2 * d) * kd) - kd * S,
+                 2 * d * d * (2 * kn - (m - 4) * kd))
     if fam == "D21a":
-        a = g.a
-        r1, r2 = _thetas(entry, ps)
-        return ((2 * (a + 1) * k * (a * r2 + r1) - a * (r1 - r2) ** 2)
-                / (4 * (a + 1) ** 2 * k))
+        an, ad = g.a_num, g.a_den
+        R1, R2 = _thetas(entry, ps)
+        return Q(2 * (an + ad) * kn * (an * R2 + ad * R1) * d - an * ad * kd * (R1 - R2) ** 2,
+                 4 * (an + ad) ** 2 * kn * d * d)
     if fam == "F4":
-        r1, r2, r3 = nu[0], nu[1], nu[2]
-        c = Q(3, 2) * k
-        # r1 (6 - c) + r2 (3 - c) - r3 c + r1^2 + r2^2 + r3^2 - r1 r2 - r1 r3 - r2 r3
-        num = (6 * r1 + 3 * r2 - c * (r1 + r2 + r3)
-               + r1 * (r1 - r2 - r3) + r2 * (r2 - r3) + r3 * r3)
-        return num / (9 - 3 * c)
+        y1, y2, y3 = x[0], x[1], x[2]
+        T = y1 * (y1 - y2 - y3) + y2 * (y2 - y3) + y3 * y3
+        return Q(d * (kd * (12 * y1 + 6 * y2) - 3 * kn * (y1 + y2 + y3)) + 2 * kd * T,
+                 9 * d * d * (2 * kd - kn))
     if fam == "G3":
-        r1, r2 = nu[0], nu[1]
-        return (3 * (r1 - r2) ** 2 - 4 * k * r1 + (12 - 4 * k) * r2) / (8 * (3 - 2 * k))
+        y1, y2 = x[0], x[1]
+        return Q(3 * kd * (y1 - y2) ** 2 - 4 * kn * d * y1 + 4 * (3 * kd - kn) * d * y2,
+                 8 * d * d * (3 * kd - 2 * kn))
     raise PreconditionViolated(f"no closed-form threshold for {fam}")
 
 
@@ -192,5 +269,5 @@ def enumerate_P_plus_k(g: AlgebraId, k) -> List[Vec]:
                for i, M in enumerate(lv.M_simple)):
             out.append(_vec([Q(sum([x * w[c] for x, w in zip(a, ints)]), d)
                              for c in range(entry.n)]))
-    assert all(_in_P_plus(entry, lv, entry.pairings(0, nu)) for nu in out)
+    assert all(_in_P_plus(entry, lv, sc.d, sc.ps) for sc in map(entry._scalars, out))
     return out

@@ -184,7 +184,9 @@ def test_levels_and_unitarity_name_no_family():
     branch: `levels`, `unitarity` and `weights` hold no family name as a
     string literal and read no `.family`, so no per-family branch creeps
     back into them.  Exempt is `weights._A_explicit`, the per-family closed
-    forms kept as an independent oracle for the threshold."""
+    forms kept as an independent oracle for the threshold; it in turn names
+    neither `_ell` nor the pass over nu and its covectors, so A == A_explicit
+    keeps comparing two routes."""
     for mod, exempt in ((levels, ()), (unitarity, ()), (weights, ("_A_explicit",))):
         nodes = list(_walk_outside(ast.parse(Path(mod.__file__).read_text()), exempt))
         literals = {n.value for n in nodes
@@ -192,6 +194,13 @@ def test_levels_and_unitarity_name_no_family():
         assert not literals & set(catalog.FAMILIES), mod.__name__
         assert not any(isinstance(n, ast.Attribute) and n.attr == "family"
                        for n in nodes), mod.__name__
+    # the closed forms are the second route to A: they name none of the
+    # first route's quadratic, covectors or pass over nu
+    (fn,) = [n for n in ast.walk(ast.parse(Path(weights.__file__).read_text()))
+             if isinstance(n, ast.FunctionDef) and n.name == "_A_explicit"]
+    names = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)}
+    assert not names & {"_ell", "_xi_cov", "_casimir_cov", "_scalars"}
 
 
 def test_form_rejects_wrong_length():

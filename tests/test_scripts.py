@@ -92,3 +92,23 @@ def test_stage_times_gram():
         "heisenberg_matrix": 0}
     assert got["caches"]["_scaled_L"]["misses"] == 13
     assert all(info["currsize"] <= info["maxsize"] for info in got["caches"].values())
+
+
+def test_stage_times_verdicts():
+    """`--verdicts`: a seeded draw from the verdict pool, and each stage of
+    `decide` timed over the requests that reach it: all reach the pass over
+    nu, those at a non-collapsing level the P^+_k test, and those in P^+_k
+    (every pool weight is) the threshold, extremality and the closed form."""
+    import json
+    (line,) = run_script("stage_times.py", "--verdicts", "60", "--seed", "5",
+                         "--levels", "2", "--passes", "2")
+    got = json.loads(line)
+    assert got["pool"] == 267 and got["requests"] == 60
+    assert got["outcomes"] == {"BelowBound": 9, "Collapsing": 2, "ExtremalBoundary": 8,
+                               "ExtremalOffBoundary": 23, "UnitaryNonExtremal": 18}
+    stages = ("scalars_s", "p_plus_s", "threshold_s", "extremal_s", "closed_form_s")
+    assert sorted(got["stages"]) == sorted(stages) == sorted(got["reached"])
+    assert all(0 < got["stages"][s] == round(got["stages"][s], 6) for s in stages)
+    assert 0 < got["decide_s"]
+    assert got["reached"] == {"scalars_s": 60, "p_plus_s": 58, "threshold_s": 58,
+                              "extremal_s": 58, "closed_form_s": 58}

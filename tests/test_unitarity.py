@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction as Q
 
@@ -6,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wmin import catalog, characters, levels, unitarity, weights
-from wmin.catalog import lookup, zero_vec
-from wmin.errors import CriticalLevel, IndexOutOfSet
+from wmin.catalog import Vec, lookup, zero_vec
+from wmin.errors import CriticalLevel, IndexOutOfSet, PreconditionViolated
 from wmin.levels import enumerate_unitary_k, level_data, unitarity_range_contains
 from wmin.unitarity import decide, h_even, h_odd, sign2_scan
-from wmin.weights import A_bound, enumerate_P_plus_k, in_P_plus_k, is_extremal
+from wmin.weights import A_bound, A_explicit, enumerate_P_plus_k, in_P_plus_k, is_extremal
 
 from test_weights import RANGE_FAMILIES, _old_range_contains
 
@@ -42,7 +43,7 @@ def test_decide_builds_level_data_once(monkeypatch, g, k, labels, l0, outcome):
     reads too) and one pass over nu (`CatalogEntry._scalars`) per request:
     `decide`, both characters (the massless one at an extremal weight) and
     `weyl_orbit`.  The request runs once first, so the entry's lazily built
-    frame and xi pairings do not count."""
+    frame and xi's int pairings do not count."""
     nu = lookup(g).nu_from_labels(labels)
     request = {
         "character_massive": lambda: characters.character_massive(g, k, nu, l0, 3, 4),
@@ -509,6 +510,115 @@ def test_verdict_pass_equals_the_form_reference():
                     scanned += 1
                 seen += 1
     assert seen == 1252 and scanned == 63
+
+
+# every family with a closed form but D(2,1;a), which is drawn at its a;
+# spo2m(3) takes the theta_1/4 branch, spo2m(m >= 5) the general one
+CLOSED_FORM_FAMILIES = [catalog.psl22(), catalog.spo2m(3), catalog.spo2m(5), catalog.spo2m(6),
+                        catalog.spo2m(7), catalog.spo2m(8), catalog.f4(), catalog.g3()]
+
+
+def _closed_form_pole(g):
+    """The level where the family's closed form divides by 0, or None."""
+    if g.family == "spo2m" and g.m > 3:
+        return Q(g.m - 4, 2)
+    return {"D21a": Q(0), "F4": Q(2), "G3": Q(3, 2)}.get(g.family)
+
+
+@given(st.one_of(st.sampled_from(CLOSED_FORM_FAMILIES),
+                 st.builds(catalog.d21a, st.integers(1, 9), st.integers(1, 9))),
+       st.data())
+@settings(max_examples=300, deadline=None)
+def test_closed_forms_equal_the_fraction_oracle(g, data):
+    """The int closed forms (`weights._A_explicit`, one int numerator over
+    one int denominator) and the public `A_explicit` against the `Fraction`
+    expressions they replaced (`_ref_A_explicit`, reading the `form`
+    pairings): any rational nu, with coordinate denominators up to 7, at
+    any level; at the level where a form's denominator vanishes both raise
+    ZeroDivisionError, and at the critical level the public one raises
+    CriticalLevel."""
+    e = lookup(g)
+    rat = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+    nu = Vec(data.draw(st.lists(rat, min_size=e.n, max_size=e.n)))
+    pole = _closed_form_pole(g)
+    k = data.draw(st.one_of(st.fractions(min_value=-9, max_value=9, max_denominator=9),
+                            *([st.just(pole)] if pole is not None else [])))
+    sc = e._scalars(nu)
+    try:
+        want = _ref_A_explicit(e, k, nu, _ref_pairings(e, nu))
+    except ZeroDivisionError:
+        assert k == pole
+        with pytest.raises(ZeroDivisionError):
+            weights._A_explicit(e, k, sc.d, sc.x, sc.ps)
+        return
+    got = weights._A_explicit(e, k, sc.d, sc.x, sc.ps)
+    assert type(got) is Q and got == want, (g.label(), k, tuple(nu))
+    if k == -e.h_vee:
+        with pytest.raises(CriticalLevel):
+            A_explicit(g, k, nu)
+    else:
+        assert A_explicit(g, k, nu) == want
+
+
+@pytest.mark.parametrize("g", CLOSED_FORM_FAMILIES + [catalog.d21a(2, 3)],
+                         ids=lambda g: g.label())
+def test_closed_forms_raise_where_the_oracle_divides_by_zero(g):
+    """At each form's pole, the oracle and the int form both raise
+    ZeroDivisionError on a weight of P^+ at every coordinate denominator;
+    the pole is the critical level, where the public one raises
+    CriticalLevel first."""
+    e, pole = lookup(g), _closed_form_pole(g)
+    if pole is None:
+        return
+    assert pole == -e.h_vee
+    pad = [0] * (e.label_map[0] - 1)
+    for nu in (zero_vec(e.n), e.nu_from_labels([1] + pad), e.nu_from_labels([Q(1, 2)] + pad)):
+        sc = e._scalars(nu)
+        with pytest.raises(ZeroDivisionError):
+            _ref_A_explicit(e, pole, nu, _ref_pairings(e, nu))
+        with pytest.raises(ZeroDivisionError):
+            weights._A_explicit(e, pole, sc.d, sc.x, sc.ps)
+        with pytest.raises(CriticalLevel):
+            A_explicit(g, pole, nu)
+
+
+@functools.lru_cache(maxsize=None)
+def _P_plus_pool(g, k):
+    return tuple(enumerate_P_plus_k(g, k))
+
+
+@given(st.sampled_from(VERDICT_FAMILIES), st.data())
+@settings(max_examples=200, deadline=None)
+def test_P_plus_and_extremality_off_the_enumeration(g, data):
+    """`in_P_plus_k`, `is_extremal` and `decide` against the `Fraction`/`form`
+    references on weights the enumeration never yields, at the range levels
+    of the eight verdict families: a weight of P^+_k moved by rational labels
+    (denominators up to 7, so pairings are non-integral, negative or past the
+    level bound, and nu's coordinates have d > 1) and by a multiple of
+    theta, which pairs to 0 with g^nat's coroots; l0 at A and around it."""
+    from wmin.cli import verdict_to_dict
+    e = lookup(g)
+    k = data.draw(st.sampled_from(enumerate_unitary_k(g, 6)))
+    small = st.one_of(st.just(Q(0)), st.integers(-1, 2).map(Q),
+                      st.fractions(min_value=-2, max_value=2, max_denominator=7))
+    labels = data.draw(st.lists(small, min_size=len(e.label_map[1]),
+                                max_size=len(e.label_map[1])))
+    nu = (data.draw(st.sampled_from(_P_plus_pool(g, k))) + e.nu_from_labels(labels)
+          + data.draw(small) * e.theta)
+    lv, ps = _ref_level_data(g, k), _ref_pairings(e, nu)
+    inside = _ref_in_P_plus(e, lv, ps)
+    assert in_P_plus_k(g, k, nu) is inside
+    if inside:
+        assert is_extremal(g, k, nu) is _ref_extremal(e, lv, ps)
+    else:
+        with pytest.raises(PreconditionViolated):
+            is_extremal(g, k, nu)
+    a = _ref_A(e, k, nu)
+    l0 = data.draw(st.one_of(st.sampled_from([a - Q(1, 2), a, a + Q(1, 3)]),
+                             st.fractions(min_value=-5, max_value=5, max_denominator=7)))
+    got, want = decide(g, k, nu, l0), _ref_decide(g, k, nu, l0)
+    assert got == want and verdict_to_dict(got) == verdict_to_dict(want), \
+        (g.label(), k, tuple(nu), l0)
 
 
 # ---------------------------------------------------------------------------

@@ -328,8 +328,9 @@ def test_range_table_equals_the_per_family_oracle(g):
 @given(st.sampled_from(RANGE_FAMILIES), st.data())
 @settings(max_examples=150, deadline=None)
 def test_weight_and_level_scalars_equal_the_form(g, data):
-    """Any rational weight on any family: the per-request pass (pairings,
-    (xi|nu), the Casimir term) and the one dot product per gamma for
+    """Any rational weight on any family: the per-request pass (nu's ints
+    over d, and its pairings, (xi|nu) and the Casimir term as ints over
+    their positive denominators) and the one dot product per gamma for
     (nu + rho^nat|gamma) equal the `form` evaluations.  Any noncritical
     level: the entry's level constants and `level_data` equal
     `component_level`, the central-charge formula, the collapsing polynomial
@@ -337,14 +338,18 @@ def test_weight_and_level_scalars_equal_the_form(g, data):
     e = lookup(g)
     rat = st.fractions(min_value=-5, max_value=5, max_denominator=7)
     nu = Vec(data.draw(st.lists(rat, min_size=e.n, max_size=e.n)))
-    ps, xn, cas = e._scalars(nu)
-    assert ps == _pairings_oracle(e, nu) == e.pairings(0, nu)
+    sc = e._scalars(nu)
+    d, x = e._scaled(nu)
+    assert (sc.d, sc.x) == (d, x) and d > 0 and Vec(Q(c, d) for c in x) == nu
+    assert all(type(v) is int for v in [*sc.ps, *sc.xn, *sc.cas])
+    assert sc.xn[1] > 0 and sc.cas[1] > 0
+    ps, xn, cas = [Q(p, d) for p in sc.ps], Q(*sc.xn), Q(*sc.cas)
+    assert ps == _pairings_oracle(e, nu) == e.pairings(0, nu) == sc.pairings()
     assert xn == e.form(e.xi, nu)
     assert cas == e.form(nu, nu + 2 * e.rho_natural) == e.casimir(nu)
-    assert all(type(v) is Q for v in [*ps, xn, cas])
+    assert all(type(v) is Q for v in [*e.pairings(0, nu), e.casimir(nu)])
     gammas = list(dict.fromkeys(gm for gm, _ in e.delta_prime))
     assert [row[0] for row in e._odd_covs] == gammas
-    d, x = e._scaled(nu)
     for row in e._odd_covs:
         assert _odd_pair(row, d, x) == e.form(nu + e.rho_natural, row[0])
 
