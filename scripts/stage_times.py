@@ -58,11 +58,11 @@ With `--gram E_MAX` the script times the integer kernel of the boson lab
 
 With `--verdicts COUNT` it times `wmin.unitarity.decide` instead, warm,
 on COUNT requests drawn with `random.Random(SEED)` from a pool: every
-weight of P^+_k (`enumerate_P_plus_k`) at the first LEVELS unitary levels
+weight of P^+_k (`enumerate_P_plus_k`) at the first six unitary levels
 of the eight verdict families, each at l0 = A + delta for delta in
 (-1/2, 0, 1/3).  Each stage runs on its own over the requests, after one
 warm pass, with the garbage collector off; every time is the median of
-PASSES passes, in seconds for the whole set of requests:
+five passes, in seconds for the whole set of requests:
 
     pool                  pool size (weights times deltas)
     requests              COUNT
@@ -115,15 +115,12 @@ def main(argv=None):
     ap.add_argument("--verdicts", type=int, metavar="COUNT",
                     help="time the stages of decide on COUNT seeded verdict requests instead")
     ap.add_argument("--seed", type=int, default=3, help="--verdicts: the request draw's seed")
-    ap.add_argument("--levels", type=int, default=6,
-                    help="--verdicts: unitary levels per family in the pool")
-    ap.add_argument("--passes", type=int, default=5, help="--verdicts: passes per stage")
     args = ap.parse_args(argv)
     if args.gram is not None:
         print(json.dumps(gram_stages(args.gram)))
         return
     if args.verdicts is not None:
-        print(json.dumps(verdict_stages(args.verdicts, args.seed, args.levels, args.passes)))
+        print(json.dumps(verdict_stages(args.verdicts, args.seed)))
         return
 
     t0 = time.perf_counter()
@@ -229,7 +226,11 @@ def gram_stages(e_max):
     return out
 
 
-def verdict_stages(count, seed, levels, passes):
+LEVELS = 6  # unitary levels per family in the `--verdicts` pool
+PASSES = 5  # timed passes per `--verdicts` stage
+
+
+def verdict_stages(count, seed):
     """The `--verdicts` stages: each a loop over the requests that reach it."""
     from collections import Counter
     from fractions import Fraction as Q
@@ -239,7 +240,7 @@ def verdict_stages(count, seed, levels, passes):
                 catalog.d21a(2), catalog.d21a(2, 3), catalog.f4(), catalog.g3()]
     deltas = (Q(-1, 2), Q(0), Q(1, 3))
     pool = [(g, k, nu, weights.A_bound(g, k, nu) + dl)
-            for g in families for k in lv_mod.enumerate_unitary_k(g, levels)
+            for g in families for k in lv_mod.enumerate_unitary_k(g, LEVELS)
             for nu in weights.enumerate_P_plus_k(g, k) for dl in deltas]
     reqs = random.Random(seed).choices(pool, k=count)
     verdicts = [unitarity.decide(*r) for r in reqs]
@@ -256,7 +257,7 @@ def verdict_stages(count, seed, levels, passes):
             for item in items:  # one warm pass
                 fn(*item)
             ts = []
-            for _ in range(passes):
+            for _ in range(PASSES):
                 t = time.perf_counter()
                 for item in items:
                     fn(*item)

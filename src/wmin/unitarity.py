@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional
 
-from .catalog import AlgebraId, CatalogEntry, Vec, _dot, lookup
+from .catalog import AlgebraId, CatalogEntry, Vec, _NuScalars, _dot, lookup
 from .errors import IndexOutOfSet
 from .levels import LevelData, _level
 from .weights import _A_explicit, _ell, _in_P_plus, _is_extremal, _P_plus_data, _threshold
@@ -51,23 +51,23 @@ class UnitarityVerdict:
             self.outcome == EXTREMAL_BOUNDARY and bool(self.proved))
 
 
-def _collapse_check(entry: CatalogEntry, lv: LevelData, nu: Vec, ps: list,
+def _collapse_check(entry: CatalogEntry, lv: LevelData, nu: Vec, sc: _NuScalars,
                     l0: Fraction) -> CollapseCheck:
     """The gate, chosen by the component levels, not by the target's name;
-    `ps` are nu's level-0 pairings as `Fraction`s."""
+    `sc` is nu's per-request pass (`CatalogEntry._scalars`)."""
     if all(m == 0 for m in lv.M):
         ok = nu.is_zero()
         detail = "target is trivial; needs nu = 0"
     elif entry.center and all(m == 0 for m in lv.M_simple):
         # collapse to the free boson of the center: the center survives, and
         # the simple part vanishes when nu pairs to 0 with every simple coroot
-        ok = all(p == 0 for p in ps[:len(entry.simple_roots_natural)])
+        ok = all(p == 0 for p in sc.ps[:len(entry.simple_roots_natural)])
         detail = "sl_m part of nu must vanish; center charge unconstrained"
     else:
         # P^+_k membership is exactly the target's integrability: dominance
         # gives nu(theta_i^vee) >= 0, so on a component with M_i = 0 the
         # bound nu(theta_i^vee) <= M_i says it is 0 (trivial there).
-        ok = _in_P_plus(entry, lv, 1, ps)
+        ok = _in_P_plus(entry, lv, sc.d, sc.ps)
         detail = ("integrable on the surviving component(s), trivial on the rest"
                   if len(entry.components) == 2 else
                   "nu must be integrable of level M_1 for the target")
@@ -100,7 +100,7 @@ def decide(g: AlgebraId, k, nu: Vec, l0) -> UnitarityVerdict:
 
     sc = entry._scalars(nu)
     if lv.collapsing:
-        chk = _collapse_check(entry, lv, nu, sc.pairings(), l0)
+        chk = _collapse_check(entry, lv, nu, sc, l0)
         reasons.append(f"collapsing level, target {chk.target}")
         return UnitarityVerdict(COLLAPSING, quantities, tuple(reasons), collapse=chk)
 

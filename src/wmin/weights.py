@@ -30,8 +30,7 @@ def _thetas(entry: CatalogEntry, ps: list) -> list:
 
 def _in_P_plus(entry: CatalogEntry, lv: LevelData, d: int, ps: list) -> bool:
     """nu dominant integral with nu(theta_i^vee) <= M_i(k), read off nu's
-    pairings `ps` over d > 0: ints over d, or `Fraction`s over d = 1.  The
-    level must lie in the unitarity range.
+    int pairings `ps` over d > 0.  The level must lie in the unitarity range.
 
     Int comparisons, exact since d > 0 and M_i(k) = num/den with den > 0:
     p/d is a non-negative int exactly when p >= 0 and d divides p, and

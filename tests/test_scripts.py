@@ -100,15 +100,14 @@ def test_stage_times_verdicts():
     nu, those at a non-collapsing level the P^+_k test, and those in P^+_k
     (every pool weight is) the threshold, extremality and the closed form."""
     import json
-    (line,) = run_script("stage_times.py", "--verdicts", "60", "--seed", "5",
-                         "--levels", "2", "--passes", "2")
+    (line,) = run_script("stage_times.py", "--verdicts", "60", "--seed", "5")
     got = json.loads(line)
-    assert got["pool"] == 267 and got["requests"] == 60
-    assert got["outcomes"] == {"BelowBound": 9, "Collapsing": 2, "ExtremalBoundary": 8,
-                               "ExtremalOffBoundary": 23, "UnitaryNonExtremal": 18}
+    assert got["pool"] == 3756 and got["requests"] == 60
+    assert got["outcomes"] == {"BelowBound": 16, "Collapsing": 1, "ExtremalBoundary": 7,
+                               "ExtremalOffBoundary": 9, "UnitaryNonExtremal": 27}
     stages = ("scalars_s", "p_plus_s", "threshold_s", "extremal_s", "closed_form_s")
     assert sorted(got["stages"]) == sorted(stages) == sorted(got["reached"])
     assert all(0 < got["stages"][s] == round(got["stages"][s], 6) for s in stages)
     assert 0 < got["decide_s"]
-    assert got["reached"] == {"scalars_s": 60, "p_plus_s": 58, "threshold_s": 58,
-                              "extremal_s": 58, "closed_form_s": 58}
+    assert got["reached"] == {"scalars_s": 60, "p_plus_s": 59, "threshold_s": 59,
+                              "extremal_s": 59, "closed_form_s": 59}

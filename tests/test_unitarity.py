@@ -432,7 +432,7 @@ def _ref_decide(g, k, nu, l0):
     q = {"k": k, "M_i": list(lv.M_simple), "chi_i": [c.chi for c in e.components], "l0": l0}
     ps = _ref_pairings(e, nu)
     if lv.collapsing:
-        chk = unitarity._collapse_check(e, lv, nu, ps, l0)
+        chk = unitarity._collapse_check(e, lv, nu, e._scalars(nu), l0)
         return unitarity.UnitarityVerdict(unitarity.COLLAPSING, q,
                                           (f"collapsing level, target {chk.target}",),
                                           collapse=chk)
