@@ -78,22 +78,40 @@ five passes, in seconds for the whole set of requests:
       closed_form_s       `weights._A_explicit`, the second route to A
     reached               how many requests each stage ran on
 
+With `--setup COUNT` it times what a process pays before its first
+answer instead, in COUNT fresh interpreters run with `-X importtime` and
+the environment of this one (so with or without a bytecode cache as it
+has one); every time is the median over them, in seconds:
+
+    import_s              `import wmin`, timed in the interpreter
+    modules               each `wmin` module's own import time, as
+                          `-X importtime` reports it ("self", without the
+                          modules it imports)
+    families              per verdict family, `catalog.lookup` and then
+                          `catalog.validate` of its entry: lookup_s, validate_s
+    lookup_validate_s     their sum over the eight families, the part of the
+                          benchmark's setup_s after the import
+
     python3 scripts/stage_times.py --g G3 --k -9/4
     python3 scripts/stage_times.py --g psl22 --k -3 --nu 0,0,1/2,-1/2 --massless --qmax 4 --depth 6
     python3 scripts/stage_times.py --gram 8
     python3 scripts/stage_times.py --verdicts 750 --seed 3
+    python3 scripts/stage_times.py --setup 21
 """
 import argparse
 import gc
 import json
+import os
 import random
 import re
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
 
 
 def main(argv=None):
@@ -115,7 +133,12 @@ def main(argv=None):
     ap.add_argument("--verdicts", type=int, metavar="COUNT",
                     help="time the stages of decide on COUNT seeded verdict requests instead")
     ap.add_argument("--seed", type=int, default=3, help="--verdicts: the request draw's seed")
+    ap.add_argument("--setup", type=int, metavar="COUNT",
+                    help="time import and per-family set-up in COUNT fresh interpreters instead")
     args = ap.parse_args(argv)
+    if args.setup is not None:
+        print(json.dumps(setup_stages(args.setup)))
+        return
     if args.gram is not None:
         print(json.dumps(gram_stages(args.gram)))
         return
@@ -226,6 +249,63 @@ def gram_stages(e_max):
     return out
 
 
+def verdict_families(catalog):
+    """The eight families of the verdict pool (and of the bench's verdicts)."""
+    return [catalog.psl22(), catalog.spo2m(3), catalog.spo2m(5), catalog.spo2m(6),
+            catalog.d21a(2), catalog.d21a(2, 3), catalog.f4(), catalog.g3()]
+
+
+# one `--setup` interpreter, given the families' `AlgebraId` fields as JSON:
+# its timings as one JSON line
+SETUP_CODE = """
+import json, sys, time
+t0 = time.perf_counter()
+import wmin
+from wmin import catalog
+t1 = time.perf_counter()
+out = {"import_s": t1 - t0, "families": {}}
+for fields in json.loads(sys.argv[1]):
+    g = catalog.AlgebraId(*fields)
+    t = time.perf_counter()
+    entry = catalog.lookup(g)
+    t2 = time.perf_counter()
+    catalog.validate(entry)
+    out["families"][g.label()] = {"lookup_s": t2 - t, "validate_s": time.perf_counter() - t2}
+print(json.dumps(out))
+"""
+IMPORTTIME = re.compile(r"^import time:\s+(\d+) \|\s+\d+ \|\s+(wmin\S*)$")
+
+
+def setup_stages(count):
+    """The `--setup` figures: medians over `count` fresh interpreters."""
+    from wmin import catalog
+    families = json.dumps([[g.family, g.m, g.a_num, g.a_den] for g in verdict_families(catalog)])
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    runs = []
+    for _ in range(count):
+        done = subprocess.run([sys.executable, "-X", "importtime", "-c", SETUP_CODE, families],
+                              capture_output=True, text=True, env=env, check=True)
+        run = json.loads(done.stdout)
+        run["modules"] = {m.group(2): int(m.group(1)) / 1e6
+                          for m in map(IMPORTTIME.match, done.stderr.splitlines()) if m}
+        runs.append(run)
+
+    def median(values):
+        return round(statistics.median(values), 6)
+
+    return {
+        "interpreters": count,
+        "import_s": median([r["import_s"] for r in runs]),
+        "modules": {name: median([r["modules"][name] for r in runs])
+                    for name in sorted(runs[0]["modules"])},
+        "families": {label: {key: median([r["families"][label][key] for r in runs])
+                             for key in ("lookup_s", "validate_s")}
+                     for label in runs[0]["families"]},
+        "lookup_validate_s": median([sum(f["lookup_s"] + f["validate_s"]
+                                         for f in r["families"].values()) for r in runs]),
+    }
+
+
 LEVELS = 6  # unitary levels per family in the `--verdicts` pool
 PASSES = 5  # timed passes per `--verdicts` stage
 
@@ -236,8 +316,7 @@ def verdict_stages(count, seed):
     from fractions import Fraction as Q
     from wmin import catalog, levels as lv_mod, unitarity, weights
 
-    families = [catalog.psl22(), catalog.spo2m(3), catalog.spo2m(5), catalog.spo2m(6),
-                catalog.d21a(2), catalog.d21a(2, 3), catalog.f4(), catalog.g3()]
+    families = verdict_families(catalog)
     deltas = (Q(-1, 2), Q(0), Q(1, 3))
     pool = [(g, k, nu, weights.A_bound(g, k, nu) + dl)
             for g in families for k in lv_mod.enumerate_unitary_k(g, LEVELS)
@@ -247,7 +326,8 @@ def verdict_stages(count, seed):
     rows = []  # (entry, record, nu, scalars) of each request, as decide reads them
     for g, k, nu, _ in reqs:
         entry = catalog.lookup(g)
-        rows.append((entry, lv_mod._level(g, k), nu, entry._scalars(nu)))
+        rows.append((entry, lv_mod._level(g, k.numerator, k.denominator), nu,
+                     entry._scalars(nu)))
     ranged = [r for r in rows if not r[1].data.collapsing]
     inside = [r for r in ranged if weights._in_P_plus(r[0], r[1].data, r[3].d, r[3].ps)]
 

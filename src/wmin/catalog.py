@@ -22,14 +22,13 @@ concurrent reads are safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
 from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 from .errors import CriticalLevel, IsotropicCoroot, ParameterOutOfRange, PreconditionViolated
-from .rationals import format_rational
+from .rationals import _Frozen, _Record, _set, as_rational, format_rational
 
 Q = Fraction
 
@@ -39,14 +38,14 @@ FAMILIES = ("psl22", "sl2m", "spo2m", "osp4m", "D21a", "F4", "G3")
 class Vec(tuple):
     """Weight in the fixed coordinate basis; componentwise exact arithmetic.
 
-    The constructor converts every coordinate to a `Fraction`; the
-    operators do not convert their results again (`_vec`).  That is exact:
-    `Fraction` op `Fraction` and `Fraction` op `int` (for +, -, * and unary
-    -) return a `Fraction` already in lowest terms with a positive
-    denominator, which is what `Fraction(x)` would return for it, so the
-    result is equal to, and hashes as, the converted one.  The scalar of
-    `*` is converted once, so any scalar `Fraction` takes (a `float` too)
-    enters exactly.
+    The constructor converts every coordinate, an int or a `Fraction`, to
+    a `Fraction` (`as_rational`, which refuses a float); the operators do
+    not convert their results again (`_vec`).  That is exact: `Fraction` op
+    `Fraction` and `Fraction` op `int` (for +, -, * and unary -) return a
+    `Fraction` already in lowest terms with a positive denominator, which
+    is what `Fraction(x)` would return for it, so the result is equal to,
+    and hashes as, the converted one.  The scalar of `*` is converted once,
+    by the same coercion.
 
     The hash is cached in the instance on first use, and its value is the
     tuple's: hash(v) == hash(tuple(v)), so a `Vec` and an equal `Vec` built
@@ -56,7 +55,7 @@ class Vec(tuple):
     (`characters._publish`)."""
 
     def __new__(cls, coords: Iterable) -> "Vec":
-        return super().__new__(cls, (Q(c) for c in coords))
+        return super().__new__(cls, [as_rational(c) for c in coords])
 
     def __hash__(self):
         try:
@@ -80,7 +79,7 @@ class Vec(tuple):
         return _vec([-a for a in self])
 
     def __mul__(self, c):
-        c = Q(c)
+        c = as_rational(c)
         return _vec([a * c for a in self])
 
     __rmul__ = __mul__
@@ -103,43 +102,54 @@ def zero_vec(n: int) -> Vec:
 
 
 def basis_vec(n: int, i: int, c=1) -> Vec:
-    v = [Q(0)] * n
-    v[i] = Q(c)
+    v = [0] * n
+    v[i] = c
     return Vec(v)
 
 
-@dataclass(frozen=True)
-class AlgebraId:
+class AlgebraId(_Frozen):
     """Family tag plus parameters.
 
     m is used by sl2m (m >= 3), spo2m (m >= 3, m != 4: spo(2|4) is
     D(2,1;1)), and osp4m (even m > 2).  D21a stores a = a_num/a_den as a
-    reduced positive rational.
+    reduced positive rational.  An immutable value and the key of the
+    caches every request reads (`lookup`, `levels._level`): it holds its
+    field tuple and that tuple's hash, so hashing and comparing it reads
+    two slots, yet it never equals the tuple (`_Frozen`).
     """
 
-    family: str
-    m: int = 0
-    a_num: int = 0
-    a_den: int = 0
+    __slots__ = ("family", "m", "a_num", "a_den", "_key", "_hash")
+    _fields = ("family", "m", "a_num", "a_den")
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ParameterOutOfRange(f"unknown family {self.family!r}")
-        if self.family == "sl2m" and self.m < 3:
+    def __init__(self, family: str, m: int = 0, a_num: int = 0, a_den: int = 0):
+        if family not in FAMILIES:
+            raise ParameterOutOfRange(f"unknown family {family!r}")
+        if family == "sl2m" and m < 3:
             raise ParameterOutOfRange("sl(2|m) needs m >= 3")
-        if self.family == "spo2m":
-            if self.m < 3:
+        if family == "spo2m":
+            if m < 3:
                 raise ParameterOutOfRange("spo(2|m) needs m >= 3")
-            if self.m == 4:
+            if m == 4:
                 raise ParameterOutOfRange(
                     "spo(2|4) is isomorphic to D(2,1;1); use D21a with a = 1")
-        if self.family == "osp4m" and (self.m <= 2 or self.m % 2):
+        if family == "osp4m" and (m <= 2 or m % 2):
             raise ParameterOutOfRange("osp(4|m) needs even m > 2")
-        if self.family == "D21a":
-            if self.a_num <= 0 or self.a_den <= 0:
+        if family == "D21a":
+            if a_num <= 0 or a_den <= 0:
                 raise ParameterOutOfRange("D(2,1;a) needs a positive rational a")
-            if math.gcd(self.a_num, self.a_den) != 1:
+            if math.gcd(a_num, a_den) != 1:
                 raise ParameterOutOfRange("a_num/a_den must be reduced")
+        key = (family, m, a_num, a_den)
+        for name, v in zip(self.__slots__, key + (key, hash(key))):
+            _set(self, name, v)
+
+    def __eq__(self, other):
+        if other.__class__ is AlgebraId:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def a(self) -> Fraction:
@@ -182,8 +192,7 @@ def g3() -> AlgebraId:
     return AlgebraId("G3")
 
 
-@dataclass(frozen=True)
-class NaturalComponent:
+class NaturalComponent(NamedTuple):
     """One ideal of g^nat: a simple component, or the 1-dim center of sl(2|m)."""
 
     index: int
@@ -228,31 +237,43 @@ class _NuScalars(NamedTuple):
         return [Q(p, self.d) for p in self.ps]
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    id: AlgebraId
-    n: int                               # coordinate dimension
-    coord_names: tuple
-    gram: tuple                          # nonzero entries (i, j, g_ij), i != j both ways
-    simple_roots: tuple                  # ((Vec, parity 0|1), ...) for g itself
-    theta: Vec
-    sdim: Fraction
-    h_vee: Fraction
-    center: Optional[NaturalComponent]
-    components: tuple                    # simple components, indices 1..s
-    rho_natural: Vec
-    xi: Vec
-    delta_prime: tuple                   # ((Vec, multiplicity), ...)
-    epsilon: int                         # 2 iff 0 lies in delta_prime
-    pos_roots_natural: tuple
-    simple_roots_natural: tuple          # simple roots of g^nat (all components)
-    iso_simple_count: int
-    dim_g_half: int
-    unitary_range: tuple                 # (first, step, count): first + n*step, 0 <= n < count,
-                                         # or every n >= 0 when count is None
-    label_map: tuple                     # (fewest, basis): nu = sum_i label_i * basis_i
-    collapse_targets: tuple              # ((i, name), ...) in the order tried (`levels`)
-    extremal_proved: bool                # extremal boundary modules are proved unitary
+class CatalogEntry(_Frozen):
+    """The data of one family (`lookup`): an immutable value with one
+    attribute per name in `_fields`, compared and hashed by them; the
+    tables built on first use (`cached_property`) live in the instance
+    `__dict__` beside them."""
+
+    _fields = (
+        "id",                    # AlgebraId
+        "n",                     # coordinate dimension
+        "coord_names",
+        "gram",                  # nonzero entries (i, j, g_ij), i != j both ways
+        "simple_roots",          # ((Vec, parity 0|1), ...) for g itself
+        "theta",                 # Vec
+        "sdim",                  # Fraction
+        "h_vee",                 # Fraction
+        "center",                # Optional[NaturalComponent]
+        "components",            # simple components, indices 1..s
+        "rho_natural",           # Vec
+        "xi",                    # Vec
+        "delta_prime",           # ((Vec, multiplicity), ...)
+        "epsilon",               # 2 iff 0 lies in delta_prime
+        "pos_roots_natural",
+        "simple_roots_natural",  # simple roots of g^nat (all components)
+        "iso_simple_count",
+        "dim_g_half",
+        "unitary_range",         # (first, step, count): first + n*step, 0 <= n < count,
+                                 # or every n >= 0 when count is None
+        "label_map",             # (fewest, basis): nu = sum_i label_i * basis_i
+        "collapse_targets",      # ((i, name), ...) in the order tried (`levels`)
+        "extremal_proved",       # extremal boundary modules are proved unitary
+    )
+
+    def __init__(self, *values, **fields):
+        fields.update(zip(self._fields, values))
+        if len(values) > len(self._fields) or fields.keys() != set(self._fields):
+            raise TypeError(f"CatalogEntry takes the fields {', '.join(self._fields)}")
+        self.__dict__.update(fields)
 
     # -- bilinear form ----------------------------------------------------
     def form(self, lam: Sequence, mu: Sequence) -> Fraction:
@@ -308,7 +329,7 @@ class CatalogEntry:
         level * Lambda_0 + finite (+ any multiple of delta), read off the
         per-request pass (`_scalars`).  At level 0, nu's simple-coroot
         pairings, then -nu(theta_i^vee) for eta_i = delta - theta_i."""
-        ps = self._scalars(finite).pairings()
+        level, ps = as_rational(level), self._scalars(finite).pairings()
         return [p + level * lc for p, (_, lc) in zip(ps, self.coroots)] if level else ps
 
     # -- weight scalars: int dot products against per-entry covectors -------
@@ -399,7 +420,7 @@ class CatalogEntry:
     def shifted_level(self, k) -> Fraction:
         """k + h_vee, the denominator of every level formula; raises
         CriticalLevel at the critical level k = -h_vee."""
-        kh = Q(k) + self.h_vee
+        kh = as_rational(k) + self.h_vee
         if kh == 0:
             raise CriticalLevel(f"k = -h_vee = {-self.h_vee} for {self.id.label()}")
         return kh
@@ -436,7 +457,7 @@ class CatalogEntry:
         Raises `ParameterOutOfRange` on a wrong number of labels: from the
         fewest to one per basis vector, the missing ones read as 0.
         """
-        lab = [Q(x) for x in labels]
+        lab = [as_rational(x) for x in labels]
         lo, basis = self.label_map
         hi = len(basis)
         if not lo <= len(lab) <= hi:
@@ -877,17 +898,20 @@ class _Lattice:
 # self-validation
 
 
-@dataclass
-class ValidationCheck:
+class ValidationCheck(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass
-class ValidationReport:
-    entry: CatalogEntry
-    checks: list = field(default_factory=list)
+class ValidationReport(_Record):
+    """The checks of `validate`, in order; a mutable record."""
+
+    __slots__ = _fields = ("entry", "checks")
+
+    def __init__(self, entry: CatalogEntry, checks: Optional[list] = None):
+        self.entry = entry
+        self.checks = [] if checks is None else checks
 
     @property
     def ok(self) -> bool:
@@ -904,8 +928,8 @@ _TABLE4_FAMILIES = ("psl22", "spo2m", "D21a", "F4", "G3")
 def validate(entry: CatalogEntry) -> ValidationReport:
     """Consistency report for a catalog entry; failures are listed, not raised."""
     rep = ValidationReport(entry)
-    rep.add("theta_norm", entry.form(entry.theta, entry.theta) == 2,
-            f"(theta|theta) = {entry.form(entry.theta, entry.theta)}")
+    tt = entry.form(entry.theta, entry.theta)
+    rep.add("theta_norm", tt == 2, f"(theta|theta) = {tt}")
 
     for c in entry.components:
         u = entry.form(c.theta, c.theta)
@@ -922,10 +946,9 @@ def validate(entry: CatalogEntry) -> ValidationReport:
         # eta_i = delta - theta_i: affine pairing against nu_hat + rho_hat must
         # come out as M_i(k)+chi_i+1 at every k; both sides are affine in k, so
         # two sample points pin the identity.
-        okk = True
+        okk, rt = True, entry.form(entry.rho_natural, c.theta)
         for k in (Q(-1) - entry.h_vee, Q(-7, 3) - entry.h_vee):
-            lhs = (2 / c.u) * ((k + entry.h_vee)
-                               - entry.form(entry.rho_natural, c.theta))
+            lhs = (2 / c.u) * ((k + entry.h_vee) - rt)
             m_i = (2 / c.u) * (k + (entry.h_vee - c.hbar_vee) / 2)
             okk = okk and lhs == m_i + c.chi + 1
         rep.add(f"eta_{c.index}_pairing", okk,
@@ -939,20 +962,46 @@ def validate(entry: CatalogEntry) -> ValidationReport:
         rep.add("threshold_identity", True,
                 f"not applicable; max(rho^nat|gamma) = {mx}")
 
-    xi_ps = [entry.coroot_pairing(entry.xi, a) for a in entry.simple_roots_natural]
+    # The simple roots a of g^nat, each read once, and the weights they
+    # act on, as ints over one denominator D: v = V / D.  The coroot pairing
+    # 2(v|a)/(a|a) is then 2 c.V / c.A, with c the int covector of (a|.)
+    # (`_covector`; its denominator and D cancel), and the reflection of v,
+    # V - (2 c.V / c.A) A, is compared with Delta' at the scale c.A, where
+    # it is the ints (c.A) V - 2 (c.V) A whether or not it lies on the
+    # lattice.  This is `weyl_reflect` and `coroot_pairing` without a
+    # `Fraction`.
+    simple, dprime = entry.simple_roots_natural, entry.delta_prime
+    D = math.lcm(*[c.denominator for v in (entry.xi, *simple, *(g for g, _ in dprime)) for c in v])
+
+    def ints(v):
+        return tuple([c.numerator * (D // c.denominator) for c in v])
+
+    roots = []  # (c, A, c.A) per simple root; c.A != 0, as g^nat's roots are even
+    for a in simple:
+        cov, A = entry._covector(a)[1], ints(a)
+        roots.append((cov, A, _dot(cov, A)))
+
+    xi = ints(entry.xi)
+    xi_ps = [Q(2 * _dot(cov, xi), aa) for cov, _, aa in roots]
     rep.add("xi_dominant", all(p >= 0 and p.denominator == 1 for p in xi_ps))
-    rep.add("xi_in_delta_prime", any(g == entry.xi for g, _ in entry.delta_prime))
-    rep.add("epsilon_flag",
-            (entry.epsilon == 2) == any(g.is_zero() for g, _ in entry.delta_prime))
-    rep.add("delta_prime_dim",
-            sum(mult for _, mult in entry.delta_prime) == entry.dim_g_half)
+    rep.add("xi_in_delta_prime", any(g == entry.xi for g, _ in dprime))
+    rep.add("epsilon_flag", (entry.epsilon == 2) == any(g.is_zero() for g, _ in dprime))
+    rep.add("delta_prime_dim", sum(m for _, m in dprime) == entry.dim_g_half)
 
     mult = {}
-    for g, mlt in entry.delta_prime:
-        mult[g] = mult.get(g, 0) + mlt
-    closed = all(mult.get(entry.weyl_reflect(g, a), 0) == m
-                 for g, m in mult.items() for a in entry.simple_roots_natural)
-    rep.add("delta_prime_weyl_closed", closed)
+    for g, m in dprime:
+        V = ints(g)
+        mult[V] = mult.get(V, 0) + m
+
+    def closed_under(cov, A, aa):
+        scaled = {tuple([aa * v for v in V]): m for V, m in mult.items()}
+        for V, m in mult.items():
+            p = 2 * _dot(cov, V)
+            if scaled.get(tuple([aa * v - p * x for v, x in zip(V, A)]), 0) != m:
+                return False
+        return True
+
+    rep.add("delta_prime_weyl_closed", all(closed_under(*root) for root in roots))
 
     rep.add("iso_simple_count",
             sum(1 for rt, p in entry.simple_roots

@@ -57,17 +57,16 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
 from operator import mul
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .catalog import AlgebraId, CatalogEntry, Vec, _Lattice, _vec, lookup, zero_vec
 from .errors import (IndexOutOfRange, NonDominant, PreconditionViolated,
                      TruncationIncomplete, UnsupportedD21a)
-from .rationals import format_rational, solve_quadratic_rational
+from .rationals import as_rational, format_rational, parse_rational, solve_quadratic_rational
 from .levels import _Level
 from .weights import _ell, _is_extremal, _P_plus_data, _threshold
 
@@ -107,14 +106,14 @@ class QWSeries:
 
     def __init__(self, entry: CatalogEntry, q_max, depth, ref: Optional[Vec] = None):
         self.entry = entry
-        self.q_max = Q(q_max)
-        self.depth = Q(depth)
+        self.q_max = as_rational(q_max)
+        self.depth = as_rational(depth)
         self.ref = ref if ref is not None else zero_vec(entry.n)
         self.terms: Dict[Fraction, Dict[Vec, int]] = {}
 
     # -- basic structure ----------------------------------------------------
     def add_term(self, q, w: Vec, c: int) -> None:
-        q = Q(q)
+        q = as_rational(q)
         if not (c and q <= self.q_max and depth_of(self.entry, self.ref, w) <= self.depth):
             return
         lvl = self.terms.setdefault(q, {})
@@ -127,7 +126,7 @@ class QWSeries:
                 del self.terms[q]
 
     def coeff(self, q, w: Vec) -> int:
-        return self.terms.get(Q(q), {}).get(w, 0)
+        return self.terms.get(as_rational(q), {}).get(w, 0)
 
     def n_terms(self) -> int:
         return sum(len(l) for l in self.terms.values())
@@ -140,7 +139,8 @@ class QWSeries:
         any other window raises PreconditionViolated rather than return
         terms this series never kept."""
         ref = self.ref if ref is None else ref
-        if Q(q_max) > self.q_max or Q(depth) + depth_of(self.entry, self.ref, ref) > self.depth:
+        q_max, depth = as_rational(q_max), as_rational(depth)
+        if q_max > self.q_max or depth + depth_of(self.entry, self.ref, ref) > self.depth:
             raise PreconditionViolated(f"window ({q_max}, {depth}) around ref is not inside "
                                        f"the series' ({self.q_max}, {self.depth})")
         out = QWSeries(self.entry, q_max, depth, ref)
@@ -173,9 +173,14 @@ class QWSeries:
 
 def series_from_records(entry: CatalogEntry, recs: Sequence[dict], q_max, depth,
                         ref: Optional[Vec] = None) -> QWSeries:
+    """The series of `records`-style dicts, whose q and weight entries are
+    p/q strings (`parse_rational`) or ints and `Fraction`s."""
+    def read(x):
+        return parse_rational(x) if isinstance(x, str) else as_rational(x)
+
     s = QWSeries(entry, q_max, depth, ref)
     for r in recs:
-        s.add_term(Q(r["q"]), Vec(Q(c) for c in r["weight"]), int(r["coeff"]))
+        s.add_term(read(r["q"]), Vec([read(c) for c in r["weight"]]), int(r["coeff"]))
     return s
 
 
@@ -543,7 +548,7 @@ def fns_series(g: AlgebraId, q_max, depth) -> QWSeries:
     the dip density per unit of q) and is cut flat by `verma_character` at
     nu = 0, ell = 0, where the int keys become `Fraction` ones.
     """
-    if Q(q_max) < 0:
+    if as_rational(q_max) < 0:
         raise PreconditionViolated("q_max must be non-negative")
     return verma_character(g, zero_vec(lookup(g).n), 0, q_max, depth)
 
@@ -551,7 +556,7 @@ def fns_series(g: AlgebraId, q_max, depth) -> QWSeries:
 def verma_character(g: AlgebraId, nu: Vec, ell, q_max, depth) -> QWSeries:
     """exp(nu) q^ell times the NS denominator series, truncated at q_max.
     Raises `ParameterOutOfRange` on a weight of the wrong length."""
-    ell, entry = Q(ell), lookup(g)
+    ell, entry = as_rational(ell), lookup(g)
     entry._check_length(nu)
     out = QWSeries(entry, q_max, depth, nu)
     window = out.q_max - ell
@@ -569,7 +574,7 @@ def ell_of_h(g: AlgebraId, k, nu: Vec, h) -> Fraction:
     """Lowest energy of the reduced module with highest weight nu_hat_h."""
     entry = lookup(g)
     kh = entry.shifted_level(k)
-    return _ell(Q(h).as_integer_ratio(), Q(k), kh, entry._scalars(nu).cas)
+    return _ell(as_rational(h).as_integer_ratio(), as_rational(k), kh, entry._scalars(nu).cas)
 
 
 def h_pair(g: AlgebraId, k, nu: Vec, l0) -> Optional[Tuple[Fraction, Fraction]]:
@@ -578,7 +583,7 @@ def h_pair(g: AlgebraId, k, nu: Vec, l0) -> Optional[Tuple[Fraction, Fraction]]:
     h^2 - (k+1)h - (l0 - ell(0))(k+h) = 0."""
     entry = lookup(g)
     kh = entry.shifted_level(k)
-    k, l0 = Q(k), Q(l0)
+    k, l0 = as_rational(k), as_rational(l0)
     c0 = _ell((0, 1), k, kh, entry._scalars(nu).cas)
     roots = solve_quadratic_rational(Q(1), -(k + 1), -(l0 - c0) * kh)
     return None if roots is None else (roots[0], k + 1 - roots[0])
@@ -588,8 +593,7 @@ def h_pair(g: AlgebraId, k, nu: Vec, l0) -> Optional[Tuple[Fraction, Fraction]]:
 # orbit enumeration
 
 
-@dataclass(frozen=True)
-class OrbitElement:
+class OrbitElement(NamedTuple):
     key: tuple                  # key of restrict(w.nu_hat_h) - restrict(nu) (`_Lattice.key`)
     det: int
     q_shift: int
@@ -744,7 +748,7 @@ def weyl_orbit(g: AlgebraId, k, nu: Vec, h, q_max) -> List[Tuple[Vec, int, Fract
     rec, sc = data
     base, denom = entry.restrict(nu), entry.lattice.denom
     return [(base + _vec([Q(x, denom) for x in e.key[1:]]), e.det, Q(e.q_shift))
-            for e in _orbit(entry, rec, sc.pairings(), Q(q_max))]
+            for e in _orbit(entry, rec, sc.pairings(), as_rational(q_max))]
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +834,7 @@ def character_massive(g: AlgebraId, k, nu: Vec, l0, q_max, depth) -> QWSeries:
     """Alternating orbit sum of Verma characters; valid strictly above the
     threshold."""
     entry = lookup(g)
-    l0, q_max, depth = Q(l0), Q(q_max), Q(depth)
+    l0, q_max, depth = as_rational(l0), as_rational(q_max), as_rational(depth)
     data = _P_plus_data(g, k, nu)
     if data is None or _is_extremal(entry, *data):
         raise PreconditionViolated("massive character needs non-extremal nu in P^+_k")
@@ -844,7 +848,7 @@ def character_massless(g: AlgebraId, k, nu: Vec, q_max, depth) -> QWSeries:
     """Character at the threshold l0 = A(k,nu): orbit sum with the isotropic
     simple-root corrections resummed per orbit element."""
     entry = lookup(g)
-    q_max, depth = Q(q_max), Q(depth)
+    q_max, depth = as_rational(q_max), as_rational(depth)
     if g.family == "D21a" and not nu.is_zero():
         raise UnsupportedD21a("massless D(2,1;a) characters are only available at nu = 0")
     data = _P_plus_data(g, k, nu)
@@ -904,7 +908,7 @@ def n4_closed_form(M1: int, r: int, q_max, depth) -> QWSeries:
         raise IndexOutOfRange("need 0 <= r <= M1")
     g = AlgebraId("psl22")
     entry = lookup(g)
-    q_max, depth = Q(q_max), Q(depth)
+    q_max, depth = as_rational(q_max), as_rational(depth)
     th = entry.components[0].theta
     l0 = Q(r, 2)
     out = QWSeries(entry, q_max, depth, l0 * th)

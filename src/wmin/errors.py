@@ -47,3 +47,8 @@ class IndexOutOfRange(WminError):
 
 class TruncationIncomplete(WminError):
     """Orbit enumeration hit the hard cap; results would be unsound."""
+
+
+class InexactScalar(WminError):
+    """A scalar that is not an int or a `Fraction` (a float, say), given
+    where the package reads an exact rational."""

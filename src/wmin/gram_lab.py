@@ -42,7 +42,6 @@ as the oracle and checks each fact against it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
@@ -52,6 +51,7 @@ from .catalog import AlgebraId, Vec, lookup
 from .errors import IndexOutOfSet, PreconditionViolated, WindowTooSmall
 from .levels import level_data
 from .rationals import GaussianRational as GR
+from .rationals import as_rational
 from .weights import A_bound, _plus_xi, _thetas
 
 Q = Fraction
@@ -59,8 +59,7 @@ Q = Fraction
 State = Tuple[Tuple[int, int], ...]  # sorted ((j, multiplicity), ...)
 
 
-@dataclass(frozen=True)
-class BosonBasisState:
+class BosonBasisState(NamedTuple):
     """Monomial prod_j a_{-j}^{i_j} applied to the highest weight vector."""
 
     parts: State
@@ -133,8 +132,7 @@ def _add_into(out: Column, col: Column, c: GR) -> None:
             out.pop(st, None)
 
 
-@dataclass
-class GradedSliceOperator:
+class GradedSliceOperator(NamedTuple):
     """Exact operator between energy slices of the mu-module, up to e_max.
 
     `columns` maps each admissible input state (energy E with E - n <= e_max)
@@ -300,11 +298,11 @@ def _view(name: str, n: int, mu: Fraction, s: GR, e_max: int, scale: int,
         for i, col in enumerate(cols) if col is not None})
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=512, typed=True)  # typed: a float mu equal to a cached one still raises
 def heisenberg_matrix(n: int, mu: Fraction, e_max: int) -> GradedSliceOperator:
     """The mode a_n as a graded operator (a_0 acts by mu): the view of the
     int map `_a_map`."""
-    mu = Q(mu)
+    mu = as_rational(mu)
     return _view("a", n, mu, GR.of(0), e_max, mu.denominator, _scaled_a(mu, n, e_max))
 
 
@@ -312,7 +310,7 @@ def fairlie_matrix(s: GR, mu: Fraction, n: int, e_max: int) -> GradedSliceOperat
     """Deformed Virasoro mode: (1/2) sum_j a_{-j} a_{j+n} - s*n*a_n for
     n != 0, and sum_{j>=1} a_{-j} a_j + (mu^2 - s^2)/2 for n = 0: the view
     of `_scaled_L`, each entry its int pair over D."""
-    s, mu = GR.of(s), Q(mu)
+    s, mu = GR.of(s), as_rational(mu)
     scale, cols = _scaled_L(_imaginary_part(s), mu, n, e_max)
     return _view("L", n, mu, s, e_max, scale, cols)
 
@@ -333,7 +331,7 @@ def virasoro_check(s: GR, mu: Fraction, n: int, m: int, e_max: int) -> bool:
     on the int operators D*L (`_scaled_L`)."""
     if abs(n) + abs(m) > e_max - 1:
         raise WindowTooSmall(f"need |n|+|m| <= e_max-1, got {n}, {m}, {e_max}")
-    s, mu = GR.of(s), Q(mu)
+    s, mu = GR.of(s), as_rational(mu)
     sigma = _imaginary_part(s)
     D, Ln = _scaled_L(sigma, mu, n, e_max)
     _, Lm = _scaled_L(sigma, mu, m, e_max)
@@ -365,7 +363,7 @@ def adjointness_check(s: GR, mu: Fraction, n: int, e_max: int,
     Raises WindowTooSmall when |n| > e_max: no state pair would be compared."""
     if abs(n) > e_max:
         raise WindowTooSmall(f"need |n| <= e_max, got {n}, {e_max}")
-    s, mu = GR.of(s), Q(mu)
+    s, mu = GR.of(s), as_rational(mu)
     if operator == "L":
         sigma = _imaginary_part(s)
         op_p = _scaled_L(sigma, mu, n, e_max)[1]
@@ -449,7 +447,7 @@ def g_half_norm(g: AlgebraId, k, nu: Vec, l0) -> Fraction:
     Hermitian pairing on the odd half-space normalized to 1:
     2(k+h)(A(k,nu) - l0)."""
     kh = lookup(g).shifted_level(k)
-    return 2 * kh * (A_bound(g, k, nu) - Q(l0))
+    return 2 * kh * (A_bound(g, k, nu) - as_rational(l0))
 
 
 def j_g_ratio(g: AlgebraId, k, nu: Vec, i: int) -> Fraction:

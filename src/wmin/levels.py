@@ -6,14 +6,13 @@ quadratic or rational evaluation at k of constants the catalog entry holds
 one record, `_level`."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import List, NamedTuple, Optional
 
 from .catalog import AlgebraId, CatalogEntry, lookup
 from .errors import CriticalLevel
-from .rationals import rational_sqrt
+from .rationals import as_rational, rational_sqrt
 
 Q = Fraction
 
@@ -21,13 +20,13 @@ Q = Fraction
 def component_level(entry: CatalogEntry, k: Fraction, comp) -> Fraction:
     """M_i(k) = (2/u_i)(k + (h_vee - hbar_i_vee)/2); the entry holds it as
     the line (2/u_i) k + (h_vee - hbar_i_vee)/u_i (`CatalogEntry._levels`)."""
-    return (2 / comp.u) * (Q(k) + (entry.h_vee - comp.hbar_vee) / 2)
+    return (2 / comp.u) * (as_rational(k) + (entry.h_vee - comp.hbar_vee) / 2)
 
 
 def central_charge(g: AlgebraId, k: Fraction) -> Fraction:
     """c(k) = k*sdim/(k+h_vee) - 6k + h_vee - 4; `shifted_level` raises
     CriticalLevel at k = -h_vee."""
-    entry, k = lookup(g), Q(k)
+    entry, k = lookup(g), as_rational(k)
     return k * entry.sdim / entry.shifted_level(k) - 6 * k + entry.h_vee - 4
 
 
@@ -48,8 +47,7 @@ def central_charge_alt(g: AlgebraId, k: Fraction):
     return c, True, f"sqrt = {s}"
 
 
-@dataclass(frozen=True)
-class LevelData:
+class LevelData(NamedTuple):
     k: Fraction
     M: tuple                 # component levels in catalog order (center first if present)
     M_simple: tuple          # levels of the simple components only, index order 1..s
@@ -73,14 +71,16 @@ class _Level(NamedTuple):
 
 
 @lru_cache(maxsize=128)  # a sweep of 8 families x 12 levels stays cached
-def _level(g: AlgebraId, k: Fraction) -> _Level:
-    """The level record of (g, k), k a `Fraction`: `LevelData`, k + h_vee
-    and unitarity-range membership, each evaluated once per (g, k) and then
-    read by `level_data`, `unitarity_range_contains` and the decision and
-    character preconditions.  At the critical level k = -h_vee
+def _level(g: AlgebraId, kn: int, kd: int) -> _Level:
+    """The level record of (g, k), k = kn/kd a `Fraction` given by its
+    numerator and denominator, so that the cache key hashes two ints and
+    not k (a `Fraction` hash takes a modular inverse): `LevelData`, k +
+    h_vee and unitarity-range membership, each evaluated once per (g, k)
+    and then read by `level_data`, `unitarity_range_contains` and the
+    decision and character preconditions.  At the critical level k = -h_vee
     `shifted_level` raises CriticalLevel, and `lru_cache` keeps no raised
     call, so it raises on every call."""
-    entry = lookup(g)
+    entry, k = lookup(g), Q(kn, kd)
     kh = entry.shifted_level(k)
     lines, (z1, z2) = entry._levels
     first, step, count = entry.unitary_range
@@ -101,7 +101,8 @@ def level_data(g: AlgebraId, k: Fraction) -> LevelData:
     evaluations at k of the entry's constants (`CatalogEntry._levels`), read
     off the level record `_level`, whose cache holds the last 128 (g, k).
     Raises CriticalLevel at k = -h_vee on every call: errors are not cached."""
-    return _level(g, Q(k)).data
+    k = as_rational(k)
+    return _level(g, k.numerator, k.denominator).data
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +114,7 @@ def _ranged(g: AlgebraId, k: Fraction) -> Optional[_Level]:
     range, else None.  The critical level lies in no range: every range
     holds only levels k <= -2/3, and -h_vee >= -1/2 on every family."""
     try:
-        rec = _level(g, k)
+        rec = _level(g, k.numerator, k.denominator)
     except CriticalLevel:
         return None
     return rec if rec.in_range else None
@@ -123,7 +124,7 @@ def unitarity_range_contains(g: AlgebraId, k: Fraction) -> bool:
     """Membership in the per-family list of candidate unitary levels
     (`CatalogEntry.unitary_range`): n = (k - first)/step is an int in
     [0, count), read off the level record (`_ranged`)."""
-    return _ranged(g, Q(k)) is not None
+    return _ranged(g, as_rational(k)) is not None
 
 
 def enumerate_unitary_k(g: AlgebraId, count: int) -> List[Fraction]:

@@ -1,19 +1,23 @@
 """Exact scalars: rationals, Gaussian rationals, and small helpers.
 
 Everything downstream works over Fraction; this module adds the bits the
-stdlib is missing: exact square roots, p/q parsing that rejects floats, and
-a tiny Gaussian-rational field for the purely imaginary deformation
-parameters of the boson lab.
+stdlib is missing: exact square roots, p/q parsing and an input coercion
+that both reject floats, a tiny Gaussian-rational field for the purely
+imaginary deformation parameters of the boson lab, and the value
+semantics the package's record classes share (`_Record`, `_Frozen`).
 """
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Optional, Union
 
+from .errors import InexactScalar
+
 Q = Fraction
+_set = object.__setattr__
 
 _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -29,8 +33,20 @@ def parse_rational(s: str) -> Fraction:
         raise ValueError(f"zero denominator in {s!r}") from None
 
 
+def as_rational(x) -> Fraction:
+    """x as a `Fraction`, for an int or a `Fraction`: the one coercion of the
+    rationals a caller passes in.  Anything else raises `InexactScalar`: a
+    float converts exactly, but to its binary value, so -2.9999999999999996
+    would be answered at -6755399441055743/2251799813685248, not at -3."""
+    if x.__class__ is Fraction:
+        return x
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    raise InexactScalar(f"not an exact rational: {x!r} (use an int or a Fraction)")
+
+
 def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
+    x = as_rational(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -47,25 +63,79 @@ def rational_sqrt(x: Fraction) -> Optional[Fraction]:
     return None
 
 
+class _Record:
+    """Field-wise value semantics for the package's record classes, written
+    out instead of generated by `dataclasses`, whose class decorator costs
+    about a millisecond per class at import.  Instances of one class with
+    equal `_fields` compare equal, and never equal another type (a bare
+    tuple included); the repr is Name(field=value, ...), as a dataclass
+    prints it.  A `_Record` is mutable and so unhashable; `_Frozen` hashes
+    and refuses assignment.  Each subclass names at least two `_fields`,
+    and `_values(x)` reads them as a tuple (an `attrgetter`, which binds no
+    instance, so it is called as `self._values(self)`)."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init_subclass__(cls, **kw):
+        super().__init_subclass__(**kw)
+        if "_fields" in vars(cls):  # not `_Frozen`, which names none
+            cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class _Frozen(_Record):
+    """A `_Record` that hashes by its fields and, as a frozen dataclass,
+    raises AttributeError on assignment; `__init__` sets the fields through
+    `object.__setattr__`, and copies and pickles are rebuilt through it."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
 Scalar = Union[int, Fraction, "GaussianRational"]
+_ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class GaussianRational:
-    """Element re + im*sqrt(-1) of Q(i); exact field arithmetic."""
+class GaussianRational(_Frozen):
+    """Element re + im*sqrt(-1) of Q(i); exact field arithmetic.  A number:
+    it compares and hashes by value, equals an int or `Fraction` with
+    im = 0, and neither iterates nor orders like a tuple."""
 
-    re: Fraction
-    im: Fraction = Fraction(0)
+    __slots__ = _fields = ("re", "im")
+
+    def __init__(self, re: Union[int, Fraction], im: Union[int, Fraction] = _ZERO):
+        _set(self, "re", as_rational(re))
+        _set(self, "im", as_rational(im))
 
     @staticmethod
     def of(x: Scalar) -> "GaussianRational":
         if isinstance(x, GaussianRational):
             return x
-        return GaussianRational(Fraction(x))
+        return GaussianRational(x)
 
     @staticmethod
     def imag(im: Union[int, Fraction]) -> "GaussianRational":
-        return GaussianRational(Fraction(0), Fraction(im))
+        return GaussianRational(_ZERO, im)
 
     def __add__(self, other: Scalar) -> "GaussianRational":
         o = GaussianRational.of(other)

@@ -1,13 +1,14 @@
 """The unitarity decision procedure and the singular-weight bound scans."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from .catalog import AlgebraId, CatalogEntry, Vec, _NuScalars, _dot, lookup
 from .errors import IndexOutOfSet
 from .levels import LevelData, _level
+from .rationals import _Record, as_rational
 from .weights import _A_explicit, _ell, _in_P_plus, _is_extremal, _P_plus_data, _threshold
 
 Q = Fraction
@@ -23,8 +24,7 @@ BELOW_BOUND = "BelowBound"
 UNITARY_NON_EXTREMAL = "UnitaryNonExtremal"
 
 
-@dataclass(frozen=True)
-class CollapseCheck:
+class CollapseCheck(NamedTuple):
     """Weight-integrability gate for the module over the collapsed target.
 
     The matching constraint on l0 for collapsed modules is not settled, so l0
@@ -37,6 +37,8 @@ class CollapseCheck:
     detail: str
 
 
+# The package's one dataclass: `bench/test_bench.py:130` builds a corrupted
+# verdict with `dataclasses.replace`.
 @dataclass(frozen=True)
 class UnitarityVerdict:
     outcome: str
@@ -78,8 +80,8 @@ def _collapse_check(entry: CatalogEntry, lv: LevelData, nu: Vec, sc: _NuScalars,
 def decide(g: AlgebraId, k, nu: Vec, l0) -> UnitarityVerdict:
     """Full decision for the irreducible highest weight module (nu, l0)."""
     entry = lookup(g)
-    k, l0 = Q(k), Q(l0)
-    rec = _level(g, k)
+    k, l0 = as_rational(k), as_rational(l0)
+    rec = _level(g, k.numerator, k.denominator)
     lv = rec.data
     entry._check_length(nu)
     quantities = {
@@ -140,7 +142,7 @@ def h_even(g: AlgebraId, k, nu: Vec, n, m) -> Fraction:
     """h_{n, eps*m} = ell((eps*m*(k+h) - n + k + 1)/2): even-root singular weight."""
     entry = lookup(g)
     kh = entry.shifted_level(k)
-    k, n, m = Q(k), Q(n), Q(m)
+    k, n, m = as_rational(k), as_rational(n), as_rational(m)
     eps = entry.epsilon
     if n <= 0 or m <= 0 or (eps * n).denominator != 1 or (eps * m).denominator != 1 \
             or (m - n).denominator != 1:
@@ -153,7 +155,7 @@ def h_odd(g: AlgebraId, k, nu: Vec, m, gamma: Vec) -> Fraction:
     singular weight, gamma in Delta'."""
     entry = lookup(g)
     kh = entry.shifted_level(k)
-    k, m = Q(k), Q(m)
+    k, m = as_rational(k), as_rational(m)
     if (m - Q(1, 2)).denominator != 1 or m < Q(1, 2):
         raise IndexOutOfSet("need m in 1/2 + Z_+")
     odd = next((row for row in entry._odd_covs if row[0] == gamma), None)
@@ -181,15 +183,16 @@ def _odd_pair(odd: tuple, d: int, x: list) -> Fraction:
     return Q(_dot(cov, x) + r * d, e * d)
 
 
-@dataclass
-class Sign2Report:
-    g: AlgebraId
-    k: Fraction
-    nu: Vec
-    hypothesis_met: bool
-    label: str
-    checked: int = 0
-    violations: list = field(default_factory=list)
+class Sign2Report(_Record):
+    """What `sign2_scan` found; a mutable record."""
+
+    __slots__ = _fields = ("g", "k", "nu", "hypothesis_met", "label", "checked", "violations")
+
+    def __init__(self, g: AlgebraId, k: Fraction, nu: Vec, hypothesis_met: bool, label: str,
+                 checked: int = 0, violations: Optional[list] = None):
+        self.g, self.k, self.nu = g, k, nu
+        self.hypothesis_met, self.label, self.checked = hypothesis_met, label, checked
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:
@@ -204,16 +207,16 @@ def sign2_scan(g: AlgebraId, k, nu: Vec, n_max, m_max) -> Sign2Report:
     accordingly and violations are informational.
     """
     entry = lookup(g)
-    k = Q(k)
+    k = as_rational(k)
     data = _P_plus_data(g, k, nu)
     hyp = data is not None and not _is_extremal(entry, *data)
     rep = Sign2Report(g, k, nu, hyp,
                       "scan" if hyp else "lemma hypothesis not met")
-    rec, sc = data or (_level(g, k), entry._scalars(nu))
+    rec, sc = data or (_level(g, k.numerator, k.denominator), entry._scalars(nu))
     kh = rec.kh
     a, cas = _threshold(rec, sc), sc.cas
     eps = entry.epsilon
-    n_max, m_max = Q(n_max), Q(m_max)
+    n_max, m_max = as_rational(n_max), as_rational(m_max)
     # even indices: n, m in (1/eps)N with m - n integral
     nn = 1
     while Q(nn, eps) <= n_max:

@@ -19,6 +19,7 @@ from .catalog import (AlgebraId, CatalogEntry, Vec, _NuScalars, _solve_exact, _v
                       zero_vec)
 from .errors import CharacterizationMismatch, PreconditionViolated
 from .levels import LevelData, _Level, _level, _ranged
+from .rationals import as_rational
 
 Q = Fraction
 
@@ -76,7 +77,7 @@ def _P_plus_data(g: AlgebraId, k, nu: Vec) -> Optional[Tuple[_Level, _NuScalars]
     every level."""
     entry = lookup(g)
     entry._check_length(nu)
-    rec = _ranged(g, Q(k))
+    rec = _ranged(g, as_rational(k))
     if rec is None:
         return None
     sc = entry._scalars(nu)
@@ -129,7 +130,8 @@ def _threshold(rec: _Level, sc: _NuScalars) -> Fraction:
 
 def A_bound(g: AlgebraId, k, nu: Vec) -> Fraction:
     """Threshold A(k,nu) = ell((xi|nu)), with ell the quadratic `_ell`."""
-    return _threshold(_level(g, Q(k)), lookup(g)._scalars(nu))
+    k = as_rational(k)
+    return _threshold(_level(g, k.numerator, k.denominator), lookup(g)._scalars(nu))
 
 
 def B_bound(g: AlgebraId, k, nu: Vec) -> Fraction:
@@ -137,7 +139,7 @@ def B_bound(g: AlgebraId, k, nu: Vec) -> Fraction:
     (nu|nu+2rho^nat)/(2(k+h)) - (k+1)^2/(4(k+h))."""
     entry = lookup(g)
     kh = entry.shifted_level(k)
-    k = Q(k)
+    k = as_rational(k)
     return _ell(((k + 1) / 2).as_integer_ratio(), k, kh, entry._scalars(nu).cas)
 
 
@@ -153,7 +155,7 @@ def A_explicit(g: AlgebraId, k, nu: Vec) -> Fraction:
     entry = lookup(g)
     entry.shifted_level(k)  # CriticalLevel guard
     sc = entry._scalars(nu)
-    return _A_explicit(entry, Q(k), sc.d, sc.x, sc.ps)
+    return _A_explicit(entry, as_rational(k), sc.d, sc.x, sc.ps)
 
 
 def _A_explicit(entry: CatalogEntry, k: Fraction, d: int, x: list, ps: list) -> Fraction:
@@ -244,7 +246,7 @@ def enumerate_P_plus_k(g: AlgebraId, k) -> List[Vec]:
     box 0 <= a_j <= min_i floor(M_i(k) / m_ij) is finite and holds all of
     P^+_k; the walk keeps the label vectors of the box that meet every bound.
     Each nu is built from its int labels over the omegas' one denominator."""
-    entry, rec = lookup(g), _ranged(g, Q(k))
+    entry, rec = lookup(g), _ranged(g, as_rational(k))
     if rec is None:
         return []
     if entry.center is not None:

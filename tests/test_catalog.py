@@ -268,3 +268,93 @@ def test_vec_ops_equal_the_converting_constructor(coords, c):
         assert type(got) is Vec
         assert got == want and hash(got) == hash(want)
         assert all(type(x) is Q for x in got), got
+
+
+# ---------------------------------------------------------------------------
+# validate against the `Fraction` evaluation it replaced
+
+
+def _old_validate(entry):
+    """`validate` as it was before each simple root's data was read once:
+    every pairing through `form`, `coroot_pairing` and `weyl_reflect`."""
+    rep = catalog.ValidationReport(entry)
+    rep.add("theta_norm", entry.form(entry.theta, entry.theta) == 2,
+            f"(theta|theta) = {entry.form(entry.theta, entry.theta)}")
+    for c in entry.components:
+        u = entry.form(c.theta, c.theta)
+        rep.add(f"u_{c.index}", u == c.u, f"(theta_{c.index}|theta_{c.index}) = {u}")
+        chi_from_xi = -entry.coroot_pairing(entry.xi, c.theta)
+        if entry.id.family == "osp4m" and c.index == 1:
+            rep.add("chi_1_vs_xi", True,
+                    f"exception, skipped: stored {c.chi}, -xi(theta_1^vee) = {chi_from_xi}")
+        else:
+            rep.add(f"chi_{c.index}_vs_xi", chi_from_xi == c.chi,
+                    f"-xi(theta_{c.index}^vee) = {chi_from_xi}, stored {c.chi}")
+        rep.add(f"theta_{c.index}_perp_theta", entry.form(c.theta, entry.theta) == 0)
+        okk = True
+        for k in (Q(-1) - entry.h_vee, Q(-7, 3) - entry.h_vee):
+            lhs = (2 / c.u) * ((k + entry.h_vee) - entry.form(entry.rho_natural, c.theta))
+            m_i = (2 / c.u) * (k + (entry.h_vee - c.hbar_vee) / 2)
+            okk = okk and lhs == m_i + c.chi + 1
+        rep.add(f"eta_{c.index}_pairing", okk, "N_i(k,0) = M_i(k)+chi_i+1 at sample levels")
+    mx = max(entry.form(entry.rho_natural, g) for g, _ in entry.delta_prime)
+    if entry.id.family in ("psl22", "spo2m", "D21a", "F4", "G3"):
+        rep.add("threshold_identity", 2 * mx + entry.h_vee == 1, f"max(rho^nat|gamma) = {mx}")
+    else:
+        rep.add("threshold_identity", True, f"not applicable; max(rho^nat|gamma) = {mx}")
+    xi_ps = [entry.coroot_pairing(entry.xi, a) for a in entry.simple_roots_natural]
+    rep.add("xi_dominant", all(p >= 0 and p.denominator == 1 for p in xi_ps))
+    rep.add("xi_in_delta_prime", any(g == entry.xi for g, _ in entry.delta_prime))
+    rep.add("epsilon_flag",
+            (entry.epsilon == 2) == any(g.is_zero() for g, _ in entry.delta_prime))
+    rep.add("delta_prime_dim", sum(mult for _, mult in entry.delta_prime) == entry.dim_g_half)
+    mult = {}
+    for g, mlt in entry.delta_prime:
+        mult[g] = mult.get(g, 0) + mlt
+    rep.add("delta_prime_weyl_closed",
+            all(mult.get(entry.weyl_reflect(g, a), 0) == m
+                for g, m in mult.items() for a in entry.simple_roots_natural))
+    rep.add("iso_simple_count",
+            sum(1 for rt, p in entry.simple_roots
+                if p == 1 and entry.form(rt, rt) == 0) == entry.iso_simple_count)
+    return rep
+
+
+VALIDATED = [catalog.sl2m(6), catalog.spo2m(8), catalog.spo2m(9), catalog.osp4m(8),
+             catalog.d21a(5, 2), catalog.d21a(1, 7)]
+
+
+def test_validate_equals_the_form_evaluation(all_algebras):
+    """Every check's name, verdict and detail string, in order, on every
+    family, the parameterized ones at several parameters."""
+    for g in all_algebras + VALIDATED:
+        e = lookup(g)
+        assert validate(e) == _old_validate(e), g.label()
+
+
+def _with(e, **changes):
+    """The entry e with some fields replaced."""
+    return catalog.CatalogEntry(**{**{f: getattr(e, f) for f in e._fields}, **changes})
+
+
+@pytest.mark.parametrize("g", [catalog.psl22(), catalog.spo2m(5), catalog.d21a(2, 3),
+                               catalog.f4(), catalog.g3()], ids=lambda g: g.label())
+def test_validate_flags_broken_data_as_the_form_evaluation_does(g):
+    """Corrupted odd weights: the last nonzero one dropped, moved by 1/3
+    off the lattice of the others, or its multiplicity doubled; each breaks
+    the Weyl closure.  A xi moved by 1/3 or by 1/2 of a simple root of
+    g^nat (half a root is never in Delta').  Each report is the old
+    evaluation's."""
+    e = lookup(g)
+    dp = list(e.delta_prime)
+    third = Vec([Q(1, 3)] + [0] * (e.n - 1))
+    i = max(i for i, (w, _) in enumerate(dp) if not w.is_zero())
+    (w, m), rest = dp[i], dp[:i] + dp[i + 1:]
+    for broken in (rest, rest + [(w + third, m)], rest + [(w, 2 * m)]):
+        bad = _with(e, delta_prime=tuple(broken))
+        rep = validate(bad)
+        assert rep == _old_validate(bad)
+        assert not dict((c.name, c.passed) for c in rep.checks)["delta_prime_weyl_closed"]
+    for xi in (e.xi + third, e.xi + Q(1, 2) * e.simple_roots_natural[0]):
+        bad = _with(e, xi=xi)
+        assert validate(bad) == _old_validate(bad)

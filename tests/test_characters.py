@@ -31,15 +31,21 @@ XI = E.xi
 ZERO = zero_vec(4)
 
 
+def _record(e, k):
+    """The level record of (e, k), keyed by k's numerator and denominator."""
+    k = Q(k)
+    return levels._level(e.id, k.numerator, k.denominator)
+
+
 def _orbit_at(e, k, nu, limit, track_iso=False):
     """`_orbit` of nu at level k, given the level record and nu's pairings
     as the character preconditions pass them."""
-    return _orbit(e, levels._level(e.id, Q(k)), e.pairings(0, nu), limit, track_iso)
+    return _orbit(e, _record(e, k), e.pairings(0, nu), limit, track_iso)
 
 
 def _orbit_sum_at(e, k, nu, l0, q_max, depth, track_iso):
     """`_orbit_sum` of nu at level k, given as `_orbit_at` gives `_orbit`."""
-    return _orbit_sum(e, levels._level(e.id, Q(k)), e.pairings(0, nu), nu, l0, q_max,
+    return _orbit_sum(e, _record(e, k), e.pairings(0, nu), nu, l0, q_max,
                       depth, track_iso)
 
 

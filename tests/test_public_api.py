@@ -1,6 +1,6 @@
 """The public surface of `wmin`, pinned by name: removing a name or adding
 one is a deliberate edit of these lists, never a side effect."""
-import dataclasses
+import pytest
 
 import wmin
 from wmin import CatalogEntry, NaturalComponent, QWSeries
@@ -48,5 +48,86 @@ def test_catalog_entry_methods_are_pinned():
 def test_natural_component_fields_are_pinned():
     """A component of g^nat holds its highest root and level constants; its
     simple roots are the entry's `simple_roots_natural`, not restated here."""
-    assert [f.name for f in dataclasses.fields(NaturalComponent)] == [
+    assert list(NaturalComponent._fields) == [
         "index", "theta", "u", "hbar_vee", "chi"]
+
+
+def _float_calls():
+    """(name, call) for each public function and each public method that
+    reads a rational, the call passing one float where a rational goes."""
+    from fractions import Fraction as Q
+
+    from wmin import GaussianRational as GR
+    g, nu = wmin.psl22(), wmin.Vec([0, 0, 0, 0])
+    e = wmin.lookup(g)
+    gamma = e.delta_prime[0][0]
+    series = wmin.fns_series(g, 2, 4)
+    return [
+        ("A_bound", lambda: wmin.A_bound(g, -3.0, nu)),
+        ("A_explicit", lambda: wmin.A_explicit(g, -3.0, nu)),
+        ("B_bound", lambda: wmin.B_bound(g, -3.0, nu)),
+        ("adjointness_check", lambda: wmin.adjointness_check(GR.imag(Q(1, 2)), 0.5, 1, 4)),
+        ("central_charge", lambda: wmin.central_charge(g, -3.0)),
+        ("central_charge_alt", lambda: wmin.central_charge_alt(g, -3.0)),
+        ("character_massive", lambda: wmin.character_massive(g, -3, nu, 1.5, 3, 4)),
+        ("character_massless", lambda: wmin.character_massless(g, -3, nu, 3.0, 4)),
+        ("decide", lambda: wmin.decide(g, -2.9999999999999996, nu, 1)),
+        ("ell_of_h", lambda: wmin.ell_of_h(g, -3, nu, 0.5)),
+        ("enumerate_P_plus_k", lambda: wmin.enumerate_P_plus_k(g, -3.0)),
+        ("exp_factorization_check", lambda: wmin.exp_factorization_check(0.5, 2, 2)),
+        ("fairlie_matrix", lambda: wmin.fairlie_matrix(GR.imag(1), 0.5, 1, 4)),
+        ("fns_series", lambda: wmin.fns_series(g, 2.0, 4)),
+        ("format_rational", lambda: wmin.format_rational(0.5)),
+        ("g_half_norm", lambda: wmin.g_half_norm(g, -3, nu, 0.5)),
+        ("h_even", lambda: wmin.h_even(g, -3, nu, 1.0, 1)),
+        ("h_odd", lambda: wmin.h_odd(g, -3, nu, 0.5, gamma)),
+        ("h_pair", lambda: wmin.h_pair(g, -3, nu, 0.5)),
+        ("heisenberg_matrix", lambda: wmin.heisenberg_matrix(1, 0.5, 4)),
+        ("in_P_plus_k", lambda: wmin.in_P_plus_k(g, -3.0, nu)),
+        ("is_extremal", lambda: wmin.is_extremal(g, -3.0, nu)),
+        ("j_g_ratio", lambda: wmin.j_g_ratio(g, -3.0, nu, 1)),
+        ("level_data", lambda: wmin.level_data(g, 0.1)),
+        ("n4_closed_form", lambda: wmin.n4_closed_form(1, 0, 3.0, 4)),
+        ("series_from_records", lambda: wmin.series_from_records(
+            e, [{"q": 0.5, "weight": [0, 0, 0, 0], "coeff": 1}], 3, 4)),
+        ("sign2_scan", lambda: wmin.sign2_scan(g, -3.0, nu, 2, 2)),
+        ("unitarity_range_contains", lambda: wmin.unitarity_range_contains(g, -3.0)),
+        ("verma_character", lambda: wmin.verma_character(g, nu, 0.5, 3, 4)),
+        ("virasoro_check", lambda: wmin.virasoro_check(GR.imag(1), 0.5, 1, 1, 4)),
+        ("weyl_orbit", lambda: wmin.weyl_orbit(g, -3, nu, 0, 3.0)),
+        ("Vec", lambda: wmin.Vec([0.1, 0, 0, 0])),
+        ("Vec.__mul__", lambda: nu * 0.5),
+        ("GaussianRational", lambda: GR(0.5)),
+        ("GaussianRational.imag", lambda: GR.imag(0.5)),
+        ("GaussianRational.__add__", lambda: GR(1) + 0.5),
+        ("QWSeries", lambda: wmin.QWSeries(e, 3.0, 4)),
+        ("QWSeries.add_term", lambda: series.add_term(0.5, nu, 1)),
+        ("QWSeries.coeff", lambda: series.coeff(0.5, nu)),
+        ("QWSeries.truncated", lambda: series.truncated(1.0, 4)),
+        ("CatalogEntry.shifted_level", lambda: e.shifted_level(-3.0)),
+        ("CatalogEntry.pairings", lambda: e.pairings(0.5, nu)),
+        ("CatalogEntry.nu_from_labels", lambda: e.nu_from_labels([0.5])),
+    ]
+
+
+# public functions whose arguments are ints, strings or package objects
+NO_RATIONAL_ARGUMENT = {"boson_norm", "d21a", "enumerate_unitary_k", "f4", "g3", "lookup",
+                        "osp4m", "parse_rational", "psl22", "sl2m", "spo2m", "validate"}
+
+
+def test_every_public_entry_point_refuses_a_float():
+    """A float converts exactly, but to its binary value, so a caller's
+    decimal would be answered at another rational (decide at
+    -2.9999999999999996 answered at k = -6755399441055743/2251799813685248).
+    Every entry point raises `InexactScalar` instead, a `WminError`."""
+    from wmin.errors import InexactScalar, WminError
+    calls = _float_calls()
+    def functions(names):
+        return {n for n in names if callable(getattr(wmin, n, None))
+                and not isinstance(getattr(wmin, n), type)}
+
+    assert functions(wmin.__all__) == functions(n for n, _ in calls) | NO_RATIONAL_ARGUMENT
+    assert issubclass(InexactScalar, WminError)
+    for _, call in calls:
+        with pytest.raises(InexactScalar, match="not an exact rational"):
+            call()

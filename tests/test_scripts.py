@@ -111,3 +111,19 @@ def test_stage_times_verdicts():
     assert 0 < got["decide_s"]
     assert got["reached"] == {"scalars_s": 60, "p_plus_s": 59, "threshold_s": 59,
                               "extremal_s": 59, "closed_form_s": 59}
+
+
+def test_stage_times_setup():
+    """`--setup`: `import wmin` and each of its modules, and lookup and
+    validate of each verdict family, as medians over fresh interpreters."""
+    import json
+    (line,) = run_script("stage_times.py", "--setup", "2")
+    got = json.loads(line)
+    assert got["interpreters"] == 2 and got["import_s"] > 0
+    assert sorted(got["modules"]) == ["wmin", "wmin.catalog", "wmin.characters", "wmin.errors",
+                                      "wmin.gram_lab", "wmin.levels", "wmin.rationals",
+                                      "wmin.unitarity", "wmin.weights"]
+    assert list(got["families"]) == ["psl22", "spo2m(m=3)", "spo2m(m=5)", "spo2m(m=6)",
+                                     "D21a(a=2/1)", "D21a(a=2/3)", "F4", "G3"]
+    assert all(t > 0 for f in got["families"].values() for t in f.values())
+    assert got["lookup_validate_s"] > 0

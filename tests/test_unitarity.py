@@ -638,7 +638,7 @@ def test_level_record_equals_a_fresh_evaluation():
         off = [first - step, first + step / 2, Q(1, 3), Q(-5, 7), Q(7)]
         for k in enumerate_unitary_k(g, 12) + [k for k in off if k != -e.h_vee]:
             for _ in range(2):
-                rec = levels._level(g, k)
+                rec = levels._level(g, k.numerator, k.denominator)
                 assert rec.data == _ref_level_data(g, k), (g.label(), k)
                 assert level_data(g, k) is rec.data and rec.kh == k + e.h_vee
                 contains = unitarity_range_contains(g, k)
@@ -676,3 +676,19 @@ def test_the_level_cache_is_bounded():
         decide(catalog.psl22(), -2 - j, zero_vec(4), 0)
     info = levels._level.cache_info()
     assert maxsize == 128 and info.currsize == maxsize and info.misses == maxsize + 10
+
+
+def test_a_warm_verdict_hashes_no_fraction(monkeypatch):
+    """The level record's cache key is k's numerator and denominator, so a
+    warm `decide` (every P^+_k weight at the first two levels of the
+    verdict families, at l0 = A and A - 1/2) hashes no `Fraction`: each
+    hash of k took a modular inverse."""
+    reqs = [(g, k, nu, A_bound(g, k, nu) + dl) for g in VERDICT_FAMILIES
+            for k in enumerate_unitary_k(g, 2) for nu in enumerate_P_plus_k(g, k)
+            for dl in (0, Q(-1, 2))]
+    want = [decide(*r) for r in reqs]
+    hashed = []
+    fraction_hash = Q.__hash__
+    monkeypatch.setattr(Q, "__hash__", lambda x: hashed.append(x) or fraction_hash(x))
+    assert [decide(*r) for r in reqs] == want and len(reqs) > 100
+    assert hashed == []
