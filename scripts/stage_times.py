@@ -49,11 +49,14 @@ With `--gram E_MAX` the script times the integer kernel of the boson lab
     states                its size, len(states_up_to(E_MAX))
     modes_s               the (s, mu)-free int maps: `_a_map` for
                           0 < |n| <= E_MAX and `_p_map` for 0 < |n| <= 6
-    scale_s               one (s, mu) family, s = 3i/7 and mu = 5/3:
-                          `_scaled_L` for |n| <= 6
-    virasoro_s            that pair's part of the criterion-9 sweep:
-                          `virasoro_check` for |n|, |m| <= 3 inside the window
-    adjoint_s             `adjointness_check` for |n| <= 3, operators 'L' and 'a'
+    tables_s              the (s, mu)-free Virasoro tables `_virasoro_rows`
+                          that the pairs |n|, |m| <= 3 inside the window read,
+                          one per pair with n <= m
+    tables, rows          their number and their distinct rows in all
+    virasoro_s            `virasoro_check` on those pairs, on the warm
+                          tables, at s = 3i/7 and mu = 5/3
+    adjoint_s             `adjointness_check` for |n| <= 3, operators 'L' and
+                          'a', at the same (s, mu)
     caches                `cache_info()` of the gram caches afterwards
 
 With `--verdicts COUNT` it times `wmin.unitarity.decide` instead, warm,
@@ -231,12 +234,15 @@ def gram_stages(e_max):
 
     s, mu, ns = GR.imag(Q(3, 7)), Q(5, 3), range(-6, 7)
     window = [(n, m) for n in range(-3, 4) for m in range(-3, 4) if abs(n) + abs(m) < e_max]
+    keys = [(n, m) for n, m in window if n <= m]
     out = {
         "basis_s": timed(lambda: gram_lab._basis(e_max)),
         "states": len(gram_lab._basis(e_max).states),
         "modes_s": timed(lambda: ([gram_lab._a_map(n, e_max) for n in range(-e_max, e_max + 1) if n],
                                   [gram_lab._p_map(n, e_max) for n in ns if n])),
-        "scale_s": timed(lambda: [gram_lab._scaled_L(s.im, mu, n, e_max) for n in ns]),
+        "tables_s": timed(lambda: [gram_lab._virasoro_rows(n, m, e_max) for n, m in keys]),
+        "tables": len(keys),
+        "rows": sum(len(gram_lab._virasoro_rows(n, m, e_max)) for n, m in keys),
         "virasoro_s": timed(lambda: [gram_lab.virasoro_check(s, mu, n, m, e_max)
                                      for n, m in window]),
         "adjoint_s": timed(lambda: [gram_lab.adjointness_check(s, mu, n, e_max, op)
@@ -245,7 +251,7 @@ def gram_stages(e_max):
     }
     out["caches"] = {f.__name__: f.cache_info()._asdict() for f in (
         gram_lab.states_at_energy, gram_lab._basis, gram_lab._a_map, gram_lab._p_map,
-        gram_lab._scaled_L, gram_lab.heisenberg_matrix)}
+        gram_lab._virasoro_rows, gram_lab.heisenberg_matrix)}
     return out
 
 

@@ -124,6 +124,9 @@ class AlgebraId(_Frozen):
     def __init__(self, family: str, m: int = 0, a_num: int = 0, a_den: int = 0):
         if family not in FAMILIES:
             raise ParameterOutOfRange(f"unknown family {family!r}")
+        for name, v in (("m", m), ("a_num", a_num), ("a_den", a_den)):
+            if v.__class__ is not int:  # 3.0 would equal and hash as 3
+                raise ParameterOutOfRange(f"{name} must be an int, got {v!r}")
         if family == "sl2m" and m < 3:
             raise ParameterOutOfRange("sl(2|m) needs m >= 3")
         if family == "spo2m":
@@ -180,6 +183,8 @@ def osp4m(m: int) -> AlgebraId:
 
 
 def d21a(num: int, den: int = 1) -> AlgebraId:
+    if num.__class__ is not int or den.__class__ is not int:
+        return AlgebraId("D21a", a_num=num, a_den=den)  # refused there
     g = math.gcd(num, den) if num > 0 and den > 0 else 1
     return AlgebraId("D21a", a_num=num // g, a_den=den // g)
 

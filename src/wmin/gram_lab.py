@@ -8,47 +8,64 @@ sparse maps between energy slices up to a cutoff; deformation parameters are
 purely imaginary Gaussian rationals so every check stays in Q(i).
 
 The checks run on an integer kernel.  A state is its position in
-`states_up_to(e_max)` (`_basis`), and an operator is a tuple of columns, one
-per input position: None outside the operator's window, else a dict
-{output position: (re, im)} of Gaussian integers over one scale, with no
-(0, 0) stored.  Three facts make the kernel exact:
+`states_up_to(e_max)` (`_basis`), and a map is a tuple of columns, one per
+input position: None outside the map's window, else a dict
+{output position: int} with no 0 stored.  Three facts make the kernel exact:
 
 1. Decomposition.  For n != 0 the j = 0 and j = -n terms of
    (1/2) sum_j a_{-j} a_{j+n} are a_0 a_n and a_n a_0, each mu*a_n, so
-   L_n = (1/2) P_n + (mu - s*n) a_n with P_n = sum_{j != 0, -n} a_{-j} a_{j+n}.
-   P_n and a_n have int entries and do not depend on (s, mu); they are
-   built once per (n, e_max) (`_p_map`, `_a_map`), and one (s, mu) family
-   of operators is one int scaling of them (`_scaled_L`).
-   L_0 = E + (mu^2 + sigma^2)/2 on the diagonal, where s = sigma*i.
-2. Scale.  With l = lcm(den mu, den sigma) and D = 2 l^2, the numbers D/2,
-   D*mu, D*sigma*n and D (mu^2 + sigma^2)/2 = (l mu)^2 + (l sigma)^2 are
-   integers, so D*L_n has entries in Z[i].  A commutator is compared at
-   scale D^2, where the central term
+   L_n = (1/2) P_n + (mu - s*n) a_n with P_n = sum_{j != 0, -n} a_{-j} a_{j+n},
+   and L_0 = E + (mu^2 + sigma^2)/2 I, where s = sigma*i and E is the energy
+   diagonal.  So, with the scale D of fact 2,
+   D*L_n = c_0(n) B_0(n) + c_1(n) B_1(n), where the parts B = (P_n, a_n)
+   for n != 0 and (E, I) for n = 0 are int maps built once per (n, e_max)
+   and free of (s, mu) (`_parts`), and the coefficients
+   c = (D/2, D mu - D sigma n i), or (D, D (mu^2 + sigma^2)/2) for n = 0,
+   are Gaussian integers (`_coefficients`).  The same holds for
+   den(mu) a_n (`_a_parts`, `_a_coefficients`).
+2. Scale and bilinearity.  With l = lcm(den mu, den sigma) and D = 2 l^2,
+   the numbers D/2, D*mu = 2 l (l mu), D*sigma*n and
+   D (mu^2 + sigma^2)/2 = (l mu)^2 + (l sigma)^2 are integers.  A
+   commutator is compared at scale D^2, where the central term
    D^2 (n^3 - n)/12 (1 + 12 sigma^2) = l^4 (n^3 - n)/3 + 4 (n^3 - n)(l^2 sigma)^2
-   is an integer because 6 divides n^3 - n.  `_exact_int` raises, never
-   rounds, if a scaled value is not integral.
+   is an integer because 6 divides n^3 - n.  The residual
+   [D L_n, D L_m] - (n - m) D D L_{n+m} - central * I is bilinear in the
+   parts: at each window entry (y, i) it is a fixed int row, the four
+   entries [B_k(n), B_l(m)][y, i], the two entries B_k(n+m)[y, i] and
+   delta_{y,i}, dotted with seven Gaussian-int scalars of (s, mu) (the
+   products c_k(n) c_l(m), -(n - m) D c_k(n+m) and -central).  Equal rows
+   give equal dot products, so every entry vanishes exactly when every
+   distinct nonzero row dots to zero: `_virasoro_rows` keeps those rows per
+   (n, m, e_max), and `virasoro_check` is a few int dot products.  For any
+   maps the residual of (m, n) is minus that of (n, m) on the same window,
+   so only n <= m is tabled.
 3. Supports.  The norms are positive, so H(u, X_n v) = H(X_{-n} u, v)
-   fails at (u, v) exactly when X_n[u, v] != 0 and the two sides differ, or
-   X_n[u, v] = 0 != X_{-n}[v, u].  `adjointness_check` compares every
-   nonzero X_n[u, v] of the window with X_{-n}[v, u], then checks that the
-   nonzero entries of X_{-n} whose input u lies in the window were all met
-   that way.  Together the two walks reject exactly when the dense loop
-   over all (u, v) pairs of the window does.
+   fails at (u, v) exactly when norm(u) X_n[u, v] and
+   norm(v) conj(X_{-n}[v, u]) differ.  Both sides are 0 unless some part
+   of X_n is nonzero at [u, v] or some part of X_{-n} at [v, u]:
+   `adjointness_check` evaluates the two sides from the parts and
+   coefficients at every pair of that union, first the pairs the parts of
+   X_n reach, then those only the parts of X_{-n} reach, where X_n[u, v]
+   is 0 and X_{-n}[v, u] must vanish.  So it rejects exactly when the
+   dense loop over all (u, v) pairs of the window does.
 
 `fairlie_matrix` and `heisenberg_matrix` are the boundary: the same
-operators as `GradedSliceOperator`s with `GaussianRational` entries, each an
-int pair over its scale.  tests/test_gram_lab.py keeps the `Fraction` builds
-as the oracle and checks each fact against it.
+operators as `GradedSliceOperator`s with `GaussianRational` entries, each a
+Gaussian-int pair over its scale, c_0 B_0 + c_1 B_1 (`_combine`) over D
+and den(mu) a_n (`_scaled_a`) over den(mu).
+tests/test_gram_lab.py keeps the `Fraction` builds and the pair-product int
+checks as oracles and checks each fact against them.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
+from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .catalog import AlgebraId, Vec, lookup
-from .errors import IndexOutOfSet, PreconditionViolated, WindowTooSmall
+from .errors import IndexOutOfRange, IndexOutOfSet, PreconditionViolated, WindowTooSmall
 from .levels import level_data
 from .rationals import GaussianRational as GR
 from .rationals import as_rational
@@ -81,10 +98,10 @@ VACUUM = BosonBasisState(())
 
 def boson_norm(state: BosonBasisState) -> Fraction:
     """Squared norm prod_s i_s! * j_s^{i_s}; mu-independent and positive."""
-    out = Q(1)
+    out = 1
     for j, i in state.parts:
-        out *= factorial(i) * Q(j) ** i
-    return out
+        out *= factorial(i) * j ** i
+    return Q(out)
 
 
 @lru_cache(maxsize=16)  # one entry per energy: every e_max below 16 stays cached
@@ -118,6 +135,7 @@ Column = Dict[BosonBasisState, GR]
 Pair = Tuple[int, int]  # (re, im) of a Gaussian integer
 IntColumn = Dict[int, Pair]  # output position -> entry; (0, 0) is never stored
 IntOperator = Tuple[Optional[IntColumn], ...]  # None: input outside the window
+IntMap = Tuple[Optional[Dict[int, int]], ...]  # an int-valued operator, shaped alike
 _ZERO = (0, 0)
 
 
@@ -164,24 +182,30 @@ class GradedSliceOperator(NamedTuple):
 
 
 class _Basis(NamedTuple):
-    """`states_up_to(e_max)` by position, with energies and int norms."""
+    """`states_up_to(e_max)` by position, with energies, int norms, the
+    parts (E, I) of D*L_0 and the zero map."""
 
     states: Tuple[BosonBasisState, ...]
     index: Dict[State, int]  # parts -> position
     energy: Tuple[int, ...]
     norm: Tuple[int, ...]
+    zero_parts: Tuple[IntMap, IntMap]  # the energy diagonal and the identity
+    empty: IntMap
 
 
 @lru_cache(maxsize=16)
 def _basis(e_max: int) -> _Basis:
     states = tuple(states_up_to(e_max))
-    return _Basis(states, {st.parts: i for i, st in enumerate(states)},
-                  tuple(st.energy for st in states),
-                  tuple(boson_norm(st).numerator for st in states))
+    energy = tuple(st.energy for st in states)
+    return _Basis(states, {st.parts: i for i, st in enumerate(states)}, energy,
+                  tuple(boson_norm(st).numerator for st in states),
+                  (tuple({i: e} if e else {} for i, e in enumerate(energy)),
+                   tuple({i: 1} for i in range(len(states)))),
+                  tuple({} for _ in states))
 
 
 @lru_cache(maxsize=64)
-def _a_map(n: int, e_max: int) -> Tuple[Optional[Dict[int, int]], ...]:
+def _a_map(n: int, e_max: int) -> IntMap:
     """The mode a_n, n != 0, on `_basis(e_max)`: column i is None when state
     i is not an admissible input (energy - n > e_max), else {position: int} with
     at most one entry, n*i_n for n > 0 and 1 for n < 0."""
@@ -208,7 +232,7 @@ def _a_map(n: int, e_max: int) -> Tuple[Optional[Dict[int, int]], ...]:
 
 
 @lru_cache(maxsize=64)
-def _p_map(n: int, e_max: int) -> Tuple[Optional[Dict[int, int]], ...]:
+def _p_map(n: int, e_max: int) -> IntMap:
     """P_n = sum_{j != 0, -n} a_{-j} a_{j+n}, n != 0, shaped like
     `_a_map(n, e_max)`.  It is the sum over ordered pairs (l, k) with
     l + k = n and l, k != 0 of a_l a_k; on a state of energy E only
@@ -236,6 +260,13 @@ def _p_map(n: int, e_max: int) -> Tuple[Optional[Dict[int, int]], ...]:
     return tuple(cols)
 
 
+def _parts(n: int, e_max: int) -> Tuple[IntMap, IntMap]:
+    """(B_0, B_1) of fact 1: (P_n, a_n) for n != 0, (E, I) for n = 0."""
+    if n:
+        return _p_map(n, e_max), _a_map(n, e_max)
+    return _basis(e_max).zero_parts
+
+
 def _exact_int(x: Fraction) -> int:
     """x as an int; raises (never rounds) when the scale argument fails."""
     if x.denominator != 1:
@@ -249,30 +280,68 @@ def _imaginary_part(s: GR) -> Fraction:
     return s.im
 
 
-@lru_cache(maxsize=256)
-def _scaled_L(sigma: Fraction, mu: Fraction, n: int, e_max: int) -> Tuple[int, IntOperator]:
-    """(D, D*L_n) for s = sigma*i, with D = 2 lcm(den mu, den sigma)^2: for
-    n != 0, D*L_n = (D/2) P_n + (D mu - D sigma n i) a_n, and D*L_0 is the
-    diagonal D*E + D (mu^2 + sigma^2)/2 (facts 1 and 2 of the module
-    docstring)."""
+def _scale(sigma: Fraction, mu: Fraction) -> Tuple[int, int, int]:
+    """(l, l*mu, l*sigma) with l = lcm(den mu, den sigma), all ints; the
+    scale of fact 2 is D = 2 l^2."""
     l = lcm(sigma.denominator, mu.denominator)
-    D = 2 * l * l
-    if n == 0:
-        c0 = _exact_int(D * (mu * mu + sigma * sigma) / 2)
-        return D, tuple({i: (D * e + c0, 0)} if D * e + c0 else {}
-                        for i, e in enumerate(_basis(e_max).energy))
-    half, re, im = D // 2, _exact_int(D * mu), _exact_int(-D * sigma * n)
+    return l, mu.numerator * (l // mu.denominator), sigma.numerator * (l // sigma.denominator)
+
+
+def _coefficients(scale: Tuple[int, int, int], n: int) -> Tuple[int, Pair]:
+    """(c_0, c_1) with D*L_n = c_0 B_0 + c_1 B_1 (fact 1): (D/2, D mu - D sigma n i)
+    for n != 0 and (D, D (mu^2 + sigma^2)/2) for n = 0; c_0 is real and c_1
+    a Gaussian-int pair."""
+    l, lmu, lsig = scale
+    if n:
+        return l * l, (2 * l * lmu, -2 * l * lsig * n)
+    return 2 * l * l, (lmu * lmu + lsig * lsig, 0)
+
+
+def _a_parts(n: int, e_max: int) -> Tuple[IntMap, IntMap]:
+    """(B_0, B_1) of the mode a_n: (0, a_n) for n != 0, (0, I) for n = 0."""
+    b = _basis(e_max)
+    return b.empty, _a_map(n, e_max) if n else b.zero_parts[1]
+
+
+def _a_coefficients(mu: Fraction, n: int) -> Tuple[int, Pair]:
+    """(c_0, c_1) with den(mu)*a_n = c_0 B_0 + c_1 B_1 on `_a_parts`:
+    den(mu) for n != 0, and num(mu) for n = 0 (a_0 acts by mu)."""
+    return 0, (mu.denominator if n else mu.numerator, 0)
+
+
+def _paired(parts: Tuple[IntMap, IntMap]) -> IntOperator:
+    """The parts (B_0, B_1) as one map of int pairs (B_0[y, i], B_1[y, i])."""
+    out: List[Optional[IntColumn]] = []
+    for b0, b1 in zip(*parts):
+        if b1 is None:
+            out.append(None)
+            continue
+        col = {y: (c, 0) for y, c in b0.items()}
+        for y, c in b1.items():
+            col[y] = (col.get(y, _ZERO)[0], c)
+        out.append(col)
+    return tuple(out)
+
+
+def _combine(parts: Tuple[IntMap, IntMap], c0: int, c1: Pair) -> IntOperator:
+    """c_0 B_0 + c_1 B_1 as Gaussian-int pairs, no (0, 0) stored."""
+    cr, ci = c1
     cols: List[Optional[IntColumn]] = []
-    for pcol, acol in zip(_p_map(n, e_max), _a_map(n, e_max)):
-        if pcol is None:
+    for b0, b1 in zip(*parts):
+        if b1 is None:
             cols.append(None)
             continue
-        col = {y: (half * c, 0) for y, c in pcol.items()}
-        for y, c in acol.items():
-            r, j = col.get(y, _ZERO)
-            col[y] = (r + re * c, j + im * c)
+        col = {y: (c0 * x, 0) for y, x in b0.items()}
+        for y, z in b1.items():
+            col[y] = (col.get(y, _ZERO)[0] + cr * z, ci * z)
         cols.append({y: v for y, v in col.items() if v != _ZERO})
-    return D, tuple(cols)
+    return tuple(cols)
+
+
+def _scaled_L(sigma: Fraction, mu: Fraction, n: int, e_max: int) -> Tuple[int, IntOperator]:
+    """(D, D*L_n) for s = sigma*i: the parts combined with their coefficients."""
+    scale = _scale(sigma, mu)
+    return 2 * scale[0] ** 2, _combine(_parts(n, e_max), *_coefficients(scale, n))
 
 
 def _scaled_a(mu: Fraction, n: int, e_max: int) -> IntOperator:
@@ -298,10 +367,19 @@ def _view(name: str, n: int, mu: Fraction, s: GR, e_max: int, scale: int,
         for i, col in enumerate(cols) if col is not None})
 
 
-@lru_cache(maxsize=512, typed=True)  # typed: a float mu equal to a cached one still raises
+def _require_ints(**values) -> None:
+    """Mode indices and cutoffs must be ints: a float equal to one would
+    read the int tables built for it."""
+    for name, x in values.items():
+        if x.__class__ is not int:
+            raise IndexOutOfRange(f"{name} must be an int, got {x!r}")
+
+
+@lru_cache(maxsize=512, typed=True)  # typed: a float argument equal to a cached one still raises
 def heisenberg_matrix(n: int, mu: Fraction, e_max: int) -> GradedSliceOperator:
     """The mode a_n as a graded operator (a_0 acts by mu): the view of the
     int map `_a_map`."""
+    _require_ints(n=n, e_max=e_max)
     mu = as_rational(mu)
     return _view("a", n, mu, GR.of(0), e_max, mu.denominator, _scaled_a(mu, n, e_max))
 
@@ -309,46 +387,70 @@ def heisenberg_matrix(n: int, mu: Fraction, e_max: int) -> GradedSliceOperator:
 def fairlie_matrix(s: GR, mu: Fraction, n: int, e_max: int) -> GradedSliceOperator:
     """Deformed Virasoro mode: (1/2) sum_j a_{-j} a_{j+n} - s*n*a_n for
     n != 0, and sum_{j>=1} a_{-j} a_j + (mu^2 - s^2)/2 for n = 0: the view
-    of `_scaled_L`, each entry its int pair over D."""
+    of D*L_n (`_scaled_L`), each entry its int pair over D."""
+    _require_ints(n=n, e_max=e_max)
     s, mu = GR.of(s), as_rational(mu)
     scale, cols = _scaled_L(_imaginary_part(s), mu, n, e_max)
     return _view("L", n, mu, s, e_max, scale, cols)
 
 
-def _add_product(acc: IntColumn, first: IntOperator, then: IntOperator, i: int,
-                 sign: int) -> None:
-    """acc += sign * (then . first) applied to state i, over int pairs."""
-    for x, (ar, ai) in first[i].items():
-        for y, (br, bi) in then[x].items():
-            r, j = acc.get(y, _ZERO)
-            acc[y] = (r + sign * (ar * br - ai * bi), j + sign * (ar * bi + ai * br))
+@lru_cache(maxsize=256)
+def _virasoro_rows(n: int, m: int, e_max: int) -> Tuple[Tuple[int, ...], ...]:
+    """The distinct nonzero rows of the (s, mu)-free table of fact 2: for
+    each window entry (y, i) of `virasoro_check`, the ints
+    ([B_0(n), B_0(m)], [B_0(n), B_1(m)], [B_1(n), B_0(m)], [B_1(n), B_1(m)],
+    B_0(n+m), B_1(n+m), delta) at (y, i)."""
+    bn, bm = _paired(_parts(n, e_max)), _paired(_parts(m, e_max))
+    b0, b1 = _parts(n + m, e_max)
+    rows = set()
+    for i, e in enumerate(_basis(e_max).energy):
+        if max(e - m, e - n, e - n - m) > e_max:
+            continue
+        acc = {i: [0, 0, 0, 0, 0, 0, 1]}
+        for w, (x0, x1) in bm[i].items():  # B_k(n) B_l(m) on state i
+            for y, (z0, z1) in bn[w].items():
+                r = acc.get(y) or acc.setdefault(y, [0] * 7)
+                r[0] += z0 * x0
+                r[1] += z0 * x1
+                r[2] += z1 * x0
+                r[3] += z1 * x1
+        for w, (z0, z1) in bn[i].items():  # minus B_l(m) B_k(n) on state i
+            for y, (x0, x1) in bm[w].items():
+                r = acc.get(y) or acc.setdefault(y, [0] * 7)
+                r[0] -= z0 * x0
+                r[1] -= z0 * x1
+                r[2] -= z1 * x0
+                r[3] -= z1 * x1
+        for k, part in ((4, b0), (5, b1)):
+            for y, c in part[i].items():
+                (acc.get(y) or acc.setdefault(y, [0] * 7))[k] += c
+        rows.update(tuple(r) for r in acc.values() if any(r))
+    return tuple(sorted(rows))
 
 
 def virasoro_check(s: GR, mu: Fraction, n: int, m: int, e_max: int) -> bool:
     """Exact commutator check [L_n, L_m] = (n-m) L_{n+m} + central term on all
     slices that both sides reach without truncation: every state of energy E
-    with E - m, E - n and E - n - m at most e_max.  Compared at scale D^2
-    on the int operators D*L (`_scaled_L`)."""
+    with E - m, E - n and E - n - m at most e_max.  Compared at scale D^2,
+    as the rows of `_virasoro_rows` dotted with seven Gaussian-int scalars
+    of (s, mu) (fact 2)."""
+    _require_ints(n=n, m=m, e_max=e_max)
     if abs(n) + abs(m) > e_max - 1:
         raise WindowTooSmall(f"need |n|+|m| <= e_max-1, got {n}, {m}, {e_max}")
     s, mu = GR.of(s), as_rational(mu)
-    sigma = _imaginary_part(s)
-    D, Ln = _scaled_L(sigma, mu, n, e_max)
-    _, Lm = _scaled_L(sigma, mu, m, e_max)
-    _, Lnm = _scaled_L(sigma, mu, n + m, e_max)
-    central = _exact_int(D * D * Q(n ** 3 - n, 12) * (1 + 12 * sigma * sigma)) \
-        if m == -n else 0
-    step = (n - m) * D
-    for i, e in enumerate(_basis(e_max).energy):
-        if max(e - m, e - n, e - n - m) > e_max:
-            continue
-        acc = {i: (-central, 0)} if central else {}
-        _add_product(acc, Lm, Ln, i, 1)
-        _add_product(acc, Ln, Lm, i, -1)
-        for y, (br, bi) in Lnm[i].items():
-            r, j = acc.get(y, _ZERO)
-            acc[y] = (r - step * br, j - step * bi)
-        if any(v != _ZERO for v in acc.values()):
+    scale = _scale(_imaginary_part(s), mu)
+    if n > m:  # the residual of (m, n) is minus that of (n, m)
+        n, m = m, n
+    (a0, (ar, ai)), (b0, (br, bi)), (d0, (dr, di)) = (
+        _coefficients(scale, k) for k in (n, m, n + m))
+    l, lsig = scale[0], scale[2]
+    step = (m - n) * 2 * l * l  # -(n - m) D
+    t = n ** 3 - n
+    central = t // 3 * l ** 4 + 4 * t * (l * lsig) ** 2 if m == -n else 0
+    re = (a0 * b0, a0 * br, ar * b0, ar * br - ai * bi, step * d0, step * dr, -central)
+    im = (0, a0 * bi, ai * b0, ar * bi + ai * br, 0, step * di, 0)
+    for row in _virasoro_rows(n, m, e_max):
+        if sum(map(mul, row, re)) or sum(map(mul, row, im)):
             return False
     return True
 
@@ -357,35 +459,47 @@ def adjointness_check(s: GR, mu: Fraction, n: int, e_max: int,
                       operator: str = "L") -> bool:
     """H(u, X_n v) = H(X_{-n} u, v) against the diagonal Gram form, where X
     is the deformed Virasoro mode ('L') or the boson mode ('a', real mu),
-    over every v with 0 <= E_v - n <= e_max and u of energy E_v - n.  Walks
-    the two supports (fact 3 of the module docstring) on the int operators
-    D*X: norm(u) D X_n[u, v] = norm(v) conj(D X_{-n}[v, u]).
+    over every v with 0 <= E_v - n <= e_max and u of energy E_v - n:
+    norm(u) (c B(n))[u, v] = norm(v) conj((c' B(-n))[v, u]) on the parts and
+    coefficients of D*X, over the union of the parts' supports (fact 3).
     Raises WindowTooSmall when |n| > e_max: no state pair would be compared."""
+    _require_ints(n=n, e_max=e_max)
     if abs(n) > e_max:
         raise WindowTooSmall(f"need |n| <= e_max, got {n}, {e_max}")
     s, mu = GR.of(s), as_rational(mu)
     if operator == "L":
-        sigma = _imaginary_part(s)
-        op_p = _scaled_L(sigma, mu, n, e_max)[1]
-        op_m = _scaled_L(sigma, mu, -n, e_max)[1]
+        scale = _scale(_imaginary_part(s), mu)
+        parts, cp, cm = _parts, _coefficients(scale, n), _coefficients(scale, -n)
     elif operator == "a":
-        op_p, op_m = _scaled_a(mu, n, e_max), _scaled_a(mu, -n, e_max)
+        parts, cp, cm = _a_parts, _a_coefficients(mu, n), _a_coefficients(mu, -n)
     else:
         raise PreconditionViolated("operator must be 'L' or 'a'")
+    (c0, (cr, ci)), (d0, (dr, di)) = cp, cm
+    (p0, p1), (q0, q1) = parts(n, e_max), parts(-n, e_max)
     b = _basis(e_max)
-    norm, met = b.norm, 0
-    for v, e in enumerate(b.energy):
+    norm, energy = b.norm, b.energy
+
+    for v, e in enumerate(energy):
         if not 0 <= e - n <= e_max:
             continue
-        for u, (re, im) in op_p[v].items():
-            back = op_m[u].get(v)
-            if back is None or norm[u] * re != norm[v] * back[0] \
-                    or norm[u] * im != -norm[v] * back[1]:
+        x_col, y_col = p0[v], p1[v]
+        for u in x_col.keys() | y_col.keys():
+            x, y = x_col.get(u, 0), y_col.get(u, 0)
+            xb, yb = q0[u].get(v, 0), q1[u].get(v, 0)
+            if norm[u] * (c0 * x + cr * y) != norm[v] * (d0 * xb + dr * yb) \
+                    or norm[u] * ci * y != -norm[v] * di * yb:
                 return False
-            met += 1
-    # every nonzero X_{-n}[v, u] with u in the window was met above
-    return met == sum(len(op_m[u]) for u, e in enumerate(b.energy)
-                      if 0 <= e + n <= e_max)
+    # the pairs only the parts of X_{-n} reach: there X_n[u, v] = 0
+    for u, e in enumerate(energy):
+        if not 0 <= e + n <= e_max:
+            continue
+        xb_col, yb_col = q0[u], q1[u]
+        for v in xb_col.keys() | yb_col.keys():
+            if u not in p0[v] and u not in p1[v]:
+                yb = yb_col.get(v, 0)
+                if d0 * xb_col.get(v, 0) + dr * yb or di * yb:
+                    return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +533,7 @@ def exp_factorization_check(t: GR, n_max: int, m_max: int) -> bool:
     - 2 n! delta_{n,m} t, for all n <= n_max, m <= m_max.  With d the common
     denominator of t, the n-th derivative is compared at scale d^n: d*t is
     a Gaussian integer, so every step stays in Z[i]."""
+    _require_ints(n_max=n_max, m_max=m_max)
     t = GR.of(t)
     d = lcm(t.re.denominator, t.im.denominator)
     dt = (_exact_int(d * t.re), _exact_int(d * t.im))

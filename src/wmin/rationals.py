@@ -18,6 +18,7 @@ from .errors import InexactScalar
 
 Q = Fraction
 _set = object.__setattr__
+_new = object.__new__
 
 _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -119,7 +120,10 @@ _ZERO = Fraction(0)
 class GaussianRational(_Frozen):
     """Element re + im*sqrt(-1) of Q(i); exact field arithmetic.  A number:
     it compares and hashes by value, equals an int or `Fraction` with
-    im = 0, and neither iterates nor orders like a tuple."""
+    im = 0, and neither iterates nor orders like a tuple.  The constructor
+    coerces its inputs (`as_rational`); results of the arithmetic are built
+    from parts that are `Fraction`s already (`_gr`), and a part that is
+    zero on both sides costs no `Fraction` operation."""
 
     __slots__ = _fields = ("re", "im")
 
@@ -139,12 +143,12 @@ class GaussianRational(_Frozen):
 
     def __add__(self, other: Scalar) -> "GaussianRational":
         o = GaussianRational.of(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        return _gr(self.re + o.re, self.im + o.im if self.im or o.im else _ZERO)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _gr(-self.re, -self.im if self.im else _ZERO)
 
     def __sub__(self, other: Scalar) -> "GaussianRational":
         return self + (-GaussianRational.of(other))
@@ -154,8 +158,10 @@ class GaussianRational(_Frozen):
 
     def __mul__(self, other: Scalar) -> "GaussianRational":
         o = GaussianRational.of(other)
-        return GaussianRational(self.re * o.re - self.im * o.im,
-                                self.re * o.im + self.im * o.re)
+        a, b, c, d = self.re, self.im, o.re, o.im
+        if not (b or d):  # two reals: one product
+            return _gr(a * c, _ZERO)
+        return _gr(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -164,23 +170,23 @@ class GaussianRational(_Frozen):
         n = o.re * o.re + o.im * o.im
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return self * GaussianRational(o.re / n, -o.im / n)
+        return self * _gr(o.re / n, -o.im / n)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.re or self.im)
 
     def is_imaginary(self) -> bool:
-        return self.re == 0
+        return not self.re
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.re or self.im)
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, GaussianRational):
+            return self.re == other.re and self.im == other.im
         if isinstance(other, (int, Fraction)):
-            other = GaussianRational(Fraction(other))
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+            return not self.im and self.re == other
+        return NotImplemented
 
     def __hash__(self) -> int:
         return hash((self.re, self.im))
@@ -191,6 +197,14 @@ class GaussianRational(_Frozen):
         if self.re == 0:
             return f"{format_rational(self.im)}*i"
         return f"({format_rational(self.re)}+{format_rational(self.im)}*i)"
+
+
+def _gr(re: Fraction, im: Fraction) -> GaussianRational:
+    """A `GaussianRational` from two `Fraction`s, without coercing them."""
+    z = _new(GaussianRational)
+    _set(z, "re", re)
+    _set(z, "im", im)
+    return z
 
 
 def solve_quadratic_rational(a: Fraction, b: Fraction, c: Fraction):

@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+from contextlib import contextmanager
 from fractions import Fraction as Q
 from math import factorial, lcm
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import wmin
 from wmin import catalog, gram_lab
 from wmin.catalog import lookup, zero_vec
-from wmin.errors import IndexOutOfSet, PreconditionViolated, WindowTooSmall
+from wmin.errors import IndexOutOfRange, IndexOutOfSet, PreconditionViolated, WindowTooSmall
 from wmin.gram_lab import (VACUUM, BosonBasisState, GradedSliceOperator, _add_into,
                            adjointness_check, boson_norm, exp_factorization_check,
                            fairlie_matrix, g_half_norm, heisenberg_matrix, j_g_ratio,
@@ -179,6 +180,109 @@ def oracle_exp_factorization(t, n_max, m_max):
             if xt != want:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the int oracle: the pair-product checks that the (s, mu)-free tables
+# replaced, kept as they were; they read the int maps `_p_map` and `_a_map`
+# at call time, so a test that perturbs a map perturbs them too
+
+
+def int_scaled_L(sigma, mu, n, e_max):
+    """(D, D*L_n) as Gaussian-int pairs, built per (s, mu)."""
+    l = lcm(sigma.denominator, mu.denominator)
+    D = 2 * l * l
+    if n == 0:
+        c0 = gram_lab._exact_int(D * (mu * mu + sigma * sigma) / 2)
+        return D, tuple({i: (D * e + c0, 0)} if D * e + c0 else {}
+                        for i, e in enumerate(gram_lab._basis(e_max).energy))
+    half = D // 2
+    re, im = gram_lab._exact_int(D * mu), gram_lab._exact_int(-D * sigma * n)
+    cols = []
+    for pcol, acol in zip(gram_lab._p_map(n, e_max), gram_lab._a_map(n, e_max)):
+        if pcol is None:
+            cols.append(None)
+            continue
+        col = {y: (half * c, 0) for y, c in pcol.items()}
+        for y, c in acol.items():
+            r, j = col.get(y, (0, 0))
+            col[y] = (r + re * c, j + im * c)
+        cols.append({y: v for y, v in col.items() if v != (0, 0)})
+    return D, tuple(cols)
+
+
+def int_scaled_a(mu, n, e_max):
+    if n == 0:
+        return tuple({i: (mu.numerator, 0)} if mu else {}
+                     for i in range(len(gram_lab._basis(e_max).states)))
+    d = mu.denominator
+    return tuple(None if col is None else {y: (d * c, 0) for y, c in col.items()}
+                 for col in gram_lab._a_map(n, e_max))
+
+
+def _add_product(acc, first, then, i, sign):
+    """acc += sign * (then . first) applied to state i, over int pairs."""
+    for x, (ar, ai) in first[i].items():
+        for y, (br, bi) in then[x].items():
+            r, j = acc.get(y, (0, 0))
+            acc[y] = (r + sign * (ar * br - ai * bi), j + sign * (ar * bi + ai * br))
+
+
+def int_oracle_virasoro(s, mu, n, m, e_max):
+    if abs(n) + abs(m) > e_max - 1:
+        raise WindowTooSmall(f"need |n|+|m| <= e_max-1, got {n}, {m}, {e_max}")
+    s, mu = GR.of(s), Q(mu)
+    if not s.is_imaginary():
+        raise PreconditionViolated("the deformation parameter must be purely imaginary")
+    sigma = s.im
+    D, Ln = int_scaled_L(sigma, mu, n, e_max)
+    _, Lm = int_scaled_L(sigma, mu, m, e_max)
+    _, Lnm = int_scaled_L(sigma, mu, n + m, e_max)
+    central = gram_lab._exact_int(D * D * Q(n ** 3 - n, 12) * (1 + 12 * sigma * sigma)) \
+        if m == -n else 0
+    step = (n - m) * D
+    for i, e in enumerate(gram_lab._basis(e_max).energy):
+        if max(e - m, e - n, e - n - m) > e_max:
+            continue
+        acc = {i: (-central, 0)} if central else {}
+        _add_product(acc, Lm, Ln, i, 1)
+        _add_product(acc, Ln, Lm, i, -1)
+        for y, (br, bi) in Lnm[i].items():
+            r, j = acc.get(y, (0, 0))
+            acc[y] = (r - step * br, j - step * bi)
+        if any(v != (0, 0) for v in acc.values()):
+            return False
+    return True
+
+
+def int_oracle_adjointness(s, mu, n, e_max, operator="L"):
+    """Every nonzero X_n[u, v] of the window against X_{-n}[v, u], then a
+    count of the nonzero entries of X_{-n} met that way."""
+    if abs(n) > e_max:
+        raise WindowTooSmall(f"need |n| <= e_max, got {n}, {e_max}")
+    s, mu = GR.of(s), Q(mu)
+    if operator == "L":
+        if not s.is_imaginary():
+            raise PreconditionViolated("the deformation parameter must be purely imaginary")
+        op_p = int_scaled_L(s.im, mu, n, e_max)[1]
+        op_m = int_scaled_L(s.im, mu, -n, e_max)[1]
+    elif operator == "a":
+        op_p, op_m = int_scaled_a(mu, n, e_max), int_scaled_a(mu, -n, e_max)
+    else:
+        raise PreconditionViolated("operator must be 'L' or 'a'")
+    b = gram_lab._basis(e_max)
+    norm, met = b.norm, 0
+    for v, e in enumerate(b.energy):
+        if not 0 <= e - n <= e_max:
+            continue
+        for u, (re, im) in op_p[v].items():
+            back = op_m[u].get(v)
+            if back is None or norm[u] * re != norm[v] * back[0] \
+                    or norm[u] * im != -norm[v] * back[1]:
+                return False
+            met += 1
+    return met == sum(len(op_m[u]) for u, e in enumerate(b.energy)
+                      if 0 <= e + n <= e_max)
 
 
 def _outcome(fn, *args):
@@ -370,7 +474,9 @@ def test_stored_columns_hold_no_zero_and_cancellation_empties():
 def test_views_equal_the_fraction_oracle():
     """`fairlie_matrix` and `heisenberg_matrix`, views of the int kernel,
     equal the `Fraction` builds column by column: the criterion-9 and the
-    benchmark grids of (s, mu), e_max 8, |n| <= 6."""
+    benchmark grids of (s, mu), e_max 8, |n| <= 6.  The parts and
+    coefficients of a_n that `adjointness_check` reads combine to the int
+    map behind `heisenberg_matrix`."""
     assert {(GR.imag(Q(s)), Q(mu)) for s in CRIT9_S for mu in CRIT9_MU} <= set(GRID)
     for s, mu in GRID:
         for n in range(-6, 7):
@@ -378,6 +484,9 @@ def test_views_equal_the_fraction_oracle():
     for mu in BENCH_MU:
         for n in range(-6, 7):
             assert heisenberg_matrix(n, Q(mu), 8) == oracle_heisenberg(n, Q(mu), 8), (mu, n)
+            assert gram_lab._combine(gram_lab._a_parts(n, 8),
+                                     *gram_lab._a_coefficients(Q(mu), n)) \
+                == gram_lab._scaled_a(Q(mu), n, 8), (mu, n)
 
 
 def test_fairlie_decomposition():
@@ -431,14 +540,17 @@ FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=7)
        m=st.integers(min_value=-4, max_value=4), operator=st.sampled_from(["L", "a"]))
 @settings(max_examples=40, deadline=None)
 def test_checks_agree_with_the_oracle(sigma, re, mu, e_max, n, m, operator):
-    """`virasoro_check` and `adjointness_check` return what the `Fraction`
-    checks return and raise what they raise (`WindowTooSmall` outside the
-    window, `PreconditionViolated` for an s that is not imaginary)."""
+    """`virasoro_check` and `adjointness_check`, and the int oracle, return
+    what the `Fraction` checks return and raise what they raise
+    (`WindowTooSmall` outside the window, `PreconditionViolated` for an s
+    that is not imaginary)."""
     s = GR(re, sigma)
-    assert _outcome(virasoro_check, s, mu, n, m, e_max) == \
-        _outcome(oracle_virasoro, s, mu, n, m, e_max)
-    assert _outcome(adjointness_check, s, mu, n, e_max, operator) == \
-        _outcome(oracle_adjointness, s, mu, n, e_max, operator)
+    want = _outcome(oracle_virasoro, s, mu, n, m, e_max)
+    assert _outcome(virasoro_check, s, mu, n, m, e_max) == want
+    assert _outcome(int_oracle_virasoro, s, mu, n, m, e_max) == want
+    want = _outcome(oracle_adjointness, s, mu, n, e_max, operator)
+    assert _outcome(adjointness_check, s, mu, n, e_max, operator) == want
+    assert _outcome(int_oracle_adjointness, s, mu, n, e_max, operator) == want
 
 
 @given(re=FRACTIONS, im=FRACTIONS, n_max=st.integers(min_value=0, max_value=5),
@@ -450,64 +562,143 @@ def test_exp_factorization_agrees_with_the_oracle(re, im, n_max, m_max):
         oracle_exp_factorization(t, n_max, m_max)
 
 
-def _edit_scaled_L(monkeypatch, edit):
-    """Route the checks through copies of the operators D*L_n that
-    `edit(n, columns, basis)` changes in place."""
-    kernel = gram_lab._scaled_L
+@contextmanager
+def _routed(name, replacement):
+    """`gram_lab.<name>` replaced for the duration, with the cache of the
+    Virasoro tables emptied on the way in and out, so no table built from a
+    replaced map outlives it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gram_lab, name, replacement)
+        gram_lab._virasoro_rows.cache_clear()
+        try:
+            yield
+        finally:
+            gram_lab._virasoro_rows.cache_clear()
 
-    def edited(sigma, mu, n, e_max):
-        D, cols = kernel(sigma, mu, n, e_max)
-        cols = [None if col is None else dict(col) for col in cols]
-        edit(n, cols, gram_lab._basis(e_max))
-        return D, tuple(cols)
-    monkeypatch.setattr(gram_lab, "_scaled_L", edited)
+
+def _edited_parts(edit):
+    """The parts (B_0, B_1) of D*L_n as copies that `edit(n, parts, basis)`
+    changes in place (two lists of columns)."""
+    kernel = gram_lab._parts
+
+    def edited(n, e_max):
+        parts = [[None if col is None else dict(col) for col in b] for b in kernel(n, e_max)]
+        edit(n, parts, gram_lab._basis(e_max))
+        return tuple(tuple(b) for b in parts)
+    return edited
 
 
-def test_a_corrupted_entry_or_a_real_s_term_fails_both_checks(monkeypatch):
+def test_a_corrupted_entry_or_a_real_s_term_fails_both_checks():
     s, mu = GR.imag(Q(1, 2)), Q(2)
     zero = GR.of(0)
     assert virasoro_check(s, mu, 1, -1, 6) and adjointness_check(s, mu, 1, 6)
     assert adjointness_check(zero, Q(0), 2, 4) and adjointness_check(zero, Q(0), -2, 4)
+    assert adjointness_check(zero, Q(0), 1, 4) and adjointness_check(zero, Q(0), -1, 4)
 
-    def corrupt(n, cols, b):  # L_1 a_{-1}|0>, one unit off on the vacuum
+    def corrupt(n, parts, b):  # a unit of P_1 at L_1 a_{-1}|0>, on the vacuum
         if n == 1:
-            one = b.index[((1, 1),)]
-            re, im = cols[one][0]
-            cols[one][0] = (re + 1, im)
+            parts[0][b.index[((1, 1),)]][0] = 1
 
-    def real_s_term(n, cols, b):  # (mu - sigma*n) a_n in place of (mu - s*n) a_n
-        for col in cols:
-            for y, (re, im) in (col or {}).items():
-                col[y] = (re + im, 0)
+    coefficients = gram_lab._coefficients
 
-    def spurious(n, cols, b):  # an entry of L_{-2} where L_2 has none
+    def real_s_term(scale, n):  # (mu - sigma*n) a_n in place of (mu - s*n) a_n
+        c0, (re, im) = coefficients(scale, n)
+        return c0, (re + im, 0)
+
+    def spurious(n, parts, b):  # an entry of P_{-2} where P_2 and a_2 have none
         if n == -2:
-            cols[0][b.index[((2, 1),)]] = (1, 0)
+            parts[0][0][b.index[((2, 1),)]] = 1
 
-    for edit in (corrupt, real_s_term):
-        with monkeypatch.context() as mp:
-            _edit_scaled_L(mp, edit)
-            assert not virasoro_check(s, mu, 1, -1, 6), edit.__name__
-            assert not adjointness_check(s, mu, 1, 6), edit.__name__
-    # at s = mu = 0, L_2[|0>, a_{-2}|0>] = 0: only the walk over the support of
-    # L_{-2} (fact 3) meets the spurious entry when n = 2
-    with monkeypatch.context() as mp:
-        _edit_scaled_L(mp, spurious)
+    # P_{-1} a_{-2}|0> -> a_{-1}^3|0>, where no part of L_1 has [a_{-2}, a_{-1}^3]
+    def unreached(n, parts, b):
+        if n == -1:
+            parts[0][b.index[((2, 1),)]][b.index[((1, 3),)]] = 1
+
+    for name, fn in (("_parts", _edited_parts(corrupt)), ("_coefficients", real_s_term)):
+        with _routed(name, fn):
+            assert not virasoro_check(s, mu, 1, -1, 6), name
+            assert not adjointness_check(s, mu, 1, 6), name
+    # at s = mu = 0, L_2[|0>, a_{-2}|0>] = 0, yet a_2 reaches that pair, so the
+    # walk over the parts of L_2 meets the spurious entry of L_{-2} (fact 3)
+    with _routed("_parts", _edited_parts(spurious)):
         assert not adjointness_check(zero, Q(0), 2, 4)
         assert not adjointness_check(zero, Q(0), -2, 4)
+    # for n = 1 only the second walk, over the parts of L_{-1}, meets it
+    with _routed("_parts", _edited_parts(unreached)):
+        assert not adjointness_check(zero, Q(0), 1, 4)
+        assert not adjointness_check(zero, Q(0), -1, 4)
     assert virasoro_check(s, mu, 1, -1, 6) and adjointness_check(zero, Q(0), 2, 4)
+    assert adjointness_check(zero, Q(0), 1, 4)
+
+
+# one in-window entry of an int map: (map, n, input state, output state);
+# the entry gains 1, and the last one is new (P_{-1} a_{-2}|0> has no
+# a_{-1}^3|0> part)
+PERTURBATIONS = [("_p_map", 1, ((1, 1), (2, 1)), ((1, 2),)),
+                 ("_a_map", -2, ((1, 1),), ((1, 1), (2, 1))),
+                 ("_p_map", -1, ((2, 1),), ((1, 3),))]
+
+
+@pytest.mark.parametrize("name, n0, source, target", PERTURBATIONS)
+def test_checks_equal_the_int_oracle_on_perturbed_maps(name, n0, source, target):
+    """With one entry of `_p_map` or `_a_map` off by one, `virasoro_check`
+    and `adjointness_check` return what the pair-product int oracle returns
+    on the same maps, for |n|, |m| <= 3 at e_max 6, and some of them return
+    False."""
+    e_max = 6
+    kernel = getattr(gram_lab, name)
+    for n in range(-e_max, e_max + 1):  # no P_n is built from a perturbed a_n
+        if n:
+            gram_lab._p_map(n, e_max)
+
+    def perturbed(n, e):
+        cols = kernel(n, e)
+        if (n, e) != (n0, e_max):
+            return cols
+        b = gram_lab._basis(e)
+        cols = [None if col is None else dict(col) for col in cols]
+        i, y = b.index[source], b.index[target]
+        assert cols[i] is not None and b.energy[i] - n0 == b.energy[y]
+        cols[i][y] = cols[i].get(y, 0) + 1
+        return tuple(cols)
+
+    got, falses = [], 0
+    with _routed(name, perturbed):
+        for s, mu in [(GR.imag(Q(1, 2)), Q(2)), (GR.imag(Q(3, 7)), Q(5, 3)), (GR.of(0), Q(-1))]:
+            for n in range(-3, 4):
+                for m in range(-3, 4):
+                    want = _outcome(int_oracle_virasoro, s, mu, n, m, e_max)
+                    got.append((_outcome(virasoro_check, s, mu, n, m, e_max), want))
+                for op in ("L", "a"):
+                    want = _outcome(int_oracle_adjointness, s, mu, n, e_max, op)
+                    got.append((_outcome(adjointness_check, s, mu, n, e_max, op), want))
+    gram_lab._p_map.cache_clear()
+    assert all(a == b for a, b in got), [x for x in got if x[0] != x[1]]
+    assert sum(b is False for _, b in got) > 0
 
 
 def test_gram_caches_stay_bounded_over_an_s_mu_sweep():
-    """Distinct (s, mu) pairs past the bound of `_scaled_L`, modes past the
-    bounds of `_a_map` and `_p_map`, cutoffs past the bound of `_basis` and
-    mu values past that of `heisenberg_matrix` leave every cache of every
-    `wmin` module at or under its bound."""
-    new = {gram_lab._basis, gram_lab._a_map, gram_lab._p_map, gram_lab._scaled_L,
+    """An (s, mu) sweep adds no table, since the Virasoro tables are keyed by
+    (n, m, e_max) alone; (n, m, e_max) keys past the bound of
+    `_virasoro_rows`, modes past the bounds of `_a_map` and `_p_map`,
+    cutoffs past the bound of `_basis` and mu values past that of
+    `heisenberg_matrix` leave every cache of every `wmin` module at or
+    under its bound."""
+    rows = gram_lab._virasoro_rows
+    new = {gram_lab._basis, gram_lab._a_map, gram_lab._p_map, rows,
            gram_lab.heisenberg_matrix, gram_lab.states_at_energy}
     bound = {f: f.cache_info().maxsize for f in new}
-    for k in range(1, bound[gram_lab._scaled_L] + 5):
+    rows.cache_clear()
+    assert virasoro_check(GR.of(0), Q(0), 1, 0, 2)
+    for k in range(1, bound[rows] + 5):
         assert virasoro_check(GR.imag(Q(1, k)), Q(k, 3), 1, 0, 2)
+        assert virasoro_check(GR.imag(Q(1, k)), Q(k, 3), 0, 1, 2)
+    assert rows.cache_info().currsize == 1 and rows.cache_info().misses == 1
+    keys = [(n, m, e_max) for e_max in range(1, 11) for n in range(-e_max, e_max)
+            for m in range(n, e_max) if abs(n) + abs(m) <= e_max - 1]
+    assert len(keys) > bound[rows]
+    for n, m, e_max in keys:
+        assert virasoro_check(GR.imag(Q(1, 2)), Q(2), n, m, e_max)
     for e_max in range(1, 10):
         for n in range(-e_max, e_max + 1):
             assert adjointness_check(GR.of(0), Q(1), n, e_max)
@@ -525,3 +716,36 @@ def test_gram_caches_stay_bounded_over_an_s_mu_sweep():
         info = f.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize, f
     assert all(f.cache_info().currsize == bound[f] for f in new - {gram_lab.states_at_energy})
+
+
+GRAM_CACHES = (gram_lab._virasoro_rows, gram_lab.heisenberg_matrix, gram_lab._a_map,
+               gram_lab._p_map, gram_lab._basis)
+
+# each entry point with int arguments, and the positions of its mode
+# indices and cutoffs
+INT_ARGUMENTS = [
+    (virasoro_check, (GR.imag(Q(1, 2)), Q(2), 1, -1, 4), (2, 3, 4)),
+    (adjointness_check, (GR.imag(Q(1, 2)), Q(2), 1, 4, "L"), (2, 3)),
+    (adjointness_check, (GR.of(0), Q(2), 1, 4, "a"), (2, 3)),
+    (fairlie_matrix, (GR.imag(Q(1, 2)), Q(2), 1, 4), (2, 3)),
+    (heisenberg_matrix, (1, Q(2), 4), (0, 2)),
+    (exp_factorization_check, (GR.imag(Q(1, 2)), 2, 2), (1, 2)),
+]
+
+
+@pytest.mark.parametrize("fn, args, positions", INT_ARGUMENTS,
+                         ids=lambda x: getattr(x, "__name__", None))
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_gram_entry_points_refuse_a_non_int_index_or_cutoff(fn, args, positions, warm):
+    """A float (or bool) mode index or cutoff raises `IndexOutOfRange`
+    before any cache is read: the same whether the int call it equals has
+    filled the caches or not."""
+    for f in GRAM_CACHES:
+        f.cache_clear()
+    if warm:
+        assert fn(*args)
+    for pos in positions:
+        for bad in (float(args[pos]), True):
+            changed = args[:pos] + (bad,) + args[pos + 1:]
+            with pytest.raises(IndexOutOfRange, match=" must be an int, got "):
+                fn(*changed)

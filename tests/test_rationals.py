@@ -58,3 +58,29 @@ def test_gaussian_predicates():
     assert _is_real(GR(Q(2))) and not GR(Q(2)).is_imaginary()
     assert GR.imag(Q(3, 7)).is_imaginary() and not _is_real(GR.imag(Q(3, 7)))
     assert _is_real(GR(Q(0))) and GR(Q(0)).is_imaginary()
+
+
+parts = st.one_of(st.just(Q(0)), rationals)  # a zero part half the time
+
+
+@given(parts, parts, parts, parts)
+@settings(max_examples=80)
+def test_gaussian_arithmetic_is_the_componentwise_formula(a, b, c, d):
+    """Results are built without converting their parts again, and a part
+    that is zero on both sides is not computed: the parts still equal the
+    field formulas, are `Fraction`s, and compare with ints and `Fraction`s
+    by value (im = 0 required)."""
+    z, w = GR(a, b), GR(c, d)
+    want = {"+": (a + c, b + d), "-": (a - c, b - d), "*": (a * c - b * d, a * d + b * c),
+            "neg": (-a, -b)}
+    got = {"+": z + w, "-": z - w, "*": z * w, "neg": -z}
+    for op, x in got.items():
+        assert (x.re, x.im) == want[op], op
+        assert type(x.re) is Q and type(x.im) is Q, op
+    for x in (c, 2, -3):  # a real operand of either side
+        assert z * x == x * z == GR(a * x, b * x)
+        assert z + x == x + z == GR(a + x, b)
+        assert x - z == GR(x - a, -b)
+    assert (z == a) is (b == 0) and (z != a) is (b != 0)
+    assert (z == w) is (a == c and b == d)
+    assert GR(a, b) == z and hash(GR(a, b)) == hash(z)

@@ -156,10 +156,33 @@ def test_catalog_entries_compare_and_print_by_value():
     ({"family": "osp4m", "m": 5}, r"osp\(4\|m\) needs even m > 2"),
     ({"family": "D21a", "a_num": 0, "a_den": 1}, r"D\(2,1;a\) needs a positive rational a"),
     ({"family": "D21a", "a_num": 2, "a_den": 4}, "a_num/a_den must be reduced"),
+    ({"family": "sl2m", "m": 3.0}, r"m must be an int, got 3\.0"),
+    ({"family": "sl2m", "m": 3.5}, r"m must be an int, got 3\.5"),
+    ({"family": "spo2m", "m": Q(5)}, r"m must be an int, got Fraction\(5, 1\)"),
+    ({"family": "psl22", "m": True}, "m must be an int, got True"),
+    ({"family": "D21a", "a_num": 2.0, "a_den": 3}, r"a_num must be an int, got 2\.0"),
+    ({"family": "D21a", "a_num": 2, "a_den": 3.0}, r"a_den must be an int, got 3\.0"),
 ])
 def test_algebra_id_validation_messages(kw, message):
     with pytest.raises(ParameterOutOfRange, match=f"^{message}$"):
         AlgebraId(**kw)
+
+
+def test_a_non_int_parameter_is_refused_cold_and_warm():
+    """`sl2m(3.0)` used to equal and hash as `sl2m(3)`, so `lookup` answered
+    it from the cache once sl(2|3) was there and raised a bare TypeError
+    before; now it is refused at construction, as are the other helpers'
+    non-int parameters."""
+    lookup.cache_clear()
+    for _ in range(2):  # cold, then with sl(2|3) and D(2,1;2/3) cached
+        for make in (lambda: catalog.sl2m(3.0), lambda: catalog.spo2m(5.0),
+                     lambda: catalog.osp4m(6.0), lambda: catalog.d21a(2.0, 3),
+                     lambda: catalog.d21a(2, 3.0), lambda: catalog.d21a(Q(5, 2)),
+                     lambda: catalog.d21a(2, Q(3)), lambda: catalog.d21a(True, 3)):
+            with pytest.raises(ParameterOutOfRange, match=" must be an int, got "):
+                make()
+        assert lookup(catalog.sl2m(3)).id == catalog.sl2m(3)
+        assert lookup(catalog.d21a(4, 6)).id == catalog.d21a(2, 3)
 
 
 def test_algebra_ids_and_gaussian_rationals_are_not_tuples():
