@@ -51,12 +51,19 @@ With `--gram E_MAX` the script times the integer kernel of the boson lab
                           0 < |n| <= E_MAX and `_p_map` for 0 < |n| <= 6
     tables_s              the (s, mu)-free Virasoro tables `_virasoro_rows`
                           that the pairs |n|, |m| <= 3 inside the window read,
-                          one per pair with n <= m
+                          one per pair with n <= m, with the paired parts
+                          `_paired` they are built from
     tables, rows          their number and their distinct rows in all
     virasoro_s            `virasoro_check` on those pairs, on the warm
                           tables, at s = 3i/7 and mu = 5/3
-    adjoint_s             `adjointness_check` for |n| <= 3, operators 'L' and
-                          'a', at the same (s, mu)
+    adjoint_tables_s      the (s, mu)-free adjointness tables `_adjoint_rows`
+                          for |n| <= 3, operators 'L' and 'a'
+    adjoint_s             `adjointness_check` on those, on the warm tables,
+                          at the same (s, mu)
+    norms_s               the benchmark's norms contraction: every state of
+                          energy 1..E_MAX contracted to the vacuum with the
+                          `heisenberg_matrix` views of its annihilators, at
+                          mu = 5/3
     caches                `cache_info()` of the gram caches afterwards
 
 With `--verdicts COUNT` it times `wmin.unitarity.decide` instead, warm,
@@ -235,6 +242,19 @@ def gram_stages(e_max):
     s, mu, ns = GR.imag(Q(3, 7)), Q(5, 3), range(-6, 7)
     window = [(n, m) for n in range(-3, 4) for m in range(-3, 4) if abs(n) + abs(m) < e_max]
     keys = [(n, m) for n, m in window if n <= m]
+    adjoint = [(op, n) for op in ("L", "a") for n in range(-min(3, e_max), min(3, e_max) + 1)]
+    one = GR(1)
+
+    def norms():  # as the benchmark's norms requests contract
+        for e in range(1, e_max + 1):
+            for u in gram_lab.states_at_energy(e):
+                col = {u: one}
+                for j, mult in sorted(u.parts, reverse=True):
+                    op = gram_lab.heisenberg_matrix(j, mu, e_max)
+                    for _ in range(mult):
+                        col = op.apply_column(col)
+                assert col[gram_lab.VACUUM] == gram_lab.boson_norm(u)
+
     out = {
         "basis_s": timed(lambda: gram_lab._basis(e_max)),
         "states": len(gram_lab._basis(e_max).states),
@@ -245,13 +265,16 @@ def gram_stages(e_max):
         "rows": sum(len(gram_lab._virasoro_rows(n, m, e_max)) for n, m in keys),
         "virasoro_s": timed(lambda: [gram_lab.virasoro_check(s, mu, n, m, e_max)
                                      for n, m in window]),
+        "adjoint_tables_s": timed(lambda: [gram_lab._adjoint_rows(n, e_max, op)
+                                           for op, n in adjoint]),
         "adjoint_s": timed(lambda: [gram_lab.adjointness_check(s, mu, n, e_max, op)
-                                    for op in ("L", "a")
-                                    for n in range(-min(3, e_max), min(3, e_max) + 1)]),
+                                    for op, n in adjoint]),
+        "norms_s": timed(norms),
     }
     out["caches"] = {f.__name__: f.cache_info()._asdict() for f in (
         gram_lab.states_at_energy, gram_lab._basis, gram_lab._a_map, gram_lab._p_map,
-        gram_lab._virasoro_rows, gram_lab.heisenberg_matrix)}
+        gram_lab._paired, gram_lab._virasoro_rows, gram_lab._adjoint_rows,
+        gram_lab.heisenberg_matrix)}
     return out
 
 

@@ -39,20 +39,27 @@ input position: None outside the map's window, else a dict
    (n, m, e_max), and `virasoro_check` is a few int dot products.  For any
    maps the residual of (m, n) is minus that of (n, m) on the same window,
    so only n <= m is tabled.
-3. Supports.  The norms are positive, so H(u, X_n v) = H(X_{-n} u, v)
-   fails at (u, v) exactly when norm(u) X_n[u, v] and
-   norm(v) conj(X_{-n}[v, u]) differ.  Both sides are 0 unless some part
-   of X_n is nonzero at [u, v] or some part of X_{-n} at [v, u]:
-   `adjointness_check` evaluates the two sides from the parts and
-   coefficients at every pair of that union, first the pairs the parts of
-   X_n reach, then those only the parts of X_{-n} reach, where X_n[u, v]
-   is 0 and X_{-n}[v, u] must vanish.  So it rejects exactly when the
-   dense loop over all (u, v) pairs of the window does.
+   The composition reads each mode's parts as one map of flat triples
+   (y, B_0[y, i], B_1[y, i]), built once per (n, e_max) (`_paired`).
+3. Supports and rows.  The norms are positive, so
+   H(u, X_n v) = H(X_{-n} u, v) fails at (u, v) exactly when
+   norm(u) X_n[u, v] and norm(v) conj(X_{-n}[v, u]) differ.  At the scale
+   of fact 1 (D, or den(mu) for X = a) that residual is a fixed int row,
+   (norm_u B_0(n)[u, v], norm_u B_1(n)[u, v], norm_v B_0(-n)[v, u],
+   norm_v B_1(-n)[v, u]), dotted with the coefficients c of n and d of -n:
+   c_0 r_0 + Re c_1 r_1 - d_0 r_2 - Re d_1 r_3 and Im c_1 r_1 + Im d_1 r_3
+   (c_0, d_0 real).  Equal rows give equal residuals and a zero row a zero
+   one, so the check holds exactly when it holds on every distinct nonzero
+   row.  A row is nonzero only where some part of X_n is nonzero at
+   [u, v] or some part of X_{-n} at [v, u]: `_adjoint_rows` walks that
+   union once per (n, e_max, operator), and `adjointness_check` makes two
+   int comparisons per row, so it rejects exactly when the dense loop over
+   all (u, v) pairs of the window does.
 
 `fairlie_matrix` and `heisenberg_matrix` are the boundary: the same
-operators as `GradedSliceOperator`s with `GaussianRational` entries, each a
-Gaussian-int pair over its scale, c_0 B_0 + c_1 B_1 (`_combine`) over D
-and den(mu) a_n (`_scaled_a`) over den(mu).
+operators as `GradedSliceOperator`s with `GaussianRational` entries.  The
+first is c_0 B_0 + c_1 B_1 (`_combine`), each entry a Gaussian-int pair
+over D; the second reads `_a_map`'s ints as its entries, and mu for a_0.
 tests/test_gram_lab.py keeps the `Fraction` builds and the pair-product int
 checks as oracles and checks each fact against them.
 """
@@ -62,7 +69,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 from operator import mul
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .catalog import AlgebraId, Vec, lookup
 from .errors import IndexOutOfRange, IndexOutOfSet, PreconditionViolated, WindowTooSmall
@@ -309,17 +316,20 @@ def _a_coefficients(mu: Fraction, n: int) -> Tuple[int, Pair]:
     return 0, (mu.denominator if n else mu.numerator, 0)
 
 
-def _paired(parts: Tuple[IntMap, IntMap]) -> IntOperator:
-    """The parts (B_0, B_1) as one map of int pairs (B_0[y, i], B_1[y, i])."""
-    out: List[Optional[IntColumn]] = []
-    for b0, b1 in zip(*parts):
+@lru_cache(maxsize=64)
+def _paired(n: int, e_max: int) -> Tuple[Optional[Tuple[Tuple[int, int, int], ...]], ...]:
+    """The parts (B_0, B_1) of mode n as one map of flat triples: column i is
+    None where the parts' is, else (y, B_0[y, i], B_1[y, i]) for every y
+    that either part reaches."""
+    out: List[Optional[Tuple[Tuple[int, int, int], ...]]] = []
+    for b0, b1 in zip(*_parts(n, e_max)):
         if b1 is None:
             out.append(None)
             continue
-        col = {y: (c, 0) for y, c in b0.items()}
+        col = {y: [c, 0] for y, c in b0.items()}
         for y, c in b1.items():
-            col[y] = (col.get(y, _ZERO)[0], c)
-        out.append(col)
+            col.setdefault(y, [0, 0])[1] = c
+        out.append(tuple((y, z0, z1) for y, (z0, z1) in col.items()))
     return tuple(out)
 
 
@@ -344,26 +354,14 @@ def _scaled_L(sigma: Fraction, mu: Fraction, n: int, e_max: int) -> Tuple[int, I
     return 2 * scale[0] ** 2, _combine(_parts(n, e_max), *_coefficients(scale, n))
 
 
-def _scaled_a(mu: Fraction, n: int, e_max: int) -> IntOperator:
-    """den(mu) * a_n as pairs; a_0 acts by mu."""
-    if n == 0:
-        return tuple({i: (mu.numerator, 0)} if mu else {}
-                     for i in range(len(_basis(e_max).states)))
-    d = mu.denominator
-    return tuple(None if col is None else {y: (d * c, 0) for y, c in col.items()}
-                 for col in _a_map(n, e_max))
-
-
-def _view(name: str, n: int, mu: Fraction, s: GR, e_max: int, scale: int,
-          cols: IntOperator) -> GradedSliceOperator:
-    """The boundary: int pairs over `scale` as `GaussianRational` columns."""
-    states, value = _basis(e_max).states, {}
-    for col in cols:
-        for pair in (col or {}).values():
-            if pair not in value:
-                value[pair] = GR(Q(pair[0], scale), Q(pair[1], scale))
+def _view(name: str, n: int, mu: Fraction, s: GR, e_max: int,
+          cols: Sequence[Optional[dict]], make: Callable) -> GradedSliceOperator:
+    """The boundary: the columns of a map on `_basis(e_max)` as
+    `GaussianRational` columns, each distinct entry x read once as make(x)."""
+    states = _basis(e_max).states
+    value = {x: make(x) for x in {x for col in cols if col for x in col.values()}}
     return GradedSliceOperator(name, n, mu, s, e_max, {
-        states[i]: {states[y]: value[pair] for y, pair in col.items()}
+        states[i]: {states[y]: value[x] for y, x in col.items()}
         for i, col in enumerate(cols) if col is not None})
 
 
@@ -375,23 +373,35 @@ def _require_ints(**values) -> None:
             raise IndexOutOfRange(f"{name} must be an int, got {x!r}")
 
 
+def _require_window(n: int, e_max: int) -> None:
+    """A view of mode n needs an admissible input: the vacuum is one."""
+    if e_max < max(0, -n):
+        raise WindowTooSmall(f"need 0 <= e_max and -n <= e_max, got {n}, {e_max}")
+
+
 @lru_cache(maxsize=512, typed=True)  # typed: a float argument equal to a cached one still raises
 def heisenberg_matrix(n: int, mu: Fraction, e_max: int) -> GradedSliceOperator:
     """The mode a_n as a graded operator (a_0 acts by mu): the view of the
-    int map `_a_map`."""
+    int map `_a_map`, whose ints are its entries.  Raises WindowTooSmall
+    when no state is an admissible input (e_max < max(0, -n))."""
     _require_ints(n=n, e_max=e_max)
+    _require_window(n, e_max)
     mu = as_rational(mu)
-    return _view("a", n, mu, GR.of(0), e_max, mu.denominator, _scaled_a(mu, n, e_max))
+    cols = _a_map(n, e_max) if n else [{i: mu} if mu else {}
+                                       for i in range(len(_basis(e_max).states))]
+    return _view("a", n, mu, GR.of(0), e_max, cols, GR)
 
 
 def fairlie_matrix(s: GR, mu: Fraction, n: int, e_max: int) -> GradedSliceOperator:
     """Deformed Virasoro mode: (1/2) sum_j a_{-j} a_{j+n} - s*n*a_n for
     n != 0, and sum_{j>=1} a_{-j} a_j + (mu^2 - s^2)/2 for n = 0: the view
-    of D*L_n (`_scaled_L`), each entry its int pair over D."""
+    of D*L_n (`_scaled_L`), each entry its int pair over D.  Raises
+    WindowTooSmall as `heisenberg_matrix` does."""
     _require_ints(n=n, e_max=e_max)
+    _require_window(n, e_max)
     s, mu = GR.of(s), as_rational(mu)
     scale, cols = _scaled_L(_imaginary_part(s), mu, n, e_max)
-    return _view("L", n, mu, s, e_max, scale, cols)
+    return _view("L", n, mu, s, e_max, cols, lambda p: GR(Q(p[0], scale), Q(p[1], scale)))
 
 
 @lru_cache(maxsize=256)
@@ -400,31 +410,38 @@ def _virasoro_rows(n: int, m: int, e_max: int) -> Tuple[Tuple[int, ...], ...]:
     each window entry (y, i) of `virasoro_check`, the ints
     ([B_0(n), B_0(m)], [B_0(n), B_1(m)], [B_1(n), B_0(m)], [B_1(n), B_1(m)],
     B_0(n+m), B_1(n+m), delta) at (y, i)."""
-    bn, bm = _paired(_parts(n, e_max)), _paired(_parts(m, e_max))
-    b0, b1 = _parts(n + m, e_max)
+    bn, bm, bnm = _paired(n, e_max), _paired(m, e_max), _paired(n + m, e_max)
     rows = set()
     for i, e in enumerate(_basis(e_max).energy):
         if max(e - m, e - n, e - n - m) > e_max:
             continue
         acc = {i: [0, 0, 0, 0, 0, 0, 1]}
-        for w, (x0, x1) in bm[i].items():  # B_k(n) B_l(m) on state i
-            for y, (z0, z1) in bn[w].items():
-                r = acc.get(y) or acc.setdefault(y, [0] * 7)
+        for w, x0, x1 in bm[i]:  # B_k(n) B_l(m) on state i
+            for y, z0, z1 in bn[w]:
+                r = acc.get(y)
+                if r is None:
+                    r = acc[y] = [0] * 7
                 r[0] += z0 * x0
                 r[1] += z0 * x1
                 r[2] += z1 * x0
                 r[3] += z1 * x1
-        for w, (z0, z1) in bn[i].items():  # minus B_l(m) B_k(n) on state i
-            for y, (x0, x1) in bm[w].items():
-                r = acc.get(y) or acc.setdefault(y, [0] * 7)
+        for w, z0, z1 in bn[i]:  # minus B_l(m) B_k(n) on state i
+            for y, x0, x1 in bm[w]:
+                r = acc.get(y)
+                if r is None:
+                    r = acc[y] = [0] * 7
                 r[0] -= z0 * x0
                 r[1] -= z0 * x1
                 r[2] -= z1 * x0
                 r[3] -= z1 * x1
-        for k, part in ((4, b0), (5, b1)):
-            for y, c in part[i].items():
-                (acc.get(y) or acc.setdefault(y, [0] * 7))[k] += c
-        rows.update(tuple(r) for r in acc.values() if any(r))
+        for y, z0, z1 in bnm[i]:
+            r = acc.get(y)
+            if r is None:
+                r = acc[y] = [0] * 7
+            r[4] += z0
+            r[5] += z1
+        rows.update(map(tuple, acc.values()))
+    rows.discard((0,) * 7)
     return tuple(sorted(rows))
 
 
@@ -455,13 +472,32 @@ def virasoro_check(s: GR, mu: Fraction, n: int, m: int, e_max: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=64)
+def _adjoint_rows(n: int, e_max: int, operator: str) -> Tuple[Tuple[int, int, int, int], ...]:
+    """The distinct rows of fact 3's (s, mu)-free table over the union of
+    the supports, on the parts `_parts` ('L') or `_a_parts` ('a').  No row
+    is zero: the parts store no 0 and the norms are positive."""
+    parts = _parts if operator == "L" else _a_parts
+    (p0, p1), (q0, q1) = parts(n, e_max), parts(-n, e_max)
+    b = _basis(e_max)
+    norm, energy = b.norm, b.energy
+    pairs = {(u, v) for v, e in enumerate(energy) if 0 <= e - n <= e_max
+             for u in p0[v].keys() | p1[v].keys()}
+    pairs.update((u, v) for u, e in enumerate(energy) if 0 <= e + n <= e_max
+                 for v in q0[u].keys() | q1[u].keys())
+    return tuple(sorted({(norm[u] * p0[v].get(u, 0), norm[u] * p1[v].get(u, 0),
+                          norm[v] * q0[u].get(v, 0), norm[v] * q1[u].get(v, 0))
+                         for u, v in pairs}))
+
+
 def adjointness_check(s: GR, mu: Fraction, n: int, e_max: int,
                       operator: str = "L") -> bool:
     """H(u, X_n v) = H(X_{-n} u, v) against the diagonal Gram form, where X
     is the deformed Virasoro mode ('L') or the boson mode ('a', real mu),
     over every v with 0 <= E_v - n <= e_max and u of energy E_v - n:
     norm(u) (c B(n))[u, v] = norm(v) conj((c' B(-n))[v, u]) on the parts and
-    coefficients of D*X, over the union of the parts' supports (fact 3).
+    coefficients of D*X, as two int comparisons per row of
+    `_adjoint_rows` (fact 3).
     Raises WindowTooSmall when |n| > e_max: no state pair would be compared."""
     _require_ints(n=n, e_max=e_max)
     if abs(n) > e_max:
@@ -469,36 +505,15 @@ def adjointness_check(s: GR, mu: Fraction, n: int, e_max: int,
     s, mu = GR.of(s), as_rational(mu)
     if operator == "L":
         scale = _scale(_imaginary_part(s), mu)
-        parts, cp, cm = _parts, _coefficients(scale, n), _coefficients(scale, -n)
+        cp, cm = _coefficients(scale, n), _coefficients(scale, -n)
     elif operator == "a":
-        parts, cp, cm = _a_parts, _a_coefficients(mu, n), _a_coefficients(mu, -n)
+        cp, cm = _a_coefficients(mu, n), _a_coefficients(mu, -n)
     else:
         raise PreconditionViolated("operator must be 'L' or 'a'")
     (c0, (cr, ci)), (d0, (dr, di)) = cp, cm
-    (p0, p1), (q0, q1) = parts(n, e_max), parts(-n, e_max)
-    b = _basis(e_max)
-    norm, energy = b.norm, b.energy
-
-    for v, e in enumerate(energy):
-        if not 0 <= e - n <= e_max:
-            continue
-        x_col, y_col = p0[v], p1[v]
-        for u in x_col.keys() | y_col.keys():
-            x, y = x_col.get(u, 0), y_col.get(u, 0)
-            xb, yb = q0[u].get(v, 0), q1[u].get(v, 0)
-            if norm[u] * (c0 * x + cr * y) != norm[v] * (d0 * xb + dr * yb) \
-                    or norm[u] * ci * y != -norm[v] * di * yb:
-                return False
-    # the pairs only the parts of X_{-n} reach: there X_n[u, v] = 0
-    for u, e in enumerate(energy):
-        if not 0 <= e + n <= e_max:
-            continue
-        xb_col, yb_col = q0[u], q1[u]
-        for v in xb_col.keys() | yb_col.keys():
-            if u not in p0[v] and u not in p1[v]:
-                yb = yb_col.get(v, 0)
-                if d0 * xb_col.get(v, 0) + dr * yb or di * yb:
-                    return False
+    for r0, r1, r2, r3 in _adjoint_rows(n, e_max, operator):
+        if c0 * r0 + cr * r1 != d0 * r2 + dr * r3 or ci * r1 != -di * r3:
+            return False
     return True
 
 
@@ -532,8 +547,11 @@ def exp_factorization_check(t: GR, n_max: int, m_max: int) -> bool:
     """Generator-level identity L(t)_1^n(a_{-m}) = L(0)_1^n(a_{-m})
     - 2 n! delta_{n,m} t, for all n <= n_max, m <= m_max.  With d the common
     denominator of t, the n-th derivative is compared at scale d^n: d*t is
-    a Gaussian integer, so every step stays in Z[i]."""
+    a Gaussian integer, so every step stays in Z[i].  Raises WindowTooSmall
+    when n_max or m_max is below 1: nothing would be compared."""
     _require_ints(n_max=n_max, m_max=m_max)
+    if n_max < 1 or m_max < 1:
+        raise WindowTooSmall(f"need n_max, m_max >= 1, got {n_max}, {m_max}")
     t = GR.of(t)
     d = lcm(t.re.denominator, t.im.denominator)
     dt = (_exact_int(d * t.re), _exact_int(d * t.im))

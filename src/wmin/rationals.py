@@ -189,7 +189,8 @@ class GaussianRational(_Frozen):
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        # a real value equals its `Fraction`, so it hashes as one
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __repr__(self) -> str:
         if self.im == 0:

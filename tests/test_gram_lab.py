@@ -394,6 +394,26 @@ def test_adjointness_needs_the_window():
             assert adjointness_check(GR.of(0), Q(2), n, 2, operator=op)
 
 
+def test_calls_that_would_compare_or_hold_nothing_are_refused():
+    """A bound below 1 leaves `exp_factorization_check` nothing to compare,
+    and a view with no admissible input (e_max < max(0, -n)) would have no
+    column: each raises `WindowTooSmall` instead of answering True or an
+    empty operator.  The smallest windows that hold something still pass."""
+    t, s, mu = GR.imag(Q(1, 2)), GR.imag(Q(1, 2)), Q(2)
+    for n_max, m_max in ((0, 4), (4, 0), (0, 0), (-1, 3), (3, -2)):
+        with pytest.raises(WindowTooSmall):
+            exp_factorization_check(t, n_max, m_max)
+    assert exp_factorization_check(t, 1, 1)
+    for n, e_max in ((1, -2), (0, -1), (-3, 2), (-1, 0)):
+        with pytest.raises(WindowTooSmall):
+            heisenberg_matrix(n, mu, e_max)
+        with pytest.raises(WindowTooSmall):
+            fairlie_matrix(s, mu, n, e_max)
+    for n, e_max in ((0, 0), (5, 0), (-2, 2)):
+        for op in (heisenberg_matrix(n, mu, e_max), fairlie_matrix(s, mu, n, e_max)):
+            assert op.columns and VACUUM in op.columns
+
+
 def test_exp_factorization():
     assert exp_factorization_check(GR.imag(Q(1, 1)), 3, 3)
     assert exp_factorization_check(GR.imag(Q(3, 7)), 5, 5)
@@ -451,10 +471,9 @@ def test_stored_columns_hold_no_zero_and_cancellation_empties():
             for op in (fairlie_matrix(s, mu, n, 8), heisenberg_matrix(n, mu, 8)):
                 for col in op.columns.values():
                     assert all(col.values()), (op.name, s, mu, n)
-            # the int maps the views are read from store no (0, 0) either
-            for cols in (gram_lab._scaled_L(s.im, mu, n, 8)[1],
-                         gram_lab._scaled_a(mu, n, 8)):
-                assert all(v != (0, 0) for col in cols if col for v in col.values())
+            # the int pairs the Virasoro views are read from store no (0, 0) either
+            cols = gram_lab._scaled_L(s.im, mu, n, 8)[1]
+            assert all(v != (0, 0) for col in cols if col for v in col.values())
     for n in (n for n in range(-8, 9) if n):
         for cols in (gram_lab._a_map(n, 8), gram_lab._p_map(n, 8)):
             assert all(c for col in cols if col for c in col.values())
@@ -475,8 +494,8 @@ def test_views_equal_the_fraction_oracle():
     """`fairlie_matrix` and `heisenberg_matrix`, views of the int kernel,
     equal the `Fraction` builds column by column: the criterion-9 and the
     benchmark grids of (s, mu), e_max 8, |n| <= 6.  The parts and
-    coefficients of a_n that `adjointness_check` reads combine to the int
-    map behind `heisenberg_matrix`."""
+    coefficients of a_n that `adjointness_check` reads combine to
+    den(mu) a_n, as the int oracle builds it."""
     assert {(GR.imag(Q(s)), Q(mu)) for s in CRIT9_S for mu in CRIT9_MU} <= set(GRID)
     for s, mu in GRID:
         for n in range(-6, 7):
@@ -486,7 +505,7 @@ def test_views_equal_the_fraction_oracle():
             assert heisenberg_matrix(n, Q(mu), 8) == oracle_heisenberg(n, Q(mu), 8), (mu, n)
             assert gram_lab._combine(gram_lab._a_parts(n, 8),
                                      *gram_lab._a_coefficients(Q(mu), n)) \
-                == gram_lab._scaled_a(Q(mu), n, 8), (mu, n)
+                == int_scaled_a(Q(mu), n, 8), (mu, n)
 
 
 def test_fairlie_decomposition():
@@ -532,6 +551,43 @@ def test_scale_makes_every_entry_integral():
     assert gram_lab._exact_int(Q(-6, 3)) == -2
 
 
+def test_paired_maps_hold_the_parts():
+    """`_paired(n, e_max)` holds the parts of mode n, entry for entry: its
+    triples give back B_0 and B_1 with no 0 stored, every stored position
+    is reached by a part, and its None columns are the parts' own."""
+    for e_max in (4, 8):
+        for n in range(-e_max, e_max + 1):
+            b0, b1 = gram_lab._parts(n, e_max)
+            for i, col in enumerate(gram_lab._paired(n, e_max)):
+                assert (col is None) == (b1[i] is None), (n, i)
+                if col is None:
+                    continue
+                assert len({y for y, _, _ in col}) == len(col)
+                assert {y: z0 for y, z0, _ in col if z0} == b0[i], (n, i)
+                assert {y: z1 for y, _, z1 in col if z1} == b1[i], (n, i)
+                assert all(z0 or z1 for _, z0, z1 in col)
+
+
+def test_adjoint_rows_are_the_dense_rows():
+    """Fact 3's table: the rows of `_adjoint_rows` are exactly the distinct
+    nonzero rows (norm_u B_0(n)[u, v], norm_u B_1(n)[u, v],
+    norm_v B_0(-n)[v, u], norm_v B_1(-n)[v, u]) of the dense loop over every
+    pair of the window, for both operators, e_max <= 6 and |n| <= e_max."""
+    for e_max in range(0, 7):
+        b = gram_lab._basis(e_max)
+        norm, energy = b.norm, b.energy
+        for operator, parts in (("L", gram_lab._parts), ("a", gram_lab._a_parts)):
+            for n in range(-e_max, e_max + 1):
+                (p0, p1), (q0, q1) = parts(n, e_max), parts(-n, e_max)
+                dense = {(norm[u] * p0[v].get(u, 0), norm[u] * p1[v].get(u, 0),
+                          norm[v] * q0[u].get(v, 0), norm[v] * q1[u].get(v, 0))
+                         for v, ev in enumerate(energy) if 0 <= ev - n <= e_max
+                         for u, eu in enumerate(energy) if eu == ev - n}
+                dense.discard((0, 0, 0, 0))
+                rows = gram_lab._adjoint_rows(n, e_max, operator)
+                assert len(set(rows)) == len(rows) and set(rows) == dense, (operator, n, e_max)
+
+
 FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=7)
 
 
@@ -557,23 +613,50 @@ def test_checks_agree_with_the_oracle(sigma, re, mu, e_max, n, m, operator):
        m_max=st.integers(min_value=0, max_value=5))
 @settings(max_examples=40, deadline=None)
 def test_exp_factorization_agrees_with_the_oracle(re, im, n_max, m_max):
+    """Equal to the oracle wherever a derivative is compared; a zero bound,
+    where the oracle compares nothing and returns True, is refused."""
     t = GR(re, im)
+    if n_max == 0 or m_max == 0:
+        with pytest.raises(WindowTooSmall):
+            exp_factorization_check(t, n_max, m_max)
+        return
     assert exp_factorization_check(t, n_max, m_max) == \
         oracle_exp_factorization(t, n_max, m_max)
 
 
+# the caches built from the parts: `_routed` empties them.  Every other
+# cache of `gram_lab` is a base map, which the perturbed-maps test prebuilds.
+TABLES = (gram_lab._paired, gram_lab._virasoro_rows, gram_lab._adjoint_rows)
+BASE_MAPS = (gram_lab.states_at_energy, gram_lab._basis, gram_lab._a_map,
+             gram_lab._p_map, gram_lab.heisenberg_matrix)
+
+
+def _clear_tables():
+    for f in TABLES:
+        f.cache_clear()
+
+
 @contextmanager
 def _routed(name, replacement):
-    """`gram_lab.<name>` replaced for the duration, with the cache of the
-    Virasoro tables emptied on the way in and out, so no table built from a
-    replaced map outlives it."""
+    """`gram_lab.<name>` replaced for the duration, with the caches of the
+    tables built from the parts (`TABLES`) emptied on the way in and out, so
+    no table built from a replaced map outlives it."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gram_lab, name, replacement)
-        gram_lab._virasoro_rows.cache_clear()
+        _clear_tables()
         try:
             yield
         finally:
-            gram_lab._virasoro_rows.cache_clear()
+            _clear_tables()
+
+
+def test_every_gram_cache_is_a_base_map_or_a_routed_table():
+    """A new cache built from the parts must join `TABLES`, or a test that
+    routes a part would read a table built before the route."""
+    caches = {f for f in vars(gram_lab).values()
+              if hasattr(f, "cache_info") and f.__module__ == gram_lab.__name__}
+    assert caches == set(TABLES) | set(BASE_MAPS)
+    assert not set(TABLES) & set(BASE_MAPS)
 
 
 def _edited_parts(edit):
@@ -679,21 +762,25 @@ def test_checks_equal_the_int_oracle_on_perturbed_maps(name, n0, source, target)
 
 def test_gram_caches_stay_bounded_over_an_s_mu_sweep():
     """An (s, mu) sweep adds no table, since the Virasoro tables are keyed by
-    (n, m, e_max) alone; (n, m, e_max) keys past the bound of
-    `_virasoro_rows`, modes past the bounds of `_a_map` and `_p_map`,
-    cutoffs past the bound of `_basis` and mu values past that of
-    `heisenberg_matrix` leave every cache of every `wmin` module at or
-    under its bound."""
-    rows = gram_lab._virasoro_rows
-    new = {gram_lab._basis, gram_lab._a_map, gram_lab._p_map, rows,
-           gram_lab.heisenberg_matrix, gram_lab.states_at_energy}
+    (n, m, e_max) and the adjointness tables by (n, e_max, operator) alone;
+    (n, m, e_max) keys past the bound of `_virasoro_rows`, (n, e_max) keys
+    past the bounds of `_adjoint_rows` and `_paired`, modes past the bounds
+    of `_a_map` and `_p_map`, cutoffs past the bound of `_basis` and mu
+    values past that of `heisenberg_matrix` leave every cache of every
+    `wmin` module at or under its bound."""
+    rows, adj = gram_lab._virasoro_rows, gram_lab._adjoint_rows
+    new = set(TABLES) | set(BASE_MAPS)
     bound = {f: f.cache_info().maxsize for f in new}
     rows.cache_clear()
+    adj.cache_clear()
     assert virasoro_check(GR.of(0), Q(0), 1, 0, 2)
-    for k in range(1, bound[rows] + 5):
+    assert adjointness_check(GR.of(0), Q(0), 1, 2)
+    for k in range(1, max(bound[rows], bound[adj]) + 5):
         assert virasoro_check(GR.imag(Q(1, k)), Q(k, 3), 1, 0, 2)
         assert virasoro_check(GR.imag(Q(1, k)), Q(k, 3), 0, 1, 2)
-    assert rows.cache_info().currsize == 1 and rows.cache_info().misses == 1
+        assert adjointness_check(GR.imag(Q(1, k)), Q(k, 3), 1, 2)
+    for f in (rows, adj):
+        assert f.cache_info().currsize == 1 and f.cache_info().misses == 1, f
     keys = [(n, m, e_max) for e_max in range(1, 11) for n in range(-e_max, e_max)
             for m in range(n, e_max) if abs(n) + abs(m) <= e_max - 1]
     assert len(keys) > bound[rows]
@@ -702,6 +789,7 @@ def test_gram_caches_stay_bounded_over_an_s_mu_sweep():
     for e_max in range(1, 10):
         for n in range(-e_max, e_max + 1):
             assert adjointness_check(GR.of(0), Q(1), n, e_max)
+    assert sum(2 * e + 1 for e in range(1, 10)) > bound[adj]
     assert sum(2 * e for e in range(1, 10)) > max(bound[gram_lab._a_map], bound[gram_lab._p_map])
     for e_max in range(bound[gram_lab._basis] + 4):
         gram_lab._basis(e_max)
@@ -718,8 +806,7 @@ def test_gram_caches_stay_bounded_over_an_s_mu_sweep():
     assert all(f.cache_info().currsize == bound[f] for f in new - {gram_lab.states_at_energy})
 
 
-GRAM_CACHES = (gram_lab._virasoro_rows, gram_lab.heisenberg_matrix, gram_lab._a_map,
-               gram_lab._p_map, gram_lab._basis)
+GRAM_CACHES = TABLES + BASE_MAPS
 
 # each entry point with int arguments, and the positions of its mode
 # indices and cutoffs

@@ -1,7 +1,7 @@
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wmin.rationals import (GaussianRational as GR, format_rational,
@@ -84,3 +84,25 @@ def test_gaussian_arithmetic_is_the_componentwise_formula(a, b, c, d):
     assert (z == a) is (b == 0) and (z != a) is (b != 0)
     assert (z == w) is (a == c and b == d)
     assert GR(a, b) == z and hash(GR(a, b)) == hash(z)
+
+
+small = st.one_of(st.integers(min_value=-5, max_value=5),
+                  st.fractions(min_value=-5, max_value=5, max_denominator=6))
+scalars = st.one_of(small, st.builds(GR, small, st.one_of(st.just(0), small)))
+
+
+@given(scalars, scalars)
+@example(GR(2), 2)
+@example(GR(Q(1, 2)), Q(1, 2))
+@example(GR(2, 1), 2)
+@settings(max_examples=200)
+def test_gaussian_hash_agrees_with_eq_against_ints_and_fractions(x, y):
+    """x == y implies hash(x) == hash(y) across ints, `Fraction`s and
+    `GaussianRational`s (a real one hashes as its real part), so a set or
+    dict key holds a value once whichever of the three types it arrives as."""
+    if x == y:
+        assert hash(x) == hash(y)
+        assert len({x, y}) == 1 and {x: 1}.get(y) == 1
+    for z in (x, y):
+        if isinstance(z, GR) and not z.im:
+            assert z == z.re and hash(z) == hash(z.re)

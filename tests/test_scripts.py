@@ -79,20 +79,24 @@ def test_stage_times_takes_a_negative_rational_level():
 
 def test_stage_times_gram():
     """`--gram 8`: every stage of the boson lab's int kernel is timed, and
-    the caches hold what the stages built, one basis, the mode maps and the
-    28 (s, mu)-free Virasoro tables (one per pair n <= m of the 49 pairs
-    |n|, |m| <= 3) that the checks then read."""
+    the caches hold what the stages built, one basis, the mode maps, their
+    13 paired maps (|n| <= 6), the 28 (s, mu)-free Virasoro tables (one per
+    pair n <= m of the 49 pairs |n|, |m| <= 3), the 14 adjointness tables
+    (|n| <= 3, two operators) that the checks then read, and the 8
+    `heisenberg_matrix` views (one per annihilator a_j, 1 <= j <= 8) of the
+    norms contraction."""
     import json
     (line,) = run_script("stage_times.py", "--gram", "8")
     got = json.loads(line)
     assert got["states"] == 67
     assert got["tables"] == 28 and got["rows"] == 272
     assert all(got[k] >= 0 for k in ("basis_s", "modes_s", "tables_s", "virasoro_s",
-                                     "adjoint_s"))
+                                     "adjoint_tables_s", "adjoint_s", "norms_s"))
     assert {name: info["currsize"] for name, info in got["caches"].items()} == {
-        "states_at_energy": 9, "_basis": 1, "_a_map": 16, "_p_map": 12, "_virasoro_rows": 28,
-        "heisenberg_matrix": 0}
-    assert got["caches"]["_virasoro_rows"]["misses"] == 28
+        "states_at_energy": 9, "_basis": 1, "_a_map": 16, "_p_map": 12, "_paired": 13,
+        "_virasoro_rows": 28, "_adjoint_rows": 14, "heisenberg_matrix": 8}
+    for name, builds in (("_paired", 13), ("_virasoro_rows", 28), ("_adjoint_rows", 14)):
+        assert got["caches"][name]["misses"] == builds, name
     assert all(info["currsize"] <= info["maxsize"] for info in got["caches"].values())
 
 
