@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Per-stage times and sizes of one character request, printed as JSON.
 
-Runs the request twice in this fresh interpreter: cold (the denominator
-expansion is built) and warm (it is cached).  The stages are timed by
-wrapping `characters._orbit`, `characters._fns_cached`,
-`characters._sum_pieces`, `characters._publish` and the precondition
-checks for the two calls, with the garbage collector off, so that no
-collection of earlier garbage lands in a timed stage:
+Runs the request three times in this fresh interpreter: cold (the
+denominator expansion is built), warm (it is cached, and the cache of
+l0-free orbit sums, `characters._orbit_cell`, is emptied just before, so
+the orbit sum is computed again) and hit (the orbit sum is read from that
+cache and placed at l0).  The stages are timed by wrapping
+`characters._orbit`, `characters._fns_cached`, `characters._sum_pieces`,
+`characters._publish` and the precondition checks for the calls, with the
+garbage collector off, so that no collection of earlier garbage lands in a
+timed stage:
 
     import_s              import wmin.characters
     denominator_build_s   the cold call's `_fns_cached` (the NS denominator)
@@ -27,15 +30,17 @@ collection of earlier garbage lands in a timed stage:
     kept_terms            denominator terms kept and merged by it
     publish_s             the warm call's `_publish`, the part of
                           `sum_warm_s` that turns the int sums into the
-                          published `Fraction` exponents and `Vec` weights
+                          published `Vec` weights of the l0-free levels
     warm_s, cold_s        the whole warm and cold calls
+    hit_s                 the whole third call, which runs the preconditions
+                          and places the cached orbit sum at l0
     out_terms             terms of the character
     frame_s               a fresh build of the entry's frame of h^nat
                           (`catalog._Lattice`, held as `CatalogEntry.lattice`),
                           timed on its own; the cold call builds it once
     caches                `cache_info()` of `catalog.lookup`, the level
-                          record `levels._level` and `characters._fns_cached`
-                          after the warm call
+                          record `levels._level`, `characters._fns_cached`
+                          and `characters._orbit_cell` after the warm call
 
 Times are in seconds, rounded to 1 microsecond.
 
@@ -201,10 +206,12 @@ def main(argv=None):
                 sum(s for name, s, _, _ in calls if name in checks))
 
     _, cold_s, cold, _ = request()
+    characters._orbit_cell.cache_clear()
     out, warm_s, warm, checks_s = request()
-    fns_s, fns, (_, reach, fns_depth) = cold["_fns_cached"]
     caches = {f.__name__: f.cache_info()._asdict()
-              for f in (catalog.lookup, levels._level, fns_cache)}
+              for f in (catalog.lookup, levels._level, fns_cache, characters._orbit_cell)}
+    _, hit_s, _, _ = request()
+    fns_s, fns, (_, reach, fns_depth) = cold["_fns_cached"]
     t = time.perf_counter()
     catalog._Lattice(catalog.lookup(g))
     frame_s = time.perf_counter() - t
@@ -218,10 +225,11 @@ def main(argv=None):
         "orbit_s": round(warm["_orbit"][0], 6),
         "orbit_elements": len(warm["_orbit"][1]),
         "sum_warm_s": round(warm["_sum_pieces"][0], 6),
-        "kept_terms": warm["_sum_pieces"][1],
+        "kept_terms": warm["_sum_pieces"][1][1],
         "publish_s": round(warm["_publish"][0], 6),
         "warm_s": round(warm_s, 6),
         "cold_s": round(cold_s, 6),
+        "hit_s": round(hit_s, 6),
         "out_terms": out.n_terms(),
         "frame_s": round(frame_s, 6),
         "caches": caches,

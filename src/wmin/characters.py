@@ -13,7 +13,11 @@ reflections in the simple roots of g^nat and in eta_i = delta - theta_i,
 acting on nu_hat_h + rho_hat.  `_orbit` enumerates it breadth-first, pruned
 exactly at the q_shift window (its docstring argues that nothing is missed),
 with a hard cap of ORBIT_CAP elements, read at call time, that raises
-TruncationIncomplete when hit; both characters are one `_orbit_sum`.
+TruncationIncomplete when hit.  Both characters are one l0-free
+`_orbit_sum`, which reads l0 only through the window q_max - l0 (its
+docstring argues this), placed at the exponents l0 + j/2 by the final step
+`_placed`; the sums are cached per (family, k, nu, window, depth, kind)
+(`_orbit_cell`), after every precondition check.
 
 Both the kernel and the orbit read one per-algebra frame of h^nat,
 `CatalogEntry.lattice` (`catalog._Lattice`, built once per catalog entry):
@@ -36,19 +40,20 @@ denominator's own, the isotropic corrections of the massless sum and the
 fermionic factors of the N=4 closed form, is expanded by that kernel's one
 `divide`, w given by its key.
 
-Every character is one `_sum_pieces`: the orbit sum, `verma_character`
-(`fns_series` is its nu = 0, ell = 0 case) and `n4_closed_form` each give
-one base weight, one exponent ell, a list of heads
-+-q^(ell + shift) exp(base + key/D), shift an int (the orbit's q_shift,
+Every character is one `_sum_pieces` and one `_placed`: the orbit sum,
+`verma_character` (`fns_series` is its nu = 0, ell = 0 case) and
+`n4_closed_form` each give one base weight, one window q_max - ell, a list
+of heads +-q^shift exp(base + key/D), shift an int (the orbit's q_shift,
 the closed form's b_m, 0 for a Verma character), and kernel pieces.  The
-piece buckets that pass the published QWSeries' cuts are summed over ints:
-the index 2 shift + t of a level t term, and packed keys at the kernel's
-scale.  `_publish` then walks the sums once, in increasing index: each
-nonzero sum is unpacked and becomes a `Vec` weight once, the base added
-there, its hash seeded from its ints, and each level one exponent
-ell + j/2.  `Fraction`s appear only at that boundary and in
-`records()`/`coeff()`, which read the published series: no orbit element
-and no head becomes a `Fraction`.
+piece buckets that pass the cuts are summed over ints: the index
+2 shift + t of a level t term, and packed keys at the kernel's scale.
+`_publish` then walks the sums once, in increasing index: each nonzero
+sum is unpacked and becomes a `Vec` weight once, the base added there, its
+hash seeded from its ints.  Those levels {index j: {weight: coefficient}}
+do not read ell; the final step `_placed` gives level j the exponent
+ell + j/2, one `Fraction` per level, in a fresh dict.  `Fraction`s appear
+only at that boundary and in `records()`/`coeff()`, which read the
+published series: no orbit element and no head becomes a `Fraction`.
 Sums are sequential and deterministic; the merge is commutative exact
 addition, so a parallel evaluation would have to reproduce these
 coefficients bit for bit.
@@ -63,7 +68,7 @@ from heapq import heappop, heappush
 from operator import mul
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .catalog import AlgebraId, CatalogEntry, Vec, _Lattice, _vec, lookup, zero_vec
+from .catalog import AlgebraId, CatalogEntry, Vec, _Lattice, _NuScalars, _vec, lookup, zero_vec
 from .errors import (IndexOutOfRange, NonDominant, PreconditionViolated,
                      TruncationIncomplete, UnsupportedD21a)
 from .rationals import as_rational, format_rational, parse_rational, solve_quadratic_rational
@@ -376,21 +381,25 @@ def _step(dst: Dict[int, Dict[int, int]], src: Dict[int, Dict[int, int]], cap: i
             del dst[nd]
 
 
-def _sum_pieces(out: QWSeries, base: Tuple[int, List[int]], ell: Fraction,
-                heads: Sequence[Tuple[tuple, int, int]], pieces: Iterable[_LatticeSeries]) -> int:
-    """Add sign * q^(ell + shift) exp(base + x/D) * piece into the empty
-    series `out` through its cuts, for each head (key, shift, sign), key the
-    int key (`_Lattice.key`) of x/D relative to the base weight and shift an
-    int, and the kernel series of `pieces` in the same order; publish the
-    sum (`_publish`) and return the number of kernel terms kept.  The base
-    weight is given as ints y over a denominator d, base = (d, y): y / d.
+def _sum_pieces(lat: _Lattice, base: Tuple[int, List[int]], window: Fraction, depth: Fraction,
+                heads: Sequence[Tuple[tuple, int, int]], pieces: Iterable[_LatticeSeries]
+                ) -> Tuple[Dict[int, Dict[Vec, int]], int]:
+    """The l0-free levels of the sum of sign * q^shift exp(base + x/D) *
+    piece, for each head (key, shift, sign), key the int key
+    (`_Lattice.key`) of x/D relative to the base weight and shift an int,
+    and the kernel series of `pieces` in the same order, cut at q <= window
+    and at depth <= depth around the base: the published levels
+    (`_publish`) and the number of kernel terms kept.  The base weight is
+    given as ints y over a denominator d, base = (d, y): y / d.  The final
+    step (`_placed`) puts the levels at the exponents ell + j/2 of the
+    character, ell its lowest exponent and window = q_max - ell.
 
-    Index.  One sum has one `Fraction` exponent ell, and a term of level t
-    (q = t/2) of a piece under a head of shift h sits at ell + h + t/2, so
-    at the int index j = 2h + t over ell.  Its cut q <= q_max is
-    j <= T = floor(2(q_max - ell)), one `Fraction` floor per sum: 2h + t is
-    an int, so j <= 2(q_max - ell) exactly when j <= T.  A piece is read at
-    its levels t <= T - 2h, and no head needs `Fraction` arithmetic.
+    Index.  A term of level t (q = t/2) of a piece under a head of shift h
+    sits at ell + h + t/2, so at the int index j = 2h + t over ell.  Its
+    cut q <= q_max is j <= T = floor(2 window), one `Fraction` floor per
+    sum: 2h + t is an int, so j <= 2(q_max - ell) exactly when j <= T.  A
+    piece is read at its levels t <= T - 2h, and no head needs `Fraction`
+    arithmetic.
 
     The kept terms are summed over (index, packed key): the coordinates
     relative to base at the kernel's scale D, packed (`_Lattice.pack`), so a
@@ -400,18 +409,17 @@ def _sum_pieces(out: QWSeries, base: Tuple[int, List[int]], ell: Fraction,
     |x_i| <= H + B, H the largest |coordinate| of a head key, and a call
     with 2(H + B) >= R raises PreconditionViolated.
 
-    Depth.  Every base lies in out.ref + ker(depth): the orbit sums pass
-    base = restrict(nu) with ref = nu, and the projection of nu -
-    restrict(nu) onto the root span of g^nat is 0 (the projection is
-    idempotent), so are its coefficients, whose sum is minus its depth;
-    `verma_character` and `n4_closed_form` pass base = ref.  Depth being
-    linear, depth_of(ref, base + x/D) = depth_of(0, x/D), and the cut
-    depth_of(ref, w) <= depth is the int bound dcap = floor(scale * depth)
-    on the depth entry of the product key (`_Lattice.cap`): each piece gets
-    one int depth cap dcap - (depth entry of its head), tested once per
-    depth bucket."""
-    lat = out.entry.lattice
-    dcap, top = lat.cap(out.depth), math.floor(2 * (out.q_max - ell))
+    Depth.  Every base lies in ref + ker(depth), ref the published series'
+    reference weight: the orbit sums pass base = restrict(nu) with ref = nu,
+    and the projection of nu - restrict(nu) onto the root span of g^nat is 0
+    (the projection is idempotent), so are its coefficients, whose sum is
+    minus its depth; `verma_character` and `n4_closed_form` pass base = ref.
+    Depth being linear, depth_of(ref, base + x/D) = depth_of(0, x/D), and
+    the cut depth_of(ref, w) <= depth is the int bound
+    dcap = floor(scale * depth) on the depth entry of the product key
+    (`_Lattice.cap`): each piece gets one int depth cap dcap - (depth entry
+    of its head), tested once per depth bucket."""
+    dcap, top = lat.cap(depth), math.floor(2 * window)
     hmax = max([0] + [abs(x) for key, _, _ in heads for x in key[1:]])
     acc: Dict[int, Dict[int, int]] = {}
     kept = 0
@@ -431,24 +439,23 @@ def _sum_pieces(out: QWSeries, base: Tuple[int, List[int]], ell: Fraction,
                     for p, v in bucket.items():
                         p += wp
                         dst[p] = dst.get(p, 0) + sign * v
-    _publish(out, base, ell, acc)
-    return kept
+    return _publish(lat, base, acc), kept
 
 
-def _publish(out: QWSeries, base: Tuple[int, List[int]], ell: Fraction,
-             acc: Dict[int, Dict[int, int]]) -> None:
-    """Write the sums `acc` {index j: {packed key: coefficient}} of
-    `_sum_pieces` into `out` as q^(ell + j/2) exp(base + x/D) terms, walking
-    the indices once in increasing order and publishing only the nonzero
-    sums.
+def _publish(lat: _Lattice, base: Tuple[int, List[int]],
+             acc: Dict[int, Dict[int, int]]) -> Dict[int, Dict[Vec, int]]:
+    """The sums `acc` {index j: {packed key: coefficient}} of `_sum_pieces`
+    as published levels {index j: {weight base + x/D: coefficient}},
+    walking the indices once in increasing order and keeping only the
+    nonzero sums and the levels that hold one.  The exponent of a level is
+    left to the final step (`_placed`).
 
     Scale.  Each distinct packed key is unpacked once.  Coordinate i of its
     weight is base_i + x_i/D = (b_i + f x_i) / wden over wden = lcm(D, d),
     base = (d, y) (`_sum_pieces`), b_i = wden base_i and f = wden / D,
     so no coordinate of the base becomes a `Fraction` and there is
-    one `Fraction` per distinct int b_i + f x_i, one exponent ell + j/2 per
-    level and one `Vec` per distinct weight, made once in this call and
-    shared by the levels.
+    one `Fraction` per distinct int b_i + f x_i and one `Vec` per distinct
+    weight, made once in this call and shared by the levels.
 
     Hash.  Each new `Vec` gets its hash from its ints, by Python's numeric
     hash (the standard library reference, "Hashing of numeric types"): with
@@ -463,13 +470,14 @@ def _publish(out: QWSeries, base: Tuple[int, List[int]], ell: Fraction,
     hash(tuple of the h), the value `Vec.__hash__` caches (`catalog._vec`).
     So a published weight is hashed once, whatever number of levels it
     enters."""
-    lat, (d, y) = out.entry.lattice, base
+    d, y = base
     wden = math.lcm(lat.denom, d)
     f, bs = wden // lat.denom, [c * (wden // d) for c in y]
-    inv, en, ed = _hash_inverse(wden), 2 * ell.numerator, 2 * ell.denominator
+    inv = _hash_inverse(wden)
     fracs: Dict[int, Fraction] = {}  # int coordinate b_i + f x_i -> its Fraction
     hashes: Dict[int, int] = {}      # and its hash
     vecs: Dict[int, Vec] = {}        # packed key -> its weight
+    out: Dict[int, Dict[Vec, int]] = {}
     for j in sorted(acc):
         terms = {}
         for p, c in acc[j].items():
@@ -483,7 +491,18 @@ def _publish(out: QWSeries, base: Tuple[int, List[int]], ell: Fraction,
                     w = vecs[p] = _vec([fracs[x] for x in xs], hash(tuple([hashes[x] for x in xs])))
                 terms[w] = c
         if terms:
-            out.terms[Q(en + j * ell.denominator, ed)] = terms  # ell + j/2
+            out[j] = terms
+    return out
+
+
+def _placed(out: QWSeries, ell: Fraction, levels: Dict[int, Dict[Vec, int]]) -> QWSeries:
+    """The final step of every character: `out` holding the published levels
+    {index j: {weight: coefficient}} of `_sum_pieces` at the exponents
+    ell + j/2, one `Fraction` and one fresh dict per level, so that changing
+    the returned series changes no level a cache holds."""
+    en, ed, el = 2 * ell.numerator, 2 * ell.denominator, ell.denominator
+    out.terms = {Q(en + j * el, ed): dict(terms) for j, terms in levels.items()}
+    return out
 
 
 def _hash_inverse(den: int) -> Optional[int]:
@@ -560,10 +579,11 @@ def verma_character(g: AlgebraId, nu: Vec, ell, q_max, depth) -> QWSeries:
     entry._check_length(nu)
     out = QWSeries(entry, q_max, depth, nu)
     window = out.q_max - ell
-    if window >= 0:
-        _sum_pieces(out, entry._scaled(nu), ell, [((0,) * (entry.n + 1), 0, 1)],
-                    [_fns_cached(g, window, out.depth)])
-    return out
+    if window < 0:
+        return out
+    levels, _ = _sum_pieces(entry.lattice, entry._scaled(nu), window, out.depth,
+                            [((0,) * (entry.n + 1), 0, 1)], [_fns_cached(g, window, out.depth)])
+    return _placed(out, ell, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -755,29 +775,46 @@ def weyl_orbit(g: AlgebraId, k, nu: Vec, h, q_max) -> List[Tuple[Vec, int, Fract
 # character formulas
 
 
-def _orbit_sum(entry: CatalogEntry, rec: _Level, ps: list, nu: Vec, l0: Fraction,
-               q_max: Fraction, depth: Fraction, track_iso: bool) -> QWSeries:
-    """Sum of det * q^(l0+q_shift) exp(restriction) * fns over the orbit of
-    nu (its level record `rec` and pairings `ps`, as `_orbit` reads them),
-    cut at (q_max, depth) around nu.  The int denominator series is read
-    directly by `_sum_pieces`, each orbit element's head being its int key
-    relative to restrict(nu) (`_orbit`) and its int q_shift over l0: each
-    element gets one int q ceiling and one int depth cap, the kept terms are merged over int keys, and only the
-    output terms become `Fraction` keys.  With track_iso each piece is a
-    copy of the denominator divided in place by its isotropic correction
-    (1 + q^c exp(w))^(-1), once per isotropic simple root (their images
-    coincide, see `_orbit`); negative exponents c are flipped exactly.
+def _orbit_sum(entry: CatalogEntry, rec: _Level, ps: list, nu: Vec, window: Fraction,
+               depth: Fraction, track_iso: bool) -> Dict[int, Dict[Vec, int]]:
+    """The l0-free orbit sum: det * q^q_shift exp(restriction) * fns summed
+    over the orbit of nu (its level record `rec` and pairings `ps`, as
+    `_orbit` reads them), cut at (window, depth) around nu, as published
+    levels {index j: {weight: coefficient}} (`_sum_pieces`), empty when
+    the window is negative.  The int denominator series is read directly by
+    `_sum_pieces`, each orbit element's head being its int key relative to
+    restrict(nu) (`_orbit`) and its int q_shift: each element gets one int
+    q ceiling and one int depth cap, the kept terms are merged over int
+    keys, and only the output terms become `Fraction` keys.  With track_iso
+    each piece is a copy of the denominator divided in place by its
+    isotropic correction (1 + q^c exp(w))^(-1), once per isotropic simple
+    root (their images coincide, see `_orbit`); negative exponents c are
+    flipped exactly.
 
-    Only levels 0..floor(2(window - q_shift)) of such a piece are copied and
-    divided: `_sum_pieces` reads no level above q_max - l0 - q_shift =
-    window - q_shift, and `divide` only pushes terms up in q (each level is written
-    from itself and the levels below it), so a prefix of levels divided on
-    its own equals the same prefix of the whole series divided
+    No l0.  The character at conformal weight l0, the sum over w of
+    det(w) q^(l0 + q_shift(w)) exp(restriction) * fns cut at q <= q_max,
+    reads l0 only through the window q_max - l0, in three places: the orbit
+    is walked to q_shift <= window (`_orbit`, which reads neither l0 nor
+    h); the denominator's window (s_min and need below) is read off that
+    orbit; and `_sum_pieces` keeps a term of index j, at exponent l0 + j/2,
+    exactly when j <= floor(2(q_max - l0)) = floor(2 window).  The depth cut
+    is around nu and reads no exponent.  So the character is this sum with
+    level j placed at l0 + j/2 (`_placed`): two characters of one (family,
+    k, nu, window, depth, kind) are one sum at two exponents, and the
+    characters cache the sum per such key (`_orbit_cell`).  A massless
+    character has l0 = A(k, nu), which (k, nu) fixes, so q_max fixes its
+    window.
+
+    Only levels 0..floor(2(window - q_shift)) of a massless piece are copied
+    and divided: `_sum_pieces` reads no level above window - q_shift, and
+    `divide` only pushes terms up in q (each level is written from itself
+    and the levels below it), so a prefix of levels divided on its own
+    equals the same prefix of the whole series divided
     (`_LatticeSeries.copy`).
 
     Window.  The denominator is built in the sloped window of exactly what
-    the orbit reads, in ints.  Element e (head shift q_shift over l0) is
-    read at the levels q <= window - q_shift, and there at the depth entries
+    the orbit reads, in ints.  Element e (head shift q_shift) is read
+    at the levels q <= window - q_shift, and there at the depth entries
     d <= dcap - key[0], dcap = floor(scale * depth) (`_sum_pieces`).  Let
     s_min = min(0, the least q_shift); an element with q_shift < 0
     (extremal weights, see `_orbit`) reads up to q = window - s_min, the
@@ -798,7 +835,7 @@ def _orbit_sum(entry: CatalogEntry, rec: _Level, ps: list, nu: Vec, l0: Fraction
     The denominator identity.  Let k_rho be a level at which lam0 =
     (k + h_vee) Lambda_0 + rho^nat pairs to 1 with every affine simple
     coroot of g^nat; then lam0 = rho_hat of affine g^nat, and at nu = 0,
-    l0 = 0, track_iso False this sum is sum_w det(w) q^shift exp(w rho_hat -
+    track_iso False this sum, placed at l0 = 0, is sum_w det(w) q^shift exp(w rho_hat -
     rho_hat) times the NS denominator.  By the Weyl-Kac denominator identity
     (Kac, Infinite-dimensional Lie algebras, ch. 10) the orbit part is
     prod_{beta > 0} (1 - e^{-beta})^{mult beta}, the inverse of the bosonic
@@ -807,10 +844,8 @@ def _orbit_sum(entry: CatalogEntry, rec: _Level, ps: list, nu: Vec, l0: Fraction
     prod_n prod_{gamma in Delta'} (1 + q^{n-1/2} exp(-gamma)), times
     prod_n (1 - q^n)^(-1) when g^nat has a center (rank counts it, the
     affine roots do not); the tests check this on seven families."""
-    out = QWSeries(entry, q_max, depth, nu)
-    window = q_max - l0
     if window < 0:
-        return out
+        return {}
     orbit = _orbit(entry, rec, ps, window, track_iso)
     lat, s_min = entry.lattice, min([0] + [el.q_shift for el in orbit])
     need = max([0] + [-el.key[0] - lat.dip * (el.q_shift - s_min) for el in orbit])
@@ -825,9 +860,42 @@ def _orbit_sum(entry: CatalogEntry, rec: _Level, ps: list, nu: Vec, l0: Fraction
                 div.divide(tuple(-x for x in key), xd, -1)
         return div
 
-    _sum_pieces(out, entry._restricted(nu), l0, [(el.key, el.q_shift, el.det) for el in orbit],
-                map(piece, orbit))
-    return out
+    return _sum_pieces(lat, entry._restricted(nu), window, depth,
+                       [(el.key, el.q_shift, el.det) for el in orbit], map(piece, orbit))[0]
+
+
+# A bench char_warm pass reads 52 distinct keys, and each cell holds one
+# character's levels (110 terms for the G3 case): 128 keeps such a sweep
+# whole while bounding what a long-lived process holds.
+@lru_cache(maxsize=128)
+def _orbit_cell(g: AlgebraId, kn: int, kd: int, nu: Vec, window: Fraction, depth: Fraction,
+                track_iso: bool, cap: int) -> list:
+    """The cell of one l0-free orbit sum (`_orbit_sum`): per (family,
+    k = kn/kd, nu, window, depth, massless or not, orbit cap), a list that
+    `_character` fills with the sum on the first request of the key.  The
+    cell is cached rather than `_orbit_sum`, so that the sum is computed from
+    the level record and nu's pairings the preconditions already read, and
+    the key holds only what fixes the sum.  k is keyed by its ints, as
+    `levels._level` keys it.  The cap is in the key because `_orbit` reads
+    ORBIT_CAP at call time: a sum found under one cap is never served under
+    a lower one, where it has to raise.  A sum that raises leaves its cell
+    empty, so the next request of the key computes it again."""
+    return []
+
+
+def _character(entry: CatalogEntry, rec: _Level, sc: _NuScalars, nu: Vec, l0: Fraction,
+               q_max: Fraction, depth: Fraction, track_iso: bool) -> QWSeries:
+    """The character at conformal weight l0, cut at (q_max, depth) around
+    nu, once its preconditions hold (`rec` and `sc` the level record and
+    nu's scalars they read): the orbit sum of its key (`_orbit_cell`),
+    computed on the key's first request, placed at l0 (`_placed`)."""
+    out = QWSeries(entry, q_max, depth, nu)
+    window, k = out.q_max - l0, rec.data.k
+    cell = _orbit_cell(entry.id, k.numerator, k.denominator, nu, window, out.depth, track_iso,
+                       ORBIT_CAP)
+    if not cell:
+        cell.append(_orbit_sum(entry, rec, sc.pairings(), nu, window, out.depth, track_iso))
+    return _placed(out, l0, cell[0])
 
 
 def character_massive(g: AlgebraId, k, nu: Vec, l0, q_max, depth) -> QWSeries:
@@ -841,7 +909,7 @@ def character_massive(g: AlgebraId, k, nu: Vec, l0, q_max, depth) -> QWSeries:
     if l0 <= _threshold(*data):
         raise PreconditionViolated("massive character needs l0 > A(k,nu)")
     rec, sc = data
-    return _orbit_sum(entry, rec, sc.pairings(), nu, l0, q_max, depth, False)
+    return _character(entry, rec, sc, nu, l0, q_max, depth, False)
 
 
 def character_massless(g: AlgebraId, k, nu: Vec, q_max, depth) -> QWSeries:
@@ -855,7 +923,7 @@ def character_massless(g: AlgebraId, k, nu: Vec, q_max, depth) -> QWSeries:
     if data is None:
         raise PreconditionViolated("massless character needs nu in P^+_k")
     rec, sc = data
-    return _orbit_sum(entry, rec, sc.pairings(), nu, _threshold(rec, sc), q_max, depth, True)
+    return _character(entry, rec, sc, nu, _threshold(rec, sc), q_max, depth, True)
 
 
 def _n4_range(M1: int, window: Fraction) -> range:
@@ -933,6 +1001,7 @@ def n4_closed_form(M1: int, r: int, q_max, depth) -> QWSeries:
         div.divide(key, c, -1)
         return div
 
-    _sum_pieces(out, entry._scaled(out.ref), l0, [hd for hd, _, _ in summands],
-                (piece(key, c, hd[1]) for hd, key, c in summands))
-    return out
+    levels, _ = _sum_pieces(entry.lattice, entry._scaled(out.ref), window, out.depth,
+                            [hd for hd, _, _ in summands],
+                            (piece(key, c, hd[1]) for hd, key, c in summands))
+    return _placed(out, l0, levels)

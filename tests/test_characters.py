@@ -15,8 +15,8 @@ import wmin
 from wmin import catalog, characters, gram_lab, levels
 from wmin.catalog import Vec, _Lattice, lookup, zero_vec
 from wmin.characters import (QWSeries, _fns_cached, _hash_inverse, _LatticeSeries, _n4_range,
-                             _orbit, _orbit_sum, _ratio_hash, _sum_pieces, character_massive,
-                             character_massless,
+                             _orbit, _orbit_cell, _orbit_sum, _placed, _ratio_hash, _sum_pieces,
+                             character_massive, character_massless,
                              depth_of, ell_of_h, fns_series, h_pair, n4_closed_form,
                              series_from_records, verma_character, weyl_orbit)
 from wmin.errors import (NonDominant, ParameterOutOfRange, PreconditionViolated,
@@ -44,9 +44,12 @@ def _orbit_at(e, k, nu, limit, track_iso=False):
 
 
 def _orbit_sum_at(e, k, nu, l0, q_max, depth, track_iso):
-    """`_orbit_sum` of nu at level k, given as `_orbit_at` gives `_orbit`."""
-    return _orbit_sum(e, _record(e, k), e.pairings(0, nu), nu, l0, q_max,
-                      depth, track_iso)
+    """`_orbit_sum` of nu at level k, given as `_orbit_at` gives `_orbit`,
+    at the window q_max - l0 and placed at l0: the character, uncached."""
+    q_max, depth = Q(q_max), Q(depth)
+    return _placed(QWSeries(e, q_max, depth, nu), Q(l0),
+                   _orbit_sum(e, _record(e, k), e.pairings(0, nu), nu, q_max - l0, depth,
+                              track_iso))
 
 
 def _start_by_the_affine_form(e, k, nu):
@@ -371,6 +374,59 @@ def test_orbit_cap_raises(monkeypatch):
         weyl_orbit(G, -3, Q(1, 2) * TH1, 0, 4)
 
 
+def test_cached_orbit_sum_honours_a_lowered_cap(monkeypatch):
+    """A request answered once, and so cached, raises TruncationIncomplete
+    when repeated under a cap its orbit passes: the cap is read at call
+    time, and a sum found under one cap is not served under a lower one."""
+    nu = Q(1, 2) * TH1
+    assert character_massive(G, -3, nu, 2, 3, 4).n_terms() > 0
+    assert character_massless(G, -3, nu, 3, 4).n_terms() > 0
+    monkeypatch.setattr(characters, "ORBIT_CAP", 2)
+    with pytest.raises(TruncationIncomplete):
+        character_massive(G, -3, nu, 2, 3, 4)
+    with pytest.raises(TruncationIncomplete):
+        character_massless(G, -3, nu, 3, 4)
+
+
+def test_changing_a_series_changes_no_cached_sum():
+    """A caller who changes the terms of a returned character, a level or
+    the map of levels, leaves the cached orbit sum as it was: the next
+    request of the key, a hit, equals a cold call."""
+    _orbit_cell.cache_clear()
+    cold = character_massive(G, -3, ZERO, 1, 4, 6).records()
+    for massless in (False, True):
+        s = character_massless(G, -3, ZERO, 4, 6) if massless else \
+            character_massive(G, -3, ZERO, 1, 4, 6)
+        low, high = min(s.terms), max(s.terms)
+        s.terms[low][ZERO] += 7
+        s.terms[low][Vec([1, 2, 3, 4])] = 1
+        s.terms[high].clear()
+        del s.terms[high]
+    assert _orbit_cell.cache_info().currsize == 2
+    assert character_massive(G, -3, ZERO, 1, 4, 6).records() == cold
+    warm = character_massless(G, -3, ZERO, 4, 6).records()
+    _orbit_cell.cache_clear()
+    assert warm == character_massless(G, -3, ZERO, 4, 6).records()
+
+
+def test_a_cached_sum_still_checks_the_preconditions():
+    """A request whose key is cached still runs every precondition: a
+    massive character at or below the threshold, or at an extremal weight,
+    raises PreconditionViolated at the window of a cached sum."""
+    nu = Q(1, 2) * TH1
+    a = A_bound(G, -3, nu)
+    assert character_massive(G, -3, nu, a + 1, a + 3, 4).n_terms() > 0
+    for l0 in (a, a - Q(1, 2)):  # the same window, so the same key
+        with pytest.raises(PreconditionViolated, match="l0 > A"):
+            character_massive(G, -3, nu, l0, l0 + 2, 4)
+    extremal = Q(1, 2) * TH1  # at k = -2
+    a = A_bound(G, -2, extremal)
+    assert is_extremal(G, -2, extremal)
+    assert character_massless(G, -2, extremal, a + 2, 4).n_terms() > 0
+    with pytest.raises(PreconditionViolated, match="non-extremal"):
+        character_massive(G, -2, extremal, a + 1, a + 3, 4)
+
+
 def test_fns_cache_is_bounded():
     fns = characters._fns_cached
     bound = fns.cache_info().maxsize
@@ -473,9 +529,9 @@ def _wide_orbit_sum(e, k, nu, l0, q_max, depth, track_iso):
                 div.divide(tuple(-x for x in key), xd, -1)
         return div
 
-    _sum_pieces(out, e._restricted(nu), l0, [(el.key, el.q_shift, el.det) for el in orbit],
-                map(piece, orbit))
-    return out
+    levels, _ = _sum_pieces(e.lattice, e._restricted(nu), window, out.depth,
+                            [(el.key, el.q_shift, el.det) for el in orbit], map(piece, orbit))
+    return _placed(out, l0, levels)
 
 
 @pytest.mark.parametrize("g", [catalog.psl22(), catalog.spo2m(3), catalog.d21a(1)],
@@ -1332,17 +1388,18 @@ def test_window_past_the_packing_bound_is_refused():
         out = QWSeries(E, 2, 3)
         if 2 * (x + fns.bound()) >= lat.radix:
             with pytest.raises(PreconditionViolated, match="packing bound"):
-                _sum_pieces(out, E._scaled(ZERO), Q(0), heads, [fns])
+                _sum_pieces(lat, E._scaled(ZERO), Q(2), Q(3), heads, [fns])
         else:  # just inside the bound the merge answers
-            _sum_pieces(out, E._scaled(ZERO), Q(0), heads, [fns])
-            assert out.coeff(0, Vec([Q(x, lat.denom), 0, 0, 0])) == 1
+            levels, _ = _sum_pieces(lat, E._scaled(ZERO), Q(2), Q(3), heads, [fns])
+            assert _placed(out, Q(0), levels).coeff(0, Vec([Q(x, lat.denom), 0, 0, 0])) == 1
     # just inside the bound the same calls are answered
     assert fns_series(G, 1, 3).n_terms() > 0
 
 
 def test_character_caches_stay_bounded_over_d21a_sweep():
-    """Sweeping D(2,1;a) over 200 distinct values of a, and the boson
-    energies past the bound of their cache, leaves every cache of every
+    """Sweeping D(2,1;a) over 200 distinct values of a, the boson energies
+    past the bound of their cache and the orbit-sum keys past the bound of
+    `_orbit_cell`, leaves every cache of every
     `wmin` module at or under its bound.  `lookup` is the only per-algebra
     cache: the frames (`_Lattice`) still alive afterwards are at most those
     held by its entries and by the cached denominator series, so no hidden
@@ -1360,8 +1417,12 @@ def test_character_caches_stay_bounded_over_d21a_sweep():
             for m in pkgutil.iter_modules(wmin.__path__)]
     caches = [f for mod in mods for f in vars(mod).values()
               if hasattr(f, "cache_info") and f.__module__ == mod.__name__]
-    assert len(caches) >= 5
-    assert {catalog.lookup, gram_lab.states_at_energy, _fns_cached} <= set(caches)
+    bound = _orbit_cell.cache_info().maxsize
+    for depth in range(bound + 4):  # more orbit-sum keys than the cache holds
+        character_massive(G, -3, ZERO, 1, 1, depth)
+    assert _orbit_cell.cache_info().currsize == bound
+    assert len(caches) >= 6
+    assert {catalog.lookup, gram_lab.states_at_energy, _fns_cached, _orbit_cell} <= set(caches)
     for f in caches:
         info = f.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize, f
@@ -1522,3 +1583,77 @@ def test_massless_psl22_equals_closed_form(m1, data, window, depth):
     q_max = Q(r, 2) + window
     got = character_massless(G, -(m1 + 1), Q(r, 2) * TH1, q_max, depth)
     assert got == n4_closed_form(m1, r, q_max, depth), (m1, r, window, depth)
+
+
+# ---------------------------------------------------------------------------
+# l0 only in the exponents: one orbit sum per (family, k, nu, window, depth, kind)
+
+
+SHIFT_FAMILIES = [catalog.psl22(), catalog.spo2m(3), catalog.g3(), catalog.d21a(2, 3)]
+SHIFT_OFFSETS = [Q(1, 3), Q(1, 2), Q(1), Q(3, 2)]
+
+
+@st.composite
+def shift_cases(draw):
+    """(algebra, k, nu, massless, window q_max - l0, depth, (d, d')): the
+    first three unitary levels of each family and the weights of its domain
+    (non-extremal for massive characters, nu = 0 for massless D(2,1;a)
+    ones), and two distinct offsets above A."""
+    g = draw(st.sampled_from(SHIFT_FAMILIES))
+    e = lookup(g)
+    k = draw(st.sampled_from(enumerate_unitary_k(g, 3)))
+    massless = draw(st.booleans())
+    nus = enumerate_P_plus_k(g, k)
+    if massless and g.family == "D21a":
+        nus = [zero_vec(e.n)]
+    elif not massless:
+        nus = [nu for nu in nus if not is_extremal(g, k, nu)]
+    assume(nus)
+    nu = draw(st.sampled_from(nus))
+    window = draw(st.sampled_from([Q(0), Q(1, 2), Q(1), Q(3, 2), Q(2)]))
+    depth = draw(st.sampled_from([Q(0), Q(1), Q(5, 2), Q(4)]))
+    offsets = draw(st.lists(st.sampled_from(SHIFT_OFFSETS), min_size=2, max_size=2, unique=True))
+    return g, k, nu, massless, window, depth, tuple(offsets)
+
+
+@given(shift_cases())
+@example((catalog.psl22(), Q(-3), Q(1, 2) * TH1, False, Q(1), Q(4), (Q(1), Q(1, 2))))
+@example((catalog.psl22(), Q(-3), Q(1, 2) * TH1, True, Q(3, 2), Q(4), (Q(1), Q(1, 2))))
+@example((catalog.g3(), Q(-9, 4), Vec([1, 1, 0]), False, Q(1), Q(4), (Q(1, 2), Q(1))))
+@settings(max_examples=40, deadline=None)
+def test_characters_are_one_orbit_sum_placed_at_l0(case):
+    """The shift identity: at one window q_max - l0 a character is one
+    series placed at l0.  A massive character at (l0, window) equals the
+    one at (l0', window) term by term, its exponents shifted by l0 - l0';
+    a massless one (l0 = A) equals the uncached orbit sum at (A + d,
+    window) shifted by -d.  Each is computed with the cache of orbit sums
+    emptied, and then every request, asked twice, once filling the cache
+    and once hitting it, equals its cold call: a massive request at the q_max
+    of another and a different window included."""
+    g, k, nu, massless, window, depth, (d, d2) = case
+    e, a = lookup(g), A_bound(g, k, nu)
+
+    def char(l0, q_max):
+        if massless:
+            return character_massless(g, k, nu, q_max, depth)
+        return character_massive(g, k, nu, l0, q_max, depth)
+
+    def cold(l0, q_max):
+        _orbit_cell.cache_clear()
+        return char(l0, q_max)
+
+    l0, l0b = (a, a + d2) if massless else (a + d, a + d2)
+    got = cold(l0, l0 + window)
+    other = _orbit_sum_at(e, k, nu, l0b, l0b + window, depth, True) if massless \
+        else cold(l0b, l0b + window)
+    assert got.n_terms() > 0
+    assert got.terms == {q + l0 - l0b: lvl for q, lvl in other.terms.items()}, case
+    if massless:
+        requests = [(a, a + window), (a, a + window + Q(1, 2))]
+    else:
+        requests = [(l0, l0 + window), (l0b, l0b + window), (l0b, l0 + window),
+                    (l0, l0b + window)]
+    want = [cold(*r).records() for r in requests]
+    _orbit_cell.cache_clear()
+    for _ in range(2):
+        assert [char(*r).records() for r in requests] == want, case

@@ -29,7 +29,8 @@ def test_scan_lemma_bounds():
 
 def test_stage_times():
     """The G3 case, a massless and a massive psl22 request: every stage is
-    reported, with the sizes of the G3 case pinned."""
+    reported, with the sizes of the G3 case pinned, and the third request,
+    which reads its orbit sum from the cache, is faster than the warm one."""
     import json
     (line,) = run_script("stage_times.py")
     got = json.loads(line)
@@ -45,13 +46,16 @@ def test_stage_times():
     # publishing is one stage of the warm sum
     assert 0 <= got["publish_s"] <= got["sum_warm_s"]
     # one entry looked up, one level record and one denominator built cold
-    # and reused warm
+    # and reused warm, and one orbit sum, computed again warm
     assert {name: (info["currsize"], info["maxsize"])
             for name, info in got["caches"].items()} == {"lookup": (1, 64),
                                                          "_level": (1, 128),
-                                                         "_fns_cached": (1, 32)}
+                                                         "_fns_cached": (1, 32),
+                                                         "_orbit_cell": (1, 128)}
     assert got["caches"]["_fns_cached"]["hits"] == 1
     assert got["caches"]["_level"]["hits"] == 1
+    # the third request places the cached orbit sum
+    assert 0 < got["hit_s"] < got["warm_s"]
     (line,) = run_script("stage_times.py", "--g", "psl22", "--k", "-3",
                          "--nu", "0,0,1/2,-1/2", "--massless", "--qmax", "5/2",
                          "--depth", "4")
