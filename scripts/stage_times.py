@@ -12,21 +12,29 @@ garbage collector off, so that no collection of earlier garbage lands in a
 timed stage:
 
     import_s              import wmin.characters
-    denominator_build_s   the cold call's `_fns_cached` (the NS denominator)
+    denominator_build_s   the cold call's `_fns_cached` build of the NS
+                          denominator (its first call to return: a quotient
+                          asks for the denominator first)
     denominator_window    the [reach, depth] window that call built, as
                           strings: the q reach and the flat depth of its
                           sloped window (`characters._orbit_sum` sizes it)
     denominator_terms     terms of that series in its sloped window
     denominator_buckets   its non-empty (q, depth) buckets, the units the
                           kernel's cap tests run on
+    quotients             the isotropic quotients the cold call built
+                          (`_fns_cached` misses with an image key; 0 for a
+                          massive request)
+    quotients_warm        those the warm call built: 0, as it reads them
+                          from the cache
     checks_s              the warm call's preconditions: its calls of
                           `_P_plus_data` (the level data and the per-request
                           pass over nu), `_is_extremal` (massive only) and
                           `_threshold`, summed
     orbit_s               the warm call's `_orbit`
     orbit_elements        orbit elements within the window
-    sum_warm_s            the warm call's `_sum_pieces` (isotropic divisions
-                          of a massless request included)
+    sum_warm_s            the warm call's `_sum_pieces`; a massless
+                          request reads its isotropic quotients from the
+                          cache, so no division is timed here
     kept_terms            denominator terms kept and merged by it
     publish_s             the warm call's `_publish`, the part of
                           `sum_warm_s` that turns the int sums into the
@@ -176,22 +184,26 @@ def main(argv=None):
     q_max, depth = Q(args.qmax), Q(args.depth)
 
     calls = []  # (name, seconds, result, positional arguments) of each wrapped call, in order
+    built = []  # the image keys of the quotients `_fns_cached` built, in order
+    fns_cache = characters._fns_cached
 
     def timed(name, fn):
         def wrapper(*a, **kw):
+            misses = fns_cache.cache_info().misses
             t = time.perf_counter()
             out = fn(*a, **kw)
             calls.append((name, time.perf_counter() - t, out, a))
+            if len(a) == 4 and fn is fns_cache and fns_cache.cache_info().misses > misses:
+                built.append(a[3])  # a quotient key's first call: a build
             return out
         return wrapper
 
-    fns_cache = characters._fns_cached
     checks = ("_P_plus_data", "_is_extremal", "_threshold")
     for name in ("_orbit", "_fns_cached", "_sum_pieces", "_publish") + checks:
         setattr(characters, name, timed(name, getattr(characters, name)))
 
     def request():
-        del calls[:]
+        del calls[:], built[:]
         gc.disable()
         try:
             t = time.perf_counter()
@@ -202,15 +214,16 @@ def main(argv=None):
             wall = time.perf_counter() - t
         finally:
             gc.enable()
-        return (out, wall, {name: (s, res, a) for name, s, res, a in calls},
-                sum(s for name, s, _, _ in calls if name in checks))
+        # the first call of each name to return: `_fns_cached`'s is the denominator
+        return (out, wall, {name: (s, res, a) for name, s, res, a in reversed(calls)},
+                sum(s for name, s, _, _ in calls if name in checks), len(built))
 
-    _, cold_s, cold, _ = request()
+    _, cold_s, cold, _, quotients = request()
     characters._orbit_cell.cache_clear()
-    out, warm_s, warm, checks_s = request()
+    out, warm_s, warm, checks_s, quotients_warm = request()
     caches = {f.__name__: f.cache_info()._asdict()
               for f in (catalog.lookup, levels._level, fns_cache, characters._orbit_cell)}
-    _, hit_s, _, _ = request()
+    _, hit_s, _, _, _ = request()
     fns_s, fns, (_, reach, fns_depth) = cold["_fns_cached"]
     t = time.perf_counter()
     catalog._Lattice(catalog.lookup(g))
@@ -221,6 +234,8 @@ def main(argv=None):
         "denominator_window": [str(reach), str(fns_depth)],
         "denominator_terms": sum(len(b) for lvl in fns.levels for b in lvl.values()),
         "denominator_buckets": sum(1 for lvl in fns.levels for b in lvl.values() if b),
+        "quotients": quotients,
+        "quotients_warm": quotients_warm,
         "checks_s": round(checks_s, 6),
         "orbit_s": round(warm["_orbit"][0], 6),
         "orbit_elements": len(warm["_orbit"][1]),

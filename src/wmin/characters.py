@@ -38,7 +38,11 @@ whose exactness argument is in the `_LatticeSeries` docstring, its cap test
 once per bucket.  Every factor (1 - sign q^c exp(w))^(-1), the
 denominator's own, the isotropic corrections of the massless sum and the
 fermionic factors of the N=4 closed form, is expanded by that kernel's one
-`divide`, w given by its key.
+`divide`, w given by its key.  A massless orbit element's piece, the
+denominator divided by the factor of its image of the isotropic simple
+roots, depends on the Weyl element and the denominator's window only: it
+is cached beside the denominator, keyed by that image (`_fns_cached`), and
+every element and request with that key reads the prefix it needs of it.
 
 Every character is one `_sum_pieces` and one `_placed`: the orbit sum,
 `verma_character` (`fns_series` is its nu = 0, ell = 0 case) and
@@ -65,6 +69,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
+from itertools import repeat
 from operator import mul
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -533,11 +538,21 @@ def _ns_steps(lat: _Lattice, q_max: Fraction) -> List[Tuple[int, int, int, bool]
             for dk, fp, off, odd in lat.ns if 2 * n + off <= top]
 
 
+# A bench char_warm pass reads 3 denominators and 4 isotropic quotients (its
+# 68 massless orbit elements share them), a char_cold pass 51 denominators
+# and 22 quotients, one window per request: 32 keeps the warm sweep whole
+# while bounding what a long-lived process holds.
 @lru_cache(maxsize=32)
-def _fns_cached(aid: AlgebraId, q_max: Fraction, depth: Fraction) -> _LatticeSeries:
+def _fns_cached(aid: AlgebraId, q_max: Fraction, depth: Fraction,
+                iso_images: tuple = ()) -> _LatticeSeries:
     """The NS denominator in the sloped window (q_max, depth + s(q_max - q)),
     built factor by factor in place over int keys (`_ns_steps`), each step
-    margin-checked.
+    margin-checked; with `iso_images`, the key of a massless orbit element's
+    image of the isotropic simple roots (`OrbitElement`), that denominator
+    divided by the image's factor (1 + q^xd exp(-restriction))^(-1) once per
+    isotropic simple root, flipped exactly when xd < 0 (`divide`).  The plain
+    denominator is asked with three positional arguments only: the cache
+    keys f(a, b, c) and f(a, b, c, ()) apart.
 
     Order.  The factors are applied in decreasing exponent c, a stable sort
     of the table order.  Any order gives the same series: the product
@@ -547,8 +562,28 @@ def _fns_cached(aid: AlgebraId, q_max: Fraction, depth: Fraction) -> _LatticeSer
     order the series it reads is the product of the factors of exponent
     >= c only, whose low levels hold few terms; in the table order the same
     step reads levels that every factor of smaller exponent has already
-    filled."""
-    lat = lookup(aid).lattice
+    filled.
+
+    Quotients.  The quotient depends only on its key: the denominator is
+    fixed by (family, q_max, depth), and the factor by the image, which is
+    the image of the isotropic simple roots under the Weyl element alone,
+    whatever the (k, nu) of the orbit it came from.  It is built from a
+    whole-reach `copy` of the cached denominator, so it is one series for
+    every orbit element and every request that reads it, and each reader
+    takes the prefix it needs (`_orbit_sum`): `divide` writes each level
+    only from itself and the levels below it, so levels 0..t of the whole
+    quotient equal the quotient of the prefix copy of levels 0..t.  `copy`
+    keeps the span and the rate, so `_margin` and `_admit` refuse exactly
+    the factors they refuse on a prefix copy."""
+    entry = lookup(aid)
+    if iso_images:
+        fns = _fns_cached(aid, q_max, depth)
+        out = fns.copy(len(fns.levels) - 1)
+        for key, xd in iso_images:
+            for _ in range(entry.iso_simple_count):
+                out.divide(tuple(-x for x in key), xd, -1)
+        return out
+    lat = entry.lattice
     out = _LatticeSeries(lat, q_max, depth)
     for dk, fp, c2, odd in sorted(_ns_steps(lat, q_max), key=lambda step: -step[2]):
         out._margin(dk, c2)
@@ -786,10 +821,11 @@ def _orbit_sum(entry: CatalogEntry, rec: _Level, ps: list, nu: Vec, window: Frac
     restrict(nu) (`_orbit`) and its int q_shift: each element gets one int
     q ceiling and one int depth cap, the kept terms are merged over int
     keys, and only the output terms become `Fraction` keys.  With track_iso
-    each piece is a copy of the denominator divided in place by its
-    isotropic correction (1 + q^c exp(w))^(-1), once per isotropic simple
-    root (their images coincide, see `_orbit`); negative exponents c are
-    flipped exactly.
+    each piece is the denominator divided by its element's isotropic
+    correction (1 + q^c exp(w))^(-1), once per isotropic simple root (their
+    images coincide, see `_orbit`), negative exponents c flipped exactly:
+    the quotient cached under the denominator's key and the element's image
+    (`_fns_cached`), read as it is.
 
     No l0.  The character at conformal weight l0, the sum over w of
     det(w) q^(l0 + q_shift(w)) exp(restriction) * fns cut at q <= q_max,
@@ -805,12 +841,16 @@ def _orbit_sum(entry: CatalogEntry, rec: _Level, ps: list, nu: Vec, window: Frac
     character has l0 = A(k, nu), which (k, nu) fixes, so q_max fixes its
     window.
 
-    Only levels 0..floor(2(window - q_shift)) of a massless piece are copied
-    and divided: `_sum_pieces` reads no level above window - q_shift, and
-    `divide` only pushes terms up in q (each level is written from itself
-    and the levels below it), so a prefix of levels divided on its own
-    equals the same prefix of the whole series divided
-    (`_LatticeSeries.copy`).
+    Quotients.  A massless piece depends only on its key (`_fns_cached`):
+    the denominator's (family, reach, Dep) below and the element's image,
+    which the Weyl element fixes whatever (k, nu) is, so elements of one
+    orbit and of other requests with the same image and denominator window
+    share one piece.  `_sum_pieces` reads only levels
+    0..floor(2(window - q_shift)) of it, and `divide` writes each level only
+    from itself and the levels below it, so that prefix of the whole-reach
+    quotient equals the quotient of a prefix copy of the denominator, and
+    the kept terms are the same.  `copy` keeps the span, so `_margin` and
+    `_admit` refuse exactly the factors they would refuse on the prefix.
 
     Window.  The denominator is built in the sloped window of exactly what
     the orbit reads, in ints.  Element e (head shift q_shift) is read
@@ -849,19 +889,11 @@ def _orbit_sum(entry: CatalogEntry, rec: _Level, ps: list, nu: Vec, window: Frac
     orbit = _orbit(entry, rec, ps, window, track_iso)
     lat, s_min = entry.lattice, min([0] + [el.q_shift for el in orbit])
     need = max([0] + [-el.key[0] - lat.dip * (el.q_shift - s_min) for el in orbit])
-    fns = _fns_cached(entry.id, window - s_min, depth + Q(need, lat.scale))
-
-    def piece(el: OrbitElement) -> _LatticeSeries:
-        if not el.iso_images:
-            return fns
-        div = fns.copy(math.floor(2 * (window - el.q_shift)))
-        for key, xd in el.iso_images:  # (1 + q^xd exp(-restriction))^(-1)
-            for _ in range(entry.iso_simple_count):
-                div.divide(tuple(-x for x in key), xd, -1)
-        return div
-
+    aid, reach, dep = entry.id, window - s_min, depth + Q(need, lat.scale)
+    pieces = [_fns_cached(aid, reach, dep, el.iso_images) for el in orbit] if track_iso \
+        else repeat(_fns_cached(aid, reach, dep))
     return _sum_pieces(lat, entry._restricted(nu), window, depth,
-                       [(el.key, el.q_shift, el.det) for el in orbit], map(piece, orbit))[0]
+                       [(el.key, el.q_shift, el.det) for el in orbit], pieces)[0]
 
 
 # A bench char_warm pass reads 52 distinct keys, and each cell holds one

@@ -513,33 +513,39 @@ def _wide_orbit_sum(e, k, nu, l0, q_max, depth, track_iso):
     """`_orbit_sum` over a wide window of its own: the denominator built to
     depth + window * `_theta_height`, and each massless piece a copy of the
     whole denominator, divided at every level.  The test oracle for the
-    window and the prefix copies of `_orbit_sum`."""
+    window and the cached isotropic quotients of `_orbit_sum`."""
     out = QWSeries(e, q_max, depth, nu)
     window = q_max - l0
     orbit = _orbit_at(e, k, nu, window, track_iso)
     reach = window - min([Q(0)] + [el.q_shift for el in orbit])
     fns = _fns_cached(e.id, reach, depth + window * _theta_height(e))
 
-    def piece(el):
-        if not el.iso_images:
-            return fns
-        div = fns.copy(len(fns.levels) - 1)
-        for key, xd in el.iso_images:
-            for _ in range(e.iso_simple_count):
-                div.divide(tuple(-x for x in key), xd, -1)
-        return div
-
+    pieces = [_copied_quotient(e, fns, el, len(fns.levels) - 1) if el.iso_images else fns
+              for el in orbit]
     levels, _ = _sum_pieces(e.lattice, e._restricted(nu), window, out.depth,
-                            [(el.key, el.q_shift, el.det) for el in orbit], map(piece, orbit))
+                            [(el.key, el.q_shift, el.det) for el in orbit], pieces)
     return _placed(out, l0, levels)
+
+
+def _copied_quotient(e, fns, el, top):
+    """The massless piece of orbit element `el` over levels 0..top: a copy
+    of those levels of the denominator `fns`, divided in place by the
+    element's isotropic factor once per isotropic simple root.  The test
+    oracle for the cached quotients of `_fns_cached`."""
+    div = fns.copy(top)
+    for key, xd in el.iso_images:
+        for _ in range(e.iso_simple_count):
+            div.divide(tuple(-x for x in key), xd, -1)
+    return div
 
 
 @pytest.mark.parametrize("g", [catalog.psl22(), catalog.spo2m(3), catalog.d21a(1)],
                          ids=lambda g: g.label())
-def test_massless_prefix_copies_equal_whole_copies(g):
-    """Copying and dividing only the levels `_sum_pieces` reads gives the
-    character of the whole-denominator pieces, at nu = 0 over the first
-    three non-collapsing levels and two windows (q_max - l0, depth)."""
+def test_massless_quotient_pieces_equal_whole_copies(g):
+    """The cached isotropic quotients (`_fns_cached` with an image key) give
+    the character of the whole-denominator pieces, copied and divided per
+    element, at nu = 0 over the first three non-collapsing levels and two
+    windows (q_max - l0, depth)."""
     ks = [k for k in enumerate_unitary_k(g, 8) if not level_data(g, k).collapsing][:3]
     assert len(ks) == 3
     nu = zero_vec(lookup(g).n)
@@ -550,6 +556,61 @@ def test_massless_prefix_copies_equal_whole_copies(g):
             assert got.n_terms() > 0
             want = _wide_orbit_sum(lookup(g), k, nu, A_bound(g, k, nu), q_max, depth, True)
             assert got.records() == want.records()
+
+
+REUSE_FAMILIES = [catalog.psl22(), catalog.spo2m(3), catalog.d21a(2, 3)]
+
+
+@st.composite
+def reuse_cases(draw):
+    """(algebra, two distinct non-collapsing unitary levels among its first
+    three, window q_max - A, depth): massless requests at nu = 0 that share
+    the denominator window (window, depth), the start at nu = 0 being
+    dominant."""
+    g = draw(st.sampled_from(REUSE_FAMILIES))
+    ks = [k for k in enumerate_unitary_k(g, 8) if not level_data(g, k).collapsing][:3]
+    pair = draw(st.lists(st.sampled_from(ks), min_size=2, max_size=2, unique=True))
+    window = draw(st.sampled_from([Q(1, 2), Q(1), Q(3, 2), Q(2), Q(5, 2)]))
+    depth = draw(st.sampled_from([Q(1), Q(5, 2), Q(4)]))
+    return g, tuple(pair), window, depth
+
+
+@given(reuse_cases())
+@example((catalog.psl22(), (Q(-2), Q(-3)), Q(2), Q(4)))  # shared images at higher
+@example((catalog.spo2m(3), (Q(-1), Q(-5, 4)), Q(5, 2), Q(5, 2)))  # shifts under k2
+@example((catalog.d21a(2, 3), (Q(-6, 5), Q(-12, 5)), Q(2), Q(1)))
+@settings(max_examples=30, deadline=None)
+def test_cached_quotients_are_exact_across_requests(case):
+    """An isotropic quotient of `_fns_cached` serves every request of its
+    key: a massless character computed with the denominators and the orbit
+    sums emptied equals the same character computed after a request at
+    another level with the same (window, depth) has cached the quotients it
+    shares, and every quotient that either request reads equals, at the
+    levels `_sum_pieces` reads of it and in its packing bound, the prefix
+    copy of the denominator divided by the element's factor
+    (`_copied_quotient`)."""
+    g, (k, k2), window, depth = case
+    e = lookup(g)
+    nu = zero_vec(e.n)
+
+    def char(k):
+        _orbit_cell.cache_clear()
+        return character_massless(g, k, nu, A_bound(g, k, nu) + window, depth).records()
+
+    _fns_cached.cache_clear()
+    cold = char(k)
+    _fns_cached.cache_clear()
+    char(k2)
+    assert char(k) == cold, case
+    misses = _fns_cached.cache_info().misses
+    fns = _fns_cached(g, window, depth)  # the window from the dominant start
+    for level in (k, k2):
+        for el in _orbit_at(e, level, nu, window, True):
+            got = _fns_cached(g, window, depth, el.iso_images)
+            want = _copied_quotient(e, fns, el, math.floor(2 * (window - el.q_shift)))
+            assert got.levels[:len(want.levels)] == want.levels, (case, level, el)
+            assert got.bound() == want.bound(), (case, level, el)
+    assert _fns_cached.cache_info().misses == misses  # each one the requests cached
 
 
 # sl(2|3) by hand: its P^+_k is infinite (the center of g^nat takes any weight),
@@ -596,8 +657,11 @@ def window_cases(draw):
 def test_orbit_sum_builds_the_window_its_orbit_reads(case):
     """`_orbit_sum` builds the denominator in the window its orbit reads (see
     its docstring), and gives the same sum as over the wide window
-    depth + window * `_theta_height`, massive and massless; from a
-    dominant start it needs no headroom: the build's depth is `depth`."""
+    depth + window * `_theta_height`, massive and massless; every
+    `_fns_cached` call, the isotropic quotients of a massless sum included,
+    is in that one (reach, depth) window, the plain denominator asked with
+    three arguments; from a dominant start it needs no headroom: the
+    build's depth is `depth`."""
     g, k, nu, above, window, depth = case
     e = lookup(g)
     l0, track_iso = A_bound(g, k, nu) + (above or 0), above is None
@@ -607,7 +671,8 @@ def test_orbit_sum_builds_the_window_its_orbit_reads(case):
         got = _orbit_sum_at(e, k, nu, l0, l0 + window, depth, track_iso)
     assert got.n_terms() > 0
     assert got == _wide_orbit_sum(e, k, nu, l0, l0 + window, depth, track_iso), case
-    ((_, reach, dep),) = built
+    assert all(len(a) == 3 or a[3] for a in built), built
+    ((_, reach, dep),) = {a[:3] for a in built}
     orbit = _orbit_at(e, k, nu, window, track_iso)
     assert reach == window - min([0] + [el.q_shift for el in orbit])
     if all(p >= 0 for p in _start_by_the_affine_form(e, k, nu)):
@@ -1397,13 +1462,15 @@ def test_window_past_the_packing_bound_is_refused():
 
 
 def test_character_caches_stay_bounded_over_d21a_sweep():
-    """Sweeping D(2,1;a) over 200 distinct values of a, the boson energies
+    """Sweeping D(2,1;a) over 200 distinct values of a, with massless
+    characters at nu = 0 for the last 40 of them (their isotropic quotients
+    drive `_fns_cached` past its bound), the boson energies
     past the bound of their cache and the orbit-sum keys past the bound of
     `_orbit_cell`, leaves every cache of every
     `wmin` module at or under its bound.  `lookup` is the only per-algebra
     cache: the frames (`_Lattice`) still alive afterwards are at most those
-    held by its entries and by the cached denominator series, so no hidden
-    cache keeps the 200 frames of the sweep."""
+    held by its entries and by the cached denominator series and
+    quotients, so no hidden cache keeps the 200 frames of the sweep."""
     values = [(num, den) for num in range(1, 22) for den in range(1, 16)
               if math.gcd(num, den) == 1][:200]
     assert len(values) == 200
@@ -1411,6 +1478,15 @@ def test_character_caches_stay_bounded_over_d21a_sweep():
         g = catalog.d21a(num, den)
         assert lookup(g).lattice is lookup(g).lattice
         fns_series(g, 0, 1)
+    before = _fns_cached.cache_info().misses
+    for num, den in values[-40:]:
+        g = catalog.d21a(num, den)
+        nu = zero_vec(lookup(g).n)
+        k = next(k for k in enumerate_unitary_k(g, 4) if not level_data(g, k).collapsing)
+        character_massless(g, k, nu, A_bound(g, k, nu) + 1, 1)
+    quotients = _fns_cached.cache_info().misses - before - 40  # one denominator per request
+    assert quotients > _fns_cached.cache_info().maxsize
+    assert _fns_cached.cache_info().currsize == _fns_cached.cache_info().maxsize
     for e in range(gram_lab.states_at_energy.cache_info().maxsize + 4):
         gram_lab.states_at_energy(e)
     mods = [importlib.import_module(f"wmin.{m.name}")

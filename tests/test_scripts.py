@@ -29,8 +29,9 @@ def test_scan_lemma_bounds():
 
 def test_stage_times():
     """The G3 case, a massless and a massive psl22 request: every stage is
-    reported, with the sizes of the G3 case pinned, and the third request,
-    which reads its orbit sum from the cache, is faster than the warm one."""
+    reported, with the sizes of the G3 case and the massless request's
+    isotropic quotients pinned, and the third request, which reads its
+    orbit sum from the cache, is faster than the warm one."""
     import json
     (line,) = run_script("stage_times.py")
     got = json.loads(line)
@@ -40,6 +41,7 @@ def test_stage_times():
                                                   "kept_terms": 2942, "out_terms": 110}
     # the denominator is built in the window the orbit reads: (q_max - l0, depth)
     assert got["denominator_window"] == ["2", "6"]
+    assert got["quotients"] == got["quotients_warm"] == 0  # massive: no quotient
     assert 0 < got["denominator_buckets"] <= got["denominator_terms"]
     assert all(got[k] >= 0 for k in ("import_s", "denominator_build_s", "checks_s", "orbit_s",
                                       "sum_warm_s", "warm_s", "cold_s", "frame_s"))
@@ -62,6 +64,10 @@ def test_stage_times():
     got = json.loads(line)
     assert got["orbit_elements"] >= 2 and got["kept_terms"] >= got["out_terms"] > 0
     assert 0 <= got["checks_s"] <= got["warm_s"]
+    # the cold call builds one isotropic quotient per image of its 4 orbit
+    # elements; the warm call reads them from the cache and builds none
+    assert (got["orbit_elements"], got["quotients"], got["quotients_warm"]) == (4, 4, 0)
+    assert got["caches"]["_fns_cached"]["misses"] == 1 + 4
     # a warm psl22 massive request: its preconditions are timed at 1 us
     # resolution, so the sub-millisecond checks do not round to 0
     (line,) = run_script("stage_times.py", "--g", "psl22", "--k", "-3",
