@@ -5,7 +5,10 @@ Runs the request three times in this fresh interpreter: cold (the
 denominator expansion is built), warm (it is cached, and the cache of
 l0-free orbit sums, `characters._orbit_cell`, is emptied just before, so
 the orbit sum is computed again) and hit (the orbit sum is read from that
-cache and placed at l0).  The stages are timed by wrapping
+cache and placed at l0); then once more at q_max - 1/2 and depth
+max(depth - 1, 0), a window inside the cold call's, whose denominator
+`characters._fns_cached` answers from the series the cold call built.  The
+stages are timed by wrapping
 `characters._orbit`, `characters._fns_cached`, `characters._sum_pieces`,
 `characters._publish` and the precondition checks for the calls, with the
 garbage collector off, so that no collection of earlier garbage lands in a
@@ -42,6 +45,12 @@ timed stage:
     warm_s, cold_s        the whole warm and cold calls
     hit_s                 the whole third call, which runs the preconditions
                           and places the cached orbit sum at l0
+    contained_s           the whole fourth call, at the window
+    contained_window      [q_max, depth] of it, as strings
+    windows_built         per call (cold, warm, contained), the windows
+                          `_fns_cached` built, denominators and quotients
+    windows_from_held     per call, the windows it answered from a held
+                          series whose window contains them
     out_terms             terms of the character
     frame_s               a fresh build of the entry's frame of h^nat
                           (`catalog._Lattice`, held as `CatalogEntry.lattice`),
@@ -202,8 +211,11 @@ def main(argv=None):
     for name in ("_orbit", "_fns_cached", "_sum_pieces", "_publish") + checks:
         setattr(characters, name, timed(name, getattr(characters, name)))
 
-    def request():
+    windows = {}  # call -> (windows built, windows answered from a held one)
+
+    def request(name, q_max=q_max, depth=depth):
         del calls[:], built[:]
+        before = fns_cache.cache_info()
         gc.disable()
         try:
             t = time.perf_counter()
@@ -214,16 +226,20 @@ def main(argv=None):
             wall = time.perf_counter() - t
         finally:
             gc.enable()
+        after = fns_cache.cache_info()
+        windows[name] = (after.misses - before.misses, after.contained - before.contained)
         # the first call of each name to return: `_fns_cached`'s is the denominator
         return (out, wall, {name: (s, res, a) for name, s, res, a in reversed(calls)},
                 sum(s for name, s, _, _ in calls if name in checks), len(built))
 
-    _, cold_s, cold, _, quotients = request()
+    _, cold_s, cold, _, quotients = request("cold")
     characters._orbit_cell.cache_clear()
-    out, warm_s, warm, checks_s, quotients_warm = request()
+    out, warm_s, warm, checks_s, quotients_warm = request("warm")
     caches = {f.__name__: f.cache_info()._asdict()
               for f in (catalog.lookup, levels._level, fns_cache, characters._orbit_cell)}
-    _, hit_s, _, _, _ = request()
+    _, hit_s, _, _, _ = request("hit")
+    inner = (q_max - Q(1, 2), max(depth - 1, Q(0)))
+    _, contained_s, _, _, _ = request("contained", *inner)
     fns_s, fns, (_, reach, fns_depth) = cold["_fns_cached"]
     t = time.perf_counter()
     catalog._Lattice(catalog.lookup(g))
@@ -245,6 +261,10 @@ def main(argv=None):
         "warm_s": round(warm_s, 6),
         "cold_s": round(cold_s, 6),
         "hit_s": round(hit_s, 6),
+        "contained_s": round(contained_s, 6),
+        "contained_window": [str(x) for x in inner],
+        "windows_built": {name: windows[name][0] for name in ("cold", "warm", "contained")},
+        "windows_from_held": {name: windows[name][1] for name in ("cold", "warm", "contained")},
         "out_terms": out.n_terms(),
         "frame_s": round(frame_s, 6),
         "caches": caches,

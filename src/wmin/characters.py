@@ -43,6 +43,11 @@ denominator divided by the factor of its image of the isotropic simple
 roots, depends on the Weyl element and the denominator's window only: it
 is cached beside the denominator, keyed by that image (`_fns_cached`), and
 every element and request with that key reads the prefix it needs of it.
+That bounded store answers a window from any held series of the same
+family and image whose sloped window contains it, read in place; its
+docstring argues that every reader keeps the same terms and refuses the
+same windows as a build of its own.  A bench char_cold pass so builds 13
+denominators and 10 quotients of the 51 and 22 windows it asks.
 
 Every character is one `_sum_pieces` and one `_placed`: the orbit sum,
 `verma_character` (`fns_series` is its nu = 0, ell = 0 case) and
@@ -66,8 +71,9 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, update_wrapper
 from heapq import heappop, heappush
 from itertools import repeat
 from operator import mul
@@ -238,11 +244,11 @@ class _LatticeSeries:
     step has d(w) >= -dip * c by the margin check (dip = s * scale, an int),
     so they cost at most caps[2q] + dip * q <= scale * depth + dip * q_max,
     and, being an int sum, at most caps[0].  So every stored term has
-    |x_i| <= B = rate * span, span = T + max(caps[0], 0) (`bound`; a prefix
-    copy keeps the span).  The constructor and every step raise
-    PreconditionViolated, before changing anything, when 2B >= R: a window
-    past the bound is refused, never aliased.  `_sum_pieces` checks the same
-    bound with its heads added.
+    |x_i| <= B = rate * span, span = T + max(caps[0], 0) (a `copy` takes
+    the span of the window it is cut to).  The constructor and every
+    step raise PreconditionViolated, before changing anything, when
+    2B >= R: a window past the bound is refused, never aliased.
+    `_sum_pieces` checks the same bound with its heads added.
 
     Order.  Both arguments hold for each step on its own, whatever steps
     came before it, so the factors of a product may be applied in any order
@@ -252,13 +258,8 @@ class _LatticeSeries:
     __slots__ = ("lat", "levels", "caps", "span", "rate")
 
     def __init__(self, lat: _Lattice, q_max: Fraction, depth: Fraction):
-        top = math.floor(2 * q_max)
         self.lat, self.rate = lat, 0
-        # caps[t] = floor(x - dip * t/2), x = scale * (depth + s * q_max), in ints
-        x = lat.scale * (depth + lat.slope * q_max)
-        num, den = 2 * x.numerator, 2 * x.denominator
-        self.caps = [(num - lat.dip * t * x.denominator) // den for t in range(top + 1)]
-        self.span = top + max(math.floor(x), 0)  # T + max(caps[0], 0)
+        self.caps, self.span = _window(lat, q_max, depth)
         self._admit(lat.rate)
         self.levels: List[Dict[int, Dict[int, int]]] = [{} for _ in self.caps]
         if self.caps and self.caps[0] >= 0:
@@ -275,18 +276,19 @@ class _LatticeSeries:
                     f"packing bound of the denominator kernel (radix {self.lat.radix})")
             self.rate = rate
 
-    def bound(self) -> int:
-        """B, the bound on |coordinate| of every stored term."""
-        return self.rate * self.span
-
-    def copy(self, top: int) -> "_LatticeSeries":
-        """A copy of levels 0..top, the levels q <= top/2.  Every step
-        (`_push_up`, `divide`) writes a level only from itself and the levels
-        below it, so the steps applied to this prefix give the prefix of the
-        steps applied to the whole series."""
+    def copy(self, caps: List[int], span: int) -> "_LatticeSeries":
+        """A copy cut to a window this series' window contains (see
+        `_fns_cached`), given by that window's caps and span (`_window`), or
+        to a prefix caps[:top + 1] of them: levels 0..top, each bucket
+        d <= caps[t], under those caps and that span.  Those are the terms of
+        a build in that window, whatever the larger window it came from.
+        Every step (`_push_up`, `divide`) writes a level only from itself and
+        the levels below it, so the steps applied to this prefix give the
+        prefix of the steps applied to the whole series."""
         out = object.__new__(_LatticeSeries)
-        out.lat, out.caps, out.span, out.rate = self.lat, self.caps[:top + 1], self.span, self.rate
-        out.levels = [{d: dict(b) for d, b in lvl.items()} for lvl in self.levels[:top + 1]]
+        out.lat, out.caps, out.span, out.rate = self.lat, caps, span, self.rate
+        out.levels = [{d: dict(b) for d, b in lvl.items() if d <= cap}
+                      for lvl, cap in zip(self.levels, caps)]
         return out
 
     def _margin(self, d: int, c2: int) -> None:
@@ -363,6 +365,18 @@ class _LatticeSeries:
                     _step(lvl, {d: lvl[d]}, cap, dk, fp, sign)
 
 
+def _window(lat: _Lattice, q_max: Fraction, depth: Fraction) -> Tuple[List[int], int]:
+    """The caps and the span of the sloped window (q_max, depth) of the
+    kernel (`_LatticeSeries`): caps[t] = floor(x - dip * t/2) for
+    t <= T = floor(2 q_max), x = scale * (depth + s * q_max), in ints, and
+    span = T + max(caps[0], 0)."""
+    top = math.floor(2 * q_max)
+    x = lat.scale * (depth + lat.slope * q_max)
+    num, den = 2 * x.numerator, 2 * x.denominator
+    return ([(num - lat.dip * t * x.denominator) // den for t in range(top + 1)],
+            top + max(math.floor(x), 0))
+
+
 def _step(dst: Dict[int, Dict[int, int]], src: Dict[int, Dict[int, int]], cap: int,
           dk: int, fp: int, coef: int) -> None:
     """Add coef * x times the buckets of `src` into the level `dst`, x the
@@ -387,8 +401,8 @@ def _step(dst: Dict[int, Dict[int, int]], src: Dict[int, Dict[int, int]], cap: i
 
 
 def _sum_pieces(lat: _Lattice, base: Tuple[int, List[int]], window: Fraction, depth: Fraction,
-                heads: Sequence[Tuple[tuple, int, int]], pieces: Iterable[_LatticeSeries]
-                ) -> Tuple[Dict[int, Dict[Vec, int]], int]:
+                heads: Sequence[Tuple[tuple, int, int]], pieces: Iterable[_LatticeSeries],
+                within: Tuple[Fraction, Fraction]) -> Tuple[Dict[int, Dict[Vec, int]], int]:
     """The l0-free levels of the sum of sign * q^shift exp(base + x/D) *
     piece, for each head (key, shift, sign), key the int key
     (`_Lattice.key`) of x/D relative to the base weight and shift an int,
@@ -398,21 +412,30 @@ def _sum_pieces(lat: _Lattice, base: Tuple[int, List[int]], window: Fraction, de
     given as ints y over a denominator d, base = (d, y): y / d.  The final
     step (`_placed`) puts the levels at the exponents ell + j/2 of the
     character, ell its lowest exponent and window = q_max - ell.
+    `within` is the kernel window (q_max, depth) the pieces were asked in:
+    a piece may be a held series whose window contains it (`_fns_cached`).
 
     Index.  A term of level t (q = t/2) of a piece under a head of shift h
     sits at ell + h + t/2, so at the int index j = 2h + t over ell.  Its
     cut q <= q_max is j <= T = floor(2 window), one `Fraction` floor per
     sum: 2h + t is an int, so j <= 2(q_max - ell) exactly when j <= T.  A
     piece is read at its levels t <= T - 2h, and no head needs `Fraction`
-    arithmetic.
+    arithmetic.  A piece without all of those levels raises
+    PreconditionViolated: it would cut the character short.
 
     The kept terms are summed over (index, packed key): the coordinates
     relative to base at the kernel's scale D, packed (`_Lattice.pack`), so a
     head's packed key plus a kernel key is the packed key of the product
-    term: packing is linear.  It stays one-to-one: a kernel term has
-    |x_i| <= B (`_LatticeSeries.bound`), so a product term has
-    |x_i| <= H + B, H the largest |coordinate| of a head key, and a call
-    with 2(H + B) >= R raises PreconditionViolated.
+    term: packing is linear.  It stays one-to-one: a kernel term read here
+    lies in the asked window, so it has |x_i| <= B = rate * span, the
+    bound of a build in that window (`_LatticeSeries`, the piece's rate,
+    span that of `within`), a product term has |x_i| <= H + B, H the
+    largest |coordinate| of a head key, and a call with 2(H + B) >= R
+    raises PreconditionViolated.  The bound is the asked window's, not the
+    held piece's, so a piece read from a larger held window refuses
+    exactly what its own build would.  The held span is at least the asked
+    one, so the held bound is tested first and the asked span is worked
+    out (`_window`) only when that test fails.
 
     Depth.  Every base lies in ref + ker(depth), ref the published series'
     reference weight: the orbit sums pass base = restrict(nu) with ref = nu,
@@ -429,12 +452,17 @@ def _sum_pieces(lat: _Lattice, base: Tuple[int, List[int]], window: Fraction, de
     acc: Dict[int, Dict[int, int]] = {}
     kept = 0
     for (key, shift, sign), piece in zip(heads, pieces):
-        if 2 * (hmax + piece.bound()) >= lat.radix:
+        if 2 * (hmax + piece.rate * piece.span) >= lat.radix \
+                and 2 * (hmax + piece.rate * _window(lat, *within)[1]) >= lat.radix:
             raise PreconditionViolated(
                 f"character terms are past the packing bound of the denominator kernel "
                 f"(radix {lat.radix})")
         wp, j0, cap = lat.pack(key[1:]), 2 * shift, dcap - key[0]
-        for t in range(min(len(piece.levels) - 1, top - j0) + 1):
+        if len(piece.levels) <= top - j0:
+            raise PreconditionViolated(
+                f"a piece of {len(piece.levels)} levels under a head at q^{shift} cannot fill "
+                f"the window {format_rational(window)}")
+        for t in range(top - j0 + 1):
             dst = acc.get(j0 + t)
             if dst is None:
                 dst = acc[j0 + t] = {}
@@ -538,11 +566,70 @@ def _ns_steps(lat: _Lattice, q_max: Fraction) -> List[Tuple[int, int, int, bool]
             for dk, fp, off, odd in lat.ns if 2 * n + off <= top]
 
 
+# `cache_info()` of `_fns_cached`: `functools.lru_cache`'s four fields, hits
+# the exact keys and misses the windows built, then the calls answered from a
+# held window that contains the asked one (a namedtuple, as functools makes
+# its own: a `typing.NamedTuple` class costs twice as much at import)
+_HeldInfo = namedtuple("_HeldInfo", "hits misses maxsize currsize contained")
+
+
+def _held_windows(maxsize: int):
+    """`_fns_cached`'s store, a decorator in the manner of
+    `functools.lru_cache` (`cache_info`, `cache_clear`, `__wrapped__`): at
+    most `maxsize` built series, dropped least recently used.  An exact key
+    is answered by the dict alone.  On a miss the held series are scanned
+    for one of the same family and image whose window contains the asked
+    one (see `_fns_cached`), returned as it is held and marked used; only
+    when there is none is the asked window built and held.  A contained
+    answer takes no slot."""
+    def decorate(build):
+        # key -> (series, Q, D + sQ of its window), least recently used first:
+        # a dict, whose items() reads no key's hash (an OrderedDict's does),
+        # keyed by the ints of Q and D, which hash without the modular
+        # inverse a `Fraction` hash takes
+        held: Dict[tuple, Tuple[_LatticeSeries, Fraction, Fraction]] = {}
+        counts = [0, 0, 0]  # hits, misses, contained
+
+        def cached(aid: AlgebraId, q_max: Fraction, depth: Fraction,
+                   iso_images: tuple = ()) -> _LatticeSeries:
+            key = (aid, q_max.numerator, q_max.denominator, depth.numerator, depth.denominator,
+                   iso_images)
+            got = held.pop(key, None)
+            if got is not None:
+                held[key] = got
+                counts[0] += 1
+                return got[0]
+            top = depth + lookup(aid).lattice.slope * q_max
+            for other, got in held.items():
+                if other[0] == aid and other[5] == iso_images and q_max <= got[1] \
+                        and top <= got[2]:
+                    held[other] = held.pop(other)
+                    counts[2] += 1
+                    return got[0]
+            counts[1] += 1
+            series = build(aid, q_max, depth, iso_images)
+            held[key] = series, q_max, top
+            if len(held) > maxsize:
+                del held[next(iter(held))]
+            return series
+
+        def cache_clear() -> None:
+            held.clear()
+            counts[:] = [0, 0, 0]
+
+        cached.cache_info = lambda: _HeldInfo(counts[0], counts[1], maxsize, len(held), counts[2])
+        cached.cache_clear = cache_clear
+        return update_wrapper(cached, build)
+    return decorate
+
+
 # A bench char_warm pass reads 3 denominators and 4 isotropic quotients (its
-# 68 massless orbit elements share them), a char_cold pass 51 denominators
-# and 22 quotients, one window per request: 32 keeps the warm sweep whole
-# while bounding what a long-lived process holds.
-@lru_cache(maxsize=32)
+# 68 massless orbit elements share them).  A char_cold pass asks 51
+# denominator and 22 quotient windows, one denominator window per request,
+# and builds 13 and 10 of them (seeds 3, 11 and 500), which contain the
+# rest.  32 keeps either pass whole while bounding what a long-lived process
+# holds.
+@_held_windows(maxsize=32)
 def _fns_cached(aid: AlgebraId, q_max: Fraction, depth: Fraction,
                 iso_images: tuple = ()) -> _LatticeSeries:
     """The NS denominator in the sloped window (q_max, depth + s(q_max - q)),
@@ -550,9 +637,9 @@ def _fns_cached(aid: AlgebraId, q_max: Fraction, depth: Fraction,
     margin-checked; with `iso_images`, the key of a massless orbit element's
     image of the isotropic simple roots (`OrbitElement`), that denominator
     divided by the image's factor (1 + q^xd exp(-restriction))^(-1) once per
-    isotropic simple root, flipped exactly when xd < 0 (`divide`).  The plain
-    denominator is asked with three positional arguments only: the cache
-    keys f(a, b, c) and f(a, b, c, ()) apart.
+    isotropic simple root, flipped exactly when xd < 0 (`divide`).  The
+    answer may be a held series of a window that contains the asked one
+    (Containment below): a caller reads only inside the window it asked.
 
     Order.  The factors are applied in decreasing exponent c, a stable sort
     of the table order.  Any order gives the same series: the product
@@ -567,23 +654,43 @@ def _fns_cached(aid: AlgebraId, q_max: Fraction, depth: Fraction,
     Quotients.  The quotient depends only on its key: the denominator is
     fixed by (family, q_max, depth), and the factor by the image, which is
     the image of the isotropic simple roots under the Weyl element alone,
-    whatever the (k, nu) of the orbit it came from.  It is built from a
-    whole-reach `copy` of the cached denominator, so it is one series for
-    every orbit element and every request that reads it, and each reader
-    takes the prefix it needs (`_orbit_sum`): `divide` writes each level
-    only from itself and the levels below it, so levels 0..t of the whole
-    quotient equal the quotient of the prefix copy of levels 0..t.  `copy`
-    keeps the span and the rate, so `_margin` and `_admit` refuse exactly
-    the factors they refuse on a prefix copy."""
+    whatever the (k, nu) of the orbit it came from.  It is built from the
+    denominator's answer cut to the key's window (`copy`), so it is one
+    series for every orbit element and every request that reads it, and
+    each reader takes the prefix it needs (`_orbit_sum`): `divide` writes
+    each level only from itself and the levels below it, so levels 0..t of
+    the whole quotient equal the quotient of the prefix copy of levels
+    0..t.  The copy has the key's span and rate, so `_margin` and `_admit`
+    refuse exactly the factors they refuse on a prefix copy.
+
+    Containment.  A key is answered from any held series of the same family
+    and the same image (none for the plain denominator) whose window
+    (Q, D) contains the asked (Q', D'): Q' <= Q and D' + sQ' <= D + sQ, s
+    the frame's `slope`.  Then the held series has every level
+    t <= T' = floor(2Q'), and its caps floor(scale(D + sQ) - dip t/2) are
+    at least the asked ones pointwise (`_window`).  Every term a series
+    stores is the coefficient of the infinite product (`_LatticeSeries`,
+    Exactness), the quotient's factor included, so the held buckets
+    d <= caps'[t] of the levels t <= T' are those of the asked build, and
+    the held series holds more only beyond them.  No reader reads beyond
+    them: `_sum_pieces` reads levels t <= T - 2h <= T' and depth entries
+    d <= dcap - key[0] <= caps'[t] under a head of shift h, by `_orbit_sum`'s
+    Window argument (verma_character's head is 0 at (window, depth)), and a
+    quotient or `n4_closed_form` piece is a `copy` cut to the asked window.
+    So every kept term is the one the asked build gives.  Refusals are the
+    same too: the held series was built, and the asked build, of the same
+    factors in a window of no larger span, would pass every `_margin` and
+    `_admit` it passed; `_sum_pieces` checks its packing bound with the
+    asked window's span, the rate being fixed by the family and the image.
+    A contained answer is the held series itself, read in place."""
     entry = lookup(aid)
+    lat = entry.lattice
     if iso_images:
-        fns = _fns_cached(aid, q_max, depth)
-        out = fns.copy(len(fns.levels) - 1)
+        out = _fns_cached(aid, q_max, depth).copy(*_window(lat, q_max, depth))
         for key, xd in iso_images:
             for _ in range(entry.iso_simple_count):
                 out.divide(tuple(-x for x in key), xd, -1)
         return out
-    lat = entry.lattice
     out = _LatticeSeries(lat, q_max, depth)
     for dk, fp, c2, odd in sorted(_ns_steps(lat, q_max), key=lambda step: -step[2]):
         out._margin(dk, c2)
@@ -617,7 +724,8 @@ def verma_character(g: AlgebraId, nu: Vec, ell, q_max, depth) -> QWSeries:
     if window < 0:
         return out
     levels, _ = _sum_pieces(entry.lattice, entry._scaled(nu), window, out.depth,
-                            [((0,) * (entry.n + 1), 0, 1)], [_fns_cached(g, window, out.depth)])
+                            [((0,) * (entry.n + 1), 0, 1)], [_fns_cached(g, window, out.depth)],
+                            (window, out.depth))
     return _placed(out, ell, levels)
 
 
@@ -849,8 +957,12 @@ def _orbit_sum(entry: CatalogEntry, rec: _Level, ps: list, nu: Vec, window: Frac
     0..floor(2(window - q_shift)) of it, and `divide` writes each level only
     from itself and the levels below it, so that prefix of the whole-reach
     quotient equals the quotient of a prefix copy of the denominator, and
-    the kept terms are the same.  `copy` keeps the span, so `_margin` and
-    `_admit` refuse exactly the factors they would refuse on the prefix.
+    the kept terms are the same.  The quotient has the span of its window,
+    so `_margin` and `_admit` refuse exactly the factors they would refuse
+    on the prefix.  A piece, plain or quotient, may be a held series whose
+    window contains (reach, Dep) (`_fns_cached`): every term an element
+    reads lies in (reach, Dep) by the Window argument below, and
+    `_sum_pieces` checks its packing bound in (reach, Dep).
 
     Window.  The denominator is built in the sloped window of exactly what
     the orbit reads, in ints.  Element e (head shift q_shift) is read
@@ -893,7 +1005,7 @@ def _orbit_sum(entry: CatalogEntry, rec: _Level, ps: list, nu: Vec, window: Frac
     pieces = [_fns_cached(aid, reach, dep, el.iso_images) for el in orbit] if track_iso \
         else repeat(_fns_cached(aid, reach, dep))
     return _sum_pieces(lat, entry._restricted(nu), window, depth,
-                       [(el.key, el.q_shift, el.det) for el in orbit], pieces)[0]
+                       [(el.key, el.q_shift, el.det) for el in orbit], pieces, (reach, dep))[0]
 
 
 # A bench char_warm pass reads 52 distinct keys, and each cell holds one
@@ -1015,8 +1127,9 @@ def n4_closed_form(M1: int, r: int, q_max, depth) -> QWSeries:
     window = q_max - l0
     if window < 0:
         return out
-    fns = _fns_cached(g, window, depth)
-    tkey, hkey = entry.lattice.key(th), entry.lattice.key(Q(1, 2) * th)
+    lat = entry.lattice
+    fns, (caps, span) = _fns_cached(g, window, depth), _window(lat, window, depth)
+    tkey, hkey = lat.key(th), lat.key(Q(1, 2) * th)
     summands = []  # (head, key of the fermionic factor's weight, its exponent)
     for m in _n4_range(M1, window):
         b = m * m * (M1 + 1) + (r + 1) * m
@@ -1028,12 +1141,12 @@ def n4_closed_form(M1: int, r: int, q_max, depth) -> QWSeries:
                       tuple(-x for x in hkey), c)]
 
     def piece(key: tuple, c: Fraction, b: int) -> _LatticeSeries:
-        div = fns.copy(math.floor(2 * window) - 2 * b)  # the levels read (`_orbit_sum`)
+        div = fns.copy(caps[:len(caps) - 2 * b], span)  # the levels read, in (window, depth)
         div.divide(key, c, -1)
         div.divide(key, c, -1)
         return div
 
-    levels, _ = _sum_pieces(entry.lattice, entry._scaled(out.ref), window, out.depth,
+    levels, _ = _sum_pieces(lat, entry._scaled(out.ref), window, out.depth,
                             [hd for hd, _, _ in summands],
-                            (piece(key, c, hd[1]) for hd, key, c in summands))
+                            (piece(key, c, hd[1]) for hd, key, c in summands), (window, depth))
     return _placed(out, l0, levels)

@@ -16,6 +16,7 @@ from wmin import catalog, characters, gram_lab, levels
 from wmin.catalog import Vec, _Lattice, lookup, zero_vec
 from wmin.characters import (QWSeries, _fns_cached, _hash_inverse, _LatticeSeries, _n4_range,
                              _orbit, _orbit_cell, _orbit_sum, _placed, _ratio_hash, _sum_pieces,
+                             _window,
                              character_massive, character_massless,
                              depth_of, ell_of_h, fns_series, h_pair, n4_closed_form,
                              series_from_records, verma_character, weyl_orbit)
@@ -518,21 +519,23 @@ def _wide_orbit_sum(e, k, nu, l0, q_max, depth, track_iso):
     window = q_max - l0
     orbit = _orbit_at(e, k, nu, window, track_iso)
     reach = window - min([Q(0)] + [el.q_shift for el in orbit])
-    fns = _fns_cached(e.id, reach, depth + window * _theta_height(e))
+    wide = depth + window * _theta_height(e)
+    fns, (caps, span) = _fns_cached(e.id, reach, wide), _window(e.lattice, reach, wide)
 
-    pieces = [_copied_quotient(e, fns, el, len(fns.levels) - 1) if el.iso_images else fns
+    pieces = [_copied_quotient(e, fns, el, caps, span) if el.iso_images else fns
               for el in orbit]
     levels, _ = _sum_pieces(e.lattice, e._restricted(nu), window, out.depth,
-                            [(el.key, el.q_shift, el.det) for el in orbit], pieces)
+                            [(el.key, el.q_shift, el.det) for el in orbit], pieces, (reach, wide))
     return _placed(out, l0, levels)
 
 
-def _copied_quotient(e, fns, el, top):
-    """The massless piece of orbit element `el` over levels 0..top: a copy
-    of those levels of the denominator `fns`, divided in place by the
-    element's isotropic factor once per isotropic simple root.  The test
-    oracle for the cached quotients of `_fns_cached`."""
-    div = fns.copy(top)
+def _copied_quotient(e, fns, el, caps, span):
+    """The massless piece of orbit element `el` over levels 0..len(caps) - 1:
+    a copy of those levels of the denominator `fns` cut to the caps and span
+    of its window (`_window`), divided in place by the element's isotropic
+    factor once per isotropic simple root.  The test oracle for the cached
+    quotients of `_fns_cached`."""
+    div = fns.copy(caps, span)
     for key, xd in el.iso_images:
         for _ in range(e.iso_simple_count):
             div.divide(tuple(-x for x in key), xd, -1)
@@ -604,12 +607,14 @@ def test_cached_quotients_are_exact_across_requests(case):
     assert char(k) == cold, case
     misses = _fns_cached.cache_info().misses
     fns = _fns_cached(g, window, depth)  # the window from the dominant start
+    caps, span = _window(e.lattice, window, depth)
     for level in (k, k2):
         for el in _orbit_at(e, level, nu, window, True):
             got = _fns_cached(g, window, depth, el.iso_images)
-            want = _copied_quotient(e, fns, el, math.floor(2 * (window - el.q_shift)))
+            want = _copied_quotient(e, fns, el, caps[:math.floor(2 * (window - el.q_shift)) + 1],
+                                    span)
             assert got.levels[:len(want.levels)] == want.levels, (case, level, el)
-            assert got.bound() == want.bound(), (case, level, el)
+            assert (got.rate, got.span) == (want.rate, want.span), (case, level, el)
     assert _fns_cached.cache_info().misses == misses  # each one the requests cached
 
 
@@ -1168,6 +1173,13 @@ def _kernel_terms(series):
     return out
 
 
+def _asked(g, q_max, depth, iso_images=()):
+    """`_fns_cached`'s answer cut to the asked window (`_window`): the answer
+    may be a held series of a window that contains it."""
+    return _fns_cached(g, q_max, depth, iso_images).copy(
+        *_window(lookup(g).lattice, q_max, depth))
+
+
 # (algebra, window, depth): small windows, one of them not a half-integer
 PARITY_CASES = [(catalog.psl22(), Q(7, 6), Q(4)), (catalog.psl22(), Q(3), Q(5)),
                 (catalog.spo2m(3), Q(5, 2), Q(4)), (catalog.sl2m(3), Q(3, 2), Q(3)),
@@ -1178,7 +1190,7 @@ PARITY_CASES = [(catalog.psl22(), Q(7, 6), Q(4)), (catalog.psl22(), Q(3), Q(5)),
 @pytest.mark.parametrize("g,window,depth", PARITY_CASES,
                          ids=[f"{g.label()}-{w}-{d}" for g, w, d in PARITY_CASES])
 def test_int_kernel_equals_fraction_products(g, window, depth):
-    assert _kernel_terms(_fns_cached(g, window, depth)) == _reference_fns(g, window, depth)
+    assert _kernel_terms(_asked(g, window, depth)) == _reference_fns(g, window, depth)
 
 
 def test_int_kernel_isotropic_divisions_equal_fraction_products():
@@ -1191,12 +1203,12 @@ def test_int_kernel_isotropic_divisions_equal_fraction_products():
     n4 = [[(sw * Q(1, 2) * TH1, c, -1)] * 2 for sw in (1, -1) for c in (Q(1, 2), Q(-1, 2))]
     for window, depth in [(Q(5, 2), Q(3)), (Q(13, 6), Q(2))]:
         for extra in [[(XI, Q(1, 2), -1)], [(XI, Q(-1, 2), -1), (-1 * XI, Q(3, 2), -1)], *n4]:
-            piece = _fns_cached(G, window, depth).copy(math.floor(2 * window))
+            piece = _asked(G, window, depth)
             for w, c, sign in extra:
                 piece.divide(E.lattice.key(w), c, sign)
             assert _kernel_terms(piece) == _reference_fns(G, window, depth, extra)
         extra = [(xi, Q(-1, 2), -1), (-1 * xi, Q(1, 2), -1)]
-        piece = _fns_cached(g, window, depth).copy(math.floor(2 * window))
+        piece = _asked(g, window, depth)
         for w, c, sign in extra:
             piece.divide(lookup(g).lattice.key(w), c, sign)
         assert _kernel_terms(piece) == _reference_fns(g, window, depth, extra)
@@ -1372,7 +1384,7 @@ def test_denominator_in_any_factor_order_is_the_same(g, q_max, depth):
             want._push_up(dk, fp, c2, 1, True)
         else:
             want._divide(dk, fp, c2, 1)
-    got = _fns_cached(g, q_max, depth)
+    got = _fns_cached.__wrapped__(g, q_max, depth)
     assert got.levels == want.levels
     assert got.caps == [lat.cap(depth + lat.slope * (q_max - Q(t, 2)))
                         for t in range(math.floor(2 * q_max) + 1)]
@@ -1447,24 +1459,192 @@ def test_window_past_the_packing_bound_is_refused():
     want = QWSeries(E, 2, 3, far)
     _accumulate(want, fns_series(G, 2, 3), far)
     assert verma_character(G, far, 0, 2, 3) == want and want.n_terms() > 0
-    fns = _fns_cached(G, Q(2), Q(3))
-    for x in (lat.radix // 2 - fns.bound() + 1, lat.radix // 2 - fns.bound()):
+    fns, (_, span) = _fns_cached(G, Q(2), Q(3)), _window(lat, Q(2), Q(3))
+    bound = fns.rate * span  # the bound of a build in the asked window
+    for x in (lat.radix // 2 - bound + 1, lat.radix // 2 - bound):
         heads = [((0, x, 0, 0, 0), 0, 1)]
         out = QWSeries(E, 2, 3)
-        if 2 * (x + fns.bound()) >= lat.radix:
+        if 2 * (x + bound) >= lat.radix:
             with pytest.raises(PreconditionViolated, match="packing bound"):
-                _sum_pieces(lat, E._scaled(ZERO), Q(2), Q(3), heads, [fns])
+                _sum_pieces(lat, E._scaled(ZERO), Q(2), Q(3), heads, [fns], (Q(2), Q(3)))
         else:  # just inside the bound the merge answers
-            levels, _ = _sum_pieces(lat, E._scaled(ZERO), Q(2), Q(3), heads, [fns])
+            levels, _ = _sum_pieces(lat, E._scaled(ZERO), Q(2), Q(3), heads, [fns], (Q(2), Q(3)))
             assert _placed(out, Q(0), levels).coeff(0, Vec([Q(x, lat.denom), 0, 0, 0])) == 1
     # just inside the bound the same calls are answered
     assert fns_series(G, 1, 3).n_terms() > 0
 
 
+def test_a_short_piece_raises():
+    """`_sum_pieces` refuses a piece without every level its head reaches,
+    T - 2h, rather than cut the character short; a head one q higher reads
+    two levels fewer, and the same piece serves it."""
+    lat = E.lattice
+    fns, span = _asked(G, Q(2), Q(3)), _window(lat, Q(2), Q(3))[1]
+    short = fns.copy(fns.caps[:-1], span)
+    for piece, shift in [(fns, 0), (short, 1)]:
+        levels, _ = _sum_pieces(lat, E._scaled(ZERO), Q(2), Q(3), [((0,) * 5, shift, 1)],
+                                [piece], (Q(2), Q(3)))
+        assert max(levels) == 4
+    with pytest.raises(PreconditionViolated, match="cannot fill"):
+        _sum_pieces(lat, E._scaled(ZERO), Q(2), Q(3), [((0,) * 5, 0, 1)], [short], (Q(2), Q(3)))
+
+
+def test_n4_closed_form_divides_its_own_window():
+    """`n4_closed_form` copies its own window of the denominator, the
+    levels each summand reads, under that window's caps and span, whatever
+    held series answers it: after a wider window is held its pieces are
+    those of a cold call, bucket for bucket."""
+    merge = characters._sum_pieces
+
+    def pieces():
+        got = []
+
+        def spy(lat, base, window, depth, heads, ps, within):
+            ps = list(ps)
+            got.extend((p.levels, p.caps, p.span, p.rate) for p in ps)
+            return merge(lat, base, window, depth, heads, ps, within)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(characters, "_sum_pieces", spy)
+            n4_closed_form(2, 1, Q(7, 2), 3)
+        return got
+
+    _fns_cached.cache_clear()
+    cold = pieces()
+    _fns_cached.cache_clear()
+    fns_series(G, 4, 5)  # (4, 5) contains the closed form's (3, 3)
+    assert pieces() == cold and len(cold) == 4
+    assert _fns_cached.cache_info().contained == 1
+
+
+NESTED_FAMILIES = [catalog.psl22(), catalog.spo2m(3), catalog.g3(), catalog.d21a(2, 3)]
+
+
+@st.composite
+def nested_requests(draw):
+    """(algebra, k, requests): two to five character requests at one of the
+    first two non-collapsing unitary levels, each (nu, l0 - A or None for
+    massless, window q_max - l0, depth), massive at non-extremal weights,
+    massless D(2,1;a) at nu = 0, in the order drawn or in descending
+    (window, depth), so that a later window often lies inside an earlier
+    one."""
+    g = draw(st.sampled_from(NESTED_FAMILIES))
+    e = lookup(g)
+    ks = [k for k in enumerate_unitary_k(g, 8) if not level_data(g, k).collapsing][:2]
+    k = draw(st.sampled_from(ks))
+    nus = enumerate_P_plus_k(g, k)
+    massive = [nu for nu in nus if not is_extremal(g, k, nu)]
+    requests = []
+    for _ in range(draw(st.integers(min_value=2, max_value=5))):
+        above = draw(st.sampled_from([None, Q(1, 3), Q(1)])) if massive else None
+        pool = massive if above is not None else \
+            [zero_vec(e.n)] if g.family == "D21a" else nus
+        nu = draw(st.sampled_from(pool))
+        window = draw(st.sampled_from([Q(0), Q(1, 2), Q(1), Q(3, 2), Q(2)]))
+        depth = draw(st.sampled_from([Q(0), Q(1), Q(2), Q(4)]))
+        requests.append((nu, above, window, depth))
+    if draw(st.booleans()):
+        requests.sort(key=lambda r: (r[2], r[3]), reverse=True)
+    return g, k, requests
+
+
+def _request(g, k, nu, above, window, depth):
+    """The records of a character request (massless when `above` is None,
+    else massive at l0 = A + above), or the refusal it raises."""
+    a = A_bound(g, k, nu)
+    try:
+        if above is None:
+            return character_massless(g, k, nu, a + window, depth).records()
+        return character_massive(g, k, nu, a + above, a + above + window, depth).records()
+    except PreconditionViolated as exc:
+        return type(exc), str(exc)
+
+
+SPO3 = catalog.spo2m(3)
+
+
+@given(nested_requests())
+@example((G, Q(-3), [(ZERO, Q(1, 3), Q(1, 2), Q(4)),    # Q' > Q, D' + sQ' <= D + sQ
+                     (ZERO, Q(1, 3), Q(1), Q(1))]))
+@example((G, Q(-3), [(ZERO, Q(1, 3), Q(2), Q(0)),      # D' <= D + sQ < D' + sQ'
+                     (ZERO, Q(1, 3), Q(1), Q(2))]))
+@example((G, Q(-3), [(ZERO, Q(1, 3), Q(2), Q(4)),      # a quotient inside a plain window
+                     (ZERO, None, Q(1), Q(2)), (Q(1, 2) * TH1, None, Q(1), Q(1))]))
+@example((SPO3, Q(-1), [(lookup(SPO3).nu_from_labels([2]), None, Q(2), Q(2)),  # q_shift -1
+                        (lookup(SPO3).nu_from_labels([2]), None, Q(1), Q(1)),
+                        (zero_vec(lookup(SPO3).n), Q(1), Q(1), Q(1))]))
+@example((catalog.g3(), Q(-9, 4), [(Vec([1, 1, 0]), Q(1), Q(2), Q(4)),
+                                   (Vec([1, 1, 0]), Q(1, 3), Q(3, 2), Q(2))]))
+@settings(max_examples=40, deadline=None)
+def test_held_windows_answer_as_their_own_builds(case):
+    """`_fns_cached` answers a window from a held series whose window
+    contains it: over a sequence of requests of one family, each equals the
+    request computed with `_fns_cached` and `_orbit_cell` emptied before
+    it, its refusals included."""
+    g, k, requests = case
+    cold = []
+    for r in requests:
+        _fns_cached.cache_clear()
+        _orbit_cell.cache_clear()
+        cold.append(_request(g, k, *r))
+    _fns_cached.cache_clear()
+    _orbit_cell.cache_clear()
+    assert [_request(g, k, *r) for r in requests] == cold, case
+
+
+class _SmallRadixLattice(_Lattice):
+    """psl22's frame with the packing radix 2^9 + 1, so that windows reach
+    the packing bound at depth 32 rather than 2^17."""
+    radix = 2 ** 9 + 1
+
+
+def test_held_window_past_the_packing_bound_answers_its_own():
+    """A held window refuses nothing that its own build would answer.  On a
+    frame of radix R = 513, at window 0 the psl22 kernel keeps level 0
+    only, so its span is scale * depth: at depth 32 it is 128, the
+    denominator is built (2 * rate * 128 < R) but the orbit sum of
+    nu = theta_1/2, whose heads reach |x_i| = 4, and the N=4 closed form,
+    whose heads reach 2, are past the packing bound.  The requests at depth
+    63/2, read from that held series, answer as their own builds do,
+    massive, massless and closed form, and the deep ones refuse as theirs
+    do."""
+    nu, e = Q(1, 2) * TH1, lookup(G)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(e.__dict__, "lattice", _SmallRadixLattice(e))
+        lat = e.lattice
+        assert (lat.radix, lat.rate, _window(lat, 0, 32)[1]) == (513, 2, 128)
+        requests = [call for depth in (Q(32), Q(63, 2)) for call in (
+            lambda depth=depth: character_massive(G, -3, nu, 1, 1, depth),
+            lambda depth=depth: character_massless(G, -3, nu, Q(1, 2), depth),
+            lambda depth=depth: n4_closed_form(1, 0, 0, depth))]
+
+        def answer(call):
+            try:
+                return call().records()
+            except PreconditionViolated as exc:
+                return str(exc)
+
+        try:
+            cold = []
+            for call in requests:
+                _fns_cached.cache_clear()
+                _orbit_cell.cache_clear()
+                cold.append(answer(call))
+            assert all("packing bound" in r for r in cold[:3]) and all(cold[3:])
+            _fns_cached.cache_clear()
+            _orbit_cell.cache_clear()
+            assert [answer(call) for call in requests] == cold
+            assert _fns_cached.cache_info().contained > 0
+        finally:  # nothing built on the small frame outlives it
+            _fns_cached.cache_clear()
+            _orbit_cell.cache_clear()
+
+
 def test_character_caches_stay_bounded_over_d21a_sweep():
     """Sweeping D(2,1;a) over 200 distinct values of a, with massless
     characters at nu = 0 for the last 40 of them (their isotropic quotients
-    drive `_fns_cached` past its bound), the boson energies
+    drive `_fns_cached` past its bound), nested psl22 windows in descending
+    and ascending order, plain and massless, the boson energies
     past the bound of their cache and the orbit-sum keys past the bound of
     `_orbit_cell`, leaves every cache of every
     `wmin` module at or under its bound.  `lookup` is the only per-algebra
@@ -1487,6 +1667,24 @@ def test_character_caches_stay_bounded_over_d21a_sweep():
     quotients = _fns_cached.cache_info().misses - before - 40  # one denominator per request
     assert quotients > _fns_cached.cache_info().maxsize
     assert _fns_cached.cache_info().currsize == _fns_cached.cache_info().maxsize
+    # nested windows: a descending sweep is answered by its first builds, read
+    # in place, so it takes their slots only; an ascending one builds every
+    # window and stays at the bound
+    sweep = range(_fns_cached.cache_info().maxsize + 8)
+    _fns_cached.cache_clear()
+    for depth in reversed(sweep):
+        fns_series(G, 2, depth)
+    info = _fns_cached.cache_info()
+    assert (info.misses, info.contained, info.currsize) == (1, len(sweep) - 1, 1)
+    images = {el.iso_images for el in _orbit_at(E, -3, ZERO, Q(2), True)}
+    for depth in reversed(range(6)):  # each denominator window lies in the sweep's first
+        character_massless(G, -3, ZERO, A_bound(G, -3, ZERO) + 2, depth)
+    info = _fns_cached.cache_info()
+    assert (info.misses, info.currsize) == (1 + len(images), 1 + len(images))
+    for depth in sweep:
+        fns_series(G, Q(5, 2), depth)
+    info = _fns_cached.cache_info()
+    assert info.misses == 1 + len(images) + len(sweep) and info.currsize == info.maxsize
     for e in range(gram_lab.states_at_energy.cache_info().maxsize + 4):
         gram_lab.states_at_energy(e)
     mods = [importlib.import_module(f"wmin.{m.name}")

@@ -30,8 +30,9 @@ def test_scan_lemma_bounds():
 def test_stage_times():
     """The G3 case, a massless and a massive psl22 request: every stage is
     reported, with the sizes of the G3 case and the massless request's
-    isotropic quotients pinned, and the third request, which reads its
-    orbit sum from the cache, is faster than the warm one."""
+    isotropic quotients pinned, the third request, which reads its
+    orbit sum from the cache, is faster than the warm one, and the fourth,
+    at a window inside the first's, builds no window."""
     import json
     (line,) = run_script("stage_times.py")
     got = json.loads(line)
@@ -58,6 +59,11 @@ def test_stage_times():
     assert got["caches"]["_level"]["hits"] == 1
     # the third request places the cached orbit sum
     assert 0 < got["hit_s"] < got["warm_s"]
+    # the cold call builds the one denominator; the fourth, at a window
+    # inside it, reads that series in place and builds nothing
+    assert got["contained_window"] == ["5/2", "5"] and got["contained_s"] > 0
+    assert got["windows_built"] == {"cold": 1, "warm": 0, "contained": 0}
+    assert got["windows_from_held"] == {"cold": 0, "warm": 0, "contained": 1}
     (line,) = run_script("stage_times.py", "--g", "psl22", "--k", "-3",
                          "--nu", "0,0,1/2,-1/2", "--massless", "--qmax", "5/2",
                          "--depth", "4")
@@ -68,6 +74,9 @@ def test_stage_times():
     # elements; the warm call reads them from the cache and builds none
     assert (got["orbit_elements"], got["quotients"], got["quotients_warm"]) == (4, 4, 0)
     assert got["caches"]["_fns_cached"]["misses"] == 1 + 4
+    # the fourth call reads each element's quotient from the cold call's
+    assert got["windows_built"] == {"cold": 1 + 4, "warm": 0, "contained": 0}
+    assert got["windows_from_held"] == {"cold": 0, "warm": 0, "contained": 4}
     # a warm psl22 massive request: its preconditions are timed at 1 us
     # resolution, so the sub-millisecond checks do not round to 0
     (line,) = run_script("stage_times.py", "--g", "psl22", "--k", "-3",
