@@ -75,11 +75,13 @@ With `--gram E_MAX` the script times the integer kernel of the boson lab
                           that the pairs |n|, |m| <= 3 inside the window read,
                           one per pair with n <= m, with the paired parts
                           `_paired` they are built from
-    tables, rows          their number and their distinct rows in all
+    tables, rows          their number and, in all, the rows of their
+                          echelon bases that the checks read
     virasoro_s            `virasoro_check` on those pairs, on the warm
                           tables, at s = 3i/7 and mu = 5/3
     adjoint_tables_s      the (s, mu)-free adjointness tables `_adjoint_rows`
                           for |n| <= 3, operators 'L' and 'a'
+    adjoint_rows          the rows of their echelon bases in all
     adjoint_s             `adjointness_check` on those, on the warm tables,
                           at the same (s, mu)
     norms_s               the benchmark's norms contraction: every state of
@@ -310,6 +312,7 @@ def gram_stages(e_max):
                                      for n, m in window]),
         "adjoint_tables_s": timed(lambda: [gram_lab._adjoint_rows(n, e_max, op)
                                            for op, n in adjoint]),
+        "adjoint_rows": sum(len(gram_lab._adjoint_rows(n, e_max, op)) for op, n in adjoint),
         "adjoint_s": timed(lambda: [gram_lab.adjointness_check(s, mu, n, e_max, op)
                                     for op, n in adjoint]),
         "norms_s": timed(norms),

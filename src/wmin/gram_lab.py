@@ -33,12 +33,18 @@ input position: None outside the map's window, else a dict
    parts: at each window entry (y, i) it is a fixed int row, the four
    entries [B_k(n), B_l(m)][y, i], the two entries B_k(n+m)[y, i] and
    delta_{y,i}, dotted with seven Gaussian-int scalars of (s, mu) (the
-   products c_k(n) c_l(m), -(n - m) D c_k(n+m) and -central).  Equal rows
-   give equal dot products, so every entry vanishes exactly when every
-   distinct nonzero row dots to zero: `_virasoro_rows` keeps those rows per
-   (n, m, e_max), and `virasoro_check` is a few int dot products.  For any
-   maps the residual of (m, n) is minus that of (n, m) on the same window,
-   so only n <= m is tabled.
+   products c_k(n) c_l(m), -(n - m) D c_k(n+m) and -central).  So the
+   check asks that two fixed linear functionals, the dots with the real
+   parts `re` and with the imaginary parts `im` of those scalars, vanish on
+   every row of the table R.  `_virasoro_rows` keeps an int echelon basis B
+   of R's rows over Q (`_echelon`) per (n, m, e_max).  Every row of B is a
+   Q-combination of rows of R, and every row of R reduces to zero against
+   B, so the two span the same space, and R v = 0 exactly when B v = 0 for
+   every v.  So `virasoro_check`, a few int dot products with the rows of
+   B (at most 3, where R has up to 16 distinct rows at e_max 8), returns
+   what the entry-by-entry check returns, on any maps, perturbed ones
+   included.  For any maps the residual of (m, n) is minus that of (n, m)
+   on the same window, so only n <= m is tabled.
    The composition reads each mode's parts as one map of flat triples
    (y, B_0[y, i], B_1[y, i]), built once per (n, e_max) (`_paired`).
 3. Supports and rows.  The norms are positive, so
@@ -48,13 +54,16 @@ input position: None outside the map's window, else a dict
    (norm_u B_0(n)[u, v], norm_u B_1(n)[u, v], norm_v B_0(-n)[v, u],
    norm_v B_1(-n)[v, u]), dotted with the coefficients c of n and d of -n:
    c_0 r_0 + Re c_1 r_1 - d_0 r_2 - Re d_1 r_3 and Im c_1 r_1 + Im d_1 r_3
-   (c_0, d_0 real).  Equal rows give equal residuals and a zero row a zero
-   one, so the check holds exactly when it holds on every distinct nonzero
-   row.  A row is nonzero only where some part of X_n is nonzero at
-   [u, v] or some part of X_{-n} at [v, u]: `_adjoint_rows` walks that
-   union once per (n, e_max, operator), and `adjointness_check` makes two
-   int comparisons per row, so it rejects exactly when the dense loop over
-   all (u, v) pairs of the window does.
+   (c_0, d_0 real).  So the check asks that two fixed linear functionals,
+   (c_0, Re c_1, -d_0, -Re d_1) and (0, Im c_1, 0, Im d_1), vanish on every
+   row, and, as in fact 2, they vanish on every row exactly when they
+   vanish on an echelon basis of the rows.  A row is nonzero only where
+   some part of X_n is nonzero at [u, v] or some part of X_{-n} at [v, u]:
+   `_adjoint_rows` walks that union once per (n, e_max, operator) and keeps
+   an echelon basis of its rows (at most 2, where the walk meets up to 55
+   distinct rows at e_max 8), and `adjointness_check` makes two int
+   comparisons per basis row, so it rejects exactly when the dense loop
+   over all (u, v) pairs of the window does.
 
 `fairlie_matrix` and `heisenberg_matrix` are the boundary: the same
 operators as `GradedSliceOperator`s with `GaussianRational` entries.  The
@@ -67,9 +76,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import mul
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .catalog import AlgebraId, Vec, lookup
 from .errors import IndexOutOfRange, IndexOutOfSet, PreconditionViolated, WindowTooSmall
@@ -404,12 +413,52 @@ def fairlie_matrix(s: GR, mu: Fraction, n: int, e_max: int) -> GradedSliceOperat
     return _view("L", n, mu, s, e_max, cols, lambda p: GR(Q(p[0], scale), Q(p[1], scale)))
 
 
+def _echelon(rows: Iterable[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
+    """An int echelon basis of the span of `rows` over Q: distinct pivots
+    (a row's first nonzero column), each row primitive (gcd 1) with a
+    positive pivot, and zero at the pivot of every row before it.
+
+    The rows are first cut to their directions (each divided by its gcd,
+    sign fixed by its first nonzero entry), which keeps the span.  Each
+    direction x is then reduced against the basis in order, by
+    x <- b[c] x - x[c] b at the pivot c of b; b[c] > 0 and b is zero at
+    every earlier pivot, so x ends zero at every pivot.  A nonzero x has a
+    new pivot and joins the basis; a zero x lies in the span of the basis.
+    Every basis row is a Q-combination of input rows and every input row
+    is a Q-combination of basis rows, so the two span the same space."""
+    directions = set()
+    for row in rows:
+        g = gcd(*row)
+        if g:
+            for first in row:
+                if first:
+                    break
+            if first < 0:
+                g = -g
+            directions.add(tuple(row) if g == 1 else tuple([x // g for x in row]))
+    basis: List[Tuple[int, Tuple[int, ...]]] = []  # (pivot column, row)
+    for x in sorted(directions):
+        for c, b in basis:
+            xc = x[c]
+            if xc:
+                bc = b[c]
+                x = [bc * xi - xc * bi for xi, bi in zip(x, b)]
+        g = gcd(*x)
+        if g:
+            c = next(i for i, xi in enumerate(x) if xi)
+            if x[c] < 0:
+                g = -g
+            basis.append((c, tuple(xi // g for xi in x)))
+    return tuple(b for _, b in basis)
+
+
 @lru_cache(maxsize=256)
 def _virasoro_rows(n: int, m: int, e_max: int) -> Tuple[Tuple[int, ...], ...]:
-    """The distinct nonzero rows of the (s, mu)-free table of fact 2: for
-    each window entry (y, i) of `virasoro_check`, the ints
+    """An echelon basis (`_echelon`) of the rows of the (s, mu)-free table
+    of fact 2: for each window entry (y, i) of `virasoro_check`, the ints
     ([B_0(n), B_0(m)], [B_0(n), B_1(m)], [B_1(n), B_0(m)], [B_1(n), B_1(m)],
-    B_0(n+m), B_1(n+m), delta) at (y, i)."""
+    B_0(n+m), B_1(n+m), delta) at (y, i).  Every table up to e_max 10 has
+    at most 3 basis rows; at e_max 8 a table has up to 16 distinct rows."""
     bn, bm, bnm = _paired(n, e_max), _paired(m, e_max), _paired(n + m, e_max)
     rows = set()
     for i, e in enumerate(_basis(e_max).energy):
@@ -441,8 +490,7 @@ def _virasoro_rows(n: int, m: int, e_max: int) -> Tuple[Tuple[int, ...], ...]:
             r[4] += z0
             r[5] += z1
         rows.update(map(tuple, acc.values()))
-    rows.discard((0,) * 7)
-    return tuple(sorted(rows))
+    return _echelon(rows)
 
 
 def virasoro_check(s: GR, mu: Fraction, n: int, m: int, e_max: int) -> bool:
@@ -459,7 +507,7 @@ def virasoro_check(s: GR, mu: Fraction, n: int, m: int, e_max: int) -> bool:
     if n > m:  # the residual of (m, n) is minus that of (n, m)
         n, m = m, n
     (a0, (ar, ai)), (b0, (br, bi)), (d0, (dr, di)) = (
-        _coefficients(scale, k) for k in (n, m, n + m))
+        _coefficients(scale, n), _coefficients(scale, m), _coefficients(scale, n + m))
     l, lsig = scale[0], scale[2]
     step = (m - n) * 2 * l * l  # -(n - m) D
     t = n ** 3 - n
@@ -474,9 +522,10 @@ def virasoro_check(s: GR, mu: Fraction, n: int, m: int, e_max: int) -> bool:
 
 @lru_cache(maxsize=64)
 def _adjoint_rows(n: int, e_max: int, operator: str) -> Tuple[Tuple[int, int, int, int], ...]:
-    """The distinct rows of fact 3's (s, mu)-free table over the union of
-    the supports, on the parts `_parts` ('L') or `_a_parts` ('a').  No row
-    is zero: the parts store no 0 and the norms are positive."""
+    """An echelon basis (`_echelon`) of the rows of fact 3's (s, mu)-free
+    table over the union of the supports, on the parts `_parts` ('L') or
+    `_a_parts` ('a').  Every table up to e_max 10 has at most 2 basis rows;
+    at e_max 8 a table has up to 55 distinct rows."""
     parts = _parts if operator == "L" else _a_parts
     (p0, p1), (q0, q1) = parts(n, e_max), parts(-n, e_max)
     b = _basis(e_max)
@@ -485,9 +534,9 @@ def _adjoint_rows(n: int, e_max: int, operator: str) -> Tuple[Tuple[int, int, in
              for u in p0[v].keys() | p1[v].keys()}
     pairs.update((u, v) for u, e in enumerate(energy) if 0 <= e + n <= e_max
                  for v in q0[u].keys() | q1[u].keys())
-    return tuple(sorted({(norm[u] * p0[v].get(u, 0), norm[u] * p1[v].get(u, 0),
-                          norm[v] * q0[u].get(v, 0), norm[v] * q1[u].get(v, 0))
-                         for u, v in pairs}))
+    return _echelon({(norm[u] * p0[v].get(u, 0), norm[u] * p1[v].get(u, 0),
+                      norm[v] * q0[u].get(v, 0), norm[v] * q1[u].get(v, 0))
+                     for u, v in pairs})
 
 
 def adjointness_check(s: GR, mu: Fraction, n: int, e_max: int,

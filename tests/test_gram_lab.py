@@ -2,7 +2,8 @@ import importlib
 import pkgutil
 from contextlib import contextmanager
 from fractions import Fraction as Q
-from math import factorial, lcm
+from math import factorial, gcd, lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -293,6 +294,124 @@ def _outcome(fn, *args):
         return type(exc)
 
 
+# ---------------------------------------------------------------------------
+# the table oracles: the distinct rows that `_virasoro_rows` and
+# `_adjoint_rows` kept before they kept an echelon basis of them, and a
+# `Fraction` elimination that gives ranks and null spaces
+
+
+def dense_virasoro_rows(n, m, e_max):
+    """The distinct nonzero rows of fact 2's table, one per window entry."""
+    bn, bm, bnm = gram_lab._paired(n, e_max), gram_lab._paired(m, e_max), \
+        gram_lab._paired(n + m, e_max)
+    rows = set()
+    for i, e in enumerate(gram_lab._basis(e_max).energy):
+        if max(e - m, e - n, e - n - m) > e_max:
+            continue
+        acc = {i: [0, 0, 0, 0, 0, 0, 1]}
+        for w, x0, x1 in bm[i]:
+            for y, z0, z1 in bn[w]:
+                r = acc.setdefault(y, [0] * 7)
+                r[0] += z0 * x0
+                r[1] += z0 * x1
+                r[2] += z1 * x0
+                r[3] += z1 * x1
+        for w, z0, z1 in bn[i]:
+            for y, x0, x1 in bm[w]:
+                r = acc.setdefault(y, [0] * 7)
+                r[0] -= z0 * x0
+                r[1] -= z0 * x1
+                r[2] -= z1 * x0
+                r[3] -= z1 * x1
+        for y, z0, z1 in bnm[i]:
+            r = acc.setdefault(y, [0] * 7)
+            r[4] += z0
+            r[5] += z1
+        rows.update(map(tuple, acc.values()))
+    rows.discard((0,) * 7)
+    return rows
+
+
+def dense_adjoint_rows(n, e_max, operator):
+    """The distinct nonzero rows (norm_u B_0(n)[u, v], norm_u B_1(n)[u, v],
+    norm_v B_0(-n)[v, u], norm_v B_1(-n)[v, u]) of the dense loop over every
+    pair (u, v) of the window."""
+    b = gram_lab._basis(e_max)
+    norm, energy = b.norm, b.energy
+    parts = gram_lab._parts if operator == "L" else gram_lab._a_parts
+    (p0, p1), (q0, q1) = parts(n, e_max), parts(-n, e_max)
+    dense = {(norm[u] * p0[v].get(u, 0), norm[u] * p1[v].get(u, 0),
+              norm[v] * q0[u].get(v, 0), norm[v] * q1[u].get(v, 0))
+             for v, ev in enumerate(energy) if 0 <= ev - n <= e_max
+             for u, eu in enumerate(energy) if eu == ev - n}
+    dense.discard((0, 0, 0, 0))
+    return dense
+
+
+def rref(rows, width):
+    """The reduced row echelon form of `rows` over Q: (pivot columns, rows)."""
+    rows = [[Q(x) for x in r] for r in rows]
+    pivots, top = [], 0
+    for c in range(width):
+        p = next((i for i in range(top, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[top], rows[p] = rows[p], rows[top]
+        rows[top] = [x / rows[top][c] for x in rows[top]]
+        for i in range(len(rows)):
+            if i != top and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[top])]
+        pivots.append(c)
+        top += 1
+    return pivots, rows[:top]
+
+
+def null_space(rows, width):
+    """Int vectors spanning {v : R v = 0}, one per free column."""
+    pivots, reduced = rref(rows, width)
+    out = []
+    for f in range(width):
+        if f in pivots:
+            continue
+        v = [Q(0)] * width
+        v[f] = Q(1)
+        for c, r in zip(pivots, reduced):
+            v[c] = -r[f]
+        d = lcm(*(x.denominator for x in v))
+        out.append([int(x * d) for x in v])
+    return out
+
+
+def reduce_against(basis, row):
+    """`row` reduced by x <- b[c] x - x[c] b against each basis row b, in
+    order, at its pivot c."""
+    x = list(row)
+    for b in basis:
+        c = next(i for i, y in enumerate(b) if y)
+        x = [b[c] * xi - x[c] * bi for xi, bi in zip(x, b)]
+    return x
+
+
+def assert_echelon_basis(basis, rows, width):
+    """`basis` is an int echelon basis of the span of `rows`: each row
+    primitive with a positive pivot (its first nonzero entry) and zero at
+    the pivot of every row before it, so the pivots are distinct; the span
+    is that of `rows` (rank(R) = rank(R and B) = len(B)); and every row of
+    `rows` reduces to zero against it."""
+    pivots = []
+    for b in basis:
+        assert len(b) == width and all(x.__class__ is int for x in b), b
+        c = next(i for i, x in enumerate(b) if x)
+        assert b[c] > 0 and gcd(*b) == 1, b
+        assert all(b[p] == 0 for p in pivots), (basis, b)
+        pivots.append(c)
+    assert len(set(pivots)) == len(pivots)
+    rows = list(rows)
+    assert len(rref(rows, width)[0]) == len(rref(rows + list(basis), width)[0]) == len(basis)
+    assert all(not any(reduce_against(basis, r)) for r in rows)
+
+
 def test_boson_norm_examples():
     assert boson_norm(BosonBasisState.of({1: 1})) == 1
     assert boson_norm(BosonBasisState.of({2: 1})) == 2
@@ -569,23 +688,65 @@ def test_paired_maps_hold_the_parts():
 
 
 def test_adjoint_rows_are_the_dense_rows():
-    """Fact 3's table: the rows of `_adjoint_rows` are exactly the distinct
-    nonzero rows (norm_u B_0(n)[u, v], norm_u B_1(n)[u, v],
-    norm_v B_0(-n)[v, u], norm_v B_1(-n)[v, u]) of the dense loop over every
-    pair of the window, for both operators, e_max <= 6 and |n| <= e_max."""
+    """Fact 3's table: the rows of `_adjoint_rows` are an echelon basis of
+    the span of the distinct nonzero rows of the dense loop over every pair
+    of the window, for both operators, e_max <= 6 and |n| <= e_max."""
     for e_max in range(0, 7):
-        b = gram_lab._basis(e_max)
-        norm, energy = b.norm, b.energy
-        for operator, parts in (("L", gram_lab._parts), ("a", gram_lab._a_parts)):
+        for operator in ("L", "a"):
             for n in range(-e_max, e_max + 1):
-                (p0, p1), (q0, q1) = parts(n, e_max), parts(-n, e_max)
-                dense = {(norm[u] * p0[v].get(u, 0), norm[u] * p1[v].get(u, 0),
-                          norm[v] * q0[u].get(v, 0), norm[v] * q1[u].get(v, 0))
-                         for v, ev in enumerate(energy) if 0 <= ev - n <= e_max
-                         for u, eu in enumerate(energy) if eu == ev - n}
-                dense.discard((0, 0, 0, 0))
                 rows = gram_lab._adjoint_rows(n, e_max, operator)
-                assert len(set(rows)) == len(rows) and set(rows) == dense, (operator, n, e_max)
+                assert_echelon_basis(rows, dense_adjoint_rows(n, e_max, operator), 4)
+
+
+def test_virasoro_rows_are_an_echelon_basis_of_the_dense_rows():
+    """Fact 2's table: the rows of `_virasoro_rows` are an echelon basis of
+    the span of the distinct nonzero rows of every window entry, for every
+    pair n <= m inside the window at e_max <= 6."""
+    for e_max in range(1, 7):
+        for n in range(-e_max, e_max):
+            for m in range(n, e_max):
+                if abs(n) + abs(m) <= e_max - 1:
+                    rows = gram_lab._virasoro_rows(n, m, e_max)
+                    assert_echelon_basis(rows, dense_virasoro_rows(n, m, e_max), 7)
+
+
+@st.composite
+def int_matrices(draw):
+    """A small int matrix of width 4 or 7: random rows with negative
+    entries, then zero rows, repeated rows, scalar multiples and sums of
+    two rows, in a drawn order."""
+    width = draw(st.sampled_from([4, 7]))
+    row = st.lists(st.integers(-4, 4), min_size=width, max_size=width).map(tuple)
+    base = draw(st.lists(row, max_size=5))
+    rows = list(base)
+    if base:
+        index, scalar = st.integers(0, len(base) - 1), st.integers(-3, 3)
+        for i, k, j, l in draw(st.lists(st.tuples(index, scalar, index, scalar), max_size=6)):
+            rows.append(tuple(k * x + l * y for x, y in zip(base[i], base[j])))
+    rows += [(0,) * width] * draw(st.integers(0, 2))
+    return width, draw(st.permutations(rows))
+
+
+@given(matrix=int_matrices(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_echelon_keeps_the_span_and_the_null_space(matrix, data):
+    """`_echelon` gives an int echelon basis of the rows' span (checked
+    against a `Fraction` elimination), and R v = 0 exactly when B v = 0:
+    for v drawn in the null space of R and for v drawn at random."""
+    width, rows = matrix
+    basis = gram_lab._echelon(rows)
+    assert_echelon_basis(basis, rows, width)
+
+    def vanishes(matrix, v):
+        return all(sum(map(mul, r, v)) == 0 for r in matrix)
+
+    coefficient = st.integers(-5, 5)
+    kernel = null_space(rows, width)
+    combo = data.draw(st.lists(coefficient, min_size=len(kernel), max_size=len(kernel)))
+    v = [sum(c * k[i] for c, k in zip(combo, kernel)) for i in range(width)]
+    assert vanishes(rows, v) and vanishes(basis, v)
+    v = data.draw(st.lists(coefficient, min_size=width, max_size=width))
+    assert vanishes(rows, v) == vanishes(basis, v)
 
 
 FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=7)
@@ -715,11 +876,13 @@ def test_a_corrupted_entry_or_a_real_s_term_fails_both_checks():
 
 
 # one in-window entry of an int map: (map, n, input state, output state);
-# the entry gains 1, and the last one is new (P_{-1} a_{-2}|0> has no
-# a_{-1}^3|0> part)
+# the entry gains 1; the third one is new (P_{-1} a_{-2}|0> has no
+# a_{-1}^3|0> part), and the last raises the rank of one table alone,
+# that of (2, 3), from 3 to 4 (P_5 is read by no other pair |n|, |m| <= 3)
 PERTURBATIONS = [("_p_map", 1, ((1, 1), (2, 1)), ((1, 2),)),
                  ("_a_map", -2, ((1, 1),), ((1, 1), (2, 1))),
-                 ("_p_map", -1, ((2, 1),), ((1, 3),))]
+                 ("_p_map", -1, ((2, 1),), ((1, 3),)),
+                 ("_p_map", 5, ((2, 1), (3, 1)), ())]
 
 
 @pytest.mark.parametrize("name, n0, source, target", PERTURBATIONS)
@@ -758,6 +921,58 @@ def test_checks_equal_the_int_oracle_on_perturbed_maps(name, n0, source, target)
     gram_lab._p_map.cache_clear()
     assert all(a == b for a, b in got), [x for x in got if x[0] != x[1]]
     assert sum(b is False for _, b in got) > 0
+
+
+def test_the_last_perturbation_raises_one_table_rank():
+    """The last entry of `PERTURBATIONS` makes the basis of the (2, 3)
+    table one row longer and leaves every other table of |n|, |m| <= 3 at
+    e_max 6 as it was."""
+    name, n0, source, target = PERTURBATIONS[-1]
+    e_max, kernel = 6, getattr(gram_lab, name)
+    keys = [(n, m) for n in range(-3, 4) for m in range(n, 4) if abs(n) + abs(m) < e_max]
+
+    def ranks():
+        return ({k: len(gram_lab._virasoro_rows(*k, e_max)) for k in keys},
+                {(n, op): len(gram_lab._adjoint_rows(n, e_max, op))
+                 for n in range(-3, 4) for op in ("L", "a")})
+
+    def perturbed(n, e):
+        cols = kernel(n, e)
+        if (n, e) != (n0, e_max):
+            return cols
+        b = gram_lab._basis(e)
+        cols = [None if col is None else dict(col) for col in cols]
+        i, y = b.index[source], b.index[target]
+        cols[i][y] = cols[i].get(y, 0) + 1
+        return tuple(cols)
+
+    _clear_tables()
+    before = ranks()
+    with _routed(name, perturbed):
+        after = ranks()
+    assert after[1] == before[1]
+    assert {k for k in keys if after[0][k] != before[0][k]} == {(2, 3)}
+    assert (before[0][2, 3], after[0][2, 3]) == (3, 4)
+
+
+@pytest.mark.parametrize("e_max", [8, 10])
+def test_checks_equal_the_int_oracle_where_the_basis_saturates(e_max):
+    """At e_max 8 and 10 the tables of |n|, |m| <= 3 hold their largest
+    bases, 80 Virasoro rows (at most 3 a table) and 21 adjointness rows (at
+    most 2), and both checks return what the int oracles return for three
+    (s, mu), on all 49 pairs and both operators."""
+    keys = [(n, m) for n in range(-3, 4) for m in range(n, 4)]
+    virasoro = [len(gram_lab._virasoro_rows(n, m, e_max)) for n, m in keys]
+    adjoint = [len(gram_lab._adjoint_rows(n, e_max, op)) for n in range(-3, 4) for op in "La"]
+    assert (sum(virasoro), max(virasoro), sum(adjoint), max(adjoint)) == (80, 3, 21, 2)
+    for s, mu in [(GR.imag(Q(1, 2)), Q(2)), (GR.imag(Q(3, 7)), Q(5, 3)), (GR.of(0), Q(-1))]:
+        for n in range(-3, 4):
+            for m in range(-3, 4):
+                assert virasoro_check(s, mu, n, m, e_max) == \
+                    int_oracle_virasoro(s, mu, n, m, e_max), (s, mu, n, m)
+            for op in ("L", "a"):
+                assert adjointness_check(s, mu, n, e_max, op) == \
+                    int_oracle_adjointness(s, mu, n, e_max, op), (s, mu, n, op)
 
 
 def test_gram_caches_stay_bounded_over_an_s_mu_sweep():
