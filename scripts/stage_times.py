@@ -75,13 +75,17 @@ With `--gram E_MAX` the script times the integer kernel of the boson lab
                           that the pairs |n|, |m| <= 3 inside the window read,
                           one per pair with n <= m, with the paired parts
                           `_paired` they are built from
-    tables, rows          their number and, in all, the rows of their
-                          echelon bases that the checks read
+    tables, rows          their number and, in all, the rows they keep, the
+                          rows whose residual is not identically zero in
+                          (s, mu), which the checks read: 0 on the
+                          free-field maps
     virasoro_s            `virasoro_check` on those pairs, on the warm
                           tables, at s = 3i/7 and mu = 5/3
     adjoint_tables_s      the (s, mu)-free adjointness tables `_adjoint_rows`
                           for |n| <= 3, operators 'L' and 'a'
-    adjoint_rows          the rows of their echelon bases in all
+    adjoint_rows          the rows they keep in all: 0 on the free-field maps
+    identities            the tables that keep no row, each an identity for
+                          every (s, mu): {"virasoro": ..., "adjoint": ...}
     adjoint_s             `adjointness_check` on those, on the warm tables,
                           at the same (s, mu)
     norms_s               the benchmark's norms contraction: every state of
@@ -315,6 +319,9 @@ def gram_stages(e_max):
         "adjoint_rows": sum(len(gram_lab._adjoint_rows(n, e_max, op)) for op, n in adjoint),
         "adjoint_s": timed(lambda: [gram_lab.adjointness_check(s, mu, n, e_max, op)
                                     for op, n in adjoint]),
+        "identities": {
+            "virasoro": sum(not gram_lab._virasoro_rows(n, m, e_max) for n, m in keys),
+            "adjoint": sum(not gram_lab._adjoint_rows(n, e_max, op) for op, n in adjoint)},
         "norms_s": timed(norms),
     }
     out["caches"] = {f.__name__: f.cache_info()._asdict() for f in (

@@ -296,8 +296,8 @@ def _outcome(fn, *args):
 
 # ---------------------------------------------------------------------------
 # the table oracles: the distinct rows that `_virasoro_rows` and
-# `_adjoint_rows` kept before they kept an echelon basis of them, and a
-# `Fraction` elimination that gives ranks and null spaces
+# `_adjoint_rows` were built from, the scalars that a check dots them with
+# as int polynomials, and a `Fraction` elimination that gives null spaces
 
 
 def dense_virasoro_rows(n, m, e_max):
@@ -348,6 +348,82 @@ def dense_adjoint_rows(n, e_max, operator):
     return dense
 
 
+# an int polynomial in the scale ints (l, l mu, l sigma) is a dict
+# {(i, j, k): coefficient of l^i (l mu)^j (l sigma)^k}, no 0 stored
+
+
+def poly_sum(*terms):
+    """sum of x * p over the (x, p) in `terms`."""
+    out = {}
+    for x, p in terms:
+        for k, c in p.items():
+            out[k] = out.get(k, 0) + x * c
+    return {k: c for k, c in out.items() if c}
+
+
+def poly_mul(p, q):
+    out = {}
+    for (a, b, c), x in p.items():
+        for (d, e, f), y in q.items():
+            k = (a + d, b + e, c + f)
+            out[k] = out.get(k, 0) + x * y
+    return {k: c for k, c in out.items() if c}
+
+
+def poly_at(p, point):
+    l, lmu, lsig = point
+    return sum(c * l ** i * lmu ** j * lsig ** k for (i, j, k), c in p.items())
+
+
+L2, L_LMU, L_LSIG = {(2, 0, 0): 1}, {(1, 1, 0): 1}, {(1, 0, 1): 1}
+SQUARES = {(0, 2, 0): 1, (0, 0, 2): 1}  # (l mu)^2 + (l sigma)^2
+
+
+def poly_coefficients(n):
+    """(c_0, Re c_1, Im c_1) of D*L_n, D = 2 l^2, from fact 1's formulas:
+    (D/2, D mu, -D sigma n) = (l^2, 2 l (l mu), -2 n l (l sigma)) for
+    n != 0, and (D, D (mu^2 + sigma^2)/2, 0) for n = 0."""
+    if n:
+        return L2, poly_sum((2, L_LMU)), poly_sum((-2 * n, L_LSIG))
+    return poly_sum((2, L2)), SQUARES, {}
+
+
+def poly_virasoro_scalars(n, m):
+    """(re, im) of the seven scalars of fact 2, as polynomials: the complex
+    products c_k(n) c_l(m), -(n - m) D c_k(n+m) and minus the central term
+    D^2 (n^3 - n)/12 (1 + 12 sigma^2) = (n^3 - n)/3 l^4 + 4 (n^3 - n) l^2 (l sigma)^2."""
+    a0, ar, ai = poly_coefficients(n)
+    b0, br, bi = poly_coefficients(m)
+    d0, dr, di = poly_coefficients(n + m)
+    step = poly_sum((2 * (m - n), L2))
+    t = n ** 3 - n
+    assert t % 3 == 0
+    central = poly_sum((t // 3, {(4, 0, 0): 1}), (4 * t, {(2, 0, 2): 1})) if m == -n else {}
+    return ((poly_mul(a0, b0), poly_mul(a0, br), poly_mul(ar, b0),
+             poly_sum((1, poly_mul(ar, br)), (-1, poly_mul(ai, bi))),
+             poly_mul(step, d0), poly_mul(step, dr), poly_sum((-1, central))),
+            ({}, poly_mul(a0, bi), poly_mul(ai, b0),
+             poly_sum((1, poly_mul(ar, bi)), (1, poly_mul(ai, br))), {}, poly_mul(step, di), {}))
+
+
+def poly_adjoint_forms(n):
+    """Fact 3's two functionals for 'L', (c_0, Re c_1, -d_0, -Re d_1) and
+    (0, Im c_1, 0, Im d_1), as polynomials (c of n, d of -n)."""
+    c0, cr, ci = poly_coefficients(n)
+    d0, dr, di = poly_coefficients(-n)
+    return (c0, cr, poly_sum((-1, d0)), poly_sum((-1, dr))), ({}, ci, {}, di)
+
+
+def residuals(forms, row):
+    """The polynomial each functional of `forms` takes on `row`."""
+    return [poly_sum(*zip(row, f)) for f in forms]
+
+
+def can_fail(forms, row):
+    """Whether some residual of `row` is not the zero polynomial."""
+    return any(residuals(forms, row))
+
+
 def rref(rows, width):
     """The reduced row echelon form of `rows` over Q: (pivot columns, rows)."""
     rows = [[Q(x) for x in r] for r in rows]
@@ -383,33 +459,12 @@ def null_space(rows, width):
     return out
 
 
-def reduce_against(basis, row):
-    """`row` reduced by x <- b[c] x - x[c] b against each basis row b, in
-    order, at its pivot c."""
-    x = list(row)
-    for b in basis:
-        c = next(i for i, y in enumerate(b) if y)
-        x = [b[c] * xi - x[c] * bi for xi, bi in zip(x, b)]
-    return x
-
-
-def assert_echelon_basis(basis, rows, width):
-    """`basis` is an int echelon basis of the span of `rows`: each row
-    primitive with a positive pivot (its first nonzero entry) and zero at
-    the pivot of every row before it, so the pivots are distinct; the span
-    is that of `rows` (rank(R) = rank(R and B) = len(B)); and every row of
-    `rows` reduces to zero against it."""
-    pivots = []
-    for b in basis:
-        assert len(b) == width and all(x.__class__ is int for x in b), b
-        c = next(i for i, x in enumerate(b) if x)
-        assert b[c] > 0 and gcd(*b) == 1, b
-        assert all(b[p] == 0 for p in pivots), (basis, b)
-        pivots.append(c)
-    assert len(set(pivots)) == len(pivots)
-    rows = list(rows)
-    assert len(rref(rows, width)[0]) == len(rref(rows + list(basis), width)[0]) == len(basis)
-    assert all(not any(reduce_against(basis, r)) for r in rows)
+def coefficient_matrix(forms):
+    """One row per (functional, monomial): the monomial's coefficient in each
+    entry of the functional, so that R v = 0 exactly when every residual of
+    v is the zero polynomial."""
+    return [[f[j].get(k, 0) for j in range(len(f))]
+            for f in forms for k in sorted(set().union(*f))]
 
 
 def test_boson_norm_examples():
@@ -687,66 +742,209 @@ def test_paired_maps_hold_the_parts():
                 assert all(z0 or z1 for _, z0, z1 in col)
 
 
+def a_rows_that_can_fail(rows):
+    """For 'a' the residual is den(mu) (r_1 - r_3), or num(mu) (r_1 - r_3)
+    for n = 0: the zero polynomial in (num, den) exactly when r_1 = r_3."""
+    return {r for r in rows if r[1] != r[3]}
+
+
 def test_adjoint_rows_are_the_dense_rows():
-    """Fact 3's table: the rows of `_adjoint_rows` are an echelon basis of
-    the span of the distinct nonzero rows of the dense loop over every pair
-    of the window, for both operators, e_max <= 6 and |n| <= e_max."""
+    """Fact 3's table: `_adjoint_rows` is the sorted set of the distinct
+    nonzero rows of the dense loop over every pair of the window whose
+    residual is not the zero polynomial, for both operators, e_max <= 6 and
+    |n| <= e_max; on the free-field maps that set is empty."""
     for e_max in range(0, 7):
-        for operator in ("L", "a"):
-            for n in range(-e_max, e_max + 1):
-                rows = gram_lab._adjoint_rows(n, e_max, operator)
-                assert_echelon_basis(rows, dense_adjoint_rows(n, e_max, operator), 4)
+        for n in range(-e_max, e_max + 1):
+            dense = dense_adjoint_rows(n, e_max, "L")
+            want = {r for r in dense if can_fail(poly_adjoint_forms(n), r)}
+            assert gram_lab._adjoint_rows(n, e_max, "L") == tuple(sorted(want)) == ()
+            want = a_rows_that_can_fail(dense_adjoint_rows(n, e_max, "a"))
+            assert gram_lab._adjoint_rows(n, e_max, "a") == tuple(sorted(want)) == ()
 
 
 def test_virasoro_rows_are_an_echelon_basis_of_the_dense_rows():
-    """Fact 2's table: the rows of `_virasoro_rows` are an echelon basis of
-    the span of the distinct nonzero rows of every window entry, for every
-    pair n <= m inside the window at e_max <= 6."""
+    """Fact 2's table: `_virasoro_rows` is the sorted set of the distinct
+    nonzero rows of every window entry whose residual is not the zero
+    polynomial (the polynomial oracle), for every pair n <= m inside the
+    window at e_max <= 6; on the free-field maps that set is empty, the
+    identities holding for every (s, mu)."""
     for e_max in range(1, 7):
         for n in range(-e_max, e_max):
             for m in range(n, e_max):
                 if abs(n) + abs(m) <= e_max - 1:
-                    rows = gram_lab._virasoro_rows(n, m, e_max)
-                    assert_echelon_basis(rows, dense_virasoro_rows(n, m, e_max), 7)
+                    forms = poly_virasoro_scalars(n, m)
+                    want = {r for r in dense_virasoro_rows(n, m, e_max) if can_fail(forms, r)}
+                    assert gram_lab._virasoro_rows(n, m, e_max) == tuple(sorted(want)) == ()
+
+
+def test_the_scalars_are_forms_within_the_bound():
+    """For |n|, |m| <= 12: the scalars of fact 2 are forms of degree 4 and
+    the 'L' functionals of fact 3 of degree 2 in (l, l mu, l sigma), with no
+    coefficient above `_form_bound` (attained at n = m = 0), and the code's
+    scalars are those polynomials; `_kronecker_point(x)` is (1, B, B^5)
+    with B the least power of two above 2 x."""
+    points = [(1, 0, 0), (3, -5, 7), (7, 2 ** 40 + 1, -(3 ** 30)), (2 ** 20, 1, 2 ** 21 - 1)]
+    top = {}
+    for n in range(-12, 13):
+        for m in range(-12, 13):
+            forms = poly_virasoro_scalars(n, m)
+            coefficients = [c for f in forms for p in f for c in p.values()]
+            assert all(sum(k) == 4 for f in forms for p in f for k in p)
+            top[n, m] = max(map(abs, coefficients))
+            assert top[n, m] <= gram_lab._form_bound(n, m), (n, m)
+            for point in points:
+                assert gram_lab._virasoro_scalars(point, n, m) == tuple(
+                    tuple(poly_at(p, point) for p in f) for f in forms), (n, m, point)
+        forms = poly_adjoint_forms(n)
+        assert all(sum(k) == 2 for f in forms for p in f for k in p)
+        assert max(abs(c) for f in forms for p in f for c in p.values()) <= gram_lab._form_bound(n)
+        for point in points:
+            assert gram_lab._adjoint_scalars(point, n) == tuple(
+                tuple(poly_at(p, point) for p in f) for f in forms), (n, point)
+    assert top[0, 0] == gram_lab._form_bound(0, 0) == 4
+    assert max(abs(c) for f in poly_adjoint_forms(0) for p in f for c in p.values()) == \
+        gram_lab._form_bound(0) == 2
+    for x in list(range(1, 300)) + [2 ** k + d for k in range(8, 70, 7) for d in (-1, 0, 1)]:
+        one, base, top5 = gram_lab._kronecker_point(x)
+        assert one == 1 and top5 == base ** 5 and base & (base - 1) == 0
+        assert 2 * x < base <= 4 * x, x
+
+
+KERNELS = {}
+
+
+def kernels(key):
+    """For ("V", n, m) or ("L", n, 0): (forms, width, the int rows whose
+    residuals are all the zero polynomial, those whose first residual is)."""
+    if key not in KERNELS:
+        kind, n, m = key
+        forms = poly_virasoro_scalars(n, m) if kind == "V" else poly_adjoint_forms(n)
+        width = len(forms[0])
+        KERNELS[key] = (forms, width, null_space(coefficient_matrix(forms), width),
+                        null_space(coefficient_matrix(forms[:1]), width))
+    return KERNELS[key]
 
 
 @st.composite
-def int_matrices(draw):
-    """A small int matrix of width 4 or 7: random rows with negative
-    entries, then zero rows, repeated rows, scalar multiples and sums of
-    two rows, in a drawn order."""
-    width = draw(st.sampled_from([4, 7]))
-    row = st.lists(st.integers(-4, 4), min_size=width, max_size=width).map(tuple)
-    base = draw(st.lists(row, max_size=5))
-    rows = list(base)
-    if base:
-        index, scalar = st.integers(0, len(base) - 1), st.integers(-3, 3)
-        for i, k, j, l in draw(st.lists(st.tuples(index, scalar, index, scalar), max_size=6)):
-            rows.append(tuple(k * x + l * y for x, y in zip(base[i], base[j])))
-    rows += [(0,) * width] * draw(st.integers(0, 2))
-    return width, draw(st.permutations(rows))
+def table_rows(draw):
+    """A key ("V", n, m) or ("L", n, 0) with |n|, |m| <= 12 and up to four
+    int rows, each a combination of rows whose residuals vanish (all of
+    them, or the first only) plus, or not, a small random row; the
+    coefficients reach 3, 2^12 or 2^40."""
+    kind = draw(st.sampled_from("VL"))
+    n = draw(st.integers(-12, 12))
+    key = (kind, n, draw(st.integers(-12, 12)) if kind == "V" else 0)
+    _, width, zero, first = kernels(key)
+    edge = draw(st.sampled_from([3, 2 ** 12, 2 ** 40]))
+    coefficient = st.integers(-edge, edge)
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = [0] * width
+        for basis in (zero, first):
+            for k in basis:
+                c = draw(coefficient)
+                row = [x + c * y for x, y in zip(row, k)]
+        if draw(st.booleans()):
+            noise = draw(st.lists(st.integers(-2, 2), min_size=width, max_size=width))
+            row = [x + y for x, y in zip(row, noise)]
+        rows.append(tuple(row))
+    return key, rows
 
 
-@given(matrix=int_matrices(), data=st.data())
-@settings(max_examples=200, deadline=None)
-def test_echelon_keeps_the_span_and_the_null_space(matrix, data):
-    """`_echelon` gives an int echelon basis of the rows' span (checked
-    against a `Fraction` elimination), and R v = 0 exactly when B v = 0:
-    for v drawn in the null space of R and for v drawn at random."""
-    width, rows = matrix
-    basis = gram_lab._echelon(rows)
-    assert_echelon_basis(basis, rows, width)
+@given(table=table_rows())
+@settings(max_examples=300, deadline=None)
+def test_the_filter_keeps_a_row_exactly_when_its_residual_can_fail(table):
+    """`_live`, called as a table build calls it, keeps a row exactly when
+    the polynomial oracle's residual of it is not zero."""
+    (kind, n, m), rows = table
+    forms = kernels((kind, n, m))[0]
+    if kind == "V":
+        got = gram_lab._live(rows, gram_lab._virasoro_scalars, n, m)
+    else:
+        got = gram_lab._live(rows, gram_lab._adjoint_scalars, n)
+    assert got == tuple(sorted({r for r in rows if can_fail(forms, r)}))
 
-    def vanishes(matrix, v):
-        return all(sum(map(mul, r, v)) == 0 for r in matrix)
 
-    coefficient = st.integers(-5, 5)
-    kernel = null_space(rows, width)
-    combo = data.draw(st.lists(coefficient, min_size=len(kernel), max_size=len(kernel)))
-    v = [sum(c * k[i] for c, k in zip(combo, kernel)) for i in range(width)]
-    assert vanishes(rows, v) and vanishes(basis, v)
-    v = data.draw(st.lists(coefficient, min_size=width, max_size=width))
-    assert vanishes(rows, v) == vanishes(basis, v)
+def test_the_tables_filter_through_the_scalar_helpers():
+    """A table build hands its rows to `_live` with the helper the check
+    dots them with, `_virasoro_scalars` with (n, m) or `_adjoint_scalars`
+    with n for 'L', so the property above holds for the tables' filters;
+    the 'a' table does not call it."""
+    calls, live = [], gram_lab._live
+
+    def spy(rows, scalars, *modes):
+        calls.append((scalars, modes))
+        return live(rows, scalars, *modes)
+
+    with _routed("_live", spy):
+        gram_lab._virasoro_rows(-1, 2, 5)
+        gram_lab._adjoint_rows(-2, 5, "L")
+        gram_lab._adjoint_rows(-2, 5, "a")
+    assert calls == [(gram_lab._virasoro_scalars, (-1, 2)), (gram_lab._adjoint_scalars, (-2,))]
+
+
+# a row of the (1, 2) table whose residual, -2 l^3 (l sigma) i, is zero on the
+# whole line s = 0 and nowhere else
+ON_S_ZERO = (0, 1, -1, 0, 0, 0, 0)
+
+
+def test_a_row_vanishing_at_sampled_points_is_kept():
+    """For each of the nine (s, mu) of criterion 9 (s = 0 among them), a
+    hand-built row of the (1, 2) table whose residual vanishes there and is
+    not the zero polynomial, and `ON_S_ZERO`, which vanishes at s = 0 for
+    every mu: the table keeps each, and `virasoro_check` on a table holding
+    it returns True where it vanishes and False at s = 5i/3, mu = 3/4.  No
+    row of a table |n|, |m| <= 3 vanishes at all nine points without being
+    the zero polynomial: the nine values have the rank of the polynomials."""
+    points = [(1, Q(mu), Q(s)) for s in CRIT9_S for mu in CRIT9_MU]
+    for n in range(-3, 4):
+        for m in range(-3, 4):
+            forms = poly_virasoro_scalars(n, m)
+            at = [[poly_at(p, point) for p in f] for point in points for f in forms]
+            assert len(rref(at, 7)[0]) == len(rref(coefficient_matrix(forms), 7)[0])
+    n, m, e_max = 1, 2, 4
+    forms = poly_virasoro_scalars(n, m)
+    elsewhere = (GR.imag(Q(5, 3)), Q(3, 4))
+    cases = [(ON_S_ZERO, [(GR.of(0), Q(mu)) for mu in BENCH_MU])]
+    for s, mu in [(GR.imag(Q(s_)), Q(mu_)) for s_ in CRIT9_S for mu_ in CRIT9_MU]:
+        at = [[poly_at(p, (1, mu, s.im)) for p in f] for f in forms]
+        row = next(tuple(v) for v in null_space(at, 7) if can_fail(forms, v))
+        cases.append((row, [(s, mu)]))
+    for row, zeros in cases:
+        assert can_fail(forms, row)
+        assert gram_lab._live([row], gram_lab._virasoro_scalars, n, m) == (row,)
+        with _routed("_virasoro_rows", lambda *key: (row,)):
+            for s, mu in zeros:
+                assert virasoro_check(s, mu, n, m, e_max), (row, s, mu)
+            assert not virasoro_check(*elsewhere, n, m, e_max), row
+
+
+def test_the_a_rule_keeps_an_unequal_pair_at_n_zero():
+    """An entry of a_0 = mu I off the diagonal, between a_{-2}|0> and
+    a_{-1}^2|0>, gives rows with r_1 != r_3 at n = 0: the 'a' table keeps
+    exactly those, and the check fails at mu != 0 and passes at mu = 0,
+    where num(mu) (r_1 - r_3) is 0."""
+    e_max = 4
+    kernel = gram_lab._a_parts
+
+    def perturbed(n, e):
+        b0, b1 = kernel(n, e)
+        if n:
+            return b0, b1
+        b = gram_lab._basis(e)
+        b1 = [dict(col) for col in b1]
+        b1[b.index[((2, 1),)]][b.index[((1, 2),)]] = 1
+        return b0, tuple(b1)
+
+    zero = GR.of(0)
+    with _routed("_a_parts", perturbed):
+        rows = gram_lab._adjoint_rows(0, e_max, "a")
+        assert rows and rows == tuple(sorted(a_rows_that_can_fail(
+            dense_adjoint_rows(0, e_max, "a"))))
+        assert not adjointness_check(zero, Q(1), 0, e_max, "a")
+        assert not adjointness_check(zero, Q(-2, 3), 0, e_max, "a")
+        assert adjointness_check(zero, Q(0), 0, e_max, "a")
+        assert gram_lab._adjoint_rows(1, e_max, "a") == ()
 
 
 FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=7)
@@ -877,8 +1075,8 @@ def test_a_corrupted_entry_or_a_real_s_term_fails_both_checks():
 
 # one in-window entry of an int map: (map, n, input state, output state);
 # the entry gains 1; the third one is new (P_{-1} a_{-2}|0> has no
-# a_{-1}^3|0> part), and the last raises the rank of one table alone,
-# that of (2, 3), from 3 to 4 (P_5 is read by no other pair |n|, |m| <= 3)
+# a_{-1}^3|0> part), and the last puts rows in one table alone, that of
+# (2, 3) (P_5 is read by no other pair |n|, |m| <= 3)
 PERTURBATIONS = [("_p_map", 1, ((1, 1), (2, 1)), ((1, 2),)),
                  ("_a_map", -2, ((1, 1),), ((1, 1), (2, 1))),
                  ("_p_map", -1, ((2, 1),), ((1, 3),)),
@@ -924,16 +1122,18 @@ def test_checks_equal_the_int_oracle_on_perturbed_maps(name, n0, source, target)
 
 
 def test_the_last_perturbation_raises_one_table_rank():
-    """The last entry of `PERTURBATIONS` makes the basis of the (2, 3)
-    table one row longer and leaves every other table of |n|, |m| <= 3 at
-    e_max 6 as it was."""
+    """Under the last entry of `PERTURBATIONS` exactly the (2, 3) table
+    holds rows, the dense rows whose residual can fail (the polynomial
+    oracle); every other table of |n|, |m| <= 3 at e_max 6, and every
+    adjointness table, stays empty, as all of them are on the free-field
+    maps."""
     name, n0, source, target = PERTURBATIONS[-1]
     e_max, kernel = 6, getattr(gram_lab, name)
     keys = [(n, m) for n in range(-3, 4) for m in range(n, 4) if abs(n) + abs(m) < e_max]
 
-    def ranks():
-        return ({k: len(gram_lab._virasoro_rows(*k, e_max)) for k in keys},
-                {(n, op): len(gram_lab._adjoint_rows(n, e_max, op))
+    def tables():
+        return ({k: gram_lab._virasoro_rows(*k, e_max) for k in keys},
+                {(n, op): gram_lab._adjoint_rows(n, e_max, op)
                  for n in range(-3, 4) for op in ("L", "a")})
 
     def perturbed(n, e):
@@ -947,24 +1147,27 @@ def test_the_last_perturbation_raises_one_table_rank():
         return tuple(cols)
 
     _clear_tables()
-    before = ranks()
+    before = tables()
     with _routed(name, perturbed):
-        after = ranks()
-    assert after[1] == before[1]
-    assert {k for k in keys if after[0][k] != before[0][k]} == {(2, 3)}
-    assert (before[0][2, 3], after[0][2, 3]) == (3, 4)
+        after = tables()
+        forms = poly_virasoro_scalars(2, 3)
+        want = {r for r in dense_virasoro_rows(2, 3, e_max) if can_fail(forms, r)}
+    assert not any(before[0].values()) and not any(before[1].values())
+    assert not any(after[1].values())
+    assert {k for k in keys if after[0][k]} == {(2, 3)}
+    assert after[0][2, 3] == tuple(sorted(want))
 
 
 @pytest.mark.parametrize("e_max", [8, 10])
-def test_checks_equal_the_int_oracle_where_the_basis_saturates(e_max):
-    """At e_max 8 and 10 the tables of |n|, |m| <= 3 hold their largest
-    bases, 80 Virasoro rows (at most 3 a table) and 21 adjointness rows (at
-    most 2), and both checks return what the int oracles return for three
-    (s, mu), on all 49 pairs and both operators."""
+def test_checks_equal_the_int_oracle_on_the_empty_tables(e_max):
+    """At e_max 8 and 10 every table of |n|, |m| <= 3 is empty on the
+    free-field maps, Virasoro and adjointness alike, and both checks return
+    what the int oracles return for three (s, mu), on all 49 pairs and both
+    operators."""
     keys = [(n, m) for n in range(-3, 4) for m in range(n, 4)]
     virasoro = [len(gram_lab._virasoro_rows(n, m, e_max)) for n, m in keys]
     adjoint = [len(gram_lab._adjoint_rows(n, e_max, op)) for n in range(-3, 4) for op in "La"]
-    assert (sum(virasoro), max(virasoro), sum(adjoint), max(adjoint)) == (80, 3, 21, 2)
+    assert (sum(virasoro), max(virasoro), sum(adjoint), max(adjoint)) == (0, 0, 0, 0)
     for s, mu in [(GR.imag(Q(1, 2)), Q(2)), (GR.imag(Q(3, 7)), Q(5, 3)), (GR.of(0), Q(-1))]:
         for n in range(-3, 4):
             for m in range(-3, 4):
@@ -1029,6 +1232,8 @@ INT_ARGUMENTS = [
     (virasoro_check, (GR.imag(Q(1, 2)), Q(2), 1, -1, 4), (2, 3, 4)),
     (adjointness_check, (GR.imag(Q(1, 2)), Q(2), 1, 4, "L"), (2, 3)),
     (adjointness_check, (GR.of(0), Q(2), 1, 4, "a"), (2, 3)),
+    (states_at_energy, (2,), (0,)),
+    (states_up_to, (2,), (0,)),
     (fairlie_matrix, (GR.imag(Q(1, 2)), Q(2), 1, 4), (2, 3)),
     (heisenberg_matrix, (1, Q(2), 4), (0, 2)),
     (exp_factorization_check, (GR.imag(Q(1, 2)), 2, 2), (1, 2)),
@@ -1039,7 +1244,7 @@ INT_ARGUMENTS = [
                          ids=lambda x: getattr(x, "__name__", None))
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_gram_entry_points_refuse_a_non_int_index_or_cutoff(fn, args, positions, warm):
-    """A float (or bool) mode index or cutoff raises `IndexOutOfRange`
+    """A float (or bool) mode index, cutoff or energy raises `IndexOutOfRange`
     before any cache is read: the same whether the int call it equals has
     filled the caches or not."""
     for f in GRAM_CACHES:

@@ -101,14 +101,16 @@ def test_stage_times_gram():
     the caches hold what the stages built, one basis, the mode maps, their
     13 paired maps (|n| <= 6), the 28 (s, mu)-free Virasoro tables (one per
     pair n <= m of the 49 pairs |n|, |m| <= 3), the 14 adjointness tables
-    (|n| <= 3, two operators) that the checks then read, with 80 and 21
-    echelon basis rows in all, and the 8 `heisenberg_matrix` views (one
-    per annihilator a_j, 1 <= j <= 8) of the norms contraction."""
+    (|n| <= 3, two operators) that the checks then read, which keep no
+    row on the free-field maps, each an identity, and the 8
+    `heisenberg_matrix` views (one per annihilator a_j, 1 <= j <= 8) of
+    the norms contraction."""
     import json
     (line,) = run_script("stage_times.py", "--gram", "8")
     got = json.loads(line)
     assert got["states"] == 67
-    assert got["tables"] == 28 and got["rows"] == 80 and got["adjoint_rows"] == 21
+    assert got["tables"] == 28 and got["rows"] == 0 and got["adjoint_rows"] == 0
+    assert got["identities"] == {"virasoro": 28, "adjoint": 14}
     assert all(got[k] >= 0 for k in ("basis_s", "modes_s", "tables_s", "virasoro_s",
                                      "adjoint_tables_s", "adjoint_s", "norms_s"))
     assert {name: info["currsize"] for name, info in got["caches"].items()} == {
