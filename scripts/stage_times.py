@@ -22,8 +22,9 @@ timed stage:
                           strings: the q reach and the flat depth of its
                           sloped window (`characters._orbit_sum` sizes it)
     denominator_terms     terms of that series in its sloped window
-    denominator_buckets   its non-empty (q, depth) buckets, the units the
-                          kernel's cap tests run on
+    denominator_buckets   its distinct (q, depth) pairs, the buckets the
+                          build's cap tests ran on, read off the rows of
+                          the held series
     quotients             the isotropic quotients the cold call built
                           (`_fns_cached` misses with an image key; 0 for a
                           massive request)
@@ -62,7 +63,9 @@ timed stage:
 Times are in seconds, rounded to 1 microsecond.
 
 The defaults are the G3 case: massive, k = -9/4, nu = (1, 1, 0), l0 = 1,
-q_max = 3, depth 6.
+q_max = 3, depth 6.  The second example below is a cheap miss of the
+bench's char_warm pass at seed 3: a massive spo2m(3) sum at window 2 and
+depth 6, 4 orbit elements over a 51-term denominator.
 
 With `--gram E_MAX` the script times the integer kernel of the boson lab
 (`wmin.gram_lab`) instead, cold, stage by stage, at cutoff E_MAX:
@@ -131,6 +134,7 @@ has one); every time is the median over them, in seconds:
                           benchmark's setup_s after the import
 
     python3 scripts/stage_times.py --g G3 --k -9/4
+    python3 scripts/stage_times.py --g spo2m --m 3 --k -3/2 --nu 0,1 --l0 1 --qmax 3 --depth 6
     python3 scripts/stage_times.py --g psl22 --k -3 --nu 0,0,1/2,-1/2 --massless --qmax 4 --depth 6
     python3 scripts/stage_times.py --gram 8
     python3 scripts/stage_times.py --verdicts 750 --seed 3
@@ -254,8 +258,8 @@ def main(argv=None):
         "import_s": round(import_s, 6),
         "denominator_build_s": round(fns_s, 6),
         "denominator_window": [str(reach), str(fns_depth)],
-        "denominator_terms": sum(len(b) for lvl in fns.levels for b in lvl.values()),
-        "denominator_buckets": sum(1 for lvl in fns.levels for b in lvl.values() if b),
+        "denominator_terms": sum(ends[-1] for _, ends, _ in fns.rows),
+        "denominator_buckets": sum(len(depths) for depths, _, _ in fns.rows),
         "quotients": quotients,
         "quotients_warm": quotients_warm,
         "checks_s": round(checks_s, 6),

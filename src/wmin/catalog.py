@@ -309,8 +309,7 @@ class CatalogEntry(_Frozen):
     def _restricted(self, v: Sequence) -> tuple:
         """(d, x) with restrict(v) = x / d, the ints x over d > 0, not
         reduced."""
-        (d, x), lat = self._scaled(v), self.lattice
-        return d * lat.pden, [_dot(row, x) for row in lat.proj]
+        return self.lattice.restricted(*self._scaled(v))
 
     @cached_property
     def coroots(self) -> tuple:
@@ -783,7 +782,11 @@ class _Lattice:
     `rkeys[i]` is the key of the finite part of beta_i, a root of g^nat and
     so on the lattice; it lies in the root span, so it is its own
     restriction, and a reflection moves a restriction by an int multiple of
-    it (see `characters._orbit`).  The isotropic block of
+    it (see `characters._orbit`).  `rows[i]` is the reflection in beta_i
+    as one int row over an orbit point's block (pairings, drop of x+d,
+    key): `cartan[i]`, then -`xd[i]`, then `rkeys[i]`, so that s_i takes
+    a block b to b - b[i] * rows[i]; the walk reads these rows, built here
+    once per frame.  The isotropic block of
     the orbit is held here too: its finite part theta/2 - xi pairs as
     `iso_ps` at level 0, restricts to h^nat with the key `iso_key` and
     pairs with x+d as `xd0`.  `iso_ps` are ints, which the constructor
@@ -794,7 +797,7 @@ class _Lattice:
     """
 
     __slots__ = ("proj", "pden", "depth_cov", "denom", "scale", "cov", "slope", "dip", "ns",
-                 "rate", "cartan", "xd", "rkeys", "iso_ps", "iso_key", "xd0")
+                 "rate", "cartan", "xd", "rkeys", "rows", "iso_ps", "iso_key", "xd0")
 
     #: the packing radix R: coordinates |x_i| <= 2^20 pack one-to-one
     radix = 2 ** 21 + 1
@@ -845,16 +848,23 @@ class _Lattice:
         self.xd = self._ints(entry, "x+d pairings of the affine simple roots",
                              [entry.form(fin, entry.theta) / 2 + dc for fin, dc in roots])
         self.rkeys = tuple(self.key(fin) for fin, _ in roots)
+        self.rows = tuple((*a, -x, *key) for a, x, key in zip(self.cartan, self.xd, self.rkeys))
         self.iso_ps = self._ints(entry, "pairings of theta/2 - xi", entry.pairings(0, iso))
         self.iso_key = self.key(iso_restricted)
         self.xd0 = entry.form(iso, entry.theta) / 2
 
     @staticmethod
     def _ints(entry: CatalogEntry, what: str, xs: list) -> tuple:
-        if any(x.denominator != 1 for x in xs):
-            raise PreconditionViolated(f"{what} of {entry.id.label()} is not integral: "
-                                       f"({', '.join(map(format_rational, xs))})")
-        return tuple(x.numerator for x in xs)
+        for x in xs:
+            if x.denominator != 1:
+                raise PreconditionViolated(f"{what} of {entry.id.label()} is not integral: "
+                                           f"({', '.join(map(format_rational, xs))})")
+        return tuple([x.numerator for x in xs])
+
+    def restricted(self, d: int, x: Sequence[int]) -> tuple:
+        """(d', x') with restrict(x / d) = x' / d', the ints x' over
+        d' = d * `pden` > 0, not reduced: `proj` dotted with x."""
+        return d * self.pden, [_dot(row, x) for row in self.proj]
 
     def key(self, w: Vec) -> tuple:
         """(depth, coordinates) of w as ints: (scale * depth_of(0, w), D w_1,
@@ -895,8 +905,9 @@ class _Lattice:
         return (2 * c).numerator
 
     def cap(self, depth: Fraction) -> int:
-        """The largest int depth of a key whose depth is at most `depth`."""
-        return math.floor(self.scale * depth)
+        """The largest int depth of a key whose depth is at most `depth`:
+        floor(scale * depth), from the depth's numerator and denominator."""
+        return self.scale * depth.numerator // depth.denominator
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ TruncationIncomplete when hit.  Both characters are one l0-free
 `_orbit_sum`, which reads l0 only through the window q_max - l0 (its
 docstring argues this), placed at the exponents l0 + j/2 by the final step
 `_placed`; the sums are cached per (family, k, nu, window, depth, kind)
-(`_orbit_cell`), after every precondition check.
+(`_orbit_cell`, keyed by the ints of k, nu, the window and the depth),
+after every precondition check.
 
 Both the kernel and the orbit read one per-algebra frame of h^nat,
 `CatalogEntry.lattice` (`catalog._Lattice`, built once per catalog entry):
@@ -25,20 +26,26 @@ the restriction to h^nat, the depth covector, the int lattice of the kernel
 keys and the int affine Cartan matrix.  A weight has one int coordinate
 system from the orbit walk to the merge, its key (`_Lattice.key`): its
 depth entry, then its coordinates scaled by the frame's common denominator
-D.  The orbit walk runs on int coordinates: each point is its tuple of
-pairings with the affine simple coroots, its drop of x+d and the key of how
-far its restriction has moved, and a reflection is one int row of the frame
-(the Cartan matrix row, the x+d pairing and the key of the root).  The NS
+D.  The orbit walk runs on int coordinates from the request on: its start
+is read off nu's int pairings and the level record, each point is its
+tuple of pairings with the affine simple coroots, its drop of x+d and the
+key of how far its restriction has moved, and a reflection is one int row
+of the frame (`_Lattice.rows`: the Cartan matrix row, the x+d pairing and
+the key of the root), skipped where it fixes the point.  The NS
 denominator is built by an integer kernel (`_LatticeSeries`): q is stored
 as the int 2q, each level as depth buckets {int depth: {packed key:
 coefficient}}, a key's coordinates packed into one int (`_Lattice.pack`:
 linear, and one-to-one inside a bound the kernel proves and checks).  Every
 factor is applied to the running series in place inside a sloped window
 whose exactness argument is in the `_LatticeSeries` docstring, its cap test
-once per bucket.  Every factor (1 - sign q^c exp(w))^(-1), the
-denominator's own, the isotropic corrections of the massless sum and the
-fermionic factors of the N=4 closed form, is expanded by that kernel's one
-`divide`, w given by its key.  A massless orbit element's piece, the
+once per bucket.  A finished series is held in a read form: each level's
+sorted depths, the running count of its terms up to each depth, and its
+packed keys and coefficients flattened in increasing depth, of which a
+reader takes the prefix under its cap.  Every factor
+(1 - sign q^c exp(w))^(-1), the denominator's own, the isotropic
+corrections of the massless sum and the fermionic factors of the N=4
+closed form, is expanded by that kernel's one `divide`, w given by its
+key.  A massless orbit element's piece, the
 denominator divided by the factor of its image of the isotropic simple
 roots, depends on the Weyl element and the denominator's window only: it
 is cached beside the denominator, keyed by that image (`_fns_cached`), and
@@ -54,11 +61,13 @@ Every character is one `_sum_pieces` and one `_placed`: the orbit sum,
 `n4_closed_form` each give one base weight, one window q_max - ell, a list
 of heads +-q^shift exp(base + key/D), shift an int (the orbit's q_shift,
 the closed form's b_m, 0 for a Verma character), and kernel pieces.  The
-piece buckets that pass the cuts are summed over ints: the index
+piece terms that pass the cuts, int caps worked out from the window's and
+the depth's numerators and denominators, are summed over ints: the index
 2 shift + t of a level t term, and packed keys at the kernel's scale.
 `_publish` then walks the sums once, in increasing index: each nonzero
 sum is unpacked and becomes a `Vec` weight once, the base added there, its
-hash seeded from its ints.  Those levels {index j: {weight: coefficient}}
+hash seeded from its ints, one `Fraction` and hash per distinct int
+coordinate.  Those levels {index j: {weight: coefficient}}
 do not read ell; the final step `_placed` gives level j the exponent
 ell + j/2, one `Fraction` per level, in a fresh dict.  `Fraction`s appear
 only at that boundary and in `records()`/`coeff()`, which read the
@@ -71,6 +80,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, update_wrapper
@@ -206,18 +216,37 @@ def series_from_records(entry: CatalogEntry, recs: Sequence[dict], q_max, depth,
 
 class _LatticeSeries:
     """A q-series over int lattice keys in the sloped window of the
-    denominator kernel, changed in place one factor at a time.
+    denominator kernel, changed in place one factor at a time while it is
+    built, then held in a read form.
 
-    Layout.  `levels[t]` holds the terms at q = t/2 as depth buckets
-    {depth: {packed key: coefficient}}: the depth is the int depth entry of
-    the term's key (`_Lattice.key`, at the frame's scale), and the packed key
-    is its coordinates packed into one int (`_Lattice.pack`).  `caps[t]` is
-    the int depth cap of that level, floor(scale * (depth + s * (q_max - t/2))),
-    so a term is kept exactly when `add_term` with headroom s would keep it,
-    for any rational window.  A step by q^c exp(w) adds the depth entry and
-    the packed key of w, one int `+` each (packing is linear), and its cap
-    test runs once per bucket: a whole bucket is kept or skipped.  No bucket
-    is left empty.
+    Layout.  While a series is built, `levels[t]` holds the terms at q = t/2
+    as depth buckets {depth: {packed key: coefficient}}: the depth is the
+    int depth entry of the term's key (`_Lattice.key`, at the frame's
+    scale), and the packed key is its coordinates packed into one int
+    (`_Lattice.pack`).  `caps[t]` is the int depth cap of that level,
+    floor(scale * (depth + s * (q_max - t/2))), so a term is kept exactly
+    when `add_term` with headroom s would keep it, for any rational window.
+    A step by q^c exp(w) adds the depth entry and the packed key of w, one
+    int `+` each (packing is linear), and its cap test runs once per bucket:
+    a whole bucket is kept or skipped.  No bucket is left empty.
+
+    Held form.  A finished series is read, never changed: `hold` gives each
+    level its rows (depths, ends, terms) in place of its buckets: its
+    distinct depth entries in increasing order, ends[0] = 0 and ends[i + 1]
+    the number of its terms of depth at most depths[i], and the packed keys
+    and coefficients of its terms flattened in that order, p_0, c_0, p_1,
+    c_1, ....  The terms a reader keeps under a depth cap are then a prefix
+    of the level, the first ends[bisect_right(depths, cap)] of them: the
+    depths are sorted, so every later term lies above the cap too
+    (`_sum_pieces`).  The rows are laid out by sorting each level's depths,
+    not its terms, and hold two ints per term and two per depth, no object
+    per term: a (depth, key, coefficient) tuple per term costs 64 bytes
+    more a term, and a reader testing each term's depth pays that test
+    on every term of a large window.  A series holds one of the two forms;
+    `levels` reads a held series' rows back into buckets and `rows` reads a
+    series being built out of them, each a fresh value.  `copy` cuts a
+    series into the bucket form of a new one, for the in-place divisions of
+    the quotients and of `n4_closed_form`.
 
     Exactness.  The margin of a term t = (q, w) is
     m(t) = depth + s(q_max - q) - depth(w), and t is kept iff q <= q_max and
@@ -255,15 +284,42 @@ class _LatticeSeries:
     (`_fns_cached` picks decreasing c, the cheapest).
     """
 
-    __slots__ = ("lat", "levels", "caps", "span", "rate")
+    __slots__ = ("lat", "_levels", "_rows", "caps", "span", "rate")
 
     def __init__(self, lat: _Lattice, q_max: Fraction, depth: Fraction):
-        self.lat, self.rate = lat, 0
+        self.lat, self.rate, self._rows = lat, 0, None
         self.caps, self.span = _window(lat, q_max, depth)
         self._admit(lat.rate)
-        self.levels: List[Dict[int, Dict[int, int]]] = [{} for _ in self.caps]
+        self._levels: List[Dict[int, Dict[int, int]]] = [{} for _ in self.caps]
         if self.caps and self.caps[0] >= 0:
-            self.levels[0][0] = {0: 1}
+            self._levels[0][0] = {0: 1}
+
+    @property
+    def levels(self) -> List[Dict[int, Dict[int, int]]]:
+        """The depth buckets of each level: the series' own while it is
+        built, read back from its rows once it is held."""
+        if self._rows is None:
+            return self._levels
+        return [_bucketed(rows, cap) for rows, cap in zip(self._rows, self.caps)]
+
+    @property
+    def rows(self) -> List[Tuple[tuple, tuple, tuple]]:
+        """The rows (depths, ends, terms) of each level (see Held form): the
+        held series' own, or read off the buckets of one being built."""
+        if self._rows is None:
+            return [_flat(lvl) for lvl in self._levels]
+        return self._rows
+
+    def hold(self) -> "_LatticeSeries":
+        """This series, its buckets replaced by its rows: the read form of a
+        finished series, which no step changes any more.  Each level's
+        buckets are dropped as soon as its rows are built, so the series
+        never holds both forms of more than one level."""
+        levels, self._levels = self._levels, None
+        for t, lvl in enumerate(levels):
+            levels[t] = _flat(lvl)
+        self._rows = levels
+        return self
 
     def _admit(self, rate: int) -> None:
         """Raise `rate` to let in steps of that rate, or raise
@@ -279,16 +335,16 @@ class _LatticeSeries:
     def copy(self, caps: List[int], span: int) -> "_LatticeSeries":
         """A copy cut to a window this series' window contains (see
         `_fns_cached`), given by that window's caps and span (`_window`), or
-        to a prefix caps[:top + 1] of them: levels 0..top, each bucket
-        d <= caps[t], under those caps and that span.  Those are the terms of
-        a build in that window, whatever the larger window it came from.
+        to a prefix caps[:top + 1] of them: levels 0..top, each term of
+        depth d <= caps[t], read off this series' rows into depth buckets,
+        under those caps and that span.  Those are the terms of a build in
+        that window, whatever the larger window it came from.
         Every step (`_push_up`, `divide`) writes a level only from itself and
         the levels below it, so the steps applied to this prefix give the
         prefix of the steps applied to the whole series."""
         out = object.__new__(_LatticeSeries)
-        out.lat, out.caps, out.span, out.rate = self.lat, caps, span, self.rate
-        out.levels = [{d: dict(b) for d, b in lvl.items() if d <= cap}
-                      for lvl, cap in zip(self.levels, caps)]
+        out.lat, out.caps, out.span, out.rate, out._rows = self.lat, caps, span, self.rate, None
+        out._levels = [_bucketed(rows, cap) for rows, cap in zip(self.rows, caps)]
         return out
 
     def _margin(self, d: int, c2: int) -> None:
@@ -314,7 +370,7 @@ class _LatticeSeries:
         """Add coef * x times each level t into level t + c2 (c2 > 0), in one
         pass from the top down, so each level is read before it is written:
         a multiplication by (1 + coef x), or by coef x when not `keep`."""
-        lv, caps = self.levels, self.caps
+        lv, caps = self._levels, self.caps
         for t in range(len(lv) - 1, -1, -1):
             src = lv[t]
             if not keep:
@@ -348,7 +404,7 @@ class _LatticeSeries:
 
     def _divide(self, dk: int, fp: int, c2: int, sign: int) -> None:
         """`divide` by a checked step (depth entry dk, packed key fp, 2c = c2 >= 0)."""
-        lv, caps = self.levels, self.caps
+        lv, caps = self._levels, self.caps
         if c2:
             for t in range(len(lv) - c2):
                 _step(lv[t + c2], lv[t], caps[t + c2], dk, fp, sign)
@@ -375,6 +431,29 @@ def _window(lat: _Lattice, q_max: Fraction, depth: Fraction) -> Tuple[List[int],
     num, den = 2 * x.numerator, 2 * x.denominator
     return ([(num - lat.dip * t * x.denominator) // den for t in range(top + 1)],
             top + max(math.floor(x), 0))
+
+
+def _flat(lvl: Dict[int, Dict[int, int]]) -> Tuple[tuple, tuple, tuple]:
+    """The rows (depths, ends, terms) of a level's depth buckets
+    (`_LatticeSeries`, Held form): its depths sorted, each bucket's terms in
+    their order."""
+    depths, ends, terms = sorted(lvl), [0], []
+    for d in depths:
+        for item in lvl[d].items():
+            terms += item
+        ends.append(len(terms) // 2)
+    return tuple(depths), tuple(ends), tuple(terms)
+
+
+def _bucketed(rows: Tuple[tuple, tuple, tuple], cap: int) -> Dict[int, Dict[int, int]]:
+    """The depth buckets of a level's rows up to depth `cap`: the depths
+    are sorted, so those up to the cap are a prefix of them."""
+    depths, ends, terms = rows
+    lvl: Dict[int, Dict[int, int]] = {}
+    for i in range(bisect_right(depths, cap)):
+        it = iter(terms[2 * ends[i]:2 * ends[i + 1]])
+        lvl[depths[i]] = dict(zip(it, it))
+    return lvl
 
 
 def _step(dst: Dict[int, Dict[int, int]], src: Dict[int, Dict[int, int]], cap: int,
@@ -417,11 +496,12 @@ def _sum_pieces(lat: _Lattice, base: Tuple[int, List[int]], window: Fraction, de
 
     Index.  A term of level t (q = t/2) of a piece under a head of shift h
     sits at ell + h + t/2, so at the int index j = 2h + t over ell.  Its
-    cut q <= q_max is j <= T = floor(2 window), one `Fraction` floor per
-    sum: 2h + t is an int, so j <= 2(q_max - ell) exactly when j <= T.  A
-    piece is read at its levels t <= T - 2h, and no head needs `Fraction`
-    arithmetic.  A piece without all of those levels raises
-    PreconditionViolated: it would cut the character short.
+    cut q <= q_max is j <= T = floor(2 window), worked out once per sum from
+    the window's numerator and denominator: 2h + t is an int, so
+    j <= 2(q_max - ell) exactly when j <= T.  A piece is read at its levels
+    t <= T - 2h, and no head needs `Fraction` arithmetic.  A piece without
+    all of those levels raises PreconditionViolated: it would cut the
+    character short.
 
     The kept terms are summed over (index, packed key): the coordinates
     relative to base at the kernel's scale D, packed (`_Lattice.pack`), so a
@@ -445,9 +525,17 @@ def _sum_pieces(lat: _Lattice, base: Tuple[int, List[int]], window: Fraction, de
     Depth being linear, depth_of(ref, base + x/D) = depth_of(0, x/D), and
     the cut depth_of(ref, w) <= depth is the int bound
     dcap = floor(scale * depth) on the depth entry of the product key
-    (`_Lattice.cap`): each piece gets one int depth cap dcap - (depth entry
-    of its head), tested once per depth bucket."""
-    dcap, top = lat.cap(depth), math.floor(2 * window)
+    (`_Lattice.cap`, from the depth's numerator and denominator): each
+    piece gets one int depth cap dcap - (depth entry of its head).
+
+    Early stop.  A piece is read in its rows (`_LatticeSeries`, Held form),
+    each level's terms in increasing depth, so the terms it keeps under a
+    cap are a prefix of the level, the first ends[bisect_right(depths,
+    cap)]: the walk reads that prefix and stops, every later term lying
+    above the cap.  It keeps exactly the terms that a test of each depth
+    against the cap keeps, so the Containment argument of `_fns_cached` is
+    unchanged."""
+    dcap, top = lat.cap(depth), 2 * window.numerator // window.denominator
     hmax = max([0] + [abs(x) for key, _, _ in heads for x in key[1:]])
     acc: Dict[int, Dict[int, int]] = {}
     kept = 0
@@ -457,21 +545,22 @@ def _sum_pieces(lat: _Lattice, base: Tuple[int, List[int]], window: Fraction, de
             raise PreconditionViolated(
                 f"character terms are past the packing bound of the denominator kernel "
                 f"(radix {lat.radix})")
-        wp, j0, cap = lat.pack(key[1:]), 2 * shift, dcap - key[0]
-        if len(piece.levels) <= top - j0:
+        rows, wp, j0, cap = piece.rows, lat.pack(key[1:]), 2 * shift, dcap - key[0]
+        if len(rows) <= top - j0:
             raise PreconditionViolated(
-                f"a piece of {len(piece.levels)} levels under a head at q^{shift} cannot fill "
+                f"a piece of {len(rows)} levels under a head at q^{shift} cannot fill "
                 f"the window {format_rational(window)}")
         for t in range(top - j0 + 1):
             dst = acc.get(j0 + t)
             if dst is None:
                 dst = acc[j0 + t] = {}
-            for d, bucket in piece.levels[t].items():
-                if d <= cap:
-                    kept += len(bucket)
-                    for p, v in bucket.items():
-                        p += wp
-                        dst[p] = dst.get(p, 0) + sign * v
+            depths, ends, terms = rows[t]
+            n = ends[bisect_right(depths, cap)]
+            kept += n
+            get, it = dst.get, iter(terms[:2 * n])
+            for p, v in zip(it, it):
+                p += wp
+                dst[p] = get(p, 0) + sign * v
     return _publish(lat, base, acc), kept
 
 
@@ -483,12 +572,14 @@ def _publish(lat: _Lattice, base: Tuple[int, List[int]],
     nonzero sums and the levels that hold one.  The exponent of a level is
     left to the final step (`_placed`).
 
-    Scale.  Each distinct packed key is unpacked once.  Coordinate i of its
+    Scale.  Each distinct packed key is unpacked once, inline: its balanced
+    digits in the odd radix R (`_Lattice.unpack`).  Coordinate i of its
     weight is base_i + x_i/D = (b_i + f x_i) / wden over wden = lcm(D, d),
     base = (d, y) (`_sum_pieces`), b_i = wden base_i and f = wden / D,
-    so no coordinate of the base becomes a `Fraction` and there is
-    one `Fraction` per distinct int b_i + f x_i and one `Vec` per distinct
-    weight, made once in this call and shared by the levels.
+    so no coordinate of the base becomes a `Fraction`.  One (`Fraction`,
+    hash) pair is kept per distinct int b_i + f x_i, and each `Vec` is built
+    straight from those pairs, once per distinct weight in this call and
+    shared by the levels.
 
     Hash.  Each new `Vec` gets its hash from its ints, by Python's numeric
     hash (the standard library reference, "Hashing of numeric types"): with
@@ -505,11 +596,12 @@ def _publish(lat: _Lattice, base: Tuple[int, List[int]],
     enters."""
     d, y = base
     wden = math.lcm(lat.denom, d)
-    f, bs = wden // lat.denom, [c * (wden // d) for c in y]
+    f, m = wden // lat.denom, wden // d
+    bs = [c * m for c in y]
     inv = _hash_inverse(wden)
-    fracs: Dict[int, Fraction] = {}  # int coordinate b_i + f x_i -> its Fraction
-    hashes: Dict[int, int] = {}      # and its hash
-    vecs: Dict[int, Vec] = {}        # packed key -> its weight
+    radix, half = lat.radix, lat.radix // 2
+    coords: Dict[int, Tuple[Fraction, int]] = {}  # int coordinate -> its Fraction and hash
+    vecs: Dict[int, Vec] = {}                      # packed key -> its weight
     out: Dict[int, Dict[Vec, int]] = {}
     for j in sorted(acc):
         terms = {}
@@ -517,11 +609,17 @@ def _publish(lat: _Lattice, base: Tuple[int, List[int]],
             if c:
                 w = vecs.get(p)
                 if w is None:
-                    xs = [b + f * x for b, x in zip(bs, lat.unpack(p))]
-                    for x in xs:
-                        if x not in fracs:
-                            fracs[x], hashes[x] = Q(x, wden), _ratio_hash(x, wden, inv)
-                    w = vecs[p] = _vec([fracs[x] for x in xs], hash(tuple([hashes[x] for x in xs])))
+                    fracs, hashes, rest = [], [], p
+                    for b in bs:
+                        x = (rest + half) % radix - half
+                        rest = (rest - x) // radix
+                        x = b + f * x
+                        pair = coords.get(x)
+                        if pair is None:
+                            pair = coords[x] = Q(x, wden), _ratio_hash(x, wden, inv)
+                        fracs.append(pair[0])
+                        hashes.append(pair[1])
+                    w = vecs[p] = _vec(fracs, hash(tuple(hashes)))
                 terms[w] = c
         if terms:
             out[j] = terms
@@ -640,6 +738,9 @@ def _fns_cached(aid: AlgebraId, q_max: Fraction, depth: Fraction,
     isotropic simple root, flipped exactly when xd < 0 (`divide`).  The
     answer may be a held series of a window that contains the asked one
     (Containment below): a caller reads only inside the window it asked.
+    Every series is held in its read form (`_LatticeSeries.hold`) before
+    the store holds it: its rows, which `_sum_pieces` reads up to its caps
+    and `copy` reads back into buckets for a quotient's divisions.
 
     Order.  The factors are applied in decreasing exponent c, a stable sort
     of the table order.  Any order gives the same series: the product
@@ -670,8 +771,8 @@ def _fns_cached(aid: AlgebraId, q_max: Fraction, depth: Fraction,
     t <= T' = floor(2Q'), and its caps floor(scale(D + sQ) - dip t/2) are
     at least the asked ones pointwise (`_window`).  Every term a series
     stores is the coefficient of the infinite product (`_LatticeSeries`,
-    Exactness), the quotient's factor included, so the held buckets
-    d <= caps'[t] of the levels t <= T' are those of the asked build, and
+    Exactness), the quotient's factor included, so the held terms of depth
+    d <= caps'[t] in the levels t <= T' are those of the asked build, and
     the held series holds more only beyond them.  No reader reads beyond
     them: `_sum_pieces` reads levels t <= T - 2h <= T' and depth entries
     d <= dcap - key[0] <= caps'[t] under a head of shift h, by `_orbit_sum`'s
@@ -690,7 +791,7 @@ def _fns_cached(aid: AlgebraId, q_max: Fraction, depth: Fraction,
         for key, xd in iso_images:
             for _ in range(entry.iso_simple_count):
                 out.divide(tuple(-x for x in key), xd, -1)
-        return out
+        return out.hold()
     out = _LatticeSeries(lat, q_max, depth)
     for dk, fp, c2, odd in sorted(_ns_steps(lat, q_max), key=lambda step: -step[2]):
         out._margin(dk, c2)
@@ -698,7 +799,7 @@ def _fns_cached(aid: AlgebraId, q_max: Fraction, depth: Fraction,
             out._push_up(dk, fp, c2, 1, True)
         else:
             out._divide(dk, fp, c2, 1)
-    return out
+    return out.hold()
 
 
 def fns_series(g: AlgebraId, q_max, depth) -> QWSeries:
@@ -767,22 +868,19 @@ class OrbitElement(NamedTuple):
 ORBIT_CAP = 10 ** 6  # orbit elements seen before TruncationIncomplete is raised
 
 
-def _reflect(state: tuple, i: int, row: tuple, width: int) -> tuple:
-    """s_i on a tuple of int pairing blocks (see `_orbit`): each block of
-    `width` entries loses its own i-th entry times `row`."""
-    out = []
-    for o in range(0, len(state), width):
-        p = state[o + i]
-        out += [x - p * a for x, a in zip(state[o:o + width], row)]
-    return tuple(out)
+def _ratio(num: int, den: int):
+    """num / den, den > 0: an int when den divides num, else its `Fraction`."""
+    q, rem = divmod(num, den)
+    return Q(num, den) if rem else q
 
 
-def _orbit(entry: CatalogEntry, rec: _Level, ps: list, q_shift_limit: Fraction,
+def _orbit(entry: CatalogEntry, rec: _Level, sc: _NuScalars, q_shift_limit: Fraction,
            track_iso: bool = False) -> List[OrbitElement]:
     """Breadth-first shifted-orbit enumeration: the elements with
     q_shift <= limit, walked on int coordinates, for nu in P^+_k at the
-    level of the record `rec` (`levels._level`), nu given by its level-0
-    pairings `ps` as `Fraction`s (`_NuScalars.pairings`).
+    level of the record `rec` (`levels._level`), nu given by its scalars
+    `sc` (`CatalogEntry._scalars`), of which the walk reads the int level-0
+    pairings ps over d.
 
     No h.  theta pairs to 0 with every affine simple coroot of g^nat (g^nat
     centralizes the sl2 triple of theta, so theta is orthogonal to its roots
@@ -798,20 +896,28 @@ def _orbit(entry: CatalogEntry, rec: _Level, ps: list, q_shift_limit: Fraction,
     isotropic simple roots, is a block of ints: its pairings <x, beta_j^vee>
     with the affine simple coroots (`CatalogEntry.lattice`), the drop of x+d
     since the start, and the key (`_Lattice.key`) of the restriction of its
-    finite part to h^nat.  The start is read off nu's pairings and the
-    level record, with no second pass over nu: <lam0, alpha^vee> =
-    nu(alpha^vee) + 1 for a simple root alpha of g^nat (rho^nat pairs to 1
-    with each simple coroot of g^nat), and <lam0, eta_i^vee> = (k + h_vee)
-    (2/u_i) - (nu + rho^nat)(theta_i^vee) = M_i(k) + chi_i + 1 -
-    nu(theta_i^vee), with M_i(k) + chi_i the `alpha_levels` of the simple
-    components (`catalog.validate` pins this identity as `eta_i_pairing`).
-    These are ints for nu in P^+_k; those of theta/2 - xi are the frame's
-    ints (`_Lattice.iso_ps`).  A start with a non-integral pairing raises
-    PreconditionViolated.  As s_i(x) = x - <x, beta_i^vee> beta_i, a
-    reflection is p_j -= p_i * cartan[i][j] on the pairings, adds
-    p_i * xd[i] to the drop and subtracts p_i * rkeys[i] from the key (the
-    finite part of beta_i is a root of g^nat, its own restriction), so
-    every edge is one int row of the frame.
+    finite part to h^nat.  The start is read off nu's int pairings and the
+    level record, with no `Fraction` on the way: <lam0, alpha^vee> =
+    nu(alpha^vee) + 1 = (p + d)/d for a simple root alpha of g^nat (rho^nat
+    pairs to 1 with each simple coroot of g^nat), and <lam0, eta_i^vee> =
+    (k + h_vee)(2/u_i) - (nu + rho^nat)(theta_i^vee) = M_i(k) + chi_i + 1 -
+    nu(theta_i^vee) = ((a + b) d + b p)/(b d), with a/b = M_i(k) + chi_i the
+    `alpha_levels` of the simple components (`catalog.validate` pins this
+    identity as `eta_i_pairing`) and p/d = -nu(theta_i^vee).  These are
+    ints for nu in P^+_k; each is divided out exactly, and one that does
+    not divide is kept as its `Fraction`, which `_Lattice._ints` refuses
+    with PreconditionViolated, the one check of the start.  Those of
+    theta/2 - xi are the frame's ints (`_Lattice.iso_ps`).  As
+    s_i(x) = x - <x, beta_i^vee> beta_i, a reflection is p_j -= p_i *
+    cartan[i][j] on the pairings, adds p_i * xd[i] to the drop and
+    subtracts p_i * rkeys[i] from the key (the finite part of beta_i is a
+    root of g^nat, its own restriction), so every edge is the frame's int
+    row `_Lattice.rows`[i] times p_i, subtracted from each tracked block.
+    A reflection whose pairing p_i is 0 on every tracked block fixes the
+    point, so its child is the point itself, already seen, and it is
+    skipped; with track_iso the isotropic block's pairing counts too, as a
+    reflection that fixes lam0 but moves the isotropic image is a step of
+    the stabilizer walk (point 4 below).
     The q_shift of an element is the drop of its lam0 block, an int.  The
     lam0 key starts at 0: restrict(lam0) is restrict(nu) + rho^nat (theta
     restricts to 0, rho^nat lies in the root span), so an element's
@@ -853,22 +959,18 @@ def _orbit(entry: CatalogEntry, rec: _Level, ps: list, q_shift_limit: Fraction,
     So fold, stabilizer, then a reduced word reach every element with
     shift <= limit through points with shift <= max(limit, 0).
     """
-    lat, s = entry.lattice, len(entry.simple_roots_natural)
+    lat, s, d, ps = entry.lattice, len(entry.simple_roots_natural), sc.d, sc.ps
     alpha = rec.data.alpha_levels[-len(entry.components):]
     start = lat._ints(entry, "pairings of nu_hat + rho_hat with the affine simple coroots",
-                      [p + 1 for p in ps[:s]] + [a + 1 + p for p, a in zip(ps[s:], alpha)])
+                      [_ratio(p + d, d) for p in ps[:s]]
+                      + [_ratio((a.numerator + a.denominator) * d + a.denominator * p,
+                                a.denominator * d) for p, a in zip(ps[s:], alpha)])
     state = (*start, 0) + (0,) * (entry.n + 1)
     if track_iso:
         state += (*lat.iso_ps, 0, *lat.iso_key)
-    r, width = len(start), len(start) + entry.n + 2
-    rows = [(*a, -x, *key) for a, x, key in zip(lat.cartan, lat.xd, lat.rkeys)]
-    limit = math.floor(q_shift_limit)
+    r, width, rows = len(start), len(start) + entry.n + 2, lat.rows
+    limit = q_shift_limit.numerator // q_shift_limit.denominator
     reach = max(limit, 0)
-
-    def element(state: tuple, det: int) -> OrbitElement:
-        images = ((state[width + r + 1:], lat.xd0 - state[width + r]),) if track_iso else ()
-        return OrbitElement(state[r + 1:width], det, state[r], images)
-
     seen = {state}
     frontier = [(state, 1)]
     out: List[OrbitElement] = []
@@ -878,11 +980,24 @@ def _orbit(entry: CatalogEntry, rec: _Level, ps: list, q_shift_limit: Fraction,
         for state, det in frontier:
             drop = state[r]
             if drop <= limit:
-                out.append(element(state, det))
+                out.append(OrbitElement(
+                    state[r + 1:width], det, drop,
+                    ((state[width + r + 1:], lat.xd0 - state[width + r]),) if track_iso else ()))
             if drop > reach:
                 continue
+            iso = state[width:]  # the isotropic block, empty unless tracked
             for i, row in enumerate(rows):
-                child = _reflect(state, i, row, width)
+                p = state[i]  # zip(state, row) below reads the lam0 block only
+                if track_iso:
+                    q = iso[i]
+                    if not (p or q):
+                        continue
+                    child = tuple([x - p * a for x, a in zip(state, row)]
+                                  + [x - q * a for x, a in zip(iso, row)])
+                elif p:
+                    child = tuple([x - p * a for x, a in zip(state, row)])
+                else:
+                    continue
                 if child not in seen:
                     seen.add(child)
                     nxt.append((child, -det))
@@ -911,17 +1026,17 @@ def weyl_orbit(g: AlgebraId, k, nu: Vec, h, q_max) -> List[Tuple[Vec, int, Fract
     rec, sc = data
     base, denom = entry.restrict(nu), entry.lattice.denom
     return [(base + _vec([Q(x, denom) for x in e.key[1:]]), e.det, Q(e.q_shift))
-            for e in _orbit(entry, rec, sc.pairings(), as_rational(q_max))]
+            for e in _orbit(entry, rec, sc, as_rational(q_max))]
 
 
 # ---------------------------------------------------------------------------
 # character formulas
 
 
-def _orbit_sum(entry: CatalogEntry, rec: _Level, ps: list, nu: Vec, window: Fraction,
+def _orbit_sum(entry: CatalogEntry, rec: _Level, sc: _NuScalars, window: Fraction,
                depth: Fraction, track_iso: bool) -> Dict[int, Dict[Vec, int]]:
     """The l0-free orbit sum: det * q^q_shift exp(restriction) * fns summed
-    over the orbit of nu (its level record `rec` and pairings `ps`, as
+    over the orbit of nu (its level record `rec` and scalars `sc`, as
     `_orbit` reads them), cut at (window, depth) around nu, as published
     levels {index j: {weight: coefficient}} (`_sum_pieces`), empty when
     the window is negative.  The int denominator series is read directly by
@@ -996,15 +1111,19 @@ def _orbit_sum(entry: CatalogEntry, rec: _Level, ps: list, nu: Vec, window: Frac
     prod_n prod_{gamma in Delta'} (1 + q^{n-1/2} exp(-gamma)), times
     prod_n (1 - q^n)^(-1) when g^nat has a center (rank counts it, the
     affine roots do not); the tests check this on seven families."""
-    if window < 0:
+    if window.numerator < 0:
         return {}
-    orbit = _orbit(entry, rec, ps, window, track_iso)
-    lat, s_min = entry.lattice, min([0] + [el.q_shift for el in orbit])
-    need = max([0] + [-el.key[0] - lat.dip * (el.q_shift - s_min) for el in orbit])
-    aid, reach, dep = entry.id, window - s_min, depth + Q(need, lat.scale)
+    orbit = _orbit(entry, rec, sc, window, track_iso)
+    lat, s_min = entry.lattice, min(0, orbit[0].q_shift)  # sorted on q_shift first
+    need, dip = 0, lat.dip
+    for el in orbit:
+        need = max(need, -el.key[0] - dip * (el.q_shift - s_min))
+    aid = entry.id
+    reach = window - s_min if s_min else window
+    dep = depth + Q(need, lat.scale) if need else depth
     pieces = [_fns_cached(aid, reach, dep, el.iso_images) for el in orbit] if track_iso \
         else repeat(_fns_cached(aid, reach, dep))
-    return _sum_pieces(lat, entry._restricted(nu), window, depth,
+    return _sum_pieces(lat, lat.restricted(sc.d, sc.x), window, depth,
                        [(el.key, el.q_shift, el.det) for el in orbit], pieces, (reach, dep))[0]
 
 
@@ -1012,15 +1131,21 @@ def _orbit_sum(entry: CatalogEntry, rec: _Level, ps: list, nu: Vec, window: Frac
 # character's levels (110 terms for the G3 case): 128 keeps such a sweep
 # whole while bounding what a long-lived process holds.
 @lru_cache(maxsize=128)
-def _orbit_cell(g: AlgebraId, kn: int, kd: int, nu: Vec, window: Fraction, depth: Fraction,
-                track_iso: bool, cap: int) -> list:
+def _orbit_cell(g: AlgebraId, kn: int, kd: int, nd: int, nx: tuple, wn: int, wd: int,
+                dn: int, dd: int, track_iso: bool, cap: int) -> list:
     """The cell of one l0-free orbit sum (`_orbit_sum`): per (family,
-    k = kn/kd, nu, window, depth, massless or not, orbit cap), a list that
-    `_character` fills with the sum on the first request of the key.  The
-    cell is cached rather than `_orbit_sum`, so that the sum is computed from
-    the level record and nu's pairings the preconditions already read, and
-    the key holds only what fixes the sum.  k is keyed by its ints, as
-    `levels._level` keys it.  The cap is in the key because `_orbit` reads
+    k = kn/kd, nu = nx/nd, window = wn/wd, depth = dn/dd, massless or not,
+    orbit cap), a list that `_character` fills with the sum on the first
+    request of the key.  The cell is cached rather than `_orbit_sum`, so
+    that the sum is computed from the level record and nu's scalars the
+    preconditions already read, and the key holds only what fixes the sum.
+    k, the window and the depth are keyed by the numerators and
+    denominators of their reduced `Fraction`s, as `levels._level` and
+    `_held_windows` key theirs, and nu by its coordinates as ints over
+    their least common denominator (`CatalogEntry._scaled`, read off its
+    scalars): equal values key alike, and the key hashes ints, not
+    `Fraction`s, each of whose hashes takes a modular inverse.
+    The cap is in the key because `_orbit` reads
     ORBIT_CAP at call time: a sum found under one cap is never served under
     a lower one, where it has to raise.  A sum that raises leaves its cell
     empty, so the next request of the key computes it again."""
@@ -1034,11 +1159,12 @@ def _character(entry: CatalogEntry, rec: _Level, sc: _NuScalars, nu: Vec, l0: Fr
     nu's scalars they read): the orbit sum of its key (`_orbit_cell`),
     computed on the key's first request, placed at l0 (`_placed`)."""
     out = QWSeries(entry, q_max, depth, nu)
-    window, k = out.q_max - l0, rec.data.k
-    cell = _orbit_cell(entry.id, k.numerator, k.denominator, nu, window, out.depth, track_iso,
-                       ORBIT_CAP)
+    window, k, depth = out.q_max - l0, rec.data.k, out.depth
+    cell = _orbit_cell(entry.id, k.numerator, k.denominator, sc.d, tuple(sc.x),
+                       window.numerator, window.denominator, depth.numerator,
+                       depth.denominator, track_iso, ORBIT_CAP)
     if not cell:
-        cell.append(_orbit_sum(entry, rec, sc.pairings(), nu, window, out.depth, track_iso))
+        cell.append(_orbit_sum(entry, rec, sc, window, depth, track_iso))
     return _placed(out, l0, cell[0])
 
 
@@ -1144,7 +1270,7 @@ def n4_closed_form(M1: int, r: int, q_max, depth) -> QWSeries:
         div = fns.copy(caps[:len(caps) - 2 * b], span)  # the levels read, in (window, depth)
         div.divide(key, c, -1)
         div.divide(key, c, -1)
-        return div
+        return div.hold()
 
     levels, _ = _sum_pieces(lat, entry._scaled(out.ref), window, out.depth,
                             [hd for hd, _, _ in summands],

@@ -17,9 +17,9 @@ from typing import List, Optional, Tuple
 
 from .catalog import (AlgebraId, CatalogEntry, Vec, _NuScalars, _solve_exact, _vec, lookup,
                       zero_vec)
-from .errors import CharacterizationMismatch, PreconditionViolated
+from .errors import CharacterizationMismatch, PreconditionViolated, TruncationIncomplete
 from .levels import LevelData, _Level, _level, _ranged
-from .rationals import as_rational
+from .rationals import as_rational, format_rational
 
 Q = Fraction
 
@@ -37,9 +37,13 @@ def _in_P_plus(entry: CatalogEntry, lv: LevelData, d: int, ps: list) -> bool:
     p/d is a non-negative int exactly when p >= 0 and d divides p, and
     nu(theta_i^vee) = -p/d <= num/den exactly when -p * den <= num * d."""
     r = len(entry.simple_roots_natural)
-    return (all(p >= 0 and p % d == 0 for p in ps[:r])
-            and all(-p * m.denominator <= m.numerator * d
-                    for p, m in zip(ps[r:], lv.M_simple)))
+    for p in ps[:r]:
+        if p < 0 or p % d:
+            return False
+    for p, m in zip(ps[r:], lv.M_simple):
+        if -p * m.denominator > m.numerator * d:
+            return False
+    return True
 
 
 def _plus_xi(entry: CatalogEntry, sc: _NuScalars) -> tuple:
@@ -230,6 +234,9 @@ def _A_explicit(entry: CatalogEntry, k: Fraction, d: int, x: list, ps: list) -> 
 # enumeration of P^+_k (used by the CLI scans and the acceptance suite)
 
 
+P_PLUS_CAP = 10 ** 6  # label vectors walked before TruncationIncomplete is raised
+
+
 def enumerate_P_plus_k(g: AlgebraId, k) -> List[Vec]:
     """All of P^+_k, exactly, in lexicographic order of the Dynkin labels
     (nu(alpha_1^vee), ..., nu(alpha_r^vee)) over the simple roots of g^nat.
@@ -245,7 +252,12 @@ def enumerate_P_plus_k(g: AlgebraId, k) -> List[Vec]:
     is the level bound.  A mark m_ij >= 1 gives a_j <= M_i(k) / m_ij, so the
     box 0 <= a_j <= min_i floor(M_i(k) / m_ij) is finite and holds all of
     P^+_k; the walk keeps the label vectors of the box that meet every bound.
-    Each nu is built from its int labels over the omegas' one denominator."""
+    Each nu is built from its int labels over the omegas' one denominator.
+
+    The box holds prod_j (top_j + 1) label vectors, which grows as |k|^r.
+    When that is more than P_PLUS_CAP, read at call time as
+    `characters.ORBIT_CAP` is, it raises TruncationIncomplete before the
+    walk starts rather than run until memory is gone."""
     entry, rec = lookup(g), _ranged(g, as_rational(k))
     if rec is None:
         return []
@@ -264,6 +276,11 @@ def enumerate_P_plus_k(g: AlgebraId, k) -> List[Vec]:
     d = math.lcm(*(c.denominator for w in omegas for c in w))
     ints = [[(c * d).numerator for c in w] for w in omegas]
     tops = [min(M // m for M, m in zip(lv.M_simple, mk) if m > 0) for mk in marks]
+    box = math.prod(t + 1 for t in tops)
+    if box > P_PLUS_CAP:
+        raise TruncationIncomplete(
+            f"P^+_k walk cap {P_PLUS_CAP} exceeded for {g.label()} at k = {format_rational(lv.k)}: "
+            f"a box of {box} label vectors")
     out: List[Vec] = []
     for a in product(*(range(t + 1) for t in tops)):
         if all(sum([x * mk[i] for x, mk in zip(a, marks)]) <= M

@@ -39,9 +39,9 @@ def _record(e, k):
 
 
 def _orbit_at(e, k, nu, limit, track_iso=False):
-    """`_orbit` of nu at level k, given the level record and nu's pairings
+    """`_orbit` of nu at level k, given the level record and nu's scalars
     as the character preconditions pass them."""
-    return _orbit(e, _record(e, k), e.pairings(0, nu), limit, track_iso)
+    return _orbit(e, _record(e, k), e._scalars(nu), limit, track_iso)
 
 
 def _orbit_sum_at(e, k, nu, l0, q_max, depth, track_iso):
@@ -49,8 +49,7 @@ def _orbit_sum_at(e, k, nu, l0, q_max, depth, track_iso):
     at the window q_max - l0 and placed at l0: the character, uncached."""
     q_max, depth = Q(q_max), Q(depth)
     return _placed(QWSeries(e, q_max, depth, nu), Q(l0),
-                   _orbit_sum(e, _record(e, k), e.pairings(0, nu), nu, q_max - l0, depth,
-                              track_iso))
+                   _orbit_sum(e, _record(e, k), e._scalars(nu), q_max - l0, depth, track_iso))
 
 
 def _start_by_the_affine_form(e, k, nu):
@@ -332,6 +331,61 @@ def test_int_orbit_equals_affine_weight_walk(track_iso):
             got = [_decoded(e, nu, el) for el in _orbit_at(e, k, nu, limit, track_iso)]
             assert got == _reference_orbit(e, k, nu, h, limit, track_iso), \
                 (g.label(), k, labels, limit)
+
+
+WALL_FAMILIES = [catalog.psl22(), catalog.spo2m(3), catalog.spo2m(5), catalog.d21a(2, 3),
+                 catalog.g3()]
+
+
+@st.composite
+def wall_cases(draw):
+    """(algebra, k, nu, limit): the first three unitary levels of each
+    family and all of P^+_k, whose extremal weights put lam0 on a wall."""
+    g = draw(st.sampled_from(WALL_FAMILIES))
+    k = draw(st.sampled_from(enumerate_unitary_k(g, 3)))
+    nu = draw(st.sampled_from(enumerate_P_plus_k(g, k)))
+    return g, k, nu, draw(st.sampled_from([Q(-1), Q(0), Q(1), Q(2)]))
+
+
+def _labelled(g, labels):
+    return lookup(g).nu_from_labels(labels)
+
+
+@given(wall_cases())
+@example((catalog.psl22(), Q(-2), _labelled(catalog.psl22(), [1]), Q(0)))
+@example((catalog.psl22(), Q(-3), _labelled(catalog.psl22(), [2]), Q(1)))
+@example((catalog.spo2m(3), Q(-3, 4), _labelled(catalog.spo2m(3), [0]), Q(0)))  # zero label
+@example((catalog.spo2m(3), Q(-1), _labelled(catalog.spo2m(3), [1]), Q(1)))
+@example((catalog.spo2m(3), Q(-5, 4), _labelled(catalog.spo2m(3), [2]), Q(2)))
+@example((catalog.d21a(2, 3), Q(-6, 5), Vec([0, 1, 0]), Q(0)))
+@example((catalog.g3(), Q(-3, 2), Vec([1, 1, 0]), Q(1)))
+@settings(max_examples=40, deadline=None)
+def test_massless_orbit_on_a_wall_equals_both_oracles(case):
+    """With the isotropic images tracked, `_orbit` skips a reflection only
+    when it fixes both blocks.  At the examples lam0 pairs to 0 with an
+    affine simple coroot (a wall), where that reflection fixes lam0 and
+    moves the isotropic image: the walk gives the `AffineWeight` walk's
+    list, and every element a word of bounded length reaches."""
+    g, k, nu, limit = case
+    e = lookup(g)
+    h = e.form(e.xi, nu)
+    got = [_decoded(e, nu, el) for el in _orbit_at(e, k, nu, limit, True)]
+    assert got == _reference_orbit(e, k, nu, h, limit, True), case
+    base = nu_hat_plus_rho(e, k, nu, h).x_plus_d(e)
+    for (lam, *iso), det in _words_orbit(e, k, nu, h, 5, True).items():
+        shift = base - lam.x_plus_d(e)
+        if shift <= limit:
+            assert (e.restrict(lam.finite) - e.rho_natural, det, shift,
+                    tuple((e.restrict(b.finite), b.x_plus_d(e)) for b in iso)) in got, case
+
+
+def test_wall_examples_put_lam0_on_a_wall():
+    """The examples above are wall cases: a pairing of lam0 is 0."""
+    for g, k, nu in [(catalog.psl22(), Q(-2), _labelled(catalog.psl22(), [1])),
+                     (catalog.spo2m(3), Q(-3, 4), _labelled(catalog.spo2m(3), [0])),
+                     (catalog.d21a(2, 3), Q(-6, 5), Vec([0, 1, 0])),
+                     (catalog.g3(), Q(-3, 2), Vec([1, 1, 0]))]:
+        assert 0 in _start_by_the_affine_form(lookup(g), k, nu), g.label()
 
 
 def test_extremal_orbit_dips_below_zero_shift():

@@ -87,6 +87,22 @@ def test_stage_times():
     assert all(got[k] == round(got[k], 6) for k in ("checks_s", "orbit_s", "warm_s"))
 
 
+def test_stage_times_pinned_spo2m3_miss():
+    """The cheap char_warm miss of the docstring's second example: its work
+    counts are pinned, the denominator's distinct (q, depth) pairs among
+    them, whatever form the held series takes."""
+    import json
+    (line,) = run_script("stage_times.py", "--g", "spo2m", "--m", "3", "--k", "-3/2",
+                         "--nu", "0,1", "--l0", "1", "--qmax", "3", "--depth", "6")
+    got = json.loads(line)
+    assert {k: got[k] for k in ("orbit_elements", "kept_terms", "out_terms", "denominator_terms",
+                                "denominator_buckets")} == {"orbit_elements": 4,
+                                                            "kept_terms": 104,
+                                                            "out_terms": 25,
+                                                            "denominator_terms": 51,
+                                                            "denominator_buckets": 51}
+
+
 def test_stage_times_takes_a_negative_rational_level():
     """`--k -9/4` is read as a level, not a flag, and `wmin` is not imported
     before the timed import."""

@@ -1,14 +1,16 @@
+import re
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wmin import catalog
+from wmin import catalog, weights
 from wmin.catalog import Vec, lookup, zero_vec
 from wmin.characters import (character_massive, character_massless, verma_character,
                              weyl_orbit)
-from wmin.errors import CriticalLevel, ParameterOutOfRange, PreconditionViolated
+from wmin.errors import (CriticalLevel, ParameterOutOfRange, PreconditionViolated,
+                         TruncationIncomplete)
 from wmin.gram_lab import j_g_ratio
 from wmin.levels import (central_charge, component_level, enumerate_unitary_k, level_data,
                          unitarity_range_contains)
@@ -198,6 +200,28 @@ def test_enumeration_raises_on_a_center():
     with pytest.raises(PreconditionViolated, match="infinite"):
         enumerate_P_plus_k(catalog.sl2m(3), -1)
     assert enumerate_P_plus_k(catalog.sl2m(3), -2) == []
+
+
+def test_enumeration_raises_past_its_box_cap(monkeypatch):
+    """The walk's box of label vectors is sized before the walk: past
+    `P_PLUS_CAP`, read at call time, it raises TruncationIncomplete naming
+    the family, k and the box size, rather than run until memory is gone
+    (F4 at k = -10^6 has a box of about 1.7e18); at a cap equal to the box
+    it walks it."""
+    with pytest.raises(TruncationIncomplete, match=r"F4 at k = -1000000: a box of \d+"):
+        enumerate_P_plus_k(catalog.f4(), -10 ** 6)
+    g, k = catalog.g3(), Q(-9, 4)
+    want = enumerate_P_plus_k(g, k)
+    monkeypatch.setattr(weights, "P_PLUS_CAP", 0)
+    with pytest.raises(TruncationIncomplete, match="G3 at k = -9/4") as err:
+        enumerate_P_plus_k(g, k)
+    box = int(re.search(r"a box of (\d+)", str(err.value)).group(1))
+    assert box >= len(want) > 0
+    monkeypatch.setattr(weights, "P_PLUS_CAP", box)
+    assert enumerate_P_plus_k(g, k) == want
+    monkeypatch.setattr(weights, "P_PLUS_CAP", box - 1)
+    with pytest.raises(TruncationIncomplete):
+        enumerate_P_plus_k(g, k)
 
 
 def _pairings_oracle(e, nu):
