@@ -43,6 +43,11 @@ timed stage:
     publish_s             the warm call's `_publish`, the part of
                           `sum_warm_s` that turns the int sums into the
                           published `Vec` weights of the l0-free levels
+    weights_built         per call (cold, warm, hit, contained), the new
+                          `Vec` weights `_publish` built: those its table
+                          of published weights (`characters._weights`) did
+                          not hold yet
+    weights_held          the size of that table after the four calls
     warm_s, cold_s        the whole warm and cold calls
     hit_s                 the whole third call, which runs the preconditions
                           and places the cached orbit sum at l0
@@ -129,7 +134,13 @@ has one); every time is the median over them, in seconds:
                           `-X importtime` reports it ("self", without the
                           modules it imports)
     families              per verdict family, `catalog.lookup` and then
-                          `catalog.validate` of its entry: lookup_s, validate_s
+                          `catalog.validate` of its entry: lookup_s,
+                          validate_s; then three first builds of the entry:
+                          coroots_s, the coroot table (`coroots`) with the
+                          `_xi_cov` and `_casimir_cov` covectors of the
+                          per-request pass; frame_s, the frame (`lattice`);
+                          levels_s, the level records (`levels._level`) of
+                          the family's first six unitary levels
     lookup_validate_s     their sum over the eight families, the part of the
                           benchmark's setup_s after the import
 
@@ -204,7 +215,14 @@ def main(argv=None):
 
     calls = []  # (name, seconds, result, positional arguments) of each wrapped call, in order
     built = []  # the image keys of the quotients `_fns_cached` built, in order
-    fns_cache = characters._fns_cached
+    vecs = [0]  # the weights `_publish` built in the current call
+    fns_cache, vec = characters._fns_cached, characters._vec
+
+    def counted_vec(fracs):
+        vecs[0] += 1
+        return vec(fracs)
+
+    characters._vec = counted_vec
 
     def timed(name, fn):
         def wrapper(*a, **kw):
@@ -222,9 +240,11 @@ def main(argv=None):
         setattr(characters, name, timed(name, getattr(characters, name)))
 
     windows = {}  # call -> (windows built, windows answered from a held one)
+    weights_built = {}  # call -> weights built
 
     def request(name, q_max=q_max, depth=depth):
         del calls[:], built[:]
+        vecs[0] = 0
         before = fns_cache.cache_info()
         gc.disable()
         try:
@@ -238,6 +258,7 @@ def main(argv=None):
             gc.enable()
         after = fns_cache.cache_info()
         windows[name] = (after.misses - before.misses, after.contained - before.contained)
+        weights_built[name] = vecs[0]
         # the first call of each name to return: `_fns_cached`'s is the denominator
         return (out, wall, {name: (s, res, a) for name, s, res, a in reversed(calls)},
                 sum(s for name, s, _, _ in calls if name in checks), len(built))
@@ -268,6 +289,8 @@ def main(argv=None):
         "sum_warm_s": round(warm["_sum_pieces"][0], 6),
         "kept_terms": warm["_sum_pieces"][1][1],
         "publish_s": round(warm["_publish"][0], 6),
+        "weights_built": weights_built,
+        "weights_held": len(characters._weights),
         "warm_s": round(warm_s, 6),
         "cold_s": round(cold_s, 6),
         "hit_s": round(hit_s, 6),
@@ -349,16 +372,27 @@ t0 = time.perf_counter()
 import wmin
 from wmin import catalog
 t1 = time.perf_counter()
+from wmin import levels
 out = {"import_s": t1 - t0, "families": {}}
 for fields in json.loads(sys.argv[1]):
     g = catalog.AlgebraId(*fields)
-    t = time.perf_counter()
+    t = [time.perf_counter()]
     entry = catalog.lookup(g)
-    t2 = time.perf_counter()
+    t.append(time.perf_counter())
     catalog.validate(entry)
-    out["families"][g.label()] = {"lookup_s": t2 - t, "validate_s": time.perf_counter() - t2}
+    t.append(time.perf_counter())
+    entry.coroots, entry._xi_cov, entry._casimir_cov
+    t.append(time.perf_counter())
+    entry.lattice
+    t.append(time.perf_counter())
+    for k in levels.enumerate_unitary_k(g, 6):
+        levels._level(g, k.numerator, k.denominator)
+    t.append(time.perf_counter())
+    out["families"][g.label()] = [b - a for a, b in zip(t, t[1:])]
 print(json.dumps(out))
 """
+# the times SETUP_CODE gives per family, in its order
+FAMILY_KEYS = ("lookup_s", "validate_s", "coroots_s", "frame_s", "levels_s")
 IMPORTTIME = re.compile(r"^import time:\s+(\d+) \|\s+\d+ \|\s+(wmin\S*)$")
 
 
@@ -372,6 +406,8 @@ def setup_stages(count):
         done = subprocess.run([sys.executable, "-X", "importtime", "-c", SETUP_CODE, families],
                               capture_output=True, text=True, env=env, check=True)
         run = json.loads(done.stdout)
+        run["families"] = {label: dict(zip(FAMILY_KEYS, times))
+                           for label, times in run["families"].items()}
         run["modules"] = {m.group(2): int(m.group(1)) / 1e6
                           for m in map(IMPORTTIME.match, done.stderr.splitlines()) if m}
         runs.append(run)
@@ -385,7 +421,7 @@ def setup_stages(count):
         "modules": {name: median([r["modules"][name] for r in runs])
                     for name in sorted(runs[0]["modules"])},
         "families": {label: {key: median([r["families"][label][key] for r in runs])
-                             for key in ("lookup_s", "validate_s")}
+                             for key in FAMILY_KEYS}
                      for label in runs[0]["families"]},
         "lookup_validate_s": median([sum(f["lookup_s"] + f["validate_s"]
                                          for f in r["families"].values()) for r in runs]),

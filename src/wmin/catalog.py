@@ -50,9 +50,9 @@ class Vec(tuple):
     The hash is cached in the instance on first use, and its value is the
     tuple's: hash(v) == hash(tuple(v)), so a `Vec` and an equal `Vec` built
     afresh find each other in a dict.  A weight published as a character
-    key is hashed once, not once per coordinate each time it enters a dict;
-    `_vec` may seed the cache with that same value, computed from ints
-    (`characters._publish`)."""
+    key is hashed once, not once per coordinate each time it enters a dict:
+    `characters._publish` holds one `Vec` per published weight, so its
+    hash is computed the first time it enters a dict and read after that."""
 
     def __new__(cls, coords: Iterable) -> "Vec":
         return super().__new__(cls, [as_rational(c) for c in coords])
@@ -88,13 +88,10 @@ class Vec(tuple):
         return all(a == 0 for a in self)
 
 
-def _vec(fracs, h: Optional[int] = None) -> Vec:
+def _vec(fracs) -> Vec:
     """A `Vec` of coordinates that are `Fraction`s already, not converted
-    again; `h`, when given, must be hash(tuple(fracs)) and seeds its hash."""
-    v = tuple.__new__(Vec, fracs)
-    if h is not None:
-        v._hash = h
-    return v
+    again; its hash is computed on first use, as any `Vec`'s."""
+    return tuple.__new__(Vec, fracs)
 
 
 def zero_vec(n: int) -> Vec:

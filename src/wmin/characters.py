@@ -65,13 +65,15 @@ piece terms that pass the cuts, int caps worked out from the window's and
 the depth's numerators and denominators, are summed over ints: the index
 2 shift + t of a level t term, and packed keys at the kernel's scale.
 `_publish` then walks the sums once, in increasing index: each nonzero
-sum is unpacked and becomes a `Vec` weight once, the base added there, its
-hash seeded from its ints, one `Fraction` and hash per distinct int
-coordinate.  Those levels {index j: {weight: coefficient}}
-do not read ell; the final step `_placed` gives level j the exponent
-ell + j/2, one `Fraction` per level, in a fresh dict.  `Fraction`s appear
-only at that boundary and in `records()`/`coeff()`, which read the
-published series: no orbit element and no head becomes a `Fraction`.
+sum is unpacked to its weight's int coordinates over one denominator, the
+base added there, and given the one `Vec` a module table holds for them,
+built with its `Fraction`s the first time the process publishes that
+weight; the table is emptied when it reaches WEIGHT_CAP weights, read at
+call time.  Those levels {index j: {weight: coefficient}} do not read
+ell; the final step `_placed` gives level j the exponent ell + j/2, one
+`Fraction` per level, in a fresh dict.  `Fraction`s appear only at that
+boundary and in `records()`/`coeff()`, which read the published series:
+no orbit element and no head becomes a `Fraction`.
 Sums are sequential and deterministic; the merge is commutative exact
 addition, so a parallel evaluation would have to reproduce these
 coefficients bit for bit.
@@ -79,7 +81,6 @@ coefficients bit for bit.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
@@ -564,6 +565,15 @@ def _sum_pieces(lat: _Lattice, base: Tuple[int, List[int]], window: Fraction, de
     return _publish(lat, base, acc), kept
 
 
+# int coordinates over their denominator -> the published `Vec` of that weight
+# (`_publish`), emptied when it reaches WEIGHT_CAP entries.  A bench pass
+# leaves fewer than 100 (82 char_cold, 76 char_warm), each held in about 550
+# bytes (G3): 4096 shares a long sweep's weights and bounds the table to a
+# few MB.
+_weights: Dict[tuple, Vec] = {}
+WEIGHT_CAP = 4096  # published weights held before `_weights` is emptied
+
+
 def _publish(lat: _Lattice, base: Tuple[int, List[int]],
              acc: Dict[int, Dict[int, int]]) -> Dict[int, Dict[Vec, int]]:
     """The sums `acc` {index j: {packed key: coefficient}} of `_sum_pieces`
@@ -572,36 +582,28 @@ def _publish(lat: _Lattice, base: Tuple[int, List[int]],
     nonzero sums and the levels that hold one.  The exponent of a level is
     left to the final step (`_placed`).
 
-    Scale.  Each distinct packed key is unpacked once, inline: its balanced
-    digits in the odd radix R (`_Lattice.unpack`).  Coordinate i of its
-    weight is base_i + x_i/D = (b_i + f x_i) / wden over wden = lcm(D, d),
-    base = (d, y) (`_sum_pieces`), b_i = wden base_i and f = wden / D,
-    so no coordinate of the base becomes a `Fraction`.  One (`Fraction`,
-    hash) pair is kept per distinct int b_i + f x_i, and each `Vec` is built
-    straight from those pairs, once per distinct weight in this call and
-    shared by the levels.
+    Scale.  Each distinct packed key is unpacked once per call, inline: its
+    balanced digits in the odd radix R (`_Lattice.unpack`).  Coordinate i
+    of its weight is base_i + x_i/D = (b_i + f x_i) / wden over
+    wden = lcm(D, d), base = (d, y) (`_sum_pieces`), b_i = wden base_i and
+    f = wden / D, so no coordinate of the base becomes a `Fraction`.
 
-    Hash.  Each new `Vec` gets its hash from its ints, by Python's numeric
-    hash (the standard library reference, "Hashing of numeric types"): with
-    P = sys.hash_info.modulus, a prime, and wden invertible mod P, the hash
-    of x / wden is |x| * wden^(-1) mod P, negated when x < 0, -1 read as -2.
-    That is the hash of the reduced `Fraction`: its denominator divides wden
-    and so is invertible mod P too, and the residue of x/wden does not
-    depend on the representative.  One modular inverse serves the sum; when
-    P divides wden the coordinates hash as their `Fraction`s instead.  A
-    tuple's hash reads only its items' hashes, and each coordinate hash h
-    has |h| < P and h != -1, so hash(h) == h and the `Vec`'s hash is
-    hash(tuple of the h), the value `Vec.__hash__` caches (`catalog._vec`).
-    So a published weight is hashed once, whatever number of levels it
-    enters."""
+    Table.  The weight's key is (wden, b_1 + f x_1, ...): its int
+    coordinates over wden, so equal keys are equal weights.  `_weights`
+    holds one `Vec` per key, built with its `Fraction`s the first time the
+    key is seen in the process and returned as it is after that; a `Vec`
+    caches its hash on first use, so a published weight is built and
+    hashed once, whatever number of levels, calls and series it enters.  A
+    `Vec` is immutable, so sharing one between series changes no output.
+    The table is emptied when it holds WEIGHT_CAP weights, read at call
+    time as `ORBIT_CAP` is, before a new one goes in: emptying it only
+    means that weights are built again, equal to the ones before."""
     d, y = base
     wden = math.lcm(lat.denom, d)
     f, m = wden // lat.denom, wden // d
     bs = [c * m for c in y]
-    inv = _hash_inverse(wden)
     radix, half = lat.radix, lat.radix // 2
-    coords: Dict[int, Tuple[Fraction, int]] = {}  # int coordinate -> its Fraction and hash
-    vecs: Dict[int, Vec] = {}                      # packed key -> its weight
+    vecs: Dict[int, Vec] = {}  # packed key -> its weight, in this call
     out: Dict[int, Dict[Vec, int]] = {}
     for j in sorted(acc):
         terms = {}
@@ -609,17 +611,18 @@ def _publish(lat: _Lattice, base: Tuple[int, List[int]],
             if c:
                 w = vecs.get(p)
                 if w is None:
-                    fracs, hashes, rest = [], [], p
+                    xs, rest = [wden], p
                     for b in bs:
                         x = (rest + half) % radix - half
                         rest = (rest - x) // radix
-                        x = b + f * x
-                        pair = coords.get(x)
-                        if pair is None:
-                            pair = coords[x] = Q(x, wden), _ratio_hash(x, wden, inv)
-                        fracs.append(pair[0])
-                        hashes.append(pair[1])
-                    w = vecs[p] = _vec(fracs, hash(tuple(hashes)))
+                        xs.append(b + f * x)
+                    key = tuple(xs)
+                    w = _weights.get(key)
+                    if w is None:
+                        if len(_weights) >= WEIGHT_CAP:
+                            _weights.clear()
+                        w = _weights[key] = _vec([Q(x, wden) for x in xs[1:]])
+                    vecs[p] = w
                 terms[w] = c
         if terms:
             out[j] = terms
@@ -634,22 +637,6 @@ def _placed(out: QWSeries, ell: Fraction, levels: Dict[int, Dict[Vec, int]]) -> 
     en, ed, el = 2 * ell.numerator, 2 * ell.denominator, ell.denominator
     out.terms = {Q(en + j * el, ed): dict(terms) for j, terms in levels.items()}
     return out
-
-
-def _hash_inverse(den: int) -> Optional[int]:
-    """den^(-1) mod P, P = sys.hash_info.modulus, or None when P divides den."""
-    modulus = sys.hash_info.modulus
-    return pow(den, -1, modulus) if den % modulus else None
-
-
-def _ratio_hash(x: int, den: int, inv: Optional[int]) -> int:
-    """hash(Fraction(x, den)), den >= 1, given inv = `_hash_inverse`(den), by
-    the numeric hash (see `_publish`) when inv is an int."""
-    if inv is None:
-        return hash(Q(x, den))
-    modulus = sys.hash_info.modulus
-    h = x * inv % modulus if x >= 0 else -(-x * inv % modulus)
-    return -2 if h == -1 else h
 
 
 def _ns_steps(lat: _Lattice, q_max: Fraction) -> List[Tuple[int, int, int, bool]]:
@@ -675,44 +662,71 @@ def _held_windows(maxsize: int):
     """`_fns_cached`'s store, a decorator in the manner of
     `functools.lru_cache` (`cache_info`, `cache_clear`, `__wrapped__`): at
     most `maxsize` built series, dropped least recently used.  An exact key
-    is answered by the dict alone.  On a miss the held series are scanned
-    for one of the same family and image whose window contains the asked
-    one (see `_fns_cached`), returned as it is held and marked used; only
-    when there is none is the asked window built and held.  A contained
-    answer takes no slot."""
+    is answered by the dict alone: one pop and one insert.  On a miss the
+    held series are scanned, least recently used first, for one of the same
+    family and image whose window contains the asked one (see
+    `_fns_cached`), returned as it is held and marked used; only when there
+    is none is the asked window built and held.  A contained answer takes
+    no slot.
+
+    Ints.  A window (Q, D) is held as two pairs of ints, Q = qn/qd and
+    scale * (D + sQ) = xn/xd, s the frame's `slope` and scale its `scale`:
+    dip = s * scale is an int (`_Lattice`), so the second is
+    (scale * dn * qd + dip * qn * dd) / (dd * qd) at D = dn/dd, with no
+    `Fraction` on the way.  Every denominator is positive, so the
+    containment test Q' <= Q and D' + sQ' <= D + sQ (scale > 0) is exactly
+    qn' qd <= qn qd' and xn' xd <= xn xd', by cross-multiplication, and a
+    miss decides as the `Fraction` comparisons would.  Entries of one
+    family and image share one tag, a list holding their number, and the
+    scan compares tags by identity, not families and images: it matches
+    only the entries the asked window may be answered from, least recently
+    used first as before.  A family and image whose last entry is dropped
+    lose their tag, so the tags are bounded by the entries."""
     def decorate(build):
-        # key -> (series, Q, D + sQ of its window), least recently used first:
-        # a dict, whose items() reads no key's hash (an OrderedDict's does),
-        # keyed by the ints of Q and D, which hash without the modular
-        # inverse a `Fraction` hash takes
-        held: Dict[tuple, Tuple[_LatticeSeries, Fraction, Fraction]] = {}
+        # key -> (series, qn, qd, xn, xd, tag) of its window, least recently
+        # used first: a dict, whose items() reads no key's hash (an
+        # OrderedDict's does), keyed by the ints of Q and D, which hash
+        # without the modular inverse a `Fraction` hash takes
+        held: Dict[tuple, tuple] = {}
+        tags: Dict[tuple, list] = {}  # (family, image) -> [entries held]
         counts = [0, 0, 0]  # hits, misses, contained
 
         def cached(aid: AlgebraId, q_max: Fraction, depth: Fraction,
                    iso_images: tuple = ()) -> _LatticeSeries:
-            key = (aid, q_max.numerator, q_max.denominator, depth.numerator, depth.denominator,
-                   iso_images)
+            qn, qd, dn, dd = q_max.numerator, q_max.denominator, depth.numerator, depth.denominator
+            key = (aid, qn, qd, dn, dd, iso_images)
             got = held.pop(key, None)
             if got is not None:
                 held[key] = got
                 counts[0] += 1
                 return got[0]
-            top = depth + lookup(aid).lattice.slope * q_max
-            for other, got in held.items():
-                if other[0] == aid and other[5] == iso_images and q_max <= got[1] \
-                        and top <= got[2]:
-                    held[other] = held.pop(other)
-                    counts[2] += 1
-                    return got[0]
+            lat = lookup(aid).lattice
+            xn, xd = lat.scale * dn * qd + lat.dip * qn * dd, dd * qd
+            tag = tags.get((aid, iso_images))
+            if tag is not None:
+                for other, got in held.items():
+                    if got[5] is tag and qn * got[2] <= got[1] * qd \
+                            and xn * got[4] <= got[3] * xd:
+                        held[other] = held.pop(other)
+                        counts[2] += 1
+                        return got[0]
             counts[1] += 1
             series = build(aid, q_max, depth, iso_images)
-            held[key] = series, q_max, top
+            # looked up after the build, which may hold and drop series itself
+            tag = tags.setdefault((aid, iso_images), [0])
+            tag[0] += 1
+            held[key] = series, qn, qd, xn, xd, tag
             if len(held) > maxsize:
-                del held[next(iter(held))]
+                old = next(iter(held))
+                tag = held.pop(old)[5]
+                tag[0] -= 1
+                if not tag[0]:
+                    del tags[old[0], old[5]]
             return series
 
         def cache_clear() -> None:
             held.clear()
+            tags.clear()
             counts[:] = [0, 0, 0]
 
         cached.cache_info = lambda: _HeldInfo(counts[0], counts[1], maxsize, len(held), counts[2])

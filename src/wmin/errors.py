@@ -18,7 +18,8 @@ class CriticalLevel(WminError):
 
 
 class CharacterizationMismatch(WminError):
-    """The two extremality tests disagree; catalog data is inconsistent."""
+    """Two characterizations disagree (the two extremality tests, or
+    `enumerate_P_plus_k` and the P^+_k test); catalog data is inconsistent."""
 
 
 class IndexOutOfSet(WminError):

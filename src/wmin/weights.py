@@ -253,6 +253,9 @@ def enumerate_P_plus_k(g: AlgebraId, k) -> List[Vec]:
     box 0 <= a_j <= min_i floor(M_i(k) / m_ij) is finite and holds all of
     P^+_k; the walk keeps the label vectors of the box that meet every bound.
     Each nu is built from its int labels over the omegas' one denominator.
+    Both invariants, int marks >= 0 and every listed nu passing the P^+_k
+    test (`_in_P_plus`), are checked by raising CharacterizationMismatch,
+    so that `python -O` keeps the checks.
 
     The box holds prod_j (top_j + 1) label vectors, which grows as |k|^r.
     When that is more than P_PLUS_CAP, read at call time as
@@ -271,7 +274,10 @@ def enumerate_P_plus_k(g: AlgebraId, k) -> List[Vec]:
     coeffs = _solve_exact([entry.pairings(0, b)[:r] for b in basis], eye)
     omegas = [sum((c * b for c, b in zip(row, basis)), zero_vec(entry.n)) for row in coeffs]
     marks = [_thetas(entry, entry.pairings(0, w)) for w in omegas]
-    assert all(m.denominator == 1 and m >= 0 for mk in marks for m in mk)
+    if not all(m.denominator == 1 and m >= 0 for mk in marks for m in mk):
+        raise CharacterizationMismatch(
+            f"marks omega_j(theta_i^vee) of {g.label()} are not all non-negative ints: "
+            f"{[[format_rational(m) for m in mk] for mk in marks]}")
     marks = [[m.numerator for m in mk] for mk in marks]
     d = math.lcm(*(c.denominator for w in omegas for c in w))
     ints = [[(c * d).numerator for c in w] for w in omegas]
@@ -287,5 +293,10 @@ def enumerate_P_plus_k(g: AlgebraId, k) -> List[Vec]:
                for i, M in enumerate(lv.M_simple)):
             out.append(_vec([Q(sum([x * w[c] for x, w in zip(a, ints)]), d)
                              for c in range(entry.n)]))
-    assert all(_in_P_plus(entry, lv, sc.d, sc.ps) for sc in map(entry._scalars, out))
+    for nu in out:
+        sc = entry._scalars(nu)
+        if not _in_P_plus(entry, lv, sc.d, sc.ps):
+            raise CharacterizationMismatch(
+                f"enumerated weight ({', '.join(map(format_rational, nu))}) of {g.label()} "
+                f"fails the P^+_k test at k = {format_rational(lv.k)}")
     return out

@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 import wmin
 from wmin import catalog, characters, gram_lab, levels
 from wmin.catalog import Vec, _Lattice, lookup, zero_vec
-from wmin.characters import (QWSeries, _fns_cached, _hash_inverse, _LatticeSeries, _n4_range,
-                             _orbit, _orbit_cell, _orbit_sum, _placed, _ratio_hash, _sum_pieces,
-                             _window,
+from wmin.characters import (QWSeries, _fns_cached, _held_windows, _LatticeSeries, _n4_range,
+                             _orbit, _orbit_cell, _orbit_sum, _placed, _sum_pieces, _window,
                              character_massive, character_massless,
                              depth_of, ell_of_h, fns_series, h_pair, n4_closed_form,
                              series_from_records, verma_character, weyl_orbit)
@@ -783,17 +782,6 @@ def test_published_weights_hold_only_fractions():
 HASH_P = sys.hash_info.modulus  # 2**61 - 1 on 64-bit builds
 
 
-@given(st.integers(), st.integers(min_value=1))
-@example(-1, 1)            # hash(-1) is -2
-@example(1, HASH_P)        # no inverse mod P: the Fraction hashes itself
-@example(-HASH_P - 1, 2 * HASH_P)
-@example(HASH_P, 3)
-def test_seeded_hash_is_the_fraction_hash(x, d):
-    """The hash `_publish` seeds a coordinate x / d with, from ints, is
-    Python's hash of the `Fraction`, for x of either sign and any d >= 1."""
-    assert _ratio_hash(x, d, _hash_inverse(d)) == hash(Q(x, d))
-
-
 def _published_samples():
     """Massive (l0 off the half-integer grid), massless, Verma and
     `n4_closed_form` series over psl22, spo2m(3), D(2,1;1) and G3."""
@@ -814,8 +802,8 @@ def _published_samples():
 
 def test_published_weights_hash_as_their_tuples():
     """Every published weight hashes as the tuple of its coordinates, the
-    hash `_publish` seeded from ints, and a freshly built equal `Vec` finds
-    its coefficient."""
+    hash its `Vec` caches, and a freshly built equal `Vec` finds its
+    coefficient."""
     samples = _published_samples()
     assert len(samples) > 20
     for s in samples:
@@ -827,9 +815,9 @@ def test_published_weights_hash_as_their_tuples():
 
 
 def test_weight_denominator_at_the_hash_modulus():
-    """A weight whose denominator is the hash modulus P has no seeded hash
-    (P has no inverse mod P): its coordinates hash as `Fraction`s, and the
-    Verma character is the denominator series shifted term by term."""
+    """A weight whose denominator is the hash modulus P, which has no
+    inverse mod P: its coordinates hash as `Fraction`s, and the Verma
+    character is the denominator series shifted term by term."""
     nu = Vec([Q(1, HASH_P), 0, 0, 0])
     got = verma_character(G, nu, 0, 1, 2)
     want = QWSeries(E, 1, 2, nu)
@@ -837,6 +825,33 @@ def test_weight_denominator_at_the_hash_modulus():
     assert got == want and got.n_terms() == 10
     assert got.coeff(0, nu) == 1
     assert all(hash(w) == hash(tuple(w)) for lvl in got.terms.values() for w in lvl)
+
+
+def test_weight_table_at_cap_one_changes_no_record(monkeypatch):
+    """Emptying the table of published weights only means that weights are
+    built again: with `WEIGHT_CAP` lowered to 1, read at call time, a sweep
+    of massive, massless, Verma and `n4_closed_form` characters gives the
+    records it gives under the default cap, and the table never holds more
+    than one weight."""
+    def sweep():
+        _fns_cached.cache_clear()
+        _orbit_cell.cache_clear()
+        characters._weights.clear()
+        return [s.records() for s in _published_samples()]
+
+    want = sweep()
+    assert len(characters._weights) > 1
+    sizes, publish = [], characters._publish
+
+    def counted(*args):
+        out = publish(*args)
+        sizes.append(len(characters._weights))
+        return out
+
+    monkeypatch.setattr(characters, "_publish", counted)
+    monkeypatch.setattr(characters, "WEIGHT_CAP", 1)
+    assert sweep() == want
+    assert len(sizes) > 20 and max(sizes) == 1
 
 
 def test_n4_closed_form_odd_r_equals_the_fraction_sum():
@@ -1644,6 +1659,81 @@ def test_held_windows_answer_as_their_own_builds(case):
     _fns_cached.cache_clear()
     _orbit_cell.cache_clear()
     assert [_request(g, k, *r) for r in requests] == cold, case
+
+
+SLOPES = {g: lookup(g).lattice.slope for g in (G, SPO3, catalog.g3())}
+IMAGES = ((), (((1, 0, 0, 0, 0), Q(1, 2)),), (((1, 0, 0, 0, 0), Q(-1, 2)),))
+WINDOWS = st.tuples(st.fractions(min_value=0, max_value=3, max_denominator=6),
+                    st.fractions(min_value=0, max_value=6, max_denominator=6))
+STORE_REQUESTS = st.lists(st.tuples(st.sampled_from(list(SLOPES)), WINDOWS,
+                                    st.sampled_from(IMAGES)), min_size=1, max_size=8)
+S_PSL = SLOPES[G]
+
+
+def _fraction_store(requests, maxsize):
+    """The answers of the store as the `Fraction` test decides them: each
+    request is an exact hit, else answered by the least recently used held
+    window of its family and image with Q' <= Q and D' + sQ' <= D + sQ,
+    else built (as its index) and held, the least recently used dropped
+    past `maxsize`; with the counts (hits, misses, contained)."""
+    held, out, counts = [], [], [0, 0, 0]  # held: [g, q, d, image, answer]
+    for i, (g, (q, d), img) in enumerate(requests):
+        s = SLOPES[g]
+        exact = [h for h in held if h[:4] == [g, q, d, img]]
+        inside = [h for h in held if h[0] == g and h[3] == img and q <= h[1]
+                  and d + s * q <= h[2] + s * h[1]]
+        if exact or inside:
+            got = (exact or inside)[0]
+            held.remove(got)
+            held.append(got)
+            counts[0 if exact else 2] += 1
+        else:
+            got = [g, q, d, img, i]
+            held.append(got)
+            counts[1] += 1
+            if len(held) > maxsize:
+                del held[0]
+        out.append(got[4])
+    return out, counts
+
+
+@given(STORE_REQUESTS)
+@example([(G, (Q(2), Q(3)), ()), (G, (Q(2), Q(8, 3)), ())])          # Q' = Q
+@example([(G, (Q(2), Q(3)), ()), (G, (Q(3, 2), Q(3) + S_PSL / 2), ())])  # D' + sQ' = D + sQ
+@example([(G, (Q(2), Q(3)), ()), (G, (Q(3, 2), Q(3) + S_PSL / 2 + Q(1, 6)), ())])
+@example([(G, (Q(2), Q(3)), ()), (G, (Q(13, 6), Q(1)), ())])        # Q' > Q
+# the third request lies inside the window of another family, then image
+@example([(SPO3, (Q(3), Q(6)), ()), (G, (Q(1), Q(1)), ()), (G, (Q(3, 2), Q(1)), ())])
+@example([(G, (Q(2), Q(3)), IMAGES[1]), (G, (Q(1), Q(1)), ()), (G, (Q(3, 2), Q(1)), ())])
+@example([(G, (Q(1), Q(1)), ()), (G, (Q(2), Q(2)), ()), (G, (Q(3), Q(3)), ()),
+          (G, (Q(1, 2), Q(1)), ()), (G, (Q(3), Q(3)), ())])           # past maxsize
+@settings(max_examples=150, deadline=None)
+def test_held_window_int_match_is_the_fraction_test(requests):
+    """`_held_windows` matches a held window in ints as the `Fraction` test
+    Q' <= Q and D' + sQ' <= D + sQ decides, equality on either side
+    included, only against windows of the same family and image, least
+    recently used first, and drops the least recently used past its size:
+    over a sequence of requests to a store of two entries, every answer
+    and count is the `Fraction` store's, and the store keeps one tag per
+    family and image it holds, no more."""
+    store = _held_windows(2)(lambda aid, q, d, images: object())
+    built = {}
+    got = []
+    for i, (g, (q, d), img) in enumerate(requests):
+        before = store.cache_info().misses
+        series = store(g, q, d, img)
+        if store.cache_info().misses > before:
+            built[id(series)] = (i, series)
+        got.append(built[id(series)][0])
+    want, counts = _fraction_store(requests, 2)
+    info = store.cache_info()
+    assert got == want
+    assert [info.hits, info.misses, info.contained] == counts
+    assert info.currsize == min(2, counts[1])
+    cells = dict(zip(store.__code__.co_freevars, (c.cell_contents for c in store.__closure__)))
+    held, tags = cells["held"], cells["tags"]
+    assert set(tags) == {(key[0], key[5]) for key in held}
+    assert all(tag == [sum(got[5] is tag for got in held.values())] for tag in tags.values())
 
 
 class _SmallRadixLattice(_Lattice):

@@ -1,5 +1,8 @@
 """The public surface of `wmin`, pinned by name: removing a name or adding
 one is a deliberate edit of these lists, never a side effect."""
+import ast
+from pathlib import Path
+
 import pytest
 
 import wmin
@@ -131,3 +134,14 @@ def test_every_public_entry_point_refuses_a_float():
     for _, call in calls:
         with pytest.raises(InexactScalar, match="not an exact rational"):
             call()
+
+
+def test_no_assert_in_the_package():
+    """No module of `wmin` checks anything with `assert`, which `python -O`
+    strips: every check raises a `WminError`."""
+    src = Path(wmin.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert len(list(src.glob("*.py"))) >= 9
+    assert not found, found

@@ -64,6 +64,10 @@ def test_stage_times():
     assert got["contained_window"] == ["5/2", "5"] and got["contained_s"] > 0
     assert got["windows_built"] == {"cold": 1, "warm": 0, "contained": 0}
     assert got["windows_from_held"] == {"cold": 0, "warm": 0, "contained": 1}
+    # the cold call builds the 38 distinct weights of its 110 terms; every
+    # later call reads them from the table of published weights
+    assert got["weights_built"] == {"cold": 38, "warm": 0, "hit": 0, "contained": 0}
+    assert got["weights_held"] == 38
     (line,) = run_script("stage_times.py", "--g", "psl22", "--k", "-3",
                          "--nu", "0,0,1/2,-1/2", "--massless", "--qmax", "5/2",
                          "--depth", "4")
@@ -90,7 +94,8 @@ def test_stage_times():
 def test_stage_times_pinned_spo2m3_miss():
     """The cheap char_warm miss of the docstring's second example: its work
     counts are pinned, the denominator's distinct (q, depth) pairs among
-    them, whatever form the held series takes."""
+    them, whatever form the held series takes, and the weights published:
+    7 distinct ones among the 25 terms, built by the cold call alone."""
     import json
     (line,) = run_script("stage_times.py", "--g", "spo2m", "--m", "3", "--k", "-3/2",
                          "--nu", "0,1", "--l0", "1", "--qmax", "3", "--depth", "6")
@@ -101,6 +106,8 @@ def test_stage_times_pinned_spo2m3_miss():
                                                             "out_terms": 25,
                                                             "denominator_terms": 51,
                                                             "denominator_buckets": 51}
+    assert got["weights_built"] == {"cold": 7, "warm": 0, "hit": 0, "contained": 0}
+    assert got["weights_held"] == 7
 
 
 def test_stage_times_takes_a_negative_rational_level():
@@ -158,7 +165,8 @@ def test_stage_times_verdicts():
 
 def test_stage_times_setup():
     """`--setup`: `import wmin` and each of its modules, and lookup and
-    validate of each verdict family, as medians over fresh interpreters."""
+    validate of each verdict family with the first builds of its coroot
+    table, frame and level records, as medians over fresh interpreters."""
     import json
     (line,) = run_script("stage_times.py", "--setup", "2")
     got = json.loads(line)
@@ -168,5 +176,7 @@ def test_stage_times_setup():
                                       "wmin.unitarity", "wmin.weights"]
     assert list(got["families"]) == ["psl22", "spo2m(m=3)", "spo2m(m=5)", "spo2m(m=6)",
                                      "D21a(a=2/1)", "D21a(a=2/3)", "F4", "G3"]
+    assert all(list(f) == ["lookup_s", "validate_s", "coroots_s", "frame_s", "levels_s"]
+               for f in got["families"].values())
     assert all(t > 0 for f in got["families"].values() for t in f.values())
     assert got["lookup_validate_s"] > 0

@@ -9,8 +9,8 @@ from wmin import catalog, weights
 from wmin.catalog import Vec, lookup, zero_vec
 from wmin.characters import (character_massive, character_massless, verma_character,
                              weyl_orbit)
-from wmin.errors import (CriticalLevel, ParameterOutOfRange, PreconditionViolated,
-                         TruncationIncomplete)
+from wmin.errors import (CharacterizationMismatch, CriticalLevel, ParameterOutOfRange,
+                         PreconditionViolated, TruncationIncomplete)
 from wmin.gram_lab import j_g_ratio
 from wmin.levels import (central_charge, component_level, enumerate_unitary_k, level_data,
                          unitarity_range_contains)
@@ -222,6 +222,23 @@ def test_enumeration_raises_past_its_box_cap(monkeypatch):
     monkeypatch.setattr(weights, "P_PLUS_CAP", box - 1)
     with pytest.raises(TruncationIncomplete):
         enumerate_P_plus_k(g, k)
+
+
+def test_enumeration_raises_on_marks_off_the_ints(monkeypatch):
+    """A mark omega_j(theta_i^vee) that is not an int >= 0 breaks the
+    walk's box: the enumeration raises CharacterizationMismatch, a raise
+    that `python -O` keeps."""
+    monkeypatch.setattr(weights, "_thetas", lambda entry, ps: [Q(-1, 2)] * len(entry.components))
+    with pytest.raises(CharacterizationMismatch, match="marks .* of G3 are not all"):
+        enumerate_P_plus_k(catalog.g3(), Q(-9, 4))
+
+
+def test_enumeration_raises_on_a_weight_outside_p_plus(monkeypatch):
+    """Every weight the walk lists is checked against the P^+_k test; one
+    that fails it raises CharacterizationMismatch naming the weight."""
+    monkeypatch.setattr(weights, "_in_P_plus", lambda entry, lv, d, ps: False)
+    with pytest.raises(CharacterizationMismatch, match=r"enumerated weight \(0, 0, 0\) of G3"):
+        enumerate_P_plus_k(catalog.g3(), Q(-9, 4))
 
 
 def _pairings_oracle(e, nu):
