@@ -55,8 +55,9 @@ timed stage:
     contained_window      [q_max, depth] of it, as strings
     windows_built         per call (cold, warm, contained), the windows
                           `_fns_cached` built, denominators and quotients
-    windows_from_held     per call, the windows it answered from a held
-                          series whose window contains them
+    windows_from_held     per call, the calls of `_fns_cached` answered
+                          from a held series whose window contains the
+                          asked one, an equal window included (its hits)
     out_terms             terms of the character
     frame_s               a fresh build of the entry's frame of h^nat
                           (`catalog._Lattice`, held as `CatalogEntry.lattice`),
@@ -257,7 +258,7 @@ def main(argv=None):
         finally:
             gc.enable()
         after = fns_cache.cache_info()
-        windows[name] = (after.misses - before.misses, after.contained - before.contained)
+        windows[name] = (after.misses - before.misses, after.hits - before.hits)
         weights_built[name] = vecs[0]
         # the first call of each name to return: `_fns_cached`'s is the denominator
         return (out, wall, {name: (s, res, a) for name, s, res, a in reversed(calls)},

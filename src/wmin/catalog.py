@@ -786,15 +786,17 @@ class _Lattice:
     once per frame.  The isotropic block of
     the orbit is held here too: its finite part theta/2 - xi pairs as
     `iso_ps` at level 0, restricts to h^nat with the key `iso_key` and
-    pairs with x+d as `xd0`.  `iso_ps` are ints, which the constructor
-    checks: theta pairs to 0 with every affine simple coroot (see
-    `characters._orbit`), so they are the pairings of -xi, ints by the
-    catalog's xi_dominant and chi_i data.  `_orbit` checks the pairings of
-    lam0 itself, which it reads off nu's pairings and the level record.
+    pairs with x+d as `xd2`/2.  `iso_ps` and `xd2` are ints, which the
+    constructor checks (`xd2` with `q2`, as an exponent of q): theta pairs
+    to 0 with every affine simple coroot (see `characters._orbit`), so
+    `iso_ps` are the pairings of -xi, ints by the catalog's xi_dominant and
+    chi_i data, and `xd2` is 1 on every catalog family.  `_orbit` checks
+    the pairings of lam0 itself, which it reads off nu's pairings and the
+    level record.
     """
 
     __slots__ = ("proj", "pden", "depth_cov", "denom", "scale", "cov", "slope", "dip", "ns",
-                 "rate", "cartan", "xd", "rkeys", "rows", "iso_ps", "iso_key", "xd0")
+                 "rate", "cartan", "xd", "rkeys", "rows", "iso_ps", "iso_key", "xd2")
 
     #: the packing radix R: coordinates |x_i| <= 2^20 pack one-to-one
     radix = 2 ** 21 + 1
@@ -848,7 +850,7 @@ class _Lattice:
         self.rows = tuple((*a, -x, *key) for a, x, key in zip(self.cartan, self.xd, self.rkeys))
         self.iso_ps = self._ints(entry, "pairings of theta/2 - xi", entry.pairings(0, iso))
         self.iso_key = self.key(iso_restricted)
-        self.xd0 = entry.form(iso, entry.theta) / 2
+        self.xd2 = self.q2(entry.form(iso, entry.theta) / 2)
 
     @staticmethod
     def _ints(entry: CatalogEntry, what: str, xs: list) -> tuple:

@@ -44,16 +44,17 @@ packed keys and coefficients flattened in increasing depth, of which a
 reader takes the prefix under its cap.  Every factor
 (1 - sign q^c exp(w))^(-1), the denominator's own, the isotropic
 corrections of the massless sum and the fermionic factors of the N=4
-closed form, is expanded by that kernel's one `divide`, w given by its
-key.  A massless orbit element's piece, the
-denominator divided by the factor of its image of the isotropic simple
-roots, depends on the Weyl element and the denominator's window only: it
-is cached beside the denominator, keyed by that image (`_fns_cached`), and
+closed form, is expanded by that kernel's one `divide`, c given by the int
+2c and w by its key.  A massless orbit element's piece, the denominator
+divided by the factor of its image of the isotropic simple roots, depends
+on the Weyl element and the denominator's window only: it is cached beside
+the denominator, keyed by that image's ints (`OrbitElement.image`), and
 every element and request with that key reads the prefix it needs of it.
-That bounded store answers a window from any held series of the same
-family and image whose sloped window contains it, read in place; its
-docstring argues that every reader keeps the same terms and refuses the
-same windows as a build of its own.  A bench char_cold pass so builds 13
+That bounded store (`_fns_cached`) has one rule: a call is answered from a
+held series of its (family, image) whose sloped window contains the asked
+one, read in place, and built only when there is none; its docstring
+argues that every reader keeps the same terms and refuses the same
+windows as a build of its own.  A bench char_cold pass so builds 13
 denominators and 10 quotients of the 51 and 22 windows it asks.
 
 Every character is one `_sum_pieces` and one `_placed`: the orbit sum,
@@ -91,7 +92,7 @@ from operator import mul
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .catalog import AlgebraId, CatalogEntry, Vec, _Lattice, _NuScalars, _vec, lookup, zero_vec
-from .errors import (IndexOutOfRange, NonDominant, PreconditionViolated,
+from .errors import (IndexOutOfRange, InexactScalar, NonDominant, PreconditionViolated,
                      TruncationIncomplete, UnsupportedD21a)
 from .rationals import as_rational, format_rational, parse_rational, solve_quadratic_rational
 from .levels import _Level
@@ -140,6 +141,12 @@ class QWSeries:
 
     # -- basic structure ----------------------------------------------------
     def add_term(self, q, w: Vec, c: int) -> None:
+        """Add c q^q exp(w) if it lies in the window; c is an int (a float
+        raises `InexactScalar`, any other class `PreconditionViolated`)."""
+        if c.__class__ is not int:
+            if isinstance(c, float):
+                raise InexactScalar(f"not an exact rational: coefficient {c!r} (use an int)")
+            raise PreconditionViolated(f"coefficient {c!r} is not an int")
         q = as_rational(q)
         if not (c and q <= self.q_max and depth_of(self.entry, self.ref, w) <= self.depth):
             return
@@ -201,13 +208,14 @@ class QWSeries:
 def series_from_records(entry: CatalogEntry, recs: Sequence[dict], q_max, depth,
                         ref: Optional[Vec] = None) -> QWSeries:
     """The series of `records`-style dicts, whose q and weight entries are
-    p/q strings (`parse_rational`) or ints and `Fraction`s."""
+    p/q strings (`parse_rational`) or ints and `Fraction`s, and whose
+    coefficients are ints (`QWSeries.add_term`)."""
     def read(x):
         return parse_rational(x) if isinstance(x, str) else as_rational(x)
 
     s = QWSeries(entry, q_max, depth, ref)
     for r in recs:
-        s.add_term(read(r["q"]), Vec([read(c) for c in r["weight"]]), int(r["coeff"]))
+        s.add_term(read(r["q"]), Vec([read(c) for c in r["weight"]]), r["coeff"])
     return s
 
 
@@ -243,11 +251,10 @@ class _LatticeSeries:
     not its terms, and hold two ints per term and two per depth, no object
     per term: a (depth, key, coefficient) tuple per term costs 64 bytes
     more a term, and a reader testing each term's depth pays that test
-    on every term of a large window.  A series holds one of the two forms;
-    `levels` reads a held series' rows back into buckets and `rows` reads a
-    series being built out of them, each a fresh value.  `copy` cuts a
-    series into the bucket form of a new one, for the in-place divisions of
-    the quotients and of `n4_closed_form`.
+    on every term of a large window.  A series holds one of the two forms:
+    `levels` while it is built, `rows` once it is held, the other None.
+    `copy` cuts a held series into the bucket form of a new one, for the
+    in-place divisions of the quotients and of `n4_closed_form`.
 
     Exactness.  The margin of a term t = (q, w) is
     m(t) = depth + s(q_max - q) - depth(w), and t is kept iff q <= q_max and
@@ -285,41 +292,25 @@ class _LatticeSeries:
     (`_fns_cached` picks decreasing c, the cheapest).
     """
 
-    __slots__ = ("lat", "_levels", "_rows", "caps", "span", "rate")
+    __slots__ = ("lat", "levels", "rows", "caps", "span", "rate")
 
     def __init__(self, lat: _Lattice, q_max: Fraction, depth: Fraction):
-        self.lat, self.rate, self._rows = lat, 0, None
+        self.lat, self.rate, self.rows = lat, 0, None
         self.caps, self.span = _window(lat, q_max, depth)
         self._admit(lat.rate)
-        self._levels: List[Dict[int, Dict[int, int]]] = [{} for _ in self.caps]
+        self.levels: Optional[List[Dict[int, Dict[int, int]]]] = [{} for _ in self.caps]
         if self.caps and self.caps[0] >= 0:
-            self._levels[0][0] = {0: 1}
-
-    @property
-    def levels(self) -> List[Dict[int, Dict[int, int]]]:
-        """The depth buckets of each level: the series' own while it is
-        built, read back from its rows once it is held."""
-        if self._rows is None:
-            return self._levels
-        return [_bucketed(rows, cap) for rows, cap in zip(self._rows, self.caps)]
-
-    @property
-    def rows(self) -> List[Tuple[tuple, tuple, tuple]]:
-        """The rows (depths, ends, terms) of each level (see Held form): the
-        held series' own, or read off the buckets of one being built."""
-        if self._rows is None:
-            return [_flat(lvl) for lvl in self._levels]
-        return self._rows
+            self.levels[0][0] = {0: 1}
 
     def hold(self) -> "_LatticeSeries":
         """This series, its buckets replaced by its rows: the read form of a
         finished series, which no step changes any more.  Each level's
         buckets are dropped as soon as its rows are built, so the series
         never holds both forms of more than one level."""
-        levels, self._levels = self._levels, None
+        levels, self.levels = self.levels, None
         for t, lvl in enumerate(levels):
             levels[t] = _flat(lvl)
-        self._rows = levels
+        self.rows = levels
         return self
 
     def _admit(self, rate: int) -> None:
@@ -334,7 +325,7 @@ class _LatticeSeries:
             self.rate = rate
 
     def copy(self, caps: List[int], span: int) -> "_LatticeSeries":
-        """A copy cut to a window this series' window contains (see
+        """A copy of this held series cut to a window its window contains (see
         `_fns_cached`), given by that window's caps and span (`_window`), or
         to a prefix caps[:top + 1] of them: levels 0..top, each term of
         depth d <= caps[t], read off this series' rows into depth buckets,
@@ -344,8 +335,8 @@ class _LatticeSeries:
         the levels below it, so the steps applied to this prefix give the
         prefix of the steps applied to the whole series."""
         out = object.__new__(_LatticeSeries)
-        out.lat, out.caps, out.span, out.rate, out._rows = self.lat, caps, span, self.rate, None
-        out._levels = [_bucketed(rows, cap) for rows, cap in zip(self.rows, caps)]
+        out.lat, out.caps, out.span, out.rate, out.rows = self.lat, caps, span, self.rate, None
+        out.levels = [_bucketed(rows, cap) for rows, cap in zip(self.rows, caps)]
         return out
 
     def _margin(self, d: int, c2: int) -> None:
@@ -356,22 +347,20 @@ class _LatticeSeries:
                 f"factor q^{format_rational(Q(c2, 2))} exp(w) with depth(w) = "
                 f"{format_rational(Q(d, self.lat.scale))} raises the window margin")
 
-    def _factor(self, key: tuple, c: Fraction) -> Tuple[int, int, int]:
-        """(depth entry, packed key, 2c) for a step by q^c exp(w), c >= 0, w
-        of int key `key` (`_Lattice.key`), after checking that the step never
-        raises the margin and that the series stays inside the packing
+    def _factor(self, key: tuple, c2: int) -> Tuple[int, int]:
+        """(depth entry, packed key) for a step by q^c exp(w), 2c = c2 >= 0,
+        w of int key `key` (`_Lattice.key`), after checking that the step
+        never raises the margin and that the series stays inside the packing
         bound."""
-        lat = self.lat
-        c2 = lat.q2(c)
         self._margin(key[0], c2)
         self._admit(-(-max(map(abs, key[1:])) // (c2 or key[0])))  # ceil(|x| / cost)
-        return key[0], lat.pack(key[1:]), c2
+        return key[0], self.lat.pack(key[1:])
 
     def _push_up(self, dk: int, fp: int, c2: int, coef: int, keep: bool) -> None:
         """Add coef * x times each level t into level t + c2 (c2 > 0), in one
         pass from the top down, so each level is read before it is written:
         a multiplication by (1 + coef x), or by coef x when not `keep`."""
-        lv, caps = self._levels, self.caps
+        lv, caps = self.levels, self.caps
         for t in range(len(lv) - 1, -1, -1):
             src = lv[t]
             if not keep:
@@ -379,9 +368,9 @@ class _LatticeSeries:
             if t + c2 < len(lv):
                 _step(lv[t + c2], src, caps[t + c2], dk, fp, coef)
 
-    def divide(self, key: tuple, c: Fraction, sign: int) -> None:
-        """Multiply by (1 - sign q^c exp(w))^(-1), sign = +-1, w given by its
-        int key (`_Lattice.key`).
+    def divide(self, key: tuple, c2: int, sign: int) -> None:
+        """Multiply by (1 - sign q^c exp(w))^(-1), sign = +-1, c given by the
+        int c2 = 2c and w by its int key (`_Lattice.key`).
 
         For c > 0 this is the running sum new[t] = old[t] + sign new[t - x],
         taken in increasing q (the coin-change recurrence of Euler's partition
@@ -397,15 +386,15 @@ class _LatticeSeries:
         a shift by -sign y followed by the c > 0 division by y.  Both steps
         are by q^{-c} exp(-w), so the margin check of `_factor` covers the
         shift as well: a term it moves into the window comes from a kept one."""
-        flip = c < 0
-        dk, fp, c2 = self._factor(tuple(-x for x in key) if flip else key, abs(c))
+        flip, c2 = c2 < 0, abs(c2)
+        dk, fp = self._factor(tuple(-x for x in key) if flip else key, c2)
         if flip:
             self._push_up(dk, fp, c2, -sign, False)
         self._divide(dk, fp, c2, sign)
 
     def _divide(self, dk: int, fp: int, c2: int, sign: int) -> None:
         """`divide` by a checked step (depth entry dk, packed key fp, 2c = c2 >= 0)."""
-        lv, caps = self._levels, self.caps
+        lv, caps = self.levels, self.caps
         if c2:
             for t in range(len(lv) - c2):
                 _step(lv[t + c2], lv[t], caps[t + c2], dk, fp, sign)
@@ -565,11 +554,11 @@ def _sum_pieces(lat: _Lattice, base: Tuple[int, List[int]], window: Fraction, de
     return _publish(lat, base, acc), kept
 
 
-# int coordinates over their denominator -> the published `Vec` of that weight
-# (`_publish`), emptied when it reaches WEIGHT_CAP entries.  A bench pass
-# leaves fewer than 100 (82 char_cold, 76 char_warm), each held in about 550
-# bytes (G3): 4096 shares a long sweep's weights and bounds the table to a
-# few MB.
+# int coordinates over their least denominator -> the published `Vec` of that
+# weight (`_publish`), emptied when it reaches WEIGHT_CAP entries.  A bench
+# pass leaves fewer than 100 (68 char_cold, 63 char_warm), each held in about
+# 550 bytes (G3): 4096 shares a long sweep's weights and bounds the table to
+# a few MB.
 _weights: Dict[tuple, Vec] = {}
 WEIGHT_CAP = 4096  # published weights held before `_weights` is emptied
 
@@ -588,10 +577,13 @@ def _publish(lat: _Lattice, base: Tuple[int, List[int]],
     wden = lcm(D, d), base = (d, y) (`_sum_pieces`), b_i = wden base_i and
     f = wden / D, so no coordinate of the base becomes a `Fraction`.
 
-    Table.  The weight's key is (wden, b_1 + f x_1, ...): its int
-    coordinates over wden, so equal keys are equal weights.  `_weights`
-    holds one `Vec` per key, built with its `Fraction`s the first time the
-    key is seen in the process and returned as it is after that; a `Vec`
+    Table.  The weight's key is (wden, b_1 + f x_1, ...) divided by the gcd
+    of its entries: its int coordinates over the least denominator L they
+    share (over any common denominator c L they are c times those over L,
+    which are coprime to L), so a weight has one key whatever base it was
+    published under.  `_weights` holds one `Vec` per key, built with its
+    `Fraction`s the first time the key is seen in the process and returned
+    as it is after that; a `Vec`
     caches its hash on first use, so a published weight is built and
     hashed once, whatever number of levels, calls and series it enters.  A
     `Vec` is immutable, so sharing one between series changes no output.
@@ -616,12 +608,13 @@ def _publish(lat: _Lattice, base: Tuple[int, List[int]],
                         x = (rest + half) % radix - half
                         rest = (rest - x) // radix
                         xs.append(b + f * x)
-                    key = tuple(xs)
+                    g = math.gcd(*xs)
+                    key = tuple(xs) if g == 1 else tuple([x // g for x in xs])
                     w = _weights.get(key)
                     if w is None:
                         if len(_weights) >= WEIGHT_CAP:
                             _weights.clear()
-                        w = _weights[key] = _vec([Q(x, wden) for x in xs[1:]])
+                        w = _weights[key] = _vec([Q(x, key[0]) for x in key[1:]])
                     vecs[p] = w
                 terms[w] = c
         if terms:
@@ -652,22 +645,22 @@ def _ns_steps(lat: _Lattice, q_max: Fraction) -> List[Tuple[int, int, int, bool]
 
 
 # `cache_info()` of `_fns_cached`: `functools.lru_cache`'s four fields, hits
-# the exact keys and misses the windows built, then the calls answered from a
-# held window that contains the asked one (a namedtuple, as functools makes
-# its own: a `typing.NamedTuple` class costs twice as much at import)
-_HeldInfo = namedtuple("_HeldInfo", "hits misses maxsize currsize contained")
+# the calls answered from a held series and misses the windows built (a
+# namedtuple, as functools makes its own: a `typing.NamedTuple` class costs
+# twice as much at import)
+_HeldInfo = namedtuple("_HeldInfo", "hits misses maxsize currsize")
 
 
 def _held_windows(maxsize: int):
     """`_fns_cached`'s store, a decorator in the manner of
     `functools.lru_cache` (`cache_info`, `cache_clear`, `__wrapped__`): at
-    most `maxsize` built series, dropped least recently used.  An exact key
-    is answered by the dict alone: one pop and one insert.  On a miss the
-    held series are scanned, least recently used first, for one of the same
-    family and image whose window contains the asked one (see
-    `_fns_cached`), returned as it is held and marked used; only when there
-    is none is the asked window built and held.  A contained answer takes
-    no slot.
+    most `maxsize` built series, grouped by (family, image).  A call is
+    answered by the first series of its group, in the order they were
+    built, whose window contains the asked one (see `_fns_cached`), an
+    equal window included: that series is returned as it is held and
+    marked used.  Only when none contains the asked window is it built and
+    held.  Past `maxsize` the least recently used series is dropped, and
+    its group with its last series.
 
     Ints.  A window (Q, D) is held as two pairs of ints, Q = qn/qd and
     scale * (D + sQ) = xn/xd, s the frame's `slope` and scale its `scale`:
@@ -675,61 +668,50 @@ def _held_windows(maxsize: int):
     (scale * dn * qd + dip * qn * dd) / (dd * qd) at D = dn/dd, with no
     `Fraction` on the way.  Every denominator is positive, so the
     containment test Q' <= Q and D' + sQ' <= D + sQ (scale > 0) is exactly
-    qn' qd <= qn qd' and xn' xd <= xn xd', by cross-multiplication, and a
-    miss decides as the `Fraction` comparisons would.  Entries of one
-    family and image share one tag, a list holding their number, and the
-    scan compares tags by identity, not families and images: it matches
-    only the entries the asked window may be answered from, least recently
-    used first as before.  A family and image whose last entry is dropped
-    lose their tag, so the tags are bounded by the entries."""
+    qn' qd <= qn qd' and xn' xd <= xn xd', by cross-multiplication, and
+    every call decides as the `Fraction` comparisons would.  A group key
+    holds the family and the image, ints or None (`OrbitElement.image`), so
+    a call hashes no `Fraction`."""
     def decorate(build):
-        # key -> (series, qn, qd, xn, xd, tag) of its window, least recently
-        # used first: a dict, whose items() reads no key's hash (an
-        # OrderedDict's does), keyed by the ints of Q and D, which hash
-        # without the modular inverse a `Fraction` hash takes
-        held: Dict[tuple, tuple] = {}
-        tags: Dict[tuple, list] = {}  # (family, image) -> [entries held]
-        counts = [0, 0, 0]  # hits, misses, contained
+        # (family, image) -> [frame, entry, ...], each entry [last use, qn, qd,
+        # xn, xd, series] of one held window, in the order they were built
+        groups: Dict[tuple, list] = {}
+        counts = [0, 0, 0, 0]  # hits, misses, uses, series held
 
         def cached(aid: AlgebraId, q_max: Fraction, depth: Fraction,
-                   iso_images: tuple = ()) -> _LatticeSeries:
+                   image: Optional[tuple] = None) -> _LatticeSeries:
             qn, qd, dn, dd = q_max.numerator, q_max.denominator, depth.numerator, depth.denominator
-            key = (aid, qn, qd, dn, dd, iso_images)
-            got = held.pop(key, None)
-            if got is not None:
-                held[key] = got
-                counts[0] += 1
-                return got[0]
-            lat = lookup(aid).lattice
+            group = groups.get((aid, image))
+            lat = lookup(aid).lattice if group is None else group[0]
             xn, xd = lat.scale * dn * qd + lat.dip * qn * dd, dd * qd
-            tag = tags.get((aid, iso_images))
-            if tag is not None:
-                for other, got in held.items():
-                    if got[5] is tag and qn * got[2] <= got[1] * qd \
-                            and xn * got[4] <= got[3] * xd:
-                        held[other] = held.pop(other)
+            if group is not None:
+                for entry in group[1:]:
+                    if qn * entry[2] <= entry[1] * qd and xn * entry[4] <= entry[3] * xd:
+                        counts[0] += 1
                         counts[2] += 1
-                        return got[0]
+                        entry[0] = counts[2]
+                        return entry[5]
             counts[1] += 1
-            series = build(aid, q_max, depth, iso_images)
+            series = build(aid, q_max, depth, image)
             # looked up after the build, which may hold and drop series itself
-            tag = tags.setdefault((aid, iso_images), [0])
-            tag[0] += 1
-            held[key] = series, qn, qd, xn, xd, tag
-            if len(held) > maxsize:
-                old = next(iter(held))
-                tag = held.pop(old)[5]
-                tag[0] -= 1
-                if not tag[0]:
-                    del tags[old[0], old[5]]
+            counts[2] += 1
+            groups.setdefault((aid, image), [lat]).append([counts[2], qn, qd, xn, xd, series])
+            counts[3] += 1
+            if counts[3] > maxsize:
+                _, key, i = min((entry[0], key, i) for key, group in groups.items()
+                                for i, entry in enumerate(group) if i)
+                group = groups[key]
+                del group[i]
+                if len(group) == 1:
+                    del groups[key]
+                counts[3] -= 1
             return series
 
         def cache_clear() -> None:
-            held.clear()
-            tags.clear()
-            counts[:] = [0, 0, 0]
+            groups.clear()
+            counts[:] = [0, 0, 0, 0]
 
-        cached.cache_info = lambda: _HeldInfo(counts[0], counts[1], maxsize, len(held), counts[2])
+        cached.cache_info = lambda: _HeldInfo(counts[0], counts[1], maxsize, counts[3])
         cached.cache_clear = cache_clear
         return update_wrapper(cached, build)
     return decorate
@@ -743,14 +725,15 @@ def _held_windows(maxsize: int):
 # holds.
 @_held_windows(maxsize=32)
 def _fns_cached(aid: AlgebraId, q_max: Fraction, depth: Fraction,
-                iso_images: tuple = ()) -> _LatticeSeries:
+                image: Optional[tuple] = None) -> _LatticeSeries:
     """The NS denominator in the sloped window (q_max, depth + s(q_max - q)),
     built factor by factor in place over int keys (`_ns_steps`), each step
-    margin-checked; with `iso_images`, the key of a massless orbit element's
-    image of the isotropic simple roots (`OrbitElement`), that denominator
-    divided by the image's factor (1 + q^xd exp(-restriction))^(-1) once per
-    isotropic simple root, flipped exactly when xd < 0 (`divide`).  The
-    answer may be a held series of a window that contains the asked one
+    margin-checked; with `image` (2 xd, *key of the restriction), a
+    massless orbit element's image of the isotropic simple roots
+    (`OrbitElement.image`), that denominator divided by the image's factor
+    (1 + q^xd exp(-restriction))^(-1) once per isotropic simple root,
+    flipped exactly when xd < 0 (`divide`).
+    The answer may be a held series of a window that contains the asked one
     (Containment below): a caller reads only inside the window it asked.
     Every series is held in its read form (`_LatticeSeries.hold`) before
     the store holds it: its rows, which `_sum_pieces` reads up to its caps
@@ -769,7 +752,8 @@ def _fns_cached(aid: AlgebraId, q_max: Fraction, depth: Fraction,
     Quotients.  The quotient depends only on its key: the denominator is
     fixed by (family, q_max, depth), and the factor by the image, which is
     the image of the isotropic simple roots under the Weyl element alone,
-    whatever the (k, nu) of the orbit it came from.  It is built from the
+    whatever the (k, nu) of the orbit it came from, and its ints fix the
+    factor (`_orbit`).  It is built from the
     denominator's answer cut to the key's window (`copy`), so it is one
     series for every orbit element and every request that reads it, and
     each reader takes the prefix it needs (`_orbit_sum`): `divide` writes
@@ -778,10 +762,11 @@ def _fns_cached(aid: AlgebraId, q_max: Fraction, depth: Fraction,
     0..t.  The copy has the key's span and rate, so `_margin` and `_admit`
     refuse exactly the factors they refuse on a prefix copy.
 
-    Containment.  A key is answered from any held series of the same family
-    and the same image (none for the plain denominator) whose window
-    (Q, D) contains the asked (Q', D'): Q' <= Q and D' + sQ' <= D + sQ, s
-    the frame's `slope`.  Then the held series has every level
+    Containment.  Every call is answered by the one rule of the store
+    (`_held_windows`): from a held series of the same family and the same
+    image (None for the plain denominator) whose window (Q, D) contains the
+    asked (Q', D'): Q' <= Q and D' + sQ' <= D + sQ, s the frame's `slope`,
+    an equal window included.  Then the held series has every level
     t <= T' = floor(2Q'), and its caps floor(scale(D + sQ) - dip t/2) are
     at least the asked ones pointwise (`_window`).  Every term a series
     stores is the coefficient of the infinite product (`_LatticeSeries`,
@@ -797,14 +782,14 @@ def _fns_cached(aid: AlgebraId, q_max: Fraction, depth: Fraction,
     factors in a window of no larger span, would pass every `_margin` and
     `_admit` it passed; `_sum_pieces` checks its packing bound with the
     asked window's span, the rate being fixed by the family and the image.
-    A contained answer is the held series itself, read in place."""
+    An answer is the held series itself, read in place."""
     entry = lookup(aid)
     lat = entry.lattice
-    if iso_images:
+    if image is not None:
         out = _fns_cached(aid, q_max, depth).copy(*_window(lat, q_max, depth))
-        for key, xd in iso_images:
-            for _ in range(entry.iso_simple_count):
-                out.divide(tuple(-x for x in key), xd, -1)
+        key = tuple([-x for x in image[1:]])
+        for _ in range(entry.iso_simple_count):
+            out.divide(key, image[0], -1)
         return out.hold()
     out = _LatticeSeries(lat, q_max, depth)
     for dk, fp, c2, odd in sorted(_ns_steps(lat, q_max), key=lambda step: -step[2]):
@@ -875,8 +860,9 @@ class OrbitElement(NamedTuple):
     key: tuple                  # key of restrict(w.nu_hat_h) - restrict(nu) (`_Lattice.key`)
     det: int
     q_shift: int
-    iso_images: tuple           # ((key of the restriction to h^nat, x+d),) of the image of
-                                # the isotropic simple roots, all alike (massless)
+    image: Optional[tuple]      # (2(x+d), *key of the restriction to h^nat) of the image
+                                # of the isotropic simple roots, all alike (massless); None
+                                # for a massive element
 
 
 ORBIT_CAP = 10 ** 6  # orbit elements seen before TruncationIncomplete is raised
@@ -937,8 +923,10 @@ def _orbit(entry: CatalogEntry, rec: _Level, sc: _NuScalars, q_shift_limit: Frac
     restricts to 0, rho^nat lies in the root span), so an element's
     restriction minus rho^nat is restrict(nu) + key/D.  The isotropic key
     starts at `_Lattice.iso_key`, the key of restrict(theta/2 - xi), and an
-    image is given by its key and its x+d, which is all the massless sum
-    reads.  No element becomes a `Fraction` weight here.
+    image is given by one int tuple, twice its x+d (`_Lattice.xd2` less
+    twice the drop of the isotropic block), then its key: that is all the
+    massless sum reads (`OrbitElement.image`).  No element becomes a
+    `Fraction` here.
 
     Deduplication is on the int tuple, which is one-to-one on the tracked
     affine weights: the finite-root pairings fix the projection of the
@@ -996,7 +984,8 @@ def _orbit(entry: CatalogEntry, rec: _Level, sc: _NuScalars, q_shift_limit: Frac
             if drop <= limit:
                 out.append(OrbitElement(
                     state[r + 1:width], det, drop,
-                    ((state[width + r + 1:], lat.xd0 - state[width + r]),) if track_iso else ()))
+                    (lat.xd2 - 2 * state[width + r], *state[width + r + 1:]) if track_iso
+                    else None))
             if drop > reach:
                 continue
             iso = state[width:]  # the isotropic block, empty unless tracked
@@ -1135,7 +1124,7 @@ def _orbit_sum(entry: CatalogEntry, rec: _Level, sc: _NuScalars, window: Fractio
     aid = entry.id
     reach = window - s_min if s_min else window
     dep = depth + Q(need, lat.scale) if need else depth
-    pieces = [_fns_cached(aid, reach, dep, el.iso_images) for el in orbit] if track_iso \
+    pieces = [_fns_cached(aid, reach, dep, el.image) for el in orbit] if track_iso \
         else repeat(_fns_cached(aid, reach, dep))
     return _sum_pieces(lat, lat.restricted(sc.d, sc.x), window, depth,
                        [(el.key, el.q_shift, el.det) for el in orbit], pieces, (reach, dep))[0]
@@ -1154,8 +1143,8 @@ def _orbit_cell(g: AlgebraId, kn: int, kd: int, nd: int, nx: tuple, wn: int, wd:
     that the sum is computed from the level record and nu's scalars the
     preconditions already read, and the key holds only what fixes the sum.
     k, the window and the depth are keyed by the numerators and
-    denominators of their reduced `Fraction`s, as `levels._level` and
-    `_held_windows` key theirs, and nu by its coordinates as ints over
+    denominators of their reduced `Fraction`s, as `levels._level` keys k and
+    `_held_windows` holds its windows, and nu by its coordinates as ints over
     their least common denominator (`CatalogEntry._scaled`, read off its
     scalars): equal values key alike, and the key hashes ints, not
     `Fraction`s, each of whose hashes takes a modular inverse.
@@ -1270,23 +1259,23 @@ def n4_closed_form(M1: int, r: int, q_max, depth) -> QWSeries:
     lat = entry.lattice
     fns, (caps, span) = _fns_cached(g, window, depth), _window(lat, window, depth)
     tkey, hkey = lat.key(th), lat.key(Q(1, 2) * th)
-    summands = []  # (head, key of the fermionic factor's weight, its exponent)
+    summands = []  # (head, key of the fermionic factor's weight, twice its exponent)
     for m in _n4_range(M1, window):
         b = m * m * (M1 + 1) + (r + 1) * m
         if (b if m >= 0 else b - (2 * m + 1)) > window:
             continue
-        c, a = Q(2 * m + 1, 2), m * (M1 + 1)
-        summands += [((tuple(a * x for x in tkey), b, 1), hkey, c),
+        c2, a = 2 * m + 1, m * (M1 + 1)
+        summands += [((tuple(a * x for x in tkey), b, 1), hkey, c2),
                      ((tuple(-(r + a + 1) * x for x in tkey), b, -1),
-                      tuple(-x for x in hkey), c)]
+                      tuple(-x for x in hkey), c2)]
 
-    def piece(key: tuple, c: Fraction, b: int) -> _LatticeSeries:
+    def piece(key: tuple, c2: int, b: int) -> _LatticeSeries:
         div = fns.copy(caps[:len(caps) - 2 * b], span)  # the levels read, in (window, depth)
-        div.divide(key, c, -1)
-        div.divide(key, c, -1)
+        div.divide(key, c2, -1)
+        div.divide(key, c2, -1)
         return div.hold()
 
     levels, _ = _sum_pieces(lat, entry._scaled(out.ref), window, out.depth,
                             [hd for hd, _, _ in summands],
-                            (piece(key, c, hd[1]) for hd, key, c in summands), (window, depth))
+                            (piece(key, c2, hd[1]) for hd, key, c2 in summands), (window, depth))
     return _placed(out, l0, levels)

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 import wmin
 from wmin import catalog, characters, gram_lab, levels
 from wmin.catalog import Vec, _Lattice, lookup, zero_vec
-from wmin.characters import (QWSeries, _fns_cached, _held_windows, _LatticeSeries, _n4_range,
-                             _orbit, _orbit_cell, _orbit_sum, _placed, _sum_pieces, _window,
-                             character_massive, character_massless,
+from wmin.characters import (QWSeries, _bucketed, _fns_cached, _held_windows, _LatticeSeries,
+                             _n4_range, _orbit, _orbit_cell, _orbit_sum, _placed, _sum_pieces,
+                             _window, character_massive, character_massless,
                              depth_of, ell_of_h, fns_series, h_pair, n4_closed_form,
                              series_from_records, verma_character, weyl_orbit)
 from wmin.errors import (NonDominant, ParameterOutOfRange, PreconditionViolated,
@@ -170,7 +170,8 @@ def test_weyl_orbit_contract():
 def _decoded(entry, nu, el):
     """An `_orbit` element as `Fraction` data: (restriction, det, q_shift,
     isotropic images as (restriction, x+d)), each restriction read off its
-    int key (restrict(nu) + key/D for the element, key/D for an image).
+    int key (restrict(nu) + key/D for the element, key/D for an image) and
+    an image's x+d off its int 2(x+d).
     `_orbit` tracks one isotropic image for the `iso_simple_count`
     identical ones, so the image is repeated that often."""
     base, denom = entry.restrict(nu), entry.lattice.denom
@@ -179,7 +180,8 @@ def _decoded(entry, nu, el):
         return Vec(Q(x, denom) for x in key[1:])
 
     return (base + weight(el.key), el.det, Q(el.q_shift),
-            tuple((weight(key), xd) for key, xd in el.iso_images) * entry.iso_simple_count)
+            () if el.image is None
+            else ((weight(el.image[1:]), Q(el.image[0], 2)),) * entry.iso_simple_count)
 
 
 @dataclass(frozen=True)
@@ -575,7 +577,7 @@ def _wide_orbit_sum(e, k, nu, l0, q_max, depth, track_iso):
     wide = depth + window * _theta_height(e)
     fns, (caps, span) = _fns_cached(e.id, reach, wide), _window(e.lattice, reach, wide)
 
-    pieces = [_copied_quotient(e, fns, el, caps, span) if el.iso_images else fns
+    pieces = [_copied_quotient(e, fns, el, caps, span) if el.image is not None else fns
               for el in orbit]
     levels, _ = _sum_pieces(e.lattice, e._restricted(nu), window, out.depth,
                             [(el.key, el.q_shift, el.det) for el in orbit], pieces, (reach, wide))
@@ -586,13 +588,12 @@ def _copied_quotient(e, fns, el, caps, span):
     """The massless piece of orbit element `el` over levels 0..len(caps) - 1:
     a copy of those levels of the denominator `fns` cut to the caps and span
     of its window (`_window`), divided in place by the element's isotropic
-    factor once per isotropic simple root.  The test oracle for the cached
-    quotients of `_fns_cached`."""
+    factor once per isotropic simple root, held.  The test oracle for the
+    cached quotients of `_fns_cached`."""
     div = fns.copy(caps, span)
-    for key, xd in el.iso_images:
-        for _ in range(e.iso_simple_count):
-            div.divide(tuple(-x for x in key), xd, -1)
-    return div
+    for _ in range(e.iso_simple_count):
+        div.divide(tuple(-x for x in el.image[1:]), el.image[0], -1)
+    return div.hold()
 
 
 @pytest.mark.parametrize("g", [catalog.psl22(), catalog.spo2m(3), catalog.d21a(1)],
@@ -663,10 +664,10 @@ def test_cached_quotients_are_exact_across_requests(case):
     caps, span = _window(e.lattice, window, depth)
     for level in (k, k2):
         for el in _orbit_at(e, level, nu, window, True):
-            got = _fns_cached(g, window, depth, el.iso_images)
+            got = _fns_cached(g, window, depth, el.image)
             want = _copied_quotient(e, fns, el, caps[:math.floor(2 * (window - el.q_shift)) + 1],
                                     span)
-            assert got.levels[:len(want.levels)] == want.levels, (case, level, el)
+            assert _buckets(got)[:len(want.rows)] == _buckets(want), (case, level, el)
             assert (got.rate, got.span) == (want.rate, want.span), (case, level, el)
     assert _fns_cached.cache_info().misses == misses  # each one the requests cached
 
@@ -1052,6 +1053,20 @@ def test_series_serialization_round_trip():
     assert t == s
 
 
+@pytest.mark.parametrize("coeff", ["3", True, Q(2)], ids=["str", "bool", "Fraction"])
+def test_a_coefficient_that_is_no_int_is_refused(coeff):
+    """A series holds integer multiples: `add_term` and
+    `series_from_records` refuse a coefficient of any class but int, a
+    bool or an integral `Fraction` included, rather than convert it (a
+    float raises `InexactScalar`, see tests/test_public_api.py)."""
+    s = QWSeries(E, 2, 2)
+    with pytest.raises(PreconditionViolated, match="is not an int"):
+        s.add_term(0, ZERO, coeff)
+    with pytest.raises(PreconditionViolated, match="is not an int"):
+        series_from_records(E, [{"q": "0", "weight": ["0"] * 4, "coeff": coeff}], 2, 2)
+    assert s.terms == {}
+
+
 small_series = st.lists(
     st.tuples(st.integers(min_value=0, max_value=4),
               st.integers(min_value=-2, max_value=2),
@@ -1133,10 +1148,10 @@ def _check_inverse_power(w, c, sign, power, qm, dep=Q(3)):
     inv = _LatticeSeries(lat, qm, dep + power * abs(d))
     if (d <= 0) if step_c == 0 else (lat.slope * step_c + d < 0):
         with pytest.raises(PreconditionViolated, match="raises the window margin"):
-            inv.divide(lat.key(w), c, sign)
+            inv.divide(lat.key(w), lat.q2(c), sign)
         return
     for _ in range(power):
-        inv.divide(lat.key(w), c, sign)
+        inv.divide(lat.key(w), lat.q2(c), sign)
     top = qm - power * max(-c, 0)
     got = {}
     for q, lvl in _kernel_terms(inv).items():
@@ -1226,13 +1241,21 @@ def _reference_fns(g, q_max, depth, extra=()):
     return out
 
 
+def _buckets(series):
+    """The depth buckets of each level of a kernel series: its own while it
+    is built, read off its rows (`_bucketed`) once it is held."""
+    if series.levels is not None:
+        return series.levels
+    return [_bucketed(rows, cap) for rows, cap in zip(series.rows, series.caps)]
+
+
 def _kernel_terms(series):
     """{q: {w: coeff}} of an int-keyed kernel series, every term kept: each
     packed key unpacked, and checked to lie in the depth bucket of its
     weight, with no empty bucket and no zero coefficient."""
     lat = series.lat
     out = {}
-    for t, lvl in enumerate(series.levels):
+    for t, lvl in enumerate(_buckets(series)):
         for d, bucket in lvl.items():
             assert bucket and all(bucket.values())
             for p, c in bucket.items():
@@ -1242,10 +1265,10 @@ def _kernel_terms(series):
     return out
 
 
-def _asked(g, q_max, depth, iso_images=()):
+def _asked(g, q_max, depth):
     """`_fns_cached`'s answer cut to the asked window (`_window`): the answer
     may be a held series of a window that contains it."""
-    return _fns_cached(g, q_max, depth, iso_images).copy(
+    return _fns_cached(g, q_max, depth).copy(
         *_window(lookup(g).lattice, q_max, depth))
 
 
@@ -1274,12 +1297,12 @@ def test_int_kernel_isotropic_divisions_equal_fraction_products():
         for extra in [[(XI, Q(1, 2), -1)], [(XI, Q(-1, 2), -1), (-1 * XI, Q(3, 2), -1)], *n4]:
             piece = _asked(G, window, depth)
             for w, c, sign in extra:
-                piece.divide(E.lattice.key(w), c, sign)
+                piece.divide(E.lattice.key(w), E.lattice.q2(c), sign)
             assert _kernel_terms(piece) == _reference_fns(G, window, depth, extra)
         extra = [(xi, Q(-1, 2), -1), (-1 * xi, Q(1, 2), -1)]
         piece = _asked(g, window, depth)
         for w, c, sign in extra:
-            piece.divide(lookup(g).lattice.key(w), c, sign)
+            piece.divide(lookup(g).lattice.key(w), lookup(g).lattice.q2(c), sign)
         assert _kernel_terms(piece) == _reference_fns(g, window, depth, extra)
 
 
@@ -1386,10 +1409,10 @@ def test_q0_factor_needs_positive_depth():
     lat = E.lattice
     for w in (ZERO, TH1):
         with pytest.raises(PreconditionViolated):
-            _LatticeSeries(lat, Q(2), Q(3)).divide(lat.key(w), Q(0), 1)
+            _LatticeSeries(lat, Q(2), Q(3)).divide(lat.key(w), 0, 1)
     # a step whose depth drop outruns the headroom slope is refused as well
     with pytest.raises(PreconditionViolated):
-        _LatticeSeries(lat, Q(2), Q(3)).divide(lat.key(4 * TH1), Q(1, 2), 1)
+        _LatticeSeries(lat, Q(2), Q(3)).divide(lat.key(4 * TH1), 1, 1)
 
 
 def test_lattice_keys_never_round():
@@ -1454,7 +1477,7 @@ def test_denominator_in_any_factor_order_is_the_same(g, q_max, depth):
         else:
             want._divide(dk, fp, c2, 1)
     got = _fns_cached.__wrapped__(g, q_max, depth)
-    assert got.levels == want.levels
+    assert _buckets(got) == want.levels
     assert got.caps == [lat.cap(depth + lat.slope * (q_max - Q(t, 2)))
                         for t in range(math.floor(2 * q_max) + 1)]
 
@@ -1519,11 +1542,11 @@ def test_window_past_the_packing_bound_is_refused():
     with pytest.raises(PreconditionViolated, match="packing bound"):
         fns_series(G, 1, big)
     series = _LatticeSeries(lat, Q(2), Q(3))
-    series.divide(lat.key(-1 * TH1), Q(0), 1)
+    series.divide(lat.key(-1 * TH1), 0, 1)
     before = _kernel_terms(series)
     far = Vec([Q(lat.radix, lat.denom), 0, 0, 0])  # depth 0: the margin holds
     with pytest.raises(PreconditionViolated, match="packing bound"):
-        series.divide(lat.key(far), Q(1), 1)
+        series.divide(lat.key(far), 2, 1)
     assert _kernel_terms(series) == before
     want = QWSeries(E, 2, 3, far)
     _accumulate(want, fns_series(G, 2, 3), far)
@@ -1548,8 +1571,8 @@ def test_a_short_piece_raises():
     T - 2h, rather than cut the character short; a head one q higher reads
     two levels fewer, and the same piece serves it."""
     lat = E.lattice
-    fns, span = _asked(G, Q(2), Q(3)), _window(lat, Q(2), Q(3))[1]
-    short = fns.copy(fns.caps[:-1], span)
+    fns, span = _asked(G, Q(2), Q(3)).hold(), _window(lat, Q(2), Q(3))[1]
+    short = fns.copy(fns.caps[:-1], span).hold()
     for piece, shift in [(fns, 0), (short, 1)]:
         levels, _ = _sum_pieces(lat, E._scaled(ZERO), Q(2), Q(3), [((0,) * 5, shift, 1)],
                                 [piece], (Q(2), Q(3)))
@@ -1570,7 +1593,7 @@ def test_n4_closed_form_divides_its_own_window():
 
         def spy(lat, base, window, depth, heads, ps, within):
             ps = list(ps)
-            got.extend((p.levels, p.caps, p.span, p.rate) for p in ps)
+            got.extend((_buckets(p), p.caps, p.span, p.rate) for p in ps)
             return merge(lat, base, window, depth, heads, ps, within)
 
         with pytest.MonkeyPatch.context() as mp:
@@ -1583,7 +1606,7 @@ def test_n4_closed_form_divides_its_own_window():
     _fns_cached.cache_clear()
     fns_series(G, 4, 5)  # (4, 5) contains the closed form's (3, 3)
     assert pieces() == cold and len(cold) == 4
-    assert _fns_cached.cache_info().contained == 1
+    assert _fns_cached.cache_info().hits == 1
 
 
 NESTED_FAMILIES = [catalog.psl22(), catalog.spo2m(3), catalog.g3(), catalog.d21a(2, 3)]
@@ -1662,7 +1685,7 @@ def test_held_windows_answer_as_their_own_builds(case):
 
 
 SLOPES = {g: lookup(g).lattice.slope for g in (G, SPO3, catalog.g3())}
-IMAGES = ((), (((1, 0, 0, 0, 0), Q(1, 2)),), (((1, 0, 0, 0, 0), Q(-1, 2)),))
+IMAGES = (None, (1, 1, 0, 0, 0, 0), (-1, 1, 0, 0, 0, 0))  # (2(x+d), *key) or None
 WINDOWS = st.tuples(st.fractions(min_value=0, max_value=3, max_denominator=6),
                     st.fractions(min_value=0, max_value=6, max_denominator=6))
 STORE_REQUESTS = st.lists(st.tuples(st.sampled_from(list(SLOPES)), WINDOWS,
@@ -1672,51 +1695,52 @@ S_PSL = SLOPES[G]
 
 def _fraction_store(requests, maxsize):
     """The answers of the store as the `Fraction` test decides them: each
-    request is an exact hit, else answered by the least recently used held
-    window of its family and image with Q' <= Q and D' + sQ' <= D + sQ,
-    else built (as its index) and held, the least recently used dropped
-    past `maxsize`; with the counts (hits, misses, contained)."""
-    held, out, counts = [], [], [0, 0, 0]  # held: [g, q, d, image, answer]
+    request is answered by the first held window of its family and image,
+    in the order they were built, with Q' <= Q and D' + sQ' <= D + sQ (an
+    equal window included), else built (as its index) and held, the least
+    recently used dropped past `maxsize`; with the counts (hits, misses)."""
+    built, used, out, counts = [], [], [], [0, 0]  # [g, q, d, image, answer], by build, by use
     for i, (g, (q, d), img) in enumerate(requests):
         s = SLOPES[g]
-        exact = [h for h in held if h[:4] == [g, q, d, img]]
-        inside = [h for h in held if h[0] == g and h[3] == img and q <= h[1]
+        inside = [h for h in built if h[0] == g and h[3] == img and q <= h[1]
                   and d + s * q <= h[2] + s * h[1]]
-        if exact or inside:
-            got = (exact or inside)[0]
-            held.remove(got)
-            held.append(got)
-            counts[0 if exact else 2] += 1
+        if inside:
+            got = inside[0]
+            used.remove(got)
+            counts[0] += 1
         else:
             got = [g, q, d, img, i]
-            held.append(got)
+            built.append(got)
             counts[1] += 1
-            if len(held) > maxsize:
-                del held[0]
+        used.append(got)
+        if len(used) > maxsize:
+            built.remove(used.pop(0))
         out.append(got[4])
     return out, counts
 
 
 @given(STORE_REQUESTS)
-@example([(G, (Q(2), Q(3)), ()), (G, (Q(2), Q(8, 3)), ())])          # Q' = Q
-@example([(G, (Q(2), Q(3)), ()), (G, (Q(3, 2), Q(3) + S_PSL / 2), ())])  # D' + sQ' = D + sQ
-@example([(G, (Q(2), Q(3)), ()), (G, (Q(3, 2), Q(3) + S_PSL / 2 + Q(1, 6)), ())])
-@example([(G, (Q(2), Q(3)), ()), (G, (Q(13, 6), Q(1)), ())])        # Q' > Q
+@example([(G, (Q(2), Q(3)), None), (G, (Q(2), Q(3)), None)])              # equal windows
+@example([(G, (Q(2), Q(3)), None), (G, (Q(2), Q(8, 3)), None)])           # Q' = Q
+@example([(G, (Q(2), Q(3)), None), (G, (Q(3, 2), Q(3) + S_PSL / 2), None)])  # D' + sQ' = D + sQ
+@example([(G, (Q(2), Q(3)), None), (G, (Q(3, 2), Q(3) + S_PSL / 2 + Q(1, 6)), None)])
+@example([(G, (Q(2), Q(3)), None), (G, (Q(13, 6), Q(1)), None)])          # Q' > Q
 # the third request lies inside the window of another family, then image
-@example([(SPO3, (Q(3), Q(6)), ()), (G, (Q(1), Q(1)), ()), (G, (Q(3, 2), Q(1)), ())])
-@example([(G, (Q(2), Q(3)), IMAGES[1]), (G, (Q(1), Q(1)), ()), (G, (Q(3, 2), Q(1)), ())])
-@example([(G, (Q(1), Q(1)), ()), (G, (Q(2), Q(2)), ()), (G, (Q(3), Q(3)), ()),
-          (G, (Q(1, 2), Q(1)), ()), (G, (Q(3), Q(3)), ())])           # past maxsize
+@example([(SPO3, (Q(3), Q(6)), None), (G, (Q(1), Q(1)), None), (G, (Q(3, 2), Q(1)), None)])
+@example([(G, (Q(2), Q(3)), IMAGES[1]), (G, (Q(1), Q(1)), None), (G, (Q(3, 2), Q(1)), None)])
+@example([(G, (Q(1), Q(1)), None), (G, (Q(2), Q(2)), None), (G, (Q(3), Q(3)), None),
+          (G, (Q(1, 2), Q(1)), None), (G, (Q(3), Q(3)), None)])           # past maxsize
 @settings(max_examples=150, deadline=None)
 def test_held_window_int_match_is_the_fraction_test(requests):
-    """`_held_windows` matches a held window in ints as the `Fraction` test
-    Q' <= Q and D' + sQ' <= D + sQ decides, equality on either side
-    included, only against windows of the same family and image, least
-    recently used first, and drops the least recently used past its size:
-    over a sequence of requests to a store of two entries, every answer
-    and count is the `Fraction` store's, and the store keeps one tag per
-    family and image it holds, no more."""
-    store = _held_windows(2)(lambda aid, q, d, images: object())
+    """`_held_windows` answers every call by one rule, decided in ints as
+    the `Fraction` test Q' <= Q and D' + sQ' <= D + sQ decides, equality on
+    either side included: from the first held window of the same family
+    and image, in build order, that contains the asked one; it builds only
+    when none does, and drops the least recently used past its size: over
+    a sequence of requests to a store of two entries, every answer and
+    count is the `Fraction` store's, and every group of the store holds a
+    series, the groups `currsize` of them in all."""
+    store = _held_windows(2)(lambda aid, q, d, image: object())
     built = {}
     got = []
     for i, (g, (q, d), img) in enumerate(requests):
@@ -1728,12 +1752,36 @@ def test_held_window_int_match_is_the_fraction_test(requests):
     want, counts = _fraction_store(requests, 2)
     info = store.cache_info()
     assert got == want
-    assert [info.hits, info.misses, info.contained] == counts
+    assert [info.hits, info.misses] == counts and len(info) == 4
     assert info.currsize == min(2, counts[1])
     cells = dict(zip(store.__code__.co_freevars, (c.cell_contents for c in store.__closure__)))
-    held, tags = cells["held"], cells["tags"]
-    assert set(tags) == {(key[0], key[5]) for key in held}
-    assert all(tag == [sum(got[5] is tag for got in held.values())] for tag in tags.values())
+    groups = cells["groups"]
+    assert all(len(group) > 1 for group in groups.values())
+    assert sum(len(group) - 1 for group in groups.values()) == info.currsize
+
+
+def test_store_keys_hold_no_fraction():
+    """After massive, massless, Verma and closed-form requests, every key
+    of `_fns_cached`'s store and every window it holds is made of ints,
+    None and the `AlgebraId`: no lookup hashes a `Fraction`."""
+    _fns_cached.cache_clear()
+    character_massive(G, -3, ZERO, 1, 3, 4)
+    character_massless(G, -3, Q(1, 2) * TH1, A_bound(G, -3, Q(1, 2) * TH1) + 2, 3)
+    character_massless(SPO3, -1, zero_vec(lookup(SPO3).n), 2, 2)
+    fns_series(catalog.g3(), 2, 3)
+    n4_closed_form(2, 1, Q(7, 2), 3)
+
+    def plain(x):
+        if isinstance(x, tuple):
+            return all(map(plain, x))
+        return x is None or x.__class__ in (int, catalog.AlgebraId)
+
+    cells = dict(zip(_fns_cached.__code__.co_freevars,
+                     (c.cell_contents for c in _fns_cached.__closure__)))
+    groups = cells["groups"]
+    assert any(image is not None for _, image in groups)
+    assert all(plain(key) for key in groups), list(groups)
+    assert all(plain(tuple(entry[:5])) for group in groups.values() for entry in group[1:])
 
 
 class _SmallRadixLattice(_Lattice):
@@ -1778,7 +1826,7 @@ def test_held_window_past_the_packing_bound_answers_its_own():
             _fns_cached.cache_clear()
             _orbit_cell.cache_clear()
             assert [answer(call) for call in requests] == cold
-            assert _fns_cached.cache_info().contained > 0
+            assert _fns_cached.cache_info().hits > 0
         finally:  # nothing built on the small frame outlives it
             _fns_cached.cache_clear()
             _orbit_cell.cache_clear()
@@ -1819,8 +1867,8 @@ def test_character_caches_stay_bounded_over_d21a_sweep():
     for depth in reversed(sweep):
         fns_series(G, 2, depth)
     info = _fns_cached.cache_info()
-    assert (info.misses, info.contained, info.currsize) == (1, len(sweep) - 1, 1)
-    images = {el.iso_images for el in _orbit_at(E, -3, ZERO, Q(2), True)}
+    assert (info.misses, info.hits, info.currsize) == (1, len(sweep) - 1, 1)
+    images = {el.image for el in _orbit_at(E, -3, ZERO, Q(2), True)}
     for depth in reversed(range(6)):  # each denominator window lies in the sweep's first
         character_massless(G, -3, ZERO, A_bound(G, -3, ZERO) + 2, depth)
     info = _fns_cached.cache_info()

@@ -57,7 +57,8 @@ def test_natural_component_fields_are_pinned():
 
 def _float_calls():
     """(name, call) for each public function and each public method that
-    reads a rational, the call passing one float where a rational goes."""
+    reads a rational or a coefficient, the call passing one float where a
+    rational or a coefficient goes."""
     from fractions import Fraction as Q
 
     from wmin import GaussianRational as GR
@@ -93,6 +94,8 @@ def _float_calls():
         ("n4_closed_form", lambda: wmin.n4_closed_form(1, 0, 3.0, 4)),
         ("series_from_records", lambda: wmin.series_from_records(
             e, [{"q": 0.5, "weight": [0, 0, 0, 0], "coeff": 1}], 3, 4)),
+        ("series_from_records", lambda: wmin.series_from_records(
+            e, [{"q": 0, "weight": [0, 0, 0, 0], "coeff": 2.5}], 3, 4)),
         ("sign2_scan", lambda: wmin.sign2_scan(g, -3.0, nu, 2, 2)),
         ("unitarity_range_contains", lambda: wmin.unitarity_range_contains(g, -3.0)),
         ("verma_character", lambda: wmin.verma_character(g, nu, 0.5, 3, 4)),
@@ -105,6 +108,7 @@ def _float_calls():
         ("GaussianRational.__add__", lambda: GR(1) + 0.5),
         ("QWSeries", lambda: wmin.QWSeries(e, 3.0, 4)),
         ("QWSeries.add_term", lambda: series.add_term(0.5, nu, 1)),
+        ("QWSeries.add_term", lambda: series.add_term(0, nu, 2.5)),
         ("QWSeries.coeff", lambda: series.coeff(0.5, nu)),
         ("QWSeries.truncated", lambda: series.truncated(1.0, 4)),
         ("CatalogEntry.shifted_level", lambda: e.shifted_level(-3.0)),

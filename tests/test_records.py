@@ -38,8 +38,9 @@ def _pairs():
          unitarity.CollapseCheck("C", True, Q(2, 4), "d"),
          "CollapseCheck(target='C', weight_integrable=True, l0=Fraction(1, 2), detail='d')",
          True),
-        (characters.OrbitElement((0, 1), -1, 2, ()), characters.OrbitElement((0, 1), -1, 2, ()),
-         "OrbitElement(key=(0, 1), det=-1, q_shift=2, iso_images=())", True),
+        (characters.OrbitElement((0, 1), -1, 2, None),
+         characters.OrbitElement((0, 1), -1, 2, None),
+         "OrbitElement(key=(0, 1), det=-1, q_shift=2, image=None)", True),
         (gram_lab.BosonBasisState(((1, 2),)), gram_lab.BosonBasisState.of({1: 2, 3: 0}),
          "BosonBasisState(parts=((1, 2),))", True),
         (GR(Q(1, 2), 3), GR(Q(2, 4), Q(3)), "(1/2+3*i)", True),

@@ -59,11 +59,12 @@ def test_stage_times():
     assert got["caches"]["_level"]["hits"] == 1
     # the third request places the cached orbit sum
     assert 0 < got["hit_s"] < got["warm_s"]
-    # the cold call builds the one denominator; the fourth, at a window
-    # inside it, reads that series in place and builds nothing
+    # the cold call builds the one denominator; the warm call reads it, and
+    # the fourth, at a window inside it, reads that series in place and
+    # builds nothing
     assert got["contained_window"] == ["5/2", "5"] and got["contained_s"] > 0
     assert got["windows_built"] == {"cold": 1, "warm": 0, "contained": 0}
-    assert got["windows_from_held"] == {"cold": 0, "warm": 0, "contained": 1}
+    assert got["windows_from_held"] == {"cold": 0, "warm": 1, "contained": 1}
     # the cold call builds the 38 distinct weights of its 110 terms; every
     # later call reads them from the table of published weights
     assert got["weights_built"] == {"cold": 38, "warm": 0, "hit": 0, "contained": 0}
@@ -78,9 +79,10 @@ def test_stage_times():
     # elements; the warm call reads them from the cache and builds none
     assert (got["orbit_elements"], got["quotients"], got["quotients_warm"]) == (4, 4, 0)
     assert got["caches"]["_fns_cached"]["misses"] == 1 + 4
-    # the fourth call reads each element's quotient from the cold call's
+    # the cold call's quotients after the first read its denominator; the
+    # warm and the fourth call read each element's quotient from the cold call's
     assert got["windows_built"] == {"cold": 1 + 4, "warm": 0, "contained": 0}
-    assert got["windows_from_held"] == {"cold": 0, "warm": 0, "contained": 4}
+    assert got["windows_from_held"] == {"cold": 3, "warm": 4, "contained": 4}
     # a warm psl22 massive request: its preconditions are timed at 1 us
     # resolution, so the sub-millisecond checks do not round to 0
     (line,) = run_script("stage_times.py", "--g", "psl22", "--k", "-3",
