@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import Iterable, List, NamedTuple, Optional, Sequence
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import CriticalLevel, IsotropicCoroot, ParameterOutOfRange, PreconditionViolated
 from .rationals import _Frozen, _Record, _set, as_rational, format_rational
@@ -362,9 +362,13 @@ class CatalogEntry(_Frozen):
 
     def _scaled(self, finite: Sequence) -> tuple:
         """(d, x) with finite = x / d: the coordinates as ints x over their
-        least common denominator d.  Raises on a weight of the wrong length."""
+        least common denominator d.  Raises on a weight of the wrong length
+        or with a coordinate that is no int or `Fraction`."""
         self._check_length(finite)
-        d = math.lcm(*[c.denominator for c in finite])
+        try:
+            d = math.lcm(*[c.denominator for c in finite])
+        except AttributeError:  # a coordinate that is no rational: `as_rational` raises
+            return self._scaled([as_rational(c) for c in finite])
         return d, [c.numerator * (d // c.denominator) for c in finite]
 
     def _covector(self, v: Vec) -> tuple:
@@ -748,11 +752,12 @@ class _Lattice:
     adds weights and depths alike.  `key` raises on a weight off the lattice
     and `q2` on an exponent off (1/2) Z; nothing is rounded.
 
-    `slope` is the dip density s, the largest depth change per unit of q over
-    the denominator factors: |depth(alpha)| for the bosonic exponents
+    The dip density s is the largest depth change per unit of q over the
+    denominator factors: |depth(alpha)| for the bosonic exponents
     exp(+-alpha) (which cost q^n, n >= 1) and 2|depth(gamma)| for the odd ones
-    (which cost q^{1/2} and up), or 1 when there are none.  `dip` = s * scale
-    is an int by construction: it is read off the keys' depth entries.
+    (which cost q^{1/2} and up), or 1 when there are none.  It is held as
+    the int `dip` = s * scale, read off the keys' depth entries.  `window`
+    gives the kernel's sloped window (q_max, depth) as its two ints.
 
     The kernel stores the coordinates of a key packed into one int,
     `pack`(x) = sum_i x_i R^i with R = `radix`.  Packing is linear, and it
@@ -795,7 +800,7 @@ class _Lattice:
     level record.
     """
 
-    __slots__ = ("proj", "pden", "depth_cov", "denom", "scale", "cov", "slope", "dip", "ns",
+    __slots__ = ("proj", "pden", "depth_cov", "denom", "scale", "cov", "dip", "ns",
                  "rate", "cartan", "xd", "rkeys", "rows", "iso_ps", "iso_key", "xd2")
 
     #: the packing radix R: coordinates |x_i| <= 2^20 pack one-to-one
@@ -832,7 +837,6 @@ class _Lattice:
         dips = [abs(self.key(a)[0]) for a in entry.pos_roots_natural]
         dips += [2 * abs(self.key(g)[0]) for g, _ in entry.delta_prime]
         self.dip = max(dips) if dips else self.scale
-        self.slope = Q(self.dip, self.scale)
 
         rank = len(s) + (1 if entry.center else 0)
         block = [(-1 * g, -1, True) for g, mult in entry.delta_prime for _ in range(mult)]
@@ -907,6 +911,11 @@ class _Lattice:
         """The largest int depth of a key whose depth is at most `depth`:
         floor(scale * depth), from the depth's numerator and denominator."""
         return self.scale * depth.numerator // depth.denominator
+
+    def window(self, q_max: Fraction, depth: Fraction) -> Tuple[int, int]:
+        """(T, X) = (floor(2 q_max), floor(2 scale (depth + s q_max))), in ints."""
+        qn, qd, dn, dd = q_max.numerator, q_max.denominator, depth.numerator, depth.denominator
+        return 2 * qn // qd, 2 * (self.scale * dn * qd + self.dip * qn * dd) // (dd * qd)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ TruncationIncomplete when hit.  Both characters are one l0-free
 `_orbit_sum`, which reads l0 only through the window q_max - l0 (its
 docstring argues this), placed at the exponents l0 + j/2 by the final step
 `_placed`; the sums are cached per (family, k, nu, window, depth, kind)
-(`_orbit_cell`, keyed by the ints of k, nu, the window and the depth),
-after every precondition check.
+(`_orbit_cell`, keyed by the ints of k and nu, the kernel window and the
+depth cap), after every precondition check.
 
 Both the kernel and the orbit read one per-algebra frame of h^nat,
 `CatalogEntry.lattice` (`catalog._Lattice`, built once per catalog entry):
@@ -38,10 +38,12 @@ coefficient}}, a key's coordinates packed into one int (`_Lattice.pack`:
 linear, and one-to-one inside a bound the kernel proves and checks).  Every
 factor is applied to the running series in place inside a sloped window
 whose exactness argument is in the `_LatticeSeries` docstring, its cap test
-once per bucket.  A finished series is held in a read form: each level's
-sorted depths, the running count of its terms up to each depth, and its
-packed keys and coefficients flattened in increasing depth, of which a
-reader takes the prefix under its cap.  Every factor
+once per bucket.  A window reaches the kernel as two ints, its kernel window
+(T, X) (`_Lattice.window`), worked out once per request: a series depends on
+nothing else.  A finished series is held in a read form: each level's sorted
+depths, the running count of its terms up to each depth, and its packed keys
+and coefficients flattened in increasing depth, of which a reader takes the
+prefix under its cap.  Every factor
 (1 - sign q^c exp(w))^(-1), the denominator's own, the isotropic
 corrections of the massless sum and the fermionic factors of the N=4
 closed form, is expanded by that kernel's one `divide`, c given by the int
@@ -51,8 +53,9 @@ on the Weyl element and the denominator's window only: it is cached beside
 the denominator, keyed by that image's ints (`OrbitElement.image`), and
 every element and request with that key reads the prefix it needs of it.
 That bounded store (`_fns_cached`) has one rule: a call is answered from a
-held series of its (family, image) whose sloped window contains the asked
-one, read in place, and built only when there is none; its docstring
+held series of its (family, image) whose kernel window (T, X) contains the
+asked (T', X'), T' <= T and X' <= X, read in place, and built only when
+there is none; its docstring
 argues that every reader keeps the same terms and refuses the same
 windows as a build of its own.  A bench char_cold pass so builds 13
 denominators and 10 quotients of the 51 and 22 windows it asks.
@@ -62,8 +65,8 @@ Every character is one `_sum_pieces` and one `_placed`: the orbit sum,
 `n4_closed_form` each give one base weight, one window q_max - ell, a list
 of heads +-q^shift exp(base + key/D), shift an int (the orbit's q_shift,
 the closed form's b_m, 0 for a Verma character), and kernel pieces.  The
-piece terms that pass the cuts, int caps worked out from the window's and
-the depth's numerators and denominators, are summed over ints: the index
+piece terms that pass the cuts, int caps read off the request's kernel
+window and depth cap, are summed over ints: the index
 2 shift + t of a level t term, and packed keys at the kernel's scale.
 `_publish` then walks the sums once, in increasing index: each nonzero
 sum is unpacked to its weight's int coordinates over one denominator, the
@@ -235,6 +238,10 @@ class _LatticeSeries:
     (`_Lattice.pack`).  `caps[t]` is the int depth cap of that level,
     floor(scale * (depth + s * (q_max - t/2))), so a term is kept exactly
     when `add_term` with headroom s would keep it, for any rational window.
+    With (T, X) = (floor(2 q_max), floor(2 scale (depth + s q_max))), the
+    kernel window (`_Lattice.window`), and dip t an int, that is
+    floor((X - dip t)/2) for t <= T (floor(y/2) = floor(floor(y)/2)), so a
+    series depends on its window only through (T, X) (`_window`).
     A step by q^c exp(w) adds the depth entry and the packed key of w, one
     int `+` each (packing is linear), and its cap test runs once per bucket:
     a whole bucket is kept or skipped.  No bucket is left empty.
@@ -294,9 +301,9 @@ class _LatticeSeries:
 
     __slots__ = ("lat", "levels", "rows", "caps", "span", "rate")
 
-    def __init__(self, lat: _Lattice, q_max: Fraction, depth: Fraction):
+    def __init__(self, lat: _Lattice, top: int, x2: int):
         self.lat, self.rate, self.rows = lat, 0, None
-        self.caps, self.span = _window(lat, q_max, depth)
+        self.caps, self.span = _window(lat, top, x2)
         self._admit(lat.rate)
         self.levels: Optional[List[Dict[int, Dict[int, int]]]] = [{} for _ in self.caps]
         if self.caps and self.caps[0] >= 0:
@@ -411,16 +418,11 @@ class _LatticeSeries:
                     _step(lvl, {d: lvl[d]}, cap, dk, fp, sign)
 
 
-def _window(lat: _Lattice, q_max: Fraction, depth: Fraction) -> Tuple[List[int], int]:
-    """The caps and the span of the sloped window (q_max, depth) of the
-    kernel (`_LatticeSeries`): caps[t] = floor(x - dip * t/2) for
-    t <= T = floor(2 q_max), x = scale * (depth + s * q_max), in ints, and
+def _window(lat: _Lattice, top: int, x2: int) -> Tuple[List[int], int]:
+    """The caps and the span of the kernel window (T, X) = (top, x2)
+    (`_LatticeSeries`): caps[t] = floor((X - dip t)/2) for t <= T, and
     span = T + max(caps[0], 0)."""
-    top = math.floor(2 * q_max)
-    x = lat.scale * (depth + lat.slope * q_max)
-    num, den = 2 * x.numerator, 2 * x.denominator
-    return ([(num - lat.dip * t * x.denominator) // den for t in range(top + 1)],
-            top + max(math.floor(x), 0))
+    return [(x2 - lat.dip * t) // 2 for t in range(top + 1)], top + max(x2 // 2, 0)
 
 
 def _flat(lvl: Dict[int, Dict[int, int]]) -> Tuple[tuple, tuple, tuple]:
@@ -469,29 +471,29 @@ def _step(dst: Dict[int, Dict[int, int]], src: Dict[int, Dict[int, int]], cap: i
             del dst[nd]
 
 
-def _sum_pieces(lat: _Lattice, base: Tuple[int, List[int]], window: Fraction, depth: Fraction,
+def _sum_pieces(lat: _Lattice, base: Tuple[int, List[int]], top: int, dcap: int,
                 heads: Sequence[Tuple[tuple, int, int]], pieces: Iterable[_LatticeSeries],
-                within: Tuple[Fraction, Fraction]) -> Tuple[Dict[int, Dict[Vec, int]], int]:
+                within: Tuple[int, int]) -> Tuple[Dict[int, Dict[Vec, int]], int]:
     """The l0-free levels of the sum of sign * q^shift exp(base + x/D) *
     piece, for each head (key, shift, sign), key the int key
     (`_Lattice.key`) of x/D relative to the base weight and shift an int,
     and the kernel series of `pieces` in the same order, cut at q <= window
-    and at depth <= depth around the base: the published levels
+    and at depth <= depth around the base (the ints top = floor(2 window)
+    and dcap, `_Lattice.cap`): the published levels
     (`_publish`) and the number of kernel terms kept.  The base weight is
     given as ints y over a denominator d, base = (d, y): y / d.  The final
     step (`_placed`) puts the levels at the exponents ell + j/2 of the
     character, ell its lowest exponent and window = q_max - ell.
-    `within` is the kernel window (q_max, depth) the pieces were asked in:
-    a piece may be a held series whose window contains it (`_fns_cached`).
+    `within` is the kernel window (T, X) the pieces were asked in: a piece
+    may be a held series whose window contains it (`_fns_cached`).
 
     Index.  A term of level t (q = t/2) of a piece under a head of shift h
     sits at ell + h + t/2, so at the int index j = 2h + t over ell.  Its
-    cut q <= q_max is j <= T = floor(2 window), worked out once per sum from
-    the window's numerator and denominator: 2h + t is an int, so
-    j <= 2(q_max - ell) exactly when j <= T.  A piece is read at its levels
-    t <= T - 2h, and no head needs `Fraction` arithmetic.  A piece without
-    all of those levels raises PreconditionViolated: it would cut the
-    character short.
+    cut q <= q_max is j <= top = floor(2 window): 2h + t is an int, so
+    j <= 2(q_max - ell) exactly when j <= top.  A piece is read at its
+    levels t <= top - 2h, and no head needs `Fraction` arithmetic.  A piece
+    without all of those levels raises PreconditionViolated: it would cut
+    the character short.
 
     The kept terms are summed over (index, packed key): the coordinates
     relative to base at the kernel's scale D, packed (`_Lattice.pack`), so a
@@ -503,9 +505,7 @@ def _sum_pieces(lat: _Lattice, base: Tuple[int, List[int]], window: Fraction, de
     largest |coordinate| of a head key, and a call with 2(H + B) >= R
     raises PreconditionViolated.  The bound is the asked window's, not the
     held piece's, so a piece read from a larger held window refuses
-    exactly what its own build would.  The held span is at least the asked
-    one, so the held bound is tested first and the asked span is worked
-    out (`_window`) only when that test fails.
+    exactly what its own build would.
 
     Depth.  Every base lies in ref + ker(depth), ref the published series'
     reference weight: the orbit sums pass base = restrict(nu) with ref = nu,
@@ -515,8 +515,8 @@ def _sum_pieces(lat: _Lattice, base: Tuple[int, List[int]], window: Fraction, de
     Depth being linear, depth_of(ref, base + x/D) = depth_of(0, x/D), and
     the cut depth_of(ref, w) <= depth is the int bound
     dcap = floor(scale * depth) on the depth entry of the product key
-    (`_Lattice.cap`, from the depth's numerator and denominator): each
-    piece gets one int depth cap dcap - (depth entry of its head).
+    (`_Lattice.cap`): each piece gets one int depth cap
+    dcap - (depth entry of its head).
 
     Early stop.  A piece is read in its rows (`_LatticeSeries`, Held form),
     each level's terms in increasing depth, so the terms it keeps under a
@@ -525,13 +525,12 @@ def _sum_pieces(lat: _Lattice, base: Tuple[int, List[int]], window: Fraction, de
     above the cap.  It keeps exactly the terms that a test of each depth
     against the cap keeps, so the Containment argument of `_fns_cached` is
     unchanged."""
-    dcap, top = lat.cap(depth), 2 * window.numerator // window.denominator
     hmax = max([0] + [abs(x) for key, _, _ in heads for x in key[1:]])
+    span = within[0] + max(within[1] // 2, 0)
     acc: Dict[int, Dict[int, int]] = {}
     kept = 0
     for (key, shift, sign), piece in zip(heads, pieces):
-        if 2 * (hmax + piece.rate * piece.span) >= lat.radix \
-                and 2 * (hmax + piece.rate * _window(lat, *within)[1]) >= lat.radix:
+        if 2 * (hmax + piece.rate * span) >= lat.radix:
             raise PreconditionViolated(
                 f"character terms are past the packing bound of the denominator kernel "
                 f"(radix {lat.radix})")
@@ -539,7 +538,7 @@ def _sum_pieces(lat: _Lattice, base: Tuple[int, List[int]], window: Fraction, de
         if len(rows) <= top - j0:
             raise PreconditionViolated(
                 f"a piece of {len(rows)} levels under a head at q^{shift} cannot fill "
-                f"the window {format_rational(window)}")
+                f"the {top + 1} levels of the window")
         for t in range(top - j0 + 1):
             dst = acc.get(j0 + t)
             if dst is None:
@@ -632,14 +631,13 @@ def _placed(out: QWSeries, ell: Fraction, levels: Dict[int, Dict[Vec, int]]) -> 
     return out
 
 
-def _ns_steps(lat: _Lattice, q_max: Fraction) -> List[Tuple[int, int, int, bool]]:
-    """The factors of the NS denominator with exponent c <= q_max, n's blocks
-    of the frame's table `_Lattice.ns` for n = 1, 2, ... in order, as int
-    steps (depth entry, packed key, 2c, odd): (1 + q^c exp(w)) when odd,
+def _ns_steps(lat: _Lattice, top: int) -> List[Tuple[int, int, int, bool]]:
+    """The factors of the NS denominator with 2c <= top = floor(2 q_max), n's
+    blocks of the frame's table `_Lattice.ns` for n = 1, 2, ... in order, as
+    int steps (depth entry, packed key, 2c, odd): (1 + q^c exp(w)) when odd,
     else (1 - q^c exp(w))^(-1), with no `Fraction` per factor.  Their costs (see
     `_LatticeSeries`) are >= 1 and their coordinates at most the frame's
     `rate`, so the bound a series starts with covers every one of them."""
-    top = math.floor(2 * q_max)
     return [(dk, fp, 2 * n + off, odd) for n in range(1, top // 2 + 2)
             for dk, fp, off, odd in lat.ns if 2 * n + off <= top]
 
@@ -660,49 +658,37 @@ def _held_windows(maxsize: int):
     equal window included: that series is returned as it is held and
     marked used.  Only when none contains the asked window is it built and
     held.  Past `maxsize` the least recently used series is dropped, and
-    its group with its last series.
-
-    Ints.  A window (Q, D) is held as two pairs of ints, Q = qn/qd and
-    scale * (D + sQ) = xn/xd, s the frame's `slope` and scale its `scale`:
-    dip = s * scale is an int (`_Lattice`), so the second is
-    (scale * dn * qd + dip * qn * dd) / (dd * qd) at D = dn/dd, with no
-    `Fraction` on the way.  Every denominator is positive, so the
-    containment test Q' <= Q and D' + sQ' <= D + sQ (scale > 0) is exactly
-    qn' qd <= qn qd' and xn' xd <= xn xd', by cross-multiplication, and
-    every call decides as the `Fraction` comparisons would.  A group key
-    holds the family and the image, ints or None (`OrbitElement.image`), so
-    a call hashes no `Fraction`."""
+    its group with its last series.  A window is its kernel window (T, X),
+    contained when T' <= T and X' <= X; a group key holds the family and
+    the image, ints or None (`OrbitElement.image`): no `Fraction` is read."""
     def decorate(build):
-        # (family, image) -> [frame, entry, ...], each entry [last use, qn, qd,
-        # xn, xd, series] of one held window, in the order they were built
+        # (family, image) -> [entry, ...], each entry [last use, T, X, series]
+        # of one held window, in the order they were built
         groups: Dict[tuple, list] = {}
         counts = [0, 0, 0, 0]  # hits, misses, uses, series held
 
-        def cached(aid: AlgebraId, q_max: Fraction, depth: Fraction,
+        def cached(aid: AlgebraId, top: int, x2: int,
                    image: Optional[tuple] = None) -> _LatticeSeries:
-            qn, qd, dn, dd = q_max.numerator, q_max.denominator, depth.numerator, depth.denominator
             group = groups.get((aid, image))
-            lat = lookup(aid).lattice if group is None else group[0]
-            xn, xd = lat.scale * dn * qd + lat.dip * qn * dd, dd * qd
             if group is not None:
-                for entry in group[1:]:
-                    if qn * entry[2] <= entry[1] * qd and xn * entry[4] <= entry[3] * xd:
+                for entry in group:
+                    if top <= entry[1] and x2 <= entry[2]:
                         counts[0] += 1
                         counts[2] += 1
                         entry[0] = counts[2]
-                        return entry[5]
+                        return entry[3]
             counts[1] += 1
-            series = build(aid, q_max, depth, image)
+            series = build(aid, top, x2, image)
             # looked up after the build, which may hold and drop series itself
             counts[2] += 1
-            groups.setdefault((aid, image), [lat]).append([counts[2], qn, qd, xn, xd, series])
+            groups.setdefault((aid, image), []).append([counts[2], top, x2, series])
             counts[3] += 1
             if counts[3] > maxsize:
                 _, key, i = min((entry[0], key, i) for key, group in groups.items()
-                                for i, entry in enumerate(group) if i)
+                                for i, entry in enumerate(group))
                 group = groups[key]
                 del group[i]
-                if len(group) == 1:
+                if not group:
                     del groups[key]
                 counts[3] -= 1
             return series
@@ -724,15 +710,15 @@ def _held_windows(maxsize: int):
 # rest.  32 keeps either pass whole while bounding what a long-lived process
 # holds.
 @_held_windows(maxsize=32)
-def _fns_cached(aid: AlgebraId, q_max: Fraction, depth: Fraction,
+def _fns_cached(aid: AlgebraId, top: int, x2: int,
                 image: Optional[tuple] = None) -> _LatticeSeries:
-    """The NS denominator in the sloped window (q_max, depth + s(q_max - q)),
-    built factor by factor in place over int keys (`_ns_steps`), each step
-    margin-checked; with `image` (2 xd, *key of the restriction), a
-    massless orbit element's image of the isotropic simple roots
-    (`OrbitElement.image`), that denominator divided by the image's factor
-    (1 + q^xd exp(-restriction))^(-1) once per isotropic simple root,
-    flipped exactly when xd < 0 (`divide`).
+    """The NS denominator in the sloped window (q_max, depth + s(q_max - q))
+    of kernel window (T, X) = (top, x2), built factor by factor in place
+    over int keys (`_ns_steps`), each step margin-checked; with `image`
+    (2 xd, *key of the restriction), a massless orbit element's image of
+    the isotropic simple roots (`OrbitElement.image`), that denominator
+    divided by the image's factor (1 + q^xd exp(-restriction))^(-1) once
+    per isotropic simple root, flipped exactly when xd < 0 (`divide`).
     The answer may be a held series of a window that contains the asked one
     (Containment below): a caller reads only inside the window it asked.
     Every series is held in its read form (`_LatticeSeries.hold`) before
@@ -750,7 +736,7 @@ def _fns_cached(aid: AlgebraId, q_max: Fraction, depth: Fraction,
     filled.
 
     Quotients.  The quotient depends only on its key: the denominator is
-    fixed by (family, q_max, depth), and the factor by the image, which is
+    fixed by (family, T, X), and the factor by the image, which is
     the image of the isotropic simple roots under the Weyl element alone,
     whatever the (k, nu) of the orbit it came from, and its ints fix the
     factor (`_orbit`).  It is built from the
@@ -764,35 +750,35 @@ def _fns_cached(aid: AlgebraId, q_max: Fraction, depth: Fraction,
 
     Containment.  Every call is answered by the one rule of the store
     (`_held_windows`): from a held series of the same family and the same
-    image (None for the plain denominator) whose window (Q, D) contains the
-    asked (Q', D'): Q' <= Q and D' + sQ' <= D + sQ, s the frame's `slope`,
-    an equal window included.  Then the held series has every level
-    t <= T' = floor(2Q'), and its caps floor(scale(D + sQ) - dip t/2) are
-    at least the asked ones pointwise (`_window`).  Every term a series
-    stores is the coefficient of the infinite product (`_LatticeSeries`,
-    Exactness), the quotient's factor included, so the held terms of depth
-    d <= caps'[t] in the levels t <= T' are those of the asked build, and
-    the held series holds more only beyond them.  No reader reads beyond
-    them: `_sum_pieces` reads levels t <= T - 2h <= T' and depth entries
-    d <= dcap - key[0] <= caps'[t] under a head of shift h, by `_orbit_sum`'s
-    Window argument (verma_character's head is 0 at (window, depth)), and a
-    quotient or `n4_closed_form` piece is a `copy` cut to the asked window.
-    So every kept term is the one the asked build gives.  Refusals are the
-    same too: the held series was built, and the asked build, of the same
-    factors in a window of no larger span, would pass every `_margin` and
-    `_admit` it passed; `_sum_pieces` checks its packing bound with the
-    asked window's span, the rate being fixed by the family and the image.
-    An answer is the held series itself, read in place."""
+    image (None for the plain denominator) whose kernel window (T, X)
+    contains the asked (T', X'): T' <= T and X' <= X, an equal window
+    included.  Then the held series has every level t <= T', and its caps
+    floor((X - dip t)/2) are at least the asked ones pointwise (`_window`);
+    every (Q', D') inside a held (Q, D) has T' <= T and X' <= X.  Every term a
+    series stores is the coefficient of the infinite product
+    (`_LatticeSeries`, Exactness), the quotient's factor included, so the held
+    terms of depth d <= caps'[t] in the levels t <= T' are those of the asked
+    build, and the held series holds more only beyond them.  No reader reads
+    beyond them: `_sum_pieces` reads levels t <= T - 2h <= T' and depth
+    entries d <= dcap - key[0] <= caps'[t] under a head of shift h, by
+    `_orbit_sum`'s Window argument (verma_character's head is 0 at (window,
+    depth)), and a quotient or `n4_closed_form` piece is a `copy` cut to the
+    asked window.  So every kept term is the one the asked build gives.
+    Refusals are the same too: the held series was built, and the asked build,
+    of the same factors in a window of no larger span, would pass every
+    `_margin` and `_admit` it passed; `_sum_pieces` checks its packing bound
+    with the asked window's span, the rate being fixed by the family and the
+    image.  An answer is the held series itself, read in place."""
     entry = lookup(aid)
     lat = entry.lattice
     if image is not None:
-        out = _fns_cached(aid, q_max, depth).copy(*_window(lat, q_max, depth))
+        out = _fns_cached(aid, top, x2).copy(*_window(lat, top, x2))
         key = tuple([-x for x in image[1:]])
         for _ in range(entry.iso_simple_count):
             out.divide(key, image[0], -1)
         return out.hold()
-    out = _LatticeSeries(lat, q_max, depth)
-    for dk, fp, c2, odd in sorted(_ns_steps(lat, q_max), key=lambda step: -step[2]):
+    out = _LatticeSeries(lat, top, x2)
+    for dk, fp, c2, odd in sorted(_ns_steps(lat, top), key=lambda step: -step[2]):
         out._margin(dk, c2)
         if odd:
             out._push_up(dk, fp, c2, 1, True)
@@ -823,9 +809,9 @@ def verma_character(g: AlgebraId, nu: Vec, ell, q_max, depth) -> QWSeries:
     window = out.q_max - ell
     if window < 0:
         return out
-    levels, _ = _sum_pieces(entry.lattice, entry._scaled(nu), window, out.depth,
-                            [((0,) * (entry.n + 1), 0, 1)], [_fns_cached(g, window, out.depth)],
-                            (window, out.depth))
+    lat, win = entry.lattice, entry.lattice.window(window, out.depth)
+    levels, _ = _sum_pieces(lat, entry._scaled(nu), win[0], lat.cap(out.depth),
+                            [((0,) * (entry.n + 1), 0, 1)], [_fns_cached(g, *win)], win)
     return _placed(out, ell, levels)
 
 
@@ -874,11 +860,11 @@ def _ratio(num: int, den: int):
     return Q(num, den) if rem else q
 
 
-def _orbit(entry: CatalogEntry, rec: _Level, sc: _NuScalars, q_shift_limit: Fraction,
+def _orbit(entry: CatalogEntry, rec: _Level, sc: _NuScalars, limit: int,
            track_iso: bool = False) -> List[OrbitElement]:
     """Breadth-first shifted-orbit enumeration: the elements with
-    q_shift <= limit, walked on int coordinates, for nu in P^+_k at the
-    level of the record `rec` (`levels._level`), nu given by its scalars
+    q_shift <= limit, an int, walked on int coordinates, for nu in P^+_k at
+    the level of the record `rec` (`levels._level`), nu given by its scalars
     `sc` (`CatalogEntry._scalars`), of which the walk reads the int level-0
     pairings ps over d.
 
@@ -971,7 +957,6 @@ def _orbit(entry: CatalogEntry, rec: _Level, sc: _NuScalars, q_shift_limit: Frac
     if track_iso:
         state += (*lat.iso_ps, 0, *lat.iso_key)
     r, width, rows = len(start), len(start) + entry.n + 2, lat.rows
-    limit = q_shift_limit.numerator // q_shift_limit.denominator
     reach = max(limit, 0)
     seen = {state}
     frontier = [(state, 1)]
@@ -1006,7 +991,7 @@ def _orbit(entry: CatalogEntry, rec: _Level, sc: _NuScalars, q_shift_limit: Frac
                     nxt.append((child, -det))
             if len(seen) > ORBIT_CAP:
                 raise TruncationIncomplete(
-                    f"orbit cap {ORBIT_CAP} hit at q_shift limit {q_shift_limit}: "
+                    f"orbit cap {ORBIT_CAP} hit at q_shift limit {limit}: "
                     f"{len(seen)} elements seen, {len(out)} kept within the limit, "
                     f"BFS level {level}")
         frontier = nxt
@@ -1029,46 +1014,47 @@ def weyl_orbit(g: AlgebraId, k, nu: Vec, h, q_max) -> List[Tuple[Vec, int, Fract
     rec, sc = data
     base, denom = entry.restrict(nu), entry.lattice.denom
     return [(base + _vec([Q(x, denom) for x in e.key[1:]]), e.det, Q(e.q_shift))
-            for e in _orbit(entry, rec, sc, as_rational(q_max))]
+            for e in _orbit(entry, rec, sc, math.floor(as_rational(q_max)))]
 
 
 # ---------------------------------------------------------------------------
 # character formulas
 
 
-def _orbit_sum(entry: CatalogEntry, rec: _Level, sc: _NuScalars, window: Fraction,
-               depth: Fraction, track_iso: bool) -> Dict[int, Dict[Vec, int]]:
+def _orbit_sum(entry: CatalogEntry, rec: _Level, sc: _NuScalars, top: int, x2: int,
+               dcap: int, track_iso: bool) -> Dict[int, Dict[Vec, int]]:
     """The l0-free orbit sum: det * q^q_shift exp(restriction) * fns summed
     over the orbit of nu (its level record `rec` and scalars `sc`, as
     `_orbit` reads them), cut at (window, depth) around nu, as published
     levels {index j: {weight: coefficient}} (`_sum_pieces`), empty when
-    the window is negative.  The int denominator series is read directly by
-    `_sum_pieces`, each orbit element's head being its int key relative to
-    restrict(nu) (`_orbit`) and its int q_shift: each element gets one int
-    q ceiling and one int depth cap, the kept terms are merged over int
-    keys, and only the output terms become `Fraction` keys.  With track_iso
-    each piece is the denominator divided by its element's isotropic
+    the window is negative, given as its kernel window (T, X) = (top, x2) and
+    depth cap dcap (`_Lattice.cap`).  The int denominator series is read
+    directly by `_sum_pieces`, each orbit element's head being its int key
+    relative to restrict(nu) (`_orbit`) and its int q_shift: each element gets
+    one int q ceiling and one int depth cap, the kept terms are merged over
+    int keys, and only the output terms become `Fraction` keys.  With
+    track_iso each piece is the denominator divided by its element's isotropic
     correction (1 + q^c exp(w))^(-1), once per isotropic simple root (their
-    images coincide, see `_orbit`), negative exponents c flipped exactly:
-    the quotient cached under the denominator's key and the element's image
+    images coincide, see `_orbit`), negative exponents c flipped exactly: the
+    quotient cached under the denominator's key and the element's image
     (`_fns_cached`), read as it is.
 
     No l0.  The character at conformal weight l0, the sum over w of
     det(w) q^(l0 + q_shift(w)) exp(restriction) * fns cut at q <= q_max,
     reads l0 only through the window q_max - l0, in three places: the orbit
-    is walked to q_shift <= window (`_orbit`, which reads neither l0 nor
-    h); the denominator's window (s_min and need below) is read off that
-    orbit; and `_sum_pieces` keeps a term of index j, at exponent l0 + j/2,
-    exactly when j <= floor(2(q_max - l0)) = floor(2 window).  The depth cut
-    is around nu and reads no exponent.  So the character is this sum with
+    is walked to q_shift <= floor(window) = floor(T/2) (`_orbit`, which
+    reads neither l0 nor h); the denominator's window (below) is read off
+    that orbit and (T, X); and `_sum_pieces` keeps a term of index j, at
+    exponent l0 + j/2, exactly when j <= floor(2(q_max - l0)) = T.  The
+    depth cut, dcap, is around nu.  So the character is this sum with
     level j placed at l0 + j/2 (`_placed`): two characters of one (family,
-    k, nu, window, depth, kind) are one sum at two exponents, and the
+    k, nu, T, X, dcap, kind) are one sum at two exponents, and the
     characters cache the sum per such key (`_orbit_cell`).  A massless
     character has l0 = A(k, nu), which (k, nu) fixes, so q_max fixes its
     window.
 
     Quotients.  A massless piece depends only on its key (`_fns_cached`):
-    the denominator's (family, reach, Dep) below and the element's image,
+    the denominator's family and reach window below and the element's image,
     which the Weyl element fixes whatever (k, nu) is, so elements of one
     orbit and of other requests with the same image and denominator window
     share one piece.  `_sum_pieces` reads only levels
@@ -1078,24 +1064,25 @@ def _orbit_sum(entry: CatalogEntry, rec: _Level, sc: _NuScalars, window: Fractio
     the kept terms are the same.  The quotient has the span of its window,
     so `_margin` and `_admit` refuse exactly the factors they would refuse
     on the prefix.  A piece, plain or quotient, may be a held series whose
-    window contains (reach, Dep) (`_fns_cached`): every term an element
-    reads lies in (reach, Dep) by the Window argument below, and
-    `_sum_pieces` checks its packing bound in (reach, Dep).
+    window contains the reach window (`_fns_cached`): every term an element
+    reads lies in the reach window by the Window argument below, and
+    `_sum_pieces` checks its packing bound in it.
 
-    Window.  The denominator is built in the sloped window of exactly what
-    the orbit reads, in ints.  Element e (head shift q_shift) is read
-    at the levels q <= window - q_shift, and there at the depth entries
-    d <= dcap - key[0], dcap = floor(scale * depth) (`_sum_pieces`).  Let
-    s_min = min(0, the least q_shift); an element with q_shift < 0
-    (extremal weights, see `_orbit`) reads up to q = window - s_min, the
-    reach of the build.  At q <= window - q_shift the sloped window (reach,
-    Dep) keeps the depth entries up to floor(scale * Dep + dip * (reach - q))
-    >= floor(scale * Dep) + dip * (q_shift - s_min) (`_LatticeSeries`; dip
-    is an int).  With Dep = depth + need / scale and
-    need = max(0, max over e of (-key[0] - dip * (q_shift - s_min))), that is
-    at least dcap - key[0] for every element, so every term an element reads
-    is exact; the isotropic divisions are margin-checked steps in the same
-    window.  need is 0 from a dominant start (Kac, Infinite-dimensional Lie
+    Window.  The denominator is built in the kernel window of exactly what
+    the orbit reads, in ints.  Element e (head shift q_shift) is read at
+    the levels t <= T - 2 q_shift, and there at the depth entries
+    d <= dcap - key[0] (`_sum_pieces`).  Let s_min = min(0, the least
+    q_shift); an element with q_shift < 0 (extremal weights, see `_orbit`)
+    reads up to level T - 2 s_min.  With the int need = max(0, max over e
+    of (-key[0] - dip * (q_shift - s_min))), the build's reach window is
+    (T - 2 s_min, X + 2(need - dip s_min)), the kernel window of
+    (window - s_min, depth + need / scale): the ints added pass through
+    the floors.  Its cap at level t is floor((X + 2 need - 2 dip s_min -
+    dip t)/2) (`_window`), and X >= 2 dcap + dip T, so at t <= T - 2 q_shift
+    it is at least dcap + need + dip (q_shift - s_min) >= dcap - key[0]
+    for every element: every term an element reads is exact; the isotropic
+    divisions are margin-checked steps in the same window.  need is 0 from
+    a dominant start (Kac, Infinite-dimensional Lie
     algebras, Lemma 3.11 / Prop. 3.12): lam0 - w lam0 = sum n_alpha alpha +
     sum m_i eta_i with n, m >= 0, so the restriction moves by
     -sum n_alpha alpha + sum m_i theta_i, at most sum m_i ht(theta_i) above
@@ -1114,38 +1101,37 @@ def _orbit_sum(entry: CatalogEntry, rec: _Level, sc: _NuScalars, window: Fractio
     prod_n prod_{gamma in Delta'} (1 + q^{n-1/2} exp(-gamma)), times
     prod_n (1 - q^n)^(-1) when g^nat has a center (rank counts it, the
     affine roots do not); the tests check this on seven families."""
-    if window.numerator < 0:
+    if top < 0:
         return {}
-    orbit = _orbit(entry, rec, sc, window, track_iso)
+    orbit = _orbit(entry, rec, sc, top // 2, track_iso)
     lat, s_min = entry.lattice, min(0, orbit[0].q_shift)  # sorted on q_shift first
     need, dip = 0, lat.dip
     for el in orbit:
         need = max(need, -el.key[0] - dip * (el.q_shift - s_min))
-    aid = entry.id
-    reach = window - s_min if s_min else window
-    dep = depth + Q(need, lat.scale) if need else depth
-    pieces = [_fns_cached(aid, reach, dep, el.image) for el in orbit] if track_iso \
-        else repeat(_fns_cached(aid, reach, dep))
-    return _sum_pieces(lat, lat.restricted(sc.d, sc.x), window, depth,
-                       [(el.key, el.q_shift, el.det) for el in orbit], pieces, (reach, dep))[0]
+    aid, rt, rx = entry.id, top - 2 * s_min, x2 + 2 * (need - dip * s_min)  # the reach window
+    pieces = [_fns_cached(aid, rt, rx, el.image) for el in orbit] if track_iso \
+        else repeat(_fns_cached(aid, rt, rx))
+    return _sum_pieces(lat, lat.restricted(sc.d, sc.x), top, dcap,
+                       [(el.key, el.q_shift, el.det) for el in orbit], pieces, (rt, rx))[0]
 
 
 # A bench char_warm pass reads 52 distinct keys, and each cell holds one
 # character's levels (110 terms for the G3 case): 128 keeps such a sweep
 # whole while bounding what a long-lived process holds.
 @lru_cache(maxsize=128)
-def _orbit_cell(g: AlgebraId, kn: int, kd: int, nd: int, nx: tuple, wn: int, wd: int,
-                dn: int, dd: int, track_iso: bool, cap: int) -> list:
+def _orbit_cell(g: AlgebraId, kn: int, kd: int, nd: int, nx: tuple, top: int, x2: int,
+                dcap: int, track_iso: bool, cap: int) -> list:
     """The cell of one l0-free orbit sum (`_orbit_sum`): per (family,
-    k = kn/kd, nu = nx/nd, window = wn/wd, depth = dn/dd, massless or not,
-    orbit cap), a list that `_character` fills with the sum on the first
-    request of the key.  The cell is cached rather than `_orbit_sum`, so
-    that the sum is computed from the level record and nu's scalars the
-    preconditions already read, and the key holds only what fixes the sum.
-    k, the window and the depth are keyed by the numerators and
-    denominators of their reduced `Fraction`s, as `levels._level` keys k and
-    `_held_windows` holds its windows, and nu by its coordinates as ints over
-    their least common denominator (`CatalogEntry._scaled`, read off its
+    k = kn/kd, nu = nx/nd, kernel window (T, X) = (top, x2), depth cap,
+    massless or not, orbit cap), a list that `_character` fills with the
+    sum on the first request of the key.  The cell is cached rather than
+    `_orbit_sum`, so that the sum is computed from the level record and
+    nu's scalars the preconditions already read, and the key holds only
+    what fixes the sum, which reads its window only through T, X and dcap
+    (`_orbit_sum`).  k is keyed by the numerator and denominator of its
+    reduced `Fraction`, as `levels._level` keys it, and nu by its
+    coordinates as ints over their least common denominator
+    (`CatalogEntry._scaled`, read off its
     scalars): equal values key alike, and the key hashes ints, not
     `Fraction`s, each of whose hashes takes a modular inverse.
     The cap is in the key because `_orbit` reads
@@ -1162,12 +1148,12 @@ def _character(entry: CatalogEntry, rec: _Level, sc: _NuScalars, nu: Vec, l0: Fr
     nu's scalars they read): the orbit sum of its key (`_orbit_cell`),
     computed on the key's first request, placed at l0 (`_placed`)."""
     out = QWSeries(entry, q_max, depth, nu)
-    window, k, depth = out.q_max - l0, rec.data.k, out.depth
-    cell = _orbit_cell(entry.id, k.numerator, k.denominator, sc.d, tuple(sc.x),
-                       window.numerator, window.denominator, depth.numerator,
-                       depth.denominator, track_iso, ORBIT_CAP)
+    lat, k = entry.lattice, rec.data.k
+    (top, x2), dcap = lat.window(out.q_max - l0, out.depth), lat.cap(out.depth)
+    cell = _orbit_cell(entry.id, k.numerator, k.denominator, sc.d, tuple(sc.x), top, x2, dcap,
+                       track_iso, ORBIT_CAP)
     if not cell:
-        cell.append(_orbit_sum(entry, rec, sc, window, depth, track_iso))
+        cell.append(_orbit_sum(entry, rec, sc, top, x2, dcap, track_iso))
     return _placed(out, l0, cell[0])
 
 
@@ -1190,7 +1176,7 @@ def character_massless(g: AlgebraId, k, nu: Vec, q_max, depth) -> QWSeries:
     simple-root corrections resummed per orbit element."""
     entry = lookup(g)
     q_max, depth = as_rational(q_max), as_rational(depth)
-    if g.family == "D21a" and not nu.is_zero():
+    if g.family == "D21a" and any(map(as_rational, nu)):
         raise UnsupportedD21a("massless D(2,1;a) characters are only available at nu = 0")
     data = _P_plus_data(g, k, nu)
     if data is None:
@@ -1256,8 +1242,8 @@ def n4_closed_form(M1: int, r: int, q_max, depth) -> QWSeries:
     window = q_max - l0
     if window < 0:
         return out
-    lat = entry.lattice
-    fns, (caps, span) = _fns_cached(g, window, depth), _window(lat, window, depth)
+    lat, win = entry.lattice, entry.lattice.window(window, depth)
+    fns, (caps, span) = _fns_cached(g, *win), _window(lat, *win)
     tkey, hkey = lat.key(th), lat.key(Q(1, 2) * th)
     summands = []  # (head, key of the fermionic factor's weight, twice its exponent)
     for m in _n4_range(M1, window):
@@ -1275,7 +1261,7 @@ def n4_closed_form(M1: int, r: int, q_max, depth) -> QWSeries:
         div.divide(key, c2, -1)
         return div.hold()
 
-    levels, _ = _sum_pieces(lat, entry._scaled(out.ref), window, out.depth,
+    levels, _ = _sum_pieces(lat, entry._scaled(out.ref), win[0], lat.cap(depth),
                             [hd for hd, _, _ in summands],
-                            (piece(key, c2, hd[1]) for hd, key, c2 in summands), (window, depth))
+                            (piece(key, c2, hd[1]) for hd, key, c2 in summands), win)
     return _placed(out, l0, levels)

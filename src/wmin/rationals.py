@@ -24,7 +24,8 @@ _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
 def parse_rational(s: str) -> Fraction:
-    """Parse 'p' or 'p/q' exactly; floats and decimals are rejected."""
+    """Parse 'p' or 'p/q' exactly; anything else ('', '1/0', '0x10', '0.5')
+    raises a bare `ValueError`, not a `WminError`: the CLI's exit code 2."""
     s = s.strip()
     if not _RAT_RE.match(s):
         raise ValueError(f"not an exact rational: {s!r} (use p or p/q)")

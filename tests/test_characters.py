@@ -39,16 +39,17 @@ def _record(e, k):
 
 def _orbit_at(e, k, nu, limit, track_iso=False):
     """`_orbit` of nu at level k, given the level record and nu's scalars
-    as the character preconditions pass them."""
-    return _orbit(e, _record(e, k), e._scalars(nu), limit, track_iso)
+    as the character preconditions pass them, to the int floor(limit)."""
+    return _orbit(e, _record(e, k), e._scalars(nu), math.floor(limit), track_iso)
 
 
 def _orbit_sum_at(e, k, nu, l0, q_max, depth, track_iso):
     """`_orbit_sum` of nu at level k, given as `_orbit_at` gives `_orbit`,
     at the window q_max - l0 and placed at l0: the character, uncached."""
-    q_max, depth = Q(q_max), Q(depth)
+    q_max, depth, lat = Q(q_max), Q(depth), e.lattice
     return _placed(QWSeries(e, q_max, depth, nu), Q(l0),
-                   _orbit_sum(e, _record(e, k), e._scalars(nu), q_max - l0, depth, track_iso))
+                   _orbit_sum(e, _record(e, k), e._scalars(nu), *lat.window(q_max - l0, depth),
+                              lat.cap(depth), track_iso))
 
 
 def _start_by_the_affine_form(e, k, nu):
@@ -488,7 +489,7 @@ def test_fns_cache_is_bounded():
     bound = fns.cache_info().maxsize
     assert bound is not None
     for depth in range(bound + 8):
-        fns(G, Q(0), Q(depth))
+        fns(G, *E.lattice.window(Q(0), Q(depth)))
     assert fns.cache_info().currsize <= bound
 
 
@@ -575,12 +576,14 @@ def _wide_orbit_sum(e, k, nu, l0, q_max, depth, track_iso):
     orbit = _orbit_at(e, k, nu, window, track_iso)
     reach = window - min([Q(0)] + [el.q_shift for el in orbit])
     wide = depth + window * _theta_height(e)
-    fns, (caps, span) = _fns_cached(e.id, reach, wide), _window(e.lattice, reach, wide)
+    lat = e.lattice
+    within = lat.window(reach, wide)
+    fns, (caps, span) = _fns_cached(e.id, *within), _window(lat, *within)
 
     pieces = [_copied_quotient(e, fns, el, caps, span) if el.image is not None else fns
               for el in orbit]
-    levels, _ = _sum_pieces(e.lattice, e._restricted(nu), window, out.depth,
-                            [(el.key, el.q_shift, el.det) for el in orbit], pieces, (reach, wide))
+    levels, _ = _sum_pieces(lat, e._restricted(nu), math.floor(2 * window), lat.cap(out.depth),
+                            [(el.key, el.q_shift, el.det) for el in orbit], pieces, within)
     return _placed(out, l0, levels)
 
 
@@ -660,11 +663,11 @@ def test_cached_quotients_are_exact_across_requests(case):
     char(k2)
     assert char(k) == cold, case
     misses = _fns_cached.cache_info().misses
-    fns = _fns_cached(g, window, depth)  # the window from the dominant start
-    caps, span = _window(e.lattice, window, depth)
+    asked = e.lattice.window(window, depth)  # the window from the dominant start
+    fns, (caps, span) = _fns_cached(g, *asked), _window(e.lattice, *asked)
     for level in (k, k2):
         for el in _orbit_at(e, level, nu, window, True):
-            got = _fns_cached(g, window, depth, el.image)
+            got = _fns_cached(g, *asked, el.image)
             want = _copied_quotient(e, fns, el, caps[:math.floor(2 * (window - el.q_shift)) + 1],
                                     span)
             assert _buckets(got)[:len(want.rows)] == _buckets(want), (case, level, el)
@@ -718,9 +721,9 @@ def test_orbit_sum_builds_the_window_its_orbit_reads(case):
     its docstring), and gives the same sum as over the wide window
     depth + window * `_theta_height`, massive and massless; every
     `_fns_cached` call, the isotropic quotients of a massless sum included,
-    is in that one (reach, depth) window, the plain denominator asked with
-    three arguments; from a dominant start it needs no headroom: the
-    build's depth is `depth`."""
+    is in that one kernel window (T, X), whose T is that of the reach, the
+    plain denominator asked with three arguments; from a dominant start it
+    needs no headroom: (T, X) is the window of (window, depth)."""
     g, k, nu, above, window, depth = case
     e = lookup(g)
     l0, track_iso = A_bound(g, k, nu) + (above or 0), above is None
@@ -731,11 +734,11 @@ def test_orbit_sum_builds_the_window_its_orbit_reads(case):
     assert got.n_terms() > 0
     assert got == _wide_orbit_sum(e, k, nu, l0, l0 + window, depth, track_iso), case
     assert all(len(a) == 3 or a[3] for a in built), built
-    ((_, reach, dep),) = {a[:3] for a in built}
+    ((_, top, x2),) = {a[:3] for a in built}
     orbit = _orbit_at(e, k, nu, window, track_iso)
-    assert reach == window - min([0] + [el.q_shift for el in orbit])
+    assert top == math.floor(2 * (window - min([0] + [el.q_shift for el in orbit])))
     if all(p >= 0 for p in _start_by_the_affine_form(e, k, nu)):
-        assert dep == depth, case
+        assert (top, x2) == e.lattice.window(window, depth), case
 
 
 @given(window_cases())
@@ -885,14 +888,22 @@ def test_n4_closed_form_odd_r_equals_the_fraction_sum():
 
 
 def test_massless_rejects_nonzero_d21a():
+    """The test nu = 0 reads any sequence of rationals: a nonzero weight,
+    as a `Vec`, a list or a tuple, raises UnsupportedD21a before it reaches
+    the level data, and nu = 0 is answered alike in each form."""
     g = catalog.d21a(1, 1)
     e = lookup(g)
     nu = Q(1, 2) * e.components[0].theta
-    with pytest.raises(UnsupportedD21a):
-        character_massless(g, -2, nu, 3, 4)
-    # nu = 0 is fine
-    s = character_massless(g, -2, zero_vec(3), Q(3, 2), 3)
-    assert s.coeff(0, zero_vec(3)) == 1
+    for kind in (Vec, list, tuple):
+        with pytest.raises(UnsupportedD21a):
+            character_massless(g, -2, kind(nu), 3, 4)
+        with pytest.raises(UnsupportedD21a):
+            character_massless(catalog.d21a(2), Q(-4, 3), kind([Q(1, 2), 0, 0]), 2, 2)
+        # nu = 0 is fine
+        s = character_massless(g, -2, kind([0, 0, 0]), Q(3, 2), 3)
+        assert s.coeff(0, zero_vec(3)) == 1
+        s = character_massless(catalog.d21a(2), Q(-4, 3), kind([0, 0, 0]), 2, 2)
+        assert s == character_massless(catalog.d21a(2), Q(-4, 3), zero_vec(3), 2, 2)
 
 
 def test_massive_bottom_multiplet_dimensions():
@@ -1145,8 +1156,8 @@ def _check_inverse_power(w, c, sign, power, qm, dep=Q(3)):
     d = depth_of(E, ZERO, step_w)
     # product terms at depth <= dep read kernel terms down to dep + power*|d|;
     # for c < 0 the factor lowers q, so only q <= qm - power*|c| is complete
-    inv = _LatticeSeries(lat, qm, dep + power * abs(d))
-    if (d <= 0) if step_c == 0 else (lat.slope * step_c + d < 0):
+    inv = _LatticeSeries(lat, *lat.window(qm, dep + power * abs(d)))
+    if (d <= 0) if step_c == 0 else (Q(lat.dip, lat.scale) * step_c + d < 0):
         with pytest.raises(PreconditionViolated, match="raises the window margin"):
             inv.divide(lat.key(w), lat.q2(c), sign)
         return
@@ -1188,7 +1199,7 @@ def _reference_fns(g, q_max, depth, extra=()):
     dips = [abs(depth_of(e, zero, a)) for a in e.pos_roots_natural]
     dips += [2 * abs(depth_of(e, zero, gma)) for gma, _ in e.delta_prime]
     s = max(dips) if dips else Q(1)
-    assert e.lattice.slope == s
+    assert Q(e.lattice.dip, e.lattice.scale) == s
 
     def series(triples):
         acc = {}
@@ -1268,8 +1279,8 @@ def _kernel_terms(series):
 def _asked(g, q_max, depth):
     """`_fns_cached`'s answer cut to the asked window (`_window`): the answer
     may be a held series of a window that contains it."""
-    return _fns_cached(g, q_max, depth).copy(
-        *_window(lookup(g).lattice, q_max, depth))
+    asked = lookup(g).lattice.window(Q(q_max), Q(depth))
+    return _fns_cached(g, *asked).copy(*_window(lookup(g).lattice, *asked))
 
 
 # (algebra, window, depth): small windows, one of them not a half-integer
@@ -1394,7 +1405,7 @@ def test_denominator_steps_never_raise_the_margin(g, q2_max):
     depth + s(q_max - q) - depth(w_term) by -(s c + depth(w)) <= 0 and a term
     that is cut once stays cut."""
     e = lookup(g)
-    s = e.lattice.slope
+    s = Q(e.lattice.dip, e.lattice.scale)
     factors = _ns_factors(e, Q(q2_max, 2))
     assert factors or q2_max == 0 and not e.pos_roots_natural
     for w, c, _ in factors:
@@ -1409,10 +1420,10 @@ def test_q0_factor_needs_positive_depth():
     lat = E.lattice
     for w in (ZERO, TH1):
         with pytest.raises(PreconditionViolated):
-            _LatticeSeries(lat, Q(2), Q(3)).divide(lat.key(w), 0, 1)
+            _LatticeSeries(lat, *lat.window(Q(2), Q(3))).divide(lat.key(w), 0, 1)
     # a step whose depth drop outruns the headroom slope is refused as well
     with pytest.raises(PreconditionViolated):
-        _LatticeSeries(lat, Q(2), Q(3)).divide(lat.key(4 * TH1), 1, 1)
+        _LatticeSeries(lat, *lat.window(Q(2), Q(3))).divide(lat.key(4 * TH1), 1, 1)
 
 
 def test_lattice_keys_never_round():
@@ -1448,7 +1459,7 @@ def test_ns_table_equals_the_fraction_factors(g, q2_max):
     for w, c, odd in _ns_factors(e, q_max):
         key = lat.key(w)
         want.append((key[0], lat.pack(key[1:]), lat.q2(c), odd))
-    assert characters._ns_steps(lat, q_max) == want
+    assert characters._ns_steps(lat, q2_max) == want
     assert lat.rate == max([1] + [abs(x) for w, _, _ in _ns_factors(e, Q(2))
                                   for x in lat.key(w)[1:]])
 
@@ -1469,16 +1480,16 @@ def test_denominator_in_any_factor_order_is_the_same(g, q_max, depth):
     and the int caps are the `Fraction` floors
     floor(scale * (depth + s (q_max - t/2)))."""
     lat = lookup(g).lattice
-    want = _LatticeSeries(lat, q_max, depth)
-    for dk, fp, c2, odd in characters._ns_steps(lat, q_max):
+    want = _LatticeSeries(lat, *lat.window(q_max, depth))
+    for dk, fp, c2, odd in characters._ns_steps(lat, math.floor(2 * q_max)):
         want._margin(dk, c2)
         if odd:
             want._push_up(dk, fp, c2, 1, True)
         else:
             want._divide(dk, fp, c2, 1)
-    got = _fns_cached.__wrapped__(g, q_max, depth)
+    got = _fns_cached.__wrapped__(g, *lat.window(q_max, depth))
     assert _buckets(got) == want.levels
-    assert got.caps == [lat.cap(depth + lat.slope * (q_max - Q(t, 2)))
+    assert got.caps == [lat.cap(depth + Q(lat.dip, lat.scale) * (q_max - Q(t, 2)))
                         for t in range(math.floor(2 * q_max) + 1)]
 
 
@@ -1491,9 +1502,10 @@ def test_ns_table_steps_are_margin_checked(monkeypatch):
                 (-(lat.dip // 2) - 1, 0, -1, True)]:
         monkeypatch.setattr(lat, "ns", lat.ns + (bad,))
         with pytest.raises(PreconditionViolated, match="raises the window margin"):
-            _fns_cached.__wrapped__(G, Q(1), Q(3))
+            _fns_cached.__wrapped__(G, *lat.window(Q(1), Q(3)))
         monkeypatch.undo()
-    assert _kernel_terms(_fns_cached.__wrapped__(G, Q(1), Q(3))) == _reference_fns(G, Q(1), Q(3))
+    assert _kernel_terms(_fns_cached.__wrapped__(G, *lat.window(Q(1), Q(3)))) \
+        == _reference_fns(G, Q(1), Q(3))
 
 
 PACK_FRAMES = [lookup(g).lattice for g in (catalog.psl22(), catalog.spo2m(3), catalog.g3(),
@@ -1538,10 +1550,10 @@ def test_window_past_the_packing_bound_is_refused():
     lat = E.lattice
     big = Q(lat.radix, lat.scale)
     with pytest.raises(PreconditionViolated, match="packing bound"):
-        _LatticeSeries(lat, Q(1), big)
+        _LatticeSeries(lat, *lat.window(Q(1), big))
     with pytest.raises(PreconditionViolated, match="packing bound"):
         fns_series(G, 1, big)
-    series = _LatticeSeries(lat, Q(2), Q(3))
+    series = _LatticeSeries(lat, *lat.window(Q(2), Q(3)))
     series.divide(lat.key(-1 * TH1), 0, 1)
     before = _kernel_terms(series)
     far = Vec([Q(lat.radix, lat.denom), 0, 0, 0])  # depth 0: the margin holds
@@ -1551,16 +1563,17 @@ def test_window_past_the_packing_bound_is_refused():
     want = QWSeries(E, 2, 3, far)
     _accumulate(want, fns_series(G, 2, 3), far)
     assert verma_character(G, far, 0, 2, 3) == want and want.n_terms() > 0
-    fns, (_, span) = _fns_cached(G, Q(2), Q(3)), _window(lat, Q(2), Q(3))
+    asked = lat.window(Q(2), Q(3))
+    fns, (_, span) = _fns_cached(G, *asked), _window(lat, *asked)
     bound = fns.rate * span  # the bound of a build in the asked window
     for x in (lat.radix // 2 - bound + 1, lat.radix // 2 - bound):
         heads = [((0, x, 0, 0, 0), 0, 1)]
         out = QWSeries(E, 2, 3)
         if 2 * (x + bound) >= lat.radix:
             with pytest.raises(PreconditionViolated, match="packing bound"):
-                _sum_pieces(lat, E._scaled(ZERO), Q(2), Q(3), heads, [fns], (Q(2), Q(3)))
+                _sum_pieces(lat, E._scaled(ZERO), 4, lat.cap(Q(3)), heads, [fns], asked)
         else:  # just inside the bound the merge answers
-            levels, _ = _sum_pieces(lat, E._scaled(ZERO), Q(2), Q(3), heads, [fns], (Q(2), Q(3)))
+            levels, _ = _sum_pieces(lat, E._scaled(ZERO), 4, lat.cap(Q(3)), heads, [fns], asked)
             assert _placed(out, Q(0), levels).coeff(0, Vec([Q(x, lat.denom), 0, 0, 0])) == 1
     # just inside the bound the same calls are answered
     assert fns_series(G, 1, 3).n_terms() > 0
@@ -1571,14 +1584,15 @@ def test_a_short_piece_raises():
     T - 2h, rather than cut the character short; a head one q higher reads
     two levels fewer, and the same piece serves it."""
     lat = E.lattice
-    fns, span = _asked(G, Q(2), Q(3)).hold(), _window(lat, Q(2), Q(3))[1]
+    asked = lat.window(Q(2), Q(3))
+    fns, span = _asked(G, Q(2), Q(3)).hold(), _window(lat, *asked)[1]
     short = fns.copy(fns.caps[:-1], span).hold()
     for piece, shift in [(fns, 0), (short, 1)]:
-        levels, _ = _sum_pieces(lat, E._scaled(ZERO), Q(2), Q(3), [((0,) * 5, shift, 1)],
-                                [piece], (Q(2), Q(3)))
+        levels, _ = _sum_pieces(lat, E._scaled(ZERO), 4, lat.cap(Q(3)), [((0,) * 5, shift, 1)],
+                                [piece], asked)
         assert max(levels) == 4
     with pytest.raises(PreconditionViolated, match="cannot fill"):
-        _sum_pieces(lat, E._scaled(ZERO), Q(2), Q(3), [((0,) * 5, 0, 1)], [short], (Q(2), Q(3)))
+        _sum_pieces(lat, E._scaled(ZERO), 4, lat.cap(Q(3)), [((0,) * 5, 0, 1)], [short], asked)
 
 
 def test_n4_closed_form_divides_its_own_window():
@@ -1591,10 +1605,10 @@ def test_n4_closed_form_divides_its_own_window():
     def pieces():
         got = []
 
-        def spy(lat, base, window, depth, heads, ps, within):
+        def spy(lat, base, top, dcap, heads, ps, within):
             ps = list(ps)
             got.extend((_buckets(p), p.caps, p.span, p.rate) for p in ps)
-            return merge(lat, base, window, depth, heads, ps, within)
+            return merge(lat, base, top, dcap, heads, ps, within)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(characters, "_sum_pieces", spy)
@@ -1684,32 +1698,89 @@ def test_held_windows_answer_as_their_own_builds(case):
     assert [_request(g, k, *r) for r in requests] == cold, case
 
 
-SLOPES = {g: lookup(g).lattice.slope for g in (G, SPO3, catalog.g3())}
+FRAMES = {g: lookup(g).lattice for g in (G, SPO3, catalog.g3())}
 IMAGES = (None, (1, 1, 0, 0, 0, 0), (-1, 1, 0, 0, 0, 0))  # (2(x+d), *key) or None
 WINDOWS = st.tuples(st.fractions(min_value=0, max_value=3, max_denominator=6),
                     st.fractions(min_value=0, max_value=6, max_denominator=6))
-STORE_REQUESTS = st.lists(st.tuples(st.sampled_from(list(SLOPES)), WINDOWS,
+STORE_REQUESTS = st.lists(st.tuples(st.sampled_from(list(FRAMES)), WINDOWS,
                                     st.sampled_from(IMAGES)), min_size=1, max_size=8)
-S_PSL = SLOPES[G]
+S_PSL = Q(E.lattice.dip, E.lattice.scale)
+
+
+def _fraction_window(lat, q_max, depth):
+    """The caps and the span of the sloped window (q_max, depth) as
+    `Fraction` floors, the formula the kernel's int window replaced, kept
+    as its oracle: caps[t] = floor(x - dip t/2) for t <= floor(2 q_max),
+    x = scale (depth + s q_max), s = dip / scale, and span =
+    floor(2 q_max) + max(floor(x), 0)."""
+    x = lat.scale * (depth + Q(lat.dip, lat.scale) * q_max)
+    top = math.floor(2 * q_max)
+    return [math.floor(x - Q(lat.dip * t, 2)) for t in range(top + 1)], top + max(math.floor(x), 0)
+
+
+ALL_FRAMES = [lookup(g).lattice for g in (
+    catalog.psl22(), catalog.f4(), catalog.g3(), *map(catalog.sl2m, range(3, 7)),
+    *map(catalog.spo2m, (3, 5, 6, 7)), *map(catalog.osp4m, (4, 6, 8)), catalog.d21a(2),
+    catalog.d21a(2, 3))]
+SLOPED = st.fractions(min_value=0, max_value=4, max_denominator=12)
+
+
+@given(st.sampled_from(ALL_FRAMES), SLOPED, SLOPED)
+@example(E.lattice, Q(13, 6), Q(7, 3))
+@example(lookup(catalog.g3()).lattice, Q(2), Q(61, 10))
+@settings(max_examples=120, deadline=None)
+def test_int_window_is_the_fraction_window(lat, q_max, depth):
+    """`_window` of the kernel window `_Lattice.window` of (Q, D) gives the
+    caps and span that the `Fraction` floors give, on every catalog frame,
+    for windows that are not half-integers and fractional depths."""
+    top, x2 = lat.window(q_max, depth)
+    assert (top, x2) == (math.floor(2 * q_max),
+                         math.floor(2 * lat.scale * (depth + Q(lat.dip, lat.scale) * q_max)))
+    assert _window(lat, top, x2) == _fraction_window(lat, q_max, depth)
+
+
+@given(st.sampled_from(ALL_FRAMES), SLOPED, SLOPED, SLOPED, SLOPED)
+@example(E.lattice, Q(2), Q(3), Q(13, 6), Q(17, 6))   # not nested, equal (T, X)
+@example(E.lattice, Q(1), Q(4), Q(21, 20), Q(4))      # not nested, equal (T, X)
+@example(E.lattice, Q(2), Q(3), Q(2), Q(3) + Q(1, 8))  # X' = X + 1, equal caps
+@settings(max_examples=200, deadline=None)
+def test_int_containment_is_the_cap_containment(lat, q, d, q2, d2):
+    """The store's test T' <= T and X' <= X, for an asked (Q', D') and a
+    held (Q, D), implies that the asked caps lie under the held ones on
+    every level t <= T' (by the `Fraction` oracle), the asked span under
+    the held one: the held series holds every term of the asked build.
+    Conversely, caps that lie under the held ones with T' <= T give
+    X' <= X, or X' = X + 1 with caps equal to those of (T', X): then the
+    two builds are one series and the test only misses a share, as where
+    dip is even, when a cap reads X only through floor(X/2)."""
+    (ta, xa), (th, xh) = lat.window(q2, d2), lat.window(q, d)
+    asked, held = _fraction_window(lat, q2, d2), _fraction_window(lat, q, d)
+    contained = ta <= th and all(a <= h for a, h in zip(asked[0], held[0]))
+    if ta <= th and xa <= xh:
+        assert contained and asked[1] <= held[1]
+    if contained:
+        assert xa <= xh or xa == xh + 1 and _window(lat, ta, xa) == _window(lat, ta, xh)
 
 
 def _fraction_store(requests, maxsize):
-    """The answers of the store as the `Fraction` test decides them: each
-    request is answered by the first held window of its family and image,
-    in the order they were built, with Q' <= Q and D' + sQ' <= D + sQ (an
-    equal window included), else built (as its index) and held, the least
-    recently used dropped past `maxsize`; with the counts (hits, misses)."""
-    built, used, out, counts = [], [], [], [0, 0]  # [g, q, d, image, answer], by build, by use
+    """The answers of the store as its int rule decides them, with the ints
+    worked out as `Fraction` floors: each request (Q, D) is answered by the
+    first held window of its family and image, in the order they were
+    built, with T' <= T and X' <= X, T = floor(2Q) and
+    X = floor(2 scale (D + sQ)) (an equal window included), else built (as
+    its index) and held, the least recently used dropped past `maxsize`;
+    with the counts (hits, misses)."""
+    built, used, out, counts = [], [], [], [0, 0]  # [g, T, X, image, answer], by build, by use
     for i, (g, (q, d), img) in enumerate(requests):
-        s = SLOPES[g]
-        inside = [h for h in built if h[0] == g and h[3] == img and q <= h[1]
-                  and d + s * q <= h[2] + s * h[1]]
+        lat = FRAMES[g]
+        top, x2 = math.floor(2 * q), math.floor(2 * lat.scale * (d + Q(lat.dip, lat.scale) * q))
+        inside = [h for h in built if h[0] == g and h[3] == img and top <= h[1] and x2 <= h[2]]
         if inside:
             got = inside[0]
             used.remove(got)
             counts[0] += 1
         else:
-            got = [g, q, d, img, i]
+            got = [g, top, x2, img, i]
             built.append(got)
             counts[1] += 1
         used.append(got)
@@ -1723,8 +1794,10 @@ def _fraction_store(requests, maxsize):
 @example([(G, (Q(2), Q(3)), None), (G, (Q(2), Q(3)), None)])              # equal windows
 @example([(G, (Q(2), Q(3)), None), (G, (Q(2), Q(8, 3)), None)])           # Q' = Q
 @example([(G, (Q(2), Q(3)), None), (G, (Q(3, 2), Q(3) + S_PSL / 2), None)])  # D' + sQ' = D + sQ
-@example([(G, (Q(2), Q(3)), None), (G, (Q(3, 2), Q(3) + S_PSL / 2 + Q(1, 6)), None)])
-@example([(G, (Q(2), Q(3)), None), (G, (Q(13, 6), Q(1)), None)])          # Q' > Q
+@example([(G, (Q(2), Q(3)), None), (G, (Q(3, 2), Q(3) + S_PSL / 2 + Q(1, 6)), None)])  # X' = X + 1
+@example([(G, (Q(2), Q(3)), None), (G, (Q(13, 6), Q(1)), None)])          # Q' > Q, T' = T
+@example([(G, (Q(2), Q(3)), None), (G, (Q(13, 6), Q(17, 6)), None)])      # Q' > Q, equal (T, X)
+@example([(G, (Q(2), Q(3)), None), (G, (Q(5, 2), Q(1)), None)])           # T' > T
 # the third request lies inside the window of another family, then image
 @example([(SPO3, (Q(3), Q(6)), None), (G, (Q(1), Q(1)), None), (G, (Q(3, 2), Q(1)), None)])
 @example([(G, (Q(2), Q(3)), IMAGES[1]), (G, (Q(1), Q(1)), None), (G, (Q(3, 2), Q(1)), None)])
@@ -1732,20 +1805,21 @@ def _fraction_store(requests, maxsize):
           (G, (Q(1, 2), Q(1)), None), (G, (Q(3), Q(3)), None)])           # past maxsize
 @settings(max_examples=150, deadline=None)
 def test_held_window_int_match_is_the_fraction_test(requests):
-    """`_held_windows` answers every call by one rule, decided in ints as
-    the `Fraction` test Q' <= Q and D' + sQ' <= D + sQ decides, equality on
+    """`_held_windows` answers every call by one rule, the two int
+    comparisons T' <= T and X' <= X of the kernel windows, equality on
     either side included: from the first held window of the same family
     and image, in build order, that contains the asked one; it builds only
     when none does, and drops the least recently used past its size: over
     a sequence of requests to a store of two entries, every answer and
-    count is the `Fraction` store's, and every group of the store holds a
-    series, the groups `currsize` of them in all."""
-    store = _held_windows(2)(lambda aid, q, d, image: object())
+    count is that of the model store over the `Fraction` floors, and every
+    group of the store holds a series, the groups `currsize` of them in
+    all, each entry [last use, T, X, series] with no frame beside them."""
+    store = _held_windows(2)(lambda aid, top, x2, image: object())
     built = {}
     got = []
     for i, (g, (q, d), img) in enumerate(requests):
         before = store.cache_info().misses
-        series = store(g, q, d, img)
+        series = store(g, *FRAMES[g].window(q, d), img)
         if store.cache_info().misses > before:
             built[id(series)] = (i, series)
         got.append(built[id(series)][0])
@@ -1756,32 +1830,90 @@ def test_held_window_int_match_is_the_fraction_test(requests):
     assert info.currsize == min(2, counts[1])
     cells = dict(zip(store.__code__.co_freevars, (c.cell_contents for c in store.__closure__)))
     groups = cells["groups"]
-    assert all(len(group) > 1 for group in groups.values())
-    assert sum(len(group) - 1 for group in groups.values()) == info.currsize
+    assert all(groups.values())
+    assert sum(len(group) for group in groups.values()) == info.currsize
+    assert all(len(entry) == 4 and entry[3].__class__ is object
+               for group in groups.values() for entry in group)
 
 
-def test_store_keys_hold_no_fraction():
-    """After massive, massless, Verma and closed-form requests, every key
-    of `_fns_cached`'s store and every window it holds is made of ints,
-    None and the `AlgebraId`: no lookup hashes a `Fraction`."""
+def _plain(x):
+    """x is made of ints, bools, None and `AlgebraId`s, in tuples or lists:
+    no `Fraction` on the way."""
+    if isinstance(x, (tuple, list)):
+        return all(map(_plain, x))
+    return x is None or x.__class__ in (int, bool, catalog.AlgebraId)
+
+
+def test_store_keys_hold_no_fraction(monkeypatch):
+    """Massive, massless, Verma and closed-form requests pass only ints
+    below the character functions: every argument of `_fns_cached`,
+    `_orbit_cell`, `_orbit` and `_sum_pieces` is an int, a bool, None, an
+    `AlgebraId` or a tuple or list of those, apart from the frames, records
+    and kernel series they are handed; and afterwards every key of
+    `_fns_cached`'s store and every window it holds is made of ints, None
+    and the `AlgebraId`: no lookup hashes a `Fraction`."""
     _fns_cached.cache_clear()
-    character_massive(G, -3, ZERO, 1, 3, 4)
-    character_massless(G, -3, Q(1, 2) * TH1, A_bound(G, -3, Q(1, 2) * TH1) + 2, 3)
-    character_massless(SPO3, -1, zero_vec(lookup(SPO3).n), 2, 2)
-    fns_series(catalog.g3(), 2, 3)
-    n4_closed_form(2, 1, Q(7, 2), 3)
+    _orbit_cell.cache_clear()
+    frames = (catalog.CatalogEntry, _Lattice, levels._Level, catalog._NuScalars)
+    seen = {}
 
-    def plain(x):
-        if isinstance(x, tuple):
-            return all(map(plain, x))
-        return x is None or x.__class__ in (int, catalog.AlgebraId)
+    def spy(name, fn, series_at=None):
+        def wrapper(*args):
+            checked = [a for i, a in enumerate(args)
+                       if i != series_at and not isinstance(a, frames)]
+            assert _plain(checked), (name, args)
+            seen[name] = seen.get(name, 0) + 1
+            return fn(*args)
+        monkeypatch.setattr(characters, name, wrapper)
+
+    spy("_fns_cached", _fns_cached)
+    spy("_orbit_cell", _orbit_cell)
+    spy("_orbit", _orbit)
+    spy("_sum_pieces", _sum_pieces, series_at=5)
+    character_massive(G, -3, ZERO, 1, Q(17, 5), Q(7, 3))
+    character_massless(G, -3, Q(1, 2) * TH1, A_bound(G, -3, Q(1, 2) * TH1) + Q(13, 6), 3)
+    character_massless(SPO3, -1, zero_vec(lookup(SPO3).n), 2, 2)
+    verma_character(G, TH1, Q(1, 3), Q(7, 3), Q(5, 2))
+    fns_series(catalog.g3(), 2, 3)
+    n4_closed_form(2, 1, Q(7, 2), Q(10, 3))
+    monkeypatch.undo()
+    assert set(seen) == {"_fns_cached", "_orbit_cell", "_orbit", "_sum_pieces"}, seen
 
     cells = dict(zip(_fns_cached.__code__.co_freevars,
                      (c.cell_contents for c in _fns_cached.__closure__)))
     groups = cells["groups"]
     assert any(image is not None for _, image in groups)
-    assert all(plain(key) for key in groups), list(groups)
-    assert all(plain(tuple(entry[:5])) for group in groups.values() for entry in group[1:])
+    assert all(_plain(key) for key in groups), list(groups)
+    assert all(len(entry) == 4 and _plain(entry[:3]) and isinstance(entry[3], _LatticeSeries)
+               for group in groups.values() for entry in group)
+
+
+def test_equal_kernel_windows_are_built_and_summed_once():
+    """Two requests whose rational windows are not nested but whose kernel
+    windows (T, X) and depth caps agree read one denominator build and one
+    orbit sum, and give the same terms, the second placed at its own l0:
+    the G3 case at depth 6 and 61/10, and a massive psl22 request at
+    nu = theta_1/2 (labels [1]) at windows 1 and 21/20, at two l0."""
+    g3, nu3 = catalog.g3(), Vec([1, 1, 0])
+    nu = E.nu_from_labels([1])
+    a = A_bound(G, -3, nu)
+    cases = [(lambda: character_massive(g3, Q(-9, 4), nu3, 1, 3, 6),
+              lambda: character_massive(g3, Q(-9, 4), nu3, 1, 3, Q(61, 10)),
+              (g3, (Q(2), Q(6)), (Q(2), Q(61, 10))), Q(0)),
+             (lambda: character_massive(G, -3, nu, a + 1, a + 2, 4),
+              lambda: character_massive(G, -3, nu, a + Q(1, 2), a + Q(1, 2) + Q(21, 20), 4),
+              (G, (Q(1), Q(4)), (Q(21, 20), Q(4))), Q(1, 2))]
+    for first, second, (g, one, two), shift in cases:
+        lat = lookup(g).lattice
+        assert lat.window(*one) == lat.window(*two) and lat.cap(one[1]) == lat.cap(two[1])
+        assert not (two[0] <= one[0] and two[1] + Q(lat.dip, lat.scale) * two[0]
+                    <= one[1] + Q(lat.dip, lat.scale) * one[0])
+        _fns_cached.cache_clear()
+        _orbit_cell.cache_clear()
+        want, got = first(), second()
+        assert got.n_terms() > 0
+        assert got.terms == {q - shift: lvl for q, lvl in want.terms.items()}
+        assert (_fns_cached.cache_info().misses, _orbit_cell.cache_info().misses) == (1, 1)
 
 
 class _SmallRadixLattice(_Lattice):
@@ -1799,16 +1931,20 @@ def test_held_window_past_the_packing_bound_answers_its_own():
     whose heads reach 2, are past the packing bound.  The requests at depth
     63/2, read from that held series, answer as their own builds do,
     massive, massless and closed form, and the deep ones refuse as theirs
-    do."""
+    do.  So does a massive request at window 1/4 and depth 63/2, after the
+    one at window 0 is answered and its orbit sum cached: both have T = 0
+    and the depth cap 126, but its sloped window spans 127, past the bound
+    (the orbit-sum cache keys X too)."""
     nu, e = Q(1, 2) * TH1, lookup(G)
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(e.__dict__, "lattice", _SmallRadixLattice(e))
         lat = e.lattice
-        assert (lat.radix, lat.rate, _window(lat, 0, 32)[1]) == (513, 2, 128)
+        assert (lat.radix, lat.rate, _window(lat, *lat.window(Q(0), Q(32)))[1]) == (513, 2, 128)
         requests = [call for depth in (Q(32), Q(63, 2)) for call in (
             lambda depth=depth: character_massive(G, -3, nu, 1, 1, depth),
             lambda depth=depth: character_massless(G, -3, nu, Q(1, 2), depth),
-            lambda depth=depth: n4_closed_form(1, 0, 0, depth))]
+            lambda depth=depth: n4_closed_form(1, 0, 0, depth),
+            lambda depth=depth: character_massive(G, -3, nu, 1, Q(5, 4), depth))]
 
         def answer(call):
             try:
@@ -1822,7 +1958,8 @@ def test_held_window_past_the_packing_bound_answers_its_own():
                 _fns_cached.cache_clear()
                 _orbit_cell.cache_clear()
                 cold.append(answer(call))
-            assert all("packing bound" in r for r in cold[:3]) and all(cold[3:])
+            assert all("packing bound" in r for r in cold[:4] + cold[7:])
+            assert all(isinstance(r, list) and r for r in cold[4:7])
             _fns_cached.cache_clear()
             _orbit_cell.cache_clear()
             assert [answer(call) for call in requests] == cold

@@ -58,24 +58,30 @@ def test_natural_component_fields_are_pinned():
 def _float_calls():
     """(name, call) for each public function and each public method that
     reads a rational or a coefficient, the call passing one float where a
-    rational or a coefficient goes."""
+    rational or a coefficient goes, a weight's coordinate in a plain list
+    included."""
     from fractions import Fraction as Q
 
     from wmin import GaussianRational as GR
     g, nu = wmin.psl22(), wmin.Vec([0, 0, 0, 0])
+    listed = [0.5, 0, 0, 0]  # a weight given as a plain list with a float coordinate
     e = wmin.lookup(g)
     gamma = e.delta_prime[0][0]
     series = wmin.fns_series(g, 2, 4)
     return [
         ("A_bound", lambda: wmin.A_bound(g, -3.0, nu)),
+        ("A_bound", lambda: wmin.A_bound(g, -3, listed)),
         ("A_explicit", lambda: wmin.A_explicit(g, -3.0, nu)),
         ("B_bound", lambda: wmin.B_bound(g, -3.0, nu)),
         ("adjointness_check", lambda: wmin.adjointness_check(GR.imag(Q(1, 2)), 0.5, 1, 4)),
         ("central_charge", lambda: wmin.central_charge(g, -3.0)),
         ("central_charge_alt", lambda: wmin.central_charge_alt(g, -3.0)),
         ("character_massive", lambda: wmin.character_massive(g, -3, nu, 1.5, 3, 4)),
+        ("character_massive", lambda: wmin.character_massive(g, -3, listed, 2, 3, 4)),
         ("character_massless", lambda: wmin.character_massless(g, -3, nu, 3.0, 4)),
+        ("character_massless", lambda: wmin.character_massless(g, -3, listed, 3, 4)),
         ("decide", lambda: wmin.decide(g, -2.9999999999999996, nu, 1)),
+        ("decide", lambda: wmin.decide(g, -3, listed, 1)),
         ("ell_of_h", lambda: wmin.ell_of_h(g, -3, nu, 0.5)),
         ("enumerate_P_plus_k", lambda: wmin.enumerate_P_plus_k(g, -3.0)),
         ("exp_factorization_check", lambda: wmin.exp_factorization_check(0.5, 2, 2)),
@@ -88,6 +94,7 @@ def _float_calls():
         ("h_pair", lambda: wmin.h_pair(g, -3, nu, 0.5)),
         ("heisenberg_matrix", lambda: wmin.heisenberg_matrix(1, 0.5, 4)),
         ("in_P_plus_k", lambda: wmin.in_P_plus_k(g, -3.0, nu)),
+        ("in_P_plus_k", lambda: wmin.in_P_plus_k(g, -3, listed)),
         ("is_extremal", lambda: wmin.is_extremal(g, -3.0, nu)),
         ("j_g_ratio", lambda: wmin.j_g_ratio(g, -3.0, nu, 1)),
         ("level_data", lambda: wmin.level_data(g, 0.1)),
@@ -138,6 +145,22 @@ def test_every_public_entry_point_refuses_a_float():
     for _, call in calls:
         with pytest.raises(InexactScalar, match="not an exact rational"):
             call()
+
+
+def test_a_weight_coordinate_that_is_no_rational_is_refused():
+    """A weight given as a plain list or tuple with a str coordinate raises
+    `InexactScalar`, as a float coordinate does, in every call that reads
+    the weight: no `AttributeError` escapes from the weight's scaling."""
+    from wmin.errors import InexactScalar
+    g = wmin.psl22()
+    for nu in (["1/2", 0, 0, 0], (0, 0, "x", 0)):
+        for call in (lambda: wmin.decide(g, -3, nu, 1), lambda: wmin.A_bound(g, -3, nu),
+                     lambda: wmin.in_P_plus_k(g, -3, nu),
+                     lambda: wmin.character_massive(g, -3, nu, 2, 3, 4),
+                     lambda: wmin.character_massless(g, -3, nu, 3, 4),
+                     lambda: wmin.character_massless(wmin.d21a(2), -1, nu[:3], 3, 4)):
+            with pytest.raises(InexactScalar, match="not an exact rational"):
+                call()
 
 
 def test_no_assert_in_the_package():

@@ -40,8 +40,9 @@ def test_stage_times():
                                 "out_terms")} == {"denominator_terms": 875,
                                                   "orbit_elements": 36,
                                                   "kept_terms": 2942, "out_terms": 110}
-    # the denominator is built in the window the orbit reads: (q_max - l0, depth)
-    assert got["denominator_window"] == ["2", "6"]
+    # the denominator is built in the window the orbit reads: the kernel
+    # window (T, X) of (q_max - l0, depth) = (2, 6), G3's dip density being 6
+    assert got["denominator_window"] == [4, 36]
     assert got["quotients"] == got["quotients_warm"] == 0  # massive: no quotient
     assert 0 < got["denominator_buckets"] <= got["denominator_terms"]
     assert all(got[k] >= 0 for k in ("import_s", "denominator_build_s", "checks_s", "orbit_s",
