@@ -37,6 +37,13 @@ timed stage:
                           `_threshold`, summed
     orbit_s               the warm call's `_orbit`
     orbit_elements        orbit elements within the window
+    limit                 the q_shift the orbit is walked to, floor(T/2)
+                          for the kernel window T of q_max - l0
+    eta_pairings          the part of the orbit-sum cache key that stands
+                          for k: the pairings <lam0, eta_i^vee> of the
+                          start, each capped at limit + 1 when none is
+                          negative (`characters._orbit_cell`), so levels
+                          that agree on them share one orbit sum
     sum_warm_s            the warm call's `_sum_pieces`; a massless
                           request reads its isotropic quotients from the
                           cache, so no division is timed here
@@ -218,7 +225,7 @@ def main(argv=None):
     calls = []  # (name, seconds, result, positional arguments) of each wrapped call, in order
     built = []  # the image keys of the quotients `_fns_cached` built, in order
     vecs = [0]  # the weights `_publish` built in the current call
-    fns_cache, vec = characters._fns_cached, characters._vec
+    fns_cache, cell_cache, vec = characters._fns_cached, characters._orbit_cell, characters._vec
 
     def counted_vec(fracs):
         vecs[0] += 1
@@ -238,7 +245,7 @@ def main(argv=None):
         return wrapper
 
     checks = ("_P_plus_data", "_is_extremal", "_threshold")
-    for name in ("_orbit", "_fns_cached", "_sum_pieces", "_publish") + checks:
+    for name in ("_orbit", "_fns_cached", "_orbit_cell", "_sum_pieces", "_publish") + checks:
         setattr(characters, name, timed(name, getattr(characters, name)))
 
     windows = {}  # call -> (windows built, windows answered from a held one)
@@ -266,14 +273,15 @@ def main(argv=None):
                 sum(s for name, s, _, _ in calls if name in checks), len(built))
 
     _, cold_s, cold, _, quotients = request("cold")
-    characters._orbit_cell.cache_clear()
+    cell_cache.cache_clear()
     out, warm_s, warm, checks_s, quotients_warm = request("warm")
     caches = {f.__name__: f.cache_info()._asdict()
-              for f in (catalog.lookup, levels._level, fns_cache, characters._orbit_cell)}
+              for f in (catalog.lookup, levels._level, fns_cache, cell_cache)}
     _, hit_s, _, _, _ = request("hit")
     inner = (q_max - Q(1, 2), max(depth - 1, Q(0)))
     _, contained_s, _, _, _ = request("contained", *inner)
     fns_s, fns, (_, top, x2) = cold["_fns_cached"]
+    _, _, (_, _, _, eta, cell_top, *_) = warm["_orbit_cell"]
     t = time.perf_counter()
     catalog._Lattice(catalog.lookup(g))
     frame_s = time.perf_counter() - t
@@ -288,6 +296,8 @@ def main(argv=None):
         "checks_s": round(checks_s, 6),
         "orbit_s": round(warm["_orbit"][0], 6),
         "orbit_elements": len(warm["_orbit"][1]),
+        "limit": cell_top // 2,
+        "eta_pairings": list(eta),
         "sum_warm_s": round(warm["_sum_pieces"][0], 6),
         "kept_terms": warm["_sum_pieces"][1][1],
         "publish_s": round(warm["_publish"][0], 6),

@@ -14,11 +14,14 @@ acting on nu_hat_h + rho_hat.  `_orbit` enumerates it breadth-first, pruned
 exactly at the q_shift window (its docstring argues that nothing is missed),
 with a hard cap of ORBIT_CAP elements, read at call time, that raises
 TruncationIncomplete when hit.  Both characters are one l0-free
-`_orbit_sum`, which reads l0 only through the window q_max - l0 (its
-docstring argues this), placed at the exponents l0 + j/2 by the final step
-`_placed`; the sums are cached per (family, k, nu, window, depth, kind)
-(`_orbit_cell`, keyed by the ints of k and nu, the kernel window and the
-depth cap), after every precondition check.
+`_orbit_sum`, which reads l0 only through the window q_max - l0 and k only
+through the pairings <lam0, eta_i^vee> of the walk's start (its docstring
+argues this), placed at the exponents l0 + j/2 by the final step
+`_placed`; the sums are cached per (family, nu, eta pairings, window,
+depth, kind) (`_orbit_cell`, keyed by the ints of nu, the eta pairings
+capped at floor(T/2) + 1 when none is negative, so that levels at which no
+eta step fits the window share one sum, the kernel window and the depth
+cap), after every precondition check.
 
 Both the kernel and the orbit read one per-algebra frame of h^nat,
 `CatalogEntry.lattice` (`catalog._Lattice`, built once per catalog entry):
@@ -27,9 +30,10 @@ keys and the int affine Cartan matrix.  A weight has one int coordinate
 system from the orbit walk to the merge, its key (`_Lattice.key`): its
 depth entry, then its coordinates scaled by the frame's common denominator
 D.  The orbit walk runs on int coordinates from the request on: its start
-is read off nu's int pairings and the level record, each point is its
-tuple of pairings with the affine simple coroots, its drop of x+d and the
-key of how far its restriction has moved, and a reflection is one int row
+(`_start`) is read once per request off nu's int pairings and the level
+record, each point is its tuple of pairings with the affine simple
+coroots, its drop of x+d and the key of how far its restriction has
+moved, and a reflection is one int row
 of the frame (`_Lattice.rows`: the Cartan matrix row, the x+d pairing and
 the key of the root), skipped where it fixes the point.  The NS
 denominator is built by an integer kernel (`_LatticeSeries`): q is stored
@@ -643,7 +647,8 @@ def _ns_steps(lat: _Lattice, top: int) -> List[Tuple[int, int, int, bool]]:
 
 
 # `cache_info()` of `_fns_cached`: `functools.lru_cache`'s four fields, hits
-# the calls answered from a held series and misses the windows built (a
+# the callers' calls answered from a held series (a build's own read of the
+# denominator is no answer to a caller) and misses the windows built (a
 # namedtuple, as functools makes its own: a `typing.NamedTuple` class costs
 # twice as much at import)
 _HeldInfo = namedtuple("_HeldInfo", "hits misses maxsize currsize")
@@ -660,12 +665,14 @@ def _held_windows(maxsize: int):
     held.  Past `maxsize` the least recently used series is dropped, and
     its group with its last series.  A window is its kernel window (T, X),
     contained when T' <= T and X' <= X; a group key holds the family and
-    the image, ints or None (`OrbitElement.image`): no `Fraction` is read."""
+    the image, ints or None (`OrbitElement.image`): no `Fraction` is read.
+    `cache_info()` counts as hits only the answers to callers: a call made
+    while a build runs (a quotient reading its denominator) is not one."""
     def decorate(build):
         # (family, image) -> [entry, ...], each entry [last use, T, X, series]
         # of one held window, in the order they were built
         groups: Dict[tuple, list] = {}
-        counts = [0, 0, 0, 0]  # hits, misses, uses, series held
+        counts = [0, 0, 0, 0, 0]  # hits, misses, uses, series held, builds running
 
         def cached(aid: AlgebraId, top: int, x2: int,
                    image: Optional[tuple] = None) -> _LatticeSeries:
@@ -673,12 +680,17 @@ def _held_windows(maxsize: int):
             if group is not None:
                 for entry in group:
                     if top <= entry[1] and x2 <= entry[2]:
-                        counts[0] += 1
+                        if not counts[4]:
+                            counts[0] += 1
                         counts[2] += 1
                         entry[0] = counts[2]
                         return entry[3]
             counts[1] += 1
-            series = build(aid, top, x2, image)
+            counts[4] += 1
+            try:
+                series = build(aid, top, x2, image)
+            finally:
+                counts[4] -= 1
             # looked up after the build, which may hold and drop series itself
             counts[2] += 1
             groups.setdefault((aid, image), []).append([counts[2], top, x2, series])
@@ -695,7 +707,7 @@ def _held_windows(maxsize: int):
 
         def cache_clear() -> None:
             groups.clear()
-            counts[:] = [0, 0, 0, 0]
+            counts[:] = [0, 0, 0, 0, 0]
 
         cached.cache_info = lambda: _HeldInfo(counts[0], counts[1], maxsize, counts[3])
         cached.cache_clear = cache_clear
@@ -860,13 +872,39 @@ def _ratio(num: int, den: int):
     return Q(num, den) if rem else q
 
 
-def _orbit(entry: CatalogEntry, rec: _Level, sc: _NuScalars, limit: int,
+def _start(entry: CatalogEntry, rec: _Level, sc: _NuScalars) -> tuple:
+    """The pairings of lam0 = nu_hat_h + rho_hat with the affine simple
+    coroots, as ints: those of the simple roots of g^nat, then those of the
+    eta_i, for nu in P^+_k at the level of the record `rec`
+    (`levels._level`), nu given by its scalars `sc`
+    (`CatalogEntry._scalars`), of which only the int level-0 pairings ps
+    over d are read, with no `Fraction` on the way.  <lam0, alpha^vee> =
+    nu(alpha^vee) + 1 = (p + d)/d for a simple root alpha of g^nat (rho^nat
+    pairs to 1 with each simple coroot of g^nat), and <lam0, eta_i^vee> =
+    (k + h_vee)(2/u_i) - (nu + rho^nat)(theta_i^vee) = M_i(k) + chi_i + 1 -
+    nu(theta_i^vee) = ((a + b) d + b p)/(b d), with a/b = M_i(k) + chi_i the
+    `alpha_levels` of the simple components (`catalog.validate` pins this
+    identity as `eta_i_pairing`) and p/d = -nu(theta_i^vee).  These are
+    ints for nu in P^+_k; each is divided out exactly, and one that does
+    not divide is kept as its `Fraction`, which `_Lattice._ints` refuses
+    with PreconditionViolated, the one check of the start.  The eta_i
+    pairings are all the orbit reads of the level (`_orbit`)."""
+    s, d, ps = len(entry.simple_roots_natural), sc.d, sc.ps
+    alpha = rec.data.alpha_levels[-len(entry.components):]
+    return entry.lattice._ints(
+        entry, "pairings of nu_hat + rho_hat with the affine simple coroots",
+        [_ratio(p + d, d) for p in ps[:s]]
+        + [_ratio((a.numerator + a.denominator) * d + a.denominator * p, a.denominator * d)
+           for p, a in zip(ps[s:], alpha)])
+
+
+def _orbit(entry: CatalogEntry, start: tuple, limit: int,
            track_iso: bool = False) -> List[OrbitElement]:
     """Breadth-first shifted-orbit enumeration: the elements with
-    q_shift <= limit, an int, walked on int coordinates, for nu in P^+_k at
-    the level of the record `rec` (`levels._level`), nu given by its scalars
-    `sc` (`CatalogEntry._scalars`), of which the walk reads the int level-0
-    pairings ps over d.
+    q_shift <= limit, an int, walked on int coordinates from `start`, the
+    int pairings of lam0 = nu_hat_h + rho_hat with the affine simple
+    coroots (`_start`), for nu in P^+_k.  The orbit reads nothing else of
+    nu or of the level.
 
     No h.  theta pairs to 0 with every affine simple coroot of g^nat (g^nat
     centralizes the sl2 triple of theta, so theta is orthogonal to its roots
@@ -882,18 +920,8 @@ def _orbit(entry: CatalogEntry, rec: _Level, sc: _NuScalars, limit: int,
     isotropic simple roots, is a block of ints: its pairings <x, beta_j^vee>
     with the affine simple coroots (`CatalogEntry.lattice`), the drop of x+d
     since the start, and the key (`_Lattice.key`) of the restriction of its
-    finite part to h^nat.  The start is read off nu's int pairings and the
-    level record, with no `Fraction` on the way: <lam0, alpha^vee> =
-    nu(alpha^vee) + 1 = (p + d)/d for a simple root alpha of g^nat (rho^nat
-    pairs to 1 with each simple coroot of g^nat), and <lam0, eta_i^vee> =
-    (k + h_vee)(2/u_i) - (nu + rho^nat)(theta_i^vee) = M_i(k) + chi_i + 1 -
-    nu(theta_i^vee) = ((a + b) d + b p)/(b d), with a/b = M_i(k) + chi_i the
-    `alpha_levels` of the simple components (`catalog.validate` pins this
-    identity as `eta_i_pairing`) and p/d = -nu(theta_i^vee).  These are
-    ints for nu in P^+_k; each is divided out exactly, and one that does
-    not divide is kept as its `Fraction`, which `_Lattice._ints` refuses
-    with PreconditionViolated, the one check of the start.  Those of
-    theta/2 - xi are the frame's ints (`_Lattice.iso_ps`).  As
+    finite part to h^nat.  The start of lam0 is `start` (`_start`), and
+    that of theta/2 - xi the frame's ints (`_Lattice.iso_ps`).  As
     s_i(x) = x - <x, beta_i^vee> beta_i, a reflection is p_j -= p_i *
     cartan[i][j] on the pairings, adds p_i * xd[i] to the drop and
     subtracts p_i * rkeys[i] from the key (the finite part of beta_i is a
@@ -946,13 +974,31 @@ def _orbit(entry: CatalogEntry, rec: _Level, sc: _NuScalars, limit: int,
 
     So fold, stabilizer, then a reduced word reach every element with
     shift <= limit through points with shift <= max(limit, 0).
+
+    Capped eta pairings.  With limit >= 0 and no eta pairing
+    N_j = <lam0, eta_j^vee> negative, the walk is the same, step by step,
+    for every value N_i > limit of one eta pairing: component i gives only
+    its finite orbit.  The affine Weyl groups W_j of the simple components
+    commute and their shifts add, each >= 0 from the dominant lam0 (point
+    2).  An element whose part in W_i is not finite has a reduced word with
+    an eta_i step; the first leaves a point v lam0, v finite, and raises
+    the shift by <lam0, v^-1 eta_i^vee> = N_i + <lam0, theta_i^vee -
+    v^-1 theta_i^vee> >= N_i (theta_i^vee is dominant, so the difference is
+    a sum of simple coroots of g^nat, each pairing to nu(alpha^vee) + 1 >= 1
+    with lam0).  So such an element has shift >= N_i > limit: it is neither
+    kept nor expanded.  The points kept and expanded are the same for every
+    such N_i, with the same key, det, shift and image, their eta_i
+    pairings N_i plus an int the point fixes, and their other pairings the
+    same; each eta_i pairing is >= N_i > 0, so every such point has one
+    child across that wall, past the limit, which no other seen point
+    equals (lam0's part in W_i is regular, and a point's pairings with the
+    coroots of component i fix its element of W_i).  So the seen count, and
+    with it the cap test and its message, are the same too.  A negative
+    N_j lets a W_j part lower the shift, so that an element across the
+    eta_i wall can come back under the limit: then no pairing is capped.
+    `_orbit_cell` keys the orbit sums by these capped pairings.
     """
-    lat, s, d, ps = entry.lattice, len(entry.simple_roots_natural), sc.d, sc.ps
-    alpha = rec.data.alpha_levels[-len(entry.components):]
-    start = lat._ints(entry, "pairings of nu_hat + rho_hat with the affine simple coroots",
-                      [_ratio(p + d, d) for p in ps[:s]]
-                      + [_ratio((a.numerator + a.denominator) * d + a.denominator * p,
-                                a.denominator * d) for p, a in zip(ps[s:], alpha)])
+    lat = entry.lattice
     state = (*start, 0) + (0,) * (entry.n + 1)
     if track_iso:
         state += (*lat.iso_ps, 0, *lat.iso_key)
@@ -1011,21 +1057,20 @@ def weyl_orbit(g: AlgebraId, k, nu: Vec, h, q_max) -> List[Tuple[Vec, int, Fract
     data = _P_plus_data(g, k, nu)
     if data is None:
         raise NonDominant("weyl_orbit requires nu in P^+_k")
-    rec, sc = data
     base, denom = entry.restrict(nu), entry.lattice.denom
     return [(base + _vec([Q(x, denom) for x in e.key[1:]]), e.det, Q(e.q_shift))
-            for e in _orbit(entry, rec, sc, math.floor(as_rational(q_max)))]
+            for e in _orbit(entry, _start(entry, *data), math.floor(as_rational(q_max)))]
 
 
 # ---------------------------------------------------------------------------
 # character formulas
 
 
-def _orbit_sum(entry: CatalogEntry, rec: _Level, sc: _NuScalars, top: int, x2: int,
+def _orbit_sum(entry: CatalogEntry, start: tuple, sc: _NuScalars, top: int, x2: int,
                dcap: int, track_iso: bool) -> Dict[int, Dict[Vec, int]]:
     """The l0-free orbit sum: det * q^q_shift exp(restriction) * fns summed
-    over the orbit of nu (its level record `rec` and scalars `sc`, as
-    `_orbit` reads them), cut at (window, depth) around nu, as published
+    over the orbit of nu walked from `start` (`_start`, `_orbit`), nu given
+    by its scalars `sc`, cut at (window, depth) around nu, as published
     levels {index j: {weight: coefficient}} (`_sum_pieces`), empty when
     the window is negative, given as its kernel window (T, X) = (top, x2) and
     depth cap dcap (`_Lattice.cap`).  The int denominator series is read
@@ -1048,10 +1093,11 @@ def _orbit_sum(entry: CatalogEntry, rec: _Level, sc: _NuScalars, top: int, x2: i
     exponent l0 + j/2, exactly when j <= floor(2(q_max - l0)) = T.  The
     depth cut, dcap, is around nu.  So the character is this sum with
     level j placed at l0 + j/2 (`_placed`): two characters of one (family,
-    k, nu, T, X, dcap, kind) are one sum at two exponents, and the
-    characters cache the sum per such key (`_orbit_cell`).  A massless
-    character has l0 = A(k, nu), which (k, nu) fixes, so q_max fixes its
-    window.
+    start, nu, T, X, dcap, kind) are one sum at two exponents, and the
+    characters cache the sum per such key, its eta pairings capped
+    (`_orbit_cell`).  The sum reads k only through the start's eta
+    pairings.  A massless character has l0 = A(k, nu), which (k, nu)
+    fixes, so q_max fixes its window.
 
     Quotients.  A massless piece depends only on its key (`_fns_cached`):
     the denominator's family and reach window below and the element's image,
@@ -1103,7 +1149,7 @@ def _orbit_sum(entry: CatalogEntry, rec: _Level, sc: _NuScalars, top: int, x2: i
     affine roots do not); the tests check this on seven families."""
     if top < 0:
         return {}
-    orbit = _orbit(entry, rec, sc, top // 2, track_iso)
+    orbit = _orbit(entry, start, top // 2, track_iso)
     lat, s_min = entry.lattice, min(0, orbit[0].q_shift)  # sorted on q_shift first
     need, dip = 0, lat.dip
     for el in orbit:
@@ -1115,26 +1161,31 @@ def _orbit_sum(entry: CatalogEntry, rec: _Level, sc: _NuScalars, top: int, x2: i
                        [(el.key, el.q_shift, el.det) for el in orbit], pieces, (rt, rx))[0]
 
 
-# A bench char_warm pass reads 52 distinct keys, and each cell holds one
+# A bench char_warm pass reads 44 distinct keys, and each cell holds one
 # character's levels (110 terms for the G3 case): 128 keeps such a sweep
 # whole while bounding what a long-lived process holds.
 @lru_cache(maxsize=128)
-def _orbit_cell(g: AlgebraId, kn: int, kd: int, nd: int, nx: tuple, top: int, x2: int,
+def _orbit_cell(g: AlgebraId, nd: int, nx: tuple, eta: tuple, top: int, x2: int,
                 dcap: int, track_iso: bool, cap: int) -> list:
     """The cell of one l0-free orbit sum (`_orbit_sum`): per (family,
-    k = kn/kd, nu = nx/nd, kernel window (T, X) = (top, x2), depth cap,
-    massless or not, orbit cap), a list that `_character` fills with the
-    sum on the first request of the key.  The cell is cached rather than
-    `_orbit_sum`, so that the sum is computed from the level record and
-    nu's scalars the preconditions already read, and the key holds only
+    nu = nx/nd, eta pairings of the start, kernel window (T, X) = (top,
+    x2), depth cap, massless or not, orbit cap), a list that `_character`
+    fills with the sum on the first request of the key.  The cell is
+    cached rather than `_orbit_sum`, so that the sum is computed from the
+    start and nu's scalars the request already read, and the key holds only
     what fixes the sum, which reads its window only through T, X and dcap
-    (`_orbit_sum`).  k is keyed by the numerator and denominator of its
-    reduced `Fraction`, as `levels._level` keys it, and nu by its
-    coordinates as ints over their least common denominator
-    (`CatalogEntry._scaled`, read off its
-    scalars): equal values key alike, and the key hashes ints, not
-    `Fraction`s, each of whose hashes takes a modular inverse.
-    The cap is in the key because `_orbit` reads
+    and the level only through the start's eta pairings (`_orbit_sum`).
+    nu is keyed by its coordinates as ints over their least common
+    denominator (`CatalogEntry._scaled`, read off its scalars), which fix
+    the pairings of the simple roots of g^nat in the start: equal values
+    key alike, and the key hashes ints, not `Fraction`s, each of whose
+    hashes takes a modular inverse.  The eta pairings stand for k: each is
+    capped at floor(T/2) + 1 when none is negative (`_character`), so
+    levels at which no eta step fits the window share one sum.  The cap is
+    exact: an eta pairing above floor(T/2) gives the same walk, step by
+    step, whatever its value (`_orbit`, Capped eta pairings), and T < 0
+    gives the empty sum whatever the start.
+    The orbit cap is in the key because `_orbit` reads
     ORBIT_CAP at call time: a sum found under one cap is never served under
     a lower one, where it has to raise.  A sum that raises leaves its cell
     empty, so the next request of the key computes it again."""
@@ -1146,14 +1197,19 @@ def _character(entry: CatalogEntry, rec: _Level, sc: _NuScalars, nu: Vec, l0: Fr
     """The character at conformal weight l0, cut at (q_max, depth) around
     nu, once its preconditions hold (`rec` and `sc` the level record and
     nu's scalars they read): the orbit sum of its key (`_orbit_cell`),
-    computed on the key's first request, placed at l0 (`_placed`)."""
+    computed on the key's first request, placed at l0 (`_placed`).  The
+    start (`_start`) is read on every request, a hit included, so its
+    integrality check runs on each."""
     out = QWSeries(entry, q_max, depth, nu)
-    lat, k = entry.lattice, rec.data.k
+    lat, start = entry.lattice, _start(entry, rec, sc)
     (top, x2), dcap = lat.window(out.q_max - l0, out.depth), lat.cap(out.depth)
-    cell = _orbit_cell(entry.id, k.numerator, k.denominator, sc.d, tuple(sc.x), top, x2, dcap,
-                       track_iso, ORBIT_CAP)
+    eta = start[len(start) - len(entry.components):]
+    if min(eta) >= 0:
+        lim = top // 2 + 1
+        eta = tuple([n if n < lim else lim for n in eta])
+    cell = _orbit_cell(entry.id, sc.d, tuple(sc.x), eta, top, x2, dcap, track_iso, ORBIT_CAP)
     if not cell:
-        cell.append(_orbit_sum(entry, rec, sc, top, x2, dcap, track_iso))
+        cell.append(_orbit_sum(entry, start, sc, top, x2, dcap, track_iso))
     return _placed(out, l0, cell[0])
 
 

@@ -11,7 +11,7 @@ from functools import lru_cache
 from typing import List, NamedTuple, Optional
 
 from .catalog import AlgebraId, CatalogEntry, lookup
-from .errors import CriticalLevel
+from .errors import CriticalLevel, PreconditionViolated
 from .rationals import as_rational, rational_sqrt
 
 Q = Fraction
@@ -128,7 +128,10 @@ def unitarity_range_contains(g: AlgebraId, k: Fraction) -> bool:
 
 
 def enumerate_unitary_k(g: AlgebraId, count: int) -> List[Fraction]:
-    """First `count` levels of the unitarity range, from the largest down."""
+    """First `count` levels of the unitarity range, from the largest down.
+    A count that is no int raises `PreconditionViolated`."""
+    if not isinstance(count, int):
+        raise PreconditionViolated(f"count must be an int, got {count!r}")
     first, step, size = lookup(g).unitary_range
     n = max(0, count if size is None else min(count, size))
     return [first + i * step for i in range(n)]

@@ -15,12 +15,12 @@ import wmin
 from wmin import catalog, characters, gram_lab, levels
 from wmin.catalog import Vec, _Lattice, lookup, zero_vec
 from wmin.characters import (QWSeries, _bucketed, _fns_cached, _held_windows, _LatticeSeries,
-                             _n4_range, _orbit, _orbit_cell, _orbit_sum, _placed, _sum_pieces,
-                             _window, character_massive, character_massless,
+                             _n4_range, _orbit, _orbit_cell, _orbit_sum, _placed, _start,
+                             _sum_pieces, _window, character_massive, character_massless,
                              depth_of, ell_of_h, fns_series, h_pair, n4_closed_form,
                              series_from_records, verma_character, weyl_orbit)
 from wmin.errors import (NonDominant, ParameterOutOfRange, PreconditionViolated,
-                         TruncationIncomplete, UnsupportedD21a)
+                         TruncationIncomplete, UnsupportedD21a, WminError)
 from wmin.levels import enumerate_unitary_k, level_data
 from wmin.weights import A_bound, enumerate_P_plus_k, is_extremal
 
@@ -38,18 +38,19 @@ def _record(e, k):
 
 
 def _orbit_at(e, k, nu, limit, track_iso=False):
-    """`_orbit` of nu at level k, given the level record and nu's scalars
-    as the character preconditions pass them, to the int floor(limit)."""
-    return _orbit(e, _record(e, k), e._scalars(nu), math.floor(limit), track_iso)
+    """`_orbit` of nu at level k, from the start `_start` reads off the
+    level record and nu's scalars, as a character request does, to the int
+    floor(limit)."""
+    return _orbit(e, _start(e, _record(e, k), e._scalars(nu)), math.floor(limit), track_iso)
 
 
 def _orbit_sum_at(e, k, nu, l0, q_max, depth, track_iso):
-    """`_orbit_sum` of nu at level k, given as `_orbit_at` gives `_orbit`,
-    at the window q_max - l0 and placed at l0: the character, uncached."""
-    q_max, depth, lat = Q(q_max), Q(depth), e.lattice
+    """`_orbit_sum` of nu at level k, from the start as `_orbit_at` reads
+    it, at the window q_max - l0 and placed at l0: the character, uncached."""
+    q_max, depth, lat, sc = Q(q_max), Q(depth), e.lattice, e._scalars(nu)
     return _placed(QWSeries(e, q_max, depth, nu), Q(l0),
-                   _orbit_sum(e, _record(e, k), e._scalars(nu), *lat.window(q_max - l0, depth),
-                              lat.cap(depth), track_iso))
+                   _orbit_sum(e, _start(e, _record(e, k), sc), sc,
+                              *lat.window(q_max - l0, depth), lat.cap(depth), track_iso))
 
 
 def _start_by_the_affine_form(e, k, nu):
@@ -1914,6 +1915,79 @@ def test_equal_kernel_windows_are_built_and_summed_once():
         assert got.n_terms() > 0
         assert got.terms == {q - shift: lvl for q, lvl in want.terms.items()}
         assert (_fns_cached.cache_info().misses, _orbit_cell.cache_info().misses) == (1, 1)
+
+
+# (family, unitary levels, weights of P^+_k per level, window, depth): a sweep
+# of one weight over the levels it lies at, at one window and depth
+LEVEL_SWEEPS = [(G, 6, 3, Q(2), Q(3)), (SPO3, 6, 4, Q(3, 2), Q(3)),
+                (catalog.spo2m(5), 4, 3, Q(1), Q(2)), (catalog.g3(), 4, 3, Q(1), Q(2)),
+                (catalog.d21a(2), 5, 4, Q(1), Q(2)), (catalog.d21a(2, 3), 5, 4, Q(1), Q(2)),
+                (catalog.f4(), 3, 2, Q(1, 2), Q(1))]
+
+
+def _level_sweep(g, levels, count, window, depth):
+    """(kind, k, nu, l0, q_max) of every request of the sweep, one weight's
+    levels in a row: each of the first `count` weights of P^+_k at the first
+    `levels` unitary levels, massive at l0 = A + 1/2 where nu is not
+    extremal and massless at A (D21a: nu = 0 only), both at q_max = l0 +
+    window."""
+    by_weight = {}
+    for k in enumerate_unitary_k(g, levels):
+        for nu in enumerate_P_plus_k(g, k)[:count]:
+            by_weight.setdefault(nu, []).append(k)
+    out = []
+    for nu, ks in by_weight.items():
+        for k in ks:
+            a = A_bound(g, k, nu)
+            if not is_extremal(g, k, nu):
+                out.append(("massive", k, nu, a + Q(1, 2), a + Q(1, 2) + window))
+            if g.family != "D21a" or not any(nu):
+                out.append(("massless", k, nu, a, a + window))
+    return out
+
+
+def test_levels_that_share_an_orbit_cell_answer_as_fresh_sums():
+    """An orbit sum is keyed by the start's eta pairings, capped at
+    floor(T/2) + 1 when none is negative, in place of k (`_orbit_cell`):
+    over a sweep of each weight over its levels, at one window and depth,
+    on seven algebras, every request equals the same request computed with
+    the character caches emptied before it, refusals included, and each
+    algebra answers some requests from a cell built at another level.  The
+    sweeps meet D(2,1;a) starts with one eta pairing capped and the other
+    not, and spo2m(3)'s extremal starts, whose pairing -1 is never capped.
+    (Each eta pairing M_i(k) + chi_i + 1 - nu(theta_i^vee) moves with k, so
+    two levels share a cell only where every pairing is capped.)  A key
+    capped at floor(T/2), or one without the eta pairings, fails."""
+    capped_one = negative = 0
+    for g, levels, count, window, depth in LEVEL_SWEEPS:
+        e = lookup(g)
+        reqs = _level_sweep(g, levels, count, window, depth)
+
+        def answer(kind, k, nu, l0, q_max):
+            try:
+                got = character_massive(g, k, nu, l0, q_max, depth) if kind == "massive" \
+                    else character_massless(g, k, nu, q_max, depth)
+            except WminError as err:
+                return type(err), str(err)
+            return got.records()
+
+        _fns_cached.cache_clear()
+        _orbit_cell.cache_clear()
+        shared = []
+        for r in reqs:
+            hits = _orbit_cell.cache_info().hits
+            shared.append((r, answer(*r), _orbit_cell.cache_info().hits > hits))
+        assert any(hit for _, _, hit in shared), g
+        limit = e.lattice.window(window, depth)[0] // 2
+        for r, got, hit in shared:
+            _fns_cached.cache_clear()
+            _orbit_cell.cache_clear()
+            assert answer(*r) == got, (g, r, hit)
+            start = _start(e, _record(e, r[1]), e._scalars(r[2]))
+            eta = start[len(start) - len(e.components):]
+            negative += min(eta) < 0
+            capped_one += min(eta) <= limit and max(eta) > limit + 1
+    assert capped_one and negative
 
 
 class _SmallRadixLattice(_Lattice):

@@ -40,6 +40,9 @@ def test_stage_times():
                                 "out_terms")} == {"denominator_terms": 875,
                                                   "orbit_elements": 36,
                                                   "kept_terms": 2942, "out_terms": 110}
+    # the orbit is walked to q_shift 2 = floor(T/2), and the cell key reads
+    # k as the start's one eta pairing, 1, below limit + 1, so kept as it is
+    assert (got["limit"], got["eta_pairings"]) == (2, [1])
     # the denominator is built in the window the orbit reads: the kernel
     # window (T, X) of (q_max - l0, depth) = (2, 6), G3's dip density being 6
     assert got["denominator_window"] == [4, 36]
@@ -80,10 +83,11 @@ def test_stage_times():
     # elements; the warm call reads them from the cache and builds none
     assert (got["orbit_elements"], got["quotients"], got["quotients_warm"]) == (4, 4, 0)
     assert got["caches"]["_fns_cached"]["misses"] == 1 + 4
-    # the cold call's quotients after the first read its denominator; the
-    # warm and the fourth call read each element's quotient from the cold call's
+    # the cold call's quotients after the first read its denominator, a read
+    # of the store's own that is no hit; the warm and the fourth call read
+    # each element's quotient from the cold call's
     assert got["windows_built"] == {"cold": 1 + 4, "warm": 0, "contained": 0}
-    assert got["windows_from_held"] == {"cold": 3, "warm": 4, "contained": 4}
+    assert got["windows_from_held"] == {"cold": 0, "warm": 4, "contained": 4}
     # a warm psl22 massive request: its preconditions are timed at 1 us
     # resolution, so the sub-millisecond checks do not round to 0
     (line,) = run_script("stage_times.py", "--g", "psl22", "--k", "-3",
@@ -111,6 +115,9 @@ def test_stage_times_pinned_spo2m3_miss():
                                                             "denominator_buckets": 51}
     assert got["weights_built"] == {"cold": 7, "warm": 0, "hit": 0, "contained": 0}
     assert got["weights_held"] == 7
+    # window 2: walked to q_shift 2, and its eta pairing 1 is below
+    # limit + 1 = 3, so it stays in the cell key as it is
+    assert (got["limit"], got["eta_pairings"]) == (2, [1])
 
 
 def test_stage_times_takes_a_negative_rational_level():

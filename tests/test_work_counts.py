@@ -13,13 +13,19 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads as W  # noqa: E402
 
 
-@pytest.mark.parametrize("workload,builds,hits,weights", [("char_cold", 23, 52, 68),
-                                                          ("char_warm", 7, 97, 63)])
-def test_seed3_pool_work_counts(workload, builds, hits, weights):
+@pytest.mark.parametrize("workload,builds,hits,cells,weights", [("char_cold", 23, 42, (51, 0), 68),
+                                                                ("char_warm", 7, 82, (44, 58), 63)],
+                         ids=["char_cold", "char_warm"])
+def test_seed3_pool_work_counts(workload, builds, hits, cells, weights):
     """One pass over a seed-3 pool builds `builds` windows of the
     denominator store (`_fns_cached` misses: denominators and isotropic
-    quotients) and answers `hits` calls from a held series, and leaves one
-    key per distinct published weight in the table of `_publish`."""
+    quotients) and answers `hits` of its callers' calls from a held series
+    (a quotient build's own read of its denominator is not counted), computes
+    and reads orbit sums as `cells` gives them, the (misses, hits) of
+    `_orbit_cell`, and leaves one key per distinct published weight in the
+    table of `_publish`.  A char_warm pass shares cells between levels at
+    which no eta step fits the window (`_orbit_cell`), so it computes 44
+    sums for its 102 requests."""
     reqs = W.generate(workload, 3, W.NOMINAL_SECONDS, W.load_golden())
     runner = W.Runner()
     characters._fns_cached.cache_clear()
@@ -27,6 +33,7 @@ def test_seed3_pool_work_counts(workload, builds, hits, weights):
     characters._weights.clear()
     for req in reqs:
         runner.call(runner.prepare(req))
-    info = characters._fns_cached.cache_info()
+    info, cell = characters._fns_cached.cache_info(), characters._orbit_cell.cache_info()
     assert (info.misses, info.hits) == (builds, hits)
+    assert (cell.misses, cell.hits) == cells
     assert len(characters._weights) == len(set(characters._weights.values())) == weights
