@@ -18,10 +18,12 @@ timed stage:
     denominator_build_s   the cold call's `_fns_cached` build of the NS
                           denominator (its first call to return: a quotient
                           asks for the denominator first)
-    denominator_window    the kernel window [T, X] that call built, as ints
-                          (`catalog._Lattice.window`): T = floor(2 reach)
-                          and X = floor(2 scale (depth + s reach)) of its
-                          sloped window (`characters._orbit_sum` sizes it)
+    denominator_window    the kernel window [T, cap] that call built, as
+                          ints (`catalog._Lattice.window`): T =
+                          floor(2 reach) and cap = floor(scale depth) plus
+                          the orbit's headroom, from which
+                          `characters._window` slopes the caps
+                          (`characters._orbit_sum` sizes it)
     denominator_terms     terms of that series in its sloped window
     denominator_buckets   its distinct (q, depth) pairs, the buckets the
                           build's cap tests ran on, read off the rows of
@@ -280,7 +282,7 @@ def main(argv=None):
     _, hit_s, _, _, _ = request("hit")
     inner = (q_max - Q(1, 2), max(depth - 1, Q(0)))
     _, contained_s, _, _, _ = request("contained", *inner)
-    fns_s, fns, (_, top, x2) = cold["_fns_cached"]
+    fns_s, fns, (_, top, cap) = cold["_fns_cached"]
     _, _, (_, _, _, eta, cell_top, *_) = warm["_orbit_cell"]
     t = time.perf_counter()
     catalog._Lattice(catalog.lookup(g))
@@ -288,7 +290,7 @@ def main(argv=None):
     print(json.dumps({
         "import_s": round(import_s, 6),
         "denominator_build_s": round(fns_s, 6),
-        "denominator_window": [top, x2],
+        "denominator_window": [top, cap],
         "denominator_terms": sum(ends[-1] for _, ends, _ in fns.rows),
         "denominator_buckets": sum(len(depths) for depths, _, _ in fns.rows),
         "quotients": quotients,

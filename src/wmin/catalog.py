@@ -757,7 +757,7 @@ class _Lattice:
     exp(+-alpha) (which cost q^n, n >= 1) and 2|depth(gamma)| for the odd ones
     (which cost q^{1/2} and up), or 1 when there are none.  It is held as
     the int `dip` = s * scale, read off the keys' depth entries.  `window`
-    gives the kernel's sloped window (q_max, depth) as its two ints.
+    snaps a request's (q_max, depth) to its kernel window, two flat ints.
 
     The kernel stores the coordinates of a key packed into one int,
     `pack`(x) = sum_i x_i R^i with R = `radix`.  Packing is linear, and it
@@ -907,15 +907,11 @@ class _Lattice:
             raise PreconditionViolated(f"q exponent {format_rational(c)} is off (1/2)Z")
         return (2 * c).numerator
 
-    def cap(self, depth: Fraction) -> int:
-        """The largest int depth of a key whose depth is at most `depth`:
-        floor(scale * depth), from the depth's numerator and denominator."""
-        return self.scale * depth.numerator // depth.denominator
-
     def window(self, q_max: Fraction, depth: Fraction) -> Tuple[int, int]:
-        """(T, X) = (floor(2 q_max), floor(2 scale (depth + s q_max))), in ints."""
+        """(T, C) = (floor(2 q_max), floor(scale * depth)): the largest 2q of
+        a level and int depth of a key that the window (q_max, depth) keeps."""
         qn, qd, dn, dd = q_max.numerator, q_max.denominator, depth.numerator, depth.denominator
-        return 2 * qn // qd, 2 * (self.scale * dn * qd + self.dip * qn * dd) // (dd * qd)
+        return 2 * qn // qd, self.scale * dn // dd
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ argues this), placed at the exponents l0 + j/2 by the final step
 `_placed`; the sums are cached per (family, nu, eta pairings, window,
 depth, kind) (`_orbit_cell`, keyed by the ints of nu, the eta pairings
 capped at floor(T/2) + 1 when none is negative, so that levels at which no
-eta step fits the window share one sum, the kernel window and the depth
-cap), after every precondition check.
+eta step fits the window share one sum, and the kernel window), after
+every precondition check.
 
 Both the kernel and the orbit read one per-algebra frame of h^nat,
 `CatalogEntry.lattice` (`catalog._Lattice`, built once per catalog entry):
@@ -33,36 +33,34 @@ D.  The orbit walk runs on int coordinates from the request on: its start
 (`_start`) is read once per request off nu's int pairings and the level
 record, each point is its tuple of pairings with the affine simple
 coroots, its drop of x+d and the key of how far its restriction has
-moved, and a reflection is one int row
-of the frame (`_Lattice.rows`: the Cartan matrix row, the x+d pairing and
-the key of the root), skipped where it fixes the point.  The NS
+moved, and a reflection is one int row of the frame (`_Lattice.rows`: the
+Cartan matrix row, the x+d pairing and the key of the root), skipped
+where it fixes the point.  The NS
 denominator is built by an integer kernel (`_LatticeSeries`): q is stored
 as the int 2q, each level as depth buckets {int depth: {packed key:
 coefficient}}, a key's coordinates packed into one int (`_Lattice.pack`:
 linear, and one-to-one inside a bound the kernel proves and checks).  Every
 factor is applied to the running series in place inside a sloped window
 whose exactness argument is in the `_LatticeSeries` docstring, its cap test
-once per bucket.  A window reaches the kernel as two ints, its kernel window
-(T, X) (`_Lattice.window`), worked out once per request: a series depends on
-nothing else.  A finished series is held in a read form: each level's sorted
-depths, the running count of its terms up to each depth, and its packed keys
-and coefficients flattened in increasing depth, of which a reader takes the
-prefix under its cap.  Every factor
-(1 - sign q^c exp(w))^(-1), the denominator's own, the isotropic
-corrections of the massless sum and the fermionic factors of the N=4
-closed form, is expanded by that kernel's one `divide`, c given by the int
-2c and w by its key.  A massless orbit element's piece, the denominator
+once per bucket.  A request is snapped once to the flat ints of its
+kernel window (T, C) (`_Lattice.window`), and only they pass below: a
+series depends on nothing else (`_window`).  A finished series is held in
+a read form: each level's sorted depths, the running count of its terms
+up to each depth, and its packed keys and coefficients flattened in
+increasing depth, of which a reader takes the prefix under its cap.
+Every factor (1 - sign q^c exp(w))^(-1), the denominator's own, the
+isotropic corrections of the massless sum and the fermionic factors of
+the N=4 closed form, is expanded by that kernel's one `divide`, c given
+by the int 2c and w by its key.  A massless orbit element's piece, the denominator
 divided by the factor of its image of the isotropic simple roots, depends
 on the Weyl element and the denominator's window only: it is cached beside
 the denominator, keyed by that image's ints (`OrbitElement.image`), and
 every element and request with that key reads the prefix it needs of it.
 That bounded store (`_fns_cached`) has one rule: a call is answered from a
-held series of its (family, image) whose kernel window (T, X) contains the
-asked (T', X'), T' <= T and X' <= X, read in place, and built only when
-there is none; its docstring
-argues that every reader keeps the same terms and refuses the same
-windows as a build of its own.  A bench char_cold pass so builds 13
-denominators and 10 quotients of the 51 and 22 windows it asks.
+held series of its (family, image) whose caps contain the asked kernel
+window (T, C), T < len(caps) and C <= caps[T], read in place, and built
+only when there is none; its docstring argues that every reader keeps
+the same terms and refuses the same windows as a build of its own.
 
 Every character is one `_sum_pieces` and one `_placed`: the orbit sum,
 `verma_character` (`fns_series` is its nu = 0, ell = 0 case) and
@@ -70,8 +68,8 @@ Every character is one `_sum_pieces` and one `_placed`: the orbit sum,
 of heads +-q^shift exp(base + key/D), shift an int (the orbit's q_shift,
 the closed form's b_m, 0 for a Verma character), and kernel pieces.  The
 piece terms that pass the cuts, int caps read off the request's kernel
-window and depth cap, are summed over ints: the index
-2 shift + t of a level t term, and packed keys at the kernel's scale.
+window (T, C), are summed over ints: the index 2 shift + t of a level t
+term, and packed keys at the kernel's scale.
 `_publish` then walks the sums once, in increasing index: each nonzero
 sum is unpacked to its weight's int coordinates over one denominator, the
 base added there, and given the one `Vec` a module table holds for them,
@@ -81,10 +79,9 @@ call time.  Those levels {index j: {weight: coefficient}} do not read
 ell; the final step `_placed` gives level j the exponent ell + j/2, one
 `Fraction` per level, in a fresh dict.  `Fraction`s appear only at that
 boundary and in `records()`/`coeff()`, which read the published series:
-no orbit element and no head becomes a `Fraction`.
-Sums are sequential and deterministic; the merge is commutative exact
-addition, so a parallel evaluation would have to reproduce these
-coefficients bit for bit.
+no orbit element and no head becomes a `Fraction`.  Sums are sequential
+and deterministic; the merge is commutative exact addition, so a parallel
+evaluation would have to reproduce these coefficients bit for bit.
 """
 from __future__ import annotations
 
@@ -241,11 +238,10 @@ class _LatticeSeries:
     scale), and the packed key is its coordinates packed into one int
     (`_Lattice.pack`).  `caps[t]` is the int depth cap of that level,
     floor(scale * (depth + s * (q_max - t/2))), so a term is kept exactly
-    when `add_term` with headroom s would keep it, for any rational window.
-    With (T, X) = (floor(2 q_max), floor(2 scale (depth + s q_max))), the
-    kernel window (`_Lattice.window`), and dip t an int, that is
-    floor((X - dip t)/2) for t <= T (floor(y/2) = floor(floor(y)/2)), so a
-    series depends on its window only through (T, X) (`_window`).
+    when `add_term` with headroom s would keep it.  It is built in the
+    window (T/2, C/scale) of a kernel window (T, C) of ints
+    (`_Lattice.window`), so caps[t] = C + floor(dip (T - t)/2) for t <= T,
+    dip = s * scale an int (`_window`): a series depends on nothing else.
     A step by q^c exp(w) adds the depth entry and the packed key of w, one
     int `+` each (packing is linear), and its cap test runs once per bucket:
     a whole bucket is kept or skipped.  No bucket is left empty.
@@ -287,13 +283,12 @@ class _LatticeSeries:
     |x_i(w)| <= rate * cost for every step taken so far (the frame's `rate`
     for its NS factors, whose costs are >= 1; `_factor` raises it for any
     other factor).  A stored term is the sum of the steps of its history.
-    Its steps with c > 0 cost 2q <= T = floor(2 q_max) in all.  Its steps
-    with c = 0 cost its depth entry minus that of the others; each c > 0
-    step has d(w) >= -dip * c by the margin check (dip = s * scale, an int),
-    so they cost at most caps[2q] + dip * q <= scale * depth + dip * q_max,
-    and, being an int sum, at most caps[0].  So every stored term has
-    |x_i| <= B = rate * span, span = T + max(caps[0], 0) (a `copy` takes
-    the span of the window it is cut to).  The constructor and every
+    Its steps with c > 0 cost 2q <= T in all.  Its steps with c = 0 cost
+    its depth entry minus that of the others; each c > 0 step has
+    d(w) >= -dip * c by the margin check, so they cost at most
+    caps[2q] + dip * q = caps[0].  So every stored term has |x_i| <= B =
+    rate * span, span = T + max(caps[0], 0) (a `copy` takes the span of
+    the window it is cut to).  The constructor and every
     step raise PreconditionViolated, before changing anything, when
     2B >= R: a window past the bound is refused, never aliased.
     `_sum_pieces` checks the same bound with its heads added.
@@ -305,9 +300,9 @@ class _LatticeSeries:
 
     __slots__ = ("lat", "levels", "rows", "caps", "span", "rate")
 
-    def __init__(self, lat: _Lattice, top: int, x2: int):
+    def __init__(self, lat: _Lattice, top: int, cap: int):
         self.lat, self.rate, self.rows = lat, 0, None
-        self.caps, self.span = _window(lat, top, x2)
+        self.caps, self.span = _window(lat, top, cap)
         self._admit(lat.rate)
         self.levels: Optional[List[Dict[int, Dict[int, int]]]] = [{} for _ in self.caps]
         if self.caps and self.caps[0] >= 0:
@@ -341,10 +336,10 @@ class _LatticeSeries:
         to a prefix caps[:top + 1] of them: levels 0..top, each term of
         depth d <= caps[t], read off this series' rows into depth buckets,
         under those caps and that span.  Those are the terms of a build in
-        that window, whatever the larger window it came from.
-        Every step (`_push_up`, `divide`) writes a level only from itself and
-        the levels below it, so the steps applied to this prefix give the
-        prefix of the steps applied to the whole series."""
+        that window, whatever the larger window it came from.  Every step
+        (`_push_up`, `divide`) writes a level only from itself and the
+        levels below it, so the steps applied to this prefix give the prefix
+        of the steps applied to the whole series."""
         out = object.__new__(_LatticeSeries)
         out.lat, out.caps, out.span, out.rate, out.rows = self.lat, caps, span, self.rate, None
         out.levels = [_bucketed(rows, cap) for rows, cap in zip(self.rows, caps)]
@@ -422,11 +417,12 @@ class _LatticeSeries:
                     _step(lvl, {d: lvl[d]}, cap, dk, fp, sign)
 
 
-def _window(lat: _Lattice, top: int, x2: int) -> Tuple[List[int], int]:
-    """The caps and the span of the kernel window (T, X) = (top, x2)
-    (`_LatticeSeries`): caps[t] = floor((X - dip t)/2) for t <= T, and
-    span = T + max(caps[0], 0)."""
-    return [(x2 - lat.dip * t) // 2 for t in range(top + 1)], top + max(x2 // 2, 0)
+def _window(lat: _Lattice, top: int, cap: int) -> Tuple[List[int], int]:
+    """The caps and the span of the kernel window (T, C) = (top, cap), the
+    sloped window of (T/2, C/scale) (`_LatticeSeries`): caps[t] =
+    C + floor(dip (T - t)/2) for t <= T, and span = T + max(caps[0], 0)."""
+    return ([cap + lat.dip * (top - t) // 2 for t in range(top + 1)],
+            top + max(cap + lat.dip * top // 2, 0))
 
 
 def _flat(lvl: Dict[int, Dict[int, int]]) -> Tuple[tuple, tuple, tuple]:
@@ -477,19 +473,19 @@ def _step(dst: Dict[int, Dict[int, int]], src: Dict[int, Dict[int, int]], cap: i
 
 def _sum_pieces(lat: _Lattice, base: Tuple[int, List[int]], top: int, dcap: int,
                 heads: Sequence[Tuple[tuple, int, int]], pieces: Iterable[_LatticeSeries],
-                within: Tuple[int, int]) -> Tuple[Dict[int, Dict[Vec, int]], int]:
+                span: int) -> Tuple[Dict[int, Dict[Vec, int]], int]:
     """The l0-free levels of the sum of sign * q^shift exp(base + x/D) *
     piece, for each head (key, shift, sign), key the int key
     (`_Lattice.key`) of x/D relative to the base weight and shift an int,
     and the kernel series of `pieces` in the same order, cut at q <= window
-    and at depth <= depth around the base (the ints top = floor(2 window)
-    and dcap, `_Lattice.cap`): the published levels
-    (`_publish`) and the number of kernel terms kept.  The base weight is
-    given as ints y over a denominator d, base = (d, y): y / d.  The final
-    step (`_placed`) puts the levels at the exponents ell + j/2 of the
-    character, ell its lowest exponent and window = q_max - ell.
-    `within` is the kernel window (T, X) the pieces were asked in: a piece
-    may be a held series whose window contains it (`_fns_cached`).
+    and at depth <= depth around the base (its kernel window (top, dcap),
+    `_Lattice.window`): the published levels (`_publish`) and the number of
+    kernel terms kept.  The base weight is given as ints y over a
+    denominator d, base = (d, y): y / d.  The final step (`_placed`) puts
+    the levels at the exponents ell + j/2 of the character, ell its lowest
+    exponent and window = q_max - ell.  `span` is the span (`_window`) of
+    the kernel window the pieces were asked in: a piece may be a held
+    series whose window contains it (`_fns_cached`).
 
     Index.  A term of level t (q = t/2) of a piece under a head of shift h
     sits at ell + h + t/2, so at the int index j = 2h + t over ell.  Its
@@ -504,8 +500,8 @@ def _sum_pieces(lat: _Lattice, base: Tuple[int, List[int]], top: int, dcap: int,
     head's packed key plus a kernel key is the packed key of the product
     term: packing is linear.  It stays one-to-one: a kernel term read here
     lies in the asked window, so it has |x_i| <= B = rate * span, the
-    bound of a build in that window (`_LatticeSeries`, the piece's rate,
-    span that of `within`), a product term has |x_i| <= H + B, H the
+    bound of a build in that window (`_LatticeSeries`, the piece's rate and
+    the asked `span`), a product term has |x_i| <= H + B, H the
     largest |coordinate| of a head key, and a call with 2(H + B) >= R
     raises PreconditionViolated.  The bound is the asked window's, not the
     held piece's, so a piece read from a larger held window refuses
@@ -519,7 +515,7 @@ def _sum_pieces(lat: _Lattice, base: Tuple[int, List[int]], top: int, dcap: int,
     Depth being linear, depth_of(ref, base + x/D) = depth_of(0, x/D), and
     the cut depth_of(ref, w) <= depth is the int bound
     dcap = floor(scale * depth) on the depth entry of the product key
-    (`_Lattice.cap`): each piece gets one int depth cap
+    (`_Lattice.window`): each piece gets one int depth cap
     dcap - (depth entry of its head).
 
     Early stop.  A piece is read in its rows (`_LatticeSeries`, Held form),
@@ -530,7 +526,6 @@ def _sum_pieces(lat: _Lattice, base: Tuple[int, List[int]], top: int, dcap: int,
     against the cap keeps, so the Containment argument of `_fns_cached` is
     unchanged."""
     hmax = max([0] + [abs(x) for key, _, _ in heads for x in key[1:]])
-    span = within[0] + max(within[1] // 2, 0)
     acc: Dict[int, Dict[int, int]] = {}
     kept = 0
     for (key, shift, sign), piece in zip(heads, pieces):
@@ -659,41 +654,41 @@ def _held_windows(maxsize: int):
     `functools.lru_cache` (`cache_info`, `cache_clear`, `__wrapped__`): at
     most `maxsize` built series, grouped by (family, image).  A call is
     answered by the first series of its group, in the order they were
-    built, whose window contains the asked one (see `_fns_cached`), an
-    equal window included: that series is returned as it is held and
-    marked used.  Only when none contains the asked window is it built and
-    held.  Past `maxsize` the least recently used series is dropped, and
-    its group with its last series.  A window is its kernel window (T, X),
-    contained when T' <= T and X' <= X; a group key holds the family and
-    the image, ints or None (`OrbitElement.image`): no `Fraction` is read.
+    built, whose caps contain the asked kernel window (T, C), T < len(caps)
+    and C <= caps[T] (see `_fns_cached`), an equal window included: that
+    series is returned as it is held and marked used.  Only when none does
+    is it built and held.  Past `maxsize` the least recently used series is
+    dropped, and its group with its last series.  A group key holds the
+    family and the image, ints or None (`OrbitElement.image`): no
+    `Fraction` is read.
     `cache_info()` counts as hits only the answers to callers: a call made
     while a build runs (a quotient reading its denominator) is not one."""
     def decorate(build):
-        # (family, image) -> [entry, ...], each entry [last use, T, X, series]
-        # of one held window, in the order they were built
+        # (family, image) -> [entry, ...], each entry [last use, series] of
+        # one held window, in the order they were built
         groups: Dict[tuple, list] = {}
         counts = [0, 0, 0, 0, 0]  # hits, misses, uses, series held, builds running
 
-        def cached(aid: AlgebraId, top: int, x2: int,
+        def cached(aid: AlgebraId, top: int, cap: int,
                    image: Optional[tuple] = None) -> _LatticeSeries:
             group = groups.get((aid, image))
             if group is not None:
                 for entry in group:
-                    if top <= entry[1] and x2 <= entry[2]:
+                    if top < len(entry[1].caps) and cap <= entry[1].caps[top]:
                         if not counts[4]:
                             counts[0] += 1
                         counts[2] += 1
                         entry[0] = counts[2]
-                        return entry[3]
+                        return entry[1]
             counts[1] += 1
             counts[4] += 1
             try:
-                series = build(aid, top, x2, image)
+                series = build(aid, top, cap, image)
             finally:
                 counts[4] -= 1
             # looked up after the build, which may hold and drop series itself
             counts[2] += 1
-            groups.setdefault((aid, image), []).append([counts[2], top, x2, series])
+            groups.setdefault((aid, image), []).append([counts[2], series])
             counts[3] += 1
             if counts[3] > maxsize:
                 _, key, i = min((entry[0], key, i) for key, group in groups.items()
@@ -722,15 +717,16 @@ def _held_windows(maxsize: int):
 # rest.  32 keeps either pass whole while bounding what a long-lived process
 # holds.
 @_held_windows(maxsize=32)
-def _fns_cached(aid: AlgebraId, top: int, x2: int,
+def _fns_cached(aid: AlgebraId, top: int, cap: int,
                 image: Optional[tuple] = None) -> _LatticeSeries:
     """The NS denominator in the sloped window (q_max, depth + s(q_max - q))
-    of kernel window (T, X) = (top, x2), built factor by factor in place
-    over int keys (`_ns_steps`), each step margin-checked; with `image`
-    (2 xd, *key of the restriction), a massless orbit element's image of
-    the isotropic simple roots (`OrbitElement.image`), that denominator
-    divided by the image's factor (1 + q^xd exp(-restriction))^(-1) once
-    per isotropic simple root, flipped exactly when xd < 0 (`divide`).
+    of kernel window (T, C) = (top, cap), (q_max, depth) = (T/2, C/scale),
+    built factor by factor in place over int keys (`_ns_steps`), each step
+    margin-checked; with `image` (2 xd, *key of the restriction), a
+    massless orbit element's image of the isotropic simple roots
+    (`OrbitElement.image`), that denominator divided by the image's factor
+    (1 + q^xd exp(-restriction))^(-1) once per isotropic simple root,
+    flipped exactly when xd < 0 (`divide`).
     The answer may be a held series of a window that contains the asked one
     (Containment below): a caller reads only inside the window it asked.
     Every series is held in its read form (`_LatticeSeries.hold`) before
@@ -748,7 +744,7 @@ def _fns_cached(aid: AlgebraId, top: int, x2: int,
     filled.
 
     Quotients.  The quotient depends only on its key: the denominator is
-    fixed by (family, T, X), and the factor by the image, which is
+    fixed by (family, T, C), and the factor by the image, which is
     the image of the isotropic simple roots under the Weyl element alone,
     whatever the (k, nu) of the orbit it came from, and its ints fix the
     factor (`_orbit`).  It is built from the
@@ -762,34 +758,36 @@ def _fns_cached(aid: AlgebraId, top: int, x2: int,
 
     Containment.  Every call is answered by the one rule of the store
     (`_held_windows`): from a held series of the same family and the same
-    image (None for the plain denominator) whose kernel window (T, X)
-    contains the asked (T', X'): T' <= T and X' <= X, an equal window
-    included.  Then the held series has every level t <= T', and its caps
-    floor((X - dip t)/2) are at least the asked ones pointwise (`_window`);
-    every (Q', D') inside a held (Q, D) has T' <= T and X' <= X.  Every term a
-    series stores is the coefficient of the infinite product
-    (`_LatticeSeries`, Exactness), the quotient's factor included, so the held
-    terms of depth d <= caps'[t] in the levels t <= T' are those of the asked
-    build, and the held series holds more only beyond them.  No reader reads
+    image (None for the plain denominator) whose caps contain the asked
+    kernel window (T', C'): T' < len(caps) and C' <= caps[T'], an equal
+    window included.  That test at level T' is exact, dip even or odd:
+    with caps'[t] = C' + floor(dip (T' - t)/2) (`_window`), a held (T, C)
+    has caps[t] = C + floor(dip (T - t)/2) >= caps[T'] + floor(dip (T' -
+    t)/2) >= caps'[t] at every t <= T' (floor(a) + floor(b) <= floor(a +
+    b)).  Every term a series stores is the coefficient of the infinite
+    product (`_LatticeSeries`, Exactness), the quotient's factor included,
+    so the held terms of depth d <= caps'[t] in the levels t <= T' are those
+    of the asked build, and the held series holds more only beyond them.  No reader reads
     beyond them: `_sum_pieces` reads levels t <= T - 2h <= T' and depth
     entries d <= dcap - key[0] <= caps'[t] under a head of shift h, by
     `_orbit_sum`'s Window argument (verma_character's head is 0 at (window,
     depth)), and a quotient or `n4_closed_form` piece is a `copy` cut to the
     asked window.  So every kept term is the one the asked build gives.
-    Refusals are the same too: the held series was built, and the asked build,
-    of the same factors in a window of no larger span, would pass every
-    `_margin` and `_admit` it passed; `_sum_pieces` checks its packing bound
-    with the asked window's span, the rate being fixed by the family and the
-    image.  An answer is the held series itself, read in place."""
+    Refusals are the same too: the held series was built, and the asked
+    build, of the same factors in a window of no larger span (T' <= T and
+    caps'[0] <= caps[0]), would pass every `_margin` and `_admit` it
+    passed; `_sum_pieces` checks its packing bound with the asked window's
+    span, the rate being fixed by the family and the image.  An answer is
+    the held series itself, read in place."""
     entry = lookup(aid)
     lat = entry.lattice
     if image is not None:
-        out = _fns_cached(aid, top, x2).copy(*_window(lat, top, x2))
+        out = _fns_cached(aid, top, cap).copy(*_window(lat, top, cap))
         key = tuple([-x for x in image[1:]])
         for _ in range(entry.iso_simple_count):
             out.divide(key, image[0], -1)
         return out.hold()
-    out = _LatticeSeries(lat, top, x2)
+    out = _LatticeSeries(lat, top, cap)
     for dk, fp, c2, odd in sorted(_ns_steps(lat, top), key=lambda step: -step[2]):
         out._margin(dk, c2)
         if odd:
@@ -822,8 +820,8 @@ def verma_character(g: AlgebraId, nu: Vec, ell, q_max, depth) -> QWSeries:
     if window < 0:
         return out
     lat, win = entry.lattice, entry.lattice.window(window, out.depth)
-    levels, _ = _sum_pieces(lat, entry._scaled(nu), win[0], lat.cap(out.depth),
-                            [((0,) * (entry.n + 1), 0, 1)], [_fns_cached(g, *win)], win)
+    levels, _ = _sum_pieces(lat, entry._scaled(nu), *win, [((0,) * (entry.n + 1), 0, 1)],
+                            [_fns_cached(g, *win)], _window(lat, *win)[1])
     return _placed(out, ell, levels)
 
 
@@ -1066,14 +1064,14 @@ def weyl_orbit(g: AlgebraId, k, nu: Vec, h, q_max) -> List[Tuple[Vec, int, Fract
 # character formulas
 
 
-def _orbit_sum(entry: CatalogEntry, start: tuple, sc: _NuScalars, top: int, x2: int,
-               dcap: int, track_iso: bool) -> Dict[int, Dict[Vec, int]]:
+def _orbit_sum(entry: CatalogEntry, start: tuple, sc: _NuScalars, top: int, dcap: int,
+               track_iso: bool) -> Dict[int, Dict[Vec, int]]:
     """The l0-free orbit sum: det * q^q_shift exp(restriction) * fns summed
     over the orbit of nu walked from `start` (`_start`, `_orbit`), nu given
     by its scalars `sc`, cut at (window, depth) around nu, as published
     levels {index j: {weight: coefficient}} (`_sum_pieces`), empty when
-    the window is negative, given as its kernel window (T, X) = (top, x2) and
-    depth cap dcap (`_Lattice.cap`).  The int denominator series is read
+    the window is negative, given as its kernel window (T, dcap) = (top,
+    dcap).  The int denominator series is read
     directly by `_sum_pieces`, each orbit element's head being its int key
     relative to restrict(nu) (`_orbit`) and its int q_shift: each element gets
     one int q ceiling and one int depth cap, the kept terms are merged over
@@ -1089,30 +1087,26 @@ def _orbit_sum(entry: CatalogEntry, start: tuple, sc: _NuScalars, top: int, x2: 
     reads l0 only through the window q_max - l0, in three places: the orbit
     is walked to q_shift <= floor(window) = floor(T/2) (`_orbit`, which
     reads neither l0 nor h); the denominator's window (below) is read off
-    that orbit and (T, X); and `_sum_pieces` keeps a term of index j, at
+    that orbit and (T, dcap); and `_sum_pieces` keeps a term of index j, at
     exponent l0 + j/2, exactly when j <= floor(2(q_max - l0)) = T.  The
     depth cut, dcap, is around nu.  So the character is this sum with
     level j placed at l0 + j/2 (`_placed`): two characters of one (family,
-    start, nu, T, X, dcap, kind) are one sum at two exponents, and the
+    start, nu, T, dcap, kind) are one sum at two exponents, and the
     characters cache the sum per such key, its eta pairings capped
     (`_orbit_cell`).  The sum reads k only through the start's eta
     pairings.  A massless character has l0 = A(k, nu), which (k, nu)
     fixes, so q_max fixes its window.
 
-    Quotients.  A massless piece depends only on its key (`_fns_cached`):
-    the denominator's family and reach window below and the element's image,
-    which the Weyl element fixes whatever (k, nu) is, so elements of one
-    orbit and of other requests with the same image and denominator window
-    share one piece.  `_sum_pieces` reads only levels
-    0..floor(2(window - q_shift)) of it, and `divide` writes each level only
-    from itself and the levels below it, so that prefix of the whole-reach
-    quotient equals the quotient of a prefix copy of the denominator, and
-    the kept terms are the same.  The quotient has the span of its window,
-    so `_margin` and `_admit` refuse exactly the factors they would refuse
-    on the prefix.  A piece, plain or quotient, may be a held series whose
-    window contains the reach window (`_fns_cached`): every term an element
-    reads lies in the reach window by the Window argument below, and
-    `_sum_pieces` checks its packing bound in it.
+    Quotients.  A massless piece depends only on its key (`_fns_cached`,
+    Quotients): the denominator's family and reach window below and the
+    element's image, which the Weyl element fixes whatever (k, nu) is, so
+    elements of one orbit and of other requests with the same image and
+    denominator window share one piece, of which `_sum_pieces` reads the
+    levels 0..floor(2(window - q_shift)).  A piece, plain or quotient, may
+    be a held series whose window contains the reach window
+    (`_fns_cached`): every term an element reads lies in the reach window
+    by the Window argument below, and `_sum_pieces` checks its packing
+    bound in it.
 
     Window.  The denominator is built in the kernel window of exactly what
     the orbit reads, in ints.  Element e (head shift q_shift) is read at
@@ -1121,19 +1115,17 @@ def _orbit_sum(entry: CatalogEntry, start: tuple, sc: _NuScalars, top: int, x2: 
     q_shift); an element with q_shift < 0 (extremal weights, see `_orbit`)
     reads up to level T - 2 s_min.  With the int need = max(0, max over e
     of (-key[0] - dip * (q_shift - s_min))), the build's reach window is
-    (T - 2 s_min, X + 2(need - dip s_min)), the kernel window of
-    (window - s_min, depth + need / scale): the ints added pass through
-    the floors.  Its cap at level t is floor((X + 2 need - 2 dip s_min -
-    dip t)/2) (`_window`), and X >= 2 dcap + dip T, so at t <= T - 2 q_shift
-    it is at least dcap + need + dip (q_shift - s_min) >= dcap - key[0]
-    for every element: every term an element reads is exact; the isotropic
-    divisions are margin-checked steps in the same window.  need is 0 from
-    a dominant start (Kac, Infinite-dimensional Lie
-    algebras, Lemma 3.11 / Prop. 3.12): lam0 - w lam0 = sum n_alpha alpha +
-    sum m_i eta_i with n, m >= 0, so the restriction moves by
-    -sum n_alpha alpha + sum m_i theta_i, at most sum m_i ht(theta_i) above
-    nu, and q_shift = sum m_i; each theta_i is a positive root of g^nat, so
-    ht(theta_i) <= s and -key[0] <= dip * q_shift.
+    (T - 2 s_min, dcap + need).  Its cap at level t is dcap + need +
+    floor(dip (T - 2 s_min - t)/2) (`_window`), so at t <= T - 2 q_shift it
+    is at least dcap + need + dip (q_shift - s_min) >= dcap - key[0] for
+    every element: every term an element reads is exact; the isotropic
+    divisions are margin-checked steps in the same window.  need is 0
+    from a dominant start (Kac, Infinite-dimensional Lie algebras, Lemma
+    3.11 / Prop. 3.12): lam0 - w lam0 = sum n_alpha alpha + sum m_i eta_i
+    with n, m >= 0, so the restriction moves by -sum n_alpha alpha +
+    sum m_i theta_i, at most sum m_i ht(theta_i) above nu, and q_shift =
+    sum m_i; each theta_i is a positive root of g^nat, so ht(theta_i) <= s
+    and -key[0] <= dip * q_shift.
 
     The denominator identity.  Let k_rho be a level at which lam0 =
     (k + h_vee) Lambda_0 + rho^nat pairs to 1 with every affine simple
@@ -1154,26 +1146,27 @@ def _orbit_sum(entry: CatalogEntry, start: tuple, sc: _NuScalars, top: int, x2: 
     need, dip = 0, lat.dip
     for el in orbit:
         need = max(need, -el.key[0] - dip * (el.q_shift - s_min))
-    aid, rt, rx = entry.id, top - 2 * s_min, x2 + 2 * (need - dip * s_min)  # the reach window
-    pieces = [_fns_cached(aid, rt, rx, el.image) for el in orbit] if track_iso \
-        else repeat(_fns_cached(aid, rt, rx))
+    aid, rt, rc = entry.id, top - 2 * s_min, dcap + need  # the reach window
+    pieces = [_fns_cached(aid, rt, rc, el.image) for el in orbit] if track_iso \
+        else repeat(_fns_cached(aid, rt, rc))
     return _sum_pieces(lat, lat.restricted(sc.d, sc.x), top, dcap,
-                       [(el.key, el.q_shift, el.det) for el in orbit], pieces, (rt, rx))[0]
+                       [(el.key, el.q_shift, el.det) for el in orbit], pieces,
+                       _window(lat, rt, rc)[1])[0]
 
 
 # A bench char_warm pass reads 44 distinct keys, and each cell holds one
 # character's levels (110 terms for the G3 case): 128 keeps such a sweep
 # whole while bounding what a long-lived process holds.
 @lru_cache(maxsize=128)
-def _orbit_cell(g: AlgebraId, nd: int, nx: tuple, eta: tuple, top: int, x2: int,
-                dcap: int, track_iso: bool, cap: int) -> list:
+def _orbit_cell(g: AlgebraId, nd: int, nx: tuple, eta: tuple, top: int, dcap: int,
+                track_iso: bool, cap: int) -> list:
     """The cell of one l0-free orbit sum (`_orbit_sum`): per (family,
-    nu = nx/nd, eta pairings of the start, kernel window (T, X) = (top,
-    x2), depth cap, massless or not, orbit cap), a list that `_character`
-    fills with the sum on the first request of the key.  The cell is
+    nu = nx/nd, eta pairings of the start, kernel window (top, dcap),
+    massless or not, orbit cap), a list that `_character` fills with the
+    sum on the first request of the key.  The cell is
     cached rather than `_orbit_sum`, so that the sum is computed from the
     start and nu's scalars the request already read, and the key holds only
-    what fixes the sum, which reads its window only through T, X and dcap
+    what fixes the sum, which reads its window only through T and dcap
     and the level only through the start's eta pairings (`_orbit_sum`).
     nu is keyed by its coordinates as ints over their least common
     denominator (`CatalogEntry._scaled`, read off its scalars), which fix
@@ -1184,10 +1177,9 @@ def _orbit_cell(g: AlgebraId, nd: int, nx: tuple, eta: tuple, top: int, x2: int,
     levels at which no eta step fits the window share one sum.  The cap is
     exact: an eta pairing above floor(T/2) gives the same walk, step by
     step, whatever its value (`_orbit`, Capped eta pairings), and T < 0
-    gives the empty sum whatever the start.
-    The orbit cap is in the key because `_orbit` reads
-    ORBIT_CAP at call time: a sum found under one cap is never served under
-    a lower one, where it has to raise.  A sum that raises leaves its cell
+    gives the empty sum whatever the start.  The orbit cap is in the key
+    because `_orbit` reads ORBIT_CAP at call time: a sum found under one
+    cap is never served under a lower one, where it has to raise.  A sum that raises leaves its cell
     empty, so the next request of the key computes it again."""
     return []
 
@@ -1202,14 +1194,14 @@ def _character(entry: CatalogEntry, rec: _Level, sc: _NuScalars, nu: Vec, l0: Fr
     integrality check runs on each."""
     out = QWSeries(entry, q_max, depth, nu)
     lat, start = entry.lattice, _start(entry, rec, sc)
-    (top, x2), dcap = lat.window(out.q_max - l0, out.depth), lat.cap(out.depth)
+    top, dcap = lat.window(out.q_max - l0, out.depth)
     eta = start[len(start) - len(entry.components):]
     if min(eta) >= 0:
         lim = top // 2 + 1
         eta = tuple([n if n < lim else lim for n in eta])
-    cell = _orbit_cell(entry.id, sc.d, tuple(sc.x), eta, top, x2, dcap, track_iso, ORBIT_CAP)
+    cell = _orbit_cell(entry.id, sc.d, tuple(sc.x), eta, top, dcap, track_iso, ORBIT_CAP)
     if not cell:
-        cell.append(_orbit_sum(entry, start, sc, top, x2, dcap, track_iso))
+        cell.append(_orbit_sum(entry, start, sc, top, dcap, track_iso))
     return _placed(out, l0, cell[0])
 
 
@@ -1276,7 +1268,8 @@ def n4_closed_form(M1: int, r: int, q_max, depth) -> QWSeries:
     -(p+1) <= m <= p+1 (`_n4_range`) reaches the output.
 
     Window.  The pieces are cut in the kernel's sloped window of
-    (window, depth), window = q_max - l0, where a term (q, w) is exact when
+    (window, depth) = (T/2, C/scale), the cuts of the request's kernel
+    window (T, C) (`_Lattice.window`), where a term (q, w) is exact when
     depth_of(0, w) <= depth + s(window - q).  A term of summand m reaches the
     output only if q <= window - b_m, so, as b_m >= 0 (for m <= -1,
     m(M1+1) + r + 1 <= r - M1 <= 0), it is exact up to depth + s b_m.  The
@@ -1317,7 +1310,6 @@ def n4_closed_form(M1: int, r: int, q_max, depth) -> QWSeries:
         div.divide(key, c2, -1)
         return div.hold()
 
-    levels, _ = _sum_pieces(lat, entry._scaled(out.ref), win[0], lat.cap(depth),
-                            [hd for hd, _, _ in summands],
-                            (piece(key, c2, hd[1]) for hd, key, c2 in summands), win)
+    levels, _ = _sum_pieces(lat, entry._scaled(out.ref), *win, [hd for hd, _, _ in summands],
+                            (piece(key, c2, hd[1]) for hd, key, c2 in summands), span)
     return _placed(out, l0, levels)

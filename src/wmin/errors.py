@@ -47,7 +47,8 @@ class IndexOutOfRange(WminError):
 
 
 class TruncationIncomplete(WminError):
-    """Orbit enumeration hit the hard cap; results would be unsound."""
+    """A walk or a list hit its hard cap (`ORBIT_CAP`, `P_PLUS_CAP`,
+    `RANGE_CAP`); results would be unsound."""
 
 
 class InexactScalar(WminError):

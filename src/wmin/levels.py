@@ -11,7 +11,7 @@ from functools import lru_cache
 from typing import List, NamedTuple, Optional
 
 from .catalog import AlgebraId, CatalogEntry, lookup
-from .errors import CriticalLevel, PreconditionViolated
+from .errors import CriticalLevel, PreconditionViolated, TruncationIncomplete
 from .rationals import as_rational, rational_sqrt
 
 Q = Fraction
@@ -127,11 +127,20 @@ def unitarity_range_contains(g: AlgebraId, k: Fraction) -> bool:
     return _ranged(g, as_rational(k)) is not None
 
 
+RANGE_CAP = 10 ** 5  # levels listed before TruncationIncomplete is raised
+
+
 def enumerate_unitary_k(g: AlgebraId, count: int) -> List[Fraction]:
     """First `count` levels of the unitarity range, from the largest down.
-    A count that is no int raises `PreconditionViolated`."""
+    A count that is no int raises `PreconditionViolated`, and one that
+    would list more than RANGE_CAP levels, read at call time as
+    `weights.P_PLUS_CAP` is, raises `TruncationIncomplete` before any is
+    built: on a family with an unbounded range the list is as long as the
+    count."""
     if not isinstance(count, int):
         raise PreconditionViolated(f"count must be an int, got {count!r}")
     first, step, size = lookup(g).unitary_range
     n = max(0, count if size is None else min(count, size))
+    if n > RANGE_CAP:
+        raise TruncationIncomplete(f"range cap {RANGE_CAP} exceeded: {n} levels of {g.label()}")
     return [first + i * step for i in range(n)]

@@ -6,6 +6,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from operator import add, mul
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -50,7 +51,7 @@ def _orbit_sum_at(e, k, nu, l0, q_max, depth, track_iso):
     q_max, depth, lat, sc = Q(q_max), Q(depth), e.lattice, e._scalars(nu)
     return _placed(QWSeries(e, q_max, depth, nu), Q(l0),
                    _orbit_sum(e, _start(e, _record(e, k), sc), sc,
-                              *lat.window(q_max - l0, depth), lat.cap(depth), track_iso))
+                              *lat.window(q_max - l0, depth), track_iso))
 
 
 def _start_by_the_affine_form(e, k, nu):
@@ -583,8 +584,8 @@ def _wide_orbit_sum(e, k, nu, l0, q_max, depth, track_iso):
 
     pieces = [_copied_quotient(e, fns, el, caps, span) if el.image is not None else fns
               for el in orbit]
-    levels, _ = _sum_pieces(lat, e._restricted(nu), math.floor(2 * window), lat.cap(out.depth),
-                            [(el.key, el.q_shift, el.det) for el in orbit], pieces, within)
+    levels, _ = _sum_pieces(lat, e._restricted(nu), *lat.window(window, out.depth),
+                            [(el.key, el.q_shift, el.det) for el in orbit], pieces, span)
     return _placed(out, l0, levels)
 
 
@@ -722,9 +723,9 @@ def test_orbit_sum_builds_the_window_its_orbit_reads(case):
     its docstring), and gives the same sum as over the wide window
     depth + window * `_theta_height`, massive and massless; every
     `_fns_cached` call, the isotropic quotients of a massless sum included,
-    is in that one kernel window (T, X), whose T is that of the reach, the
+    is in that one kernel window (T, C), whose T is that of the reach, the
     plain denominator asked with three arguments; from a dominant start it
-    needs no headroom: (T, X) is the window of (window, depth)."""
+    needs no headroom: (T, C) is the window of (window, depth)."""
     g, k, nu, above, window, depth = case
     e = lookup(g)
     l0, track_iso = A_bound(g, k, nu) + (above or 0), above is None
@@ -735,11 +736,11 @@ def test_orbit_sum_builds_the_window_its_orbit_reads(case):
     assert got.n_terms() > 0
     assert got == _wide_orbit_sum(e, k, nu, l0, l0 + window, depth, track_iso), case
     assert all(len(a) == 3 or a[3] for a in built), built
-    ((_, top, x2),) = {a[:3] for a in built}
+    ((_, top, cap),) = {a[:3] for a in built}
     orbit = _orbit_at(e, k, nu, window, track_iso)
     assert top == math.floor(2 * (window - min([0] + [el.q_shift for el in orbit])))
     if all(p >= 0 for p in _start_by_the_affine_form(e, k, nu)):
-        assert (top, x2) == e.lattice.window(window, depth), case
+        assert (top, cap) == e.lattice.window(window, depth), case
 
 
 @given(window_cases())
@@ -1479,7 +1480,8 @@ def test_denominator_in_any_factor_order_is_the_same(g, q_max, depth):
     """`_fns_cached` applies the NS factors in decreasing c; applied in the
     table order of `_ns_steps` they give the same series, level for level,
     and the int caps are the `Fraction` floors
-    floor(scale * (depth + s (q_max - t/2)))."""
+    floor(scale * (depth + s (q_max - t/2))) of the snapped window
+    (`_snapped`)."""
     lat = lookup(g).lattice
     want = _LatticeSeries(lat, *lat.window(q_max, depth))
     for dk, fp, c2, odd in characters._ns_steps(lat, math.floor(2 * q_max)):
@@ -1490,8 +1492,7 @@ def test_denominator_in_any_factor_order_is_the_same(g, q_max, depth):
             want._divide(dk, fp, c2, 1)
     got = _fns_cached.__wrapped__(g, *lat.window(q_max, depth))
     assert _buckets(got) == want.levels
-    assert got.caps == [lat.cap(depth + Q(lat.dip, lat.scale) * (q_max - Q(t, 2)))
-                        for t in range(math.floor(2 * q_max) + 1)]
+    assert got.caps == _fraction_window(lat, *_snapped(lat, q_max, depth))[0]
 
 
 def test_ns_table_steps_are_margin_checked(monkeypatch):
@@ -1572,9 +1573,9 @@ def test_window_past_the_packing_bound_is_refused():
         out = QWSeries(E, 2, 3)
         if 2 * (x + bound) >= lat.radix:
             with pytest.raises(PreconditionViolated, match="packing bound"):
-                _sum_pieces(lat, E._scaled(ZERO), 4, lat.cap(Q(3)), heads, [fns], asked)
+                _sum_pieces(lat, E._scaled(ZERO), *asked, heads, [fns], span)
         else:  # just inside the bound the merge answers
-            levels, _ = _sum_pieces(lat, E._scaled(ZERO), 4, lat.cap(Q(3)), heads, [fns], asked)
+            levels, _ = _sum_pieces(lat, E._scaled(ZERO), *asked, heads, [fns], span)
             assert _placed(out, Q(0), levels).coeff(0, Vec([Q(x, lat.denom), 0, 0, 0])) == 1
     # just inside the bound the same calls are answered
     assert fns_series(G, 1, 3).n_terms() > 0
@@ -1589,11 +1590,11 @@ def test_a_short_piece_raises():
     fns, span = _asked(G, Q(2), Q(3)).hold(), _window(lat, *asked)[1]
     short = fns.copy(fns.caps[:-1], span).hold()
     for piece, shift in [(fns, 0), (short, 1)]:
-        levels, _ = _sum_pieces(lat, E._scaled(ZERO), 4, lat.cap(Q(3)), [((0,) * 5, shift, 1)],
-                                [piece], asked)
+        levels, _ = _sum_pieces(lat, E._scaled(ZERO), *asked, [((0,) * 5, shift, 1)],
+                                [piece], span)
         assert max(levels) == 4
     with pytest.raises(PreconditionViolated, match="cannot fill"):
-        _sum_pieces(lat, E._scaled(ZERO), 4, lat.cap(Q(3)), [((0,) * 5, 0, 1)], [short], asked)
+        _sum_pieces(lat, E._scaled(ZERO), *asked, [((0,) * 5, 0, 1)], [short], span)
 
 
 def test_n4_closed_form_divides_its_own_window():
@@ -1710,8 +1711,8 @@ S_PSL = Q(E.lattice.dip, E.lattice.scale)
 
 def _fraction_window(lat, q_max, depth):
     """The caps and the span of the sloped window (q_max, depth) as
-    `Fraction` floors, the formula the kernel's int window replaced, kept
-    as its oracle: caps[t] = floor(x - dip t/2) for t <= floor(2 q_max),
+    `Fraction` floors, kept as the oracle of the kernel's int window:
+    caps[t] = floor(x - dip t/2) for t <= floor(2 q_max),
     x = scale (depth + s q_max), s = dip / scale, and span =
     floor(2 q_max) + max(floor(x), 0)."""
     x = lat.scale * (depth + Q(lat.dip, lat.scale) * q_max)
@@ -1719,85 +1720,156 @@ def _fraction_window(lat, q_max, depth):
     return [math.floor(x - Q(lat.dip * t, 2)) for t in range(top + 1)], top + max(math.floor(x), 0)
 
 
-ALL_FRAMES = [lookup(g).lattice for g in (
-    catalog.psl22(), catalog.f4(), catalog.g3(), *map(catalog.sl2m, range(3, 7)),
-    *map(catalog.spo2m, (3, 5, 6, 7)), *map(catalog.osp4m, (4, 6, 8)), catalog.d21a(2),
-    catalog.d21a(2, 3))]
+def _snapped(lat, q_max, depth):
+    """The window (T/2, C/scale) a request (q_max, depth) is snapped to,
+    as `Fraction`s: T = floor(2 q_max) and C = floor(scale * depth), the
+    largest index and depth entry it keeps."""
+    return Q(math.floor(2 * q_max), 2), Q(math.floor(lat.scale * depth), lat.scale)
+
+
+ALL_ALGEBRAS = [catalog.psl22(), catalog.f4(), catalog.g3(), *map(catalog.sl2m, range(3, 7)),
+                *map(catalog.spo2m, (3, 5, 6, 7)), *map(catalog.osp4m, (4, 6, 8)),
+                catalog.d21a(2), catalog.d21a(2, 3)]
+ALL_FRAMES = [lookup(g).lattice for g in ALL_ALGEBRAS]
+# a frame of odd dip, which no catalog frame has: `_window` and the snap read
+# only the scale and the dip
+ODD_DIP = SimpleNamespace(scale=2, dip=3)
 SLOPED = st.fractions(min_value=0, max_value=4, max_denominator=12)
 
 
-@given(st.sampled_from(ALL_FRAMES), SLOPED, SLOPED)
+@given(st.sampled_from(ALL_FRAMES + [ODD_DIP]), SLOPED, SLOPED)
 @example(E.lattice, Q(13, 6), Q(7, 3))
 @example(lookup(catalog.g3()).lattice, Q(2), Q(61, 10))
+@example(ODD_DIP, Q(5, 6), Q(7, 3))
 @settings(max_examples=120, deadline=None)
 def test_int_window_is_the_fraction_window(lat, q_max, depth):
     """`_window` of the kernel window `_Lattice.window` of (Q, D) gives the
-    caps and span that the `Fraction` floors give, on every catalog frame,
-    for windows that are not half-integers and fractional depths."""
-    top, x2 = lat.window(q_max, depth)
-    assert (top, x2) == (math.floor(2 * q_max),
-                         math.floor(2 * lat.scale * (depth + Q(lat.dip, lat.scale) * q_max)))
-    assert _window(lat, top, x2) == _fraction_window(lat, q_max, depth)
+    caps and span that the `Fraction` floors give at the snapped window
+    (`_snapped`), on every catalog frame and one of odd dip, for windows
+    that are not half-integers and fractional depths; and the snapped
+    window lies inside the asked one, caps and span."""
+    top, cap = _Lattice.window(lat, q_max, depth)
+    assert (top, cap) == (math.floor(2 * q_max), math.floor(lat.scale * depth))
+    caps, span = _window(lat, top, cap)
+    assert (caps, span) == _fraction_window(lat, *_snapped(lat, q_max, depth))
+    asked_caps, asked_span = _fraction_window(lat, q_max, depth)
+    assert len(caps) == len(asked_caps) and span <= asked_span
+    assert all(a <= b for a, b in zip(caps, asked_caps))
 
 
-@given(st.sampled_from(ALL_FRAMES), SLOPED, SLOPED, SLOPED, SLOPED)
-@example(E.lattice, Q(2), Q(3), Q(13, 6), Q(17, 6))   # not nested, equal (T, X)
-@example(E.lattice, Q(1), Q(4), Q(21, 20), Q(4))      # not nested, equal (T, X)
-@example(E.lattice, Q(2), Q(3), Q(2), Q(3) + Q(1, 8))  # X' = X + 1, equal caps
+@given(st.sampled_from(ALL_FRAMES + [ODD_DIP]), SLOPED, SLOPED, SLOPED, SLOPED)
+@example(E.lattice, Q(2), Q(3), Q(13, 6), Q(17, 6))   # not nested, asked contained
+@example(E.lattice, Q(1), Q(4), Q(21, 20), Q(4))      # not nested, equal (T, C)
+@example(E.lattice, Q(2), Q(3), Q(2), Q(3) + Q(1, 8))  # nested the other way, equal (T, C)
+@example(ODD_DIP, Q(2), Q(1), Q(3, 2), Q(2))          # caps'[T'] = caps[T'] at odd dip
+@example(ODD_DIP, Q(2), Q(1), Q(1), Q(2))             # caps'[T'] > caps[T'] at odd dip
 @settings(max_examples=200, deadline=None)
 def test_int_containment_is_the_cap_containment(lat, q, d, q2, d2):
-    """The store's test T' <= T and X' <= X, for an asked (Q', D') and a
-    held (Q, D), implies that the asked caps lie under the held ones on
-    every level t <= T' (by the `Fraction` oracle), the asked span under
-    the held one: the held series holds every term of the asked build.
-    Conversely, caps that lie under the held ones with T' <= T give
-    X' <= X, or X' = X + 1 with caps equal to those of (T', X): then the
-    two builds are one series and the test only misses a share, as where
-    dip is even, when a cap reads X only through floor(X/2)."""
-    (ta, xa), (th, xh) = lat.window(q2, d2), lat.window(q, d)
-    asked, held = _fraction_window(lat, q2, d2), _fraction_window(lat, q, d)
+    """The store's test at one level, T' < len(caps) and C' <= caps[T'],
+    for an asked (Q', D') and a held (Q, D) snapped to (T', C') and (T, C),
+    holds exactly when the asked caps lie under the held ones on every
+    level t <= T', by the `Fraction` oracle at the snapped windows, dip even
+    or odd; then the asked span lies under the held one too, and the held
+    series holds every term of the asked build."""
+    (ta, ca), (th, ch) = _Lattice.window(lat, q2, d2), _Lattice.window(lat, q, d)
+    held_caps = _window(lat, th, ch)[0]
+    asked = _fraction_window(lat, *_snapped(lat, q2, d2))
+    held = _fraction_window(lat, *_snapped(lat, q, d))
     contained = ta <= th and all(a <= h for a, h in zip(asked[0], held[0]))
-    if ta <= th and xa <= xh:
-        assert contained and asked[1] <= held[1]
+    assert (ta < len(held_caps) and ca <= held_caps[ta]) == contained
     if contained:
-        assert xa <= xh or xa == xh + 1 and _window(lat, ta, xa) == _window(lat, ta, xh)
+        assert asked[1] <= held[1]
+
+
+@st.composite
+def snap_cases(draw):
+    """(algebra, k, nu, massless, window q_max - l0, depth) over every
+    catalog frame of `ALL_FRAMES` with a unitary level (osp4m has none, so
+    no character request passes its preconditions there): one of its first
+    two unitary levels, one of the first three weights of P^+_k (0 where
+    P^+_k is infinite, and for a massless D(2,1;a) request), massive at
+    l0 = A + 1/3 or massless at A, with windows that are not half-integers
+    and fractional depths, up to 1 on sl2m, whose massless characters grow
+    fastest (sl2m(6) at window 5/2, depth 3: 10 s)."""
+    g = draw(st.sampled_from([g for g in ALL_ALGEBRAS if enumerate_unitary_k(g, 1)]))
+    k = draw(st.sampled_from(enumerate_unitary_k(g, 2)))
+    massless = draw(st.booleans())
+    try:
+        nus = enumerate_P_plus_k(g, k)[:3]
+    except WminError:
+        nus = []
+    if not nus or massless and g.family == "D21a":
+        nus = [zero_vec(lookup(g).n)]
+    nu = draw(st.sampled_from(nus))
+    window = draw(st.fractions(min_value=0, max_value=1 if g.family == "sl2m" else Q(5, 2),
+                               max_denominator=12))
+    depth = draw(st.fractions(min_value=0, max_value=3, max_denominator=12))
+    return g, k, nu, massless, window, depth
+
+
+@given(snap_cases())
+@example((G, Q(-3), Q(1, 2) * TH1, False, Q(5, 6), Q(7, 3)))
+@example((G, Q(-3), ZERO, True, Q(7, 6), Q(4, 3)))
+@example((catalog.g3(), Q(-9, 4), Vec([1, 1, 0]), False, Q(7, 3), Q(5, 2)))
+@settings(max_examples=60, deadline=None)
+def test_a_character_is_that_of_its_snapped_window(case):
+    """A massive or massless character at (q_max, depth) has the terms of
+    the one at (l0 + T/2, C/scale), its kernel window (T, C) read back as
+    `Fraction`s (`_snapped`), each computed with the character caches
+    emptied before it, refusals included: a request is read only through
+    its two flat ints."""
+    g, k, nu, massless, window, depth = case
+    l0 = A_bound(g, k, nu) + (0 if massless else Q(1, 3))
+
+    def answer(window, depth):
+        _fns_cached.cache_clear()
+        _orbit_cell.cache_clear()
+        try:
+            got = character_massless(g, k, nu, l0 + window, depth) if massless \
+                else character_massive(g, k, nu, l0, l0 + window, depth)
+        except WminError as err:
+            return type(err), str(err)
+        return got.terms
+
+    assert answer(window, depth) == answer(*_snapped(lookup(g).lattice, window, depth)), case
 
 
 def _fraction_store(requests, maxsize):
-    """The answers of the store as its int rule decides them, with the ints
-    worked out as `Fraction` floors: each request (Q, D) is answered by the
-    first held window of its family and image, in the order they were
-    built, with T' <= T and X' <= X, T = floor(2Q) and
-    X = floor(2 scale (D + sQ)) (an equal window included), else built (as
-    its index) and held, the least recently used dropped past `maxsize`;
-    with the counts (hits, misses)."""
-    built, used, out, counts = [], [], [], [0, 0]  # [g, T, X, image, answer], by build, by use
+    """The answers of the store as its rule decides them, with the caps
+    worked out as `Fraction` floors: each request (Q, D) is snapped
+    (`_snapped`) and answered by the first held window of its family and
+    image, in the order they were built, whose caps contain its caps at
+    every level (an equal window included), else built (as its index) and
+    held, the least recently used dropped past `maxsize`; with the counts
+    (hits, misses)."""
+    built, used, out, counts = [], [], [], [0, 0]  # [g, caps, image, answer], by build, by use
     for i, (g, (q, d), img) in enumerate(requests):
-        lat = FRAMES[g]
-        top, x2 = math.floor(2 * q), math.floor(2 * lat.scale * (d + Q(lat.dip, lat.scale) * q))
-        inside = [h for h in built if h[0] == g and h[3] == img and top <= h[1] and x2 <= h[2]]
+        caps = _fraction_window(FRAMES[g], *_snapped(FRAMES[g], q, d))[0]
+        inside = [h for h in built if h[0] == g and h[2] == img and len(caps) <= len(h[1])
+                  and all(a <= b for a, b in zip(caps, h[1]))]
         if inside:
             got = inside[0]
             used.remove(got)
             counts[0] += 1
         else:
-            got = [g, top, x2, img, i]
+            got = [g, caps, img, i]
             built.append(got)
             counts[1] += 1
         used.append(got)
         if len(used) > maxsize:
             built.remove(used.pop(0))
-        out.append(got[4])
+        out.append(got[3])
     return out, counts
 
 
 @given(STORE_REQUESTS)
 @example([(G, (Q(2), Q(3)), None), (G, (Q(2), Q(3)), None)])              # equal windows
 @example([(G, (Q(2), Q(3)), None), (G, (Q(2), Q(8, 3)), None)])           # Q' = Q
-@example([(G, (Q(2), Q(3)), None), (G, (Q(3, 2), Q(3) + S_PSL / 2), None)])  # D' + sQ' = D + sQ
-@example([(G, (Q(2), Q(3)), None), (G, (Q(3, 2), Q(3) + S_PSL / 2 + Q(1, 6)), None)])  # X' = X + 1
+@example([(G, (Q(2), Q(3)), None), (G, (Q(3, 2), Q(3) + S_PSL / 2), None)])  # C' = caps[T']
+@example([(G, (Q(2), Q(3)), None), (G, (Q(3, 2), Q(3) + S_PSL / 2 + Q(1, 6)), None)])  # same C'
 @example([(G, (Q(2), Q(3)), None), (G, (Q(13, 6), Q(1)), None)])          # Q' > Q, T' = T
-@example([(G, (Q(2), Q(3)), None), (G, (Q(13, 6), Q(17, 6)), None)])      # Q' > Q, equal (T, X)
+@example([(G, (Q(2), Q(3)), None), (G, (Q(13, 6), Q(17, 6)), None)])      # Q' > Q, C' < C
+@example([(G, (Q(2), Q(3)), None), (G, (Q(2), Q(3) + Q(1, 8)), None)])    # D' > D, equal (T, C)
 @example([(G, (Q(2), Q(3)), None), (G, (Q(5, 2), Q(1)), None)])           # T' > T
 # the third request lies inside the window of another family, then image
 @example([(SPO3, (Q(3), Q(6)), None), (G, (Q(1), Q(1)), None), (G, (Q(3, 2), Q(1)), None)])
@@ -1806,16 +1878,18 @@ def _fraction_store(requests, maxsize):
           (G, (Q(1, 2), Q(1)), None), (G, (Q(3), Q(3)), None)])           # past maxsize
 @settings(max_examples=150, deadline=None)
 def test_held_window_int_match_is_the_fraction_test(requests):
-    """`_held_windows` answers every call by one rule, the two int
-    comparisons T' <= T and X' <= X of the kernel windows, equality on
-    either side included: from the first held window of the same family
-    and image, in build order, that contains the asked one; it builds only
-    when none does, and drops the least recently used past its size: over
-    a sequence of requests to a store of two entries, every answer and
-    count is that of the model store over the `Fraction` floors, and every
-    group of the store holds a series, the groups `currsize` of them in
-    all, each entry [last use, T, X, series] with no frame beside them."""
-    store = _held_windows(2)(lambda aid, top, x2, image: object())
+    """`_held_windows` answers every call by one rule, the int test
+    T' < len(caps) and C' <= caps[T'] of the asked kernel window against a
+    held series' caps, equality included: from the first held window of
+    the same family and image, in build order, that contains the asked
+    one; it builds only when none does, and drops the least recently used
+    past its size: over a sequence of requests to a store of two entries,
+    every answer and count is that of the model store over the `Fraction`
+    floors of the snapped windows, and every group of the store holds a
+    series, the groups `currsize` of them in all, each entry [last use,
+    series] with no window beside them."""
+    store = _held_windows(2)(lambda aid, top, cap, image: SimpleNamespace(
+        caps=_window(FRAMES[aid], top, cap)[0]))
     built = {}
     got = []
     for i, (g, (q, d), img) in enumerate(requests):
@@ -1833,7 +1907,7 @@ def test_held_window_int_match_is_the_fraction_test(requests):
     groups = cells["groups"]
     assert all(groups.values())
     assert sum(len(group) for group in groups.values()) == info.currsize
-    assert all(len(entry) == 4 and entry[3].__class__ is object
+    assert all(len(entry) == 2 and entry[1].__class__ is SimpleNamespace
                for group in groups.values() for entry in group)
 
 
@@ -1885,16 +1959,19 @@ def test_store_keys_hold_no_fraction(monkeypatch):
     groups = cells["groups"]
     assert any(image is not None for _, image in groups)
     assert all(_plain(key) for key in groups), list(groups)
-    assert all(len(entry) == 4 and _plain(entry[:3]) and isinstance(entry[3], _LatticeSeries)
+    assert all(len(entry) == 2 and _plain(entry[:1]) and isinstance(entry[1], _LatticeSeries)
                for group in groups.values() for entry in group)
 
 
 def test_equal_kernel_windows_are_built_and_summed_once():
-    """Two requests whose rational windows are not nested but whose kernel
-    windows (T, X) and depth caps agree read one denominator build and one
-    orbit sum, and give the same terms, the second placed at its own l0:
-    the G3 case at depth 6 and 61/10, and a massive psl22 request at
-    nu = theta_1/2 (labels [1]) at windows 1 and 21/20, at two l0."""
+    """Two requests whose rational windows are not nested, the second not
+    inside the first, but whose kernel windows (T, C) agree read one
+    denominator build and one orbit sum, and give the same terms, the
+    second placed at its own l0: the G3 case at depth 6 and 61/10, and
+    massive psl22 requests at nu = theta_1/2 (labels [1]) at windows 1 and
+    21/20, at two l0, at (window, depth) (2, 3) and (2, 3 + 1/8), and at
+    (2, 3) and (9/4, 3): the last two pairs differ only in the sloped int
+    floor(2 scale (depth + s window)), which no cut reads."""
     g3, nu3 = catalog.g3(), Vec([1, 1, 0])
     nu = E.nu_from_labels([1])
     a = A_bound(G, -3, nu)
@@ -1903,10 +1980,16 @@ def test_equal_kernel_windows_are_built_and_summed_once():
               (g3, (Q(2), Q(6)), (Q(2), Q(61, 10))), Q(0)),
              (lambda: character_massive(G, -3, nu, a + 1, a + 2, 4),
               lambda: character_massive(G, -3, nu, a + Q(1, 2), a + Q(1, 2) + Q(21, 20), 4),
-              (G, (Q(1), Q(4)), (Q(21, 20), Q(4))), Q(1, 2))]
+              (G, (Q(1), Q(4)), (Q(21, 20), Q(4))), Q(1, 2)),
+             (lambda: character_massive(G, -3, nu, a + 1, a + 3, 3),
+              lambda: character_massive(G, -3, nu, a + 1, a + 3, Q(25, 8)),
+              (G, (Q(2), Q(3)), (Q(2), Q(25, 8))), Q(0)),
+             (lambda: character_massive(G, -3, nu, a + 1, a + 3, 3),
+              lambda: character_massive(G, -3, nu, a + 1, a + Q(13, 4), 3),
+              (G, (Q(2), Q(3)), (Q(9, 4), Q(3))), Q(0))]
     for first, second, (g, one, two), shift in cases:
         lat = lookup(g).lattice
-        assert lat.window(*one) == lat.window(*two) and lat.cap(one[1]) == lat.cap(two[1])
+        assert lat.window(*one) == lat.window(*two)
         assert not (two[0] <= one[0] and two[1] + Q(lat.dip, lat.scale) * two[0]
                     <= one[1] + Q(lat.dip, lat.scale) * one[0])
         _fns_cached.cache_clear()
@@ -2005,10 +2088,9 @@ def test_held_window_past_the_packing_bound_answers_its_own():
     whose heads reach 2, are past the packing bound.  The requests at depth
     63/2, read from that held series, answer as their own builds do,
     massive, massless and closed form, and the deep ones refuse as theirs
-    do.  So does a massive request at window 1/4 and depth 63/2, after the
-    one at window 0 is answered and its orbit sum cached: both have T = 0
-    and the depth cap 126, but its sloped window spans 127, past the bound
-    (the orbit-sum cache keys X too)."""
+    do.  A massive request at window 1/4 and depth 63/2 has the kernel
+    window (0, 126) of the one at window 0, so it is snapped to that window
+    and answers as that request does, span 126 and all."""
     nu, e = Q(1, 2) * TH1, lookup(G)
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(e.__dict__, "lattice", _SmallRadixLattice(e))
@@ -2032,8 +2114,9 @@ def test_held_window_past_the_packing_bound_answers_its_own():
                 _fns_cached.cache_clear()
                 _orbit_cell.cache_clear()
                 cold.append(answer(call))
-            assert all("packing bound" in r for r in cold[:4] + cold[7:])
-            assert all(isinstance(r, list) and r for r in cold[4:7])
+            assert all("packing bound" in r for r in cold[:4])
+            assert all(isinstance(r, list) and r for r in cold[4:])
+            assert cold[7] == cold[4]
             _fns_cached.cache_clear()
             _orbit_cell.cache_clear()
             assert [answer(call) for call in requests] == cold

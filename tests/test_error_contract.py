@@ -5,7 +5,8 @@ or 2 without a traceback.  The draws are derandomized, so the run is the
 same every time, and every call is bounded: `ORBIT_CAP` and `P_PLUS_CAP`
 are lowered, windows, depths and counts are small, and the adversarial
 values (huge, tiny, float, str, bool, None) go only where they set no size
-of the work."""
+of the work, or where a cap refuses them before any work: a huge count of
+unitary levels, past `RANGE_CAP`."""
 import io
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as Q
@@ -29,7 +30,8 @@ SMALL = st.fractions(min_value=-1, max_value=2, max_denominator=4)
 # the argument an example spoils, if any, and what it puts there: the huge
 # and tiny rationals only where they set no size of the work
 SPOILS = {"k": ODD, "nu": ODD, "l0": ODD, "x": ODD, "window": NON_FRACTION,
-          "depth": NON_FRACTION, "n": st.sampled_from([2.0, "3", None, -1])}
+          "depth": NON_FRACTION, "n": st.sampled_from([2.0, "3", None, -1]),
+          "count": st.sampled_from([10 ** 9, 2.0, None])}
 # no shrinking: a failure is reported as drawn, at once
 SETTINGS = settings(max_examples=80, derandomize=True, database=None, deadline=None,
                     phases=(Phase.explicit, Phase.generate))
@@ -64,12 +66,13 @@ def _plus(base, offset):
     return base + offset if isinstance(offset, Q) and isinstance(base, Q) else offset
 
 
-def _calls(g, k, nu, l0, q_max, window, depth, x, n, m, gamma):
+def _calls(g, k, nu, l0, q_max, window, depth, x, n, m, count, gamma):
     """Every public call the test makes at one level, as (function, args):
     l0 drawn around A(k, nu) and q_max around l0, window the small q_max -
     l0, also the q_max of the calls that read no A, x a rational or an odd
     value, n and m small ints or odd values (h_odd reads m + 1/2 for an
-    int m), gamma a weight of Delta' or nu."""
+    int m), count a small int, a huge one or an odd value, gamma a weight
+    of Delta' or nu."""
     return [(wmin.decide, (g, k, nu, l0)),
             (wmin.character_massive, (g, k, nu, l0, q_max, depth)),
             (wmin.character_massless, (g, k, nu, q_max, depth)),
@@ -81,7 +84,7 @@ def _calls(g, k, nu, l0, q_max, window, depth, x, n, m, gamma):
             (wmin.sign2_scan, (g, k, nu, n, m)),
             (wmin.verma_character, (g, nu, x, window, depth)),
             (wmin.fns_series, (g, window, depth)),
-            (wmin.enumerate_unitary_k, (g, n)),
+            (wmin.enumerate_unitary_k, (g, count)),
             (wmin.n4_closed_form, (n, m, window, depth))] + [
         (getattr(wmin, name), (g, k, nu)) for name in (
             "A_bound", "A_explicit", "B_bound", "in_P_plus_k", "is_extremal")] + [
@@ -121,6 +124,7 @@ def test_public_calls_keep_the_error_contract(data):
                  "window": data.draw(st.fractions(-Q(1, 2), 2, max_denominator=4)),  # q_max - l0
                  "depth": data.draw(st.fractions(-Q(1, 2), 3, max_denominator=3)),
                  "x": data.draw(SMALL), "n": data.draw(st.integers(-2, 5)),
+                 "count": data.draw(st.integers(-2, 5)),
                  "m": data.draw(st.integers(-2, 5))}
         if spoil not in (None, "k", "nu"):
             drawn[spoil] = odd
@@ -130,7 +134,8 @@ def test_public_calls_keep_the_error_contract(data):
             l0 = _plus(_base(g, k, nu), drawn["l0"])
             q_max = _plus(l0, drawn["window"])
             for fn, args in _calls(g, k, nu, l0, q_max, drawn["window"], drawn["depth"],
-                                   drawn["x"], drawn["n"], drawn["m"], gamma):
+                                   drawn["x"], drawn["n"], drawn["m"], drawn["count"],
+                                   gamma):
                 try:
                     out = fn(*args)
                 except WminError:
@@ -151,7 +156,7 @@ NOISE = {  # flags with small values and junk, added to a command line
     "--M1": ["1", "2", "1/2", "x"], "--m": ["3", "4", "2", "x"], "--a": ["1", "0", "x"],
     "--nu-r": ["0", "1", "1/2", "x"], "--nu-r2": ["1", "x"], "--nu-coords": ["0,0,0,0", "x"],
     "--l0": ["1", "-1", "x"], "--qmax": WINDOW_TOKENS, "--depth": WINDOW_TOKENS,
-    "--count": ["3", "x"], "--emax": ["1", "x"], "--massless": [], "--massive": [],
+    "--count": ["3", "x", "1000000000"], "--emax": ["1", "x"], "--massless": [], "--massive": [],
     "--bogus": [],
 }
 
@@ -175,7 +180,7 @@ def argv(draw):
             out += ["--k", draw(st.sampled_from(ks))]
         if cmd in ("check", "scan-sign2", "char"):
             out += ["--nu-labels", draw(st.sampled_from(["0", "1", "2", "1,1", "0,1", "1,0,1"]))]
-        out += {"range": ["--count", draw(st.sampled_from(["0", "3", "-1"]))],
+        out += {"range": ["--count", draw(st.sampled_from(["0", "3", "-1", "1000000000"]))],
                 "check": ["--l0", draw(st.sampled_from(["0", "1/2", "1", "2", "7/2"]))],
                 "scan-sign2": ["--nmax", draw(st.sampled_from(["0", "2", "x"])),
                                "--mmax", draw(st.sampled_from(["0", "2"]))],

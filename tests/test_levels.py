@@ -1,11 +1,14 @@
+import io
 import random
+from contextlib import redirect_stderr
 from fractions import Fraction as Q
 
 import pytest
 
 from wmin import catalog, characters, gram_lab, levels, unitarity, weights
 from wmin.catalog import lookup, zero_vec
-from wmin.errors import CriticalLevel
+from wmin.cli import run
+from wmin.errors import CriticalLevel, TruncationIncomplete
 from wmin.levels import (central_charge, central_charge_alt, component_level,
                          enumerate_unitary_k, level_data,
                          unitarity_range_contains)
@@ -178,6 +181,23 @@ def test_unitarity_ranges_first_levels():
     # D(2,1;1): k = -N/2 without the trivial -1/2
     assert enumerate_unitary_k(catalog.d21a(1, 1), 3) == [-1, Q(-3, 2), -2]
     assert enumerate_unitary_k(catalog.d21a(3, 2), 2) == [Q(-6, 5), Q(-12, 5)]
+
+
+def test_a_count_past_the_range_cap_is_refused(monkeypatch):
+    """A count that would list more than `RANGE_CAP` levels, read at call
+    time, raises `TruncationIncomplete` before any level is built, and
+    `wmin range` exits 1 on it; a finite range is listed whole whatever the
+    count, as its length is its own."""
+    with pytest.raises(TruncationIncomplete, match="range cap 100000"):
+        enumerate_unitary_k(catalog.psl22(), 10 ** 9)
+    assert enumerate_unitary_k(catalog.sl2m(3), 10 ** 9) == [-1]
+    with redirect_stderr(io.StringIO()) as err:
+        assert run(["range", "--g", "psl22", "--count", "1000000000"]) == 1
+    assert "TruncationIncomplete" in err.getvalue()
+    monkeypatch.setattr(levels, "RANGE_CAP", 3)
+    assert enumerate_unitary_k(catalog.psl22(), 3) == [-2, -3, -4]
+    with pytest.raises(TruncationIncomplete):
+        enumerate_unitary_k(catalog.psl22(), 4)
 
 
 def test_range_membership(all_algebras):

@@ -44,8 +44,8 @@ def test_stage_times():
     # k as the start's one eta pairing, 1, below limit + 1, so kept as it is
     assert (got["limit"], got["eta_pairings"]) == (2, [1])
     # the denominator is built in the window the orbit reads: the kernel
-    # window (T, X) of (q_max - l0, depth) = (2, 6), G3's dip density being 6
-    assert got["denominator_window"] == [4, 36]
+    # window (T, cap) of (q_max - l0, depth) = (2, 6), G3's scale being 1
+    assert got["denominator_window"] == [4, 6]
     assert got["quotients"] == got["quotients_warm"] == 0  # massive: no quotient
     assert 0 < got["denominator_buckets"] <= got["denominator_terms"]
     assert all(got[k] >= 0 for k in ("import_s", "denominator_build_s", "checks_s", "orbit_s",
