@@ -34,9 +34,10 @@ timed stage:
     quotients_warm        those the warm call built: 0, as it reads them
                           from the cache
     checks_s              the warm call's preconditions: its calls of
-                          `_P_plus_data` (the level data and the per-request
-                          pass over nu), `_is_extremal` (massive only) and
-                          `_threshold`, summed
+                          `_P_plus_data` (the level record and the
+                          per-request pass over nu), `_is_extremal` and
+                          `_at_most`, the int test l0 <= A (massive only),
+                          and `_threshold`, summed
     orbit_s               the warm call's `_orbit`
     orbit_elements        orbit elements within the window
     limit                 the q_shift the orbit is walked to, floor(T/2)
@@ -128,12 +129,30 @@ five passes, in seconds for the whole set of requests:
     stages                the steps of `decide`, each over the requests
                           that reach it:
       scalars_s           `CatalogEntry._scalars`, the pass over nu (all)
-      p_plus_s            `weights._in_P_plus` on its int pairings (those at
-                          a non-collapsing level)
-      threshold_s         `weights._threshold`, A (those in P^+_k)
+      p_plus_s            `weights._in_P_plus` on its int pairings and the
+                          level record's (those at a non-collapsing level)
+      threshold_s         `weights._threshold`, A as an int pair (those in
+                          P^+_k)
       extremal_s          `weights._is_extremal`, both characterizations
       closed_form_s       `weights._A_explicit`, the second route to A
     reached               how many requests each stage ran on
+
+With `--hits SEED` it times the cached character request instead: the
+bench's char_warm pool at SEED (`bench/workloads.py`, built and called
+through its `Runner`, in this interpreter) is run once, so that every
+orbit sum it asks for is cached (`characters._orbit_cell`), and then
+HIT_PASSES more times with the garbage collector off, each request timed
+on its own:
+
+    requests              the pool's size
+    passes                HIT_PASSES
+    hit_us                the median over the requests of each one's
+                          fastest call, in microseconds: what a request
+                          answered from the cache costs, its preconditions,
+                          its start and window, and `_placed`
+    hit_us_quartiles      the lower and upper quartile of those fastest calls
+    sums_computed         orbit sums computed in the timed passes: 0, so
+                          that every timed call is a hit
 
 With `--setup COUNT` it times what a process pays before its first
 answer instead, in COUNT fresh interpreters run with `-X importtime` and
@@ -160,6 +179,7 @@ has one); every time is the median over them, in seconds:
     python3 scripts/stage_times.py --g psl22 --k -3 --nu 0,0,1/2,-1/2 --massless --qmax 4 --depth 6
     python3 scripts/stage_times.py --gram 8
     python3 scripts/stage_times.py --verdicts 750 --seed 3
+    python3 scripts/stage_times.py --hits 3
     python3 scripts/stage_times.py --setup 21
 """
 import argparse
@@ -197,6 +217,8 @@ def main(argv=None):
     ap.add_argument("--verdicts", type=int, metavar="COUNT",
                     help="time the stages of decide on COUNT seeded verdict requests instead")
     ap.add_argument("--seed", type=int, default=3, help="--verdicts: the request draw's seed")
+    ap.add_argument("--hits", type=int, metavar="SEED",
+                    help="time cached character requests of the seeded char_warm pool instead")
     ap.add_argument("--setup", type=int, metavar="COUNT",
                     help="time import and per-family set-up in COUNT fresh interpreters instead")
     args = ap.parse_args(argv)
@@ -208,6 +230,9 @@ def main(argv=None):
         return
     if args.verdicts is not None:
         print(json.dumps(verdict_stages(args.verdicts, args.seed)))
+        return
+    if args.hits is not None:
+        print(json.dumps(hit_stages(args.hits)))
         return
 
     t0 = time.perf_counter()
@@ -246,7 +271,7 @@ def main(argv=None):
             return out
         return wrapper
 
-    checks = ("_P_plus_data", "_is_extremal", "_threshold")
+    checks = ("_P_plus_data", "_is_extremal", "_at_most", "_threshold")
     for name in ("_orbit", "_fns_cached", "_orbit_cell", "_sum_pieces", "_publish") + checks:
         setattr(characters, name, timed(name, getattr(characters, name)))
 
@@ -465,7 +490,7 @@ def verdict_stages(count, seed):
         rows.append((entry, lv_mod._level(g, k.numerator, k.denominator), nu,
                      entry._scalars(nu)))
     ranged = [r for r in rows if not r[1].data.collapsing]
-    inside = [r for r in ranged if weights._in_P_plus(r[0], r[1].data, r[3].d, r[3].ps)]
+    inside = [r for r in ranged if weights._in_P_plus(r[0], r[1].m_ints, r[3].d, r[3].ps)]
 
     def timed(fn, items):
         gc.disable()
@@ -484,7 +509,7 @@ def verdict_stages(count, seed):
 
     stages = {
         "scalars_s": timed(lambda e, rec, nu, sc: e._scalars(nu), rows),
-        "p_plus_s": timed(lambda e, rec, nu, sc: weights._in_P_plus(e, rec.data, sc.d, sc.ps),
+        "p_plus_s": timed(lambda e, rec, nu, sc: weights._in_P_plus(e, rec.m_ints, sc.d, sc.ps),
                           ranged),
         "threshold_s": timed(lambda e, rec, nu, sc: weights._threshold(rec, sc), inside),
         "extremal_s": timed(lambda e, rec, nu, sc: weights._is_extremal(e, rec, sc), inside),
@@ -500,6 +525,44 @@ def verdict_stages(count, seed):
         "reached": {"scalars_s": len(rows), "p_plus_s": len(ranged),
                     "threshold_s": len(inside), "extremal_s": len(inside),
                     "closed_form_s": len(inside)},
+    }
+
+
+HIT_PASSES = 300  # timed all-hit passes of `--hits`
+
+
+def hit_stages(seed):
+    """The `--hits` figures: each request's fastest of HIT_PASSES calls."""
+    sys.path.insert(0, str(SRC.parent / "bench"))
+    import workloads as W
+    from wmin import characters
+
+    runner = W.Runner()
+    calls = [runner.prepare(r)
+             for r in W.generate("char_warm", seed, W.NOMINAL_SECONDS, W.load_golden())]
+    for call in calls:  # fills the orbit-sum cache
+        runner.call(call)
+    computed = characters._orbit_cell.cache_info().misses
+    best = [float("inf")] * len(calls)
+    clock = time.perf_counter
+    gc.disable()
+    try:
+        for _ in range(HIT_PASSES):
+            for i, call in enumerate(calls):
+                t = clock()
+                runner.call(call)
+                t = clock() - t
+                if t < best[i]:
+                    best[i] = t
+    finally:
+        gc.enable()
+    q1, q2, q3 = statistics.quantiles(best, n=4)
+    return {
+        "requests": len(calls),
+        "passes": HIT_PASSES,
+        "hit_us": round(q2 * 1e6, 2),
+        "hit_us_quartiles": [round(q1 * 1e6, 2), round(q3 * 1e6, 2)],
+        "sums_computed": characters._orbit_cell.cache_info().misses - computed,
     }
 
 

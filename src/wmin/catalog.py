@@ -355,10 +355,11 @@ class CatalogEntry(_Frozen):
         d, x = self._scaled(nu)
         dx, xi = self._xi_cov
         dc, form, rho2 = self._casimir_cov
-        return _NuScalars(d, x, [_dot(cov, x) for cov, _ in self.coroots],
-                          (_dot(xi, x), dx * d),
-                          (sum([g * x[i] * x[j] for i, j, g in form]) + d * _dot(rho2, x),
-                           dc * d * d))
+        # the dot products of `_dot`, written out: this pass runs on every request
+        return _NuScalars(d, x, [sum([c * x[a] for a, c in cov]) for cov, _ in self.coroots],
+                          (sum([c * x[a] for a, c in xi]), dx * d),
+                          (sum([g * x[i] * x[j] for i, j, g in form])
+                           + d * sum([c * x[a] for a, c in rho2]), dc * d * d))
 
     def _scaled(self, finite: Sequence) -> tuple:
         """(d, x) with finite = x / d: the coordinates as ints x over their
@@ -366,10 +367,11 @@ class CatalogEntry(_Frozen):
         or with a coordinate that is no int or `Fraction`."""
         self._check_length(finite)
         try:
-            d = math.lcm(*[c.denominator for c in finite])
+            dens = [c.denominator for c in finite]
         except AttributeError:  # a coordinate that is no rational: `as_rational` raises
             return self._scaled([as_rational(c) for c in finite])
-        return d, [c.numerator * (d // c.denominator) for c in finite]
+        d = math.lcm(*dens)
+        return d, [c.numerator * (d // e) for c, e in zip(finite, dens)]
 
     def _covector(self, v: Vec) -> tuple:
         """(v|.) as (d, ((a, c), ...)): (v|lam) = sum_a c lam_a / d over the
@@ -907,11 +909,16 @@ class _Lattice:
             raise PreconditionViolated(f"q exponent {format_rational(c)} is off (1/2)Z")
         return (2 * c).numerator
 
-    def window(self, q_max: Fraction, depth: Fraction) -> Tuple[int, int]:
-        """(T, C) = (floor(2 q_max), floor(scale * depth)): the largest 2q of
-        a level and int depth of a key that the window (q_max, depth) keeps."""
+    def window(self, q_max: Fraction, depth: Fraction, ell=0) -> Tuple[int, int]:
+        """(T, C) = (floor(2 (q_max - ell)), floor(scale * depth)): the
+        largest 2q of a level and int depth of a key that the window
+        (q_max - ell, depth) keeps, from the ints of q_max = qn/qd, ell =
+        ln/ld and depth = dn/dd, every denominator positive: 2(q_max - ell)
+        = 2(qn ld - ln qd)/(qd ld), and `//` floors over a positive
+        divisor, so no `Fraction` is built."""
         qn, qd, dn, dd = q_max.numerator, q_max.denominator, depth.numerator, depth.denominator
-        return 2 * qn // qd, self.scale * dn // dd
+        ln, ld = ell.numerator, ell.denominator
+        return 2 * (qn * ld - ln * qd) // (qd * ld), self.scale * dn // dd
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,9 @@ system from the orbit walk to the merge, its key (`_Lattice.key`): its
 depth entry, then its coordinates scaled by the frame's common denominator
 D.  The orbit walk runs on int coordinates from the request on: its start
 (`_start`) is read once per request off nu's int pairings and the level
-record, each point is its tuple of pairings with the affine simple
-coroots, its drop of x+d and the key of how far its restriction has
-moved, and a reflection is one int row of the frame (`_Lattice.rows`: the
+record's int pairs, each point is its tuple of pairings with the affine
+simple coroots, its drop of x+d and the key of how far its restriction
+has moved, and a reflection is one int row of the frame (`_Lattice.rows`: the
 Cartan matrix row, the x+d pairing and the key of the root), skipped
 where it fixes the point.  The NS
 denominator is built by an integer kernel (`_LatticeSeries`): q is stored
@@ -43,11 +43,12 @@ linear, and one-to-one inside a bound the kernel proves and checks).  Every
 factor is applied to the running series in place inside a sloped window
 whose exactness argument is in the `_LatticeSeries` docstring, its cap test
 once per bucket.  A request is snapped once to the flat ints of its
-kernel window (T, C) (`_Lattice.window`), and only they pass below: a
-series depends on nothing else (`_window`).  A finished series is held in
-a read form: each level's sorted depths, the running count of its terms
-up to each depth, and its packed keys and coefficients flattened in
-increasing depth, of which a reader takes the prefix under its cap.
+kernel window (T, C) (`_Lattice.window`), from the ints of q_max, l0 and
+depth, and only they pass below: a series depends on nothing else
+(`_window`).  A finished series is held in a read form: each level's
+sorted depths, the running count of its terms up to each depth, and its
+packed keys and coefficients flattened in increasing depth, of which a
+reader takes the prefix under its cap.
 Every factor (1 - sign q^c exp(w))^(-1), the denominator's own, the
 isotropic corrections of the massless sum and the fermionic factors of
 the N=4 closed form, is expanded by that kernel's one `divide`, c given
@@ -79,8 +80,10 @@ call time.  Those levels {index j: {weight: coefficient}} do not read
 ell; the final step `_placed` gives level j the exponent ell + j/2, one
 `Fraction` per level, in a fresh dict.  `Fraction`s appear only at that
 boundary and in `records()`/`coeff()`, which read the published series:
-no orbit element and no head becomes a `Fraction`.  Sums are sequential
-and deterministic; the merge is commutative exact addition, so a parallel
+no orbit element and no head becomes a `Fraction`, and a request answered
+from the orbit-sum cache builds no other `Fraction` than those exponents
+and, when massless, A (its preconditions, start and window read ints).
+Sums are sequential and deterministic; the merge is commutative exact addition, so a parallel
 evaluation would have to reproduce these coefficients bit for bit.
 """
 from __future__ import annotations
@@ -100,7 +103,7 @@ from .errors import (IndexOutOfRange, InexactScalar, NonDominant, PreconditionVi
                      TruncationIncomplete, UnsupportedD21a)
 from .rationals import as_rational, format_rational, parse_rational, solve_quadratic_rational
 from .levels import _Level
-from .weights import _ell, _is_extremal, _P_plus_data, _threshold
+from .weights import _at_most, _ell, _is_extremal, _P_plus_data, _threshold
 
 Q = Fraction
 
@@ -877,23 +880,26 @@ def _start(entry: CatalogEntry, rec: _Level, sc: _NuScalars) -> tuple:
     (`levels._level`), nu given by its scalars `sc`
     (`CatalogEntry._scalars`), of which only the int level-0 pairings ps
     over d are read, with no `Fraction` on the way.  <lam0, alpha^vee> =
-    nu(alpha^vee) + 1 = (p + d)/d for a simple root alpha of g^nat (rho^nat
-    pairs to 1 with each simple coroot of g^nat), and <lam0, eta_i^vee> =
-    (k + h_vee)(2/u_i) - (nu + rho^nat)(theta_i^vee) = M_i(k) + chi_i + 1 -
-    nu(theta_i^vee) = ((a + b) d + b p)/(b d), with a/b = M_i(k) + chi_i the
-    `alpha_levels` of the simple components (`catalog.validate` pins this
-    identity as `eta_i_pairing`) and p/d = -nu(theta_i^vee).  These are
-    ints for nu in P^+_k; each is divided out exactly, and one that does
-    not divide is kept as its `Fraction`, which `_Lattice._ints` refuses
-    with PreconditionViolated, the one check of the start.  The eta_i
-    pairings are all the orbit reads of the level (`_orbit`)."""
+    nu(alpha^vee) + 1 = p//d + 1 for a simple root alpha of g^nat (rho^nat
+    pairs to 1 with each simple coroot of g^nat): exact, as nu in P^+_k
+    makes d divide p (`weights._in_P_plus`), which the caller has tested.
+    <lam0, eta_i^vee> = (k + h_vee)(2/u_i) - (nu + rho^nat)(theta_i^vee) =
+    M_i(k) + chi_i + 1 - nu(theta_i^vee) = ((a + b) d + b p)/(b d), with
+    a/b = M_i(k) + chi_i the record's `alpha_ints` (b > 0;
+    `catalog.validate` pins this identity as `eta_i_pairing`) and p/d =
+    -nu(theta_i^vee).  These are ints for nu in P^+_k; each is divided out
+    exactly; when one does not divide, the pairings are handed to
+    `_Lattice._ints` as their values, that one as its `Fraction`, which it
+    refuses with PreconditionViolated, the one check of the start.  The
+    eta_i pairings are all the orbit reads of the level (`_orbit`)."""
     s, d, ps = len(entry.simple_roots_natural), sc.d, sc.ps
-    alpha = rec.data.alpha_levels[-len(entry.components):]
-    return entry.lattice._ints(
-        entry, "pairings of nu_hat + rho_hat with the affine simple coroots",
-        [_ratio(p + d, d) for p in ps[:s]]
-        + [_ratio((a.numerator + a.denominator) * d + a.denominator * p, a.denominator * d)
-           for p, a in zip(ps[s:], alpha)])
+    simple = [p // d + 1 for p in ps[:s]]
+    etas = [((a + b) * d + b * p, b * d) for p, (a, b) in zip(ps[s:], rec.alpha_ints)]
+    if any([n % m for n, m in etas]):
+        return entry.lattice._ints(
+            entry, "pairings of nu_hat + rho_hat with the affine simple coroots",
+            simple + [_ratio(n, m) for n, m in etas])
+    return tuple(simple + [n // m for n, m in etas])
 
 
 def _orbit(entry: CatalogEntry, start: tuple, limit: int,
@@ -1052,7 +1058,7 @@ def weyl_orbit(g: AlgebraId, k, nu: Vec, h, q_max) -> List[Tuple[Vec, int, Fract
     the orbit does not depend on it.
     """
     entry = lookup(g)
-    data = _P_plus_data(g, k, nu)
+    data = _P_plus_data(entry, k, nu)
     if data is None:
         raise NonDominant("weyl_orbit requires nu in P^+_k")
     base, denom = entry.restrict(nu), entry.lattice.denom
@@ -1191,10 +1197,12 @@ def _character(entry: CatalogEntry, rec: _Level, sc: _NuScalars, nu: Vec, l0: Fr
     nu's scalars they read): the orbit sum of its key (`_orbit_cell`),
     computed on the key's first request, placed at l0 (`_placed`).  The
     start (`_start`) is read on every request, a hit included, so its
-    integrality check runs on each."""
+    integrality check runs on each.  The kernel window (T, C) of (q_max -
+    l0, depth) is snapped from the ints of q_max, l0 and depth
+    (`_Lattice.window`), with no `Fraction` difference."""
     out = QWSeries(entry, q_max, depth, nu)
     lat, start = entry.lattice, _start(entry, rec, sc)
-    top, dcap = lat.window(out.q_max - l0, out.depth)
+    top, dcap = lat.window(q_max, depth, l0)
     eta = start[len(start) - len(entry.components):]
     if min(eta) >= 0:
         lim = top // 2 + 1
@@ -1210,10 +1218,10 @@ def character_massive(g: AlgebraId, k, nu: Vec, l0, q_max, depth) -> QWSeries:
     threshold."""
     entry = lookup(g)
     l0, q_max, depth = as_rational(l0), as_rational(q_max), as_rational(depth)
-    data = _P_plus_data(g, k, nu)
+    data = _P_plus_data(entry, k, nu)
     if data is None or _is_extremal(entry, *data):
         raise PreconditionViolated("massive character needs non-extremal nu in P^+_k")
-    if l0 <= _threshold(*data):
+    if _at_most(l0, _threshold(*data)):
         raise PreconditionViolated("massive character needs l0 > A(k,nu)")
     rec, sc = data
     return _character(entry, rec, sc, nu, l0, q_max, depth, False)
@@ -1226,11 +1234,11 @@ def character_massless(g: AlgebraId, k, nu: Vec, q_max, depth) -> QWSeries:
     q_max, depth = as_rational(q_max), as_rational(depth)
     if g.family == "D21a" and any(map(as_rational, nu)):
         raise UnsupportedD21a("massless D(2,1;a) characters are only available at nu = 0")
-    data = _P_plus_data(g, k, nu)
+    data = _P_plus_data(entry, k, nu)
     if data is None:
         raise PreconditionViolated("massless character needs nu in P^+_k")
     rec, sc = data
-    return _character(entry, rec, sc, nu, _threshold(rec, sc), q_max, depth, True)
+    return _character(entry, rec, sc, nu, Q(*_threshold(rec, sc)), q_max, depth, True)
 
 
 def _n4_range(M1: int, window: Fraction) -> range:

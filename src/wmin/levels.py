@@ -64,10 +64,23 @@ def _collapse_target(entry: CatalogEntry, M: tuple) -> str:
 
 
 class _Level(NamedTuple):
-    """What a request reads of its level (`_level`)."""
+    """What a request reads of its level (`_level`): `LevelData`, and the
+    scalars the request's checks read (`weights._in_P_plus`,
+    `weights._is_extremal`, `weights._threshold`, `characters._start`) as
+    the (numerator, denominator > 0) int pairs of their `Fraction`s, so
+    that a request reads no `Fraction` of its level."""
     data: LevelData
     kh: Fraction             # k + h_vee, nonzero
     in_range: bool           # k lies in the unitarity range
+    k_ints: tuple            # k
+    kh_ints: tuple           # k + h_vee
+    m_ints: tuple            # M_i(k) of the simple components, index order 1..s
+    alpha_ints: tuple        # M_i(k) + chi_i of the simple components, same order
+
+
+def _ints(x: Fraction) -> tuple:
+    """x as its (numerator, denominator > 0) int pair."""
+    return x.numerator, x.denominator
 
 
 @lru_cache(maxsize=128)  # a sweep of 8 families x 12 levels stays cached
@@ -77,9 +90,11 @@ def _level(g: AlgebraId, kn: int, kd: int) -> _Level:
     not k (a `Fraction` hash takes a modular inverse): `LevelData`, k +
     h_vee and unitarity-range membership, each evaluated once per (g, k)
     and then read by `level_data`, `unitarity_range_contains` and the
-    decision and character preconditions.  At the critical level k = -h_vee
-    `shifted_level` raises CriticalLevel, and `lru_cache` keeps no raised
-    call, so it raises on every call."""
+    decision and character preconditions, and the int pairs of k, k +
+    h_vee, M_i(k) and M_i(k) + chi_i of the simple components, which the
+    preconditions read in place of their `Fraction`s.  At the critical
+    level k = -h_vee `shifted_level` raises CriticalLevel, and `lru_cache`
+    keeps no raised call, so it raises on every call."""
     entry, k = lookup(g), Q(kn, kd)
     kh = entry.shifted_level(k)
     lines, (z1, z2) = entry._levels
@@ -89,11 +104,13 @@ def _level(g: AlgebraId, kn: int, kd: int) -> _Level:
     p_k = (k - z1) * (k - z2)
     collapsing = p_k == 0
     n = (k - first) / step
+    s = len(entry.components)
     return _Level(LevelData(
         k=k, M=M, M_simple=M[1:] if entry.center else M, alpha_levels=alpha,
         p_k=p_k, collapsing=collapsing,
         collapse_target=_collapse_target(entry, M) if collapsing else None),
-        kh, n.denominator == 1 and 0 <= n and (count is None or n < count))
+        kh, n.denominator == 1 and 0 <= n and (count is None or n < count),
+        _ints(k), _ints(kh), tuple(map(_ints, M[-s:])), tuple(map(_ints, alpha[-s:])))
 
 
 def level_data(g: AlgebraId, k: Fraction) -> LevelData:

@@ -7,7 +7,7 @@ from typing import List, NamedTuple, Optional
 
 from .catalog import AlgebraId, CatalogEntry, Vec, _NuScalars, _dot, lookup
 from .errors import IndexOutOfSet
-from .levels import LevelData, _level
+from .levels import _Level, _level
 from .rationals import _Record, as_rational
 from .weights import _A_explicit, _ell, _in_P_plus, _is_extremal, _P_plus_data, _threshold
 
@@ -53,10 +53,12 @@ class UnitarityVerdict:
             self.outcome == EXTREMAL_BOUNDARY and bool(self.proved))
 
 
-def _collapse_check(entry: CatalogEntry, lv: LevelData, nu: Vec, sc: _NuScalars,
+def _collapse_check(entry: CatalogEntry, rec: _Level, nu: Vec, sc: _NuScalars,
                     l0: Fraction) -> CollapseCheck:
     """The gate, chosen by the component levels, not by the target's name;
-    `sc` is nu's per-request pass (`CatalogEntry._scalars`)."""
+    `rec` is the level record (`levels._level`) and `sc` nu's per-request
+    pass (`CatalogEntry._scalars`)."""
+    lv = rec.data
     if all(m == 0 for m in lv.M):
         ok = nu.is_zero()
         detail = "target is trivial; needs nu = 0"
@@ -69,7 +71,7 @@ def _collapse_check(entry: CatalogEntry, lv: LevelData, nu: Vec, sc: _NuScalars,
         # P^+_k membership is exactly the target's integrability: dominance
         # gives nu(theta_i^vee) >= 0, so on a component with M_i = 0 the
         # bound nu(theta_i^vee) <= M_i says it is 0 (trivial there).
-        ok = _in_P_plus(entry, lv, sc.d, sc.ps)
+        ok = _in_P_plus(entry, rec.m_ints, sc.d, sc.ps)
         detail = ("integrable on the surviving component(s), trivial on the rest"
                   if len(entry.components) == 2 else
                   "nu must be integrable of level M_1 for the target")
@@ -102,15 +104,15 @@ def decide(g: AlgebraId, k, nu: Vec, l0) -> UnitarityVerdict:
 
     sc = entry._scalars(nu)
     if lv.collapsing:
-        chk = _collapse_check(entry, lv, nu, sc, l0)
+        chk = _collapse_check(entry, rec, nu, sc, l0)
         reasons.append(f"collapsing level, target {chk.target}")
         return UnitarityVerdict(COLLAPSING, quantities, tuple(reasons), collapse=chk)
 
-    if not _in_P_plus(entry, lv, sc.d, sc.ps):
+    if not _in_P_plus(entry, rec.m_ints, sc.d, sc.ps):
         reasons.append("nu not dominant integral of the component levels")
         return UnitarityVerdict(NOT_IN_P_PLUS_K, quantities, tuple(reasons))
 
-    a = _threshold(rec, sc)
+    a = Q(*_threshold(rec, sc))
     extremal = _is_extremal(entry, rec, sc)
     quantities.update({"A": a, "A_explicit": _A_explicit(entry, k, sc.d, sc.x, sc.ps),
                        "extremal": extremal, "l0_minus_A": l0 - a})
@@ -208,13 +210,13 @@ def sign2_scan(g: AlgebraId, k, nu: Vec, n_max, m_max) -> Sign2Report:
     """
     entry = lookup(g)
     k = as_rational(k)
-    data = _P_plus_data(g, k, nu)
+    data = _P_plus_data(entry, k, nu)
     hyp = data is not None and not _is_extremal(entry, *data)
     rep = Sign2Report(g, k, nu, hyp,
                       "scan" if hyp else "lemma hypothesis not met")
     rec, sc = data or (_level(g, k.numerator, k.denominator), entry._scalars(nu))
     kh = rec.kh
-    a, cas = _threshold(rec, sc), sc.cas
+    a, cas = Q(*_threshold(rec, sc)), sc.cas
     eps = entry.epsilon
     n_max, m_max = as_rational(n_max), as_rational(m_max)
     # even indices: n, m in (1/eps)N with m - n integral

@@ -5,9 +5,12 @@ ell(h) = (nu|nu+2rho^nat)/(2(k+h)) + h(h-k-1)/(k+h), so A = ell((xi|nu)),
 B = ell((k+1)/2), and h_even, h_odd, ell_of_h and g_half_norm read it too.
 Its scalars, (xi|nu) and the Casimir term, and nu's coroot pairings come
 from one per-request pass over nu (`CatalogEntry._scalars`), as ints over
-their denominators: the P^+_k and extremality tests are int comparisons,
-and A and the closed forms `_A_explicit` are each one int numerator over
-one int denominator, divided once into a `Fraction`."""
+their denominators, and the level's scalars from the level record
+(`levels._level`), as int pairs: the P^+_k and extremality tests are int
+comparisons, A is one int numerator over one int denominator
+(`_threshold`), which the massive test `l0 <= A` compares by one
+cross-multiplication (`_at_most`) and the callers that publish A divide
+once into a `Fraction`, as the closed forms `_A_explicit` are."""
 from __future__ import annotations
 
 import math
@@ -18,7 +21,7 @@ from typing import List, Optional, Tuple
 from .catalog import (AlgebraId, CatalogEntry, Vec, _NuScalars, _solve_exact, _vec, lookup,
                       zero_vec)
 from .errors import CharacterizationMismatch, PreconditionViolated, TruncationIncomplete
-from .levels import LevelData, _Level, _level, _ranged
+from .levels import _Level, _level, _ranged
 from .rationals import as_rational, format_rational
 
 Q = Fraction
@@ -29,9 +32,11 @@ def _thetas(entry: CatalogEntry, ps: list) -> list:
     return [-p for p in ps[len(entry.simple_roots_natural):]]
 
 
-def _in_P_plus(entry: CatalogEntry, lv: LevelData, d: int, ps: list) -> bool:
+def _in_P_plus(entry: CatalogEntry, ms: tuple, d: int, ps: list) -> bool:
     """nu dominant integral with nu(theta_i^vee) <= M_i(k), read off nu's
-    int pairings `ps` over d > 0.  The level must lie in the unitarity range.
+    int pairings `ps` over d > 0 and the int pairs ms of the M_i(k) of the
+    simple components (`levels._Level.m_ints`).  The level must lie in the
+    unitarity range.
 
     Int comparisons, exact since d > 0 and M_i(k) = num/den with den > 0:
     p/d is a non-negative int exactly when p >= 0 and d divides p, and
@@ -40,8 +45,8 @@ def _in_P_plus(entry: CatalogEntry, lv: LevelData, d: int, ps: list) -> bool:
     for p in ps[:r]:
         if p < 0 or p % d:
             return False
-    for p, m in zip(ps[r:], lv.M_simple):
-        if -p * m.denominator > m.numerator * d:
+    for p, (mn, md) in zip(ps[r:], ms):
+        if -p * md > mn * d:
             return False
     return True
 
@@ -59,83 +64,104 @@ def _is_extremal(entry: CatalogEntry, rec: _Level, sc: _NuScalars) -> bool:
     """nu+xi falls outside P^+_k, for nu in P^+_k with level record `rec`
     (`levels._level`) and scalars `sc` (`CatalogEntry._scalars`): the P^+_k
     test on nu+xi's int pairings (`_plus_xi`).  Cross-checked against the
-    chi_i test, nu(theta_i^vee) > M_i(k) + chi_i for some i
-    (`LevelData.alpha_levels`), which with -p/d = nu(theta_i^vee) and
-    M_i(k) + chi_i = num/den (d, den > 0) is -p * den > num * d."""
-    lv, d = rec.data, sc.d
-    by_def = not _in_P_plus(entry, lv, *_plus_xi(entry, sc))
+    chi_i test, nu(theta_i^vee) > M_i(k) + chi_i for some i, which with
+    -p/d = nu(theta_i^vee) and M_i(k) + chi_i = num/den (d, den > 0; the
+    record's `alpha_ints`) is -p * den > num * d."""
+    d = sc.d
+    by_def = not _in_P_plus(entry, rec.m_ints, *_plus_xi(entry, sc))
     s = len(entry.components)
-    by_chi = any(-p * a.denominator > a.numerator * d
-                 for p, a in zip(sc.ps[-s:], lv.alpha_levels[-s:]))
+    by_chi = any(-p * ad > an * d for p, (an, ad) in zip(sc.ps[-s:], rec.alpha_ints))
     if by_def != by_chi:
         raise CharacterizationMismatch(
-            f"extremality tests disagree for {entry.id.label()}, k={lv.k}: "
+            f"extremality tests disagree for {entry.id.label()}, k={rec.data.k}: "
             f"nu+xi test {by_def}, chi test {by_chi}")
     return by_def
 
 
-def _P_plus_data(g: AlgebraId, k, nu: Vec) -> Optional[Tuple[_Level, _NuScalars]]:
-    """(level record, nu's scalars) when nu lies in P^+_k, else None; the
-    record is `levels._level`, the scalars the per-request pass
-    `CatalogEntry._scalars`.  Raises on a weight of the wrong length, at
-    every level."""
-    entry = lookup(g)
+def _P_plus_data(entry: CatalogEntry, k, nu: Vec) -> Optional[Tuple[_Level, _NuScalars]]:
+    """(level record, nu's scalars) when nu lies in P^+_k of the entry's
+    family, else None; the record is `levels._level`, the scalars the
+    per-request pass `CatalogEntry._scalars`.  Raises on a weight of the
+    wrong length, at every level."""
     entry._check_length(nu)
-    rec = _ranged(g, as_rational(k))
+    rec = _ranged(entry.id, as_rational(k))
     if rec is None:
         return None
     sc = entry._scalars(nu)
-    return (rec, sc) if _in_P_plus(entry, rec.data, sc.d, sc.ps) else None
+    return (rec, sc) if _in_P_plus(entry, rec.m_ints, sc.d, sc.ps) else None
 
 
 def in_P_plus_k(g: AlgebraId, k, nu: Vec) -> bool:
     """nu dominant integral for g^nat with nu(theta_i^vee) <= M_i(k) for all i >= 1."""
-    return _P_plus_data(g, k, nu) is not None
+    return _P_plus_data(lookup(g), k, nu) is not None
 
 
 def is_extremal(g: AlgebraId, k, nu: Vec) -> bool:
     """nu+xi falls outside P^+_k; cross-checked against the chi_i test."""
-    data = _P_plus_data(g, k, nu)
+    entry = lookup(g)
+    data = _P_plus_data(entry, k, nu)
     if data is None:
         raise PreconditionViolated("is_extremal requires nu in P^+_k")
-    return _is_extremal(lookup(g), *data)
+    return _is_extremal(entry, *data)
 
 
-def _ell(h: tuple, k: Fraction, kh: Fraction, cas: tuple) -> Fraction:
-    """The lowest-energy quadratic cas/(2(k+h)) + h(h-k-1)/(k+h), with
-    kh = k+h_vee nonzero, and h and cas = (nu|nu+2rho^nat) given as
-    (numerator, denominator) int pairs.
+def _ell_ints(h: tuple, k: tuple, kh: tuple, cas: tuple) -> tuple:
+    """The lowest-energy quadratic cas/(2(k+h)) + h(h-k-1)/(k+h) as one
+    int numerator over one nonzero int denominator, not reduced, with h,
+    k, kh = k+h_vee (nonzero) and cas = (nu|nu+2rho^nat) given as
+    (numerator, denominator > 0) int pairs.
 
     Exactness.  ell = (cas/2 + h(h-k-1))/kh.  With h = hn/hd, cas = cn/cd,
     k = kn/kd and kh = khn/khd, h(h-k-1) = hn (hn kd - (kn+kd) hd)/(hd^2 kd),
     so over the one denominator 2 cd hd^2 kd,
         ell = (cn hd^2 kd + 2 cd hn (hn kd - (kn+kd) hd)) khd
               / (2 cd hd^2 kd khn).
-    Numerator and denominator are int products and sums, exact; the one
-    division is `Fraction(num, den)`, with den != 0 since every denominator
-    is nonzero and khn != 0 off the critical level.  No sign is assumed:
-    `Fraction` divides out the gcd and moves the sign to the numerator, so
-    the result is the one reduced `Fraction` of that value, the same one the
-    term-by-term `Fraction` evaluation gives."""
-    (hn, hd), (cn, cd) = h, cas
-    kn, kd = k.numerator, k.denominator
-    return Q((cn * hd * hd * kd + 2 * cd * hn * (hn * kd - (kn + kd) * hd)) * kh.denominator,
-             2 * cd * hd * hd * kd * kh.numerator)
+    Numerator and denominator are int products and sums, exact, with
+    den != 0 since every denominator is nonzero and khn != 0 off the
+    critical level; den has the sign of khn, as cd, hd^2 and kd are
+    positive.  No division is made here."""
+    (hn, hd), (kn, kd), (khn, khd), (cn, cd) = h, k, kh, cas
+    return ((cn * hd * hd * kd + 2 * cd * hn * (hn * kd - (kn + kd) * hd)) * khd,
+            2 * cd * hd * hd * kd * khn)
 
 
-def _threshold(rec: _Level, sc: _NuScalars) -> Fraction:
-    """A(k,nu) = ell((xi|nu)) from the level record `rec` (`levels._level`)
-    and nu's scalars `sc` (`CatalogEntry._scalars`): (xi|nu) and the Casimir
-    term enter `_ell` as the ints over their positive denominators that the
-    pass gives, and k + h_vee is the record's, nonzero, so A is one
-    division (see `_ell` for why that is exact)."""
-    return _ell(sc.xn, rec.data.k, rec.kh, sc.cas)
+def _ell(h: tuple, k: Fraction, kh: Fraction, cas: tuple) -> Fraction:
+    """`_ell_ints` at k and kh = k+h_vee given as `Fraction`s, divided once.
+    No sign is assumed: `Fraction` divides out the gcd and moves the sign
+    to the numerator, so the result is the one reduced `Fraction` of that
+    value, the same one the term-by-term `Fraction` evaluation gives."""
+    return Q(*_ell_ints(h, k.as_integer_ratio(), kh.as_integer_ratio(), cas))
+
+
+def _threshold(rec: _Level, sc: _NuScalars) -> tuple:
+    """A(k,nu) = ell((xi|nu)) as an int numerator over a nonzero int
+    denominator (`_ell_ints`), from the level record `rec` (`levels._level`)
+    and nu's scalars `sc` (`CatalogEntry._scalars`): (xi|nu) and the
+    Casimir term are the ints over their positive denominators that the
+    pass gives, and k and k + h_vee the record's int pairs, k + h_vee
+    nonzero.  `Fraction(*_threshold(rec, sc))` is A, one division (see
+    `_ell`); the denominator has the sign of k + h_vee."""
+    return _ell_ints(sc.xn, rec.k_ints, rec.kh_ints, sc.cas)
+
+
+def _at_most(l0: Fraction, a: tuple) -> bool:
+    """l0 <= A for A = an/ad given as `_threshold`'s int pair, ad != 0: one
+    cross-multiplication.  With l0 = ln/ld, ld > 0, multiplying both sides
+    of ln/ld <= an/ad by ld * ad keeps the inequality when ad > 0 and turns
+    it when ad < 0.  ad has the sign of k + h_vee, which is negative at
+    every level of a unitarity range (k <= -2/3 and h_vee <= 1/2,
+    `levels._ranged`), but both signs are handled, so nothing rests on
+    that."""
+    an, ad = a
+    if ad > 0:
+        return l0.numerator * ad <= an * l0.denominator
+    return l0.numerator * ad >= an * l0.denominator
 
 
 def A_bound(g: AlgebraId, k, nu: Vec) -> Fraction:
     """Threshold A(k,nu) = ell((xi|nu)), with ell the quadratic `_ell`."""
     k = as_rational(k)
-    return _threshold(_level(g, k.numerator, k.denominator), lookup(g)._scalars(nu))
+    return Q(*_threshold(_level(g, k.numerator, k.denominator), lookup(g)._scalars(nu)))
 
 
 def B_bound(g: AlgebraId, k, nu: Vec) -> Fraction:
@@ -295,7 +321,7 @@ def enumerate_P_plus_k(g: AlgebraId, k) -> List[Vec]:
                              for c in range(entry.n)]))
     for nu in out:
         sc = entry._scalars(nu)
-        if not _in_P_plus(entry, lv, sc.d, sc.ps):
+        if not _in_P_plus(entry, rec.m_ints, sc.d, sc.ps):
             raise CharacterizationMismatch(
                 f"enumerated weight ({', '.join(map(format_rational, nu))}) of {g.label()} "
                 f"fails the P^+_k test at k = {format_rational(lv.k)}")

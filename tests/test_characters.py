@@ -758,13 +758,9 @@ def test_orbit_start_equals_the_affine_form(case):
     included."""
     g, k, nu, _, window, _ = case
     e = lookup(g)
-    e.lattice  # built before the spy: its constructor checks ints of its own
-    starts, ints = [], _Lattice._ints
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_Lattice, "_ints", staticmethod(
-            lambda entry, what, xs: starts.append(list(xs)) or ints(entry, what, xs)))
-        _orbit_at(e, k, nu, window)
-    assert starts == [_start_by_the_affine_form(e, k, nu)], case
+    start = _start(e, _record(e, k), e._scalars(nu))
+    assert all(p.__class__ is int for p in start), case
+    assert list(start) == _start_by_the_affine_form(e, k, nu), case
 
 
 def test_published_weights_hold_only_fractions():
@@ -2071,6 +2067,49 @@ def test_levels_that_share_an_orbit_cell_answer_as_fresh_sums():
             negative += min(eta) < 0
             capped_one += min(eta) <= limit and max(eta) > limit + 1
     assert capped_one and negative
+
+
+def test_massive_requests_at_the_threshold_refuse_and_just_above_answer():
+    """The massive test l0 > A, an int cross-multiplication
+    (`weights._at_most`), at its boundary: over the weights of each level
+    sweep (`LEVEL_SWEEPS`), a massive request at l0 = A or A - 1/1000
+    refuses, and one at A + 1/1000 answers where nu is not extremal (an
+    extremal nu refuses as such).  Each request, asked in the sweep's
+    order, asked with the character caches emptied, and asked again, now
+    answered from the cached orbit sum, gives one answer, refusals by
+    exception class and message."""
+    answered = 0
+    for g, count_k, count_nu, window, depth in LEVEL_SWEEPS:
+        def answer(k, nu, l0):
+            try:
+                return character_massive(g, k, nu, l0, l0 + window, depth).records()
+            except WminError as err:
+                return type(err), str(err)
+
+        reqs = []
+        for k in enumerate_unitary_k(g, count_k):
+            for nu in enumerate_P_plus_k(g, k)[:count_nu]:
+                a, extremal = A_bound(g, k, nu), is_extremal(g, k, nu)
+                reqs += [(k, nu, a + off, extremal) for off in (-Q(1, 1000), 0, Q(1, 1000))]
+        _fns_cached.cache_clear()
+        _orbit_cell.cache_clear()
+        swept = [answer(*r[:3]) for r in reqs]
+        for (k, nu, l0, extremal), got in zip(reqs, swept):
+            if extremal:
+                assert got == (PreconditionViolated,
+                               "massive character needs non-extremal nu in P^+_k"), (g, k, nu)
+            elif l0 <= A_bound(g, k, nu):
+                assert got == (PreconditionViolated, "massive character needs l0 > A(k,nu)")
+            else:
+                assert isinstance(got, list) and got, (g, k, nu, l0)
+                answered += 1
+            _fns_cached.cache_clear()
+            _orbit_cell.cache_clear()
+            assert answer(k, nu, l0) == got, (g, k, nu, l0)
+            hits = _orbit_cell.cache_info().hits
+            assert answer(k, nu, l0) == got, (g, k, nu, l0)
+            assert _orbit_cell.cache_info().hits == hits + isinstance(got, list)
+    assert answered
 
 
 class _SmallRadixLattice(_Lattice):

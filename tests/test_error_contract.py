@@ -6,9 +6,10 @@ same every time, and every call is bounded: `ORBIT_CAP` and `P_PLUS_CAP`
 are lowered, windows, depths and counts are small, and the adversarial
 values (huge, tiny, float, str, bool, None) go only where they set no size
 of the work, or where a cap refuses them before any work: a huge count of
-unitary levels, past `RANGE_CAP`."""
+unitary levels, past `RANGE_CAP`.  `scripts/fuzz_contract.py` runs the
+same draws (`drawn_calls`, `argv`) as a long, seeded fuzz."""
 import io
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction as Q
 
 import pytest
@@ -93,6 +94,62 @@ def _calls(g, k, nu, l0, q_max, window, depth, x, n, m, count, gamma):
             "central_charge_alt")]
 
 
+@contextmanager
+def bounded():
+    """`ORBIT_CAP` and `P_PLUS_CAP` lowered, so that every drawn call is
+    bounded."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(characters, "ORBIT_CAP", 400)
+        mp.setattr(weights, "P_PLUS_CAP", 300)
+        yield
+
+
+def drawn_calls(data) -> list:
+    """One example's public calls, (function, args) in the order they are
+    made: a family, two levels and a weight, with the arguments of
+    `_calls` drawn around A(k, nu) at each level; an example may spoil
+    one argument.  Draw it inside `bounded`, as the weights are enumerated
+    under its cap."""
+    g = data.draw(st.sampled_from(FAMILIES))
+    unitary = wmin.enumerate_unitary_k(g, 4)
+    ks = data.draw(st.lists(st.sampled_from(unitary) if unitary else SMALL.map(lambda x: x - 3),
+                            min_size=2, max_size=2))
+    spoil = data.draw(st.sampled_from([None, None] + sorted(SPOILS)))
+    odd = data.draw(SPOILS[spoil]) if spoil else None
+    nu = data.draw(weight(g, ks[0]))
+    if spoil == "nu":
+        nu = nu + catalog.Vec([odd] * len(nu)) if isinstance(odd, Q) else [odd] + list(nu)[1:]
+    elif data.draw(st.booleans()):
+        nu = list(nu)
+    if spoil == "k":
+        ks[1] = odd
+    drawn = {"l0": data.draw(st.fractions(-Q(1, 2), 1, max_denominator=4)),  # l0 - A
+             "window": data.draw(st.fractions(-Q(1, 2), 2, max_denominator=4)),  # q_max - l0
+             "depth": data.draw(st.fractions(-Q(1, 2), 3, max_denominator=3)),
+             "x": data.draw(SMALL), "n": data.draw(st.integers(-2, 5)),
+             "count": data.draw(st.integers(-2, 5)),
+             "m": data.draw(st.integers(-2, 5))}
+    if spoil not in (None, "k", "nu"):
+        drawn[spoil] = odd
+    gamma = data.draw(st.sampled_from(
+        [w for w, _ in catalog.lookup(g).delta_prime][:2] + [nu]))
+    out = []
+    for k in ks:
+        l0 = _plus(_base(g, k, nu), drawn["l0"])
+        out += _calls(g, k, nu, l0, _plus(l0, drawn["window"]), drawn["window"],
+                      drawn["depth"], drawn["x"], drawn["n"], drawn["m"], drawn["count"], gamma)
+    return out
+
+
+def int_coefficients(out) -> bool:
+    """A returned series holds int coefficients only; any other value passes."""
+    return not isinstance(out, QWSeries) or all(
+        c.__class__ is int for lvl in out.terms.values() for c in lvl.values())
+
+
+PARSER_INPUTS = ["3", "-9/4", " 1/2 ", "", "1/0", "0x10", "0.5", "x", "--1"]
+
+
 @SETTINGS
 @given(st.data())
 def test_public_calls_keep_the_error_contract(data):
@@ -104,48 +161,15 @@ def test_public_calls_keep_the_error_contract(data):
     at one weight, so that a second character request may read an orbit
     sum cached at the first level (`characters._orbit_cell`).
     `parse_rational` refuses with its documented `ValueError` only."""
-    g = data.draw(st.sampled_from(FAMILIES))
-    unitary = wmin.enumerate_unitary_k(g, 4)
-    ks = data.draw(st.lists(st.sampled_from(unitary) if unitary else SMALL.map(lambda x: x - 3),
-                            min_size=2, max_size=2))
-    spoil = data.draw(st.sampled_from([None, None] + sorted(SPOILS)))
-    odd = data.draw(SPOILS[spoil]) if spoil else None
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(characters, "ORBIT_CAP", 400)
-        mp.setattr(weights, "P_PLUS_CAP", 300)
-        nu = data.draw(weight(g, ks[0]))
-        if spoil == "nu":
-            nu = nu + catalog.Vec([odd] * len(nu)) if isinstance(odd, Q) else [odd] + list(nu)[1:]
-        elif data.draw(st.booleans()):
-            nu = list(nu)
-        if spoil == "k":
-            ks[1] = odd
-        drawn = {"l0": data.draw(st.fractions(-Q(1, 2), 1, max_denominator=4)),  # l0 - A
-                 "window": data.draw(st.fractions(-Q(1, 2), 2, max_denominator=4)),  # q_max - l0
-                 "depth": data.draw(st.fractions(-Q(1, 2), 3, max_denominator=3)),
-                 "x": data.draw(SMALL), "n": data.draw(st.integers(-2, 5)),
-                 "count": data.draw(st.integers(-2, 5)),
-                 "m": data.draw(st.integers(-2, 5))}
-        if spoil not in (None, "k", "nu"):
-            drawn[spoil] = odd
-        gamma = data.draw(st.sampled_from(
-            [w for w, _ in catalog.lookup(g).delta_prime][:2] + [nu]))
-        for k in ks:
-            l0 = _plus(_base(g, k, nu), drawn["l0"])
-            q_max = _plus(l0, drawn["window"])
-            for fn, args in _calls(g, k, nu, l0, q_max, drawn["window"], drawn["depth"],
-                                   drawn["x"], drawn["n"], drawn["m"], drawn["count"],
-                                   gamma):
-                try:
-                    out = fn(*args)
-                except WminError:
-                    continue
-                if isinstance(out, QWSeries):
-                    assert all(c.__class__ is int for lvl in out.terms.values()
-                               for c in lvl.values()), (fn.__name__, args)
+    with bounded():
+        for fn, args in drawn_calls(data):
+            try:
+                out = fn(*args)
+            except WminError:
+                continue
+            assert int_coefficients(out), (fn.__name__, args)
     try:
-        wmin.parse_rational(data.draw(st.sampled_from(
-            ["3", "-9/4", " 1/2 ", "", "1/0", "0x10", "0.5", "x", "--1"])))
+        wmin.parse_rational(data.draw(st.sampled_from(PARSER_INPUTS)))
     except ValueError:  # the parser's documented refusal
         pass
 
@@ -197,11 +221,8 @@ def test_the_command_line_exits_0_1_or_2(args):
     """Every drawn command line returns exit code 0, 1 (a refusal) or 2 (a
     usage error) from `cli.run`, and raises nothing out of it, so no
     traceback reaches the user."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(characters, "ORBIT_CAP", 400)
-        mp.setattr(weights, "P_PLUS_CAP", 300)
-        err = io.StringIO()
-        with redirect_stdout(io.StringIO()), redirect_stderr(err):
-            code = run(args)
+    err = io.StringIO()
+    with bounded(), redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = run(args)
     assert code in (0, 1, 2), args
     assert "Traceback" not in err.getvalue(), args

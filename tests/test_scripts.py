@@ -173,6 +173,27 @@ def test_stage_times_verdicts():
                               "extremal_s": 59, "closed_form_s": 59}
 
 
+def test_stage_times_hits():
+    """`--hits`: the seed-3 char_warm pool, each request's fastest of the
+    timed all-hit passes, with no orbit sum computed in them."""
+    import json
+    (line,) = run_script("stage_times.py", "--hits", "3")
+    got = json.loads(line)
+    assert (got["requests"], got["passes"], got["sums_computed"]) == (102, 300, 0)
+    q1, q3 = got["hit_us_quartiles"]
+    assert 0 < q1 <= got["hit_us"] <= q3
+
+
+def test_fuzz_contract():
+    """The long error-contract fuzz, run short: every drawn call and
+    command line is made, and none escapes."""
+    import json
+    (line,) = run_script("fuzz_contract.py", "--seed", "1", "--rounds", "4")
+    got = json.loads(line)
+    assert (got["seed"], got["rounds"], got["command_lines"]) == (1, 4, 4)
+    assert got["calls"] > 4 and got["escapes"] == []
+
+
 def test_stage_times_setup():
     """`--setup`: `import wmin` and each of its modules, and lookup and
     validate of each verdict family with the first builds of its coroot

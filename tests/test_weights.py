@@ -1,11 +1,12 @@
+import math
 import re
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wmin import catalog, weights
+from wmin import catalog, levels, weights
 from wmin.catalog import Vec, lookup, zero_vec
 from wmin.characters import (character_massive, character_massless, verma_character,
                              weyl_orbit)
@@ -236,7 +237,7 @@ def test_enumeration_raises_on_marks_off_the_ints(monkeypatch):
 def test_enumeration_raises_on_a_weight_outside_p_plus(monkeypatch):
     """Every weight the walk lists is checked against the P^+_k test; one
     that fails it raises CharacterizationMismatch naming the weight."""
-    monkeypatch.setattr(weights, "_in_P_plus", lambda entry, lv, d, ps: False)
+    monkeypatch.setattr(weights, "_in_P_plus", lambda entry, ms, d, ps: False)
     with pytest.raises(CharacterizationMismatch, match=r"enumerated weight \(0, 0, 0\) of G3"):
         enumerate_P_plus_k(catalog.g3(), Q(-9, 4))
 
@@ -414,3 +415,65 @@ def test_weight_and_level_scalars_equal_the_form(g, data):
     zs = [-(e.h_vee - c.hbar_vee) / 2 for c in comps]
     z1, z2 = zs if len(zs) == 2 else (zs[0], -comps[0].hbar_vee / 2 - 1)
     assert lv.p_k == (k - z1) * (k - z2) and lv.collapsing == (lv.p_k == 0)
+
+
+@st.composite
+def level_cases(draw):
+    """(family, noncritical level, weight): a family of the catalog at one
+    of its first unitary levels or at a level off its range, and a small
+    rational weight, in P^+_k or not."""
+    g = draw(st.sampled_from(RANGE_FAMILIES))
+    e = lookup(g)
+    ks = enumerate_unitary_k(g, 4)
+    k = draw(st.one_of(st.fractions(min_value=-6, max_value=4, max_denominator=6),
+                       *([st.sampled_from(ks)] * 3 if ks else []))
+             .filter(lambda k: k != -e.h_vee))
+    plus = enumerate_P_plus_k(g, k)[:8] if ks and e.center is None else []
+    rat = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    nu = draw(st.sampled_from(plus) if plus and draw(st.booleans())
+              else st.lists(rat, min_size=e.n, max_size=e.n).map(Vec))
+    return g, k, nu
+
+
+@given(level_cases(), st.data())
+@example((catalog.psl22(), Q(1), zero_vec(4)), None)  # k + h_vee = 1 > 0
+@example((catalog.psl22(), Q(1), Vec([Q(1, 2), 0, Q(3, 2), Q(-1, 2)])), None)
+@example((catalog.g3(), Q(-9, 4), Vec([1, 1, 0])), None)  # k + h_vee < 0
+@settings(max_examples=120, deadline=None)
+def test_request_ints_equal_their_fractions(case, data):
+    """The ints a request reads in place of `Fraction`s: the level record's
+    int pairs are the reduced `LevelData` values, k and k + h_vee included;
+    the threshold's int pair is A, with a denominator of the sign of k +
+    h_vee, and the int test l0 <= A (`weights._at_most`) is the `Fraction`
+    comparison at A and A +- 1/1000, for either sign; and the kernel window
+    snapped from the ints of q_max, l0 and depth (`_Lattice.window`) is the
+    window of the `Fraction` q_max - l0, at negative windows and q_max off
+    the half-integers too."""
+    g, k, nu = case
+    e = lookup(g)
+    rec = levels._level(g, k.numerator, k.denominator)
+    lv, s = rec.data, len(e.components)
+
+    def ints(xs):
+        return tuple((x.numerator, x.denominator) for x in xs)
+
+    assert (rec.k_ints, rec.kh_ints) == ints([k, k + e.h_vee]) == ints([lv.k, rec.kh])
+    assert rec.m_ints == ints(lv.M_simple) == ints(lv.M[-s:])
+    assert rec.alpha_ints == ints(lv.alpha_levels[-s:])
+    assert all(v.__class__ is int for pair in rec.m_ints + rec.alpha_ints for v in pair)
+
+    sc = e._scalars(nu)
+    an, ad = weights._threshold(rec, sc)
+    a = Q(an, ad)
+    assert a == A_bound(g, k, nu) and (ad > 0) == (k + e.h_vee > 0)
+    for l0 in (a, a + Q(1, 1000), a - Q(1, 1000)):
+        assert weights._at_most(l0, (an, ad)) == (l0 <= a)
+        assert weights._at_most(l0, (-an, -ad)) == (l0 <= a)  # the other sign of den
+    lat = e.lattice
+    l0 = a + data.draw(st.sampled_from([0, Q(1, 1000), -Q(1, 1000), Q(1, 2)])) if data else a
+    q_max = l0 + (data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=7))
+                  if data else Q(-5, 3))
+    depth = data.draw(st.fractions(min_value=-1, max_value=4, max_denominator=5)) \
+        if data else Q(7, 3)
+    assert lat.window(q_max, depth, l0) == lat.window(q_max - l0, depth) \
+        == (math.floor(2 * (q_max - l0)), math.floor(lat.scale * depth))

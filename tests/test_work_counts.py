@@ -1,8 +1,11 @@
 """Work counts of the character store over the benchmark's seed-3 pools:
 exact numbers, which move only when the work does, where a timing is
 noise.  The pools are read through `bench/workloads.py` (`generate` and
-`Runner`), in process, one pass each, from empty character caches."""
+`Runner`), in process, one pass each, from empty character caches, or,
+for the hits, from the caches a first pass fills."""
+import fractions
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -37,3 +40,38 @@ def test_seed3_pool_work_counts(workload, builds, hits, cells, weights):
     assert (info.misses, info.hits) == (builds, hits)
     assert (cell.misses, cell.hits) == cells
     assert len(characters._weights) == len(set(characters._weights.values())) == weights
+
+
+def test_seed3_char_warm_hits_build_one_fraction_per_published_level():
+    """One all-hit pass over the seed-3 char_warm pool, run again after a
+    pass that fills the caches, calls into `fractions` only to build and
+    hash the exponent of each published level (`characters._placed`) and
+    to build A once per massless request: no `Fraction` difference or
+    comparison remains on a hit, as the preconditions, the start and the
+    window read ints.  The reads of `numerator` and `denominator` left
+    (of k, nu's coordinates, l0, q_max, depth and the published exponent)
+    are pinned at their count."""
+    reqs = W.generate("char_warm", 3, W.NOMINAL_SECONDS, W.load_golden())
+    runner = W.Runner()
+    calls = [runner.prepare(req) for req in reqs]
+    for call in calls:
+        runner.call(call)
+    counts = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            counts[frame.f_code.co_name] += 1
+
+    misses, old = characters._orbit_cell.cache_info().misses, sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        outs = [runner.call(call) for call in calls]
+    finally:
+        sys.setprofile(old)
+    assert characters._orbit_cell.cache_info().misses == misses  # every request a hit
+    levels = sum(len(out.terms) for out in outs)
+    massless = sum(req.kind == "massless" for req in reqs)
+    assert (levels, massless) == (491, 20)
+    assert counts["__new__"] == levels + massless and counts["__hash__"] == levels
+    assert not {"_sub", "_richcmp", "forward", "reverse"} & counts.keys(), counts
+    assert (counts["numerator"], counts["denominator"]) == (933, 1035)
