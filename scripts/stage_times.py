@@ -3,7 +3,7 @@
 
 Runs the request three times in this fresh interpreter: cold (the
 denominator expansion is built), warm (it is cached, and the cache of
-l0-free orbit sums, `characters._orbit_cell`, is emptied just before, so
+l0-free orbit sums, `characters._orbit_sum`, is emptied just before, so
 the orbit sum is computed again) and hit (the orbit sum is read from that
 cache and placed at l0); then once more at q_max - 1/2 and depth
 max(depth - 1, 0), a window inside the cold call's, whose denominator
@@ -20,9 +20,8 @@ timed stage:
                           asks for the denominator first)
     denominator_window    the kernel window [T, cap] that call built, as
                           ints (`catalog._Lattice.window`): T =
-                          floor(2 reach) and cap = floor(scale depth) plus
-                          the orbit's headroom, from which
-                          `characters._window` slopes the caps
+                          floor(2 reach) and cap = floor(scale depth),
+                          from which `characters._window` slopes the caps
                           (`characters._orbit_sum` sizes it)
     denominator_terms     terms of that series in its sloped window
     denominator_buckets   its distinct (q, depth) pairs, the buckets the
@@ -45,7 +44,7 @@ timed stage:
     eta_pairings          the part of the orbit-sum cache key that stands
                           for k: the pairings <lam0, eta_i^vee> of the
                           start, each capped at limit + 1 when none is
-                          negative (`characters._orbit_cell`), so levels
+                          negative (`characters._orbit_sum`), so levels
                           that agree on them share one orbit sum
     sum_warm_s            the warm call's `_sum_pieces`; a massless
                           request reads its isotropic quotients from the
@@ -75,7 +74,7 @@ timed stage:
                           timed on its own; the cold call builds it once
     caches                `cache_info()` of `catalog.lookup`, the level
                           record `levels._level`, `characters._fns_cached`
-                          and `characters._orbit_cell` after the warm call
+                          and `characters._orbit_sum` after the warm call
 
 Times are in seconds, rounded to 1 microsecond.
 
@@ -140,7 +139,7 @@ five passes, in seconds for the whole set of requests:
 With `--hits SEED` it times the cached character request instead: the
 bench's char_warm pool at SEED (`bench/workloads.py`, built and called
 through its `Runner`, in this interpreter) is run once, so that every
-orbit sum it asks for is cached (`characters._orbit_cell`), and then
+orbit sum it asks for is cached (`characters._orbit_sum`), and then
 HIT_PASSES more times with the garbage collector off, each request timed
 on its own:
 
@@ -252,7 +251,7 @@ def main(argv=None):
     calls = []  # (name, seconds, result, positional arguments) of each wrapped call, in order
     built = []  # the image keys of the quotients `_fns_cached` built, in order
     vecs = [0]  # the weights `_publish` built in the current call
-    fns_cache, cell_cache, vec = characters._fns_cached, characters._orbit_cell, characters._vec
+    fns_cache, sum_cache, vec = characters._fns_cached, characters._orbit_sum, characters._vec
 
     def counted_vec(fracs):
         vecs[0] += 1
@@ -272,7 +271,7 @@ def main(argv=None):
         return wrapper
 
     checks = ("_P_plus_data", "_is_extremal", "_at_most", "_threshold")
-    for name in ("_orbit", "_fns_cached", "_orbit_cell", "_sum_pieces", "_publish") + checks:
+    for name in ("_orbit", "_fns_cached", "_orbit_sum", "_sum_pieces", "_publish") + checks:
         setattr(characters, name, timed(name, getattr(characters, name)))
 
     windows = {}  # call -> (windows built, windows answered from a held one)
@@ -300,15 +299,15 @@ def main(argv=None):
                 sum(s for name, s, _, _ in calls if name in checks), len(built))
 
     _, cold_s, cold, _, quotients = request("cold")
-    cell_cache.cache_clear()
+    sum_cache.cache_clear()
     out, warm_s, warm, checks_s, quotients_warm = request("warm")
     caches = {f.__name__: f.cache_info()._asdict()
-              for f in (catalog.lookup, levels._level, fns_cache, cell_cache)}
+              for f in (catalog.lookup, levels._level, fns_cache, sum_cache)}
     _, hit_s, _, _, _ = request("hit")
     inner = (q_max - Q(1, 2), max(depth - 1, Q(0)))
     _, contained_s, _, _, _ = request("contained", *inner)
     fns_s, fns, (_, top, cap) = cold["_fns_cached"]
-    _, _, (_, _, _, eta, cell_top, *_) = warm["_orbit_cell"]
+    _, _, (_, _, _, start, sum_top, *_) = warm["_orbit_sum"]
     t = time.perf_counter()
     catalog._Lattice(catalog.lookup(g))
     frame_s = time.perf_counter() - t
@@ -323,8 +322,8 @@ def main(argv=None):
         "checks_s": round(checks_s, 6),
         "orbit_s": round(warm["_orbit"][0], 6),
         "orbit_elements": len(warm["_orbit"][1]),
-        "limit": cell_top // 2,
-        "eta_pairings": list(eta),
+        "limit": sum_top // 2,
+        "eta_pairings": list(start[len(start) - len(catalog.lookup(g).components):]),
         "sum_warm_s": round(warm["_sum_pieces"][0], 6),
         "kept_terms": warm["_sum_pieces"][1][1],
         "publish_s": round(warm["_publish"][0], 6),
@@ -542,7 +541,7 @@ def hit_stages(seed):
              for r in W.generate("char_warm", seed, W.NOMINAL_SECONDS, W.load_golden())]
     for call in calls:  # fills the orbit-sum cache
         runner.call(call)
-    computed = characters._orbit_cell.cache_info().misses
+    computed = characters._orbit_sum.cache_info().misses
     best = [float("inf")] * len(calls)
     clock = time.perf_counter
     gc.disable()
@@ -562,7 +561,7 @@ def hit_stages(seed):
         "passes": HIT_PASSES,
         "hit_us": round(q2 * 1e6, 2),
         "hit_us_quartiles": [round(q1 * 1e6, 2), round(q3 * 1e6, 2)],
-        "sums_computed": characters._orbit_cell.cache_info().misses - computed,
+        "sums_computed": characters._orbit_sum.cache_info().misses - computed,
     }
 
 

@@ -17,11 +17,11 @@ TruncationIncomplete when hit.  Both characters are one l0-free
 `_orbit_sum`, which reads l0 only through the window q_max - l0 and k only
 through the pairings <lam0, eta_i^vee> of the walk's start (its docstring
 argues this), placed at the exponents l0 + j/2 by the final step
-`_placed`; the sums are cached per (family, nu, eta pairings, window,
-depth, kind) (`_orbit_cell`, keyed by the ints of nu, the eta pairings
-capped at floor(T/2) + 1 when none is negative, so that levels at which no
-eta step fits the window share one sum, and the kernel window), after
-every precondition check.
+`_placed`; `_orbit_sum` is itself the bounded cache of the sums, keyed
+by the ints of nu, the start with its eta pairings capped at floor(T/2) + 1
+when none is negative, so that levels at which no eta step fits the window
+share one sum, and the kernel window, and asked after every precondition
+check.
 
 Both the kernel and the orbit read one per-algebra frame of h^nat,
 `CatalogEntry.lattice` (`catalog._Lattice`, built once per catalog entry):
@@ -773,7 +773,8 @@ def _fns_cached(aid: AlgebraId, top: int, cap: int,
     of the asked build, and the held series holds more only beyond them.  No reader reads
     beyond them: `_sum_pieces` reads levels t <= T - 2h <= T' and depth
     entries d <= dcap - key[0] <= caps'[t] under a head of shift h, by
-    `_orbit_sum`'s Window argument (verma_character's head is 0 at (window,
+    `_orbit_sum`'s Window argument (its asked window is (T - 2 s_min, dcap),
+    extremal starts included; verma_character's head is 0 at (window,
     depth)), and a quotient or `n4_closed_form` piece is a `copy` cut to the
     asked window.  So every kept term is the one the asked build gives.
     Refusals are the same too: the held series was built, and the asked
@@ -867,12 +868,6 @@ class OrbitElement(NamedTuple):
 ORBIT_CAP = 10 ** 6  # orbit elements seen before TruncationIncomplete is raised
 
 
-def _ratio(num: int, den: int):
-    """num / den, den > 0: an int when den divides num, else its `Fraction`."""
-    q, rem = divmod(num, den)
-    return Q(num, den) if rem else q
-
-
 def _start(entry: CatalogEntry, rec: _Level, sc: _NuScalars) -> tuple:
     """The pairings of lam0 = nu_hat_h + rho_hat with the affine simple
     coroots, as ints: those of the simple roots of g^nat, then those of the
@@ -889,7 +884,7 @@ def _start(entry: CatalogEntry, rec: _Level, sc: _NuScalars) -> tuple:
     `catalog.validate` pins this identity as `eta_i_pairing`) and p/d =
     -nu(theta_i^vee).  These are ints for nu in P^+_k; each is divided out
     exactly; when one does not divide, the pairings are handed to
-    `_Lattice._ints` as their values, that one as its `Fraction`, which it
+    `_Lattice._ints` as their values, the eta pairings as `Fraction`s, and it
     refuses with PreconditionViolated, the one check of the start.  The
     eta_i pairings are all the orbit reads of the level (`_orbit`)."""
     s, d, ps = len(entry.simple_roots_natural), sc.d, sc.ps
@@ -898,7 +893,7 @@ def _start(entry: CatalogEntry, rec: _Level, sc: _NuScalars) -> tuple:
     if any([n % m for n, m in etas]):
         return entry.lattice._ints(
             entry, "pairings of nu_hat + rho_hat with the affine simple coroots",
-            simple + [_ratio(n, m) for n, m in etas])
+            simple + [Q(n, m) for n, m in etas])
     return tuple(simple + [n // m for n, m in etas])
 
 
@@ -1000,7 +995,7 @@ def _orbit(entry: CatalogEntry, start: tuple, limit: int,
     with it the cap test and its message, are the same too.  A negative
     N_j lets a W_j part lower the shift, so that an element across the
     eta_i wall can come back under the limit: then no pairing is capped.
-    `_orbit_cell` keys the orbit sums by these capped pairings.
+    `_orbit_sum` is walked and cached from the start with these pairings capped.
     """
     lat = entry.lattice
     state = (*start, 0) + (0,) * (entry.n + 1)
@@ -1054,9 +1049,10 @@ def weyl_orbit(g: AlgebraId, k, nu: Vec, h, q_max) -> List[Tuple[Vec, int, Fract
     """Distinct shifted-orbit elements with q_shift <= q_max.
 
     Returns (restriction of w.nu_hat_h to h^nat, det w, q_shift), the
-    restriction being restrict(nu) + key/D (see `_orbit`).  h is ignored:
-    the orbit does not depend on it.
+    restriction being restrict(nu) + key/D (see `_orbit`).  h is read
+    only as an exact scalar (`as_rational`): the orbit does not depend on it.
     """
+    as_rational(h)
     entry = lookup(g)
     data = _P_plus_data(entry, k, nu)
     if data is None:
@@ -1070,14 +1066,18 @@ def weyl_orbit(g: AlgebraId, k, nu: Vec, h, q_max) -> List[Tuple[Vec, int, Fract
 # character formulas
 
 
-def _orbit_sum(entry: CatalogEntry, start: tuple, sc: _NuScalars, top: int, dcap: int,
-               track_iso: bool) -> Dict[int, Dict[Vec, int]]:
+# A bench char_warm pass reads 44 distinct keys, and each sum holds one
+# character's levels (110 terms for the G3 case): 128 keeps such a sweep
+# whole while bounding what a long-lived process holds.
+@lru_cache(maxsize=128)
+def _orbit_sum(aid: AlgebraId, nd: int, nx: tuple, start: tuple, top: int, dcap: int,
+               track_iso: bool, cap: int) -> Dict[int, Dict[Vec, int]]:
     """The l0-free orbit sum: det * q^q_shift exp(restriction) * fns summed
-    over the orbit of nu walked from `start` (`_start`, `_orbit`), nu given
-    by its scalars `sc`, cut at (window, depth) around nu, as published
-    levels {index j: {weight: coefficient}} (`_sum_pieces`), empty when
-    the window is negative, given as its kernel window (T, dcap) = (top,
-    dcap).  The int denominator series is read
+    over the orbit of nu = nx/nd walked from `start` (`_start`, `_orbit`),
+    cut at (window, depth) around nu, as published levels {index j:
+    {weight: coefficient}} (`_sum_pieces`), empty when the window is
+    negative, given as its kernel window (T, dcap) = (top, dcap); `cap` is
+    ORBIT_CAP.  The int denominator series is read
     directly by `_sum_pieces`, each orbit element's head being its int key
     relative to restrict(nu) (`_orbit`) and its int q_shift: each element gets
     one int q ceiling and one int depth cap, the kept terms are merged over
@@ -1088,6 +1088,22 @@ def _orbit_sum(entry: CatalogEntry, start: tuple, sc: _NuScalars, top: int, dcap
     quotient cached under the denominator's key and the element's image
     (`_fns_cached`), read as it is.
 
+    The key.  The sum reads nothing but its arguments, the family's entry
+    (`lookup`) and nu's restriction (`_Lattice.restricted` of nd and nx),
+    so it is cached on them.  nu is keyed by its coordinates as ints over
+    their least common denominator (`CatalogEntry._scaled`, read off its
+    scalars): equal values key alike, and the key hashes ints, not
+    `Fraction`s, each of whose hashes takes a modular inverse.  The start's
+    eta pairings stand for k: `_character` caps each at floor(T/2) + 1 when
+    none is negative, so that levels at which no eta step fits the window
+    share one sum.  The cap is exact: an eta pairing above floor(T/2) gives
+    the same walk, step by step, whatever its value (`_orbit`, Capped eta
+    pairings), and T < 0 gives the empty sum whatever the start.  The orbit
+    cap is in the key because `_orbit` reads ORBIT_CAP at call time: a sum
+    found under one cap is never served under a lower one, where it has to
+    raise.  A sum that raises is not cached, so the next request of the key
+    computes it again.
+
     No l0.  The character at conformal weight l0, the sum over w of
     det(w) q^(l0 + q_shift(w)) exp(restriction) * fns cut at q <= q_max,
     reads l0 only through the window q_max - l0, in three places: the orbit
@@ -1097,11 +1113,9 @@ def _orbit_sum(entry: CatalogEntry, start: tuple, sc: _NuScalars, top: int, dcap
     exponent l0 + j/2, exactly when j <= floor(2(q_max - l0)) = T.  The
     depth cut, dcap, is around nu.  So the character is this sum with
     level j placed at l0 + j/2 (`_placed`): two characters of one (family,
-    start, nu, T, dcap, kind) are one sum at two exponents, and the
-    characters cache the sum per such key, its eta pairings capped
-    (`_orbit_cell`).  The sum reads k only through the start's eta
-    pairings.  A massless character has l0 = A(k, nu), which (k, nu)
-    fixes, so q_max fixes its window.
+    start, nu, T, dcap, kind) are one sum at two exponents.  The sum reads
+    k only through the start's eta pairings.  A massless character has l0
+    = A(k, nu), which (k, nu) fixes, so q_max fixes its window.
 
     Quotients.  A massless piece depends only on its key (`_fns_cached`,
     Quotients): the denominator's family and reach window below and the
@@ -1115,23 +1129,35 @@ def _orbit_sum(entry: CatalogEntry, start: tuple, sc: _NuScalars, top: int, dcap
     bound in it.
 
     Window.  The denominator is built in the kernel window of exactly what
-    the orbit reads, in ints.  Element e (head shift q_shift) is read at
-    the levels t <= T - 2 q_shift, and there at the depth entries
-    d <= dcap - key[0] (`_sum_pieces`).  Let s_min = min(0, the least
-    q_shift); an element with q_shift < 0 (extremal weights, see `_orbit`)
-    reads up to level T - 2 s_min.  With the int need = max(0, max over e
-    of (-key[0] - dip * (q_shift - s_min))), the build's reach window is
-    (T - 2 s_min, dcap + need).  Its cap at level t is dcap + need +
-    floor(dip (T - 2 s_min - t)/2) (`_window`), so at t <= T - 2 q_shift it
-    is at least dcap + need + dip (q_shift - s_min) >= dcap - key[0] for
-    every element: every term an element reads is exact; the isotropic
-    divisions are margin-checked steps in the same window.  need is 0
-    from a dominant start (Kac, Infinite-dimensional Lie algebras, Lemma
-    3.11 / Prop. 3.12): lam0 - w lam0 = sum n_alpha alpha + sum m_i eta_i
-    with n, m >= 0, so the restriction moves by -sum n_alpha alpha +
-    sum m_i theta_i, at most sum m_i ht(theta_i) above nu, and q_shift =
-    sum m_i; each theta_i is a positive root of g^nat, so ht(theta_i) <= s
-    and -key[0] <= dip * q_shift.
+    the orbit reads, in ints: the reach window (T - 2 s_min, dcap), s_min =
+    min(0, the least q_shift).  Element e is read at the levels
+    t <= T - 2 q_shift, and there at the depth entries d <= dcap - key[0]
+    (`_sum_pieces`).  The build's cap at such a t is dcap + floor(dip (T -
+    2 s_min - t)/2) >= dcap + dip (q_shift - s_min) (`_window`), so every
+    term an element reads is exact once -key[0] <= dip (q_shift - s_min);
+    the isotropic divisions are margin-checked steps in the same window.
+    -key[0] is scale times the height the restriction has risen above nu's
+    (`_orbit`, Coordinates), and the inequality holds on every orbit (Kac,
+    Infinite-dimensional Lie algebras, Lemma 3.11 / Prop. 3.12):
+    1. From a dominant point x: x - w x = sum n_alpha alpha + sum m_i eta_i
+       with n, m >= 0, so the restriction moves by -sum n_alpha alpha +
+       sum m_i theta_i and q_shift by sum m_i; scale ht(theta_i) <= dip, a
+       positive root's, so -key[0](w x) <= -key[0](x) + dip (q_shift(w x)
+       - q_shift(x)).  With no eta pairing negative, x = lam0 (s_min = 0).
+    2. Else x, the fold of lam0 (`_orbit`, point 3), is kept, with s_min <=
+       q_shift(x) <= 0, and (1) from x suffices once key[0](x) >= 0, with
+       dip (q_shift(x) - s_min) to spare: folding must not raise the height.
+    3. It does not.  The components fold apart; take one, theta = theta_i,
+       at level K = <lam0, eta_i^vee + theta^vee> = (k + h_vee)(2/u_i)
+       (`_start`), lam0's finite part p dominant (nu + rho^nat).  K > 0: x
+       pairs >= 0 with both coroots, and at K = 0 every finite part would
+       stay in W^nat p, which misses 0.  While <p, theta^vee> > K, an eta_i
+       step gives p - c theta, 0 < c < <p, theta^vee>, in the convex hull
+       of W^nat p; its dominant image q has p - q a non-negative sum of
+       simple roots (as p - w p has for every w in W^nat), so it is no
+       higher than p.  Each round shortens p (the wall <v, theta^vee> = K
+       parts p from 0), and the orbit's finite parts are discrete, so the
+       rounds end, at the dominant x, no higher than nu + rho^nat.
 
     The denominator identity.  Let k_rho be a level at which lam0 =
     (k + h_vee) Lambda_0 + rho^nat pairs to 1 with every affine simple
@@ -1147,70 +1173,35 @@ def _orbit_sum(entry: CatalogEntry, start: tuple, sc: _NuScalars, top: int, dcap
     affine roots do not); the tests check this on seven families."""
     if top < 0:
         return {}
+    entry = lookup(aid)
     orbit = _orbit(entry, start, top // 2, track_iso)
-    lat, s_min = entry.lattice, min(0, orbit[0].q_shift)  # sorted on q_shift first
-    need, dip = 0, lat.dip
-    for el in orbit:
-        need = max(need, -el.key[0] - dip * (el.q_shift - s_min))
-    aid, rt, rc = entry.id, top - 2 * s_min, dcap + need  # the reach window
-    pieces = [_fns_cached(aid, rt, rc, el.image) for el in orbit] if track_iso \
-        else repeat(_fns_cached(aid, rt, rc))
-    return _sum_pieces(lat, lat.restricted(sc.d, sc.x), top, dcap,
+    lat, rt = entry.lattice, top - 2 * min(0, orbit[0].q_shift)  # sorted on q_shift first
+    pieces = [_fns_cached(aid, rt, dcap, el.image) for el in orbit] if track_iso \
+        else repeat(_fns_cached(aid, rt, dcap))
+    return _sum_pieces(lat, lat.restricted(nd, nx), top, dcap,
                        [(el.key, el.q_shift, el.det) for el in orbit], pieces,
-                       _window(lat, rt, rc)[1])[0]
-
-
-# A bench char_warm pass reads 44 distinct keys, and each cell holds one
-# character's levels (110 terms for the G3 case): 128 keeps such a sweep
-# whole while bounding what a long-lived process holds.
-@lru_cache(maxsize=128)
-def _orbit_cell(g: AlgebraId, nd: int, nx: tuple, eta: tuple, top: int, dcap: int,
-                track_iso: bool, cap: int) -> list:
-    """The cell of one l0-free orbit sum (`_orbit_sum`): per (family,
-    nu = nx/nd, eta pairings of the start, kernel window (top, dcap),
-    massless or not, orbit cap), a list that `_character` fills with the
-    sum on the first request of the key.  The cell is
-    cached rather than `_orbit_sum`, so that the sum is computed from the
-    start and nu's scalars the request already read, and the key holds only
-    what fixes the sum, which reads its window only through T and dcap
-    and the level only through the start's eta pairings (`_orbit_sum`).
-    nu is keyed by its coordinates as ints over their least common
-    denominator (`CatalogEntry._scaled`, read off its scalars), which fix
-    the pairings of the simple roots of g^nat in the start: equal values
-    key alike, and the key hashes ints, not `Fraction`s, each of whose
-    hashes takes a modular inverse.  The eta pairings stand for k: each is
-    capped at floor(T/2) + 1 when none is negative (`_character`), so
-    levels at which no eta step fits the window share one sum.  The cap is
-    exact: an eta pairing above floor(T/2) gives the same walk, step by
-    step, whatever its value (`_orbit`, Capped eta pairings), and T < 0
-    gives the empty sum whatever the start.  The orbit cap is in the key
-    because `_orbit` reads ORBIT_CAP at call time: a sum found under one
-    cap is never served under a lower one, where it has to raise.  A sum that raises leaves its cell
-    empty, so the next request of the key computes it again."""
-    return []
+                       _window(lat, rt, dcap)[1])[0]
 
 
 def _character(entry: CatalogEntry, rec: _Level, sc: _NuScalars, nu: Vec, l0: Fraction,
                q_max: Fraction, depth: Fraction, track_iso: bool) -> QWSeries:
     """The character at conformal weight l0, cut at (q_max, depth) around
     nu, once its preconditions hold (`rec` and `sc` the level record and
-    nu's scalars they read): the orbit sum of its key (`_orbit_cell`),
-    computed on the key's first request, placed at l0 (`_placed`).  The
-    start (`_start`) is read on every request, a hit included, so its
-    integrality check runs on each.  The kernel window (T, C) of (q_max -
-    l0, depth) is snapped from the ints of q_max, l0 and depth
-    (`_Lattice.window`), with no `Fraction` difference."""
+    nu's scalars they read): the cached orbit sum of its key (`_orbit_sum`,
+    The key), placed at l0 (`_placed`).  The start (`_start`) is read on
+    every request, a hit included, so its integrality check runs on each.
+    The kernel window (T, C) of (q_max - l0, depth) is snapped from the
+    ints of q_max, l0 and depth (`_Lattice.window`), with no `Fraction`
+    difference."""
     out = QWSeries(entry, q_max, depth, nu)
-    lat, start = entry.lattice, _start(entry, rec, sc)
-    top, dcap = lat.window(q_max, depth, l0)
-    eta = start[len(start) - len(entry.components):]
-    if min(eta) >= 0:
+    start = _start(entry, rec, sc)
+    top, dcap = entry.lattice.window(q_max, depth, l0)
+    s = len(start) - len(entry.components)
+    if min(start[s:]) >= 0:
         lim = top // 2 + 1
-        eta = tuple([n if n < lim else lim for n in eta])
-    cell = _orbit_cell(entry.id, sc.d, tuple(sc.x), eta, top, dcap, track_iso, ORBIT_CAP)
-    if not cell:
-        cell.append(_orbit_sum(entry, start, sc, top, dcap, track_iso))
-    return _placed(out, l0, cell[0])
+        start = start[:s] + tuple([n if n < lim else lim for n in start[s:]])
+    return _placed(out, l0, _orbit_sum(entry.id, sc.d, tuple(sc.x), start, top, dcap,
+                                       track_iso, ORBIT_CAP))
 
 
 def character_massive(g: AlgebraId, k, nu: Vec, l0, q_max, depth) -> QWSeries:

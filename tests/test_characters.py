@@ -16,7 +16,7 @@ import wmin
 from wmin import catalog, characters, gram_lab, levels
 from wmin.catalog import Vec, _Lattice, lookup, zero_vec
 from wmin.characters import (QWSeries, _bucketed, _fns_cached, _held_windows, _LatticeSeries,
-                             _n4_range, _orbit, _orbit_cell, _orbit_sum, _placed, _start,
+                             _n4_range, _orbit, _orbit_sum, _placed, _start,
                              _sum_pieces, _window, character_massive, character_massless,
                              depth_of, ell_of_h, fns_series, h_pair, n4_closed_form,
                              series_from_records, verma_character, weyl_orbit)
@@ -50,8 +50,9 @@ def _orbit_sum_at(e, k, nu, l0, q_max, depth, track_iso):
     it, at the window q_max - l0 and placed at l0: the character, uncached."""
     q_max, depth, lat, sc = Q(q_max), Q(depth), e.lattice, e._scalars(nu)
     return _placed(QWSeries(e, q_max, depth, nu), Q(l0),
-                   _orbit_sum(e, _start(e, _record(e, k), sc), sc,
-                              *lat.window(q_max - l0, depth), track_iso))
+                   _orbit_sum.__wrapped__(e.id, sc.d, tuple(sc.x), _start(e, _record(e, k), sc),
+                                          *lat.window(q_max - l0, depth), track_iso,
+                                          characters.ORBIT_CAP))
 
 
 def _start_by_the_affine_form(e, k, nu):
@@ -451,7 +452,7 @@ def test_changing_a_series_changes_no_cached_sum():
     """A caller who changes the terms of a returned character, a level or
     the map of levels, leaves the cached orbit sum as it was: the next
     request of the key, a hit, equals a cold call."""
-    _orbit_cell.cache_clear()
+    _orbit_sum.cache_clear()
     cold = character_massive(G, -3, ZERO, 1, 4, 6).records()
     for massless in (False, True):
         s = character_massless(G, -3, ZERO, 4, 6) if massless else \
@@ -461,10 +462,10 @@ def test_changing_a_series_changes_no_cached_sum():
         s.terms[low][Vec([1, 2, 3, 4])] = 1
         s.terms[high].clear()
         del s.terms[high]
-    assert _orbit_cell.cache_info().currsize == 2
+    assert _orbit_sum.cache_info().currsize == 2
     assert character_massive(G, -3, ZERO, 1, 4, 6).records() == cold
     warm = character_massless(G, -3, ZERO, 4, 6).records()
-    _orbit_cell.cache_clear()
+    _orbit_sum.cache_clear()
     assert warm == character_massless(G, -3, ZERO, 4, 6).records()
 
 
@@ -656,7 +657,7 @@ def test_cached_quotients_are_exact_across_requests(case):
     nu = zero_vec(e.n)
 
     def char(k):
-        _orbit_cell.cache_clear()
+        _orbit_sum.cache_clear()
         return character_massless(g, k, nu, A_bound(g, k, nu) + window, depth).records()
 
     _fns_cached.cache_clear()
@@ -724,8 +725,8 @@ def test_orbit_sum_builds_the_window_its_orbit_reads(case):
     depth + window * `_theta_height`, massive and massless; every
     `_fns_cached` call, the isotropic quotients of a massless sum included,
     is in that one kernel window (T, C), whose T is that of the reach, the
-    plain denominator asked with three arguments; from a dominant start it
-    needs no headroom: (T, C) is the window of (window, depth)."""
+    plain denominator asked with three arguments; it needs no depth
+    headroom, from an extremal start too: C is that of (window, depth)."""
     g, k, nu, above, window, depth = case
     e = lookup(g)
     l0, track_iso = A_bound(g, k, nu) + (above or 0), above is None
@@ -739,8 +740,44 @@ def test_orbit_sum_builds_the_window_its_orbit_reads(case):
     ((_, top, cap),) = {a[:3] for a in built}
     orbit = _orbit_at(e, k, nu, window, track_iso)
     assert top == math.floor(2 * (window - min([0] + [el.q_shift for el in orbit])))
-    if all(p >= 0 for p in _start_by_the_affine_form(e, k, nu)):
-        assert (top, cap) == e.lattice.window(window, depth), case
+    assert cap == e.lattice.window(window, depth)[1], case
+
+
+# (family, unitary levels, weights of P^+_k per level) of the headroom check
+HEADROOM_FAMILIES = [(G, 4, 6), (catalog.spo2m(3), 4, 6), (catalog.spo2m(5), 3, 6),
+                     (catalog.spo2m(6), 3, 4), (catalog.d21a(2, 3), 3, 6), (catalog.d21a(2), 3, 6),
+                     (catalog.g3(), 3, 6), (catalog.f4(), 2, 3)]
+
+
+def test_orbits_need_no_depth_headroom():
+    """The Window argument of `_orbit_sum`: on every element of every orbit
+    walked, -key[0] <= dip (q_shift - s_min), s_min = min(0, the least
+    q_shift), so the reach window (T - 2 s_min, C) holds every term an
+    element reads.  Over the first levels and weights of eight algebras,
+    the weights of sl(2|3), whose center takes any weight, and spo2m(3)'s
+    extremal starts (k = -1, r = 2; k = -5/4, r = 3), walked to limits 0..3,
+    massive and massless.  Where the start is not dominant, s_min < 0, and
+    an element at the least shift, the fold of lam0, has key[0] >= 0."""
+    cases = [(g, k, nu) for g, levels, count in HEADROOM_FAMILIES
+             for k in enumerate_unitary_k(g, levels) for nu in enumerate_P_plus_k(g, k)[:count]]
+    cases += [(SL2M3_CASE[0], SL2M3_CASE[1], nu) for nu in SL2M3_CASE[2]]
+    spo3 = catalog.spo2m(3)
+    cases += [(spo3, k, lookup(spo3).nu_from_labels([r])) for k, r in [(Q(-1), 2), (Q(-5, 4), 3)]]
+    extremal = set()
+    for g, k, nu in cases:
+        e = lookup(g)
+        start, dip = _start(e, _record(e, k), e._scalars(nu)), e.lattice.dip
+        for limit in range(4):
+            for track_iso in (False, True):
+                orbit = _orbit(e, start, limit, track_iso)
+                s_min = min(0, orbit[0].q_shift)
+                assert all(-el.key[0] <= dip * (el.q_shift - s_min) for el in orbit), \
+                    (g, k, nu, limit, track_iso)
+                assert (s_min < 0) == (min(start) < 0), (g, k, nu)
+                if s_min < 0:
+                    extremal.add((g, k))
+                    assert any(el.key[0] >= 0 for el in orbit if el.q_shift == s_min), (g, k, nu)
+    assert {(spo3, Q(-1)), (spo3, Q(-5, 4))} <= extremal
 
 
 @given(window_cases())
@@ -837,7 +874,7 @@ def test_weight_table_at_cap_one_changes_no_record(monkeypatch):
     than one weight."""
     def sweep():
         _fns_cached.cache_clear()
-        _orbit_cell.cache_clear()
+        _orbit_sum.cache_clear()
         characters._weights.clear()
         return [s.records() for s in _published_samples()]
 
@@ -1683,16 +1720,16 @@ SPO3 = catalog.spo2m(3)
 def test_held_windows_answer_as_their_own_builds(case):
     """`_fns_cached` answers a window from a held series whose window
     contains it: over a sequence of requests of one family, each equals the
-    request computed with `_fns_cached` and `_orbit_cell` emptied before
+    request computed with `_fns_cached` and `_orbit_sum` emptied before
     it, its refusals included."""
     g, k, requests = case
     cold = []
     for r in requests:
         _fns_cached.cache_clear()
-        _orbit_cell.cache_clear()
+        _orbit_sum.cache_clear()
         cold.append(_request(g, k, *r))
     _fns_cached.cache_clear()
-    _orbit_cell.cache_clear()
+    _orbit_sum.cache_clear()
     assert [_request(g, k, *r) for r in requests] == cold, case
 
 
@@ -1819,7 +1856,7 @@ def test_a_character_is_that_of_its_snapped_window(case):
 
     def answer(window, depth):
         _fns_cached.cache_clear()
-        _orbit_cell.cache_clear()
+        _orbit_sum.cache_clear()
         try:
             got = character_massless(g, k, nu, l0 + window, depth) if massless \
                 else character_massive(g, k, nu, l0, l0 + window, depth)
@@ -1918,13 +1955,13 @@ def _plain(x):
 def test_store_keys_hold_no_fraction(monkeypatch):
     """Massive, massless, Verma and closed-form requests pass only ints
     below the character functions: every argument of `_fns_cached`,
-    `_orbit_cell`, `_orbit` and `_sum_pieces` is an int, a bool, None, an
+    `_orbit_sum`, `_orbit` and `_sum_pieces` is an int, a bool, None, an
     `AlgebraId` or a tuple or list of those, apart from the frames, records
     and kernel series they are handed; and afterwards every key of
     `_fns_cached`'s store and every window it holds is made of ints, None
     and the `AlgebraId`: no lookup hashes a `Fraction`."""
     _fns_cached.cache_clear()
-    _orbit_cell.cache_clear()
+    _orbit_sum.cache_clear()
     frames = (catalog.CatalogEntry, _Lattice, levels._Level, catalog._NuScalars)
     seen = {}
 
@@ -1938,7 +1975,7 @@ def test_store_keys_hold_no_fraction(monkeypatch):
         monkeypatch.setattr(characters, name, wrapper)
 
     spy("_fns_cached", _fns_cached)
-    spy("_orbit_cell", _orbit_cell)
+    spy("_orbit_sum", _orbit_sum)
     spy("_orbit", _orbit)
     spy("_sum_pieces", _sum_pieces, series_at=5)
     character_massive(G, -3, ZERO, 1, Q(17, 5), Q(7, 3))
@@ -1948,7 +1985,7 @@ def test_store_keys_hold_no_fraction(monkeypatch):
     fns_series(catalog.g3(), 2, 3)
     n4_closed_form(2, 1, Q(7, 2), Q(10, 3))
     monkeypatch.undo()
-    assert set(seen) == {"_fns_cached", "_orbit_cell", "_orbit", "_sum_pieces"}, seen
+    assert set(seen) == {"_fns_cached", "_orbit_sum", "_orbit", "_sum_pieces"}, seen
 
     cells = dict(zip(_fns_cached.__code__.co_freevars,
                      (c.cell_contents for c in _fns_cached.__closure__)))
@@ -1989,11 +2026,11 @@ def test_equal_kernel_windows_are_built_and_summed_once():
         assert not (two[0] <= one[0] and two[1] + Q(lat.dip, lat.scale) * two[0]
                     <= one[1] + Q(lat.dip, lat.scale) * one[0])
         _fns_cached.cache_clear()
-        _orbit_cell.cache_clear()
+        _orbit_sum.cache_clear()
         want, got = first(), second()
         assert got.n_terms() > 0
         assert got.terms == {q - shift: lvl for q, lvl in want.terms.items()}
-        assert (_fns_cached.cache_info().misses, _orbit_cell.cache_info().misses) == (1, 1)
+        assert (_fns_cached.cache_info().misses, _orbit_sum.cache_info().misses) == (1, 1)
 
 
 # (family, unitary levels, weights of P^+_k per level, window, depth): a sweep
@@ -2027,16 +2064,18 @@ def _level_sweep(g, levels, count, window, depth):
 
 def test_levels_that_share_an_orbit_cell_answer_as_fresh_sums():
     """An orbit sum is keyed by the start's eta pairings, capped at
-    floor(T/2) + 1 when none is negative, in place of k (`_orbit_cell`):
+    floor(T/2) + 1 when none is negative, in place of k (`_orbit_sum`):
     over a sweep of each weight over its levels, at one window and depth,
     on seven algebras, every request equals the same request computed with
     the character caches emptied before it, refusals included, and each
-    algebra answers some requests from a cell built at another level.  The
+    algebra answers some requests from a sum cached at another level.  The
     sweeps meet D(2,1;a) starts with one eta pairing capped and the other
     not, and spo2m(3)'s extremal starts, whose pairing -1 is never capped.
     (Each eta pairing M_i(k) + chi_i + 1 - nu(theta_i^vee) moves with k, so
-    two levels share a cell only where every pairing is capped.)  A key
-    capped at floor(T/2), or one without the eta pairings, fails."""
+    two levels share a sum only where every pairing is capped.)  The capped
+    start is also the start walked, so a cap at floor(T/2) lets an eta step
+    into the window and changes the sum itself, fresh or cached: the work
+    counts and `test_character_refines` catch that."""
     capped_one = negative = 0
     for g, levels, count, window, depth in LEVEL_SWEEPS:
         e = lookup(g)
@@ -2051,16 +2090,16 @@ def test_levels_that_share_an_orbit_cell_answer_as_fresh_sums():
             return got.records()
 
         _fns_cached.cache_clear()
-        _orbit_cell.cache_clear()
+        _orbit_sum.cache_clear()
         shared = []
         for r in reqs:
-            hits = _orbit_cell.cache_info().hits
-            shared.append((r, answer(*r), _orbit_cell.cache_info().hits > hits))
+            hits = _orbit_sum.cache_info().hits
+            shared.append((r, answer(*r), _orbit_sum.cache_info().hits > hits))
         assert any(hit for _, _, hit in shared), g
         limit = e.lattice.window(window, depth)[0] // 2
         for r, got, hit in shared:
             _fns_cached.cache_clear()
-            _orbit_cell.cache_clear()
+            _orbit_sum.cache_clear()
             assert answer(*r) == got, (g, r, hit)
             start = _start(e, _record(e, r[1]), e._scalars(r[2]))
             eta = start[len(start) - len(e.components):]
@@ -2092,7 +2131,7 @@ def test_massive_requests_at_the_threshold_refuse_and_just_above_answer():
                 a, extremal = A_bound(g, k, nu), is_extremal(g, k, nu)
                 reqs += [(k, nu, a + off, extremal) for off in (-Q(1, 1000), 0, Q(1, 1000))]
         _fns_cached.cache_clear()
-        _orbit_cell.cache_clear()
+        _orbit_sum.cache_clear()
         swept = [answer(*r[:3]) for r in reqs]
         for (k, nu, l0, extremal), got in zip(reqs, swept):
             if extremal:
@@ -2104,11 +2143,11 @@ def test_massive_requests_at_the_threshold_refuse_and_just_above_answer():
                 assert isinstance(got, list) and got, (g, k, nu, l0)
                 answered += 1
             _fns_cached.cache_clear()
-            _orbit_cell.cache_clear()
+            _orbit_sum.cache_clear()
             assert answer(k, nu, l0) == got, (g, k, nu, l0)
-            hits = _orbit_cell.cache_info().hits
+            hits = _orbit_sum.cache_info().hits
             assert answer(k, nu, l0) == got, (g, k, nu, l0)
-            assert _orbit_cell.cache_info().hits == hits + isinstance(got, list)
+            assert _orbit_sum.cache_info().hits == hits + isinstance(got, list)
     assert answered
 
 
@@ -2151,18 +2190,18 @@ def test_held_window_past_the_packing_bound_answers_its_own():
             cold = []
             for call in requests:
                 _fns_cached.cache_clear()
-                _orbit_cell.cache_clear()
+                _orbit_sum.cache_clear()
                 cold.append(answer(call))
             assert all("packing bound" in r for r in cold[:4])
             assert all(isinstance(r, list) and r for r in cold[4:])
             assert cold[7] == cold[4]
             _fns_cached.cache_clear()
-            _orbit_cell.cache_clear()
+            _orbit_sum.cache_clear()
             assert [answer(call) for call in requests] == cold
             assert _fns_cached.cache_info().hits > 0
         finally:  # nothing built on the small frame outlives it
             _fns_cached.cache_clear()
-            _orbit_cell.cache_clear()
+            _orbit_sum.cache_clear()
 
 
 def test_character_caches_stay_bounded_over_d21a_sweep():
@@ -2171,7 +2210,7 @@ def test_character_caches_stay_bounded_over_d21a_sweep():
     drive `_fns_cached` past its bound), nested psl22 windows in descending
     and ascending order, plain and massless, the boson energies
     past the bound of their cache and the orbit-sum keys past the bound of
-    `_orbit_cell`, leaves every cache of every
+    `_orbit_sum`, leaves every cache of every
     `wmin` module at or under its bound.  `lookup` is the only per-algebra
     cache: the frames (`_Lattice`) still alive afterwards are at most those
     held by its entries and by the cached denominator series and
@@ -2216,12 +2255,12 @@ def test_character_caches_stay_bounded_over_d21a_sweep():
             for m in pkgutil.iter_modules(wmin.__path__)]
     caches = [f for mod in mods for f in vars(mod).values()
               if hasattr(f, "cache_info") and f.__module__ == mod.__name__]
-    bound = _orbit_cell.cache_info().maxsize
+    bound = _orbit_sum.cache_info().maxsize
     for depth in range(bound + 4):  # more orbit-sum keys than the cache holds
         character_massive(G, -3, ZERO, 1, 1, depth)
-    assert _orbit_cell.cache_info().currsize == bound
+    assert _orbit_sum.cache_info().currsize == bound
     assert len(caches) >= 6
-    assert {catalog.lookup, gram_lab.states_at_energy, _fns_cached, _orbit_cell} <= set(caches)
+    assert {catalog.lookup, gram_lab.states_at_energy, _fns_cached, _orbit_sum} <= set(caches)
     for f in caches:
         info = f.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize, f
@@ -2438,7 +2477,7 @@ def test_characters_are_one_orbit_sum_placed_at_l0(case):
         return character_massive(g, k, nu, l0, q_max, depth)
 
     def cold(l0, q_max):
-        _orbit_cell.cache_clear()
+        _orbit_sum.cache_clear()
         return char(l0, q_max)
 
     l0, l0b = (a, a + d2) if massless else (a + d, a + d2)
@@ -2453,6 +2492,6 @@ def test_characters_are_one_orbit_sum_placed_at_l0(case):
         requests = [(l0, l0 + window), (l0b, l0b + window), (l0b, l0 + window),
                     (l0, l0b + window)]
     want = [cold(*r).records() for r in requests]
-    _orbit_cell.cache_clear()
+    _orbit_sum.cache_clear()
     for _ in range(2):
         assert [char(*r).records() for r in requests] == want, case

@@ -159,7 +159,7 @@ def test_public_calls_keep_the_error_contract(data):
     coefficients.  An example may spoil one argument with a value that is
     no rational, or a huge or tiny one.  Each draw is called at two levels
     at one weight, so that a second character request may read an orbit
-    sum cached at the first level (`characters._orbit_cell`).
+    sum cached at the first level (`characters._orbit_sum`).
     `parse_rational` refuses with its documented `ValueError` only."""
     with bounded():
         for fn, args in drawn_calls(data):

@@ -108,6 +108,7 @@ def _float_calls():
         ("verma_character", lambda: wmin.verma_character(g, nu, 0.5, 3, 4)),
         ("virasoro_check", lambda: wmin.virasoro_check(GR.imag(1), 0.5, 1, 1, 4)),
         ("weyl_orbit", lambda: wmin.weyl_orbit(g, -3, nu, 0, 3.0)),
+        ("weyl_orbit", lambda: wmin.weyl_orbit(g, -3, nu, 0.5, 3)),
         ("Vec", lambda: wmin.Vec([0.1, 0, 0, 0])),
         ("Vec.__mul__", lambda: nu * 0.5),
         ("GaussianRational", lambda: GR(0.5)),

@@ -40,7 +40,7 @@ def test_stage_times():
                                 "out_terms")} == {"denominator_terms": 875,
                                                   "orbit_elements": 36,
                                                   "kept_terms": 2942, "out_terms": 110}
-    # the orbit is walked to q_shift 2 = floor(T/2), and the cell key reads
+    # the orbit is walked to q_shift 2 = floor(T/2), and the sum's key reads
     # k as the start's one eta pairing, 1, below limit + 1, so kept as it is
     assert (got["limit"], got["eta_pairings"]) == (2, [1])
     # the denominator is built in the window the orbit reads: the kernel
@@ -58,7 +58,7 @@ def test_stage_times():
             for name, info in got["caches"].items()} == {"lookup": (1, 64),
                                                          "_level": (1, 128),
                                                          "_fns_cached": (1, 32),
-                                                         "_orbit_cell": (1, 128)}
+                                                         "_orbit_sum": (1, 128)}
     assert got["caches"]["_fns_cached"]["hits"] == 1
     assert got["caches"]["_level"]["hits"] == 1
     # the third request places the cached orbit sum
@@ -116,7 +116,7 @@ def test_stage_times_pinned_spo2m3_miss():
     assert got["weights_built"] == {"cold": 7, "warm": 0, "hit": 0, "contained": 0}
     assert got["weights_held"] == 7
     # window 2: walked to q_shift 2, and its eta pairing 1 is below
-    # limit + 1 = 3, so it stays in the cell key as it is
+    # limit + 1 = 3, so it stays in the sum's key as it is
     assert (got["limit"], got["eta_pairings"]) == (2, [1])
 
 
@@ -211,3 +211,15 @@ def test_stage_times_setup():
                for f in got["families"].values())
     assert all(t > 0 for f in got["families"].values() for t in f.values())
     assert got["lookup_validate_s"] > 0
+
+
+def test_loc_totals_are_the_sums_of_its_rows():
+    """`scripts/loc.py` prints one row per module of `src/wmin`, lines and
+    code lines, code never more than lines, and a last row that sums them."""
+    header, *rows, total = [line.split() for line in run_script("loc.py")]
+    assert header == ["module", "lines", "code"] and total[0] == "total"
+    table = {name: (int(lines), int(code)) for name, lines, code in rows}
+    assert {"characters", "catalog", "__init__"} <= table.keys()
+    assert all(0 < code <= lines for lines, code in table.values())
+    assert [int(total[1]), int(total[2])] == [sum(c[0] for c in table.values()),
+                                              sum(c[1] for c in table.values())]

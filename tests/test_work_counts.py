@@ -16,29 +16,29 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads as W  # noqa: E402
 
 
-@pytest.mark.parametrize("workload,builds,hits,cells,weights", [("char_cold", 23, 42, (51, 0), 68),
+@pytest.mark.parametrize("workload,builds,hits,sums,weights", [("char_cold", 23, 42, (51, 0), 68),
                                                                 ("char_warm", 7, 82, (44, 58), 63)],
                          ids=["char_cold", "char_warm"])
-def test_seed3_pool_work_counts(workload, builds, hits, cells, weights):
+def test_seed3_pool_work_counts(workload, builds, hits, sums, weights):
     """One pass over a seed-3 pool builds `builds` windows of the
     denominator store (`_fns_cached` misses: denominators and isotropic
     quotients) and answers `hits` of its callers' calls from a held series
     (a quotient build's own read of its denominator is not counted), computes
-    and reads orbit sums as `cells` gives them, the (misses, hits) of
-    `_orbit_cell`, and leaves one key per distinct published weight in the
-    table of `_publish`.  A char_warm pass shares cells between levels at
-    which no eta step fits the window (`_orbit_cell`), so it computes 44
+    and reads orbit sums as `sums` gives them, the (misses, hits) of
+    `_orbit_sum`, and leaves one key per distinct published weight in the
+    table of `_publish`.  A char_warm pass shares sums between levels at
+    which no eta step fits the window (`_orbit_sum`), so it computes 44
     sums for its 102 requests."""
     reqs = W.generate(workload, 3, W.NOMINAL_SECONDS, W.load_golden())
     runner = W.Runner()
     characters._fns_cached.cache_clear()
-    characters._orbit_cell.cache_clear()
+    characters._orbit_sum.cache_clear()
     characters._weights.clear()
     for req in reqs:
         runner.call(runner.prepare(req))
-    info, cell = characters._fns_cached.cache_info(), characters._orbit_cell.cache_info()
+    info, cached = characters._fns_cached.cache_info(), characters._orbit_sum.cache_info()
     assert (info.misses, info.hits) == (builds, hits)
-    assert (cell.misses, cell.hits) == cells
+    assert (cached.misses, cached.hits) == sums
     assert len(characters._weights) == len(set(characters._weights.values())) == weights
 
 
@@ -62,13 +62,13 @@ def test_seed3_char_warm_hits_build_one_fraction_per_published_level():
         if event == "call" and frame.f_code.co_filename == fractions.__file__:
             counts[frame.f_code.co_name] += 1
 
-    misses, old = characters._orbit_cell.cache_info().misses, sys.getprofile()
+    misses, old = characters._orbit_sum.cache_info().misses, sys.getprofile()
     sys.setprofile(profile)
     try:
         outs = [runner.call(call) for call in calls]
     finally:
         sys.setprofile(old)
-    assert characters._orbit_cell.cache_info().misses == misses  # every request a hit
+    assert characters._orbit_sum.cache_info().misses == misses  # every request a hit
     levels = sum(len(out.terms) for out in outs)
     massless = sum(req.kind == "massless" for req in reqs)
     assert (levels, massless) == (491, 20)
