@@ -6,10 +6,8 @@ the lines that hold a token of code, read with the standard library's
 `tokenize`, so that docstrings (a string that is a whole statement),
 comments and blank lines do not count.  The last row sums the columns.
 
-    python scripts/loc.py            # the package beside this script
-    python scripts/loc.py --src DIR  # the modules of another package directory
+    python scripts/loc.py
 """
-import argparse
 import io
 import tokenize
 from pathlib import Path
@@ -40,10 +38,7 @@ def counts(text: str) -> tuple:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", type=Path, default=SRC, help="package directory (default: src/wmin)")
-    args = ap.parse_args()
-    rows = [(path.stem, *counts(path.read_text())) for path in sorted(args.src.glob("*.py"))]
+    rows = [(path.stem, *counts(path.read_text())) for path in sorted(SRC.glob("*.py"))]
     width = max(len(name) for name, _, _ in rows + [("total", 0, 0)])
     print(f"{'module':<{width}}  {'lines':>6}  {'code':>6}")
     for name, total, code in rows:
