@@ -223,6 +223,11 @@ def _dot(cov: tuple, x: Sequence[int]) -> int:
     return sum([c * x[a] for a, c in cov])
 
 
+def _neg(key: tuple) -> tuple:
+    """The key of -w from the key of w (`_Lattice.key`): keys are linear."""
+    return tuple([-x for x in key])
+
+
 class _NuScalars(NamedTuple):
     """What the per-request pass (`CatalogEntry._scalars`) reads of nu, in
     ints: nu = x / d with d > 0, its level-0 pairings ps over d, and two
@@ -311,19 +316,35 @@ class CatalogEntry(_Frozen):
     @cached_property
     def coroots(self) -> tuple:
         """The coroot table: the covector (c, l) of beta^vee, over the affine simple
-        roots beta of g^nat in the order of `_Lattice`; built from `gram` alone.
-        c is stored sparse, as the (coordinate, int) pairs of its nonzero entries:
-        with (beta|.) = sum_a c'_a e_a^* / d (`_covector`), each entry
-        2c'_a/(d (beta|beta)) is an integer on every family, which the build
+        roots beta of g^nat in the order of `_Lattice`; built from the form's int
+        entries (`_gram_ints`) alone, with no `Fraction` but the level parts l.
+        c is stored sparse, as the (coordinate, int) pairs of its nonzero entries.
+        With beta's finite part x / e (`_affine_roots`) and (beta|.) = sum_a
+        c'_a e_a^* / d (`_covector`), (beta|beta) = N / (d e) for the int N =
+        c'.x, so each entry 2c'_a/(d (beta|beta)) = 2 e c'_a / N and the level
+        part 2l/(beta|beta) = 2 l d e / N (N != 0: the roots of g^nat are
+        even).  Each entry is an integer on every family, which the build
         checks; it raises, never rounds."""
         table = []
-        for fin, dc in ([(a, 0) for a in self.simple_roots_natural]
-                        + [(-1 * c.theta, 1) for c in self.components]):
-            norm = self.form(fin, fin)
-            d, cov = self._covector(fin)
-            ints = _Lattice._ints(self, "coroot covector", [2 * c / (d * norm) for _, c in cov])
-            table.append((tuple(zip([a for a, _ in cov], ints)), Q(2 * dc) / norm))
+        for e, x, dc in self._affine_roots():
+            d, cov = self._covector(e, x)
+            norm = _dot(cov, x)
+            ints = _Lattice._quotients(self, "coroot covector",
+                                       [(2 * e * c, norm) for _, c in cov])
+            table.append((tuple(zip([a for a, _ in cov], ints)), Q(2 * dc * d * e, norm)))
         return tuple(table)
+
+    def _affine_roots(self) -> list:
+        """(e, x, l) per affine simple root beta of g^nat, in the order of
+        `coroots`: its finite part as the ints x over e > 0 (`_scaled`) and
+        its delta coefficient l, (alpha, 0) for the simple roots and then
+        (-theta_i, 1) for eta_i = delta - theta_i, whose finite part is
+        theta_i's ints negated."""
+        roots = [(*self._scaled(a), 0) for a in self.simple_roots_natural]
+        for c in self.components:
+            e, x = self._scaled(c.theta)
+            roots.append((e, [-v for v in x], 1))
+        return roots
 
     def pairings(self, level, finite: Sequence) -> List[Fraction]:
         """<lam, beta^vee> = c.finite + level * l over `coroots`, for lam =
@@ -373,48 +394,69 @@ class CatalogEntry(_Frozen):
         d = math.lcm(*dens)
         return d, [c.numerator * (d // e) for c, e in zip(finite, dens)]
 
-    def _covector(self, v: Vec) -> tuple:
-        """(v|.) as (d, ((a, c), ...)): (v|lam) = sum_a c lam_a / d over the
-        nonzero ints c."""
-        cov = [Q(0)] * self.n
-        for i, j, g in self.gram:
-            cov[j] += g * v[i]
-        d = math.lcm(*(c.denominator for c in cov))
-        return d, _sparse([(c * d).numerator for c in cov])
+    @cached_property
+    def _gram_ints(self) -> tuple:
+        """(D, ((i, j, g), ...)): the entries of `gram` as the ints g over
+        their least common denominator D > 0."""
+        d = math.lcm(*[g.denominator for _, _, g in self.gram])
+        return d, tuple((i, j, g.numerator * (d // g.denominator)) for i, j, g in self.gram)
+
+    def _covector(self, e: int, x: Sequence[int]) -> tuple:
+        """(v|.) for v = x / e, e > 0, as (d, ((a, c), ...)): (v|lam) = sum_a
+        c lam_a / d over the nonzero ints c, with d > 0 the least such
+        denominator.  With the form's int entries g over D (`_gram_ints`),
+        (v|e_a) = c'_a / (D e) for the ints c'_a = sum_i g_ia x_i; the least
+        common denominator of those quotients is D e / f, f = gcd(D e, c'),
+        and c = c' / f, both divided exactly.  No `Fraction` is built."""
+        den, gram = self._gram_ints
+        cov = [0] * self.n
+        for i, j, g in gram:
+            cov[j] += g * x[i]
+        d = den * e
+        f = math.gcd(d, *cov)
+        return d // f, _sparse([c // f for c in cov])
 
     @cached_property
     def _xi_ints(self) -> tuple:
         """(d, ps): xi's level-0 pairings as the ints ps over the one d > 0,
-        read off the per-request pass (`_scalars`)."""
-        sc = self._scalars(self.xi)
-        return sc.d, sc.ps
+        as the per-request pass (`_scalars`) reads them: the coroot
+        covectors dotted with xi = x / d."""
+        d, x = self._scaled(self.xi)
+        return d, [_dot(cov, x) for cov, _ in self.coroots]
 
     @cached_property
     def _xi_cov(self) -> tuple:
         """The covector of (xi|.), as `_covector` gives it."""
-        return self._covector(self.xi)
+        return self._covector(*self._scaled(self.xi))
 
     @cached_property
     def _casimir_cov(self) -> tuple:
         """(d, form, rho2): the entries (i, j, g) of `gram` and the covector
-        of (2rho^nat|.), sparse, all as ints over the one denominator d."""
-        d_rho, rho2 = self._covector(2 * self.rho_natural)
-        d = math.lcm(d_rho, *(g.denominator for _, _, g in self.gram))
-        return (d, tuple((i, j, (g * d).numerator) for i, j, g in self.gram),
+        of (2rho^nat|.), sparse, all as ints over the one denominator d, the
+        least common multiple of the form's D (`_gram_ints`) and the
+        covector's."""
+        e, x = self._scaled(self.rho_natural)
+        d_rho, rho2 = self._covector(e, [2 * v for v in x])
+        den, gram = self._gram_ints
+        d = math.lcm(d_rho, den)
+        return (d, tuple((i, j, g * (d // den)) for i, j, g in gram),
                 tuple((a, c * (d // d_rho)) for a, c in rho2))
 
     @cached_property
     def _odd_covs(self) -> tuple:
         """(gamma, e, cov, r) for each distinct gamma of Delta', in order:
         (nu + rho^nat|gamma) = (cov.x + r d) / (e d) at nu = x / d, with cov
-        the covector of (gamma|.) and r = e (rho^nat|gamma) as ints over e."""
+        the covector of (gamma|.) and r = e (rho^nat|gamma) as ints over e.
+        With (gamma|.) over d_g and rho^nat = y / f, (rho^nat|gamma) =
+        t / (d_g f), t = cov.y, whose least denominator is d_g f / gcd(t,
+        d_g f); e is its lcm with d_g, and r = t e / (d_g f) exactly."""
+        f, y = self._scaled(self.rho_natural)
         rows = []
         for gamma in dict.fromkeys(gm for gm, _ in self.delta_prime):
-            d, cov = self._covector(gamma)
-            rg = self.form(self.rho_natural, gamma)
-            e = math.lcm(d, rg.denominator)
-            rows.append((gamma, e, tuple((a, c * (e // d)) for a, c in cov),
-                         (rg * e).numerator))
+            d, cov = self._covector(*self._scaled(gamma))
+            t, m = _dot(cov, y), d * f
+            e = math.lcm(d, m // math.gcd(t, m))
+            rows.append((gamma, e, tuple((a, c * (e // d)) for a, c in cov), t * e // m))
         return tuple(rows)
 
     @cached_property
@@ -714,21 +756,41 @@ def lookup(aid: AlgebraId) -> CatalogEntry:
 # the frame of h^nat
 
 
-def _solve_exact(mat, rhs_cols):
-    """Gaussian elimination: invert `mat` against several right-hand sides."""
+def _solve(mat: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]) -> tuple:
+    """(p, X) with mat^{-1} rhs = X / p: the int r x r matrix `mat` solved
+    against the int rows `rhs` by one fraction-free Gauss-Jordan
+    elimination (Bareiss, Math. Comp. 22, 1968), p > 0 and X ints.  Raises
+    PreconditionViolated, naming the size, when `mat` is singular.
+
+    Exactness.  Step k takes the first row at or below k that is nonzero in
+    column k as its pivot row (a swap), then replaces every other row a by
+    (p_k a - a_k row_k) / p_{k-1}, with p_k the pivot and p_{-1} = 1.  By
+    Sylvester's identity every entry after step k is a (k+1)-minor of the
+    row-permuted augmented matrix: below the pivots, the minor on rows
+    0..k and i and columns 0..k and j; in a pivot row i <= k, the one on
+    rows 0..k with column i replaced by column j (Cramer's rule).  Minors
+    of an int matrix are ints, so each division is exact, and `//` makes
+    it.  The pivot p_k is the leading (k+1)-minor of the permuted matrix, so
+    the search fails exactly when mat is singular.  After the last step
+    every diagonal entry is p_{r-1} = +-det(mat) and the right block is
+    p_{r-1} mat^{-1} rhs; both are negated together when p_{r-1} < 0."""
     r = len(mat)
-    aug = [list(mat[i]) + list(rhs_cols[i]) for i in range(r)]
-    w = len(aug[0])
-    for col in range(r):
-        piv = next(i for i in range(col, r) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(r):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[r:w] for row in aug]
+    aug = [list(mat[i]) + list(rhs[i]) for i in range(r)]
+    prev = 1
+    for k in range(r):
+        piv = next((i for i in range(k, r) if aug[i][k]), None)
+        if piv is None:
+            raise PreconditionViolated(f"singular {r} x {r} matrix: no exact solve")
+        aug[k], aug[piv] = aug[piv], aug[k]
+        row = aug[k]
+        p = row[k]
+        for i, a in enumerate(aug):
+            if i != k:
+                f = a[k]
+                aug[i] = [(p * x - f * y) // prev for x, y in zip(a, row)]
+        prev = p
+    sign = 1 if prev > 0 else -1
+    return sign * prev, [[sign * x for x in a[r:]] for a in aug]
 
 
 class _Lattice:
@@ -736,23 +798,37 @@ class _Lattice:
     every character reads the restriction to h^nat, the depth and the int
     key of a weight through it.
 
-    One exact solve of G, the Gram matrix of the simple roots s_i of g^nat,
-    against S G gives the coefficients c(v) = G^{-1} S G v of the orthogonal
-    projection sum_i c_i(v) s_i of v onto the root span; their column sums
-    are the depth covector `depth_cov` (read by `depth_of`).  The projection
-    is held as ints: coordinate a of the projection of v = x / d is
-    `proj[a]` (sparse, as `CatalogEntry.coroots`) dotted with x, over
-    d * `pden` (`CatalogEntry.restrict`).
+    Everything is built in ints from the form's int entries, through the
+    coroot table (`CatalogEntry.coroots`); the only `Fraction`s built are
+    the published depth covector's.  One fraction-free solve (`_solve`) of
+    G, the Gram matrix of the simple roots s_i of g^nat with row i scaled
+    by 2/(s_i|s_i), which is the transposed finite block of the int affine
+    Cartan matrix `cartan`, against the int coroot covectors of the s_i
+    gives the coefficients c(v) = G^{-1} S G v of the orthogonal
+    projection sum_i c_i(v) s_i of v onto the root span as ints X over the
+    pivot p > 0; their column sums over p are the depth covector
+    `depth_cov` (read by `depth_of`).  The solve needs no row swap and
+    cannot fail: g^nat is reductive, so G's leading principal minors are
+    the determinants of the Cartan matrices of subdiagrams of its Dynkin
+    diagram, all of finite type and so positive (Kac, Infinite-dimensional
+    Lie algebras, ch. 4), and those minors are the pivots.  The projection
+    is held as ints: with the s_i = y_i / e over one e, coordinate a of the
+    projection of v = x / d is sum_i y_i[a] (X x)_i / (e p d), so `proj[a]`
+    (sparse, as `CatalogEntry.coroots`) holds the ints sum_i y_i[a] X_i
+    divided by f = gcd(e p, all of them), dotted with x over d * `pden`,
+    `pden` = e p / f (`CatalogEntry.restrict`).
 
     The kernel side.  Every weight that can enter a kernel key lies in
     (1/denom) Z^n, where `denom` is the common denominator of the
     coordinates of the positive roots of g^nat, of Delta', theta, xi,
-    rho^nat, of the projection (`pden`) and of the restriction of theta/2 - xi.
+    rho^nat, of the projection (`pden`) and of the restriction of theta/2 - xi,
+    the last read off its ints x over their denominator D as D / gcd(D, x).
     The key of w is the int tuple (scale * depth_of(0, w), denom * w_1, ...,
     denom * w_n) with scale = denom times the common denominator of the depth
     covector, so a key carries its depth as its first entry and adding keys
-    adds weights and depths alike.  `key` raises on a weight off the lattice
-    and `q2` on an exponent off (1/2) Z; nothing is rounded.
+    adds weights and depths alike; keys are linear, so the key of -w is the
+    negated key of w.  `key` raises on a weight off the lattice and `q2` on
+    an exponent off (1/2) Z; nothing is rounded.
 
     The dip density s is the largest depth change per unit of q over the
     denominator factors: |depth(alpha)| for the bosonic exponents
@@ -778,7 +854,9 @@ class _Lattice:
     as (finite part, delta coefficient): `coroots`, the entry's table, gives
     <lam, beta_i^vee> on (finite part, level) (`CatalogEntry.pairings`);
     `cartan[i][j]` = <beta_i, beta_j^vee> is the affine Cartan matrix and
-    `xd[i]` the pairing of beta_i with x+d, all ints: g^nat is reductive,
+    `xd[i]` the pairing of beta_i with x+d, (beta_i|theta)/2 plus beta_i's
+    delta coefficient, read off an int dot product with theta's covector
+    (`xd2` likewise); all ints: g^nat is reductive,
     each simple component with its untwisted affine root system, and
     rescaling a component's form (u_i < 0 included) leaves its Cartan
     matrix unchanged; x+d pairs to 0 with the finite roots and to 1 with
@@ -811,52 +889,70 @@ class _Lattice:
     def __init__(self, entry: CatalogEntry):
         s = entry.simple_roots_natural
         r, n = len(s), entry.n
-        roots = [(a, 0) for a in s] + [(-1 * c.theta, 1) for c in entry.components]
-        self.cartan = tuple(self._ints(entry, "affine Cartan matrix row",
-                                       entry.pairings(0, fin)) for fin, _ in roots)
+        roots = entry._affine_roots()
+        covs = [cov for cov, _ in entry.coroots]
+        self.cartan = tuple(self._quotients(entry, "affine Cartan matrix row",
+                                            [(_dot(cov, x), e) for cov in covs])
+                            for e, x, _ in roots)
         # [G | S G], row i scaled by 2/(s_i|s_i): the pairings of s_j with s_i^vee
         # (`cartan` transposed) and the coroot covector of s_i^vee, made dense;
-        # the solve gives the r x n coefficients c(v) = G^{-1} S G v
-        covs = [dict(cov) for cov, _ in entry.coroots[:r]]
-        coeffs = _solve_exact([[Q(self.cartan[j][i]) for j in range(r)] for i in range(r)],
-                              [[Q(c.get(a, 0)) for a in range(n)] for c in covs])
-        proj = [[sum(s[i][a] * coeffs[i][j] for i in range(r)) for j in range(n)]
+        # the solve gives the r x n coefficients c(v) = G^{-1} S G v as X / p
+        dense = [[c.get(a, 0) for a in range(n)] for c in map(dict, covs[:r])]
+        p, coeffs = _solve([[self.cartan[j][i] for j in range(r)] for i in range(r)], dense)
+        # the projection sum_i c_i(v) s_i, with s_i = y_i / e over one e: ints over e p
+        e = math.lcm(*[d for d, _, _ in roots[:r]])
+        ys = [[v * (e // d) for v in x] for d, x, _ in roots[:r]]
+        proj = [[sum([y[a] * row[j] for y, row in zip(ys, coeffs)]) for j in range(n)]
                 for a in range(n)]
-        self.pden = math.lcm(*(c.denominator for row in proj for c in row))
-        self.proj = tuple(_sparse([(c * self.pden).numerator for c in row]) for row in proj)
-        self.depth_cov = Vec(sum(col) for col in zip(*coeffs))
-        iso = Q(1, 2) * entry.theta - entry.xi
-        iso_restricted = _vec([sum(map(mul, row, iso)) for row in proj])
+        g = math.gcd(e * p, *[c for row in proj for c in row])
+        self.pden = e * p // g
+        self.proj = tuple(_sparse([c // g for c in row]) for row in proj)
+        sums = [sum(col) for col in zip(*coeffs)]
+        self.depth_cov = _vec([Q(c, p) for c in sums])
+        # theta/2 - xi as the ints ix over ie, and its restriction as iso over ide
+        (et, xt), (ex, xx) = entry._scaled(entry.theta), entry._scaled(entry.xi)
+        ie, ix = 2 * et * ex, [a * ex - 2 * b * et for a, b in zip(xt, xx)]
+        ide, iso = self.restricted(ie, ix)
 
         vecs = [*entry.pos_roots_natural, *(g for g, _ in entry.delta_prime),
-                entry.theta, entry.xi, entry.rho_natural, iso_restricted]
-        self.denom = math.lcm(self.pden, *(c.denominator for v in vecs for c in v))
-        cden = math.lcm(*(c.denominator for c in self.depth_cov))
-        self.scale = self.denom * cden
+                entry.theta, entry.xi, entry.rho_natural]
+        self.denom = math.lcm(self.pden, ide // math.gcd(ide, *iso),
+                              *(c.denominator for v in vecs for c in v))
+        g = math.gcd(p, *sums)
+        self.scale = self.denom * (p // g)
         # ints: scale * depth_of(0, w) = -sum(cov_i * denom * w_i)
-        self.cov = tuple((c * cden).numerator for c in self.depth_cov)
+        self.cov = tuple([c // g for c in sums])
 
-        dips = [abs(self.key(a)[0]) for a in entry.pos_roots_natural]
-        dips += [2 * abs(self.key(g)[0]) for g, _ in entry.delta_prime]
+        pos = [self.key(a) for a in entry.pos_roots_natural]
+        odd = [self.key(g) for g, _ in entry.delta_prime]
+        dips = [abs(key[0]) for key in pos] + [2 * abs(key[0]) for key in odd]
         self.dip = max(dips) if dips else self.scale
 
         rank = len(s) + (1 if entry.center else 0)
-        block = [(-1 * g, -1, True) for g, mult in entry.delta_prime for _ in range(mult)]
-        block += [(zero_vec(n), 0, False)] * rank
-        for alpha in entry.pos_roots_natural:
-            block += [(-1 * alpha, -2, False), (alpha, 0, False)]
-        keys = [self.key(w) for w, _, _ in block]
-        self.rate = max([1] + [abs(x) for key in keys for x in key[1:]])
-        self.ns = tuple((key[0], self.pack(key[1:]), off, odd)
-                        for key, (_, off, odd) in zip(keys, block))
+        block = [(_neg(key), -1, True)
+                 for key, (_, mult) in zip(odd, entry.delta_prime) for _ in range(mult)]
+        block += [((0,) * (n + 1), 0, False)] * rank
+        for key in pos:
+            block += [(_neg(key), -2, False), (key, 0, False)]
+        self.rate = max([1] + [abs(x) for key, _, _ in block for x in key[1:]])
+        self.ns = tuple((key[0], self.pack(key[1:]), off, odd) for key, off, odd in block)
 
-        self.xd = self._ints(entry, "x+d pairings of the affine simple roots",
-                             [entry.form(fin, entry.theta) / 2 + dc for fin, dc in roots])
-        self.rkeys = tuple(self.key(fin) for fin, _ in roots)
+        # theta's covector: (beta|theta) = tcov.x / (dt e) at beta's finite part x / e
+        dt, tcov = entry._covector(et, xt)
+        self.xd = self._quotients(entry, "x+d pairings of the affine simple roots",
+                                  [(_dot(tcov, x) + 2 * dc * dt * e, 2 * dt * e)
+                                   for e, x, dc in roots])
+        self.rkeys = tuple([*(self.key(a) for a in s),
+                            *(_neg(self.key(c.theta)) for c in entry.components)])
         self.rows = tuple((*a, -x, *key) for a, x, key in zip(self.cartan, self.xd, self.rkeys))
-        self.iso_ps = self._ints(entry, "pairings of theta/2 - xi", entry.pairings(0, iso))
-        self.iso_key = self.key(iso_restricted)
-        self.xd2 = self.q2(entry.form(iso, entry.theta) / 2)
+        self.iso_ps = self._quotients(entry, "pairings of theta/2 - xi",
+                                      [(_dot(cov, ix), ie) for cov in covs])
+        xs = [c * self.denom // ide for c in iso]
+        self.iso_key = (-sum(map(mul, self.cov, xs)), *xs)
+        t, m = _dot(tcov, ix), dt * ie  # 2 (theta/2 - xi|theta)/2 = t / m
+        if t % m:
+            self.q2(Q(t, 2 * m))  # raises
+        self.xd2 = t // m
 
     @staticmethod
     def _ints(entry: CatalogEntry, what: str, xs: list) -> tuple:
@@ -866,6 +962,15 @@ class _Lattice:
                                            f"({', '.join(map(format_rational, xs))})")
         return tuple([x.numerator for x in xs])
 
+    @classmethod
+    def _quotients(cls, entry: CatalogEntry, what: str, pairs: list) -> tuple:
+        """The ints n / m of the int pairs (n, m), m != 0, divided exactly;
+        when some m does not divide its n, `_ints` refuses on the values
+        n / m as `Fraction`s."""
+        if any([n % m for n, m in pairs]):
+            cls._ints(entry, what, [Q(n, m) for n, m in pairs])
+        return tuple([n // m for n, m in pairs])
+
     def restricted(self, d: int, x: Sequence[int]) -> tuple:
         """(d', x') with restrict(x / d) = x' / d', the ints x' over
         d' = d * `pden` > 0, not reduced: `proj` dotted with x."""
@@ -873,15 +978,16 @@ class _Lattice:
 
     def key(self, w: Vec) -> tuple:
         """(depth, coordinates) of w as ints: (scale * depth_of(0, w), D w_1,
-        ..., D w_n), D = `denom`."""
+        ..., D w_n), D = `denom`, each D w_i = D c / e read off the
+        coordinate c / e as an int quotient, no `Fraction` built."""
         xs = []
         for c in w:
-            x = c * self.denom
-            if x.denominator != 1:
+            x, rem = divmod(c.numerator * self.denom, c.denominator)
+            if rem:
                 raise PreconditionViolated(
                     f"weight ({', '.join(map(format_rational, w))}) is off the "
                     f"1/{self.denom} lattice of the denominator kernel")
-            xs.append(x.numerator)
+            xs.append(x)
         return (-sum(map(mul, self.cov, xs)), *xs)
 
     def pack(self, xs: Sequence[int]) -> int:
@@ -1005,7 +1111,8 @@ def validate(entry: CatalogEntry) -> ValidationReport:
 
     roots = []  # (c, A, c.A) per simple root; c.A != 0, as g^nat's roots are even
     for a in simple:
-        cov, A = entry._covector(a)[1], ints(a)
+        A = ints(a)
+        cov = entry._covector(D, A)[1]
         roots.append((cov, A, _dot(cov, A)))
 
     xi = ints(entry.xi)

@@ -499,7 +499,14 @@ def _virasoro_rows(n: int, m: int, e_max: int) -> Tuple[Tuple[int, ...], ...]:
     for each window entry (y, i) of `virasoro_check`, the ints
     ([B_0(n), B_0(m)], [B_0(n), B_1(m)], [B_1(n), B_0(m)], [B_1(n), B_1(m)],
     B_0(n+m), B_1(n+m), delta) at (y, i), kept when their residual is not
-    identically zero.  On the free-field maps no row is kept."""
+    identically zero.  On the free-field maps no row is kept.
+
+    At n = m the table is () on any maps, and it is returned before any row
+    is built: the residual of (m, n) is minus that of (n, m) (fact 2), so
+    at n = m it is its own negative, zero at every (s, mu), and every row's
+    dot with the scalars is the zero polynomial, which `_live` drops."""
+    if n == m:
+        return ()
     bn, bm, bnm = _paired(n, e_max), _paired(m, e_max), _paired(n + m, e_max)
     rows = set()
     for i, e in enumerate(_basis(e_max).energy):

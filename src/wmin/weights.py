@@ -18,8 +18,7 @@ from fractions import Fraction
 from itertools import product
 from typing import List, Optional, Tuple
 
-from .catalog import (AlgebraId, CatalogEntry, Vec, _NuScalars, _solve_exact, _vec, lookup,
-                      zero_vec)
+from .catalog import AlgebraId, CatalogEntry, Vec, _NuScalars, _dot, _solve, _vec, lookup
 from .errors import CharacterizationMismatch, PreconditionViolated, TruncationIncomplete
 from .levels import _Level, _level, _ranged
 from .rationals import as_rational, format_rational
@@ -269,9 +268,10 @@ def enumerate_P_plus_k(g: AlgebraId, k) -> List[Vec]:
     Empty off the unitarity range; raises `PreconditionViolated` when g^nat
     has a center, on which P^+_k puts no bound, so that it is infinite.
 
-    The label basis (`label_map`) spans h^nat in r = rank vectors; one exact
-    solve of their simple-coroot pairings gives the fundamental weights
-    omega_j, and the marks m_ij = omega_j(theta_i^vee) are ints, >= 1 for
+    The label basis (`label_map`) spans h^nat in r = rank vectors; one
+    fraction-free solve (`catalog._solve`) of their simple-coroot pairings,
+    as ints, gives the fundamental weights omega_j as ints over one
+    denominator, and the marks m_ij = omega_j(theta_i^vee) are ints, >= 1 for
     alpha_j in component i and 0 off it.  Completeness: nu = sum_j a_j omega_j
     with a_j = nu(alpha_j^vee), so nu is dominant integral exactly when every
     a_j is an int >= 0, and then nu(theta_i^vee) = sum_j a_j m_ij <= M_i(k)
@@ -295,18 +295,23 @@ def enumerate_P_plus_k(g: AlgebraId, k) -> List[Vec]:
                                    f"g^nat has a center, on which nu is unbounded")
     lv, basis = rec.data, entry.label_map[1]
     r = len(entry.simple_roots_natural)
-    eye = [[int(i == j) for j in range(r)] for i in range(r)]
-    # row j of the solve: omega_j's coefficients over the label basis
-    coeffs = _solve_exact([entry.pairings(0, b)[:r] for b in basis], eye)
-    omegas = [sum((c * b for c, b in zip(row, basis)), zero_vec(entry.n)) for row in coeffs]
-    marks = [_thetas(entry, entry.pairings(0, w)) for w in omegas]
-    if not all(m.denominator == 1 and m >= 0 for mk in marks for m in mk):
+    # basis_i = x_i / d_i (`_scalars`) and its simple-coroot pairings ps_i / d_i:
+    # the solve of the int rows ps_i against diag(d_i) gives the inverse of the
+    # pairing matrix, row j omega_j's coefficients over the label basis, as X / p
+    scs = [entry._scalars(b) for b in basis]
+    p, coeffs = _solve([sc.ps[:r] for sc in scs],
+                       [[sc.d if i == j else 0 for j in range(r)] for i, sc in enumerate(scs)])
+    # omega_j = sum_i X_ji x_i / (d_i p) = ints[j] / d over one d = e p
+    e = math.lcm(*[sc.d for sc in scs])
+    d = e * p
+    ints = [[sum([c * sc.x[a] * (e // sc.d) for c, sc in zip(row, scs)]) for a in range(entry.n)]
+            for row in coeffs]
+    marks = [_thetas(entry, [_dot(cov, w) for cov, _ in entry.coroots]) for w in ints]  # times d
+    if not all(m % d == 0 and m >= 0 for mk in marks for m in mk):
         raise CharacterizationMismatch(
             f"marks omega_j(theta_i^vee) of {g.label()} are not all non-negative ints: "
-            f"{[[format_rational(m) for m in mk] for mk in marks]}")
-    marks = [[m.numerator for m in mk] for mk in marks]
-    d = math.lcm(*(c.denominator for w in omegas for c in w))
-    ints = [[(c * d).numerator for c in w] for w in omegas]
+            f"{[[format_rational(Q(m, d)) for m in mk] for mk in marks]}")
+    marks = [[m // d for m in mk] for mk in marks]
     tops = [min(M // m for M, m in zip(lv.M_simple, mk) if m > 0) for mk in marks]
     box = math.prod(t + 1 for t in tops)
     if box > P_PLUS_CAP:

@@ -1083,15 +1083,13 @@ PERTURBATIONS = [("_p_map", 1, ((1, 1), (2, 1)), ((1, 2),)),
                  ("_p_map", 5, ((2, 1), (3, 1)), ())]
 
 
-@pytest.mark.parametrize("name, n0, source, target", PERTURBATIONS)
-def test_checks_equal_the_int_oracle_on_perturbed_maps(name, n0, source, target):
-    """With one entry of `_p_map` or `_a_map` off by one, `virasoro_check`
-    and `adjointness_check` return what the pair-product int oracle returns
-    on the same maps, for |n|, |m| <= 3 at e_max 6, and some of them return
-    False."""
-    e_max = 6
+def perturbed_map(name, n0, source, target, e_max):
+    """`gram_lab.<name>` with the entry (source -> target) of its map at
+    (n0, e_max) raised by 1 (a `PERTURBATIONS` entry), for `_routed`.  Every
+    `_p_map` at e_max is built first, so that no P_n is built from a
+    perturbed a_n."""
     kernel = getattr(gram_lab, name)
-    for n in range(-e_max, e_max + 1):  # no P_n is built from a perturbed a_n
+    for n in range(-e_max, e_max + 1):
         if n:
             gram_lab._p_map(n, e_max)
 
@@ -1106,8 +1104,18 @@ def test_checks_equal_the_int_oracle_on_perturbed_maps(name, n0, source, target)
         cols[i][y] = cols[i].get(y, 0) + 1
         return tuple(cols)
 
-    got, falses = [], 0
-    with _routed(name, perturbed):
+    return perturbed
+
+
+@pytest.mark.parametrize("name, n0, source, target", PERTURBATIONS)
+def test_checks_equal_the_int_oracle_on_perturbed_maps(name, n0, source, target):
+    """With one entry of `_p_map` or `_a_map` off by one, `virasoro_check`
+    and `adjointness_check` return what the pair-product int oracle returns
+    on the same maps, for |n|, |m| <= 3 at e_max 6, and some of them return
+    False."""
+    e_max = 6
+    got = []
+    with _routed(name, perturbed_map(name, n0, source, target, e_max)):
         for s, mu in [(GR.imag(Q(1, 2)), Q(2)), (GR.imag(Q(3, 7)), Q(5, 3)), (GR.of(0), Q(-1))]:
             for n in range(-3, 4):
                 for m in range(-3, 4):
@@ -1128,7 +1136,7 @@ def test_the_last_perturbation_raises_one_table_rank():
     adjointness table, stays empty, as all of them are on the free-field
     maps."""
     name, n0, source, target = PERTURBATIONS[-1]
-    e_max, kernel = 6, getattr(gram_lab, name)
+    e_max = 6
     keys = [(n, m) for n in range(-3, 4) for m in range(n, 4) if abs(n) + abs(m) < e_max]
 
     def tables():
@@ -1136,19 +1144,9 @@ def test_the_last_perturbation_raises_one_table_rank():
                 {(n, op): gram_lab._adjoint_rows(n, e_max, op)
                  for n in range(-3, 4) for op in ("L", "a")})
 
-    def perturbed(n, e):
-        cols = kernel(n, e)
-        if (n, e) != (n0, e_max):
-            return cols
-        b = gram_lab._basis(e)
-        cols = [None if col is None else dict(col) for col in cols]
-        i, y = b.index[source], b.index[target]
-        cols[i][y] = cols[i].get(y, 0) + 1
-        return tuple(cols)
-
     _clear_tables()
     before = tables()
-    with _routed(name, perturbed):
+    with _routed(name, perturbed_map(name, n0, source, target, e_max)):
         after = tables()
         forms = poly_virasoro_scalars(2, 3)
         want = {r for r in dense_virasoro_rows(2, 3, e_max) if can_fail(forms, r)}
@@ -1156,6 +1154,31 @@ def test_the_last_perturbation_raises_one_table_rank():
     assert not any(after[1].values())
     assert {k for k in keys if after[0][k]} == {(2, 3)}
     assert after[0][2, 3] == tuple(sorted(want))
+
+
+def test_the_diagonal_tables_are_empty_on_any_maps():
+    """At n = m every row of the dense oracle has identically zero forms,
+    on the free-field maps and under each `PERTURBATIONS` map, for every
+    (n, n) inside the window at e_max 6, though some of those rows are
+    nonzero: the residual of (n, n) is its own negative (fact 2), so
+    `_virasoro_rows(n, n, e_max)` is () before any row is built."""
+    e_max = 6
+    diagonal = [n for n in range(-e_max, e_max) if 2 * abs(n) <= e_max - 1]
+
+    def diagonal_rows():
+        rows = {n: dense_virasoro_rows(n, n, e_max) for n in diagonal}
+        assert all(gram_lab._virasoro_rows(n, n, e_max) == () for n in diagonal)
+        assert not [r for n in diagonal for r in rows[n]
+                    if can_fail(poly_virasoro_scalars(n, n), r)]
+        return sum(len(rs) for rs in rows.values())
+
+    _clear_tables()
+    nonzero = [diagonal_rows()]
+    for name, n0, source, target in PERTURBATIONS:
+        with _routed(name, perturbed_map(name, n0, source, target, e_max)):
+            nonzero.append(diagonal_rows())
+    gram_lab._p_map.cache_clear()
+    assert all(nonzero), nonzero
 
 
 @pytest.mark.parametrize("e_max", [8, 10])

@@ -225,6 +225,23 @@ def test_enumeration_raises_past_its_box_cap(monkeypatch):
         enumerate_P_plus_k(g, k)
 
 
+def test_extremality_cross_check_raises_on_wrong_xi_pairings():
+    """`_is_extremal` decides by the nu+xi test, which reads the entry's
+    `_xi_ints`, and raises CharacterizationMismatch, naming the family, k
+    and both outcomes, when the chi_i test disagrees: on a fresh G3 entry
+    (k = -9/4) whose xi pairings are wrong, in either direction."""
+    g, k = catalog.g3(), Q(-9, 4)
+    for nu, xi_ints, want in [((0, 0, 0), (1, [1, 0, -3]), "nu+xi test True, chi test False"),
+                              ((1, 2, 0), (1, [0, 0, 0]), "nu+xi test False, chi test True")]:
+        entry = lookup.__wrapped__(g)
+        data = weights._P_plus_data(entry, k, Vec(nu))
+        assert weights._is_extremal(entry, *data) == (nu != (0, 0, 0))
+        entry.__dict__["_xi_ints"] = xi_ints
+        with pytest.raises(CharacterizationMismatch) as err:
+            weights._is_extremal(entry, *data)
+        assert str(err.value) == f"extremality tests disagree for G3, k=-9/4: {want}"
+
+
 def test_enumeration_raises_on_marks_off_the_ints(monkeypatch):
     """A mark omega_j(theta_i^vee) that is not an int >= 0 breaks the
     walk's box: the enumeration raises CharacterizationMismatch, a raise

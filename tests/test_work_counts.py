@@ -1,8 +1,9 @@
-"""Work counts of the character store over the benchmark's seed-3 pools:
-exact numbers, which move only when the work does, where a timing is
-noise.  The pools are read through `bench/workloads.py` (`generate` and
-`Runner`), in process, one pass each, from empty character caches, or,
-for the hits, from the caches a first pass fills."""
+"""Work counts of the character store over the benchmark's seed-3 pools,
+and of a family's first use: exact numbers, which move only when the
+work does, where a timing is noise.  The pools are read through
+`bench/workloads.py` (`generate` and `Runner`), in process, one pass each,
+from empty character caches, or, for the hits, from the caches a first
+pass fills."""
 import fractions
 import sys
 from collections import Counter
@@ -10,10 +11,27 @@ from pathlib import Path
 
 import pytest
 
-from wmin import characters
+from wmin import catalog, characters
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads as W  # noqa: E402
+
+
+def fraction_calls(fn) -> Counter:
+    """The calls into `fractions` that fn() makes, by function name."""
+    counts = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            counts[frame.f_code.co_name] += 1
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(old)
+    return counts
 
 
 @pytest.mark.parametrize("workload,builds,hits,sums,weights", [("char_cold", 23, 42, (51, 0), 68),
@@ -56,18 +74,8 @@ def test_seed3_char_warm_hits_build_one_fraction_per_published_level():
     calls = [runner.prepare(req) for req in reqs]
     for call in calls:
         runner.call(call)
-    counts = Counter()
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename == fractions.__file__:
-            counts[frame.f_code.co_name] += 1
-
-    misses, old = characters._orbit_sum.cache_info().misses, sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        outs = [runner.call(call) for call in calls]
-    finally:
-        sys.setprofile(old)
+    misses, outs = characters._orbit_sum.cache_info().misses, []
+    counts = fraction_calls(lambda: outs.extend([runner.call(call) for call in calls]))
     assert characters._orbit_sum.cache_info().misses == misses  # every request a hit
     levels = sum(len(out.terms) for out in outs)
     massless = sum(req.kind == "massless" for req in reqs)
@@ -75,3 +83,20 @@ def test_seed3_char_warm_hits_build_one_fraction_per_published_level():
     assert counts["__new__"] == levels + massless and counts["__hash__"] == levels
     assert not {"_sub", "_richcmp", "forward", "reverse"} & counts.keys(), counts
     assert (counts["numerator"], counts["denominator"]) == (933, 1035)
+
+
+@pytest.mark.parametrize("g,built", [(catalog.psl22(), 6), (catalog.spo2m(3), 4),
+                                     (catalog.g3(), 6)], ids=["psl22", "spo2m3", "G3"])
+def test_first_use_builds_only_the_published_fractions(g, built):
+    """A fresh entry (`lookup.__wrapped__`) that builds its coroot table,
+    the covectors of the per-request pass and its frame builds a `Fraction`
+    only for a published value: one level part per row of the coroot table
+    and one coordinate per entry of the depth covector."""
+    entry = catalog.lookup.__wrapped__(g)
+
+    def first_use():
+        entry.coroots, entry._xi_cov, entry._casimir_cov, entry._odd_covs, entry._xi_ints
+        entry.lattice
+
+    counts = fraction_calls(first_use)
+    assert counts["__new__"] == built == len(entry.coroots) + entry.n
