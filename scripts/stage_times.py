@@ -34,9 +34,10 @@ timed stage:
                           from the cache
     checks_s              the warm call's preconditions: its calls of
                           `_P_plus_data` (the level record and the
-                          per-request pass over nu), `_is_extremal` and
-                          `_at_most`, the int test l0 <= A (massive only),
-                          and `_threshold`, summed
+                          per-request pass over nu), `_is_extremal`,
+                          `_excess`, l0 - A as an int pair whose sign is
+                          the test l0 <= A (massive only), and
+                          `_threshold`, summed
     orbit_s               the warm call's `_orbit`
     orbit_elements        orbit elements within the window
     limit                 the q_shift the orbit is walked to, floor(T/2)
@@ -124,9 +125,16 @@ five passes, in seconds for the whole set of requests:
     pool                  pool size (weights times deltas)
     requests              COUNT
     outcomes              the verdict outcomes of the requests, counted
+    lookup_s              the first builds of the requests' catalog entries,
+                          `catalog.lookup` past its cache
+    levels_s              the first builds of the requests' level records,
+                          `levels._level` past its cache, on built entries
+    first_builds          how many entries and level records those are
     decide_s              `decide` on every request
     stages                the steps of `decide`, each over the requests
-                          that reach it:
+                          that reach it; what they leave of decide_s is
+                          its entry: the cached `lookup` and `_level`, the
+                          coercions of k and l0, and the gates' branches
       scalars_s           `CatalogEntry._scalars`, the pass over nu (all)
       p_plus_s            `weights._in_P_plus` on its int pairings and the
                           level record's (those at a non-collapsing level)
@@ -134,6 +142,9 @@ five passes, in seconds for the whole set of requests:
                           P^+_k)
       extremal_s          `weights._is_extremal`, both characterizations
       closed_form_s       `weights._A_explicit`, the second route to A
+      tail_s              `unitarity._tail`: A's `Fraction`, l0 - A as an
+                          int pair and its `Fraction`, the outcome test on
+                          its numerator's sign and the verdict record
     reached               how many requests each stage ran on
 
 With `--hits SEED` it times the cached character request instead: the
@@ -270,7 +281,7 @@ def main(argv=None):
             return out
         return wrapper
 
-    checks = ("_P_plus_data", "_is_extremal", "_at_most", "_threshold")
+    checks = ("_P_plus_data", "_is_extremal", "_excess", "_threshold")
     for name in ("_orbit", "_fns_cached", "_orbit_sum", "_sum_pieces", "_publish") + checks:
         setattr(characters, name, timed(name, getattr(characters, name)))
 
@@ -483,13 +494,19 @@ def verdict_stages(count, seed):
             for nu in weights.enumerate_P_plus_k(g, k) for dl in deltas]
     reqs = random.Random(seed).choices(pool, k=count)
     verdicts = [unitarity.decide(*r) for r in reqs]
-    rows = []  # (entry, record, nu, scalars) of each request, as decide reads them
-    for g, k, nu, _ in reqs:
+    rows = []  # (entry, record, nu, scalars, l0) of each request, as decide reads them
+    for g, k, nu, l0 in reqs:
         entry = catalog.lookup(g)
         rows.append((entry, lv_mod._level(g, k.numerator, k.denominator), nu,
-                     entry._scalars(nu)))
+                     entry._scalars(nu), l0))
     ranged = [r for r in rows if not r[1].data.collapsing]
     inside = [r for r in ranged if weights._in_P_plus(r[0], r[1].m_ints, r[3].d, r[3].ps)]
+    # what `_tail` reads of each request past the gates
+    tails = [(e, rec.data, l0, weights._threshold(rec, sc), weights._is_extremal(e, rec, sc),
+              weights._A_explicit(e, rec.data.k, sc.d, sc.x, sc.ps))
+             for e, rec, nu, sc, l0 in inside]
+    keys = list(dict.fromkeys((g, k.numerator, k.denominator) for g, k, _, _ in reqs))
+    entries = list(dict.fromkeys(g for g, _, _ in keys))
 
     def timed(fn, items):
         gc.disable()
@@ -507,23 +524,27 @@ def verdict_stages(count, seed):
         return round(statistics.median(ts), 6)
 
     stages = {
-        "scalars_s": timed(lambda e, rec, nu, sc: e._scalars(nu), rows),
-        "p_plus_s": timed(lambda e, rec, nu, sc: weights._in_P_plus(e, rec.m_ints, sc.d, sc.ps),
-                          ranged),
-        "threshold_s": timed(lambda e, rec, nu, sc: weights._threshold(rec, sc), inside),
-        "extremal_s": timed(lambda e, rec, nu, sc: weights._is_extremal(e, rec, sc), inside),
-        "closed_form_s": timed(lambda e, rec, nu, sc: weights._A_explicit(
+        "scalars_s": timed(lambda e, rec, nu, sc, l0: e._scalars(nu), rows),
+        "p_plus_s": timed(lambda e, rec, nu, sc, l0: weights._in_P_plus(e, rec.m_ints, sc.d,
+                                                                         sc.ps), ranged),
+        "threshold_s": timed(lambda e, rec, nu, sc, l0: weights._threshold(rec, sc), inside),
+        "extremal_s": timed(lambda e, rec, nu, sc, l0: weights._is_extremal(e, rec, sc), inside),
+        "closed_form_s": timed(lambda e, rec, nu, sc, l0: weights._A_explicit(
             e, rec.data.k, sc.d, sc.x, sc.ps), inside),
+        "tail_s": timed(unitarity._tail, tails),
     }
     return {
         "pool": len(pool),
         "requests": count,
         "outcomes": dict(sorted(Counter(v.outcome for v in verdicts).items())),
+        "lookup_s": timed(lambda: [catalog.lookup.__wrapped__(g) for g in entries], [()]),
+        "levels_s": timed(lambda: [lv_mod._level.__wrapped__(*key) for key in keys], [()]),
+        "first_builds": {"entries": len(entries), "level_records": len(keys)},
         "decide_s": timed(unitarity.decide, reqs),
         "stages": stages,
         "reached": {"scalars_s": len(rows), "p_plus_s": len(ranged),
                     "threshold_s": len(inside), "extremal_s": len(inside),
-                    "closed_form_s": len(inside)},
+                    "closed_form_s": len(inside), "tail_s": len(tails)},
     }
 
 

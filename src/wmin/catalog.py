@@ -45,7 +45,12 @@ class Vec(tuple):
     `Fraction` already in lowest terms with a positive denominator, which
     is what `Fraction(x)` would return for it, so the result is equal to,
     and hashes as, the converted one.  The scalar of `*` is converted once,
-    by the same coercion.
+    by the same coercion.  A coordinate that the operation leaves as it is
+    is not computed: a + 0 and a - 0 are a, and 0 * c and -0 are 0, where
+    a is this `Vec`'s coordinate, a `Fraction`, so the result is still one
+    (the right operand of + and -, which may hold ints, is never passed
+    through).  The catalog's weights are mostly zero coordinates, so most
+    of a family's `Fraction` arithmetic is skipped (`lookup`).
 
     The hash is cached in the instance on first use, and its value is the
     tuple's: hash(v) == hash(tuple(v)), so a `Vec` and an equal `Vec` built
@@ -65,7 +70,7 @@ class Vec(tuple):
             return h
 
     def __add__(self, other):
-        return _vec([a + b for a, b in zip(self, other)])
+        return _vec([a + b if b else a for a, b in zip(self, other)])
 
     def __radd__(self, other):
         if other == 0:  # allow sum()
@@ -73,19 +78,19 @@ class Vec(tuple):
         return self.__add__(other)
 
     def __sub__(self, other):
-        return _vec([a - b for a, b in zip(self, other)])
+        return _vec([a - b if b else a for a, b in zip(self, other)])
 
     def __neg__(self):
-        return _vec([-a for a in self])
+        return _vec([-a if a else a for a in self])
 
     def __mul__(self, c):
         c = as_rational(c)
-        return _vec([a * c for a in self])
+        return _vec([a * c if a else a for a in self])
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self)
+        return not any(self)
 
 
 def _vec(fracs) -> Vec:
@@ -94,14 +99,17 @@ def _vec(fracs) -> Vec:
     return tuple.__new__(Vec, fracs)
 
 
+_ZERO, _ONE = Q(0), Q(1)  # shared by every zero and unit coordinate a catalog entry is built from
+
+
 def zero_vec(n: int) -> Vec:
-    return Vec([0] * n)
+    return _vec([_ZERO] * n)
 
 
-def basis_vec(n: int, i: int, c=1) -> Vec:
-    v = [0] * n
-    v[i] = c
-    return Vec(v)
+def basis_vec(n: int, i: int) -> Vec:
+    v = [_ZERO] * n
+    v[i] = _ONE
+    return _vec(v)
 
 
 class AlgebraId(_Frozen):
@@ -205,12 +213,17 @@ class NaturalComponent(NamedTuple):
 
 
 class _LevelConstants(NamedTuple):
-    """What `levels` reads of an entry, so that every level scalar is an
-    affine or quadratic evaluation at k (`CatalogEntry._levels`)."""
+    """What `levels` reads of an entry, as ints over one denominator e > 0,
+    so that every level scalar at k is an int expression in k's numerator
+    and denominator (`CatalogEntry._levels`, `levels._level`)."""
 
-    lines: tuple             # (slope, intercept, chi) per component, center first:
-                             # M_i(k) = slope*k + intercept, alpha_i's level M_i(k) + chi
-    zeros: tuple             # (z1, z2): the collapsing polynomial is (k - z1)(k - z2)
+    e: int
+    h: int                   # h_vee = h / e
+    lines: tuple             # (u, w, c) per component, center first: u_i = u / e (nonzero),
+                             # h_vee - hbar_i_vee = w / e and chi_i = c / e, so that
+                             # M_i(k) = (2/u_i)(k + (h_vee - hbar_i_vee)/2) = (2 e k + w) / u
+    zeros: tuple             # (z1, z2): the collapsing polynomial is (k - z1/(2e))(k - z2/(2e))
+    range: tuple             # (first, step, count): `unitary_range` with first and step over e
 
 
 def _sparse(ints: Sequence[int]) -> tuple:
@@ -468,11 +481,20 @@ class CatalogEntry(_Frozen):
     # -- level scalars ------------------------------------------------------
     def shifted_level(self, k) -> Fraction:
         """k + h_vee, the denominator of every level formula; raises
-        CriticalLevel at the critical level k = -h_vee."""
-        kh = as_rational(k) + self.h_vee
-        if kh == 0:
+        CriticalLevel at the critical level k = -h_vee (`_shifted`)."""
+        k = as_rational(k)
+        return Q(*self._shifted(k.numerator, k.denominator))
+
+    def _shifted(self, kn: int, kd: int) -> tuple:
+        """k + h_vee at k = kn / kd (kd > 0) as the ints (e kn + h kd, e kd),
+        not reduced, with h_vee = h / e (`_levels`); raises CriticalLevel when
+        the numerator is 0, at the critical level k = -h_vee: the one
+        critical-level guard."""
+        c = self._levels
+        n = c.e * kn + c.h * kd
+        if not n:
             raise CriticalLevel(f"k = -h_vee = {-self.h_vee} for {self.id.label()}")
-        return kh
+        return n, c.e * kd
 
     def casimir(self, nu: Vec) -> Fraction:
         """(nu|nu+2rho^nat), the Casimir term of the thresholds and of the
@@ -481,15 +503,22 @@ class CatalogEntry(_Frozen):
 
     @cached_property
     def _levels(self) -> "_LevelConstants":
-        """The constants of the level scalars that `levels` evaluates at k."""
+        """The constants of the level scalars that `levels` evaluates at k,
+        as ints over the least common denominator e of h_vee, of each
+        component's u_i, hbar_i_vee and chi_i and of the range's first level
+        and step; no `Fraction` is built."""
         comps = ([self.center] if self.center else []) + list(self.components)
-        # zeros of the monic collapsing polynomial: where M_1 and M_2 vanish,
-        # or, with one component level, where M_1 vanishes and -hbar_1/2 - 1
-        zs = [-(self.h_vee - c.hbar_vee) / 2 for c in comps]
-        zeros = tuple(zs) if len(zs) == 2 else (zs[0], -comps[0].hbar_vee / 2 - 1)
-        return _LevelConstants(
-            lines=tuple((2 / c.u, (self.h_vee - c.hbar_vee) / c.u, c.chi) for c in comps),
-            zeros=zeros)
+        first, step, count = self.unitary_range
+        xs = [self.h_vee, first, step] + [x for c in comps for x in (c.u, c.hbar_vee, c.chi)]
+        e = math.lcm(*[x.denominator for x in xs])
+        h, first, step, *rest = [x.numerator * (e // x.denominator) for x in xs]
+        lines = tuple((u, h - b, c) for u, b, c in zip(rest[::3], rest[1::3], rest[2::3]))
+        # zeros of the monic collapsing polynomial, over 2e: where M_1 and M_2
+        # vanish, -(h_vee - hbar_i_vee)/2, or, with one component level, where
+        # M_1 vanishes and -hbar_1/2 - 1 = -(h - w + 2e)/(2e)
+        zs = [-w for _, w, _ in lines]
+        zeros = tuple(zs) if len(zs) == 2 else (zs[0], -(h - lines[0][1] + 2 * e))
+        return _LevelConstants(e, h, lines, zeros, (first, step, count))
 
     # -- weights ----------------------------------------------------------
     def weyl_reflect(self, v: Vec, alpha: Vec) -> Vec:
@@ -517,12 +546,12 @@ class CatalogEntry(_Frozen):
 
 
 def _diag_gram(diag: Sequence) -> tuple:
-    return tuple((i, i, Q(d)) for i, d in enumerate(diag))
+    return tuple((i, i, as_rational(d)) for i, d in enumerate(diag))
 
 
 def _so_roots(n_coords: int, offset: int, rank: int, odd_dim: bool):
     """Positive roots and simple roots of so(2*rank(+1)) in coords offset..offset+rank-1."""
-    e = lambda i, c=1: basis_vec(n_coords, offset + i, c)
+    e = lambda i: basis_vec(n_coords, offset + i)
     pos, simple = [], []
     for i in range(rank):
         for j in range(i + 1, rank):
@@ -536,7 +565,7 @@ def _so_roots(n_coords: int, offset: int, rank: int, odd_dim: bool):
 
 
 def _sp_roots(n_coords: int, offset: int, rank: int):
-    e = lambda i, c=1: basis_vec(n_coords, offset + i, c)
+    e = lambda i: basis_vec(n_coords, offset + i)
     pos = []
     for i in range(rank):
         for j in range(i + 1, rank):
@@ -962,13 +991,13 @@ class _Lattice:
                                            f"({', '.join(map(format_rational, xs))})")
         return tuple([x.numerator for x in xs])
 
-    @classmethod
-    def _quotients(cls, entry: CatalogEntry, what: str, pairs: list) -> tuple:
+    @staticmethod
+    def _quotients(entry: CatalogEntry, what: str, pairs: list) -> tuple:
         """The ints n / m of the int pairs (n, m), m != 0, divided exactly;
         when some m does not divide its n, `_ints` refuses on the values
         n / m as `Fraction`s."""
         if any([n % m for n, m in pairs]):
-            cls._ints(entry, what, [Q(n, m) for n, m in pairs])
+            _Lattice._ints(entry, what, [Q(n, m) for n, m in pairs])
         return tuple([n // m for n, m in pairs])
 
     def restricted(self, d: int, x: Sequence[int]) -> tuple:

@@ -103,7 +103,7 @@ from .errors import (IndexOutOfRange, InexactScalar, NonDominant, PreconditionVi
                      TruncationIncomplete, UnsupportedD21a)
 from .rationals import as_rational, format_rational, parse_rational, solve_quadratic_rational
 from .levels import _Level
-from .weights import _at_most, _ell, _is_extremal, _P_plus_data, _threshold
+from .weights import _ell, _excess, _is_extremal, _P_plus_data, _threshold
 
 Q = Fraction
 
@@ -874,27 +874,23 @@ def _start(entry: CatalogEntry, rec: _Level, sc: _NuScalars) -> tuple:
     eta_i, for nu in P^+_k at the level of the record `rec`
     (`levels._level`), nu given by its scalars `sc`
     (`CatalogEntry._scalars`), of which only the int level-0 pairings ps
-    over d are read, with no `Fraction` on the way.  <lam0, alpha^vee> =
-    nu(alpha^vee) + 1 = p//d + 1 for a simple root alpha of g^nat (rho^nat
-    pairs to 1 with each simple coroot of g^nat): exact, as nu in P^+_k
-    makes d divide p (`weights._in_P_plus`), which the caller has tested.
+    over d are read, with no `Fraction` on the way.  Each pairing is nu's,
+    p/d, plus the level part n/m the record holds (`start_ints`, m > 0):
+    <lam0, alpha^vee> = nu(alpha^vee) + 1 for a simple root alpha of g^nat
+    (rho^nat pairs to 1 with each simple coroot of g^nat), and
     <lam0, eta_i^vee> = (k + h_vee)(2/u_i) - (nu + rho^nat)(theta_i^vee) =
-    M_i(k) + chi_i + 1 - nu(theta_i^vee) = ((a + b) d + b p)/(b d), with
-    a/b = M_i(k) + chi_i the record's `alpha_ints` (b > 0;
-    `catalog.validate` pins this identity as `eta_i_pairing`) and p/d =
-    -nu(theta_i^vee).  These are ints for nu in P^+_k; each is divided out
-    exactly; when one does not divide, the pairings are handed to
-    `_Lattice._ints` as their values, the eta pairings as `Fraction`s, and it
-    refuses with PreconditionViolated, the one check of the start.  The
-    eta_i pairings are all the orbit reads of the level (`_orbit`)."""
-    s, d, ps = len(entry.simple_roots_natural), sc.d, sc.ps
-    simple = [p // d + 1 for p in ps[:s]]
-    etas = [((a + b) * d + b * p, b * d) for p, (a, b) in zip(ps[s:], rec.alpha_ints)]
-    if any([n % m for n, m in etas]):
-        return entry.lattice._ints(
-            entry, "pairings of nu_hat + rho_hat with the affine simple coroots",
-            simple + [Q(n, m) for n, m in etas])
-    return tuple(simple + [n // m for n, m in etas])
+    M_i(k) + chi_i + 1 - nu(theta_i^vee), with p/d = -nu(theta_i^vee)
+    (`catalog.validate` pins this identity as `eta_i_pairing`); so each is
+    (n d + m p)/(m d).  These are ints for nu in P^+_k (d divides the
+    simple-root p, `weights._in_P_plus`, which the caller has tested); each
+    is divided out exactly by `_Lattice._quotients`, which refuses with
+    PreconditionViolated when one does not divide, the one check of the
+    start.  The eta_i pairings are all the orbit reads of the level
+    (`_orbit`)."""
+    d = sc.d
+    return _Lattice._quotients(
+        entry, "pairings of nu_hat + rho_hat with the affine simple coroots",
+        [(n * d + m * p, m * d) for p, (n, m) in zip(sc.ps, rec.start_ints)])
 
 
 def _orbit(entry: CatalogEntry, start: tuple, limit: int,
@@ -1212,7 +1208,7 @@ def character_massive(g: AlgebraId, k, nu: Vec, l0, q_max, depth) -> QWSeries:
     data = _P_plus_data(entry, k, nu)
     if data is None or _is_extremal(entry, *data):
         raise PreconditionViolated("massive character needs non-extremal nu in P^+_k")
-    if _at_most(l0, _threshold(*data)):
+    if _excess(l0, _threshold(*data))[0] <= 0:  # l0 <= A
         raise PreconditionViolated("massive character needs l0 > A(k,nu)")
     rec, sc = data
     return _character(entry, rec, sc, nu, l0, q_max, depth, False)

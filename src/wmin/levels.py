@@ -60,7 +60,7 @@ class LevelData(NamedTuple):
 def _collapse_target(entry: CatalogEntry, M: tuple) -> str:
     """The first of the entry's `collapse_targets` whose level in M
     (`LevelData.M` order) is nonzero, at that level; "C" when there is none."""
-    return next((name.format(M[i]) for i, name in entry.collapse_targets if M[i] != 0), "C")
+    return next((name.format(M[i]) for i, name in entry.collapse_targets if M[i]), "C")
 
 
 class _Level(NamedTuple):
@@ -76,6 +76,9 @@ class _Level(NamedTuple):
     kh_ints: tuple           # k + h_vee
     m_ints: tuple            # M_i(k) of the simple components, index order 1..s
     alpha_ints: tuple        # M_i(k) + chi_i of the simple components, same order
+    start_ints: tuple        # <lam0, beta^vee> - nu(beta^vee) over the affine simple roots
+                             # beta of g^nat in `coroots` order (`characters._start`): 1 for
+                             # each simple root, then M_i(k) + chi_i + 1 for eta_i
 
 
 def _ints(x: Fraction) -> tuple:
@@ -91,26 +94,49 @@ def _level(g: AlgebraId, kn: int, kd: int) -> _Level:
     h_vee and unitarity-range membership, each evaluated once per (g, k)
     and then read by `level_data`, `unitarity_range_contains` and the
     decision and character preconditions, and the int pairs of k, k +
-    h_vee, M_i(k) and M_i(k) + chi_i of the simple components, which the
-    preconditions read in place of their `Fraction`s.  At the critical
-    level k = -h_vee `shifted_level` raises CriticalLevel, and `lru_cache`
-    keeps no raised call, so it raises on every call."""
-    entry, k = lookup(g), Q(kn, kd)
-    kh = entry.shifted_level(k)
-    lines, (z1, z2) = entry._levels
-    first, step, count = entry.unitary_range
-    M = tuple(s * k + t for s, t, _ in lines)
-    alpha = tuple(m + chi for m, (_, _, chi) in zip(M, lines))
-    p_k = (k - z1) * (k - z2)
-    collapsing = p_k == 0
-    n = (k - first) / step
+    h_vee, M_i(k) and M_i(k) + chi_i of the simple components and of the
+    start's level part, which the preconditions and the start read in
+    place of their `Fraction`s.  At the critical level k = -h_vee
+    `CatalogEntry._shifted` raises CriticalLevel, and `lru_cache` keeps no
+    raised call, so it raises on every call.
+
+    Exactness.  Every value is an int expression in kn and kd over the
+    entry's constants, ints over one e > 0 (`CatalogEntry._levels`), and
+    each `Fraction` is built once from its int numerator and nonzero
+    denominator, which `Fraction` reduces and signs: the one `Fraction` of
+    that value, equal to the term-by-term `Fraction` evaluation.  With
+    u_i = u/e, h_vee - hbar_i_vee = w/e and chi_i = c/e,
+        M_i(k) = (2 e k + w)/u = t/(u kd),  t = 2 e kn + w kd,
+        M_i(k) + chi_i = (t e + c u kd)/(e u kd),
+    with u != 0; k + h_vee = (e kn + h kd)/(e kd) (`_shifted`); and with
+    the zeros z_j/(2e), p(k) = (2e kn - z1 kd)(2e kn - z2 kd)/(2e kd)^2, so
+    the level collapses exactly when that int numerator is 0.  The range
+    index n = (k - first)/step, first = f/e and step = s/e != 0, is
+    N/D with N = e kn - f kd and D = s kd != 0, so n is an int exactly
+    when D divides N (`divmod`'s remainder is 0, for either sign of D),
+    and then n = N // D, exactly; k is in the range when moreover
+    0 <= n < count (no upper bound when count is None).  With a/b = M_i(k)
+    + chi_i reduced, b > 0, M_i(k) + chi_i + 1 = (a + b)/b, reduced too."""
+    entry = lookup(g)
+    kh = Q(*entry._shifted(kn, kd))
+    c = entry._levels
+    e, ek = c.e, 2 * c.e * kn
+    tops = [(ek + w * kd, u) for u, w, _ in c.lines]  # M_i(k) = t / (u kd)
+    M = tuple([Q(t, u * kd) for t, u in tops])
+    alpha = tuple([Q(t * e + x * u * kd, e * u * kd) for (t, u), (_, _, x) in zip(tops, c.lines)])
+    z1, z2 = c.zeros
+    pn = (ek - z1 * kd) * (ek - z2 * kd)
+    first, step, count = c.range
+    n, r = divmod(e * kn - first * kd, step * kd)
     s = len(entry.components)
+    alpha_ints = tuple(map(_ints, alpha[-s:]))
     return _Level(LevelData(
-        k=k, M=M, M_simple=M[1:] if entry.center else M, alpha_levels=alpha,
-        p_k=p_k, collapsing=collapsing,
-        collapse_target=_collapse_target(entry, M) if collapsing else None),
-        kh, n.denominator == 1 and 0 <= n and (count is None or n < count),
-        _ints(k), _ints(kh), tuple(map(_ints, M[-s:])), tuple(map(_ints, alpha[-s:])))
+        k=Q(kn, kd), M=M, M_simple=M[1:] if entry.center else M, alpha_levels=alpha,
+        p_k=Q(pn, (2 * e * kd) ** 2), collapsing=not pn,
+        collapse_target=_collapse_target(entry, M) if not pn else None),
+        kh, not r and 0 <= n and (count is None or n < count),
+        (kn, kd), _ints(kh), tuple(map(_ints, M[-s:])), alpha_ints,
+        ((1, 1),) * len(entry.simple_roots_natural) + tuple([(a + b, b) for a, b in alpha_ints]))
 
 
 def level_data(g: AlgebraId, k: Fraction) -> LevelData:

@@ -1,15 +1,17 @@
 """The unitarity decision procedure and the singular-weight bound scans."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .catalog import AlgebraId, CatalogEntry, Vec, _NuScalars, _dot, lookup
-from .errors import IndexOutOfSet
-from .levels import _Level, _level
-from .rationals import _Record, as_rational
-from .weights import _A_explicit, _ell, _in_P_plus, _is_extremal, _P_plus_data, _threshold
+from .errors import IndexOutOfSet, TruncationIncomplete
+from .levels import LevelData, _Level, _level
+from .rationals import _Record, as_rational, format_rational
+from .weights import (_A_explicit, _ell, _excess, _in_P_plus, _is_extremal, _P_plus_data,
+                      _threshold)
 
 Q = Fraction
 
@@ -57,12 +59,13 @@ def _collapse_check(entry: CatalogEntry, rec: _Level, nu: Vec, sc: _NuScalars,
                     l0: Fraction) -> CollapseCheck:
     """The gate, chosen by the component levels, not by the target's name;
     `rec` is the level record (`levels._level`) and `sc` nu's per-request
-    pass (`CatalogEntry._scalars`)."""
+    pass (`CatalogEntry._scalars`), whose ints x over d are all 0 exactly
+    when nu = 0."""
     lv = rec.data
-    if all(m == 0 for m in lv.M):
-        ok = nu.is_zero()
+    if not any(lv.M):
+        ok = not any(sc.x)
         detail = "target is trivial; needs nu = 0"
-    elif entry.center and all(m == 0 for m in lv.M_simple):
+    elif entry.center and not any(lv.M_simple):
         # collapse to the free boson of the center: the center survives, and
         # the simple part vanishes when nu pairs to 0 with every simple coroot
         ok = all(p == 0 for p in sc.ps[:len(entry.simple_roots_natural)])
@@ -79,61 +82,70 @@ def _collapse_check(entry: CatalogEntry, rec: _Level, nu: Vec, sc: _NuScalars,
                          detail=detail + "; l0 reported, not tested")
 
 
+def _quantities(entry: CatalogEntry, lv: LevelData, l0: Fraction) -> dict:
+    """What every verdict reports at the level data `lv`: k, the simple
+    components' levels M_i(k), their chi_i, and l0."""
+    return {"k": lv.k, "M_i": list(lv.M_simple), "chi_i": [c.chi for c in entry.components],
+            "l0": l0}
+
+
 def decide(g: AlgebraId, k, nu: Vec, l0) -> UnitarityVerdict:
-    """Full decision for the irreducible highest weight module (nu, l0)."""
+    """Full decision for the irreducible highest weight module (nu, l0):
+    the range, collapsing and P^+_k gates, then the threshold (`_tail`)."""
     entry = lookup(g)
     k, l0 = as_rational(k), as_rational(l0)
     rec = _level(g, k.numerator, k.denominator)
     lv = rec.data
     entry._check_length(nu)
-    quantities = {
-        "k": k,
-        "M_i": list(lv.M_simple),
-        "chi_i": [c.chi for c in entry.components],
-        "l0": l0,
-    }
-    reasons: List[str] = []
-
-    if entry.unitary_range[2] is not None and not rec.in_range:  # k outside a finite range
-        reasons.append("family admits no unitary highest weight modules here")
-        return UnitarityVerdict(EXCLUDED_FAMILY, quantities, tuple(reasons))
 
     if not rec.in_range:
-        reasons.append("k outside the unitarity range")
-        return UnitarityVerdict(NOT_IN_UNITARY_RANGE, quantities, tuple(reasons))
+        if entry.unitary_range[2] is not None:  # k outside a finite range
+            return UnitarityVerdict(EXCLUDED_FAMILY, _quantities(entry, lv, l0),
+                                    ("family admits no unitary highest weight modules here",))
+        return UnitarityVerdict(NOT_IN_UNITARY_RANGE, _quantities(entry, lv, l0),
+                                ("k outside the unitarity range",))
 
     sc = entry._scalars(nu)
     if lv.collapsing:
         chk = _collapse_check(entry, rec, nu, sc, l0)
-        reasons.append(f"collapsing level, target {chk.target}")
-        return UnitarityVerdict(COLLAPSING, quantities, tuple(reasons), collapse=chk)
+        return UnitarityVerdict(COLLAPSING, _quantities(entry, lv, l0),
+                                (f"collapsing level, target {chk.target}",), collapse=chk)
 
     if not _in_P_plus(entry, rec.m_ints, sc.d, sc.ps):
-        reasons.append("nu not dominant integral of the component levels")
-        return UnitarityVerdict(NOT_IN_P_PLUS_K, quantities, tuple(reasons))
+        return UnitarityVerdict(NOT_IN_P_PLUS_K, _quantities(entry, lv, l0),
+                                ("nu not dominant integral of the component levels",))
 
-    a = Q(*_threshold(rec, sc))
-    extremal = _is_extremal(entry, rec, sc)
-    quantities.update({"A": a, "A_explicit": _A_explicit(entry, k, sc.d, sc.x, sc.ps),
-                       "extremal": extremal, "l0_minus_A": l0 - a})
+    return _tail(entry, lv, l0, _threshold(rec, sc), _is_extremal(entry, rec, sc),
+                 _A_explicit(entry, k, sc.d, sc.x, sc.ps))
 
+
+def _tail(entry: CatalogEntry, lv: LevelData, l0: Fraction, a: tuple, extremal: bool,
+          closed: Fraction) -> UnitarityVerdict:
+    """The verdict of `decide` past its gates, at the level data `lv`, from
+    A as `weights._threshold`'s int pair `a`, the extremality of nu and the
+    closed form `closed` of A.  The outcome is read off the sign of the
+    int numerator of l0 - A, whose denominator is positive
+    (`weights._excess`): l0 = A exactly when it is 0, l0 >= A exactly when
+    it is >= 0.  A and l0 - A are each published as the one `Fraction` of
+    their int pair."""
+    excess = _excess(l0, a)
+    # `_quantities`, spelled out: this dict is built on every verdict past the gates
+    quantities = {"k": lv.k, "M_i": list(lv.M_simple), "chi_i": [c.chi for c in entry.components],
+                  "l0": l0, "A": Q(*a), "A_explicit": closed, "extremal": extremal,
+                  "l0_minus_A": Q(*excess)}
     if extremal:
-        if l0 == a:
+        if not excess[0]:
             proved = entry.extremal_proved
-            reasons.append("extremal weight at the threshold"
-                           + ("" if proved else
-                              ": conjecturally unitary (unproven extremal"
-                              " boundary case)"))
-            return UnitarityVerdict(EXTREMAL_BOUNDARY, quantities, tuple(reasons),
-                                    proved=proved)
-        reasons.append("extremal weight requires l0 = A(k,nu) exactly")
-        return UnitarityVerdict(EXTREMAL_OFF_BOUNDARY, quantities, tuple(reasons))
-
-    if l0 >= a:
-        reasons.append("non-extremal weight with l0 >= A(k,nu)")
-        return UnitarityVerdict(UNITARY_NON_EXTREMAL, quantities, tuple(reasons))
-    reasons.append("l0 below the threshold A(k,nu)")
-    return UnitarityVerdict(BELOW_BOUND, quantities, tuple(reasons))
+            return UnitarityVerdict(EXTREMAL_BOUNDARY, quantities, (
+                "extremal weight at the threshold" + ("" if proved else
+                                                      ": conjecturally unitary (unproven extremal"
+                                                      " boundary case)"),), proved=proved)
+        return UnitarityVerdict(EXTREMAL_OFF_BOUNDARY, quantities,
+                                ("extremal weight requires l0 = A(k,nu) exactly",))
+    if excess[0] >= 0:
+        return UnitarityVerdict(UNITARY_NON_EXTREMAL, quantities,
+                                ("non-extremal weight with l0 >= A(k,nu)",))
+    return UnitarityVerdict(BELOW_BOUND, quantities, ("l0 below the threshold A(k,nu)",))
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +213,34 @@ class Sign2Report(_Record):
         return not self.violations
 
 
+SCAN_CAP = 10 ** 5  # indices checked before TruncationIncomplete is raised
+
+
+def _scan_size(eps: int, n_max: Fraction, m_max: Fraction, odd: int) -> int:
+    """The number of indices `sign2_scan` checks, counted without walking
+    them.  Even indices: n = nn/eps and m = mm/eps with 1 <= nn <= eps
+    n_max, 1 <= mm <= eps m_max and mm = nn mod eps, so that m - n is an
+    int; for each residue r in 1..eps the ints i in [1, top] with i = r
+    mod eps number max(0, (top - r) // eps + 1).  Odd indices: m in
+    1/2 + Z_+ with m <= m_max, max(0, floor(m_max + 1/2)) of them, each
+    with the `odd` weights gamma."""
+    nt, mt = math.floor(eps * n_max), math.floor(eps * m_max)
+
+    def count(top, r):
+        return max(0, (top - r) // eps + 1)
+
+    return (sum([count(nt, r) * count(mt, r) for r in range(1, eps + 1)])
+            + odd * max(0, math.floor(m_max + Q(1, 2))))
+
+
 def sign2_scan(g: AlgebraId, k, nu: Vec, n_max, m_max) -> Sign2Report:
     """Scan h_even <= A and h_odd <= A over the index window.
 
     The bound is only asserted by the theory for k in the unitarity range and
     non-extremal nu; outside that the scan still runs but is labeled
-    accordingly and violations are informational.
+    accordingly and violations are informational.  A window of more than
+    SCAN_CAP indices, counted before any is checked (`_scan_size`) and read
+    at call time as `levels.RANGE_CAP` is, raises TruncationIncomplete.
     """
     entry = lookup(g)
     k = as_rational(k)
@@ -219,19 +253,21 @@ def sign2_scan(g: AlgebraId, k, nu: Vec, n_max, m_max) -> Sign2Report:
     a, cas = Q(*_threshold(rec, sc)), sc.cas
     eps = entry.epsilon
     n_max, m_max = as_rational(n_max), as_rational(m_max)
-    # even indices: n, m in (1/eps)N with m - n integral
-    nn = 1
-    while Q(nn, eps) <= n_max:
-        mm = nn % eps if nn % eps else eps
-        while Q(mm, eps) <= m_max:
+    size = _scan_size(eps, n_max, m_max, len(entry._odd_covs))
+    if size > SCAN_CAP:
+        raise TruncationIncomplete(f"scan cap {SCAN_CAP} exceeded: {size} indices of "
+                                   f"{g.label()} at n_max = {format_rational(n_max)}, "
+                                   f"m_max = {format_rational(m_max)}")
+    # even indices: n, m in (1/eps)N with m - n integral (`_scan_size`); with
+    # no m the walk over n would check nothing
+    nt, mt = math.floor(eps * n_max), math.floor(eps * m_max)
+    for nn in range(1, nt + 1) if mt > 0 else ():
+        for mm in range(nn % eps or eps, mt + 1, eps):
             n, m = Q(nn, eps), Q(mm, eps)
-            if (m - n).denominator == 1:
-                v = _h_even(k, kh, cas, eps, n, m)
-                rep.checked += 1
-                if v > a:
-                    rep.violations.append(("h_even", (n, m), v, a))
-            mm += eps
-        nn += 1
+            v = _h_even(k, kh, cas, eps, n, m)
+            rep.checked += 1
+            if v > a:
+                rep.violations.append(("h_even", (n, m), v, a))
     # odd indices: m in 1/2 + Z_+, gamma over the support of Delta'
     pairs = [(odd[0], _odd_pair(odd, sc.d, sc.x)) for odd in entry._odd_covs]
     m = Q(1, 2)

@@ -8,9 +8,11 @@ from one per-request pass over nu (`CatalogEntry._scalars`), as ints over
 their denominators, and the level's scalars from the level record
 (`levels._level`), as int pairs: the P^+_k and extremality tests are int
 comparisons, A is one int numerator over one int denominator
-(`_threshold`), which the massive test `l0 <= A` compares by one
-cross-multiplication (`_at_most`) and the callers that publish A divide
-once into a `Fraction`, as the closed forms `_A_explicit` are."""
+(`_threshold`), and l0 - A one int numerator over a positive int
+denominator (`_excess`), whose sign decides the tests l0 <= A (the
+massive precondition), l0 = A and l0 >= A (`decide`); the
+callers that publish A or l0 - A divide once into a `Fraction`, as the
+closed forms `_A_explicit` are."""
 from __future__ import annotations
 
 import math
@@ -143,18 +145,20 @@ def _threshold(rec: _Level, sc: _NuScalars) -> tuple:
     return _ell_ints(sc.xn, rec.k_ints, rec.kh_ints, sc.cas)
 
 
-def _at_most(l0: Fraction, a: tuple) -> bool:
-    """l0 <= A for A = an/ad given as `_threshold`'s int pair, ad != 0: one
-    cross-multiplication.  With l0 = ln/ld, ld > 0, multiplying both sides
-    of ln/ld <= an/ad by ld * ad keeps the inequality when ad > 0 and turns
-    it when ad < 0.  ad has the sign of k + h_vee, which is negative at
-    every level of a unitarity range (k <= -2/3 and h_vee <= 1/2,
-    `levels._ranged`), but both signs are handled, so nothing rests on
-    that."""
+def _excess(l0: Fraction, a: tuple) -> tuple:
+    """l0 - A as an int numerator over a positive int denominator, not
+    reduced, for A = an/ad given as `_threshold`'s int pair, ad != 0: with
+    l0 = ln/ld, ld > 0, l0 - A = (ln ad - an ld)/(ld ad), and both are
+    multiplied by the sign of ad.  So the numerator has the sign of l0 - A,
+    and `Fraction(*_excess(l0, a))` is l0 - A, one division.  ad has the
+    sign of k + h_vee, which is negative at every level of a unitarity
+    range (k <= -2/3 and h_vee <= 1/2, `levels._ranged`), but both signs
+    are handled, so nothing rests on that."""
     an, ad = a
+    ln, ld = l0.numerator, l0.denominator
     if ad > 0:
-        return l0.numerator * ad <= an * l0.denominator
-    return l0.numerator * ad >= an * l0.denominator
+        return ln * ad - an * ld, ld * ad
+    return an * ld - ln * ad, -ld * ad
 
 
 def A_bound(g: AlgebraId, k, nu: Vec) -> Fraction:

@@ -2114,8 +2114,8 @@ def test_levels_that_share_an_orbit_cell_answer_as_fresh_sums():
 
 
 def test_massive_requests_at_the_threshold_refuse_and_just_above_answer():
-    """The massive test l0 > A, an int cross-multiplication
-    (`weights._at_most`), at its boundary: over the weights of each level
+    """The massive test l0 > A, the sign of an int cross-multiplication
+    (`weights._excess`), at its boundary: over the weights of each level
     sweep (`LEVEL_SWEEPS`), a massive request at l0 = A or A - 1/1000
     refuses, and one at A + 1/1000 answers where nu is not extremal (an
     extremal nu refuses as such).  Each request, asked in the sweep's

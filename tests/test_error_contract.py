@@ -6,7 +6,8 @@ same every time, and every call is bounded: `ORBIT_CAP` and `P_PLUS_CAP`
 are lowered, windows, depths and counts are small, and the adversarial
 values (huge, tiny, float, str, bool, None) go only where they set no size
 of the work, or where a cap refuses them before any work: a huge count of
-unitary levels, past `RANGE_CAP`.  `scripts/fuzz_contract.py` runs the
+unitary levels, past `RANGE_CAP`, and a huge index n or m, whose
+`sign2_scan` window is past `SCAN_CAP`.  `scripts/fuzz_contract.py` runs the
 same draws (`drawn_calls`, `argv`) as a long, seeded fuzz."""
 import io
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
@@ -31,7 +32,8 @@ SMALL = st.fractions(min_value=-1, max_value=2, max_denominator=4)
 # the argument an example spoils, if any, and what it puts there: the huge
 # and tiny rationals only where they set no size of the work
 SPOILS = {"k": ODD, "nu": ODD, "l0": ODD, "x": ODD, "window": NON_FRACTION,
-          "depth": NON_FRACTION, "n": st.sampled_from([2.0, "3", None, -1]),
+          "depth": NON_FRACTION, "n": st.sampled_from([2.0, "3", None, -1, 10 ** 9]),
+          "m": st.sampled_from([10 ** 9, 2.0, None]),
           "count": st.sampled_from([10 ** 9, 2.0, None])}
 # no shrinking: a failure is reported as drawn, at once
 SETTINGS = settings(max_examples=80, derandomize=True, database=None, deadline=None,
@@ -71,8 +73,8 @@ def _calls(g, k, nu, l0, q_max, window, depth, x, n, m, count, gamma):
     """Every public call the test makes at one level, as (function, args):
     l0 drawn around A(k, nu) and q_max around l0, window the small q_max -
     l0, also the q_max of the calls that read no A, x a rational or an odd
-    value, n and m small ints or odd values (h_odd reads m + 1/2 for an
-    int m), count a small int, a huge one or an odd value, gamma a weight
+    value, n and m small ints, a huge one or odd values (h_odd reads m +
+    1/2 for an int m), count a small int, a huge one or an odd value, gamma a weight
     of Delta' or nu."""
     return [(wmin.decide, (g, k, nu, l0)),
             (wmin.character_massive, (g, k, nu, l0, q_max, depth)),
@@ -174,6 +176,25 @@ def test_public_calls_keep_the_error_contract(data):
         pass
 
 
+def test_huge_indices_keep_the_error_contract():
+    """Every call of `_calls` with a huge index n or m, on every family at
+    its first unitary level: the calls that read an index as a size
+    (`sign2_scan`'s window, past `SCAN_CAP`) refuse before any work, the
+    others answer or refuse, as the drawn examples that spoil n or m do."""
+    with bounded():
+        for g in FAMILIES:
+            k = (wmin.enumerate_unitary_k(g, 1) or [Q(-3)])[0]
+            nu = catalog.Vec([0] * catalog.lookup(g).n)
+            l0 = _base(g, k, nu)
+            for n, m in [(10 ** 9, 2), (2, 10 ** 9), (10 ** 9, 10 ** 9), (10 ** 9, 0)]:
+                for fn, args in _calls(g, k, nu, l0, l0 + 1, Q(1), Q(2), Q(1, 2), n, m, 2, nu):
+                    try:
+                        out = fn(*args)
+                    except WminError:
+                        continue
+                    assert int_coefficients(out), (fn.__name__, args)
+
+
 WINDOW_TOKENS = ["0", "1/2", "1", "3/2", "2", "-1", "x", "1/0"]
 NOISE = {  # flags with small values and junk, added to a command line
     "--k": ["0", "-1", "1/2", "", "x", "1/0", "0.5", "1000000000000000000000000000000"],
@@ -206,8 +227,8 @@ def argv(draw):
             out += ["--nu-labels", draw(st.sampled_from(["0", "1", "2", "1,1", "0,1", "1,0,1"]))]
         out += {"range": ["--count", draw(st.sampled_from(["0", "3", "-1", "1000000000"]))],
                 "check": ["--l0", draw(st.sampled_from(["0", "1/2", "1", "2", "7/2"]))],
-                "scan-sign2": ["--nmax", draw(st.sampled_from(["0", "2", "x"])),
-                               "--mmax", draw(st.sampled_from(["0", "2"]))],
+                "scan-sign2": ["--nmax", draw(st.sampled_from(["0", "2", "x", "100000"])),
+                               "--mmax", draw(st.sampled_from(["0", "2", "100000"]))],
                 "char": ["--qmax", draw(st.sampled_from(WINDOW_TOKENS)),
                          "--depth", draw(st.sampled_from(WINDOW_TOKENS))]}.get(cmd, [])
     for flag in draw(st.lists(st.sampled_from(sorted(NOISE)), max_size=2, unique=True)):

@@ -156,22 +156,25 @@ def test_stage_times_gram():
 
 
 def test_stage_times_verdicts():
-    """`--verdicts`: a seeded draw from the verdict pool, and each stage of
-    `decide` timed over the requests that reach it: all reach the pass over
-    nu, those at a non-collapsing level the P^+_k test, and those in P^+_k
-    (every pool weight is) the threshold, extremality and the closed form."""
+    """`--verdicts`: a seeded draw from the verdict pool, the first builds
+    of its entries and level records, and each stage of `decide` timed over
+    the requests that reach it: all reach the pass over nu, those at a
+    non-collapsing level the P^+_k test, and those in P^+_k (every pool
+    weight is) the threshold, extremality, the closed form and the tail."""
     import json
     (line,) = run_script("stage_times.py", "--verdicts", "60", "--seed", "5")
     got = json.loads(line)
     assert got["pool"] == 3756 and got["requests"] == 60
     assert got["outcomes"] == {"BelowBound": 16, "Collapsing": 1, "ExtremalBoundary": 7,
                                "ExtremalOffBoundary": 9, "UnitaryNonExtremal": 27}
-    stages = ("scalars_s", "p_plus_s", "threshold_s", "extremal_s", "closed_form_s")
+    stages = ("scalars_s", "p_plus_s", "threshold_s", "extremal_s", "closed_form_s", "tail_s")
     assert sorted(got["stages"]) == sorted(stages) == sorted(got["reached"])
     assert all(0 < got["stages"][s] == round(got["stages"][s], 6) for s in stages)
     assert 0 < got["decide_s"]
+    assert all(0 < got[s] == round(got[s], 6) for s in ("lookup_s", "levels_s"))
+    assert got["first_builds"] == {"entries": 8, "level_records": 27}
     assert got["reached"] == {"scalars_s": 60, "p_plus_s": 59, "threshold_s": 59,
-                              "extremal_s": 59, "closed_form_s": 59}
+                              "extremal_s": 59, "closed_form_s": 59, "tail_s": 59}
 
 
 def test_stage_times_hits():

@@ -1,5 +1,7 @@
 import functools
+import io
 import itertools
+from contextlib import redirect_stderr
 from fractions import Fraction as Q
 
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 
 from wmin import catalog, characters, levels, unitarity, weights
 from wmin.catalog import Vec, lookup, zero_vec
-from wmin.errors import CriticalLevel, IndexOutOfSet, PreconditionViolated
+from wmin.cli import run
+from wmin.errors import CriticalLevel, IndexOutOfSet, PreconditionViolated, TruncationIncomplete
 from wmin.levels import enumerate_unitary_k, level_data, unitarity_range_contains
 from wmin.unitarity import decide, h_even, h_odd, sign2_scan
 from wmin.weights import A_bound, A_explicit, enumerate_P_plus_k, in_P_plus_k, is_extremal
@@ -173,6 +176,34 @@ def test_sign2_scan_examples():
     # extremal weight: hypothesis gate
     rep = sign2_scan(g, -2, nu, 4, 4)
     assert not rep.hypothesis_met and rep.label == "lemma hypothesis not met"
+
+
+def test_a_scan_past_the_scan_cap_is_refused(monkeypatch):
+    """A window of more than `SCAN_CAP` indices, read at call time, raises
+    `TruncationIncomplete` naming the count before any index is checked
+    (so a window of about 10^10 indices is refused at once), and `wmin
+    scan-sign2` exits 1 on it; under the cap the count is the number of
+    indices the scan checks, and a window with no m checks none, however
+    large its n."""
+    g, nu = catalog.psl22(), zero_vec(4)
+    with pytest.raises(TruncationIncomplete,
+                       match="scan cap 100000 exceeded: 10000200000 indices"):  # 10^10 + 2 10^5
+        sign2_scan(g, -3, nu, 10 ** 5, 10 ** 5)
+    with redirect_stderr(io.StringIO()) as err:
+        assert run(["scan-sign2", "--g", "psl22", "--k", "-3", "--nu-r", "0",
+                    "--nmax", "100000", "--mmax", "100000"]) == 1
+    assert "TruncationIncomplete" in err.getvalue()
+    assert sign2_scan(g, -3, nu, 10 ** 9, 0).checked == 0
+    for h, k, n_max, m_max in [(g, -3, 6, 6), (catalog.spo2m(3), Q(-3, 2), Q(7, 2), 3),
+                               (catalog.g3(), Q(-3, 2), 4, Q(5, 2)), (g, -2, -1, 2),
+                               (catalog.g3(), Q(-9, 4), 2, Q(1, 2))]:
+        e = lookup(h)
+        size = unitarity._scan_size(e.epsilon, Q(n_max), Q(m_max), len(e._odd_covs))
+        assert sign2_scan(h, k, zero_vec(e.n), n_max, m_max).checked == size
+    monkeypatch.setattr(unitarity, "SCAN_CAP", 48)
+    assert sign2_scan(g, -3, nu, 6, 6).checked == 48  # 36 even indices, 6 m times 2 gamma
+    with pytest.raises(TruncationIncomplete, match="scan cap 48 exceeded: 56 indices"):
+        sign2_scan(g, -3, nu, 6, 7)
 
 
 def test_boundary_matches_explicit_form(unitary_families):
@@ -346,7 +377,8 @@ def test_collapse_targets_and_proof_flag_equal_the_per_family_code(g):
     per-family code they replaced."""
     e = lookup(g)
     assert e.extremal_proved is _old_proved_extremal(g)
-    zeros = [z for z in e._levels.zeros if z != -e.h_vee]
+    c = e._levels
+    zeros = [Q(z, 2 * c.e) for z in c.zeros if Q(z, 2 * c.e) != -e.h_vee]
     assert zeros
     for z in zeros:
         lv = level_data(g, z)
@@ -647,6 +679,83 @@ def test_level_record_equals_a_fresh_evaluation():
                 assert type(contains) is bool
                 assert rec.in_range == contains == _old_range_contains(g, k), (g.label(), k)
     assert levels._level.cache_info().hits > 0
+
+
+@st.composite
+def any_level(draw):
+    """(family, level): any family of the catalog, the D(2,1;a) of a drawn
+    a = p/q, sl(2|m), osp(4|m) and spo(2|m) of a drawn m included, at a
+    drawn level: one of its first unitary levels, a zero of its collapsing
+    polynomial (spelled in `Fraction`s, as `_ref_level_data` does), its
+    critical level, or any small rational, most of them off the range."""
+    g = draw(st.one_of(
+        st.sampled_from(RANGE_FAMILIES),
+        st.integers(3, 10).map(catalog.sl2m),
+        st.integers(3, 12).filter(lambda m: m != 4).map(catalog.spo2m),
+        st.integers(2, 6).map(lambda r: catalog.osp4m(2 * r)),
+        st.tuples(st.integers(1, 30), st.integers(1, 30)).map(lambda pq: catalog.d21a(*pq))))
+    e = lookup(g)
+    comps = ([e.center] if e.center else []) + list(e.components)
+    zs = [-(e.h_vee - c.hbar_vee) / 2 for c in comps]
+    zeros = zs if len(zs) == 2 else [zs[0], -comps[0].hbar_vee / 2 - 1]
+    ks = enumerate_unitary_k(g, 8)
+    k = draw(st.one_of(st.fractions(min_value=-20, max_value=6, max_denominator=24),
+                       st.sampled_from(zeros + [-e.h_vee]),
+                       *([st.sampled_from(ks)] if ks else [])))
+    return g, k
+
+
+@given(any_level())
+@settings(max_examples=300, deadline=None)
+def test_int_level_record_equals_the_fraction_evaluation(case):
+    """The level record built in ints (`levels._level`, called past its
+    cache) equals the `Fraction` evaluation of the formulas, field for
+    field and in type (`_ref_level_data`, the per-family range oracle, k +
+    h_vee), and its int pairs are the reduced pairs of its `Fraction`s, the
+    start's level part (1 per simple root, M_i(k) + chi_i + 1 per eta_i)
+    included; at the critical level it raises `CriticalLevel`."""
+    g, k = case
+    e = lookup(g)
+    build = levels._level.__wrapped__
+    if k == -e.h_vee:
+        with pytest.raises(CriticalLevel, match="k = -h_vee"):
+            build(g, k.numerator, k.denominator)
+        return
+    rec = build(g, k.numerator, k.denominator)
+    want = _ref_level_data(g, k)
+    assert repr(rec.data) == repr(want) and rec.data == want, (g.label(), k)
+    assert type(rec.kh) is Q and rec.kh == k + e.h_vee
+    assert rec.in_range is (_old_range_contains(g, k) is True)
+    s = len(e.components)
+
+    def ints(xs):
+        return tuple((x.numerator, x.denominator) for x in xs)
+
+    assert (rec.k_ints, rec.kh_ints) == ints([k, k + e.h_vee])
+    assert (rec.m_ints, rec.alpha_ints) == (ints(want.M[-s:]), ints(want.alpha_levels[-s:]))
+    assert rec.start_ints == ints([Q(1)] * len(e.simple_roots_natural)
+                                  + [m + 1 for m in want.alpha_levels[-s:]])
+
+
+def test_decide_at_and_next_to_the_threshold_equals_the_form_reference():
+    """At l0 = A and at l0 a billionth above and below it, `decide`, which
+    reads its outcome off the sign of the int numerator of l0 - A, gives
+    the verdict of the `Fraction`/`form` reference (`_ref_decide`, which
+    compares `Fraction`s), on every P^+_k weight of the first three unitary
+    levels of the eight verdict families, extremal and non-extremal."""
+    from wmin.cli import verdict_to_dict
+    outcomes = set()
+    for g in VERDICT_FAMILIES:
+        for k in enumerate_unitary_k(g, 3):
+            for nu in enumerate_P_plus_k(g, k):
+                a = _ref_A(lookup(g), k, nu)
+                for off in (Q(0), Q(1, 10 ** 9), Q(-1, 10 ** 9)):
+                    got, want = decide(g, k, nu, a + off), _ref_decide(g, k, nu, a + off)
+                    assert got == want and verdict_to_dict(got) == verdict_to_dict(want), \
+                        (g.label(), k, tuple(nu), off)
+                    outcomes.add(got.outcome)
+    assert outcomes == {"ExtremalBoundary", "ExtremalOffBoundary", "UnitaryNonExtremal",
+                        "BelowBound", "Collapsing"}
 
 
 @pytest.mark.parametrize("g", RANGE_FAMILIES, ids=lambda g: g.label())

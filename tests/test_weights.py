@@ -423,9 +423,9 @@ def test_weight_and_level_scalars_equal_the_form(g, data):
         return
     comps = ([e.center] if e.center else []) + list(e.components)
     M = tuple(component_level(e, k, c) for c in comps)
-    lines = e._levels.lines
-    assert tuple(s * k + t for s, t, _ in lines) == M
-    assert [chi for _, _, chi in lines] == [c.chi for c in comps]
+    consts = e._levels
+    assert tuple((2 * consts.e * k + w) / u for u, w, _ in consts.lines) == M
+    assert [Q(x, consts.e) for _, _, x in consts.lines] == [c.chi for c in comps]
     lv = level_data(g, k)
     assert lv.M == M and lv.alpha_levels == tuple(m + c.chi for m, c in zip(M, comps))
     assert central_charge(g, k) == k * e.sdim / (k + e.h_vee) - 6 * k + e.h_vee - 4
@@ -461,7 +461,8 @@ def test_request_ints_equal_their_fractions(case, data):
     """The ints a request reads in place of `Fraction`s: the level record's
     int pairs are the reduced `LevelData` values, k and k + h_vee included;
     the threshold's int pair is A, with a denominator of the sign of k +
-    h_vee, and the int test l0 <= A (`weights._at_most`) is the `Fraction`
+    h_vee, and l0 - A as an int pair over a positive denominator
+    (`weights._excess`) is the `Fraction` l0 - A, its sign the `Fraction`
     comparison at A and A +- 1/1000, for either sign; and the kernel window
     snapped from the ints of q_max, l0 and depth (`_Lattice.window`) is the
     window of the `Fraction` q_max - l0, at negative windows and q_max off
@@ -484,8 +485,9 @@ def test_request_ints_equal_their_fractions(case, data):
     a = Q(an, ad)
     assert a == A_bound(g, k, nu) and (ad > 0) == (k + e.h_vee > 0)
     for l0 in (a, a + Q(1, 1000), a - Q(1, 1000)):
-        assert weights._at_most(l0, (an, ad)) == (l0 <= a)
-        assert weights._at_most(l0, (-an, -ad)) == (l0 <= a)  # the other sign of den
+        for pair in ((an, ad), (-an, -ad)):  # the other sign of den too
+            n, d = weights._excess(l0, pair)
+            assert d > 0 and Q(n, d) == l0 - a and (n <= 0) == (l0 <= a)
     lat = e.lattice
     l0 = a + data.draw(st.sampled_from([0, Q(1, 1000), -Q(1, 1000), Q(1, 2)])) if data else a
     q_max = l0 + (data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=7))

@@ -1,9 +1,9 @@
 """Work counts of the character store over the benchmark's seed-3 pools,
-and of a family's first use: exact numbers, which move only when the
-work does, where a timing is noise.  The pools are read through
-`bench/workloads.py` (`generate` and `Runner`), in process, one pass each,
-from empty character caches, or, for the hits, from the caches a first
-pass fills."""
+of a verdict pass, and of a family's first use: exact numbers, which move
+only when the work does, where a timing is noise.  The pools are read
+through `bench/workloads.py` (`generate` and `Runner`), in process, one
+pass each, from empty character caches, or, for the hits and the
+verdicts, from the caches a first pass fills."""
 import fractions
 import sys
 from collections import Counter
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from wmin import catalog, characters
+from wmin import catalog, characters, levels
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads as W  # noqa: E402
@@ -100,3 +100,46 @@ def test_first_use_builds_only_the_published_fractions(g, built):
 
     counts = fraction_calls(first_use)
     assert counts["__new__"] == built == len(entry.coroots) + entry.n
+
+
+def test_seed3_warm_verdict_pass_builds_only_the_published_fractions():
+    """A warm pass over the seed-3 verdicts pool (every level record and
+    entry cached) calls into `fractions` only to build the three published
+    values of each verdict past the P^+_k gate, A, A_explicit and l0 - A
+    (`unitarity.decide`), to read the numerators and denominators of k, l0
+    and nu's coordinates, and to read the collapsing gate's component
+    levels (`not any`): no `Fraction` difference, comparison or equality
+    remains, as the outcome is the sign of an int."""
+    reqs = W.generate("verdicts", 3, W.NOMINAL_SECONDS, W.load_golden())
+    runner = W.Runner()
+    calls = [runner.prepare(req) for req in reqs]
+    for call in calls:
+        runner.call(call)
+    outs = []
+    counts = fraction_calls(lambda: outs.extend([runner.call(call) for call in calls]))
+    past = sum("l0_minus_A" in out.quantities for out in outs)
+    assert (len(calls), past) == (750, 746)
+    assert counts == {"__new__": 3 * past, "numerator": 4695, "denominator": 4695,
+                      "__bool__": 4}, counts
+
+
+VERDICT_FAMILIES = [catalog.AlgebraId(*fam) for fam in W.VERDICT_FAMILIES]
+
+
+def test_first_use_of_the_verdict_families_and_levels_builds_few_fractions():
+    """Fresh entries of the eight verdict families (`lookup.__wrapped__`)
+    build 324 `Fraction`s, their roots' arithmetic skipping zero
+    coordinates (`catalog.Vec`), and the 48 level records of their first
+    six unitary levels (`levels._level.__wrapped__`) build 264, one per
+    published value: k, k + h_vee, each M_i(k) and M_i(k) + chi_i, and
+    p(k), with no `Fraction` arithmetic or comparison."""
+    entries = fraction_calls(lambda: [catalog.lookup.__wrapped__(g) for g in VERDICT_FAMILIES])
+    assert entries["__new__"] == 324, entries
+    ks = [(g, k) for g in VERDICT_FAMILIES for k in levels.enumerate_unitary_k(g, 6)]
+    records = []
+    counts = fraction_calls(lambda: records.extend(
+        [levels._level.__wrapped__(g, k.numerator, k.denominator) for g, k in ks]))
+    published = sum(2 + len(rec.data.M) + len(rec.data.alpha_levels) + 1 for rec in records)
+    assert (len(records), published) == (48, 264)
+    assert counts.keys() <= {"__new__", "numerator", "denominator", "__bool__", "__str__"}, counts
+    assert counts["__new__"] == published
