@@ -4,12 +4,16 @@
 Draws ROUNDS examples of public calls and ROUNDS `wmin` command lines with
 the strategies of `tests/test_error_contract.py` (`drawn_calls`, `argv`),
 under its lowered caps (`bounded`), seeded by SEED, and gives each call a
-5 s alarm.  Where the Tier-1 test stops at the first breach, this run goes
-on and lists every escape: a call that raises anything but a `WminError`,
-returns a series with a coefficient that is no int, or runs past its
-alarm; a command line that exits other than 0, 1 or 2, raises, prints a
-traceback or runs past its alarm; and a `parse_rational` refusal that is
-no `ValueError`.  The exit code is 1 when any escape was found.
+5 s alarm.  The calls include the series readers (`read_series`:
+`series_from_records`, `QWSeries.coeff` and `QWSeries.truncated`, and
+`characters.depth_of`) with nu drawn as a `Vec` or a plain list, and
+`h_odd` with gamma drawn as a `Vec`, a tuple or a list.  Where the Tier-1
+test stops at the first breach, this run goes on and lists every escape:
+a call that raises anything but a `WminError`, returns a series with a
+coefficient that is no int, or runs past its alarm; a command line that
+exits other than 0, 1 or 2, raises, prints a traceback or runs past its
+alarm; and a `parse_rational` refusal that is no `ValueError`.  The exit
+code is 1 when any escape was found.
 
     python3 scripts/fuzz_contract.py --seed 1 --rounds 500
 """

@@ -102,8 +102,8 @@ from .catalog import AlgebraId, CatalogEntry, Vec, _Lattice, _NuScalars, _vec, l
 from .errors import (IndexOutOfRange, InexactScalar, NonDominant, PreconditionViolated,
                      TruncationIncomplete, UnsupportedD21a)
 from .rationals import as_rational, format_rational, parse_rational, solve_quadratic_rational
-from .levels import _Level
-from .weights import _ell, _excess, _is_extremal, _P_plus_data, _threshold
+from .levels import _Level, _record
+from .weights import _ell_ints, _excess, _is_extremal, _P_plus_data, _threshold
 
 Q = Fraction
 
@@ -112,13 +112,22 @@ Q = Fraction
 # depth functional
 
 
-def depth_of(entry: CatalogEntry, ref: Vec, w: Vec) -> Fraction:
+def _as_vec(w: Sequence) -> Vec:
+    """w as a `Vec`: w itself when it is one (a class check, so a `Vec`
+    costs nothing more), else converted (`Vec`, whose coercion refuses a
+    float with `InexactScalar`), so that a plain sequence reads as the
+    weight it spells and is never held aliased."""
+    return w if w.__class__ is Vec else Vec(w)
+
+
+def depth_of(entry: CatalogEntry, ref: Sequence, w: Sequence) -> Fraction:
     """Depth of w relative to ref: the depth covector of the entry's frame
-    dotted with ref - w.  Raises `ParameterOutOfRange` when either weight
-    has the wrong length."""
+    dotted with ref - w.  Either weight may be any sequence of rationals
+    (`_as_vec`).  Raises `ParameterOutOfRange` when either weight has the
+    wrong length."""
     entry._check_length(ref)
     entry._check_length(w)
-    return sum(map(mul, entry.lattice.depth_cov, ref - w), Q(0))
+    return sum(map(mul, entry.lattice.depth_cov, _as_vec(ref) - _as_vec(w)), Q(0))
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +144,9 @@ class QWSeries:
     kernel terms that pass this series' cuts over int keys and gives a `Vec`
     key only to each nonzero sum.  The result is only read and cut
     (`truncated`); `add_term` places one term, for `series_from_records`.
+    The reference weight and every weight a method takes may be any
+    sequence of rationals: each is held or looked up as a `Vec`
+    (`_as_vec`).
     """
 
     __slots__ = ("entry", "q_max", "depth", "ref", "terms")
@@ -143,7 +155,7 @@ class QWSeries:
         self.entry = entry
         self.q_max = as_rational(q_max)
         self.depth = as_rational(depth)
-        self.ref = ref if ref is not None else zero_vec(entry.n)
+        self.ref = zero_vec(entry.n) if ref is None else _as_vec(ref)
         self.terms: Dict[Fraction, Dict[Vec, int]] = {}
 
     # -- basic structure ----------------------------------------------------
@@ -154,7 +166,7 @@ class QWSeries:
             if isinstance(c, float):
                 raise InexactScalar(f"not an exact rational: coefficient {c!r} (use an int)")
             raise PreconditionViolated(f"coefficient {c!r} is not an int")
-        q = as_rational(q)
+        q, w = as_rational(q), _as_vec(w)
         if not (c and q <= self.q_max and depth_of(self.entry, self.ref, w) <= self.depth):
             return
         lvl = self.terms.setdefault(q, {})
@@ -167,7 +179,7 @@ class QWSeries:
                 del self.terms[q]
 
     def coeff(self, q, w: Vec) -> int:
-        return self.terms.get(as_rational(q), {}).get(w, 0)
+        return self.terms.get(as_rational(q), {}).get(_as_vec(w), 0)
 
     def n_terms(self) -> int:
         return sum(len(l) for l in self.terms.values())
@@ -179,7 +191,7 @@ class QWSeries:
         q_max <= self.q_max and depth + depth_of(self.ref, ref) <= self.depth;
         any other window raises PreconditionViolated rather than return
         terms this series never kept."""
-        ref = self.ref if ref is None else ref
+        ref = self.ref if ref is None else _as_vec(ref)
         q_max, depth = as_rational(q_max), as_rational(depth)
         if q_max > self.q_max or depth + depth_of(self.entry, self.ref, ref) > self.depth:
             raise PreconditionViolated(f"window ({q_max}, {depth}) around ref is not inside "
@@ -834,21 +846,25 @@ def verma_character(g: AlgebraId, nu: Vec, ell, q_max, depth) -> QWSeries:
 
 
 def ell_of_h(g: AlgebraId, k, nu: Vec, h) -> Fraction:
-    """Lowest energy of the reduced module with highest weight nu_hat_h."""
-    entry = lookup(g)
-    kh = entry.shifted_level(k)
-    return _ell(as_rational(h).as_integer_ratio(), as_rational(k), kh, entry._scalars(nu).cas)
+    """Lowest energy of the reduced module with highest weight nu_hat_h:
+    ell(h) by `weights._ell_ints` at h's reduced pair and the level
+    record's (`levels._level`, which raises CriticalLevel at k = -h_vee),
+    divided once."""
+    entry, rec = lookup(g), _record(g, k)
+    h = as_rational(h)
+    return Q(*_ell_ints((h.numerator, h.denominator), rec, entry._scalars(nu).cas))
 
 
 def h_pair(g: AlgebraId, k, nu: Vec, l0) -> Optional[Tuple[Fraction, Fraction]]:
     """Rational solutions (h, h') of ell(h) = l0, with h' = k+1-h, or None
-    when the discriminant is not a rational square: `_ell` inverted, as
-    h^2 - (k+1)h - (l0 - ell(0))(k+h) = 0."""
-    entry = lookup(g)
-    kh = entry.shifted_level(k)
-    k, l0 = as_rational(k), as_rational(l0)
-    c0 = _ell((0, 1), k, kh, entry._scalars(nu).cas)
-    roots = solve_quadratic_rational(Q(1), -(k + 1), -(l0 - c0) * kh)
+    when the discriminant is not a rational square: `weights._ell_ints`
+    inverted, as h^2 - (k+1)h - (l0 - ell(0))(k+h) = 0, with ell(0) and
+    k + h_vee read off the level record (`levels._level`) as int pairs and
+    each divided once."""
+    entry, rec = lookup(g), _record(g, k)
+    k, l0 = rec.data.k, as_rational(l0)
+    c0 = Q(*_ell_ints((0, 1), rec, entry._scalars(nu).cas))
+    roots = solve_quadratic_rational(Q(1), -(k + 1), -(l0 - c0) * Q(*rec.kh_ints))
     return None if roots is None else (roots[0], k + 1 - roots[0])
 
 
@@ -1208,7 +1224,7 @@ def character_massive(g: AlgebraId, k, nu: Vec, l0, q_max, depth) -> QWSeries:
     data = _P_plus_data(entry, k, nu)
     if data is None or _is_extremal(entry, *data):
         raise PreconditionViolated("massive character needs non-extremal nu in P^+_k")
-    if _excess(l0, _threshold(*data))[0] <= 0:  # l0 <= A
+    if _excess((l0.numerator, l0.denominator), _threshold(*data))[0] <= 0:  # l0 <= A
         raise PreconditionViolated("massive character needs l0 > A(k,nu)")
     rec, sc = data
     return _character(entry, rec, sc, nu, l0, q_max, depth, False)

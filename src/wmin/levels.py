@@ -6,6 +6,7 @@ quadratic or rational evaluation at k of constants the catalog entry holds
 one record, `_level`."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import List, NamedTuple, Optional
@@ -66,14 +67,14 @@ def _collapse_target(entry: CatalogEntry, M: tuple) -> str:
 class _Level(NamedTuple):
     """What a request reads of its level (`_level`): `LevelData`, and the
     scalars the request's checks read (`weights._in_P_plus`,
-    `weights._is_extremal`, `weights._threshold`, `characters._start`) as
-    the (numerator, denominator > 0) int pairs of their `Fraction`s, so
-    that a request reads no `Fraction` of its level."""
+    `weights._is_extremal`, `weights._ell_ints` for the thresholds and the
+    singular weights, `characters._start`) as reduced (numerator,
+    denominator > 0) int pairs, so that a request reads no `Fraction` of
+    its level."""
     data: LevelData
-    kh: Fraction             # k + h_vee, nonzero
     in_range: bool           # k lies in the unitarity range
     k_ints: tuple            # k
-    kh_ints: tuple           # k + h_vee
+    kh_ints: tuple           # k + h_vee, nonzero
     m_ints: tuple            # M_i(k) of the simple components, index order 1..s
     alpha_ints: tuple        # M_i(k) + chi_i of the simple components, same order
     start_ints: tuple        # <lam0, beta^vee> - nu(beta^vee) over the affine simple roots
@@ -90,13 +91,13 @@ def _ints(x: Fraction) -> tuple:
 def _level(g: AlgebraId, kn: int, kd: int) -> _Level:
     """The level record of (g, k), k = kn/kd a `Fraction` given by its
     numerator and denominator, so that the cache key hashes two ints and
-    not k (a `Fraction` hash takes a modular inverse): `LevelData`, k +
-    h_vee and unitarity-range membership, each evaluated once per (g, k)
-    and then read by `level_data`, `unitarity_range_contains` and the
-    decision and character preconditions, and the int pairs of k, k +
-    h_vee, M_i(k) and M_i(k) + chi_i of the simple components and of the
-    start's level part, which the preconditions and the start read in
-    place of their `Fraction`s.  At the critical level k = -h_vee
+    not k (a `Fraction` hash takes a modular inverse): `LevelData` and
+    unitarity-range membership, each evaluated once per (g, k) and then
+    read by `level_data`, `unitarity_range_contains` and the decision and
+    character preconditions, and the int pairs of k, k + h_vee, M_i(k) and
+    M_i(k) + chi_i of the simple components and of the start's level part,
+    which the preconditions, the thresholds, the singular weights and the
+    start read in place of `Fraction`s.  At the critical level k = -h_vee
     `CatalogEntry._shifted` raises CriticalLevel, and `lru_cache` keeps no
     raised call, so it raises on every call.
 
@@ -108,7 +109,8 @@ def _level(g: AlgebraId, kn: int, kd: int) -> _Level:
     u_i = u/e, h_vee - hbar_i_vee = w/e and chi_i = c/e,
         M_i(k) = (2 e k + w)/u = t/(u kd),  t = 2 e kn + w kd,
         M_i(k) + chi_i = (t e + c u kd)/(e u kd),
-    with u != 0; k + h_vee = (e kn + h kd)/(e kd) (`_shifted`); and with
+    with u != 0; k + h_vee = (e kn + h kd)/(e kd) (`_shifted`), e kd > 0,
+    reduced by dividing both by their gcd > 0; and with
     the zeros z_j/(2e), p(k) = (2e kn - z1 kd)(2e kn - z2 kd)/(2e kd)^2, so
     the level collapses exactly when that int numerator is 0.  The range
     index n = (k - first)/step, first = f/e and step = s/e != 0, is
@@ -118,7 +120,8 @@ def _level(g: AlgebraId, kn: int, kd: int) -> _Level:
     0 <= n < count (no upper bound when count is None).  With a/b = M_i(k)
     + chi_i reduced, b > 0, M_i(k) + chi_i + 1 = (a + b)/b, reduced too."""
     entry = lookup(g)
-    kh = Q(*entry._shifted(kn, kd))
+    khn, khd = entry._shifted(kn, kd)
+    f = math.gcd(khn, khd)
     c = entry._levels
     e, ek = c.e, 2 * c.e * kn
     tops = [(ek + w * kd, u) for u, w, _ in c.lines]  # M_i(k) = t / (u kd)
@@ -134,9 +137,16 @@ def _level(g: AlgebraId, kn: int, kd: int) -> _Level:
         k=Q(kn, kd), M=M, M_simple=M[1:] if entry.center else M, alpha_levels=alpha,
         p_k=Q(pn, (2 * e * kd) ** 2), collapsing=not pn,
         collapse_target=_collapse_target(entry, M) if not pn else None),
-        kh, not r and 0 <= n and (count is None or n < count),
-        (kn, kd), _ints(kh), tuple(map(_ints, M[-s:])), alpha_ints,
+        not r and 0 <= n and (count is None or n < count),
+        (kn, kd), (khn // f, khd // f), tuple(map(_ints, M[-s:])), alpha_ints,
         ((1, 1),) * len(entry.simple_roots_natural) + tuple([(a + b, b) for a, b in alpha_ints]))
+
+
+def _record(g: AlgebraId, k) -> _Level:
+    """The level record `_level` of k, an int or a `Fraction` (`as_rational`
+    refuses anything else)."""
+    k = as_rational(k)
+    return _level(g, k.numerator, k.denominator)
 
 
 def level_data(g: AlgebraId, k: Fraction) -> LevelData:
@@ -144,8 +154,7 @@ def level_data(g: AlgebraId, k: Fraction) -> LevelData:
     evaluations at k of the entry's constants (`CatalogEntry._levels`), read
     off the level record `_level`, whose cache holds the last 128 (g, k).
     Raises CriticalLevel at k = -h_vee on every call: errors are not cached."""
-    k = as_rational(k)
-    return _level(g, k.numerator, k.denominator).data
+    return _record(g, k).data
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@ from typing import NamedTuple, Optional
 
 from .catalog import AlgebraId, CatalogEntry, Vec, _NuScalars, _dot, lookup
 from .errors import IndexOutOfSet, TruncationIncomplete
-from .levels import LevelData, _Level, _level
+from .levels import LevelData, _Level, _level, _record
 from .rationals import _Record, as_rational, format_rational
-from .weights import (_A_explicit, _ell, _excess, _in_P_plus, _is_extremal, _P_plus_data,
-                      _threshold)
+from .weights import (_A_explicit, _ell_ints, _excess, _in_P_plus, _is_extremal,
+                      _P_plus_data, _threshold)
 
 Q = Fraction
 
@@ -55,7 +55,7 @@ class UnitarityVerdict:
             self.outcome == EXTREMAL_BOUNDARY and bool(self.proved))
 
 
-def _collapse_check(entry: CatalogEntry, rec: _Level, nu: Vec, sc: _NuScalars,
+def _collapse_check(entry: CatalogEntry, rec: _Level, sc: _NuScalars,
                     l0: Fraction) -> CollapseCheck:
     """The gate, chosen by the component levels, not by the target's name;
     `rec` is the level record (`levels._level`) and `sc` nu's per-request
@@ -107,7 +107,7 @@ def decide(g: AlgebraId, k, nu: Vec, l0) -> UnitarityVerdict:
 
     sc = entry._scalars(nu)
     if lv.collapsing:
-        chk = _collapse_check(entry, rec, nu, sc, l0)
+        chk = _collapse_check(entry, rec, sc, l0)
         return UnitarityVerdict(COLLAPSING, _quantities(entry, lv, l0),
                                 (f"collapsing level, target {chk.target}",), collapse=chk)
 
@@ -128,7 +128,7 @@ def _tail(entry: CatalogEntry, lv: LevelData, l0: Fraction, a: tuple, extremal: 
     (`weights._excess`): l0 = A exactly when it is 0, l0 >= A exactly when
     it is >= 0.  A and l0 - A are each published as the one `Fraction` of
     their int pair."""
-    excess = _excess(l0, a)
+    excess = _excess((l0.numerator, l0.denominator), a)
     # `_quantities`, spelled out: this dict is built on every verdict past the gates
     quantities = {"k": lv.k, "M_i": list(lv.M_simple), "chi_i": [c.chi for c in entry.components],
                   "l0": l0, "A": Q(*a), "A_explicit": closed, "extremal": extremal,
@@ -154,47 +154,67 @@ def _tail(entry: CatalogEntry, lv: LevelData, l0: Fraction, a: tuple, extremal: 
 
 def h_even(g: AlgebraId, k, nu: Vec, n, m) -> Fraction:
     """h_{n, eps*m} = ell((eps*m*(k+h) - n + k + 1)/2): even-root singular weight."""
-    entry = lookup(g)
-    kh = entry.shifted_level(k)
-    k, n, m = as_rational(k), as_rational(n), as_rational(m)
+    entry, rec = lookup(g), _record(g, k)
+    n, m = as_rational(n), as_rational(m)
     eps = entry.epsilon
     if n <= 0 or m <= 0 or (eps * n).denominator != 1 or (eps * m).denominator != 1 \
             or (m - n).denominator != 1:
         raise IndexOutOfSet("need m, n in (1/eps)N with m - n integral")
-    return _h_even(k, kh, entry._scalars(nu).cas, eps, n, m)
+    h = _h_even(rec, eps, (n.numerator, n.denominator), (m.numerator, m.denominator))
+    return Q(*_ell_ints(h, rec, entry._scalars(nu).cas))
 
 
 def h_odd(g: AlgebraId, k, nu: Vec, m, gamma: Vec) -> Fraction:
     """h_{m, gamma} = ell((nu+rho^nat|gamma) + m(k+h) + (k+1)/2): odd-root
-    singular weight, gamma in Delta'."""
-    entry = lookup(g)
-    kh = entry.shifted_level(k)
-    k, m = as_rational(k), as_rational(m)
+    singular weight, gamma in Delta', given as any sequence of rationals (a
+    float coordinate raises InexactScalar, as nu's do)."""
+    entry, rec = lookup(g), _record(g, k)
+    m = as_rational(m)
     if (m - Q(1, 2)).denominator != 1 or m < Q(1, 2):
         raise IndexOutOfSet("need m in 1/2 + Z_+")
+    gamma = Vec(gamma) if hasattr(gamma, "__iter__") else None  # no sequence is no weight
     odd = next((row for row in entry._odd_covs if row[0] == gamma), None)
     if odd is None:
         raise IndexOutOfSet("gamma must be a weight of the odd half-space")
     sc = entry._scalars(nu)
-    return _h_odd(k, kh, sc.cas, _odd_pair(odd, sc.d, sc.x), m)
+    h = _h_odd(rec, _odd_pair(odd, sc.d, sc.x), (m.numerator, m.denominator))
+    return Q(*_ell_ints(h, rec, sc.cas))
 
 
-def _h_even(k: Fraction, kh: Fraction, cas: tuple, eps: int, n, m) -> Fraction:
-    """h_{n, eps*m} from k, kh = k+h_vee and cas = (nu|nu+2rho^nat) as a
-    (numerator, denominator) int pair."""
-    return _ell(((eps * m * kh - n + k + 1) / 2).as_integer_ratio(), k, kh, cas)
+def _h_even(rec: _Level, eps: int, n: tuple, m: tuple) -> tuple:
+    """The argument h = (eps m (k+h_vee) - n + k + 1)/2 of h_{n, eps*m} as
+    an int pair (numerator, denominator > 0), not reduced, for n = nn/nd
+    and m = mn/md (nd, md > 0) and the record's k = kn/kd and k + h_vee =
+    khn/khd (`levels._level`, kd, khd > 0).  Exact: over the one
+    denominator 2 md khd nd kd > 0,
+        h = (eps mn khn nd kd - nn md khd kd + (kn + kd) md khd nd)
+            / (2 md khd nd kd),
+    int products and sums."""
+    (kn, kd), (khn, khd), (nn, nd), (mn, md) = rec.k_ints, rec.kh_ints, n, m
+    return (eps * mn * khn * nd * kd - nn * md * khd * kd + (kn + kd) * md * khd * nd,
+            2 * md * khd * nd * kd)
 
 
-def _h_odd(k: Fraction, kh: Fraction, cas: tuple, pair: Fraction, m) -> Fraction:
-    """h_{m, gamma} from k, kh, cas as `_h_even`, and pair = (nu+rho^nat|gamma)."""
-    return _ell((pair + m * kh + (k + 1) / 2).as_integer_ratio(), k, kh, cas)
+def _h_odd(rec: _Level, pair: tuple, m: tuple) -> tuple:
+    """The argument h = (nu+rho^nat|gamma) + m (k+h_vee) + (k+1)/2 of
+    h_{m, gamma} as an int pair (numerator, denominator > 0), not reduced,
+    for the pairing pn/pd = `_odd_pair`'s (pd > 0), m = mn/md (md > 0) and
+    k, k + h_vee as in `_h_even`.  Exact: over the one denominator
+    2 pd md khd kd > 0,
+        h = (2 pn md khd kd + 2 mn khn pd kd + (kn + kd) pd md khd)
+            / (2 pd md khd kd),
+    int products and sums."""
+    (kn, kd), (khn, khd), (pn, pd), (mn, md) = rec.k_ints, rec.kh_ints, pair, m
+    return (2 * pn * md * khd * kd + 2 * mn * khn * pd * kd + (kn + kd) * pd * md * khd,
+            2 * pd * md * khd * kd)
 
 
-def _odd_pair(odd: tuple, d: int, x: list) -> Fraction:
-    """(nu + rho^nat|gamma) at nu = x / d, for a row (gamma, e, cov, r) of
-    `CatalogEntry._odd_covs`: one int dot product, (cov.x + r d) / (e d)."""
+def _odd_pair(odd: tuple, d: int, x: list) -> tuple:
+    """(nu + rho^nat|gamma) at nu = x / d (d > 0), for a row (gamma, e,
+    cov, r) of `CatalogEntry._odd_covs` (e > 0): one int dot product, the
+    int pair (cov.x + r d, e d), exact and not reduced."""
     _, e, cov, r = odd
-    return Q(_dot(cov, x) + r * d, e * d)
+    return _dot(cov, x) + r * d, e * d
 
 
 class Sign2Report(_Record):
@@ -241,6 +261,14 @@ def sign2_scan(g: AlgebraId, k, nu: Vec, n_max, m_max) -> Sign2Report:
     accordingly and violations are informational.  A window of more than
     SCAN_CAP indices, counted before any is checked (`_scan_size`) and read
     at call time as `levels.RANGE_CAP` is, raises TruncationIncomplete.
+
+    The walk is over ints: n = nn/eps and m = mm/eps for the even indices,
+    m = j/2 for odd j <= floor(2 m_max) for the odd ones (as many as
+    `_scan_size` counts).  Each singular weight is the int pair of
+    `weights._ell_ints` at its argument (`_h_even`, `_h_odd`), and it
+    exceeds A exactly when the numerator of `weights._excess`, over a
+    positive denominator, is > 0; `Fraction`s are built once for A and
+    else only for the indices and value of a violation.
     """
     entry = lookup(g)
     k = as_rational(k)
@@ -248,9 +276,9 @@ def sign2_scan(g: AlgebraId, k, nu: Vec, n_max, m_max) -> Sign2Report:
     hyp = data is not None and not _is_extremal(entry, *data)
     rep = Sign2Report(g, k, nu, hyp,
                       "scan" if hyp else "lemma hypothesis not met")
-    rec, sc = data or (_level(g, k.numerator, k.denominator), entry._scalars(nu))
-    kh = rec.kh
-    a, cas = Q(*_threshold(rec, sc)), sc.cas
+    rec, sc = data or (_record(g, k), entry._scalars(nu))
+    a, cas = _threshold(rec, sc), sc.cas
+    A = Q(*a)
     eps = entry.epsilon
     n_max, m_max = as_rational(n_max), as_rational(m_max)
     size = _scan_size(eps, n_max, m_max, len(entry._odd_covs))
@@ -258,24 +286,21 @@ def sign2_scan(g: AlgebraId, k, nu: Vec, n_max, m_max) -> Sign2Report:
         raise TruncationIncomplete(f"scan cap {SCAN_CAP} exceeded: {size} indices of "
                                    f"{g.label()} at n_max = {format_rational(n_max)}, "
                                    f"m_max = {format_rational(m_max)}")
-    # even indices: n, m in (1/eps)N with m - n integral (`_scan_size`); with
-    # no m the walk over n would check nothing
+    # even indices: n = nn/eps, m = mm/eps with m - n integral (`_scan_size`);
+    # with no m the walk over n would check nothing
     nt, mt = math.floor(eps * n_max), math.floor(eps * m_max)
     for nn in range(1, nt + 1) if mt > 0 else ():
         for mm in range(nn % eps or eps, mt + 1, eps):
-            n, m = Q(nn, eps), Q(mm, eps)
-            v = _h_even(k, kh, cas, eps, n, m)
+            v = _ell_ints(_h_even(rec, eps, (nn, eps), (mm, eps)), rec, cas)
             rep.checked += 1
-            if v > a:
-                rep.violations.append(("h_even", (n, m), v, a))
-    # odd indices: m in 1/2 + Z_+, gamma over the support of Delta'
+            if _excess(v, a)[0] > 0:
+                rep.violations.append(("h_even", (Q(nn, eps), Q(mm, eps)), Q(*v), A))
+    # odd indices: m = j/2 for odd j <= 2 m_max, gamma over the support of Delta'
     pairs = [(odd[0], _odd_pair(odd, sc.d, sc.x)) for odd in entry._odd_covs]
-    m = Q(1, 2)
-    while m <= m_max:
+    for j in range(1, math.floor(2 * m_max) + 1, 2):
         for gamma, pair in pairs:
-            v = _h_odd(k, kh, cas, pair, m)
+            v = _ell_ints(_h_odd(rec, pair, (j, 2)), rec, cas)
             rep.checked += 1
-            if v > a:
-                rep.violations.append(("h_odd", (m, gamma), v, a))
-        m += 1
+            if _excess(v, a)[0] > 0:
+                rep.violations.append(("h_odd", (Q(j, 2), gamma), Q(*v), A))
     return rep

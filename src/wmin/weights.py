@@ -1,18 +1,22 @@
 """Dominance, level bounds, extremality, and the unitarity thresholds.
 
-The thresholds and singular weights are one lowest-energy quadratic, `_ell`:
-ell(h) = (nu|nu+2rho^nat)/(2(k+h)) + h(h-k-1)/(k+h), so A = ell((xi|nu)),
-B = ell((k+1)/2), and h_even, h_odd, ell_of_h and g_half_norm read it too.
-Its scalars, (xi|nu) and the Casimir term, and nu's coroot pairings come
-from one per-request pass over nu (`CatalogEntry._scalars`), as ints over
-their denominators, and the level's scalars from the level record
-(`levels._level`), as int pairs: the P^+_k and extremality tests are int
-comparisons, A is one int numerator over one int denominator
-(`_threshold`), and l0 - A one int numerator over a positive int
-denominator (`_excess`), whose sign decides the tests l0 <= A (the
-massive precondition), l0 = A and l0 >= A (`decide`); the
-callers that publish A or l0 - A divide once into a `Fraction`, as the
-closed forms `_A_explicit` are."""
+The thresholds and singular weights are one lowest-energy quadratic,
+ell(h) = (nu|nu+2rho^nat)/(2(k+h)) + h(h-k-1)/(k+h), with one evaluator,
+`_ell_ints`, which gives ell(h) as one int numerator over one int
+denominator: A = ell((xi|nu)) (`_threshold`), B = ell((k+1)/2), the
+singular weights h_even and h_odd at their int-pair arguments
+(`unitarity._h_even`, `_h_odd`) and `ell_of_h` read it, and `h_pair`
+inverts it.  Its scalars, (xi|nu) and the Casimir term, and nu's coroot
+pairings come from one per-request pass over nu (`CatalogEntry._scalars`),
+as ints over their denominators, and the level's scalars, k and k + h_vee
+among them, from the level record (`levels._level`), as int pairs: the
+P^+_k and extremality tests are int comparisons, and a value x - A, for
+x = l0 or a singular weight, is one int numerator over a positive int
+denominator (`_excess`, the one comparison with A), whose sign decides
+the tests l0 <= A (the massive precondition), l0 = A and l0 >= A
+(`decide`) and h <= A (`sign2_scan`); the callers that publish a value
+divide its int pair once into a `Fraction`, as the closed forms
+`_A_explicit` are."""
 from __future__ import annotations
 
 import math
@@ -22,7 +26,7 @@ from typing import List, Optional, Tuple
 
 from .catalog import AlgebraId, CatalogEntry, Vec, _NuScalars, _dot, _solve, _vec, lookup
 from .errors import CharacterizationMismatch, PreconditionViolated, TruncationIncomplete
-from .levels import _Level, _level, _ranged
+from .levels import _Level, _ranged, _record
 from .rationals import as_rational, format_rational
 
 Q = Fraction
@@ -106,11 +110,12 @@ def is_extremal(g: AlgebraId, k, nu: Vec) -> bool:
     return _is_extremal(entry, *data)
 
 
-def _ell_ints(h: tuple, k: tuple, kh: tuple, cas: tuple) -> tuple:
+def _ell_ints(h: tuple, rec: _Level, cas: tuple) -> tuple:
     """The lowest-energy quadratic cas/(2(k+h)) + h(h-k-1)/(k+h) as one
-    int numerator over one nonzero int denominator, not reduced, with h,
-    k, kh = k+h_vee (nonzero) and cas = (nu|nu+2rho^nat) given as
-    (numerator, denominator > 0) int pairs.
+    int numerator over one nonzero int denominator, not reduced, with h and
+    cas = (nu|nu+2rho^nat) given as (numerator, denominator > 0) int pairs,
+    and k and kh = k+h_vee (nonzero) as the int pairs of the level record
+    `rec` (`levels._level`, `k_ints` and `kh_ints`, denominators > 0).
 
     Exactness.  ell = (cas/2 + h(h-k-1))/kh.  With h = hn/hd, cas = cn/cd,
     k = kn/kd and kh = khn/khd, h(h-k-1) = hn (hn kd - (kn+kd) hd)/(hd^2 kd),
@@ -120,18 +125,14 @@ def _ell_ints(h: tuple, k: tuple, kh: tuple, cas: tuple) -> tuple:
     Numerator and denominator are int products and sums, exact, with
     den != 0 since every denominator is nonzero and khn != 0 off the
     critical level; den has the sign of khn, as cd, hd^2 and kd are
-    positive.  No division is made here."""
-    (hn, hd), (kn, kd), (khn, khd), (cn, cd) = h, k, kh, cas
+    positive.  No division is made here: a caller that publishes ell(h)
+    divides once, `Fraction(*_ell_ints(...))`, which divides out the gcd and
+    moves the sign to the numerator, so it is the one reduced `Fraction` of
+    that value, the same one the term-by-term `Fraction` evaluation gives,
+    whatever pairs (reduced or not) stand for h, k and kh."""
+    (hn, hd), (kn, kd), (khn, khd), (cn, cd) = h, rec.k_ints, rec.kh_ints, cas
     return ((cn * hd * hd * kd + 2 * cd * hn * (hn * kd - (kn + kd) * hd)) * khd,
             2 * cd * hd * hd * kd * khn)
-
-
-def _ell(h: tuple, k: Fraction, kh: Fraction, cas: tuple) -> Fraction:
-    """`_ell_ints` at k and kh = k+h_vee given as `Fraction`s, divided once.
-    No sign is assumed: `Fraction` divides out the gcd and moves the sign
-    to the numerator, so the result is the one reduced `Fraction` of that
-    value, the same one the term-by-term `Fraction` evaluation gives."""
-    return Q(*_ell_ints(h, k.as_integer_ratio(), kh.as_integer_ratio(), cas))
 
 
 def _threshold(rec: _Level, sc: _NuScalars) -> tuple:
@@ -141,39 +142,42 @@ def _threshold(rec: _Level, sc: _NuScalars) -> tuple:
     Casimir term are the ints over their positive denominators that the
     pass gives, and k and k + h_vee the record's int pairs, k + h_vee
     nonzero.  `Fraction(*_threshold(rec, sc))` is A, one division (see
-    `_ell`); the denominator has the sign of k + h_vee."""
-    return _ell_ints(sc.xn, rec.k_ints, rec.kh_ints, sc.cas)
+    `_ell_ints`); the denominator has the sign of k + h_vee."""
+    return _ell_ints(sc.xn, rec, sc.cas)
 
 
-def _excess(l0: Fraction, a: tuple) -> tuple:
-    """l0 - A as an int numerator over a positive int denominator, not
-    reduced, for A = an/ad given as `_threshold`'s int pair, ad != 0: with
-    l0 = ln/ld, ld > 0, l0 - A = (ln ad - an ld)/(ld ad), and both are
-    multiplied by the sign of ad.  So the numerator has the sign of l0 - A,
-    and `Fraction(*_excess(l0, a))` is l0 - A, one division.  ad has the
-    sign of k + h_vee, which is negative at every level of a unitarity
-    range (k <= -2/3 and h_vee <= 1/2, `levels._ranged`), but both signs
-    are handled, so nothing rests on that."""
-    an, ad = a
-    ln, ld = l0.numerator, l0.denominator
-    if ad > 0:
-        return ln * ad - an * ld, ld * ad
-    return an * ld - ln * ad, -ld * ad
+def _excess(x: tuple, a: tuple) -> tuple:
+    """x - A as an int numerator over a positive int denominator, not
+    reduced, for x = xn/xd and A = an/ad given as int pairs with nonzero
+    denominators of either sign (l0's reduced pair, a singular weight's
+    `_ell_ints` pair, A's `_threshold` pair): the one comparison of a value
+    with A.  x - A = (xn ad - an xd)/(xd ad), and both are multiplied by
+    the sign of xd ad != 0.  So the numerator has the sign of x - A, and
+    `Fraction(*_excess(x, a))` is x - A, one division.  ad has the sign of
+    k + h_vee, which is negative at every level of a unitarity range
+    (k <= -2/3 and h_vee <= 1/2, `levels._ranged`), but both signs are
+    handled, so nothing rests on that."""
+    (xn, xd), (an, ad) = x, a
+    d = xd * ad
+    if d > 0:
+        return xn * ad - an * xd, d
+    return an * xd - xn * ad, -d
 
 
 def A_bound(g: AlgebraId, k, nu: Vec) -> Fraction:
-    """Threshold A(k,nu) = ell((xi|nu)), with ell the quadratic `_ell`."""
-    k = as_rational(k)
-    return Q(*_threshold(_level(g, k.numerator, k.denominator), lookup(g)._scalars(nu)))
+    """Threshold A(k,nu) = ell((xi|nu)), with ell the quadratic `_ell_ints`."""
+    return Q(*_threshold(_record(g, k), lookup(g)._scalars(nu)))
 
 
 def B_bound(g: AlgebraId, k, nu: Vec) -> Fraction:
     """Free-field sufficiency threshold ell((k+1)/2) =
-    (nu|nu+2rho^nat)/(2(k+h)) - (k+1)^2/(4(k+h))."""
-    entry = lookup(g)
-    kh = entry.shifted_level(k)
-    k = as_rational(k)
-    return _ell(((k + 1) / 2).as_integer_ratio(), k, kh, entry._scalars(nu).cas)
+    (nu|nu+2rho^nat)/(2(k+h)) - (k+1)^2/(4(k+h)), at the level record
+    (`levels._level`, which raises CriticalLevel at k = -h_vee): with k =
+    kn/kd, kd > 0, the argument (k+1)/2 is the int pair (kn + kd, 2 kd),
+    exact, and `_ell_ints` evaluates ell there, divided once."""
+    entry, rec = lookup(g), _record(g, k)
+    kn, kd = rec.k_ints
+    return Q(*_ell_ints((kn + kd, 2 * kd), rec, entry._scalars(nu).cas))
 
 
 def A_explicit(g: AlgebraId, k, nu: Vec) -> Fraction:
@@ -202,7 +206,7 @@ def _A_explicit(entry: CatalogEntry, k: Fraction, d: int, x: list, ps: list) -> 
     numerator and denominator multiplied by the one factor shown, which
     clears every denominator; where that denominator vanishes (spo2m at
     k = (m-4)/2, D(2,1;a) at k = 0, F4 at k = 2, G3 at k = 3/2) both raise
-    ZeroDivisionError.  Exactness as in `_ell`: int arithmetic, then one
+    ZeroDivisionError.  Exactness as in `_ell_ints`: int arithmetic, then one
     `Fraction`.
 
     psl22: theta_1/2 = R_1/(2d).  spo2m(3): theta_1/4 = R_1/(4d).

@@ -185,7 +185,7 @@ def test_levels_and_unitarity_name_no_family():
     string literal and read no `.family`, so no per-family branch creeps
     back into them.  Exempt is `weights._A_explicit`, the per-family closed
     forms kept as an independent oracle for the threshold; it in turn names
-    neither `_ell` nor the pass over nu and its covectors, so A == A_explicit
+    neither `_ell_ints` nor the pass over nu and its covectors, so A == A_explicit
     keeps comparing two routes."""
     for mod, exempt in ((levels, ()), (unitarity, ()), (weights, ("_A_explicit",))):
         nodes = list(_walk_outside(ast.parse(Path(mod.__file__).read_text()), exempt))
@@ -200,7 +200,7 @@ def test_levels_and_unitarity_name_no_family():
              if isinstance(n, ast.FunctionDef) and n.name == "_A_explicit"]
     names = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
     names |= {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)}
-    assert not names & {"_ell", "_xi_cov", "_casimir_cov", "_scalars"}
+    assert not names & {"_ell_ints", "_xi_cov", "_casimir_cov", "_scalars"}
 
 
 def test_form_rejects_wrong_length():

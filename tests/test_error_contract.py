@@ -21,7 +21,7 @@ import wmin
 from wmin import catalog, characters, weights
 from wmin.characters import QWSeries
 from wmin.cli import run
-from wmin.errors import WminError
+from wmin.errors import IndexOutOfSet, InexactScalar, WminError
 from wmin.rationals import format_rational
 
 FAMILIES = [catalog.psl22(), catalog.spo2m(3), catalog.spo2m(5), catalog.g3(), catalog.f4(),
@@ -69,15 +69,29 @@ def _plus(base, offset):
     return base + offset if isinstance(offset, Q) and isinstance(base, Q) else offset
 
 
+def read_series(g, k, nu, l0, q_max, depth):
+    """The massive character read back with nu as drawn, a `Vec` or a
+    plain list: rebuilt from its records around nu (`series_from_records`),
+    its coefficient at (l0, nu) (`QWSeries.coeff`), and cut to its window
+    around its own reference and around nu (`QWSeries.truncated`)."""
+    s = wmin.character_massive(g, k, nu, l0, q_max, depth)
+    s = wmin.series_from_records(catalog.lookup(g), s.records(), q_max, depth, nu)
+    s.coeff(l0, nu)
+    return s.truncated(q_max, depth).truncated(q_max, depth, nu)
+
+
 def _calls(g, k, nu, l0, q_max, window, depth, x, n, m, count, gamma):
     """Every public call the test makes at one level, as (function, args):
     l0 drawn around A(k, nu) and q_max around l0, window the small q_max -
     l0, also the q_max of the calls that read no A, x a rational or an odd
     value, n and m small ints, a huge one or odd values (h_odd reads m +
     1/2 for an int m), count a small int, a huge one or an odd value, gamma a weight
-    of Delta' or nu."""
+    of Delta' or nu, as a `Vec`, a tuple or a list; the series readers
+    (`read_series`, `characters.depth_of`) take nu and gamma as drawn."""
     return [(wmin.decide, (g, k, nu, l0)),
             (wmin.character_massive, (g, k, nu, l0, q_max, depth)),
+            (read_series, (g, k, nu, l0, q_max, depth)),
+            (characters.depth_of, (catalog.lookup(g), nu, gamma)),
             (wmin.character_massless, (g, k, nu, q_max, depth)),
             (wmin.weyl_orbit, (g, k, nu, x, q_max)),
             (wmin.ell_of_h, (g, k, nu, x)),
@@ -135,6 +149,8 @@ def drawn_calls(data) -> list:
         drawn[spoil] = odd
     gamma = data.draw(st.sampled_from(
         [w for w, _ in catalog.lookup(g).delta_prime][:2] + [nu]))
+    form = data.draw(st.sampled_from([None, tuple, list]))  # None: gamma as drawn
+    gamma = form(gamma) if form else gamma
     out = []
     for k in ks:
         l0 = _plus(_base(g, k, nu), drawn["l0"])
@@ -155,8 +171,9 @@ PARSER_INPUTS = ["3", "-9/4", " 1/2 ", "", "1/0", "0x10", "0.5", "x", "--1"]
 @SETTINGS
 @given(st.data())
 def test_public_calls_keep_the_error_contract(data):
-    """Each of 24 public functions, called over nine families with the
-    weight given as a `Vec` or a plain list and windows drawn around
+    """Each of 24 public functions and the series readers, called over
+    nine families with the weight given as a `Vec` or a plain list, gamma
+    as a `Vec`, a tuple or a list, and windows drawn around
     A(k, nu), returns or raises a `WminError`; a returned series holds int
     coefficients.  An example may spoil one argument with a value that is
     no rational, or a huge or tiny one.  Each draw is called at two levels
@@ -193,6 +210,45 @@ def test_huge_indices_keep_the_error_contract():
                     except WminError:
                         continue
                     assert int_coefficients(out), (fn.__name__, args)
+
+
+def test_plain_sequences_read_as_the_weights_they_spell():
+    """A weight given as a plain sequence reads as the `Vec` it spells: a
+    character's reference weight is held as a `Vec`, not as the caller's
+    list, so cutting, reading and rebuilding the series, and `depth_of`,
+    answer as for a `Vec`, and h_odd takes gamma as a `Vec`, a tuple or a
+    list; a float coordinate raises `InexactScalar`, and a gamma that is no
+    weight of Delta' `IndexOutOfSet`."""
+    g, k = catalog.psl22(), Q(-3)
+    entry, nu, zero = catalog.lookup(g), [0, 0, 0, 0], catalog.zero_vec(4)
+    for build in (lambda w: wmin.character_massive(g, k, w, 1, 3, 4),
+                  lambda w: wmin.character_massless(g, k, w, 3, 4),
+                  lambda w: wmin.verma_character(g, w, 0, 3, 4)):
+        s, want = build(nu), build(zero)
+        assert s.ref == zero and s.ref.__class__ is catalog.Vec and s.ref is not nu
+        assert s.truncated(2, 3) == want.truncated(2, 3)
+        assert s.truncated(2, 3).records() == want.truncated(2, 3).records()
+        assert s.truncated(2, 3, nu).records() == want.truncated(2, 3).records()
+        assert wmin.series_from_records(entry, want.records(), 3, 4, ref=nu) \
+            .truncated(2, 3).records() == want.truncated(2, 3).records()
+    s = wmin.character_massive(g, k, nu, 1, 3, 4)
+    assert s.coeff(1, nu) == s.coeff(1, zero) == s.coeff(1, tuple(nu)) == 1
+    w = [Q(1, 2), 0, Q(1, 2), 0]
+    assert characters.depth_of(entry, nu, w) == characters.depth_of(entry, zero, catalog.Vec(w))
+    for spoiled in (lambda: s.coeff(1, [0.0, 0, 0, 0]), lambda: s.truncated(2, 3, [0.5, 0, 0, 0]),
+                    lambda: characters.depth_of(entry, [0.5, 0, 0, 0], nu),
+                    lambda: wmin.series_from_records(entry, [], 3, 4, ref=[0.5, 0, 0, 0])):
+        with pytest.raises(InexactScalar):
+            spoiled()
+    g3, k3 = catalog.g3(), Q(-3, 2)
+    want = wmin.h_odd(g3, k3, catalog.zero_vec(3), Q(1, 2), catalog.zero_vec(3))
+    for gamma in ([0, 0, 0], (0, 0, 0), catalog.Vec([0, 0, 0])):
+        assert wmin.h_odd(g3, k3, catalog.zero_vec(3), Q(1, 2), gamma) == want
+    with pytest.raises(InexactScalar):
+        wmin.h_odd(g3, k3, catalog.zero_vec(3), Q(1, 2), [0.5, 0, 0])
+    for gamma in ([1, 1, 1], [0, 0], None, 5):
+        with pytest.raises(IndexOutOfSet, match="odd half-space"):
+            wmin.h_odd(g3, k3, catalog.zero_vec(3), Q(1, 2), gamma)
 
 
 WINDOW_TOKENS = ["0", "1/2", "1", "3/2", "2", "-1", "x", "1/0"]

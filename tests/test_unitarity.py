@@ -1,3 +1,4 @@
+import collections
 import functools
 import io
 import itertools
@@ -466,7 +467,7 @@ def _ref_decide(g, k, nu, l0):
     if lv.collapsing:
         rec = levels._level(g, k.numerator, k.denominator)  # the gate reads the int record
         assert rec.data == lv
-        chk = unitarity._collapse_check(e, rec, nu, e._scalars(nu), l0)
+        chk = unitarity._collapse_check(e, rec, e._scalars(nu), l0)
         return unitarity.UnitarityVerdict(unitarity.COLLAPSING, q,
                                           (f"collapsing level, target {chk.target}",),
                                           collapse=chk)
@@ -497,7 +498,8 @@ def _ref_sign2_scan(g, k, nu, n_max, m_max):
     e = lookup(g)
     lv = _ref_level_data(g, k)
     ps = _ref_pairings(e, nu)
-    hyp = _ref_in_P_plus(e, lv, ps) and not _ref_extremal(e, lv, ps)  # k is in the range
+    hyp = (_old_range_contains(g, k) is True and _ref_in_P_plus(e, lv, ps)
+           and not _ref_extremal(e, lv, ps))
     rep = unitarity.Sign2Report(g, k, nu, hyp, "scan" if hyp else "lemma hypothesis not met")
     a, kh, eps = _ref_A(e, k, nu), k + e.h_vee, e.epsilon
     cas = e.form(nu, nu + 2 * e.rho_natural)
@@ -544,6 +546,37 @@ def test_verdict_pass_equals_the_form_reference():
                     scanned += 1
                 seen += 1
     assert seen == 1252 and scanned == 63
+
+
+def test_scan_violations_equal_the_form_reference():
+    """`sign2_scan(., 4, 4)`, which walks int indices and builds a
+    `Fraction` only for a violation, gives the report of the
+    `Fraction`/`form` reference, violations included, on nine families
+    (eps = 2 on spo(2|3), spo(2|5) and G3) at their first two unitary
+    levels and at three levels off the range, for nu = 0, a weight off
+    P^+_k and the extremal weights of P^+_k: off the range and at the
+    extremal weights both kinds of violation occur."""
+    fams = VERDICT_FAMILIES[:3] + [catalog.g3(), catalog.f4(), catalog.d21a(2, 3),
+                                   catalog.sl2m(3), catalog.osp4m(4), catalog.spo2m(6)]
+    kinds, eps2, extremal = collections.Counter(), 0, 0
+    for g in fams:
+        e = lookup(g)
+        for k in enumerate_unitary_k(g, 2) + [Q(1), Q(1, 3), Q(-5, 7)]:
+            if k == -e.h_vee:
+                continue
+            try:
+                plus = enumerate_P_plus_k(g, k)
+            except PreconditionViolated:  # sl(2|m): P^+_k is infinite
+                plus = []
+            ext = [nu for nu in plus if is_extremal(g, k, nu)][:3]
+            for nu in [zero_vec(e.n), Vec([Q(1, 3)] + [0] * (e.n - 1))] + ext:
+                got = sign2_scan(g, k, nu, 4, 4)
+                assert got == _ref_sign2_scan(g, k, nu, 4, 4), (g.label(), k, tuple(nu))
+                kinds.update(v[0] for v in got.violations)
+                eps2 += e.epsilon == 2 and bool(got.violations)
+                extremal += nu in ext and bool(got.violations)
+    assert kinds["h_even"] > 0 and kinds["h_odd"] > 0 and eps2 > 0 and extremal > 0, \
+        (kinds, eps2, extremal)
 
 
 # every family with a closed form but D(2,1;a), which is drawn at its a;
@@ -674,7 +707,7 @@ def test_level_record_equals_a_fresh_evaluation():
             for _ in range(2):
                 rec = levels._level(g, k.numerator, k.denominator)
                 assert rec.data == _ref_level_data(g, k), (g.label(), k)
-                assert level_data(g, k) is rec.data and rec.kh == k + e.h_vee
+                assert level_data(g, k) is rec.data and Q(*rec.kh_ints) == k + e.h_vee
                 contains = unitarity_range_contains(g, k)
                 assert type(contains) is bool
                 assert rec.in_range == contains == _old_range_contains(g, k), (g.label(), k)
@@ -710,9 +743,9 @@ def any_level(draw):
 def test_int_level_record_equals_the_fraction_evaluation(case):
     """The level record built in ints (`levels._level`, called past its
     cache) equals the `Fraction` evaluation of the formulas, field for
-    field and in type (`_ref_level_data`, the per-family range oracle, k +
-    h_vee), and its int pairs are the reduced pairs of its `Fraction`s, the
-    start's level part (1 per simple root, M_i(k) + chi_i + 1 per eta_i)
+    field and in type (`_ref_level_data`, the per-family range oracle), and
+    its int pairs are the reduced pairs of its `Fraction`s and of k + h_vee,
+    the start's level part (1 per simple root, M_i(k) + chi_i + 1 per eta_i)
     included; at the critical level it raises `CriticalLevel`."""
     g, k = case
     e = lookup(g)
@@ -724,7 +757,6 @@ def test_int_level_record_equals_the_fraction_evaluation(case):
     rec = build(g, k.numerator, k.denominator)
     want = _ref_level_data(g, k)
     assert repr(rec.data) == repr(want) and rec.data == want, (g.label(), k)
-    assert type(rec.kh) is Q and rec.kh == k + e.h_vee
     assert rec.in_range is (_old_range_contains(g, k) is True)
     s = len(e.components)
 

@@ -410,7 +410,7 @@ def test_weight_and_level_scalars_equal_the_form(g, data):
     gammas = list(dict.fromkeys(gm for gm, _ in e.delta_prime))
     assert [row[0] for row in e._odd_covs] == gammas
     for row in e._odd_covs:
-        assert _odd_pair(row, d, x) == e.form(nu + e.rho_natural, row[0])
+        assert Q(*_odd_pair(row, d, x)) == e.form(nu + e.rho_natural, row[0])
 
     ks = enumerate_unitary_k(g, 6)
     k = data.draw(st.one_of(st.fractions(min_value=-12, max_value=12, max_denominator=12),
@@ -475,7 +475,7 @@ def test_request_ints_equal_their_fractions(case, data):
     def ints(xs):
         return tuple((x.numerator, x.denominator) for x in xs)
 
-    assert (rec.k_ints, rec.kh_ints) == ints([k, k + e.h_vee]) == ints([lv.k, rec.kh])
+    assert (rec.k_ints, rec.kh_ints) == ints([k, k + e.h_vee]) and lv.k == k
     assert rec.m_ints == ints(lv.M_simple) == ints(lv.M[-s:])
     assert rec.alpha_ints == ints(lv.alpha_levels[-s:])
     assert all(v.__class__ is int for pair in rec.m_ints + rec.alpha_ints for v in pair)
@@ -485,9 +485,11 @@ def test_request_ints_equal_their_fractions(case, data):
     a = Q(an, ad)
     assert a == A_bound(g, k, nu) and (ad > 0) == (k + e.h_vee > 0)
     for l0 in (a, a + Q(1, 1000), a - Q(1, 1000)):
-        for pair in ((an, ad), (-an, -ad)):  # the other sign of den too
-            n, d = weights._excess(l0, pair)
-            assert d > 0 and Q(n, d) == l0 - a and (n <= 0) == (l0 <= a)
+        ln, ld = l0.numerator, l0.denominator
+        for pair in ((an, ad), (-an, -ad)):  # the other sign of each den too
+            for x in ((ln, ld), (-ln, -ld)):
+                n, d = weights._excess(x, pair)
+                assert d > 0 and Q(n, d) == l0 - a and (n <= 0) == (l0 <= a)
     lat = e.lattice
     l0 = a + data.draw(st.sampled_from([0, Q(1, 1000), -Q(1, 1000), Q(1, 2)])) if data else a
     q_max = l0 + (data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=7))

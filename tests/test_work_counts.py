@@ -130,16 +130,37 @@ def test_first_use_of_the_verdict_families_and_levels_builds_few_fractions():
     """Fresh entries of the eight verdict families (`lookup.__wrapped__`)
     build 324 `Fraction`s, their roots' arithmetic skipping zero
     coordinates (`catalog.Vec`), and the 48 level records of their first
-    six unitary levels (`levels._level.__wrapped__`) build 264, one per
-    published value: k, k + h_vee, each M_i(k) and M_i(k) + chi_i, and
-    p(k), with no `Fraction` arithmetic or comparison."""
+    six unitary levels (`levels._level.__wrapped__`) build 216, one per
+    published value: k, each M_i(k) and M_i(k) + chi_i, and p(k), with no
+    `Fraction` arithmetic or comparison; k + h_vee, which no record
+    publishes, is held as a reduced int pair only."""
     entries = fraction_calls(lambda: [catalog.lookup.__wrapped__(g) for g in VERDICT_FAMILIES])
     assert entries["__new__"] == 324, entries
     ks = [(g, k) for g in VERDICT_FAMILIES for k in levels.enumerate_unitary_k(g, 6)]
     records = []
     counts = fraction_calls(lambda: records.extend(
         [levels._level.__wrapped__(g, k.numerator, k.denominator) for g, k in ks]))
-    published = sum(2 + len(rec.data.M) + len(rec.data.alpha_levels) + 1 for rec in records)
-    assert (len(records), published) == (48, 264)
+    published = sum(1 + len(rec.data.M) + len(rec.data.alpha_levels) + 1 for rec in records)
+    assert (len(records), published) == (48, 216)
     assert counts.keys() <= {"__new__", "numerator", "denominator", "__bool__", "__str__"}, counts
     assert counts["__new__"] == published
+
+
+def test_a_violation_free_scan_builds_the_same_few_fractions():
+    """`sign2_scan` walks int indices and compares each singular weight
+    with A by the sign of an int (`weights._excess`), building a `Fraction`
+    only for a violation: a violation-free scan of G3 (eps = 2, seven odd
+    weights gamma) at its first unitary level builds the same 10
+    `Fraction`s at 8 x 8 as at 40 x 40, none per index (A, the coercions
+    of n_max and m_max, and the window's bounds, `_scan_size` included)."""
+    from wmin import unitarity, weights
+    g = catalog.g3()
+    k = levels.enumerate_unitary_k(g, 1)[0]
+    nu = weights.enumerate_P_plus_k(g, k)[0]
+    built = []
+    for top in (8, 40):
+        reps = []
+        counts = fraction_calls(lambda: reps.append(unitarity.sign2_scan(g, k, nu, top, top)))
+        assert reps[0].ok and reps[0].checked > top * top // 2
+        built.append(counts["__new__"])
+    assert built == [10, 10], built
