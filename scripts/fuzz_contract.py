@@ -7,7 +7,10 @@ under its lowered caps (`bounded`), seeded by SEED, and gives each call a
 5 s alarm.  The calls include the series readers (`read_series`:
 `series_from_records`, `QWSeries.coeff` and `QWSeries.truncated`, and
 `characters.depth_of`) with nu drawn as a `Vec` or a plain list, and
-`h_odd` with gamma drawn as a `Vec`, a tuple or a list.  Where the Tier-1
+`h_odd` with gamma drawn as a `Vec`, a tuple or a list; then
+`series_from_records` on malformed records (a field missing or of the
+wrong kind, a record that is no dict, the family as a label string) and
+every series reader on a weight of the wrong length or no sequence.  Where the Tier-1
 test stops at the first breach, this run goes on and lists every escape:
 a call that raises anything but a `WminError`, returns a series with a
 coefficient that is no int, or runs past its alarm; a command line that

@@ -126,7 +126,11 @@ five passes, in seconds for the whole set of requests:
     requests              COUNT
     outcomes              the verdict outcomes of the requests, counted
     lookup_s              the first builds of the requests' catalog entries,
-                          `catalog.lookup` past its cache
+                          `catalog.lookup.__wrapped__` alone: the entry's
+                          fields, not the tables (`coroots`, the covectors
+                          and the per-request program `_program`) that the
+                          family's first `decide` builds, which first_use
+                          counts
     levels_s              the first builds of the requests' level records,
                           `levels._level` past its cache, on built entries
     first_builds          how many entries and level records those are
@@ -146,6 +150,15 @@ five passes, in seconds for the whole set of requests:
                           int pair and its `Fraction`, the outcome test on
                           its numerator's sign and the verdict record
     reached               how many requests each stage ran on
+    first_use             a fresh pass: `catalog.lookup` and `levels._level`
+                          emptied, then `decide` on every request in order,
+                          each timed on its own and counted as the first
+                          request of its family (which builds the entry and
+                          its tables, and its level record), the first of
+                          its level (which builds the level record) or a
+                          steady one (all cached): per kind the requests,
+                          the seconds they took in all and the median
+                          microseconds per request, medians of five passes
 
 With `--hits SEED` it times the cached character request instead: the
 bench's char_warm pool at SEED (`bench/workloads.py`, built and called
@@ -533,6 +546,7 @@ def verdict_stages(count, seed):
             e, rec.data.k, sc.d, sc.x, sc.ps), inside),
         "tail_s": timed(unitarity._tail, tails),
     }
+    first_use = [fresh_pass(reqs) for _ in range(PASSES)]
     return {
         "pool": len(pool),
         "requests": count,
@@ -545,7 +559,38 @@ def verdict_stages(count, seed):
         "reached": {"scalars_s": len(rows), "p_plus_s": len(ranged),
                     "threshold_s": len(inside), "extremal_s": len(inside),
                     "closed_form_s": len(inside), "tail_s": len(tails)},
+        "first_use": {kind: {"requests": len(first_use[0][kind]),
+                             "total_s": round(statistics.median(sum(p[kind]) for p in first_use), 6),
+                             "median_us": round(statistics.median(
+                                 statistics.median(p[kind]) for p in first_use) * 1e6, 2)}
+                      for kind in FIRST_USE},
     }
+
+
+FIRST_USE = ("first_per_family", "first_per_level", "steady")
+
+
+def fresh_pass(reqs):
+    """{kind: [seconds per request]} of one pass of `decide` over reqs from
+    an emptied `catalog.lookup` and `levels._level`, with the garbage
+    collector off; the kinds are `FIRST_USE`."""
+    from wmin import catalog, levels, unitarity
+
+    catalog.lookup.cache_clear()
+    levels._level.cache_clear()
+    seen, out = set(), {kind: [] for kind in FIRST_USE}
+    gc.disable()
+    try:
+        for g, k, nu, l0 in reqs:
+            kind = ("first_per_family" if g not in seen else
+                    "first_per_level" if (g, k) not in seen else "steady")
+            t = time.perf_counter()
+            unitarity.decide(g, k, nu, l0)
+            out[kind].append(time.perf_counter() - t)
+            seen.update((g, (g, k)))
+    finally:
+        gc.enable()
+    return out
 
 
 HIT_PASSES = 300  # timed all-hit passes of `--hits`

@@ -24,13 +24,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import CriticalLevel, IsotropicCoroot, ParameterOutOfRange, PreconditionViolated
 from .rationals import _Frozen, _Record, _set, as_rational, format_rational
 
 Q = Fraction
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 
 FAMILIES = ("psl22", "sl2m", "spo2m", "osp4m", "D21a", "F4", "G3")
 
@@ -303,8 +304,13 @@ class CatalogEntry(_Frozen):
 
     def _check_length(self, w: Sequence) -> None:
         """Raises on a weight of the wrong length: a short one must not be
-        read as a prefix, nor a long one truncated."""
-        if len(w) != self.n:
+        read as a prefix, nor a long one truncated; and on a weight that is
+        no sequence (`PreconditionViolated`)."""
+        try:
+            n = len(w)
+        except TypeError:
+            raise PreconditionViolated(f"a weight is a sequence of rationals, not {w!r}") from None
+        if n != self.n:
             raise ParameterOutOfRange(f"{self.id.label()} weights have {self.n} coordinates")
 
     def coroot_pairing(self, lam: Sequence, alpha: Sequence) -> Fraction:
@@ -384,16 +390,35 @@ class CatalogEntry(_Frozen):
         of (2rho^nat|.) dotted with x, over d, taken over one denominator
         dc * d^2.  Likewise (nu + rho^nat|gamma) is the covector of
         (gamma|.) dotted with x plus the constant (rho^nat|gamma)
-        (`_odd_covs`).  Every denominator is positive.  Raises on a weight
-        of the wrong length."""
+        (`_odd_covs`).  Every denominator is positive.  The dot products are
+        the entry's one program (`_program`): one loop adds every linear
+        row's terms, a second the form's.  Raises on a weight of the wrong
+        length."""
         d, x = self._scaled(nu)
+        dx, dc, rows, linear, form = self._program
+        acc = [0] * rows
+        for r, a, c in linear:
+            acc[r] += c * x[a]
+        quad = 0
+        for i, j, g in form:
+            quad += g * x[i] * x[j]
+        rho2, xn = acc.pop(), acc.pop()
+        return _NuScalars(d, x, acc, (xn, dx * d), (quad + d * rho2, dc * d * d))
+
+    @cached_property
+    def _program(self) -> tuple:
+        """(dx, dc, rows, linear, form): the per-request pass's dot products
+        as one program over nu's ints x.  `linear` holds the (row, a, c)
+        triples of the sparse covectors, row by row: the coroot covectors
+        (`coroots`), then (xi|.) over dx (`_xi_cov`), then (2rho^nat|.)
+        over dc (`_casimir_cov`); row r of the pass is sum c x[a] over its
+        triples, the same int dot product as the covector's.  `form` is the
+        form's int entries (i, j, g) over dc (`_casimir_cov`)."""
         dx, xi = self._xi_cov
         dc, form, rho2 = self._casimir_cov
-        # the dot products of `_dot`, written out: this pass runs on every request
-        return _NuScalars(d, x, [sum([c * x[a] for a, c in cov]) for cov, _ in self.coroots],
-                          (sum([c * x[a] for a, c in xi]), dx * d),
-                          (sum([g * x[i] * x[j] for i, j, g in form])
-                           + d * sum([c * x[a] for a, c in rho2]), dc * d * d))
+        covs = [cov for cov, _ in self.coroots] + [xi, rho2]
+        linear = tuple((r, a, c) for r, cov in enumerate(covs) for a, c in cov)
+        return dx, dc, len(covs), linear, form
 
     def _scaled(self, finite: Sequence) -> tuple:
         """(d, x) with finite = x / d: the coordinates as ints x over their
@@ -401,11 +426,13 @@ class CatalogEntry(_Frozen):
         or with a coordinate that is no int or `Fraction`."""
         self._check_length(finite)
         try:
-            dens = [c.denominator for c in finite]
+            dens = list(map(_denominator, finite))
         except AttributeError:  # a coordinate that is no rational: `as_rational` raises
             return self._scaled([as_rational(c) for c in finite])
         d = math.lcm(*dens)
-        return d, [c.numerator * (d // e) for c, e in zip(finite, dens)]
+        if d == 1:
+            return 1, list(map(_numerator, finite))
+        return d, [n * (d // e) for n, e in zip(map(_numerator, finite), dens)]
 
     @cached_property
     def _gram_ints(self) -> tuple:
@@ -500,6 +527,12 @@ class CatalogEntry(_Frozen):
         """(nu|nu+2rho^nat), the Casimir term of the thresholds and of the
         singular and lowest conformal weights (`_scalars`)."""
         return Q(*self._scalars(nu).cas)
+
+    @cached_property
+    def _chis(self) -> tuple:
+        """chi_i per simple component, as every verdict reports them; a
+        verdict copies the tuple into its own list."""
+        return tuple(c.chi for c in self.components)
 
     @cached_property
     def _levels(self) -> "_LevelConstants":

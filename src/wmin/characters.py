@@ -166,6 +166,7 @@ class QWSeries:
             if isinstance(c, float):
                 raise InexactScalar(f"not an exact rational: coefficient {c!r} (use an int)")
             raise PreconditionViolated(f"coefficient {c!r} is not an int")
+        self.entry._check_length(w)
         q, w = as_rational(q), _as_vec(w)
         if not (c and q <= self.q_max and depth_of(self.entry, self.ref, w) <= self.depth):
             return
@@ -179,6 +180,11 @@ class QWSeries:
                 del self.terms[q]
 
     def coeff(self, q, w: Vec) -> int:
+        """The coefficient of q^q exp(w), 0 when the series holds no such
+        term.  Raises `ParameterOutOfRange` on a weight of the wrong length,
+        as `truncated` and `depth_of` do: no weight of another length is
+        absent from the series, it is no weight of the family."""
+        self.entry._check_length(w)
         return self.terms.get(as_rational(q), {}).get(_as_vec(w), 0)
 
     def n_terms(self) -> int:
@@ -191,7 +197,11 @@ class QWSeries:
         q_max <= self.q_max and depth + depth_of(self.ref, ref) <= self.depth;
         any other window raises PreconditionViolated rather than return
         terms this series never kept."""
-        ref = self.ref if ref is None else _as_vec(ref)
+        if ref is None:
+            ref = self.ref
+        else:
+            self.entry._check_length(ref)
+            ref = _as_vec(ref)
         q_max, depth = as_rational(q_max), as_rational(depth)
         if q_max > self.q_max or depth + depth_of(self.entry, self.ref, ref) > self.depth:
             raise PreconditionViolated(f"window ({q_max}, {depth}) around ref is not inside "
@@ -224,18 +234,54 @@ class QWSeries:
         return f"QWSeries({self.n_terms()} terms, q_max={self.q_max}, depth={self.depth})"
 
 
-def series_from_records(entry: CatalogEntry, recs: Sequence[dict], q_max, depth,
+_RECORD_KEYS = frozenset(("q", "weight", "coeff"))  # of a `records` dict
+
+
+def series_from_records(entry: CatalogEntry | AlgebraId, recs: Sequence[dict], q_max, depth,
                         ref: Optional[Vec] = None) -> QWSeries:
     """The series of `records`-style dicts, whose q and weight entries are
     p/q strings (`parse_rational`) or ints and `Fraction`s, and whose
-    coefficients are ints (`QWSeries.add_term`)."""
-    def read(x):
-        return parse_rational(x) if isinstance(x, str) else as_rational(x)
-
+    coefficients are ints (`QWSeries.add_term`).  `entry` is a
+    `CatalogEntry` or, as every other public call takes it, an `AlgebraId`
+    (`lookup`).  Every field keeps the error contract: records that are no
+    iterable, a record that is no dict with the keys q, weight and coeff,
+    or a weight that is no sequence raise `PreconditionViolated`; a q or
+    weight entry that is no exact rational (a string `parse_rational`
+    refuses, a float) `InexactScalar`; a weight of the wrong length
+    `ParameterOutOfRange`.  The reference weight `ref` is checked as a
+    record's weight is."""
+    if isinstance(entry, AlgebraId):
+        entry = lookup(entry)
+    elif not isinstance(entry, CatalogEntry):
+        raise PreconditionViolated(f"series_from_records takes a CatalogEntry or an "
+                                   f"AlgebraId, not {entry!r}")
+    if isinstance(recs, (str, bytes, dict)) or not hasattr(recs, "__iter__"):
+        raise PreconditionViolated(f"records must be an iterable of dicts, not {recs!r}")
+    if ref is not None:
+        entry._check_length(ref)
     s = QWSeries(entry, q_max, depth, ref)
     for r in recs:
-        s.add_term(read(r["q"]), Vec([read(c) for c in r["weight"]]), r["coeff"])
+        if not isinstance(r, dict) or not r.keys() >= _RECORD_KEYS:
+            raise PreconditionViolated(f"a series record is a dict with the keys q, weight "
+                                       f"and coeff, not {r!r}")
+        w = r["weight"]
+        if isinstance(w, str):
+            raise PreconditionViolated(f"a record's weight is a sequence of rationals, not {w!r}")
+        entry._check_length(w)
+        s.add_term(_read_rational(r["q"]), Vec([_read_rational(c) for c in w]), r["coeff"])
     return s
+
+
+def _read_rational(x) -> Fraction:
+    """A record's q or weight entry: a p/q string (`parse_rational`, whose
+    refusal is re-raised as `InexactScalar` with its text) or an int or a
+    `Fraction` (`as_rational`)."""
+    if not isinstance(x, str):
+        return as_rational(x)
+    try:
+        return parse_rational(x)
+    except ValueError as err:
+        raise InexactScalar(str(err)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from typing import NamedTuple, Optional
 from .catalog import AlgebraId, CatalogEntry, Vec, _NuScalars, _dot, lookup
 from .errors import IndexOutOfSet, TruncationIncomplete
 from .levels import LevelData, _Level, _level, _record
-from .rationals import _Record, as_rational, format_rational
+from .rationals import _Record, _set, as_rational, format_rational
 from .weights import (_A_explicit, _ell_ints, _excess, _in_P_plus, _is_extremal,
                       _P_plus_data, _threshold)
 
@@ -41,13 +41,23 @@ class CollapseCheck(NamedTuple):
 
 # The package's one dataclass: `bench/test_bench.py:130` builds a corrupted
 # verdict with `dataclasses.replace`.
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class UnitarityVerdict:
     outcome: str
     quantities: dict
     reasons: tuple
     proved: Optional[bool] = None        # ExtremalBoundary only
     collapse: Optional[CollapseCheck] = None
+
+    def __init__(self, outcome: str, quantities: dict, reasons: tuple,
+                 proved: Optional[bool] = None, collapse: Optional[CollapseCheck] = None):
+        """The generated `__init__` sets each field through the frozen
+        `object.__setattr__`, one call per field; this fills the instance
+        `__dict__` in one assignment.  Equality, the repr, the hash, the
+        refusal of assignment and `dataclasses.replace` (which calls this
+        with every field by name) are the dataclass's, as before."""
+        _set(self, "__dict__", {"outcome": outcome, "quantities": quantities,
+                                "reasons": reasons, "proved": proved, "collapse": collapse})
 
     @property
     def is_unitary_positive(self) -> bool:
@@ -85,8 +95,7 @@ def _collapse_check(entry: CatalogEntry, rec: _Level, sc: _NuScalars,
 def _quantities(entry: CatalogEntry, lv: LevelData, l0: Fraction) -> dict:
     """What every verdict reports at the level data `lv`: k, the simple
     components' levels M_i(k), their chi_i, and l0."""
-    return {"k": lv.k, "M_i": list(lv.M_simple), "chi_i": [c.chi for c in entry.components],
-            "l0": l0}
+    return {"k": lv.k, "M_i": list(lv.M_simple), "chi_i": list(entry._chis), "l0": l0}
 
 
 def decide(g: AlgebraId, k, nu: Vec, l0) -> UnitarityVerdict:
@@ -130,7 +139,7 @@ def _tail(entry: CatalogEntry, lv: LevelData, l0: Fraction, a: tuple, extremal: 
     their int pair."""
     excess = _excess((l0.numerator, l0.denominator), a)
     # `_quantities`, spelled out: this dict is built on every verdict past the gates
-    quantities = {"k": lv.k, "M_i": list(lv.M_simple), "chi_i": [c.chi for c in entry.components],
+    quantities = {"k": lv.k, "M_i": list(lv.M_simple), "chi_i": list(entry._chis),
                   "l0": l0, "A": Q(*a), "A_explicit": closed, "extremal": extremal,
                   "l0_minus_A": Q(*excess)}
     if extremal:

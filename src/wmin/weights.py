@@ -68,14 +68,33 @@ def _plus_xi(entry: CatalogEntry, sc: _NuScalars) -> tuple:
 def _is_extremal(entry: CatalogEntry, rec: _Level, sc: _NuScalars) -> bool:
     """nu+xi falls outside P^+_k, for nu in P^+_k with level record `rec`
     (`levels._level`) and scalars `sc` (`CatalogEntry._scalars`): the P^+_k
-    test on nu+xi's int pairings (`_plus_xi`).  Cross-checked against the
-    chi_i test, nu(theta_i^vee) > M_i(k) + chi_i for some i, which with
-    -p/d = nu(theta_i^vee) and M_i(k) + chi_i = num/den (d, den > 0; the
-    record's `alpha_ints`) is -p * den > num * d."""
-    d = sc.d
-    by_def = not _in_P_plus(entry, rec.m_ints, *_plus_xi(entry, sc))
+    test of `_in_P_plus` on nu+xi's int pairings, each formed as the loop
+    reaches it and the loop left at the first that fails.  Pairings are
+    linear, so nu+xi's are nu's, p/d, plus xi's, q/e (`CatalogEntry._xi_ints`),
+    each the int p e + q d over D = d e > 0.  Cross-checked against the chi_i
+    test, nu(theta_i^vee) > M_i(k) + chi_i for some i, which with -p/d =
+    nu(theta_i^vee) and M_i(k) + chi_i = num/den (d, den > 0; the record's
+    `alpha_ints`) is -p * den > num * d."""
+    e, xs = entry._xi_ints
+    d, ps = sc.d, sc.ps
+    D, r = d * e, len(entry.simple_roots_natural)
+    by_def = False
+    for p, q in zip(ps[:r], xs):
+        p = p * e + q * d
+        if p < 0 or p % D:
+            by_def = True
+            break
+    else:
+        for p, q, (mn, md) in zip(ps[r:], xs[r:], rec.m_ints):
+            if -(p * e + q * d) * md > mn * D:
+                by_def = True
+                break
     s = len(entry.components)
-    by_chi = any(-p * ad > an * d for p, (an, ad) in zip(sc.ps[-s:], rec.alpha_ints))
+    by_chi = False
+    for p, (an, ad) in zip(ps[-s:], rec.alpha_ints):
+        if -p * ad > an * d:
+            by_chi = True
+            break
     if by_def != by_chi:
         raise CharacterizationMismatch(
             f"extremality tests disagree for {entry.id.label()}, k={rec.data.k}: "

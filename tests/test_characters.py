@@ -983,7 +983,9 @@ def test_truncated_refuses_a_window_it_cannot_fill():
     lambda: depth_of(E, Vec([0, 0]), Vec([1, 1, 1, 1])),
     lambda: fns_series(G, 2, 4).truncated(1, 2, Vec([0, 0])),
     lambda: series_from_records(E, [{"q": "0", "weight": ["0", "0"], "coeff": 1}], 2, 2),
-], ids=["depth_of", "truncated", "series_from_records"])
+    lambda: character_massive(G, -3, Vec([0, 0, 0, 0]), 1, 3, 4).coeff(1, [0, 0]),
+    lambda: QWSeries(E, 2, 2).add_term(0, [0, 0, 0, 0, 0], 1),
+], ids=["depth_of", "truncated", "series_from_records", "coeff", "add_term"])
 def test_wrong_length_weight_is_refused(call):
     """A weight of the wrong length raises rather than being cut to a prefix."""
     with pytest.raises(ParameterOutOfRange, match="4 coordinates"):

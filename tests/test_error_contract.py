@@ -21,7 +21,8 @@ import wmin
 from wmin import catalog, characters, weights
 from wmin.characters import QWSeries
 from wmin.cli import run
-from wmin.errors import IndexOutOfSet, InexactScalar, WminError
+from wmin.errors import (IndexOutOfSet, InexactScalar, ParameterOutOfRange,
+                         PreconditionViolated, WminError)
 from wmin.rationals import format_rational
 
 FAMILIES = [catalog.psl22(), catalog.spo2m(3), catalog.spo2m(5), catalog.g3(), catalog.f4(),
@@ -80,6 +81,55 @@ def read_series(g, k, nu, l0, q_max, depth):
     return s.truncated(q_max, depth).truncated(q_max, depth, nu)
 
 
+@st.composite
+def malformed_records(draw, g):
+    """`series_from_records`'s arguments but the window, one of them spoiled:
+    the entry given as an `AlgebraId`, a `CatalogEntry` or a label string,
+    and a list of records of which one has a field missing or of the wrong
+    kind (a q or weight entry no exact rational, a weight of the wrong length
+    or no sequence, a coefficient no int), or is no dict; or records that
+    are no list at all."""
+    n = catalog.lookup(g).n
+    entry = draw(st.sampled_from([g, catalog.lookup(g), g.label()]))
+    good = {"q": "0", "weight": ["0"] * n, "coeff": 1}
+    field = draw(st.sampled_from(["q", "weight", "coeff", "missing", "record", None]))
+    bad = dict(good)
+    if field == "q":
+        bad["q"] = draw(st.sampled_from(["x", "1/0", "0.5", 0.5, None, [], Q(1, 2)]))
+    elif field == "weight":
+        bad["weight"] = draw(st.sampled_from([["0"] * (n - 1), ["0"] * (n + 1), ["x"] * n,
+                                              [0.5] * n, "0" * n, 0, None]))
+    elif field == "coeff":
+        bad["coeff"] = draw(st.sampled_from(["3", 2.5, None, True, Q(2)]))
+    elif field == "missing":
+        del bad[draw(st.sampled_from(sorted(good)))]
+    elif field == "record":
+        bad = draw(st.sampled_from([None, ["0", ["0"] * n, 1], "q", 1]))
+    recs = draw(st.sampled_from([[good, bad], [bad], None, "records", bad]))
+    return entry, recs
+
+
+def wrong_weight(n):
+    """A weight no series reader may read as one of n coordinates: one of
+    the wrong length, or no sequence, or no sequence of rationals."""
+    return st.sampled_from([[0] * (n - 1), [0] * (n + 1), (), None, 0, "0" * n, [0.5] * n])
+
+
+def read_wrong_weight(reader, g, w):
+    """The series reader `reader` (`QWSeries.coeff`, `QWSeries.truncated`,
+    `characters.depth_of` on either side, `QWSeries.add_term`) given the
+    weight w, on a series of g's."""
+    entry = catalog.lookup(g)
+    s = QWSeries(entry, 1, 1)
+    return {"coeff": lambda: s.coeff(0, w), "truncated": lambda: s.truncated(1, 1, w),
+            "depth_of": lambda: characters.depth_of(entry, entry.xi, w),
+            "depth_of_ref": lambda: characters.depth_of(entry, w, entry.xi),
+            "add_term": lambda: s.add_term(0, w, 1)}[reader]()
+
+
+READERS = ("coeff", "truncated", "depth_of", "depth_of_ref", "add_term")
+
+
 def _calls(g, k, nu, l0, q_max, window, depth, x, n, m, count, gamma):
     """Every public call the test makes at one level, as (function, args):
     l0 drawn around A(k, nu) and q_max around l0, window the small q_max -
@@ -124,8 +174,9 @@ def drawn_calls(data) -> list:
     """One example's public calls, (function, args) in the order they are
     made: a family, two levels and a weight, with the arguments of
     `_calls` drawn around A(k, nu) at each level; an example may spoil
-    one argument.  Draw it inside `bounded`, as the weights are enumerated
-    under its cap."""
+    one argument.  Then `series_from_records` on malformed records and
+    every series reader on a wrong weight.  Draw it inside `bounded`, as
+    the weights are enumerated under its cap."""
     g = data.draw(st.sampled_from(FAMILIES))
     unitary = wmin.enumerate_unitary_k(g, 4)
     ks = data.draw(st.lists(st.sampled_from(unitary) if unitary else SMALL.map(lambda x: x - 3),
@@ -156,6 +207,10 @@ def drawn_calls(data) -> list:
         l0 = _plus(_base(g, k, nu), drawn["l0"])
         out += _calls(g, k, nu, l0, _plus(l0, drawn["window"]), drawn["window"],
                       drawn["depth"], drawn["x"], drawn["n"], drawn["m"], drawn["count"], gamma)
+    entry, recs = data.draw(malformed_records(g))
+    out.append((wmin.series_from_records, (entry, recs, 2, 2)))
+    w = data.draw(wrong_weight(catalog.lookup(g).n))
+    out += [(read_wrong_weight, (reader, g, w)) for reader in READERS]
     return out
 
 
@@ -249,6 +304,45 @@ def test_plain_sequences_read_as_the_weights_they_spell():
     for gamma in ([1, 1, 1], [0, 0], None, 5):
         with pytest.raises(IndexOutOfSet, match="odd half-space"):
             wmin.h_odd(g3, k3, catalog.zero_vec(3), Q(1, 2), gamma)
+
+
+def test_series_readers_refuse_malformed_input_in_the_contract():
+    """`series_from_records` routes every field of a record through the
+    contract's classes, and takes the family as an `AlgebraId` or as its
+    entry; `QWSeries.coeff` refuses a weight of the wrong length, as
+    `truncated` and `depth_of` do, where it used to answer 0."""
+    g = catalog.psl22()
+    entry, zero = catalog.lookup(g), ["0"] * 4
+    s = wmin.character_massive(g, -3, catalog.zero_vec(4), 1, 3, 4)
+    assert wmin.series_from_records(g, s.records(), 3, 4) == s
+    assert wmin.series_from_records(entry, iter(s.records()), 3, 4) == s
+    for w in ([0, 0], [0] * 5):
+        with pytest.raises(ParameterOutOfRange, match="^psl22 weights have 4 coordinates$"):
+            s.coeff(1, w)
+    for w in (None, 0):
+        with pytest.raises(PreconditionViolated, match="a weight is a sequence of rationals"):
+            s.coeff(1, w)
+    cases = [({"q": "x", "weight": zero, "coeff": 1}, InexactScalar,
+              r"^not an exact rational: 'x' \(use p or p/q\)$"),
+             ({"q": "0", "weight": ["1/0"] + zero[1:], "coeff": 1}, InexactScalar,
+              r"^zero denominator in '1/0'$"),
+             ({"q": "0", "weight": zero}, PreconditionViolated, "keys q, weight and coeff"),
+             ({"weight": zero, "coeff": 1}, PreconditionViolated, "keys q, weight and coeff"),
+             (["0", zero, 1], PreconditionViolated, "keys q, weight and coeff"),
+             ({"q": "0", "weight": 0, "coeff": 1}, PreconditionViolated, "sequence of rationals"),
+             ({"q": "0", "weight": "0000", "coeff": 1}, PreconditionViolated,
+              "sequence of rationals"),
+             ({"q": "0", "weight": zero[1:], "coeff": 1}, ParameterOutOfRange, "4 coordinates")]
+    for rec, cls, text in cases:
+        with pytest.raises(cls, match=text):
+            wmin.series_from_records(entry, [rec], 3, 4)
+    for bad_entry, recs in (("psl22", []), (None, []), (entry, None), (entry, "records")):
+        with pytest.raises(PreconditionViolated):
+            wmin.series_from_records(bad_entry, recs, 3, 4)
+    with pytest.raises(ParameterOutOfRange, match="4 coordinates"):
+        wmin.series_from_records(entry, [], 3, 4, ref=[0, 0])
+    with pytest.raises(PreconditionViolated, match="sequence of rationals"):
+        wmin.series_from_records(entry, [], 3, 4, ref=0)
 
 
 WINDOW_TOKENS = ["0", "1/2", "1", "3/2", "2", "-1", "x", "1/0"]

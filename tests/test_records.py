@@ -3,6 +3,7 @@
 replaced did.  Only `UnitarityVerdict` is still a dataclass."""
 import ast
 import copy
+import dataclasses
 import hashlib
 import pickle
 from fractions import Fraction as Q
@@ -12,6 +13,7 @@ import pytest
 
 from wmin import catalog, characters, gram_lab, levels, unitarity
 from wmin.catalog import AlgebraId, Vec, lookup, validate
+from wmin.cli import verdict_to_dict
 from wmin.errors import ParameterOutOfRange
 from wmin.rationals import GaussianRational as GR
 
@@ -217,3 +219,43 @@ def test_one_dataclass_is_left():
                     found.append((path.name, node.name, above))
     assert [(f, c) for f, c, _ in found] == [("unitarity.py", "UnitarityVerdict")]
     assert "bench/test_bench.py:130" in " ".join(found[0][2])
+
+
+def test_the_verdict_record_keeps_the_dataclass_semantics():
+    """`UnitarityVerdict`'s own `__init__` fills the instance `__dict__` in
+    one assignment; the record is otherwise the frozen dataclass it was:
+    assignment and deletion raise `FrozenInstanceError`, `dataclasses.replace`
+    builds a changed copy, equal fields compare equal, the repr and
+    `cli.verdict_to_dict` are as the generated `__init__` left them, and
+    each verdict reads chi_i into a list of its own."""
+    nu = Vec([0, 0, Q(1, 2), Q(-1, 2)])
+    v = unitarity.decide(catalog.psl22(), -3, nu, Q(1, 2))
+    assert repr(v) == (
+        "UnitarityVerdict(outcome='UnitaryNonExtremal', quantities={'k': Fraction(-3, 1), "
+        "'M_i': [Fraction(2, 1)], 'chi_i': [Fraction(-1, 1)], 'l0': Fraction(1, 2), "
+        "'A': Fraction(1, 2), 'A_explicit': Fraction(1, 2), 'extremal': False, "
+        "'l0_minus_A': Fraction(0, 1)}, reasons=('non-extremal weight with l0 >= A(k,nu)',), "
+        "proved=None, collapse=None)")
+    assert verdict_to_dict(v) == {
+        "outcome": "UnitaryNonExtremal", "reasons": ["non-extremal weight with l0 >= A(k,nu)"],
+        "quantities": {"k": "-3", "M_i": ["2"], "chi_i": ["-1"], "l0": "1/2", "A": "1/2",
+                       "A_explicit": "1/2", "extremal": False, "l0_minus_A": "0"}}
+    assert list(vars(v)) == [f.name for f in dataclasses.fields(v)]
+    for name in ("outcome", "proved", "fresh"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(v, name, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del v.outcome
+    built = unitarity.UnitarityVerdict(v.outcome, v.quantities, v.reasons)
+    by_name = unitarity.UnitarityVerdict(outcome=v.outcome, quantities=v.quantities,
+                                         reasons=v.reasons, proved=None, collapse=None)
+    assert built == by_name == v and built is not v and not built != v
+    w = dataclasses.replace(v, outcome=unitarity.BELOW_BOUND)
+    assert type(w) is unitarity.UnitarityVerdict and w.outcome == unitarity.BELOW_BOUND
+    assert w != v and (w.quantities, w.reasons, w.proved) == (v.quantities, v.reasons, None)
+    assert dataclasses.replace(v) == v and dataclasses.asdict(v)["outcome"] == v.outcome
+    assert copy.deepcopy(v) == v and pickle.loads(pickle.dumps(v)) == v
+    again = unitarity.decide(catalog.psl22(), -3, nu, Q(1, 2))
+    assert again == v and again.quantities["chi_i"] is not v.quantities["chi_i"]
+    again.quantities["chi_i"].append(0)
+    assert unitarity.decide(catalog.psl22(), -3, nu, Q(1, 2)) == v

@@ -160,7 +160,10 @@ def test_stage_times_verdicts():
     of its entries and level records, and each stage of `decide` timed over
     the requests that reach it: all reach the pass over nu, those at a
     non-collapsing level the P^+_k test, and those in P^+_k (every pool
-    weight is) the threshold, extremality, the closed form and the tail."""
+    weight is) the threshold, extremality, the closed form and the tail;
+    and a fresh pass split into the first request per family, the first
+    per level and the steady ones, which number the entries, the level
+    records less the entries, and the rest."""
     import json
     (line,) = run_script("stage_times.py", "--verdicts", "60", "--seed", "5")
     got = json.loads(line)
@@ -175,6 +178,10 @@ def test_stage_times_verdicts():
     assert got["first_builds"] == {"entries": 8, "level_records": 27}
     assert got["reached"] == {"scalars_s": 60, "p_plus_s": 59, "threshold_s": 59,
                               "extremal_s": 59, "closed_form_s": 59, "tail_s": 59}
+    first = got["first_use"]
+    assert {kind: first[kind]["requests"] for kind in first} == {
+        "first_per_family": 8, "first_per_level": 19, "steady": 33}
+    assert all(0 < first[kind]["total_s"] and 0 < first[kind]["median_us"] for kind in first)
 
 
 def test_stage_times_hits():
@@ -227,3 +234,24 @@ def test_loc_totals_are_the_sums_of_its_rows():
     assert all(0 < code <= lines for lines, code in table.values())
     assert [int(total[1]), int(total[2])] == [sum(c[0] for c in table.values()),
                                               sum(c[1] for c in table.values())]
+
+
+def test_grid_dump_and_diff(tmp_path):
+    """`scripts/grid.py` on one section: the run equals its pin, a dump
+    holds one record per call, and a diff against that dump names no call;
+    a doctored record is named with its old and new text."""
+    import json
+    dump = tmp_path / "series.jsonl"
+    (line,) = run_script("grid.py", "--section", "series", "--dump", str(dump))
+    got = json.loads(line)
+    assert got["series"]["same"] and got["series"]["calls"] == len(dump.read_text().splitlines())
+    (line,) = run_script("grid.py", "--section", "series", "--diff", str(dump))
+    assert json.loads(line)["changed"] == []
+    rows = [json.loads(r) for r in dump.read_text().splitlines()]
+    rows[0]["record"] = "0"
+    dump.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    done = subprocess.run([sys.executable, str(SCRIPTS / "grid.py"), "--section", "series",
+                           "--diff", str(dump)], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    (changed,) = json.loads(done.stdout)["changed"]
+    assert (changed["call"], changed["old"]) == (rows[0]["call"], "0")

@@ -296,6 +296,51 @@ def test_one_pass_on_random_weights(g, data):
                      + [2 * level / c.u for c in e.components])
 
 
+# every catalog family, the rank families and D(2,1;a) at a drawn parameter
+ANY_FAMILY = st.one_of(
+    st.sampled_from(RANGE_FAMILIES),
+    st.builds(catalog.d21a, st.integers(1, 40), st.integers(1, 40)),
+    st.tuples(st.sampled_from(["sl2m", "spo2m", "osp4m"]), st.integers(3, 12)).filter(
+        lambda fm: fm not in (("spo2m", 4),) and not (fm[0] == "osp4m" and fm[1] % 2)).map(
+        lambda fm: catalog.AlgebraId(fm[0], m=fm[1])))
+
+
+def _assert_pass_is_the_form(e, nu):
+    """The per-request pass (`CatalogEntry._scalars`, one int program per
+    entry) on nu, a list of ints or `Fraction`s, equals the `Fraction`/
+    `form` reference: nu = x/d with d the least common denominator, the
+    level-0 pairings, (xi|nu) and (nu|nu+2rho^nat), each as its int pair
+    over the pass's positive denominator; for nu as a `Vec` or a list."""
+    for form in (Vec, list):
+        sc = e._scalars(form(nu))
+        assert sc.d == math.lcm(*[Q(c).denominator for c in nu]) and sc.d > 0
+        assert [Q(x, sc.d) for x in sc.x] == [Q(c) for c in nu]
+        assert sc.pairings() == _pairings_oracle(e, Vec(nu))
+        assert sc.xn[1] > 0 and Q(*sc.xn) == e.form(e.xi, nu)
+        assert sc.cas[1] > 0 and Q(*sc.cas) == e.form(
+            nu, [a + 2 * b for a, b in zip(nu, e.rho_natural)])
+
+
+@pytest.mark.parametrize("g", RANGE_FAMILIES, ids=lambda g: g.label())
+def test_one_program_equals_the_form_reference(g):
+    """Every catalog family, on a weight of distinct rational coordinates
+    (d > 1) and one of distinct ints (d = 1, read with no quotient)."""
+    e = lookup(g)
+    for nu in ([Q((-1) ** i * (i + 1), i + 2) for i in range(e.n)], list(range(1, e.n + 1))):
+        _assert_pass_is_the_form(e, nu)
+
+
+@given(ANY_FAMILY, st.data())
+@settings(max_examples=150, deadline=None)
+def test_one_program_equals_the_form_reference_on_drawn_weights(g, data):
+    """Any family, D(2,1;a) and the rank families at a drawn parameter,
+    and any weight, of ints or of rationals."""
+    e = lookup(g)
+    rat = data.draw(st.sampled_from([st.integers(-6, 6),
+                                     st.fractions(min_value=-5, max_value=5, max_denominator=9)]))
+    _assert_pass_is_the_form(e, data.draw(st.lists(rat, min_size=e.n, max_size=e.n)))
+
+
 @pytest.mark.parametrize("call", [
     lambda g, k, nu: decide(g, k, nu, 1),
     in_P_plus_k,
