@@ -24,6 +24,9 @@ its lines "call<TAB>record", in order.  The sections:
                 `characters.depth_of` and `series_from_records`, on
                 characters, plain sequences, wrong-length weights and
                 malformed records
+    builders    `fns_series`, `verma_character` and `n4_closed_form` (M1 = 1
+                to 3, every r) at windows -1/2 to 3/2 and depths 0, 1/3, 2
+                and 3, and their refusals
 
     python3 scripts/grid.py                    # every section against its pin
     python3 scripts/grid.py --slice            # each section's pinned slice
@@ -32,8 +35,13 @@ its lines "call<TAB>record", in order.  The sections:
     python3 scripts/grid.py --diff OLD.jsonl   # the calls whose record changed
 
 A run prints one JSON object: per section its call count, digest and
-whether it equals the pin, and the run time.  The exit code is 1 when a
-section differs from its pin (or, with --diff, when a record changed).
+whether it equals the pin, and the run time.  A run of the whole
+characters section also makes its calls twice more, last first over the
+stores the first run filled and then in order after `_stores.clear()`,
+and reports as `replay_equal` whether every record of the three runs is
+the same: no answer depends on what the stores hold.  The exit code is 1
+when a section differs from its pin or a replay from the first run (or,
+with --diff, when a record changed).
 `--write` re-pins the chosen sections, the whole section and its slice
 (every `SLICE_EVERY[section]`-th call), and leaves the others as they are.
 """
@@ -49,6 +57,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+from wmin import _stores  # noqa: E402
 from wmin import catalog, characters, cli, gram_lab, levels, unitarity, weights  # noqa: E402
 from wmin.catalog import AlgebraId, CatalogEntry, Vec  # noqa: E402
 from wmin.characters import QWSeries  # noqa: E402
@@ -56,9 +65,11 @@ from wmin.errors import WminError  # noqa: E402
 from wmin.rationals import format_rational  # noqa: E402
 
 PINS = ROOT / "tests" / "grid_digests.json"
-SECTIONS = ("decide", "scalars", "characters", "series")
-SLICE_EVERY = {"decide": 3, "scalars": 7, "characters": 5, "series": 1}
+SECTIONS = ("decide", "scalars", "characters", "series", "builders")
+SLICE_EVERY = {"decide": 3, "scalars": 7, "characters": 5, "series": 1, "builders": 11}
 DEPTHS = (Q(0), Q(1, 3), Q(5, 6), Q(2), Q(3))  # of the characters section
+BUILDER_WINDOWS = (Q(-1, 2), Q(0), Q(1, 2), Q(1), Q(3, 2))  # q_max above the lowest exponent
+BUILDER_DEPTHS = (Q(0), Q(1, 3), Q(2), Q(3))
 WEIGHTS_PER_LEVEL = 12  # weights of P^+_k per level: its first 8 and last 4
 
 FAMILIES = (catalog.psl22(), catalog.sl2m(3), catalog.sl2m(4), catalog.spo2m(3),
@@ -255,16 +266,55 @@ def series_calls():
                 characters.series_from_records, (entry, [], q_max, depth, ref)
 
 
+def builder_calls():
+    for g in FAMILIES:
+        entry = catalog.lookup(g)
+        for w, depth in product(BUILDER_WINDOWS, BUILDER_DEPTHS):
+            yield f"fns_series({label(g)},{label(w)},{label(depth)})", characters.fns_series, \
+                (g, w, depth)
+            for nu, ell in product((entry.xi, Q(1, 3) * entry.theta), (Q(0), Q(1, 2))):
+                yield (f"verma_character({label(g)},{label(nu)},{label(ell)},{label(ell + w)},"
+                       f"{label(depth)})", characters.verma_character, (g, nu, ell, ell + w, depth))
+        for nu in ([0] * (entry.n + 1), [Q(1, 2)] * entry.n, 0):
+            yield f"verma_character({label(g)},{label(nu)},0,1,1)", characters.verma_character, \
+                (g, nu, 0, 1, 1)
+        yield f"fns_series({label(g)},1,-1)", characters.fns_series, (g, 1, -1)
+    for M1 in (1, 2, 3):
+        for r in range(M1 + 1):
+            for w, depth in product(BUILDER_WINDOWS, BUILDER_DEPTHS):
+                q_max = Q(r, 2) + w
+                yield f"n4_closed_form({M1},{r},{label(q_max)},{label(depth)})", \
+                    characters.n4_closed_form, (M1, r, q_max, depth)
+    for M1, r in ((0, 0), (1, 2), (2, -1), (Q(2), 1), (2, 1.0)):
+        yield f"n4_closed_form({label(M1)},{label(r)},1,1)", characters.n4_closed_form, \
+            (M1, r, 1, 1)
+
+
 CALLS = {"decide": decide_calls, "scalars": scalar_calls, "characters": character_calls,
-         "series": series_calls}
+         "series": series_calls, "builders": builder_calls}
 
 
 # -- running and pinning --------------------------------------------------------------
 
-def section_lines(name, every=1):
-    """The "call<TAB>record" lines of every `every`-th call of a section."""
-    return [f"{text}\t{run_call(fn, args)}"
-            for i, (text, fn, args) in enumerate(CALLS[name]()) if i % every == 0]
+def section_lines(name, every=1, reverse=False, cold=False):
+    """The "call<TAB>record" lines of every `every`-th call of a section,
+    in section order.  With `reverse` the calls are made last first; with
+    `cold` every store is emptied (`_stores.clear()`) once the calls are
+    listed, before the first is made."""
+    calls = [call for i, call in enumerate(CALLS[name]()) if i % every == 0]
+    if cold:
+        _stores.clear()
+    order = range(len(calls))
+    records = {i: run_call(*calls[i][1:]) for i in (reversed(order) if reverse else order)}
+    return [f"{text}\t{records[i]}" for i, (text, _, _) in enumerate(calls)]
+
+
+def replay_equal(lines) -> bool:
+    """Whether the characters section, made again last call first over the
+    stores its first run (`lines`) filled, and then in order from emptied
+    stores, gives the first run's records."""
+    return (section_lines("characters", reverse=True) == lines
+            and section_lines("characters", cold=True) == lines)
 
 
 def digest(lines) -> str:
@@ -320,6 +370,9 @@ def main(argv=None):
         records += [(name, *line.split("\t", 1)) for line in lines]
         pinned = pins.get(name, {}).get("sha256")
         report[name] = {"calls": len(lines), "sha256": got, "same": got == pinned}
+        if name == "characters":
+            report["replay_equal"] = replay_equal(lines)
+            bad |= not report["replay_equal"]
         if args.write:
             every = SLICE_EVERY[name]
             pins[name] = {"calls": len(lines), "sha256": got, "slice_every": every,

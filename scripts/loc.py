@@ -4,7 +4,9 @@
 For each module of `src/wmin` it prints its total lines and its code lines:
 the lines that hold a token of code, read with the standard library's
 `tokenize`, so that docstrings (a string that is a whole statement),
-comments and blank lines do not count.  The last row sums the columns.
+comments and blank lines do not count.  The row `total` sums the columns;
+the rows `tests/` and `scripts/` after it give the same sums over the
+Python files of those directories.
 
     python scripts/loc.py
 """
@@ -12,7 +14,9 @@ import io
 import tokenize
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "wmin"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "wmin"
+TREES = ("tests", "scripts")  # counted as one row each
 
 # tokens that are no code of their own
 LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
@@ -37,13 +41,22 @@ def counts(text: str) -> tuple:
     return len(text.splitlines()), len(code)
 
 
+def summed(pairs) -> tuple:
+    """(total lines, code lines) summed over such pairs."""
+    lines, code = zip(*pairs)
+    return sum(lines), sum(code)
+
+
 def main() -> None:
     rows = [(path.stem, *counts(path.read_text())) for path in sorted(SRC.glob("*.py"))]
-    width = max(len(name) for name, _, _ in rows + [("total", 0, 0)])
+    rows.append(("total", *summed(row[1:] for row in rows)))
+    for tree in TREES:
+        paths = sorted((ROOT / tree).glob("*.py"))
+        rows.append((f"{tree}/", *summed(counts(path.read_text()) for path in paths)))
+    width = max(len(name) for name, _, _ in rows)
     print(f"{'module':<{width}}  {'lines':>6}  {'code':>6}")
     for name, total, code in rows:
         print(f"{name:<{width}}  {total:>6}  {code:>6}")
-    print(f"{'total':<{width}}  {sum(r[1] for r in rows):>6}  {sum(r[2] for r in rows):>6}")
 
 
 if __name__ == "__main__":

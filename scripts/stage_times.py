@@ -112,7 +112,9 @@ With `--gram E_MAX` the script times the integer kernel of the boson lab
                           energy 1..E_MAX contracted to the vacuum with the
                           `heisenberg_matrix` views of its annihilators, at
                           mu = 5/3
-    caches                `cache_info()` of the gram caches afterwards
+    caches                the stores of `gram_lab` afterwards
+                          (`wmin._stores.info()`), by name: hits, misses,
+                          maxsize and currsize
 
 With `--verdicts COUNT` it times `wmin.unitarity.decide` instead, warm,
 on COUNT requests drawn with `random.Random(SEED)` from a pool: every
@@ -369,7 +371,7 @@ def main(argv=None):
 def gram_stages(e_max):
     """The `--gram` stages, each timed cold in this interpreter."""
     from fractions import Fraction as Q
-    from wmin import gram_lab
+    from wmin import _stores, gram_lab
     from wmin.rationals import GaussianRational as GR
 
     def timed(fn):
@@ -413,10 +415,9 @@ def gram_stages(e_max):
             "adjoint": sum(not gram_lab._adjoint_rows(n, e_max, op) for op, n in adjoint)},
         "norms_s": timed(norms),
     }
-    out["caches"] = {f.__name__: f.cache_info()._asdict() for f in (
-        gram_lab.states_at_energy, gram_lab._basis, gram_lab._a_map, gram_lab._p_map,
-        gram_lab._paired, gram_lab._virasoro_rows, gram_lab._adjoint_rows,
-        gram_lab.heisenberg_matrix)}
+    fields = ("hits", "misses", "maxsize", "currsize")
+    out["caches"] = {name.partition(".")[2]: dict(zip(fields, info))
+                     for name, info in _stores.info().items() if name.startswith("gram_lab.")}
     return out
 
 

@@ -146,12 +146,16 @@ class QWSeries:
     (`truncated`); `add_term` places one term, for `series_from_records`.
     The reference weight and every weight a method takes may be any
     sequence of rationals: each is held or looked up as a `Vec`
-    (`_as_vec`).
+    (`_as_vec`).  A reference weight of the wrong length, or one that is
+    no sequence, is refused when the series is made, before q_max and
+    depth are read (`CatalogEntry._check_length`).
     """
 
     __slots__ = ("entry", "q_max", "depth", "ref", "terms")
 
     def __init__(self, entry: CatalogEntry, q_max, depth, ref: Optional[Vec] = None):
+        if ref is not None:
+            entry._check_length(ref)
         self.entry = entry
         self.q_max = as_rational(q_max)
         self.depth = as_rational(depth)
@@ -249,7 +253,7 @@ def series_from_records(entry: CatalogEntry | AlgebraId, recs: Sequence[dict], q
     weight entry that is no exact rational (a string `parse_rational`
     refuses, a float) `InexactScalar`; a weight of the wrong length
     `ParameterOutOfRange`.  The reference weight `ref` is checked as a
-    record's weight is."""
+    record's weight is, by the `QWSeries` constructor."""
     if isinstance(entry, AlgebraId):
         entry = lookup(entry)
     elif not isinstance(entry, CatalogEntry):
@@ -257,8 +261,6 @@ def series_from_records(entry: CatalogEntry | AlgebraId, recs: Sequence[dict], q
                                    f"AlgebraId, not {entry!r}")
     if isinstance(recs, (str, bytes, dict)) or not hasattr(recs, "__iter__"):
         raise PreconditionViolated(f"records must be an iterable of dicts, not {recs!r}")
-    if ref is not None:
-        entry._check_length(ref)
     s = QWSeries(entry, q_max, depth, ref)
     for r in recs:
         if not isinstance(r, dict) or not r.keys() >= _RECORD_KEYS:
@@ -617,7 +619,7 @@ def _sum_pieces(lat: _Lattice, base: Tuple[int, List[int]], top: int, dcap: int,
 # weight (`_publish`), emptied when it reaches WEIGHT_CAP entries.  A bench
 # pass leaves fewer than 100 (68 char_cold, 63 char_warm), each held in about
 # 550 bytes (G3): 4096 shares a long sweep's weights and bounds the table to
-# a few MB.
+# a few MB.  `_stores` reports it and empties it with the other stores.
 _weights: Dict[tuple, Vec] = {}
 WEIGHT_CAP = 4096  # published weights held before `_weights` is emptied
 
@@ -723,7 +725,9 @@ def _held_windows(maxsize: int):
     family and the image, ints or None (`OrbitElement.image`): no
     `Fraction` is read.
     `cache_info()` counts as hits only the answers to callers: a call made
-    while a build runs (a quotient reading its denominator) is not one."""
+    while a build runs (a quotient reading its denominator) is not one.
+    `cache_info` and `cache_clear` are what `_stores.info()` and `clear()`
+    find the store by, as they find every `lru_cache`."""
     def decorate(build):
         # (family, image) -> [entry, ...], each entry [last use, series] of
         # one held window, in the order they were built

@@ -1,7 +1,5 @@
 import gc
-import importlib
 import math
-import pkgutil
 import sys
 from dataclasses import dataclass
 from fractions import Fraction as Q
@@ -12,8 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import wmin
-from wmin import catalog, characters, gram_lab, levels
+from wmin import _stores, catalog, characters, gram_lab, levels
 from wmin.catalog import Vec, _Lattice, lookup, zero_vec
 from wmin.characters import (QWSeries, _bucketed, _fns_cached, _held_windows, _LatticeSeries,
                              _n4_range, _orbit, _orbit_sum, _placed, _start,
@@ -873,9 +870,7 @@ def test_weight_table_at_cap_one_changes_no_record(monkeypatch):
     records it gives under the default cap, and the table never holds more
     than one weight."""
     def sweep():
-        _fns_cached.cache_clear()
-        _orbit_sum.cache_clear()
-        characters._weights.clear()
+        _stores.clear()
         return [s.records() for s in _published_samples()]
 
     want = sweep()
@@ -985,7 +980,10 @@ def test_truncated_refuses_a_window_it_cannot_fill():
     lambda: series_from_records(E, [{"q": "0", "weight": ["0", "0"], "coeff": 1}], 2, 2),
     lambda: character_massive(G, -3, Vec([0, 0, 0, 0]), 1, 3, 4).coeff(1, [0, 0]),
     lambda: QWSeries(E, 2, 2).add_term(0, [0, 0, 0, 0, 0], 1),
-], ids=["depth_of", "truncated", "series_from_records", "coeff", "add_term"])
+    lambda: QWSeries(E, 2, 2, [0, 0]),
+    lambda: QWSeries(E, 2, 2, Vec([0, 0, 0, 0, 0])),
+], ids=["depth_of", "truncated", "series_from_records", "coeff", "add_term", "QWSeries_list",
+        "QWSeries_vec"])
 def test_wrong_length_weight_is_refused(call):
     """A weight of the wrong length raises rather than being cut to a prefix."""
     with pytest.raises(ParameterOutOfRange, match="4 coordinates"):
@@ -1534,7 +1532,7 @@ def test_ns_table_steps_are_margin_checked(monkeypatch):
     """A table factor that would raise the window margin is refused by the
     table build as by `divide`: a c = 0 step of depth 0, and a c > 0 step
     that dips one unit faster than the slope allows."""
-    lat = E.lattice
+    lat = lookup(G).lattice  # the frame the build reads, whatever the stores held before
     for bad in [(0, lat.pack([1, 0, 0, 0]), -2, False),
                 (-(lat.dip // 2) - 1, 0, -1, True)]:
         monkeypatch.setattr(lat, "ns", lat.ns + (bad,))
@@ -1727,11 +1725,9 @@ def test_held_windows_answer_as_their_own_builds(case):
     g, k, requests = case
     cold = []
     for r in requests:
-        _fns_cached.cache_clear()
-        _orbit_sum.cache_clear()
+        _stores.clear()
         cold.append(_request(g, k, *r))
-    _fns_cached.cache_clear()
-    _orbit_sum.cache_clear()
+    _stores.clear()
     assert [_request(g, k, *r) for r in requests] == cold, case
 
 
@@ -1857,8 +1853,7 @@ def test_a_character_is_that_of_its_snapped_window(case):
     l0 = A_bound(g, k, nu) + (0 if massless else Q(1, 3))
 
     def answer(window, depth):
-        _fns_cached.cache_clear()
-        _orbit_sum.cache_clear()
+        _stores.clear()
         try:
             got = character_massless(g, k, nu, l0 + window, depth) if massless \
                 else character_massive(g, k, nu, l0, l0 + window, depth)
@@ -1962,8 +1957,7 @@ def test_store_keys_hold_no_fraction(monkeypatch):
     and kernel series they are handed; and afterwards every key of
     `_fns_cached`'s store and every window it holds is made of ints, None
     and the `AlgebraId`: no lookup hashes a `Fraction`."""
-    _fns_cached.cache_clear()
-    _orbit_sum.cache_clear()
+    _stores.clear()
     frames = (catalog.CatalogEntry, _Lattice, levels._Level, catalog._NuScalars)
     seen = {}
 
@@ -2027,8 +2021,7 @@ def test_equal_kernel_windows_are_built_and_summed_once():
         assert lat.window(*one) == lat.window(*two)
         assert not (two[0] <= one[0] and two[1] + Q(lat.dip, lat.scale) * two[0]
                     <= one[1] + Q(lat.dip, lat.scale) * one[0])
-        _fns_cached.cache_clear()
-        _orbit_sum.cache_clear()
+        _stores.clear()
         want, got = first(), second()
         assert got.n_terms() > 0
         assert got.terms == {q - shift: lvl for q, lvl in want.terms.items()}
@@ -2091,8 +2084,7 @@ def test_levels_that_share_an_orbit_cell_answer_as_fresh_sums():
                 return type(err), str(err)
             return got.records()
 
-        _fns_cached.cache_clear()
-        _orbit_sum.cache_clear()
+        _stores.clear()
         shared = []
         for r in reqs:
             hits = _orbit_sum.cache_info().hits
@@ -2102,8 +2094,7 @@ def test_levels_that_share_an_orbit_cell_answer_as_fresh_sums():
         for r, got, hit in shared:
             kind, k, nu, l0, q_max = r
             if isinstance(got, tuple):
-                _fns_cached.cache_clear()
-                _orbit_sum.cache_clear()
+                _stores.clear()
                 assert answer(*r) == got, (g, r, hit)
             else:
                 assert got == _orbit_sum_at(e, k, nu, l0, q_max, depth,
@@ -2137,8 +2128,7 @@ def test_massive_requests_at_the_threshold_refuse_and_just_above_answer():
             for nu in enumerate_P_plus_k(g, k)[:count_nu]:
                 a, extremal = A_bound(g, k, nu), is_extremal(g, k, nu)
                 reqs += [(k, nu, a + off, extremal) for off in (-Q(1, 1000), 0, Q(1, 1000))]
-        _fns_cached.cache_clear()
-        _orbit_sum.cache_clear()
+        _stores.clear()
         swept = [answer(*r[:3]) for r in reqs]
         for (k, nu, l0, extremal), got in zip(reqs, swept):
             if extremal:
@@ -2149,8 +2139,7 @@ def test_massive_requests_at_the_threshold_refuse_and_just_above_answer():
             else:
                 assert isinstance(got, list) and got, (g, k, nu, l0)
                 answered += 1
-            _fns_cached.cache_clear()
-            _orbit_sum.cache_clear()
+            _stores.clear()
             assert answer(k, nu, l0) == got, (g, k, nu, l0)
             hits = _orbit_sum.cache_info().hits
             assert answer(k, nu, l0) == got, (g, k, nu, l0)
@@ -2217,8 +2206,8 @@ def test_character_caches_stay_bounded_over_d21a_sweep():
     drive `_fns_cached` past its bound), nested psl22 windows in descending
     and ascending order, plain and massless, the boson energies
     past the bound of their cache and the orbit-sum keys past the bound of
-    `_orbit_sum`, leaves every cache of every
-    `wmin` module at or under its bound.  `lookup` is the only per-algebra
+    `_orbit_sum`, leaves every store of the package (`_stores.info()`) at
+    or under its bound.  `lookup` is the only per-algebra
     cache: the frames (`_Lattice`) still alive afterwards are at most those
     held by its entries and by the cached denominator series and
     quotients, so no hidden cache keeps the 200 frames of the sweep."""
@@ -2258,19 +2247,15 @@ def test_character_caches_stay_bounded_over_d21a_sweep():
     assert info.misses == 1 + len(images) + len(sweep) and info.currsize == info.maxsize
     for e in range(gram_lab.states_at_energy.cache_info().maxsize + 4):
         gram_lab.states_at_energy(e)
-    mods = [importlib.import_module(f"wmin.{m.name}")
-            for m in pkgutil.iter_modules(wmin.__path__)]
-    caches = [f for mod in mods for f in vars(mod).values()
-              if hasattr(f, "cache_info") and f.__module__ == mod.__name__]
     bound = _orbit_sum.cache_info().maxsize
     for depth in range(bound + 4):  # more orbit-sum keys than the cache holds
         character_massive(G, -3, ZERO, 1, 1, depth)
     assert _orbit_sum.cache_info().currsize == bound
-    assert len(caches) >= 6
-    assert {catalog.lookup, gram_lab.states_at_energy, _fns_cached, _orbit_sum} <= set(caches)
-    for f in caches:
-        info = f.cache_info()
-        assert info.maxsize is not None and info.currsize <= info.maxsize, f
+    stores = _stores.info()
+    assert {"catalog.lookup", "gram_lab.states_at_energy", "characters._fns_cached",
+            "characters._orbit_sum", "characters._weights"} <= stores.keys()
+    for name, (_, _, maxsize, currsize) in stores.items():
+        assert maxsize is not None and currsize <= maxsize, name
     gc.collect()
     frames = sum(1 for o in gc.get_objects() if isinstance(o, _Lattice))
     assert frames <= catalog.lookup.cache_info().maxsize + _fns_cached.cache_info().maxsize

@@ -117,17 +117,19 @@ def wrong_weight(n):
 
 def read_wrong_weight(reader, g, w):
     """The series reader `reader` (`QWSeries.coeff`, `QWSeries.truncated`,
-    `characters.depth_of` on either side, `QWSeries.add_term`) given the
-    weight w, on a series of g's."""
+    `characters.depth_of` on either side, `QWSeries.add_term`, the
+    `QWSeries` constructor's reference weight) given the weight w, on a
+    series of g's."""
     entry = catalog.lookup(g)
     s = QWSeries(entry, 1, 1)
     return {"coeff": lambda: s.coeff(0, w), "truncated": lambda: s.truncated(1, 1, w),
             "depth_of": lambda: characters.depth_of(entry, entry.xi, w),
             "depth_of_ref": lambda: characters.depth_of(entry, w, entry.xi),
-            "add_term": lambda: s.add_term(0, w, 1)}[reader]()
+            "add_term": lambda: s.add_term(0, w, 1),
+            "QWSeries": lambda: QWSeries(entry, 1, 1, w)}[reader]()
 
 
-READERS = ("coeff", "truncated", "depth_of", "depth_of_ref", "add_term")
+READERS = ("coeff", "truncated", "depth_of", "depth_of_ref", "add_term", "QWSeries")
 
 
 def _calls(g, k, nu, l0, q_max, window, depth, x, n, m, count, gamma):
@@ -310,7 +312,10 @@ def test_series_readers_refuse_malformed_input_in_the_contract():
     """`series_from_records` routes every field of a record through the
     contract's classes, and takes the family as an `AlgebraId` or as its
     entry; `QWSeries.coeff` refuses a weight of the wrong length, as
-    `truncated` and `depth_of` do, where it used to answer 0."""
+    `truncated` and `depth_of` do, where it used to answer 0; and the
+    `QWSeries` constructor refuses a reference weight of the wrong length
+    or one that is no sequence, where it raised a bare `TypeError` or held
+    it."""
     g = catalog.psl22()
     entry, zero = catalog.lookup(g), ["0"] * 4
     s = wmin.character_massive(g, -3, catalog.zero_vec(4), 1, 3, 4)
@@ -343,6 +348,13 @@ def test_series_readers_refuse_malformed_input_in_the_contract():
         wmin.series_from_records(entry, [], 3, 4, ref=[0, 0])
     with pytest.raises(PreconditionViolated, match="sequence of rationals"):
         wmin.series_from_records(entry, [], 3, 4, ref=0)
+    # the constructor checks ref before it reads q_max (a float q_max would
+    # raise InexactScalar), for itself and for `series_from_records`
+    for ref, cls in (([0, 0], ParameterOutOfRange), (0, PreconditionViolated)):
+        for make in (lambda: QWSeries(entry, 3, 4, ref), lambda: QWSeries(entry, 0.5, 4, ref),
+                     lambda: wmin.series_from_records(entry, [], 0.5, 4, ref)):
+            with pytest.raises(cls, match="4 coordinates|a weight is a sequence of rationals"):
+                make()
 
 
 WINDOW_TOKENS = ["0", "1/2", "1", "3/2", "2", "-1", "x", "1/0"]

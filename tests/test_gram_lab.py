@@ -1,5 +1,3 @@
-import importlib
-import pkgutil
 from contextlib import contextmanager
 from fractions import Fraction as Q
 from math import factorial, gcd, lcm
@@ -9,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import wmin
-from wmin import catalog, gram_lab
+from wmin import _stores, catalog, gram_lab
 from wmin.catalog import lookup, zero_vec
 from wmin.errors import IndexOutOfRange, IndexOutOfSet, PreconditionViolated, WindowTooSmall
 from wmin.gram_lab import (VACUUM, BosonBasisState, GradedSliceOperator, _add_into,
@@ -1012,9 +1009,8 @@ def _routed(name, replacement):
 def test_every_gram_cache_is_a_base_map_or_a_routed_table():
     """A new cache built from the parts must join `TABLES`, or a test that
     routes a part would read a table built before the route."""
-    caches = {f for f in vars(gram_lab).values()
-              if hasattr(f, "cache_info") and f.__module__ == gram_lab.__name__}
-    assert caches == set(TABLES) | set(BASE_MAPS)
+    caches = {name for name in _stores.info() if name.startswith("gram_lab.")}
+    assert caches == {f"gram_lab.{f.__name__}" for f in TABLES + BASE_MAPS}
     assert not set(TABLES) & set(BASE_MAPS)
 
 
@@ -1207,8 +1203,8 @@ def test_gram_caches_stay_bounded_over_an_s_mu_sweep():
     (n, m, e_max) keys past the bound of `_virasoro_rows`, (n, e_max) keys
     past the bounds of `_adjoint_rows` and `_paired`, modes past the bounds
     of `_a_map` and `_p_map`, cutoffs past the bound of `_basis` and mu
-    values past that of `heisenberg_matrix` leave every cache of every
-    `wmin` module at or under its bound."""
+    values past that of `heisenberg_matrix` leave every store of the
+    package (`_stores.info()`) at or under its bound."""
     rows, adj = gram_lab._virasoro_rows, gram_lab._adjoint_rows
     new = set(TABLES) | set(BASE_MAPS)
     bound = {f: f.cache_info().maxsize for f in new}
@@ -1236,18 +1232,12 @@ def test_gram_caches_stay_bounded_over_an_s_mu_sweep():
         gram_lab._basis(e_max)
     for k in range(bound[gram_lab.heisenberg_matrix] + 4):
         heisenberg_matrix(1, Q(k), 1)
-    mods = [importlib.import_module(f"wmin.{m.name}")
-            for m in pkgutil.iter_modules(wmin.__path__)]
-    caches = [f for mod in mods for f in vars(mod).values()
-              if hasattr(f, "cache_info") and f.__module__ == mod.__name__]
-    assert new <= set(caches)
-    for f in caches:
-        info = f.cache_info()
-        assert info.maxsize is not None and info.currsize <= info.maxsize, f
+    stores = _stores.info()
+    assert {f"gram_lab.{f.__name__}" for f in new} <= stores.keys()
+    for name, (_, _, maxsize, currsize) in stores.items():
+        assert maxsize is not None and currsize <= maxsize, name
     assert all(f.cache_info().currsize == bound[f] for f in new - {gram_lab.states_at_energy})
 
-
-GRAM_CACHES = TABLES + BASE_MAPS
 
 # each entry point with int arguments, and the positions of its mode
 # indices and cutoffs
@@ -1270,8 +1260,7 @@ def test_gram_entry_points_refuse_a_non_int_index_or_cutoff(fn, args, positions,
     """A float (or bool) mode index, cutoff or energy raises `IndexOutOfRange`
     before any cache is read: the same whether the int call it equals has
     filled the caches or not."""
-    for f in GRAM_CACHES:
-        f.cache_clear()
+    _stores.clear()
     if warm:
         assert fn(*args)
     for pos in positions:

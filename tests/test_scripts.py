@@ -226,14 +226,20 @@ def test_stage_times_setup():
 
 def test_loc_totals_are_the_sums_of_its_rows():
     """`scripts/loc.py` prints one row per module of `src/wmin`, lines and
-    code lines, code never more than lines, and a last row that sums them."""
-    header, *rows, total = [line.split() for line in run_script("loc.py")]
+    code lines, code never more than lines, and a row that sums them; then
+    one row each for the Python files of tests/ and scripts/, whose lines
+    are theirs summed."""
+    header, *rows, total, tests, scripts = [line.split() for line in run_script("loc.py")]
     assert header == ["module", "lines", "code"] and total[0] == "total"
     table = {name: (int(lines), int(code)) for name, lines, code in rows}
     assert {"characters", "catalog", "__init__"} <= table.keys()
     assert all(0 < code <= lines for lines, code in table.values())
     assert [int(total[1]), int(total[2])] == [sum(c[0] for c in table.values()),
                                               sum(c[1] for c in table.values())]
+    for (name, lines, code), tree in zip((tests, scripts), ("tests", "scripts")):
+        assert name == f"{tree}/" and 0 < int(code) <= int(lines)
+        assert int(lines) == sum(len(path.read_text().splitlines())
+                                 for path in (SCRIPTS.parent / tree).glob("*.py"))
 
 
 def test_grid_dump_and_diff(tmp_path):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from wmin import catalog, characters, levels
+from wmin import _stores, catalog, characters, levels
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads as W  # noqa: E402
@@ -49,9 +49,7 @@ def test_seed3_pool_work_counts(workload, builds, hits, sums, weights):
     sums for its 102 requests."""
     reqs = W.generate(workload, 3, W.NOMINAL_SECONDS, W.load_golden())
     runner = W.Runner()
-    characters._fns_cached.cache_clear()
-    characters._orbit_sum.cache_clear()
-    characters._weights.clear()
+    _stores.clear()
     for req in reqs:
         runner.call(runner.prepare(req))
     info, cached = characters._fns_cached.cache_info(), characters._orbit_sum.cache_info()
