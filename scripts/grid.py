@@ -26,7 +26,20 @@ its lines "call<TAB>record", in order.  The sections:
                 malformed records
     builders    `fns_series`, `verma_character` and `n4_closed_form` (M1 = 1
                 to 3, every r) at windows -1/2 to 3/2 and depths 0, 1/3, 2
-                and 3, and their refusals
+                and 3, and their refusals, a bool M1 or r included
+    gram        the boson lab: `virasoro_check` at e_max 1 to 8 on every
+                (n, m) with |n| + |m| <= e_max - 1, `adjointness_check`
+                ('L' and 'a') on every |n| <= e_max and
+                `exp_factorization_check` with n_max, m_max in 1..4, each
+                over fixed imaginary s and rational mu; `states_at_energy`,
+                `states_up_to`, `heisenberg_matrix` and `fairlie_matrix` at
+                small cutoffs; and every refusal of the seven int gates: a
+                float, a bool, a `Fraction` and a str in each int position,
+                a real s, an operator other than 'L' or 'a', and each window
+                too small
+    levels      `enumerate_unitary_k` at counts -1 to 4 and at True, 2.0 and
+                Fraction(2), and `ell_of_h`, `h_pair` and `g_half_norm` at
+                the decide section's levels, on the first weights there
 
     python3 scripts/grid.py                    # every section against its pin
     python3 scripts/grid.py --slice            # each section's pinned slice
@@ -62,11 +75,13 @@ from wmin import catalog, characters, cli, gram_lab, levels, unitarity, weights 
 from wmin.catalog import AlgebraId, CatalogEntry, Vec  # noqa: E402
 from wmin.characters import QWSeries  # noqa: E402
 from wmin.errors import WminError  # noqa: E402
+from wmin.rationals import GaussianRational as GR  # noqa: E402
 from wmin.rationals import format_rational  # noqa: E402
 
 PINS = ROOT / "tests" / "grid_digests.json"
-SECTIONS = ("decide", "scalars", "characters", "series", "builders")
-SLICE_EVERY = {"decide": 3, "scalars": 7, "characters": 5, "series": 1, "builders": 11}
+SECTIONS = ("decide", "scalars", "characters", "series", "builders", "gram", "levels")
+SLICE_EVERY = {"decide": 3, "scalars": 7, "characters": 5, "series": 1, "builders": 11,
+               "gram": 3, "levels": 5}
 DEPTHS = (Q(0), Q(1, 3), Q(5, 6), Q(2), Q(3))  # of the characters section
 BUILDER_WINDOWS = (Q(-1, 2), Q(0), Q(1, 2), Q(1), Q(3, 2))  # q_max above the lowest exponent
 BUILDER_DEPTHS = (Q(0), Q(1, 3), Q(2), Q(3))
@@ -285,13 +300,108 @@ def builder_calls():
                 q_max = Q(r, 2) + w
                 yield f"n4_closed_form({M1},{r},{label(q_max)},{label(depth)})", \
                     characters.n4_closed_form, (M1, r, q_max, depth)
-    for M1, r in ((0, 0), (1, 2), (2, -1), (Q(2), 1), (2, 1.0)):
+    for M1, r in ((0, 0), (1, 2), (2, -1), (Q(2), 1), (2, 1.0), (True, 0), (1, True),
+                  (2, False), (False, 0)):
         yield f"n4_closed_form({label(M1)},{label(r)},1,1)", characters.n4_closed_form, \
             (M1, r, 1, 1)
 
 
+GRAM_S = (GR(0), GR.imag(Q(3, 7)), GR.imag(-2))  # the deformations s (and t) of the gram section
+GRAM_MU = (Q(0), Q(5, 3), Q(-1, 2))
+NON_INTS = (2.0, True, Q(2), "2")  # each in every int position of the gram gates
+
+
+def gram_calls():
+    sm = list(product(GRAM_S, GRAM_MU))
+    for e_max in range(1, 9):
+        reach = e_max - 1
+        for n in range(-reach, reach + 1):
+            for m in range(abs(n) - reach, reach - abs(n) + 1):
+                for s, mu in sm:
+                    yield f"virasoro_check({label(s)},{label(mu)},{n},{m},{e_max})", \
+                        gram_lab.virasoro_check, (s, mu, n, m, e_max)
+        for op, n in product("La", range(-e_max, e_max + 1)):
+            for s, mu in sm:
+                yield f"adjointness_check({label(s)},{label(mu)},{n},{e_max},{op})", \
+                    gram_lab.adjointness_check, (s, mu, n, e_max, op)
+    for t in GRAM_S + (GR(Q(1, 2), Q(-1, 3)),):
+        for n_max, m_max in product(range(1, 5), repeat=2):
+            yield f"exp_factorization_check({label(t)},{n_max},{m_max})", \
+                gram_lab.exp_factorization_check, (t, n_max, m_max)
+    for e in range(7):
+        yield f"states_at_energy({e})", gram_lab.states_at_energy, (e,)
+        yield f"states_up_to({e})", gram_lab.states_up_to, (e,)
+    for e_max in range(4):
+        for n in range(-e_max, e_max + 2):
+            for mu in GRAM_MU:
+                yield f"heisenberg_matrix({n},{label(mu)},{e_max})", \
+                    gram_lab.heisenberg_matrix, (n, mu, e_max)
+                for s in GRAM_S:
+                    yield f"fairlie_matrix({label(s)},{label(mu)},{n},{e_max})", \
+                        gram_lab.fairlie_matrix, (s, mu, n, e_max)
+    s, mu, real = GRAM_S[1], GRAM_MU[1], GR(Q(1, 2))
+    gates = [("virasoro_check", gram_lab.virasoro_check, (s, mu, 1, -1, 4)),
+             ("adjointness_check", gram_lab.adjointness_check, (s, mu, 1, 4, "L")),
+             ("adjointness_check", gram_lab.adjointness_check, (s, mu, 1, 4, "a")),
+             ("exp_factorization_check", gram_lab.exp_factorization_check, (s, 2, 2)),
+             ("states_at_energy", gram_lab.states_at_energy, (2,)),
+             ("states_up_to", gram_lab.states_up_to, (2,)),
+             ("heisenberg_matrix", gram_lab.heisenberg_matrix, (1, mu, 4)),
+             ("fairlie_matrix", gram_lab.fairlie_matrix, (s, mu, 1, 4))]
+    bad = [(name, fn, args[:i] + (x,) + args[i + 1:]) for name, fn, args in gates
+           for i, arg in enumerate(args) if arg.__class__ is int for x in NON_INTS]
+    bad += [(name, fn, args[:i] + (x, y) + args[i + 2:]) for name, fn, args in gates
+            for i in range(len(args) - 1) if args[i].__class__ is args[i + 1].__class__ is int
+            for x, y in ((2.0, True), ("2", 2.0))]  # the first bad argument is named
+    bad += [("virasoro_check", gram_lab.virasoro_check, (real, mu, 1, -1, 4)),
+            ("adjointness_check", gram_lab.adjointness_check, (real, mu, 1, 4, "L")),
+            ("adjointness_check", gram_lab.adjointness_check, (real, mu, 1, 4, "a")),
+            ("fairlie_matrix", gram_lab.fairlie_matrix, (real, mu, 1, 4)),
+            ("adjointness_check", gram_lab.adjointness_check, (s, mu, 1, 4, "b")),
+            ("adjointness_check", gram_lab.adjointness_check, (s, mu, 1, 4, "l")),
+            ("virasoro_check", gram_lab.virasoro_check, (s, mu, 2, -2, 4)),
+            ("virasoro_check", gram_lab.virasoro_check, (s, mu, 0, 0, 0)),
+            ("adjointness_check", gram_lab.adjointness_check, (s, mu, -5, 4, "L")),
+            ("adjointness_check", gram_lab.adjointness_check, (s, mu, 1, -1, "a")),
+            ("heisenberg_matrix", gram_lab.heisenberg_matrix, (-3, mu, 2)),
+            ("heisenberg_matrix", gram_lab.heisenberg_matrix, (0, mu, -1)),
+            ("fairlie_matrix", gram_lab.fairlie_matrix, (s, mu, -3, 2)),
+            ("fairlie_matrix", gram_lab.fairlie_matrix, (s, mu, 0, -1)),
+            ("exp_factorization_check", gram_lab.exp_factorization_check, (s, 0, 2)),
+            ("exp_factorization_check", gram_lab.exp_factorization_check, (s, 2, 0)),
+            ("states_up_to", gram_lab.states_up_to, (-1,)),
+            ("states_at_energy", gram_lab.states_at_energy, (-1,))]
+    ints = {name: {i for i, a in enumerate(args) if a.__class__ is int} for name, _, args in gates}
+    for name, fn, args in bad:  # a non-int in an int position as its repr: Fraction(2, 1), True
+        text = ",".join(repr(a) if i in ints[name] and a.__class__ is not int else label(a)
+                        for i, a in enumerate(args))
+        yield f"{name}({text})", fn, args
+
+
+def levels_calls():
+    for g in FAMILIES:
+        for count in (-1, 0, 1, 2, 3, 4, True, 2.0, Q(2)):
+            text = label(count) if count.__class__ is int else repr(count)
+            yield f"enumerate_unitary_k({label(g)},{text})", \
+                levels.enumerate_unitary_k, (g, count)
+    for g in FAMILIES:
+        ks = _levels(g)
+        base = next((k for kind, k in ks if kind == "unitary"), ks[0][1])
+        for kind, k in ks:
+            for nu in _weights(g, k if kind == "unitary" else base)[:3]:
+                a = _threshold(g, k, nu)
+                tag = f"({label(g)},{label(k)},{label(nu)}"
+                for h in (Q(0), Q(1, 2), Q(-1), k + 1):
+                    yield f"ell_of_h{tag},{label(h)})[{kind}]", characters.ell_of_h, (g, k, nu, h)
+                for l0 in (Q(0), Q(1)) if a is None else (Q(0), a, a + Q(1, 2), a + 1):
+                    yield f"h_pair{tag},{label(l0)})[{kind}]", characters.h_pair, (g, k, nu, l0)
+                    yield f"g_half_norm{tag},{label(l0)})[{kind}]", gram_lab.g_half_norm, \
+                        (g, k, nu, l0)
+
+
 CALLS = {"decide": decide_calls, "scalars": scalar_calls, "characters": character_calls,
-         "series": series_calls, "builders": builder_calls}
+         "series": series_calls, "builders": builder_calls, "gram": gram_calls,
+         "levels": levels_calls}
 
 
 # -- running and pinning --------------------------------------------------------------
