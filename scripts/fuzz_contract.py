@@ -7,8 +7,12 @@ under its lowered caps (`bounded`), seeded by SEED, and gives each call a
 5 s alarm.  The calls include the series readers (`read_series`:
 `series_from_records`, `QWSeries.coeff` and `QWSeries.truncated`, and
 `characters.depth_of`) with nu drawn as a `Vec` or a plain list, and
-`h_odd` with gamma drawn as a `Vec`, a tuple or a list; then
-`series_from_records` on malformed records (a field missing or of the
+`h_odd` with gamma drawn as a `Vec`, a tuple or a list, with a bool among
+the values that spoil an index n or m or a count; then one call with a
+bool, a float or a valid int in a public int argument (`INT_ARGUMENTS`:
+the gram entry points' indices and cutoffs, `n4_closed_form`'s M1 and r,
+`enumerate_unitary_k`'s count and `AlgebraId`'s m, a_num and a_den);
+then `series_from_records` on malformed records (a field missing or of the
 wrong kind, a record that is no dict, the family as a label string) and
 every series reader on a weight of the wrong length or no sequence.  Where the Tier-1
 test stops at the first breach, this run goes on and lists every escape:

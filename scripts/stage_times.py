@@ -73,9 +73,15 @@ timed stage:
     frame_s               a fresh build of the entry's frame of h^nat
                           (`catalog._Lattice`, held as `CatalogEntry.lattice`),
                           timed on its own; the cold call builds it once
-    caches                `cache_info()` of `catalog.lookup`, the level
-                          record `levels._level`, `characters._fns_cached`
-                          and `characters._orbit_sum` after the warm call
+    caches                the stores `catalog.lookup`, the level record
+                          `levels._level`, `characters._fns_cached` and
+                          `characters._orbit_sum` after the warm call, by
+                          name, as `wmin._stores.info()` lists them: hits,
+                          misses, maxsize and currsize
+
+The wrappers keep the wrapped stores' `cache_info` and `cache_clear`, so
+`wmin._stores` sees every store while they are in place, and the wrapped
+functions are put back when the four calls are done, or fail.
 
 Times are in seconds, rounded to 1 microsecond.
 
@@ -112,6 +118,13 @@ With `--gram E_MAX` the script times the integer kernel of the boson lab
                           energy 1..E_MAX contracted to the vacuum with the
                           `heisenberg_matrix` views of its annihilators, at
                           mu = 5/3
+    warm_check_ns         a warm check on the warm tables: per kind, the
+                          median over its calls above and WARM_ROUNDS rounds
+                          of the time per call of WARM_LOOPS calls in a row,
+                          in nanoseconds, with the garbage collector off:
+                          {"virasoro": ..., "adjoint_L": ..., "adjoint_a": ...}.
+                          On the free-field maps such a check reads an empty
+                          table, so this is the cost of checking its arguments
     caches                the stores of `gram_lab` afterwards
                           (`wmin._stores.info()`), by name: hits, misses,
                           maxsize and currsize
@@ -217,6 +230,7 @@ import statistics
 import subprocess
 import sys
 import time
+from functools import update_wrapper
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -259,13 +273,22 @@ def main(argv=None):
     if args.hits is not None:
         print(json.dumps(hit_stages(args.hits)))
         return
+    print(json.dumps(character_stages(args)))
 
+
+STORES = {"catalog.lookup", "levels._level", "characters._fns_cached", "characters._orbit_sum"}
+FIELDS = ("hits", "misses", "maxsize", "currsize")  # of a store's `_stores.info()` item
+
+
+def character_stages(args):
+    """The figures of one character request, its four calls in this
+    interpreter; every function wrapped to time it is put back on return."""
     t0 = time.perf_counter()
     from wmin import characters
     import_s = time.perf_counter() - t0
 
     from fractions import Fraction as Q
-    from wmin import catalog, levels
+    from wmin import _stores, catalog
     if args.g == "D21a":
         a = Q(args.a)
         g = catalog.d21a(a.numerator, a.denominator)
@@ -278,12 +301,13 @@ def main(argv=None):
     built = []  # the image keys of the quotients `_fns_cached` built, in order
     vecs = [0]  # the weights `_publish` built in the current call
     fns_cache, sum_cache, vec = characters._fns_cached, characters._orbit_sum, characters._vec
+    checks = ("_P_plus_data", "_is_extremal", "_excess", "_threshold")
+    wrapped = ("_vec", "_orbit", "_fns_cached", "_orbit_sum", "_sum_pieces", "_publish") + checks
+    originals = {name: getattr(characters, name) for name in wrapped}
 
     def counted_vec(fracs):
         vecs[0] += 1
         return vec(fracs)
-
-    characters._vec = counted_vec
 
     def timed(name, fn):
         def wrapper(*a, **kw):
@@ -294,11 +318,10 @@ def main(argv=None):
             if len(a) == 4 and fn is fns_cache and fns_cache.cache_info().misses > misses:
                 built.append(a[3])  # a quotient key's first call: a build
             return out
+        update_wrapper(wrapper, fn)
+        if hasattr(fn, "cache_info"):  # a store: `_stores` finds it by these
+            wrapper.cache_info, wrapper.cache_clear = fn.cache_info, fn.cache_clear
         return wrapper
-
-    checks = ("_P_plus_data", "_is_extremal", "_excess", "_threshold")
-    for name in ("_orbit", "_fns_cached", "_orbit_sum", "_sum_pieces", "_publish") + checks:
-        setattr(characters, name, timed(name, getattr(characters, name)))
 
     windows = {}  # call -> (windows built, windows answered from a held one)
     weights_built = {}  # call -> weights built
@@ -324,20 +347,26 @@ def main(argv=None):
         return (out, wall, {name: (s, res, a) for name, s, res, a in reversed(calls)},
                 sum(s for name, s, _, _ in calls if name in checks), len(built))
 
-    _, cold_s, cold, _, quotients = request("cold")
-    sum_cache.cache_clear()
-    out, warm_s, warm, checks_s, quotients_warm = request("warm")
-    caches = {f.__name__: f.cache_info()._asdict()
-              for f in (catalog.lookup, levels._level, fns_cache, sum_cache)}
-    _, hit_s, _, _, _ = request("hit")
-    inner = (q_max - Q(1, 2), max(depth - 1, Q(0)))
-    _, contained_s, _, _, _ = request("contained", *inner)
+    for name in wrapped:
+        setattr(characters, name, counted_vec if name == "_vec" else timed(name, originals[name]))
+    try:
+        _, cold_s, cold, _, quotients = request("cold")
+        sum_cache.cache_clear()
+        out, warm_s, warm, checks_s, quotients_warm = request("warm")
+        caches = {name.partition(".")[2]: dict(zip(FIELDS, info))
+                  for name, info in _stores.info().items() if name in STORES}
+        _, hit_s, _, _, _ = request("hit")
+        inner = (q_max - Q(1, 2), max(depth - 1, Q(0)))
+        _, contained_s, _, _, _ = request("contained", *inner)
+    finally:
+        for name, fn in originals.items():
+            setattr(characters, name, fn)
     fns_s, fns, (_, top, cap) = cold["_fns_cached"]
     _, _, (_, _, _, start, sum_top, *_) = warm["_orbit_sum"]
     t = time.perf_counter()
     catalog._Lattice(catalog.lookup(g))
     frame_s = time.perf_counter() - t
-    print(json.dumps({
+    return {
         "import_s": round(import_s, 6),
         "denominator_build_s": round(fns_s, 6),
         "denominator_window": [top, cap],
@@ -365,7 +394,7 @@ def main(argv=None):
         "out_terms": out.n_terms(),
         "frame_s": round(frame_s, 6),
         "caches": caches,
-    }))
+    }
 
 
 def gram_stages(e_max):
@@ -415,10 +444,36 @@ def gram_stages(e_max):
             "adjoint": sum(not gram_lab._adjoint_rows(n, e_max, op) for op, n in adjoint)},
         "norms_s": timed(norms),
     }
-    fields = ("hits", "misses", "maxsize", "currsize")
-    out["caches"] = {name.partition(".")[2]: dict(zip(fields, info))
+    out["warm_check_ns"] = {
+        "virasoro": warm_ns(gram_lab.virasoro_check, [(s, mu, n, m, e_max) for n, m in window]),
+        "adjoint_L": warm_ns(gram_lab.adjointness_check,
+                             [(s, mu, n, e_max, op) for op, n in adjoint if op == "L"]),
+        "adjoint_a": warm_ns(gram_lab.adjointness_check,
+                             [(s, mu, n, e_max, op) for op, n in adjoint if op == "a"])}
+    out["caches"] = {name.partition(".")[2]: dict(zip(FIELDS, info))
                      for name, info in _stores.info().items() if name.startswith("gram_lab.")}
     return out
+
+
+WARM_LOOPS = 200  # calls in a row per `warm_check_ns` sample
+WARM_ROUNDS = 5  # samples per call of `warm_check_ns`
+
+
+def warm_ns(fn, calls):
+    """The median over `calls` and WARM_ROUNDS rounds of the nanoseconds
+    per call of fn(*args) made WARM_LOOPS times in a row, gc off."""
+    clock, loops, samples = time.perf_counter_ns, range(WARM_LOOPS), []
+    gc.disable()
+    try:
+        for _ in range(WARM_ROUNDS):
+            for args in calls:
+                t = clock()
+                for _ in loops:
+                    fn(*args)
+                samples.append((clock() - t) / WARM_LOOPS)
+    finally:
+        gc.enable()
+    return round(statistics.median(samples), 1)
 
 
 def verdict_families(catalog):

@@ -1339,9 +1339,9 @@ def n4_closed_form(M1: int, r: int, q_max, depth) -> QWSeries:
     (theta_1 is a positive root of g^nat), a = m(M1+1) for w+ and
     a = -(m(M1+1) + r + 1) for w-.  Either a <= 0, or a <= b_m (m >= 1 for
     w+; m <= -1 for w-, where b_m = |m| a): no further headroom is needed."""
-    if not (isinstance(M1, int) and M1 >= 1):
+    if not (M1.__class__ is int and M1 >= 1):  # True equals 1: a bool is no int here
         raise IndexOutOfRange("M1 must be a positive integer")
-    if not (isinstance(r, int) and 0 <= r <= M1):
+    if not (r.__class__ is int and 0 <= r <= M1):
         raise IndexOutOfRange("need 0 <= r <= M1")
     g = AlgebraId("psl22")
     entry = lookup(g)

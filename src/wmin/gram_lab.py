@@ -144,7 +144,8 @@ def boson_norm(state: BosonBasisState) -> Fraction:
 @lru_cache(maxsize=16, typed=True)
 def states_at_energy(e: int) -> Tuple[BosonBasisState, ...]:
     """All basis states of energy e (partitions of e)."""
-    _require_ints(e=e)
+    if e.__class__ is not int:
+        _require_ints(e=e)
 
     def parts(rest: int, maxpart: int):
         if rest == 0:
@@ -164,7 +165,8 @@ def states_at_energy(e: int) -> Tuple[BosonBasisState, ...]:
 
 
 def states_up_to(e_max: int) -> List[BosonBasisState]:
-    _require_ints(e_max=e_max)
+    if e_max.__class__ is not int:
+        _require_ints(e_max=e_max)
     out: List[BosonBasisState] = []
     for e in range(e_max + 1):
         out.extend(states_at_energy(e))
@@ -400,7 +402,10 @@ def _view(name: str, n: int, mu: Fraction, s: GR, e_max: int,
 
 def _require_ints(**values) -> None:
     """Mode indices and cutoffs must be ints: a float equal to one would
-    read the int tables built for it."""
+    read the int tables built for it.  This is the entry points' refusal:
+    each tests its ints inline (`x.__class__ is int`) and calls it only when
+    a test fails, so a valid call builds no keyword dict.  It names the
+    first argument that is no int."""
     for name, x in values.items():
         if x.__class__ is not int:
             raise IndexOutOfRange(f"{name} must be an int, got {x!r}")
@@ -417,7 +422,8 @@ def heisenberg_matrix(n: int, mu: Fraction, e_max: int) -> GradedSliceOperator:
     """The mode a_n as a graded operator (a_0 acts by mu): the view of the
     int map `_a_map`, whose ints are its entries.  Raises WindowTooSmall
     when no state is an admissible input (e_max < max(0, -n))."""
-    _require_ints(n=n, e_max=e_max)
+    if n.__class__ is not int or e_max.__class__ is not int:
+        _require_ints(n=n, e_max=e_max)
     _require_window(n, e_max)
     mu = as_rational(mu)
     cols = _a_map(n, e_max) if n else [{i: mu} if mu else {}
@@ -430,7 +436,8 @@ def fairlie_matrix(s: GR, mu: Fraction, n: int, e_max: int) -> GradedSliceOperat
     n != 0, and sum_{j>=1} a_{-j} a_j + (mu^2 - s^2)/2 for n = 0: the view
     of D*L_n (`_scaled_L`), each entry its int pair over D.  Raises
     WindowTooSmall as `heisenberg_matrix` does."""
-    _require_ints(n=n, e_max=e_max)
+    if n.__class__ is not int or e_max.__class__ is not int:
+        _require_ints(n=n, e_max=e_max)
     _require_window(n, e_max)
     s, mu = GR.of(s), as_rational(mu)
     scale, cols = _scaled_L(_imaginary_part(s), mu, n, e_max)
@@ -547,7 +554,8 @@ def virasoro_check(s: GR, mu: Fraction, n: int, m: int, e_max: int) -> bool:
     with E - m, E - n and E - n - m at most e_max.  Compared at scale D^2,
     as the rows of `_virasoro_rows` dotted with the scalars of (s, mu)
     (fact 2); an empty table, the free-field one, needs no scalar."""
-    _require_ints(n=n, m=m, e_max=e_max)
+    if n.__class__ is not int or m.__class__ is not int or e_max.__class__ is not int:
+        _require_ints(n=n, m=m, e_max=e_max)
     if abs(n) + abs(m) > e_max - 1:
         raise WindowTooSmall(f"need |n|+|m| <= e_max-1, got {n}, {m}, {e_max}")
     s, mu = GR.of(s), as_rational(mu)
@@ -597,7 +605,8 @@ def adjointness_check(s: GR, mu: Fraction, n: int, e_max: int,
     `_adjoint_rows` (fact 3); an empty table, the free-field one, needs no
     coefficient.
     Raises WindowTooSmall when |n| > e_max: no state pair would be compared."""
-    _require_ints(n=n, e_max=e_max)
+    if n.__class__ is not int or e_max.__class__ is not int:
+        _require_ints(n=n, e_max=e_max)
     if abs(n) > e_max:
         raise WindowTooSmall(f"need |n| <= e_max, got {n}, {e_max}")
     s, mu = GR.of(s), as_rational(mu)
@@ -646,7 +655,8 @@ def exp_factorization_check(t: GR, n_max: int, m_max: int) -> bool:
     denominator of t, the n-th derivative is compared at scale d^n: d*t is
     a Gaussian integer, so every step stays in Z[i].  Raises WindowTooSmall
     when n_max or m_max is below 1: nothing would be compared."""
-    _require_ints(n_max=n_max, m_max=m_max)
+    if n_max.__class__ is not int or m_max.__class__ is not int:
+        _require_ints(n_max=n_max, m_max=m_max)
     if n_max < 1 or m_max < 1:
         raise WindowTooSmall(f"need n_max, m_max >= 1, got {n_max}, {m_max}")
     t = GR.of(t)

@@ -184,12 +184,12 @@ RANGE_CAP = 10 ** 5  # levels listed before TruncationIncomplete is raised
 
 def enumerate_unitary_k(g: AlgebraId, count: int) -> List[Fraction]:
     """First `count` levels of the unitarity range, from the largest down.
-    A count that is no int raises `PreconditionViolated`, and one that
-    would list more than RANGE_CAP levels, read at call time as
-    `weights.P_PLUS_CAP` is, raises `TruncationIncomplete` before any is
+    A count that is no int, a bool included, raises `PreconditionViolated`,
+    and one that would list more than RANGE_CAP levels, read at call time
+    as `weights.P_PLUS_CAP` is, raises `TruncationIncomplete` before any is
     built: on a family with an unbounded range the list is as long as the
     count."""
-    if not isinstance(count, int):
+    if count.__class__ is not int:  # True equals 1: a bool is no int here
         raise PreconditionViolated(f"count must be an int, got {count!r}")
     first, step, size = lookup(g).unitary_range
     n = max(0, count if size is None else min(count, size))

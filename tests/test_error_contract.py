@@ -18,11 +18,12 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import wmin
-from wmin import catalog, characters, weights
+from wmin import catalog, characters, gram_lab, weights
 from wmin.characters import QWSeries
 from wmin.cli import run
-from wmin.errors import (IndexOutOfSet, InexactScalar, ParameterOutOfRange,
+from wmin.errors import (IndexOutOfRange, IndexOutOfSet, InexactScalar, ParameterOutOfRange,
                          PreconditionViolated, WminError)
+from wmin.rationals import GaussianRational as GR
 from wmin.rationals import format_rational
 
 FAMILIES = [catalog.psl22(), catalog.spo2m(3), catalog.spo2m(5), catalog.g3(), catalog.f4(),
@@ -33,9 +34,57 @@ SMALL = st.fractions(min_value=-1, max_value=2, max_denominator=4)
 # the argument an example spoils, if any, and what it puts there: the huge
 # and tiny rationals only where they set no size of the work
 SPOILS = {"k": ODD, "nu": ODD, "l0": ODD, "x": ODD, "window": NON_FRACTION,
-          "depth": NON_FRACTION, "n": st.sampled_from([2.0, "3", None, -1, 10 ** 9]),
-          "m": st.sampled_from([10 ** 9, 2.0, None]),
-          "count": st.sampled_from([10 ** 9, 2.0, None])}
+          "depth": NON_FRACTION, "n": st.sampled_from([2.0, "3", None, -1, 10 ** 9, True]),
+          "m": st.sampled_from([10 ** 9, 2.0, None, True, False]),
+          "count": st.sampled_from([10 ** 9, 2.0, None, True])}
+S_IM = GR.imag(Q(1, 2))
+# every public int argument, by name: (function, valid arguments, the
+# argument's position); True equals 1 and hashes as 1, so each is tested by
+# its class, not by isinstance.  REFUSALS holds the class and text (formatted
+# with the value given) of a refusal other than the gram entry points'
+INT_ARGUMENTS = {
+    "virasoro_check.n": (gram_lab.virasoro_check, (S_IM, Q(2), 1, -1, 4), 2),
+    "virasoro_check.m": (gram_lab.virasoro_check, (S_IM, Q(2), 1, -1, 4), 3),
+    "virasoro_check.e_max": (gram_lab.virasoro_check, (S_IM, Q(2), 1, -1, 4), 4),
+    "adjointness_check.n": (gram_lab.adjointness_check, (S_IM, Q(2), 1, 4, "L"), 2),
+    "adjointness_check.e_max": (gram_lab.adjointness_check, (S_IM, Q(2), 1, 4, "a"), 3),
+    "states_at_energy.e": (gram_lab.states_at_energy, (1,), 0),
+    "states_up_to.e_max": (gram_lab.states_up_to, (1,), 0),
+    "heisenberg_matrix.n": (gram_lab.heisenberg_matrix, (1, Q(2), 2), 0),
+    "heisenberg_matrix.e_max": (gram_lab.heisenberg_matrix, (1, Q(2), 2), 2),
+    "fairlie_matrix.n": (gram_lab.fairlie_matrix, (S_IM, Q(2), 1, 2), 2),
+    "fairlie_matrix.e_max": (gram_lab.fairlie_matrix, (S_IM, Q(2), 1, 2), 3),
+    "exp_factorization_check.n_max": (gram_lab.exp_factorization_check, (S_IM, 1, 2), 1),
+    "exp_factorization_check.m_max": (gram_lab.exp_factorization_check, (S_IM, 2, 1), 2),
+    "n4_closed_form.M1": (wmin.n4_closed_form, (1, 1, 1, 1), 0),
+    "n4_closed_form.r": (wmin.n4_closed_form, (2, 1, 1, 1), 1),
+    "enumerate_unitary_k.count": (wmin.enumerate_unitary_k, (catalog.psl22(), 1), 1),
+    "AlgebraId.m": (catalog.AlgebraId, ("spo2m", 3), 1),
+    "AlgebraId.a_num": (catalog.AlgebraId, ("D21a", 0, 1, 2), 2),
+    "AlgebraId.a_den": (catalog.AlgebraId, ("D21a", 0, 2, 1), 3),
+}
+REFUSALS = {"n4_closed_form.M1": (IndexOutOfRange, "M1 must be a positive integer"),
+            "n4_closed_form.r": (IndexOutOfRange, "need 0 <= r <= M1"),
+            "enumerate_unitary_k.count": (PreconditionViolated, "count must be an int, got {!r}"),
+            "AlgebraId": (ParameterOutOfRange, "{name} must be an int, got {!r}")}
+
+
+def int_refusal(arg: str):
+    """(class, text format) of the refusal of a value that is no int as
+    `INT_ARGUMENTS[arg]`: `IndexOutOfRange` with the argument's name for
+    the gram entry points."""
+    fn, _, name = arg.partition(".")
+    cls, text = REFUSALS.get(arg) or REFUSALS.get(fn) or (IndexOutOfRange,
+                                                          "{name} must be an int, got {!r}")
+    return cls, text.replace("{name}", name)
+
+
+def with_int_argument(arg: str, x):
+    """`INT_ARGUMENTS[arg]`'s call, (function, args), with x in its position."""
+    fn, args, pos = INT_ARGUMENTS[arg]
+    return fn, args[:pos] + (x,) + args[pos + 1:]
+
+
 # no shrinking: a failure is reported as drawn, at once
 SETTINGS = settings(max_examples=80, derandomize=True, database=None, deadline=None,
                     phases=(Phase.explicit, Phase.generate))
@@ -176,9 +225,10 @@ def drawn_calls(data) -> list:
     """One example's public calls, (function, args) in the order they are
     made: a family, two levels and a weight, with the arguments of
     `_calls` drawn around A(k, nu) at each level; an example may spoil
-    one argument.  Then `series_from_records` on malformed records and
-    every series reader on a wrong weight.  Draw it inside `bounded`, as
-    the weights are enumerated under its cap."""
+    one argument.  Then one call of `INT_ARGUMENTS` with a bool, a float
+    or the valid int in its int position, `series_from_records` on
+    malformed records and every series reader on a wrong weight.  Draw it
+    inside `bounded`, as the weights are enumerated under its cap."""
     g = data.draw(st.sampled_from(FAMILIES))
     unitary = wmin.enumerate_unitary_k(g, 4)
     ks = data.draw(st.lists(st.sampled_from(unitary) if unitary else SMALL.map(lambda x: x - 3),
@@ -209,6 +259,10 @@ def drawn_calls(data) -> list:
         l0 = _plus(_base(g, k, nu), drawn["l0"])
         out += _calls(g, k, nu, l0, _plus(l0, drawn["window"]), drawn["window"],
                       drawn["depth"], drawn["x"], drawn["n"], drawn["m"], drawn["count"], gamma)
+    arg = data.draw(st.sampled_from(sorted(INT_ARGUMENTS)))
+    valid = INT_ARGUMENTS[arg][1][INT_ARGUMENTS[arg][2]]
+    out.append(with_int_argument(arg, data.draw(st.sampled_from([True, False, float(valid),
+                                                                   valid]))))
     entry, recs = data.draw(malformed_records(g))
     out.append((wmin.series_from_records, (entry, recs, 2, 2)))
     w = data.draw(wrong_weight(catalog.lookup(g).n))
@@ -248,6 +302,21 @@ def test_public_calls_keep_the_error_contract(data):
         wmin.parse_rational(data.draw(st.sampled_from(PARSER_INPUTS)))
     except ValueError:  # the parser's documented refusal
         pass
+
+
+@pytest.mark.parametrize("bad", [True, False, float], ids=["True", "False", "float"])
+@pytest.mark.parametrize("arg", sorted(INT_ARGUMENTS))
+def test_every_public_int_argument_refuses_a_bool_and_a_float(arg, bad):
+    """A bool, or a float equal to the valid int, in any public int
+    argument is refused with the argument's own class and text; the valid
+    call answers."""
+    fn, args, pos = INT_ARGUMENTS[arg]
+    fn(*args)
+    x = float(args[pos]) if bad is float else bad
+    cls, text = int_refusal(arg)
+    with pytest.raises(cls) as err:
+        fn(*with_int_argument(arg, x)[1])
+    assert type(err.value) is cls and str(err.value) == text.format(x)
 
 
 def test_huge_indices_keep_the_error_contract():

@@ -153,6 +153,43 @@ def test_stage_times_gram():
     for name, builds in (("_paired", 11), ("_virasoro_rows", 28), ("_adjoint_rows", 14)):
         assert got["caches"][name]["misses"] == builds, name
     assert all(info["currsize"] <= info["maxsize"] for info in got["caches"].values())
+    # a warm check of each kind is timed, on the tables the stages built
+    assert sorted(got["warm_check_ns"]) == ["adjoint_L", "adjoint_a", "virasoro"]
+    assert all(ns > 0 for ns in got["warm_check_ns"].values())
+
+
+def test_stage_times_puts_back_what_it_wraps(capsys):
+    """Run in process, the character case times its stages through
+    wrappers of `characters._fns_cached`, `_orbit_sum` and seven more, and
+    puts the wrapped functions back, also when the request is refused; its
+    `caches` are read from `wmin._stores.info()`, which finds the wrapped
+    stores while the wrappers are in place and all 13 stores afterwards."""
+    import importlib.util
+    import json
+
+    import pytest
+
+    from wmin import _stores, characters
+    from wmin.errors import WminError
+    spec = importlib.util.spec_from_file_location("stage_times", SCRIPTS / "stage_times.py")
+    stage_times = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(stage_times)
+    names = ("_vec", "_orbit", "_fns_cached", "_orbit_sum", "_sum_pieces", "_publish",
+             "_P_plus_data", "_is_extremal", "_excess", "_threshold")
+    found = {name: getattr(characters, name) for name in names}
+    case = ["--g", "spo2m", "--m", "3", "--k", "-3/2", "--nu", "0,1", "--qmax", "3",
+            "--depth", "6"]
+    stage_times.main(case + ["--l0", "1"])
+    got = json.loads(capsys.readouterr().out)
+    assert {name: getattr(characters, name) for name in names} == found
+    assert got["caches"]["_orbit_sum"] == {"hits": 0, "misses": 1, "maxsize": 128, "currsize": 1}
+    assert list(got["caches"]) == ["lookup", "_level", "_fns_cached", "_orbit_sum"]
+    assert len(_stores.info()) == 13
+    assert _stores.info()["characters._fns_cached"][3] >= 1
+    with pytest.raises(WminError):  # l0 below the threshold: the cold call is refused
+        stage_times.main(case + ["--l0", "-5"])
+    assert {name: getattr(characters, name) for name in names} == found
+    assert len(_stores.info()) == 13
 
 
 def test_stage_times_verdicts():
